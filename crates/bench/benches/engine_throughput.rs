@@ -3,8 +3,9 @@
 //! ping-pong, and the deliver path at fleet sizes), which bounds how
 //! large a cluster the experiments can simulate — plus the
 //! `consolidators` group, which times every `ConsolidatorRegistry`
-//! algorithm on one fixed 512-VM GRID'11 instance (the reconfiguration
-//! kernel the GM runs live).
+//! algorithm on a fixed 512-VM all-distinct GRID'11 instance and a
+//! 12-flavour 520-VM × 240-host one (the reconfiguration kernel the GM
+//! runs live).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -225,28 +226,40 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// Every registry algorithm on one fixed 512-VM GRID'11 instance: the
-/// cost of a single reconfiguration pass at the E12/E14 fleet scale.
+/// Every registry algorithm on two fixed instances at the E12/E14 fleet
+/// scale — the cost of a single reconfiguration pass. `grid11_512` has
+/// 512 all-distinct GRID'11 demands; `flavours_520x240` has 520 VMs
+/// drawn from the trace generator's 12 flavours on 240 hosts, the
+/// duplicate-heavy shape the live system actually hands the packers.
 /// `bnb` runs under a small node budget (it is exact search; unbounded
 /// it would not return at this size) — the same way the arena smoke
 /// configures it.
 fn bench_consolidators(c: &mut Criterion) {
-    let inst = InstanceGenerator::grid11().generate(512, &mut SimRng::new(0xE14));
+    let gen = InstanceGenerator::grid11();
+    let instances = [
+        ("grid11_512", gen.generate(512, &mut SimRng::new(0xE14))),
+        (
+            "flavours_520x240",
+            gen.generate_flavoured(520, 240, &mut SimRng::new(0xE14)),
+        ),
+    ];
     let registry = ConsolidatorRegistry::standard();
     let mut group = c.benchmark_group("consolidators");
     group.sample_size(10);
-    group.throughput(Throughput::Elements(512));
-    for key in REGISTRY_KEYS {
-        let mut params = Params::new();
-        if key == "bnb" {
-            params.insert("node_budget".into(), ParamValue::Int(200_000));
+    for (shape, inst) in &instances {
+        group.throughput(Throughput::Elements(inst.n_items() as u64));
+        for key in REGISTRY_KEYS {
+            let mut params = Params::new();
+            if key == "bnb" {
+                params.insert("node_budget".into(), ParamValue::Int(200_000));
+            }
+            let algo = registry
+                .build(key, &params)
+                .expect("every registry key builds");
+            group.bench_function(BenchmarkId::new(*shape, key), |b| {
+                b.iter(|| black_box(algo.consolidate(black_box(inst))))
+            });
         }
-        let algo = registry
-            .build(key, &params)
-            .expect("every registry key builds");
-        group.bench_function(BenchmarkId::new("grid11_512", key), |b| {
-            b.iter(|| black_box(algo.consolidate(black_box(&inst))))
-        });
     }
     group.finish();
 }

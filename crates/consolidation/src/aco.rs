@@ -26,10 +26,28 @@
 //! pheromone bounds keep the colony from stagnating.
 //!
 //! The per-cycle ant loop is embarrassingly parallel — ants only read the
-//! shared pheromone matrix — and is parallelized with Rayon when
-//! [`AcoParams::parallel_ants`] is set, preserving bit-for-bit determinism
-//! (each ant's RNG stream is forked from the cycle and ant index, and the
-//! reduction order is fixed).
+//! shared pheromone matrix and the per-run kernel tables, each ant's RNG
+//! stream is forked from the cycle and ant index, and the reduction order
+//! is fixed — so [`AcoParams::parallel_ants`] routes it through the Rayon
+//! iterator surface without moving a bit. The workspace's vendored Rayon
+//! stand-in runs that surface **sequentially**, so today the flag changes
+//! neither the result nor the wall time.
+//!
+//! # The construction kernel
+//!
+//! Live instances are built from a handful of VM flavours, so most
+//! heuristic evaluations would recompute a value the ant already has.
+//! Once per [`AcoConsolidator::run`] items are grouped by bit-identical
+//! demand vector and bins by bit-identical capacity ([`KernelTables`]);
+//! `η^β` for the first draw into an empty bin is tabulated per (distinct
+//! capacity, item), and inside a bin it is computed once per demand
+//! class per step and reused for every unassigned item of that class.
+//! `τ^α` is read off directly when `α` is exactly 1 or 0 ([`TauPower`]).
+//! Every shortcut reuses a value computed from bit-identical operands by
+//! the same expression, so solutions, convergence series, work counters
+//! and RNG draws are those of the naive per-item evaluation (DESIGN.md
+//! has the argument; `tests/properties.rs` holds the naive kernel as the
+//! reference).
 
 use rayon::prelude::*;
 
@@ -110,26 +128,66 @@ impl AcoParams {
             ..Default::default()
         }
     }
+
+    /// Check every parameter against the range in which the colony is a
+    /// colony. Outside it the run does not fail, it quietly degenerates:
+    /// no ants or no cycles yield no solution, a NaN exponent makes every
+    /// weight NaN (the draw falls back to the first fitting VM), and
+    /// `rho >= 1` or `tau_min > tau0` invert the Max–Min band. The error
+    /// names the parameter and its accepted range.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [("n_ants", self.n_ants), ("n_cycles", self.n_cycles)] {
+            if value < 1 {
+                return Err(format!(
+                    "parameter `{name}` must be at least 1, got {value}"
+                ));
+            }
+        }
+        if !(self.rho > 0.0 && self.rho < 1.0) {
+            return Err(format!(
+                "parameter `rho` must be in (0, 1), got {}",
+                self.rho
+            ));
+        }
+        for (name, value) in [("alpha", self.alpha), ("beta", self.beta), ("q", self.q)] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(format!(
+                    "parameter `{name}` must be finite and >= 0, got {value}"
+                ));
+            }
+        }
+        if !(self.tau_min > 0.0 && self.tau_min <= self.tau0 && self.tau0.is_finite()) {
+            return Err(format!(
+                "parameters `tau_min` and `tau0` must satisfy 0 < tau_min <= tau0 < inf, \
+                 got tau_min = {}, tau0 = {}",
+                self.tau_min, self.tau0
+            ));
+        }
+        Ok(())
+    }
 }
 
-/// Dense pheromone matrix over (item, bin) pairs.
+/// Dense pheromone matrix over (item, bin) pairs, stored bin-major: an
+/// ant fills one bin at a time, so each construction step gathers from
+/// one contiguous row.
 #[derive(Clone, Debug)]
 struct PheromoneMatrix {
     tau: Vec<f64>,
-    n_bins: usize,
+    n_items: usize,
 }
 
 impl PheromoneMatrix {
     fn new(n_items: usize, n_bins: usize, tau0: f64) -> Self {
         PheromoneMatrix {
             tau: vec![tau0; n_items * n_bins],
-            n_bins,
+            n_items,
         }
     }
 
+    /// `τ(·, bin)` for every item.
     #[inline]
-    fn get(&self, item: usize, bin: usize) -> f64 {
-        self.tau[item * self.n_bins + bin]
+    fn row(&self, bin: usize) -> &[f64] {
+        &self.tau[bin * self.n_items..(bin + 1) * self.n_items]
     }
 
     fn evaporate(&mut self, rho: f64, tau_min: f64) -> u64 {
@@ -140,7 +198,7 @@ impl PheromoneMatrix {
     }
 
     fn deposit(&mut self, item: usize, bin: usize, amount: f64, tau_max: f64) {
-        let t = &mut self.tau[item * self.n_bins + bin];
+        let t = &mut self.tau[bin * self.n_items + item];
         *t = (*t + amount).min(tau_max);
     }
 
@@ -150,6 +208,138 @@ impl PheromoneMatrix {
         self.tau
             .iter()
             .all(|t| t.is_finite() && (tau_min..=tau_max).contains(t))
+    }
+}
+
+/// How `τ^α` is evaluated. C99 Annex F fixes `pow(x, 0) = 1` for every
+/// `x`, and `pow(x, 1)` has the representable exact result `x`, which any
+/// faithfully rounded `pow` must return (a unit test sweeps the Max–Min
+/// band) — so the two exponents every shipped configuration uses skip the
+/// libm call without moving a bit. Any other exponent keeps `powf`.
+#[derive(Clone, Copy, Debug)]
+enum TauPower {
+    /// `α` is exactly 0: `τ^α = 1`.
+    One,
+    /// `α` is exactly 1: `τ^α = τ`.
+    Identity,
+    /// Any other exponent.
+    Pow(f64),
+}
+
+impl TauPower {
+    fn of(alpha: f64) -> Self {
+        // Bit comparisons: only the exact exponents may take the shortcut.
+        if alpha.to_bits() == 1.0f64.to_bits() {
+            TauPower::Identity
+        } else if alpha.to_bits() == 0.0f64.to_bits() {
+            TauPower::One
+        } else {
+            TauPower::Pow(alpha)
+        }
+    }
+
+    #[inline]
+    fn apply(self, tau: f64) -> f64 {
+        match self {
+            TauPower::One => 1.0,
+            TauPower::Identity => tau,
+            TauPower::Pow(alpha) => tau.powf(alpha),
+        }
+    }
+}
+
+/// For every vector, the index of the first vector with bit-identical
+/// components — the representative of its class (`rep[i] <= i`). Sorts
+/// one scratch buffer rather than filling a map: a map's freed nodes
+/// linger in the allocator's small-chunk cache above the pheromone
+/// matrix, where later long-lived allocations pinned a matrix-sized hole
+/// (measured: +1.2 MB peak RSS on the benchmark's 512-VM instance).
+fn representatives(vectors: &[ResourceVector]) -> Vec<usize> {
+    let mut keyed: Vec<([u64; 4], usize)> = vectors
+        .iter()
+        .enumerate()
+        .map(|(index, v)| (v.to_array().map(f64::to_bits), index))
+        .collect();
+    keyed.sort_unstable();
+    let mut representative = vec![0; vectors.len()];
+    for class in keyed.chunk_by(|a, b| a.0 == b.0) {
+        for &(_, index) in class {
+            representative[index] = class[0].1;
+        }
+    }
+    representative
+}
+
+/// `η(demand, residual)^β` if `demand` fits `residual`, else `None` — the
+/// per-candidate work of a construction step, minus the pheromone factor.
+#[inline]
+fn fit_eta_beta(
+    demand: &ResourceVector,
+    residual: &ResourceVector,
+    capacity: &ResourceVector,
+    beta: f64,
+) -> Option<f64> {
+    demand
+        .fits_within(residual)
+        .then(|| heuristic(demand, residual, capacity).powf(beta))
+}
+
+/// What one `run` fixes for the construction kernel: the two exponents,
+/// the demand classes of the items, and `η^β` for the first draw into an
+/// empty bin of each distinct capacity.
+///
+/// Classes are named by their representative item, so per-class state is
+/// item-indexed and no allocation's size depends on how many classes
+/// there are. `fresh` holds one row per *distinct* host capacity — one or
+/// a few hardware generations in any fleet this repo builds; a fleet of
+/// all-different hosts would make it twice the pheromone matrix.
+#[derive(Clone, Debug)]
+struct KernelTables {
+    /// How `τ^α` is evaluated.
+    tau_power: TauPower,
+    /// Heuristic exponent β (the one `fresh` was tabulated with).
+    beta: f64,
+    /// Representative (first bit-identical) item of each item.
+    item_class: Vec<usize>,
+    /// Where each bin's row of `fresh` starts.
+    fresh_row_start: Vec<usize>,
+    /// `fit_eta_beta(item, capacity, capacity)` per (distinct capacity,
+    /// item), one row of `n_items` per capacity.
+    fresh: Vec<Option<f64>>,
+}
+
+impl KernelTables {
+    fn new(instance: &Instance, alpha: f64, beta: f64) -> Self {
+        let bin_class = representatives(&instance.bins);
+        let mut fresh_row_start = vec![0; instance.n_bins()];
+        let mut fresh = Vec::new();
+        for (bin, capacity) in instance.bins.iter().enumerate() {
+            if bin_class[bin] == bin {
+                fresh_row_start[bin] = fresh.len();
+                fresh.extend(
+                    instance
+                        .items
+                        .iter()
+                        .map(|demand| fit_eta_beta(demand, capacity, capacity, beta)),
+                );
+            } else {
+                fresh_row_start[bin] = fresh_row_start[bin_class[bin]];
+            }
+        }
+        KernelTables {
+            tau_power: TauPower::of(alpha),
+            beta,
+            item_class: representatives(&instance.items),
+            fresh_row_start,
+            fresh,
+        }
+    }
+
+    /// The fresh-bin table row of `bin`, indexed by item.
+    #[inline]
+    fn fresh_row(&self, bin: usize) -> &[Option<f64>] {
+        let start = self.fresh_row_start[bin];
+        &self.fresh[start..start + self.item_class.len()]
     }
 }
 
@@ -221,6 +411,7 @@ impl AcoConsolidator {
             };
         }
         let mut pheromone = PheromoneMatrix::new(n_items, instance.n_bins(), p.tau0);
+        let tables = KernelTables::new(instance, p.alpha, p.beta);
         let master = SimRng::new(p.seed);
         let mut global_best: Option<(Solution, usize, f64)> = None; // (sol, bins, util)
         let mut best_per_cycle = Vec::with_capacity(p.n_cycles);
@@ -234,7 +425,7 @@ impl AcoConsolidator {
             let t_construct = snooze_simcore::WallClock::start();
             let construct = |ant: usize| -> (Option<Solution>, u64) {
                 let mut rng = master.fork((cycle * p.n_ants + ant) as u64 + 1);
-                construct_solution(instance, &pheromone, &p, &mut rng)
+                construct_solution(instance, &tables, &pheromone, &mut rng)
             };
             let candidates: Vec<(Option<Solution>, u64)> = if p.parallel_ants {
                 (0..p.n_ants).into_par_iter().map(construct).collect()
@@ -412,10 +603,15 @@ pub fn bin_emptying_local_search(instance: &Instance, solution: &mut Solution) {
 /// One ant's solution construction. Returns the solution (if feasible)
 /// and the number of inner-loop steps taken — the deterministic work
 /// counter behind [`AcoPhaseProfile::construction_steps`].
+///
+/// Candidate order, weights and RNG draws are those of evaluating
+/// `τ^α · η^β` per unassigned item: the fresh-bin table and the per-step
+/// class memo only ever stand in for the same expression over
+/// bit-identical operands.
 fn construct_solution(
     instance: &Instance,
+    tables: &KernelTables,
     pheromone: &PheromoneMatrix,
-    p: &AcoParams,
     rng: &mut SimRng,
 ) -> (Option<Solution>, u64) {
     let mut steps = 0u64;
@@ -427,24 +623,48 @@ fn construct_solution(
         return (None, steps);
     };
     let mut residual = first_bin;
+    // Nothing placed in `bin` yet: `residual` is its full capacity and
+    // the per-run table already holds every item's value.
+    let mut fresh = true;
 
     // Scratch buffers reused across iterations (allocation-conscious: the
     // inner loop runs n_items times per ant).
     let mut candidates: Vec<usize> = Vec::with_capacity(n_items);
     let mut weights: Vec<f64> = Vec::with_capacity(n_items);
+    // Per demand class (at its representative item): the step that last
+    // evaluated it (0 = never; steps count from 1) and what it found.
+    let mut memo: Vec<(u64, Option<f64>)> = vec![(0, None); n_items];
 
     while !unassigned.is_empty() {
         candidates.clear();
         weights.clear();
+        steps += 1;
+        let tau = pheromone.row(bin);
+        let fresh_row = tables.fresh_row(bin);
         for (slot, &item) in unassigned.iter().enumerate() {
-            if instance.items[item].fits_within(&residual) {
+            let eta_beta = if fresh {
+                fresh_row[item]
+            } else {
+                let class = tables.item_class[item];
+                let entry = &mut memo[class];
+                if entry.0 != steps {
+                    *entry = (
+                        steps,
+                        fit_eta_beta(
+                            &instance.items[class],
+                            &residual,
+                            &instance.bins[bin],
+                            tables.beta,
+                        ),
+                    );
+                }
+                entry.1
+            };
+            if let Some(eta_beta) = eta_beta {
                 candidates.push(slot);
-                let eta = heuristic(&instance.items[item], &residual, &instance.bins[bin]);
-                let tau = pheromone.get(item, bin);
-                weights.push(tau.powf(p.alpha) * eta.powf(p.beta));
+                weights.push(tables.tau_power.apply(tau[item]) * eta_beta);
             }
         }
-        steps += 1;
         if candidates.is_empty() {
             // Current bin is as full as this ant can make it — move on.
             bin += 1;
@@ -452,6 +672,7 @@ fn construct_solution(
                 return (None, steps); // out of hosts
             }
             residual = instance.bins[bin];
+            fresh = true;
             continue;
         }
         let pick = rng.weighted_index(&weights).unwrap_or(0);
@@ -459,6 +680,7 @@ fn construct_solution(
         let item = unassigned.swap_remove(slot);
         assignment[item] = bin;
         residual = residual.saturating_sub(&instance.items[item]);
+        fresh = false;
     }
     (Some(Solution { assignment }), steps)
 }
@@ -661,6 +883,53 @@ mod tests {
         let big = ResourceVector::splat(0.55);
         let small = ResourceVector::splat(0.1);
         assert!(heuristic(&big, &residual, &cap) > heuristic(&small, &residual, &cap));
+    }
+
+    /// The `α ∈ {0, 1}` shortcuts return libm's bits over the whole
+    /// Max–Min band (and well outside it).
+    #[test]
+    fn tau_power_shortcuts_match_powf_bit_for_bit() {
+        let mut rng = SimRng::new(0x7A0);
+        for _ in 0..200_000 {
+            let tau = rng.uniform(0.0, 12.0);
+            for alpha in [0.0, 1.0] {
+                assert_eq!(
+                    TauPower::of(alpha).apply(tau).to_bits(),
+                    tau.powf(alpha).to_bits(),
+                    "tau = {tau:e}, alpha = {alpha}"
+                );
+            }
+        }
+        assert!(matches!(TauPower::of(1.0), TauPower::Identity));
+        assert!(matches!(TauPower::of(0.0), TauPower::One));
+        // Not bit-exactly 0 or 1 ⇒ libm.
+        for alpha in [-0.0, 1.0 + f64::EPSILON, 1.7, f64::NAN] {
+            assert!(matches!(TauPower::of(alpha), TauPower::Pow(_)), "{alpha}");
+        }
+    }
+
+    #[test]
+    fn classes_group_bit_identical_vectors_only() {
+        let a = ResourceVector::new(2.0, 4096.0, 100.0, 100.0);
+        let b = ResourceVector::new(2.0, 4096.0 + 1e-9, 100.0, 100.0);
+        assert_eq!(representatives(&[b, a, a, b, a]), vec![0, 1, 1, 0, 1]);
+        assert_eq!(representatives(&[]), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn fresh_table_holds_the_per_item_value_for_every_bin() {
+        let inst = InstanceGenerator::grid11().generate_heterogeneous(12, &mut SimRng::new(9));
+        let tables = KernelTables::new(&inst, 1.0, 2.0);
+        // Two capacities ⇒ two rows, shared by every other bin.
+        assert_eq!(tables.fresh.len(), 2 * inst.n_items());
+        for (bin, cap) in inst.bins.iter().enumerate() {
+            for (item, demand) in inst.items.iter().enumerate() {
+                assert_eq!(
+                    tables.fresh_row(bin)[item].map(f64::to_bits),
+                    fit_eta_beta(demand, cap, cap, 2.0).map(f64::to_bits)
+                );
+            }
+        }
     }
 
     #[test]

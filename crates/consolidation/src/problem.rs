@@ -268,6 +268,29 @@ impl InstanceGenerator {
         inst
     }
 
+    /// Generate a *flavoured* instance: `n` VMs reserved from the trace
+    /// generator's grid — `{1, 2, 4, 8}` cores (small sizes most popular)
+    /// × `{1, 2, 4}` GB per core, network fixed at 100/100 Mbit/s — on
+    /// `n_bins` hosts of the reference capacity. At most 12 distinct
+    /// demand vectors: the duplicate-heavy shape a live reconfiguration
+    /// hands the packers.
+    pub fn generate_flavoured(&self, n: usize, n_bins: usize, rng: &mut SimRng) -> Instance {
+        const CORES: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
+        const MB_PER_CORE: [f64; 3] = [1024.0, 2048.0, 4096.0];
+        let items = (0..n)
+            .map(|_| {
+                let cores = CORES[rng
+                    .weighted_index(&[0.45, 0.30, 0.17, 0.08])
+                    .expect("weights are positive")];
+                let mb_per_core = MB_PER_CORE[rng
+                    .weighted_index(&[0.25, 0.50, 0.25])
+                    .expect("weights are positive")];
+                ResourceVector::new(cores, cores * mb_per_core, 100.0, 100.0)
+            })
+            .collect();
+        Instance::homogeneous(items, n_bins, self.capacity)
+    }
+
     /// Generate an instance with `n` VMs.
     pub fn generate(&self, n: usize, rng: &mut SimRng) -> Instance {
         let items: Vec<ResourceVector> = (0..n)
@@ -428,6 +451,23 @@ mod tests {
                 assert!((0.1..0.6).contains(&f.get(d)));
             }
         }
+    }
+
+    #[test]
+    fn flavoured_generator_draws_from_twelve_demand_vectors() {
+        let gen = InstanceGenerator::grid11();
+        let inst = gen.generate_flavoured(400, 200, &mut SimRng::new(5));
+        assert_eq!((inst.n_items(), inst.n_bins()), (400, 200));
+        assert!(inst.is_homogeneous());
+        let mut distinct: Vec<[u64; DIMS]> = inst
+            .items
+            .iter()
+            .map(|it| it.to_array().map(f64::to_bits))
+            .collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 12);
+        assert!(inst.items.iter().all(|it| it.fits_within(&gen.capacity)));
     }
 
     #[test]

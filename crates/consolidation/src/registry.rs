@@ -127,7 +127,8 @@ fn sort_key(reader: &mut ParamReader<'_>) -> Result<SortKey, String> {
 }
 
 /// Colony parameters from `preset` (an [`AcoParams`] constructor name)
-/// plus individual field overrides.
+/// plus individual field overrides, range-checked by
+/// [`AcoParams::validate`].
 fn aco_params(reader: &mut ParamReader<'_>) -> Result<AcoParams, String> {
     let preset = reader.str("preset", "default")?;
     let mut p = match preset.as_str() {
@@ -159,6 +160,7 @@ fn aco_params(reader: &mut ParamReader<'_>) -> Result<AcoParams, String> {
             ))
         }
     };
+    p.validate()?;
     Ok(p)
 }
 
@@ -324,6 +326,81 @@ mod tests {
             .err()
             .expect("build must fail");
         assert!(err.contains("n_ants"), "{err}");
+    }
+
+    /// Every colony-backed key refuses `pairs` with an error containing
+    /// each of `needles`.
+    fn assert_colony_rejects(pairs: &[(&str, ParamValue)], needles: &[&str]) {
+        for key in ["aco", "daco", "aco-pso", "mo-aco"] {
+            let err = ConsolidatorRegistry::standard()
+                .build(key, &params(pairs))
+                .err()
+                .unwrap_or_else(|| panic!("{key} must reject {pairs:?}"));
+            for needle in needles {
+                assert!(err.contains(needle), "{key}: `{needle}` not in: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_colonies_are_rejected() {
+        for name in ["n_ants", "n_cycles"] {
+            assert_colony_rejects(&[(name, ParamValue::Int(0))], &[name, "at least 1"]);
+        }
+    }
+
+    #[test]
+    fn evaporation_rate_outside_the_open_unit_interval_is_rejected() {
+        for rho in [0.0, 1.0, 1.5, -0.1, f64::NAN] {
+            assert_colony_rejects(&[("rho", ParamValue::Float(rho))], &["`rho`", "(0, 1)"]);
+        }
+        assert_colony_rejects(&[("rho", ParamValue::Int(1))], &["`rho`", "(0, 1)"]);
+    }
+
+    #[test]
+    fn negative_or_non_finite_exponents_and_deposit_scale_are_rejected() {
+        for name in ["alpha", "beta", "q"] {
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                assert_colony_rejects(
+                    &[(name, ParamValue::Float(bad))],
+                    &[name, "finite and >= 0"],
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn inverted_or_degenerate_pheromone_band_is_rejected() {
+        let band = ["tau_min", "tau0", "0 < tau_min <= tau0"];
+        assert_colony_rejects(&[("tau_min", ParamValue::Float(2.0))], &band);
+        assert_colony_rejects(&[("tau_min", ParamValue::Float(0.0))], &band);
+        assert_colony_rejects(&[("tau_min", ParamValue::Float(f64::NAN))], &band);
+        assert_colony_rejects(&[("tau0", ParamValue::Float(0.001))], &band);
+        assert_colony_rejects(&[("tau0", ParamValue::Float(f64::INFINITY))], &band);
+    }
+
+    #[test]
+    fn ablation_corners_of_the_parameter_space_still_build() {
+        // E8's ablations, and the edges of every accepted range.
+        let reg = ConsolidatorRegistry::standard();
+        for pairs in [
+            vec![("alpha", ParamValue::Int(0))],
+            vec![("beta", ParamValue::Int(0))],
+            vec![("q", ParamValue::Int(0))],
+            vec![("rho", ParamValue::Float(0.05))],
+            vec![("rho", ParamValue::Float(0.6))],
+            vec![("rho", ParamValue::Float(0.9))],
+            vec![
+                ("n_ants", ParamValue::Int(1)),
+                ("n_cycles", ParamValue::Int(1)),
+            ],
+            vec![("tau_min", ParamValue::Float(1.0))],
+        ] {
+            for key in ["aco", "daco", "aco-pso", "mo-aco"] {
+                let built = reg.build(key, &params(&pairs));
+                assert!(built.is_ok(), "{key} {pairs:?}: {:?}", built.err());
+            }
+        }
     }
 
     #[test]

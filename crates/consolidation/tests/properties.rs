@@ -4,14 +4,18 @@
 //! keep its documented relationships (local search never hurts, the
 //! optimum is never beaten, canonicalization preserves structure).
 
+mod aco_reference;
+
 use proptest::prelude::*;
 
 use snooze_cluster::resources::ResourceVector;
-use snooze_consolidation::aco::{bin_emptying_local_search, AcoConsolidator, AcoParams};
+use snooze_consolidation::aco::{
+    bin_emptying_local_search, AcoConsolidator, AcoParams, UpdateRule,
+};
 use snooze_consolidation::distributed::{DistributedAco, DistributedParams};
 use snooze_consolidation::exact::BranchAndBound;
 use snooze_consolidation::ffd::{BestFit, FirstFitDecreasing, NextFit, SortKey, WorstFit};
-use snooze_consolidation::problem::{Consolidator, Instance, Solution};
+use snooze_consolidation::problem::{Consolidator, Instance, InstanceGenerator, Solution};
 use snooze_consolidation::registry::{ConsolidatorRegistry, ParamValue, Params};
 
 /// Strategy: a random homogeneous instance with unit bins and items in
@@ -42,6 +46,66 @@ fn heterogeneous_instance() -> impl Strategy<Value = Instance> {
             }
         }
         inst
+    })
+}
+
+/// Strategy: the instance shapes the construction kernel treats
+/// differently — few demand classes, all-distinct items, two capacity
+/// classes, a dimension no host has, an unplaceable item, no hosts — at
+/// sizes from empty upward.
+fn kernel_instance() -> impl Strategy<Value = Instance> {
+    (0usize..7, 0usize..56, any::<u64>()).prop_map(|(shape, n, seed)| {
+        let mut rng = snooze_simcore::rng::SimRng::new(seed);
+        let grid11 = InstanceGenerator::grid11();
+        match shape {
+            // The live system's 12 flavours on 8-core hosts, alternating
+            // with 16-core hosts for odd seeds.
+            0 => {
+                let mut inst = grid11.generate_flavoured(n, n.max(1), &mut rng);
+                if seed % 2 == 1 {
+                    for bin in inst.bins.iter_mut().step_by(2) {
+                        *bin = grid11.capacity * 2.0;
+                    }
+                }
+                inst
+            }
+            1 => grid11.generate(n, &mut rng),
+            2 => grid11.generate_heterogeneous(n, &mut rng),
+            // A dimension with zero capacity: demanded by nobody (solvable)
+            // or, for odd seeds, by everybody (nothing fits anywhere).
+            3 => {
+                let mut inst = grid11.generate(n, &mut rng);
+                for bin in &mut inst.bins {
+                    bin.net_tx = 0.0;
+                }
+                if seed % 2 == 0 {
+                    for item in &mut inst.items {
+                        item.net_tx = 0.0;
+                    }
+                }
+                inst
+            }
+            // One item larger than every bin.
+            4 => {
+                let mut inst = grid11.generate_heterogeneous(n.max(1), &mut rng);
+                let victim = rng.range(0, inst.items.len());
+                inst.items[victim] = grid11.capacity * 3.0;
+                inst
+            }
+            // No hosts at all.
+            5 => {
+                let mut inst = grid11.generate(n, &mut rng);
+                inst.bins.clear();
+                inst
+            }
+            // Too few hosts: some ants run out, some may not.
+            _ => {
+                let mut inst = grid11.generate(n, &mut rng);
+                let keep = (inst.lower_bound() + 1).min(inst.bins.len());
+                inst.bins.truncate(keep);
+                inst
+            }
+        }
     })
 }
 
@@ -205,6 +269,43 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The shipped construction kernel (class memo, fresh-bin table, `τ^α`
+    /// shortcuts, bin-major pheromone) against the frozen naive colony:
+    /// the whole deterministic surface of the run, bit for bit.
+    #[test]
+    fn aco_kernel_reproduces_the_naive_reference(
+        inst in kernel_instance(),
+        exponents in 0usize..9,
+        flags in 0u8..8,
+        colony in any::<u64>(),
+    ) {
+        let params = AcoParams {
+            n_ants: 1 + (colony % 5) as usize,
+            n_cycles: 1 + (colony / 5 % 6) as usize,
+            alpha: [0.0, 1.0, 1.7][exponents % 3],
+            beta: [0.0, 2.0, 2.5][exponents / 3],
+            seed: colony,
+            update_rule: if flags & 1 == 1 { UpdateRule::AllAnts } else { UpdateRule::GlobalBest },
+            local_search: flags & 2 == 2,
+            parallel_ants: flags & 4 == 4,
+            ..AcoParams::default()
+        };
+        let run = AcoConsolidator::new(params).run(&inst);
+        let shipped = aco_reference::ReferenceRun {
+            solution: run.solution,
+            best_bins_per_cycle: run.best_bins_per_cycle,
+            failed_ants: run.failed_ants,
+            construction_steps: run.profile.construction_steps,
+            evaluation_comparisons: run.profile.evaluation_comparisons,
+            evaporation_updates: run.profile.evaporation_updates,
+        };
+        prop_assert_eq!(shipped, aco_reference::run(params, &inst));
+    }
+}
+
 #[test]
 fn exact_solver_rejects_heterogeneous_instances() {
     let inst = Instance {
@@ -219,7 +320,6 @@ fn exact_solver_rejects_heterogeneous_instances() {
 
 #[test]
 fn heterogeneous_generator_produces_mixed_bins() {
-    use snooze_consolidation::problem::InstanceGenerator;
     let gen = InstanceGenerator::grid11();
     let inst = gen.generate_heterogeneous(20, &mut snooze_simcore::rng::SimRng::new(1));
     assert!(!inst.is_homogeneous());
