@@ -15,7 +15,7 @@
 //! | `handler-unwrap`   | `.unwrap()`/`.expect(` inside `on_message`       |
 //! | `type-erasure`     | `dyn Any` / `downcast` on the simulation path    |
 //! | `interleaving-hashset` | any `HashSet` on the simulation path         |
-//! | `unscoped-thread`  | threads/locks/atomics outside the shard executor |
+//! | `unscoped-thread`  | threads/locks/atomics on the simulation path      |
 //!
 //! The analysis is deliberately lightweight: a comment/string-aware line
 //! model plus token scanning — no syn, no rustc internals, no external
@@ -637,17 +637,11 @@ fn check_interleaving_hashset(file: &SourceFile) -> Vec<Hit> {
 
 // --- rule: unscoped-thread ------------------------------------------------
 
-/// The sharded executor (`crates/simcore/src/exec.rs`) is the one
-/// module allowed to touch real concurrency: it owns the scoped fork /
-/// join and the deterministic commit that makes worker threads
-/// invisible to the digest. Everywhere else on the simulation path,
-/// threads, locks and atomics are how nondeterminism sneaks back in —
-/// an unscoped `thread::spawn` races the virtual clock, and a shared
-/// `Mutex`/`AtomicUsize` counter observes real scheduling order.
-fn scope_sim_path_outside_shard_executor(path: &str) -> bool {
-    scope_sim_path(path) && path != "crates/simcore/src/exec.rs"
-}
-
+/// The engine is single-threaded, so nothing on the simulation path has
+/// a reason to touch real concurrency — and threads, locks and atomics
+/// are how nondeterminism sneaks back in: an unscoped `thread::spawn`
+/// races the virtual clock, and a shared `Mutex`/`AtomicUsize` counter
+/// observes real scheduling order.
 fn check_unscoped_thread(file: &SourceFile) -> Vec<Hit> {
     check_tokens(
         file,
@@ -726,9 +720,9 @@ pub fn rules() -> &'static [RuleDef] {
         },
         RuleDef {
             id: "unscoped-thread",
-            summary: "threads, locks or atomics on the simulation path outside the shard executor",
-            hint: "real concurrency belongs in crates/simcore/src/exec.rs (scoped fork/join + deterministic commit); route parallel work through the sharded engine",
-            in_scope: scope_sim_path_outside_shard_executor,
+            summary: "threads, locks or atomics on the simulation path",
+            hint: "the engine is single-threaded and the digest depends on it; keep real concurrency out of simulation-path crates (diagnostics sinks go through an audit-allow)",
+            in_scope: scope_sim_path,
             check: check_unscoped_thread,
         },
     ]

@@ -258,14 +258,21 @@ fn unscoped_thread_fires_on_sim_path_concurrency() {
 }
 
 #[test]
-fn unscoped_thread_exempts_the_shard_executor() {
-    // The same source inside the approved shard-executor module is out
-    // of scope: exec.rs owns the scoped fork/join.
-    let hits = active(
+fn unscoped_thread_has_no_carve_out_inside_simcore() {
+    // No simcore module is exempt — not the engine, not a file named
+    // like the deleted shard executor.
+    for path in [
+        "crates/simcore/src/engine.rs",
         "crates/simcore/src/exec.rs",
-        include_str!("../fixtures/unscoped_thread_bad.rs"),
-    );
-    assert_eq!(hits, Vec::<&str>::new());
+        "crates/simcore/src/equeue.rs",
+    ] {
+        let hits = active(path, include_str!("../fixtures/unscoped_thread_bad.rs"));
+        assert!(!hits.is_empty(), "{path} must be in scope");
+        assert!(
+            hits.iter().all(|&r| r == "unscoped-thread"),
+            "{path}: {hits:?}"
+        );
+    }
 }
 
 #[test]

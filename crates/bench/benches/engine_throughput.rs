@@ -118,7 +118,7 @@ fn bench_engine(c: &mut Criterion) {
     });
     group.finish();
 
-    // Queue-implementation axis at one shard: the same 1024-component
+    // Queue-implementation axis: the same 1024-component
     // ring on the classic binary heap vs the bucket (calendar) queue.
     // Digests are identical either way; only the pop/push cost moves.
     let mut group = c.benchmark_group("queue_impl");
@@ -146,50 +146,6 @@ fn bench_engine(c: &mut Criterion) {
                 black_box(sim.events_executed())
             })
         });
-    }
-    group.finish();
-
-    // Worker-count axis on the 4-shard engine: four shard-local rings
-    // (the GM-subtree traffic shape), swept across the thread-pool
-    // width on both queue implementations. The digest is identical for
-    // every row at the same shard count — only wall clock may move.
-    let mut group = c.benchmark_group("sharded");
-    group.throughput(Throughput::Elements(EVENTS));
-    for &(queue, qlabel) in &[(QueueKind::Heap, "heap"), (QueueKind::Bucket, "bucket")] {
-        for &workers in &[1usize, 2, 4, 8] {
-            group.bench_function(
-                BenchmarkId::new("rings4", format!("{qlabel}_w{workers}")),
-                |b| {
-                    b.iter(|| {
-                        const SHARDS: usize = 4;
-                        let mut sim: Engine<RingNode> = SimBuilder::new(1)
-                            .network(NetworkConfig::lan())
-                            .shards(SHARDS)
-                            .workers(workers)
-                            .queue(queue)
-                            .build();
-                        let per_shard = 256usize;
-                        let per_node = EVENTS / (SHARDS * per_shard) as u64 + 1;
-                        for s in 0..SHARDS {
-                            let base = s * per_shard;
-                            for i in 0..per_shard {
-                                sim.add_component_in_shard(
-                                    format!("ring{s}_{i}"),
-                                    RingNode {
-                                        next: ComponentId(base + (i + 1) % per_shard),
-                                        remaining: per_node,
-                                        kick_off: i == 0,
-                                    },
-                                    s,
-                                );
-                            }
-                        }
-                        sim.run_until(SimTime::from_secs(3600));
-                        black_box(sim.events_executed())
-                    })
-                },
-            );
-        }
     }
     group.finish();
 

@@ -1,9 +1,8 @@
 //! Regenerate the paper's evaluation tables.
 //!
 //! ```text
-//! run_experiments [--csv <dir>] [--json <dir>] [e1|e2|...|e10|e11|e12|e13|e14|all]...
+//! run_experiments [--csv <dir>] [--json <dir>] [e1|e2|...|e10|e11|e12|e14|all]...
 //! run_experiments --e11-smoke
-//! run_experiments --shard-smoke
 //! run_experiments --trace-smoke [trace.csv]
 //! run_experiments --arena-smoke [trace.csv]
 //! run_experiments --obs-smoke [artifact-dir]
@@ -19,12 +18,6 @@
 //! runs the reduced 256-LC fault-free shape and fails unless the
 //! throughput column is present and the run finished with zero dead
 //! letters — the CI gate behind `scripts/check.sh --e11-smoke`.
-//! `--shard-smoke` runs the same reduced shape on the 4-shard engine at
-//! 1 and 4 workers and fails unless both runs agree byte-for-byte on
-//! the engine digest with zero dead letters — the gate behind
-//! `scripts/check.sh --shard-smoke`. E13 itself (`run_experiments
-//! e13`) sweeps queue implementation and worker count at kilonode
-//! scale; `BENCH_E13_SHARD.json` is the checked-in measurement.
 //! `--trace-smoke` generates a tiny trace from the fixed seed (or takes
 //! a `snooze-tracegen`-written file), replays it twice on the reduced
 //! 128-LC E12 shape, and fails unless the two runs agree byte-for-byte
@@ -53,12 +46,68 @@
 //! directory (default `scenarios/`); `--check-scenarios` is the CI gate
 //! (parse, canonical-form, dry-run compile, preset drift);
 //! `--dump-scenarios` (re)writes the preset files.
+//!
+//! An argument that is neither a flag nor an experiment name listed above
+//! is an error (exit code 2), never a silent no-op.
 
 use snooze_bench::table::Table;
 use snooze_bench::*;
 
+/// Experiment names accepted as positional arguments.
+const EXPERIMENTS: &[&str] = &[
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e14", "all",
+];
+
+/// Accepted flags, and whether the next argument (when it does not itself
+/// start with `--`) is the flag's value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--csv", true),
+    ("--json", true),
+    ("--e11-smoke", false),
+    ("--trace-smoke", true),
+    ("--arena-smoke", true),
+    ("--obs-smoke", true),
+    ("--scenario", true),
+    ("--watch", false),
+    ("--list-scenarios", true),
+    ("--check-scenarios", true),
+    ("--dump-scenarios", true),
+    ("--fmt-scenarios", true),
+];
+
+/// Reject any argument that would otherwise select nothing: a stale or
+/// mistyped experiment name or flag must not run zero experiments and
+/// exit 0.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut it = args.iter().peekable();
+    while let Some(arg) = it.next() {
+        if arg.starts_with("--") {
+            match FLAGS.iter().find(|(flag, _)| flag == arg) {
+                Some((_, true)) => {
+                    it.next_if(|next| !next.starts_with("--"));
+                }
+                Some((_, false)) => {}
+                None => {
+                    let flags: Vec<&str> = FLAGS.iter().map(|(flag, _)| *flag).collect();
+                    return Err(format!("unknown flag `{arg}` (valid: {})", flags.join(" ")));
+                }
+            }
+        } else if !EXPERIMENTS.contains(&arg.as_str()) {
+            return Err(format!(
+                "unknown experiment `{arg}` (valid: {})",
+                EXPERIMENTS.join(" ")
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_args(&args) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
 
     // Scenario-layer modes: handle and exit before the experiment sweep.
     let dir_arg = |args: &[String], i: usize| {
@@ -147,23 +196,6 @@ fn main() {
         } else {
             for f in &failures {
                 eprintln!("e11 smoke FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "--shard-smoke") {
-        eprintln!("[shard-smoke] 256 LCs, 4 shards at 1 and 4 workers, digest identity …");
-        let (rows, failures) = e13_shard::smoke();
-        e13_shard::render(&rows).print();
-        if failures.is_empty() {
-            println!(
-                "shard smoke: OK (digest {:016x} at every worker count)",
-                rows[0].digest
-            );
-        } else {
-            for f in &failures {
-                eprintln!("shard smoke FAILED: {f}");
             }
             std::process::exit(1);
         }
@@ -473,7 +505,7 @@ fn main() {
             "e10b",
         );
     }
-    // E11–E14 are explicit-only: their kilonode-scale runs are
+    // E11, E12 and E14 are explicit-only: their kilonode-scale runs are
     // deliberately heavy, so neither bare `run_experiments` nor `all`
     // includes them.
     if args.iter().any(|a| a == "e11") {
@@ -485,14 +517,6 @@ fn main() {
             "[e12] trace-driven consolidation (1000 LCs, full reference trace, ACO vs FFD) …"
         );
         emit(&e12_trace::render(&e12_trace::default_rows()), "e12_trace");
-    }
-    if args.iter().any(|a| a == "e13") {
-        eprintln!("[e13] sharded execution (1024 LCs, queue-impl x worker-count sweep) …");
-        let rows = e13_shard::default_rows();
-        for f in e13_shard::digest_failures(&rows) {
-            eprintln!("e13 DETERMINISM FAILURE: {f}");
-        }
-        emit(&e13_shard::render(&rows), "e13_shard");
     }
     if args.iter().any(|a| a == "e14") {
         eprintln!("[e14] consolidation arena (1000 LCs, algorithm x power-model sweep) …");

@@ -15,7 +15,6 @@
 pub mod e10_distributed_consolidation;
 pub mod e11_kilonode;
 pub mod e12_trace;
-pub mod e13_shard;
 pub mod e14_arena;
 pub mod e1_aco_vs_ffd_vs_optimal;
 pub mod e2_scaling;

@@ -216,7 +216,7 @@ impl Solution {
 /// The interface every consolidation algorithm implements.
 ///
 /// `Send + Sync` because configured consolidators are shared (via `Arc`)
-/// with Group Managers that may execute on sharded-engine worker threads.
+/// between every Group Manager of a deployment.
 pub trait Consolidator: Send + Sync {
     /// Compute a feasible placement, or `None` if the algorithm cannot
     /// place every item within the available bins.

@@ -136,7 +136,7 @@ impl From<ZkReply> for ProtocolMsg {
 /// `Protocol(ProtocolMsg)` variant): wrap with the required `From`,
 /// unwrap with [`ProtocolCarrier::into_protocol`]. [`ProtocolMsg`]
 /// itself is the trivial carrier, for systems that speak nothing else.
-pub trait ProtocolCarrier: From<ProtocolMsg> + Send {
+pub trait ProtocolCarrier: From<ProtocolMsg> {
     /// Extract the protocol message, or `None` if this message belongs
     /// to some other subsystem of the host enum.
     fn into_protocol(self) -> Option<ProtocolMsg>;

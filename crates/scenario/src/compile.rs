@@ -214,23 +214,6 @@ pub fn compile(spec: &ScenarioSpec) -> Result<LiveSystem, String> {
         }
     };
 
-    let eopts = match &spec.engine {
-        None => crate::live::EngineOpts::default(),
-        Some(e) => crate::live::EngineOpts {
-            shards: e.shards.max(1),
-            workers: e.workers,
-            queue: match e.queue.as_deref() {
-                None => None,
-                Some("heap") => Some(QueueKind::Heap),
-                Some("bucket") => Some(QueueKind::Bucket),
-                Some(other) => {
-                    return Err(format!(
-                        "unknown `engine.queue` `{other}` (expected `heap` or `bucket`)"
-                    ))
-                }
-            },
-        },
-    };
     let mut live = if let Some(u) = &spec.topology.unified {
         if spec.topology.managers > 0 || spec.topology.lcs > 0 {
             return Err("unified topology excludes `managers`/`lcs`".into());
@@ -239,24 +222,22 @@ pub fn compile(spec: &ScenarioSpec) -> Result<LiveSystem, String> {
         if let Some(p) = &spec.power {
             p.apply_default(&mut nodes)?;
         }
-        crate::live::deploy_unified_with(
+        crate::live::deploy_unified(
             spec.seed,
             &config,
             &nodes,
             u.target_managers,
             spec.topology.eps,
             client,
-            &eopts,
         )
     } else {
-        crate::live::deploy_hierarchy_with(
+        crate::live::deploy_hierarchy(
             spec.seed,
             &config,
             spec.topology.managers,
             &spec.topology.build_nodes(spec.power.as_ref())?,
             spec.topology.eps,
             client,
-            &eopts,
         )
     };
 
@@ -963,7 +944,6 @@ mod tests {
             obs: None,
             power: None,
             slos: Vec::new(),
-            engine: None,
         }
     }
 

@@ -280,45 +280,12 @@ pub fn deploy(
     )
 }
 
-/// Engine-shape options threaded from a scenario's `[engine]` table:
-/// shard count, worker threads and queue implementation. The default is
-/// the classic single-shard engine — byte-identical to every pre-shard
-/// deployment.
-#[derive(Clone, Debug)]
-pub struct EngineOpts {
-    /// Event-queue shards (≥ 1).
-    pub shards: usize,
-    /// Worker threads (`None` = one per shard). Never affects digests.
-    pub workers: Option<usize>,
-    /// Queue implementation (`None` = heap at one shard, bucket above).
-    pub queue: Option<QueueKind>,
-}
-
-impl Default for EngineOpts {
-    fn default() -> EngineOpts {
-        EngineOpts {
-            shards: 1,
-            workers: None,
-            queue: None,
-        }
-    }
-}
-
-/// Build the engine every deployment shares: seeded, LAN network, the
-/// scenario's shard/worker/queue shape, and the message classifier
-/// (purely observational — dead-letter breakdown, profiler, flight
-/// recorder — so it cannot perturb the digest-covered history).
-fn build_engine(seed: u64, opts: &EngineOpts) -> Engine<SnoozeNode> {
-    let mut b = SimBuilder::new(seed)
-        .network(NetworkConfig::lan())
-        .shards(opts.shards);
-    if let Some(w) = opts.workers {
-        b = b.workers(w);
-    }
-    if let Some(q) = opts.queue {
-        b = b.queue(q);
-    }
-    let mut sim: Engine<SnoozeNode> = b.build();
+/// Build the engine every deployment shares: seeded, LAN network, and
+/// the message classifier (purely observational — dead-letter breakdown,
+/// profiler, flight recorder — so it cannot perturb the digest-covered
+/// history).
+fn build_engine(seed: u64) -> Engine<SnoozeNode> {
+    let mut sim: Engine<SnoozeNode> = SimBuilder::new(seed).network(NetworkConfig::lan()).build();
     sim.set_msg_classifier(snooze::messages::SnoozeMsg::variant_name);
     sim
 }
@@ -334,28 +301,7 @@ pub fn deploy_hierarchy(
     eps: usize,
     client: Option<(Vec<ScheduledVm>, SimSpan)>,
 ) -> LiveSystem {
-    deploy_hierarchy_with(
-        seed,
-        config,
-        managers,
-        nodes,
-        eps,
-        client,
-        &EngineOpts::default(),
-    )
-}
-
-/// [`deploy_hierarchy`] with an explicit engine shape.
-pub fn deploy_hierarchy_with(
-    seed: u64,
-    config: &SnoozeConfig,
-    managers: usize,
-    nodes: &[snooze_cluster::node::NodeSpec],
-    eps: usize,
-    client: Option<(Vec<ScheduledVm>, SimSpan)>,
-    opts: &EngineOpts,
-) -> LiveSystem {
-    let mut sim = build_engine(seed, opts);
+    let mut sim = build_engine(seed);
     let system = SnoozeSystem::deploy(&mut sim, config, managers, nodes, eps);
     let client_id = client.map(|(schedule, retry)| {
         let ep = *system.eps.first().expect("a client needs an EP");
@@ -378,28 +324,7 @@ pub fn deploy_unified(
     eps: usize,
     client: Option<(Vec<ScheduledVm>, SimSpan)>,
 ) -> LiveSystem {
-    deploy_unified_with(
-        seed,
-        config,
-        nodes,
-        target_managers,
-        eps,
-        client,
-        &EngineOpts::default(),
-    )
-}
-
-/// [`deploy_unified`] with an explicit engine shape.
-pub fn deploy_unified_with(
-    seed: u64,
-    config: &SnoozeConfig,
-    nodes: &[snooze_cluster::node::NodeSpec],
-    target_managers: usize,
-    eps: usize,
-    client: Option<(Vec<ScheduledVm>, SimSpan)>,
-    opts: &EngineOpts,
-) -> LiveSystem {
-    let mut sim = build_engine(seed, opts);
+    let mut sim = build_engine(seed);
     let system = UnifiedSystem::deploy(&mut sim, config, nodes, target_managers, eps);
     let client_id = client.map(|(schedule, retry)| {
         let ep = *system.eps.first().expect("a client needs an EP");

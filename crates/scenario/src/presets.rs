@@ -9,9 +9,9 @@
 use std::collections::BTreeMap;
 
 use crate::spec::{
-    ClientSpec, Condition, ConfigSpec, EngineSpec, KnobsSpec, ObsSpec, ObserveSpec, PhaseSpec,
-    PowerModelSpec, PowerSpec, ReconfSpec, ScenarioDoc, ScenarioSpec, SloSignal, SloSpec,
-    TargetSpec, TopologySpec, WorkloadSpec,
+    ClientSpec, Condition, ConfigSpec, KnobsSpec, ObsSpec, ObserveSpec, PhaseSpec, PowerModelSpec,
+    PowerSpec, ReconfSpec, ScenarioDoc, ScenarioSpec, SloSignal, SloSpec, TargetSpec, TopologySpec,
+    WorkloadSpec,
 };
 use crate::toml::Value;
 
@@ -73,7 +73,6 @@ pub fn e4(vm_counts: &[usize], lcs: usize, managers: usize, seed: u64) -> Vec<Sc
             probes: Vec::new(),
             obs: None,
             power: None,
-            engine: None,
             slos: Vec::new(),
         })
         .collect()
@@ -102,7 +101,6 @@ pub fn e5(gm_counts: &[usize], lcs: usize, vms: usize, seed: u64) -> Vec<Scenari
             probes: Vec::new(),
             obs: None,
             power: None,
-            engine: None,
             slos: Vec::new(),
         })
         .collect()
@@ -162,7 +160,6 @@ pub fn e6(seed: u64, reschedule: bool) -> ScenarioSpec {
         probes: Vec::new(),
         obs: None,
         power: None,
-        engine: None,
         slos: Vec::new(),
     }
 }
@@ -217,7 +214,6 @@ pub fn e7(lcs: usize, vms: usize, horizon_secs: u64, seed: u64) -> Vec<ScenarioS
         probes: Vec::new(),
         obs: None,
         power: None,
-        engine: None,
         slos: Vec::new(),
     };
     let no_pm = base("e7-no-pm", "energy baseline: power management off");
@@ -274,7 +270,6 @@ pub fn e7b(
             probes: Vec::new(),
             obs: None,
             power: None,
-            engine: None,
             slos: Vec::new(),
         })
         .collect()
@@ -343,7 +338,6 @@ pub fn e9_single(session_ms: u64, heartbeat_ms: u64, seed: u64) -> ScenarioSpec 
         probes: Vec::new(),
         obs: None,
         power: None,
-        engine: None,
         slos: Vec::new(),
     }
 }
@@ -392,7 +386,6 @@ pub fn e10b(gm_counts: &[usize], lcs: usize, vms: usize, seed: u64) -> Vec<Scena
             probes: Vec::new(),
             obs: None,
             power: None,
-            engine: None,
             slos: Vec::new(),
         })
         .collect()
@@ -461,7 +454,6 @@ pub fn e11(lcs: usize, with_fault: bool, seed: u64) -> ScenarioSpec {
         // breakdown pay for themselves. Generous watchdog bounds — a
         // healthy run stays silent; the fault shape's re-election storm
         // is what they exist to flag.
-        engine: None,
         power: None,
         obs: Some(ObsSpec {
             window_ms: 60_000.0,
@@ -492,42 +484,6 @@ pub fn e11_default() -> ScenarioSpec {
 /// The reduced E11 smoke shape for CI gates: 256 LCs, no faults.
 pub fn e11_smoke() -> ScenarioSpec {
     e11(256, false, 0xE11)
-}
-
-/// **E13 — sharded execution**: the fault-free E11 shape with an
-/// explicit engine geometry. Same topology, fleet, seed and
-/// observability as `e11(lcs, false, seed)` — only the `[engine]`
-/// table differs, so the single-shard row's digest is byte-identical
-/// to the plain E11 smoke run and the sharded rows isolate the cost
-/// (and speedup) of the shard/worker/queue axes.
-pub fn e13(lcs: usize, shards: usize, workers: usize, queue: &str, seed: u64) -> ScenarioSpec {
-    let mut spec = e11(lcs, false, seed);
-    spec.name = format!("e13-shard-{lcs}-s{shards}w{workers}-{queue}");
-    spec.description = format!(
-        "sharded engine: {lcs} LCs on {shards} shard(s), {workers} worker(s), {queue} queue"
-    );
-    if shards > 1 || workers > 1 || queue != "heap" {
-        spec.engine = Some(EngineSpec {
-            shards,
-            workers: Some(workers),
-            queue: Some(queue.into()),
-        });
-    }
-    spec
-}
-
-/// The default E13 sweep: the single-shard heap baseline, the
-/// queue-impl axis at one shard, and the 4-shard bucket engine at 1, 2,
-/// 4 and 8 workers (every 4-shard row must report the same digest).
-pub fn e13_default() -> Vec<ScenarioSpec> {
-    let lcs = 1024;
-    let seed = 0xE11; // same seed as E11: the s1w1-heap row must match it
-    let mut specs = vec![e13(lcs, 1, 1, "heap", seed), e13(lcs, 1, 1, "bucket", seed)];
-    for &workers in &[1usize, 2, 4, 8] {
-        specs.push(e13(lcs, 4, workers, "bucket", seed));
-    }
-    specs.push(e13(lcs, 4, 4, "heap", seed));
-    specs
 }
 
 /// Path of the checked-in reference trace, relative to the repo root
@@ -582,7 +538,6 @@ pub fn e12_trace(
         probes: Vec::new(),
         obs: None,
         power: None,
-        engine: None,
         slos: Vec::new(),
     };
     vec![base("aco"), base("ffd")]
@@ -715,7 +670,6 @@ pub fn e14_arena(
                 probes: Vec::new(),
                 obs: None,
                 power: Some(e14_power_spec(power)),
-                engine: None,
                 slos: Vec::new(),
             });
         }
@@ -780,7 +734,6 @@ pub fn report_failover(seed: u64) -> ScenarioSpec {
         // 30 s windows with a zero-tolerance heartbeat watchdog: the GM
         // crash *will* miss heartbeats, so this scenario demonstrates
         // the alert → incident-dump path end to end.
-        engine: None,
         power: None,
         obs: Some(ObsSpec {
             window_ms: 30_000.0,
@@ -813,7 +766,6 @@ pub fn checked_in() -> Vec<(&'static str, ScenarioDoc)> {
         ("e10b.toml", doc(e10b_default())),
         ("e11.toml", ScenarioDoc::from_specs(&e11_default(), &[])),
         ("e12_trace.toml", doc(e12_trace_default())),
-        ("e13_shard.toml", doc(e13_default())),
         ("e14_arena.toml", doc(e14_arena_default())),
         (
             "report.toml",

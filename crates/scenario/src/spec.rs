@@ -69,9 +69,6 @@ pub struct ScenarioSpec {
     /// SLO watchdogs evaluated at every window boundary (requires
     /// `obs`).
     pub slos: Vec<SloSpec>,
-    /// Sharded-engine settings. Absent = the classic single-shard
-    /// engine, byte-identical to every pre-shard run.
-    pub engine: Option<EngineSpec>,
     /// Power-model library (the `[power]` table). Absent = the built-in
     /// Grid'5000 linear model everywhere, exactly the pre-arena objects.
     pub power: Option<PowerSpec>,
@@ -110,22 +107,6 @@ pub struct PowerModelSpec {
     pub transitions: String,
     /// Kind-specific parameters (raw scalars / arrays).
     pub params: BTreeMap<String, Value>,
-}
-
-/// Sharded-execution settings (the `[engine]` table).
-///
-/// `shards` partitions the deployment's GM subtrees across that many
-/// event queues; `workers` only sets the thread pool width and never
-/// changes the run's digest. The queue implementation defaults to the
-/// binary heap on one shard and the bucket (calendar) queue otherwise.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EngineSpec {
-    /// Number of event-queue shards (≥ 1).
-    pub shards: usize,
-    /// Worker threads; defaults to the shard count.
-    pub workers: Option<usize>,
-    /// Event-queue implementation: `"heap"` or `"bucket"`.
-    pub queue: Option<String>,
 }
 
 /// Continuous-observability settings (the `[obs]` table).
@@ -844,7 +825,6 @@ impl ScenarioSpec {
                 "probe",
                 "obs",
                 "slo",
-                "engine",
                 "power",
             ],
             "scenario",
@@ -1090,33 +1070,6 @@ impl ScenarioSpec {
         if !slos.is_empty() && obs.is_none() {
             return Err("`[[slo]]` watchdogs require an `[obs]` table".into());
         }
-        let engine = match root.get("engine") {
-            None => None,
-            Some(v) => {
-                let e = v.as_table().ok_or("`engine` must be a table")?;
-                known_keys(e, &["shards", "workers", "queue"], "engine")?;
-                let queue = match e.get("queue") {
-                    None => None,
-                    Some(v) => {
-                        let q = v
-                            .as_str()
-                            .ok_or("`engine.queue` must be a string")?
-                            .to_string();
-                        if q != "heap" && q != "bucket" {
-                            return Err(format!(
-                                "unknown `engine.queue` `{q}` (expected `heap` or `bucket`)"
-                            ));
-                        }
-                        Some(q)
-                    }
-                };
-                Some(EngineSpec {
-                    shards: opt_i64(e, "shards")?.unwrap_or(1).max(1) as usize,
-                    workers: opt_i64(e, "workers")?.map(|w| w.max(1) as usize),
-                    queue,
-                })
-            }
-        };
         let power = match root.get("power") {
             None => None,
             Some(v) => {
@@ -1170,7 +1123,6 @@ impl ScenarioSpec {
             probes,
             obs,
             slos,
-            engine,
             power,
         })
     }
@@ -1333,17 +1285,6 @@ impl ScenarioSpec {
                 })
                 .collect();
             root.insert("slo".into(), Value::TableArray(slos));
-        }
-        if let Some(e) = &self.engine {
-            let mut t = Tbl::new();
-            t.insert("shards".into(), Value::Int(e.shards as i64));
-            if let Some(w) = e.workers {
-                t.insert("workers".into(), Value::Int(w as i64));
-            }
-            if let Some(q) = &e.queue {
-                t.insert("queue".into(), Value::Str(q.clone()));
-            }
-            root.insert("engine".into(), Value::Table(t));
         }
         if let Some(p) = &self.power {
             let mut t = Tbl::new();
@@ -1867,7 +1808,6 @@ mod tests {
             }],
             obs: None,
             slos: vec![],
-            engine: None,
             power: None,
         }
     }
@@ -1882,32 +1822,15 @@ mod tests {
     }
 
     #[test]
-    fn engine_table_round_trips_and_validates() {
-        let mut spec = demo_spec();
-        spec.engine = Some(EngineSpec {
-            shards: 4,
-            workers: Some(2),
-            queue: Some("bucket".into()),
-        });
-        let text = spec.to_toml();
-        let back = ScenarioSpec::from_toml(&text).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_toml(), text);
-
-        // Defaults: shards alone is enough.
-        let minimal = text
-            .replace("workers = 2\n", "")
-            .replace("queue = \"bucket\"\n", "");
-        let back = ScenarioSpec::from_toml(&minimal).unwrap();
-        let e = back.engine.unwrap();
-        assert_eq!(e.shards, 4);
-        assert_eq!(e.workers, None);
-        assert_eq!(e.queue, None);
-
-        // Unknown queue names are rejected at parse time.
-        let bad = text.replace("queue = \"bucket\"", "queue = \"splay\"");
-        let err = ScenarioSpec::from_toml(&bad).unwrap_err();
-        assert!(err.contains("engine.queue"), "got: {err}");
+    fn engine_table_is_an_unknown_key() {
+        // The `[engine]` table went with the sharded executor; a stale
+        // document must fail loudly, naming the key.
+        let text = format!("{}\n[engine]\nshards = 4\n", demo_spec().to_toml());
+        let err = ScenarioSpec::from_toml(&text).unwrap_err();
+        assert!(
+            err.contains("unknown") && err.contains("`engine`"),
+            "got: {err}"
+        );
     }
 
     #[test]

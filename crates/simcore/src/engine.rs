@@ -19,31 +19,20 @@
 //! Events are executed in `(time, sequence)` order; the sequence number
 //! breaks ties in scheduling order, so the engine is fully deterministic.
 //!
-//! # Sharded execution
-//!
-//! The engine can be *sharded*: [`SimBuilder::shards`] partitions the
-//! components into `S` groups, each with its own event queue, RNG stream,
-//! timer-id space and FIFO clamps. Execution then proceeds in conservative
-//! lookahead windows (see [`crate::exec`]): every shard independently
-//! executes its events up to a horizon derived from the minimum cross-shard
-//! network latency, and the window's effects (digest records, cross-shard
-//! messages, liveness changes) are committed in deterministic shard-major
-//! order. Shards may run on worker threads ([`SimBuilder::workers`]); the
-//! audited digest of an `N`-worker run is byte-identical to the same
-//! engine run with one worker, because the window structure and the commit
-//! order never depend on the worker count. `shards(1)` (the default) is
-//! byte-identical to the historical single-queue engine.
+//! There is one engine: one queue, one RNG stream, one thread. A sharded,
+//! multi-worker executor existed and was deleted because it never beat
+//! this path on the hardware the suite runs on — DESIGN.md, "Why there is
+//! one engine", keeps the measurements.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use snooze_telemetry::label::label;
 use snooze_telemetry::span::{SpanId, SpanLog};
 
 use crate::equeue::{EventQueue, QueueKind};
-use crate::mc::McState as _;
 use crate::metrics::MetricsRegistry;
-use crate::network::{FifoClamps, Network, NetworkConfig};
+use crate::network::{Network, NetworkConfig};
 use crate::rng::SimRng;
 use crate::time::{SimSpan, SimTime};
 use crate::trace::Trace;
@@ -88,15 +77,10 @@ pub struct TimerHandle(u64);
 /// [`Component::Msg`] is the message type this component sends and
 /// receives — usually a workspace enum (one variant per wire message),
 /// so `on_message` is an exhaustive `match` the compiler checks.
-///
-/// Components are `Send` (and their messages too) so a sharded engine can
-/// execute disjoint shards on worker threads. A component is only ever
-/// touched by one thread at a time — the bound is about moving shards to
-/// workers, not about shared access.
-pub trait Component: Send {
+pub trait Component {
     /// The message type this component exchanges over the simulated
     /// network. Every component registered in one [`Engine`] shares it.
-    type Msg: Send;
+    type Msg;
 
     /// Called once when the simulation starts (or never, if the component
     /// is registered after `run` began — use messages to bootstrap those).
@@ -117,16 +101,6 @@ pub trait Component: Send {
     /// The failure injector restarted this component. Implementations
     /// should reset volatile state here, as a freshly exec'd process would.
     fn on_restart(&mut self, _ctx: &mut Ctx<'_, Self::Msg>) {}
-
-    /// Which shard this component prefers to live in, used by
-    /// [`Engine::add_component`] on sharded engines (`None` → shard 0;
-    /// values wrap modulo the shard count). Systems that know their
-    /// topology — e.g. a GM subtree and the LCs under it — override this
-    /// so chatty neighbors share a queue and cross-shard traffic stays on
-    /// the (lookahead-bounded) slow path.
-    fn shard_hint(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// A scheduled change to the simulated network's health — the
@@ -197,223 +171,16 @@ impl<M> Ord for Scheduled<M> {
     }
 }
 
-/// Digest words of an event kind: `(discriminant, a, b)`. Span contexts
-/// are observers, not causes: they are folded into the SpanLog's own
-/// digest, never into the event digest, so instrumentation cannot perturb
-/// the audited history. Payloads are likewise never folded — the digest is
-/// message-type-agnostic, which is what let the typed message layer
-/// replace the old type-erased one digest-identically.
-pub(crate) fn event_words<M>(kind: &EventKind<M>) -> (u64, u64, u64) {
-    match kind {
-        EventKind::Start(id) => (1, id.0 as u64, 0),
-        EventKind::Deliver { src, dst, .. } => (2, src.0 as u64, dst.0 as u64),
-        EventKind::Timer { dst, tag, .. } => (3, dst.0 as u64, *tag),
-        EventKind::Crash(id) => (4, id.0 as u64, 0),
-        EventKind::Restart(id) => (5, id.0 as u64, 0),
-        EventKind::Net(NetFault::Isolate(id)) => (6, id.0 as u64, 0),
-        EventKind::Net(NetFault::Reconnect(id)) => (6, id.0 as u64, 1),
-        EventKind::Net(NetFault::SetLossPpm(ppm)) => (6, *ppm as u64, 2),
-    }
-}
-
-/// One executed event's digest record, buffered by a shard during a
-/// lookahead window and folded into the engine digest at commit, in
-/// shard-major order.
-#[derive(Clone, Copy)]
-pub(crate) struct ExecRec {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) disc: u64,
-    pub(crate) a: u64,
-    pub(crate) b: u64,
-}
-
-/// Hot-path counters a shard accumulates instead of hitting the labeled
-/// metrics registry per event; flushed into the named counters when the
-/// engine returns control to the caller.
-#[derive(Default, Clone, Copy)]
-pub(crate) struct FastCounters {
-    pub(crate) sent: u64,
-    pub(crate) delivered: u64,
-    pub(crate) dropped: u64,
-    pub(crate) to_dead: u64,
-    pub(crate) crashes: u64,
-    pub(crate) restarts: u64,
-}
-
-/// A span-log mutation recorded by a shard during a window and replayed
-/// against the shared [`SpanLog`] in shard order at flush time.
-pub(crate) enum SpanOp {
-    Open {
-        id: SpanId,
-        name: &'static str,
-        track: u64,
-        parent: Option<SpanId>,
-        at: u64,
-    },
-    Close {
-        id: SpanId,
-        at: u64,
-    },
-    Label {
-        id: SpanId,
-        key: &'static str,
-        value: String,
-    },
-}
-
-/// Per-shard buffers for everything a worker thread produces during a
-/// window but must not write into shared engine state until commit.
-pub(crate) struct ShardScratch<M> {
-    /// Cross-shard sends: `(destination shard, arrival time, event)`.
-    pub(crate) outbox: Vec<(u32, SimTime, EventKind<M>)>,
-    /// Executed-event digest records, in execution order.
-    pub(crate) recs: Vec<ExecRec>,
-    /// Events executed this window.
-    pub(crate) events: u64,
-    /// Delta metrics (labeled counters etc.) absorbed at flush.
-    pub(crate) metrics: MetricsRegistry,
-    /// Unlabeled hot-path counters.
-    pub(crate) fast: FastCounters,
-    /// Liveness overlay: `component id -> (alive, incarnation)` for
-    /// own-shard crashes/restarts executed this window.
-    pub(crate) live: BTreeMap<usize, (bool, u32)>,
-    /// Multicast membership deltas: `(group, component, joined)`.
-    pub(crate) groups: Vec<(GroupId, ComponentId, bool)>,
-    /// Span-log mutations, replayed in shard order at flush.
-    pub(crate) spans: Vec<SpanOp>,
-    /// Parent links for shard-allocated span ids (persistent — span
-    /// stacks must survive across windows and flushes).
-    pub(crate) span_parents: BTreeMap<u64, Option<SpanId>>,
-    /// Count of spans this shard has opened (persistent; span ids are
-    /// `((shard+1) << 40) | counter`, so shards never collide with each
-    /// other or with densely allocated sequential-mode ids).
-    pub(crate) next_span: u64,
-    /// Ambient span context of the event being executed.
-    pub(crate) ctx_span: Option<SpanId>,
-    /// Buffered trace records, replayed in shard order at flush.
-    pub(crate) trace: Vec<(SimTime, ComponentId, &'static str, String)>,
-    /// A component called [`Ctx::halt`] this window.
-    pub(crate) halt: bool,
-    /// `(time, seq)` of the last event this shard executed — the audit's
-    /// witness that each shard's stream is strictly ordered.
-    pub(crate) last_executed: Option<(SimTime, u64)>,
-    /// Per-shard profiler (sharded engines only); merged on read.
-    pub(crate) profiler: Option<crate::flight::Profiler>,
-    /// Buffered flight-recorder events, merged by time at commit.
-    pub(crate) flight: Vec<crate::flight::FlightEvent>,
-}
-
-impl<M> ShardScratch<M> {
-    fn new() -> Self {
-        ShardScratch {
-            outbox: Vec::new(),
-            recs: Vec::new(),
-            events: 0,
-            metrics: MetricsRegistry::new(),
-            fast: FastCounters::default(),
-            live: BTreeMap::new(),
-            groups: Vec::new(),
-            spans: Vec::new(),
-            span_parents: BTreeMap::new(),
-            next_span: 0,
-            ctx_span: None,
-            trace: Vec::new(),
-            halt: false,
-            last_executed: None,
-            profiler: None,
-            flight: Vec::new(),
-        }
-    }
-}
-
-/// One shard: an event queue plus every piece of mutable engine state
-/// that can be owned per-partition without changing observable behavior
-/// at `shards(1)` — the RNG stream, timer-id space, cancelled-timer set
-/// and per-link FIFO clamps (clamp keys are `(src, dst)` and `src`
-/// determines the shard, so per-shard maps are disjoint by construction).
-pub(crate) struct ShardState<M> {
-    pub(crate) queue: EventQueue<M>,
-    pub(crate) seq: u64,
-    pub(crate) rng: SimRng,
-    pub(crate) next_timer_id: u64,
-    pub(crate) cancelled_timers: BTreeSet<u64>,
-    pub(crate) fifo: FifoClamps,
-    pub(crate) scratch: ShardScratch<M>,
-}
-
-impl<M> ShardState<M> {
-    fn new(kind: QueueKind, rng: SimRng) -> Self {
-        ShardState {
-            queue: EventQueue::new(kind),
-            seq: 0,
-            rng,
-            next_timer_id: 0,
-            cancelled_timers: BTreeSet::new(),
-            fifo: FifoClamps::new(),
-            scratch: ShardScratch::new(),
-        }
-    }
-}
-
-/// Read-only view of the shared engine state a shard may consult while
-/// executing a window: the network (health, groups, latency model), the
-/// pre-window liveness vectors, and the component→shard mapping. All
-/// shards see the same frozen view regardless of worker count — that is
-/// the heart of the "digest independent of `workers`" guarantee.
-pub(crate) struct SharedView<'a, M> {
-    pub(crate) network: &'a Network,
-    pub(crate) names: &'a [String],
-    pub(crate) alive: &'a [bool],
-    pub(crate) incarnation: &'a [u32],
-    pub(crate) shard_of: &'a [u32],
-    pub(crate) local_of: &'a [u32],
-    pub(crate) n_components: usize,
-    pub(crate) classifier: Option<fn(&M) -> &'static str>,
-    pub(crate) flight_on: bool,
-}
-
-impl<M> Clone for SharedView<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for SharedView<'_, M> {}
-
-/// The mutable half of a worker-side context: the shard being executed
-/// plus the frozen shared view.
-pub(crate) struct ShardCtx<'a, M> {
-    pub(crate) shard: usize,
-    pub(crate) now: SimTime,
-    pub(crate) state: &'a mut ShardState<M>,
-    pub(crate) shared: SharedView<'a, M>,
-}
-
 /// Everything the engine owns apart from the components themselves.
 /// Split out so a component can be borrowed mutably while its [`Ctx`]
 /// mutates the rest of the engine.
 pub(crate) struct EngineCore<M> {
     pub(crate) now: SimTime,
-    /// The event-queue partitions. Always at least one; `shards.len() == 1`
-    /// is the historical single-queue engine, byte-for-byte.
-    pub(crate) shards: Vec<ShardState<M>>,
-    /// Component id → shard index.
-    pub(crate) shard_of: Vec<u32>,
-    /// Component id → index within its shard's component vector.
-    pub(crate) local_of: Vec<u32>,
-    /// Scheduled network faults, kept outside the shard queues on sharded
-    /// engines (they mutate global network state, so they act as window
-    /// barriers). Sorted by `(time, seq)`; seqs come from shard 0's
-    /// counter. Always empty at `shards(1)`.
-    pub(crate) net_events: Vec<(SimTime, u64, NetFault)>,
-    /// Conservative lookahead: the minimum cross-component network
-    /// latency, fixed at build time. A shard may run `lookahead` ahead of
-    /// the global minimum because no cross-shard message can arrive
-    /// sooner than that.
-    pub(crate) lookahead: SimSpan,
-    /// Worker threads to execute windows on (1 = inline). Purely a
-    /// throughput knob: never observable in the digest.
-    pub(crate) workers: usize,
+    pub(crate) seq: u64,
+    pub(crate) queue: EventQueue<M>,
+    pub(crate) rng: SimRng,
+    pub(crate) next_timer_id: u64,
+    pub(crate) cancelled_timers: BTreeSet<u64>,
     pub(crate) network: Network,
     pub(crate) metrics: MetricsRegistry,
     pub(crate) trace: Trace,
@@ -430,8 +197,7 @@ pub(crate) struct EngineCore<M> {
     /// Running FNV-1a fingerprint of the executed event stream.
     pub(crate) digest: u64,
     /// `(time, seq)` of the last executed event — the audit's witness
-    /// that the executed stream is strictly ordered (single-shard only;
-    /// sharded engines witness per-shard order in their scratch).
+    /// that the executed stream is strictly ordered.
     pub(crate) last_executed: Option<(SimTime, u64)>,
     /// Names payloads of `M` for the profiler, the flight recorder and
     /// the `dead_letters{msg}` breakdown. An observer: never folded
@@ -446,70 +212,46 @@ pub(crate) struct EngineCore<M> {
 }
 
 impl<M> EngineCore<M> {
-    /// Fold one executed event record into the run digest. The digest
-    /// covers the full executed stream — `(time, seq, kind, endpoints)`
-    /// per event — so two runs agree on it iff they executed the same
-    /// history.
-    pub(crate) fn fold_exec(&mut self, time: SimTime, seq: u64, disc: u64, a: u64, b: u64) {
+    /// Fold an executed event into the run digest. The digest covers the
+    /// full executed stream — `(time, seq, kind, endpoints)` per event —
+    /// so two runs agree on it iff they executed the same history.
+    fn fold_event(&mut self, ev: &Scheduled<M>) {
+        let (disc, a, b): (u64, u64, u64) = match &ev.kind {
+            EventKind::Start(id) => (1, id.0 as u64, 0),
+            // Span contexts are observers, not causes: they are folded
+            // into the SpanLog's own digest, never into the event digest,
+            // so instrumentation cannot perturb the audited history.
+            // Payloads are likewise never folded — the digest is message-
+            // type-agnostic, which is what let the typed message layer
+            // replace the old type-erased one digest-identically.
+            EventKind::Deliver { src, dst, .. } => (2, src.0 as u64, dst.0 as u64),
+            EventKind::Timer { dst, tag, .. } => (3, dst.0 as u64, *tag),
+            EventKind::Crash(id) => (4, id.0 as u64, 0),
+            EventKind::Restart(id) => (5, id.0 as u64, 0),
+            EventKind::Net(NetFault::Isolate(id)) => (6, id.0 as u64, 0),
+            EventKind::Net(NetFault::Reconnect(id)) => (6, id.0 as u64, 1),
+            EventKind::Net(NetFault::SetLossPpm(ppm)) => (6, *ppm as u64, 2),
+        };
         let mut h = self.digest;
-        for word in [time.0, seq, disc, a, b] {
+        for word in [ev.time.0, ev.seq, disc, a, b] {
             h = crate::trace::fnv1a(h, &word.to_le_bytes());
         }
         self.digest = h;
     }
 
-    fn fold_event(&mut self, ev: &Scheduled<M>) {
-        let (disc, a, b) = event_words(&ev.kind);
-        self.fold_exec(ev.time, ev.seq, disc, a, b);
-    }
-
-    /// Shard housing component `id` (0 for unknown ids, including
-    /// [`ComponentId::EXTERNAL`]).
-    pub(crate) fn shard_idx(&self, id: ComponentId) -> usize {
-        self.shard_of.get(id.0).map(|&s| s as usize).unwrap_or(0)
-    }
-
-    /// Which shard's queue an event belongs in: the shard of the
-    /// component it targets. Network faults are global and live in
-    /// `net_events` on sharded engines (`schedule` special-cases them).
-    fn shard_for_kind(&self, kind: &EventKind<M>) -> usize {
-        match kind {
-            EventKind::Start(id) | EventKind::Crash(id) | EventKind::Restart(id) => {
-                self.shard_idx(*id)
-            }
-            EventKind::Deliver { dst, .. } => self.shard_idx(*dst),
-            EventKind::Timer { dst, .. } => self.shard_idx(*dst),
-            EventKind::Net(_) => 0,
-        }
+    /// The next sequence number — every scheduled or injected event draws
+    /// exactly one, in scheduling order.
+    pub(crate) fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
     }
 
     fn schedule(&mut self, at: SimTime, kind: EventKind<M>) {
         debug_assert!(at >= self.now, "scheduling into the past");
         let time = at.max(self.now);
-        if self.shards.len() > 1 {
-            if let EventKind::Net(fault) = &kind {
-                // Global-state events act as window barriers; they draw
-                // seqs from shard 0 so their identity stays unambiguous.
-                let fault = *fault;
-                let sh = &mut self.shards[0];
-                let seq = sh.seq;
-                sh.seq += 1;
-                let pos = self
-                    .net_events
-                    .partition_point(|&(t, s, _)| (t, s) <= (time, seq));
-                self.net_events.insert(pos, (time, seq, fault));
-                return;
-            }
-        }
-        let s = if self.shards.len() == 1 {
-            0
-        } else {
-            self.shard_for_kind(&kind)
-        };
-        let sh = &mut self.shards[s];
-        let seq = sh.seq;
-        sh.seq += 1;
-        sh.queue.push(Scheduled { time, seq, kind });
+        let seq = self.next_seq();
+        self.queue.push(Scheduled { time, seq, kind });
     }
 
     fn send_via_network(
@@ -521,15 +263,7 @@ impl<M> EngineCore<M> {
         span: Option<SpanId>,
     ) {
         let departs = self.now + extra;
-        let s = self.shard_idx(src);
-        let arrival = {
-            let EngineCore {
-                shards, network, ..
-            } = self;
-            let sh = &mut shards[s];
-            network.transit(src, dst, departs, &mut sh.rng, &mut sh.fifo)
-        };
-        match arrival {
+        match self.network.transit(src, dst, departs, &mut self.rng) {
             Some(arrival) => {
                 self.schedule(
                     arrival,
@@ -547,84 +281,30 @@ impl<M> EngineCore<M> {
         }
     }
 
-    /// Drain every shard's observer buffers into the shared registries,
-    /// in shard order. Called when a sharded engine returns control to
-    /// the caller (end of `step`/`run`/`run_until`); a no-op at
-    /// `shards(1)`, where components write the shared state directly.
-    pub(crate) fn flush_shard_observers(&mut self) {
-        if self.shards.len() <= 1 {
-            return;
-        }
-        for s in 0..self.shards.len() {
-            let fast = std::mem::take(&mut self.shards[s].scratch.fast);
-            for (key, n) in [
-                ("net.sent", fast.sent),
-                ("net.delivered", fast.delivered),
-                ("net.dropped", fast.dropped),
-                ("net.to_dead", fast.to_dead),
-                ("failure.crashes", fast.crashes),
-                ("failure.restarts", fast.restarts),
-            ] {
-                if n > 0 {
-                    self.metrics.add(key, n);
-                }
-            }
-            let delta =
-                std::mem::replace(&mut self.shards[s].scratch.metrics, MetricsRegistry::new());
-            self.metrics.absorb(delta);
-            let ops = std::mem::take(&mut self.shards[s].scratch.spans);
-            for op in ops {
-                match op {
-                    SpanOp::Open {
-                        id,
-                        name,
-                        track,
-                        parent,
-                        at,
-                    } => self.spans.open_with_id(id, name, track, parent, at),
-                    SpanOp::Close { id, at } => self.spans.close(id, at),
-                    SpanOp::Label { id, key, value } => self.spans.label(id, key, value),
-                }
-            }
-            let recs = std::mem::take(&mut self.shards[s].scratch.trace);
-            for (t, id, category, text) in recs {
-                self.trace.record(t, id, category, text);
-            }
-        }
+    pub(crate) fn is_alive(&self, id: ComponentId) -> bool {
+        self.alive.get(id.0).copied().unwrap_or(false)
+    }
+
+    /// Whether a pending timer would be discarded on execution: cancelled,
+    /// or set by a dead or superseded incarnation.
+    pub(crate) fn timer_is_stale(&self, dst: ComponentId, incarnation: u32, id: u64) -> bool {
+        self.cancelled_timers.contains(&id)
+            || self.incarnation.get(dst.0).copied() != Some(incarnation)
+            || !self.is_alive(dst)
     }
 }
 
 /// The context handle passed to every component callback, parameterized
-/// by the engine's message type `M`. One type serves both execution
-/// modes: sequential (single-shard engines and the model checker's
-/// re-timed apply path) borrows the whole engine core; windowed (sharded
-/// engines) borrows one shard plus a frozen view of the shared state.
+/// by the engine's message type `M`.
 pub struct Ctx<'a, M> {
-    inner: CtxInner<'a, M>,
+    core: &'a mut EngineCore<M>,
     me: ComponentId,
-}
-
-enum CtxInner<'a, M> {
-    Seq(&'a mut EngineCore<M>),
-    Shard(ShardCtx<'a, M>),
-}
-
-impl<'a, M> Ctx<'a, M> {
-    pub(crate) fn for_shard(sc: ShardCtx<'a, M>, me: ComponentId) -> Ctx<'a, M> {
-        Ctx {
-            inner: CtxInner::Shard(sc),
-            me,
-        }
-    }
 }
 
 impl<M> Ctx<'_, M> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        match &self.inner {
-            CtxInner::Seq(core) => core.now,
-            CtxInner::Shard(sc) => sc.now,
-        }
+        self.core.now
     }
 
     /// Id of the component being invoked.
@@ -632,17 +312,10 @@ impl<M> Ctx<'_, M> {
         self.me
     }
 
-    /// This component's shard's RNG stream. Components needing an
-    /// independent stream should fork one at construction time instead.
+    /// The engine's RNG stream. Components needing an independent stream
+    /// should fork one at construction time instead.
     pub fn rng(&mut self) -> &mut SimRng {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Seq(core) => {
-                let s = core.shard_idx(me);
-                &mut core.shards[s].rng
-            }
-            CtxInner::Shard(sc) => &mut sc.state.rng,
-        }
+        &mut self.core.rng
     }
 
     /// Send `msg` to `dst` over the simulated network (subject to latency,
@@ -653,14 +326,14 @@ impl<M> Ctx<'_, M> {
     /// opened via [`Ctx::span_open`]) rides along, so causal chains
     /// survive uninstrumented hops.
     pub fn send(&mut self, dst: ComponentId, msg: impl Into<M>) {
-        let span = self.current_span();
+        let span = self.core.ctx_span;
         self.send_with(dst, SimSpan::ZERO, msg.into(), span);
     }
 
     /// Send after an additional local processing delay (still subject to
     /// network latency on top).
     pub fn send_after(&mut self, delay: SimSpan, dst: ComponentId, msg: impl Into<M>) {
-        let span = self.current_span();
+        let span = self.core.ctx_span;
         self.send_with(dst, delay, msg.into(), span);
     }
 
@@ -672,88 +345,17 @@ impl<M> Ctx<'_, M> {
     }
 
     fn send_with(&mut self, dst: ComponentId, delay: SimSpan, msg: M, span: Option<SpanId>) {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Seq(core) => {
-                core.metrics.incr("net.sent");
-                core.send_via_network(me, dst, delay, msg, span);
-            }
-            CtxInner::Shard(sc) => {
-                let st = &mut *sc.state;
-                st.scratch.fast.sent += 1;
-                let departs = sc.now + delay;
-                match sc
-                    .shared
-                    .network
-                    .transit(me, dst, departs, &mut st.rng, &mut st.fifo)
-                {
-                    Some(arrival) => {
-                        let dshard = sc
-                            .shared
-                            .shard_of
-                            .get(dst.0)
-                            .map(|&s| s as usize)
-                            .unwrap_or(0);
-                        let kind = EventKind::Deliver {
-                            src: me,
-                            dst,
-                            msg,
-                            span,
-                        };
-                        if dshard == sc.shard {
-                            // Own-shard traffic stays on the fast path and
-                            // may execute later in the same window.
-                            let seq = st.seq;
-                            st.seq += 1;
-                            st.queue.push(Scheduled {
-                                time: arrival,
-                                seq,
-                                kind,
-                            });
-                        } else {
-                            // Cross-shard: buffered, committed with a
-                            // destination-shard seq after the window. The
-                            // lookahead horizon guarantees `arrival` is at
-                            // or beyond every shard's horizon.
-                            st.scratch.outbox.push((dshard as u32, arrival, kind));
-                        }
-                    }
-                    None => {
-                        st.scratch.fast.dropped += 1;
-                    }
-                }
-            }
-        }
+        self.core.metrics.incr("net.sent");
+        self.core.send_via_network(self.me, dst, delay, msg, span);
     }
 
     /// Multicast to every current member of `group` except the sender.
     /// `make` is invoked once per receiver, so payloads need not be
     /// `Clone`.
     pub fn multicast<T: Into<M>, F: Fn() -> T>(&mut self, group: GroupId, make: F) {
-        let me = self.me;
-        let members: Vec<ComponentId> = match &self.inner {
-            CtxInner::Seq(core) => core.network.group_members(group).to_vec(),
-            CtxInner::Shard(sc) => {
-                // Pre-window membership plus this shard's own deltas —
-                // a component sees its own joins/leaves immediately,
-                // other shards' only from the next window on.
-                let mut m = sc.shared.network.group_members(group).to_vec();
-                for (g, id, joined) in &sc.state.scratch.groups {
-                    if *g == group {
-                        if *joined {
-                            if !m.contains(id) {
-                                m.push(*id);
-                            }
-                        } else {
-                            m.retain(|x| x != id);
-                        }
-                    }
-                }
-                m
-            }
-        };
+        let members: Vec<ComponentId> = self.core.network.group_members(group).to_vec();
         for dst in members {
-            if dst != me {
+            if dst != self.me {
                 self.send(dst, make());
             }
         }
@@ -761,20 +363,12 @@ impl<M> Ctx<'_, M> {
 
     /// Join a multicast group.
     pub fn join_group(&mut self, group: GroupId) {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Seq(core) => core.network.join_group(group, me),
-            CtxInner::Shard(sc) => sc.state.scratch.groups.push((group, me, true)),
-        }
+        self.core.network.join_group(group, self.me);
     }
 
     /// Leave a multicast group.
     pub fn leave_group(&mut self, group: GroupId) {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Seq(core) => core.network.leave_group(group, me),
-            CtxInner::Shard(sc) => sc.state.scratch.groups.push((group, me, false)),
-        }
+        self.core.network.leave_group(group, self.me);
     }
 
     /// Arrange for [`Component::on_timer`] to be called on this component
@@ -792,124 +386,52 @@ impl<M> Ctx<'_, M> {
     }
 
     fn set_timer_impl(&mut self, delay: SimSpan, tag: u64, span: Option<SpanId>) -> TimerHandle {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Seq(core) => {
-                let s = core.shard_idx(me);
-                let id = {
-                    let sh = &mut core.shards[s];
-                    let id = sh.next_timer_id;
-                    sh.next_timer_id += 1;
-                    id
-                };
-                let at = core.now + delay;
-                let incarnation = core.incarnation[me.0];
-                core.schedule(
-                    at,
-                    EventKind::Timer {
-                        dst: me,
-                        tag,
-                        incarnation,
-                        id,
-                        span,
-                    },
-                );
-                TimerHandle(id)
-            }
-            CtxInner::Shard(sc) => {
-                // Timers never cross shards (dst == me), so they go
-                // straight into this shard's queue and may fire within
-                // the current window.
-                let st = &mut *sc.state;
-                let id = st.next_timer_id;
-                st.next_timer_id += 1;
-                let at = sc.now + delay;
-                let incarnation = match st.scratch.live.get(&me.0) {
-                    Some(&(_, inc)) => inc,
-                    None => sc.shared.incarnation.get(me.0).copied().unwrap_or(0),
-                };
-                let seq = st.seq;
-                st.seq += 1;
-                st.queue.push(Scheduled {
-                    time: at,
-                    seq,
-                    kind: EventKind::Timer {
-                        dst: me,
-                        tag,
-                        incarnation,
-                        id,
-                        span,
-                    },
-                });
-                TimerHandle(id)
-            }
-        }
+        let id = self.core.next_timer_id;
+        self.core.next_timer_id += 1;
+        let at = self.core.now + delay;
+        let incarnation = self.core.incarnation[self.me.0];
+        self.core.schedule(
+            at,
+            EventKind::Timer {
+                dst: self.me,
+                tag,
+                incarnation,
+                id,
+                span,
+            },
+        );
+        TimerHandle(id)
     }
 
     /// Cancel a timer previously set with [`Ctx::set_timer`]. Cancelling an
     /// already-fired timer is a no-op.
     pub fn cancel_timer(&mut self, handle: TimerHandle) {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Seq(core) => {
-                let s = core.shard_idx(me);
-                core.shards[s].cancelled_timers.insert(handle.0);
-            }
-            CtxInner::Shard(sc) => {
-                sc.state.cancelled_timers.insert(handle.0);
-            }
-        }
+        self.core.cancelled_timers.insert(handle.0);
     }
 
     /// Whether `other` is currently alive (not crashed). Real processes
     /// cannot ask this of remote peers — only failure detectors built on
     /// heartbeats should use it for *remote* components; it is exposed
     /// mainly so a component can cheaply model local knowledge (e.g. a
-    /// hypervisor knows its own host is up). On sharded engines,
-    /// cross-shard liveness is the pre-window state — consistent with the
-    /// message-visibility horizon.
+    /// hypervisor knows its own host is up).
     pub fn is_alive(&self, other: ComponentId) -> bool {
-        match &self.inner {
-            CtxInner::Seq(core) => core.alive.get(other.0).copied().unwrap_or(false),
-            CtxInner::Shard(sc) => match sc.state.scratch.live.get(&other.0) {
-                Some(&(alive, _)) => alive,
-                None => sc.shared.alive.get(other.0).copied().unwrap_or(false),
-            },
-        }
+        self.core.is_alive(other)
     }
 
     /// Record a metric counter increment.
     pub fn metrics(&mut self) -> &mut MetricsRegistry {
-        match &mut self.inner {
-            CtxInner::Seq(core) => &mut core.metrics,
-            CtxInner::Shard(sc) => &mut sc.state.scratch.metrics,
-        }
+        &mut self.core.metrics
     }
 
     /// Append a line to the bounded event trace.
     pub fn trace(&mut self, category: &'static str, text: impl Into<String>) {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Seq(core) => {
-                let now = core.now;
-                core.trace.record(now, me, category, text.into());
-            }
-            CtxInner::Shard(sc) => {
-                sc.state
-                    .scratch
-                    .trace
-                    .push((sc.now, me, category, text.into()));
-            }
-        }
+        let now = self.core.now;
+        self.core.trace.record(now, self.me, category, text.into());
     }
 
-    /// Stop the simulation after the current event completes. On sharded
-    /// engines the stop takes effect at the end of the current window.
+    /// Stop the simulation after the current event completes.
     pub fn halt(&mut self) {
-        match &mut self.inner {
-            CtxInner::Seq(core) => core.halted = true,
-            CtxInner::Shard(sc) => sc.state.scratch.halt = true,
-        }
+        self.core.halted = true;
     }
 
     // --- causal spans ----------------------------------------------------
@@ -918,17 +440,14 @@ impl<M> Ctx<'_, M> {
     /// triggering message/timer carried, or the innermost span opened by
     /// [`Ctx::span_open`] since.
     pub fn current_span(&self) -> Option<SpanId> {
-        match &self.inner {
-            CtxInner::Seq(core) => core.ctx_span,
-            CtxInner::Shard(sc) => sc.state.scratch.ctx_span,
-        }
+        self.core.ctx_span
     }
 
     /// Open a span named `name` as a child of the current context (or as
     /// a root if there is none). The new span becomes the ambient context
     /// for the rest of this handler, so subsequent [`Ctx::send`]s carry it.
     pub fn span_open(&mut self, name: &'static str) -> SpanId {
-        let parent = self.current_span();
+        let parent = self.core.ctx_span;
         self.span_open_under(name, parent)
     }
 
@@ -936,55 +455,22 @@ impl<M> Ctx<'_, M> {
     /// resuming an operation whose context was stashed in component state.
     /// Like [`Ctx::span_open`], the new span becomes the ambient context.
     pub fn span_open_under(&mut self, name: &'static str, parent: Option<SpanId>) -> SpanId {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Seq(core) => {
-                let id = core.spans.open(name, me.0 as u64, parent, core.now.0);
-                core.ctx_span = Some(id);
-                id
-            }
-            CtxInner::Shard(sc) => {
-                // Shard-namespaced id: `((shard+1) << 40) | counter`.
-                // Never collides across shards or with the dense ids the
-                // sequential path allocates (those stay below 2^40).
-                let st = &mut *sc.state;
-                st.scratch.next_span += 1;
-                let id = SpanId((((sc.shard as u64) + 1) << 40) | st.scratch.next_span);
-                st.scratch.spans.push(SpanOp::Open {
-                    id,
-                    name,
-                    track: me.0 as u64,
-                    parent,
-                    at: sc.now.0,
-                });
-                st.scratch.span_parents.insert(id.0, parent);
-                st.scratch.ctx_span = Some(id);
-                id
-            }
-        }
+        let id = self
+            .core
+            .spans
+            .open(name, self.me.0 as u64, parent, self.core.now.0);
+        self.core.ctx_span = Some(id);
+        id
     }
 
     /// Close span `id` at the current virtual time. If it is the ambient
     /// context, the context pops back to its parent (spans behave as a
     /// stack within a handler). Double-close is a no-op.
     pub fn span_close(&mut self, id: SpanId) {
-        match &mut self.inner {
-            CtxInner::Seq(core) => {
-                if core.ctx_span == Some(id) {
-                    core.ctx_span = core.spans.parent_of(id);
-                }
-                core.spans.close(id, core.now.0);
-            }
-            CtxInner::Shard(sc) => {
-                let st = &mut *sc.state;
-                if st.scratch.ctx_span == Some(id) {
-                    // Parent links are tracked for shard-opened spans;
-                    // closing a carried-in foreign span pops to None.
-                    st.scratch.ctx_span = st.scratch.span_parents.get(&id.0).copied().flatten();
-                }
-                st.scratch.spans.push(SpanOp::Close { id, at: sc.now.0 });
-            }
+        if self.core.ctx_span == Some(id) {
+            self.core.ctx_span = self.core.spans.parent_of(id);
         }
+        self.core.spans.close(id, self.core.now.0);
     }
 
     /// Open and immediately close a zero-duration marker span (e.g.
@@ -997,14 +483,7 @@ impl<M> Ctx<'_, M> {
 
     /// Annotate span `id` with a key/value label.
     pub fn span_label(&mut self, id: SpanId, key: &'static str, value: impl Into<String>) {
-        match &mut self.inner {
-            CtxInner::Seq(core) => core.spans.label(id, key, value),
-            CtxInner::Shard(sc) => sc.state.scratch.spans.push(SpanOp::Label {
-                id,
-                key,
-                value: value.into(),
-            }),
-        }
+        self.core.spans.label(id, key, value);
     }
 }
 
@@ -1014,9 +493,7 @@ pub struct SimBuilder {
     network: NetworkConfig,
     trace_capacity: usize,
     max_events: u64,
-    shards: usize,
-    workers: Option<usize>,
-    queue: Option<QueueKind>,
+    queue: QueueKind,
 }
 
 impl SimBuilder {
@@ -1027,9 +504,7 @@ impl SimBuilder {
             network: NetworkConfig::default(),
             trace_capacity: 0,
             max_events: u64::MAX,
-            shards: 1,
-            workers: None,
-            queue: None,
+            queue: QueueKind::default(),
         }
     }
 
@@ -1045,38 +520,16 @@ impl SimBuilder {
         self
     }
 
-    /// Abort the run after this many events (runaway-loop guard). On
-    /// sharded engines the guard is checked per window, so a run may
-    /// finish the window in flight and overshoot by a bounded amount.
+    /// Abort the run after this many events (runaway-loop guard).
     pub fn max_events(mut self, max: u64) -> Self {
         self.max_events = max;
         self
     }
 
-    /// Partition the engine into `n` event-queue shards (clamped to at
-    /// least 1). The shard count is *semantic*: it changes which RNG
-    /// stream each component draws from, so digests are only comparable
-    /// between runs with equal shard counts. `shards(1)` — the default —
-    /// is byte-identical to the historical single-queue engine.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
-        self
-    }
-
-    /// Execute windows on `n` worker threads (default: one per shard).
-    /// Purely a throughput knob — the digest of a run is byte-identical
-    /// for every worker count, including 1.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = Some(n.max(1));
-        self
-    }
-
-    /// Choose the event-queue implementation. Defaults to the binary heap
-    /// for single-shard engines (the historical structure) and the
-    /// calendar/bucket queue for sharded ones. The queue kind never
-    /// affects the executed history, only its cost.
+    /// Choose the event-queue implementation (default: the binary heap).
+    /// The queue kind never affects the executed history, only its cost.
     pub fn queue(mut self, kind: QueueKind) -> Self {
-        self.queue = Some(kind);
+        self.queue = kind;
         self
     }
 
@@ -1087,37 +540,15 @@ impl SimBuilder {
     /// let mut sim: Engine<SnoozeNode> = SimBuilder::new(7).build();
     /// ```
     pub fn build<C: Component>(self) -> Engine<C> {
-        let shard_count = self.shards.max(1);
-        let queue_kind = self.queue.unwrap_or(if shard_count == 1 {
-            QueueKind::Heap
-        } else {
-            QueueKind::Bucket
-        });
-        let workers = self.workers.unwrap_or(shard_count).max(1);
-        let network = Network::new(self.network);
-        let lookahead = network.min_latency();
-        let shards: Vec<ShardState<C::Msg>> = (0..shard_count)
-            .map(|i| {
-                // Shard 0 keeps the engine-seed stream (byte parity at
-                // shards(1)); the rest fork deterministically off it.
-                let rng = if i == 0 {
-                    SimRng::new(self.seed)
-                } else {
-                    SimRng::new(self.seed).fork(i as u64)
-                };
-                ShardState::new(queue_kind, rng)
-            })
-            .collect();
         Engine {
             core: EngineCore {
                 now: SimTime::ZERO,
-                shards,
-                shard_of: Vec::new(),
-                local_of: Vec::new(),
-                net_events: Vec::new(),
-                lookahead,
-                workers,
-                network,
+                seq: 0,
+                queue: EventQueue::new(self.queue),
+                rng: SimRng::new(self.seed),
+                next_timer_id: 0,
+                cancelled_timers: BTreeSet::new(),
+                network: Network::new(self.network),
                 metrics: MetricsRegistry::new(),
                 trace: Trace::new(self.trace_capacity),
                 spans: SpanLog::new(),
@@ -1133,8 +564,7 @@ impl SimBuilder {
                 profiler: None,
                 flight: None,
             },
-            components: (0..shard_count).map(|_| Vec::new()).collect(),
-            started: false,
+            components: Vec::new(),
             max_events: self.max_events,
         }
     }
@@ -1142,15 +572,11 @@ impl SimBuilder {
 
 /// The simulation engine: owns all components (of one type `C`, usually
 /// a dispatch enum built with [`node_enum!`](crate::node_enum)), the
-/// event queue shards, the network, metrics and trace.
+/// event queue, the network, metrics and trace.
 pub struct Engine<C: Component> {
     pub(crate) core: EngineCore<C::Msg>,
-    /// Components, grouped by shard; `components[shard][local]`. The
-    /// global id → `(shard, local)` mapping lives in the core
-    /// (`shard_of`/`local_of`).
-    pub(crate) components: Vec<Vec<Option<C>>>,
-    pub(crate) started: bool,
-    pub(crate) max_events: u64,
+    pub(crate) components: Vec<Option<C>>,
+    max_events: u64,
 }
 
 impl<C: Component> Engine<C> {
@@ -1158,52 +584,18 @@ impl<C: Component> Engine<C> {
     /// simulation starts (or immediately-ish if already running).
     /// Anything convertible into the engine's component type is accepted,
     /// so node-enum wrapping happens here rather than at every call site.
-    /// On sharded engines the component lands in the shard named by its
-    /// [`Component::shard_hint`] (modulo the shard count; no hint → 0).
     pub fn add_component(
         &mut self,
         name: impl Into<String>,
         component: impl Into<C>,
     ) -> ComponentId {
-        let comp = component.into();
-        let shard = match comp.shard_hint() {
-            Some(h) => h % self.core.shards.len(),
-            None => 0,
-        };
-        self.insert_component(name.into(), comp, shard)
-    }
-
-    /// Register a component into an explicit shard (modulo the shard
-    /// count), overriding its [`Component::shard_hint`]. The system layer
-    /// uses this to co-locate each GM subtree — the GM and the LCs it
-    /// manages — in one shard, so heartbeat traffic never crosses the
-    /// lookahead boundary.
-    pub fn add_component_in_shard(
-        &mut self,
-        name: impl Into<String>,
-        component: impl Into<C>,
-        shard: usize,
-    ) -> ComponentId {
-        let shard = shard % self.core.shards.len();
-        self.insert_component(name.into(), component.into(), shard)
-    }
-
-    fn insert_component(&mut self, name: String, comp: C, shard: usize) -> ComponentId {
-        let id = ComponentId(self.core.shard_of.len());
-        self.core.shard_of.push(shard as u32);
-        self.core.local_of.push(self.components[shard].len() as u32);
-        self.components[shard].push(Some(comp));
+        let id = ComponentId(self.components.len());
+        self.components.push(Some(component.into()));
         self.core.alive.push(true);
         self.core.incarnation.push(0);
-        self.core.names.push(name);
+        self.core.names.push(name.into());
         self.core.schedule(self.core.now, EventKind::Start(id));
         id
-    }
-
-    fn locate(&self, id: ComponentId) -> Option<(usize, usize)> {
-        let shard = *self.core.shard_of.get(id.0)? as usize;
-        let local = *self.core.local_of.get(id.0)? as usize;
-        Some((shard, local))
     }
 
     /// Create a fresh multicast group.
@@ -1259,36 +651,19 @@ impl<C: Component> Engine<C> {
     /// FNV-1a fingerprint of the executed event stream: every executed
     /// event's `(time, seq, kind, endpoints)` in order. Two runs from the
     /// same seed must report identical digests; `snooze-audit
-    /// determinism` and the replay proptests assert exactly that. On
-    /// sharded engines the digest is additionally independent of the
-    /// worker count — only the shard count is semantic.
+    /// determinism` and the replay proptests assert exactly that.
     pub fn digest(&self) -> u64 {
         self.core.digest
     }
 
-    /// Number of event-queue shards (1 unless [`SimBuilder::shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.core.shards.len()
-    }
-
-    /// Worker threads windows execute on (1 = inline).
-    pub fn worker_count(&self) -> usize {
-        self.core.workers
-    }
-
     /// The event-queue implementation in use.
     pub fn queue_kind(&self) -> QueueKind {
-        self.core.shards[0].queue.kind()
-    }
-
-    /// Which shard component `id` was registered into.
-    pub fn shard_of(&self, id: ComponentId) -> Option<usize> {
-        self.core.shard_of.get(id.0).map(|&s| s as usize)
+        self.core.queue.kind()
     }
 
     /// Whether `id` is currently alive.
     pub fn is_alive(&self, id: ComponentId) -> bool {
-        self.core.alive.get(id.0).copied().unwrap_or(false)
+        self.core.is_alive(id)
     }
 
     /// The registered name of `id`.
@@ -1334,16 +709,11 @@ impl<C: Component> Engine<C> {
         &mut self.core.spans
     }
 
-    /// Number of events currently pending across every shard queue (plus
-    /// scheduled network faults). An observer reading (the queues are
-    /// untouched); SLO watchdogs use it as the backlog signal.
+    /// Number of events currently pending in the queue. An observer
+    /// reading (the queue is untouched); SLO watchdogs use it as the
+    /// backlog signal.
     pub fn queue_depth(&self) -> usize {
-        self.core
-            .shards
-            .iter()
-            .map(|s| s.queue.len())
-            .sum::<usize>()
-            + self.core.net_events.len()
+        self.core.queue.len()
     }
 
     /// Install the message classifier: a plain `fn` mapping a payload
@@ -1356,18 +726,10 @@ impl<C: Component> Engine<C> {
     }
 
     /// Turn on the sim-time profiler (idempotent). Costs one advisory
-    /// wall-clock read per executed event while on. Sharded engines
-    /// profile per shard and merge on read.
+    /// wall-clock read per executed event while on.
     pub fn enable_profiler(&mut self) {
         if self.core.profiler.is_none() {
             self.core.profiler = Some(crate::flight::Profiler::new());
-        }
-        if self.core.shards.len() > 1 {
-            for sh in &mut self.core.shards {
-                if sh.scratch.profiler.is_none() {
-                    sh.scratch.profiler = Some(crate::flight::Profiler::new());
-                }
-            }
         }
     }
 
@@ -1385,64 +747,28 @@ impl<C: Component> Engine<C> {
     }
 
     /// The aggregated profile, hottest bucket first — empty when the
-    /// profiler is off. Flushes the in-flight attribution first, and on
-    /// sharded engines merges every shard's cells with the engine-level
-    /// ones (commit-time network faults).
+    /// profiler is off. Flushes the in-flight attribution first.
     pub fn profile_rows(&mut self) -> Vec<crate::flight::ProfileRow> {
-        let mut cells: BTreeMap<(String, String), (u64, u64)> = BTreeMap::new();
-        let mut enabled = false;
-        if let Some(p) = self.core.profiler.as_mut() {
-            p.flush();
-            enabled = true;
-            for row in p.rows() {
-                let cell = cells.entry((row.kind, row.variant)).or_insert((0, 0));
-                cell.0 += row.events;
-                cell.1 += row.wall_nanos;
-            }
-        }
-        for sh in &mut self.core.shards {
-            if let Some(p) = sh.scratch.profiler.as_mut() {
+        match self.core.profiler.as_mut() {
+            Some(p) => {
                 p.flush();
-                enabled = true;
-                for row in p.rows() {
-                    let cell = cells.entry((row.kind, row.variant)).or_insert((0, 0));
-                    cell.0 += row.events;
-                    cell.1 += row.wall_nanos;
-                }
+                p.rows()
             }
+            None => Vec::new(),
         }
-        if !enabled {
-            return Vec::new();
-        }
-        let mut rows: Vec<crate::flight::ProfileRow> = cells
-            .into_iter()
-            .map(
-                |((kind, variant), (events, wall_nanos))| crate::flight::ProfileRow {
-                    kind,
-                    variant,
-                    events,
-                    wall_nanos,
-                },
-            )
-            .collect();
-        rows.sort_by(|a, b| {
-            b.events
-                .cmp(&a.events)
-                .then_with(|| a.kind.cmp(&b.kind))
-                .then_with(|| a.variant.cmp(&b.variant))
-        });
-        rows
     }
 
     /// Folded-stack profile text (`kind;variant events` per line),
     /// flamegraph-compatible and byte-deterministic — empty when the
     /// profiler is off.
     pub fn profile_folded(&mut self) -> String {
-        let mut out = String::new();
-        for row in self.profile_rows() {
-            out.push_str(&format!("{};{} {}\n", row.kind, row.variant, row.events));
+        match self.core.profiler.as_mut() {
+            Some(p) => {
+                p.flush();
+                p.folded()
+            }
+            None => String::new(),
         }
-        out
     }
 
     /// Direct mutable access to the simulated network (partitions etc.).
@@ -1454,8 +780,7 @@ impl<C: Component> Engine<C> {
     /// unknown id. (Node-enum engines usually chain this with the enum's
     /// generated `as_*` accessor.)
     pub fn get(&self, id: ComponentId) -> Option<&C> {
-        let (shard, local) = self.locate(id)?;
-        self.components[shard][local].as_ref()
+        self.components.get(id.0)?.as_ref()
     }
 
     /// Borrow a registered component for inspection. Panics if the id is
@@ -1464,19 +789,13 @@ impl<C: Component> Engine<C> {
         self.get(id).expect("unknown component id")
     }
 
-    /// Execute a single event (single-shard engines) or a single
-    /// lookahead window (sharded engines). Returns `false` when the
-    /// queues are empty or the simulation halted.
+    /// Execute a single event. Returns `false` when the queue is empty or
+    /// the simulation halted.
     pub fn step(&mut self) -> bool {
-        if self.core.shards.len() > 1 {
-            let advanced = crate::exec::step_window(self, SimTime::MAX);
-            self.core.flush_shard_observers();
-            return advanced;
-        }
         if self.core.halted || self.core.events_executed >= self.max_events {
             return false;
         }
-        let ev = match self.core.shards[0].queue.pop() {
+        let ev = match self.core.queue.pop() {
             Some(e) => e,
             None => return false,
         };
@@ -1487,10 +806,8 @@ impl<C: Component> Engine<C> {
 
     /// Execute one event: advance the clock, fold the digest, dispatch to
     /// the target component. Shared by [`Engine::step`] (which executes
-    /// the queue minimum) and the model checker's re-timed apply path —
-    /// the checker drives even sharded engines through this sequential
-    /// path, one event at a time.
-    fn execute(&mut self, ev: Scheduled<C::Msg>) {
+    /// the queue minimum) and the model checker's re-timed apply path.
+    pub(crate) fn execute(&mut self, ev: Scheduled<C::Msg>) {
         crate::audit_invariant!(
             "engine",
             "monotonic-clock",
@@ -1502,13 +819,9 @@ impl<C: Component> Engine<C> {
         crate::audit_invariant!(
             "engine",
             "total-event-order",
-            // Sharded engines have per-shard seq counters; global
-            // (time, seq) strictness only holds with a single shard.
-            self.core.shards.len() > 1
-                || self
-                    .core
-                    .last_executed
-                    .is_none_or(|last| (ev.time, ev.seq) > last),
+            self.core
+                .last_executed
+                .is_none_or(|last| (ev.time, ev.seq) > last),
             "event (t={:?}, seq={}) not after last executed {:?}",
             ev.time,
             ev.seq,
@@ -1531,7 +844,7 @@ impl<C: Component> Engine<C> {
                 msg,
                 span,
             } => {
-                if self.core.alive.get(dst.0).copied().unwrap_or(false) {
+                if self.core.is_alive(dst) {
                     self.core.metrics.incr("net.delivered");
                     self.core.ctx_span = span;
                     self.with_component(dst, |comp, ctx| comp.on_message(ctx, src, msg));
@@ -1562,8 +875,7 @@ impl<C: Component> Engine<C> {
                 id,
                 span,
             } => {
-                let shard = self.core.shard_idx(dst);
-                let stale = self.core.shards[shard].cancelled_timers.remove(&id)
+                let stale = self.core.cancelled_timers.remove(&id)
                     || self.core.incarnation[dst.0] != incarnation
                     || !self.core.alive[dst.0];
                 if !stale {
@@ -1571,25 +883,26 @@ impl<C: Component> Engine<C> {
                     self.with_component(dst, |comp, ctx| comp.on_timer(ctx, tag));
                 }
             }
+            // Crash/Restart of an id nothing was registered under is a
+            // no-op (already folded into the digest above), like a
+            // `Deliver` to it is a counted dead letter.
             EventKind::Crash(id) => {
-                if self.core.alive[id.0] {
+                if self.core.is_alive(id) {
                     self.core.alive[id.0] = false;
                     // Bump the incarnation so timers set by the dead
                     // incarnation never fire, even across a restart.
                     self.core.incarnation[id.0] += 1;
                     self.core.metrics.incr("failure.crashes");
                     let now = self.core.now;
-                    if let Some((shard, local)) = self.locate(id) {
-                        if let Some(comp) = self.components[shard][local].as_mut() {
-                            comp.on_crash(now);
-                        }
+                    if let Some(comp) = self.components[id.0].as_mut() {
+                        comp.on_crash(now);
                     }
                     let name = self.core.names[id.0].clone();
                     self.core.trace.record(now, id, "crash", name);
                 }
             }
             EventKind::Restart(id) => {
-                if !self.core.alive[id.0] {
+                if self.core.alive.get(id.0) == Some(&false) {
                     self.core.alive[id.0] = true;
                     self.core.metrics.incr("failure.restarts");
                     self.with_component(id, |comp, ctx| comp.on_restart(ctx));
@@ -1642,33 +955,24 @@ impl<C: Component> Engine<C> {
     }
 
     fn with_component<F: FnOnce(&mut C, &mut Ctx<'_, C::Msg>)>(&mut self, id: ComponentId, f: F) {
-        self.started = true;
-        let Some((shard, local)) = self.locate(id) else {
-            return;
-        };
-        let mut comp = match self.components[shard][local].take() {
+        let mut comp = match self.components.get_mut(id.0).and_then(Option::take) {
             Some(c) => c,
             None => return, // unknown or re-entrant — drop the event
         };
         {
             let mut ctx = Ctx {
-                inner: CtxInner::Seq(&mut self.core),
+                core: &mut self.core,
                 me: id,
             };
             f(&mut comp, &mut ctx);
         }
         // Context hygiene: ambient span context never leaks across events.
         self.core.ctx_span = None;
-        self.components[shard][local] = Some(comp);
+        self.components[id.0] = Some(comp);
     }
 
     /// Run until the queue drains, the engine halts, or `max_events` hits.
     pub fn run(&mut self) {
-        if self.core.shards.len() > 1 {
-            while crate::exec::step_window(self, SimTime::MAX) {}
-            self.core.flush_shard_observers();
-            return;
-        }
         while self.step() {}
     }
 
@@ -1676,16 +980,8 @@ impl<C: Component> Engine<C> {
     /// `deadline` are executed). Time advances to `deadline` even if the
     /// queue drains early.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.core.shards.len() > 1 {
-            while crate::exec::step_window(self, deadline) {}
-            if self.core.now < deadline && !self.core.halted {
-                self.core.now = deadline;
-            }
-            self.core.flush_shard_observers();
-            return;
-        }
         loop {
-            match self.core.shards[0].queue.peek_key() {
+            match self.core.queue.peek_key() {
                 Some((time, _)) if time <= deadline => {}
                 _ => break,
             }
@@ -1705,487 +1001,6 @@ impl<C: Component> Engine<C> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Model-checking hooks (see `crate::mc` and the `snooze-mc` crate)
-// ---------------------------------------------------------------------------
-
-/// Bit position separating the shard index from the per-shard seq in the
-/// encoded pending-event ids [`Engine::mc_pending`] reports on sharded
-/// engines. Single-shard engines report raw seqs (historical format).
-const MC_SHARD_SHIFT: u32 = 48;
-
-impl<C: Component> Engine<C>
-where
-    C: Clone,
-    C::Msg: Clone,
-{
-    /// Capture a full copy of the engine state: clock, counters, pending
-    /// events (per shard), network, RNG streams, span log and every
-    /// component. Metrics and the bounded trace are *not* captured — they
-    /// are observers, never causes, and restoring them would only blur
-    /// exploration statistics.
-    pub fn mc_snapshot(&self) -> crate::mc::SystemState<C> {
-        let mut fifo_union = FifoClamps::new();
-        for sh in &self.core.shards {
-            for (&key, &t) in &sh.fifo {
-                let slot = fifo_union.entry(key).or_insert(SimTime::ZERO);
-                if t > *slot {
-                    *slot = t;
-                }
-            }
-        }
-        crate::mc::SystemState {
-            now: self.core.now,
-            shards: self
-                .core
-                .shards
-                .iter()
-                .map(|sh| crate::mc::ShardSnap {
-                    queue: sh.queue.to_sorted_vec(),
-                    seq: sh.seq,
-                    rng: sh.rng.clone(),
-                    next_timer_id: sh.next_timer_id,
-                    cancelled_timers: sh.cancelled_timers.clone(),
-                    next_span: sh.scratch.next_span,
-                    span_parents: sh.scratch.span_parents.clone(),
-                })
-                .collect(),
-            net_events: self.core.net_events.clone(),
-            network: self.core.network.save_state(fifo_union),
-            spans: self.core.spans.clone(),
-            ctx_span: self.core.ctx_span,
-            alive: self.core.alive.clone(),
-            incarnation: self.core.incarnation.clone(),
-            halted: self.core.halted,
-            events_executed: self.core.events_executed,
-            digest: self.core.digest,
-            last_executed: self.core.last_executed,
-            components: self.components.clone(),
-        }
-    }
-
-    /// Restore a state captured by [`Engine::mc_snapshot`]. The snapshot
-    /// must come from *this* engine (same components, same names, same
-    /// shard layout); the checker only ever restores its own captures.
-    pub fn mc_restore(&mut self, state: &crate::mc::SystemState<C>) {
-        assert_eq!(
-            state.components.len(),
-            self.components.len(),
-            "snapshot from a different system shape"
-        );
-        for (mine, theirs) in self.components.iter().zip(state.components.iter()) {
-            assert_eq!(
-                mine.len(),
-                theirs.len(),
-                "snapshot from a different system shape"
-            );
-        }
-        self.core.now = state.now;
-        for (sh, snap) in self.core.shards.iter_mut().zip(state.shards.iter()) {
-            let kind = sh.queue.kind();
-            sh.queue = EventQueue::from_vec(kind, snap.queue.clone());
-            sh.seq = snap.seq;
-            sh.rng = snap.rng.clone();
-            sh.next_timer_id = snap.next_timer_id;
-            sh.cancelled_timers = snap.cancelled_timers.clone();
-            sh.scratch.next_span = snap.next_span;
-            sh.scratch.span_parents = snap.span_parents.clone();
-        }
-        self.core.net_events = state.net_events.clone();
-        let clamps = self.core.network.load_state(&state.network);
-        {
-            // Redistribute the merged FIFO clamps back to the shard that
-            // owns each (src, dst) link — src determines the shard.
-            let EngineCore {
-                shards, shard_of, ..
-            } = &mut self.core;
-            for sh in shards.iter_mut() {
-                sh.fifo.clear();
-            }
-            for ((src, dst), t) in clamps {
-                let s = shard_of.get(src).map(|&x| x as usize).unwrap_or(0);
-                shards[s].fifo.insert((src, dst), t);
-            }
-        }
-        self.core.spans = state.spans.clone();
-        self.core.ctx_span = state.ctx_span;
-        self.core.alive = state.alive.clone();
-        self.core.incarnation = state.incarnation.clone();
-        self.core.halted = state.halted;
-        self.core.events_executed = state.events_executed;
-        self.core.digest = state.digest;
-        self.core.last_executed = state.last_executed;
-        self.components = state.components.clone();
-    }
-}
-
-impl<C: Component> Engine<C> {
-    fn timer_is_stale(&self, dst: ComponentId, incarnation: u32, id: u64) -> bool {
-        let shard = self.core.shard_idx(dst);
-        self.core.shards[shard].cancelled_timers.contains(&id)
-            || self.core.incarnation.get(dst.0).copied() != Some(incarnation)
-            || !self.core.alive.get(dst.0).copied().unwrap_or(false)
-    }
-
-    fn encode_pending(&self, shard: usize, seq: u64) -> u64 {
-        if self.core.shards.len() == 1 {
-            seq
-        } else {
-            (((shard as u64) + 1) << MC_SHARD_SHIFT) | seq
-        }
-    }
-
-    fn decode_pending(&self, enc: u64) -> (usize, u64) {
-        if self.core.shards.len() == 1 {
-            (0, enc)
-        } else {
-            (
-                ((enc >> MC_SHARD_SHIFT) - 1) as usize,
-                enc & ((1u64 << MC_SHARD_SHIFT) - 1),
-            )
-        }
-    }
-
-    /// Every pending event a checker could execute next, sorted by
-    /// `(time, seq)`. Stale timers (cancelled, or set by a dead or
-    /// superseded incarnation) are omitted — they would be silently
-    /// discarded by normal execution too. On sharded engines the reported
-    /// seq encodes the owning shard (`((shard+1) << 48) | seq`); treat it
-    /// as an opaque token either way.
-    pub fn mc_pending(&self) -> Vec<crate::mc::McPending> {
-        let mut out: Vec<crate::mc::McPending> = Vec::new();
-        for (s, sh) in self.core.shards.iter().enumerate() {
-            for ev in sh.queue.iter() {
-                let desc = match &ev.kind {
-                    EventKind::Start(dst) => crate::mc::McEventDesc::Start { dst: *dst },
-                    EventKind::Deliver { src, dst, .. } => crate::mc::McEventDesc::Deliver {
-                        src: *src,
-                        dst: *dst,
-                    },
-                    EventKind::Timer {
-                        dst,
-                        tag,
-                        incarnation,
-                        id,
-                        ..
-                    } => {
-                        if self.timer_is_stale(*dst, *incarnation, *id) {
-                            continue;
-                        }
-                        crate::mc::McEventDesc::Timer {
-                            dst: *dst,
-                            tag: *tag,
-                        }
-                    }
-                    EventKind::Crash(dst) => crate::mc::McEventDesc::Crash { dst: *dst },
-                    EventKind::Restart(dst) => crate::mc::McEventDesc::Restart { dst: *dst },
-                    EventKind::Net(_) => crate::mc::McEventDesc::Net,
-                };
-                let dst_alive = match desc {
-                    crate::mc::McEventDesc::Start { dst }
-                    | crate::mc::McEventDesc::Deliver { dst, .. }
-                    | crate::mc::McEventDesc::Timer { dst, .. } => self.is_alive(dst),
-                    _ => true,
-                };
-                out.push(crate::mc::McPending {
-                    seq: self.encode_pending(s, ev.seq),
-                    time: ev.time,
-                    dst_alive,
-                    desc,
-                });
-            }
-        }
-        // Sharded engines keep network faults outside the shard queues;
-        // they draw shard-0 seqs, so encode them as shard 0.
-        for &(time, seq, _) in &self.core.net_events {
-            out.push(crate::mc::McPending {
-                seq: self.encode_pending(0, seq),
-                time,
-                dst_alive: true,
-                desc: crate::mc::McEventDesc::Net,
-            });
-        }
-        out.sort_by_key(|p| (p.time, p.seq));
-        out
-    }
-
-    fn mc_remove(&mut self, enc: u64) -> Option<Scheduled<C::Msg>> {
-        let (shard, seq) = self.decode_pending(enc);
-        if self.core.shards.len() > 1 && shard == 0 {
-            // Net events share shard 0's seq counter but live in their
-            // own list; their seqs never collide with queued events.
-            if let Some(pos) = self.core.net_events.iter().position(|&(_, s, _)| s == seq) {
-                let (time, seq, fault) = self.core.net_events.remove(pos);
-                return Some(Scheduled {
-                    time,
-                    seq,
-                    kind: EventKind::Net(fault),
-                });
-            }
-        }
-        let sh = self.core.shards.get_mut(shard)?;
-        let kind = sh.queue.kind();
-        let mut events = sh.queue.drain_all();
-        let pos = events.iter().position(|ev| ev.seq == seq);
-        let found = pos.map(|i| events.remove(i));
-        sh.queue = EventQueue::from_vec(kind, events);
-        found
-    }
-
-    /// Execute pending event `seq` *now*, regardless of queue order: the
-    /// event is re-timed to `max(now, its scheduled time)` and re-sequenced
-    /// so the executed stream stays strictly `(time, seq)`-ordered — the
-    /// audit invariants hold during exploration exactly as during normal
-    /// runs. Returns `false` if no such pending event exists.
-    pub fn mc_execute_pending(&mut self, seq: u64) -> bool {
-        let Some(ev) = self.mc_remove(seq) else {
-            return false;
-        };
-        let time = ev.time.max(self.core.now);
-        let shard = self.core.shard_for_kind(&ev.kind);
-        let sh = &mut self.core.shards[shard];
-        let new_seq = sh.seq;
-        sh.seq += 1;
-        self.execute(Scheduled {
-            time,
-            seq: new_seq,
-            kind: ev.kind,
-        });
-        true
-    }
-
-    /// Drop pending event `seq` without executing it — the checker's
-    /// explicit message-loss action. Returns `false` if no such pending
-    /// event exists.
-    pub fn mc_drop_pending(&mut self, seq: u64) -> bool {
-        if self.mc_remove(seq).is_none() {
-            return false;
-        }
-        self.core.metrics.incr("mc.dropped");
-        true
-    }
-
-    /// Crash `id` immediately (a checker-chosen crash point). No-op if
-    /// already dead.
-    pub fn mc_inject_crash(&mut self, id: ComponentId) {
-        let shard = self.core.shard_idx(id);
-        let sh = &mut self.core.shards[shard];
-        let seq = sh.seq;
-        sh.seq += 1;
-        self.execute(Scheduled {
-            time: self.core.now,
-            seq,
-            kind: EventKind::Crash(id),
-        });
-    }
-
-    /// Restart `id` immediately. No-op if alive.
-    pub fn mc_inject_restart(&mut self, id: ComponentId) {
-        let shard = self.core.shard_idx(id);
-        let sh = &mut self.core.shards[shard];
-        let seq = sh.seq;
-        sh.seq += 1;
-        self.execute(Scheduled {
-            time: self.core.now,
-            seq,
-            kind: EventKind::Restart(id),
-        });
-    }
-
-    /// Purge stale timers from the queues (and their ids from the
-    /// cancelled sets). Keeps snapshots small and fingerprints free of
-    /// events that can never fire.
-    pub fn mc_gc(&mut self) {
-        let EngineCore {
-            shards,
-            alive,
-            incarnation,
-            ..
-        } = &mut self.core;
-        for sh in shards.iter_mut() {
-            let mut stale: Vec<u64> = Vec::new();
-            let ShardState {
-                queue,
-                cancelled_timers,
-                ..
-            } = sh;
-            queue.retain(|ev| {
-                if let EventKind::Timer {
-                    dst,
-                    incarnation: inc,
-                    id,
-                    ..
-                } = &ev.kind
-                {
-                    if cancelled_timers.contains(id)
-                        || incarnation.get(dst.0).copied() != Some(*inc)
-                        || !alive.get(dst.0).copied().unwrap_or(false)
-                    {
-                        stale.push(*id);
-                        return false;
-                    }
-                }
-                true
-            });
-            for id in stale {
-                cancelled_timers.remove(&id);
-            }
-        }
-    }
-
-    /// Hand the queues back to normal scheduled execution after checker
-    /// perturbation: any event whose scheduled time fell behind the clock
-    /// (a message the checker left "in flight" while executing later
-    /// events) is re-timed to *now*, preserving relative `(time, seq)`
-    /// order via fresh sequence numbers. Without this, [`Engine::step`]'s
-    /// monotonic-clock invariant would trip on the stale entries.
-    pub fn mc_release(&mut self) {
-        let now = self.core.now;
-        for sh in self.core.shards.iter_mut() {
-            if sh.queue.iter().all(|ev| ev.time >= now) {
-                continue;
-            }
-            let kind = sh.queue.kind();
-            let mut events = sh.queue.drain_all(); // sorted by (time, seq)
-            for ev in events.iter_mut() {
-                if ev.time < now {
-                    ev.time = now;
-                    ev.seq = sh.seq;
-                    sh.seq += 1;
-                }
-            }
-            sh.queue = EventQueue::from_vec(kind, events);
-        }
-        if self.core.net_events.iter().any(|&(t, _, _)| t < now) {
-            let mut evs = std::mem::take(&mut self.core.net_events);
-            evs.sort_by_key(|&(t, s, _)| (t, s));
-            for e in evs.iter_mut() {
-                if e.0 < now {
-                    e.0 = now;
-                    let sh = &mut self.core.shards[0];
-                    e.1 = sh.seq;
-                    sh.seq += 1;
-                }
-            }
-            evs.sort_by_key(|&(t, s, _)| (t, s));
-            self.core.net_events = evs;
-        }
-    }
-}
-
-impl<C> Engine<C>
-where
-    C: Component + crate::mc::McState,
-    C::Msg: crate::mc::McState,
-{
-    /// Canonical fingerprint of the current state, for visited-state
-    /// deduplication: per-component state, liveness, the pending-event
-    /// multiset (stale timers excluded, times relative to now), and the
-    /// network's mutable state. Excludes observers (metrics, trace,
-    /// spans), history (digest, executed count) and identity counters
-    /// (seq, timer ids) — none of which influence future behavior.
-    pub fn mc_fingerprint(&self) -> u64 {
-        let mut h = crate::mc::McHasher::new(self.core.now);
-        h.flag(self.core.halted);
-        for idx in 0..self.core.names.len() {
-            h.word(idx as u64);
-            h.flag(self.core.alive[idx]);
-            h.word(self.core.incarnation[idx] as u64);
-            if let Some((shard, local)) = self.locate(ComponentId(idx)) {
-                if let Some(c) = self.components[shard][local].as_ref() {
-                    c.mc_fold(&mut h);
-                }
-            }
-        }
-        let mut pending: Vec<(usize, &Scheduled<C::Msg>)> = Vec::new();
-        for (s, sh) in self.core.shards.iter().enumerate() {
-            for ev in sh.queue.iter() {
-                if let EventKind::Timer {
-                    dst,
-                    incarnation,
-                    id,
-                    ..
-                } = &ev.kind
-                {
-                    if self.timer_is_stale(*dst, *incarnation, *id) {
-                        continue;
-                    }
-                }
-                pending.push((s, ev));
-            }
-        }
-        pending.sort_by_key(|(s, ev)| (ev.time, *s, ev.seq));
-        for (_, ev) in pending {
-            h.time(ev.time);
-            match &ev.kind {
-                EventKind::Start(dst) => {
-                    h.word(1);
-                    h.id(*dst);
-                }
-                EventKind::Deliver { src, dst, msg, .. } => {
-                    h.word(2);
-                    h.id(*src);
-                    h.id(*dst);
-                    msg.mc_fold(&mut h);
-                }
-                EventKind::Timer { dst, tag, .. } => {
-                    h.word(3);
-                    h.id(*dst);
-                    h.word(*tag);
-                }
-                EventKind::Crash(dst) => {
-                    h.word(4);
-                    h.id(*dst);
-                }
-                EventKind::Restart(dst) => {
-                    h.word(5);
-                    h.id(*dst);
-                }
-                EventKind::Net(fault) => {
-                    h.word(6);
-                    match fault {
-                        NetFault::Isolate(id) => {
-                            h.word(0);
-                            h.id(*id);
-                        }
-                        NetFault::Reconnect(id) => {
-                            h.word(1);
-                            h.id(*id);
-                        }
-                        NetFault::SetLossPpm(ppm) => {
-                            h.word(2);
-                            h.word(*ppm as u64);
-                        }
-                    }
-                }
-            }
-        }
-        // Scheduled network faults held outside the shard queues (always
-        // empty on single-shard engines, so the historical fold is
-        // unchanged there).
-        for &(time, _, fault) in &self.core.net_events {
-            h.time(time);
-            h.word(6);
-            match fault {
-                NetFault::Isolate(id) => {
-                    h.word(0);
-                    h.id(id);
-                }
-                NetFault::Reconnect(id) => {
-                    h.word(1);
-                    h.id(id);
-                }
-                NetFault::SetLossPpm(ppm) => {
-                    h.word(2);
-                    h.word(ppm as u64);
-                }
-            }
-        }
-        self.core.network.fold_state(|w| h.word(w));
-        h.finish()
-    }
-}
-
 /// Generate a dispatch enum over several [`Component`] types sharing one
 /// message type — the glue that lets a heterogeneous system (managers,
 /// controllers, clients, …) live in one typed [`Engine`].
@@ -2195,8 +1010,8 @@ where
 /// * `From<Inner>` (so [`Engine::add_component`] takes the bare inner
 ///   type),
 /// * an `fn accessor(&self) -> Option<&Inner>` borrow for inspection,
-/// * and a [`Component`] impl that delegates every callback (including
-///   [`Component::shard_hint`]) to the active variant.
+/// * and a [`Component`] impl that delegates every callback to the
+///   active variant.
 ///
 /// ```
 /// use snooze_simcore::prelude::*;
@@ -2301,13 +1116,6 @@ macro_rules! node_enum {
                 match self {
                     $( $name::$variant(inner) =>
                         $crate::engine::Component::on_restart(inner, ctx), )+
-                }
-            }
-
-            fn shard_hint(&self) -> ::core::option::Option<usize> {
-                match self {
-                    $( $name::$variant(inner) =>
-                        $crate::engine::Component::shard_hint(inner), )+
                 }
             }
         }
@@ -2516,18 +1324,6 @@ mod tests {
         }
     }
 
-    /// Declares a preferred shard via [`Component::shard_hint`].
-    struct Hinted {
-        shard: usize,
-    }
-    impl Component for Hinted {
-        type Msg = TestMsg;
-        fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: ComponentId, _: TestMsg) {}
-        fn shard_hint(&self) -> Option<usize> {
-            Some(self.shard)
-        }
-    }
-
     node_enum! {
         /// Every component kind the engine unit tests register,
         /// exercising the macro-generated dispatcher along the way.
@@ -2545,7 +1341,6 @@ mod tests {
             TimerSpans(TimerSpans) as as_timer_spans,
             Nester(Nester) as as_nester,
             Halter(Halter) as as_halter,
-            Hinted(Hinted) as as_hinted,
         }
     }
 
@@ -2790,6 +1585,28 @@ mod tests {
     }
 
     #[test]
+    fn crash_and_restart_of_unknown_component_are_digested_noops() {
+        let run = |faults: bool| {
+            let mut sim = sim(1);
+            if faults {
+                sim.schedule_crash(SimTime::from_secs(1), ComponentId(99));
+                sim.schedule_restart(SimTime::from_secs(2), ComponentId(99));
+            }
+            sim.run();
+            sim
+        };
+        let mut sim = run(true);
+        assert_eq!(sim.events_executed(), 2);
+        assert_ne!(sim.digest(), run(false).digest(), "executed, so digested");
+        sim.mc_inject_crash(ComponentId(99));
+        sim.mc_inject_restart(ComponentId(99));
+        assert_eq!(sim.events_executed(), 4);
+        assert_eq!(sim.metrics().counter("failure.crashes"), 0);
+        assert_eq!(sim.metrics().counter("failure.restarts"), 0);
+        assert!(!sim.is_alive(ComponentId(99)));
+    }
+
+    #[test]
     fn span_context_survives_uninstrumented_hops() {
         let mut sim = sim(1);
         let sink = sim.add_component("sink", SpanSink);
@@ -2971,79 +1788,21 @@ mod tests {
         sim.run();
         assert_eq!(sim.queue_depth(), 0);
     }
-
-    // -- sharded execution ---------------------------------------------
-
-    fn ssim(seed: u64, shards: usize, workers: usize) -> Engine<TestNode> {
-        SimBuilder::new(seed)
-            .shards(shards)
-            .workers(workers)
-            .build()
-    }
-
-    /// Cross-shard ping-pong mesh: kickers and echoes deliberately land
-    /// on different shards so every exchange crosses a shard boundary.
-    fn build_mesh(sim: &mut Engine<TestNode>, shards: usize) {
-        let mut echoes = Vec::new();
-        for i in 0..shards.max(2) {
-            echoes.push(sim.add_component_in_shard(
-                "echo",
-                Echo {
-                    bounces: 5,
-                    seen: 0,
-                },
-                i % shards,
-            ));
-        }
-        for (i, &echo) in echoes.iter().enumerate() {
-            sim.add_component_in_shard("kick", Kickoff { peer: echo }, (i + 1) % shards);
-        }
-    }
-
-    #[test]
-    fn sharded_digest_independent_of_worker_count() {
-        let mut reference = None;
-        for workers in [1usize, 2, 4, 8] {
-            let mut sim = ssim(42, 4, workers);
-            build_mesh(&mut sim, 4);
-            sim.run();
-            let got = (
-                sim.digest(),
-                sim.events_executed(),
-                sim.now(),
-                sim.metrics().counter("net.sent"),
-                sim.metrics().counter("net.delivered"),
-            );
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => assert_eq!(
-                    &got, want,
-                    "worker count {workers} changed observable behavior"
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn single_shard_matches_sharded_engine_structure() {
-        // S=1 must follow the historical sequential path byte-for-byte;
-        // S>1 is a different (but self-consistent) schedule.
-        let mut seq = ssim(9, 1, 1);
-        build_mesh(&mut seq, 1);
-        seq.run();
-        let mut again = ssim(9, 1, 4);
-        build_mesh(&mut again, 1);
-        again.run();
-        assert_eq!(seq.digest(), again.digest());
-        assert_eq!(seq.queue_kind(), QueueKind::Heap);
-        assert_eq!(again.shard_count(), 1);
-    }
-
     #[test]
     fn queue_kind_does_not_affect_digest() {
         let run = |kind: QueueKind| {
             let mut sim: Engine<TestNode> = SimBuilder::new(7).queue(kind).build();
-            build_mesh(&mut sim, 1);
+            assert_eq!(sim.queue_kind(), kind);
+            for _ in 0..2 {
+                let echo = sim.add_component(
+                    "echo",
+                    Echo {
+                        bounces: 5,
+                        seen: 0,
+                    },
+                );
+                sim.add_component("kick", Kickoff { peer: echo });
+            }
             sim.add_component(
                 "t",
                 TimerUser {
@@ -3055,317 +1814,5 @@ mod tests {
             (sim.digest(), sim.events_executed())
         };
         assert_eq!(run(QueueKind::Heap), run(QueueKind::Bucket));
-    }
-
-    #[test]
-    fn shard_hint_routes_registration() {
-        let mut sim = ssim(1, 4, 1);
-        let a = sim.add_component("a", Hinted { shard: 2 });
-        let b = sim.add_component("b", Hinted { shard: 7 });
-        let c = sim.add_component(
-            "c",
-            Echo {
-                bounces: 0,
-                seen: 0,
-            },
-        );
-        assert_eq!(sim.shard_of(a), Some(2));
-        assert_eq!(
-            sim.shard_of(b),
-            Some(3),
-            "hints wrap modulo the shard count"
-        );
-        assert_eq!(sim.shard_of(c), Some(0), "no hint lands on shard 0");
-        assert!(sim.component(a).as_hinted().is_some());
-        assert_eq!(sim.shard_count(), 4);
-        assert_eq!(sim.worker_count(), 1);
-        assert_eq!(sim.queue_kind(), QueueKind::Bucket);
-    }
-
-    #[test]
-    fn sharded_multicast_and_metrics() {
-        let mut sim = ssim(5, 4, 2);
-        let g = sim.create_group();
-        let m1 = sim.add_component_in_shard(
-            "m1",
-            Echo {
-                bounces: 0,
-                seen: 0,
-            },
-            1,
-        );
-        let m2 = sim.add_component_in_shard(
-            "m2",
-            Echo {
-                bounces: 0,
-                seen: 0,
-            },
-            2,
-        );
-        sim.join_group(g, m1);
-        sim.join_group(g, m2);
-        sim.add_component_in_shard("caster", Caster { group: g }, 3);
-        sim.run();
-        assert_eq!(sim.metrics().counter("net.sent"), 2);
-        assert_eq!(sim.metrics().counter("net.delivered"), 2);
-        assert_eq!(sim.component(m1).as_echo().unwrap().seen, 1);
-        assert_eq!(sim.component(m2).as_echo().unwrap().seen, 1);
-    }
-
-    #[test]
-    fn sharded_dead_letters_and_crash_lifecycle() {
-        let mut sim: Engine<TestNode> = SimBuilder::new(11)
-            .shards(2)
-            .workers(2)
-            .trace_capacity(16)
-            .build();
-        let probe = sim.add_component_in_shard(
-            "probe",
-            RestartProbe {
-                restarts: 0,
-                crashes: 0,
-            },
-            1,
-        );
-        let timers = sim.add_component_in_shard(
-            "timers",
-            TimerUser {
-                fired: vec![],
-                cancel_second: true,
-            },
-            0,
-        );
-        sim.schedule_crash(SimTime(500_000), probe);
-        sim.post(SimTime::from_secs(1), probe, TestMsg::Ping);
-        sim.schedule_restart(SimTime(1_500_000), probe);
-        sim.run();
-        let p = sim.component(probe).as_restart_probe().unwrap();
-        assert_eq!(p.crashes, 1);
-        assert_eq!(p.restarts, 1);
-        let t = sim.component(timers).as_timer_user().unwrap();
-        assert_eq!(t.fired, vec![1, 3], "cancelled timer must not fire");
-        assert_eq!(sim.metrics().counter("net.to_dead"), 1);
-        assert_eq!(sim.dead_letters(), 1);
-        assert_eq!(sim.metrics().counter("failure.crashes"), 1);
-        assert_eq!(sim.metrics().counter("failure.restarts"), 1);
-        assert_eq!(
-            sim.trace().total_recorded(),
-            1,
-            "the crash must surface in the replayed trace"
-        );
-    }
-
-    #[test]
-    fn sharded_spans_cross_shard_parentage() {
-        let mut sim = ssim(3, 3, 3);
-        let sink = sim.add_component_in_shard("sink", SpanSink, 2);
-        let relay = sim.add_component_in_shard("relay", SpanRelay { next: sink }, 1);
-        sim.add_component_in_shard("source", SpanSource { next: relay }, 0);
-        sim.run();
-        let spans = sim.spans();
-        assert_eq!(spans.len(), 2);
-        let root = spans.iter().find(|s| s.name == "op.root").unwrap();
-        let leaf = spans.iter().find(|s| s.name == "op.leaf").unwrap();
-        assert_eq!(
-            leaf.parent,
-            Some(root.id),
-            "span context must survive two shard hops"
-        );
-        assert!(
-            root.id.0 >= 1 << 40,
-            "sharded span ids live in the shard namespace"
-        );
-        assert_eq!(root.label("kind"), Some("test"));
-    }
-
-    #[test]
-    fn sharded_observers_do_not_perturb_digest() {
-        let bare = {
-            let mut sim = ssim(21, 4, 4);
-            build_mesh(&mut sim, 4);
-            sim.run();
-            sim.digest()
-        };
-        let mut sim: Engine<TestNode> = SimBuilder::new(21)
-            .shards(4)
-            .workers(4)
-            .trace_capacity(64)
-            .build();
-        sim.enable_profiler();
-        sim.enable_flight_recorder(32);
-        build_mesh(&mut sim, 4);
-        sim.run();
-        assert_eq!(sim.digest(), bare);
-        assert!(!sim.profile_rows().is_empty());
-        assert!(sim.flight_recorder().unwrap().recorded() > 0);
-    }
-
-    #[test]
-    fn sharded_halt_and_run_until() {
-        let mut sim = ssim(13, 2, 2);
-        sim.add_component_in_shard("halter", Halter, 0);
-        sim.add_component_in_shard("loopy", Loopy, 1);
-        sim.run();
-        assert!(sim.now() >= SimTime::from_secs(1));
-        assert!(
-            sim.now() < SimTime::from_secs(100),
-            "halt must stop the run"
-        );
-
-        let mut sim = ssim(13, 2, 2);
-        sim.add_component_in_shard("loopy", Loopy, 1);
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.now(), SimTime::from_secs(1));
-        assert!(sim.events_executed() > 100);
-    }
-
-    #[test]
-    fn sharded_net_fault_fires_at_commit() {
-        let mut sim = ssim(17, 2, 2);
-        let echo = sim.add_component_in_shard(
-            "echo",
-            Echo {
-                bounces: 9,
-                seen: 0,
-            },
-            0,
-        );
-        sim.add_component_in_shard("kick", Kickoff { peer: echo }, 1);
-        sim.schedule_net_fault(SimTime(50), NetFault::SetLossPpm(1_000_000));
-        sim.run();
-        assert_eq!(sim.metrics().counter("failure.net"), 1);
-        assert!(
-            sim.metrics().counter("net.dropped") > 0,
-            "full loss after the fault must drop the remaining traffic"
-        );
-    }
-
-    // -- model checking over sharded queues ----------------------------
-
-    /// Minimal cloneable component for snapshot/restore tests.
-    #[derive(Clone)]
-    struct McPing {
-        peer: Option<ComponentId>,
-        count: u32,
-        timers: u32,
-    }
-    impl Component for McPing {
-        type Msg = TestMsg;
-        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
-            if let Some(p) = self.peer {
-                ctx.send(p, TestMsg::Ping);
-            }
-            ctx.set_timer(SimSpan::from_secs(1), 0);
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<'_, TestMsg>, src: ComponentId, _: TestMsg) {
-            self.count += 1;
-            if self.count < 6 && src != ComponentId::EXTERNAL {
-                ctx.send(src, TestMsg::Ping);
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _tag: u64) {
-            // Bounded re-arming so every run drains even if the peer dies.
-            self.timers += 1;
-            if self.timers < 3 {
-                ctx.set_timer(SimSpan::from_secs(1), 0);
-            }
-        }
-    }
-    impl crate::mc::McState for McPing {
-        fn mc_fold(&self, h: &mut crate::mc::McHasher) {
-            h.word(self.count as u64);
-        }
-    }
-    impl crate::mc::McState for TestMsg {
-        fn mc_fold(&self, h: &mut crate::mc::McHasher) {
-            h.word(match self {
-                TestMsg::Ping => 1,
-            });
-        }
-    }
-
-    #[test]
-    fn mc_snapshot_restore_roundtrip_over_sharded_queues() {
-        let mut sim: Engine<McPing> = SimBuilder::new(31).shards(2).build();
-        let b = sim.add_component_in_shard(
-            "b",
-            McPing {
-                peer: None,
-                count: 0,
-                timers: 0,
-            },
-            1,
-        );
-        sim.add_component_in_shard(
-            "a",
-            McPing {
-                peer: Some(b),
-                count: 0,
-                timers: 0,
-            },
-            0,
-        );
-        // Advance a couple of windows so both shard queues hold live
-        // cross-shard traffic, then capture.
-        sim.step();
-        sim.step();
-        let pending = sim.mc_pending();
-        assert!(!pending.is_empty());
-        assert!(
-            pending.iter().all(|p| p.seq >= 1 << 48),
-            "sharded pending seqs carry the shard namespace"
-        );
-        let snap = sim.mc_snapshot();
-        let fp = sim.mc_fingerprint();
-        sim.run();
-        let end = (sim.digest(), sim.events_executed(), sim.now());
-
-        sim.mc_restore(&snap);
-        assert_eq!(sim.mc_fingerprint(), fp, "restore must reproduce the state");
-        assert!(!sim.mc_drop_pending(u64::MAX), "bogus seq is rejected");
-        sim.run();
-        assert_eq!(
-            (sim.digest(), sim.events_executed(), sim.now()),
-            end,
-            "a restored run must replay identically"
-        );
-    }
-
-    #[test]
-    fn mc_perturbation_on_sharded_queues() {
-        let mut sim: Engine<McPing> = SimBuilder::new(33).shards(2).build();
-        let b = sim.add_component_in_shard(
-            "b",
-            McPing {
-                peer: None,
-                count: 0,
-                timers: 0,
-            },
-            1,
-        );
-        let a = sim.add_component_in_shard(
-            "a",
-            McPing {
-                peer: Some(b),
-                count: 0,
-                timers: 0,
-            },
-            0,
-        );
-        sim.step();
-        // Execute a pending event out of order, drop another, then let a
-        // crash/restart pair run — the monotonic-seq audit must hold.
-        let pending = sim.mc_pending();
-        assert!(sim.mc_execute_pending(pending[pending.len() - 1].seq));
-        if let Some(p) = sim.mc_pending().first() {
-            assert!(sim.mc_drop_pending(p.seq));
-        }
-        sim.mc_inject_crash(a);
-        sim.mc_inject_restart(a);
-        sim.mc_gc();
-        sim.mc_release();
-        sim.run();
-        assert!(sim.metrics().counter("mc.dropped") >= 1);
-        assert_eq!(sim.metrics().counter("failure.crashes"), 1);
     }
 }

@@ -1,11 +1,11 @@
 //! Pending-event storage: a binary heap or a hierarchical bucket queue.
 //!
 //! The engine's original event queue was a global
-//! `BinaryHeap<Reverse<Scheduled<M>>>`. That stays available (and stays
-//! the default for single-shard engines, so golden digests are
-//! bit-for-bit reproducible), but sharded execution defaults to
-//! [`BucketQueue`], a two-level calendar queue tuned for the simulator's
-//! actual schedule shape:
+//! `BinaryHeap<Reverse<Scheduled<M>>>`. That stays the default — it is
+//! what every golden and every benchmark workload runs — and
+//! [`SimBuilder::queue`](crate::engine::SimBuilder::queue) can select
+//! [`BucketQueue`] instead, a two-level calendar queue tuned for the
+//! simulator's actual schedule shape:
 //!
 //! * a **near ring** of fixed-width buckets (64 µs wide, covering about
 //!   a quarter second ahead of the active bucket) absorbs message
@@ -24,6 +24,12 @@
 //! total order every audit invariant and digest depends on — and a
 //! randomized differential test below holds the bucket queue to the
 //! heap's exact pop sequence.
+//!
+//! Why both stay (ROADMAP item 2 has the numbers): the bucket queue is
+//! 20–25% faster on the long fleet runs, but `BucketQueue::new` allocates
+//! its whole ring, and the model checker rebuilds the queue on every
+//! `drain_all`/`retain`/`from_vec`, so a bucket-only engine is ~50% slower
+//! there. Unifying them is a measured change of its own.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -46,30 +52,11 @@ fn bucket_of(t: SimTime) -> u64 {
 /// Which queue implementation an engine uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum QueueKind {
-    /// The classic global binary heap (single-shard default).
+    /// The classic global binary heap (the default).
     #[default]
     Heap,
-    /// The hierarchical bucket / calendar queue (sharded default).
+    /// The hierarchical bucket / calendar queue.
     Bucket,
-}
-
-impl QueueKind {
-    /// Stable name used by scenario specs and bench tables.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            QueueKind::Heap => "binary-heap",
-            QueueKind::Bucket => "bucket",
-        }
-    }
-
-    /// Parse the scenario-spec spelling.
-    pub fn parse(s: &str) -> Option<QueueKind> {
-        match s {
-            "binary-heap" | "heap" => Some(QueueKind::Heap),
-            "bucket" => Some(QueueKind::Bucket),
-            _ => None,
-        }
-    }
 }
 
 /// A pending-event queue: one of the two implementations above, behind
@@ -127,19 +114,6 @@ impl<M> EventQueue<M> {
     #[allow(dead_code)] // symmetry with `len`; used by tests
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Upper-bound estimate of how many pending events have
-    /// `time <= horizon`, capped at `cap` — the shard executor's
-    /// dispatch heuristic (inline vs. thread-pool) only needs to know
-    /// whether a window is heavy, never an exact count.
-    pub(crate) fn approx_events_before(&mut self, horizon: SimTime, cap: usize) -> usize {
-        match self {
-            // The heap cannot answer cheaply; its length is a safe
-            // over-estimate (the heuristic only biases dispatch).
-            EventQueue::Heap(h) => h.len().min(cap),
-            EventQueue::Bucket(b) => b.approx_events_before(horizon, cap),
-        }
     }
 
     /// All pending events in `(time, seq)` order, leaving the queue
@@ -234,7 +208,7 @@ pub(crate) struct BucketQueue<M> {
     /// the tail in O(1) without shifting the vector.
     active: Vec<Scheduled<M>>,
     /// Events scheduled at or behind the active bucket after it was
-    /// sorted (self-timers, cross-shard arrivals below the new base).
+    /// sorted (self-timers, arrivals below the advanced base).
     /// Merged with `active` on every pop, so order stays exact.
     late: BinaryHeap<Reverse<Scheduled<M>>>,
     /// Near future: slot `b & RING_MASK` holds bucket `b` iff
@@ -334,28 +308,6 @@ impl<M> BucketQueue<M> {
         } else {
             self.active.pop()
         }
-    }
-
-    fn approx_events_before(&mut self, horizon: SimTime, cap: usize) -> usize {
-        self.ensure_front();
-        let hb = bucket_of(horizon);
-        let mut count = 0usize;
-        if self.base <= hb {
-            count += self.active.len() + self.late.len();
-        }
-        if count >= cap {
-            return cap;
-        }
-        // Scan a bounded slice of the ring; far buckets are beyond any
-        // realistic lookahead window and are ignored by design.
-        let stop = hb.min(self.base + 64);
-        for b in self.base + 1..=stop {
-            count += self.ring[(b & RING_MASK) as usize].len();
-            if count >= cap {
-                return cap;
-            }
-        }
-        count
     }
 
     fn iter(&self) -> impl Iterator<Item = &Scheduled<M>> {
@@ -464,8 +416,8 @@ mod tests {
 
     #[test]
     fn push_behind_active_bucket_still_pops_in_order() {
-        // A cross-shard arrival can land numerically below the bucket
-        // the queue has already advanced to (the `late` path).
+        // An event can land numerically below the bucket the queue has
+        // already advanced to (the `late` path).
         let mut q: EventQueue<u32> = EventQueue::new(QueueKind::Bucket);
         q.push(ev(10_000_000, 0));
         assert_eq!(q.peek_key(), Some((SimTime(10_000_000), 0))); // advances base far ahead
@@ -514,26 +466,5 @@ mod tests {
                 prev = Some((e.time, e.seq));
             }
         }
-    }
-
-    #[test]
-    fn approx_count_is_a_usable_dispatch_signal() {
-        let mut q: EventQueue<u32> = EventQueue::new(QueueKind::Bucket);
-        for seq in 0..200 {
-            q.push(ev(seq, seq)); // all within the first few buckets
-        }
-        q.push(ev(8_000_000, 999));
-        assert_eq!(q.approx_events_before(SimTime(300), 128), 128);
-        let few = q.approx_events_before(SimTime(300), usize::MAX);
-        assert!((200..=201).contains(&few), "got {few}");
-    }
-
-    #[test]
-    fn queue_kind_names_roundtrip() {
-        for kind in [QueueKind::Heap, QueueKind::Bucket] {
-            assert_eq!(QueueKind::parse(kind.as_str()), Some(kind));
-        }
-        assert_eq!(QueueKind::parse("heap"), Some(QueueKind::Heap));
-        assert_eq!(QueueKind::parse("splay"), None);
     }
 }

@@ -40,11 +40,9 @@
 //! Events are totally ordered by `(time, sequence-number)`, and all
 //! randomness flows from one master seed through per-purpose
 //! [`rng::SimRng`] streams, so two runs with the same seed produce
-//! byte-identical histories. A single-shard engine executes on one
-//! thread; a sharded engine ([`SimBuilder::shards`]) executes
-//! conservative lookahead windows on worker threads ([`exec`]) and
-//! commits them through a timestamp-ordered merge, so its audited
-//! digest is independent of the worker count.
+//! byte-identical histories. The engine is one queue on one thread;
+//! the pending-event structure ([`SimBuilder::queue`]) is the only
+//! mechanical choice and never changes the executed history.
 //!
 //! ## Example
 //!
@@ -88,7 +86,6 @@
 
 pub mod engine;
 pub mod equeue;
-pub mod exec;
 pub mod failure;
 pub mod flight;
 pub mod invariant;

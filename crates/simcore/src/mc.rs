@@ -7,7 +7,8 @@
 //! ([`Engine::mc_execute_pending`](crate::engine::Engine::mc_execute_pending)),
 //! and restoring to try the siblings. Everything here is ordinary
 //! single-threaded engine machinery — no `unsafe`, no global state — so the
-//! same engine binary runs simulations and model checks.
+//! same engine binary runs simulations and model checks. The `mc_*` hooks
+//! on [`Engine`] are implemented at the bottom of this module.
 //!
 //! ## Fingerprints
 //!
@@ -22,11 +23,12 @@
 //! reached first wins, so exploration is exhaustive *up to* fingerprint
 //! equality.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use snooze_telemetry::span::{SpanId, SpanLog};
 
-use crate::engine::{Component, ComponentId, NetFault, Scheduled};
+use crate::engine::{Component, ComponentId, Engine, EngineCore, EventKind, NetFault, Scheduled};
+use crate::equeue::EventQueue;
 use crate::network::NetworkState;
 use crate::rng::SimRng;
 use crate::time::{SimSpan, SimTime};
@@ -144,12 +146,12 @@ impl McState for u64 {
 /// outside the crate — the explorer treats snapshots as tokens.
 pub struct SystemState<C: Component> {
     pub(crate) now: SimTime,
-    /// Per-shard captures, index-aligned with the engine's shards. A
-    /// single-shard engine snapshots exactly one entry.
-    pub(crate) shards: Vec<ShardSnap<C::Msg>>,
-    /// Scheduled network faults held outside the shard queues (always
-    /// empty on single-shard engines).
-    pub(crate) net_events: Vec<(SimTime, u64, NetFault)>,
+    pub(crate) seq: u64,
+    /// Pending events, sorted by `(time, seq)`.
+    pub(crate) queue: Vec<Scheduled<C::Msg>>,
+    pub(crate) rng: SimRng,
+    pub(crate) next_timer_id: u64,
+    pub(crate) cancelled_timers: BTreeSet<u64>,
     pub(crate) network: NetworkState,
     pub(crate) spans: SpanLog,
     pub(crate) ctx_span: Option<SpanId>,
@@ -159,22 +161,7 @@ pub struct SystemState<C: Component> {
     pub(crate) events_executed: u64,
     pub(crate) digest: u64,
     pub(crate) last_executed: Option<(SimTime, u64)>,
-    /// Components, grouped by shard like the engine holds them.
-    pub(crate) components: Vec<Vec<Option<C>>>,
-}
-
-/// One shard's share of a [`SystemState`]: its pending events (sorted),
-/// scheduling counters, RNG stream, cancelled-timer set and the span
-/// bookkeeping that must survive restore (span ids are allocated
-/// per-shard and parent links live in shard scratch).
-pub(crate) struct ShardSnap<M> {
-    pub(crate) queue: Vec<Scheduled<M>>,
-    pub(crate) seq: u64,
-    pub(crate) rng: SimRng,
-    pub(crate) next_timer_id: u64,
-    pub(crate) cancelled_timers: BTreeSet<u64>,
-    pub(crate) next_span: u64,
-    pub(crate) span_parents: BTreeMap<u64, Option<SpanId>>,
+    pub(crate) components: Vec<Option<C>>,
 }
 
 impl<C: Component> SystemState<C> {
@@ -185,7 +172,7 @@ impl<C: Component> SystemState<C> {
 
     /// Number of pending events at capture.
     pub fn pending_count(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum::<usize>() + self.net_events.len()
+        self.queue.len()
     }
 }
 
@@ -257,4 +244,309 @@ pub struct McPending {
     pub dst_alive: bool,
     /// What the event is.
     pub desc: McEventDesc,
+}
+
+impl<C: Component> Engine<C>
+where
+    C: Clone,
+    C::Msg: Clone,
+{
+    /// Capture a full copy of the engine state: clock, counters, pending
+    /// events, network, RNG stream, span log and every component. Metrics
+    /// and the bounded trace are *not* captured — they are observers,
+    /// never causes, and restoring them would only blur exploration
+    /// statistics.
+    pub fn mc_snapshot(&self) -> SystemState<C> {
+        SystemState {
+            now: self.core.now,
+            seq: self.core.seq,
+            queue: self.core.queue.to_sorted_vec(),
+            rng: self.core.rng.clone(),
+            next_timer_id: self.core.next_timer_id,
+            cancelled_timers: self.core.cancelled_timers.clone(),
+            network: self.core.network.save_state(),
+            spans: self.core.spans.clone(),
+            ctx_span: self.core.ctx_span,
+            alive: self.core.alive.clone(),
+            incarnation: self.core.incarnation.clone(),
+            halted: self.core.halted,
+            events_executed: self.core.events_executed,
+            digest: self.core.digest,
+            last_executed: self.core.last_executed,
+            components: self.components.clone(),
+        }
+    }
+
+    /// Restore a state captured by [`Engine::mc_snapshot`]. The snapshot
+    /// must come from *this* engine (same components, same names); the
+    /// checker only ever restores its own captures.
+    pub fn mc_restore(&mut self, state: &SystemState<C>) {
+        assert_eq!(
+            state.components.len(),
+            self.components.len(),
+            "snapshot from a different system shape"
+        );
+        self.core.now = state.now;
+        self.core.seq = state.seq;
+        self.core.queue = EventQueue::from_vec(self.core.queue.kind(), state.queue.clone());
+        self.core.rng = state.rng.clone();
+        self.core.next_timer_id = state.next_timer_id;
+        self.core.cancelled_timers = state.cancelled_timers.clone();
+        self.core.network.load_state(&state.network);
+        self.core.spans = state.spans.clone();
+        self.core.ctx_span = state.ctx_span;
+        self.core.alive = state.alive.clone();
+        self.core.incarnation = state.incarnation.clone();
+        self.core.halted = state.halted;
+        self.core.events_executed = state.events_executed;
+        self.core.digest = state.digest;
+        self.core.last_executed = state.last_executed;
+        self.components = state.components.clone();
+    }
+}
+
+impl<C: Component> Engine<C> {
+    /// Every pending event a checker could execute next, sorted by
+    /// `(time, seq)`. Stale timers (cancelled, or set by a dead or
+    /// superseded incarnation) are omitted — they would be silently
+    /// discarded by normal execution too.
+    pub fn mc_pending(&self) -> Vec<McPending> {
+        let mut out: Vec<McPending> = Vec::new();
+        for ev in self.core.queue.iter() {
+            let desc = match &ev.kind {
+                EventKind::Start(dst) => McEventDesc::Start { dst: *dst },
+                EventKind::Deliver { src, dst, .. } => McEventDesc::Deliver {
+                    src: *src,
+                    dst: *dst,
+                },
+                EventKind::Timer {
+                    dst,
+                    tag,
+                    incarnation,
+                    id,
+                    ..
+                } => {
+                    if self.core.timer_is_stale(*dst, *incarnation, *id) {
+                        continue;
+                    }
+                    McEventDesc::Timer {
+                        dst: *dst,
+                        tag: *tag,
+                    }
+                }
+                EventKind::Crash(dst) => McEventDesc::Crash { dst: *dst },
+                EventKind::Restart(dst) => McEventDesc::Restart { dst: *dst },
+                EventKind::Net(_) => McEventDesc::Net,
+            };
+            let dst_alive = match desc {
+                McEventDesc::Start { dst }
+                | McEventDesc::Deliver { dst, .. }
+                | McEventDesc::Timer { dst, .. } => self.is_alive(dst),
+                _ => true,
+            };
+            out.push(McPending {
+                seq: ev.seq,
+                time: ev.time,
+                dst_alive,
+                desc,
+            });
+        }
+        out.sort_by_key(|p| (p.time, p.seq));
+        out
+    }
+
+    fn mc_remove(&mut self, seq: u64) -> Option<Scheduled<C::Msg>> {
+        let kind = self.core.queue.kind();
+        let mut events = self.core.queue.drain_all();
+        let pos = events.iter().position(|ev| ev.seq == seq);
+        let found = pos.map(|i| events.remove(i));
+        self.core.queue = EventQueue::from_vec(kind, events);
+        found
+    }
+
+    /// Execute `kind` at `time` under a fresh sequence number, so the
+    /// executed stream stays strictly `(time, seq)`-ordered.
+    fn mc_execute_at(&mut self, time: SimTime, kind: EventKind<C::Msg>) {
+        let seq = self.core.next_seq();
+        self.execute(Scheduled { time, seq, kind });
+    }
+
+    /// Execute pending event `seq` *now*, regardless of queue order: the
+    /// event is re-timed to `max(now, its scheduled time)` and re-sequenced
+    /// so the executed stream stays strictly `(time, seq)`-ordered — the
+    /// audit invariants hold during exploration exactly as during normal
+    /// runs. Returns `false` if no such pending event exists.
+    pub fn mc_execute_pending(&mut self, seq: u64) -> bool {
+        let Some(ev) = self.mc_remove(seq) else {
+            return false;
+        };
+        self.mc_execute_at(ev.time.max(self.core.now), ev.kind);
+        true
+    }
+
+    /// Drop pending event `seq` without executing it — the checker's
+    /// explicit message-loss action. Returns `false` if no such pending
+    /// event exists.
+    pub fn mc_drop_pending(&mut self, seq: u64) -> bool {
+        if self.mc_remove(seq).is_none() {
+            return false;
+        }
+        self.core.metrics.incr("mc.dropped");
+        true
+    }
+
+    /// Crash `id` immediately (a checker-chosen crash point). No-op if
+    /// already dead or unknown.
+    pub fn mc_inject_crash(&mut self, id: ComponentId) {
+        self.mc_execute_at(self.core.now, EventKind::Crash(id));
+    }
+
+    /// Restart `id` immediately. No-op if alive or unknown.
+    pub fn mc_inject_restart(&mut self, id: ComponentId) {
+        self.mc_execute_at(self.core.now, EventKind::Restart(id));
+    }
+
+    /// Purge stale timers from the queue (and their ids from the
+    /// cancelled set). Keeps snapshots small and fingerprints free of
+    /// events that can never fire.
+    pub fn mc_gc(&mut self) {
+        let EngineCore {
+            queue,
+            cancelled_timers,
+            alive,
+            incarnation,
+            ..
+        } = &mut self.core;
+        let mut stale: Vec<u64> = Vec::new();
+        queue.retain(|ev| {
+            if let EventKind::Timer {
+                dst,
+                incarnation: inc,
+                id,
+                ..
+            } = &ev.kind
+            {
+                if cancelled_timers.contains(id)
+                    || incarnation.get(dst.0).copied() != Some(*inc)
+                    || !alive.get(dst.0).copied().unwrap_or(false)
+                {
+                    stale.push(*id);
+                    return false;
+                }
+            }
+            true
+        });
+        for id in stale {
+            cancelled_timers.remove(&id);
+        }
+    }
+
+    /// Hand the queue back to normal scheduled execution after checker
+    /// perturbation: any event whose scheduled time fell behind the clock
+    /// (a message the checker left "in flight" while executing later
+    /// events) is re-timed to *now*, preserving relative `(time, seq)`
+    /// order via fresh sequence numbers. Without this, [`Engine::step`]'s
+    /// monotonic-clock invariant would trip on the stale entries.
+    pub fn mc_release(&mut self) {
+        let now = self.core.now;
+        if self.core.queue.iter().all(|ev| ev.time >= now) {
+            return;
+        }
+        let kind = self.core.queue.kind();
+        let mut events = self.core.queue.drain_all(); // sorted by (time, seq)
+        for ev in events.iter_mut() {
+            if ev.time < now {
+                ev.time = now;
+                ev.seq = self.core.next_seq();
+            }
+        }
+        self.core.queue = EventQueue::from_vec(kind, events);
+    }
+}
+
+impl<C> Engine<C>
+where
+    C: Component + McState,
+    C::Msg: McState,
+{
+    /// Canonical fingerprint of the current state, for visited-state
+    /// deduplication: per-component state, liveness, the pending-event
+    /// multiset (stale timers excluded, times relative to now), and the
+    /// network's mutable state. Excludes observers (metrics, trace,
+    /// spans), history (digest, executed count) and identity counters
+    /// (seq, timer ids) — none of which influence future behavior.
+    pub fn mc_fingerprint(&self) -> u64 {
+        let mut h = McHasher::new(self.core.now);
+        h.flag(self.core.halted);
+        for (idx, comp) in self.components.iter().enumerate() {
+            h.word(idx as u64);
+            h.flag(self.core.alive[idx]);
+            h.word(self.core.incarnation[idx] as u64);
+            if let Some(c) = comp {
+                c.mc_fold(&mut h);
+            }
+        }
+        let mut pending: Vec<&Scheduled<C::Msg>> = self
+            .core
+            .queue
+            .iter()
+            .filter(|ev| match &ev.kind {
+                EventKind::Timer {
+                    dst,
+                    incarnation,
+                    id,
+                    ..
+                } => !self.core.timer_is_stale(*dst, *incarnation, *id),
+                _ => true,
+            })
+            .collect();
+        pending.sort_unstable();
+        for ev in pending {
+            h.time(ev.time);
+            match &ev.kind {
+                EventKind::Start(dst) => {
+                    h.word(1);
+                    h.id(*dst);
+                }
+                EventKind::Deliver { src, dst, msg, .. } => {
+                    h.word(2);
+                    h.id(*src);
+                    h.id(*dst);
+                    msg.mc_fold(&mut h);
+                }
+                EventKind::Timer { dst, tag, .. } => {
+                    h.word(3);
+                    h.id(*dst);
+                    h.word(*tag);
+                }
+                EventKind::Crash(dst) => {
+                    h.word(4);
+                    h.id(*dst);
+                }
+                EventKind::Restart(dst) => {
+                    h.word(5);
+                    h.id(*dst);
+                }
+                EventKind::Net(fault) => {
+                    h.word(6);
+                    match fault {
+                        NetFault::Isolate(id) => {
+                            h.word(0);
+                            h.id(*id);
+                        }
+                        NetFault::Reconnect(id) => {
+                            h.word(1);
+                            h.id(*id);
+                        }
+                        NetFault::SetLossPpm(ppm) => {
+                            h.word(2);
+                            h.word(*ppm as u64);
+                        }
+                    }
+                }
+            }
+        }
+        self.core.network.fold_state(|w| h.word(w));
+        h.finish()
+    }
 }

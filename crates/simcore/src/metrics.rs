@@ -187,36 +187,6 @@ impl MetricsRegistry {
         *entry(&mut self.counters, key, labels) += n;
     }
 
-    /// Merge a delta registry produced elsewhere (e.g. a shard worker's
-    /// window-local buffer) into this one: counters add, gauges take the
-    /// incoming value (last writer wins), histogram samples re-record,
-    /// series points append in the order the delta holds them.
-    pub fn absorb(&mut self, other: MetricsRegistry) {
-        for (key, vars) in other.counters {
-            for (labels, v) in vars {
-                *entry(&mut self.counters, &key, &labels) += v;
-            }
-        }
-        for (key, vars) in other.gauges {
-            for (labels, v) in vars {
-                *entry(&mut self.gauges, &key, &labels) = v;
-            }
-        }
-        for (key, vars) in other.histograms {
-            for (labels, h) in vars {
-                let dst = entry(&mut self.histograms, &key, &labels);
-                for &x in h.samples() {
-                    dst.record(x);
-                }
-            }
-        }
-        for (key, vars) in other.series {
-            for (labels, mut pts) in vars {
-                entry(&mut self.series, &key, &labels).append(&mut pts);
-            }
-        }
-    }
-
     /// Current value of counter `key` with no labels (0 if never touched).
     pub fn counter(&self, key: &str) -> u64 {
         self.counter_with(key, &LabelSet::EMPTY)

@@ -13,21 +13,9 @@ use crate::rng::SimRng;
 use crate::time::{SimSpan, SimTime};
 
 /// Samples a one-way transit latency for a message.
-///
-/// `Sync` because the sharded executor samples latencies from several
-/// worker threads at once (each with its own [`SimRng`] stream); every
-/// model is immutable after construction, so this costs nothing.
-pub trait LatencyModel: Send + Sync + 'static {
+pub trait LatencyModel: Send + 'static {
     /// Latency from `src` to `dst`. Implementations may use `rng` for jitter.
     fn sample(&self, src: ComponentId, dst: ComponentId, rng: &mut SimRng) -> SimSpan;
-
-    /// A lower bound on [`LatencyModel::sample`] over every pair — the
-    /// sharded executor's conservative lookahead: no message sent at or
-    /// after time `t` can arrive before `t + min_latency()`. The default
-    /// (zero) is always safe, merely pessimal (one event per window).
-    fn min_latency(&self) -> SimSpan {
-        SimSpan::ZERO
-    }
 }
 
 /// Fixed latency for every pair.
@@ -36,10 +24,6 @@ pub struct ConstantLatency(pub SimSpan);
 
 impl LatencyModel for ConstantLatency {
     fn sample(&self, _: ComponentId, _: ComponentId, _: &mut SimRng) -> SimSpan {
-        self.0
-    }
-
-    fn min_latency(&self) -> SimSpan {
         self.0
     }
 }
@@ -56,10 +40,6 @@ pub struct UniformLatency {
 impl LatencyModel for UniformLatency {
     fn sample(&self, _: ComponentId, _: ComponentId, rng: &mut SimRng) -> SimSpan {
         rng.span_between(self.lo, self.hi)
-    }
-
-    fn min_latency(&self) -> SimSpan {
-        self.lo
     }
 }
 
@@ -88,10 +68,6 @@ impl LatencyModel for TwoTierLatency {
         } else {
             self.inter.sample(src, dst, rng)
         }
-    }
-
-    fn min_latency(&self) -> SimSpan {
-        self.intra.min_latency().min(self.inter.min_latency())
     }
 }
 
@@ -138,17 +114,9 @@ impl Default for NetworkConfig {
     }
 }
 
-/// Last scheduled arrival per directed `(src, dst)` pair — enforces
-/// per-pair FIFO, matching the TCP connections Snooze's RESTful services
-/// ride on. Owned by the *sender's* event queue (the engine shard that
-/// executes `src`), not by [`Network`]: every entry is then written by
-/// exactly one worker thread, and [`Network::transit`] can run with a
-/// shared borrow.
-pub(crate) type FifoClamps = BTreeMap<(usize, usize), SimTime>;
-
 /// Live network state owned by the engine. The mutable parts (group
-/// membership, partitions) live in ordered collections so snapshots hash
-/// and restore deterministically.
+/// membership, partitions, FIFO clamps) live in ordered collections so
+/// snapshots hash and restore deterministically.
 pub struct Network {
     config: NetworkConfig,
     groups: Vec<Vec<ComponentId>>,
@@ -156,6 +124,10 @@ pub struct Network {
     blocked_pairs: BTreeSet<(usize, usize)>,
     /// Components cut off from everyone.
     isolated: BTreeSet<usize>,
+    /// Last scheduled arrival per directed `(src, dst)` pair — enforces
+    /// per-pair FIFO, matching the TCP connections Snooze's RESTful
+    /// services ride on.
+    last_arrival: BTreeMap<(usize, usize), SimTime>,
 }
 
 /// A copy of the network's mutable state — everything except the latency
@@ -177,34 +149,28 @@ impl Network {
             groups: Vec::new(),
             blocked_pairs: BTreeSet::new(),
             isolated: BTreeSet::new(),
+            last_arrival: BTreeMap::new(),
         }
     }
 
-    /// Capture the mutable state (for snapshot/restore). The FIFO clamps
-    /// live with the engine shards; the engine passes their union in.
-    pub(crate) fn save_state(&self, last_arrival: FifoClamps) -> NetworkState {
+    /// Capture the mutable state (for snapshot/restore).
+    pub(crate) fn save_state(&self) -> NetworkState {
         NetworkState {
             groups: self.groups.clone(),
             blocked_pairs: self.blocked_pairs.clone(),
             isolated: self.isolated.clone(),
-            last_arrival,
+            last_arrival: self.last_arrival.clone(),
             loss_rate: self.config.loss_rate,
         }
     }
 
-    /// Restore state captured by [`Network::save_state`], handing the
-    /// FIFO clamps back for the engine to redistribute across shards.
-    pub(crate) fn load_state(&mut self, state: &NetworkState) -> FifoClamps {
+    /// Restore state captured by [`Network::save_state`].
+    pub(crate) fn load_state(&mut self, state: &NetworkState) {
         self.groups = state.groups.clone();
         self.blocked_pairs = state.blocked_pairs.clone();
         self.isolated = state.isolated.clone();
+        self.last_arrival = state.last_arrival.clone();
         self.config.loss_rate = state.loss_rate;
-        state.last_arrival.clone()
-    }
-
-    /// The latency model's lower bound — the shard executor's lookahead.
-    pub(crate) fn min_latency(&self) -> SimSpan {
-        self.config.latency.min_latency()
     }
 
     /// Fold the behavior-relevant mutable state into an FNV word stream
@@ -229,15 +195,13 @@ impl Network {
 
     /// Compute the arrival time of a message departing at `departs`, or
     /// `None` if it is lost (random loss, partition, or isolation).
-    /// Arrival times per directed pair are non-decreasing (FIFO channels,
-    /// clamped through the caller-owned `fifo` map).
+    /// Arrival times per directed pair are non-decreasing (FIFO channels).
     pub(crate) fn transit(
-        &self,
+        &mut self,
         src: ComponentId,
         dst: ComponentId,
         departs: SimTime,
         rng: &mut SimRng,
-        fifo: &mut FifoClamps,
     ) -> Option<SimTime> {
         if src != ComponentId::EXTERNAL {
             if self.isolated.contains(&src.0) || self.isolated.contains(&dst.0) {
@@ -253,7 +217,10 @@ impl Network {
         }
         let mut arrival = departs + self.config.latency.sample(src, dst, rng);
         if src != ComponentId::EXTERNAL {
-            let slot = fifo.entry((src.0, dst.0)).or_insert(SimTime::ZERO);
+            let slot = self
+                .last_arrival
+                .entry((src.0, dst.0))
+                .or_insert(SimTime::ZERO);
             arrival = arrival.max(*slot);
             *slot = arrival;
         }
@@ -379,63 +346,39 @@ mod tests {
     fn partitions_block_and_heal() {
         let mut net = Network::new(NetworkConfig::instant());
         let mut r = rng();
-        let mut fifo = FifoClamps::new();
         let (a, b) = (ComponentId(1), ComponentId(2));
-        assert!(net
-            .transit(a, b, SimTime::ZERO, &mut r, &mut fifo)
-            .is_some());
+        assert!(net.transit(a, b, SimTime::ZERO, &mut r).is_some());
         net.partition(&[a], &[b]);
-        assert!(net
-            .transit(a, b, SimTime::ZERO, &mut r, &mut fifo)
-            .is_none());
+        assert!(net.transit(a, b, SimTime::ZERO, &mut r).is_none());
         assert!(
-            net.transit(b, a, SimTime::ZERO, &mut r, &mut fifo)
-                .is_none(),
+            net.transit(b, a, SimTime::ZERO, &mut r).is_none(),
             "partition must be symmetric"
         );
         net.heal_partitions();
-        assert!(net
-            .transit(a, b, SimTime::ZERO, &mut r, &mut fifo)
-            .is_some());
+        assert!(net.transit(a, b, SimTime::ZERO, &mut r).is_some());
     }
 
     #[test]
     fn isolation_blocks_both_directions() {
         let mut net = Network::new(NetworkConfig::instant());
         let mut r = rng();
-        let mut fifo = FifoClamps::new();
         let (a, b, c) = (ComponentId(1), ComponentId(2), ComponentId(3));
         net.isolate(a);
-        assert!(net
-            .transit(a, b, SimTime::ZERO, &mut r, &mut fifo)
-            .is_none());
-        assert!(net
-            .transit(c, a, SimTime::ZERO, &mut r, &mut fifo)
-            .is_none());
-        assert!(net
-            .transit(b, c, SimTime::ZERO, &mut r, &mut fifo)
-            .is_some());
+        assert!(net.transit(a, b, SimTime::ZERO, &mut r).is_none());
+        assert!(net.transit(c, a, SimTime::ZERO, &mut r).is_none());
+        assert!(net.transit(b, c, SimTime::ZERO, &mut r).is_some());
         net.reconnect(a);
-        assert!(net
-            .transit(a, b, SimTime::ZERO, &mut r, &mut fifo)
-            .is_some());
+        assert!(net.transit(a, b, SimTime::ZERO, &mut r).is_some());
     }
 
     #[test]
     fn loss_rate_drops_roughly_that_fraction() {
-        let net = Network::new(NetworkConfig::lossy_lan(0.25));
+        let mut net = Network::new(NetworkConfig::lossy_lan(0.25));
         let mut r = rng();
-        let mut fifo = FifoClamps::new();
         let lost = (0..4000)
             .filter(|_| {
-                net.transit(
-                    ComponentId(0),
-                    ComponentId(1),
-                    SimTime::ZERO,
-                    &mut r,
-                    &mut fifo,
-                )
-                .is_none()
+                net.transit(ComponentId(0), ComponentId(1), SimTime::ZERO, &mut r)
+                    .is_none()
             })
             .count();
         assert!(
@@ -446,19 +389,11 @@ mod tests {
 
     #[test]
     fn external_sender_bypasses_loss_and_partitions() {
-        let net = Network::new(NetworkConfig::lossy_lan(1.0));
+        let mut net = Network::new(NetworkConfig::lossy_lan(1.0));
         let mut r = rng();
-        let mut fifo = FifoClamps::new();
         assert!(net
-            .transit(
-                ComponentId::EXTERNAL,
-                ComponentId(1),
-                SimTime::ZERO,
-                &mut r,
-                &mut fifo
-            )
+            .transit(ComponentId::EXTERNAL, ComponentId(1), SimTime::ZERO, &mut r)
             .is_some());
-        assert!(fifo.is_empty(), "external sends never clamp FIFO state");
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub struct ReconfigurationConfig {
     pub period: SimSpan,
     /// Registry key / display label of the consolidator.
     pub algo: String,
-    /// The consolidator planning the pass. Shared: GMs on sharded-engine
-    /// worker threads clone the handle, not the algorithm state.
+    /// The consolidator planning the pass. Shared: every GM clones the
+    /// handle, not the algorithm state.
     pub consolidator: Arc<dyn Consolidator>,
     /// Maximum migrations issued per pass (live migration has a cost).
     pub max_migrations: usize,

@@ -54,28 +54,15 @@ impl SnoozeSystem {
             "need at least two managers: one is elected GL and, having a \
              dedicated role (§II-A), manages no LCs itself"
         );
-        // Shard layout on sharded engines (a no-op at `shards(1)`): the
-        // coordination service anchors shard 0; each GM subtree — the
-        // manager plus the LCs that will round-robin into its group —
-        // maps to shard `gm_index % shards`, so the heartbeat- and
-        // scheduling-heavy GM↔LC traffic stays shard-local and only
-        // election/summary traffic crosses shards. EPs spread the same
-        // way.
-        let shards = engine.shard_count();
-        let zk = engine.add_component_in_shard(
-            "zk",
-            CoordinationService::new(config.zk_session_timeout),
-            0,
-        );
+        let zk = engine.add_component("zk", CoordinationService::new(config.zk_session_timeout));
         let gl_group = engine.create_group();
 
         let gms: Vec<ComponentId> = (0..n_gms)
             .map(|i| {
                 let lc_group = engine.create_group();
-                engine.add_component_in_shard(
+                engine.add_component(
                     format!("gm{i}"),
                     GroupManager::new(config.clone(), zk, gl_group, lc_group),
-                    i % shards,
                 )
             })
             .collect();
@@ -84,21 +71,16 @@ impl SnoozeSystem {
             .iter()
             .enumerate()
             .map(|(i, node)| {
-                engine.add_component_in_shard(
+                engine.add_component(
                     format!("lc{i}"),
                     LocalController::new(node.clone(), config.clone(), gl_group),
-                    (i % n_gms) % shards,
                 )
             })
             .collect();
 
         let eps: Vec<ComponentId> = (0..n_eps)
             .map(|i| {
-                engine.add_component_in_shard(
-                    format!("ep{i}"),
-                    EntryPoint::new(config.clone(), gl_group),
-                    i % shards,
-                )
+                engine.add_component(format!("ep{i}"), EntryPoint::new(config.clone(), gl_group))
             })
             .collect();
 

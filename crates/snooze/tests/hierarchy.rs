@@ -65,7 +65,6 @@ fn spec(
         probes: Vec::new(),
         obs: None,
         power: None,
-        engine: None,
         slos: Vec::new(),
     }
 }

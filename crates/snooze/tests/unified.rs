@@ -43,7 +43,6 @@ fn deploy(seed: u64, n_nodes: usize, target_managers: usize) -> LiveSystem {
         probes: Vec::new(),
         obs: None,
         power: None,
-        engine: None,
         slos: Vec::new(),
     };
     snooze_scenario::compile(&spec).expect("unified spec compiles")

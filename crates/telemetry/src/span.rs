@@ -9,7 +9,6 @@
 //! without serialising anything.
 
 use crate::{fnv1a, FNV_OFFSET};
-use std::collections::BTreeMap;
 
 /// Identifies a span within one [`SpanLog`]. Ids are dense and 1-based;
 /// id `n` is the `n`-th span opened.
@@ -57,11 +56,6 @@ impl SpanRecord {
 pub struct SpanLog {
     spans: Vec<SpanRecord>,
     digest: u64,
-    /// Index for spans whose id is not their 1-based position — spans
-    /// opened with [`SpanLog::open_with_id`] (namespaced ids), plus every
-    /// dense span opened after the first namespaced one. Empty for logs
-    /// that only ever call [`SpanLog::open`], keeping the dense fast path.
-    sparse: BTreeMap<u64, usize>,
 }
 
 impl SpanLog {
@@ -70,7 +64,6 @@ impl SpanLog {
         SpanLog {
             spans: Vec::new(),
             digest: FNV_OFFSET,
-            sparse: BTreeMap::new(),
         }
     }
 
@@ -85,11 +78,6 @@ impl SpanLog {
     ) -> SpanId {
         let id = SpanId(self.spans.len() as u64 + 1);
         self.fold(1, id.0, at_us, name.as_bytes());
-        if !self.sparse.is_empty() {
-            // Once namespaced spans are interleaved, dense ids no longer
-            // equal their position; index them too.
-            self.sparse.insert(id.0, self.spans.len());
-        }
         self.spans.push(SpanRecord {
             id,
             parent,
@@ -100,36 +88,6 @@ impl SpanLog {
             labels: Vec::new(),
         });
         id
-    }
-
-    /// Open a span under a caller-chosen id — used by producers that
-    /// allocate ids from their own namespace (e.g. the sharded engine,
-    /// which tags ids with the shard index so concurrent shards never
-    /// collide). The id must be nonzero and previously unused; reuse is
-    /// ignored. The digest folds the same bytes [`SpanLog::open`] would,
-    /// so logs replayed through either path with identical ids match.
-    pub fn open_with_id(
-        &mut self,
-        id: SpanId,
-        name: &'static str,
-        track: u64,
-        parent: Option<SpanId>,
-        at_us: u64,
-    ) {
-        if id.0 == 0 || self.get(id).is_some() {
-            return;
-        }
-        self.fold(1, id.0, at_us, name.as_bytes());
-        self.sparse.insert(id.0, self.spans.len());
-        self.spans.push(SpanRecord {
-            id,
-            parent,
-            name,
-            track,
-            start_us: at_us,
-            end_us: None,
-            labels: Vec::new(),
-        });
     }
 
     /// Close span `id` at `at_us`. Closing an already-closed or unknown
@@ -154,12 +112,7 @@ impl SpanLog {
 
     /// Look a span up by id.
     pub fn get(&self, id: SpanId) -> Option<&SpanRecord> {
-        if let Some(rec) = id.0.checked_sub(1).and_then(|i| self.spans.get(i as usize)) {
-            if rec.id == id {
-                return Some(rec);
-            }
-        }
-        self.sparse.get(&id.0).map(|&i| &self.spans[i])
+        id.0.checked_sub(1).and_then(|i| self.spans.get(i as usize))
     }
 
     /// Parent of span `id`, if any.
@@ -225,11 +178,8 @@ impl SpanLog {
     }
 
     fn get_mut(&mut self, id: SpanId) -> Option<&mut SpanRecord> {
-        let idx = match id.0.checked_sub(1) {
-            Some(i) if self.spans.get(i as usize).is_some_and(|r| r.id == id) => i as usize,
-            _ => *self.sparse.get(&id.0)?,
-        };
-        self.spans.get_mut(idx)
+        id.0.checked_sub(1)
+            .and_then(|i| self.spans.get_mut(i as usize))
     }
 
     fn fold(&mut self, op: u64, id: u64, time_us: u64, payload: &[u8]) {
@@ -306,30 +256,6 @@ mod tests {
         let a = other.open("a", 0, None, 5);
         other.close(a, 9);
         assert_ne!(build(), other.digest(), "label must perturb the digest");
-    }
-
-    #[test]
-    fn namespaced_ids_mix_with_dense_ids() {
-        let mut log = SpanLog::new();
-        let dense = log.open("dense", 0, None, 1);
-        let ns = SpanId((7 << 40) | 1);
-        log.open_with_id(ns, "namespaced", 3, Some(dense), 2);
-        // Dense open after the log went mixed: id 3 sits at index 2.
-        let later = log.open("later", 0, Some(ns), 4);
-        assert_eq!(later, SpanId(3));
-        assert_eq!(log.get(ns).unwrap().name, "namespaced");
-        assert_eq!(log.get(later).unwrap().name, "later");
-        assert_eq!(log.parent_of(ns), Some(dense));
-        assert_eq!(log.parent_of(later), Some(ns));
-        log.close(ns, 9);
-        assert_eq!(log.get(ns).unwrap().end_us, Some(9));
-        log.label(later, "k", "v");
-        assert_eq!(log.get(later).unwrap().label("k"), Some("v"));
-        // Reusing an id is ignored.
-        let d = log.digest();
-        log.open_with_id(ns, "dup", 0, None, 10);
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.digest(), d);
     }
 
     #[test]

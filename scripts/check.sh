@@ -2,8 +2,10 @@
 # The full local gate: formatting, the clippy deny-set, the determinism
 # lint (which covers crates/telemetry along with the rest of the
 # simulation path), every test (including the feature-gated runtime
-# invariant suite), and a two-run byte-identity check on the telemetry
-# exports. CI and pre-commit both just run this script.
+# invariant suite), a `cargo check` of (a copy of) the detached
+# `benchmark/` workspace against the crates it path-depends on, and a two-run
+# byte-identity check on the telemetry exports. CI and pre-commit both
+# just run this script.
 #
 # `--e11-smoke` additionally runs the reduced kilonode scenario (256
 # LCs, fault-free) in release and fails on a missing throughput column
@@ -21,11 +23,6 @@
 # overhead; the script then re-parses the emitted incident dump through
 # `--check-scenarios`.
 #
-# `--shard-smoke` additionally runs the reduced kilonode scenario on
-# the 4-shard engine at 1 and 4 workers in release and fails unless
-# both runs report byte-identical engine digests with zero dead
-# letters.
-#
 # `--trace-smoke` additionally generates a tiny trace twice with
 # `snooze-tracegen --seed 42` (the two files must be byte-identical),
 # then replays it twice per variant on the reduced 128-LC E12 shape in
@@ -42,7 +39,6 @@ run_e11_smoke=0
 run_mc_smoke=0
 run_obs_smoke=0
 run_trace_smoke=0
-run_shard_smoke=0
 run_arena_smoke=0
 for arg in "$@"; do
   case "$arg" in
@@ -50,10 +46,9 @@ for arg in "$@"; do
     --mc-smoke) run_mc_smoke=1 ;;
     --obs-smoke) run_obs_smoke=1 ;;
     --trace-smoke) run_trace_smoke=1 ;;
-    --shard-smoke) run_shard_smoke=1 ;;
     --arena-smoke) run_arena_smoke=1 ;;
     *)
-      echo "unknown argument: $arg (supported: --e11-smoke, --mc-smoke, --obs-smoke, --trace-smoke, --shard-smoke, --arena-smoke)" >&2
+      echo "unknown argument: $arg (supported: --e11-smoke, --mc-smoke, --obs-smoke, --trace-smoke, --arena-smoke)" >&2
       exit 2
       ;;
   esac
@@ -75,6 +70,16 @@ cargo test --offline --workspace -q
 
 say "cargo test -p snooze-audit --features audit (runtime invariants)"
 cargo test --offline -p snooze-audit --features audit -q
+
+say "benchmark workspace still builds against crates/ (cargo check on a copy)"
+# On a sibling copy, so that cargo refreshing a stale Cargo.lock never
+# edits anything under benchmark/; `../crates/*` resolves the same.
+rm -rf .bench_build
+mkdir .bench_build
+cp -r benchmark/Cargo.toml benchmark/Cargo.lock benchmark/src benchmark/workloads .bench_build/
+CARGO_TARGET_DIR=benchmark/target \
+  cargo check --offline -q --manifest-path .bench_build/Cargo.toml
+rm -rf .bench_build
 
 say "snooze-audit determinism"
 cargo run --offline -q -p snooze-audit -- determinism
@@ -104,11 +109,6 @@ rm -rf "$tmp"
 if [ "$run_e11_smoke" -eq 1 ]; then
   say "e11 smoke (256 LCs, release, zero dead letters + throughput column)"
   cargo run --offline -q --release -p snooze-bench --bin run_experiments -- --e11-smoke
-fi
-
-if [ "$run_shard_smoke" -eq 1 ]; then
-  say "shard smoke (256 LCs, 4 shards at 1 and 4 workers, digest identity)"
-  cargo run --offline -q --release -p snooze-bench --bin run_experiments -- --shard-smoke
 fi
 
 if [ "$run_mc_smoke" -eq 1 ]; then
