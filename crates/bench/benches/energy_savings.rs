@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use snooze::prelude::SnoozeConfig;
-use snooze_bench::simrun::{burst, deploy, Deployment, VmIdAlloc};
+use snooze_scenario::live::{burst, deploy, Deployment, VmIdAlloc};
 use snooze_simcore::time::{SimSpan, SimTime};
 
 fn run(pm: bool, seed: u64) -> f64 {

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use snooze::prelude::SnoozeConfig;
-use snooze_bench::simrun::{burst, deploy, Deployment, VmIdAlloc};
+use snooze_scenario::live::{burst, deploy, Deployment, VmIdAlloc};
 use snooze_simcore::time::SimTime;
 
 fn place_burst(managers: usize, vms: usize, seed: u64) -> usize {

@@ -25,6 +25,7 @@
 //! `profile.folded` and one `incident_<n>.toml` per captured incident —
 //! all byte-identical across two runs with the same `--seed`.
 
+use snooze_bench::experiments::run_specs;
 use snooze_bench::report::*;
 use snooze_bench::scenario_cli;
 
@@ -43,21 +44,19 @@ fn main() {
 
     eprintln!("[report] running E4-style scenario (seed {seed}) …");
     let spec = report_failover(seed);
-    let mut run = run_scenario(&spec, watch);
+    let mut done = run_specs(&[spec], watch).expect("report scenario compiles");
 
-    scenario_summary(&run.live, crashed_component(&run)).print();
-    obs_summary(&mut run).print();
-    let alerts = scenario_cli::slo_table(std::slice::from_ref(&run.outcome));
-    if !alerts.is_empty() {
-        alerts.print();
-    }
+    scenario_summary(&done[0].run.live, crashed_component(&done[0].run)).print();
+    obs_summary(&mut done[0].run).print();
+    scenario_cli::print_details(&[scenario_cli::SLO_ALERTS], &done);
+    let run = &mut done[0].run;
     hop_decomposition(run.live.sim.spans()).print();
     failover_timeline(&run.live.sim).print();
     aco_phase_table(100, seed).print();
 
     if let Some(dir) = out {
         export_all(&run.live.sim, &dir).expect("write exports");
-        export_obs(&mut run, &dir).expect("write observability exports");
+        export_obs(run, &dir).expect("write observability exports");
         println!(
             "\nexports written to {} (trace.chrome.json, spans.jsonl, metrics.prom, \
              metrics.jsonl, windows.jsonl, windows.csv, profile.folded, incident_*.toml)",

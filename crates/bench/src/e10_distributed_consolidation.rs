@@ -4,23 +4,18 @@
 //! > evaluated along with the energy-saving features of Snooze under
 //! > realistic workloads."
 //!
-//! Two complementary views:
-//!
-//! 1. **Offline**: the partitioned `DistributedAco` versus the
-//!    centralized colony on the same instances — the quality cost and
-//!    runtime benefit of partitioning (each colony only sees `n/k`
-//!    items).
-//! 2. **In the hierarchy**: Snooze's per-GM reconfiguration *is* the
-//!    distributed deployment — each GM consolidates only its own LCs.
-//!    Sweeping the GM count on a fixed cluster measures how partitioning
-//!    the consolidation scope affects the nodes the system manages to
-//!    power down. The sweep is a declarative scenario
-//!    (`scenarios/e10b.toml`).
+//! This module is the **offline** view (E10a): the partitioned
+//! `DistributedAco` versus the centralized colony on the same instances —
+//! the quality cost and runtime benefit of partitioning (each colony only
+//! sees `n/k` items). The **in-hierarchy** view (E10b: Snooze's per-GM
+//! reconfiguration *is* the distributed deployment, so sweeping the GM
+//! count measures what partitioning the consolidation scope costs in
+//! powered-down nodes) is a declarative scenario, `scenarios/e10b.toml`,
+//! and a row of [`crate::experiments::EXPERIMENTS`].
 
 use snooze_consolidation::aco::{AcoConsolidator, AcoParams};
 use snooze_consolidation::distributed::{DistributedAco, DistributedParams};
 use snooze_consolidation::problem::{Consolidator, InstanceGenerator};
-use snooze_scenario::presets;
 use snooze_simcore::rng::SimRng;
 use snooze_simcore::wallclock::WallClock;
 
@@ -97,55 +92,9 @@ pub fn run_offline(
         .collect()
 }
 
-/// One in-hierarchy row.
-#[derive(Clone, Debug)]
-pub struct E10SystemRow {
-    /// Group managers sharing the cluster.
-    pub gms: usize,
-    /// Nodes still powered on at the end (fewer = better packing).
-    pub nodes_on: usize,
-    /// Cluster energy over the horizon, Wh.
-    pub energy_wh: f64,
-    /// Migrations the reconfigurations commanded.
-    pub migrations: u64,
-    /// VMs placed.
-    pub placed: usize,
-}
-
-/// In-hierarchy sweep: same cluster and fleet, varying how many GMs the
-/// consolidation scope is partitioned across.
-pub fn run_in_hierarchy(
-    gm_counts: &[usize],
-    lcs: usize,
-    vms: usize,
-    seed: u64,
-) -> Vec<E10SystemRow> {
-    gm_counts
-        .iter()
-        .zip(presets::e10b(gm_counts, lcs, vms, seed).iter())
-        .map(|(&gms, spec)| {
-            let o = snooze_scenario::run(spec)
-                .expect("E10b preset compiles")
-                .outcome;
-            E10SystemRow {
-                gms,
-                nodes_on: o.nodes_on_end,
-                energy_wh: o.energy_wh,
-                migrations: o.migrations,
-                placed: o.placed,
-            }
-        })
-        .collect()
-}
-
 /// Default offline rows for `run_experiments e10`.
 pub fn default_offline_rows() -> Vec<E10OfflineRow> {
     run_offline(&[60, 120, 240], 4, 3, 0x10)
-}
-
-/// Default in-hierarchy rows for `run_experiments e10`.
-pub fn default_system_rows() -> Vec<E10SystemRow> {
-    run_in_hierarchy(&[1, 2, 4], 24, 36, 0x10)
 }
 
 /// Render the offline table.
@@ -160,7 +109,8 @@ pub fn render_offline(rows: &[E10OfflineRow]) -> Table {
             "central ms",
             "dist ms",
         ],
-    );
+    )
+    .advisory(&["central ms", "dist ms"]);
     for r in rows {
         t.row(vec![
             r.n.to_string(),
@@ -169,24 +119,6 @@ pub fn render_offline(rows: &[E10OfflineRow]) -> Table {
             f2(r.distributed_hosts),
             f2(r.central_ms),
             f2(r.distributed_ms),
-        ]);
-    }
-    t
-}
-
-/// Render the in-hierarchy table.
-pub fn render_system(rows: &[E10SystemRow]) -> Table {
-    let mut t = Table::new(
-        "E10b: per-GM reconfiguration in the hierarchy — consolidation scope vs GM count",
-        &["GMs", "nodes on", "energy Wh", "migrations", "placed"],
-    );
-    for r in rows {
-        t.row(vec![
-            r.gms.to_string(),
-            r.nodes_on.to_string(),
-            f2(r.energy_wh),
-            r.migrations.to_string(),
-            r.placed.to_string(),
         ]);
     }
     t
@@ -207,19 +139,5 @@ mod tests {
             r.distributed_hosts,
             r.central_hosts
         );
-    }
-
-    #[test]
-    fn in_hierarchy_consolidation_powers_down_nodes_at_any_gm_count() {
-        let rows = run_in_hierarchy(&[1, 2], 10, 10, 9);
-        for r in &rows {
-            assert_eq!(r.placed, 10, "gms={}", r.gms);
-            assert!(
-                r.nodes_on < 10,
-                "gms={}: consolidation should empty some nodes, on={}",
-                r.gms,
-                r.nodes_on
-            );
-        }
     }
 }

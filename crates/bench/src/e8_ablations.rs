@@ -161,7 +161,8 @@ pub fn render_aco(rows: &[AcoAblationRow]) -> Table {
     let mut t = Table::new(
         "E8a: ACO parameter ablation (hosts lower = better)",
         &["setting", "hosts", "runtime ms"],
-    );
+    )
+    .advisory(&["runtime ms"]);
     for r in rows {
         t.row(vec![r.setting.clone(), f2(r.hosts), f2(r.runtime_ms)]);
     }

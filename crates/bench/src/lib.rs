@@ -2,33 +2,28 @@
 
 //! # snooze-bench
 //!
-//! The experiment harness: one module per experiment family from
-//! DESIGN.md's per-experiment index (E1–E8), each reproducing a table or
-//! figure-equivalent of the paper's evaluation (§II-F and §III-B).
-//! The `run_experiments` binary prints the tables; the Criterion benches
-//! under `benches/` measure the algorithmic kernels.
+//! The experiment harness. Every table of DESIGN.md's per-experiment
+//! index (E1–E14: the paper's §II-F and §III-B evaluation, and beyond) is
+//! a row of [`experiments::EXPERIMENTS`]: the offline consolidation
+//! studies (E1–E3, E8, E10a) keep a module each; everything that runs the
+//! simulated hierarchy is a scenario preset plus a column list, rendered
+//! by the one generic runner in [`experiments`]. The `run_experiments`
+//! binary loops over the manifest, [`smoke`] holds its CI gates, and the
+//! Criterion benches under `benches/` measure the algorithmic kernels.
 //!
-//! Experiments return structured rows so tests can assert on the *shape*
-//! of the results (who wins, by roughly what factor) without parsing
-//! stdout.
+//! Tests assert on the *shape* of the results (who wins, by roughly what
+//! factor); the goldens under `tests/golden/` pin every deterministic
+//! column.
 
 pub mod e10_distributed_consolidation;
-pub mod e11_kilonode;
-pub mod e12_trace;
-pub mod e14_arena;
 pub mod e1_aco_vs_ffd_vs_optimal;
 pub mod e2_scaling;
 pub mod e3_parallel;
-pub mod e4_submission_scalability;
-pub mod e5_distribution_overhead;
-pub mod e6_fault_tolerance;
-pub mod e7_energy_savings;
 pub mod e8_ablations;
-pub mod e9_failover_sensitivity;
-pub mod obs_smoke;
+pub mod experiments;
 pub mod report;
 pub mod scenario_cli;
-pub mod simrun;
+pub mod smoke;
 pub mod table;
 
 /// Power draw (watts) of the machine assumed to run the consolidation

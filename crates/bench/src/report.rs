@@ -15,11 +15,10 @@ use snooze_simcore::metrics::Histogram;
 use snooze_simcore::prelude::*;
 use snooze_simcore::telemetry::{self, SpanId, SpanLog, SpanRecord};
 
-use crate::simrun::LiveSystem;
 use crate::table::{f2, Table};
 
 pub use snooze_scenario::presets::report_failover;
-pub use snooze_scenario::{ScenarioRun, ScenarioSpec, WindowStatus};
+pub use snooze_scenario::{LiveSystem, ScenarioRun, ScenarioSpec};
 
 /// Run the scenario to completion and return the finished run (live
 /// system with its span log and metrics, windowed time-series, SLO
@@ -30,21 +29,9 @@ pub use snooze_scenario::{ScenarioRun, ScenarioSpec, WindowStatus};
 /// with alerts and at least one incident dump. With `watch`, every
 /// closed metric window prints a live status line.
 pub fn run_scenario(spec: &ScenarioSpec, watch: bool) -> ScenarioRun {
-    let name = spec.name.clone();
-    let mut print_status = move |s: &WindowStatus| {
-        eprintln!(
-            "[watch] {name} w{:>3} t={:>5}s rows={:<3} alerts={} queue={} dead={}",
-            s.window,
-            s.at.as_micros() / 1_000_000,
-            s.rows,
-            s.alerts,
-            s.queue_depth,
-            s.dead_letters,
-        );
-    };
-    let cb: Option<&mut dyn FnMut(&WindowStatus)> =
-        if watch { Some(&mut print_status) } else { None };
-    snooze_scenario::run_watch(spec, cb).expect("report scenario compiles")
+    let mut done = crate::experiments::run_specs(std::slice::from_ref(spec), watch)
+        .expect("report scenario compiles");
+    done.remove(0).run
 }
 
 /// The first crashed component of a finished run, if any.

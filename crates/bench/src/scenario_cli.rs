@@ -1,22 +1,20 @@
 //! CLI-side scenario plumbing for `run_experiments`: load scenario
 //! documents from disk, run every expanded variant through the generic
-//! compiler, render outcome tables, and keep the checked-in
-//! `scenarios/*.toml` files in sync with the presets.
+//! runner, render the fault/probe/SLO detail tables, and keep the
+//! checked-in `scenarios/*.toml` files in sync with the presets.
 
 use std::path::{Path, PathBuf};
 
+use snooze_scenario::compile;
 use snooze_scenario::incident::{is_incident, IncidentDoc};
 use snooze_scenario::mc_trace::McTraceDoc;
 use snooze_scenario::spec::ScenarioDoc;
-use snooze_scenario::{compile, run_watch, ScenarioOutcome, WindowStatus};
 
+use crate::experiments::{
+    col, run_specs, secs, tabulate, Column, Finished, RowsOf, FAULT_AT, FAULT_VMS_AFTER, PER_FAULT,
+    SCENARIO,
+};
 use crate::table::{f2, Table};
-
-/// Parse a scenario document from a file.
-pub fn load(path: &Path) -> Result<ScenarioDoc, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    ScenarioDoc::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
 
 /// True when the document is a model-checking counterexample trace
 /// rather than a runnable scenario. Trace docs always carry a
@@ -25,168 +23,76 @@ fn is_mc_trace(text: &str) -> bool {
     text.lines().any(|l| l.starts_with("harness = "))
 }
 
-/// Run every variant of a scenario file, in document order. With
-/// `watch`, every closed metric window prints a status line as the run
-/// progresses (`[obs]` scenarios only — others produce no windows).
-pub fn run_file(path: &Path, watch: bool) -> Result<Vec<ScenarioOutcome>, String> {
-    let doc = load(path)?;
-    doc.expand()?
-        .iter()
-        .map(|spec| {
-            eprintln!("[scenario] {} …", spec.name);
-            let name = spec.name.clone();
-            let mut print_status = move |s: &WindowStatus| {
-                eprintln!(
-                    "[watch] {name} w{:>3} t={:>6}s rows={:<3} alerts={} queue={} dead={}",
-                    s.window,
-                    s.at.as_micros() / 1_000_000,
-                    s.rows,
-                    s.alerts,
-                    s.queue_depth,
-                    s.dead_letters,
-                );
-            };
-            let cb: Option<&mut dyn FnMut(&WindowStatus)> =
-                if watch { Some(&mut print_status) } else { None };
-            run_watch(spec, cb).map(|r| r.outcome)
-        })
-        .collect()
+/// Run every variant of a scenario file, in document order, through the
+/// generic runner ([`crate::experiments::run_specs`]).
+pub fn run_file(path: &Path, watch: bool) -> Result<Vec<Finished>, String> {
+    let at = |e: String| format!("{}: {e}", path.display());
+    let text = std::fs::read_to_string(path).map_err(|e| at(e.to_string()))?;
+    run_specs(&ScenarioDoc::parse(&text).map_err(at)?.expand()?, watch)
 }
 
-/// The generic per-run summary table for `--scenario`.
-pub fn summary_table(title: &str, outcomes: &[ScenarioOutcome]) -> Table {
-    let mut t = Table::new(
-        format!("scenario outcomes: {title}"),
-        &[
-            "scenario",
-            "seed",
-            "requested",
-            "placed",
-            "rejected",
-            "energy Wh",
-            "migrations",
-            "suspends",
-            "nodes on",
-            "VMs end",
-            "sim events",
-            "dead letters",
-            "wall ms",
-            "events/s",
-        ],
-    );
-    for o in outcomes {
-        let events_per_s = if o.wall_ms > 0.0 {
-            o.sim_events as f64 / (o.wall_ms / 1000.0)
-        } else {
-            f64::NAN
-        };
-        t.row(vec![
-            o.name.clone(),
-            o.seed.to_string(),
-            o.requested_vms.to_string(),
-            o.placed.to_string(),
-            o.rejected.to_string(),
-            f2(o.energy_wh),
-            o.migrations.to_string(),
-            o.suspends.to_string(),
-            o.nodes_on_end.to_string(),
-            o.total_vms_end.to_string(),
-            o.sim_events.to_string(),
-            o.dead_letters.to_string(),
-            f2(o.wall_ms),
-            if events_per_s.is_nan() {
-                "-".into()
-            } else {
-                format!("{events_per_s:.0}")
-            },
-        ]);
-    }
-    t
-}
+/// A per-run detail table `--scenario` and `report` print beside the
+/// summary when it has rows: title, rows per run, columns.
+pub type Detail = (&'static str, RowsOf, &'static [Column]);
 
-/// Fault outcomes of every run that injected any (empty table otherwise).
-pub fn fault_table(outcomes: &[ScenarioOutcome]) -> Table {
-    let mut t = Table::new(
-        "fault outcomes",
-        &[
-            "scenario",
-            "fault",
-            "at s",
-            "perf after",
-            "VMs after",
-            "recovery s",
-        ],
-    );
-    for o in outcomes {
-        for f in &o.faults {
-            t.row(vec![
-                o.name.clone(),
-                f.label.clone(),
-                (f.at.as_micros() / 1_000_000).to_string(),
-                if f.perf_after.is_nan() {
-                    "-".into()
-                } else {
-                    f2(f.perf_after)
-                },
-                f.vms_after.to_string(),
-                if f.recovery_s.is_nan() {
-                    "never".into()
-                } else {
-                    f2(f.recovery_s)
-                },
-            ]);
+/// Fault outcomes of every run that injected any.
+pub const FAULTS: Detail = (
+    "fault outcomes",
+    PER_FAULT,
+    &[
+        SCENARIO,
+        col("fault", |c| c.fault().label.clone()),
+        FAULT_AT,
+        col("perf after", |c| match c.fault().perf_after {
+            perf if perf.is_nan() => "-".into(),
+            perf => f2(perf),
+        }),
+        FAULT_VMS_AFTER,
+        col("recovery s", |c| match c.fault().recovery_s {
+            s if s.is_nan() => "never".into(),
+            s => f2(s),
+        }),
+    ],
+);
+
+/// Probe samples of every run that declared any.
+pub const PROBES: Detail = (
+    "probe samples",
+    |o| o.probes.len(),
+    &[
+        SCENARIO,
+        col("probe", |c| c.o().probes[c.sub].name.clone()),
+        col("at s", |c| secs(c.o().probes[c.sub].at)),
+        col("placed", |c| c.o().probes[c.sub].placed.to_string()),
+        col("VMs", |c| c.o().probes[c.sub].total_vms.to_string()),
+        col("nodes on", |c| c.o().probes[c.sub].nodes_on.to_string()),
+        col("messages", |c| c.o().probes[c.sub].messages.to_string()),
+    ],
+);
+
+/// SLO watchdog breaches of every run that raised any.
+pub const SLO_ALERTS: Detail = (
+    "slo alerts",
+    |o| o.slo_alerts.len(),
+    &[
+        SCENARIO,
+        col("slo", |c| c.o().slo_alerts[c.sub].name.clone()),
+        col("signal", |c| c.o().slo_alerts[c.sub].signal.as_str().into()),
+        col("window", |c| c.o().slo_alerts[c.sub].window.to_string()),
+        col("at s", |c| secs(c.o().slo_alerts[c.sub].at)),
+        col("value", |c| f2(c.o().slo_alerts[c.sub].value)),
+        col("max", |c| f2(c.o().slo_alerts[c.sub].max)),
+    ],
+);
+
+/// Print the detail tables that have rows.
+pub fn print_details(details: &[Detail], runs: &[Finished]) {
+    for (title, rows, columns) in details {
+        let table = tabulate(title, columns, *rows, runs);
+        if !table.is_empty() {
+            table.print();
         }
     }
-    t
-}
-
-/// Probe samples of every run that declared any (empty table otherwise).
-pub fn probe_table(outcomes: &[ScenarioOutcome]) -> Table {
-    let mut t = Table::new(
-        "probe samples",
-        &[
-            "scenario", "probe", "at s", "placed", "VMs", "nodes on", "messages",
-        ],
-    );
-    for o in outcomes {
-        for p in &o.probes {
-            t.row(vec![
-                o.name.clone(),
-                p.name.clone(),
-                (p.at.as_micros() / 1_000_000).to_string(),
-                p.placed.to_string(),
-                p.total_vms.to_string(),
-                p.nodes_on.to_string(),
-                p.messages.to_string(),
-            ]);
-        }
-    }
-    t
-}
-
-/// SLO watchdog breaches of every run that raised any (empty table
-/// otherwise).
-pub fn slo_table(outcomes: &[ScenarioOutcome]) -> Table {
-    let mut t = Table::new(
-        "slo alerts",
-        &[
-            "scenario", "slo", "signal", "window", "at s", "value", "max",
-        ],
-    );
-    for o in outcomes {
-        for a in &o.slo_alerts {
-            t.row(vec![
-                o.name.clone(),
-                a.name.clone(),
-                a.signal.as_str().to_string(),
-                a.window.to_string(),
-                (a.at.as_micros() / 1_000_000).to_string(),
-                f2(a.value),
-                f2(a.max),
-            ]);
-        }
-    }
-    t
 }
 
 /// Every `*.toml` under `dir`, sorted by file name.
@@ -200,6 +106,51 @@ pub fn scenario_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
+/// One file of a scenario directory: a runnable scenario, a `snooze-mc`
+/// counterexample trace, or an incident dump.
+enum Doc {
+    Scenario(ScenarioDoc),
+    McTrace(McTraceDoc),
+    Incident(IncidentDoc),
+}
+
+impl Doc {
+    /// Read `path` and parse it as whichever kind it is.
+    fn read(path: &Path) -> Result<(String, Doc), String> {
+        let at = |e: String| format!("{}: {e}", path.display());
+        let text = std::fs::read_to_string(path).map_err(|e| at(e.to_string()))?;
+        let doc = if is_mc_trace(&text) {
+            Doc::McTrace(McTraceDoc::from_toml(&text).map_err(at)?)
+        } else if is_incident(&text) {
+            Doc::Incident(IncidentDoc::from_toml(&text).map_err(at)?)
+        } else {
+            Doc::Scenario(ScenarioDoc::parse(&text).map_err(at)?)
+        };
+        Ok((text, doc))
+    }
+
+    fn to_toml(&self) -> String {
+        match self {
+            Doc::Scenario(doc) => doc.to_toml(),
+            Doc::McTrace(doc) => doc.to_toml(),
+            Doc::Incident(doc) => doc.to_toml(),
+        }
+    }
+
+    /// What the file is, for the inventory and the check report.
+    fn describe(&self) -> String {
+        match self {
+            Doc::Scenario(doc) => doc.description().unwrap_or("-").to_string(),
+            Doc::McTrace(doc) => format!("mc counterexample ({} steps)", doc.steps.len()),
+            Doc::Incident(doc) => format!(
+                "incident dump (trigger `{}`, {} event(s))",
+                doc.trigger,
+                doc.events.len()
+            ),
+        }
+    }
+}
+
 /// The `--list-scenarios` table: one row per checked-in file.
 pub fn list_table(dir: &Path) -> Result<Table, String> {
     let mut t = Table::new(
@@ -207,106 +158,50 @@ pub fn list_table(dir: &Path) -> Result<Table, String> {
         &["file", "name", "runs", "description"],
     );
     for path in scenario_files(dir)? {
-        let file = path
-            .file_name()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .into_owned();
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        if is_mc_trace(&text) {
-            let doc =
-                McTraceDoc::from_toml(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-            t.row(vec![
-                file,
-                doc.name,
-                "-".to_string(),
-                format!("mc counterexample ({} steps)", doc.steps.len()),
-            ]);
-            continue;
-        }
-        if is_incident(&text) {
-            let doc =
-                IncidentDoc::from_toml(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-            t.row(vec![
-                file,
-                doc.name,
-                "-".to_string(),
-                format!(
-                    "incident dump (trigger `{}`, {} event(s))",
-                    doc.trigger,
-                    doc.events.len()
-                ),
-            ]);
-            continue;
-        }
-        let doc = load(&path)?;
+        let (_, doc) = Doc::read(&path)?;
+        let (name, runs) = match &doc {
+            Doc::Scenario(doc) => (doc.name().unwrap_or("-"), doc.run_count().to_string()),
+            Doc::McTrace(doc) => (doc.name.as_str(), "-".to_string()),
+            Doc::Incident(doc) => (doc.name.as_str(), "-".to_string()),
+        };
+        let file = path.file_name().unwrap_or_default().to_string_lossy();
         t.row(vec![
-            file,
-            doc.name().unwrap_or("-").to_string(),
-            doc.run_count().to_string(),
-            doc.description().unwrap_or("-").to_string(),
+            file.into_owned(),
+            name.to_string(),
+            runs,
+            doc.describe(),
         ]);
     }
     Ok(t)
 }
 
-/// The `--check-scenarios` gate: every file under `dir` must parse,
-/// round-trip canonically, expand, and dry-run compile (deployment +
-/// workload + fault schedule built, no simulation); and every preset
-/// scenario must have an up-to-date checked-in copy.
+/// The `--check-scenarios` gate: every file under `dir` must parse and
+/// round-trip canonically; scenarios must also expand and dry-run compile
+/// (deployment + workload + fault schedule built, no simulation) — mc
+/// traces (`snooze-mc --replay` is their executable form) and incident
+/// dumps (evidence, not programs) have nothing to compile; and every
+/// preset scenario must have an up-to-date checked-in copy.
 pub fn check_dir(dir: &Path) -> Result<Vec<String>, String> {
     let mut report = Vec::new();
     for path in scenario_files(dir)? {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        if is_mc_trace(&text) {
-            // Counterexample traces share the directory; they must
-            // parse and be canonical, but there is nothing to compile —
-            // `snooze-mc --replay` is their executable form.
-            let doc =
-                McTraceDoc::from_toml(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-            if doc.to_toml() != text {
-                return Err(format!(
-                    "{}: mc trace not in canonical form (re-emit with snooze-mc --emit)",
-                    path.display()
-                ));
-            }
-            report.push(format!(
-                "{}: mc counterexample trace ({} step(s)) parses canonically",
-                path.display(),
-                doc.steps.len()
-            ));
-            continue;
-        }
-        if is_incident(&text) {
-            // Incident dumps are evidence, not programs: they must
-            // parse and be canonical so tooling can always re-read
-            // them, but there is nothing to compile.
-            let doc =
-                IncidentDoc::from_toml(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-            if doc.to_toml() != text {
-                return Err(format!(
-                    "{}: incident dump not in canonical form",
-                    path.display()
-                ));
-            }
-            report.push(format!(
-                "{}: incident dump (trigger `{}`, {} event(s)) parses canonically",
-                path.display(),
-                doc.trigger,
-                doc.events.len()
-            ));
-            continue;
-        }
-        let doc = ScenarioDoc::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        let (text, doc) = Doc::read(&path)?;
         if doc.to_toml() != text {
-            return Err(format!(
-                "{}: not in canonical form (regenerate with --dump-scenarios or re-render)",
-                path.display()
-            ));
+            let fix = match doc {
+                Doc::Scenario(_) => "regenerate with --dump-scenarios or --fmt-scenarios",
+                Doc::McTrace(_) => "re-emit with snooze-mc --emit",
+                Doc::Incident(_) => "incident dumps are written canonically",
+            };
+            return Err(format!("{}: not in canonical form ({fix})", path.display()));
         }
-        let specs = doc
+        let Doc::Scenario(scenario) = &doc else {
+            report.push(format!(
+                "{}: {} parses canonically",
+                path.display(),
+                doc.describe()
+            ));
+            continue;
+        };
+        let specs = scenario
             .expand()
             .map_err(|e| format!("{}: {e}", path.display()))?;
         for spec in &specs {
@@ -342,23 +237,9 @@ pub fn check_dir(dir: &Path) -> Result<Vec<String>, String> {
 pub fn fmt_dir(dir: &Path) -> Result<Vec<String>, String> {
     let mut rewritten = Vec::new();
     for path in scenario_files(dir)? {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let canon = if is_mc_trace(&text) {
-            McTraceDoc::from_toml(&text)
-                .map_err(|e| format!("{}: {e}", path.display()))?
-                .to_toml()
-        } else if is_incident(&text) {
-            IncidentDoc::from_toml(&text)
-                .map_err(|e| format!("{}: {e}", path.display()))?
-                .to_toml()
-        } else {
-            ScenarioDoc::parse(&text)
-                .map_err(|e| format!("{}: {e}", path.display()))?
-                .to_toml()
-        };
-        if canon != text {
-            std::fs::write(&path, canon).map_err(|e| format!("{}: {e}", path.display()))?;
+        let (text, doc) = Doc::read(&path)?;
+        if doc.to_toml() != text {
+            std::fs::write(&path, doc.to_toml()).map_err(|e| format!("{}: {e}", path.display()))?;
             rewritten.push(path.display().to_string());
         }
     }
@@ -380,14 +261,16 @@ pub fn dump_dir(dir: &Path) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{PER_RUN, SUMMARY};
 
     #[test]
     fn outcome_tables_render_fault_and_probe_rows() {
         let spec = snooze_scenario::presets::report_failover(7);
-        let o = snooze_scenario::run(&spec).expect("compiles").outcome;
-        let s = summary_table("report", std::slice::from_ref(&o)).render();
+        let done = run_specs(&[spec], false).expect("compiles");
+        let s = tabulate("report", SUMMARY, PER_RUN, &done).render();
         assert!(s.contains("report-failover"));
-        let f = fault_table(std::slice::from_ref(&o)).render();
+        let (title, rows, columns) = FAULTS;
+        let f = tabulate(title, columns, rows, &done).render();
         assert!(f.contains("GM crash"));
         assert!(
             f.contains("never"),

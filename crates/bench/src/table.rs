@@ -5,6 +5,8 @@
 pub struct Table {
     title: String,
     header: Vec<String>,
+    /// Headers of the advisory columns (host wall-clock timings).
+    advisory: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
@@ -14,8 +16,16 @@ impl Table {
         Table {
             title: title.into(),
             header: header.iter().map(|s| s.to_string()).collect(),
+            advisory: Vec::new(),
             rows: Vec::new(),
         }
+    }
+
+    /// Mark the named columns advisory: host wall-clock timings, different
+    /// on every run and machine, which [`Table::deterministic`] drops.
+    pub fn advisory(mut self, columns: &[&str]) -> Self {
+        self.advisory = columns.iter().map(|s| s.to_string()).collect();
+        self
     }
 
     /// Append a row (must match the header width).
@@ -108,8 +118,8 @@ impl Table {
     /// "rows": [{"<column>": string, ...}, ...]}` — every cell is kept as
     /// the exact string that the text renderer prints (units and rounding
     /// included), so a JSON consumer sees precisely the published table.
-    /// Duplicate column names keep the last value (none of the E1–E10
-    /// tables have duplicates).
+    /// Duplicate column names would keep the last value; the manifest test
+    /// (`tests/experiments_manifest.rs`) asserts no table has any.
     pub fn to_json(&self) -> String {
         let q = |s: &str| format!("\"{}\"", snooze_telemetry::json::escape(s));
         let mut out = String::from("{\n  \"title\": ");
@@ -144,21 +154,17 @@ impl Table {
         std::fs::write(dir.join(format!("{slug}.json")), self.to_json())
     }
 
-    /// A copy of the table with the named columns removed (unknown names
-    /// are ignored). Used by the release-table identity gate to drop
-    /// wall-clock columns before comparing against the checked-in
-    /// goldens.
-    pub fn without_columns(&self, drop: &[&str]) -> Table {
-        let keep: Vec<usize> = self
-            .header
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| !drop.contains(&h.as_str()))
-            .map(|(i, _)| i)
+    /// A copy of the table without its advisory columns: what two
+    /// same-seed runs must agree on byte for byte, and what the checked-in
+    /// goldens pin.
+    pub fn deterministic(&self) -> Table {
+        let keep: Vec<usize> = (0..self.header.len())
+            .filter(|&i| !self.advisory.contains(&self.header[i]))
             .collect();
         Table {
             title: self.title.clone(),
             header: keep.iter().map(|&i| self.header[i].clone()).collect(),
+            advisory: Vec::new(),
             rows: self
                 .rows
                 .iter()

@@ -400,7 +400,7 @@ pub fn e10b_default() -> Vec<ScenarioSpec> {
 /// paper's 144-node testbed. A staggered random fleet is placed across
 /// `lcs` nodes; once it settles, the GL is crashed and re-election is
 /// observed with the full fleet in flight. `with_fault: false` is the
-/// smoke shape (used by `--e11-smoke`): settle-only, so any dead letter
+/// smoke shape (used by `--smoke e11`): settle-only, so any dead letter
 /// is a real routing bug rather than fault fallout.
 ///
 /// The VM count scales with the node count (5000 VMs at 1024 LCs —
@@ -549,7 +549,7 @@ pub fn e12_trace_default() -> Vec<ScenarioSpec> {
     e12_trace(1000, REFERENCE_TRACE, 0, 10_800, 0xE12)
 }
 
-/// The reduced shape behind `run_experiments --trace-smoke`: 128 LCs,
+/// The reduced shape behind `run_experiments --smoke trace`: 128 LCs,
 /// a capped VM count, 45 simulated minutes.
 pub fn e12_trace_smoke(trace_path: &str) -> Vec<ScenarioSpec> {
     e12_trace(128, trace_path, 200, 2700, 0xE12)
@@ -691,7 +691,7 @@ pub fn e14_arena_default() -> Vec<ScenarioSpec> {
     )
 }
 
-/// The reduced shape behind `run_experiments --arena-smoke`: 128 LCs,
+/// The reduced shape behind `run_experiments --smoke arena`: 128 LCs,
 /// 200 VMs, 45 simulated minutes, *every* registry key (including
 /// `bnb`) under the billed-DVFS model.
 pub fn e14_arena_smoke(trace_path: &str) -> Vec<ScenarioSpec> {

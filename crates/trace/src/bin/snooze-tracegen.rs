@@ -7,7 +7,7 @@
 //! The output format follows the `--out` extension (`.csv` or
 //! `.jsonl`). The trace is a pure function of the flags: same seed and
 //! knobs, byte-identical file — which is what lets `scripts/check.sh
-//! --trace-smoke` regenerate and diff.
+//! --smoke` regenerate and diff.
 
 use std::path::PathBuf;
 

@@ -7,48 +7,26 @@
 # byte-identity check on the telemetry exports. CI and pre-commit both
 # just run this script.
 #
-# `--e11-smoke` additionally runs the reduced kilonode scenario (256
-# LCs, fault-free) in release and fails on a missing throughput column
-# or any dead letter.
+# `--smoke` additionally runs, in release, every reduced-scale gate:
 #
-# `--mc-smoke` additionally runs the model checker's built-in smoke
-# exploration (failover topology, bounded depth) twice in release and
-# fails on any invariant violation or on a mismatch between the two
-# runs' explored-state counts and fingerprints.
-#
-# `--obs-smoke` additionally runs the continuous-observability gate in
-# release: the E11 256-LC shape with windows, profiler, SLO watchdogs
-# and a forced incident, 3x2 interleaved runs. The binary fails on a
-# digest change, non-identical artifact bytes, or >10% throughput
-# overhead; the script then re-parses the emitted incident dump through
-# `--check-scenarios`.
-#
-# `--trace-smoke` additionally generates a tiny trace twice with
-# `snooze-tracegen --seed 42` (the two files must be byte-identical),
-# then replays it twice per variant on the reduced 128-LC E12 shape in
-# release and fails on any digest or table-column mismatch.
-#
-# `--arena-smoke` additionally replays the seeded tiny trace once per
-# `ConsolidatorRegistry` key on the reduced 128-LC arena shape under
-# the billed-DVFS power model, twice each, in release, and fails on any
-# digest or table-column mismatch.
+# * `run_experiments --smoke` — the gates of `snooze_bench::smoke` (`e11`,
+#   `trace`, `arena`, `obs`: two-run digest and table identity, zero dead
+#   letters, and observability that is digest-neutral, byte-deterministic
+#   and costs at most 10% throughput);
+# * `snooze-tracegen --seed 42` twice — the two files must be
+#   byte-identical to each other and to the trace the gates generated
+#   in-process, so CLI and library provably write the same trace;
+# * `snooze-mc --smoke` — bounded failover exploration, twice: no
+#   invariant violation, same state counts and fingerprints.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-run_e11_smoke=0
-run_mc_smoke=0
-run_obs_smoke=0
-run_trace_smoke=0
-run_arena_smoke=0
+run_smoke=0
 for arg in "$@"; do
   case "$arg" in
-    --e11-smoke) run_e11_smoke=1 ;;
-    --mc-smoke) run_mc_smoke=1 ;;
-    --obs-smoke) run_obs_smoke=1 ;;
-    --trace-smoke) run_trace_smoke=1 ;;
-    --arena-smoke) run_arena_smoke=1 ;;
+    --smoke) run_smoke=1 ;;
     *)
-      echo "unknown argument: $arg (supported: --e11-smoke, --mc-smoke, --obs-smoke, --trace-smoke, --arena-smoke)" >&2
+      echo "unknown argument: $arg (supported: --smoke)" >&2
       exit 2
       ;;
   esac
@@ -106,52 +84,31 @@ diff -rq "$tmp/a" "$tmp/b" >/dev/null || {
 }
 rm -rf "$tmp"
 
-if [ "$run_e11_smoke" -eq 1 ]; then
-  say "e11 smoke (256 LCs, release, zero dead letters + throughput column)"
-  cargo run --offline -q --release -p snooze-bench --bin run_experiments -- --e11-smoke
-fi
-
-if [ "$run_mc_smoke" -eq 1 ]; then
-  say "mc smoke (bounded failover exploration, two-run determinism)"
-  cargo run --offline -q --release -p snooze-mc -- --smoke
-fi
-
-if [ "$run_obs_smoke" -eq 1 ]; then
-  say "obs smoke (windows + profiler + SLOs + forced incident, release)"
-  obs_tmp="$(mktemp -d)"
+if [ "$run_smoke" -eq 1 ]; then
+  say "smoke gates (e11, trace, arena, obs; release)"
+  smoke_tmp="$(mktemp -d)"
   cargo run --offline -q --release -p snooze-bench --bin run_experiments -- \
-    --obs-smoke "$obs_tmp/artifacts"
-  # The emitted incident dump must parse back through the scenario
-  # checker alongside every checked-in preset file.
-  mkdir -p "$obs_tmp/scenarios"
-  cp scenarios/*.toml "$obs_tmp/scenarios/"
-  cp "$obs_tmp/artifacts/incident_forced.toml" "$obs_tmp/scenarios/"
-  cargo run --offline -q -p snooze-bench --bin run_experiments -- \
-    --check-scenarios "$obs_tmp/scenarios"
-  rm -rf "$obs_tmp"
-fi
+    --smoke --json "$smoke_tmp/obs" | tee "$smoke_tmp/smoke.log"
 
-if [ "$run_trace_smoke" -eq 1 ]; then
-  say "trace smoke (seeded tracegen + 128-LC replay, two-run identity)"
-  trace_tmp="$(mktemp -d)"
-  cargo run --offline -q --release -p snooze-trace --bin snooze-tracegen -- \
-    --seed 42 --vms 200 --horizon-s 1800 --diurnal-period-s 900 \
-    --flash-crowds 1 --curve-step-s 300 --out "$trace_tmp/a.csv"
-  cargo run --offline -q --release -p snooze-trace --bin snooze-tracegen -- \
-    --seed 42 --vms 200 --horizon-s 1800 --diurnal-period-s 900 \
-    --flash-crowds 1 --curve-step-s 300 --out "$trace_tmp/b.csv"
-  cmp -s "$trace_tmp/a.csv" "$trace_tmp/b.csv" || {
+  say "tracegen CLI determinism, and CLI == the trace the gates replayed"
+  for f in a b; do
+    cargo run --offline -q --release -p snooze-trace --bin snooze-tracegen -- \
+      --seed 42 --vms 200 --horizon-s 1800 --diurnal-period-s 900 \
+      --flash-crowds 1 --curve-step-s 300 --out "$smoke_tmp/$f.csv"
+  done
+  cmp -s "$smoke_tmp/a.csv" "$smoke_tmp/b.csv" || {
     echo "snooze-tracegen is not byte-deterministic for a fixed seed" >&2
     exit 1
   }
-  cargo run --offline -q --release -p snooze-bench --bin run_experiments -- \
-    --trace-smoke "$trace_tmp/a.csv"
-  rm -rf "$trace_tmp"
-fi
+  in_process="$(sed -n 's/^smoke trace: //p' "$smoke_tmp/smoke.log")"
+  cmp -s "$smoke_tmp/a.csv" "$in_process" || {
+    echo "snooze-tracegen and the in-process generator disagree ($in_process)" >&2
+    exit 1
+  }
+  rm -rf "$smoke_tmp"
 
-if [ "$run_arena_smoke" -eq 1 ]; then
-  say "arena smoke (every registry key on 128 LCs, two-run identity)"
-  cargo run --offline -q --release -p snooze-bench --bin run_experiments -- --arena-smoke
+  say "mc smoke (bounded failover exploration, two-run determinism)"
+  cargo run --offline -q --release -p snooze-mc -- --smoke
 fi
 
 say "all checks passed"
