@@ -10,10 +10,7 @@
 
 use std::path::PathBuf;
 
-use snooze::prelude::SnoozeConfig;
 use snooze_bench::experiments::EXPERIMENTS;
-use snooze_scenario::live::{burst, deploy, Deployment, VmIdAlloc};
-use snooze_simcore::time::SimTime;
 
 fn scenarios_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -57,28 +54,4 @@ fn release_tables_match_the_checked_in_goldens() {
     }
     let files = std::fs::read_dir(&golden_dir).expect("golden dir").count();
     assert_eq!(compared, files, "a golden file names no manifest entry");
-}
-
-/// The live harness the Criterion benches drive directly: one allocator
-/// per schedule keeps the VmIds of two bursts (and the per-VM RNG streams
-/// seeded from them) disjoint — they used to both start at 0 — and the
-/// whole two-burst schedule places.
-#[test]
-fn harness_places_two_bursts_from_one_allocator() {
-    let dep = Deployment {
-        managers: 2,
-        lcs: 6,
-        eps: 1,
-        seed: 3,
-    };
-    let mut alloc = VmIdAlloc::new();
-    let mut schedule = burst(&mut alloc, 4, SimTime::from_secs(10), 2.0, 4096.0, 0.5);
-    let second = burst(&mut alloc, 4, SimTime::from_secs(40), 2.0, 4096.0, 0.5);
-    schedule.extend(second);
-    let ids: std::collections::BTreeSet<u64> = schedule.iter().map(|v| v.spec.id.0).collect();
-    assert_eq!(ids.len(), 8, "all VmIds distinct across bursts");
-    let mut live = deploy(&dep, &SnoozeConfig::fast_test(), schedule);
-    live.run_until_settled(SimTime::from_secs(300));
-    assert_eq!(live.client().placed.len(), 8, "both bursts placed");
-    assert!(live.messages_sent() > 0);
 }

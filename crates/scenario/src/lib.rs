@@ -40,9 +40,6 @@ pub use compile::{
     WindowStatus,
 };
 pub use incident::IncidentDoc;
-pub use live::{
-    burst, deploy, deploy_hierarchy, deploy_unified, vm_item, Deployment, LiveSystem, Stack,
-    VmIdAlloc,
-};
+pub use live::{burst, deploy_hierarchy, deploy_unified, vm_item, LiveSystem, Stack, VmIdAlloc};
 pub use mc_trace::{McTraceDoc, McTraceStep};
 pub use spec::{ScenarioDoc, ScenarioSpec};

@@ -248,38 +248,6 @@ fn lower_record(
     })
 }
 
-/// Deployment shape for a plain hierarchy run (the harness shape the
-/// E4–E7 experiments used; the scenario compiler goes through
-/// [`deploy_hierarchy`] directly for heterogeneous or unified runs).
-#[derive(Clone, Debug)]
-pub struct Deployment {
-    /// Manager components (one becomes GL; the rest serve as GMs).
-    pub managers: usize,
-    /// Physical nodes / LCs.
-    pub lcs: usize,
-    /// Entry points.
-    pub eps: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-/// Deploy a standard-node hierarchy with a scripted client retrying
-/// every 15 s — the exact harness the experiment tables were built on.
-pub fn deploy(
-    deployment: &Deployment,
-    config: &SnoozeConfig,
-    schedule: Vec<ScheduledVm>,
-) -> LiveSystem {
-    deploy_hierarchy(
-        deployment.seed,
-        config,
-        deployment.managers,
-        &snooze_cluster::node::NodeSpec::standard_cluster(deployment.lcs),
-        deployment.eps,
-        Some((schedule, SimSpan::from_secs(15))),
-    )
-}
-
 /// Build the engine every deployment shares: seeded, LAN network, and
 /// the message classifier (purely observational — dead-letter breakdown,
 /// profiler, flight recorder — so it cannot perturb the digest-covered
@@ -384,24 +352,6 @@ impl LiveSystem {
         self.client_id
             .and_then(|id| self.sim.get(id))
             .and_then(|c| c.as_client())
-    }
-
-    /// Run until `deadline` or until the client has an answer for every
-    /// scheduled VM (whichever is first), stepping so the check stays
-    /// cheap. Without a client this runs straight to the deadline.
-    pub fn run_until_settled(&mut self, deadline: SimTime) {
-        if self.client_id.is_none() {
-            self.sim.run_until(deadline);
-            return;
-        }
-        let step = SimSpan::from_secs(5);
-        while self.sim.now() < deadline {
-            let next = (self.sim.now() + step).min(deadline);
-            self.sim.run_until(next);
-            if self.client().done() {
-                break;
-            }
-        }
     }
 
     /// Wall-clock milliseconds since deployment (advisory: never folded

@@ -383,7 +383,7 @@ pub enum PhaseSpec {
         dur_ms: f64,
     },
     /// Step in 5 s increments until the client has an answer for every
-    /// VM or the deadline passes (the classic `run_until_settled`).
+    /// VM or the deadline passes.
     Settle {
         /// Deadline, ms.
         deadline_ms: f64,
@@ -808,9 +808,60 @@ fn known_keys(t: &Tbl, allowed: &[&str], ctx: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// `*_ms` keys something re-arms itself by — phase stepping, periodic
+/// timers, the client's retry, the election ping derived from the
+/// session: at zero the run never advances.
+const STEPPING_MS: [&str; 7] = [
+    "every_ms",
+    "step_ms",
+    "window_ms",
+    "period_ms",
+    "heartbeat_ms",
+    "session_ms",
+    "retry_ms",
+];
+
+/// Reject hostile durations anywhere under `t`, before they reach
+/// [`ms_to_span`]'s assert or a stepping loop: every `*_ms` key must be
+/// finite and >= 0 (`idle_suspend_ms` may be negative — its documented
+/// "off"), and the [`STEPPING_MS`] keys > 0. `ctx` names the table, as in
+/// [`known_keys`].
+fn check_durations(t: &Tbl, ctx: &str) -> Result<(), String> {
+    let at = |sub: &str| match ctx {
+        "scenario" => sub.to_string(),
+        _ => format!("{ctx}.{sub}"),
+    };
+    for (k, v) in t {
+        match v {
+            Value::Table(sub) => check_durations(sub, &at(k))?,
+            Value::TableArray(subs) => {
+                for sub in subs {
+                    check_durations(sub, &at(k))?;
+                }
+            }
+            _ if k.ends_with("_ms") => {
+                let Some(ms) = v.as_float() else { continue }; // the decoder names the type error
+                let (in_range, want) = if STEPPING_MS.contains(&k.as_str()) {
+                    (ms > 0.0, "finite and > 0")
+                } else if k == "idle_suspend_ms" {
+                    (true, "finite")
+                } else {
+                    (ms >= 0.0, "finite and >= 0")
+                };
+                if !(in_range && ms.is_finite()) {
+                    return Err(format!("`{k}` in {ctx} must be {want}, got {ms}"));
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
 impl ScenarioSpec {
     /// Decode a spec from a (variant-expanded) root table.
     pub fn from_value(root: &Tbl) -> Result<ScenarioSpec, String> {
+        check_durations(root, "scenario")?;
         known_keys(
             root,
             &[
@@ -2075,6 +2126,64 @@ mod tests {
             ScenarioSpec::from_toml("name = \"x\"\nseed = 1\nbogus = 2\n[topology]\neps = 1\n")
                 .unwrap_err();
         assert!(err.contains("bogus"), "{err}");
+    }
+
+    #[test]
+    fn hostile_durations_are_decode_errors() {
+        let base = toml::parse(include_str!("../../../scenarios/hetero_burst.toml")).unwrap();
+        // (path to the table — last element of an array of tables —, key, value)
+        let cases: &[(&[&str], &str, f64)] = &[
+            (&["workload"], "at_ms", -30000.0), // used to panic in `ms_to_span`
+            (&["phase"], "every_ms", 0.0),      // used to loop forever in `sample_to`
+            (&["phase"], "every_ms", -1.0),
+            (&["phase"], "t_ms", f64::NAN),
+            (&["phase", "observe"], "step_ms", 0.0),
+            (&["phase", "observe"], "perf_window_ms", -1.0),
+            (&["obs"], "window_ms", 0.0),
+            (&["obs"], "force_incident_at_ms", f64::NEG_INFINITY),
+            (&["config", "reconfiguration"], "period_ms", 0.0),
+            (&["config", "knobs"], "heartbeat_ms", 0.0),
+            (&["config", "knobs"], "session_ms", 0.0), // hangs, like `every_ms`
+            (&["topology", "client"], "retry_ms", 0.0), // likewise
+            (&["config"], "idle_suspend_ms", f64::INFINITY),
+            (&["config"], "suspend_watchdog_ms", -1.0),
+            (&["topology", "client"], "retry_ms", -15000.0),
+            (&["fault"], "downtime_ms", -1.0),
+            (&["probe"], "at_ms", f64::INFINITY),
+        ];
+        for &(path, key, bad) in cases {
+            let mut root = base.clone();
+            let table = path.iter().fold(&mut root, |t, seg| {
+                match t.entry(seg.to_string()).or_insert_with(Value::table) {
+                    Value::Table(sub) => sub,
+                    Value::TableArray(subs) => subs.last_mut().unwrap(),
+                    other => panic!("`{seg}` is {other:?}"),
+                }
+            });
+            table.insert(key.into(), Value::Float(bad));
+            let err = ScenarioSpec::from_value(&root).unwrap_err();
+            let ctx = path.join(".");
+            assert!(
+                err.contains(&format!("`{key}` in {ctx} must be")),
+                "{ctx}.{key} = {bad}: {err}"
+            );
+        }
+        // Nothing checked in is rejected — the documented negative
+        // (`idle_suspend_ms = -1.0`, "off") included.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        let mut decoded = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !name.ends_with(".toml") || name.starts_with("mc_") {
+                continue; // model-checker traces are not scenarios
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let runs = ScenarioDoc::parse(&text).and_then(|doc| doc.expand());
+            assert!(runs.is_ok(), "{name}: {}", runs.unwrap_err());
+            decoded += 1;
+        }
+        assert!(decoded >= 10, "found only {decoded} scenarios under {dir}");
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! Events are executed in `(time, sequence)` order; the sequence number
 //! breaks ties in scheduling order, so the engine is fully deterministic.
 //!
-//! There is one engine: one queue, one RNG stream, one thread. A sharded,
-//! multi-worker executor existed and was deleted because it never beat
-//! this path on the hardware the suite runs on — DESIGN.md, "Why there is
-//! one engine", keeps the measurements.
+//! There is one engine: one queue (`equeue.rs`), one RNG stream, one
+//! thread. A sharded, multi-worker executor and a second, heap-backed
+//! queue existed and were deleted because neither beat this path on the
+//! hardware the suite runs on — DESIGN.md, "Why there is one engine" and
+//! "Why there is one queue", keeps the measurements.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -30,7 +31,7 @@ use std::fmt;
 use snooze_telemetry::label::label;
 use snooze_telemetry::span::{SpanId, SpanLog};
 
-use crate::equeue::{EventQueue, QueueKind};
+use crate::equeue::EventQueue;
 use crate::metrics::MetricsRegistry;
 use crate::network::{Network, NetworkConfig};
 use crate::rng::SimRng;
@@ -493,7 +494,6 @@ pub struct SimBuilder {
     network: NetworkConfig,
     trace_capacity: usize,
     max_events: u64,
-    queue: QueueKind,
 }
 
 impl SimBuilder {
@@ -504,7 +504,6 @@ impl SimBuilder {
             network: NetworkConfig::default(),
             trace_capacity: 0,
             max_events: u64::MAX,
-            queue: QueueKind::default(),
         }
     }
 
@@ -526,13 +525,6 @@ impl SimBuilder {
         self
     }
 
-    /// Choose the event-queue implementation (default: the binary heap).
-    /// The queue kind never affects the executed history, only its cost.
-    pub fn queue(mut self, kind: QueueKind) -> Self {
-        self.queue = kind;
-        self
-    }
-
     /// Finish building. The component type is chosen by the caller
     /// (usually via a type annotation on the binding):
     ///
@@ -544,7 +536,7 @@ impl SimBuilder {
             core: EngineCore {
                 now: SimTime::ZERO,
                 seq: 0,
-                queue: EventQueue::new(self.queue),
+                queue: EventQueue::new(),
                 rng: SimRng::new(self.seed),
                 next_timer_id: 0,
                 cancelled_timers: BTreeSet::new(),
@@ -654,11 +646,6 @@ impl<C: Component> Engine<C> {
     /// determinism` and the replay proptests assert exactly that.
     pub fn digest(&self) -> u64 {
         self.core.digest
-    }
-
-    /// The event-queue implementation in use.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.core.queue.kind()
     }
 
     /// Whether `id` is currently alive.
@@ -1787,32 +1774,5 @@ mod tests {
         assert_eq!(sim.queue_depth(), 2);
         sim.run();
         assert_eq!(sim.queue_depth(), 0);
-    }
-    #[test]
-    fn queue_kind_does_not_affect_digest() {
-        let run = |kind: QueueKind| {
-            let mut sim: Engine<TestNode> = SimBuilder::new(7).queue(kind).build();
-            assert_eq!(sim.queue_kind(), kind);
-            for _ in 0..2 {
-                let echo = sim.add_component(
-                    "echo",
-                    Echo {
-                        bounces: 5,
-                        seen: 0,
-                    },
-                );
-                sim.add_component("kick", Kickoff { peer: echo });
-            }
-            sim.add_component(
-                "t",
-                TimerUser {
-                    fired: vec![],
-                    cancel_second: true,
-                },
-            );
-            sim.run();
-            (sim.digest(), sim.events_executed())
-        };
-        assert_eq!(run(QueueKind::Heap), run(QueueKind::Bucket));
     }
 }

@@ -1,35 +1,38 @@
-//! Pending-event storage: a binary heap or a hierarchical bucket queue.
+//! Pending-event storage: one two-level bucket (calendar) queue.
 //!
-//! The engine's original event queue was a global
-//! `BinaryHeap<Reverse<Scheduled<M>>>`. That stays the default — it is
-//! what every golden and every benchmark workload runs — and
-//! [`SimBuilder::queue`](crate::engine::SimBuilder::queue) can select
-//! [`BucketQueue`] instead, a two-level calendar queue tuned for the
-//! simulator's actual schedule shape:
+//! Every engine holds exactly one [`EventQueue`], shaped after the
+//! simulator's actual schedule:
 //!
 //! * a **near ring** of fixed-width buckets (64 µs wide, covering about
 //!   a quarter second ahead of the active bucket) absorbs message
 //!   latencies and short timers with O(1) pushes;
 //! * a **far map** (`BTreeMap` keyed by bucket index) absorbs the
-//!   multi-second heartbeat and monitoring timers that dominate E11 —
-//!   synchronized fleets land thousands of timers in a handful of far
-//!   buckets, one `BTreeMap` probe each instead of a heap sift that
+//!   multi-second heartbeat and monitoring timers that dominate the fleet
+//!   runs — synchronized fleets land thousands of timers in a handful of
+//!   far buckets, one `BTreeMap` probe each instead of a heap sift that
 //!   memmoves whole `SnoozeMsg` payloads down the tree;
 //! * the **active bucket** is sorted once when first touched and then
 //!   drained in order; events scheduled *into* the active window (e.g.
 //!   1 µs self-timers) go to a small side heap that is merged on pop, so
 //!   ordering stays exact without re-sorting.
 //!
-//! Both variants pop in strictly increasing `(time, seq)` order — the
-//! total order every audit invariant and digest depends on — and a
-//! randomized differential test below holds the bucket queue to the
-//! heap's exact pop sequence.
+//! Pops come out in strictly increasing `(time, seq)` order — the total
+//! order every audit invariant and digest depends on. A global
+//! `BinaryHeap` was the engine's first queue; it survives below as the
+//! reference the tests hold this one to, pop for pop.
 //!
-//! Why both stay (ROADMAP item 2 has the numbers): the bucket queue is
-//! 20–25% faster on the long fleet runs, but `BucketQueue::new` allocates
-//! its whole ring, and the model checker rebuilds the queue on every
-//! `drain_all`/`retain`/`from_vec`, so a bucket-only engine is ~50% slower
-//! there. Unifying them is a measured change of its own.
+//! Two choices exist for the model checker, which snapshots, edits and
+//! restores the pending set thousands of times a second on queues of a
+//! few dozen events:
+//!
+//! * the **ring is lazy** — allocated by the first push that lands in
+//!   it. A checked system's events sit seconds ahead (far map), so it
+//!   never pays for 4096 empty slots, and a bare engine's resident set
+//!   stays where a heap's was;
+//! * [`EventQueue::drain_all`] **resets `base` to 0**, so the same queue
+//!   is refilled in place. Left where it had advanced to, `base` would
+//!   send every re-pushed event at or behind it into the side heap and
+//!   the queue would degenerate into the heap it replaced.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -49,160 +52,10 @@ fn bucket_of(t: SimTime) -> u64 {
     t.0 >> BUCKET_SHIFT
 }
 
-/// Which queue implementation an engine uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum QueueKind {
-    /// The classic global binary heap (the default).
-    #[default]
-    Heap,
-    /// The hierarchical bucket / calendar queue.
-    Bucket,
-}
-
-/// A pending-event queue: one of the two implementations above, behind
-/// a single API so the engine core never branches on anything else.
-pub(crate) enum EventQueue<M> {
-    Heap(BinaryHeap<Reverse<Scheduled<M>>>),
-    Bucket(BucketQueue<M>),
-}
-
-impl<M> EventQueue<M> {
-    pub(crate) fn new(kind: QueueKind) -> EventQueue<M> {
-        match kind {
-            QueueKind::Heap => EventQueue::Heap(BinaryHeap::new()),
-            QueueKind::Bucket => EventQueue::Bucket(BucketQueue::new()),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> QueueKind {
-        match self {
-            EventQueue::Heap(_) => QueueKind::Heap,
-            EventQueue::Bucket(_) => QueueKind::Bucket,
-        }
-    }
-
-    pub(crate) fn push(&mut self, ev: Scheduled<M>) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse(ev)),
-            EventQueue::Bucket(b) => b.push(ev),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<Scheduled<M>> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(ev)| ev),
-            EventQueue::Bucket(b) => b.pop(),
-        }
-    }
-
-    /// `(time, seq)` of the next event without removing it. Mutable
-    /// because the bucket queue may advance its active bucket to answer.
-    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|Reverse(ev)| (ev.time, ev.seq)),
-            EventQueue::Bucket(b) => b.peek_key(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Bucket(b) => b.len,
-        }
-    }
-
-    #[allow(dead_code)] // symmetry with `len`; used by tests
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All pending events in `(time, seq)` order, leaving the queue
-    /// untouched — the model checker's snapshot representation.
-    pub(crate) fn to_sorted_vec(&self) -> Vec<Scheduled<M>>
-    where
-        M: Clone,
-    {
-        let mut v: Vec<Scheduled<M>> = match self {
-            EventQueue::Heap(h) => h.iter().map(|Reverse(ev)| ev.clone()).collect(),
-            EventQueue::Bucket(b) => b.iter().cloned().collect(),
-        };
-        v.sort_unstable();
-        v
-    }
-
-    /// Rebuild from a snapshot taken by [`EventQueue::to_sorted_vec`].
-    pub(crate) fn from_vec(kind: QueueKind, events: Vec<Scheduled<M>>) -> EventQueue<M> {
-        let mut q = EventQueue::new(kind);
-        for ev in events {
-            q.push(ev);
-        }
-        q
-    }
-
-    /// Iterate pending events in arbitrary order (the model checker
-    /// sorts the projection it builds from this).
-    pub(crate) fn iter(&self) -> Box<dyn Iterator<Item = &Scheduled<M>> + '_> {
-        match self {
-            EventQueue::Heap(h) => Box::new(h.iter().map(|Reverse(ev)| ev)),
-            EventQueue::Bucket(b) => Box::new(b.iter()),
-        }
-    }
-
-    /// Remove and return every pending event, sorted by `(time, seq)`.
-    /// Unlike [`EventQueue::to_sorted_vec`] this needs no `Clone` — the
-    /// model checker uses it for re-timing and selective removal.
-    pub(crate) fn drain_all(&mut self) -> Vec<Scheduled<M>> {
-        let mut v: Vec<Scheduled<M>> = match self {
-            EventQueue::Heap(h) => std::mem::take(h)
-                .into_iter()
-                .map(|Reverse(ev)| ev)
-                .collect(),
-            EventQueue::Bucket(b) => {
-                let mut old = std::mem::replace(b, BucketQueue::new());
-                let mut out = Vec::with_capacity(old.len);
-                while let Some(ev) = old.pop() {
-                    out.push(ev);
-                }
-                out
-            }
-        };
-        v.sort_unstable();
-        v
-    }
-
-    /// Remove every event failing `keep`, preserving order semantics.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Scheduled<M>) -> bool) {
-        match self {
-            EventQueue::Heap(h) => {
-                let kept: Vec<Reverse<Scheduled<M>>> = std::mem::take(h)
-                    .into_iter()
-                    .filter(|r| keep(&r.0))
-                    .collect();
-                *h = BinaryHeap::from(kept);
-            }
-            EventQueue::Bucket(b) => {
-                // Rebuild from scratch so the bucket layout stays
-                // healthy (a drain-and-repush would leave every event
-                // behind the advanced base, degenerating into a heap).
-                let old = std::mem::replace(b, BucketQueue::new());
-                let mut kept: Vec<Scheduled<M>> = Vec::with_capacity(old.len);
-                let mut old = old;
-                while let Some(ev) = old.pop() {
-                    if keep(&ev) {
-                        kept.push(ev);
-                    }
-                }
-                for ev in kept {
-                    b.push(ev);
-                }
-            }
-        }
-    }
-}
-
-/// The two-level hierarchical bucket queue described in the module doc.
-pub(crate) struct BucketQueue<M> {
-    /// Bucket index of the active (draining) bucket. Only grows.
+/// The engine's pending-event queue, described in the module doc.
+pub(crate) struct EventQueue<M> {
+    /// Bucket index of the active (draining) bucket. Grows until
+    /// [`EventQueue::drain_all`] resets it.
     base: u64,
     /// Active bucket, sorted **descending** so the next event pops from
     /// the tail in O(1) without shifting the vector.
@@ -212,7 +65,7 @@ pub(crate) struct BucketQueue<M> {
     /// Merged with `active` on every pop, so order stays exact.
     late: BinaryHeap<Reverse<Scheduled<M>>>,
     /// Near future: slot `b & RING_MASK` holds bucket `b` iff
-    /// `base < b < base + RING_LEN`.
+    /// `base < b < base + RING_LEN`. Empty until the first push into it.
     ring: Vec<Vec<Scheduled<M>>>,
     /// Number of events currently stored in `ring`.
     ring_count: usize,
@@ -221,25 +74,28 @@ pub(crate) struct BucketQueue<M> {
     len: usize,
 }
 
-impl<M> BucketQueue<M> {
-    fn new() -> BucketQueue<M> {
-        BucketQueue {
+impl<M> EventQueue<M> {
+    pub(crate) fn new() -> EventQueue<M> {
+        EventQueue {
             base: 0,
             active: Vec::new(),
             late: BinaryHeap::new(),
-            ring: (0..RING_LEN).map(|_| Vec::new()).collect(),
+            ring: Vec::new(),
             ring_count: 0,
             far: BTreeMap::new(),
             len: 0,
         }
     }
 
-    fn push(&mut self, ev: Scheduled<M>) {
+    pub(crate) fn push(&mut self, ev: Scheduled<M>) {
         self.len += 1;
         let b = bucket_of(ev.time);
         if b <= self.base {
             self.late.push(Reverse(ev));
         } else if b - self.base < RING_LEN {
+            if self.ring.is_empty() {
+                self.ring.resize_with(RING_LEN as usize, Vec::new);
+            }
             self.ring[(b & RING_MASK) as usize].push(ev);
             self.ring_count += 1;
         } else {
@@ -263,12 +119,8 @@ impl<M> BucketQueue<M> {
             None
         };
         let next_far = self.far.keys().next().copied();
-        let b = match (next_ring, next_far) {
-            (Some(r), Some(f)) => r.min(f),
-            (Some(r), None) => r,
-            (None, Some(f)) => f,
-            (None, None) => unreachable!("len > 0 but no bucket holds events"),
-        };
+        let b = next_ring.into_iter().chain(next_far).min();
+        let b = b.expect("len > 0 but no bucket holds events");
         let mut events = if next_ring == Some(b) {
             let v = std::mem::take(&mut self.ring[(b & RING_MASK) as usize]);
             self.ring_count -= v.len();
@@ -284,7 +136,9 @@ impl<M> BucketQueue<M> {
         self.base = b;
     }
 
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+    /// `(time, seq)` of the next event without removing it. Mutable
+    /// because answering may advance the active bucket.
+    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         self.ensure_front();
         let a = self.active.last().map(|ev| (ev.time, ev.seq));
         let l = self.late.peek().map(|Reverse(ev)| (ev.time, ev.seq));
@@ -294,7 +148,7 @@ impl<M> BucketQueue<M> {
         }
     }
 
-    fn pop(&mut self) -> Option<Scheduled<M>> {
+    pub(crate) fn pop(&mut self) -> Option<Scheduled<M>> {
         self.ensure_front();
         let take_late = match (self.active.last(), self.late.peek()) {
             (Some(a), Some(Reverse(l))) => l < a,
@@ -310,12 +164,31 @@ impl<M> BucketQueue<M> {
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = &Scheduled<M>> {
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Iterate pending events in arbitrary order (the model checker
+    /// sorts what it builds from this).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Scheduled<M>> {
         self.active
             .iter()
             .chain(self.late.iter().map(|Reverse(ev)| ev))
             .chain(self.ring.iter().flatten())
             .chain(self.far.values().flatten())
+    }
+
+    /// Remove and return every pending event in `(time, seq)` order,
+    /// leaving an empty queue based at bucket 0 again — ready to be
+    /// refilled by `push`, whatever times the new events carry. The model
+    /// checker edits the pending set as drain → edit → push.
+    pub(crate) fn drain_all(&mut self) -> Vec<Scheduled<M>> {
+        let mut out = Vec::with_capacity(self.len);
+        while let Some(ev) = self.pop() {
+            out.push(ev);
+        }
+        self.base = 0;
+        out
     }
 }
 
@@ -333,55 +206,86 @@ mod tests {
         }
     }
 
-    /// Drive both implementations through an identical operation
+    fn key(e: Scheduled<u32>) -> (SimTime, u64) {
+        (e.time, e.seq)
+    }
+
+    /// The reference: the global binary heap the engine started with.
+    type Reference = BinaryHeap<Reverse<Scheduled<u32>>>;
+
+    enum Op {
+        /// Push an event this far after the last popped time.
+        Push(u64),
+        Pop,
+        /// `drain_all`, then push everything back.
+        Refill,
+    }
+
+    /// Drive the queue and the reference heap through one operation
     /// sequence and require identical pop streams.
-    fn differential(times: impl Iterator<Item = (u64, bool)>) {
-        let mut heap: EventQueue<u32> = EventQueue::new(QueueKind::Heap);
-        let mut bucket: EventQueue<u32> = EventQueue::new(QueueKind::Bucket);
+    fn differential(ops: impl Iterator<Item = Op>) {
+        let mut heap = Reference::new();
+        let mut queue: EventQueue<u32> = EventQueue::new();
         let mut seq = 0u64;
         let mut clock = 0u64; // pushes never go behind the last pop
-        for (t, do_pop) in times {
-            if do_pop {
-                let a = heap.pop().map(|e| (e.time, e.seq));
-                let b = bucket.pop().map(|e| (e.time, e.seq));
-                assert_eq!(a, b, "pop divergence");
-                if let Some((t, _)) = a {
-                    clock = clock.max(t.0);
+        for op in ops {
+            match op {
+                Op::Push(t) => {
+                    heap.push(Reverse(ev(clock + t, seq)));
+                    queue.push(ev(clock + t, seq));
+                    seq += 1;
                 }
-            } else {
-                let at = clock + t;
-                heap.push(ev(at, seq));
-                bucket.push(ev(at, seq));
-                seq += 1;
+                Op::Pop => {
+                    let a = heap.pop().map(|Reverse(e)| key(e));
+                    assert_eq!(a, queue.pop().map(key), "pop divergence");
+                    if let Some((t, _)) = a {
+                        clock = clock.max(t.0);
+                    }
+                }
+                Op::Refill => {
+                    let drained = queue.drain_all();
+                    assert_eq!(queue.len(), 0);
+                    let want = heap.clone().into_sorted_vec();
+                    assert!(
+                        drained.iter().eq(want.iter().rev().map(|Reverse(e)| e)),
+                        "drain_all is not the sorted pending set"
+                    );
+                    for e in drained {
+                        queue.push(e);
+                    }
+                }
             }
-            assert_eq!(heap.len(), bucket.len());
-            assert_eq!(heap.peek_key(), bucket.peek_key(), "peek divergence");
+            assert_eq!(heap.len(), queue.len());
+            let want = heap.peek().map(|Reverse(e)| (e.time, e.seq));
+            assert_eq!(want, queue.peek_key(), "peek divergence");
         }
         loop {
-            let a = heap.pop().map(|e| (e.time, e.seq));
-            let b = bucket.pop().map(|e| (e.time, e.seq));
-            assert_eq!(a, b, "drain divergence");
+            let a = heap.pop().map(|Reverse(e)| key(e));
+            assert_eq!(a, queue.pop().map(key), "drain divergence");
             if a.is_none() {
                 break;
             }
         }
     }
 
+    /// Offsets that reach the active bucket, the ring, its outer edge
+    /// and the far map.
+    fn mixed_offset(rng: &mut SimRng) -> u64 {
+        (match rng.range(0, 4) {
+            0 => rng.range(0, 200),               // active/near bucket
+            1 => rng.range(200, 60_000),          // ring
+            2 => rng.range(60_000, 400_000),      // outer ring / far edge
+            _ => rng.range(1_000_000, 9_000_000), // far heartbeat-style
+        }) as u64
+    }
+
     #[test]
     fn matches_heap_on_random_schedules() {
         let mut rng = SimRng::new(0xE0_0E);
-        // Mix of near (sub-millisecond), mid (ring-range), and far
-        // (multi-second) offsets, interleaved with pops.
-        let ops: Vec<(u64, bool)> = (0..4000)
-            .map(|_| {
-                let pop = rng.range(0, 3) == 0;
-                let t = match rng.range(0, 4) {
-                    0 => rng.range(0, 200),               // active/near bucket
-                    1 => rng.range(200, 60_000),          // ring
-                    2 => rng.range(60_000, 400_000),      // outer ring / far edge
-                    _ => rng.range(1_000_000, 9_000_000), // far heartbeat-style
-                };
-                (t as u64, pop)
+        let ops: Vec<Op> = (0..4000)
+            .map(|_| match rng.range(0, 3) {
+                0 => Op::Pop,
+                _ => Op::Push(mixed_offset(&mut rng)),
             })
             .collect();
         differential(ops.into_iter());
@@ -389,12 +293,11 @@ mod tests {
 
     #[test]
     fn matches_heap_on_timer_storm_pattern() {
-        // The engine_throughput TimerStorm: every pop schedules a new
-        // event 1 µs later, so pushes continually land in the active
-        // bucket (the `late` side heap path).
+        // Every pop schedules a new event 1 µs later, so pushes
+        // continually land in the active bucket (the `late` side heap).
         let pattern = (0..64)
-            .map(|_| (1u64, false))
-            .chain((0..2000).flat_map(|_| [(0, true), (1, false)]));
+            .map(|_| Op::Push(1))
+            .chain((0..2000).flat_map(|_| [Op::Pop, Op::Push(1)]));
         differential(pattern);
     }
 
@@ -402,15 +305,28 @@ mod tests {
     fn matches_heap_on_synchronized_fleet_bursts() {
         // E11's shape: thousands of timers at the same far instant,
         // deliveries spread a few hundred µs after each burst.
-        let mut ops: Vec<(u64, bool)> = Vec::new();
+        let mut ops: Vec<Op> = Vec::new();
         for burst in 0..5u64 {
             for i in 0..300 {
-                ops.push((3_000_000 * (burst + 1) + (i % 7) * 97, false));
+                ops.push(Op::Push(3_000_000 * (burst + 1) + (i % 7) * 97));
             }
-            for _ in 0..300 {
-                ops.push((0, true));
-            }
+            ops.extend((0..300).map(|_| Op::Pop));
         }
+        differential(ops.into_iter());
+    }
+
+    #[test]
+    fn matches_heap_across_drain_and_refill() {
+        // The model checker's usage: pushes and pops interleaved with
+        // whole-queue drain → push-back cycles.
+        let mut rng = SimRng::new(0xD2A1);
+        let ops: Vec<Op> = (0..3000)
+            .map(|_| match rng.range(0, 40) {
+                0 => Op::Refill,
+                1..=13 => Op::Pop,
+                _ => Op::Push(mixed_offset(&mut rng)),
+            })
+            .collect();
         differential(ops.into_iter());
     }
 
@@ -418,7 +334,7 @@ mod tests {
     fn push_behind_active_bucket_still_pops_in_order() {
         // An event can land numerically below the bucket the queue has
         // already advanced to (the `late` path).
-        let mut q: EventQueue<u32> = EventQueue::new(QueueKind::Bucket);
+        let mut q: EventQueue<u32> = EventQueue::new();
         q.push(ev(10_000_000, 0));
         assert_eq!(q.peek_key(), Some((SimTime(10_000_000), 0))); // advances base far ahead
         q.push(ev(500, 1));
@@ -430,41 +346,44 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip_preserves_order_and_len() {
-        let mut rng = SimRng::new(7);
-        let mut q: EventQueue<u32> = EventQueue::new(QueueKind::Bucket);
-        for seq in 0..500 {
-            q.push(ev(rng.range(0, 5_000_000) as u64, seq));
-        }
-        for _ in 0..100 {
-            q.pop();
-        }
-        let snap = q.to_sorted_vec();
-        assert_eq!(snap.len(), q.len());
-        assert!(snap.windows(2).all(|w| w[0] < w[1]), "snapshot sorted");
-        let mut restored = EventQueue::from_vec(QueueKind::Bucket, snap.clone());
-        for want in &snap {
-            let got = restored.pop().expect("restored event");
-            assert_eq!((got.time, got.seq), (want.time, want.seq));
-        }
-        assert!(restored.pop().is_none());
+    fn drained_queue_is_reusable_from_bucket_zero() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(ev(20_000_000, 0));
+        q.push(ev(20_000_100, 1));
+        assert_eq!(q.pop().map(|e| e.seq), Some(0)); // base is now 20 s in
+        assert_eq!(q.drain_all().len(), 1);
+        assert_eq!((q.len(), q.base), (0, 0));
+        // Everything below the old base: with `base` left where it was
+        // these would all sit in `late`.
+        q.push(ev(9_000_000, 2)); // far
+        q.push(ev(100_000, 3)); // ring
+        q.push(ev(3_000_000, 4)); // far
+        q.push(ev(5_000, 5)); // ring
+        assert!(q.late.is_empty());
+        assert_eq!((q.ring_count, q.far.len()), (2, 2));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
+        assert_eq!(order, [5, 3, 4, 2]);
     }
 
     #[test]
-    fn retain_filters_both_variants() {
-        for kind in [QueueKind::Heap, QueueKind::Bucket] {
-            let mut q: EventQueue<u32> = EventQueue::new(kind);
-            for seq in 0..100 {
-                q.push(ev(seq * 10, seq));
-            }
-            q.retain(|ev| ev.seq % 2 == 0);
-            assert_eq!(q.len(), 50);
-            let mut prev = None;
-            while let Some(e) = q.pop() {
-                assert_eq!(e.seq % 2, 0);
-                assert!(prev < Some((e.time, e.seq)));
-                prev = Some((e.time, e.seq));
-            }
+    fn ring_is_allocated_by_the_first_push_into_it() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for seq in 0..100 {
+            q.push(ev(1_000_000 * (seq + 1), seq)); // far
+            q.push(ev(seq / 2, 100 + seq)); // bucket 0: late
         }
+        while q.pop().is_some() {}
+        assert_eq!(
+            q.ring.capacity(),
+            0,
+            "far and late traffic never touches the ring"
+        );
+        q.push(ev(100_000_100, 200));
+        assert_eq!(q.ring.len(), RING_LEN as usize);
+        let slots = q.ring.as_ptr();
+        q.push(ev(100_200_000, 201));
+        assert_eq!(q.drain_all().len(), 2);
+        q.push(ev(5_000, 202));
+        assert_eq!((q.ring.len(), q.ring.as_ptr()), (RING_LEN as usize, slots));
     }
 }

@@ -40,9 +40,9 @@
 //! Events are totally ordered by `(time, sequence-number)`, and all
 //! randomness flows from one master seed through per-purpose
 //! [`rng::SimRng`] streams, so two runs with the same seed produce
-//! byte-identical histories. The engine is one queue on one thread;
-//! the pending-event structure ([`SimBuilder::queue`]) is the only
-//! mechanical choice and never changes the executed history.
+//! byte-identical histories. The engine is one queue on one thread:
+//! a two-level bucket queue (`equeue.rs`) held to a binary heap's exact
+//! pop order by its tests.
 //!
 //! ## Example
 //!
@@ -85,7 +85,7 @@
 //! ```
 
 pub mod engine;
-pub mod equeue;
+mod equeue;
 pub mod failure;
 pub mod flight;
 pub mod invariant;
@@ -103,7 +103,6 @@ pub mod wallclock;
 pub use snooze_telemetry as telemetry;
 
 pub use engine::{Component, ComponentId, Ctx, Engine, GroupId, NetFault, SimBuilder};
-pub use equeue::QueueKind;
 pub use telemetry::{LabelSet, SpanId};
 pub use time::{SimSpan, SimTime};
 pub use wallclock::WallClock;
@@ -113,7 +112,6 @@ pub mod prelude {
     pub use crate::engine::{
         Component, ComponentId, Ctx, Engine, GroupId, NetFault, SimBuilder, TimerHandle,
     };
-    pub use crate::equeue::QueueKind;
     pub use crate::mc::{McHasher, McState};
     pub use crate::metrics::MetricsRegistry;
     pub use crate::network::{LatencyModel, NetworkConfig};

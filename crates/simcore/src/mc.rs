@@ -27,8 +27,7 @@ use std::collections::BTreeSet;
 
 use snooze_telemetry::span::{SpanId, SpanLog};
 
-use crate::engine::{Component, ComponentId, Engine, EngineCore, EventKind, NetFault, Scheduled};
-use crate::equeue::EventQueue;
+use crate::engine::{Component, ComponentId, Engine, EventKind, NetFault, Scheduled};
 use crate::network::NetworkState;
 use crate::rng::SimRng;
 use crate::time::{SimSpan, SimTime};
@@ -147,7 +146,8 @@ impl McState for u64 {
 pub struct SystemState<C: Component> {
     pub(crate) now: SimTime,
     pub(crate) seq: u64,
-    /// Pending events, sorted by `(time, seq)`.
+    /// Pending events, in the queue's iteration order (restore re-pushes
+    /// them; pop order depends only on `(time, seq)`).
     pub(crate) queue: Vec<Scheduled<C::Msg>>,
     pub(crate) rng: SimRng,
     pub(crate) next_timer_id: u64,
@@ -260,7 +260,7 @@ where
         SystemState {
             now: self.core.now,
             seq: self.core.seq,
-            queue: self.core.queue.to_sorted_vec(),
+            queue: self.core.queue.iter().cloned().collect(),
             rng: self.core.rng.clone(),
             next_timer_id: self.core.next_timer_id,
             cancelled_timers: self.core.cancelled_timers.clone(),
@@ -288,7 +288,10 @@ where
         );
         self.core.now = state.now;
         self.core.seq = state.seq;
-        self.core.queue = EventQueue::from_vec(self.core.queue.kind(), state.queue.clone());
+        self.core.queue.drain_all();
+        for ev in &state.queue {
+            self.core.queue.push(ev.clone());
+        }
         self.core.rng = state.rng.clone();
         self.core.next_timer_id = state.next_timer_id;
         self.core.cancelled_timers = state.cancelled_timers.clone();
@@ -356,11 +359,10 @@ impl<C: Component> Engine<C> {
     }
 
     fn mc_remove(&mut self, seq: u64) -> Option<Scheduled<C::Msg>> {
-        let kind = self.core.queue.kind();
         let mut events = self.core.queue.drain_all();
         let pos = events.iter().position(|ev| ev.seq == seq);
         let found = pos.map(|i| events.remove(i));
-        self.core.queue = EventQueue::from_vec(kind, events);
+        events.into_iter().for_each(|ev| self.core.queue.push(ev));
         found
     }
 
@@ -410,35 +412,20 @@ impl<C: Component> Engine<C> {
     /// cancelled set). Keeps snapshots small and fingerprints free of
     /// events that can never fire.
     pub fn mc_gc(&mut self) {
-        let EngineCore {
-            queue,
-            cancelled_timers,
-            alive,
-            incarnation,
-            ..
-        } = &mut self.core;
-        let mut stale: Vec<u64> = Vec::new();
-        queue.retain(|ev| {
-            if let EventKind::Timer {
+        let mut events = self.core.queue.drain_all();
+        events.retain(|ev| match &ev.kind {
+            EventKind::Timer {
                 dst,
-                incarnation: inc,
+                incarnation,
                 id,
                 ..
-            } = &ev.kind
-            {
-                if cancelled_timers.contains(id)
-                    || incarnation.get(dst.0).copied() != Some(*inc)
-                    || !alive.get(dst.0).copied().unwrap_or(false)
-                {
-                    stale.push(*id);
-                    return false;
-                }
+            } if self.core.timer_is_stale(*dst, *incarnation, *id) => {
+                self.core.cancelled_timers.remove(id);
+                false
             }
-            true
+            _ => true,
         });
-        for id in stale {
-            cancelled_timers.remove(&id);
-        }
+        events.into_iter().for_each(|ev| self.core.queue.push(ev));
     }
 
     /// Hand the queue back to normal scheduled execution after checker
@@ -452,7 +439,6 @@ impl<C: Component> Engine<C> {
         if self.core.queue.iter().all(|ev| ev.time >= now) {
             return;
         }
-        let kind = self.core.queue.kind();
         let mut events = self.core.queue.drain_all(); // sorted by (time, seq)
         for ev in events.iter_mut() {
             if ev.time < now {
@@ -460,7 +446,7 @@ impl<C: Component> Engine<C> {
                 ev.seq = self.core.next_seq();
             }
         }
-        self.core.queue = EventQueue::from_vec(kind, events);
+        events.into_iter().for_each(|ev| self.core.queue.push(ev));
     }
 }
 

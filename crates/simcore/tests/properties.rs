@@ -284,11 +284,8 @@ impl McState for Gossip {
 
 /// `n` gossip nodes, each wired to 1–3 pseudo-random peers drawn from
 /// `seed`.
-fn gossip(seed: u64, n: usize, queue: QueueKind) -> Engine<Gossip> {
-    let mut sim: Engine<Gossip> = SimBuilder::new(seed)
-        .network(NetworkConfig::lan())
-        .queue(queue)
-        .build();
+fn gossip(seed: u64, n: usize) -> Engine<Gossip> {
+    let mut sim: Engine<Gossip> = SimBuilder::new(seed).network(NetworkConfig::lan()).build();
     let mut rng = SimRng::new(seed ^ 0x70_90_10);
     for i in 0..n {
         let n_peers = 1 + rng.range(0, 3);
@@ -310,56 +307,42 @@ const GOSSIP_HORIZON: SimTime = SimTime(80_000);
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The queue implementation is a pure data-structure swap: heap and
-    /// bucket runs replay byte-identical histories.
-    #[test]
-    fn digest_is_independent_of_queue_impl(seed in any::<u64>(), n in 3usize..20) {
-        let run = |queue: QueueKind| {
-            let mut sim = gossip(seed, n, queue);
-            sim.run_until(GOSSIP_HORIZON);
-            (sim.digest(), sim.events_executed())
-        };
-        prop_assert_eq!(run(QueueKind::Heap), run(QueueKind::Bucket));
-    }
-
     /// Snapshot → perturb the way the model checker does (execute out of
     /// order, drop, crash/restart, gc, release) and run on → restore: the
     /// restored state fingerprints like the captured one and replays the
-    /// history an unperturbed engine runs, under either queue.
+    /// history an unperturbed engine runs.
     #[test]
     fn mc_snapshot_perturb_restore_round_trips(seed in any::<u64>(), n in 3usize..16) {
-        for queue in [QueueKind::Heap, QueueKind::Bucket] {
-            let mut reference = gossip(seed, n, queue);
-            reference.run_until(GOSSIP_HORIZON);
-            let want = (reference.digest(), reference.events_executed());
+        let mut reference = gossip(seed, n);
+        reference.run_until(GOSSIP_HORIZON);
+        let want = (reference.digest(), reference.events_executed());
 
-            let mut sim = gossip(seed, n, queue);
-            sim.run_until(SimTime(20_000));
-            let snap = sim.mc_snapshot();
-            let fp_before = sim.mc_fingerprint();
+        let mut sim = gossip(seed, n);
+        sim.run_until(SimTime(20_000));
+        let snap = sim.mc_snapshot();
+        let fp_before = sim.mc_fingerprint();
 
-            let pending = sim.mc_pending();
-            if let Some(last) = pending.last() {
-                prop_assert!(sim.mc_execute_pending(last.seq));
-            }
-            if let Some(first) = sim.mc_pending().first() {
-                prop_assert!(sim.mc_drop_pending(first.seq));
-            }
-            prop_assert!(!sim.mc_drop_pending(u64::MAX), "bogus seq is rejected");
-            sim.mc_inject_crash(ComponentId(0));
-            sim.mc_inject_restart(ComponentId(0));
-            sim.mc_gc();
-            sim.mc_release();
-            sim.run_until(GOSSIP_HORIZON);
-
-            sim.mc_restore(&snap);
-            prop_assert_eq!(sim.mc_fingerprint(), fp_before, "restore changed the fingerprint");
-            sim.run_until(GOSSIP_HORIZON);
-            prop_assert_eq!(
-                (sim.digest(), sim.events_executed()),
-                want,
-                "restored run diverged (seed {}, {:?})", seed, queue
-            );
+        let pending = sim.mc_pending();
+        if let Some(last) = pending.last() {
+            prop_assert!(sim.mc_execute_pending(last.seq));
         }
+        if let Some(first) = sim.mc_pending().first() {
+            prop_assert!(sim.mc_drop_pending(first.seq));
+        }
+        prop_assert!(!sim.mc_drop_pending(u64::MAX), "bogus seq is rejected");
+        sim.mc_inject_crash(ComponentId(0));
+        sim.mc_inject_restart(ComponentId(0));
+        sim.mc_gc();
+        sim.mc_release();
+        sim.run_until(GOSSIP_HORIZON);
+
+        sim.mc_restore(&snap);
+        prop_assert_eq!(sim.mc_fingerprint(), fp_before, "restore changed the fingerprint");
+        sim.run_until(GOSSIP_HORIZON);
+        prop_assert_eq!(
+            (sim.digest(), sim.events_executed()),
+            want,
+            "restored run diverged (seed {})", seed
+        );
     }
 }

@@ -2,10 +2,11 @@
 # The full local gate: formatting, the clippy deny-set, the determinism
 # lint (which covers crates/telemetry along with the rest of the
 # simulation path), every test (including the feature-gated runtime
-# invariant suite), a `cargo check` of (a copy of) the detached
-# `benchmark/` workspace against the crates it path-depends on, and a two-run
-# byte-identity check on the telemetry exports. CI and pre-commit both
-# just run this script.
+# invariant suite), a `cargo check` and `cargo test` of (a copy of) the
+# detached `benchmark/` workspace against the crates it path-depends on —
+# its tests include `BENCHMARK.json` == the harness's own manifest — and a
+# two-run byte-identity check on the telemetry exports. CI and pre-commit
+# both just run this script.
 #
 # `--smoke` additionally runs, in release, every reduced-scale gate:
 #
@@ -49,7 +50,7 @@ cargo test --offline --workspace -q
 say "cargo test -p snooze-audit --features audit (runtime invariants)"
 cargo test --offline -p snooze-audit --features audit -q
 
-say "benchmark workspace still builds against crates/ (cargo check on a copy)"
+say "benchmark workspace still builds and passes against crates/ (check + test on a copy)"
 # On a sibling copy, so that cargo refreshing a stale Cargo.lock never
 # edits anything under benchmark/; `../crates/*` resolves the same.
 rm -rf .bench_build
@@ -57,6 +58,8 @@ mkdir .bench_build
 cp -r benchmark/Cargo.toml benchmark/Cargo.lock benchmark/src benchmark/workloads .bench_build/
 CARGO_TARGET_DIR=benchmark/target \
   cargo check --offline -q --manifest-path .bench_build/Cargo.toml
+CARGO_TARGET_DIR=benchmark/target \
+  cargo test --offline -q --manifest-path .bench_build/Cargo.toml
 rm -rf .bench_build
 
 say "snooze-audit determinism"

@@ -1,9 +1,13 @@
-//! Tier-1 pin on the engine's executed history: a seeded Snooze
-//! deployment under a GM crash + restart, an LC isolate/reconnect pair and
-//! a link-loss change, pinned to literal counters and digests. The
-//! constants were captured on the commit before the sharded executor was
-//! deleted, so plain `cargo test -q` fails if the single-queue engine moves
-//! one RNG draw, sequence number or tie-break.
+//! Tier-1 pins on the engine's executed history, as literal counters and
+//! digests, so plain `cargo test -q` fails if the engine moves one RNG
+//! draw, sequence number or tie-break.
+//!
+//! * A seeded Snooze deployment under a GM crash + restart, an LC
+//!   isolate/reconnect pair and a link-loss change; captured on the commit
+//!   before the sharded executor was deleted.
+//! * Bare components that walk every region of the event queue (side
+//!   heap, near ring, far map, a post behind the active bucket); captured
+//!   on the last commit that had a binary-heap queue, running it.
 
 use snooze::prelude::*;
 use snooze_cluster::node::NodeSpec;
@@ -18,10 +22,9 @@ fn secs(s: u64) -> SimTime {
 
 /// `(events_executed, digest, span_digest, dead_letters, net.sent)` of a
 /// 3-GM / 16-LC deployment with a 24-VM burst and the fault schedule above.
-fn pin(queue: QueueKind) -> (u64, u64, u64, u64, u64) {
+fn pin() -> (u64, u64, u64, u64, u64) {
     let mut sim: Engine<SnoozeNode> = SimBuilder::new(1303)
         .network(NetworkConfig::lossy_lan(0.01))
-        .queue(queue)
         .build();
     let config = SnoozeConfig::fast_test();
     let nodes = NodeSpec::standard_cluster(16);
@@ -73,10 +76,93 @@ const PINNED: (u64, u64, u64, u64, u64) = (
 
 #[test]
 fn faulted_deployment_is_pinned() {
-    assert_eq!(pin(QueueKind::Heap), PINNED);
+    assert_eq!(pin(), PINNED);
+}
+
+const TICK: u64 = 0;
+const FAST: u64 = 1;
+const SLOW: u64 = 2;
+
+/// Bare component for the queue-region pin: a burst of 1 µs self-timers
+/// (same bucket: the side heap), 5 s and 30 s periodic timers that every
+/// probe fires at the same instants (far map, many events per bucket),
+/// and a countdown bounced over LAN latency (near ring).
+struct Probe {
+    ticks: u32,
+    peer: ComponentId,
+}
+
+impl Probe {
+    fn arm(&mut self, ctx: &mut Ctx<'_, u64>) {
+        ctx.set_timer(SimSpan::from_micros(1), TICK);
+        ctx.set_timer(SimSpan::from_secs(5), FAST);
+        ctx.set_timer(SimSpan::from_secs(30), SLOW);
+    }
+}
+
+impl Component for Probe {
+    type Msg = u64;
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+        self.arm(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, src: ComponentId, msg: u64) {
+        if src == ComponentId::EXTERNAL {
+            ctx.send(self.peer, msg);
+        } else if msg > 0 {
+            ctx.send(src, msg - 1);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, tag: u64) {
+        match tag {
+            TICK if self.ticks > 0 => {
+                self.ticks -= 1;
+                ctx.set_timer(SimSpan::from_micros(1), TICK);
+            }
+            TICK => {}
+            FAST => {
+                ctx.set_timer(SimSpan::from_secs(5), FAST);
+            }
+            _ => {
+                ctx.set_timer(SimSpan::from_secs(30), SLOW);
+                ctx.send(self.peer, 40u64);
+            }
+        }
+    }
+
+    fn on_restart(&mut self, ctx: &mut Ctx<'_, u64>) {
+        self.ticks = 50;
+        self.arm(ctx);
+    }
+}
+
+/// `(events_executed, digest)` of 96 probes in a ring of peers, with a
+/// crash that strands one probe's timers and a restart that re-arms them.
+fn queue_regions() -> (u64, u64) {
+    const N: usize = 96;
+    let mut sim: Engine<Probe> = SimBuilder::new(2207).build();
+    let ids: Vec<ComponentId> = (0..N)
+        .map(|i| {
+            let peer = ComponentId((i + 1) % N);
+            sim.add_component("probe", Probe { ticks: 200, peer })
+        })
+        .collect();
+    sim.post(secs(1), ids[0], 300u64);
+    sim.schedule_crash(secs(41), ids[7]);
+    sim.schedule_restart(secs(72), ids[7]);
+    // Overshoot the empty stretch before the 15 s timers — looking for the
+    // next event moves the queue's active bucket there — then post into
+    // the stretch, behind that bucket.
+    sim.run_until(secs(12));
+    sim.post(SimTime(12_500_000), ids[5], 120u64);
+    sim.post(SimTime(14_999_990), ids[9], 7u64);
+    sim.run_until(secs(130));
+    (sim.events_executed(), sim.digest())
 }
 
 #[test]
-fn queue_kind_does_not_move_the_pin() {
-    assert_eq!(pin(QueueKind::Bucket), PINNED);
+fn queue_regions_are_pinned() {
+    assert_eq!(queue_regions(), (38_373, 5_198_111_992_950_702_863));
 }
