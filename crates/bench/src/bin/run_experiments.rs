@@ -6,7 +6,6 @@
 //! run_experiments --scenario <file.toml> [--watch]
 //! run_experiments --list-scenarios [dir]
 //! run_experiments --check-scenarios [dir]
-//! run_experiments --dump-scenarios [dir]
 //! run_experiments --fmt-scenarios [dir]
 //! ```
 //!
@@ -26,12 +25,13 @@
 //! incident dump, `e11_obs.json`) there. `scripts/check.sh --smoke` runs it.
 //!
 //! The scenario flags drive the declarative layer (`snooze-scenario`):
-//! `--scenario` runs every variant of one TOML file through the same
-//! generic runner and prints the summary/fault/probe/SLO tables;
-//! `--list-scenarios` inventories a directory (default `scenarios/`);
-//! `--check-scenarios` is the CI gate (parse, canonical-form, dry-run
-//! compile, preset drift); `--dump-scenarios` (re)writes the preset
-//! files; `--fmt-scenarios` rewrites every file into canonical form.
+//! `--scenario` runs every run of one TOML file (its `[[sweep]]`, then
+//! its `[[variant]]`s) through the same generic runner and prints the
+//! summary/fault/probe/SLO tables; `--list-scenarios` inventories a
+//! directory (default `scenarios/`); `--check-scenarios` is the CI gate
+//! (parse, canonical form, dry-run compile of every run and of every
+//! `[override.*]` profile); `--fmt-scenarios` rewrites every file into
+//! canonical form.
 //!
 //! The command line is parsed once, in [`parse`]. Anything it does not
 //! know, a value flag without its value, two modes at once, or names a
@@ -64,7 +64,6 @@ const FLAGS: &[(&str, Value, bool)] = &[
     ("--watch", Value::None, false),
     ("--list-scenarios", Value::Optional, true),
     ("--check-scenarios", Value::Optional, true),
-    ("--dump-scenarios", Value::Optional, true),
     ("--fmt-scenarios", Value::Optional, true),
 ];
 
@@ -239,7 +238,6 @@ fn main() -> ExitCode {
             run_scenario_file(Path::new(file), cli.watch)
         }
         Some(("--list-scenarios", d)) => scenario_cli::list_table(&dir(d)).map(|t| t.print()),
-        Some(("--dump-scenarios", d)) => report(scenario_cli::dump_dir(&dir(d)), "wrote "),
         Some(("--fmt-scenarios", d)) => report(scenario_cli::fmt_dir(&dir(d)), "canonicalized "),
         Some(("--check-scenarios", d)) => report(scenario_cli::check_dir(&dir(d)), "")
             .map(|()| println!("scenario check: OK"))

@@ -3,19 +3,19 @@
 //! Every table `run_experiments` prints is a row of [`EXPERIMENTS`]. The
 //! offline ones (E1–E3, E8, E10a: consolidation algorithms on generated
 //! instances, no simulated hierarchy) bring their own `fn() -> Table`.
-//! Every other table is *scenario-backed*: the specs come from a
-//! `snooze_scenario::presets::*_default()` function — so the checked-in
-//! `scenarios/<slug>.toml` **is** the experiment — and the table is a list
-//! of [`Column`]s evaluated over the finished runs by [`tabulate`], the
-//! same function `--scenario <file>` uses with [`SUMMARY`]. A new
-//! experiment costs a preset, a manifest row and a golden file; there is
-//! no per-experiment module, row struct or CLI branch.
+//! Every other table is *scenario-backed*: the row carries the text of
+//! the checked-in `scenarios/<slug>.toml` — the file **is** the experiment,
+//! its `[[sweep]]` the sweep and its `[override.smoke]` the CI shape — and
+//! the table is a list of [`Column`]s evaluated over the finished runs by
+//! [`tabulate`], the same function `--scenario <file>` uses with
+//! [`SUMMARY`]. A new experiment costs a TOML file, a manifest row and a
+//! golden file; there is no Rust per experiment.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use snooze_scenario::spec::ScenarioSpec;
-use snooze_scenario::{presets, FaultOutcome, ScenarioOutcome, ScenarioRun, WindowStatus};
+use snooze_scenario::spec::{ScenarioDoc, ScenarioSpec};
+use snooze_scenario::{FaultOutcome, ScenarioOutcome, ScenarioRun, WindowStatus};
 use snooze_simcore::flight::ProfileRow;
 
 use crate::table::{f1, f2, pct, Table};
@@ -142,13 +142,13 @@ pub fn tabulate(title: &str, columns: &[Column], rows: RowsOf, runs: &[Finished]
     t
 }
 
-/// A scenario-backed table: which specs to run and how to print them.
+/// A scenario-backed table: which document to run and how to print it.
 pub struct ScenarioTable {
     /// Table title; `{placed}` stands for the first run's placed count
     /// at the end of its first settle phase (E6).
     pub title: &'static str,
-    /// The sweep — always a `presets::*_default()`.
-    pub specs: fn() -> Vec<ScenarioSpec>,
+    /// The text of `scenarios/<slug>.toml`, compiled in.
+    pub scenario: &'static str,
     /// The columns, in print order.
     pub columns: &'static [Column],
     /// Row expansion.
@@ -156,8 +156,8 @@ pub struct ScenarioTable {
 }
 
 impl ScenarioTable {
-    /// Render finished runs (of [`Self::specs`] or of a reduced sweep of
-    /// the same shape) as this table.
+    /// Render finished runs (of the document, or of a reduced shape of
+    /// it) as this table.
     pub fn render(&self, runs: &[Finished]) -> Table {
         let placed = runs
             .first()
@@ -172,7 +172,7 @@ impl ScenarioTable {
 pub enum Source {
     /// Consolidation algorithms on generated instances; no scenario.
     Offline(fn() -> Table),
-    /// Scenario presets through the generic runner.
+    /// A checked-in scenario document through the generic runner.
     Scenarios(ScenarioTable),
 }
 
@@ -196,9 +196,24 @@ impl Experiment {
         match &self.source {
             Source::Offline(table) => table(),
             Source::Scenarios(t) => {
-                t.render(&run_specs(&(t.specs)(), false).expect("checked-in preset compiles"))
+                t.render(&run_specs(&self.specs(Ok), false).expect("checked-in scenario compiles"))
             }
         }
+    }
+
+    /// The runs of `scenarios/<slug>.toml` once `shape` has had the
+    /// document: `Ok` for the experiment itself, `|d| d.profile("smoke")`
+    /// for its CI shape, `|d| d.patch(..)` for a test's reduced sweep. The
+    /// file is compiled in, so an error is a panic — naming file and run.
+    pub fn specs(
+        &self,
+        shape: impl FnOnce(ScenarioDoc) -> Result<ScenarioDoc, String>,
+    ) -> Vec<ScenarioSpec> {
+        let table = self.scenarios().expect("scenario-backed experiment");
+        ScenarioDoc::parse(table.scenario)
+            .and_then(shape)
+            .and_then(|doc| doc.expand())
+            .unwrap_or_else(|e| panic!("scenarios/{}.toml: {e}", self.slug))
     }
 
     /// The scenario-backed half, if this is one.
@@ -342,6 +357,9 @@ pub fn winner<'a>(points: &[ArenaPoint<'a>]) -> Option<&'a str> {
     least.map(|(algo, _, _)| *algo)
 }
 
+/// What the E7 table calls the three runs of `scenarios/e7.toml`.
+const E7_LABELS: [&str; 3] = ["no power mgmt", "suspend only", "suspend + ACO reconf"];
+
 const fn offline(slug: &'static str, cli: &'static str, table: fn() -> Table) -> Experiment {
     Experiment {
         slug,
@@ -356,7 +374,7 @@ const fn scenarios(
     cli: &'static str,
     explicit_only: bool,
     title: &'static str,
-    specs: fn() -> Vec<ScenarioSpec>,
+    scenario: &'static str,
     rows: RowsOf,
     columns: &'static [Column],
 ) -> Experiment {
@@ -366,7 +384,7 @@ const fn scenarios(
         explicit_only,
         source: Source::Scenarios(ScenarioTable {
             title,
-            specs,
+            scenario,
             columns,
             rows,
         }),
@@ -383,7 +401,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "e4",
         false,
         "E4: submission scalability on a 144-LC hierarchy (paper: scalable up to 500 VMs)",
-        presets::e4_default,
+        include_str!("../../../scenarios/e4.toml"),
         PER_RUN,
         &[
             VMS, LCS, PLACED, REJECTED, MEAN_LAT, P95_LAT, SIM_EVENTS, WALL_MS,
@@ -394,7 +412,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "e5",
         false,
         "E5: distributed-management overhead — 1 GM (centralized) vs many (paper: negligible cost)",
-        presets::e5_default,
+        include_str!("../../../scenarios/e5.toml"),
         PER_RUN,
         &[
             GMS,
@@ -417,7 +435,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "e6",
         false,
         "E6: fault tolerance — {placed} VMs placed; failures injected (paper: no impact on application performance)",
-        || vec![presets::e6_default()],
+        include_str!("../../../scenarios/e6.toml"),
         PER_FAULT,
         &[
             col("event", |c| c.fault().label.clone()),
@@ -441,10 +459,10 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "e7",
         false,
         "E7: cluster energy under power management (paper §III: suspend idle nodes, drain underloaded ones, consolidate)",
-        presets::e7_default,
+        include_str!("../../../scenarios/e7.toml"),
         PER_RUN,
         &[
-            col("config", |c| presets::E7_LABELS[c.index].to_string()),
+            col("config", |c| E7_LABELS[c.index].to_string()),
             ENERGY,
             col("savings", |c| {
                 pct(1.0 - c.o().energy_wh / c.runs[0].run.outcome.energy_wh)
@@ -460,7 +478,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "e7",
         false,
         "E7b: idle-threshold sweep — energy vs suspend churn",
-        presets::e7b_default,
+        include_str!("../../../scenarios/e7b.toml"),
         PER_RUN,
         &[
             col("threshold s", |c| {
@@ -480,7 +498,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "e9",
         false,
         "E9: self-healing latency vs heartbeat/session knobs (§II-D/E ablation)",
-        presets::e9_default,
+        include_str!("../../../scenarios/e9.toml"),
         PER_RUN,
         &[
             col("session s", |c| {
@@ -503,7 +521,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "e10",
         false,
         "E10b: per-GM reconfiguration in the hierarchy — consolidation scope vs GM count",
-        presets::e10b_default,
+        include_str!("../../../scenarios/e10b.toml"),
         PER_RUN,
         &[GMS, NODES_ON, ENERGY, MIGRATIONS, PLACED],
     ),
@@ -512,7 +530,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "e11",
         true,
         "E11: kilonode scale (1024 LCs, 5000 VMs; paper testbed was 144 nodes / 500 VMs)",
-        || vec![presets::e11_default()],
+        include_str!("../../../scenarios/e11.toml"),
         PER_RUN,
         &[
             SCENARIO,
@@ -564,7 +582,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "e12",
         true,
         "E12: trace-driven consolidation — ACO vs FFD under a diurnal VM trace",
-        presets::e12_trace_default,
+        include_str!("../../../scenarios/e12_trace.toml"),
         PER_RUN,
         &[
             SCENARIO,
@@ -588,7 +606,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "e14",
         true,
         "E14: consolidation arena — algorithm × power model, Pareto on (energy, SLA, migrations)",
-        presets::e14_arena_default,
+        include_str!("../../../scenarios/e14_arena.toml"),
         PER_RUN,
         &[
             SCENARIO,
@@ -620,7 +638,7 @@ mod tests {
     use super::*;
 
     fn run(specs: &[ScenarioSpec]) -> Vec<Finished> {
-        run_specs(specs, false).expect("preset compiles")
+        run_specs(specs, false).expect("reduced scenario compiles")
     }
 
     fn render(slug: &str, runs: &[Finished]) -> Table {
@@ -629,18 +647,12 @@ mod tests {
     }
 
     #[test]
-    fn e4_small_cluster_places_all_and_latency_grows_mildly() {
-        let runs = run(&presets::e4(&[10, 40], 16, 3, 21));
-        let (small, large) = (&runs[0].run.outcome, &runs[1].run.outcome);
-        assert_eq!((small.placed, large.placed), (10, 40));
-        // Latency should not blow up with 4× the submissions (scalability
-        // claim): allow 3× headroom on the mean.
-        assert!(large.mean_latency_s < small.mean_latency_s * 3.0 + 5.0);
-    }
-
-    #[test]
     fn e5_distribution_does_not_degrade_latency() {
-        let runs = run(&presets::e5(&[1, 4], 16, 24, 31));
+        // 24 VMs on 16 LCs under 1 and 4 GMs.
+        let small = "[topology]\nlcs = 16\n\
+                     [[sweep]]\nname = [\"e5-1gm\", \"e5-4gm\"]\nseed = [30, 27]\n\
+                     [sweep.topology]\nmanagers = [2, 5]\n[[sweep.workload]]\nn = [24, 24]\n";
+        let runs = run(&find("e5").specs(|d| d.patch(small)));
         let (central, spread) = (&runs[0].run.outcome, &runs[1].run.outcome);
         assert_eq!((central.placed, spread.placed), (24, 24));
         // The distributed hierarchy must be within 2× of centralized
@@ -650,7 +662,7 @@ mod tests {
 
     #[test]
     fn e6_management_failures_do_not_hurt_application_performance() {
-        let runs = run(&[presets::e6(17, true)]);
+        let runs = run(&find("e6").specs(|d| d.patch("seed = 17\n")));
         let o = &runs[0].run.outcome;
         let placed = o.settle_placed.unwrap_or(0);
         assert!(placed >= 40, "most of the burst placed: {placed}");
@@ -670,16 +682,19 @@ mod tests {
     fn e6_never_recovering_rows_render_explicitly() {
         // Without snapshot rescheduling the crashed LC's VMs never come
         // back: the recovery condition stays false for the whole window.
-        let runs = run(&[presets::e6(17, false)]);
+        let no_snapshots = "seed = 17\n[config]\nreschedule_on_lc_failure = false\n";
+        let runs = run(&find("e6").specs(|d| d.patch(no_snapshots)));
         assert!(runs[0].run.outcome.faults[2].recovery_s.is_nan());
         assert!(render("e6", &runs).render().contains("never (>180 s)"));
     }
 
     #[test]
     fn e7_power_management_saves_energy_without_losing_placements() {
-        let runs = run(&presets::e7(8, 12, 1800, 23));
+        // The checked-in fleet for half an hour instead of two.
+        let short = "[[phase]]\nevery_ms = 60000.0\nkind = \"sample_to\"\nt_ms = 1800000.0\n";
+        let runs = run(&find("e7").specs(|d| d.patch(short)));
         let (no_pm, pm) = (&runs[0].run.outcome, &runs[1].run.outcome);
-        assert_eq!((no_pm.placed, pm.placed), (12, 12));
+        assert_eq!((no_pm.placed, pm.placed), (48, 48));
         assert!(pm.energy_wh < no_pm.energy_wh, "suspend must save energy");
         assert!(pm.suspends > 0);
         assert!(pm.mean_nodes_on < no_pm.mean_nodes_on);
@@ -696,10 +711,10 @@ mod tests {
 
     #[test]
     fn e9_healing_latency_scales_with_timeouts() {
-        let runs = run(&[
-            presets::e9_single(3000, 500, 5),
-            presets::e9_single(20_000, 5000, 5),
-        ]);
+        let two = "[[sweep]]\nname = [\"e9-s3\", \"e9-s20\"]\nseed = [5, 5]\n\
+                   [sweep.config.knobs]\nheartbeat_ms = [500.0, 5000.0]\n\
+                   session_ms = [3000.0, 20000.0]\n";
+        let runs = run(&find("e9").specs(|d| d.patch(two)));
         let heal = |f: &Finished| {
             let o = &f.run.outcome;
             (recovery(o, "GL failover"), recovery(o, "LC rejoin"))
@@ -716,7 +731,11 @@ mod tests {
 
     #[test]
     fn e10b_consolidation_powers_down_nodes_at_any_gm_count() {
-        for f in run(&presets::e10b(&[1, 2], 10, 10, 9)) {
+        // 10 VMs on 10 LCs under 1 and 2 GMs.
+        let small = "[topology]\nlcs = 10\n\
+                     [[sweep]]\nname = [\"e10b-1gm\", \"e10b-2gm\"]\nseed = [8, 11]\n\
+                     [sweep.topology]\nmanagers = [2, 3]\n[[sweep.workload]]\nn = [10, 10]\n";
+        for f in run(&find("e10b").specs(|d| d.patch(small))) {
             let o = &f.run.outcome;
             assert_eq!(o.placed, 10, "{}", o.name);
             assert!(o.nodes_on_end < 10, "{}: no node emptied", o.name);
@@ -725,10 +744,12 @@ mod tests {
 
     #[test]
     fn e11_scaled_down_smoke_shape_places_everything_cleanly() {
-        // 32 LCs carry the same per-node pressure as the kilonode run
-        // (the preset scales the fleet with the node count).
-        let spec = presets::e11(32, false, 0xE11);
-        let runs = run(&[spec.clone(), spec]);
+        // 32 LCs carry the same per-node pressure as the kilonode run:
+        // 5000 VMs per 1024 LCs. A one-element sweep patches the fleet's
+        // size in place.
+        let small = "[topology]\nlcs = 32\n[[sweep]]\n[[sweep.workload]]\nn = [156]\n";
+        let spec = find("e11").specs(|d| d.profile("smoke")?.patch(small));
+        let runs = run(&[spec[0].clone(), spec[0].clone()]);
         let digest = |i: usize| runs[i].run.live.sim.digest();
         assert_eq!(digest(0), digest(1), "same spec, same seed");
         let o = &runs[0].run.outcome;
@@ -739,15 +760,19 @@ mod tests {
         let json = render("e11", &runs[..1]).to_json();
         assert!(json.contains("\"events/s\""));
         assert!(json.contains("\"top dead letter\": \"-\""));
-        // The preset enables the profiler, so the busiest handlers are
+        // The scenario enables the profiler, so the busiest handlers are
         // attributed; LC heartbeat traffic dominates any settle phase.
         assert!(json.contains("\"top handlers\": \"lc/"), "got: {json}");
     }
 
     #[test]
     fn e12_trace_replay_places_vms_under_both_consolidators() {
-        // 12 LCs, the first 40 trace VMs, 45 simulated minutes.
-        let specs = presets::e12_trace(12, presets::REFERENCE_TRACE, 40, 2700, 0x12);
+        // The smoke shape's 45 simulated minutes, on 12 LCs with the
+        // first 40 trace VMs.
+        let small = "seed = 18\n[topology]\nlcs = 12\n\
+                     [[sweep]]\n[sweep.config.reconfiguration]\nalgo = [\"aco\", \"ffd\"]\n\
+                     [[sweep.workload]]\nmax_vms = [40, 40]\n";
+        let specs = find("e12_trace").specs(|d| d.profile("smoke")?.patch(small));
         let runs = run(&specs);
         let names: Vec<&str> = runs.iter().map(|f| f.spec.name.as_str()).collect();
         assert_eq!(names, ["e12-trace-aco", "e12-trace-ffd"]);
@@ -774,15 +799,13 @@ mod tests {
 
     #[test]
     fn e14_arena_cells_run_and_admission_is_uniform() {
-        let runs = run(&presets::e14_arena(
-            12,
-            presets::REFERENCE_TRACE,
-            40,
-            2700,
-            0x14,
-            &["ffd", "mo-aco"],
-            &["grid5000", "dvfs3_billed"],
-        ));
+        // Two algorithms × two power models on 12 LCs and the first 40
+        // trace VMs; a block's leaves are zipped, so `max_vms` rides along.
+        let small = "seed = 20\n[topology]\nlcs = 12\n\
+                     [[sweep]]\n[sweep.config.reconfiguration]\nalgo = [\"ffd\", \"mo-aco\"]\n\
+                     [[sweep]]\n[sweep.power]\ndefault = [\"grid5000\", \"dvfs3_billed\"]\n\
+                     [[sweep.workload]]\nmax_vms = [40, 40]\n";
+        let runs = run(&find("e14_arena").specs(|d| d.patch(small)));
         assert_eq!(runs.len(), 4, "full cross product");
         let o = |i: usize| &runs[i].run.outcome;
         for i in 0..4 {

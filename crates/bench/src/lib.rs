@@ -6,8 +6,8 @@
 //! index (E1–E14: the paper's §II-F and §III-B evaluation, and beyond) is
 //! a row of [`experiments::EXPERIMENTS`]: the offline consolidation
 //! studies (E1–E3, E8, E10a) keep a module each; everything that runs the
-//! simulated hierarchy is a scenario preset plus a column list, rendered
-//! by the one generic runner in [`experiments`]. The `run_experiments`
+//! simulated hierarchy is a `scenarios/*.toml` file plus a column list,
+//! rendered by the one generic runner in [`experiments`]. The `run_experiments`
 //! binary loops over the manifest and [`smoke`] holds its CI gates; wall
 //! time is measured by the repo benchmark (`benchmark/`), not here.
 //!

@@ -17,8 +17,18 @@ use snooze_simcore::telemetry::{self, SpanId, SpanLog, SpanRecord};
 
 use crate::table::{f2, Table};
 
-pub use snooze_scenario::presets::report_failover;
+use snooze_scenario::spec::ScenarioDoc;
 pub use snooze_scenario::{LiveSystem, ScenarioRun, ScenarioSpec};
+
+/// The telemetry-report acceptance scenario, `scenarios/report.toml`
+/// (compiled in), with its seed set: an E4-shaped burst with one GM
+/// crash while placements are in flight.
+pub fn report_failover(seed: u64) -> ScenarioSpec {
+    let doc = ScenarioDoc::parse(include_str!("../../../scenarios/report.toml"));
+    let runs = doc.and_then(|d| d.patch(&format!("seed = {seed}"))?.expand());
+    runs.unwrap_or_else(|e| panic!("scenarios/report.toml: {e}"))
+        .remove(0)
+}
 
 /// Run the scenario to completion and return the finished run (live
 /// system with its span log and metrics, windowed time-series, SLO

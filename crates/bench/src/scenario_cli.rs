@@ -1,7 +1,7 @@
 //! CLI-side scenario plumbing for `run_experiments`: load scenario
 //! documents from disk, run every expanded variant through the generic
-//! runner, render the fault/probe/SLO detail tables, and keep the
-//! checked-in `scenarios/*.toml` files in sync with the presets.
+//! runner, render the fault/probe/SLO detail tables, and gate the
+//! checked-in `scenarios/*.toml` files (`--check-scenarios`).
 
 use std::path::{Path, PathBuf};
 
@@ -23,12 +23,14 @@ fn is_mc_trace(text: &str) -> bool {
     text.lines().any(|l| l.starts_with("harness = "))
 }
 
-/// Run every variant of a scenario file, in document order, through the
-/// generic runner ([`crate::experiments::run_specs`]).
+/// Run every run of a scenario file, in document order, through the
+/// generic runner ([`crate::experiments::run_specs`]). Read, parse and
+/// expansion errors name the file.
 pub fn run_file(path: &Path, watch: bool) -> Result<Vec<Finished>, String> {
     let at = |e: String| format!("{}: {e}", path.display());
     let text = std::fs::read_to_string(path).map_err(|e| at(e.to_string()))?;
-    run_specs(&ScenarioDoc::parse(&text).map_err(at)?.expand()?, watch)
+    let doc = ScenarioDoc::parse(&text).map_err(at)?;
+    run_specs(&doc.expand().map_err(at)?, watch)
 }
 
 /// A per-run detail table `--scenario` and `report` print beside the
@@ -159,8 +161,12 @@ pub fn list_table(dir: &Path) -> Result<Table, String> {
     );
     for path in scenario_files(dir)? {
         let (_, doc) = Doc::read(&path)?;
+        let at = |e| format!("{}: {e}", path.display());
         let (name, runs) = match &doc {
-            Doc::Scenario(doc) => (doc.name().unwrap_or("-"), doc.run_count().to_string()),
+            Doc::Scenario(doc) => (
+                doc.name().unwrap_or("-"),
+                doc.run_count().map_err(at)?.to_string(),
+            ),
             Doc::McTrace(doc) => (doc.name.as_str(), "-".to_string()),
             Doc::Incident(doc) => (doc.name.as_str(), "-".to_string()),
         };
@@ -177,17 +183,17 @@ pub fn list_table(dir: &Path) -> Result<Table, String> {
 
 /// The `--check-scenarios` gate: every file under `dir` must parse and
 /// round-trip canonically; scenarios must also expand and dry-run compile
-/// (deployment + workload + fault schedule built, no simulation) — mc
-/// traces (`snooze-mc --replay` is their executable form) and incident
-/// dumps (evidence, not programs) have nothing to compile; and every
-/// preset scenario must have an up-to-date checked-in copy.
+/// (deployment + workload + fault schedule built, no simulation), at
+/// their own shape and at every `[override.*]` profile — mc traces
+/// (`snooze-mc --replay` is their executable form) and incident dumps
+/// (evidence, not programs) have nothing to compile.
 pub fn check_dir(dir: &Path) -> Result<Vec<String>, String> {
     let mut report = Vec::new();
     for path in scenario_files(dir)? {
         let (text, doc) = Doc::read(&path)?;
         if doc.to_toml() != text {
             let fix = match doc {
-                Doc::Scenario(_) => "regenerate with --dump-scenarios or --fmt-scenarios",
+                Doc::Scenario(_) => "rewrite with --fmt-scenarios",
                 Doc::McTrace(_) => "re-emit with snooze-mc --emit",
                 Doc::Incident(_) => "incident dumps are written canonically",
             };
@@ -201,33 +207,20 @@ pub fn check_dir(dir: &Path) -> Result<Vec<String>, String> {
             ));
             continue;
         };
-        let specs = scenario
-            .expand()
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        for spec in &specs {
-            compile(spec).map_err(|e| format!("{}: {}: {e}", path.display(), spec.name))?;
+        let mut line = format!("{}:", path.display());
+        let profiles = scenario.profiles().into_iter().map(Some);
+        for profile in std::iter::once(None).chain(profiles) {
+            let label = profile.map_or(String::new(), |p| format!(" [override.{p}]"));
+            let at = |e: String| format!("{}{label}: {e}", path.display());
+            let shaped = profile.map_or_else(|| Ok(scenario.clone()), |p| scenario.profile(p));
+            let specs = shaped.and_then(|doc| doc.expand()).map_err(at)?;
+            for spec in &specs {
+                compile(spec).map_err(|e| at(format!("{}: {e}", spec.name)))?;
+            }
+            line += &format!("{label} {} run(s) compile,", specs.len());
         }
-        report.push(format!(
-            "{}: {} run(s) compile",
-            path.display(),
-            specs.len()
-        ));
+        report.push(line.trim_end_matches(',').to_string());
     }
-    for (file, doc) in snooze_scenario::presets::checked_in() {
-        let path = dir.join(file);
-        let on_disk = std::fs::read_to_string(&path)
-            .map_err(|_| format!("{}: missing (run --dump-scenarios)", path.display()))?;
-        if on_disk != doc.to_toml() {
-            return Err(format!(
-                "{}: drifted from the preset (run --dump-scenarios)",
-                path.display()
-            ));
-        }
-    }
-    report.push(format!(
-        "{} preset file(s) match the in-tree presets",
-        snooze_scenario::presets::checked_in().len()
-    ));
     Ok(report)
 }
 
@@ -246,26 +239,32 @@ pub fn fmt_dir(dir: &Path) -> Result<Vec<String>, String> {
     Ok(rewritten)
 }
 
-/// The `--dump-scenarios` writer: (re)write every preset file into `dir`.
-pub fn dump_dir(dir: &Path) -> Result<Vec<String>, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut written = Vec::new();
-    for (file, doc) in snooze_scenario::presets::checked_in() {
-        let path = dir.join(file);
-        std::fs::write(&path, doc.to_toml()).map_err(|e| format!("{}: {e}", path.display()))?;
-        written.push(path.display().to_string());
-    }
-    Ok(written)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::{PER_RUN, SUMMARY};
 
     #[test]
+    fn a_bad_generated_run_is_reported_with_its_file_and_run() {
+        // E5's four swept runs decode; a fifth, by hand, never advances.
+        let bad = "[[variant]]\nname = \"stuck\"\n[[variant.phase]]\nkind = \"sample_to\"\n\
+                   every_ms = 0.0\nt_ms = 1.0\n";
+        let text = format!("{}\n{bad}", include_str!("../../../scenarios/e5.toml"));
+        let dir = std::env::temp_dir().join(format!("snooze-bad-run-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("e5_stuck.toml");
+        std::fs::write(&path, ScenarioDoc::parse(&text).unwrap().to_toml()).unwrap();
+        let errors = [run_file(&path, false).err(), check_dir(&dir).err()];
+        std::fs::remove_dir_all(&dir).unwrap();
+        for err in errors.map(|e| e.expect("a stuck run is an error")) {
+            let named = "e5_stuck.toml: run 4 (`stuck`): `every_ms` in phase must be";
+            assert!(err.contains(named), "{err}");
+        }
+    }
+
+    #[test]
     fn outcome_tables_render_fault_and_probe_rows() {
-        let spec = snooze_scenario::presets::report_failover(7);
+        let spec = crate::report::report_failover(7);
         let done = run_specs(&[spec], false).expect("compiles");
         let s = tabulate("report", SUMMARY, PER_RUN, &done).render();
         assert!(s.contains("report-failover"));

@@ -1,13 +1,15 @@
 //! The `--smoke` CI gates: reduced shapes of the heavy experiments, each
-//! a row of [`GATES`] — which specs to run, how often, and which
-//! properties the finished runs must have. A gate's sweep runs `repeats`
-//! times back to back, so repeats of one spec are the two-run identity
-//! evidence and the variants of one sweep meet the same machine noise.
+//! a row of [`GATES`] — whose `[override.smoke]` profile to run, how often,
+//! and which properties the finished runs must have. The shapes are data:
+//! the `smoke` profile of the experiment's own `scenarios/<slug>.toml`. A
+//! gate's sweep runs `repeats` times back to back, so repeats of one spec
+//! are the two-run identity evidence and the variants of one sweep meet
+//! the same machine noise.
 //!
 //! * `e11` — the 256-LC fault-free kilonode shape.
 //! * `trace` — the seed-42 trace on the 128-LC E12 shape, both variants.
 //! * `arena` — the same trace once per `ConsolidatorRegistry` key (the
-//!   preset includes `bnb`, which the full arena skips) on the 128-LC E14
+//!   profile includes `bnb`, which the full arena skips) on the 128-LC E14
 //!   shape under the billed-DVFS model.
 //! * `obs` — the `e11` shape with and without the full observability
 //!   surface (windows, profiler, flight recorder, SLO watchdogs and a
@@ -16,8 +18,8 @@
 use std::path::Path;
 
 use snooze_scenario::incident::{is_incident, IncidentDoc};
-use snooze_scenario::spec::ScenarioSpec;
-use snooze_scenario::{presets, ScenarioOutcome};
+use snooze_scenario::spec::{ScenarioSpec, WorkloadSpec};
+use snooze_scenario::ScenarioOutcome;
 
 use crate::experiments::{
     advisory, col, events_per_sec, find, run_specs, tabulate, Column, Finished, DEAD_LETTERS,
@@ -29,10 +31,11 @@ use crate::table::Table;
 pub struct Gate {
     /// The name `--smoke <name>` selects.
     pub name: &'static str,
-    /// Manifest slug of the experiment whose table renders the runs.
+    /// Manifest slug of the experiment whose `[override.smoke]` profile
+    /// the gate runs and whose table renders the runs.
     pub table: &'static str,
-    /// The reduced sweep, given the seed-42 trace file.
-    pub specs: fn(trace: &str) -> Vec<ScenarioSpec>,
+    /// What the gate makes of that profile's runs.
+    pub specs: fn(smoke: Vec<ScenarioSpec>) -> Vec<ScenarioSpec>,
     /// How many times the sweep runs.
     pub repeats: usize,
     /// What must hold.
@@ -53,7 +56,7 @@ pub const GATES: &[Gate] = &[
     Gate {
         name: "e11",
         table: "e11",
-        specs: |_| vec![presets::e11_smoke()],
+        specs: |smoke| smoke,
         repeats: 2,
         checks: &[repeatable, throughput_present, no_dead_letters, all_placed],
         report: None,
@@ -61,7 +64,7 @@ pub const GATES: &[Gate] = &[
     Gate {
         name: "trace",
         table: "e12_trace",
-        specs: presets::e12_trace_smoke,
+        specs: |smoke| smoke,
         repeats: 2,
         checks: &[repeatable, some_placed, no_dead_letters],
         report: None,
@@ -69,7 +72,7 @@ pub const GATES: &[Gate] = &[
     Gate {
         name: "arena",
         table: "e14_arena",
-        specs: presets::e14_arena_smoke,
+        specs: |smoke| smoke,
         repeats: 2,
         checks: &[repeatable, some_placed, no_dead_letters],
         report: None,
@@ -77,7 +80,17 @@ pub const GATES: &[Gate] = &[
     Gate {
         name: "obs",
         table: "e11",
-        specs: |_| vec![plain_spec(), observed_spec()],
+        // The same simulation twice: with the scenario's windows, profiler
+        // and SLO watchdogs plus a forced incident two minutes in — mid
+        // arrival wave, so the flight ring is full of real placement
+        // traffic — and, first, with every observer removed.
+        specs: |smoke| {
+            let (mut plain, mut observed) = (smoke[0].clone(), smoke[0].clone());
+            let obs = observed.obs.as_mut().expect("e11.toml carries [obs]");
+            obs.force_incident_at_ms = Some(120_000.0);
+            (plain.obs, plain.slos) = (None, Vec::new());
+            vec![plain, observed]
+        },
         repeats: 3,
         checks: &[
             digest_neutral,
@@ -88,25 +101,6 @@ pub const GATES: &[Gate] = &[
         report: Some(report_obs_overhead),
     },
 ];
-
-/// The E11 smoke spec with the full observability surface switched on:
-/// the preset's windows, profiler and SLO watchdogs plus a forced
-/// incident two minutes in, mid-arrival-wave, so the flight ring is full
-/// of real placement traffic.
-pub fn observed_spec() -> ScenarioSpec {
-    let mut spec = presets::e11_smoke();
-    let obs = spec.obs.as_mut().expect("e11 preset carries [obs]");
-    obs.force_incident_at_ms = Some(120_000.0);
-    spec
-}
-
-/// The same simulation with every observer removed.
-pub fn plain_spec() -> ScenarioSpec {
-    let mut spec = observed_spec();
-    spec.obs = None;
-    spec.slos.clear();
-    spec
-}
 
 /// Write the tiny seed-42 trace the `trace` and `arena` gates replay
 /// (the one `snooze-tracegen --seed 42 --vms 200 --horizon-s 1800
@@ -165,7 +159,15 @@ pub fn run_gate(
     trace: &str,
     json_dir: Option<&Path>,
 ) -> Result<String, Vec<String>> {
-    let specs = (gate.specs)(trace);
+    // The profile names the checked-in reference trace; the gate replays
+    // the one generated for this run.
+    let mut smoke = find(gate.table).specs(|doc| doc.profile("smoke"));
+    for workload in smoke.iter_mut().flat_map(|spec| &mut spec.workload) {
+        if let WorkloadSpec::Trace { path, .. } = workload {
+            *path = trace.to_string();
+        }
+    }
+    let specs = (gate.specs)(smoke);
     let mut runs = Runs {
         gate,
         reps: Vec::new(),
@@ -343,20 +345,4 @@ fn report_obs_overhead(runs: &mut Runs, dir: Option<&Path>) -> std::io::Result<(
     comparison.write_json(dir, "e11_obs")?;
     let observed = runs.reps[0].last_mut().expect("gate has specs");
     crate::report::export_obs(&mut observed.run, dir)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn observed_and_plain_specs_differ_only_in_observers() {
-        let o = observed_spec();
-        let p = plain_spec();
-        assert!(o.obs.is_some() && !o.slos.is_empty());
-        assert!(p.obs.is_none() && p.slos.is_empty());
-        assert_eq!(o.seed, p.seed);
-        assert_eq!(o.workload, p.workload);
-        assert_eq!(o.phases, p.phases);
-    }
 }

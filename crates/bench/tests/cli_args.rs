@@ -24,15 +24,17 @@ fn bad_command_lines_exit_2_and_say_why() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
     let out = std::env::temp_dir().join(format!("snooze-cli-args-{}", std::process::id()));
     let out = out.to_str().expect("utf-8 temp dir");
-    // A deleted smoke flag, spelled in two halves so a tree-wide grep for
-    // it finds no live use.
+    // Deleted flags, spelled in two halves so a tree-wide grep for them
+    // finds no live use.
     let stale = concat!("--shard", "-smoke");
+    let dump = concat!("--dump", "-scenarios"); // went with the presets it wrote
     for (args, why) in [
         (&["e13"][..], "unknown experiment `e13`"),
         (&["e1", "e15"][..], "unknown experiment `e15`"),
         (&["trace"][..], "unknown experiment `trace`"),
         (&["--smoke", "e4"][..], "unknown smoke gate `e4`"),
         (&[stale][..], "unknown flag `--shard-smoke`"),
+        (&[dump][..], "unknown flag `--dump"),
         (
             &["--csv", out, "--e11smoke"][..],
             "unknown flag `--e11smoke`",

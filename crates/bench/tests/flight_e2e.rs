@@ -1,7 +1,7 @@
 //! Acceptance test for continuous observability (ISSUE 7).
 //!
-//! Runs the E4-style failover scenario — whose preset carries a 30 s
-//! metric window, a profiler, a 128-event flight ring and a
+//! Runs the E4-style failover scenario — `scenarios/report.toml` carries
+//! a 30 s metric window, a profiler, a 128-event flight ring and a
 //! zero-tolerance heartbeat SLO — and checks the headline properties:
 //!
 //! * conservation: per-window counter deltas sum to the whole-run
@@ -25,7 +25,7 @@ const SEED: u64 = 42;
 fn window_counter_deltas_conserve_every_run_total() {
     let spec = report_failover(SEED);
     let run = run_scenario(&spec, false);
-    let log = run.windows.as_ref().expect("report preset enables windows");
+    let log = run.windows.as_ref().expect("report.toml enables windows");
     assert!(run.outcome.windows >= 2, "the run spans several windows");
 
     let names: BTreeSet<&str> = run

@@ -2,9 +2,8 @@
 //! over it:
 //!
 //! * `scenarios/*.toml` passes the `--check-scenarios` gate: canonical,
-//!   compiling, preset files byte-identical to the in-tree presets
-//!   (tier-1's `tests/experiments_manifest.rs` ties each manifest entry
-//!   to its file);
+//!   every run and every `[override.*]` profile compiling (tier-1's
+//!   `tests/experiments_manifest.rs` pins what each file expands to);
 //! * every manifest table that has a golden reproduces it byte for byte
 //!   (release builds only).
 
@@ -18,12 +17,15 @@ fn scenarios_dir() -> PathBuf {
 
 #[test]
 fn check_scenarios_gate_passes_on_the_checked_in_directory() {
-    // Every file parses, is canonical and dry-run compiles; every preset
-    // file matches the in-tree preset byte for byte (drift gate).
-    let report = snooze_bench::scenario_cli::check_dir(&scenarios_dir())
-        .unwrap_or_else(|e| panic!("{e} — regenerate with `run_experiments --dump-scenarios`"));
-    let presets = snooze_scenario::presets::checked_in().len();
-    assert!(report.len() > presets, "hand-written files are checked too");
+    // Every file parses, is canonical and dry-run compiles — smoke
+    // profiles included, so a shape that no longer decodes fails here and
+    // not minutes into `check.sh --smoke`.
+    let dir = scenarios_dir();
+    let report = snooze_bench::scenario_cli::check_dir(&dir).unwrap_or_else(|e| panic!("{e}"));
+    let smoke = report.iter().filter(|l| l.contains(" [override.smoke] "));
+    assert_eq!(smoke.count(), 3, "e11, e12_trace, e14_arena: {report:#?}");
+    let backed = EXPERIMENTS.iter().filter(|e| e.scenarios().is_some());
+    assert!(report.len() > backed.count(), "hand-written files too");
 }
 
 #[test]

@@ -4,22 +4,24 @@
 //! program, fault schedule, probe points — expressed as plain data
 //! ([`spec::ScenarioSpec`]), serialized as TOML, and compiled down to
 //! the same live system the hand-written harnesses built. One scenario
-//! *file* ([`spec::ScenarioDoc`]) holds a base table plus `[[variant]]`
-//! patches, so a whole sweep (E4's six burst sizes, E9's four knob
-//! settings) is a single document.
+//! *file* ([`spec::ScenarioDoc`]) is a whole experiment: a base table,
+//! `[[sweep]]` blocks whose array leaves generate the runs (zipped within
+//! a block, crossed between blocks — E14's 8 × 3 grid is two blocks),
+//! `[[variant]]` patches for runs that differ in kind, `{placeholders}`
+//! in names, and `[override.smoke]` for the reduced CI shape. The
+//! checked-in `scenarios/*.toml` are the only definition of E4–E14.
 //!
 //! The layers:
 //!
-//! * [`toml`] — a dependency-free TOML subset: parser, canonical writer,
-//!   `deep_merge` (variant expansion) and `diff` (variant generation).
-//! * [`spec`] — the schema and its exact TOML round-trip.
+//! * [`toml`] — a dependency-free TOML subset: parser, canonical writer
+//!   and `deep_merge` (variant expansion).
+//! * [`spec`] — the schema, its exact TOML round-trip, and document
+//!   expansion (the grammar is in its module docs).
 //! * [`live`] — the deployed side: engine + system stack + scripted
 //!   client, the VM-id allocator, and the workload builders.
 //! * [`compile`] — spec → [`live::LiveSystem`], plus the generic phase
 //!   runner ([`compile::run`]) that interprets run / settle / sample /
 //!   fault+observe programs and returns a [`compile::ScenarioOutcome`].
-//! * [`presets`] — the checked-in E4–E10 suite as preset builders, the
-//!   source of truth for `scenarios/*.toml`.
 //! * [`mc_trace`] — model-checking counterexamples from `snooze-mc` as
 //!   replayable scenario documents, on the same TOML machinery.
 //!
@@ -31,7 +33,6 @@ pub mod compile;
 pub mod incident;
 pub mod live;
 pub mod mc_trace;
-pub mod presets;
 pub mod spec;
 pub mod toml;
 

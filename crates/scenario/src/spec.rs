@@ -4,9 +4,33 @@
 //! (managers / LCs / EPs or unified nodes, heterogeneous node groups,
 //! the client), the Snooze configuration (a preset plus overrides), a
 //! workload program, a static fault schedule, a phase program (run /
-//! settle / sample / fault-and-observe), and named probe points. A
-//! scenario *file* ([`ScenarioDoc`]) is a base spec plus `[[variant]]`
-//! patches — one file describes a whole sweep.
+//! settle / sample / fault-and-observe), and named probe points.
+//!
+//! A scenario *file* ([`ScenarioDoc`]) is a base table plus what generates
+//! its runs, so one file is a whole experiment. `scenarios/e14_arena.toml`:
+//!
+//! ```toml
+//! name = "e14-{config.reconfiguration.algo}-{power.default}"
+//! [[sweep]]                       # 8 runs: one per element
+//! [sweep.config.reconfiguration]
+//! algo = ["aco", "aco-pso", "bfd", "daco", "ffd", "mo-aco", "nfd", "wfd"]
+//! [[sweep]]                       # × 3: blocks cross, the first slowest
+//! [sweep.power]
+//! default = ["grid5000", "grid5000_dvfs3", "dvfs3_billed"]
+//! [override.smoke.topology]       # `profile("smoke")`: the CI shape
+//! lcs = 128
+//! ```
+//!
+//! * `[[variant]]` is a patch deep-merged onto the base (tables by key,
+//!   arrays of tables by index): one run each, after the sweep's.
+//! * `[[sweep]]` is a variant whose leaves are arrays. Run *i* of a block
+//!   takes element *i* of every leaf — one block's leaves are zipped (E4:
+//!   `seed` beside `[[sweep.workload]] n`) and must be equally long.
+//! * `{dotted.path}` in `name` / `description` is filled from the run's
+//!   merged document; a number indexes an array of tables
+//!   (`{workload.0.n}`). Run names must come out distinct.
+//! * `[override.<profile>]` is the same document at another shape, under
+//!   the one array rule stated on [`ScenarioDoc`].
 //!
 //! Everything is plain data with an exact TOML round-trip: durations are
 //! `*_ms` floats converted to whole microseconds, enums are strings.
@@ -1703,12 +1727,22 @@ fn encode_phase(p: &PhaseSpec) -> Tbl {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario documents: base + [[variant]]
+// Scenario documents: base + [[sweep]] + [[variant]] + [override.*]
 // ---------------------------------------------------------------------------
 
-/// A scenario file: a base table plus `[[variant]]` patches. With no
-/// variants the file is one run; with variants, each patch deep-merged
-/// onto the base yields one run.
+/// Most runs one document's `[[sweep]]` blocks may cross to: a constant,
+/// so a hostile cross-product is an error before anything is allocated.
+const MAX_RUNS: usize = 4096;
+
+/// A scenario file: a base table, its generators (`[[sweep]]`,
+/// `[[variant]]`, `{placeholders}`) and its `[override.<profile>]` shapes —
+/// the module docs give the grammar. A document's runs are its sweep's
+/// runs followed by its `[[variant]]`s; with neither, the base runs once.
+///
+/// **The one array rule of `[override.*]`** (and of [`ScenarioDoc::patch`]):
+/// an array of tables named in an override *replaces* the base's — a
+/// smoke shape can drop fault phases or swap the whole sweep, which
+/// merging by index cannot express — and everything else deep-merges.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioDoc {
     root: Tbl,
@@ -1722,47 +1756,81 @@ impl ScenarioDoc {
         })
     }
 
-    /// Build a document from a base spec and fully specified variants:
-    /// each variant is stored as the minimal patch against the base.
-    pub fn from_specs(base: &ScenarioSpec, variants: &[ScenarioSpec]) -> ScenarioDoc {
-        let base_v = base.to_value();
-        let mut root = base_v.clone();
-        if !variants.is_empty() {
-            let patches = variants
-                .iter()
-                .map(|v| toml::diff(&base_v, &v.to_value()))
-                .collect();
-            root.insert("variant".into(), Value::TableArray(patches));
-        }
-        ScenarioDoc { root }
-    }
-
     /// Canonical TOML.
     pub fn to_toml(&self) -> String {
         toml::render(&self.root)
     }
 
-    /// Expand into the concrete runs: `(variant_name, spec)` pairs. A
-    /// variant's name is its (possibly patched) scenario `name`; with no
-    /// variants the base runs once under its own name.
-    pub fn expand(&self) -> Result<Vec<ScenarioSpec>, String> {
-        let mut base = self.root.clone();
-        let variants = match base.remove("variant") {
-            None => return Ok(vec![ScenarioSpec::from_value(&base)?]),
-            Some(Value::TableArray(v)) => v,
-            Some(_) => return Err("`variant` must be an array of tables".into()),
-        };
-        variants
-            .iter()
-            .map(|patch| {
-                let mut merged = base.clone();
-                toml::deep_merge(&mut merged, patch);
-                ScenarioSpec::from_value(&merged)
-            })
-            .collect()
+    /// This document with `patch` (TOML text) applied under the override
+    /// rule: arrays of tables replace, everything else deep-merges.
+    pub fn patch(&self, patch: &str) -> Result<ScenarioDoc, String> {
+        let mut doc = self.clone();
+        override_merge(&mut doc.root, &toml::parse(patch)?);
+        Ok(doc)
     }
 
-    /// The base scenario name (before variant patches).
+    /// The names of this document's `[override.*]` profiles.
+    pub fn profiles(&self) -> Vec<&str> {
+        let overrides = self.root.get("override").and_then(Value::as_table);
+        overrides.map_or_else(Vec::new, |t| t.keys().map(String::as_str).collect())
+    }
+
+    /// The document at the shape `[override.<name>]` describes.
+    pub fn profile(&self, name: &str) -> Result<ScenarioDoc, String> {
+        let shape = self.root.get("override");
+        let shape = shape.and_then(|o| o.as_table()?.get(name)?.as_table());
+        let absent = || format!("no `[override.{name}]` table (found {:?})", self.profiles());
+        let mut doc = self.clone();
+        doc.root.remove("override");
+        override_merge(&mut doc.root, shape.ok_or_else(absent)?);
+        Ok(doc)
+    }
+
+    /// Expand into the concrete runs, in document order. An error names
+    /// the run it came from: its index and, once it has one, its `name`.
+    pub fn expand(&self) -> Result<Vec<ScenarioSpec>, String> {
+        let sweep = table_array(&self.root, "sweep")?;
+        let variants = table_array(&self.root, "variant")?;
+        if !matches!(self.root.get("override"), None | Some(Value::Table(_))) {
+            return Err("`override` must be a table of profiles".into());
+        }
+        let mut base = self.root.clone();
+        base.retain(|k, _| !["sweep", "variant", "override"].contains(&k.as_str()));
+        let lens = sweep.iter().copied().map(sweep_len);
+        let lens = lens.collect::<Result<Vec<usize>, _>>()?;
+        let crossed = |n: usize, len: &usize| n.checked_mul(*len).filter(|&n| n <= MAX_RUNS);
+        let too_many = || format!("`[[sweep]]` blocks {lens:?} cross to over {MAX_RUNS} runs");
+        let swept = lens.iter().try_fold(1, crossed).ok_or_else(too_many)?;
+        let swept = if sweep.is_empty() { 0 } else { swept };
+
+        let (mut specs, mut names) = (Vec::new(), BTreeMap::new());
+        for run in 0..(swept + variants.len()).max(1) {
+            let mut doc = base.clone();
+            if run < swept {
+                let mut stride = swept;
+                for (block, len) in sweep.iter().zip(&lens) {
+                    stride /= len;
+                    toml::deep_merge(&mut doc, &sweep_pick(block, run / stride % len));
+                }
+            } else if let Some(patch) = variants.get(run - swept) {
+                toml::deep_merge(&mut doc, patch);
+            }
+            let decoded = fill_placeholders(&mut doc);
+            let decoded = decoded.and_then(|()| ScenarioSpec::from_value(&doc));
+            let spec = decoded.map_err(|e| match doc.get("name").and_then(Value::as_str) {
+                Some(name) => format!("run {run} (`{name}`): {e}"),
+                None => format!("run {run}: {e}"),
+            })?;
+            if let Some(first) = names.insert(spec.name.clone(), run) {
+                let clash = format!("runs {first} and {run} are both named `{}`", spec.name);
+                return Err(clash + ": tell them apart with a `{placeholder}` in `name`");
+            }
+            specs.push(spec);
+        }
+        Ok(specs)
+    }
+
+    /// The base scenario name (before patches and placeholders).
     pub fn name(&self) -> Option<&str> {
         self.root.get("name").and_then(|v| v.as_str())
     }
@@ -1772,12 +1840,111 @@ impl ScenarioDoc {
         self.root.get("description").and_then(|v| v.as_str())
     }
 
-    /// Number of runs this document expands to.
-    pub fn run_count(&self) -> usize {
-        match self.root.get("variant") {
-            Some(Value::TableArray(v)) => v.len(),
-            _ => 1,
+    /// Number of runs — by expanding, so no inventory disagrees with a run.
+    pub fn run_count(&self) -> Result<usize, String> {
+        self.expand().map(|runs| runs.len())
+    }
+}
+
+/// The override rule: tables merge recursively, everything else —
+/// arrays of tables included — replaces.
+fn override_merge(base: &mut Tbl, patch: &Tbl) {
+    for (k, pv) in patch {
+        match (base.get_mut(k), pv) {
+            (Some(Value::Table(b)), Value::Table(p)) => override_merge(b, p),
+            _ => drop(base.insert(k.clone(), pv.clone())),
         }
+    }
+}
+
+/// How many runs one `[[sweep]]` block generates: the common length of
+/// its leaves, which are all arrays.
+fn sweep_len(block: &Tbl) -> Result<usize, String> {
+    fn leaves(t: &Tbl, ctx: &str, out: &mut Vec<(String, usize)>) -> Result<(), String> {
+        for (k, v) in t {
+            let at = format!("{ctx}.{k}");
+            match v {
+                Value::Table(sub) => leaves(sub, &at, out)?,
+                Value::TableArray(subs) => subs.iter().try_for_each(|sub| leaves(sub, &at, out))?,
+                Value::Array(items) => out.push((at, items.len())),
+                _ => return Err(format!("`{at}` must be an array, one element per run")),
+            }
+        }
+        Ok(())
+    }
+    let mut found = Vec::new();
+    leaves(block, "sweep", &mut found)?;
+    let Some((first, len)) = found.first() else {
+        return Err("a `[[sweep]]` block names no key to sweep".into());
+    };
+    match found.iter().find(|(_, n)| n != len) {
+        _ if *len == 0 => Err(format!("`{first}` is empty: one element per run")),
+        Some((key, n)) => Err(format!(
+            "`{key}` has {n} element(s), `{first}` has {len}: one block's leaves are zipped"
+        )),
+        None => Ok(*len),
+    }
+}
+
+/// Run `i` of a sweep block: every leaf array replaced by its `i`-th
+/// element ([`sweep_len`] has checked that it exists).
+fn sweep_pick(block: &Tbl, i: usize) -> Tbl {
+    let pick = |v: &Value| match v {
+        Value::Table(sub) => Value::Table(sweep_pick(sub, i)),
+        Value::TableArray(subs) => {
+            Value::TableArray(subs.iter().map(|s| sweep_pick(s, i)).collect())
+        }
+        Value::Array(items) => items[i].clone(),
+        fixed => fixed.clone(),
+    };
+    block.iter().map(|(k, v)| (k.clone(), pick(v))).collect()
+}
+
+/// Fill every `{dotted.path}` in the run's `name` and `description` from
+/// the run's own merged document.
+fn fill_placeholders(doc: &mut Tbl) -> Result<(), String> {
+    for key in ["name", "description"] {
+        let Some(Value::Str(text)) = doc.get(key) else {
+            continue; // the decoder names a missing or mistyped key
+        };
+        let (mut filled, mut rest) = (String::new(), text.as_str());
+        while let Some((before, after)) = rest.split_once('{') {
+            let unclosed = || format!("unclosed `{{` in `{key}` = \"{text}\"");
+            let (path, tail) = after.split_once('}').ok_or_else(unclosed)?;
+            filled = filled + before + &placeholder(doc, path)?;
+            rest = tail;
+        }
+        filled.push_str(rest);
+        doc.insert(key.into(), Value::Str(filled));
+    }
+    Ok(())
+}
+
+/// The string or number at `path` — keys, and indices into arrays of
+/// tables — as placeholder text.
+fn placeholder(doc: &Tbl, path: &str) -> Result<String, String> {
+    let bad = |what: String| format!("placeholder `{{{path}}}` {what}");
+    let a_table = || bad("names a table, not a value".into());
+    let (mut table, mut segs) = (doc, path.split('.'));
+    loop {
+        let seg = segs.next().ok_or_else(a_table)?;
+        table = match (table.get(seg), segs.clone().next()) {
+            (None, _) => return Err(bad(format!("names a missing key `{seg}`"))),
+            (Some(Value::Table(sub)), _) => sub,
+            (Some(Value::TableArray(subs)), _) => {
+                let index = segs.next().ok_or_else(a_table)?;
+                let element = index.parse().ok().and_then(|i: usize| subs.get(i));
+                let past = || format!("indexes `{seg}` ({} long) with `{index}`", subs.len());
+                element.ok_or_else(|| bad(past()))?
+            }
+            (Some(_), Some(more)) => {
+                return Err(bad(format!("looks for `{more}` in value `{seg}`")))
+            }
+            (Some(Value::Str(s)), None) => return Ok(s.clone()),
+            (Some(Value::Int(i)), None) => return Ok(i.to_string()),
+            (Some(Value::Float(f)), None) => return Ok(f.to_string()),
+            (Some(_), None) => return Err(bad("names neither a string nor a number".into())),
+        };
     }
 }
 
@@ -1884,34 +2051,154 @@ mod tests {
         );
     }
 
+    /// The demo spec as a document, with `tail` appended (array-of-tables
+    /// headers reopen the root, so generators can follow the base).
+    fn demo_doc(tail: &str) -> ScenarioDoc {
+        ScenarioDoc::parse(&format!("{}\n{tail}", demo_spec().to_toml())).unwrap()
+    }
+
     #[test]
     fn doc_with_variants_expands_to_patched_specs() {
-        let base = demo_spec();
-        let mut v1 = base.clone();
-        v1.name = "demo-big".into();
-        v1.seed = 9;
-        v1.workload[0] = WorkloadSpec::Burst {
-            n: 16,
-            at_ms: 30000.0,
-            cores: 2.0,
-            memory_mb: 4096.0,
-            util: 0.5,
-        };
-        let mut v2 = base.clone();
-        v2.name = "demo-reconf".into();
-        v2.config.reconfiguration = Some(ReconfSpec {
-            period_ms: 60000.0,
-            algo: "aco".into(),
-            aco: "fast".into(),
-            aco_cycles: None,
-            max_migrations: 8,
-            params: None,
-        });
-        let doc = ScenarioDoc::from_specs(&base, &[v1.clone(), v2.clone()]);
-        let text = doc.to_toml();
-        let parsed = ScenarioDoc::parse(&text).unwrap();
-        assert_eq!(parsed.to_toml(), text, "document round-trip");
-        assert_eq!(parsed.expand().unwrap(), vec![v1, v2]);
+        let doc = demo_doc(
+            "[[variant]]\nname = \"demo-big\"\nseed = 9\n[[variant.workload]]\nn = 16\n\
+             [[variant]]\nname = \"demo-suspend\"\n[variant.config]\nidle_suspend_ms = 60000.0\n",
+        );
+        let (mut big, mut suspend) = (demo_spec(), demo_spec());
+        (big.name, big.seed) = ("demo-big".into(), 9);
+        if let WorkloadSpec::Burst { n, .. } = &mut big.workload[0] {
+            *n = 16; // arrays of tables merge by index: the second burst stays
+        }
+        suspend.name = "demo-suspend".into();
+        suspend.config.idle_suspend_ms = Some(60000.0);
+        let reparsed = ScenarioDoc::parse(&doc.to_toml()).unwrap();
+        assert_eq!(reparsed, doc, "round-trip");
+        assert_eq!(doc.expand().unwrap(), [big, suspend]);
+    }
+
+    #[test]
+    fn sweep_blocks_zip_their_leaves_and_cross_first_slowest() {
+        let doc = demo_doc(
+            "[[sweep]]\nname = [\"a-{workload.1.n}-{topology.client.retry_ms}\", \"b-{workload.1.n}\"]\n\
+             seed = [1, 2]\n\
+             [[sweep]]\n[[sweep.workload]]\n[[sweep.workload]]\nn = [10, 20, 30]\n\
+             [[variant]]\nname = \"by-hand\"\n",
+        );
+        let runs = doc.expand().unwrap();
+        let names: Vec<&str> = runs.iter().map(|s| s.name.as_str()).collect();
+        let zipped_then_crossed = [
+            "a-10-15000",
+            "a-20-15000",
+            "a-30-15000",
+            "b-10",
+            "b-20",
+            "b-30",
+        ];
+        assert_eq!(
+            (&names[..6], names[6]),
+            (&zipped_then_crossed[..], "by-hand")
+        );
+        let seeds: Vec<u64> = runs.iter().map(|s| s.seed).collect();
+        assert_eq!(seeds, [1, 1, 1, 2, 2, 2, 7], "variants follow the sweep");
+        assert_eq!(runs[4].workload[0], demo_spec().workload[0], "by index");
+        assert_eq!(doc.run_count(), Ok(7));
+        let reparsed = ScenarioDoc::parse(&doc.to_toml()).unwrap();
+        assert_eq!(reparsed, doc, "round-trip");
+    }
+
+    #[test]
+    fn an_override_replaces_arrays_of_tables_and_merges_everything_else() {
+        let doc = demo_doc(
+            "[override.small]\nseed = 9\n[override.small.topology]\nlcs = 4\n\
+             [[override.small.phase]]\ndeadline_ms = 1000.0\nkind = \"settle\"\n",
+        );
+        assert_eq!(doc.expand().unwrap(), [demo_spec()], "profiles are opt-in");
+        assert_eq!(doc.profiles(), ["small"]);
+        let small = doc.profile("small").unwrap();
+        assert!(small.profiles().is_empty(), "no profiles of profiles");
+        let run = &small.expand().unwrap()[0];
+        // Tables merge key by key …
+        let topology = &run.topology;
+        assert_eq!((run.seed, topology.lcs, topology.managers), (9, 4, 3));
+        // … the named array of tables is replaced outright (merged by index
+        // the GL-crash phase would survive), the others are untouched.
+        let deadline_ms = 1000.0;
+        assert_eq!(run.phases, [PhaseSpec::Settle { deadline_ms }]);
+        assert_eq!(run.workload, demo_spec().workload);
+        // A patch is the same rule applied to text.
+        let patched = doc.patch("[[workload]]\nkind = \"burst\"\n").unwrap();
+        assert!(patched.expand().unwrap_err().contains("missing key `n`"));
+        let err = doc.profile("smoke").unwrap_err();
+        assert!(err.contains("no `[override.smoke]`") && err.contains("small"));
+    }
+
+    #[test]
+    fn hostile_sweeps_are_expansion_errors() {
+        let named = |name: &str| format!("[[variant]]\n[[variant]]\nname = \"{name}\"\n");
+        let many = |blocks: usize| "[[sweep]]\nseed = [1, 2]\n".repeat(blocks);
+        // (appended to the demo document, what the error must name)
+        let cases = [
+            (
+                "[[sweep]]\nseed = [1, 2]\n[sweep.topology]\nlcs = [1, 2, 3]\n".into(),
+                "`sweep.topology.lcs` has 3 element(s), `sweep.seed` has 2",
+            ),
+            ("[[sweep]]\nseed = []\n".into(), "`sweep.seed` is empty"),
+            (
+                "[[sweep]]\nseed = 3\n".into(),
+                "`sweep.seed` must be an array",
+            ),
+            (
+                "[[sweep]]\n[[sweep.workload]]\nn = 3\n".into(),
+                "`sweep.workload.n` must be an array",
+            ),
+            ("[[sweep]]\n".into(), "names no key to sweep"),
+            (many(13), "cross to over 4096 runs"), // 2^13
+            (many(70), "cross to over 4096 runs"), // 2^70: no overflow either
+            (
+                "[[sweep]]\nseed = [1, 2]\n".into(),
+                "runs 0 and 1 are both named `demo`",
+            ),
+            (
+                named("x-{seed"),
+                "run 1 (`x-{seed`): unclosed `{` in `name`",
+            ),
+            (named("{topology}"), "`{topology}` names a table"),
+            (named("{workload.1}"), "`{workload.1}` names a table"),
+            (
+                named("{topology.racks}"),
+                "`{topology.racks}` names a missing key `racks`",
+            ),
+            (
+                named("{workload.2.n}"),
+                "indexes `workload` (2 long) with `2`",
+            ),
+            (
+                named("{workload.last.n}"),
+                "indexes `workload` (2 long) with `last`",
+            ),
+            (named("{seed.hex}"), "looks for `hex` in value `seed`"),
+            (
+                named("slow\"\n[[variant.probe]]\nat_ms = -1.0\nname = \"p"),
+                "run 1 (`slow`): `at_ms` in probe must be",
+            ),
+        ];
+        for (tail, want) in cases {
+            let err = demo_doc(&tail).expand().unwrap_err();
+            assert!(err.contains(want), "{tail:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn run_count_is_the_expansion() {
+        // A generator of the wrong type used to count as one run while
+        // `expand` rejected it: `--list-scenarios` against `--scenario`.
+        for key in ["sweep", "variant", "override"] {
+            let text = format!("{key} = 3\n{}", demo_spec().to_toml());
+            let doc = ScenarioDoc::parse(&text).unwrap();
+            let err = doc.expand().unwrap_err();
+            assert!(err.contains(&format!("`{key}` must be")), "{err}");
+            assert_eq!(doc.run_count(), Err(err));
+        }
+        assert_eq!(demo_doc("").run_count(), Ok(1));
     }
 
     #[test]
@@ -2100,8 +2387,7 @@ mod tests {
         assert!(text.contains("[obs]"));
         assert!(text.contains("[[slo]]"));
 
-        // The obs-free encoding is unchanged — pinned presets stay
-        // byte-identical.
+        // The obs-free encoding is unchanged: pinned runs stay byte-identical.
         let plain = demo_spec();
         assert!(!plain.to_toml().contains("[obs]"));
         assert!(!plain.to_toml().contains("[[slo]]"));

@@ -256,45 +256,6 @@ pub fn deep_merge(base: &mut BTreeMap<String, Value>, patch: &BTreeMap<String, V
     }
 }
 
-/// The minimal patch `p` such that `deep_merge(base, p) == target`.
-/// Used by the preset generators so checked-in variant blocks stay
-/// exactly as small as the difference they express.
-pub fn diff(
-    base: &BTreeMap<String, Value>,
-    target: &BTreeMap<String, Value>,
-) -> BTreeMap<String, Value> {
-    let mut patch = BTreeMap::new();
-    for (k, tv) in target {
-        match (base.get(k), tv) {
-            (Some(bv), tv) if bv == tv => {}
-            (Some(Value::Table(b)), Value::Table(t)) => {
-                patch.insert(k.clone(), Value::Table(diff(b, t)));
-            }
-            (Some(Value::TableArray(b)), Value::TableArray(t)) if t.len() >= b.len() => {
-                let elems: Vec<BTreeMap<String, Value>> = t
-                    .iter()
-                    .enumerate()
-                    .map(|(i, elem)| match b.get(i) {
-                        Some(base_elem) => diff(base_elem, elem),
-                        None => elem.clone(),
-                    })
-                    .collect();
-                patch.insert(k.clone(), Value::TableArray(elems));
-            }
-            _ => {
-                patch.insert(k.clone(), tv.clone());
-            }
-        }
-    }
-    for k in base.keys() {
-        assert!(
-            target.contains_key(k),
-            "diff cannot express key removal: {k}"
-        );
-    }
-    patch
-}
-
 fn split_path(path: &str) -> Result<Vec<String>, String> {
     let parts: Vec<String> = path.split('.').map(|p| p.trim().to_string()).collect();
     if parts.iter().any(|p| p.is_empty() || !is_bare_key(p)) {
@@ -521,20 +482,6 @@ n = 10
         assert_eq!(parse(&canon).unwrap(), root);
         assert_eq!(render(&parse(&canon).unwrap()), canon);
         assert!(canon.contains("whole = 4096.0"), "{canon}");
-    }
-
-    #[test]
-    fn merge_and_diff_are_inverse() {
-        let base = parse("a = 1\n[t]\nx = 1\ny = 2\n[[w]]\nn = 5\n").unwrap();
-        let target = parse("a = 2\n[t]\nx = 1\ny = 3\n[[w]]\nn = 9\n").unwrap();
-        let patch = diff(&base, &target);
-        let mut merged = base.clone();
-        deep_merge(&mut merged, &patch);
-        assert_eq!(merged, target);
-        // The patch is minimal: unchanged keys are absent.
-        assert!(!patch.contains_key("a") || patch["a"] == Value::Int(2));
-        let t = patch["t"].as_table().unwrap();
-        assert!(!t.contains_key("x"));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 # lint (which covers crates/telemetry along with the rest of the
 # simulation path), every test (including the feature-gated runtime
 # invariant suite), a `cargo check` and `cargo test` of (a copy of) the
-# detached `benchmark/` workspace against the crates it path-depends on —
-# its tests include `BENCHMARK.json` == the harness's own manifest — and a
-# two-run byte-identity check on the telemetry exports. CI and pre-commit
-# both just run this script.
+# detached `benchmark/` workspace against the crates it path-depends on
+# (its tests include `BENCHMARK.json` == the harness's own manifest), the
+# scenario gate over `scenarios/*.toml` and a two-run byte-identity check
+# on the telemetry exports. CI and pre-commit both just run this script.
 #
 # `--smoke` additionally runs, in release, every reduced-scale gate:
 #
@@ -65,7 +65,7 @@ rm -rf .bench_build
 say "snooze-audit determinism"
 cargo run --offline -q -p snooze-audit -- determinism
 
-say "scenario specs (parse, canonical form, dry-run compile, preset drift)"
+say "scenario specs (parse, canonical form, dry-run compile of every run and profile)"
 cargo run --offline -q -p snooze-bench --bin run_experiments -- --check-scenarios
 
 say "telemetry export determinism (two same-seed report runs)"

@@ -1,14 +1,15 @@
 //! Tier-1's view of the experiment manifest (`snooze_bench::experiments`):
-//! without running a full experiment, the manifest, the golden files and
-//! the checked-in `scenarios/*.toml` must describe the same tables — and
-//! one reduced sweep goes through the generic runner end to end.
+//! without running a full experiment, the manifest and the golden files
+//! must describe the same tables, the checked-in `scenarios/*.toml` must
+//! still expand to the runs they always did — and one reduced sweep goes
+//! through the generic runner end to end.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use snooze_bench::experiments::{find, run_specs, EXPERIMENTS, SUMMARY};
-use snooze_scenario::presets;
-use snooze_scenario::spec::ScenarioDoc;
+use snooze_consolidation::registry::REGISTRY_KEYS;
+use snooze_scenario::spec::ScenarioSpec;
 
 fn repo(path: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(path)
@@ -94,31 +95,87 @@ fn goldens_and_scenario_backed_entries_correspond() {
     }
 }
 
+/// `(slug, profile, runs, FNV-1a-64 of the runs' concatenated canonical
+/// TOML)`, computed at the last commit that still had `presets.rs`, from
+/// its `<slug>_default()` and its three `*_smoke()` functions (trace path
+/// = the reference trace; arena: `bnb` moved last). The files have
+/// been the only definition since: rewriting one — into `[[sweep]]`
+/// form, say — must not move its pin; changing an experiment must.
+const EXPANSION_PINS: &[(&str, Option<&str>, usize, u64)] = &[
+    ("e4", None, 6, 0x3dbc_89cd_bc18_5303),
+    ("e5", None, 4, 0xc227_ea07_3b51_b607),
+    ("e6", None, 1, 0xf3c8_c60e_67cb_3091),
+    ("e7", None, 3, 0x007c_db72_0ae6_de4d),
+    ("e7b", None, 4, 0x7f70_b4ee_8417_b0f0),
+    ("e9", None, 4, 0x7b08_bd81_e295_3cec),
+    ("e10b", None, 3, 0x396b_900f_7391_44d0),
+    ("e11", None, 1, 0xbba7_6db7_037e_f4a4),
+    ("e11", Some("smoke"), 1, 0xc5c4_15dd_9376_04ec),
+    ("e12_trace", None, 2, 0x2f75_8aa7_0c6e_a7e2),
+    ("e12_trace", Some("smoke"), 2, 0x00e0_1c62_7cc7_1278),
+    ("e14_arena", None, 24, 0x526b_6b85_3652_61d8),
+    ("e14_arena", Some("smoke"), 9, 0xb1ab_7d90_d59e_a0dd),
+];
+
+/// `report_failover(0x5EED)`, i.e. `scenarios/report.toml` as checked in.
+const REPORT_PIN: u64 = 0x70ef_414e_bb37_b992;
+
+fn fnv1a(specs: &[ScenarioSpec]) -> u64 {
+    let text: String = specs.iter().map(ScenarioSpec::to_toml).collect();
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
-fn every_scenario_backed_entry_is_its_checked_in_scenario_file() {
-    for exp in EXPERIMENTS {
-        let Some(table) = exp.scenarios() else {
-            continue;
-        };
-        let path = repo("scenarios").join(format!("{}.toml", exp.slug));
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let doc = ScenarioDoc::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+fn scenario_files_expand_to_the_pinned_runs() {
+    for &(slug, profile, runs, pin) in EXPANSION_PINS {
+        let specs = find(slug).specs(|doc| match profile {
+            Some(profile) => doc.profile(profile),
+            None => Ok(doc),
+        });
+        for spec in &specs {
+            let again = ScenarioSpec::from_toml(&spec.to_toml());
+            assert_eq!(again.as_ref(), Ok(spec), "{slug}: spec round-trip");
+        }
+        let got = (specs.len(), fnv1a(&specs));
         assert_eq!(
-            doc.expand()
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display())),
-            (table.specs)(),
-            "`run_experiments {}` must run exactly scenarios/{}.toml",
-            exp.cli,
-            exp.slug
+            got,
+            (runs, pin),
+            "scenarios/{slug}.toml {profile:?}: 0x{:016x}",
+            got.1
         );
     }
+    let pinned: Vec<&str> = EXPANSION_PINS.iter().map(|p| p.0).collect();
+    for exp in EXPERIMENTS.iter().filter(|e| e.scenarios().is_some()) {
+        assert!(pinned.contains(&exp.slug), "{}: no expansion pin", exp.slug);
+    }
+    let report = snooze_bench::report::report_failover(0x5EED);
+    assert_eq!(fnv1a(&[report]), REPORT_PIN, "scenarios/report.toml");
+}
+
+#[test]
+fn the_arena_smoke_profile_runs_every_registry_key() {
+    // The list is data now: a tenth registry key must not slip past the gate.
+    let smoke = find("e14_arena").specs(|doc| doc.profile("smoke"));
+    let algo = |s: &ScenarioSpec| s.config.reconfiguration.as_ref().map(|r| r.algo.clone());
+    let algos: BTreeSet<String> = smoke.iter().filter_map(algo).collect();
+    let keys: BTreeSet<String> = REGISTRY_KEYS.iter().map(|k| k.to_string()).collect();
+    assert_eq!((smoke.len(), algos), (keys.len(), keys));
 }
 
 #[test]
 fn a_reduced_sweep_goes_through_the_generic_runner() {
-    // The 16-LC E4 shape: two burst sizes on a small hierarchy.
-    let runs = run_specs(&presets::e4(&[10, 40], 16, 3, 21), false).expect("preset compiles");
+    // The 16-LC E4 shape — two burst sizes on a small hierarchy — as a
+    // patch of the checked-in document.
+    let small = "[topology]\nlcs = 16\nmanagers = 3\n\
+                 [[sweep]]\nseed = [31, 61]\n[[sweep.workload]]\nn = [10, 40]\n";
+    let specs = find("e4").specs(|doc| doc.patch(small));
+    let runs = run_specs(&specs, false).expect("patched scenario compiles");
+    // Latency should not blow up with 4× the submissions (scalability
+    // claim): allow 3× headroom on the mean.
+    let (small, large) = (&runs[0].run.outcome, &runs[1].run.outcome);
+    assert!(large.mean_latency_s < small.mean_latency_s * 3.0 + 5.0);
     let table = find("e4")
         .scenarios()
         .expect("scenario-backed")
