@@ -300,8 +300,8 @@ fn throughput_floor(runs: &Runs) -> Result<(), String> {
     ensure(pct >= 90.0, failure)
 }
 
-/// The two-row overhead comparison behind the checked-in
-/// `BENCH_E11_OBS.json`: the same simulation with and without the full
+/// The two-row overhead comparison the `obs` gate writes as
+/// `e11_obs.json`: the same simulation with and without the full
 /// observability surface. Sim events and dead letters are exact; wall
 /// and throughput columns are advisory (best-of-3 on the measuring
 /// host).

@@ -24,6 +24,13 @@
 //! queue existed and were deleted because neither beat this path on the
 //! hardware the suite runs on — DESIGN.md, "Why there is one engine" and
 //! "Why there is one queue", keeps the measurements.
+//!
+//! What the engine itself does per message is kept to a pop, a digest
+//! fold and a push: a handler runs on its component's slot in place (the
+//! components and everything a [`Ctx`] can reach are disjoint fields), the
+//! engine's own `net.*` counters are bumped through handles taken once at
+//! build instead of by name, and the FIFO clamp reads the sender's own row
+//! (`network.rs`). DESIGN.md, "What one message costs", has the ledger.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -32,7 +39,7 @@ use snooze_telemetry::label::label;
 use snooze_telemetry::span::{SpanId, SpanLog};
 
 use crate::equeue::EventQueue;
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{CounterHandle, MetricsRegistry};
 use crate::network::{Network, NetworkConfig};
 use crate::rng::SimRng;
 use crate::time::{SimSpan, SimTime};
@@ -184,6 +191,12 @@ pub(crate) struct EngineCore<M> {
     pub(crate) cancelled_timers: BTreeSet<u64>,
     pub(crate) network: Network,
     pub(crate) metrics: MetricsRegistry,
+    /// Handles on the counters the engine bumps once per message, taken
+    /// at build: `net.sent`, `net.delivered`, `net.dropped`, `net.to_dead`.
+    net_sent: CounterHandle,
+    net_delivered: CounterHandle,
+    net_dropped: CounterHandle,
+    net_to_dead: CounterHandle,
     pub(crate) trace: Trace,
     pub(crate) spans: SpanLog,
     /// Ambient span context for the event being executed: seeded from
@@ -276,9 +289,7 @@ impl<M> EngineCore<M> {
                     },
                 );
             }
-            None => {
-                self.metrics.incr("net.dropped");
-            }
+            None => self.metrics.bump(self.net_dropped),
         }
     }
 
@@ -346,16 +357,18 @@ impl<M> Ctx<'_, M> {
     }
 
     fn send_with(&mut self, dst: ComponentId, delay: SimSpan, msg: M, span: Option<SpanId>) {
-        self.core.metrics.incr("net.sent");
+        self.core.metrics.bump(self.core.net_sent);
         self.core.send_via_network(self.me, dst, delay, msg, span);
     }
 
     /// Multicast to every current member of `group` except the sender.
     /// `make` is invoked once per receiver, so payloads need not be
-    /// `Clone`.
+    /// `Clone`. The member list is read in place, one index at a time:
+    /// `make` sees no `Ctx`, so nothing can change the group mid-loop.
     pub fn multicast<T: Into<M>, F: Fn() -> T>(&mut self, group: GroupId, make: F) {
-        let members: Vec<ComponentId> = self.core.network.group_members(group).to_vec();
-        for dst in members {
+        let mut next = 0;
+        while let Some(&dst) = self.core.network.group_members(group).get(next) {
+            next += 1;
             if dst != self.me {
                 self.send(dst, make());
             }
@@ -532,6 +545,7 @@ impl SimBuilder {
     /// let mut sim: Engine<SnoozeNode> = SimBuilder::new(7).build();
     /// ```
     pub fn build<C: Component>(self) -> Engine<C> {
+        let mut metrics = MetricsRegistry::new();
         Engine {
             core: EngineCore {
                 now: SimTime::ZERO,
@@ -541,7 +555,11 @@ impl SimBuilder {
                 next_timer_id: 0,
                 cancelled_timers: BTreeSet::new(),
                 network: Network::new(self.network),
-                metrics: MetricsRegistry::new(),
+                net_sent: metrics.counter_handle("net.sent"),
+                net_delivered: metrics.counter_handle("net.delivered"),
+                net_dropped: metrics.counter_handle("net.dropped"),
+                net_to_dead: metrics.counter_handle("net.to_dead"),
+                metrics,
                 trace: Trace::new(self.trace_capacity),
                 spans: SpanLog::new(),
                 ctx_span: None,
@@ -567,7 +585,8 @@ impl SimBuilder {
 /// event queue, the network, metrics and trace.
 pub struct Engine<C: Component> {
     pub(crate) core: EngineCore<C::Msg>,
-    pub(crate) components: Vec<Option<C>>,
+    /// One slot per registered id, never vacated.
+    pub(crate) components: Vec<C>,
     max_events: u64,
 }
 
@@ -582,7 +601,7 @@ impl<C: Component> Engine<C> {
         component: impl Into<C>,
     ) -> ComponentId {
         let id = ComponentId(self.components.len());
-        self.components.push(Some(component.into()));
+        self.components.push(component.into());
         self.core.alive.push(true);
         self.core.incarnation.push(0);
         self.core.names.push(name.into());
@@ -712,8 +731,10 @@ impl<C: Component> Engine<C> {
         self.core.classifier = Some(classify);
     }
 
-    /// Turn on the sim-time profiler (idempotent). Costs one advisory
-    /// wall-clock read per executed event while on.
+    /// Turn on the sim-time profiler (idempotent). Costs a bucket probe
+    /// per executed event and two advisory wall-clock reads per
+    /// [`Profiler::WALL_SAMPLE`](crate::flight::Profiler::WALL_SAMPLE)
+    /// events while on.
     pub fn enable_profiler(&mut self) {
         if self.core.profiler.is_none() {
             self.core.profiler = Some(crate::flight::Profiler::new());
@@ -767,7 +788,7 @@ impl<C: Component> Engine<C> {
     /// unknown id. (Node-enum engines usually chain this with the enum's
     /// generated `as_*` accessor.)
     pub fn get(&self, id: ComponentId) -> Option<&C> {
-        self.components.get(id.0)?.as_ref()
+        self.components.get(id.0)
     }
 
     /// Borrow a registered component for inspection. Panics if the id is
@@ -832,14 +853,14 @@ impl<C: Component> Engine<C> {
                 span,
             } => {
                 if self.core.is_alive(dst) {
-                    self.core.metrics.incr("net.delivered");
+                    self.core.metrics.bump(self.core.net_delivered);
                     self.core.ctx_span = span;
                     self.with_component(dst, |comp, ctx| comp.on_message(ctx, src, msg));
                 } else {
                     // Dead letter: delivered to a crashed component, or to
                     // an id nothing was ever registered under. Counted per
                     // reason so silent drops show up in run outcomes.
-                    self.core.metrics.incr("net.to_dead");
+                    self.core.metrics.bump(self.core.net_to_dead);
                     let reason = if dst.0 < self.core.names.len() {
                         "crashed"
                     } else {
@@ -863,16 +884,16 @@ impl<C: Component> Engine<C> {
                 span,
             } => {
                 let stale = self.core.cancelled_timers.remove(&id)
-                    || self.core.incarnation[dst.0] != incarnation
-                    || !self.core.alive[dst.0];
+                    || self.core.incarnation.get(dst.0) != Some(&incarnation)
+                    || !self.core.is_alive(dst);
                 if !stale {
                     self.core.ctx_span = span;
                     self.with_component(dst, |comp, ctx| comp.on_timer(ctx, tag));
                 }
             }
-            // Crash/Restart of an id nothing was registered under is a
-            // no-op (already folded into the digest above), like a
-            // `Deliver` to it is a counted dead letter.
+            // Any event for an id nothing was registered under is a no-op
+            // (already folded into the digest above), except that a
+            // `Deliver` to it is also a counted dead letter.
             EventKind::Crash(id) => {
                 if self.core.is_alive(id) {
                     self.core.alive[id.0] = false;
@@ -881,9 +902,7 @@ impl<C: Component> Engine<C> {
                     self.core.incarnation[id.0] += 1;
                     self.core.metrics.incr("failure.crashes");
                     let now = self.core.now;
-                    if let Some(comp) = self.components[id.0].as_mut() {
-                        comp.on_crash(now);
-                    }
+                    self.components[id.0].on_crash(now);
                     let name = self.core.names[id.0].clone();
                     self.core.trace.record(now, id, "crash", name);
                 }
@@ -941,21 +960,21 @@ impl<C: Component> Engine<C> {
         }
     }
 
+    /// Run `f` on component `id` in place: `components` and `core` are
+    /// disjoint fields and a [`Ctx`] holds `&mut EngineCore` only, so no
+    /// handler can reach `components` — its own slot or another's — while
+    /// it runs.
     fn with_component<F: FnOnce(&mut C, &mut Ctx<'_, C::Msg>)>(&mut self, id: ComponentId, f: F) {
-        let mut comp = match self.components.get_mut(id.0).and_then(Option::take) {
-            Some(c) => c,
-            None => return, // unknown or re-entrant — drop the event
+        let Some(comp) = self.components.get_mut(id.0) else {
+            return; // nothing registered under `id` — drop the event
         };
-        {
-            let mut ctx = Ctx {
-                core: &mut self.core,
-                me: id,
-            };
-            f(&mut comp, &mut ctx);
-        }
+        let mut ctx = Ctx {
+            core: &mut self.core,
+            me: id,
+        };
+        f(comp, &mut ctx);
         // Context hygiene: ambient span context never leaks across events.
         self.core.ctx_span = None;
-        self.components[id.0] = Some(comp);
     }
 
     /// Run until the queue drains, the engine halts, or `max_events` hits.
@@ -1311,6 +1330,33 @@ mod tests {
         }
     }
 
+    /// Fires `left` self-timers at jittered delays, burning `spin_nanos`
+    /// of host time in each — the profiler test's heavy and light kinds.
+    struct Spinner {
+        left: u32,
+        spin_nanos: u64,
+    }
+    impl Component for Spinner {
+        type Msg = TestMsg;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+            self.on_timer(ctx, 0);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: ComponentId, _: TestMsg) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _tag: u64) {
+            let clock = crate::wallclock::WallClock::start();
+            while clock.elapsed_nanos() < self.spin_nanos {
+                std::hint::spin_loop();
+            }
+            if self.left > 0 {
+                self.left -= 1;
+                let delay = ctx
+                    .rng()
+                    .span_between(SimSpan::from_micros(1), SimSpan::from_micros(100));
+                ctx.set_timer(delay, 0);
+            }
+        }
+    }
+
     node_enum! {
         /// Every component kind the engine unit tests register,
         /// exercising the macro-generated dispatcher along the way.
@@ -1328,6 +1374,7 @@ mod tests {
             TimerSpans(TimerSpans) as as_timer_spans,
             Nester(Nester) as as_nester,
             Halter(Halter) as as_halter,
+            Spinner(Spinner) as as_spinner,
         }
     }
 
@@ -1573,24 +1620,40 @@ mod tests {
 
     #[test]
     fn crash_and_restart_of_unknown_component_are_digested_noops() {
-        let run = |faults: bool| {
+        let nobody = ComponentId(99);
+        let run = |events: bool| {
             let mut sim = sim(1);
-            if faults {
-                sim.schedule_crash(SimTime::from_secs(1), ComponentId(99));
-                sim.schedule_restart(SimTime::from_secs(2), ComponentId(99));
+            if events {
+                sim.schedule_crash(SimTime::from_secs(1), nobody);
+                sim.schedule_restart(SimTime::from_secs(2), nobody);
+                // No public door schedules these two for an id nothing is
+                // registered under; dispatch must not index with it anyway.
+                sim.core
+                    .schedule(SimTime::from_secs(3), EventKind::Start(nobody));
+                sim.core.schedule(
+                    SimTime::from_secs(4),
+                    EventKind::Timer {
+                        dst: nobody,
+                        tag: 7,
+                        incarnation: 0,
+                        id: 0,
+                        span: None,
+                    },
+                );
             }
             sim.run();
             sim
         };
         let mut sim = run(true);
-        assert_eq!(sim.events_executed(), 2);
-        assert_ne!(sim.digest(), run(false).digest(), "executed, so digested");
-        sim.mc_inject_crash(ComponentId(99));
-        sim.mc_inject_restart(ComponentId(99));
         assert_eq!(sim.events_executed(), 4);
+        assert_ne!(sim.digest(), run(false).digest(), "executed, so digested");
+        sim.mc_inject_crash(nobody);
+        sim.mc_inject_restart(nobody);
+        assert_eq!(sim.events_executed(), 6);
         assert_eq!(sim.metrics().counter("failure.crashes"), 0);
         assert_eq!(sim.metrics().counter("failure.restarts"), 0);
-        assert!(!sim.is_alive(ComponentId(99)));
+        assert!(sim.metrics().counter_names().is_empty());
+        assert!(!sim.is_alive(nobody));
     }
 
     #[test]
@@ -1711,6 +1774,29 @@ mod tests {
         assert_eq!(total, sim.events_executed());
         // Deterministic bytes for the deterministic columns.
         assert_eq!(folded, sim.profile_folded());
+    }
+
+    #[test]
+    fn profiler_wall_time_follows_cost_not_event_count() {
+        // Two kinds, the same number of events each, interleaved at
+        // random; one burns ~20 µs of host time per event. Wall time
+        // banked per lap on whoever runs at the tick splits ~50/50.
+        let mut sim = sim(11);
+        sim.enable_profiler();
+        for (name, spin_nanos) in [("heavy", 20_000), ("light", 0)] {
+            let left = 6_000;
+            sim.add_component(name, Spinner { left, spin_nanos });
+        }
+        sim.run();
+        let rows = sim.profile_rows();
+        let of = |kind: &str| -> (u64, u64) {
+            let mine = rows.iter().filter(|r| r.kind == kind);
+            mine.fold((0, 0), |(e, w), r| (e + r.events, w + r.wall_nanos))
+        };
+        let ((heavy_events, heavy), (light_events, light)) = (of("heavy"), of("light"));
+        assert_eq!(heavy_events, light_events);
+        let share = heavy as f64 / (heavy + light) as f64;
+        assert!(share > 0.8, "heavy kind holds {share:.3} of wall time");
     }
 
     #[test]

@@ -61,17 +61,17 @@ pub struct ProfileRow {
     /// Events executed in this bucket — deterministic.
     pub events: u64,
     /// Advisory wall nanoseconds attributed to this bucket, sampled:
-    /// the clock is read once per [`Profiler::WALL_SAMPLE`] events and
-    /// the whole lap lands on the bucket executing at sample time —
-    /// proportional in expectation. Host-dependent; never part of
-    /// deterministic exports.
+    /// every [`Profiler::WALL_SAMPLE`]-th event is timed on its own and
+    /// its time, scaled by the cadence, lands on its own bucket — so a
+    /// bucket's share follows the time its events take, not how many
+    /// there are. Host-dependent; never part of deterministic exports.
     pub wall_nanos: u64,
 }
 
 /// Attributes executed events to `(component kind, message variant)`.
 ///
 /// Enabled via `Engine::enable_profiler`; costs one move-to-front
-/// probe per event and one wall-clock read per
+/// probe per event and two wall-clock reads per
 /// [`Profiler::WALL_SAMPLE`] events while on, nothing while off.
 #[derive(Clone, Debug)]
 pub struct Profiler {
@@ -82,19 +82,21 @@ pub struct Profiler {
     /// Buckets kept roughly hottest-first by a move-to-front probe;
     /// export sorts and merges, so storage order is irrelevant.
     cells: Vec<ProfCell>,
-    /// The bucket of the event currently being executed — the lap is
-    /// banked on it when a wall sample lands.
-    current: Option<(u16, &'static str)>,
+    /// The sampled event in flight: its bucket and the clock at its
+    /// `begin_event`, banked when the next event begins.
+    timed: Option<(u16, &'static str, WallClock)>,
     /// Events seen; drives the wall-sampling cadence.
     ticks: u64,
-    mark: WallClock,
 }
 
 impl Profiler {
-    /// Wall-time sampling cadence (must be a power of two): the clock
-    /// is read once per this many events and the whole lap is banked on
-    /// the bucket executing at sample time. Event *counts* stay exact;
-    /// wall time is a proportional-in-expectation sample — it is
+    /// Wall-time sampling cadence (must be a power of two): one event
+    /// in this many is timed, from its own `begin_event` to the next
+    /// event's, and that time × the cadence is banked on its bucket — an
+    /// estimate of the bucket's total whose expectation is the time its
+    /// events take, whatever their share of the event count. (What the
+    /// driver does between two engine calls lands, by the same rule, on
+    /// the event before it.) Event *counts* stay exact; wall time is
     /// advisory either way, and sampling keeps the per-event overhead
     /// to a probe instead of a syscall-ish clock read (which can run
     /// to microseconds under paravirtualized clocks).
@@ -105,9 +107,8 @@ impl Profiler {
             kinds: Vec::new(),
             kind_of: Vec::new(),
             cells: Vec::new(),
-            current: None,
+            timed: None,
             ticks: 0,
-            mark: WallClock::start(),
         }
     }
 
@@ -142,29 +143,25 @@ impl Profiler {
         idx
     }
 
-    /// Begin attributing the event being executed: count it, and bank
-    /// the elapsed wall lap on the previous bucket when a sample lands.
+    /// Begin attributing the event being executed: close the sampled
+    /// event before it, if there is one, count this one, and start the
+    /// clock on it when the sampling tick lands.
     pub(crate) fn begin_event(&mut self, kind: u16, variant: &'static str) {
+        self.flush();
         let i = self.cell_index(kind, variant);
         self.cells[i].events += 1;
         self.ticks += 1;
         if self.ticks & (Self::WALL_SAMPLE - 1) == 0 {
-            let nanos = self.mark.lap_nanos();
-            if let Some((k, v)) = self.current {
-                let j = self.cell_index(k, v);
-                self.cells[j].wall_nanos += nanos;
-            }
+            self.timed = Some((kind, variant, WallClock::start()));
         }
-        self.current = Some((kind, variant));
     }
 
-    /// Bank the in-flight wall lap, if any (call before reading
+    /// Bank the sampled event in flight, if any (call before reading
     /// exports).
     pub(crate) fn flush(&mut self) {
-        let nanos = self.mark.lap_nanos();
-        if let Some((k, v)) = self.current.take() {
-            let j = self.cell_index(k, v);
-            self.cells[j].wall_nanos += nanos;
+        if let Some((kind, variant, clock)) = self.timed.take() {
+            let i = self.cell_index(kind, variant);
+            self.cells[i].wall_nanos += clock.elapsed_nanos() * Self::WALL_SAMPLE;
         }
     }
 

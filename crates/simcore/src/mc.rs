@@ -161,7 +161,7 @@ pub struct SystemState<C: Component> {
     pub(crate) events_executed: u64,
     pub(crate) digest: u64,
     pub(crate) last_executed: Option<(SimTime, u64)>,
-    pub(crate) components: Vec<Option<C>>,
+    pub(crate) components: Vec<C>,
 }
 
 impl<C: Component> SystemState<C> {
@@ -468,9 +468,7 @@ where
             h.word(idx as u64);
             h.flag(self.core.alive[idx]);
             h.word(self.core.incarnation[idx] as u64);
-            if let Some(c) = comp {
-                c.mc_fold(&mut h);
-            }
+            comp.mc_fold(&mut h);
         }
         let mut pending: Vec<&Scheduled<C::Msg>> = self
             .core

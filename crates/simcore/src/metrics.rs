@@ -14,6 +14,17 @@
 //! ([`MetricsRegistry::to_prometheus`], [`MetricsRegistry::to_jsonl`])
 //! byte-identical across same-seed runs. Components that would otherwise
 //! hand-concatenate key strings take a [`ScopedMetrics`] handle instead.
+//!
+//! Counter *values* live in one slab (`cells`); the `name{labels}` maps
+//! hold indices into it. The by-name API is unchanged — it costs two map
+//! probes per call — and is what every component uses. The engine's own
+//! per-message counters (`net.sent`, `net.delivered`, …) would pay those
+//! probes millions of times per run, so the engine instead takes a
+//! crate-private `CounterHandle` per name when it is built and bumps the
+//! cell by index. A handle's cell is linked into the maps on its first
+//! bump, never before, so a counter nobody incremented stays absent from
+//! every reader and export exactly as with `incr`; and `incr("net.sent")`
+//! by name lands in the handle's cell, so the two paths cannot disagree.
 
 use std::collections::BTreeMap;
 
@@ -152,10 +163,23 @@ impl PipeFinite for f64 {
 /// Per-name metric variants, one entry per distinct label set.
 type Labeled<T> = BTreeMap<LabelSet, T>;
 
+/// One unlabelled counter's cell, for the engine's per-message bumps.
+/// Valid for the registry that issued it and for clones of it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CounterHandle {
+    name: &'static str,
+    cell: usize,
+}
+
 /// Registry of named, labeled metrics for one simulation run.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, Labeled<u64>>,
+    /// Counter values; `counters` and `handles` index into it.
+    cells: Vec<u64>,
+    counters: BTreeMap<String, Labeled<usize>>,
+    /// Cells reserved by [`MetricsRegistry::counter_handle`], by name. A
+    /// reserved cell is invisible until `counters` links it.
+    handles: Vec<(&'static str, usize)>,
     gauges: BTreeMap<String, Labeled<f64>>,
     histograms: BTreeMap<String, Labeled<Histogram>>,
     series: BTreeMap<String, Labeled<Vec<(SimTime, f64)>>>,
@@ -184,7 +208,73 @@ impl MetricsRegistry {
 
     /// Increment counter `key{labels}` by `n`.
     pub fn add_with(&mut self, key: &str, labels: &LabelSet, n: u64) {
-        *entry(&mut self.counters, key, labels) += n;
+        let cell = match lookup(&self.counters, key, labels) {
+            Some(&cell) => cell,
+            None => self.link(key, labels),
+        };
+        self.cells[cell] += n;
+    }
+
+    /// A handle on the unlabelled counter `name`, for [`Self::bump`].
+    /// Taking a handle does not create the counter: it stays invisible to
+    /// every reader until something increments it, by handle or by name.
+    pub(crate) fn counter_handle(&mut self, name: &'static str) -> CounterHandle {
+        let cell = match lookup(&self.counters, name, &LabelSet::EMPTY) {
+            Some(&cell) => cell,
+            None => self.reserved(name).unwrap_or_else(|| {
+                let cell = self.new_cell();
+                self.handles.push((name, cell));
+                cell
+            }),
+        };
+        CounterHandle { name, cell }
+    }
+
+    /// Increment the handle's counter by one: `incr(name)` without the
+    /// map probes.
+    pub(crate) fn bump(&mut self, handle: CounterHandle) {
+        if self.cells[handle.cell] == 0 {
+            self.publish(handle);
+        }
+        self.cells[handle.cell] += 1;
+    }
+
+    /// Make a handle's cell visible under its name (idempotent). Runs
+    /// while the cell still reads 0, so once per handle in practice.
+    #[cold]
+    fn publish(&mut self, handle: CounterHandle) {
+        self.counters
+            .entry(handle.name.to_owned())
+            .or_default()
+            .entry(LabelSet::EMPTY)
+            .or_insert(handle.cell);
+    }
+
+    /// The cell a handle reserved for unlabelled `name`, if any.
+    fn reserved(&self, name: &str) -> Option<usize> {
+        let (_, cell) = self.handles.iter().find(|(n, _)| *n == name)?;
+        Some(*cell)
+    }
+
+    fn new_cell(&mut self) -> usize {
+        self.cells.push(0);
+        self.cells.len() - 1
+    }
+
+    /// First increment of `key{labels}` by name: link it to the cell a
+    /// handle reserved for it, or to a new one.
+    fn link(&mut self, key: &str, labels: &LabelSet) -> usize {
+        let reserved = if labels.is_empty() {
+            self.reserved(key)
+        } else {
+            None
+        };
+        let cell = reserved.unwrap_or_else(|| self.new_cell());
+        self.counters
+            .entry(key.to_owned())
+            .or_default()
+            .insert(labels.clone(), cell);
+        cell
     }
 
     /// Current value of counter `key` with no labels (0 if never touched).
@@ -194,7 +284,7 @@ impl MetricsRegistry {
 
     /// Current value of counter `key{labels}` (0 if never touched).
     pub fn counter_with(&self, key: &str, labels: &LabelSet) -> u64 {
-        lookup(&self.counters, key, labels).copied().unwrap_or(0)
+        lookup(&self.counters, key, labels).map_or(0, |&cell| self.cells[cell])
     }
 
     /// Sum of counter `key` across every label set — the roll-up view
@@ -202,7 +292,7 @@ impl MetricsRegistry {
     pub fn counter_total(&self, key: &str) -> u64 {
         self.counters
             .get(key)
-            .map(|m| m.values().sum())
+            .map(|m| m.values().map(|&cell| self.cells[cell]).sum())
             .unwrap_or(0)
     }
 
@@ -314,7 +404,7 @@ impl MetricsRegistry {
     /// Every counter sample: `(name, labels, value)` in deterministic
     /// (name, label-set) order.
     pub fn counters_iter(&self) -> impl Iterator<Item = (&str, &LabelSet, u64)> {
-        flatten(&self.counters).map(|(n, l, v)| (n, l, *v))
+        flatten(&self.counters).map(|(n, l, &cell)| (n, l, self.cells[cell]))
     }
 
     /// Every gauge sample, deterministically ordered.
@@ -521,6 +611,97 @@ mod tests {
         assert_eq!(m.counter_total("hb.missed"), 4);
         // One logical name despite four label variants.
         assert_eq!(m.counter_names(), vec!["hb.missed"]);
+    }
+
+    #[test]
+    fn handle_and_name_address_one_cell() {
+        // Handle first, name first: either way there is one counter.
+        let mut m = MetricsRegistry::new();
+        let h = m.counter_handle("net.sent");
+        m.bump(h);
+        m.incr("net.sent");
+        m.add("net.sent", 3);
+        m.bump(h);
+        assert_eq!(m.counter("net.sent"), 6);
+        let mut n = MetricsRegistry::new();
+        n.add("net.sent", 4);
+        let h = n.counter_handle("net.sent");
+        let again = n.counter_handle("net.sent");
+        n.bump(h);
+        n.bump(again);
+        assert_eq!(n.counter("net.sent"), 6);
+        for r in [&m, &n] {
+            assert_eq!(r.counter_total("net.sent"), 6);
+            assert_eq!(r.counter_names(), vec!["net.sent"]);
+            assert_eq!(r.counters_iter().count(), 1);
+        }
+        assert_eq!(m.to_jsonl(), n.to_jsonl());
+    }
+
+    #[test]
+    fn unbumped_handle_is_invisible_to_every_reader() {
+        let mut m = MetricsRegistry::new();
+        let h = m.counter_handle("net.to_dead");
+        m.set_gauge("g", 1.0);
+        let mut plain = MetricsRegistry::new();
+        plain.set_gauge("g", 1.0);
+        let mut w = crate::flight::Windower::new(crate::time::SimSpan::from_secs(1));
+        let rows = w.roll(&m, SimTime::from_secs(1));
+        assert!(rows.iter().all(|r| r.name == "g"), "{rows:?}");
+        assert!(m.counter_names().is_empty());
+        assert_eq!(m.counters_iter().count(), 0);
+        assert_eq!(m.counter("net.to_dead"), 0);
+        assert_eq!(m.counter_total("net.to_dead"), 0);
+        assert_eq!(m.to_prometheus(), plain.to_prometheus());
+        assert_eq!(m.to_jsonl(), plain.to_jsonl());
+        // ... and appears with its first bump, like a counter's first incr.
+        m.bump(h);
+        plain.incr("net.to_dead");
+        assert_eq!(m.counter_names(), vec!["net.to_dead"]);
+        assert_eq!(m.to_prometheus(), plain.to_prometheus());
+        assert_eq!(m.to_jsonl(), plain.to_jsonl());
+        assert_eq!(w.roll(&m, SimTime::from_secs(2)).len(), 2);
+    }
+
+    #[test]
+    fn handle_beside_a_labelled_variant_renders_like_incr_by_name() {
+        // The shape `tests/golden/metrics.prom` pins for by-name counters:
+        // the unlabelled sample first, label variants after it, sorted.
+        let mut by_name = MetricsRegistry::new();
+        by_name.incr_with("net.sent", &label("link", "b"));
+        by_name.add("net.sent", 2);
+        by_name.incr_with("net.sent", &label("link", "a"));
+        by_name.incr("net.delivered");
+        let mut by_handle = MetricsRegistry::new();
+        let delivered = by_handle.counter_handle("net.delivered");
+        let sent = by_handle.counter_handle("net.sent");
+        by_handle.incr_with("net.sent", &label("link", "b"));
+        by_handle.bump(sent);
+        by_handle.bump(sent);
+        by_handle.incr_with("net.sent", &label("link", "a"));
+        by_handle.bump(delivered);
+        let text = by_handle.to_prometheus();
+        assert_eq!(text, by_name.to_prometheus());
+        assert_eq!(by_handle.to_jsonl(), by_name.to_jsonl());
+        assert!(
+            text.contains("net_sent 2\nnet_sent{link=\"a\"} 1\nnet_sent{link=\"b\"} 1\n"),
+            "{text}"
+        );
+        assert_eq!(by_handle.counter_total("net.sent"), 4);
+    }
+
+    #[test]
+    fn cloned_registry_keeps_handles_valid() {
+        let mut m = MetricsRegistry::new();
+        let (bumped, fresh) = (m.counter_handle("a"), m.counter_handle("b"));
+        m.bump(bumped);
+        let mut copy = m.clone();
+        copy.bump(bumped);
+        copy.bump(fresh);
+        assert_eq!((m.counter("a"), m.counter("b")), (1, 0));
+        assert_eq!((copy.counter("a"), copy.counter("b")), (2, 1));
+        assert_eq!(m.counter_names(), vec!["a"]);
+        assert_eq!(copy.counter_names(), vec!["a", "b"]);
     }
 
     #[test]

@@ -5,8 +5,16 @@
 //! here captures what those protocols are sensitive to — delivery latency,
 //! loss, and reachability — without simulating packets: each logical
 //! message gets a sampled one-way transit time, or is dropped.
+//!
+//! Every message also passes a per-pair FIFO clamp, so that table is laid
+//! out for the send path: one row per source, indexed by source id, each
+//! row a `(dst, last arrival)` list sorted by destination. A sender only
+//! ever touches its own row — an LC's holds the two to four peers it
+//! talks to, a GM's its LCs in one contiguous array — where a single map
+//! over every directed pair would walk a tree of thousands of keys per
+//! message.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::engine::{ComponentId, GroupId};
 use crate::rng::SimRng;
@@ -126,8 +134,9 @@ pub struct Network {
     isolated: BTreeSet<usize>,
     /// Last scheduled arrival per directed `(src, dst)` pair — enforces
     /// per-pair FIFO, matching the TCP connections Snooze's RESTful
-    /// services ride on.
-    last_arrival: BTreeMap<(usize, usize), SimTime>,
+    /// services ride on. `last_arrival[src]` is that source's row of
+    /// `(dst, arrival)`, sorted by `dst`; rows appear as sources first send.
+    last_arrival: Vec<Vec<(usize, SimTime)>>,
 }
 
 /// A copy of the network's mutable state — everything except the latency
@@ -138,7 +147,7 @@ pub struct NetworkState {
     groups: Vec<Vec<ComponentId>>,
     blocked_pairs: BTreeSet<(usize, usize)>,
     isolated: BTreeSet<usize>,
-    last_arrival: BTreeMap<(usize, usize), SimTime>,
+    last_arrival: Vec<Vec<(usize, SimTime)>>,
     loss_rate: f64,
 }
 
@@ -149,7 +158,7 @@ impl Network {
             groups: Vec::new(),
             blocked_pairs: BTreeSet::new(),
             isolated: BTreeSet::new(),
-            last_arrival: BTreeMap::new(),
+            last_arrival: Vec::new(),
         }
     }
 
@@ -169,7 +178,7 @@ impl Network {
         self.groups = state.groups.clone();
         self.blocked_pairs = state.blocked_pairs.clone();
         self.isolated = state.isolated.clone();
-        self.last_arrival = state.last_arrival.clone();
+        self.last_arrival.clone_from(&state.last_arrival);
         self.config.loss_rate = state.loss_rate;
     }
 
@@ -217,12 +226,18 @@ impl Network {
         }
         let mut arrival = departs + self.config.latency.sample(src, dst, rng);
         if src != ComponentId::EXTERNAL {
-            let slot = self
-                .last_arrival
-                .entry((src.0, dst.0))
-                .or_insert(SimTime::ZERO);
-            arrival = arrival.max(*slot);
-            *slot = arrival;
+            if self.last_arrival.len() <= src.0 {
+                self.last_arrival.resize_with(src.0 + 1, Vec::new);
+            }
+            let row = &mut self.last_arrival[src.0];
+            let at = row
+                .binary_search_by_key(&dst.0, |&(d, _)| d)
+                .unwrap_or_else(|at| {
+                    row.insert(at, (dst.0, SimTime::ZERO));
+                    at
+                });
+            arrival = arrival.max(row[at].1);
+            row[at].1 = arrival;
         }
         Some(arrival)
     }
@@ -293,10 +308,118 @@ fn pair_key(a: ComponentId, b: ComponentId) -> (usize, usize) {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn rng() -> SimRng {
         SimRng::new(7)
+    }
+
+    /// What `transit` computes, with the FIFO clamps in one ordered map
+    /// over every directed pair — the layout the per-source rows replaced.
+    #[derive(Default)]
+    struct Reference {
+        isolated: BTreeSet<usize>,
+        last_arrival: BTreeMap<(usize, usize), SimTime>,
+    }
+
+    /// The latency model on both sides of the differential test.
+    const LAN: UniformLatency = UniformLatency {
+        lo: SimSpan(100),
+        hi: SimSpan(500),
+    };
+
+    impl Reference {
+        fn transit(
+            &mut self,
+            src: ComponentId,
+            dst: ComponentId,
+            departs: SimTime,
+            rng: &mut SimRng,
+        ) -> Option<SimTime> {
+            if src == ComponentId::EXTERNAL {
+                return Some(departs + LAN.sample(src, dst, rng));
+            }
+            if self.isolated.contains(&src.0) || self.isolated.contains(&dst.0) {
+                return None;
+            }
+            let slot = self
+                .last_arrival
+                .entry((src.0, dst.0))
+                .or_insert(SimTime::ZERO);
+            *slot = (departs + LAN.sample(src, dst, rng)).max(*slot);
+            Some(*slot)
+        }
+    }
+
+    /// A sender: mostly a handful of busy ids, sometimes `EXTERNAL`,
+    /// sometimes an id past every row the table has grown so far.
+    fn any_src(ops: &mut SimRng) -> ComponentId {
+        match ops.range(0, 20) {
+            0 => ComponentId::EXTERNAL,
+            1 => ComponentId(ops.range(12, 300)),
+            _ => ComponentId(ops.range(0, 12)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// 10 000 random sends, isolations and snapshot round trips: the
+        /// per-source rows clamp every arrival exactly as one map over
+        /// `(src, dst)` does.
+        #[test]
+        fn fifo_rows_match_a_pair_keyed_map(seed in any::<u64>()) {
+            let mut net = Network::new(NetworkConfig {
+                latency: Box::new(LAN),
+                loss_rate: 0.0,
+            });
+            let mut reference = Reference::default();
+            // Same stream on both sides, so equal arrivals mean equal
+            // draws *and* equal clamps.
+            let (mut net_rng, mut ref_rng) = (SimRng::new(seed), SimRng::new(seed));
+            let mut ops = SimRng::new(seed ^ 0xF1F0);
+            for _ in 0..10_000 {
+                match ops.range(0, 100) {
+                    0 => {
+                        let id = ops.range(0, 12);
+                        net.isolate(ComponentId(id));
+                        reference.isolated.insert(id);
+                    }
+                    1..=2 => {
+                        let id = ops.range(0, 12);
+                        net.reconnect(ComponentId(id));
+                        reference.isolated.remove(&id);
+                    }
+                    3 => {
+                        // What the model checker does: capture, wander
+                        // off (new rows, moved clamps, an isolation),
+                        // restore. The reference never left.
+                        let saved = net.save_state();
+                        let mut scratch = SimRng::new(ops.range(0, 1 << 30) as u64);
+                        for _ in 0..50 {
+                            let (src, dst) = (any_src(&mut ops), ComponentId(ops.range(0, 16)));
+                            net.transit(src, dst, SimTime(ops.range(0, 1 << 40) as u64), &mut scratch);
+                        }
+                        net.isolate(ComponentId(ops.range(0, 12)));
+                        net.load_state(&saved);
+                    }
+                    _ => {
+                        let (src, dst) = (any_src(&mut ops), ComponentId(ops.range(0, 16)));
+                        // Departures wander both ways, so clamps bind.
+                        let departs = SimTime(ops.range(0, 5_000) as u64);
+                        prop_assert_eq!(
+                            net.transit(src, dst, departs, &mut net_rng),
+                            reference.transit(src, dst, departs, &mut ref_rng),
+                            "{:?} -> {:?} departing {:?}", src, dst, departs
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,16 +33,6 @@ impl WallClock {
     pub fn elapsed_nanos(&self) -> u64 {
         self.0.elapsed().as_nanos() as u64
     }
-
-    /// Nanoseconds since the last lap (or since `start`), and restart
-    /// the stopwatch — a single clock read, so per-event profiling costs
-    /// one `Instant::now` rather than two. Advisory like every reading.
-    pub fn lap_nanos(&mut self) -> u64 {
-        let now = std::time::Instant::now(); // audit-allow(wall-clock): same sanctioned stopwatch; lap readings are advisory-only
-        let nanos = now.duration_since(self.0).as_nanos() as u64;
-        self.0 = now;
-        nanos
-    }
 }
 
 #[cfg(test)]

@@ -47,11 +47,11 @@ pub struct ReconfigurationConfig {
 
 impl Default for ReconfigurationConfig {
     fn default() -> Self {
-        // The E14 arena winner (BENCH_E14_ARENA.json): on the 1000-LC
-        // diurnal-trace shape, worst-fit-decreasing Pareto-dominates the
-        // whole field under every power model — least energy, zero SLA
-        // violations and near-zero migration churn — so it is the
-        // out-of-the-box consolidator. Scenarios always name `algo`
+        // The E14 arena winner (crates/bench/tests/golden/e14_arena.json): on
+        // the 1000-LC diurnal-trace shape, worst-fit-decreasing
+        // Pareto-dominates the whole field under every power model — least
+        // energy, zero SLA violations and near-zero migration churn — so it
+        // is the out-of-the-box consolidator. Scenarios always name `algo`
         // explicitly, so checked-in experiment outputs don't move.
         ReconfigurationConfig {
             period: SimSpan::from_secs(600),

@@ -8,6 +8,11 @@
 # scenario gate over `scenarios/*.toml` and a two-run byte-identity check
 # on the telemetry exports. CI and pre-commit both just run this script.
 #
+# Tier-1 (`cargo build --release && cargo test -q` at the root) is the
+# workspace's `default-members`: the root package's integration tests plus
+# the `snooze-simcore` and `snooze-telemetry` suites. Everything it runs,
+# `cargo test --workspace` below runs too.
+#
 # `--smoke` additionally runs, in release, every reduced-scale gate:
 #
 # * `run_experiments --smoke` — the gates of `snooze_bench::smoke` (`e11`,

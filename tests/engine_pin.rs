@@ -8,6 +8,7 @@
 //! * Bare components that walk every region of the event queue (side
 //!   heap, near ring, far map, a post behind the active bucket); captured
 //!   on the last commit that had a binary-heap queue, running it.
+//! * The byte sizes of the message and node enums, as ceilings.
 
 use snooze::prelude::*;
 use snooze_cluster::node::NodeSpec;
@@ -20,9 +21,18 @@ fn secs(s: u64) -> SimTime {
     SimTime::from_secs(s)
 }
 
-/// `(events_executed, digest, span_digest, dead_letters, net.sent)` of a
-/// 3-GM / 16-LC deployment with a 24-VM burst and the fault schedule above.
-fn pin() -> (u64, u64, u64, u64, u64) {
+/// FNV-1a-64 of an export's bytes.
+fn fnv(text: &str) -> u64 {
+    snooze_telemetry::fnv1a(snooze_telemetry::FNV_OFFSET, text.as_bytes())
+}
+
+/// `(events_executed, digest, span_digest, dead_letters, net.sent,
+/// net.delivered, net.dropped, net.to_dead, fnv(to_prometheus),
+/// fnv(to_jsonl))` of a 3-GM / 16-LC deployment with a 24-VM burst and the
+/// fault schedule above. The lossy, faulted run bumps all four counters the
+/// engine holds handles for, and the two export hashes cover every metric's
+/// value, visibility and rendering order.
+fn pin() -> [u64; 10] {
     let mut sim: Engine<SnoozeNode> = SimBuilder::new(1303)
         .network(NetworkConfig::lossy_lan(0.01))
         .build();
@@ -57,26 +67,46 @@ fn pin() -> (u64, u64, u64, u64, u64) {
     sim.schedule_net_fault(secs(120), NetFault::Reconnect(system.lcs[3]));
     sim.schedule_net_fault(secs(150), NetFault::SetLossPpm(50_000));
     sim.run_until(secs(300));
-    (
+    let m = sim.metrics();
+    [
         sim.events_executed(),
         sim.digest(),
         sim.span_digest(),
         sim.dead_letters(),
-        sim.metrics().counter("net.sent"),
-    )
+        m.counter("net.sent"),
+        m.counter("net.delivered"),
+        m.counter("net.dropped"),
+        m.counter("net.to_dead"),
+        fnv(&m.to_prometheus()),
+        fnv(&m.to_jsonl()),
+    ]
 }
 
-const PINNED: (u64, u64, u64, u64, u64) = (
+const PINNED: [u64; 10] = [
     39_874,
     3_150_394_356_885_249_003,
     9_643_873_029_163_597_281,
     98,
     32_353,
-);
+    31_169,
+    1_075,
+    98,
+    2_602_939_617_296_259_641,
+    16_652_880_773_304_713_961,
+];
 
 #[test]
 fn faulted_deployment_is_pinned() {
     assert_eq!(pin(), PINNED);
+}
+
+/// Every queued event carries a `SnoozeMsg` by value and the engine's
+/// component slots stride by `SnoozeNode`, so neither may grow unnoticed:
+/// a fatter variant goes behind a `Box`, or this ceiling moves on purpose.
+#[test]
+fn message_and_node_sizes_do_not_grow() {
+    assert!(std::mem::size_of::<SnoozeMsg>() <= 184);
+    assert!(std::mem::size_of::<SnoozeNode>() <= 1424);
 }
 
 const TICK: u64 = 0;
