@@ -179,13 +179,20 @@ impl Hypervisor {
         );
     }
 
+    /// Every guest's demanded usage at `t`, in `VmId` order — the one
+    /// sample a monitoring beat takes. Summed in this order it *is*
+    /// [`Hypervisor::demand_at`], bit for bit, so a caller that needs the
+    /// per-guest figures and the aggregate evaluates each workload once.
+    pub fn usage_at(&self, t: SimTime) -> impl Iterator<Item = (&GuestVm, ResourceVector)> {
+        self.guests
+            .values()
+            .map(move |g| (g, g.workload.usage_at(t, &g.spec.requested)))
+    }
+
     /// Aggregate *demanded* usage at `t` (may exceed capacity — that's an
     /// overload).
     pub fn demand_at(&self, t: SimTime) -> ResourceVector {
-        self.guests
-            .values()
-            .map(|g| g.workload.usage_at(t, &g.spec.requested))
-            .sum()
+        self.usage_at(t).map(|(_, used)| used).sum()
     }
 
     /// Aggregate usage actually *delivered* at `t`: demand throttled
@@ -211,27 +218,42 @@ impl Hypervisor {
         worst
     }
 
-    /// Per-dimension utilization of capacity by demand at `t` (can exceed
-    /// 1.0 under overload).
-    pub fn utilization_at(&self, t: SimTime) -> ResourceVector {
-        self.demand_at(t).normalize_by(&self.capacity)
+    /// Per-dimension utilization of capacity by `demand` (can exceed 1.0
+    /// under overload).
+    pub fn utilization_of(&self, demand: &ResourceVector) -> ResourceVector {
+        demand.normalize_by(&self.capacity)
     }
 
-    /// True when demand exceeds `threshold` (fraction of capacity) in any
-    /// dimension. The LC reports this to its GM as an overload anomaly.
-    pub fn is_overloaded(&self, t: SimTime, threshold: f64) -> bool {
-        let u = self.utilization_at(t);
+    /// [`Hypervisor::utilization_of`] the demand at `t`.
+    pub fn utilization_at(&self, t: SimTime) -> ResourceVector {
+        self.utilization_of(&self.demand_at(t))
+    }
+
+    /// True when `demand` exceeds `threshold` (fraction of capacity) in
+    /// any dimension. The LC reports this to its GM as an overload anomaly.
+    pub fn is_overloaded_by(&self, demand: &ResourceVector, threshold: f64) -> bool {
+        let u = self.utilization_of(demand);
         (0..DIMS).any(|d| u.get(d) > threshold)
     }
 
-    /// True when the node hosts guests but demand is below `threshold` in
-    /// every dimension — an underload anomaly, a candidate for draining.
-    pub fn is_underloaded(&self, t: SimTime, threshold: f64) -> bool {
+    /// [`Hypervisor::is_overloaded_by`] the demand at `t`.
+    pub fn is_overloaded(&self, t: SimTime, threshold: f64) -> bool {
+        self.is_overloaded_by(&self.demand_at(t), threshold)
+    }
+
+    /// True when the node hosts guests but `demand` is below `threshold`
+    /// in every dimension — an underload anomaly, a candidate for draining.
+    pub fn is_underloaded_by(&self, demand: &ResourceVector, threshold: f64) -> bool {
         if self.guests.is_empty() {
             return false;
         }
-        let u = self.utilization_at(t);
+        let u = self.utilization_of(demand);
         (0..DIMS).all(|d| u.get(d) < threshold)
+    }
+
+    /// [`Hypervisor::is_underloaded_by`] the demand at `t`.
+    pub fn is_underloaded(&self, t: SimTime, threshold: f64) -> bool {
+        self.is_underloaded_by(&self.demand_at(t), threshold)
     }
 
     /// Guests sorted by descending demand (L1 at `t`) — the order overload
@@ -356,6 +378,68 @@ mod tests {
         let d = h.demand_at(t0());
         assert!((d.cpu - 3.0).abs() < 1e-9);
         assert!((d.memory - 6000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn per_guest_sample_sums_to_the_demand_bit_for_bit() {
+        use snooze_simcore::time::SimSpan;
+        // Six guests of uneven sizes mixing flat, sinusoidal and stepped
+        // demand: sums whose bits depend on the order of addition.
+        let diurnal = |phase: f64| UsageShape::Diurnal {
+            low: 0.13,
+            high: 0.87,
+            period: SimSpan::from_secs(3600),
+            phase,
+        };
+        let steps = |a: f64, b: f64| {
+            let points = vec![
+                (SimTime::ZERO, a),
+                (SimTime::from_secs(700), b),
+                (SimTime::from_secs(2900), a / 3.0),
+            ];
+            UsageShape::piecewise(points).unwrap()
+        };
+        let shapes = [
+            UsageShape::Constant(0.31),
+            diurnal(0.0),
+            steps(0.9, 0.17),
+            diurnal(0.37),
+            UsageShape::Constant(0.77),
+            steps(0.21, 0.63),
+        ];
+        let mut h = Hypervisor::new(cap());
+        for (i, cpu) in shapes.into_iter().enumerate() {
+            let id = i as u64 + 1;
+            let workload = VmWorkload {
+                cpu,
+                memory: UsageShape::Constant(0.1 * id as f64),
+                network: diurnal(0.11 * id as f64),
+                seed: id,
+            };
+            h.admit(spec(id, 0.3 * id as f64, 700.0 * id as f64), workload, t0())
+                .unwrap();
+        }
+        for secs in [0, 1234, 3000] {
+            let t = SimTime::from_secs(secs);
+            let sample: Vec<(VmId, ResourceVector)> =
+                h.usage_at(t).map(|(g, used)| (g.spec.id, used)).collect();
+            let ids: Vec<u64> = sample.iter().map(|(id, _)| id.0).collect();
+            assert_eq!(ids, [1, 2, 3, 4, 5, 6], "VmId order");
+            let summed: ResourceVector = sample.iter().map(|(_, used)| *used).sum();
+            let demand = h.demand_at(t);
+            for d in 0..DIMS {
+                assert_eq!(summed.get(d).to_bits(), demand.get(d).to_bits());
+            }
+            // What the LC's beat derives from the sample is what the
+            // instant-taking forms derive from their own.
+            let (over, under) = (0.35, 0.5);
+            assert_eq!(h.utilization_of(&summed), h.utilization_at(t));
+            assert_eq!(h.is_overloaded_by(&summed, over), h.is_overloaded(t, over));
+            assert_eq!(
+                h.is_underloaded_by(&summed, under),
+                h.is_underloaded(t, under)
+            );
+        }
     }
 
     #[test]

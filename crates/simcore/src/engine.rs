@@ -29,8 +29,14 @@
 //! fold and a push: a handler runs on its component's slot in place (the
 //! components and everything a [`Ctx`] can reach are disjoint fields), the
 //! engine's own `net.*` counters are bumped through handles taken once at
-//! build instead of by name, and the FIFO clamp reads the sender's own row
-//! (`network.rs`). DESIGN.md, "What one message costs", has the ledger.
+//! build instead of by name, the FIFO clamp reads the sender's own row
+//! (`network.rs`), and the digest folds each word's high zero bytes in one
+//! multiply. A queued event is `(time, seq)`, two endpoints, the message
+//! and a span context — 48 bytes around the message — and is copied by
+//! every push, bucket sort and pop, so the message type should be small:
+//! a deployment's enum boxes its rare fat variants (`snooze::messages`).
+//! DESIGN.md, "What one message costs" and "What an event weighs", has
+//! the ledgers.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -229,6 +235,12 @@ impl<M> EngineCore<M> {
     /// Fold an executed event into the run digest. The digest covers the
     /// full executed stream — `(time, seq, kind, endpoints)` per event —
     /// so two runs agree on it iff they executed the same history.
+    ///
+    /// It is FNV-1a over the five words' 40 little-endian bytes, computed
+    /// by [`fnv1a_word`](crate::trace::fnv1a_word): about 27 of those
+    /// bytes are the words' high zero bytes, and a run of zero bytes is
+    /// one multiply instead of one xor-multiply step each — the same
+    /// value from a serial chain a third as long.
     fn fold_event(&mut self, ev: &Scheduled<M>) {
         let (disc, a, b): (u64, u64, u64) = match &ev.kind {
             EventKind::Start(id) => (1, id.0 as u64, 0),
@@ -248,7 +260,7 @@ impl<M> EngineCore<M> {
         };
         let mut h = self.digest;
         for word in [ev.time.0, ev.seq, disc, a, b] {
-            h = crate::trace::fnv1a(h, &word.to_le_bytes());
+            h = crate::trace::fnv1a_word(h, word);
         }
         self.digest = h;
     }
@@ -1843,6 +1855,19 @@ mod tests {
         let labels = label("reason", "crashed").with("msg", "Ping");
         assert_eq!(sim.metrics().counter_with("dead_letters", &labels), 1);
         assert_eq!(sim.dead_letters(), 1);
+    }
+
+    /// What the queue moves per event, around a message of 40 bytes (what
+    /// a Snooze deployment carries): `(time, seq)`, two endpoints, the
+    /// message and a span context. Every push, bucket sort and pop copies
+    /// this many bytes, so it is a ceiling, not an observation.
+    #[test]
+    fn a_queued_event_is_at_most_88_bytes_around_a_40_byte_message() {
+        assert!(std::mem::size_of::<Scheduled<[u64; 5]>>() <= 88);
+        // 16 of them are the span context: ids are 1-based, so a
+        // `NonZeroU64` niche would make it 8 — not taken, 88 → 80 B is
+        // inside the noise (DESIGN.md, "What an event weighs").
+        assert_eq!(std::mem::size_of::<Option<SpanId>>(), 16);
     }
 
     #[test]

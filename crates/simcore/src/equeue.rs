@@ -21,6 +21,22 @@
 //! `BinaryHeap` was the engine's first queue; it survives below as the
 //! reference the tests hold this one to, pop for pop.
 //!
+//! Drained bucket vectors are **recycled**: a fleet's beat fills a dozen
+//! ring buckets with a few hundred events each, and a bucket that starts
+//! at capacity 0 reallocates (and copies its entries) seven or eight
+//! times on the way there. When a bucket has been drained its empty
+//! vector goes on a short spare list — at most [`SPARE_CAP`] of them —
+//! and the next *ring* bucket to receive its first event takes one
+//! instead of starting from nothing. Two limits keep the capacity parked
+//! this way from becoming resident memory. The list is bounded: handing a
+//! drained vector straight back to its own ring slot leaves capacity in
+//! all 4096 slots (`trace_replay` peak RSS 15 → 70 MB). And far buckets
+//! never take a spare: a ring bucket is drained within a quarter second
+//! of simulated time, but a far bucket can hold one watchdog timer for
+//! half an hour, and a thousand of those each sitting on a vector sized
+//! for a fleet-wide beat is 14 → 29 MB on the same run. DESIGN.md, "What
+//! an event weighs", has the ledger row.
+//!
 //! Two choices exist for the model checker, which snapshots, edits and
 //! restores the pending set thousands of times a second on queues of a
 //! few dozen events:
@@ -46,6 +62,11 @@ const BUCKET_SHIFT: u64 = 6;
 /// ≈ 262 ms of schedule ahead of the active bucket.
 const RING_LEN: u64 = 4096;
 const RING_MASK: u64 = RING_LEN - 1;
+/// Most drained bucket vectors kept for reuse. Each can be as large as
+/// the largest bucket the run has drained, so the count is what bounds
+/// the memory parked here: 4, 8 and 16 read the same `wall_s`, and 16
+/// costs `dense_reconfig` +0.8 MB of peak RSS over 8.
+const SPARE_CAP: usize = 8;
 
 #[inline]
 fn bucket_of(t: SimTime) -> u64 {
@@ -71,6 +92,9 @@ pub(crate) struct EventQueue<M> {
     ring_count: usize,
     /// Far future: bucket index → events, for `b >= base + RING_LEN`.
     far: BTreeMap<u64, Vec<Scheduled<M>>>,
+    /// Drained bucket vectors — empty, capacity kept — waiting for the
+    /// next bucket that receives its first event. At most [`SPARE_CAP`].
+    spare: Vec<Vec<Scheduled<M>>>,
     len: usize,
 }
 
@@ -83,6 +107,7 @@ impl<M> EventQueue<M> {
             ring: Vec::new(),
             ring_count: 0,
             far: BTreeMap::new(),
+            spare: Vec::new(),
             len: 0,
         }
     }
@@ -96,10 +121,23 @@ impl<M> EventQueue<M> {
             if self.ring.is_empty() {
                 self.ring.resize_with(RING_LEN as usize, Vec::new);
             }
-            self.ring[(b & RING_MASK) as usize].push(ev);
+            let slot = &mut self.ring[(b & RING_MASK) as usize];
+            if slot.capacity() == 0 {
+                *slot = self.spare.pop().unwrap_or_default();
+            }
+            slot.push(ev);
             self.ring_count += 1;
         } else {
             self.far.entry(b).or_default().push(ev);
+        }
+    }
+
+    /// Park a drained bucket vector for reuse, or free it if the spare
+    /// list is full.
+    fn recycle(&mut self, bucket: Vec<Scheduled<M>>) {
+        debug_assert!(bucket.is_empty());
+        if bucket.capacity() > 0 && self.spare.len() < SPARE_CAP {
+            self.spare.push(bucket);
         }
     }
 
@@ -129,10 +167,16 @@ impl<M> EventQueue<M> {
             Vec::new()
         };
         if let Some(mut far_events) = self.far.remove(&b) {
-            events.append(&mut far_events);
+            if events.is_empty() {
+                std::mem::swap(&mut events, &mut far_events);
+            } else {
+                events.append(&mut far_events);
+            }
+            self.recycle(far_events);
         }
         events.sort_unstable_by(|x, y| y.cmp(x));
-        self.active = events;
+        let drained = std::mem::replace(&mut self.active, events);
+        self.recycle(drained);
         self.base = b;
     }
 
@@ -363,6 +407,71 @@ mod tests {
         assert_eq!((q.ring_count, q.far.len()), (2, 2));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
         assert_eq!(order, [5, 3, 4, 2]);
+    }
+
+    #[test]
+    fn spare_list_is_bounded_after_synchronized_fleet_beats() {
+        // A fleet's beat: 300 timers in one far bucket; each one popped
+        // sends a delivery a few hundred µs on (a handful of ring buckets,
+        // ~40 events each) and re-arms itself 3 s later.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut EventQueue<u32>, t: u64| {
+            q.push(ev(t, seq));
+            seq += 1;
+        };
+        for i in 0..300 {
+            push(&mut q, 3_000_000 + i % 3);
+        }
+        let mut largest = 0; // capacity of the largest bucket drained
+        for beat in 1..=5u64 {
+            let next_beat = 3_000_000 * (beat + 1);
+            while let Some(e) = q.pop() {
+                largest = largest.max(q.active.capacity());
+                if e.time.0 < 3_000_000 * beat + 3 {
+                    push(&mut q, e.time.0 + 100 + (e.seq % 400));
+                    push(&mut q, next_beat + e.seq % 3);
+                }
+                if q.peek_key().is_some_and(|(t, _)| t.0 >= next_beat) {
+                    break;
+                }
+            }
+            assert!(!q.spare.is_empty(), "drained ring buckets are kept");
+            assert!(q.spare.len() <= SPARE_CAP);
+        }
+        let parked: usize = q.spare.iter().map(Vec::capacity).sum();
+        assert!(
+            parked <= SPARE_CAP * largest,
+            "{parked} > {SPARE_CAP} x {largest}"
+        );
+        assert!(q.spare.iter().all(|v| v.is_empty() && v.capacity() > 0));
+        // The next bucket to open takes a spare instead of allocating;
+        // far buckets (which can sit for hours holding one timer) do not.
+        let spares = q.spare.len();
+        let soon = q.peek_key().expect("next beat is pending").0 .0 + 5_000;
+        push(&mut q, soon);
+        assert_eq!(q.spare.len(), spares - 1);
+        push(&mut q, soon + 3_600_000_000);
+        assert_eq!(q.spare.len(), spares - 1);
+    }
+
+    #[test]
+    fn drain_all_leaves_the_spare_list_usable() {
+        // The model checker's cycle, on one queue: fill, drain, refill.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for round in 0..50u64 {
+            for i in 0..40 {
+                q.push(ev(1_000 + i * 640 + round, i)); // a ring bucket every 10
+            }
+            let drained = q.drain_all();
+            assert!(drained.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!((drained.len(), q.len(), q.base), (40, 0, 0));
+            assert!((1..=SPARE_CAP).contains(&q.spare.len()));
+        }
+        let spares = q.spare.len();
+        q.push(ev(70_000, 0));
+        assert_eq!(q.spare.len(), spares - 1, "refill reuses a drained bucket");
+        assert_eq!(q.pop().map(|e| e.seq), Some(0));
     }
 
     #[test]

@@ -70,16 +70,23 @@ pub struct ProfileRow {
 
 /// Attributes executed events to `(component kind, message variant)`.
 ///
-/// Enabled via `Engine::enable_profiler`; costs one move-to-front
+/// Enabled via `Engine::enable_profiler`; costs one hottest-first
 /// probe per event and two wall-clock reads per
 /// [`Profiler::WALL_SAMPLE`] events while on, nothing while off.
+///
+/// The per-event methods here and on [`FlightRecorder`] are `#[inline]`:
+/// the engine is generic over its component type, so its event loop is
+/// compiled in the crate that names that type, and without the attribute
+/// every observed event pays three calls back into this crate (on the
+/// `obs` smoke gate the two observers cost 41 ns/event as calls, 24
+/// inlined).
 #[derive(Clone, Debug)]
 pub struct Profiler {
     /// Interned component-kind strings; index is the `u16` in cells.
     kinds: Vec<String>,
     /// Component index → kind index, built lazily from engine names.
     kind_of: Vec<u16>,
-    /// Buckets kept roughly hottest-first by a move-to-front probe;
+    /// Buckets kept roughly hottest-first by the probe that finds them;
     /// export sorts and merges, so storage order is irrelevant.
     cells: Vec<ProfCell>,
     /// The sampled event in flight: its bucket and the clock at its
@@ -114,6 +121,7 @@ impl Profiler {
 
     /// Kind index for component `comp`, interning from `names` on first
     /// sight. `None` (events with no component target) maps to `"net"`.
+    #[inline]
     pub(crate) fn kind_index(&mut self, comp: Option<usize>, names: &[String]) -> u16 {
         let kind_str = match comp {
             Some(i) => {
@@ -146,6 +154,7 @@ impl Profiler {
     /// Begin attributing the event being executed: close the sampled
     /// event before it, if there is one, count this one, and start the
     /// clock on it when the sampling tick lands.
+    #[inline]
     pub(crate) fn begin_event(&mut self, kind: u16, variant: &'static str) {
         self.flush();
         let i = self.cell_index(kind, variant);
@@ -158,6 +167,7 @@ impl Profiler {
 
     /// Bank the sampled event in flight, if any (call before reading
     /// exports).
+    #[inline]
     pub(crate) fn flush(&mut self) {
         if let Some((kind, variant, clock)) = self.timed.take() {
             let i = self.cell_index(kind, variant);
@@ -168,18 +178,22 @@ impl Profiler {
     /// Bucket index for `(kind, variant)`, inserting a zeroed bucket on
     /// first sight. Hot path: buckets are few (kinds × variants) and
     /// traffic is heavily repetitive, so a linear probe with
-    /// pointer-equality on the variant plus a move-to-front swap beats
-    /// a map — the handful of hot buckets settle at the head. Content
-    /// equality is restored at export time by merging.
+    /// pointer-equality on the variant beats a map. A bucket moves one
+    /// place toward the head when its count has passed its predecessor's,
+    /// so the handful of hot buckets settle there in order of heat and
+    /// then stay put (swapping on every hit kept equally hot buckets
+    /// trading places forever). Content equality is restored at export
+    /// time by merging.
+    #[inline]
     fn cell_index(&mut self, kind: u16, variant: &'static str) -> usize {
         for i in 0..self.cells.len() {
             let c = &self.cells[i];
             if c.kind == kind && std::ptr::eq(c.variant, variant) {
-                if i > 0 {
+                if i > 0 && c.events > self.cells[i - 1].events {
                     self.cells.swap(i, i - 1);
                     return i - 1;
                 }
-                return 0;
+                return i;
             }
         }
         self.cells.push(ProfCell {
@@ -297,13 +311,18 @@ impl FlightRecorder {
         }
     }
 
+    #[inline]
     pub(crate) fn record(&mut self, ev: FlightEvent) {
         if self.ring.len() < self.capacity {
             self.ring.push(ev);
         } else {
             self.ring[self.head] = ev;
         }
-        self.head = (self.head + 1) % self.capacity;
+        // Wrap by compare: no division on the per-event path.
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
         self.recorded += 1;
     }
 

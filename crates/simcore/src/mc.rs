@@ -31,7 +31,7 @@ use crate::engine::{Component, ComponentId, Engine, EventKind, NetFault, Schedul
 use crate::network::NetworkState;
 use crate::rng::SimRng;
 use crate::time::{SimSpan, SimTime};
-use crate::trace::{fnv1a, FNV_OFFSET};
+use crate::trace::{fnv1a, fnv1a_word, FNV_OFFSET};
 
 /// Canonical FNV-1a folder handed to [`McState::mc_fold`] implementations.
 ///
@@ -54,7 +54,7 @@ impl McHasher {
 
     /// Fold one machine word.
     pub fn word(&mut self, w: u64) {
-        self.hash = fnv1a(self.hash, &w.to_le_bytes());
+        self.hash = fnv1a_word(self.hash, w);
     }
 
     /// Fold a boolean.

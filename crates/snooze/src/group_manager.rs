@@ -939,7 +939,10 @@ impl Component for GroupManager {
 
         match msg {
             // --- election plumbing ---
-            SnoozeMsg::Protocol(ProtocolMsg::Reply(reply)) => {
+            SnoozeMsg::Protocol(p) => {
+                let ProtocolMsg::Reply(reply) = *p else {
+                    return; // requests are for the coordination service
+                };
                 if let Some(event) = self.elector.handle_reply(ctx, &reply) {
                     match event {
                         ElectorEvent::BecameLeader => self.become_gl(ctx),
@@ -972,7 +975,7 @@ impl Component for GroupManager {
             }
             SnoozeMsg::GmHeartbeat(hb) if self.mode == Mode::Gl => {
                 self.gm_fd.heard(src, now);
-                self.gm_summaries.insert(src, hb);
+                self.gm_summaries.insert(src, *hb);
             }
             SnoozeMsg::LcAssignRequest(_) if self.mode == Mode::Gl => {
                 // Assign to the GM with the fewest LCs ("e.g. to least
@@ -992,7 +995,7 @@ impl Component for GroupManager {
                 // No GMs yet: drop; the LC retries on later heartbeats.
             }
             SnoozeMsg::SubmitVm(submit) if self.mode == Mode::Gl => {
-                self.dispatch(ctx, submit);
+                self.dispatch(ctx, *submit);
             }
             SnoozeMsg::PlaceVmResponse(resp) if self.mode == Mode::Gl => {
                 if resp.placed_on.is_some() {

@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 use snooze_cluster::hypervisor::Hypervisor;
 use snooze_cluster::node::{NodeSpec, PowerState, PowerStateMachine};
 use snooze_cluster::power::EnergyMeter;
+use snooze_cluster::resources::ResourceVector;
 use snooze_cluster::vm::{VmId, VmState};
 use snooze_simcore::engine::{Component, ComponentId, Ctx, GroupId};
 use snooze_simcore::mc::{McHasher, McState};
@@ -134,93 +135,110 @@ impl LocalController {
     }
 
     fn meter_update(&mut self, now: SimTime) {
-        let util = if self.is_on() {
-            let u = self.hypervisor.utilization_at(now);
-            u.cpu.clamp(0.0, 1.0)
+        // A node that is not on draws its state's power whatever it
+        // hosts, so only one that is on is sampled.
+        let demand = if self.is_on() {
+            self.hypervisor.demand_at(now)
         } else {
-            0.0
+            ResourceVector::ZERO
         };
+        self.meter_record(now, &demand);
+    }
+
+    /// Move the energy meter to `now` at the power `demand` draws.
+    fn meter_record(&mut self, now: SimTime, demand: &ResourceVector) {
+        let util = self.hypervisor.utilization_of(demand).cpu.clamp(0.0, 1.0);
         let watts = self.power.watts(self.node.power.as_ref(), util);
         self.energy.update(now, watts);
     }
 
-    fn send_monitoring(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>, powered_on: bool) {
+    /// Every guest's usage at `now`, in `VmId` order.
+    fn sample(&self, now: SimTime) -> Vec<VmUsage> {
+        let usage = self.hypervisor.usage_at(now).map(|(g, used)| VmUsage {
+            vm: g.spec.id,
+            requested: g.spec.requested,
+            used,
+        });
+        usage.collect()
+    }
+
+    /// Report `vms`, sampled at `now`, to the GM (if assigned).
+    fn send_monitoring(&self, ctx: &mut Ctx<'_, SnoozeMsg>, vms: Vec<VmUsage>) {
         let Some(gm) = self.gm else { return };
-        let now = ctx.now();
-        let vms: Vec<VmUsage> = self
-            .hypervisor
-            .guests()
-            .map(|g| VmUsage {
-                vm: g.spec.id,
-                requested: g.spec.requested,
-                used: g.workload.usage_at(now, &g.spec.requested),
-            })
-            .collect();
-        let report = LcMonitoring {
+        ctx.send(gm, self.monitoring(ctx.now(), vms));
+    }
+
+    fn monitoring(&self, now: SimTime, vms: Vec<VmUsage>) -> LcMonitoring {
+        LcMonitoring {
             capacity: self.hypervisor.capacity(),
             reserved: self.hypervisor.reserved(),
             vms,
-            powered_on,
+            powered_on: true,
             sampled_at: now,
-        };
-        ctx.send(gm, report);
+        }
     }
 
-    fn check_anomalies(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
-        let Some(gm) = self.gm else { return };
-        let now = ctx.now();
-        // Rate-limit anomaly spam: one report per three monitoring ticks.
+    /// The anomaly `demand` amounts to, if one is due: at most one report
+    /// per three monitoring ticks.
+    fn detect_anomaly(&self, now: SimTime, demand: &ResourceVector) -> Option<AnomalyKind> {
+        self.gm?;
         if now.since(self.last_anomaly_at) < self.config.lc_monitoring_period * 3 {
-            return;
+            return None;
         }
-        // VMs mid-migration are about to leave; don't double-report them.
-        let kind = if self
-            .hypervisor
-            .is_overloaded(now, self.config.overload_threshold)
-        {
+        let hv = &self.hypervisor;
+        if hv.is_overloaded_by(demand, self.config.overload_threshold) {
             Some(AnomalyKind::Overload)
+        // VMs mid-migration are about to leave; don't double-report them.
         } else if self.migrating_out.is_empty()
-            && self
-                .hypervisor
-                .is_underloaded(now, self.config.underload_threshold)
+            && hv.is_underloaded_by(demand, self.config.underload_threshold)
         {
             Some(AnomalyKind::Underload)
         } else {
             None
+        }
+    }
+
+    /// Raise `kind` at the GM, backed by the running guests' share of the
+    /// beat's sample.
+    fn report_anomaly(
+        &mut self,
+        ctx: &mut Ctx<'_, SnoozeMsg>,
+        kind: AnomalyKind,
+        vms: Vec<VmUsage>,
+    ) {
+        let Some(gm) = self.gm else { return };
+        let now = ctx.now();
+        self.last_anomaly_at = now;
+        let (count, kind_label) = match kind {
+            AnomalyKind::Overload => (&mut self.stats.overload_reports, "overload"),
+            AnomalyKind::Underload => (&mut self.stats.underload_reports, "underload"),
         };
-        if let Some(kind) = kind {
-            self.last_anomaly_at = now;
-            match kind {
-                AnomalyKind::Overload => {
-                    self.stats.overload_reports += 1;
-                    ctx.metrics()
-                        .incr_with("lc.anomaly_reports", &label("kind", "overload"));
-                }
-                AnomalyKind::Underload => {
-                    self.stats.underload_reports += 1;
-                    ctx.metrics()
-                        .incr_with("lc.anomaly_reports", &label("kind", "underload"));
-                }
-            }
-            let vms: Vec<VmUsage> = self
-                .hypervisor
-                .guests()
-                .filter(|g| g.state == VmState::Running)
-                .map(|g| VmUsage {
-                    vm: g.spec.id,
-                    requested: g.spec.requested,
-                    used: g.workload.usage_at(now, &g.spec.requested),
-                })
-                .collect();
-            let monitoring = LcMonitoring {
-                capacity: self.hypervisor.capacity(),
-                reserved: self.hypervisor.reserved(),
-                vms,
-                powered_on: true,
-                sampled_at: now,
-            };
-            ctx.trace("anomaly", format!("{kind:?}"));
-            ctx.send(gm, AnomalyReport { kind, monitoring });
+        *count += 1;
+        ctx.metrics()
+            .incr_with("lc.anomaly_reports", &label("kind", kind_label));
+        ctx.trace("anomaly", format!("{kind:?}"));
+        let monitoring = self.monitoring(now, vms);
+        ctx.send(gm, AnomalyReport { kind, monitoring });
+    }
+
+    /// The monitoring beat: one usage sample per guest feeds the energy
+    /// meter, the report to the GM and the anomaly check, in that order.
+    fn monitor(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
+        let now = ctx.now();
+        let vms = self.sample(now);
+        let demand: ResourceVector = vms.iter().map(|u| u.used).sum();
+        self.meter_record(now, &demand);
+        // The report takes the sample with it, so what an anomaly report
+        // needs of it is set aside first; the anomaly's own effects follow
+        // the monitoring send, as they always have.
+        let anomaly = self.detect_anomaly(now, &demand).map(|kind| {
+            let guests = self.hypervisor.guests().zip(&vms);
+            let running = guests.filter(|(g, _)| g.state == VmState::Running);
+            (kind, running.map(|(_, u)| *u).collect())
+        });
+        self.send_monitoring(ctx, vms);
+        if let Some((kind, running)) = anomaly {
+            self.report_anomaly(ctx, kind, running);
         }
     }
 
@@ -335,7 +353,7 @@ impl Component for LocalController {
                 ctx.join_group(group);
                 ctx.trace("join", format!("joined GM {src:?}"));
                 // Report immediately so the GM learns our capacity and guests.
-                self.send_monitoring(ctx, true);
+                self.send_monitoring(ctx, self.sample(now));
             }
             SnoozeMsg::GmLcHeartbeat(hb) if Some(hb.gm) == self.gm => {
                 self.last_gm_heartbeat = now;
@@ -445,7 +463,7 @@ impl Component for LocalController {
                     }
                 } else if let Some(gm) = self.gm {
                     // Stale command: correct the GM's view.
-                    self.send_monitoring(ctx, true);
+                    self.send_monitoring(ctx, self.sample(now));
                     ctx.send(gm, NodePowerChanged { powered_on: true });
                 }
             }
@@ -467,9 +485,7 @@ impl Component for LocalController {
             // While suspended the monitoring loop stops; it is restarted
             // by the LC_POWER timer on wake-up.
             LC_MONITOR if self.is_on() => {
-                self.meter_update(now);
-                self.send_monitoring(ctx, true);
-                self.check_anomalies(ctx);
+                self.monitor(ctx);
                 // GM liveness: silent too long ⇒ rejoin the hierarchy.
                 if self.gm.is_some()
                     && now.since(self.last_gm_heartbeat) > self.config.gm_silence_for_lc
@@ -544,7 +560,7 @@ impl Component for LocalController {
                     self.last_gm_heartbeat = now;
                     if let Some(gm) = self.gm {
                         ctx.send(gm, NodePowerChanged { powered_on: true });
-                        self.send_monitoring(ctx, true);
+                        self.send_monitoring(ctx, self.sample(now));
                     }
                     ctx.set_timer(self.config.lc_monitoring_period, tag(LC_MONITOR, 0));
                 }

@@ -6,13 +6,30 @@
 //! and [`SnoozeMsg`] closes them into the single enum the engine carries:
 //! each struct below is a variant, coordination traffic rides in the
 //! [`SnoozeMsg::Protocol`] variant, and every component handler is an
-//! exhaustive `match` — no boxing, no runtime casts.
+//! exhaustive `match` — no runtime casts.
+//!
+//! **What a variant weighs.** The engine moves a `SnoozeMsg` by value
+//! through every queue push, sort and pop, so the *largest* variant sets
+//! the cost of *every* event — and nine events in ten are a heartbeat
+//! carrying one `ComponentId`. The `snooze_msg!` invocation at the bottom
+//! therefore has two lists: `inline` variants hold their struct directly
+//! and must fit 32 bytes (one `ResourceVector`); `boxed`
+//! variants — the rare, fat ones: VM specs with their workloads,
+//! monitoring reports, coordination traffic — ride as `Box<T>`, one
+//! allocation on a path that already allocates. That keeps
+//! `size_of::<SnoozeMsg>()` at 40 bytes (it was 184, set by `SubmitVm`);
+//! `tests/engine_pin.rs` pins the total and a test generated by the macro
+//! names the inline struct that outgrew its slot. Send sites do not see
+//! the difference (`From<T>` boxes); a receiving `match` arm binds a
+//! `Box<T>` and reads fields through it, and a forwarder hands the box on
+//! (`From<Box<T>>`) instead of unboxing and reboxing.
 //!
 //! To add a message: define its struct here, list it in the
-//! `snooze_msg!` invocation at the bottom, and handle the new variant in
-//! the receiving component's `on_message` (the compiler will not remind
-//! you — unhandled variants fall into the `_ => {}` drop arm, exactly
-//! like an unknown REST endpoint — so add a test that exercises it).
+//! `snooze_msg!` invocation at the bottom — under `boxed` if it is larger
+//! than 32 bytes — and handle the new variant in the receiving
+//! component's `on_message` (the compiler will not remind you — unhandled
+//! variants fall into the `_ => {}` drop arm, exactly like an unknown REST
+//! endpoint — so add a test that exercises it).
 
 use snooze_cluster::resources::ResourceVector;
 use snooze_cluster::vm::{VmId, VmSpec};
@@ -371,10 +388,14 @@ pub struct ManagerCensusReply {
 // ---------------------------------------------------------------------------
 
 /// Declares [`SnoozeMsg`]: one variant per management-plane message
-/// struct (variant name = struct name), plus a `From` conversion per
-/// struct so send sites pass the bare struct.
+/// struct (variant name = struct name) — held directly if listed under
+/// `inline`, as `Box<T>` if listed under `boxed` — plus the `From`
+/// conversions so send sites pass the bare struct either way.
 macro_rules! snooze_msg {
-    ( $( $ty:ident ),+ $(,)? ) => {
+    (
+        inline: [ $( $ty:ident ),+ $(,)? ],
+        boxed: [ $( $fat:ident ),+ $(,)? ] $(,)?
+    ) => {
         /// Every message the Snooze management plane can carry — the
         /// engine's message type for a Snooze deployment.
         ///
@@ -386,10 +407,14 @@ macro_rules! snooze_msg {
             /// Coordination traffic: requests to and replies from the
             /// ZooKeeper stand-in (see
             /// [`snooze_protocols::coordination::ProtocolMsg`]).
-            Protocol(ProtocolMsg),
+            Protocol(Box<ProtocolMsg>),
             $(
                 #[doc = concat!("A [`", stringify!($ty), "`] message.")]
                 $ty($ty),
+            )+
+            $(
+                #[doc = concat!("A [`", stringify!($fat), "`] message, boxed.")]
+                $fat(Box<$fat>),
             )+
         }
 
@@ -397,6 +422,20 @@ macro_rules! snooze_msg {
             impl From<$ty> for SnoozeMsg {
                 fn from(m: $ty) -> Self {
                     SnoozeMsg::$ty(m)
+                }
+            }
+        )+
+
+        $(
+            impl From<$fat> for SnoozeMsg {
+                fn from(m: $fat) -> Self {
+                    SnoozeMsg::$fat(Box::new(m))
+                }
+            }
+
+            impl From<Box<$fat>> for SnoozeMsg {
+                fn from(m: Box<$fat>) -> Self {
+                    SnoozeMsg::$fat(m)
                 }
             }
         )+
@@ -411,39 +450,64 @@ macro_rules! snooze_msg {
             /// and the `dead_letters{msg=..}` breakdown all key on it.
             pub fn variant_name(&self) -> &'static str {
                 match self {
-                    SnoozeMsg::Protocol(ProtocolMsg::Request(_)) => "Protocol.Request",
-                    SnoozeMsg::Protocol(ProtocolMsg::Reply(_)) => "Protocol.Reply",
+                    SnoozeMsg::Protocol(p) => match **p {
+                        ProtocolMsg::Request(_) => "Protocol.Request",
+                        ProtocolMsg::Reply(_) => "Protocol.Reply",
+                    },
                     $( SnoozeMsg::$ty(_) => stringify!($ty), )+
+                    $( SnoozeMsg::$fat(_) => stringify!($fat), )+
                 }
             }
+        }
+
+        #[cfg(test)]
+        #[test]
+        fn inline_variants_fit_their_slot() {
+            // Largest payload a variant may carry inline; anything bigger
+            // is listed under `boxed` (see the module docs).
+            const INLINE_MAX: usize = 32;
+            $(
+                let size = std::mem::size_of::<$ty>();
+                assert!(
+                    size <= INLINE_MAX,
+                    "{} is {size} B, over the {INLINE_MAX} B an inline variant may \
+                     weigh: list it under `boxed`",
+                    stringify!($ty),
+                );
+            )+
         }
     };
 }
 
 snooze_msg! {
-    DiscoverGl, GlInfo, SubmitVm, VmPlaced, VmRejected, DestroyVm,
-    HierarchyQuery, HierarchySnapshot,
-    GlHeartbeat, GmHeartbeat, GmLcHeartbeat,
-    GmJoin, LcAssignRequest, LcAssignment, LcJoin, LcJoinAckWithGroup,
-    LcMonitoring, AnomalyReport,
-    PlaceVmRequest, PlaceVmResponse, StartVm, StartVmResult,
-    MigrateVm, MigrateRefused, VmHandoff, MigrationDone,
-    SuspendNode, WakeNode, NodePowerChanged,
-    VmActive, VmFailed,
-    PromoteIfIdle, DemoteToLc, RoleReport, QueryRole,
-    ManagerCensusQuery, ManagerCensusReply,
+    inline: [
+        DiscoverGl, GlInfo, VmPlaced, VmRejected, DestroyVm,
+        HierarchyQuery, HierarchySnapshot,
+        GlHeartbeat, GmLcHeartbeat,
+        GmJoin, LcAssignRequest, LcAssignment, LcJoin, LcJoinAckWithGroup,
+        PlaceVmResponse, StartVmResult,
+        MigrateVm, MigrateRefused, MigrationDone,
+        SuspendNode, WakeNode, NodePowerChanged,
+        VmActive, VmFailed,
+        PromoteIfIdle, DemoteToLc, RoleReport, QueryRole,
+        ManagerCensusQuery, ManagerCensusReply,
+    ],
+    boxed: [
+        SubmitVm, GmHeartbeat, LcMonitoring, AnomalyReport,
+        PlaceVmRequest, StartVm, VmHandoff,
+    ],
 }
 
 impl From<ProtocolMsg> for SnoozeMsg {
     fn from(m: ProtocolMsg) -> Self {
-        SnoozeMsg::Protocol(m)
+        SnoozeMsg::Protocol(Box::new(m))
     }
 }
 
 impl ProtocolCarrier for SnoozeMsg {
     fn into_protocol(self) -> Option<ProtocolMsg> {
         match self {
-            SnoozeMsg::Protocol(p) => Some(p),
+            SnoozeMsg::Protocol(p) => Some(*p),
             _ => None,
         }
     }
@@ -649,7 +713,7 @@ mod variant_tests {
         use snooze_protocols::coordination::ZkRequest;
         assert_eq!(SnoozeMsg::from(QueryRole).variant_name(), "QueryRole");
         assert_eq!(SnoozeMsg::from(DiscoverGl).variant_name(), "DiscoverGl");
-        let req = SnoozeMsg::Protocol(ProtocolMsg::Request(ZkRequest::Ping { epoch: 0 }));
+        let req = SnoozeMsg::from(ProtocolMsg::Request(ZkRequest::Ping { epoch: 0 }));
         assert_eq!(req.variant_name(), "Protocol.Request");
     }
 }

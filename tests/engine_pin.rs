@@ -8,6 +8,10 @@
 //! * Bare components that walk every region of the event queue (side
 //!   heap, near ring, far map, a post behind the active bucket); captured
 //!   on the last commit that had a binary-heap queue, running it.
+//! * A small deployment whose guests push their nodes over and under the
+//!   anomaly thresholds, so the LC's monitoring beat — one usage sample
+//!   feeding the meter, the report and the anomaly check — is held to the
+//!   bits the four-sample beat before it produced.
 //! * The byte sizes of the message and node enums, as ceilings.
 
 use snooze::prelude::*;
@@ -16,6 +20,7 @@ use snooze_cluster::resources::ResourceVector;
 use snooze_cluster::vm::{VmId, VmSpec};
 use snooze_cluster::workload::{UsageShape, VmWorkload};
 use snooze_simcore::prelude::*;
+use snooze_simcore::telemetry::label::label;
 
 fn secs(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -26,13 +31,22 @@ fn fnv(text: &str) -> u64 {
     snooze_telemetry::fnv1a(snooze_telemetry::FNV_OFFSET, text.as_bytes())
 }
 
+/// `lc.anomaly_reports{kind}`.
+fn anomaly_reports(sim: &Engine<SnoozeNode>, kind: &str) -> u64 {
+    let reports = "lc.anomaly_reports";
+    sim.metrics().counter_with(reports, &label("kind", kind))
+}
+
 /// `(events_executed, digest, span_digest, dead_letters, net.sent,
 /// net.delivered, net.dropped, net.to_dead, fnv(to_prometheus),
-/// fnv(to_jsonl))` of a 3-GM / 16-LC deployment with a 24-VM burst and the
-/// fault schedule above. The lossy, faulted run bumps all four counters the
-/// engine holds handles for, and the two export hashes cover every metric's
-/// value, visibility and rendering order.
-fn pin() -> [u64; 10] {
+/// fnv(to_jsonl), total energy bits, overload reports, underload reports)`
+/// of a 3-GM / 16-LC deployment with a 24-VM burst and the fault schedule
+/// above. The lossy, faulted run bumps all four counters the engine holds
+/// handles for, the two export hashes cover every metric's value,
+/// visibility and rendering order, and the watt-hours are every LC meter's
+/// integral to the last bit (no node here crosses an anomaly threshold;
+/// [`anomaly_pin`] is the deployment that does).
+fn pin() -> [u64; 13] {
     let mut sim: Engine<SnoozeNode> = SimBuilder::new(1303)
         .network(NetworkConfig::lossy_lan(0.01))
         .build();
@@ -79,10 +93,13 @@ fn pin() -> [u64; 10] {
         m.counter("net.to_dead"),
         fnv(&m.to_prometheus()),
         fnv(&m.to_jsonl()),
+        system.total_energy_wh(&sim, sim.now()).to_bits(),
+        anomaly_reports(&sim, "overload"),
+        anomaly_reports(&sim, "underload"),
     ]
 }
 
-const PINNED: [u64; 10] = [
+const PINNED: [u64; 13] = [
     39_874,
     3_150_394_356_885_249_003,
     9_643_873_029_163_597_281,
@@ -93,6 +110,9 @@ const PINNED: [u64; 10] = [
     98,
     2_602_939_617_296_259_641,
     16_652_880_773_304_713_961,
+    4_638_763_388_054_259_213,
+    0,
+    0,
 ];
 
 #[test]
@@ -100,12 +120,80 @@ fn faulted_deployment_is_pinned() {
     assert_eq!(pin(), PINNED);
 }
 
+fn flat(level: f64, seed: u64) -> VmWorkload {
+    VmWorkload {
+        cpu: UsageShape::Constant(level),
+        memory: UsageShape::Constant(level),
+        network: UsageShape::Constant(level),
+        seed,
+    }
+}
+
+/// `(events_executed, digest, total energy bits, overload reports,
+/// underload reports, fnv(to_prometheus))` of a 2-GM / 6-LC deployment:
+/// four guests at full demand fill one node past the overload threshold,
+/// six bursty ones leave theirs under the underload threshold between
+/// bursts.
+fn anomaly_pin() -> [u64; 6] {
+    let mut sim: Engine<SnoozeNode> = SimBuilder::new(4242).build();
+    let config = SnoozeConfig::fast_test();
+    let nodes = NodeSpec::standard_cluster(6);
+    let system = SnoozeSystem::deploy(&mut sim, &config, 2, &nodes, 1);
+    let vms: Vec<ScheduledVm> = (0..10)
+        .map(|i| ScheduledVm {
+            at: secs(10 + i),
+            spec: VmSpec::new(VmId(i), ResourceVector::new(2.0, 4096.0, 100.0, 100.0)),
+            workload: if i < 4 {
+                flat(1.0, i)
+            } else {
+                VmWorkload {
+                    cpu: UsageShape::OnOff {
+                        on_level: 0.8,
+                        off_level: 0.05,
+                        duty: 0.5,
+                        slot: SimSpan::from_secs(20),
+                    },
+                    ..flat(0.1, i)
+                }
+            },
+            lifetime: None,
+        })
+        .collect();
+    sim.add_component(
+        "client",
+        ClientDriver::new(system.eps[0], vms, SimSpan::from_secs(10)),
+    );
+    sim.run_until(secs(240));
+    [
+        sim.events_executed(),
+        sim.digest(),
+        system.total_energy_wh(&sim, sim.now()).to_bits(),
+        anomaly_reports(&sim, "overload"),
+        anomaly_reports(&sim, "underload"),
+        fnv(&sim.metrics().to_prometheus()),
+    ]
+}
+
+#[test]
+fn anomalous_deployment_is_pinned() {
+    const PINNED: [u64; 6] = [
+        15_189,
+        4_578_992_834_185_972_071,
+        4_631_489_882_154_161_137,
+        39,
+        32,
+        14_321_661_992_202_370_004,
+    ];
+    assert_eq!(anomaly_pin(), PINNED);
+}
+
 /// Every queued event carries a `SnoozeMsg` by value and the engine's
 /// component slots stride by `SnoozeNode`, so neither may grow unnoticed:
-/// a fatter variant goes behind a `Box`, or this ceiling moves on purpose.
+/// a fatter variant goes behind a `Box` (`snooze::messages` names the
+/// struct that outgrew its inline slot), or this ceiling moves on purpose.
 #[test]
 fn message_and_node_sizes_do_not_grow() {
-    assert!(std::mem::size_of::<SnoozeMsg>() <= 184);
+    assert!(std::mem::size_of::<SnoozeMsg>() <= 40);
     assert!(std::mem::size_of::<SnoozeNode>() <= 1424);
 }
 
