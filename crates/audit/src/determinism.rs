@@ -18,6 +18,7 @@ use snooze_cluster::resources::ResourceVector;
 use snooze_cluster::vm::{VmId, VmSpec};
 use snooze_cluster::workload::{UsageShape, VmWorkload};
 use snooze_simcore::prelude::*;
+use snooze_simcore::telemetry::{fnv1a, FNV_OFFSET};
 
 /// Scenario knobs, all defaulted by the CLI.
 #[derive(Clone, Copy, Debug)]
@@ -60,17 +61,6 @@ pub struct Fingerprint {
     pub energy: String,
 }
 
-fn fnv1a_words(mut hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for w in words {
-        for b in w.to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(PRIME);
-        }
-    }
-    hash
-}
-
 /// Run the scenario once and fingerprint it.
 pub fn run_once(sc: &Scenario) -> Fingerprint {
     let mut sim: Engine<SnoozeNode> = SimBuilder::new(sc.seed)
@@ -109,10 +99,11 @@ pub fn run_once(sc: &Scenario) -> Fingerprint {
         .component(client)
         .as_client()
         .expect("client driver present");
-    let placements = fnv1a_words(
-        0xcbf2_9ce4_8422_2325,
-        driver.placed.iter().flat_map(|p| [p.vm.0, p.lc.0 as u64]),
-    );
+    let placements = driver
+        .placed
+        .iter()
+        .flat_map(|p| [p.vm.0, p.lc.0 as u64])
+        .fold(FNV_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes()));
     Fingerprint {
         event_digest: sim.digest(),
         trace_digest: sim.trace().digest(),

@@ -1,7 +1,7 @@
 //! The experiment manifest and the one runner behind it.
 //!
 //! Every table `run_experiments` prints is a row of [`EXPERIMENTS`]. The
-//! offline ones (E1–E3, E8, E10a: consolidation algorithms on generated
+//! offline ones (E1, E2, E8, E10a: consolidation algorithms on generated
 //! instances, no simulated hierarchy) bring their own `fn() -> Table`.
 //! Every other table is *scenario-backed*: the row carries the text of
 //! the checked-in `scenarios/<slug>.toml` — the file **is** the experiment,
@@ -21,7 +21,7 @@ use snooze_simcore::flight::ProfileRow;
 use crate::table::{f1, f2, pct, Table};
 use crate::{
     e10_distributed_consolidation as e10, e1_aco_vs_ffd_vs_optimal as e1, e2_scaling as e2,
-    e3_parallel as e3, e8_ablations as e8,
+    e8_ablations as e8,
 };
 
 /// One finished scenario of a table.
@@ -395,7 +395,6 @@ const fn scenarios(
 pub const EXPERIMENTS: &[Experiment] = &[
     offline("e1", "e1", || e1::render(&e1::default_rows())),
     offline("e2", "e2", || e2::render(&e2::default_rows())),
-    offline("e3", "e3", || e3::render(&e3::default_rows())),
     scenarios(
         "e4",
         "e4",

@@ -5,7 +5,7 @@
 //! The experiment harness. Every table of DESIGN.md's per-experiment
 //! index (E1–E14: the paper's §II-F and §III-B evaluation, and beyond) is
 //! a row of [`experiments::EXPERIMENTS`]: the offline consolidation
-//! studies (E1–E3, E8, E10a) keep a module each; everything that runs the
+//! studies (E1, E2, E8, E10a) keep a module each; everything that runs the
 //! simulated hierarchy is a `scenarios/*.toml` file plus a column list,
 //! rendered by the one generic runner in [`experiments`]. The `run_experiments`
 //! binary loops over the manifest and [`smoke`] holds its CI gates; wall
@@ -18,7 +18,6 @@
 pub mod e10_distributed_consolidation;
 pub mod e1_aco_vs_ffd_vs_optimal;
 pub mod e2_scaling;
-pub mod e3_parallel;
 pub mod e8_ablations;
 pub mod experiments;
 pub mod report;

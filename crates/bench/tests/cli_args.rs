@@ -30,6 +30,7 @@ fn bad_command_lines_exit_2_and_say_why() {
     let dump = concat!("--dump", "-scenarios"); // went with the presets it wrote
     for (args, why) in [
         (&["e13"][..], "unknown experiment `e13`"),
+        (&["e3"][..], "unknown experiment `e3`"),
         (&["e1", "e15"][..], "unknown experiment `e15`"),
         (&["trace"][..], "unknown experiment `trace`"),
         (&["--smoke", "e4"][..], "unknown smoke gate `e4`"),

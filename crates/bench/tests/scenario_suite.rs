@@ -43,7 +43,7 @@ fn release_tables_match_the_checked_in_goldens() {
     for exp in EXPERIMENTS {
         let Ok(golden) = std::fs::read_to_string(golden_dir.join(format!("{}.json", exp.slug)))
         else {
-            continue; // E1–E3 fold host wall time into their energy columns.
+            continue; // E1 and E2 fold host wall time into their energy columns.
         };
         assert_eq!(
             exp.table().deterministic().to_json(),

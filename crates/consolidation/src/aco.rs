@@ -25,13 +25,12 @@
 //! When nothing fits, the ant moves to the next bin. Max–Min-style
 //! pheromone bounds keep the colony from stagnating.
 //!
-//! The per-cycle ant loop is embarrassingly parallel — ants only read the
-//! shared pheromone matrix and the per-run kernel tables, each ant's RNG
-//! stream is forked from the cycle and ant index, and the reduction order
-//! is fixed — so [`AcoParams::parallel_ants`] routes it through the Rayon
-//! iterator surface without moving a bit. The workspace's vendored Rayon
-//! stand-in runs that surface **sequentially**, so today the flag changes
-//! neither the result nor the wall time.
+//! The ants of one cycle are independent by construction — each only
+//! reads the shared pheromone matrix and the per-run kernel tables, draws
+//! from its own RNG stream forked from the cycle and ant index, and the
+//! cycle reduces its candidates in ant order — and they run one after the
+//! other: threads over the ant loop were measured and did not pay
+//! end to end (EXPERIMENTS.md, E3).
 //!
 //! # The construction kernel
 //!
@@ -48,8 +47,6 @@
 //! and RNG draws are those of the naive per-item evaluation (DESIGN.md
 //! has the argument; `tests/properties.rs` holds the naive kernel as the
 //! reference).
-
-use rayon::prelude::*;
 
 use snooze_cluster::resources::ResourceVector;
 use snooze_simcore::rng::SimRng;
@@ -90,8 +87,6 @@ pub struct AcoParams {
     pub tau_min: f64,
     /// Master seed for the colony's randomness.
     pub seed: u64,
-    /// Construct the cycle's ants in parallel with Rayon.
-    pub parallel_ants: bool,
     /// Pheromone reinforcement rule.
     pub update_rule: UpdateRule,
     /// Run the bin-emptying local search on the final solution: try to
@@ -112,7 +107,6 @@ impl Default for AcoParams {
             tau0: 1.0,
             tau_min: 0.01,
             seed: 0xAC0,
-            parallel_ants: false,
             update_rule: UpdateRule::GlobalBest,
             local_search: false,
         }
@@ -427,14 +421,8 @@ impl AcoConsolidator {
                 let mut rng = master.fork((cycle * p.n_ants + ant) as u64 + 1);
                 construct_solution(instance, &tables, &pheromone, &mut rng)
             };
-            let candidates: Vec<(Option<Solution>, u64)> = if p.parallel_ants {
-                (0..p.n_ants).into_par_iter().map(construct).collect()
-            } else {
-                (0..p.n_ants).map(construct).collect()
-            };
+            let candidates: Vec<(Option<Solution>, u64)> = (0..p.n_ants).map(construct).collect();
             profile.construction_nanos += t_construct.elapsed_nanos();
-            // Fixed reduction order keeps the counter deterministic even
-            // with parallel ants.
             profile.construction_steps += candidates.iter().map(|(_, steps)| steps).sum::<u64>();
 
             let t_evaluate = snooze_simcore::WallClock::start();
@@ -766,29 +754,6 @@ mod tests {
         assert!(a.construction_steps > 0);
         assert!(a.evaluation_comparisons > 0);
         assert!(a.evaporation_updates > 0);
-        // Parallel ants reduce in fixed order: same counters.
-        let par = AcoConsolidator::new(AcoParams {
-            parallel_ants: true,
-            ..AcoParams::fast()
-        })
-        .run(&inst)
-        .profile;
-        assert_eq!(a.construction_steps, par.construction_steps);
-    }
-
-    #[test]
-    fn parallel_ants_match_sequential_exactly() {
-        let gen = InstanceGenerator::grid11();
-        let inst = gen.generate(40, &mut SimRng::new(5));
-        let seq = AcoConsolidator::new(AcoParams {
-            parallel_ants: false,
-            ..AcoParams::fast()
-        });
-        let par = AcoConsolidator::new(AcoParams {
-            parallel_ants: true,
-            ..AcoParams::fast()
-        });
-        assert_eq!(seq.run(&inst).solution, par.run(&inst).solution);
     }
 
     #[test]

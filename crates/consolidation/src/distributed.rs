@@ -4,21 +4,18 @@
 //! The distribution scheme mirrors how Snooze would host it: the VM set
 //! and the host set are split across *k* partitions (one per Group
 //! Manager, which only sees its own Local Controllers). Each partition
-//! runs the centralized ACO colony over its share — in parallel with
-//! Rayon, since partitions are independent. A partition-local optimum is
-//! globally wasteful at the seams, so partitions then run *migration
-//! rounds* arranged in a ring: each partition takes its least-utilized
-//! used host, unpacks it, and offers those VMs to the next partition,
-//! which accepts them only if they fit in the residual capacity of hosts
-//! it already uses (so acceptance strictly reduces the global host
-//! count).
+//! runs the centralized ACO colony over its share, independently of the
+//! others. A partition-local optimum is globally wasteful at the seams,
+//! so partitions then run *migration rounds* arranged in a ring: each
+//! partition takes its least-utilized used host, unpacks it, and offers
+//! those VMs to the next partition, which accepts them only if they fit
+//! in the residual capacity of hosts it already uses (so acceptance
+//! strictly reduces the global host count).
 //!
 //! This trades solution quality for scalability exactly the way the
 //! thesis argues: each colony works on `n/k` items (the construction step
 //! is O(n²·bins) per ant), and the ring exchange recovers most of the
 //! seam waste.
-
-use rayon::prelude::*;
 
 use snooze_cluster::resources::ResourceVector;
 
@@ -72,10 +69,9 @@ impl DistributedAco {
         let item_part: Vec<usize> = (0..instance.n_items()).map(|i| i % k).collect();
         let bin_ranges: Vec<std::ops::Range<usize>> = split_ranges(instance.n_bins(), k);
 
-        // Local colonies, in parallel (deterministic: seeds derived from
-        // the partition index, results indexed by partition).
+        // Local colonies (seeds derived from the partition index, results
+        // indexed by partition).
         let locals: Vec<Option<(Vec<usize>, Solution)>> = (0..k)
-            .into_par_iter()
             .map(|p| {
                 let my_items: Vec<usize> = (0..instance.n_items())
                     .filter(|&i| item_part[i] == p)

@@ -16,9 +16,7 @@
 //!   variants and first/best/next/worst-fit baselines.
 //! * [`aco`] — the ACO consolidation algorithm: pheromone matrix over
 //!   VM–bin pairs, heuristic desirability, probabilistic decision rule,
-//!   cycles with evaporation and global-best reinforcement. Includes a
-//!   Rayon-parallel ant loop (the paper: "the algorithm is well suited
-//!   for parallelization").
+//!   cycles with evaporation and global-best reinforcement.
 //! * [`exact`] — a branch-and-bound optimal solver standing in for the
 //!   CPLEX runs the paper used to compute "the optimal solution".
 //! * [`energy`] — placement → energy mapping, including the energy spent

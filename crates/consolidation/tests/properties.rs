@@ -279,7 +279,7 @@ proptest! {
     fn aco_kernel_reproduces_the_naive_reference(
         inst in kernel_instance(),
         exponents in 0usize..9,
-        flags in 0u8..8,
+        flags in 0u8..4,
         colony in any::<u64>(),
     ) {
         let params = AcoParams {
@@ -290,7 +290,6 @@ proptest! {
             seed: colony,
             update_rule: if flags & 1 == 1 { UpdateRule::AllAnts } else { UpdateRule::GlobalBest },
             local_search: flags & 2 == 2,
-            parallel_ants: flags & 4 == 4,
             ..AcoParams::default()
         };
         let run = AcoConsolidator::new(params).run(&inst);

@@ -284,12 +284,10 @@ impl<M> EngineCore<M> {
         &mut self,
         src: ComponentId,
         dst: ComponentId,
-        extra: SimSpan,
         msg: M,
         span: Option<SpanId>,
     ) {
-        let departs = self.now + extra;
-        match self.network.transit(src, dst, departs, &mut self.rng) {
+        match self.network.transit(src, dst, self.now, &mut self.rng) {
             Some(arrival) => {
                 self.schedule(
                     arrival,
@@ -351,26 +349,19 @@ impl<M> Ctx<'_, M> {
     /// survive uninstrumented hops.
     pub fn send(&mut self, dst: ComponentId, msg: impl Into<M>) {
         let span = self.core.ctx_span;
-        self.send_with(dst, SimSpan::ZERO, msg.into(), span);
-    }
-
-    /// Send after an additional local processing delay (still subject to
-    /// network latency on top).
-    pub fn send_after(&mut self, delay: SimSpan, dst: ComponentId, msg: impl Into<M>) {
-        let span = self.core.ctx_span;
-        self.send_with(dst, delay, msg.into(), span);
+        self.send_with(dst, msg.into(), span);
     }
 
     /// Send `msg` carrying an explicit span context instead of the
     /// ambient one — for operations whose span outlives a single handler
     /// (a GM retrying a placement it recorded earlier, say).
     pub fn send_in(&mut self, span: SpanId, dst: ComponentId, msg: impl Into<M>) {
-        self.send_with(dst, SimSpan::ZERO, msg.into(), Some(span));
+        self.send_with(dst, msg.into(), Some(span));
     }
 
-    fn send_with(&mut self, dst: ComponentId, delay: SimSpan, msg: M, span: Option<SpanId>) {
+    fn send_with(&mut self, dst: ComponentId, msg: M, span: Option<SpanId>) {
         self.core.metrics.bump(self.core.net_sent);
-        self.core.send_via_network(self.me, dst, delay, msg, span);
+        self.core.send_via_network(self.me, dst, msg, span);
     }
 
     /// Multicast to every current member of `group` except the sender.
@@ -580,7 +571,7 @@ impl SimBuilder {
                 names: Vec::new(),
                 halted: false,
                 events_executed: 0,
-                digest: crate::trace::FNV_OFFSET,
+                digest: snooze_telemetry::FNV_OFFSET,
                 last_executed: None,
                 classifier: None,
                 profiler: None,
@@ -692,11 +683,6 @@ impl<C: Component> Engine<C> {
     /// Metrics collected during the run.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.core.metrics
-    }
-
-    /// Mutable metrics (e.g. for a driver recording external observations).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.core.metrics
     }
 
     /// Messages that arrived for a crashed or never-registered component

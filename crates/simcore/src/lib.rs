@@ -14,13 +14,13 @@
 //! * [`time`] — virtual time ([`SimTime`]) and spans ([`SimSpan`]).
 //! * [`engine`] — the event loop. User logic lives in [`Component`]s which
 //!   react to messages and timers through a [`Ctx`] handle.
-//! * [`network`] — a simulated message bus with pluggable latency models,
+//! * [`network`] — a simulated message bus with jittered latency,
 //!   message loss, partitions and multicast groups.
 //! * [`failure`] — crash/restart injection for any component.
 //! * [`rng`] — seedable, stream-splittable randomness so every run is
 //!   replayable from a single `u64` seed.
-//! * [`metrics`] — labeled counters, gauges, histograms and time series
-//!   collected during a run, exportable as Prometheus text or JSONL.
+//! * [`metrics`] — labeled counters, gauges and histograms collected
+//!   during a run, exportable as Prometheus text or JSONL.
 //! * [`trace`] — a bounded in-memory event trace for debugging and
 //!   visualization.
 //!
@@ -114,7 +114,7 @@ pub mod prelude {
     };
     pub use crate::mc::{McHasher, McState};
     pub use crate::metrics::MetricsRegistry;
-    pub use crate::network::{LatencyModel, NetworkConfig};
+    pub use crate::network::NetworkConfig;
     pub use crate::node_enum;
     pub use crate::rng::SimRng;
     pub use crate::telemetry::label::label;

@@ -26,12 +26,13 @@
 use std::collections::BTreeSet;
 
 use snooze_telemetry::span::{SpanId, SpanLog};
+use snooze_telemetry::{fnv1a, FNV_OFFSET};
 
 use crate::engine::{Component, ComponentId, Engine, EventKind, NetFault, Scheduled};
 use crate::network::NetworkState;
 use crate::rng::SimRng;
 use crate::time::{SimSpan, SimTime};
-use crate::trace::{fnv1a, fnv1a_word, FNV_OFFSET};
+use crate::trace::fnv1a_word;
 
 /// Canonical FNV-1a folder handed to [`McState::mc_fold`] implementations.
 ///
@@ -168,11 +169,6 @@ impl<C: Component> SystemState<C> {
     /// Virtual time at capture.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of pending events at capture.
-    pub fn pending_count(&self) -> usize {
-        self.queue.len()
     }
 }
 

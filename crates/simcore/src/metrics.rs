@@ -1,10 +1,10 @@
-//! Run-time metrics: labeled counters, gauges, histograms and time series.
+//! Run-time metrics: labeled counters, gauges and histograms.
 //!
 //! The experiment harness reads these after a run to produce the rows of
 //! each reproduced table. Histograms keep raw samples (runs here are small
-//! enough that exact percentiles beat bucketing error), and time series
-//! record `(time, value)` pairs for figures like cluster power draw over a
-//! diurnal cycle.
+//! enough that exact percentiles beat bucketing error); trajectories over
+//! time are the windower's job ([`crate::flight::Windower`]), which diffs
+//! the registry once per window.
 //!
 //! Every metric is keyed by a name *plus* a [`LabelSet`]
 //! (`heartbeat_missed{role="gm"}`); the classic unlabeled accessors are
@@ -12,8 +12,7 @@
 //! Storage is `BTreeMap` end to end — deterministic iteration without a
 //! sort step, which is also what keeps the exporters
 //! ([`MetricsRegistry::to_prometheus`], [`MetricsRegistry::to_jsonl`])
-//! byte-identical across same-seed runs. Components that would otherwise
-//! hand-concatenate key strings take a [`ScopedMetrics`] handle instead.
+//! byte-identical across same-seed runs.
 //!
 //! Counter *values* live in one slab (`cells`); the `name{labels}` maps
 //! hold indices into it. The by-name API is unchanged — it costs two map
@@ -31,8 +30,6 @@ use std::collections::BTreeMap;
 use snooze_telemetry::json::Obj;
 use snooze_telemetry::prometheus::PromWriter;
 use snooze_telemetry::LabelSet;
-
-use crate::time::SimTime;
 
 /// A histogram over `f64` samples with exact percentiles.
 #[derive(Clone, Debug, Default)]
@@ -113,37 +110,48 @@ impl Histogram {
     /// maps to fractional rank `p/100 · (n−1)` on the sorted samples, and
     /// values between adjacent ranks interpolate linearly.
     pub fn percentile(&self, p: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() as f64 - 1.0);
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        let lo_v = sorted[lo.min(sorted.len() - 1)];
-        let hi_v = sorted[hi.min(sorted.len() - 1)];
-        lo_v + (hi_v - lo_v) * frac
+        interpolate(&self.sorted(), p)
     }
 
-    /// The `count/mean/min/max/p50/p95/p99` bundle in one pass.
+    /// The `count/mean/min/max/p50/p95/p99` bundle, sorting the samples
+    /// once for the three percentiles.
     pub fn summary(&self) -> HistogramSummary {
+        let sorted = self.sorted();
         HistogramSummary {
             count: self.count(),
             mean: self.mean(),
             min: self.min(),
             max: self.max(),
-            p50: self.percentile(50.0),
-            p95: self.percentile(95.0),
-            p99: self.percentile(99.0),
+            p50: interpolate(&sorted, 50.0),
+            p95: interpolate(&sorted, 95.0),
+            p99: interpolate(&sorted, 99.0),
         }
+    }
+
+    fn sorted(&self) -> Vec<f64> {
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        sorted
     }
 
     /// All raw samples, in recording order.
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
+}
+
+/// The value at fractional rank `p/100 · (n−1)` of `sorted`, or 0 if empty.
+fn interpolate(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() as f64 - 1.0);
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let frac = rank - lo as f64;
+    let lo_v = sorted[lo.min(sorted.len() - 1)];
+    let hi_v = sorted[hi.min(sorted.len() - 1)];
+    lo_v + (hi_v - lo_v) * frac
 }
 
 trait PipeFinite {
@@ -182,7 +190,6 @@ pub struct MetricsRegistry {
     handles: Vec<(&'static str, usize)>,
     gauges: BTreeMap<String, Labeled<f64>>,
     histograms: BTreeMap<String, Labeled<Histogram>>,
-    series: BTreeMap<String, Labeled<Vec<(SimTime, f64)>>>,
 }
 
 impl MetricsRegistry {
@@ -336,69 +343,10 @@ impl MetricsRegistry {
         lookup(&self.histograms, key, labels)
     }
 
-    /// Append a `(time, value)` point to series `key` (no labels).
-    pub fn push_series(&mut self, key: &str, time: SimTime, value: f64) {
-        self.push_series_with(key, &LabelSet::EMPTY, time, value);
-    }
-
-    /// Append a `(time, value)` point to series `key{labels}`.
-    pub fn push_series_with(&mut self, key: &str, labels: &LabelSet, time: SimTime, value: f64) {
-        entry(&mut self.series, key, labels).push((time, value));
-    }
-
-    /// Series under `key` with no labels (empty slice if never touched).
-    pub fn series(&self, key: &str) -> &[(SimTime, f64)] {
-        lookup(&self.series, key, &LabelSet::EMPTY)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Time-weighted average of the unlabeled series `key` over
-    /// `[first point, end]`: each value holds from its timestamp until
-    /// the next point, and the *final* value holds until `end` (clamped
-    /// to the last point's time if `end` precedes it, so no interval gets
-    /// negative weight). A single point therefore means "this value the
-    /// whole window". Returns 0 for an empty series.
-    pub fn series_time_weighted_mean(&self, key: &str, end: SimTime) -> f64 {
-        let s = self.series(key);
-        let Some(&(first_t, first_v)) = s.first() else {
-            return 0.0;
-        };
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for w in s.windows(2) {
-            let dt = (w[1].0 - w[0].0).as_secs_f64();
-            weighted += w[0].1 * dt;
-            total += dt;
-        }
-        // The bug this replaces: the last point's value carried zero
-        // weight, skewing any series whose final segment mattered.
-        let (last_t, last_v) = *s.last().expect("non-empty checked above");
-        let tail = (end.max(last_t) - last_t).as_secs_f64();
-        weighted += last_v * tail;
-        total += tail;
-        if total > 0.0 {
-            weighted / total
-        } else {
-            let _ = first_t;
-            first_v
-        }
-    }
-
     /// Names of all counters, sorted (for reporting). Label variants of
     /// one name collapse to a single entry.
     pub fn counter_names(&self) -> Vec<&str> {
         self.counters.keys().map(String::as_str).collect()
-    }
-
-    /// A handle that stamps every sample with `labels` — so a component
-    /// writes `m.incr("heartbeat_missed")` instead of hand-concatenating
-    /// `"gm3.heartbeat_missed"` key strings.
-    pub fn scoped(&mut self, labels: LabelSet) -> ScopedMetrics<'_> {
-        ScopedMetrics {
-            registry: self,
-            labels,
-        }
     }
 
     /// Every counter sample: `(name, labels, value)` in deterministic
@@ -417,16 +365,9 @@ impl MetricsRegistry {
         flatten(&self.histograms)
     }
 
-    /// Every series, deterministically ordered.
-    pub fn series_iter(&self) -> impl Iterator<Item = (&str, &LabelSet, &[(SimTime, f64)])> {
-        flatten(&self.series).map(|(n, l, v)| (n, l, v.as_slice()))
-    }
-
     /// Render counters, gauges and histograms in the Prometheus text
     /// exposition format (histograms as `summary` families with
-    /// p50/p95/p99 quantiles). Series are deliberately omitted — a
-    /// scrape is a point in time; use [`MetricsRegistry::to_jsonl`] for
-    /// trajectories. Byte-deterministic.
+    /// p50/p95/p99 quantiles). Byte-deterministic.
     pub fn to_prometheus(&self) -> String {
         let mut w = PromWriter::new();
         for (name, labels, value) in self.counters_iter() {
@@ -447,7 +388,7 @@ impl MetricsRegistry {
         w.render()
     }
 
-    /// Render every metric (series included) as JSONL: one JSON object
+    /// Render every metric as JSONL: one JSON object
     /// per sample, `{"type","name","labels",...}`. Byte-deterministic.
     pub fn to_jsonl(&self) -> String {
         fn labels_json(labels: &LabelSet) -> String {
@@ -495,63 +436,7 @@ impl MetricsRegistry {
             out.push_str(&line);
             out.push('\n');
         }
-        for (name, labels, points) in self.series_iter() {
-            let rendered: Vec<String> = points
-                .iter()
-                .map(|(t, v)| format!("[{},{}]", t.0, snooze_telemetry::json::num(*v)))
-                .collect();
-            let line = Obj::new()
-                .str("type", "series")
-                .str("name", name)
-                .raw("labels", &labels_json(labels))
-                .raw("points", &snooze_telemetry::json::array(&rendered))
-                .finish();
-            out.push_str(&line);
-            out.push('\n');
-        }
         out
-    }
-}
-
-/// Label-stamping view over a [`MetricsRegistry`].
-///
-/// Obtained from [`MetricsRegistry::scoped`]; every write goes to
-/// `name{scope-labels}`.
-pub struct ScopedMetrics<'a> {
-    registry: &'a mut MetricsRegistry,
-    labels: LabelSet,
-}
-
-impl ScopedMetrics<'_> {
-    /// Increment counter `key{scope}` by one.
-    pub fn incr(&mut self, key: &str) {
-        self.registry.incr_with(key, &self.labels);
-    }
-
-    /// Increment counter `key{scope}` by `n`.
-    pub fn add(&mut self, key: &str, n: u64) {
-        self.registry.add_with(key, &self.labels, n);
-    }
-
-    /// Set gauge `key{scope}`.
-    pub fn set_gauge(&mut self, key: &str, value: f64) {
-        self.registry.set_gauge_with(key, &self.labels, value);
-    }
-
-    /// Record a histogram sample under `key{scope}`.
-    pub fn observe(&mut self, key: &str, value: f64) {
-        self.registry.observe_with(key, &self.labels, value);
-    }
-
-    /// Append a series point under `key{scope}`.
-    pub fn push_series(&mut self, key: &str, time: SimTime, value: f64) {
-        self.registry
-            .push_series_with(key, &self.labels, time, value);
-    }
-
-    /// The labels this handle stamps.
-    pub fn labels(&self) -> &LabelSet {
-        &self.labels
     }
 }
 
@@ -586,7 +471,7 @@ fn flatten<T>(map: &BTreeMap<String, Labeled<T>>) -> impl Iterator<Item = (&str,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimSpan;
+    use crate::time::{SimSpan, SimTime};
     use snooze_telemetry::label::label;
 
     #[test]
@@ -645,7 +530,7 @@ mod tests {
         m.set_gauge("g", 1.0);
         let mut plain = MetricsRegistry::new();
         plain.set_gauge("g", 1.0);
-        let mut w = crate::flight::Windower::new(crate::time::SimSpan::from_secs(1));
+        let mut w = crate::flight::Windower::new(SimSpan::from_secs(1));
         let rows = w.roll(&m, SimTime::from_secs(1));
         assert!(rows.iter().all(|r| r.name == "g"), "{rows:?}");
         assert!(m.counter_names().is_empty());
@@ -702,21 +587,6 @@ mod tests {
         assert_eq!((copy.counter("a"), copy.counter("b")), (2, 1));
         assert_eq!(m.counter_names(), vec!["a"]);
         assert_eq!(copy.counter_names(), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn scoped_handles_stamp_labels() {
-        let mut m = MetricsRegistry::new();
-        let mut s = m.scoped(label("node", "lc-17").with("role", "lc"));
-        s.incr("hb.missed");
-        s.set_gauge("load", 0.75);
-        s.observe("lat", 3.0);
-        s.push_series("power", SimTime::ZERO, 100.0);
-        let l = label("node", "lc-17").with("role", "lc");
-        assert_eq!(m.counter_with("hb.missed", &l), 1);
-        assert_eq!(m.gauge_with("load", &l), 0.75);
-        assert_eq!(m.histogram_with("lat", &l).unwrap().count(), 1);
-        assert_eq!(m.counter("hb.missed"), 0, "unlabeled variant untouched");
     }
 
     #[test]
@@ -790,49 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn series_time_weighted_mean_weights_by_duration() {
-        let mut m = MetricsRegistry::new();
-        let t0 = SimTime::ZERO;
-        // Value 10 for 9 seconds, then 0 for 1 second.
-        m.push_series("p", t0, 10.0);
-        m.push_series("p", t0 + SimSpan::from_secs(9), 0.0);
-        let mean = m.series_time_weighted_mean("p", t0 + SimSpan::from_secs(10));
-        assert!((mean - 9.0).abs() < 1e-9, "got {mean}");
-    }
-
-    #[test]
-    fn series_mean_clamps_final_interval_to_end() {
-        let mut m = MetricsRegistry::new();
-        let t0 = SimTime::ZERO;
-        m.push_series("p", t0, 0.0);
-        m.push_series("p", t0 + SimSpan::from_secs(5), 100.0);
-        // Regression: the old code gave the final point zero weight, so
-        // this read 0.0 no matter what happened after t=5.
-        let mean = m.series_time_weighted_mean("p", t0 + SimSpan::from_secs(10));
-        assert!((mean - 50.0).abs() < 1e-9, "got {mean}");
-        // An `end` before the last point clamps: no negative weight.
-        let clamped = m.series_time_weighted_mean("p", t0 + SimSpan::from_secs(2));
-        assert!((clamped - 0.0).abs() < 1e-9, "got {clamped}");
-    }
-
-    #[test]
-    fn series_degenerate_cases() {
-        let mut m = MetricsRegistry::new();
-        assert_eq!(
-            m.series_time_weighted_mean("none", SimTime::from_secs(1)),
-            0.0
-        );
-        m.push_series("one", SimTime::ZERO, 7.0);
-        // A single sample holds for the whole window — and even with a
-        // zero-length window the value (not 0) comes back.
-        assert_eq!(
-            m.series_time_weighted_mean("one", SimTime::from_secs(9)),
-            7.0
-        );
-        assert_eq!(m.series_time_weighted_mean("one", SimTime::ZERO), 7.0);
-    }
-
-    #[test]
     fn observe_builds_histograms() {
         let mut m = MetricsRegistry::new();
         m.observe("lat", 2.0);
@@ -867,12 +694,10 @@ mod tests {
         m.incr("c");
         m.set_gauge("g", 1.0);
         m.observe("h", 2.0);
-        m.push_series("s", SimTime::from_secs(1), 3.0);
         let text = m.to_jsonl();
-        assert_eq!(text.lines().count(), 4);
+        assert_eq!(text.lines().count(), 3);
         assert!(text.contains("\"type\":\"counter\""));
         assert!(text.contains("\"type\":\"gauge\""));
         assert!(text.contains("\"type\":\"histogram\""));
-        assert!(text.contains("\"points\":[[1000000,3]]"));
     }
 }

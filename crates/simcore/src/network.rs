@@ -1,4 +1,4 @@
-//! Simulated network: latency models, loss, partitions, multicast groups.
+//! Simulated network: latency, loss, partitions, multicast groups.
 //!
 //! Snooze's protocols (heartbeat multicast, REST-style request/response,
 //! monitoring uploads) all ride on a data-center LAN. The network model
@@ -20,23 +20,9 @@ use crate::engine::{ComponentId, GroupId};
 use crate::rng::SimRng;
 use crate::time::{SimSpan, SimTime};
 
-/// Samples a one-way transit latency for a message.
-pub trait LatencyModel: Send + 'static {
-    /// Latency from `src` to `dst`. Implementations may use `rng` for jitter.
-    fn sample(&self, src: ComponentId, dst: ComponentId, rng: &mut SimRng) -> SimSpan;
-}
-
-/// Fixed latency for every pair.
-#[derive(Clone, Copy, Debug)]
-pub struct ConstantLatency(pub SimSpan);
-
-impl LatencyModel for ConstantLatency {
-    fn sample(&self, _: ComponentId, _: ComponentId, _: &mut SimRng) -> SimSpan {
-        self.0
-    }
-}
-
-/// Uniformly jittered latency in `[lo, hi)`.
+/// One-way transit latency, uniformly jittered in `[lo, hi)`. With
+/// `lo >= hi` every message takes exactly `lo` and no random value is
+/// drawn.
 #[derive(Clone, Copy, Debug)]
 pub struct UniformLatency {
     /// Minimum one-way latency.
@@ -45,44 +31,16 @@ pub struct UniformLatency {
     pub hi: SimSpan,
 }
 
-impl LatencyModel for UniformLatency {
-    fn sample(&self, _: ComponentId, _: ComponentId, rng: &mut SimRng) -> SimSpan {
+impl UniformLatency {
+    fn sample(&self, rng: &mut SimRng) -> SimSpan {
         rng.span_between(self.lo, self.hi)
-    }
-}
-
-/// A two-tier (rack/aggregation) topology: messages within the same rack
-/// see `intra`, messages crossing racks see `inter`. Components not
-/// assigned to any rack default to rack 0.
-pub struct TwoTierLatency {
-    /// `rack_of[component_index]` — rack assignment.
-    pub rack_of: Vec<usize>,
-    /// Latency range within a rack.
-    pub intra: UniformLatency,
-    /// Latency range across racks.
-    pub inter: UniformLatency,
-}
-
-impl TwoTierLatency {
-    fn rack(&self, c: ComponentId) -> usize {
-        self.rack_of.get(c.0).copied().unwrap_or(0)
-    }
-}
-
-impl LatencyModel for TwoTierLatency {
-    fn sample(&self, src: ComponentId, dst: ComponentId, rng: &mut SimRng) -> SimSpan {
-        if self.rack(src) == self.rack(dst) {
-            self.intra.sample(src, dst, rng)
-        } else {
-            self.inter.sample(src, dst, rng)
-        }
     }
 }
 
 /// Network configuration handed to [`crate::engine::SimBuilder`].
 pub struct NetworkConfig {
-    /// Transit-latency model.
-    pub latency: Box<dyn LatencyModel>,
+    /// Transit latency of every message.
+    pub latency: UniformLatency,
     /// Independent per-message loss probability in `[0, 1]`.
     pub loss_rate: f64,
 }
@@ -91,10 +49,10 @@ impl NetworkConfig {
     /// A typical data-center LAN: 100–500 µs one-way, no loss.
     pub fn lan() -> Self {
         NetworkConfig {
-            latency: Box::new(UniformLatency {
+            latency: UniformLatency {
                 lo: SimSpan::from_micros(100),
                 hi: SimSpan::from_micros(500),
-            }),
+            },
             loss_rate: 0.0,
         }
     }
@@ -110,7 +68,10 @@ impl NetworkConfig {
     /// Zero-latency, lossless network — for unit tests where latency is noise.
     pub fn instant() -> Self {
         NetworkConfig {
-            latency: Box::new(ConstantLatency(SimSpan::ZERO)),
+            latency: UniformLatency {
+                lo: SimSpan::ZERO,
+                hi: SimSpan::ZERO,
+            },
             loss_rate: 0.0,
         }
     }
@@ -140,7 +101,7 @@ pub struct Network {
 }
 
 /// A copy of the network's mutable state — everything except the latency
-/// model, which is behavior-constant for the lifetime of an engine. Part
+/// range, which is constant for the lifetime of an engine. Part
 /// of the model checker's [`crate::mc::SystemState`] snapshots.
 #[derive(Clone, Debug)]
 pub struct NetworkState {
@@ -224,7 +185,7 @@ impl Network {
                 return None;
             }
         }
-        let mut arrival = departs + self.config.latency.sample(src, dst, rng);
+        let mut arrival = departs + self.config.latency.sample(rng);
         if src != ComponentId::EXTERNAL {
             if self.last_arrival.len() <= src.0 {
                 self.last_arrival.resize_with(src.0 + 1, Vec::new);
@@ -326,7 +287,7 @@ mod tests {
         last_arrival: BTreeMap<(usize, usize), SimTime>,
     }
 
-    /// The latency model on both sides of the differential test.
+    /// The latency range on both sides of the differential test.
     const LAN: UniformLatency = UniformLatency {
         lo: SimSpan(100),
         hi: SimSpan(500),
@@ -341,7 +302,7 @@ mod tests {
             rng: &mut SimRng,
         ) -> Option<SimTime> {
             if src == ComponentId::EXTERNAL {
-                return Some(departs + LAN.sample(src, dst, rng));
+                return Some(departs + LAN.sample(rng));
             }
             if self.isolated.contains(&src.0) || self.isolated.contains(&dst.0) {
                 return None;
@@ -350,7 +311,7 @@ mod tests {
                 .last_arrival
                 .entry((src.0, dst.0))
                 .or_insert(SimTime::ZERO);
-            *slot = (departs + LAN.sample(src, dst, rng)).max(*slot);
+            *slot = (departs + LAN.sample(rng)).max(*slot);
             Some(*slot)
         }
     }
@@ -374,7 +335,7 @@ mod tests {
         #[test]
         fn fifo_rows_match_a_pair_keyed_map(seed in any::<u64>()) {
             let mut net = Network::new(NetworkConfig {
-                latency: Box::new(LAN),
+                latency: LAN,
                 loss_rate: 0.0,
             });
             let mut reference = Reference::default();
@@ -422,14 +383,22 @@ mod tests {
         }
     }
 
+    /// `instant()` is a degenerate uniform range, not a constant model of
+    /// its own: it must stay constant *and* leave the RNG stream alone,
+    /// or every digest of a run on it moves.
     #[test]
-    fn constant_latency_is_constant() {
-        let m = ConstantLatency(SimSpan::from_millis(2));
-        let mut r = rng();
-        assert_eq!(
-            m.sample(ComponentId(0), ComponentId(1), &mut r),
-            SimSpan::from_millis(2)
-        );
+    fn instant_is_constant_and_draws_nothing_while_lan_draws() {
+        let (a, b) = (ComponentId(0), ComponentId(1));
+        let next_after = |config: NetworkConfig| {
+            let (mut net, mut r) = (Network::new(config), rng());
+            let arrivals = [1, 2, 3].map(|s| net.transit(a, b, SimTime::from_secs(s), &mut r));
+            (arrivals, r.f64())
+        };
+        let (arrivals, next) = next_after(NetworkConfig::instant());
+        assert_eq!(arrivals, [1, 2, 3].map(|s| Some(SimTime::from_secs(s))));
+        assert_eq!(next, rng().f64(), "instant() drew from the RNG");
+        let (_, next) = next_after(NetworkConfig::lan());
+        assert_ne!(next, rng().f64(), "lan() no longer jitters");
     }
 
     #[test]
@@ -440,29 +409,9 @@ mod tests {
         };
         let mut r = rng();
         for _ in 0..200 {
-            let s = m.sample(ComponentId(0), ComponentId(1), &mut r);
+            let s = m.sample(&mut r);
             assert!(s >= SimSpan::from_micros(100) && s < SimSpan::from_micros(200));
         }
-    }
-
-    #[test]
-    fn two_tier_differs_by_rack() {
-        let m = TwoTierLatency {
-            rack_of: vec![0, 0, 1],
-            intra: UniformLatency {
-                lo: SimSpan::from_micros(10),
-                hi: SimSpan::from_micros(11),
-            },
-            inter: UniformLatency {
-                lo: SimSpan::from_micros(500),
-                hi: SimSpan::from_micros(501),
-            },
-        };
-        let mut r = rng();
-        assert!(m.sample(ComponentId(0), ComponentId(1), &mut r) < SimSpan::from_micros(100));
-        assert!(m.sample(ComponentId(0), ComponentId(2), &mut r) >= SimSpan::from_micros(500));
-        // Unassigned components land in rack 0.
-        assert!(m.sample(ComponentId(0), ComponentId(99), &mut r) < SimSpan::from_micros(100));
     }
 
     #[test]

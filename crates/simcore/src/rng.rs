@@ -106,12 +106,6 @@ impl SimRng {
         mean + std_dev * z
     }
 
-    /// Normal value clamped to `[lo, hi]` (truncated by clamping, which is
-    /// adequate for utilization noise where tails are meaningless).
-    pub fn normal_clamped(&mut self, mean: f64, std_dev: f64, lo: f64, hi: f64) -> f64 {
-        self.normal(mean, std_dev).clamp(lo, hi)
-    }
-
     /// Pareto-distributed value with scale `x_m > 0` and shape `alpha > 0`.
     ///
     /// Heavy-tailed VM lifetimes and burst sizes follow this in the

@@ -102,12 +102,6 @@ impl SimSpan {
         );
         SimSpan((self.0 as f64 * factor).round() as u64)
     }
-
-    /// True if this span is zero.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl Add<SimSpan> for SimTime {

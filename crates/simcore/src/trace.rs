@@ -7,6 +7,8 @@
 
 use std::collections::VecDeque;
 
+use snooze_telemetry::{fnv1a, FNV_OFFSET};
+
 use crate::engine::ComponentId;
 use crate::time::SimTime;
 
@@ -43,16 +45,8 @@ impl Default for Trace {
     }
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The multiplier of [`fnv1a`], for the word-at-a-time fold below.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// `FNV_PRIME^k` (wrapping) for `k` in `0..=8`: what folding `k` zero
 /// bytes multiplies a hash by.

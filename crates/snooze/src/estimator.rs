@@ -84,11 +84,6 @@ impl DemandEstimator {
     pub fn estimate(&self) -> ResourceVector {
         self.estimate
     }
-
-    /// Samples observed so far.
-    pub fn sample_count(&self) -> u64 {
-        self.samples
-    }
 }
 
 impl McState for DemandEstimator {

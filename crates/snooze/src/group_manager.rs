@@ -232,11 +232,6 @@ impl GroupManager {
         self.lcs.values().map(|l| l.vms.len()).sum()
     }
 
-    /// Number of GMs known (GL mode).
-    pub fn known_gms(&self) -> usize {
-        self.gm_summaries.len()
-    }
-
     /// Step down from the manager role entirely: resign the election
     /// (releasing the znode so no stale leadership lingers) and drop all
     /// manager state. Used by the unified-node extension (paper §V) when

@@ -21,7 +21,7 @@ use snooze_simcore::engine::{Component, ComponentId, Ctx, GroupId};
 use snooze_simcore::mc::{McHasher, McState};
 use snooze_simcore::telemetry::label::label;
 use snooze_simcore::telemetry::SpanId;
-use snooze_simcore::time::{SimSpan, SimTime};
+use snooze_simcore::time::SimTime;
 
 use crate::config::SnoozeConfig;
 use crate::messages::*;
@@ -591,9 +591,4 @@ impl Component for LocalController {
         ctx.trace("restart", "LC back up");
         ctx.set_timer(self.config.lc_monitoring_period, tag(LC_MONITOR, 0));
     }
-}
-
-/// Convenience for tests: the spec for one LC's silence-based timeouts.
-pub fn gm_considered_dead_after(config: &SnoozeConfig) -> SimSpan {
-    config.gm_silence_for_lc
 }

@@ -44,10 +44,6 @@ fn main() {
         Box::new(WorstFit { key: SortKey::L2 }),
         Box::new(NextFit { key: SortKey::L2 }),
         Box::new(AcoConsolidator::new(AcoParams::default())),
-        Box::new(AcoConsolidator::new(AcoParams {
-            parallel_ants: true,
-            ..AcoParams::default()
-        })),
         Box::new(DistributedAco::new(DistributedParams::default())),
     ];
 

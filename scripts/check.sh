@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, the clippy deny-set, the determinism
 # lint (which covers crates/telemetry along with the rest of the
-# simulation path), every test (including the feature-gated runtime
-# invariant suite), a `cargo check` and `cargo test` of (a copy of) the
+# simulation path), a grep that every vendored crate and every root
+# dependency still has a consumer, every test (including the
+# feature-gated runtime invariant suite), a `cargo check` and `cargo test`
+# of (a copy of) the
 # detached `benchmark/` workspace against the crates it path-depends on
 # (its tests include `BENCHMARK.json` == the harness's own manifest), the
 # scenario gate over `scenarios/*.toml` and a two-run byte-identity check
@@ -10,7 +12,8 @@
 #
 # Tier-1 (`cargo build --release && cargo test -q` at the root) is the
 # workspace's `default-members`: the root package's integration tests plus
-# the `snooze-simcore` and `snooze-telemetry` suites. Everything it runs,
+# the `snooze-simcore`, `snooze-telemetry` and `snooze-consolidation`
+# suites. Everything it runs,
 # `cargo test --workspace` below runs too.
 #
 # `--smoke` additionally runs, in release, every reduced-scale gate:
@@ -48,6 +51,26 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 say "snooze-audit lint"
 cargo run --offline -q -p snooze-audit -- lint
+
+say "every vendored crate and every root dependency has a consumer"
+vendored="$(sed -n '/^\[workspace.dependencies\]$/,/^\[/s/.*path = "vendor\/\([^"]*\)".*/\1/p' Cargo.toml | sort)"
+[ "$vendored" = "$(ls vendor | sort)" ] || {
+  echo "vendor/ and the vendor paths of [workspace.dependencies] differ" >&2
+  exit 1
+}
+for crate in $vendored; do
+  grep -rqE "\b(use ${crate}\b|${crate}::)" --include='*.rs' crates src tests examples || {
+    echo "vendor/$crate: no \`use $crate\` or \`$crate::\` outside vendor/" >&2
+    exit 1
+  }
+done
+for dep in $(sed -n -e '/^\[dependencies\]$/,/^\[/p' -e '/^\[dev-dependencies\]$/,/^\[/p' Cargo.toml |
+  sed -n 's/^\([a-z][a-z0-9_-]*\)[ .=].*/\1/p'); do
+  grep -rqE "\b${dep//-/_}\b" src tests examples || {
+    echo "root package depends on \`$dep\`, which src/, tests/ and examples/ never name" >&2
+    exit 1
+  }
+done
 
 say "cargo test (default features)"
 cargo test --offline --workspace -q

@@ -75,16 +75,6 @@ fn all_consolidators_are_deterministic() {
     let aco = AcoConsolidator::new(AcoParams::fast());
     assert_eq!(aco.run(&inst).solution, aco.run(&inst).solution);
 
-    let par = AcoConsolidator::new(AcoParams {
-        parallel_ants: true,
-        ..AcoParams::fast()
-    });
-    assert_eq!(
-        par.run(&inst).solution,
-        aco.run(&inst).solution,
-        "parallel == sequential"
-    );
-
     let daco = DistributedAco::new(DistributedParams {
         aco: AcoParams::fast(),
         ..Default::default()

@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use snooze_bench::experiments::{find, run_specs, EXPERIMENTS, SUMMARY};
 use snooze_consolidation::registry::REGISTRY_KEYS;
 use snooze_scenario::spec::ScenarioSpec;
+use snooze_simcore::telemetry::{fnv1a, FNV_OFFSET};
 
 fn repo(path: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(path)
@@ -120,11 +121,9 @@ const EXPANSION_PINS: &[(&str, Option<&str>, usize, u64)] = &[
 /// `report_failover(0x5EED)`, i.e. `scenarios/report.toml` as checked in.
 const REPORT_PIN: u64 = 0x70ef_414e_bb37_b992;
 
-fn fnv1a(specs: &[ScenarioSpec]) -> u64 {
+fn toml_digest(specs: &[ScenarioSpec]) -> u64 {
     let text: String = specs.iter().map(ScenarioSpec::to_toml).collect();
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    fnv1a(FNV_OFFSET, text.as_bytes())
 }
 
 #[test]
@@ -138,7 +137,7 @@ fn scenario_files_expand_to_the_pinned_runs() {
             let again = ScenarioSpec::from_toml(&spec.to_toml());
             assert_eq!(again.as_ref(), Ok(spec), "{slug}: spec round-trip");
         }
-        let got = (specs.len(), fnv1a(&specs));
+        let got = (specs.len(), toml_digest(&specs));
         assert_eq!(
             got,
             (runs, pin),
@@ -151,7 +150,7 @@ fn scenario_files_expand_to_the_pinned_runs() {
         assert!(pinned.contains(&exp.slug), "{}: no expansion pin", exp.slug);
     }
     let report = snooze_bench::report::report_failover(0x5EED);
-    assert_eq!(fnv1a(&[report]), REPORT_PIN, "scenarios/report.toml");
+    assert_eq!(toml_digest(&[report]), REPORT_PIN, "scenarios/report.toml");
 }
 
 #[test]
