@@ -242,12 +242,15 @@ impl LocalController {
         }
     }
 
+    /// Back to unassigned: out of the GM's group, and listening for the GL
+    /// again — an LC is in `gl_group` exactly while it has no GM.
     fn leave_gm(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
         if let Some(group) = self.gm_group.take() {
             ctx.leave_group(group);
         }
         self.gm = None;
         self.assignment_requested_at = None;
+        ctx.join_group(self.gl_group);
     }
 
     /// Whether this node could currently give up its LC role (powered
@@ -351,6 +354,9 @@ impl Component for LocalController {
                 let group = ack.group;
                 self.gm_group = Some(group);
                 ctx.join_group(group);
+                // Assigned: GL heartbeats are for discovery (§II-D), and
+                // there is nothing left to discover.
+                ctx.leave_group(self.gl_group);
                 ctx.trace("join", format!("joined GM {src:?}"));
                 // Report immediately so the GM learns our capacity and guests.
                 self.send_monitoring(ctx, self.sample(now));
@@ -582,11 +588,7 @@ impl Component for LocalController {
         self.energy = EnergyMeter::new(now, self.node.power.active_watts(0.0));
         self.migrating_out.clear();
         self.boot_spans.clear();
-        if let Some(group) = self.gm_group.take() {
-            ctx.leave_group(group);
-        }
-        self.gm = None;
-        self.assignment_requested_at = None;
+        self.leave_gm(ctx);
         self.last_gm_heartbeat = now;
         ctx.trace("restart", "LC back up");
         ctx.set_timer(self.config.lc_monitoring_period, tag(LC_MONITOR, 0));
