@@ -457,6 +457,10 @@ impl Component for LocalController {
             SnoozeMsg::SuspendNode(_) => {
                 if self.hypervisor.is_idle() {
                     if let Ok(done) = self.power.suspend(now) {
+                        // A sleeper's NIC hears wake-on-LAN and nothing else.
+                        if let Some(group) = self.gm_group {
+                            ctx.leave_group(group);
+                        }
                         self.stats.suspensions += 1;
                         ctx.metrics()
                             .incr_with("power.transitions", &label("kind", "suspend"));
@@ -562,6 +566,9 @@ impl Component for LocalController {
                 }
                 if state.is_on() {
                     ctx.trace("power", "awake");
+                    if let Some(group) = self.gm_group {
+                        ctx.join_group(group);
+                    }
                     // Give the GM a grace period before liveness checks.
                     self.last_gm_heartbeat = now;
                     if let Some(gm) = self.gm {
