@@ -11,6 +11,10 @@
 //! * **no-lost-vms** (safety): every VM the client placed is still
 //!   resident on some alive LC — GM crashes and failovers must never
 //!   destroy guests.
+//! * **unassigned-lc-listens** (safety): every alive LC without a GM is
+//!   a member of the GL heartbeat group. An LC leaves that group while
+//!   assigned, so one that lost its GM and did not rejoin would be deaf
+//!   to the only message that can re-attach it.
 //! * **orphaned-lc-recovered** (bounded liveness): from every frontier
 //!   state, a fair suffix ends with every alive LC assigned to an alive
 //!   manager in GM mode — an LC orphaned by its manager's crash rejoins
@@ -134,6 +138,19 @@ impl FailoverHarness {
             (resident < expected).then(|| format!("{resident} of {expected} placed VMs resident"))
         });
 
+        let (lcs, gl_group) = (self.system.lcs.clone(), self.system.gl_group);
+        let listens =
+            Predicate::safety("unassigned-lc-listens", move |sim: &Engine<SnoozeNode>| {
+                let listening = sim.group_members(gl_group);
+                let deaf = lcs.iter().find(|&&lc| {
+                    let l = sim.get(lc).and_then(|n| n.lc());
+                    sim.is_alive(lc)
+                        && !listening.contains(&lc)
+                        && l.is_some_and(|l| l.assigned_gm().is_none())
+                });
+                deaf.map(|lc| format!("LC {lc:?} has no GM and is not in the GL group"))
+            });
+
         let (gms, lcs) = (self.system.gms.clone(), self.system.lcs.clone());
         let recovered = Predicate::liveness(
             "orphaned-lc-recovered",
@@ -164,7 +181,7 @@ impl FailoverHarness {
                 None
             },
         );
-        vec![single, no_lost, recovered]
+        vec![single, no_lost, listens, recovered]
     }
 
     /// Package a violation as a replayable scenario document.

@@ -777,6 +777,11 @@ impl<C: Component> Engine<C> {
         }
     }
 
+    /// Current members of a multicast group, in ascending id order.
+    pub fn group_members(&self, group: GroupId) -> &[ComponentId] {
+        self.core.network.group_members(group)
+    }
+
     /// Direct mutable access to the simulated network (partitions etc.).
     pub fn network_mut(&mut self) -> &mut Network {
         &mut self.core.network
