@@ -17,7 +17,7 @@ use snooze_cluster::node::{NodeSpec, PowerState, PowerStateMachine};
 use snooze_cluster::power::EnergyMeter;
 use snooze_cluster::resources::ResourceVector;
 use snooze_cluster::vm::{VmId, VmState};
-use snooze_simcore::engine::{Component, ComponentId, Ctx, GroupId};
+use snooze_simcore::engine::{Component, ComponentId, Ctx, GroupId, TimerHandle};
 use snooze_simcore::mc::{McHasher, McState};
 use snooze_simcore::telemetry::label::label;
 use snooze_simcore::telemetry::SpanId;
@@ -70,6 +70,10 @@ pub struct LocalController {
     gm_group: Option<GroupId>,
     last_gm_heartbeat: SimTime,
     assignment_requested_at: Option<SimTime>,
+    /// The RTC alarm of the current suspend cycle. A real RTC holds one
+    /// alarm, re-programmed per suspend: every resume disarms it, or an
+    /// earlier cycle's alarm would cut a later sleep short.
+    watchdog: Option<TimerHandle>,
     /// Outbound migrations in flight: vm → (destination, transfer span).
     migrating_out: Vec<(VmId, ComponentId, SpanId)>,
     last_anomaly_at: SimTime,
@@ -97,6 +101,7 @@ impl LocalController {
             gm_group: None,
             last_gm_heartbeat: SimTime::ZERO,
             assignment_requested_at: None,
+            watchdog: None,
             migrating_out: Vec::new(),
             last_anomaly_at: SimTime::ZERO,
             boot_spans: BTreeMap::new(),
@@ -253,6 +258,12 @@ impl LocalController {
         ctx.join_group(self.gl_group);
     }
 
+    fn disarm_watchdog(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
+        if let Some(alarm) = self.watchdog.take() {
+            ctx.cancel_timer(alarm);
+        }
+    }
+
     /// Whether this node could currently give up its LC role (powered
     /// on, hosting nothing, no migrations in flight). Used by the
     /// unified-node extension (paper §V) before a promotion.
@@ -300,6 +311,7 @@ impl McState for LocalController {
             h.id(*to);
         }
         h.time(self.last_anomaly_at);
+        h.flag(self.watchdog.is_some());
     }
 }
 
@@ -320,6 +332,7 @@ impl Component for LocalController {
         if !self.is_on() {
             if let SnoozeMsg::WakeNode(_) = msg {
                 if let Ok(done) = self.power.resume(now) {
+                    self.disarm_watchdog(ctx);
                     self.meter_update(now);
                     self.stats.wakeups += 1;
                     ctx.metrics()
@@ -547,6 +560,7 @@ impl Component for LocalController {
             // notice a dead GM and rejoin (no one else can wake an
             // orphaned sleeper).
             LC_WATCHDOG if self.power.state() == PowerState::Suspended => {
+                self.watchdog = None;
                 if let Ok(done) = self.power.resume(now) {
                     self.stats.watchdog_wakes += 1;
                     self.stats.wakeups += 1;
@@ -557,12 +571,13 @@ impl Component for LocalController {
                     ctx.trace("power", "watchdog wake");
                 }
             }
-            LC_WATCHDOG => {}
+            LC_WATCHDOG => self.watchdog = None,
             LC_POWER => {
                 let state = self.power.tick(now);
                 self.meter_update(now);
                 if state == PowerState::Suspended {
-                    ctx.set_timer(self.config.suspend_watchdog, tag(LC_WATCHDOG, 0));
+                    let alarm = ctx.set_timer(self.config.suspend_watchdog, tag(LC_WATCHDOG, 0));
+                    self.watchdog = Some(alarm);
                 }
                 if state.is_on() {
                     ctx.trace("power", "awake");
@@ -595,6 +610,7 @@ impl Component for LocalController {
         self.energy = EnergyMeter::new(now, self.node.power.active_watts(0.0));
         self.migrating_out.clear();
         self.boot_spans.clear();
+        self.disarm_watchdog(ctx);
         self.leave_gm(ctx);
         self.last_gm_heartbeat = now;
         ctx.trace("restart", "LC back up");

@@ -250,6 +250,49 @@ fn watchdog_wake_under_a_dead_gm_ends_reassigned() {
     assert_membership_follows_state(&sim, &system);
 }
 
+/// A real RTC holds one alarm, re-programmed on every suspend. A node
+/// that slept, was woken for work and went back to sleep must get its
+/// watchdog check-in `suspend_watchdog` after the *second* suspend, not
+/// the first.
+#[test]
+fn a_woken_nodes_stale_rtc_alarm_does_not_cut_its_next_sleep_short() {
+    let config = SnoozeConfig {
+        idle_suspend_after: None,
+        ..SnoozeConfig::default()
+    };
+    let (mut sim, system) = deploy(17, &config, 2, 1);
+    let node = system.lcs[0];
+    sim.run_until(secs(100));
+    assert!(lc(&sim, node).assigned_gm().is_some());
+
+    // Suspended 8 s after each command (typical_server transitions).
+    let (first, second) = (secs(100), secs(400));
+    sim.post(first, node, SuspendNode);
+    sim.post(secs(200), node, WakeNode);
+    sim.post(second, node, SuspendNode);
+    sim.run_until(secs(410));
+    assert_eq!(lc(&sim, node).power_state(), PowerState::Suspended);
+    assert_eq!(lc(&sim, node).stats.suspensions, 2);
+
+    let asleep = SimSpan::from_secs(8) + config.suspend_watchdog;
+    sim.run_until(first + asleep + SimSpan::from_secs(1));
+    assert_eq!(
+        lc(&sim, node).power_state(),
+        PowerState::Suspended,
+        "the first cycle's alarm was disarmed by the wake-up"
+    );
+    assert_eq!(lc(&sim, node).stats.watchdog_wakes, 0);
+
+    sim.run_until(second + asleep - SimSpan::from_secs(1));
+    assert_eq!(lc(&sim, node).stats.watchdog_wakes, 0);
+    sim.run_until(second + asleep + SimSpan::from_secs(1));
+    assert_eq!(lc(&sim, node).stats.watchdog_wakes, 1);
+    assert!(matches!(
+        lc(&sim, node).power_state(),
+        PowerState::Resuming(_)
+    ));
+}
+
 /// The guard behind the membership: a multicast already in flight when
 /// the LC suspends still arrives, and must change nothing.
 #[test]
