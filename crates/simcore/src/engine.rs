@@ -777,7 +777,7 @@ impl<C: Component> Engine<C> {
         }
     }
 
-    /// Current members of a multicast group, in ascending id order.
+    /// Current members of a multicast group, in the order they joined.
     pub fn group_members(&self, group: GroupId) -> &[ComponentId] {
         self.core.network.group_members(group)
     }

@@ -42,6 +42,13 @@ fn lc_group(gl_group: GroupId, i: usize) -> GroupId {
     GroupId(gl_group.0 + 1 + i)
 }
 
+/// A group's members as a set: the engine lists them in join order.
+fn members(sim: &Engine<SnoozeNode>, group: GroupId) -> Vec<ComponentId> {
+    let mut members = sim.group_members(group).to_vec();
+    members.sort();
+    members
+}
+
 fn lc(sim: &Engine<SnoozeNode>, id: ComponentId) -> &LocalController {
     sim.component(id).as_lc().expect("an LC")
 }
@@ -55,7 +62,7 @@ fn assert_membership_follows_state(sim: &Engine<SnoozeNode>, system: &SnoozeSyst
     listening.extend(system.lcs.iter().copied().filter(unassigned));
     listening.extend(&system.eps);
     assert_eq!(
-        sim.group_members(system.gl_group),
+        members(sim, system.gl_group),
         listening,
         "GL group at {at:?}: managers, unassigned LCs, EPs"
     );
@@ -65,7 +72,7 @@ fn assert_membership_follows_state(sim: &Engine<SnoozeNode>, system: &SnoozeSyst
         };
         let served: Vec<ComponentId> = system.lcs.iter().copied().filter(served).collect();
         assert_eq!(
-            sim.group_members(lc_group(system.gl_group, i)),
+            members(sim, lc_group(system.gl_group, i)),
             served,
             "group of {gm:?} at {at:?}: its powered-on LCs"
         );
