@@ -5,7 +5,10 @@
 //!   every run and every `[override.*]` profile compiling (tier-1's
 //!   `tests/experiments_manifest.rs` pins what each file expands to);
 //! * every manifest table that has a golden reproduces it byte for byte
-//!   (release builds only).
+//!   (release builds only). After a change that is meant to move them,
+//!   re-record deliberately with
+//!   `UPDATE_GOLDEN=1 cargo test --release -p snooze-bench --test
+//!   scenario_suite release_tables -- --nocapture`.
 
 use std::path::PathBuf;
 
@@ -39,19 +42,28 @@ fn release_tables_match_the_checked_in_goldens() {
         return;
     }
     let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let mut compared = 0;
     for exp in EXPERIMENTS {
-        let Ok(golden) = std::fs::read_to_string(golden_dir.join(format!("{}.json", exp.slug)))
-        else {
+        let path = golden_dir.join(format!("{}.json", exp.slug));
+        let Ok(golden) = std::fs::read_to_string(&path) else {
             continue; // E1 and E2 fold host wall time into their energy columns.
         };
-        assert_eq!(
-            exp.table().deterministic().to_json(),
-            golden,
-            "{0}: deterministic table columns drifted from tests/golden/{0}.json",
-            exp.slug
-        );
-        eprintln!("[golden] {}: identical", exp.slug);
+        // Only the locked columns are written: `run_experiments --json`
+        // output carries the advisory wall-clock ones too.
+        let table = exp.table().deterministic().to_json();
+        if update && table != golden {
+            std::fs::write(&path, &table).expect("write golden");
+            eprintln!("[golden] {}: RE-RECORDED", exp.slug);
+        } else {
+            assert_eq!(
+                table, golden,
+                "{0}: deterministic table columns drifted from tests/golden/{0}.json \
+                 (run with UPDATE_GOLDEN=1 to regenerate deliberately)",
+                exp.slug
+            );
+            eprintln!("[golden] {}: identical", exp.slug);
+        }
         compared += 1;
     }
     let files = std::fs::read_dir(&golden_dir).expect("golden dir").count();
