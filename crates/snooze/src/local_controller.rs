@@ -9,6 +9,16 @@
 //! (or after losing its GM) it listens for GL heartbeats, asks the GL for
 //! a GM assignment, joins that GM's multicast group and starts sending
 //! monitoring reports, which double as its heartbeat.
+//!
+//! Its multicast memberships follow that state, so heartbeats go to
+//! listeners only. It is in the GL's group exactly while it has no GM —
+//! once assigned there is nothing left to discover, and losing the GM (or
+//! restarting) puts it back. It is in its GM's group exactly while
+//! assigned *and powered on*: a suspended host's NIC honours wake-on-LAN
+//! and nothing else, which is also why the GM stops expecting reports
+//! from a sleeper and why the RTC watchdog exists. Multicasts already in
+//! flight when a membership ends still arrive, so the handlers keep both
+//! guards (`gm.is_none()` on GL heartbeats, `is_on()` on everything).
 
 use std::collections::BTreeMap;
 
