@@ -24,6 +24,15 @@ fn manual_power() -> SnoozeConfig {
     }
 }
 
+/// `fast_test` timers with idle LCs suspended after 5 s, so a fleet
+/// without VMs is assigned and asleep a quarter of a minute in.
+fn eager_suspend() -> SnoozeConfig {
+    SnoozeConfig {
+        idle_suspend_after: Some(SimSpan::from_secs(5)),
+        ..SnoozeConfig::fast_test()
+    }
+}
+
 fn deploy(
     seed: u64,
     config: &SnoozeConfig,
@@ -94,11 +103,7 @@ fn step_until(
 #[test]
 fn after_bootstrap_no_lc_listens_to_the_gl_and_each_gm_group_is_its_awake_lcs() {
     // Idle LCs are suspended from 5 s on, so "powered on" is a real filter.
-    let config = SnoozeConfig {
-        idle_suspend_after: Some(SimSpan::from_secs(5)),
-        ..SnoozeConfig::fast_test()
-    };
-    let (mut sim, system) = deploy(11, &config, 3, 8);
+    let (mut sim, system) = deploy(11, &eager_suspend(), 3, 8);
     // Before anything ran, everyone but the group-less ZK would listen.
     sim.run_until(secs(4));
     assert_membership_follows_state(&sim, &system);
@@ -230,9 +235,8 @@ fn restarted_lc_listens_for_the_gl_until_it_is_assigned_again() {
 #[test]
 fn watchdog_wake_under_a_dead_gm_ends_reassigned() {
     let config = SnoozeConfig {
-        idle_suspend_after: Some(SimSpan::from_secs(5)),
         suspend_watchdog: SimSpan::from_secs(30),
-        ..SnoozeConfig::fast_test()
+        ..eager_suspend()
     };
     let (mut sim, system) = deploy(16, &config, 3, 1);
     let sleeper = system.lcs[0];
@@ -399,10 +403,7 @@ fn unified_node_hears_the_gl_as_manager_and_again_after_demotion() {
 /// does not depend on how many LCs it has.
 #[test]
 fn a_sleeping_fleet_costs_no_events_per_lc() {
-    let config = SnoozeConfig {
-        idle_suspend_after: Some(SimSpan::from_secs(5)),
-        ..SnoozeConfig::fast_test()
-    };
+    let config = eager_suspend();
     // Settled by 60 s; the first RTC alarm is 300 s after the first suspend.
     let (from, to) = (secs(60), secs(260));
     let events_in_window = |lcs: usize| {
