@@ -21,8 +21,26 @@
 //! Remaining fault budgets are mixed into the visited-set key: a state
 //! reached with budget left can reach strictly more behaviors than the
 //! same engine state with none, so the two must not deduplicate.
+//!
+//! ## What a liveness probe costs
+//!
+//! Thousands of frontier states differ only in history the protocols
+//! have forgotten half a second later, so their fair suffixes converge
+//! and then repeat each other event for event. A probe therefore runs
+//! its suffix in checkpoints ([`SUFFIX_CHECKPOINT`] apart) and, at each,
+//! looks `(predicate, remaining horizon, fingerprint)` up in a
+//! per-exploration verdict memo: a hit means an earlier probe already
+//! ran from an equal state over an equal remaining span, and its verdict
+//! is reused. This leans on nothing the visited set does not already
+//! assume — states with equal fingerprints are equal
+//! (`snooze_simcore::mc`), the suffix is deterministic scheduled
+//! execution, and the fingerprint is time-shift invariant — so at an
+//! equal remaining horizon the verdict is a function of the fingerprint.
+//! The same caveat applies: a predicate must read only state the
+//! fingerprint covers.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 
 use snooze_scenario::mc_trace::McTraceStep;
 use snooze_simcore::engine::{Component, ComponentId, Engine};
@@ -217,8 +235,13 @@ pub struct McReport {
     pub deduped: u64,
     /// Nodes cut at the depth bound.
     pub truncated: u64,
-    /// Fair-suffix liveness evaluations performed.
+    /// Liveness evaluations performed: one per frontier state and
+    /// liveness predicate, however its verdict was obtained.
     pub liveness_probes: u64,
+    /// Probes whose fair suffix ran to its deadline; the other
+    /// `liveness_probes - suffixes_run` took their verdict from a suffix
+    /// an earlier probe had already run (see [`fair_suffix`]).
+    pub suffixes_run: u64,
     /// Deepest node expanded or probed.
     pub max_depth_reached: usize,
     /// True if the `max_states` cap stopped exploration early.
@@ -231,12 +254,77 @@ pub struct McReport {
 }
 
 struct Node<C: Component> {
-    snap: SystemState<C>,
+    snap: Rc<SystemState<C>>,
     depth: usize,
     drops: u32,
     crashes: u32,
     restarts: u32,
     trace: Vec<TraceStep>,
+}
+
+/// Virtual time between two fingerprint checkpoints of a fair suffix.
+/// On the failover harness (depth 10, one crash) 14 535 of 14 568
+/// suffixes are in an already-run state at their first checkpoint with
+/// this spacing and 22 run to the end. A shorter spacing finds no more
+/// of them and only multiplies the keys those 22 store (682 entries
+/// here, 3 574 at 100 ms); a longer one makes every hit execute more
+/// events before it can be recognized (2 s reads a fifth slower).
+/// DESIGN.md, "What a liveness probe costs", has the table.
+const SUFFIX_CHECKPOINT: SimSpan = SimSpan::from_millis(500);
+
+/// Verdicts of fair suffixes already run, keyed by `(predicate index,
+/// remaining horizon in µs, state fingerprint)` at a checkpoint.
+type VerdictMemo = BTreeMap<(usize, u64, u64), Option<String>>;
+
+/// Evaluate liveness predicate `index` on the engine's current (released)
+/// state: run the fair suffix of `within` and return `check`'s verdict
+/// at its end, plus whether the suffix ran to that end.
+///
+/// With a memo the suffix stops at the first checkpoint whose key an
+/// earlier suffix stored and reuses that verdict; either way the verdict
+/// is stored under every checkpoint this suffix passed. The state the
+/// probe starts from gets no key: the visited set has already
+/// deduplicated frontier states, so such a key would almost never be
+/// hit, and one entry per probe is what would make the memo grow with
+/// the frontier. Checkpoints are absolute times and the last chunk is
+/// the remainder, so a suffix that runs through ends exactly where one
+/// `run_for(within)` would. `memo: None` is that single run — the
+/// reference the tests compare against.
+fn fair_suffix<C>(
+    sim: &mut Engine<C>,
+    index: usize,
+    within: SimSpan,
+    check: &PredicateFn<C>,
+    memo: Option<&mut VerdictMemo>,
+) -> (Option<String>, bool)
+where
+    C: Component + McState,
+    C::Msg: McState,
+{
+    let deadline = sim.now() + within;
+    let Some(memo) = memo else {
+        sim.run_until(deadline);
+        return (check(sim), true);
+    };
+    let mut passed = Vec::new();
+    let mut at = sim.now() + SUFFIX_CHECKPOINT;
+    let (verdict, ran) = loop {
+        if at >= deadline {
+            sim.run_until(deadline);
+            break (check(sim), true);
+        }
+        sim.run_until(at);
+        let key = (index, (deadline - at).0, sim.mc_fingerprint());
+        if let Some(verdict) = memo.get(&key) {
+            break (verdict.clone(), false);
+        }
+        passed.push(key);
+        at += SUFFIX_CHECKPOINT;
+    };
+    for key in passed {
+        memo.insert(key, verdict.clone());
+    }
+    (verdict, ran)
 }
 
 fn visit_key(state_fp: u64, drops: u32, crashes: u32, restarts: u32) -> u64 {
@@ -294,12 +382,28 @@ where
     C: Component + Clone + McState,
     C::Msg: Clone + McState,
 {
+    explore_with(sim, predicates, config, true)
+}
+
+/// [`explore`], with the verdict memo switchable: `memoize: false` runs
+/// every fair suffix to its end, which is what the memo must be
+/// indistinguishable from.
+fn explore_with<C>(
+    sim: &mut Engine<C>,
+    predicates: &[Predicate<C>],
+    config: &McConfig,
+    memoize: bool,
+) -> McReport
+where
+    C: Component + Clone + McState,
+    C::Msg: Clone + McState,
+{
     let mut report = McReport {
         fingerprint: FNV_OFFSET,
         ..McReport::default()
     };
     sim.mc_gc();
-    let root = sim.mc_snapshot();
+    let root = Rc::new(sim.mc_snapshot());
     let root_key = visit_key(
         sim.mc_fingerprint(),
         config.drop_budget,
@@ -309,9 +413,10 @@ where
     let mut visited: BTreeSet<u64> = BTreeSet::new();
     visited.insert(root_key);
     report.fingerprint = mix(report.fingerprint, root_key);
+    let mut memo = memoize.then(VerdictMemo::new);
     let mut work: VecDeque<Node<C>> = VecDeque::new();
     work.push_back(Node {
-        snap: sim.mc_snapshot(),
+        snap: Rc::clone(&root),
         depth: 0,
         drops: config.drop_budget,
         crashes: config.crash_budget,
@@ -392,15 +497,22 @@ where
             if node.depth >= config.max_depth {
                 report.truncated += 1;
             }
-            for p in predicates {
+            // The first probe finds the engine at `node.snap` (predicates
+            // and enumeration only read it); later ones follow a suffix.
+            let mut suffix_ran = false;
+            for (index, p) in predicates.iter().enumerate() {
                 let PredicateKind::Liveness { within } = p.kind else {
                     continue;
                 };
-                sim.mc_restore(&node.snap);
+                if suffix_ran {
+                    sim.mc_restore(&node.snap);
+                }
+                suffix_ran = true;
                 sim.mc_release();
-                sim.run_for(within);
+                let (verdict, ran) = fair_suffix(sim, index, within, &p.check, memo.as_mut());
                 report.liveness_probes += 1;
-                if let Some(detail) = (p.check)(sim) {
+                report.suffixes_run += u64::from(ran);
+                if let Some(detail) = verdict {
                     report.violations.push(McViolation {
                         predicate: p.name.to_string(),
                         detail,
@@ -414,8 +526,20 @@ where
             continue;
         }
 
+        // Every sibling starts from `node.snap`. The first finds the
+        // engine there (predicates and enumeration only read it); after
+        // that it differs by the core and the one slot the previous
+        // sibling's action ran on.
+        let mut touched: Option<Option<ComponentId>> = None;
         for action in actions {
-            sim.mc_restore(&node.snap);
+            if let Some(slot) = touched {
+                sim.mc_restore_touched(&node.snap, slot);
+            }
+            touched = Some(match action {
+                Action::Execute { ordinal } => pending[ordinal].desc.target(),
+                Action::Drop { .. } => None,
+                Action::Crash { target } | Action::Restart { target } => Some(target),
+            });
             let step = apply(sim, &pending, action);
             report.transitions += 1;
             sim.mc_gc();
@@ -438,7 +562,7 @@ where
             let mut trace = node.trace.clone();
             trace.push(step);
             work.push_back(Node {
-                snap: sim.mc_snapshot(),
+                snap: Rc::new(sim.mc_snapshot()),
                 depth: node.depth + 1,
                 drops,
                 crashes,
@@ -550,4 +674,117 @@ pub fn steps_from_doc(steps: &[McTraceStep]) -> Result<Vec<TraceStep>, String> {
             })
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::election::ElectionHarness;
+    use crate::failover::FailoverHarness;
+
+    fn config(max_depth: usize, crashable: Vec<ComponentId>) -> McConfig {
+        McConfig {
+            max_depth,
+            crash_budget: 1,
+            crashable,
+            max_violations: 4,
+            ..McConfig::default()
+        }
+    }
+
+    /// Explore twice from the same bootstrapped engine — with the memo,
+    /// then with every suffix run to its end — and require reports that
+    /// differ in `suffixes_run` alone.
+    fn assert_memo_matches_reference<C>(
+        what: &str,
+        sim: &mut Engine<C>,
+        predicates: &[Predicate<C>],
+        config: &McConfig,
+    ) -> McReport
+    where
+        C: Component + Clone + McState,
+        C::Msg: Clone + McState,
+    {
+        let memo = explore_with(sim, predicates, config, true);
+        let reference = explore_with(sim, predicates, config, false);
+        let counts = |r: &McReport| {
+            (
+                (r.explored, r.transitions, r.deduped, r.truncated),
+                (r.liveness_probes, r.max_depth_reached, r.hit_state_cap),
+                r.fingerprint,
+            )
+        };
+        assert_eq!(counts(&memo), counts(&reference), "{what}: counts");
+        let findings = |r: &McReport| -> Vec<_> {
+            r.violations
+                .iter()
+                .map(|v| {
+                    (
+                        v.predicate.clone(),
+                        v.detail.clone(),
+                        trace_to_steps(&v.trace),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(findings(&memo), findings(&reference), "{what}: violations");
+        assert_eq!(reference.suffixes_run, reference.liveness_probes);
+        assert!(
+            memo.suffixes_run < memo.liveness_probes,
+            "{what}: the memo served no probe ({} suffixes for {} probes)",
+            memo.suffixes_run,
+            memo.liveness_probes
+        );
+        memo
+    }
+
+    #[test]
+    fn memo_matches_reference_on_election_and_failover() {
+        let mut h = ElectionHarness::new(3, false, 5);
+        let (preds, cfg) = (h.predicates(), config(8, h.contenders.clone()));
+        let clean = assert_memo_matches_reference("election", &mut h.sim, &preds, &cfg);
+        assert!(clean.violations.is_empty(), "{:?}", clean.violations);
+
+        let mut h = ElectionHarness::new(3, true, 5);
+        let (preds, cfg) = (h.predicates(), config(8, h.contenders.clone()));
+        let bug = assert_memo_matches_reference("seeded bug", &mut h.sim, &preds, &cfg);
+        assert!(
+            !bug.violations.is_empty(),
+            "the seeded bug must be visible for the comparison to cover a failing verdict"
+        );
+
+        let mut h = FailoverHarness::new(3, 2, 10);
+        let (preds, cfg) = (h.predicates(), config(6, h.crashable()));
+        let clean = assert_memo_matches_reference("failover", &mut h.sim, &preds, &cfg);
+        assert!(clean.violations.is_empty(), "{:?}", clean.violations);
+    }
+
+    #[test]
+    fn chunked_suffix_ends_where_one_run_would() {
+        // 3.2 s: six whole checkpoints and a 200 ms remainder.
+        let within = SimSpan::from_millis(3_200);
+        assert!(!within.0.is_multiple_of(SUFFIX_CHECKPOINT.0));
+        let mut h = ElectionHarness::new(3, false, 5);
+        let start = h.sim.mc_snapshot();
+        let end_state = |sim: &Engine<_>| {
+            (
+                sim.now(),
+                sim.events_executed(),
+                sim.digest(),
+                sim.mc_fingerprint(),
+            )
+        };
+
+        h.sim.run_for(within);
+        let single = end_state(&h.sim);
+
+        h.sim.mc_restore(&start);
+        let check: PredicateFn<_> = Box::new(|_| None);
+        let mut memo = VerdictMemo::new();
+        let (verdict, ran) = fair_suffix(&mut h.sim, 0, within, &check, Some(&mut memo));
+        assert_eq!((verdict, ran), (None, true));
+        assert_eq!(end_state(&h.sim), single);
+        assert_eq!(memo.len(), 6, "one key per checkpoint before the deadline");
+        assert!(memo.keys().all(|&(_, remaining, _)| remaining > 0));
+    }
 }

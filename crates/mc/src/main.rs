@@ -90,7 +90,7 @@ fn print_report(report: &McReport, label: &str, json: bool) {
         println!(
             "{{\"harness\": \"{}\", \"explored\": {}, \"transitions\": {}, \
              \"deduped\": {}, \"truncated\": {}, \"liveness_probes\": {}, \
-             \"max_depth_reached\": {}, \"hit_state_cap\": {}, \
+             \"suffixes_run\": {}, \"max_depth_reached\": {}, \"hit_state_cap\": {}, \
              \"fingerprint\": \"{:#018x}\", \"violations\": [{}]}}",
             json_escape(label),
             report.explored,
@@ -98,6 +98,7 @@ fn print_report(report: &McReport, label: &str, json: bool) {
             report.deduped,
             report.truncated,
             report.liveness_probes,
+            report.suffixes_run,
             report.max_depth_reached,
             report.hit_state_cap,
             report.fingerprint,
@@ -106,12 +107,13 @@ fn print_report(report: &McReport, label: &str, json: bool) {
     } else {
         println!(
             "{label}: explored={} transitions={} deduped={} truncated={} \
-             liveness_probes={} max_depth={} fingerprint={:#018x}{}",
+             liveness_probes={} suffixes_run={} max_depth={} fingerprint={:#018x}{}",
             report.explored,
             report.transitions,
             report.deduped,
             report.truncated,
             report.liveness_probes,
+            report.suffixes_run,
             report.max_depth_reached,
             report.fingerprint,
             if report.hit_state_cap {
@@ -303,8 +305,7 @@ fn smoke_run() -> McReport {
         max_violations: 8,
         ..McConfig::default()
     };
-    let mut preds = h.predicates();
-    preds.retain(|p| matches!(p.kind, PredicateKind::Safety));
+    let preds = h.predicates();
     explore(&mut h.sim, &preds, &config)
 }
 

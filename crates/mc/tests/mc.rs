@@ -175,6 +175,52 @@ fn failover_trace_docs_replay() {
 }
 
 #[test]
+fn verdict_served_from_the_memo_still_replays() {
+    // With two managers any crash leaves one GL and no GM, so the real
+    // liveness predicate fails at every frontier state under the crash
+    // DFS dives into first — and `replay_doc`, which looks the predicate
+    // up by name and runs the whole suffix, can check each stored verdict
+    // independently of the memo that served it.
+    let mut h = FailoverHarness::new(2, 2, 10);
+    let config = McConfig {
+        strategy: Strategy::Dfs,
+        max_depth: 4,
+        crash_budget: 1,
+        crashable: h.crashable(),
+        max_violations: 3,
+        ..McConfig::default()
+    };
+    let preds = h.predicates();
+    let report = explore(&mut h.sim, &preds, &config);
+    assert_eq!(report.violations.len(), 3);
+    assert_eq!(
+        (report.liveness_probes, report.suffixes_run),
+        (3, 1),
+        "the second and third verdicts must come from the first probe's suffix"
+    );
+    let docs: Vec<McTraceDoc> = report
+        .violations
+        .iter()
+        .map(|v| h.to_doc(v, "memo"))
+        .collect();
+    for (i, (v, doc)) in report.violations.iter().zip(&docs).enumerate() {
+        assert_eq!(v.predicate, "orphaned-lc-recovered");
+        assert!(
+            docs[..i].iter().all(|earlier| earlier.steps != doc.steps),
+            "violation {i} must carry its own node's trace"
+        );
+        let parsed = McTraceDoc::from_toml(&doc.to_toml()).expect("parse");
+        assert_eq!(&parsed, doc);
+        let replayed = failover::replay_doc(&parsed).expect("trace must apply");
+        assert_eq!(
+            replayed.as_deref(),
+            Some(v.detail.as_str()),
+            "violation {i}"
+        );
+    }
+}
+
+#[test]
 fn committed_counterexample_still_reproduces() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

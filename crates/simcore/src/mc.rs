@@ -21,14 +21,19 @@
 //! fingerprints are treated as equal, which is an abstraction: payload
 //! folds are written to cover every behavior-relevant field, but state
 //! reached first wins, so exploration is exhaustive *up to* fingerprint
-//! equality.
+//! equality. The RNG position and the `seq` / timer-id counters are
+//! outside the fingerprint (checked harnesses draw nothing, and identity
+//! counters decide no behavior). The explorer leans on this contract
+//! twice: for its visited set, and for the verdict memo that lets a
+//! liveness probe stop at a state whose fair suffix an earlier probe
+//! already ran.
 
 use std::collections::BTreeSet;
 
 use snooze_telemetry::span::{SpanId, SpanLog};
 use snooze_telemetry::{fnv1a, FNV_OFFSET};
 
-use crate::engine::{Component, ComponentId, Engine, EventKind, NetFault, Scheduled};
+use crate::engine::{Component, ComponentId, Engine, EngineCore, EventKind, NetFault, Scheduled};
 use crate::network::NetworkState;
 use crate::rng::SimRng;
 use crate::time::{SimSpan, SimTime};
@@ -222,6 +227,19 @@ impl McEventDesc {
             McEventDesc::Net => (6, 0, 0),
         }
     }
+
+    /// The one component whose slot executing this event can change
+    /// (`None` for a network-health change, which touches the core only).
+    pub fn target(&self) -> Option<ComponentId> {
+        match *self {
+            McEventDesc::Start { dst }
+            | McEventDesc::Deliver { dst, .. }
+            | McEventDesc::Timer { dst, .. }
+            | McEventDesc::Crash { dst }
+            | McEventDesc::Restart { dst } => Some(dst),
+            McEventDesc::Net => None,
+        }
+    }
 }
 
 /// One pending (enabled or enablable) event, as reported by
@@ -240,6 +258,20 @@ pub struct McPending {
     pub dst_alive: bool,
     /// What the event is.
     pub desc: McEventDesc,
+}
+
+/// The timer id of `ev` if it is a timer that normal execution would
+/// discard unfired.
+fn stale_timer<M>(core: &EngineCore<M>, ev: &Scheduled<M>) -> Option<u64> {
+    match &ev.kind {
+        EventKind::Timer {
+            dst,
+            incarnation,
+            id,
+            ..
+        } if core.timer_is_stale(*dst, *incarnation, *id) => Some(*id),
+        _ => None,
+    }
 }
 
 impl<C: Component> Engine<C>
@@ -277,6 +309,28 @@ where
     /// must come from *this* engine (same components, same names); the
     /// checker only ever restores its own captures.
     pub fn mc_restore(&mut self, state: &SystemState<C>) {
+        self.restore_core(state);
+        self.components = state.components.clone();
+    }
+
+    /// [`Engine::mc_restore`] for an engine that already *was* restored
+    /// to `state` and has since executed one event (or injected one
+    /// crash / restart) whose [`McEventDesc::target`] is `touched`: the
+    /// engine core is restored in full, of the components only the
+    /// `touched` slot is re-cloned. Sound because a handler runs with its
+    /// own slot and a [`Ctx`](crate::engine::Ctx) over the core and can
+    /// reach no other slot; restoring after anything else ran (a second
+    /// event, a fair suffix) needs the full `mc_restore`.
+    pub fn mc_restore_touched(&mut self, state: &SystemState<C>, touched: Option<ComponentId>) {
+        self.restore_core(state);
+        // An id nothing is registered under has no slot to have changed.
+        let slot = touched.map(|id| id.0);
+        if let Some(i) = slot.filter(|&i| i < self.components.len()) {
+            self.components[i] = state.components[i].clone();
+        }
+    }
+
+    fn restore_core(&mut self, state: &SystemState<C>) {
         assert_eq!(
             state.components.len(),
             self.components.len(),
@@ -292,7 +346,7 @@ where
         self.core.next_timer_id = state.next_timer_id;
         self.core.cancelled_timers = state.cancelled_timers.clone();
         self.core.network.load_state(&state.network);
-        self.core.spans = state.spans.clone();
+        self.core.spans.clone_from(&state.spans);
         self.core.ctx_span = state.ctx_span;
         self.core.alive = state.alive.clone();
         self.core.incarnation = state.incarnation.clone();
@@ -300,7 +354,6 @@ where
         self.core.events_executed = state.events_executed;
         self.core.digest = state.digest;
         self.core.last_executed = state.last_executed;
-        self.components = state.components.clone();
     }
 }
 
@@ -408,18 +461,19 @@ impl<C: Component> Engine<C> {
     /// cancelled set). Keeps snapshots small and fingerprints free of
     /// events that can never fire.
     pub fn mc_gc(&mut self) {
+        // Most transitions leave no stale timer behind; only a queue that
+        // holds one is worth draining and re-pushing.
+        let core = &self.core;
+        if core.queue.iter().all(|ev| stale_timer(core, ev).is_none()) {
+            return;
+        }
         let mut events = self.core.queue.drain_all();
-        events.retain(|ev| match &ev.kind {
-            EventKind::Timer {
-                dst,
-                incarnation,
-                id,
-                ..
-            } if self.core.timer_is_stale(*dst, *incarnation, *id) => {
-                self.core.cancelled_timers.remove(id);
+        events.retain(|ev| match stale_timer(&self.core, ev) {
+            Some(id) => {
+                self.core.cancelled_timers.remove(&id);
                 false
             }
-            _ => true,
+            None => true,
         });
         events.into_iter().for_each(|ev| self.core.queue.push(ev));
     }
@@ -470,15 +524,7 @@ where
             .core
             .queue
             .iter()
-            .filter(|ev| match &ev.kind {
-                EventKind::Timer {
-                    dst,
-                    incarnation,
-                    id,
-                    ..
-                } => !self.core.timer_is_stale(*dst, *incarnation, *id),
-                _ => true,
-            })
+            .filter(|ev| stale_timer(&self.core, ev).is_none())
             .collect();
         pending.sort_unstable();
         for ev in pending {

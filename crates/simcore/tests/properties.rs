@@ -345,4 +345,42 @@ proptest! {
             "restored run diverged (seed {})", seed
         );
     }
+
+    /// The explorer's sibling loop: from one snapshot apply each action
+    /// in turn, restoring between them only the core and the slot the
+    /// action's descriptor names. Every sibling must start from the
+    /// captured state, and the engine must end there.
+    #[test]
+    fn mc_restore_touched_is_a_full_restore_between_siblings(seed in any::<u64>(), n in 3usize..16) {
+        let mut reference = gossip(seed, n);
+        reference.run_until(GOSSIP_HORIZON);
+        let want = (reference.digest(), reference.events_executed());
+
+        let mut sim = gossip(seed, n);
+        sim.run_until(SimTime(20_000));
+        let snap = sim.mc_snapshot();
+        let fp_before = sim.mc_fingerprint();
+
+        for p in sim.mc_pending() {
+            prop_assert!(sim.mc_execute_pending(p.seq));
+            sim.mc_gc();
+            sim.mc_restore_touched(&snap, p.desc.target());
+            prop_assert_eq!(sim.mc_fingerprint(), fp_before, "after executing {:?}", p.desc);
+        }
+        if let Some(first) = sim.mc_pending().first() {
+            prop_assert!(sim.mc_drop_pending(first.seq));
+            sim.mc_restore_touched(&snap, None);
+        }
+        let victim = ComponentId(n - 1);
+        sim.mc_inject_crash(victim);
+        sim.mc_restore_touched(&snap, Some(victim));
+        prop_assert_eq!(sim.mc_fingerprint(), fp_before, "after the crash");
+
+        sim.run_until(GOSSIP_HORIZON);
+        prop_assert_eq!(
+            (sim.digest(), sim.events_executed()),
+            want,
+            "run after partial restores diverged (seed {})", seed
+        );
+    }
 }

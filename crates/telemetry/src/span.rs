@@ -16,7 +16,7 @@ use crate::{fnv1a, FNV_OFFSET};
 pub struct SpanId(pub u64);
 
 /// One timed, causally linked interval.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SpanRecord {
     /// This span's id.
     pub id: SpanId,
@@ -36,6 +36,29 @@ pub struct SpanRecord {
     pub labels: Vec<(&'static str, String)>,
 }
 
+impl Clone for SpanRecord {
+    fn clone(&self) -> Self {
+        SpanRecord {
+            labels: self.labels.clone(),
+            ..*self
+        }
+    }
+
+    /// Keeps the label vector and the strings in it, so restoring a log
+    /// over a near-identical one (the model checker, once a transition)
+    /// allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        let mut labels = std::mem::take(&mut self.labels);
+        labels.truncate(source.labels.len());
+        for (mine, theirs) in labels.iter_mut().zip(&source.labels) {
+            mine.0 = theirs.0;
+            mine.1.clone_from(&theirs.1);
+        }
+        labels.extend_from_slice(&source.labels[labels.len()..]);
+        *self = SpanRecord { labels, ..*source };
+    }
+}
+
 impl SpanRecord {
     /// Duration if closed, clamping backwards clocks to zero.
     pub fn duration_us(&self) -> Option<u64> {
@@ -52,10 +75,24 @@ impl SpanRecord {
 }
 
 /// Append-only log of spans with deterministic ids and a running digest.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct SpanLog {
     spans: Vec<SpanRecord>,
     digest: u64,
+}
+
+impl Clone for SpanLog {
+    fn clone(&self) -> Self {
+        SpanLog {
+            spans: self.spans.clone(),
+            digest: self.digest,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.spans.clone_from(&source.spans);
+        self.digest = source.digest;
+    }
 }
 
 impl SpanLog {
@@ -217,6 +254,31 @@ mod tests {
         assert_eq!(log.get(a).unwrap().end_us, Some(15));
         assert_eq!(log.digest(), d1, "idempotent close must not disturb digest");
         assert_eq!(log.get(a).unwrap().duration_us(), Some(5));
+    }
+
+    #[test]
+    fn clone_from_equals_clone_whatever_it_overwrites() {
+        let mut source = SpanLog::new();
+        let a = source.open("a", 0, None, 10);
+        source.label(a, "vm", "7");
+        source.label(a, "outcome", "placed");
+        let b = source.open("b", 1, Some(a), 20);
+        source.close(b, 25);
+        let want = format!("{:?}", source.clone());
+
+        // Shorter, longer, and same-length-but-different targets.
+        let mut longer = source.clone();
+        let c = longer.open("c", 2, None, 30);
+        longer.label(c, "k", "v");
+        longer.label(a, "extra", "label on a span the source also has");
+        let mut relabelled = SpanLog::new();
+        let x = relabelled.open("x", 9, None, 1);
+        relabelled.label(x, "other", "a much longer value than the source's");
+        relabelled.open("y", 9, None, 2);
+        for mut target in [SpanLog::new(), longer, relabelled] {
+            target.clone_from(&source);
+            assert_eq!(format!("{target:?}"), want);
+        }
     }
 
     #[test]

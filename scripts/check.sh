@@ -25,8 +25,9 @@
 # * `snooze-tracegen --seed 42` twice — the two files must be
 #   byte-identical to each other and to the trace the gates generated
 #   in-process, so CLI and library provably write the same trace;
-# * `snooze-mc --smoke` — bounded failover exploration, twice: no
-#   invariant violation, same state counts and fingerprints.
+# * `snooze-mc --smoke` — bounded failover exploration, twice, safety
+#   and liveness predicates both: no invariant violation, same state
+#   counts and fingerprints.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -138,7 +139,7 @@ if [ "$run_smoke" -eq 1 ]; then
   }
   rm -rf "$smoke_tmp"
 
-  say "mc smoke (bounded failover exploration, two-run determinism)"
+  say "mc smoke (bounded failover exploration with liveness, two-run determinism)"
   cargo run --offline -q --release -p snooze-mc -- --smoke
 fi
 
