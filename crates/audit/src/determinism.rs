@@ -8,7 +8,8 @@
 //! fingerprint combines independent witnesses:
 //!
 //! * the engine's executed-event digest ([`snooze_simcore::Engine::digest`]),
-//! * the trace-stream digest ([`snooze_simcore::trace::Trace::digest`]),
+//! * the span log's digest ([`snooze_simcore::Engine::span_digest`]), which
+//!   folds every span's name, open and close time and label values,
 //! * executed event count and final placements,
 //! * accumulated energy (formatted, so the comparison is exact).
 
@@ -49,8 +50,8 @@ impl Default for Scenario {
 pub struct Fingerprint {
     /// Executed-event digest from the engine.
     pub event_digest: u64,
-    /// Digest of the full trace stream.
-    pub trace_digest: u64,
+    /// Digest of the span log's mutation stream, label values included.
+    pub span_digest: u64,
     /// Number of events executed.
     pub events: u64,
     /// FNV-1a over the (vm, lc) placement pairs, in placement order.
@@ -106,7 +107,7 @@ pub fn run_once(sc: &Scenario) -> Fingerprint {
         .fold(FNV_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes()));
     Fingerprint {
         event_digest: sim.digest(),
-        trace_digest: sim.trace().digest(),
+        span_digest: sim.span_digest(),
         events: sim.events_executed(),
         placements,
         placed: driver.placed.len(),
@@ -136,8 +137,8 @@ impl Verdict {
         if a.event_digest != b.event_digest {
             out.push("event_digest");
         }
-        if a.trace_digest != b.trace_digest {
-            out.push("trace_digest");
+        if a.span_digest != b.span_digest {
+            out.push("span_digest");
         }
         if a.events != b.events {
             out.push("events");
@@ -190,6 +191,6 @@ mod tests {
         let a = run_once(&sc);
         let b = run_once(&Scenario { seed: 12, ..sc });
         assert_ne!(a.event_digest, b.event_digest);
-        assert_ne!(a.trace_digest, b.trace_digest);
+        assert_ne!(a.span_digest, b.span_digest);
     }
 }

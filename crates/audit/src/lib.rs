@@ -16,7 +16,7 @@
 //!    runtime invariant checks (`snooze_simcore::invariant`) wired into
 //!    the engine, the hypervisor and the ACO colony, and a two-run
 //!    replay check (`snooze-audit determinism`) that diffs event and
-//!    trace digests of identical-seed runs.
+//!    span digests of identical-seed runs.
 //!
 //! The two layers are complementary: the lint catches what the type
 //! system can't before it ships, the runtime checks catch semantic

@@ -212,7 +212,7 @@ impl SourceFile {
     }
 
     /// Whether line `idx` (0-based) is inside a trailing test module.
-    pub fn in_test_module(&self, idx: usize) -> bool {
+    fn in_test_module(&self, idx: usize) -> bool {
         self.test_cut.is_some_and(|cut| idx >= cut)
     }
 
@@ -780,7 +780,7 @@ impl Allowlist {
     }
 
     /// Whether `rule` at `path` is allowlisted.
-    pub fn permits(&self, rule: &str, path: &str) -> bool {
+    fn permits(&self, rule: &str, path: &str) -> bool {
         self.entries
             .iter()
             .any(|(r, p)| (r == "*" || r == rule) && path.contains(p.as_str()))
@@ -833,7 +833,7 @@ pub fn lint_file(file: &SourceFile, allowlist: &Allowlist) -> Vec<Finding> {
 
 /// Collect the workspace `.rs` sources under `root`, skipping build
 /// output, vendored stand-ins, and the lint's own fixture corpus.
-pub fn collect_files(root: &Path) -> Vec<PathBuf> {
+fn collect_files(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     for top in ["src", "tests", "examples", "crates"] {
         walk(&root.join(top), &mut out);

@@ -22,7 +22,7 @@ fn usage() -> &'static str {
      \x20     Exit 1 if any finding is not allowlisted.\n\
      \x20 snooze-audit determinism [--json] [--seed N] [--nodes N] [--vms N] [--secs N]\n\
      \x20     Run a full-stack scenario twice with one seed and diff the\n\
-     \x20     event/trace digests. Exit 1 on divergence.\n\
+     \x20     event/span digests. Exit 1 on divergence.\n\
      \x20 snooze-audit rules\n\
      \x20     List the lint rules with their fix hints.\n"
 }
@@ -142,31 +142,31 @@ fn cmd_determinism(mut args: Vec<String>) -> Result<ExitCode, String> {
         println!(
             "{{\"seed\": {}, \"nodes\": {}, \"vms\": {}, \"secs\": {}, \
              \"identical\": {}, \"event_digest\": \"{:#018x}\", \
-             \"trace_digest\": \"{:#018x}\", \"events\": {}, \"diverging\": [{}]}}",
+             \"span_digest\": \"{:#018x}\", \"events\": {}, \"diverging\": [{}]}}",
             sc.seed,
             sc.nodes,
             sc.vms,
             sc.secs,
             identical,
             verdict.first.event_digest,
-            verdict.first.trace_digest,
+            verdict.first.span_digest,
             verdict.first.events,
             diffs.join(", "),
         );
     } else {
         println!(
-            "run 1: events={} event_digest={:#018x} trace_digest={:#018x} placed={} energy={} Wh",
+            "run 1: events={} event_digest={:#018x} span_digest={:#018x} placed={} energy={} Wh",
             verdict.first.events,
             verdict.first.event_digest,
-            verdict.first.trace_digest,
+            verdict.first.span_digest,
             verdict.first.placed,
             verdict.first.energy,
         );
         println!(
-            "run 2: events={} event_digest={:#018x} trace_digest={:#018x} placed={} energy={} Wh",
+            "run 2: events={} event_digest={:#018x} span_digest={:#018x} placed={} energy={} Wh",
             verdict.second.events,
             verdict.second.event_digest,
-            verdict.second.trace_digest,
+            verdict.second.span_digest,
             verdict.second.placed,
             verdict.second.energy,
         );

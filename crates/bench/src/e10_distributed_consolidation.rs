@@ -39,12 +39,7 @@ pub struct E10OfflineRow {
 }
 
 /// Offline sweep.
-pub fn run_offline(
-    sizes: &[usize],
-    partitions: usize,
-    repeats: u64,
-    seed: u64,
-) -> Vec<E10OfflineRow> {
+fn run_offline(sizes: &[usize], partitions: usize, repeats: u64, seed: u64) -> Vec<E10OfflineRow> {
     let gen = InstanceGenerator::grid11();
     sizes
         .iter()

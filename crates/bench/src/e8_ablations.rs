@@ -62,7 +62,7 @@ fn mean_hosts(aco: &AcoConsolidator, instances: &[Instance]) -> (f64, f64) {
 }
 
 /// Sweep ACO parameters on a fixed instance family.
-pub fn run_aco(n: usize, repeats: u64, seed: u64) -> Vec<AcoAblationRow> {
+fn run_aco(n: usize, repeats: u64, seed: u64) -> Vec<AcoAblationRow> {
     let insts = instances(n, repeats, seed);
     let base = AcoParams::default();
     let mut rows = Vec::new();
@@ -124,7 +124,7 @@ pub fn run_aco(n: usize, repeats: u64, seed: u64) -> Vec<AcoAblationRow> {
 }
 
 /// Sweep FFD sort keys.
-pub fn run_ffd(n: usize, repeats: u64, seed: u64) -> Vec<FfdAblationRow> {
+fn run_ffd(n: usize, repeats: u64, seed: u64) -> Vec<FfdAblationRow> {
     let insts = instances(n, repeats, seed);
     SortKey::ALL
         .iter()

@@ -11,7 +11,6 @@
 //! [`SUMMARY`]. A new experiment costs a TOML file, a manifest row and a
 //! golden file; there is no Rust per experiment.
 
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use snooze_scenario::spec::{ScenarioDoc, ScenarioSpec};
@@ -317,7 +316,7 @@ fn dead_letter_breakdown(run: &ScenarioRun) -> Vec<(&str, u64)> {
 }
 
 /// One E14 cell: `(algo, power model, [SLA violations, energy Wh,
-/// migrations])` — the objectives in the order the winner is judged.
+/// migrations])`.
 pub type ArenaPoint<'a> = (&'a str, &'a str, [f64; 3]);
 
 fn arena_point(f: &Finished) -> ArenaPoint<'_> {
@@ -335,26 +334,13 @@ fn arena_point(f: &Finished) -> ArenaPoint<'_> {
 /// Pareto flags, one per point: `true` when no other point *under the
 /// same power model* dominates it — is no worse on every objective and
 /// strictly better on at least one.
-pub fn pareto_flags(points: &[ArenaPoint]) -> Vec<bool> {
+fn pareto_flags(points: &[ArenaPoint]) -> Vec<bool> {
     let dominates = |a: &[f64; 3], b: &[f64; 3]| a != b && a.iter().zip(b).all(|(a, b)| a <= b);
     let beaten = |(_, power, r): &ArenaPoint| {
         let rival = |(_, p, o): &ArenaPoint| p == power && dominates(o, r);
         points.iter().any(rival)
     };
     points.iter().map(|r| !beaten(r)).collect()
-}
-
-/// The arena winner: the algorithm the live reconfiguration loop should
-/// default to. Judged on the legacy `grid5000` points (the environment
-/// every pre-arena experiment runs in; all points when there are none):
-/// fewest SLA violations, then least energy, then fewest migrations.
-pub fn winner<'a>(points: &[ArenaPoint<'a>]) -> Option<&'a str> {
-    let legacy = points.iter().any(|(_, power, _)| *power == "grid5000");
-    let pool = points
-        .iter()
-        .filter(|(_, p, _)| !legacy || *p == "grid5000");
-    let least = pool.min_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(Ordering::Equal));
-    least.map(|(algo, _, _)| *algo)
 }
 
 /// What the E7 table calls the three runs of `scenarios/e7.toml`.
@@ -831,18 +817,5 @@ mod tests {
             ("d", "q", [9.0, 500.0, 99.0]), // alone under q: trivially pareto
         ];
         assert_eq!(pareto_flags(&points), vec![false, true, true, true]);
-    }
-
-    #[test]
-    fn winner_prefers_sla_then_energy_then_migrations_on_legacy_points() {
-        let points = [
-            ("cheap-but-violating", "grid5000", [3.0, 10.0, 1.0]),
-            ("best", "grid5000", [0.0, 100.0, 7.0]),
-            ("same-energy-more-churn", "grid5000", [0.0, 100.0, 9.0]),
-            ("cheaper-but-dvfs", "grid5000_dvfs3", [0.0, 1.0, 1.0]), // wrong column
-        ];
-        assert_eq!(winner(&points), Some("best"));
-        assert_eq!(winner(&points[3..]), Some("cheaper-but-dvfs"));
-        assert!(winner(&[]).is_none());
     }
 }

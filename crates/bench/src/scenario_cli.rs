@@ -98,7 +98,7 @@ pub fn print_details(details: &[Detail], runs: &[Finished]) {
 }
 
 /// Every `*.toml` under `dir`, sorted by file name.
-pub fn scenario_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
+fn scenario_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("{}: {e}", dir.display()))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))

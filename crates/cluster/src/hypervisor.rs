@@ -82,12 +82,6 @@ impl Hypervisor {
         self.guests.is_empty()
     }
 
-    /// Whether `spec` fits in the remaining reservation capacity.
-    pub fn can_admit(&self, spec: &VmSpec) -> bool {
-        !self.guests.contains_key(&spec.id)
-            && (self.reserved + spec.requested).fits_within(&self.capacity)
-    }
-
     /// Admit a guest. Reservation-based: fails if the sum of reservations
     /// would exceed capacity in any dimension.
     pub fn admit(
@@ -195,13 +189,6 @@ impl Hypervisor {
         self.usage_at(t).map(|(_, used)| used).sum()
     }
 
-    /// Aggregate usage actually *delivered* at `t`: demand throttled
-    /// proportionally in any dimension where it exceeds capacity.
-    pub fn delivered_at(&self, t: SimTime) -> ResourceVector {
-        let demand = self.demand_at(t);
-        demand.min(&self.capacity)
-    }
-
     /// Fraction of demanded work actually delivered at `t`, in `(0, 1]`.
     /// 1.0 means no contention. This is the "application performance"
     /// signal the fault-tolerance experiment (E6) monitors.
@@ -224,21 +211,11 @@ impl Hypervisor {
         demand.normalize_by(&self.capacity)
     }
 
-    /// [`Hypervisor::utilization_of`] the demand at `t`.
-    pub fn utilization_at(&self, t: SimTime) -> ResourceVector {
-        self.utilization_of(&self.demand_at(t))
-    }
-
     /// True when `demand` exceeds `threshold` (fraction of capacity) in
     /// any dimension. The LC reports this to its GM as an overload anomaly.
     pub fn is_overloaded_by(&self, demand: &ResourceVector, threshold: f64) -> bool {
         let u = self.utilization_of(demand);
         (0..DIMS).any(|d| u.get(d) > threshold)
-    }
-
-    /// [`Hypervisor::is_overloaded_by`] the demand at `t`.
-    pub fn is_overloaded(&self, t: SimTime, threshold: f64) -> bool {
-        self.is_overloaded_by(&self.demand_at(t), threshold)
     }
 
     /// True when the node hosts guests but `demand` is below `threshold`
@@ -249,25 +226,6 @@ impl Hypervisor {
         }
         let u = self.utilization_of(demand);
         (0..DIMS).all(|d| u.get(d) < threshold)
-    }
-
-    /// [`Hypervisor::is_underloaded_by`] the demand at `t`.
-    pub fn is_underloaded(&self, t: SimTime, threshold: f64) -> bool {
-        self.is_underloaded_by(&self.demand_at(t), threshold)
-    }
-
-    /// Guests sorted by descending demand (L1 at `t`) — the order overload
-    /// relocation considers migration candidates in.
-    pub fn guests_by_demand(&self, t: SimTime) -> Vec<&GuestVm> {
-        let mut gs: Vec<&GuestVm> = self.guests.values().collect();
-        gs.sort_by(|a, b| {
-            let ua = a.workload.usage_at(t, &a.spec.requested).l1();
-            let ub = b.workload.usage_at(t, &b.spec.requested).l1();
-            ub.partial_cmp(&ua)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.spec.id.cmp(&b.spec.id))
-        });
-        gs
     }
 }
 
@@ -336,7 +294,6 @@ mod tests {
             h.admit(spec(1, 1.0, 1000.0), VmWorkload::flat_full(1), t0()),
             Err(AdmitError::DuplicateVm)
         );
-        assert!(!h.can_admit(&spec(1, 0.1, 1.0)));
     }
 
     #[test]
@@ -430,15 +387,6 @@ mod tests {
             for d in 0..DIMS {
                 assert_eq!(summed.get(d).to_bits(), demand.get(d).to_bits());
             }
-            // What the LC's beat derives from the sample is what the
-            // instant-taking forms derive from their own.
-            let (over, under) = (0.35, 0.5);
-            assert_eq!(h.utilization_of(&summed), h.utilization_at(t));
-            assert_eq!(h.is_overloaded_by(&summed, over), h.is_overloaded(t, over));
-            assert_eq!(
-                h.is_underloaded_by(&summed, under),
-                h.is_underloaded(t, under)
-            );
         }
     }
 
@@ -451,7 +399,7 @@ mod tests {
         h.admit(spec(2, 3.0, 1000.0), VmWorkload::flat_full(2), t0())
             .unwrap();
         assert_eq!(h.performance_at(t0()), 1.0);
-        assert!(!h.is_overloaded(t0(), 0.9));
+        assert!(!h.is_overloaded_by(&h.demand_at(t0()), 0.9));
 
         // Reservation-based admission prevents true demand overload, so
         // emulate a smaller node to observe throttling.
@@ -464,16 +412,14 @@ mod tests {
         // Shrink capacity out from under it (as if a core were lost):
         tiny.capacity = ResourceVector::new(2.0, 32_768.0, 1000.0, 1000.0);
         assert!((tiny.performance_at(t0()) - 0.5).abs() < 1e-9);
-        assert!(tiny.is_overloaded(t0(), 0.9));
-        let delivered = tiny.delivered_at(t0());
-        assert!((delivered.cpu - 2.0).abs() < 1e-9, "throttled to capacity");
+        assert!(tiny.is_overloaded_by(&tiny.demand_at(t0()), 0.9));
     }
 
     #[test]
     fn underload_detection() {
         let mut h = Hypervisor::new(cap());
         assert!(
-            !h.is_underloaded(t0(), 0.2),
+            !h.is_underloaded_by(&h.demand_at(t0()), 0.2),
             "empty node is idle, not underloaded"
         );
         let light = VmWorkload {
@@ -483,23 +429,8 @@ mod tests {
             seed: 1,
         };
         h.admit(spec(1, 1.0, 1000.0), light, t0()).unwrap();
-        assert!(h.is_underloaded(t0(), 0.2));
-        assert!(!h.is_underloaded(t0(), 0.001));
-    }
-
-    #[test]
-    fn guests_by_demand_sorts_descending() {
-        let mut h = Hypervisor::new(cap());
-        let load = |u: f64, seed: u64| VmWorkload {
-            cpu: UsageShape::Constant(u),
-            memory: UsageShape::Constant(u),
-            network: UsageShape::Constant(u),
-            seed,
-        };
-        h.admit(spec(1, 2.0, 2000.0), load(0.2, 1), t0()).unwrap();
-        h.admit(spec(2, 2.0, 2000.0), load(0.9, 2), t0()).unwrap();
-        h.admit(spec(3, 2.0, 2000.0), load(0.5, 3), t0()).unwrap();
-        let order: Vec<VmId> = h.guests_by_demand(t0()).iter().map(|g| g.spec.id).collect();
-        assert_eq!(order, vec![VmId(2), VmId(3), VmId(1)]);
+        let demand = h.demand_at(t0());
+        assert!(h.is_underloaded_by(&demand, 0.2));
+        assert!(!h.is_underloaded_by(&demand, 0.001));
     }
 }

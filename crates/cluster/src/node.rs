@@ -122,14 +122,6 @@ impl PowerStateMachine {
         }
     }
 
-    /// A machine that starts powered off.
-    pub fn new_off(times: TransitionTimes) -> Self {
-        PowerStateMachine {
-            state: PowerState::Off,
-            times,
-        }
-    }
-
     /// Current state (without advancing transitions; call
     /// [`PowerStateMachine::tick`] first if time has passed).
     pub fn state(&self) -> PowerState {
@@ -311,6 +303,13 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    fn powered_off() -> PowerStateMachine {
+        PowerStateMachine {
+            state: PowerState::Off,
+            times: TransitionTimes::typical_server(),
+        }
+    }
+
     #[test]
     fn suspend_resume_cycle() {
         let mut m = PowerStateMachine::new_on(TransitionTimes::typical_server());
@@ -340,7 +339,7 @@ mod tests {
 
     #[test]
     fn illegal_transitions_rejected() {
-        let mut m = PowerStateMachine::new_off(TransitionTimes::typical_server());
+        let mut m = powered_off();
         assert_eq!(m.suspend(t(0)), Err(PowerError::IllegalTransition));
         assert_eq!(m.resume(t(0)), Err(PowerError::IllegalTransition));
         assert_eq!(m.shutdown(t(0)), Err(PowerError::IllegalTransition));
@@ -386,7 +385,7 @@ mod tests {
         assert_eq!(m.watts(&model, 0.5), 100.0, "transitions draw idle power");
         m.tick(t(8));
         assert_eq!(m.watts(&model, 0.5), 5.0);
-        let mut off = PowerStateMachine::new_off(TransitionTimes::typical_server());
+        let mut off = powered_off();
         assert_eq!(off.watts(&model, 0.0), 0.0);
         off.boot(t(0)).unwrap();
         assert_eq!(off.watts(&model, 0.0), 100.0);

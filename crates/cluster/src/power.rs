@@ -195,7 +195,7 @@ impl DvfsPower {
     }
 
     /// The state the governor selects for demand `u` ∈ [0, 1].
-    pub fn governor_pick(&self, u: f64) -> &DvfsState {
+    fn governor_pick(&self, u: f64) -> &DvfsState {
         let max_freq = self
             .states
             .last()

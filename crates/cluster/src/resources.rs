@@ -19,9 +19,6 @@ use snooze_simcore::mc::{McHasher, McState};
 /// Number of resource dimensions.
 pub const DIMS: usize = 4;
 
-/// Names of the dimensions, aligned with [`ResourceVector::get`].
-pub const DIM_NAMES: [&str; DIMS] = ["cpu", "memory", "net_rx", "net_tx"];
-
 /// A non-negative quantity of each managed resource.
 #[derive(Clone, Copy, PartialEq, Default)]
 pub struct ResourceVector {

@@ -1,7 +1,6 @@
 //! Virtual machine identities, specifications and lifecycle.
 
 use snooze_simcore::mc::{McHasher, McState};
-use snooze_simcore::time::SimTime;
 
 use crate::resources::ResourceVector;
 
@@ -49,16 +48,6 @@ pub enum VmState {
     Terminated,
 }
 
-impl VmState {
-    /// States in which the VM consumes resources on some node.
-    pub fn occupies_host(&self) -> bool {
-        matches!(
-            self,
-            VmState::Booting | VmState::Running | VmState::Migrating
-        )
-    }
-}
-
 impl McState for VmId {
     fn mc_fold(&self, h: &mut McHasher) {
         h.word(self.0);
@@ -85,16 +74,6 @@ impl McState for VmState {
     }
 }
 
-/// A client's submission request: the spec plus the time it entered the
-/// system (for latency accounting).
-#[derive(Clone, Copy, Debug)]
-pub struct VmRequest {
-    /// What to run.
-    pub spec: VmSpec,
-    /// When the client submitted it.
-    pub submitted_at: SimTime,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,14 +82,5 @@ mod tests {
     fn spec_defaults_image_to_memory() {
         let spec = VmSpec::new(VmId(1), ResourceVector::new(2.0, 4096.0, 100.0, 100.0));
         assert_eq!(spec.image_mb, 4096.0);
-    }
-
-    #[test]
-    fn occupancy_by_state() {
-        assert!(!VmState::Pending.occupies_host());
-        assert!(VmState::Booting.occupies_host());
-        assert!(VmState::Running.occupies_host());
-        assert!(VmState::Migrating.occupies_host());
-        assert!(!VmState::Terminated.occupies_host());
     }
 }

@@ -87,33 +87,6 @@ pub enum UsageShape {
 }
 
 impl UsageShape {
-    /// Build a PlanetLab-style trace: a mean-reverting random walk in
-    /// `[0, 1]`, the statistical shape of the per-VM CPU traces commonly
-    /// used in consolidation studies (e.g. the CoMon/PlanetLab dataset).
-    /// `volatility` is the per-step standard deviation; the walk reverts
-    /// toward `mean` with strength 0.1 per step.
-    pub fn random_walk_trace(
-        samples: usize,
-        step: SimSpan,
-        mean: f64,
-        volatility: f64,
-        rng: &mut SimRng,
-    ) -> UsageShape {
-        assert!(samples > 0, "trace needs at least one sample");
-        let mut v = mean.clamp(0.0, 1.0);
-        let data: Vec<f64> = (0..samples)
-            .map(|_| {
-                v += 0.1 * (mean - v) + rng.normal(0.0, volatility);
-                v = v.clamp(0.0, 1.0);
-                v
-            })
-            .collect();
-        UsageShape::Trace {
-            samples: Arc::new(data),
-            step,
-        }
-    }
-
     /// Build a [`UsageShape::Piecewise`] from `(instant, utilization)`
     /// breakpoints. Times must be strictly increasing; utilizations are
     /// clamped to `[0, 1]` and must be finite. At least one point is
@@ -595,36 +568,6 @@ mod tests {
         let shape = UsageShape::piecewise(vec![(t(0), -0.5), (t(10), 1.5)]).unwrap();
         assert_eq!(shape.sample(t(5), 0), 0.0, "clamped low");
         assert_eq!(shape.sample(t(15), 0), 1.0, "clamped high");
-    }
-
-    #[test]
-    fn random_walk_trace_stays_in_bounds_and_reverts() {
-        let mut rng = SimRng::new(21);
-        let shape =
-            UsageShape::random_walk_trace(2000, SimSpan::from_secs(300), 0.4, 0.08, &mut rng);
-        let mut sum = 0.0;
-        for i in 0..2000u64 {
-            let v = shape.sample(SimTime::from_secs(i * 300), 0);
-            assert!((0.0..=1.0).contains(&v));
-            sum += v;
-        }
-        let mean = sum / 2000.0;
-        assert!(
-            (mean - 0.4).abs() < 0.1,
-            "mean reversion toward 0.4, got {mean}"
-        );
-    }
-
-    #[test]
-    fn random_walk_trace_is_seed_deterministic() {
-        let a =
-            UsageShape::random_walk_trace(50, SimSpan::from_secs(1), 0.5, 0.1, &mut SimRng::new(3));
-        let b =
-            UsageShape::random_walk_trace(50, SimSpan::from_secs(1), 0.5, 0.1, &mut SimRng::new(3));
-        for i in 0..50u64 {
-            let t = SimTime::from_secs(i);
-            assert_eq!(a.sample(t, 0), b.sample(t, 0));
-        }
     }
 
     #[test]

@@ -205,11 +205,6 @@ impl<M: ProtocolCarrier> CoordinationService<M> {
         }
     }
 
-    /// Number of live znodes (test hook).
-    pub fn znode_count(&self) -> usize {
-        self.znodes.len()
-    }
-
     /// The epoch of `client`'s live session, if the service currently
     /// holds one. Model-checking invariants use this to count *live*
     /// leaders: a contender that still believes it leads but whose
@@ -429,7 +424,6 @@ impl<M: ProtocolCarrier> Component for CoordinationService<M> {
                     path: path.clone(),
                     owner: src,
                 });
-                ctx.trace("zk", format!("create {path:?} by {src:?}"));
                 ctx.send(src, ProtocolMsg::Reply(ZkReply::Created { path }));
             }
             ZkRequest::GetChildren { prefix } => {
@@ -488,7 +482,6 @@ impl<M: ProtocolCarrier> Component for CoordinationService<M> {
             .map(|(c, _)| *c)
             .collect();
         for client in expired {
-            ctx.trace("zk", format!("session of {client:?} expired"));
             self.expire_session(ctx, client);
         }
         ctx.set_timer(self.session_timeout / 2, TICK);
@@ -619,7 +612,7 @@ mod tests {
         assert_eq!(*created[0], path("e", 0));
         assert_eq!(*created[1], path("e", 0), "retry is idempotent");
         assert_eq!(*created[2], path("other", 0), "sequences are per-prefix");
-        assert_eq!(service(&sim, zk).znode_count(), 2);
+        assert_eq!(service(&sim, zk).znodes.len(), 2);
     }
 
     #[test]
@@ -723,7 +716,7 @@ mod tests {
         );
         let svc = service(&sim, zk);
         assert!(svc.sessions_expired >= 1);
-        assert_eq!(svc.znode_count(), 0);
+        assert_eq!(svc.znodes.len(), 0);
     }
 
     #[test]
@@ -740,7 +733,7 @@ mod tests {
         let _id = sim.add_component("c", c);
         sim.run_until(SimTime::from_secs(30));
         assert_eq!(
-            service(&sim, zk).znode_count(),
+            service(&sim, zk).znodes.len(),
             1,
             "pinged session must survive"
         );
@@ -824,7 +817,7 @@ mod tests {
             ),
         );
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(service(&sim, zk).znode_count(), 0);
+        assert_eq!(service(&sim, zk).znodes.len(), 0);
     }
 
     #[test]
@@ -846,6 +839,6 @@ mod tests {
             ),
         );
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(service(&sim, zk).znode_count(), 1);
+        assert_eq!(service(&sim, zk).znodes.len(), 1);
     }
 }

@@ -244,7 +244,6 @@ impl Elector {
                 // Our session (and znode) died while we were away — any
                 // leadership we held is void. Recampaign from scratch;
                 // the host learns its new place via the usual events.
-                ctx.trace("election", "session expired; recampaigning");
                 self.start(ctx);
                 None
             }
@@ -267,7 +266,6 @@ impl Elector {
         if !entries.iter().any(|(p, _)| *p == my_path) {
             // Our znode vanished (session expired behind our back):
             // restart the campaign with a fresh epoch.
-            ctx.trace("election", "own znode lost; recampaigning");
             self.start(ctx);
             return None;
         }

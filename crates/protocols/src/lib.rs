@@ -15,17 +15,13 @@
 //! * [`heartbeat`] — periodic heartbeat emission and timeout-based failure
 //!   detection, the mechanism behind §II-D/§II-E's self-organization and
 //!   self-healing.
-//! * [`membership`] — epoch-stamped membership views used by the Group
-//!   Leader (registry of GMs) and Group Managers (registry of LCs).
 
 pub mod coordination;
 pub mod election;
 pub mod heartbeat;
-pub mod membership;
 
 pub use coordination::{
     CoordinationService, ProtocolCarrier, ProtocolMsg, ZkReply, ZkRequest, ZnodePath,
 };
 pub use election::{Elector, ElectorEvent, ElectorState};
 pub use heartbeat::FailureDetector;
-pub use membership::MembershipView;

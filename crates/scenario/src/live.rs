@@ -30,7 +30,7 @@ impl VmIdAlloc {
     }
 
     /// The next unused id.
-    pub fn next_id(&mut self) -> u64 {
+    fn next_id(&mut self) -> u64 {
         let id = self.next;
         self.next += 1;
         id

@@ -1204,7 +1204,7 @@ impl ScenarioSpec {
 
     /// Encode into the canonical root table ([`ScenarioSpec::from_value`]'s
     /// exact inverse).
-    pub fn to_value(&self) -> Tbl {
+    fn to_value(&self) -> Tbl {
         let mut root = Tbl::new();
         root.insert("name".into(), Value::Str(self.name.clone()));
         root.insert("description".into(), Value::Str(self.description.clone()));

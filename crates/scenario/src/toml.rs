@@ -256,7 +256,18 @@ pub fn deep_merge(base: &mut BTreeMap<String, Value>, patch: &BTreeMap<String, V
     }
 }
 
+/// How many dotted segments a table header may have. Each segment is a
+/// level of nested tables, which drop (and render) recursively and whose
+/// canonical form repeats the whole path per level; the checked-in
+/// scenarios go six deep.
+const MAX_PATH_DEPTH: usize = 16;
+
 fn split_path(path: &str) -> Result<Vec<String>, String> {
+    if path.split('.').nth(MAX_PATH_DEPTH).is_some() {
+        return Err(format!(
+            "table path has more than {MAX_PATH_DEPTH} segments"
+        ));
+    }
     let parts: Vec<String> = path.split('.').map(|p| p.trim().to_string()).collect();
     if parts.iter().any(|p| p.is_empty() || !is_bare_key(p)) {
         return Err(format!("bad table path `{path}`"));
@@ -482,6 +493,17 @@ n = 10
         assert_eq!(parse(&canon).unwrap(), root);
         assert_eq!(render(&parse(&canon).unwrap()), canon);
         assert!(canon.contains("whole = 4096.0"), "{canon}");
+    }
+
+    #[test]
+    fn a_header_of_200_000_segments_is_a_line_numbered_error() {
+        for (open, close) in [("[", "]"), ("[[", "]]")] {
+            let deep = format!("x = 1\n{open}a{}{close}\n", ".a".repeat(199_999));
+            let err = parse(&deep).unwrap_err();
+            assert!(err.starts_with("line 2: table path has more than 16 segments"));
+        }
+        let at_bound = format!("[a{}]\nx = 1\n", ".a".repeat(MAX_PATH_DEPTH - 1));
+        assert!(render(&parse(&at_bound).unwrap()).ends_with(&at_bound));
     }
 
     #[test]

@@ -49,7 +49,6 @@ use crate::metrics::{CounterHandle, MetricsRegistry};
 use crate::network::{Network, NetworkConfig};
 use crate::rng::SimRng;
 use crate::time::{SimSpan, SimTime};
-use crate::trace::Trace;
 
 /// Identifies a registered component. Ids are dense indices assigned in
 /// registration order.
@@ -203,7 +202,6 @@ pub(crate) struct EngineCore<M> {
     net_delivered: CounterHandle,
     net_dropped: CounterHandle,
     net_to_dead: CounterHandle,
-    pub(crate) trace: Trace,
     pub(crate) spans: SpanLog,
     /// Ambient span context for the event being executed: seeded from
     /// the incoming message/timer context, updated by [`Ctx::span_open`]
@@ -440,25 +438,14 @@ impl<M> Ctx<'_, M> {
         &mut self.core.metrics
     }
 
-    /// Append a line to the bounded event trace.
-    pub fn trace(&mut self, category: &'static str, text: impl Into<String>) {
-        let now = self.core.now;
-        self.core.trace.record(now, self.me, category, text.into());
-    }
-
     /// Stop the simulation after the current event completes.
+    // check-allow(uncalled): the only setter of `halted`, which snapshots
+    // carry and the mc fingerprint folds; it goes when that fold may move.
     pub fn halt(&mut self) {
         self.core.halted = true;
     }
 
     // --- causal spans ----------------------------------------------------
-
-    /// The span context this handler is executing under: the context the
-    /// triggering message/timer carried, or the innermost span opened by
-    /// [`Ctx::span_open`] since.
-    pub fn current_span(&self) -> Option<SpanId> {
-        self.core.ctx_span
-    }
 
     /// Open a span named `name` as a child of the current context (or as
     /// a root if there is none). The new span becomes the ambient context
@@ -508,7 +495,6 @@ impl<M> Ctx<'_, M> {
 pub struct SimBuilder {
     seed: u64,
     network: NetworkConfig,
-    trace_capacity: usize,
     max_events: u64,
 }
 
@@ -518,7 +504,6 @@ impl SimBuilder {
         SimBuilder {
             seed,
             network: NetworkConfig::default(),
-            trace_capacity: 0,
             max_events: u64::MAX,
         }
     }
@@ -526,12 +511,6 @@ impl SimBuilder {
     /// Configure the simulated network.
     pub fn network(mut self, config: NetworkConfig) -> Self {
         self.network = config;
-        self
-    }
-
-    /// Keep the last `capacity` trace records (0 disables tracing).
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
         self
     }
 
@@ -563,7 +542,6 @@ impl SimBuilder {
                 net_dropped: metrics.counter_handle("net.dropped"),
                 net_to_dead: metrics.counter_handle("net.to_dead"),
                 metrics,
-                trace: Trace::new(self.trace_capacity),
                 spans: SpanLog::new(),
                 ctx_span: None,
                 alive: Vec::new(),
@@ -585,7 +563,7 @@ impl SimBuilder {
 
 /// The simulation engine: owns all components (of one type `C`, usually
 /// a dispatch enum built with [`node_enum!`](crate::node_enum)), the
-/// event queue, the network, metrics and trace.
+/// event queue, the network, metrics and the span log.
 pub struct Engine<C: Component> {
     pub(crate) core: EngineCore<C::Msg>,
     /// One slot per registered id, never vacated.
@@ -689,11 +667,6 @@ impl<C: Component> Engine<C> {
     /// and were dropped — the sum of every `dead_letters{reason}` count.
     pub fn dead_letters(&self) -> u64 {
         self.core.metrics.counter_total("dead_letters")
-    }
-
-    /// The bounded event trace.
-    pub fn trace(&self) -> &Trace {
-        &self.core.trace
     }
 
     /// The causal span log accumulated by instrumented components.
@@ -904,10 +877,7 @@ impl<C: Component> Engine<C> {
                     // incarnation never fire, even across a restart.
                     self.core.incarnation[id.0] += 1;
                     self.core.metrics.incr("failure.crashes");
-                    let now = self.core.now;
-                    self.components[id.0].on_crash(now);
-                    let name = self.core.names[id.0].clone();
-                    self.core.trace.record(now, id, "crash", name);
+                    self.components[id.0].on_crash(self.core.now);
                 }
             }
             EventKind::Restart(id) => {
@@ -1291,9 +1261,9 @@ mod tests {
         fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: ComponentId, _: TestMsg) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, tag: u64) {
             if tag == 1 {
-                self.carried = Some(ctx.current_span());
+                self.carried = Some(ctx.core.ctx_span);
             } else {
-                self.plain = Some(ctx.current_span());
+                self.plain = Some(ctx.core.ctx_span);
             }
         }
     }
@@ -1304,13 +1274,13 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
             let outer = ctx.span_open("outer");
             let inner = ctx.span_open("inner");
-            assert_eq!(ctx.current_span(), Some(inner));
+            assert_eq!(ctx.core.ctx_span, Some(inner));
             ctx.span_close(inner);
-            assert_eq!(ctx.current_span(), Some(outer));
+            assert_eq!(ctx.core.ctx_span, Some(outer));
             let marker = ctx.span_instant("marker");
-            assert_eq!(ctx.current_span(), Some(outer));
+            assert_eq!(ctx.core.ctx_span, Some(outer));
             ctx.span_close(outer);
-            assert_eq!(ctx.current_span(), None);
+            assert_eq!(ctx.core.ctx_span, None);
             let _ = marker;
         }
         fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: ComponentId, _: TestMsg) {}

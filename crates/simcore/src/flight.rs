@@ -205,11 +205,6 @@ impl Profiler {
         self.cells.len() - 1
     }
 
-    /// Total events attributed so far (flushed buckets only).
-    pub fn events_total(&self) -> u64 {
-        self.cells.iter().map(|c| c.events).sum()
-    }
-
     /// The aggregated profile, sorted by descending event count, then
     /// by `(kind, variant)` — fully deterministic.
     pub fn rows(&self) -> Vec<ProfileRow> {
@@ -501,7 +496,6 @@ mod tests {
         assert_eq!(rows[0].kind, "lc");
         assert_eq!(rows[0].variant, "Heartbeat");
         assert_eq!(rows[0].events, 2);
-        assert_eq!(p.events_total(), 3);
         assert_eq!(p.folded(), "lc;Heartbeat 2\ngm;Place 1\n");
         assert_eq!(p.top(1).len(), 1);
     }

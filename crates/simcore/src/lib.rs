@@ -21,8 +21,6 @@
 //!   replayable from a single `u64` seed.
 //! * [`metrics`] — labeled counters, gauges and histograms collected
 //!   during a run, exportable as Prometheus text or JSONL.
-//! * [`trace`] — a bounded in-memory event trace for debugging and
-//!   visualization.
 //!
 //! ## Observability
 //!
@@ -94,7 +92,7 @@ pub mod metrics;
 pub mod network;
 pub mod rng;
 pub mod time;
-pub mod trace;
+mod trace;
 pub mod wallclock;
 
 /// Re-export of the foundation observability crate, so downstream

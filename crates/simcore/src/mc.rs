@@ -281,9 +281,8 @@ where
 {
     /// Capture a full copy of the engine state: clock, counters, pending
     /// events, network, RNG stream, span log and every component. Metrics
-    /// and the bounded trace are *not* captured — they are observers,
-    /// never causes, and restoring them would only blur exploration
-    /// statistics.
+    /// are *not* captured — they are observers, never causes, and
+    /// restoring them would only blur exploration statistics.
     pub fn mc_snapshot(&self) -> SystemState<C> {
         SystemState {
             now: self.core.now,
@@ -508,8 +507,8 @@ where
     /// Canonical fingerprint of the current state, for visited-state
     /// deduplication: per-component state, liveness, the pending-event
     /// multiset (stale timers excluded, times relative to now), and the
-    /// network's mutable state. Excludes observers (metrics, trace,
-    /// spans), history (digest, executed count) and identity counters
+    /// network's mutable state. Excludes observers (metrics, spans),
+    /// history (digest, executed count) and identity counters
     /// (seq, timer ids) — none of which influence future behavior.
     pub fn mc_fingerprint(&self) -> u64 {
         let mut h = McHasher::new(self.core.now);

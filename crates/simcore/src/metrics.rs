@@ -319,7 +319,7 @@ impl MetricsRegistry {
     }
 
     /// Current value of gauge `key{labels}` (0 if never set).
-    pub fn gauge_with(&self, key: &str, labels: &LabelSet) -> f64 {
+    fn gauge_with(&self, key: &str, labels: &LabelSet) -> f64 {
         lookup(&self.gauges, key, labels).copied().unwrap_or(0.0)
     }
 
@@ -339,7 +339,7 @@ impl MetricsRegistry {
     }
 
     /// Histogram under `key{labels}`, if any samples were recorded.
-    pub fn histogram_with(&self, key: &str, labels: &LabelSet) -> Option<&Histogram> {
+    fn histogram_with(&self, key: &str, labels: &LabelSet) -> Option<&Histogram> {
         lookup(&self.histograms, key, labels)
     }
 

@@ -160,6 +160,8 @@ impl SimRng {
     }
 
     /// Fisher–Yates shuffle in place.
+    // check-allow(uncalled): sampling toolkit, kept whole beside `choose`,
+    // `zipf` and `weighted_index`.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.range(0, i + 1);

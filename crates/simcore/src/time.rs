@@ -95,6 +95,8 @@ impl SimSpan {
     }
 
     /// Multiply by a float factor, rounding to the nearest microsecond.
+    // check-allow(uncalled): span arithmetic, kept whole beside the
+    // integer `Mul` / `Div`.
     pub fn mul_f64(self, factor: f64) -> SimSpan {
         assert!(
             factor.is_finite() && factor >= 0.0,

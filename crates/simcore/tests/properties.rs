@@ -80,8 +80,8 @@ impl Component for TimerBank {
     }
 }
 
-/// Recorder variant that also emits a trace line per receipt, so the
-/// trace digest witnesses payload content, not just event ordering.
+/// Recorder variant that also labels a span per receipt, so the span
+/// digest witnesses payload content, not just event ordering.
 struct TracingRecorder {
     received: u64,
 }
@@ -90,7 +90,9 @@ impl Component for TracingRecorder {
     type Msg = u64;
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, src: ComponentId, seq: u64) {
         self.received += 1;
-        ctx.trace("gossip", format!("from={src:?} seq={seq}"));
+        let span = ctx.span_instant("gossip");
+        ctx.span_label(span, "src", format!("{src:?}"));
+        ctx.span_label(span, "seq", seq.to_string());
     }
 }
 
@@ -195,7 +197,7 @@ proptest! {
 
     /// Two engine runs built identically from a random seed and a random
     /// ring topology (size, stride, loss rate) must produce bit-identical
-    /// event and trace digests — the foundation the `snooze-audit
+    /// event and span digests — the foundation the `snooze-audit
     /// determinism` replay check rests on.
     #[test]
     fn replayed_runs_have_identical_digests(
@@ -224,7 +226,7 @@ proptest! {
                 .iter()
                 .map(|&r| sim.component(r).as_tracing_recorder().unwrap().received)
                 .sum();
-            (sim.digest(), sim.trace().digest(), sim.events_executed(), received)
+            (sim.digest(), sim.span_digest(), sim.events_executed(), received)
         };
         let first = run();
         let second = run();

@@ -113,15 +113,6 @@ impl Default for SnoozeConfig {
 }
 
 impl SnoozeConfig {
-    /// A configuration with power management disabled — the baseline the
-    /// energy experiment compares against.
-    pub fn no_power_management() -> Self {
-        SnoozeConfig {
-            idle_suspend_after: None,
-            ..Default::default()
-        }
-    }
-
     /// Tighter timers for unit tests (faster convergence, same logic).
     pub fn fast_test() -> Self {
         SnoozeConfig {
@@ -155,13 +146,6 @@ mod tests {
         assert!(c.lc_timeout > c.lc_monitoring_period * 2);
         assert!(c.overload_threshold > c.underload_threshold);
         assert!(c.idle_suspend_after.is_some());
-    }
-
-    #[test]
-    fn no_power_management_disables_suspend() {
-        assert!(SnoozeConfig::no_power_management()
-            .idle_suspend_after
-            .is_none());
     }
 
     #[test]

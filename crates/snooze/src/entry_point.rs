@@ -78,9 +78,6 @@ impl Component for EntryPoint {
         let now = ctx.now();
         match msg {
             SnoozeMsg::GlHeartbeat(hb) => {
-                if self.gl != Some(hb.gl) {
-                    ctx.trace("ep", format!("GL is now {:?}", hb.gl));
-                }
                 self.gl = Some(hb.gl);
                 self.last_gl_heartbeat = now;
             }

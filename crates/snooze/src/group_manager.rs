@@ -247,7 +247,6 @@ impl GroupManager {
         self.dispatches.clear();
         self.placed_registry.clear();
         self.gm_timer_armed = false;
-        ctx.trace("role", "resigned manager role");
     }
 
     // ------------------------------------------------------------------
@@ -345,7 +344,6 @@ impl GroupManager {
             r.waking = true;
             r.wake_sent_at = Some(ctx.now());
             self.stats.wakes_issued += 1;
-            ctx.trace("energy", format!("waking {lc:?}"));
             ctx.metrics()
                 .incr_with("power.commands", &label("kind", "wake"));
             // The wake is causally part of the placement that forced it.
@@ -459,7 +457,6 @@ impl GroupManager {
 
     fn handle_lc_failure(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>, lc: ComponentId) {
         self.stats.lc_failures_detected += 1;
-        ctx.trace("failure", format!("LC {lc:?} declared dead"));
         ctx.metrics()
             .incr_with("heartbeat_missed", &label("role", "lc"));
         let failover = ctx.span_instant("gm.lc-failover");
@@ -501,7 +498,6 @@ impl GroupManager {
             r.idle_since = None;
             self.lc_fd.forget(lc); // no heartbeats while asleep
             self.stats.suspends_issued += 1;
-            ctx.trace("energy", format!("suspending {lc:?}"));
             ctx.send(lc, SuspendNode);
         }
     }
@@ -528,10 +524,6 @@ impl GroupManager {
             }
         }
         for (lc, spec, workload, span) in resend {
-            ctx.trace(
-                "retry",
-                format!("re-sending StartVm {:?} to {lc:?}", spec.id),
-            );
             let msg = StartVm { spec, workload };
             match span {
                 Some(sp) => ctx.send_in(sp, lc, msg),
@@ -560,7 +552,6 @@ impl GroupManager {
             if let Some(r) = self.lcs.get_mut(&lc) {
                 r.wake_sent_at = Some(now);
             }
-            ctx.trace("energy", format!("re-waking {lc:?}"));
             ctx.send(lc, WakeNode);
         }
     }
@@ -600,9 +591,6 @@ impl GroupManager {
             max_migrations,
             self.config.overload_threshold,
         );
-        if !plan.is_empty() {
-            ctx.trace("reconf", format!("{} migrations", plan.len()));
-        }
         ctx.span_label(span, "migrations", plan.len().to_string());
         // The commanded migrations nest under the reconfiguration span
         // (span_open made it ambient), tying each move to its cause.
@@ -617,7 +605,6 @@ impl GroupManager {
     // ------------------------------------------------------------------
 
     fn become_gl(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
-        ctx.trace("election", "promoted to GL");
         ctx.span_instant("gl.promoted");
         ctx.metrics()
             .incr_with("role_transitions", &label("to", "gl"));
@@ -645,7 +632,6 @@ impl GroupManager {
             self.gm_fd.reset();
         }
         self.mode = Mode::Gm(gl);
-        ctx.trace("election", format!("following GL {gl:?}"));
         ctx.metrics()
             .incr_with("role_transitions", &label("to", "gm"));
         ctx.send(gl, GmJoin);
@@ -757,7 +743,6 @@ impl GroupManager {
         // prevent new VMs from being scheduled on it" (§II-E).
         self.stats.gm_failures_detected += 1;
         self.gm_summaries.remove(&gm);
-        ctx.trace("failure", format!("GM {gm:?} declared dead"));
         ctx.metrics()
             .incr_with("heartbeat_missed", &label("role", "gm"));
         let failover = ctx.span_instant("gl.gm-failover");
@@ -1052,7 +1037,6 @@ impl Component for GroupManager {
                     idle_since: Some(now),
                     vms: BTreeMap::new(),
                 });
-                ctx.trace("join", format!("LC {src:?} joined"));
                 let group = self.lc_group;
                 ctx.send(src, LcJoinAckWithGroup { group });
             }
@@ -1130,7 +1114,6 @@ impl Component for GroupManager {
                         ctx.span_label(span, "kind", "overload");
                         let vms = self.vm_views_of(src);
                         if let Some(m) = plan_overload_relocation(src, &vms, &views) {
-                            ctx.trace("relocate", format!("overload: {m:?}"));
                             self.command_migration(ctx, m);
                         }
                     }
@@ -1143,7 +1126,6 @@ impl Component for GroupManager {
                             &views,
                             self.config.underload_threshold,
                         ) {
-                            ctx.trace("relocate", format!("underload: drain {} vms", plan.len()));
                             for m in plan {
                                 self.command_migration(ctx, m);
                             }
@@ -1364,7 +1346,6 @@ impl Component for GroupManager {
         self.dispatches.clear();
         self.placed_registry.clear();
         self.gm_timer_armed = false;
-        ctx.trace("restart", "GM back up");
         self.elector.start(ctx);
         if let Some(rc) = self.config.reconfiguration.as_ref() {
             ctx.set_timer(rc.period, tag(GM_RECONF, 0));

@@ -231,7 +231,6 @@ impl LocalController {
         *count += 1;
         ctx.metrics()
             .incr_with("lc.anomaly_reports", &label("kind", kind_label));
-        ctx.trace("anomaly", format!("{kind:?}"));
         let monitoring = self.monitoring(now, vms);
         ctx.send(gm, AnomalyReport { kind, monitoring });
     }
@@ -348,7 +347,6 @@ impl Component for LocalController {
                     ctx.metrics()
                         .incr_with("power.transitions", &label("kind", "wake"));
                     ctx.set_timer(done - now, tag(LC_POWER, 0));
-                    ctx.trace("power", "waking");
                 }
             }
             return;
@@ -380,7 +378,6 @@ impl Component for LocalController {
                 // Assigned: GL heartbeats are for discovery (§II-D), and
                 // there is nothing left to discover.
                 ctx.leave_group(self.gl_group);
-                ctx.trace("join", format!("joined GM {src:?}"));
                 // Report immediately so the GM learns our capacity and guests.
                 self.send_monitoring(ctx, self.sample(now));
             }
@@ -455,10 +452,6 @@ impl Component for LocalController {
                 ctx.span_label(span, "vm", m.vm.0.to_string());
                 ctx.span_label(span, "to", format!("{:?}", m.to));
                 self.migrating_out.push((m.vm, m.to, span));
-                ctx.trace(
-                    "migrate",
-                    format!("{:?} -> {:?} in {}", m.vm, m.to, est.duration),
-                );
                 ctx.set_timer_in(span, est.duration, tag(LC_MIG_OUT, m.vm.0));
             }
             SnoozeMsg::VmHandoff(handoff) => {
@@ -489,7 +482,6 @@ impl Component for LocalController {
                             .incr_with("power.transitions", &label("kind", "suspend"));
                         self.meter_update(now);
                         ctx.set_timer(done - now, tag(LC_POWER, 0));
-                        ctx.trace("power", "suspending");
                         if let Some(gm) = self.gm {
                             ctx.send(gm, NodePowerChanged { powered_on: false });
                         }
@@ -523,7 +515,6 @@ impl Component for LocalController {
                 if self.gm.is_some()
                     && now.since(self.last_gm_heartbeat) > self.config.gm_silence_for_lc
                 {
-                    ctx.trace("rejoin", "GM heartbeats lost");
                     self.leave_gm(ctx);
                 }
                 ctx.set_timer(self.config.lc_monitoring_period, tag(LC_MONITOR, 0));
@@ -578,7 +569,6 @@ impl Component for LocalController {
                         .incr_with("power.transitions", &label("kind", "watchdog-wake"));
                     self.meter_update(now);
                     ctx.set_timer(done - now, tag(LC_POWER, 0));
-                    ctx.trace("power", "watchdog wake");
                 }
             }
             LC_WATCHDOG => self.watchdog = None,
@@ -590,7 +580,6 @@ impl Component for LocalController {
                     self.watchdog = Some(alarm);
                 }
                 if state.is_on() {
-                    ctx.trace("power", "awake");
                     if let Some(group) = self.gm_group {
                         ctx.join_group(group);
                     }
@@ -623,7 +612,6 @@ impl Component for LocalController {
         self.disarm_watchdog(ctx);
         self.leave_gm(ctx);
         self.last_gm_heartbeat = now;
-        ctx.trace("restart", "LC back up");
         ctx.set_timer(self.config.lc_monitoring_period, tag(LC_MONITOR, 0));
     }
 }

@@ -84,7 +84,7 @@ impl UnifiedNode {
     }
 
     /// The manager persona (state is only meaningful in Manager role).
-    pub fn as_manager(&self) -> &GroupManager {
+    fn as_manager(&self) -> &GroupManager {
         &self.gm
     }
 
@@ -102,7 +102,6 @@ impl UnifiedNode {
         }
         self.role = NodeRole::Manager;
         self.role_changes += 1;
-        ctx.trace("role", "promoted to manager");
         // A fresh manager process: campaign and join the hierarchy.
         self.gm.on_restart(ctx);
         true
@@ -119,7 +118,6 @@ impl UnifiedNode {
         }
         self.role = NodeRole::LocalController;
         self.role_changes += 1;
-        ctx.trace("role", "demoted to LC");
         self.gm.resign(ctx);
         // A fresh LC process: rediscover the hierarchy and start serving.
         self.lc.on_restart(ctx);
@@ -239,7 +237,6 @@ impl RoleDirector {
                     self.cursor = i + 1;
                     self.promotions += 1;
                     let node = self.nodes[i];
-                    ctx.trace("role", format!("promoting {node:?}"));
                     ctx.send(node, PromoteIfIdle);
                     return;
                 }
@@ -254,7 +251,6 @@ impl RoleDirector {
                 }
                 if r.map(|r| r.role == NodeRole::Manager).unwrap_or(false) {
                     self.demotions += 1;
-                    ctx.trace("role", format!("demoting {node:?}"));
                     ctx.send(node, DemoteToLc);
                     return;
                 }

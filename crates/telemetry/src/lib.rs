@@ -38,7 +38,7 @@ pub use label::LabelSet;
 pub use span::{SpanId, SpanLog, SpanRecord};
 pub use window::{WindowKind, WindowLog, WindowRow};
 
-/// FNV-1a 64-bit offset basis (same constant simcore's trace digest uses).
+/// FNV-1a 64-bit offset basis (same constant simcore's event digest uses).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Fold `bytes` into a running FNV-1a 64-bit hash.

@@ -13,7 +13,7 @@ use crate::label::LabelSet;
 /// Map an internal metric name (dotted, e.g. `net.sent`) to a legal
 /// Prometheus metric name: `[a-zA-Z_:][a-zA-Z0-9_:]*`, everything else
 /// becomes `_`.
-pub fn sanitize_name(name: &str) -> String {
+fn sanitize_name(name: &str) -> String {
     let mut out: String = name
         .chars()
         .map(|c| match c {
@@ -31,7 +31,7 @@ pub fn sanitize_name(name: &str) -> String {
 }
 
 /// Escape a label value per the exposition format (`\\`, `\"`, `\n`).
-pub fn escape_label_value(value: &str) -> String {
+fn escape_label_value(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

@@ -225,31 +225,30 @@ impl WindowLog {
     }
 }
 
-/// A counter row (the common case in tests and incident dumps).
-pub fn counter_row(
-    index: u64,
-    start_us: u64,
-    end_us: u64,
-    name: impl Into<String>,
-    labels: LabelSet,
-    delta: u64,
-) -> WindowRow {
-    WindowRow {
-        index,
-        start_us,
-        end_us,
-        kind: WindowKind::Counter,
-        name: name.into(),
-        labels,
-        count: delta,
-        stats: SliceStats::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::label::label;
+
+    fn counter_row(
+        index: u64,
+        start_us: u64,
+        end_us: u64,
+        name: &str,
+        labels: LabelSet,
+        delta: u64,
+    ) -> WindowRow {
+        WindowRow {
+            index,
+            start_us,
+            end_us,
+            kind: WindowKind::Counter,
+            name: name.into(),
+            labels,
+            count: delta,
+            stats: SliceStats::default(),
+        }
+    }
 
     #[test]
     fn slice_stats_match_hand_computed_values() {

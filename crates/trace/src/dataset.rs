@@ -224,108 +224,6 @@ impl<R: BufRead> DatasetReader for AzureShapedReader<R> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Huawei-shaped adapter
-// ---------------------------------------------------------------------------
-
-/// Adapter for a Huawei-cloud-shaped VM table: CSV with columns
-/// `vm_id,start_time,end_time,cpu,memory,cpu_util,mem_util` where
-/// `cpu`/`memory` are cores/MB and the util columns are `|`-separated
-/// percentage series sampled every `interval_s` from the VM's start.
-pub struct HuaweiShapedReader<R: BufRead> {
-    lines: LineReader<R>,
-    header_seen: bool,
-    interval_s: f64,
-}
-
-impl<R: BufRead> HuaweiShapedReader<R> {
-    /// Wrap a buffered reader; `interval_s` is the sampling period of
-    /// the utilization series.
-    pub fn new(inner: R, interval_s: f64) -> Self {
-        HuaweiShapedReader {
-            lines: LineReader::new(inner),
-            header_seen: false,
-            interval_s,
-        }
-    }
-}
-
-const HUAWEI_HEADER: &str = "vm_id,start_time,end_time,cpu,memory,cpu_util,mem_util";
-
-fn parse_series(line: usize, name: &str, raw: &str) -> Result<Vec<f64>, TraceError> {
-    if raw.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    raw.split('|')
-        .map(|p| parse_field::<f64>(line, name, p))
-        .collect()
-}
-
-impl<R: BufRead> DatasetReader for HuaweiShapedReader<R> {
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceError> {
-        if !self.header_seen {
-            if !self.lines.advance()? {
-                return Err(TraceError::at(0, "empty input: missing header"));
-            }
-            let h = self.lines.current();
-            if h.trim() != HUAWEI_HEADER {
-                return Err(TraceError::at(
-                    self.lines.line(),
-                    format!("unexpected header `{h}` (expected `{HUAWEI_HEADER}`)"),
-                ));
-            }
-            self.header_seen = true;
-        }
-        if !self.lines.advance()? {
-            return Ok(None);
-        }
-        let n = self.lines.line();
-        let fields: Vec<&str> = self.lines.current().split(',').collect();
-        if fields.len() != 7 {
-            return Err(TraceError::at(
-                n,
-                format!(
-                    "expected 7 fields, got {} (truncated record?)",
-                    fields.len()
-                ),
-            ));
-        }
-        let vm: u64 = parse_field(n, "vm_id", fields[0])?;
-        let start: f64 = parse_field(n, "start_time", fields[1])?;
-        let end: f64 = parse_field(n, "end_time", fields[2])?;
-        let cpu: f64 = parse_field(n, "cpu", fields[3])?;
-        let memory: f64 = parse_field(n, "memory", fields[4])?;
-        let cpu_series = parse_series(n, "cpu_util", fields[5])?;
-        let mem_series = parse_series(n, "mem_util", fields[6])?;
-        let len = cpu_series.len().max(mem_series.len());
-        let sample = |series: &[f64], i: usize| -> f64 {
-            series
-                .get(i)
-                .or_else(|| series.last())
-                .copied()
-                .unwrap_or(100.0)
-                / 100.0
-        };
-        let curve: Vec<CurvePoint> = (0..len)
-            .map(|i| CurvePoint {
-                offset_s: i as f64 * self.interval_s,
-                cpu: sample(&cpu_series, i),
-                mem: sample(&mem_series, i),
-            })
-            .collect();
-        let record = TraceRecord {
-            vm,
-            arrival_s: start,
-            lifetime_s: end - start,
-            cpu_cores: cpu,
-            mem_mb: memory,
-            curve,
-        };
-        record.validate().map_err(|m| TraceError::at(n, m))?;
-        Ok(Some(record))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,29 +252,5 @@ mod tests {
         let err = read_all(&mut r).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.msg.contains("lifetime"));
-    }
-
-    #[test]
-    fn huawei_shape_expands_util_series() {
-        let input = "vm_id,start_time,end_time,cpu,memory,cpu_util,mem_util\n\
-                     9,60,1260,2,4096,10|50|30,60|60|70\n";
-        let mut r = HuaweiShapedReader::new(input.as_bytes(), 300.0);
-        let all = read_all(&mut r).unwrap();
-        assert_eq!(all.len(), 1);
-        let rec = &all[0];
-        assert_eq!(rec.curve.len(), 3);
-        assert_eq!(rec.curve[1].offset_s, 300.0);
-        assert_eq!(rec.curve[1].cpu, 0.5);
-        assert_eq!(rec.curve[2].mem, 0.7);
-    }
-
-    #[test]
-    fn huawei_shape_reports_bad_series_with_line() {
-        let input = "vm_id,start_time,end_time,cpu,memory,cpu_util,mem_util\n\
-                     9,60,1260,2,4096,10|x|30,\n";
-        let mut r = HuaweiShapedReader::new(input.as_bytes(), 300.0);
-        let err = read_all(&mut r).unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.msg.contains("cpu_util"));
     }
 }

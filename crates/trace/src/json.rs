@@ -23,13 +23,19 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so without a bound a line of `[`s overflows the stack; the
+/// canonical trace format nests three deep (record, curve, point).
+pub(crate) const MAX_DEPTH: usize = 32;
+
 impl Json {
-    /// Parse a complete JSON document; trailing non-whitespace is an
-    /// error.
+    /// Parse a complete JSON document; trailing non-whitespace and
+    /// nesting deeper than `MAX_DEPTH` levels are errors.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             b: text.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.ws();
         let v = p.value()?;
@@ -76,6 +82,7 @@ impl Json {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -100,8 +107,22 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         match self.b.get(self.i) {
             None => Err("unexpected end of input (truncated record?)".into()),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(&open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.i
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),

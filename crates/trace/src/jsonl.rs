@@ -188,6 +188,21 @@ mod tests {
     }
 
     #[test]
+    fn a_line_of_open_brackets_is_a_line_numbered_error_not_a_stack_overflow() {
+        use crate::json::{Json, MAX_DEPTH};
+        let deep = "[".repeat(100_000);
+        let msg = Json::parse(&deep).unwrap_err();
+        assert!(msg.contains("nesting deeper"), "{msg}");
+        let text = format!("{}\n{deep}\n", format_record(&rec(0)));
+        let err = read_all(&mut JsonlReader::new(text.as_bytes())).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.msg.contains("nesting deeper"), "{}", err.msg);
+        // The bound itself still parses.
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_bound).is_ok());
+    }
+
+    #[test]
     fn unknown_keys_and_bad_curves_are_rejected() {
         let text = r#"{"vm":0,"arrival_s":0,"lifetime_s":60,"cpu_cores":1,"mem_mb":1024,"curve":[],"bogus":1}"#;
         let err = read_all(&mut JsonlReader::new(text.as_bytes())).unwrap_err();

@@ -16,9 +16,8 @@
 //!   canonical writers** ([`csv`], [`jsonl`]) — malformed rows produce
 //!   line-numbered [`TraceError`]s, never panics, and the writers are
 //!   canonical so `JSONL → CSV → JSONL` round-trips byte-identically;
-//! - a [`DatasetReader`] adapter trait so external column layouts
-//!   (Azure- and Huawei-shaped, [`dataset`]) map onto the canonical
-//!   format;
+//! - a [`DatasetReader`] adapter trait so an external column layout
+//!   (Azure-shaped, [`dataset`]) maps onto the canonical format;
 //! - a **seeded synthetic generator** ([`gen`], surfaced as the
 //!   `snooze-tracegen` binary) producing Azure-like distributions
 //!   offline: diurnal arrival intensity, heavy-tailed lifetimes,

@@ -109,11 +109,6 @@ impl TraceRecord {
         }
         Ok(())
     }
-
-    /// When the VM departs, seconds since trace start.
-    pub fn departure_s(&self) -> f64 {
-        self.arrival_s + self.lifetime_s
-    }
 }
 
 /// Canonical float formatting: Rust's shortest round-trip decimal, so
@@ -153,7 +148,6 @@ mod tests {
     #[test]
     fn valid_record_passes() {
         assert_eq!(base().validate(), Ok(()));
-        assert_eq!(base().departure_s(), 610.0);
     }
 
     #[test]

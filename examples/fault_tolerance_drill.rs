@@ -1,6 +1,6 @@
 //! Fault-tolerance drill: place a workload, then kill the Group Leader,
 //! a Group Manager and a Local Controller in sequence, narrating the
-//! self-healing from the simulation trace (paper §II-E).
+//! self-healing from the span log and the counters (paper §II-E).
 //!
 //! ```text
 //! cargo run --example fault_tolerance_drill
@@ -28,10 +28,7 @@ fn status(sim: &Engine<SnoozeNode>, system: &SnoozeSystem, label: &str) {
 }
 
 fn main() {
-    let mut sim: Engine<SnoozeNode> = SimBuilder::new(7)
-        .network(NetworkConfig::lan())
-        .trace_capacity(4096)
-        .build();
+    let mut sim: Engine<SnoozeNode> = SimBuilder::new(7).network(NetworkConfig::lan()).build();
     let config = SnoozeConfig {
         idle_suspend_after: None,
         reschedule_on_lc_failure: true, // §II-E snapshot recovery
@@ -105,19 +102,38 @@ fn main() {
     sim.run_until(sim.now() + SimSpan::from_secs(120));
     status(&sim, &system, "rescheduled");
 
-    println!("\nTrace highlights:");
-    for record in sim.trace().records() {
-        if matches!(
-            record.category,
-            "election" | "failure" | "restart" | "rejoin" | "crash"
-        ) {
-            println!(
-                "  {:>9}  {:<10} {:<9} {}",
-                format!("{}", record.time),
-                sim.name_of(record.component),
-                record.category,
-                record.text
-            );
-        }
+    println!("\nDecisions (span log):");
+    for span in sim.spans().iter() {
+        let what = match span.name {
+            "gl.promoted" => "promoted to GL".to_string(),
+            "gl.gm-failover" => format!("declared GM {} dead", span.label("gm").unwrap_or("?")),
+            "gm.lc-failover" => format!("declared LC {} dead", span.label("lc").unwrap_or("?")),
+            _ => continue,
+        };
+        println!(
+            "  {:>9}  {:<10} {what}",
+            format!("{}", SimTime(span.start_us)),
+            sim.name_of(ComponentId(span.track as usize)),
+        );
+    }
+
+    let m = sim.metrics();
+    println!("\nCounters:");
+    for (what, n) in [
+        ("crashes injected", m.counter("failure.crashes")),
+        (
+            "GMs declared dead",
+            m.counter_with("heartbeat_missed", &label("role", "gm")),
+        ),
+        (
+            "LCs declared dead",
+            m.counter_with("heartbeat_missed", &label("role", "lc")),
+        ),
+        (
+            "promotions to GL",
+            m.counter_with("role_transitions", &label("to", "gl")),
+        ),
+    ] {
+        println!("  {what:<18} {n}");
     }
 }

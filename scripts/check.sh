@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, the clippy deny-set, the determinism
 # lint (which covers crates/telemetry along with the rest of the
-# simulation path), a grep that every vendored crate and every root
-# dependency still has a consumer, every test (including the
+# simulation path), a grep that every vendored crate, every root
+# dependency and every `pub fn` still has a consumer, every test (including the
 # feature-gated runtime invariant suite), a `cargo check` and `cargo test`
 # of (a copy of) the
 # detached `benchmark/` workspace against the crates it path-depends on
@@ -12,9 +12,9 @@
 #
 # Tier-1 (`cargo build --release && cargo test -q` at the root) is the
 # workspace's `default-members`: the root package's integration tests plus
-# the `snooze-simcore`, `snooze-telemetry` and `snooze-consolidation`
-# suites. Everything it runs,
-# `cargo test --workspace` below runs too.
+# the `snooze-simcore`, `snooze-telemetry`, `snooze-consolidation`,
+# `snooze-mc`, `snooze`, `snooze-protocols` and `snooze-cluster` suites.
+# Everything it runs, `cargo test --workspace` below runs too.
 #
 # `--smoke` additionally runs, in release, every reduced-scale gate:
 #
@@ -72,6 +72,47 @@ for dep in $(sed -n -e '/^\[dependencies\]$/,/^\[/p' -e '/^\[dev-dependencies\]$
     exit 1
   }
 done
+
+say "every pub fn has a caller"
+# A name scan, not a resolver: a `pub fn` under crates/*/src is reported
+# when its name is a word of no other .rs file and of no line of its own
+# file above `#[cfg(test)]` (comments aside) but its definition. A
+# `// check-allow(uncalled): reason` comment directly above one keeps an
+# API that is there by intent.
+uncalled="$(find crates/*/src crates/*/tests src tests examples benchmark/src -name '*.rs' | sort |
+  xargs awk '
+    FNR == 1 { in_tests = 0; allowed = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    {
+      comment = ($0 ~ /^[ \t]*\/\//)
+      if ($0 ~ /check-allow\(uncalled\)/) allowed = 1
+      def = ""
+      if (!in_tests && !comment && FILENAME ~ /^crates\/[^\/]*\/src\// &&
+          match($0, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
+        def = substr($0, RSTART + 7, RLENGTH - 7)
+        if (!allowed) defs[FILENAME SUBSEP def] = FNR
+      }
+      if (!comment) allowed = 0
+      n = split($0, words, /[^A-Za-z0-9_]+/)
+      for (i = 1; i <= n; i++) {
+        w = words[i]
+        if (w == "") continue
+        if (!(w in first)) first[w] = FILENAME
+        else if (first[w] != FILENAME) elsewhere[w] = 1
+        if (!in_tests && !comment && w != def) used[FILENAME SUBSEP w] = 1
+      }
+    }
+    END {
+      for (k in defs) {
+        split(k, at, SUBSEP)
+        if (!(at[2] in elsewhere) && !(k in used)) print at[1] ":" defs[k] ": " at[2]
+      }
+    }' | sort)"
+[ -z "$uncalled" ] || {
+  echo "pub fn named nowhere but its own definition and tests (delete it, make it private, or check-allow it):" >&2
+  echo "$uncalled" >&2
+  exit 1
+}
 
 say "cargo test (default features)"
 cargo test --offline --workspace -q

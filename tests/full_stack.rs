@@ -243,3 +243,81 @@ fn energy_accounting_matches_power_model_bounds() {
         "measured {measured} Wh vs expected {expected} Wh"
     );
 }
+
+/// The `fault_tolerance_drill` example's three kills, and every decision
+/// it narrates, read where the example reads them: the span log and the
+/// counters.
+#[test]
+fn drill_decisions_are_in_the_span_log_and_the_counters() {
+    let mut sim: Engine<SnoozeNode> = SimBuilder::new(7).network(NetworkConfig::lan()).build();
+    let config = SnoozeConfig {
+        idle_suspend_after: None,
+        reschedule_on_lc_failure: true,
+        ..SnoozeConfig::default()
+    };
+    let nodes = NodeSpec::standard_cluster(9);
+    let system = SnoozeSystem::deploy(&mut sim, &config, 4, &nodes, 1);
+    sim.add_component(
+        "client",
+        ClientDriver::new(
+            system.eps[0],
+            schedule(12, secs(30), 0.7),
+            SimSpan::from_secs(10),
+        ),
+    );
+    sim.run_until(secs(120));
+
+    let first_gl = system.current_gl(&sim).expect("converged");
+    sim.schedule_crash(secs(121), first_gl);
+    sim.run_until(secs(185));
+    let second_gl = system.current_gl(&sim).expect("re-elected");
+
+    let gm = system.active_gms(&sim)[0];
+    sim.schedule_crash(secs(186), gm);
+    sim.run_until(secs(250));
+
+    let lc = *system
+        .lcs
+        .iter()
+        .max_by_key(|&&lc| {
+            sim.component(lc)
+                .as_lc()
+                .unwrap()
+                .hypervisor()
+                .guest_count()
+        })
+        .unwrap();
+    sim.schedule_crash(secs(251), lc);
+    sim.run_until(secs(375));
+    assert_eq!(system.total_vms(&sim), 12, "the dead LC's VMs came back");
+
+    let decisions: Vec<(&str, usize, Option<&str>)> = sim
+        .spans()
+        .iter()
+        .filter_map(|s| match s.name {
+            "gl.promoted" => Some((s.name, s.track as usize, None)),
+            "gl.gm-failover" => Some((s.name, s.track as usize, s.label("gm"))),
+            "gm.lc-failover" => Some((s.name, s.track as usize, s.label("lc"))),
+            _ => None,
+        })
+        .collect();
+    let (gm_name, lc_name) = (format!("{gm:?}"), format!("{lc:?}"));
+    assert_eq!(
+        decisions[..3],
+        [
+            ("gl.promoted", first_gl.0, None),
+            ("gl.promoted", second_gl.0, None),
+            ("gl.gm-failover", second_gl.0, Some(gm_name.as_str())),
+        ]
+    );
+    assert_eq!(decisions.len(), 4);
+    let (name, by, dead) = decisions[3];
+    assert_eq!((name, dead), ("gm.lc-failover", Some(lc_name.as_str())));
+    assert!(system.active_gms(&sim).contains(&ComponentId(by)));
+
+    let m = sim.metrics();
+    assert_eq!(m.counter("failure.crashes"), 3);
+    assert_eq!(m.counter_with("heartbeat_missed", &label("role", "gm")), 1);
+    assert_eq!(m.counter_with("heartbeat_missed", &label("role", "lc")), 1);
+    assert_eq!(m.counter_with("role_transitions", &label("to", "gl")), 2);
+}
