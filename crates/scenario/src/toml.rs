@@ -18,6 +18,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use snooze_trace::error::Excerpt;
+
 /// A TOML value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -89,41 +91,44 @@ impl Value {
 /// Parse a document into its root table.
 pub fn parse(input: &str) -> Result<BTreeMap<String, Value>, String> {
     let mut root = BTreeMap::new();
-    // Path of the table the cursor currently appends into.
-    let mut cursor: Vec<String> = Vec::new();
+    // The table `key = value` lines append into: resolved once per header,
+    // not once per line.
+    let mut table = &mut root;
     for (lineno, raw) in input.lines().enumerate() {
-        let line = strip_comment(raw).trim().to_string();
-        let err = |msg: &str| format!("line {}: {msg}: {raw}", lineno + 1);
+        let line = strip_comment(raw).trim();
+        let err = |msg: &str| format!("line {}: {msg}: {}", lineno + 1, Excerpt(raw));
         if line.is_empty() {
             continue;
         }
         if let Some(path) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-            let path = split_path(path).map_err(|m| err(&m))?;
-            let table = navigate(&mut root, &path[..path.len() - 1]).map_err(|m| err(&m))?;
-            let leaf = path.last().expect("non-empty path").clone();
-            match table
-                .entry(leaf)
-                .or_insert_with(|| Value::TableArray(Vec::new()))
-            {
-                Value::TableArray(v) => v.push(BTreeMap::new()),
-                _ => return Err(err("key already holds a non-array-of-tables value")),
+            check_path(path).map_err(|m| err(&m))?;
+            let (parent, leaf) = match path.rsplit_once('.') {
+                Some((parent, leaf)) => (parent, leaf.trim()),
+                None => ("", path.trim()),
+            };
+            let parent = navigate(&mut root, parent).map_err(|m| err(&m))?;
+            if !parent.contains_key(leaf) {
+                parent.insert(leaf.to_string(), Value::TableArray(Vec::new()));
             }
-            cursor = path;
+            let Some(Value::TableArray(items)) = parent.get_mut(leaf) else {
+                return Err(err("key already holds a non-array-of-tables value"));
+            };
+            items.push(BTreeMap::new());
+            table = items.last_mut().expect("pushed above");
         } else if let Some(path) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            let path = split_path(path).map_err(|m| err(&m))?;
+            check_path(path).map_err(|m| err(&m))?;
             // Creating the table as a side effect of navigation.
-            navigate(&mut root, &path).map_err(|m| err(&m))?;
-            cursor = path;
-        } else if let Some(eq) = find_unquoted(&line, '=') {
+            table = navigate(&mut root, path).map_err(|m| err(&m))?;
+        } else if let Some(eq) = find_unquoted(line, '=') {
             let key = line[..eq].trim();
             if key.is_empty() || !is_bare_key(key) {
                 return Err(err("expected a bare key"));
             }
             let value = parse_value(line[eq + 1..].trim()).map_err(|m| err(&m))?;
-            let table = navigate(&mut root, &cursor).map_err(|m| err(&m))?;
-            if table.insert(key.to_string(), value).is_some() {
+            if table.contains_key(key) {
                 return Err(err("duplicate key"));
             }
+            table.insert(key.to_string(), value);
         } else {
             return Err(err("expected `key = value` or a [table] header"));
         }
@@ -134,100 +139,86 @@ pub fn parse(input: &str) -> Result<BTreeMap<String, Value>, String> {
 /// Render a root table in canonical form.
 pub fn render(root: &BTreeMap<String, Value>) -> String {
     let mut out = String::new();
-    render_table(&mut out, root, &[], true);
+    render_body(&mut out, root, &mut String::new());
     out
 }
 
-fn render_table(out: &mut String, table: &BTreeMap<String, Value>, path: &[String], root: bool) {
-    if !root {
+/// Write what sits under a header (or, at the root, under none): the
+/// table's scalars and scalar arrays in key order, then its sub-tables,
+/// then its arrays of tables, each under the full dotted `path` — which is
+/// one buffer, extended by a segment on the way down and cut back on the
+/// way up.
+fn render_body(out: &mut String, table: &BTreeMap<String, Value>, path: &mut String) {
+    for (k, v) in table {
+        if !matches!(v, Value::Table(_) | Value::TableArray(_)) {
+            out.push_str(k);
+            out.push_str(" = ");
+            render_scalar(out, v);
+            out.push('\n');
+        }
+    }
+    let tables = table
+        .iter()
+        .filter_map(|(k, v)| Some((k, v.as_table()?, "[", "]\n")));
+    let arrays = table.iter().flat_map(|(k, v)| {
+        let items: &[_] = if let Value::TableArray(items) = v {
+            items
+        } else {
+            &[]
+        };
+        items.iter().map(move |item| (k, item, "[[", "]]\n"))
+    });
+    let parent = path.len();
+    for (k, sub, open, close) in tables.chain(arrays) {
+        if parent > 0 {
+            path.push('.');
+        }
+        path.push_str(k);
         if !out.is_empty() {
             out.push('\n');
         }
-        let _ = writeln!(out, "[{}]", path.join("."));
-    }
-    // Scalars and scalar arrays first, in key order …
-    for (k, v) in table {
-        match v {
-            Value::Table(_) | Value::TableArray(_) => {}
-            v => {
-                let _ = writeln!(out, "{k} = {}", render_scalar(v));
-            }
-        }
-    }
-    // … then sub-tables, then arrays of tables.
-    for (k, v) in table {
-        if let Value::Table(t) = v {
-            let mut sub = path.to_vec();
-            sub.push(k.clone());
-            render_table(out, t, &sub, false);
-        }
-    }
-    for (k, v) in table {
-        if let Value::TableArray(items) = v {
-            let mut sub = path.to_vec();
-            sub.push(k.clone());
-            for item in items {
-                if !out.is_empty() {
-                    out.push('\n');
-                }
-                let _ = writeln!(out, "[[{}]]", sub.join("."));
-                // Array-of-table elements hold scalars and sub-tables;
-                // nested arrays-of-tables render with the full path.
-                for (ik, iv) in item {
-                    match iv {
-                        Value::Table(_) | Value::TableArray(_) => {}
-                        iv => {
-                            let _ = writeln!(out, "{ik} = {}", render_scalar(iv));
-                        }
-                    }
-                }
-                for (ik, iv) in item {
-                    if let Value::Table(t) = iv {
-                        let mut p = sub.clone();
-                        p.push(ik.clone());
-                        render_table(out, t, &p, false);
-                    }
-                }
-                for (ik, iv) in item {
-                    if let Value::TableArray(nested) = iv {
-                        let mut p = sub.clone();
-                        p.push(ik.clone());
-                        for elem in nested {
-                            if !out.is_empty() {
-                                out.push('\n');
-                            }
-                            let _ = writeln!(out, "[[{}]]", p.join("."));
-                            for (nk, nv) in elem {
-                                match nv {
-                                    Value::Table(_) | Value::TableArray(_) => {}
-                                    nv => {
-                                        let _ = writeln!(out, "{nk} = {}", render_scalar(nv));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        out.push_str(open);
+        out.push_str(path);
+        out.push_str(close);
+        render_body(out, sub, path);
+        path.truncate(parent);
     }
 }
 
-fn render_scalar(v: &Value) -> String {
+fn render_scalar(out: &mut String, v: &Value) {
     match v {
-        Value::Str(s) => format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f.fract() == 0.0 && f.abs() < 1e15 {
-                format!("{f:.1}")
-            } else {
-                format!("{f}")
+        Value::Str(s) => {
+            out.push('"');
+            for c in s.chars() {
+                if matches!(c, '\\' | '"') {
+                    out.push('\\');
+                }
+                out.push(c);
             }
+            out.push('"');
         }
-        Value::Bool(b) => b.to_string(),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::Float(f) => {
+            let _ = if f.fract() == 0.0 && f.abs() < 1e15 {
+                write!(out, "{f:.1}")
+            } else {
+                write!(out, "{f}")
+            };
+        }
+        Value::Bool(b) => {
+            let _ = write!(out, "{b}");
+        }
         Value::Array(items) => {
-            let body: Vec<String> = items.iter().map(render_scalar).collect();
-            format!("[{}]", body.join(", "))
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                render_scalar(out, item);
+            }
+            out.push(']');
         }
         Value::Table(_) | Value::TableArray(_) => unreachable!("tables render via headers"),
     }
@@ -262,34 +253,43 @@ pub fn deep_merge(base: &mut BTreeMap<String, Value>, patch: &BTreeMap<String, V
 /// scenarios go six deep.
 const MAX_PATH_DEPTH: usize = 16;
 
-fn split_path(path: &str) -> Result<Vec<String>, String> {
+/// Check a header's dotted path: at most [`MAX_PATH_DEPTH`] segments, each
+/// a bare key once trimmed.
+fn check_path(path: &str) -> Result<(), String> {
     if path.split('.').nth(MAX_PATH_DEPTH).is_some() {
         return Err(format!(
             "table path has more than {MAX_PATH_DEPTH} segments"
         ));
     }
-    let parts: Vec<String> = path.split('.').map(|p| p.trim().to_string()).collect();
-    if parts.iter().any(|p| p.is_empty() || !is_bare_key(p)) {
-        return Err(format!("bad table path `{path}`"));
+    if path
+        .split('.')
+        .map(str::trim)
+        .any(|p| p.is_empty() || !is_bare_key(p))
+    {
+        return Err(format!("bad table path `{}`", Excerpt(path)));
     }
-    Ok(parts)
+    Ok(())
 }
 
-/// Walk to the table at `path` from `root`, creating intermediate
-/// tables, descending into the *last* element of arrays-of-tables.
+/// Walk to the table at the dotted `path` (empty = `root` itself) from
+/// `root`, creating intermediate tables, descending into the *last*
+/// element of arrays-of-tables. A key `String` is allocated only for a
+/// table this creates.
 fn navigate<'a>(
     root: &'a mut BTreeMap<String, Value>,
-    path: &[String],
+    path: &str,
 ) -> Result<&'a mut BTreeMap<String, Value>, String> {
     let mut cur = root;
-    for seg in path {
-        let entry = cur.entry(seg.clone()).or_insert_with(Value::table);
-        cur = match entry {
+    for seg in path.split('.').map(str::trim).filter(|s| !s.is_empty()) {
+        if !cur.contains_key(seg) {
+            cur.insert(seg.to_string(), Value::table());
+        }
+        cur = match cur.get_mut(seg).expect("inserted above") {
             Value::Table(t) => t,
             Value::TableArray(v) => v
                 .last_mut()
-                .ok_or_else(|| format!("empty array of tables at `{seg}`"))?,
-            _ => return Err(format!("`{seg}` is not a table")),
+                .ok_or_else(|| format!("empty array of tables at `{}`", Excerpt(seg)))?,
+            _ => return Err(format!("`{}` is not a table", Excerpt(seg))),
         };
     }
     Ok(cur)
@@ -372,11 +372,11 @@ fn parse_value(s: &str) -> Result<Value, String> {
         return s
             .parse::<f64>()
             .map(Value::Float)
-            .map_err(|_| format!("bad float `{s}`"));
+            .map_err(|_| format!("bad float `{}`", Excerpt(s)));
     }
     s.parse::<i64>()
         .map(Value::Int)
-        .map_err(|_| format!("bad value `{s}`"))
+        .map_err(|_| format!("bad value `{}`", Excerpt(s)))
 }
 
 fn split_top_level(s: &str) -> Vec<&str> {

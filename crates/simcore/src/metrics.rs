@@ -391,40 +391,32 @@ impl MetricsRegistry {
     /// Render every metric as JSONL: one JSON object
     /// per sample, `{"type","name","labels",...}`. Byte-deterministic.
     pub fn to_jsonl(&self) -> String {
-        fn labels_json(labels: &LabelSet) -> String {
-            let mut obj = Obj::new();
-            for (k, v) in labels.pairs() {
-                obj = obj.str(k, v);
-            }
-            obj.finish()
+        // Every line begins at the end of `out` with the three fields all
+        // kinds share; `finish` hands the buffer back.
+        fn line(out: String, kind: &str, name: &str, labels: &LabelSet) -> Obj {
+            Obj::begin(out)
+                .str("type", kind)
+                .str("name", name)
+                .obj("labels", |l| {
+                    labels.pairs().iter().fold(l, |l, (k, v)| l.str(k, v))
+                })
         }
         let mut out = String::new();
         for (name, labels, value) in self.counters_iter() {
-            let line = Obj::new()
-                .str("type", "counter")
-                .str("name", name)
-                .raw("labels", &labels_json(labels))
+            out = line(out, "counter", name, labels)
                 .u64("value", value)
                 .finish();
-            out.push_str(&line);
             out.push('\n');
         }
         for (name, labels, value) in self.gauges_iter() {
-            let line = Obj::new()
-                .str("type", "gauge")
-                .str("name", name)
-                .raw("labels", &labels_json(labels))
+            out = line(out, "gauge", name, labels)
                 .f64("value", value)
                 .finish();
-            out.push_str(&line);
             out.push('\n');
         }
         for (name, labels, h) in self.histograms_iter() {
             let s = h.summary();
-            let line = Obj::new()
-                .str("type", "histogram")
-                .str("name", name)
-                .raw("labels", &labels_json(labels))
+            out = line(out, "histogram", name, labels)
                 .u64("count", s.count as u64)
                 .f64("mean", s.mean)
                 .f64("min", s.min)
@@ -433,7 +425,6 @@ impl MetricsRegistry {
                 .f64("p95", s.p95)
                 .f64("p99", s.p99)
                 .finish();
-            out.push_str(&line);
             out.push('\n');
         }
         out

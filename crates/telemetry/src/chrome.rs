@@ -12,7 +12,7 @@
 //! Output is byte-deterministic: events are emitted in track order then
 //! span-id order, and numbers render via [`crate::json::num`].
 
-use crate::json::{array, Obj};
+use crate::json::Obj;
 use crate::span::SpanLog;
 
 /// Render `log` as a Chrome trace-event JSON array.
@@ -27,49 +27,52 @@ pub fn render(log: &SpanLog, track_name: &dyn Fn(u64) -> String) -> String {
     tracks.sort_unstable();
     tracks.dedup();
 
-    let mut events: Vec<String> = Vec::with_capacity(tracks.len() + log.len());
+    // The whole document is written front to back into `out`: each event
+    // begins at the end of the buffer and hands it back when it finishes.
+    let mut out = String::from("[");
+    let event = |mut out: String| {
+        if out.len() > 1 {
+            out.push(',');
+        }
+        Obj::begin(out)
+    };
     for &track in &tracks {
-        let args = Obj::new().str("name", &track_name(track)).finish();
-        events.push(
-            Obj::new()
-                .str("ph", "M")
-                .str("name", "thread_name")
-                .u64("pid", 0)
-                .u64("tid", track)
-                .raw("args", &args)
-                .finish(),
-        );
+        out = event(out)
+            .str("ph", "M")
+            .str("name", "thread_name")
+            .u64("pid", 0)
+            .u64("tid", track)
+            .obj("args", |args| args.str("name", &track_name(track)))
+            .finish();
     }
 
     for span in log.iter() {
-        let mut args = Obj::new().u64("span", span.id.0);
-        if let Some(parent) = span.parent {
-            args = args.u64("parent", parent.0);
-        }
-        if span.end_us.is_none() {
-            args = args.str("open", "true");
-        }
-        for (key, value) in &span.labels {
-            args = args.str(key, value);
-        }
         let dur = span
             .duration_us()
             .unwrap_or_else(|| clamp.saturating_sub(span.start_us));
-        events.push(
-            Obj::new()
-                .str("ph", "X")
-                .str("name", span.name)
-                .str("cat", "span")
-                .u64("pid", 0)
-                .u64("tid", span.track)
-                .u64("ts", span.start_us)
-                .u64("dur", dur)
-                .raw("args", &args.finish())
-                .finish(),
-        );
+        out = event(out)
+            .str("ph", "X")
+            .str("name", span.name)
+            .str("cat", "span")
+            .u64("pid", 0)
+            .u64("tid", span.track)
+            .u64("ts", span.start_us)
+            .u64("dur", dur)
+            .obj("args", |mut args| {
+                args = args.u64("span", span.id.0);
+                if let Some(parent) = span.parent {
+                    args = args.u64("parent", parent.0);
+                }
+                if span.end_us.is_none() {
+                    args = args.str("open", "true");
+                }
+                span.labels.iter().fold(args, |a, (k, v)| a.str(k, v))
+            })
+            .finish();
     }
 
-    array(&events)
+    out.push(']');
+    out
 }
 
 #[cfg(test)]

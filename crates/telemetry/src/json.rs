@@ -6,87 +6,150 @@
 //! dependency into the workspace. Output is canonical for our purposes:
 //! the same calls always produce the same bytes.
 
+use std::fmt::Write as _;
+
 /// Escape `s` as the *contents* of a JSON string (no surrounding quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Append `s`, escaped as the contents of a JSON string, to `out`.
+/// Runs of bytes that need no escape are copied whole.
+fn escape_into(out: &mut String, s: &str) {
+    // Every byte that needs an escape is ASCII, so `copied` and `i` always
+    // sit on character boundaries.
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        copied = i + 1;
+    }
+    out.push_str(&s[copied..]);
 }
 
 /// Render an `f64` deterministically. Uses Rust's shortest-roundtrip
 /// `Display`, mapping non-finite values (invalid JSON) to `null`.
 pub fn num(v: f64) -> String {
+    let mut out = String::new();
+    num_into(&mut out, v);
+    out
+}
+
+/// Append `v` to `out` in the form [`num`] returns.
+pub(crate) fn num_into(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_owned()
+        out.push_str("null");
     }
 }
 
 /// Incremental JSON object writer with insertion-order keys.
-#[derive(Debug, Default)]
+///
+/// The writer owns the buffer it returns: `{` is pushed when the object
+/// begins, every field is escaped and formatted straight into the buffer,
+/// and [`Obj::finish`] pushes `}` and hands the buffer back.
+#[derive(Debug)]
 pub struct Obj {
-    body: String,
+    out: String,
+    /// No field written yet: the next one takes no leading comma.
+    empty: bool,
+}
+
+impl Default for Obj {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Obj {
-    /// Start an empty object.
+    /// Start an empty object in a buffer of its own.
     pub fn new() -> Self {
-        Self::default()
+        Self::begin(String::new())
+    }
+
+    /// Start an empty object at the end of `out`; [`Obj::finish`] returns
+    /// `out` with the object appended. This is how a multi-object document
+    /// (a JSON array, JSONL) is written front to back into one buffer.
+    pub fn begin(mut out: String) -> Self {
+        out.push('{');
+        Obj { out, empty: true }
     }
 
     /// Add a string field.
     pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.push(key, &format!("\"{}\"", escape(value)));
+        self.key(key);
+        self.out.push('"');
+        escape_into(&mut self.out, value);
+        self.out.push('"');
         self
     }
 
     /// Add an unsigned integer field.
     pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.push(key, &value.to_string());
+        self.key(key);
+        let _ = write!(self.out, "{value}");
         self
     }
 
     /// Add a float field.
     pub fn f64(mut self, key: &str, value: f64) -> Self {
-        self.push(key, &num(value));
+        self.key(key);
+        num_into(&mut self.out, value);
         self
     }
 
     /// Add a pre-rendered JSON value (object, array, …) verbatim.
     pub fn raw(mut self, key: &str, value: &str) -> Self {
-        self.push(key, value);
+        self.key(key);
+        self.out.push_str(value);
         self
     }
 
-    /// Finish: `{"k":v,...}`.
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.body)
+    /// Add an object field written in place: `build` receives the nested
+    /// object, already open in this buffer, and returns it with its fields.
+    pub fn obj(mut self, key: &str, build: impl FnOnce(Obj) -> Obj) -> Self {
+        self.key(key);
+        self.out = build(Obj::begin(self.out)).finish();
+        self
     }
 
-    fn push(&mut self, key: &str, rendered: &str) {
-        if !self.body.is_empty() {
-            self.body.push(',');
+    /// Finish: `{"k":v,...}`, after whatever the buffer held at
+    /// [`Obj::begin`].
+    pub fn finish(mut self) -> String {
+        self.out.push('}');
+        self.out
+    }
+
+    fn key(&mut self, key: &str) {
+        if !self.empty {
+            self.out.push(',');
         }
-        self.body.push('"');
-        self.body.push_str(&escape(key));
-        self.body.push_str("\":");
-        self.body.push_str(rendered);
+        self.empty = false;
+        self.out.push('"');
+        escape_into(&mut self.out, key);
+        self.out.push_str("\":");
     }
 }
 
 /// Render a JSON array from pre-rendered element strings.
 pub fn array(elems: &[String]) -> String {
+    // check-allow(edge-alloc): by-value helper for callers that already hold rendered elements
     format!("[{}]", elems.join(","))
 }
 

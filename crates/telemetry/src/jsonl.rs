@@ -18,11 +18,7 @@ use crate::span::SpanLog;
 pub fn render(log: &SpanLog) -> String {
     let mut out = String::new();
     for span in log.iter() {
-        let mut labels = Obj::new();
-        for (key, value) in &span.labels {
-            labels = labels.str(key, value);
-        }
-        let mut obj = Obj::new().u64("span", span.id.0);
+        let mut obj = Obj::begin(out).u64("span", span.id.0);
         if let Some(parent) = span.parent {
             obj = obj.u64("parent", parent.0);
         }
@@ -33,7 +29,11 @@ pub fn render(log: &SpanLog) -> String {
         if let Some(end) = span.end_us {
             obj = obj.u64("end_us", end);
         }
-        out.push_str(&obj.raw("labels", &labels.finish()).finish());
+        out = obj
+            .obj("labels", |l| {
+                span.labels.iter().fold(l, |l, (k, v)| l.str(k, v))
+            })
+            .finish();
         out.push('\n');
     }
     out

@@ -59,15 +59,27 @@ impl LabelSet {
     /// Render as `{k1="v1",k2="v2"}`, or `""` when empty — the canonical
     /// human-readable form (`heartbeat_missed{role="gm"}`).
     pub fn render(&self) -> String {
-        if self.pairs.is_empty() {
-            return String::new();
+        let mut out = String::new();
+        self.render_pieces(|piece| out.push_str(piece));
+        out
+    }
+
+    /// Feed [`LabelSet::render`]'s text to `push` piece by piece (braces,
+    /// keys, `="`, values, `"`, commas), so a writer can append it to its
+    /// own buffer — transformed, if its format needs that.
+    pub(crate) fn render_pieces(&self, mut push: impl FnMut(&str)) {
+        let mut open = "{";
+        for (k, v) in &self.pairs {
+            push(open);
+            push(k);
+            push("=\"");
+            push(v);
+            push("\"");
+            open = ",";
         }
-        let body: Vec<String> = self
-            .pairs
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{v}\""))
-            .collect();
-        format!("{{{}}}", body.join(","))
+        if !self.pairs.is_empty() {
+            push("}");
+        }
     }
 }
 

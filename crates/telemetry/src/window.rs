@@ -13,7 +13,9 @@
 //! microseconds); no wall clock is involved, so two same-seed runs
 //! render byte-identical exports.
 
-use crate::json::{num, Obj};
+use std::fmt::Write as _;
+
+use crate::json::{num_into, Obj};
 use crate::LabelSet;
 
 /// What a [`WindowRow`] aggregates.
@@ -160,18 +162,16 @@ impl WindowLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.rows {
-            let mut labels = Obj::new();
-            for (k, v) in r.labels.pairs() {
-                labels = labels.str(k, v);
-            }
-            let mut obj = Obj::new()
+            let obj = Obj::begin(out)
                 .u64("window", r.index)
                 .u64("start_us", r.start_us)
                 .u64("end_us", r.end_us)
                 .str("type", r.kind.as_str())
                 .str("name", &r.name)
-                .raw("labels", &labels.finish());
-            obj = match r.kind {
+                .obj("labels", |l| {
+                    r.labels.pairs().iter().fold(l, |l, (k, v)| l.str(k, v))
+                });
+            out = match r.kind {
                 WindowKind::Counter => obj.u64("count", r.count),
                 WindowKind::Gauge => obj.f64("value", r.stats.max),
                 WindowKind::Histogram => obj
@@ -182,8 +182,8 @@ impl WindowLog {
                     .f64("p50", r.stats.p50)
                     .f64("p95", r.stats.p95)
                     .f64("p99", r.stats.p99),
-            };
-            out.push_str(&obj.finish());
+            }
+            .finish();
             out.push('\n');
         }
         out
@@ -195,29 +195,38 @@ impl WindowLog {
         let mut out =
             String::from("window,start_us,end_us,type,name,labels,count,sum,min,max,p50,p95,p99\n");
         for r in &self.rows {
-            let labels = r.labels.render().replace('"', "'");
-            out.push_str(&format!(
-                "{},{},{},{},{},\"{}\"",
+            let _ = write!(
+                out,
+                "{},{},{},{},{},\"",
                 r.index,
                 r.start_us,
                 r.end_us,
                 r.kind.as_str(),
-                r.name,
-                labels
-            ));
+                r.name
+            );
+            // The rendered label set with every `"` (the keys' and values'
+            // own included) turned into `'`, so it can sit in a quoted cell.
+            r.labels.render_pieces(|piece| {
+                out.extend(piece.chars().map(|c| if c == '"' { '\'' } else { c }));
+            });
+            out.push('"');
             match r.kind {
-                WindowKind::Counter => out.push_str(&format!(",{},,,,,,", r.count)),
-                WindowKind::Gauge => out.push_str(&format!(",,,,{},,,", num(r.stats.max))),
-                WindowKind::Histogram => out.push_str(&format!(
-                    ",{},{},{},{},{},{},{}",
-                    r.count,
-                    num(r.stats.sum),
-                    num(r.stats.min),
-                    num(r.stats.max),
-                    num(r.stats.p50),
-                    num(r.stats.p95),
-                    num(r.stats.p99)
-                )),
+                WindowKind::Counter => {
+                    let _ = write!(out, ",{},,,,,,", r.count);
+                }
+                WindowKind::Gauge => {
+                    out.push_str(",,,,");
+                    num_into(&mut out, r.stats.max);
+                    out.push_str(",,,");
+                }
+                WindowKind::Histogram => {
+                    let _ = write!(out, ",{}", r.count);
+                    let s = &r.stats;
+                    for v in [s.sum, s.min, s.max, s.p50, s.p95, s.p99] {
+                        out.push(',');
+                        num_into(&mut out, v);
+                    }
+                }
             }
             out.push('\n');
         }

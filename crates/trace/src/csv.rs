@@ -13,11 +13,12 @@
 //! round-trip form, so writing and re-reading is byte-exact — the
 //! canonical-writer property the round-trip tests pin.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
-use crate::dataset::{parse_field, DatasetReader, LineReader};
-use crate::error::TraceError;
-use crate::record::{fmt_f64, CurvePoint, TraceRecord};
+use crate::dataset::{expect_header, fields, parse_field, DatasetReader, LineReader};
+use crate::error::{Excerpt, TraceError};
+use crate::record::{CurvePoint, TraceRecord};
 
 /// The canonical header line.
 pub const HEADER: &str = "vm,arrival_s,lifetime_s,cpu_cores,mem_mb,curve";
@@ -41,39 +42,21 @@ impl<R: BufRead> CsvReader<R> {
 impl<R: BufRead> DatasetReader for CsvReader<R> {
     fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceError> {
         if !self.header_seen {
-            if !self.lines.advance()? {
-                return Err(TraceError::at(0, "empty input: missing header"));
-            }
-            let h = self.lines.current();
-            if h.trim() != HEADER {
-                return Err(TraceError::at(
-                    self.lines.line(),
-                    format!("unexpected header `{h}` (expected `{HEADER}`)"),
-                ));
-            }
+            expect_header(&mut self.lines, HEADER)?;
             self.header_seen = true;
         }
         if !self.lines.advance()? {
             return Ok(None);
         }
         let n = self.lines.line();
-        let fields: Vec<&str> = self.lines.current().split(',').collect();
-        if fields.len() != 6 {
-            return Err(TraceError::at(
-                n,
-                format!(
-                    "expected 6 fields, got {} (truncated record?)",
-                    fields.len()
-                ),
-            ));
-        }
+        let mut field = fields(n, self.lines.current(), 6)?;
         let record = TraceRecord {
-            vm: parse_field(n, "vm", fields[0])?,
-            arrival_s: parse_field(n, "arrival_s", fields[1])?,
-            lifetime_s: parse_field(n, "lifetime_s", fields[2])?,
-            cpu_cores: parse_field(n, "cpu_cores", fields[3])?,
-            mem_mb: parse_field(n, "mem_mb", fields[4])?,
-            curve: parse_curve(n, fields[5])?,
+            vm: parse_field(n, "vm", field())?,
+            arrival_s: parse_field(n, "arrival_s", field())?,
+            lifetime_s: parse_field(n, "lifetime_s", field())?,
+            cpu_cores: parse_field(n, "cpu_cores", field())?,
+            mem_mb: parse_field(n, "mem_mb", field())?,
+            curve: parse_curve(n, field())?,
         };
         record.validate().map_err(|m| TraceError::at(n, m))?;
         Ok(Some(record))
@@ -87,52 +70,64 @@ fn parse_curve(line: usize, raw: &str) -> Result<Vec<CurvePoint>, TraceError> {
     }
     raw.split(';')
         .map(|triple| {
-            let parts: Vec<&str> = triple.split(':').collect();
-            if parts.len() != 3 {
+            let mut parts = triple.split(':');
+            let (Some(offset), Some(cpu), Some(mem), None) =
+                (parts.next(), parts.next(), parts.next(), parts.next())
+            else {
                 return Err(TraceError::at(
                     line,
-                    format!("curve point `{triple}` must be `offset:cpu:mem` (truncated record?)"),
+                    format!(
+                        "curve point `{}` must be `offset:cpu:mem` (truncated record?)",
+                        Excerpt(triple)
+                    ),
                 ));
-            }
+            };
             Ok(CurvePoint {
-                offset_s: parse_field(line, "curve offset", parts[0])?,
-                cpu: parse_field(line, "curve cpu", parts[1])?,
-                mem: parse_field(line, "curve mem", parts[2])?,
+                offset_s: parse_field(line, "curve offset", offset)?,
+                cpu: parse_field(line, "curve cpu", cpu)?,
+                mem: parse_field(line, "curve mem", mem)?,
             })
         })
         .collect()
 }
 
-/// Render one record as its canonical CSV line (no newline).
-pub fn format_record(r: &TraceRecord) -> String {
-    let curve: Vec<String> = r
-        .curve
-        .iter()
-        .map(|p| {
-            format!(
-                "{}:{}:{}",
-                fmt_f64(p.offset_s),
-                fmt_f64(p.cpu),
-                fmt_f64(p.mem)
-            )
-        })
-        .collect();
-    format!(
-        "{},{},{},{},{},{}",
-        r.vm,
-        fmt_f64(r.arrival_s),
-        fmt_f64(r.lifetime_s),
-        fmt_f64(r.cpu_cores),
-        fmt_f64(r.mem_mb),
-        curve.join(";")
-    )
+// ---------------------------------------------------------------------------
+// Writers
+// ---------------------------------------------------------------------------
+
+/// Append one record's canonical CSV line (no newline) to `out`. Floats go
+/// through `Display`, the canonical form [`crate::record::fmt_f64`] names.
+fn push_record(out: &mut String, r: &TraceRecord) {
+    let _ = write!(
+        out,
+        "{},{},{},{},{},",
+        r.vm, r.arrival_s, r.lifetime_s, r.cpu_cores, r.mem_mb
+    );
+    for (i, p) in r.curve.iter().enumerate() {
+        if i > 0 {
+            out.push(';');
+        }
+        let _ = write!(out, "{}:{}:{}", p.offset_s, p.cpu, p.mem);
+    }
 }
 
-/// Write records in canonical CSV form.
+/// Render one record as its canonical CSV line (no newline).
+pub fn format_record(r: &TraceRecord) -> String {
+    let mut line = String::new();
+    push_record(&mut line, r);
+    line
+}
+
+/// Write records in canonical CSV form, each formatted into one reused
+/// line buffer.
 pub fn write<W: Write>(w: &mut W, records: &[TraceRecord]) -> std::io::Result<()> {
     writeln!(w, "{HEADER}")?;
+    let mut line = String::new();
     for r in records {
-        writeln!(w, "{}", format_record(r))?;
+        line.clear();
+        push_record(&mut line, r);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
     }
     Ok(())
 }

@@ -9,7 +9,7 @@
 use std::io::BufRead;
 use std::path::Path;
 
-use crate::error::TraceError;
+use crate::error::{Excerpt, TraceError};
 use crate::record::{CurvePoint, TraceRecord};
 
 /// A streaming source of canonical trace records.
@@ -122,6 +122,42 @@ impl<R: BufRead> LineReader<R> {
     }
 }
 
+/// Consume the first line, which must be `header`.
+pub(crate) fn expect_header<R: BufRead>(
+    lines: &mut LineReader<R>,
+    header: &str,
+) -> Result<(), TraceError> {
+    if !lines.advance()? {
+        return Err(TraceError::at(0, "empty input: missing header"));
+    }
+    let h = lines.current();
+    if h.trim() != header {
+        return Err(TraceError::at(
+            lines.line(),
+            format!("unexpected header `{}` (expected `{header}`)", Excerpt(h)),
+        ));
+    }
+    Ok(())
+}
+
+/// The comma-separated fields of `row`, one per call, after checking there
+/// are exactly `expected` of them (a call past the last yields `""`).
+pub(crate) fn fields<'a>(
+    line: usize,
+    row: &'a str,
+    expected: usize,
+) -> Result<impl FnMut() -> &'a str, TraceError> {
+    let got = row.split(',').count();
+    if got != expected {
+        return Err(TraceError::at(
+            line,
+            format!("expected {expected} fields, got {got} (truncated record?)"),
+        ));
+    }
+    let mut fields = row.split(',');
+    Ok(move || fields.next().unwrap_or(""))
+}
+
 pub(crate) fn parse_field<T: std::str::FromStr>(
     line: usize,
     name: &str,
@@ -129,7 +165,7 @@ pub(crate) fn parse_field<T: std::str::FromStr>(
 ) -> Result<T, TraceError> {
     raw.trim()
         .parse::<T>()
-        .map_err(|_| TraceError::at(line, format!("invalid `{name}`: `{}`", raw.trim())))
+        .map_err(|_| TraceError::at(line, format!("invalid `{name}`: `{}`", Excerpt(raw.trim()))))
 }
 
 // ---------------------------------------------------------------------------
@@ -165,39 +201,21 @@ const AZURE_HEADER: &str = "vmid,vmcreated,vmdeleted,corecount,memorygb,avgcpu,p
 impl<R: BufRead> DatasetReader for AzureShapedReader<R> {
     fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceError> {
         if !self.header_seen {
-            if !self.lines.advance()? {
-                return Err(TraceError::at(0, "empty input: missing header"));
-            }
-            let h = self.lines.current();
-            if h.trim() != AZURE_HEADER {
-                return Err(TraceError::at(
-                    self.lines.line(),
-                    format!("unexpected header `{h}` (expected `{AZURE_HEADER}`)"),
-                ));
-            }
+            expect_header(&mut self.lines, AZURE_HEADER)?;
             self.header_seen = true;
         }
         if !self.lines.advance()? {
             return Ok(None);
         }
         let n = self.lines.line();
-        let fields: Vec<&str> = self.lines.current().split(',').collect();
-        if fields.len() != 7 {
-            return Err(TraceError::at(
-                n,
-                format!(
-                    "expected 7 fields, got {} (truncated record?)",
-                    fields.len()
-                ),
-            ));
-        }
-        let vm: u64 = parse_field(n, "vmid", fields[0])?;
-        let created: f64 = parse_field(n, "vmcreated", fields[1])?;
-        let deleted: f64 = parse_field(n, "vmdeleted", fields[2])?;
-        let cores: f64 = parse_field(n, "corecount", fields[3])?;
-        let mem_gb: f64 = parse_field(n, "memorygb", fields[4])?;
-        let avg_pct: f64 = parse_field(n, "avgcpu", fields[5])?;
-        let p95_pct: f64 = parse_field(n, "p95maxcpu", fields[6])?;
+        let mut field = fields(n, self.lines.current(), 7)?;
+        let vm: u64 = parse_field(n, "vmid", field())?;
+        let created: f64 = parse_field(n, "vmcreated", field())?;
+        let deleted: f64 = parse_field(n, "vmdeleted", field())?;
+        let cores: f64 = parse_field(n, "corecount", field())?;
+        let mem_gb: f64 = parse_field(n, "memorygb", field())?;
+        let avg_pct: f64 = parse_field(n, "avgcpu", field())?;
+        let p95_pct: f64 = parse_field(n, "p95maxcpu", field())?;
         let lifetime = deleted - created;
         let mut curve = vec![CurvePoint {
             offset_s: 0.0,

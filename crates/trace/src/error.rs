@@ -33,3 +33,43 @@ impl fmt::Display for TraceError {
 }
 
 impl std::error::Error for TraceError {}
+
+/// How many bytes of offending input an error message repeats.
+pub const EXCERPT_BYTES: usize = 120;
+
+/// A fragment of input as an error message shows it: whole when it is at
+/// most [`EXCERPT_BYTES`] long, otherwise cut there (back to a character
+/// boundary) with `…` appended. Input is external data — a 400 kB line
+/// must not become a 400 kB error.
+pub struct Excerpt<'a>(pub &'a str);
+
+impl fmt::Display for Excerpt<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        if s.len() <= EXCERPT_BYTES {
+            return f.write_str(s);
+        }
+        let mut cut = EXCERPT_BYTES;
+        while !s.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        write!(f, "{}…", &s[..cut])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn excerpt_keeps_short_input_and_cuts_long_input_on_a_char_boundary() {
+        assert_eq!(Excerpt("vm,foo").to_string(), "vm,foo");
+        let exact = "x".repeat(EXCERPT_BYTES);
+        assert_eq!(Excerpt(&exact).to_string(), exact);
+        // 'é' is two bytes: byte 120 falls inside the 60th one.
+        let long = format!("a{}", "é".repeat(200));
+        let shown = Excerpt(&long).to_string();
+        assert_eq!(shown, format!("a{}…", "é".repeat(59)));
+        assert!(shown.len() <= EXCERPT_BYTES + '…'.len_utf8());
+    }
+}

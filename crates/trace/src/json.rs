@@ -6,6 +6,8 @@
 //! booleans, null) plus standard string escapes. Objects preserve key
 //! order in a `Vec` — no hash containers on the simulation path.
 
+use crate::error::Excerpt;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -156,7 +158,7 @@ impl Parser<'_> {
             self.ws();
             let val = self.value()?;
             if pairs.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key `{key}`"));
+                return Err(format!("duplicate key `{}`", Excerpt(&key)));
             }
             pairs.push((key, val));
             self.ws();
@@ -233,12 +235,20 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8: copy the whole scalar value.
-                    let s = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // The run of ordinary bytes up to the next quote or
+                    // escape, copied whole. Both delimiters are ASCII and
+                    // `b` came from a `&str`, so the run is whole
+                    // characters — and a long string costs its length, not
+                    // its length squared.
+                    let rest = &self.b[self.i..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| "invalid UTF-8 in string")?;
+                    out.push_str(run);
+                    self.i += run.len();
                 }
             }
         }
@@ -255,7 +265,7 @@ impl Parser<'_> {
         let s = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| "invalid number")?;
         s.parse::<f64>()
             .map(Json::Num)
-            .map_err(|_| format!("invalid number `{s}` at byte {start}"))
+            .map_err(|_| format!("invalid number `{}` at byte {start}", Excerpt(s)))
     }
 }
 

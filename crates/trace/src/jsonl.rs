@@ -11,12 +11,13 @@
 //! `JSONL → CSV → JSONL` through the canonical writers is
 //! byte-identical — the property test in `tests/roundtrip.rs` pins it.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
 use crate::dataset::{DatasetReader, LineReader};
-use crate::error::TraceError;
+use crate::error::{Excerpt, TraceError};
 use crate::json::Json;
-use crate::record::{fmt_f64, CurvePoint, TraceRecord};
+use crate::record::{CurvePoint, TraceRecord};
 
 /// Streaming, validating reader of the canonical JSONL format.
 pub struct JsonlReader<R: BufRead> {
@@ -59,7 +60,7 @@ impl<R: BufRead> DatasetReader for JsonlReader<R> {
             .ok_or_else(|| TraceError::at(n, "each line must be a JSON object"))?;
         for (k, _) in pairs {
             if !KEYS.contains(&k.as_str()) {
-                return Err(TraceError::at(n, format!("unknown key `{k}`")));
+                return Err(TraceError::at(n, format!("unknown key `{}`", Excerpt(k))));
             }
         }
         let vm_raw = num(n, &obj, "vm")?;
@@ -101,35 +102,44 @@ impl<R: BufRead> DatasetReader for JsonlReader<R> {
     }
 }
 
-/// Render one record as its canonical JSONL line (no newline).
-pub fn format_record(r: &TraceRecord) -> String {
-    let curve: Vec<String> = r
-        .curve
-        .iter()
-        .map(|p| {
-            format!(
-                "[{},{},{}]",
-                fmt_f64(p.offset_s),
-                fmt_f64(p.cpu),
-                fmt_f64(p.mem)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"vm\":{},\"arrival_s\":{},\"lifetime_s\":{},\"cpu_cores\":{},\"mem_mb\":{},\"curve\":[{}]}}",
-        r.vm,
-        fmt_f64(r.arrival_s),
-        fmt_f64(r.lifetime_s),
-        fmt_f64(r.cpu_cores),
-        fmt_f64(r.mem_mb),
-        curve.join(",")
-    )
+// ---------------------------------------------------------------------------
+// Writers
+// ---------------------------------------------------------------------------
+
+/// Append one record's canonical JSONL line (no newline) to `out`. Floats
+/// go through `Display`, the canonical form [`crate::record::fmt_f64`]
+/// names.
+fn push_record(out: &mut String, r: &TraceRecord) {
+    let _ = write!(
+        out,
+        "{{\"vm\":{},\"arrival_s\":{},\"lifetime_s\":{},\"cpu_cores\":{},\"mem_mb\":{},\"curve\":[",
+        r.vm, r.arrival_s, r.lifetime_s, r.cpu_cores, r.mem_mb
+    );
+    for (i, p) in r.curve.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "[{},{},{}]", p.offset_s, p.cpu, p.mem);
+    }
+    out.push_str("]}");
 }
 
-/// Write records in canonical JSONL form.
+/// Render one record as its canonical JSONL line (no newline).
+pub fn format_record(r: &TraceRecord) -> String {
+    let mut line = String::new();
+    push_record(&mut line, r);
+    line
+}
+
+/// Write records in canonical JSONL form, each formatted into one reused
+/// line buffer.
 pub fn write<W: Write>(w: &mut W, records: &[TraceRecord]) -> std::io::Result<()> {
+    let mut line = String::new();
     for r in records {
-        writeln!(w, "{}", format_record(r))?;
+        line.clear();
+        push_record(&mut line, r);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
     }
     Ok(())
 }

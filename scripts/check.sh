@@ -2,7 +2,8 @@
 # The full local gate: formatting, the clippy deny-set, the determinism
 # lint (which covers crates/telemetry along with the rest of the
 # simulation path), a grep that every vendored crate, every root
-# dependency and every `pub fn` still has a consumer, every test (including the
+# dependency and every `pub fn` still has a consumer, a grep that the text
+# edges still write each export in one pass, every test (including the
 # feature-gated runtime invariant suite), a `cargo check` and `cargo test`
 # of (a copy of) the
 # detached `benchmark/` workspace against the crates it path-depends on
@@ -13,7 +14,8 @@
 # Tier-1 (`cargo build --release && cargo test -q` at the root) is the
 # workspace's `default-members`: the root package's integration tests plus
 # the `snooze-simcore`, `snooze-telemetry`, `snooze-consolidation`,
-# `snooze-mc`, `snooze`, `snooze-protocols` and `snooze-cluster` suites.
+# `snooze-mc`, `snooze`, `snooze-protocols`, `snooze-cluster`,
+# `snooze-scenario` and `snooze-trace` suites.
 # Everything it runs, `cargo test --workspace` below runs too.
 #
 # `--smoke` additionally runs, in release, every reduced-scale gate:
@@ -111,6 +113,42 @@ uncalled="$(find crates/*/src crates/*/tests src tests examples benchmark/src -n
 [ -z "$uncalled" ] || {
   echo "pub fn named nowhere but its own definition and tests (delete it, make it private, or check-allow it):" >&2
   echo "$uncalled" >&2
+  exit 1
+}
+
+say "text edges write each export once (no per-field String in a render path)"
+# The exporters, the trace writers and the TOML renderer append to the one
+# buffer they return. A `format!(`, `.to_string()`, `.join(` or
+# `collect::<Vec<String>>` in one of them is a heap round trip per field,
+# row or header coming back. Scanned: all of the three telemetry files
+# above `#[cfg(test)]`; the trace files from their `// Writers` banner;
+# the `render*` functions of the TOML codec. Comments are skipped, and a
+# `// check-allow(edge-alloc): reason` comment directly above a line keeps
+# a wrapper that must return a `String` of its own.
+edge_allocs="$(awk '
+    FNR == 1 {
+      in_tests = 0; allowed = 0
+      mode = "render"
+      if (FILENAME ~ /crates\/telemetry\//) mode = "file"
+      if (FILENAME ~ /crates\/trace\//) mode = "writers"
+      scan = (mode == "file")
+    }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    mode == "writers" && /^\/\/ Writers$/ { scan = 1 }
+    mode == "render" && /^(pub )?fn render/ { scan = 1 }
+    {
+      comment = ($0 ~ /^[ \t]*\/\//)
+      if (scan && !in_tests && !comment && !allowed &&
+          $0 ~ /format!\(|\.to_string\(\)|\.join\(|collect::<Vec<String>>/)
+        print FILENAME ":" FNR ":" $0
+      allowed = ($0 ~ /check-allow\(edge-alloc\)/)
+      if (mode == "render" && $0 ~ /^}/) scan = 0
+    }' \
+  crates/telemetry/src/json.rs crates/telemetry/src/chrome.rs crates/telemetry/src/jsonl.rs \
+  crates/trace/src/csv.rs crates/trace/src/jsonl.rs crates/scenario/src/toml.rs)"
+[ -z "$edge_allocs" ] || {
+  echo "a render path allocates per field again (stream into the output buffer, or check-allow it):" >&2
+  echo "$edge_allocs" >&2
   exit 1
 }
 
