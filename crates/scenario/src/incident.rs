@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::toml::{parse, render, Value};
+use crate::toml::{parse, render, Reader, Value};
 
 /// One retained engine event (a flight-recorder ring entry with its
 /// component indices resolved to names).
@@ -159,120 +159,56 @@ impl IncidentDoc {
     /// Parse a document previously written by [`IncidentDoc::to_toml`].
     pub fn from_toml(text: &str) -> Result<IncidentDoc, String> {
         let root = parse(text)?;
-        let str_field = |key: &str| -> Result<String, String> {
-            root.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("incident: missing string `{key}`"))
-        };
-        let int_field = |key: &str| -> Result<u64, String> {
-            root.get(key)
-                .and_then(Value::as_int)
-                .map(|i| i as u64)
-                .ok_or_else(|| format!("incident: missing integer `{key}`"))
-        };
-        let tables = |key: &str| -> Result<Vec<&BTreeMap<String, Value>>, String> {
-            match root.get(key) {
-                None => Ok(Vec::new()),
-                Some(Value::TableArray(v)) => Ok(v.iter().collect()),
-                Some(_) => Err(format!("incident: `{key}` must be an array of tables")),
-            }
-        };
-        let events = tables("event")?
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let sstr = |key: &str| -> Result<String, String> {
-                    t.get(key)
-                        .and_then(Value::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("incident event {i}: missing string `{key}`"))
-                };
-                let sint = |key: &str| -> Result<u64, String> {
-                    t.get(key)
-                        .and_then(Value::as_int)
-                        .map(|v| v as u64)
-                        .ok_or_else(|| format!("incident event {i}: missing integer `{key}`"))
-                };
-                let kind = sstr("kind")?;
-                if !matches!(
-                    kind.as_str(),
-                    "start" | "deliver" | "timer" | "crash" | "restart" | "net"
-                ) {
-                    return Err(format!("incident event {i}: unknown kind `{kind}`"));
-                }
-                Ok(IncidentEvent {
-                    at_us: sint("at_us")?,
-                    seq: sint("seq")?,
-                    kind,
-                    src: sstr("src")?,
-                    dst: sstr("dst")?,
-                    variant: sstr("variant")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let spans = tables("span")?
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let sint = |key: &str| -> Result<u64, String> {
-                    t.get(key)
-                        .and_then(Value::as_int)
-                        .map(|v| v as u64)
-                        .ok_or_else(|| format!("incident span {i}: missing integer `{key}`"))
-                };
-                Ok(IncidentSpan {
-                    name: t
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("incident span {i}: missing string `name`"))?,
-                    start_us: sint("start_us")?,
-                    end_us: sint("end_us")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let windows = tables("window")?
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let sstr = |key: &str| -> Result<String, String> {
-                    t.get(key)
-                        .and_then(Value::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("incident window {i}: missing string `{key}`"))
-                };
-                let sint = |key: &str| -> Result<u64, String> {
-                    t.get(key)
-                        .and_then(Value::as_int)
-                        .map(|v| v as u64)
-                        .ok_or_else(|| format!("incident window {i}: missing integer `{key}`"))
-                };
-                Ok(IncidentWindow {
-                    window: sint("window")?,
-                    kind: sstr("kind")?,
-                    name: sstr("name")?,
-                    labels: sstr("labels")?,
-                    count: sint("count")?,
-                    value: t
-                        .get("value")
-                        .and_then(Value::as_float)
-                        .ok_or_else(|| format!("incident window {i}: missing number `value`"))?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(IncidentDoc {
-            name: str_field("name")?,
-            scenario: str_field("scenario")?,
-            seed: int_field("seed")?,
-            trigger: str_field("trigger")?,
-            detail: str_field("detail")?,
-            at_us: int_field("at_us")?,
-            events,
-            spans,
-            windows,
-        })
+        decode(&Reader::new(&root, "incident")).map_err(|e| format!("incident: {e}"))
     }
+}
+
+fn decode(root: &Reader<'_>) -> Result<IncidentDoc, String> {
+    let events = root.tables("event")?.map(|t| {
+        let kind = t.str("kind")?;
+        if !matches!(
+            kind,
+            "start" | "deliver" | "timer" | "crash" | "restart" | "net"
+        ) {
+            return Err(format!("event: unknown kind `{kind}`"));
+        }
+        t.finish(IncidentEvent {
+            at_us: t.int("at_us")?,
+            seq: t.int("seq")?,
+            kind: kind.into(),
+            src: t.str("src")?.into(),
+            dst: t.str("dst")?.into(),
+            variant: t.str("variant")?.into(),
+        })
+    });
+    let spans = root.tables("span")?.map(|t| {
+        t.finish(IncidentSpan {
+            name: t.str("name")?.into(),
+            start_us: t.int("start_us")?,
+            end_us: t.int("end_us")?,
+        })
+    });
+    let windows = root.tables("window")?.map(|t| {
+        t.finish(IncidentWindow {
+            window: t.int("window")?,
+            kind: t.str("kind")?.into(),
+            name: t.str("name")?.into(),
+            labels: t.str("labels")?.into(),
+            count: t.int("count")?,
+            value: t.f64("value")?,
+        })
+    });
+    root.finish(IncidentDoc {
+        name: root.str("name")?.into(),
+        scenario: root.str("scenario")?.into(),
+        seed: root.int("seed")?,
+        trigger: root.str("trigger")?.into(),
+        detail: root.str("detail")?.into(),
+        at_us: root.int("at_us")?,
+        events: events.collect::<Result<_, String>>()?,
+        spans: spans.collect::<Result<_, String>>()?,
+        windows: windows.collect::<Result<_, String>>()?,
+    })
 }
 
 #[cfg(test)]
@@ -335,6 +271,19 @@ mod tests {
         let bad = sample().to_toml().replace("\"deliver\"", "\"teleport\"");
         let err = IncidentDoc::from_toml(&bad).unwrap_err();
         assert!(err.contains("unknown kind"), "{err}");
+        // Used to decode, to seed 18446744073709551615.
+        let bad = sample().to_toml().replace("seed = 3601", "seed = -1");
+        let err = IncidentDoc::from_toml(&bad).unwrap_err();
+        let want = "incident: `seed` in incident must be a non-negative integer";
+        assert_eq!(err, want);
+        let bad = sample().to_toml().replace("\nseq = ", "\nsequence = ");
+        let err = IncidentDoc::from_toml(&bad).unwrap_err();
+        assert_eq!(err, "incident: missing key `seq` in event");
+        let bad = sample()
+            .to_toml()
+            .replace("\nend_us = ", "\nend = 3\nend_us = ");
+        let err = IncidentDoc::from_toml(&bad).unwrap_err();
+        assert_eq!(err, "incident: unknown key `end` in span");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::toml::{parse, render, Value};
+use crate::toml::{parse, render, Reader, Value};
 
 /// One explorer action of a counterexample trace.
 ///
@@ -103,67 +103,36 @@ impl McTraceDoc {
     /// Parse a document previously written by [`McTraceDoc::to_toml`].
     pub fn from_toml(text: &str) -> Result<McTraceDoc, String> {
         let root = parse(text)?;
-        let str_field = |key: &str| -> Result<String, String> {
-            root.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("mc trace: missing string `{key}`"))
-        };
-        let int_field = |key: &str| -> Result<u64, String> {
-            root.get(key)
-                .and_then(Value::as_int)
-                .map(|i| i as u64)
-                .ok_or_else(|| format!("mc trace: missing integer `{key}`"))
-        };
-        let seeded_bug = root
-            .get("seeded_bug")
-            .and_then(Value::as_bool)
-            .ok_or("mc trace: missing boolean `seeded_bug`")?;
-        let mut steps = Vec::new();
-        match root.get("step") {
-            Some(Value::TableArray(items)) => {
-                for (i, item) in items.iter().enumerate() {
-                    let sstr = |key: &str| -> Result<String, String> {
-                        item.get(key)
-                            .and_then(Value::as_str)
-                            .map(str::to_string)
-                            .ok_or_else(|| format!("mc trace step {i}: missing string `{key}`"))
-                    };
-                    let sint = |key: &str| -> Result<u64, String> {
-                        item.get(key)
-                            .and_then(Value::as_int)
-                            .map(|v| v as u64)
-                            .ok_or_else(|| format!("mc trace step {i}: missing integer `{key}`"))
-                    };
-                    let action = sstr("action")?;
-                    if !matches!(action.as_str(), "execute" | "drop" | "crash" | "restart") {
-                        return Err(format!("mc trace step {i}: unknown action `{action}`"));
-                    }
-                    steps.push(McTraceStep {
-                        action,
-                        ordinal: sint("ordinal")?,
-                        kind: sint("kind")?,
-                        a: sint("a")?,
-                        b: sint("b")?,
-                    });
-                }
-            }
-            Some(_) => return Err("mc trace: `step` must be an array of tables".into()),
-            None => {}
-        }
-        Ok(McTraceDoc {
-            name: str_field("name")?,
-            harness: str_field("harness")?,
-            contenders: int_field("contenders")?,
-            gms: int_field("gms")?,
-            lcs: int_field("lcs")?,
-            seeded_bug,
-            bootstrap_secs: int_field("bootstrap_secs")?,
-            predicate: str_field("predicate")?,
-            detail: str_field("detail")?,
-            steps,
-        })
+        decode(&Reader::new(&root, "mc trace")).map_err(|e| format!("mc trace: {e}"))
     }
+}
+
+fn decode(root: &Reader<'_>) -> Result<McTraceDoc, String> {
+    let steps = root.tables("step")?.map(|t| {
+        let action = t.str("action")?;
+        if !matches!(action, "execute" | "drop" | "crash" | "restart") {
+            return Err(format!("step: unknown action `{action}`"));
+        }
+        t.finish(McTraceStep {
+            action: action.into(),
+            ordinal: t.int("ordinal")?,
+            kind: t.int("kind")?,
+            a: t.int("a")?,
+            b: t.int("b")?,
+        })
+    });
+    root.finish(McTraceDoc {
+        name: root.str("name")?.into(),
+        harness: root.str("harness")?.into(),
+        contenders: root.int("contenders")?,
+        gms: root.int("gms")?,
+        lcs: root.int("lcs")?,
+        seeded_bug: root.bool("seeded_bug")?,
+        bootstrap_secs: root.int("bootstrap_secs")?,
+        predicate: root.str("predicate")?.into(),
+        detail: root.str("detail")?.into(),
+        steps: steps.collect::<Result<_, String>>()?,
+    })
 }
 
 #[cfg(test)]
@@ -224,6 +193,10 @@ mod tests {
         let bad = sample().to_toml().replace("\"crash\"", "\"explode\"");
         let err = McTraceDoc::from_toml(&bad).unwrap_err();
         assert!(err.contains("unknown action"), "{err}");
+        let bad = sample().to_toml().replace("ordinal = 2", "ordinal = -2");
+        let err = McTraceDoc::from_toml(&bad).unwrap_err();
+        let want = "mc trace: `ordinal` in step must be a non-negative integer";
+        assert_eq!(err, want);
     }
 
     #[test]

@@ -49,7 +49,7 @@ use snooze_cluster::resources::ResourceVector;
 use snooze_consolidation::registry::{ConsolidatorRegistry, ParamValue};
 use snooze_simcore::time::{SimSpan, SimTime};
 
-use crate::toml::{self, Value};
+use crate::toml::{self, Reader, Value};
 
 /// Milliseconds (float) → exact microseconds. Scenario files carry every
 /// duration as `*_ms`; all arithmetic downstream is integer micros.
@@ -569,72 +569,44 @@ impl PowerSpec {
     }
 }
 
-fn param_f64(t: &BTreeMap<String, Value>, k: &str, ctx: &str) -> Result<f64, String> {
-    t.get(k)
-        .and_then(|v| v.as_float())
-        .ok_or_else(|| format!("{ctx}: `{k}` must be a number"))
-}
-
-fn param_f64_array(t: &BTreeMap<String, Value>, k: &str, ctx: &str) -> Result<Vec<f64>, String> {
-    match t.get(k) {
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| {
-                v.as_float()
-                    .ok_or_else(|| format!("{ctx}: `{k}` must contain only numbers"))
-            })
-            .collect(),
-        _ => Err(format!("{ctx}: `{k}` must be an array of numbers")),
-    }
-}
-
 impl PowerModelSpec {
     /// Materialize the model, validating kind-specific parameters.
     pub fn build(&self) -> Result<Arc<dyn PowerModel>, String> {
-        let ctx = format!("power model `{}`", self.name);
-        let allowed: &[&str] = match self.kind.as_str() {
-            "linear" => &["idle_watts", "max_watts", "suspend_watts"],
-            "spec" => &["points", "suspend_watts"],
-            "dvfs" => &["freq_ghz", "idle_watts", "max_watts", "suspend_watts"],
-            other => {
-                return Err(format!(
-                    "{ctx}: unknown kind `{other}` (expected `linear`, `spec` or `dvfs`)"
-                ))
-            }
-        };
-        for k in self.params.keys() {
-            if !allowed.contains(&k.as_str()) {
-                return Err(format!("{ctx}: unknown parameter `{k}`"));
-            }
-        }
+        self.curve()
+            .map_err(|e| format!("power model `{}`: {e}", self.name))
+    }
+
+    fn curve(&self) -> Result<Arc<dyn PowerModel>, String> {
+        // `params` is what `[[power.model]]` held beside name, kind and
+        // transitions, so that is the table a bad key is in.
+        let p = Reader::new(&self.params, "power.model");
         let base: Arc<dyn PowerModel> = match self.kind.as_str() {
             "linear" => Arc::new(LinearPower {
-                idle_watts: param_f64(&self.params, "idle_watts", &ctx)?,
-                max_watts: param_f64(&self.params, "max_watts", &ctx)?,
-                suspend_watts: param_f64(&self.params, "suspend_watts", &ctx)?,
+                idle_watts: p.f64("idle_watts")?,
+                max_watts: p.f64("max_watts")?,
+                suspend_watts: p.f64("suspend_watts")?,
             }),
             "spec" => {
-                let pts = param_f64_array(&self.params, "points", &ctx)?;
-                let points: [f64; 11] = pts.try_into().map_err(|v: Vec<f64>| {
-                    format!("{ctx}: `points` needs exactly 11 entries, got {}", v.len())
-                })?;
+                let points: [f64; 11] =
+                    p.f64_array("points")?.try_into().map_err(|v: Vec<f64>| {
+                        format!("`points` needs exactly 11 entries, got {}", v.len())
+                    })?;
                 Arc::new(SpecLikePower {
                     points,
-                    suspend_watts: param_f64(&self.params, "suspend_watts", &ctx)?,
+                    suspend_watts: p.f64("suspend_watts")?,
                 })
             }
             "dvfs" => {
-                let freq = param_f64_array(&self.params, "freq_ghz", &ctx)?;
-                let idle = param_f64_array(&self.params, "idle_watts", &ctx)?;
-                let max = param_f64_array(&self.params, "max_watts", &ctx)?;
+                let freq = p.f64_array("freq_ghz")?;
+                let idle = p.f64_array("idle_watts")?;
+                let max = p.f64_array("max_watts")?;
                 if freq.is_empty() || freq.len() != idle.len() || freq.len() != max.len() {
-                    return Err(format!(
-                        "{ctx}: `freq_ghz`, `idle_watts` and `max_watts` must be \
-                         non-empty arrays of equal length"
-                    ));
+                    return Err("`freq_ghz`, `idle_watts` and `max_watts` must be \
+                                non-empty arrays of equal length"
+                        .into());
                 }
                 if freq.windows(2).any(|w| w[0] >= w[1]) {
-                    return Err(format!("{ctx}: `freq_ghz` must be strictly ascending"));
+                    return Err("`freq_ghz` must be strictly ascending".into());
                 }
                 Arc::new(DvfsPower {
                     states: freq
@@ -647,18 +619,24 @@ impl PowerModelSpec {
                             max_watts,
                         })
                         .collect(),
-                    suspend_watts: param_f64(&self.params, "suspend_watts", &ctx)?,
+                    suspend_watts: p.f64("suspend_watts")?,
                 })
             }
-            _ => unreachable!("kind validated above"),
+            other => {
+                return Err(format!(
+                    "unknown kind `{other}` (expected `linear`, `spec` or `dvfs`)"
+                ))
+            }
         };
-        match self.transitions.as_str() {
-            "legacy" => Ok(base),
-            "billed" => Ok(Arc::new(BilledTransitions { base })),
-            other => Err(format!(
-                "{ctx}: unknown transitions `{other}` (expected `legacy` or `billed`)"
-            )),
-        }
+        p.finish(match self.transitions.as_str() {
+            "legacy" => base,
+            "billed" => Arc::new(BilledTransitions { base }),
+            other => {
+                return Err(format!(
+                    "unknown transitions `{other}` (expected `legacy` or `billed`)"
+                ))
+            }
+        })
     }
 }
 
@@ -770,66 +748,12 @@ impl ConfigSpec {
 
 type Tbl = BTreeMap<String, Value>;
 
-fn get<'a>(t: &'a Tbl, k: &str) -> Result<&'a Value, String> {
-    t.get(k).ok_or_else(|| format!("missing key `{k}`"))
-}
-
-fn get_str(t: &Tbl, k: &str) -> Result<String, String> {
-    get(t, k)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("`{k}` must be a string"))
-}
-
-fn get_usize(t: &Tbl, k: &str) -> Result<usize, String> {
-    get(t, k)?
-        .as_int()
-        .filter(|&i| i >= 0)
-        .map(|i| i as usize)
-        .ok_or_else(|| format!("`{k}` must be a non-negative integer"))
-}
-
-fn get_f64(t: &Tbl, k: &str) -> Result<f64, String> {
-    get(t, k)?
-        .as_float()
-        .ok_or_else(|| format!("`{k}` must be a number"))
-}
-
-fn opt_f64(t: &Tbl, k: &str) -> Result<Option<f64>, String> {
-    match t.get(k) {
-        None => Ok(None),
-        Some(v) => v
-            .as_float()
-            .map(Some)
-            .ok_or_else(|| format!("`{k}` must be a number")),
-    }
-}
-
-fn opt_i64(t: &Tbl, k: &str) -> Result<Option<i64>, String> {
-    match t.get(k) {
-        None => Ok(None),
-        Some(v) => v
-            .as_int()
-            .map(Some)
-            .ok_or_else(|| format!("`{k}` must be an integer")),
-    }
-}
-
 fn table_array<'a>(t: &'a Tbl, k: &str) -> Result<Vec<&'a Tbl>, String> {
     match t.get(k) {
         None => Ok(Vec::new()),
         Some(Value::TableArray(v)) => Ok(v.iter().collect()),
         Some(_) => Err(format!("`{k}` must be an array of tables")),
     }
-}
-
-fn known_keys(t: &Tbl, allowed: &[&str], ctx: &str) -> Result<(), String> {
-    for k in t.keys() {
-        if !allowed.contains(&k.as_str()) {
-            return Err(format!("unknown key `{k}` in {ctx}"));
-        }
-    }
-    Ok(())
 }
 
 /// `*_ms` keys something re-arms itself by — phase stepping, periodic
@@ -848,8 +772,8 @@ const STEPPING_MS: [&str; 7] = [
 /// Reject hostile durations anywhere under `t`, before they reach
 /// [`ms_to_span`]'s assert or a stepping loop: every `*_ms` key must be
 /// finite and >= 0 (`idle_suspend_ms` may be negative — its documented
-/// "off"), and the [`STEPPING_MS`] keys > 0. `ctx` names the table, as in
-/// [`known_keys`].
+/// "off"), and the [`STEPPING_MS`] keys > 0. `ctx` names the table, as a
+/// [`Reader`] would.
 fn check_durations(t: &Tbl, ctx: &str) -> Result<(), String> {
     let at = |sub: &str| match ctx {
         "scenario" => sub.to_string(),
@@ -886,320 +810,137 @@ impl ScenarioSpec {
     /// Decode a spec from a (variant-expanded) root table.
     pub fn from_value(root: &Tbl) -> Result<ScenarioSpec, String> {
         check_durations(root, "scenario")?;
-        known_keys(
-            root,
-            &[
-                "name",
-                "description",
-                "seed",
-                "topology",
-                "config",
-                "workload",
-                "fault",
-                "phase",
-                "probe",
-                "obs",
-                "slo",
-                "power",
-            ],
-            "scenario",
-        )?;
-        let topo_t = get(root, "topology")?
-            .as_table()
-            .ok_or("`topology` must be a table")?;
-        known_keys(
-            topo_t,
-            &["managers", "lcs", "eps", "nodes", "unified", "client"],
-            "topology",
-        )?;
-        let node_groups = table_array(topo_t, "nodes")?
-            .into_iter()
-            .map(|g| {
-                known_keys(
-                    g,
-                    &[
-                        "count",
-                        "cores",
-                        "memory_mb",
-                        "net_mbps",
-                        "idle_watts",
-                        "max_watts",
-                        "suspend_watts",
-                        "model",
-                    ],
-                    "topology.nodes",
-                )?;
-                Ok(NodeGroupSpec {
-                    count: get_usize(g, "count")?,
-                    cores: get_f64(g, "cores")?,
-                    memory_mb: get_f64(g, "memory_mb")?,
-                    net_mbps: get_f64(g, "net_mbps")?,
-                    idle_watts: get_f64(g, "idle_watts")?,
-                    max_watts: get_f64(g, "max_watts")?,
-                    suspend_watts: get_f64(g, "suspend_watts")?,
-                    model: g.get("model").and_then(|v| v.as_str()).map(String::from),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let unified = match topo_t.get("unified") {
-            None => None,
-            Some(v) => {
-                let u = v.as_table().ok_or("`unified` must be a table")?;
-                known_keys(u, &["nodes", "target_managers"], "topology.unified")?;
-                Some(UnifiedSpec {
-                    nodes: get_usize(u, "nodes")?,
-                    target_managers: get_usize(u, "target_managers")?,
-                })
-            }
-        };
-        let client = match topo_t.get("client") {
-            None => None,
-            Some(v) => {
-                let c = v.as_table().ok_or("`client` must be a table")?;
-                known_keys(c, &["retry_ms"], "topology.client")?;
-                Some(ClientSpec {
-                    retry_ms: get_f64(c, "retry_ms")?,
-                })
-            }
-        };
-        let topology = TopologySpec {
-            managers: opt_i64(topo_t, "managers")?.unwrap_or(0).max(0) as usize,
-            lcs: opt_i64(topo_t, "lcs")?.unwrap_or(0).max(0) as usize,
-            node_groups,
-            eps: get_usize(topo_t, "eps")?,
-            unified,
-            client,
-        };
+        let root = Reader::new(root, "scenario");
 
-        let config = match root.get("config") {
+        let topo = root.table("topology")?;
+        let node_groups = topo.tables("nodes")?.map(|g| {
+            g.finish(NodeGroupSpec {
+                count: g.int("count")?,
+                cores: g.f64("cores")?,
+                memory_mb: g.f64("memory_mb")?,
+                net_mbps: g.f64("net_mbps")?,
+                idle_watts: g.f64("idle_watts")?,
+                max_watts: g.f64("max_watts")?,
+                suspend_watts: g.f64("suspend_watts")?,
+                model: g.opt_str("model")?.map(String::from),
+            })
+        });
+        let unified = topo.opt_table("unified")?.map(|u| {
+            u.finish(UnifiedSpec {
+                nodes: u.int("nodes")?,
+                target_managers: u.int("target_managers")?,
+            })
+        });
+        let client = topo.opt_table("client")?.map(|c| {
+            c.finish(ClientSpec {
+                retry_ms: c.f64("retry_ms")?,
+            })
+        });
+        let topology = topo.finish(TopologySpec {
+            managers: topo.opt_int("managers")?.unwrap_or(0),
+            lcs: topo.opt_int("lcs")?.unwrap_or(0),
+            node_groups: node_groups.collect::<Result<_, String>>()?,
+            eps: topo.int("eps")?,
+            unified: unified.transpose()?,
+            client: client.transpose()?,
+        })?;
+
+        let config = match root.opt_table("config")? {
             None => ConfigSpec::preset("default"),
-            Some(v) => {
-                let c = v.as_table().ok_or("`config` must be a table")?;
-                known_keys(
-                    c,
-                    &[
-                        "preset",
-                        "idle_suspend_ms",
-                        "suspend_watchdog_ms",
-                        "placement",
-                        "underload_threshold",
-                        "reschedule_on_lc_failure",
-                        "reconfiguration",
-                        "knobs",
-                    ],
-                    "config",
-                )?;
-                let reconfiguration = match c.get("reconfiguration") {
-                    None => None,
-                    Some(v) => {
-                        let r = v.as_table().ok_or("`reconfiguration` must be a table")?;
-                        known_keys(
-                            r,
-                            &[
-                                "period_ms",
-                                "algo",
-                                "aco",
-                                "aco_cycles",
-                                "max_migrations",
-                                "params",
-                            ],
-                            "config.reconfiguration",
-                        )?;
-                        let params = match r.get("params") {
-                            None => None,
-                            Some(v) => Some(
-                                v.as_table()
-                                    .ok_or("`reconfiguration.params` must be a table")?
-                                    .clone(),
-                            ),
-                        };
-                        Some(ReconfSpec {
-                            period_ms: get_f64(r, "period_ms")?,
-                            algo: r
-                                .get("algo")
-                                .and_then(|v| v.as_str())
-                                .unwrap_or("aco")
-                                .to_string(),
-                            aco: r
-                                .get("aco")
-                                .and_then(|v| v.as_str())
-                                .unwrap_or("default")
-                                .to_string(),
-                            aco_cycles: opt_i64(r, "aco_cycles")?,
-                            max_migrations: get(r, "max_migrations")?
-                                .as_int()
-                                .ok_or("`max_migrations` must be an integer")?,
-                            params,
-                        })
-                    }
-                };
-                let knobs = match c.get("knobs") {
-                    None => None,
-                    Some(v) => {
-                        let k = v.as_table().ok_or("`knobs` must be a table")?;
-                        known_keys(k, &["session_ms", "heartbeat_ms"], "config.knobs")?;
-                        Some(KnobsSpec {
-                            session_ms: get_f64(k, "session_ms")?,
-                            heartbeat_ms: get_f64(k, "heartbeat_ms")?,
-                        })
-                    }
-                };
-                ConfigSpec {
-                    preset: c
-                        .get("preset")
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("default")
-                        .to_string(),
-                    idle_suspend_ms: opt_f64(c, "idle_suspend_ms")?,
-                    suspend_watchdog_ms: opt_f64(c, "suspend_watchdog_ms")?,
-                    placement: c
-                        .get("placement")
-                        .and_then(|v| v.as_str())
-                        .map(String::from),
-                    underload_threshold: opt_f64(c, "underload_threshold")?,
-                    reschedule_on_lc_failure: c
-                        .get("reschedule_on_lc_failure")
-                        .and_then(|v| v.as_bool()),
-                    reconfiguration,
-                    knobs,
-                }
-            }
-        };
-
-        let workload = table_array(root, "workload")?
-            .into_iter()
-            .map(decode_workload)
-            .collect::<Result<Vec<_>, String>>()?;
-        let faults = table_array(root, "fault")?
-            .into_iter()
-            .map(|f| {
-                known_keys(
-                    f,
-                    &[
-                        "at_ms",
-                        "kind",
-                        "target",
-                        "index",
-                        "downtime_ms",
-                        "loss_ppm",
-                    ],
-                    "fault",
-                )?;
-                Ok(StaticFault {
-                    at_ms: get_f64(f, "at_ms")?,
-                    kind: get_str(f, "kind")?,
-                    target: f
-                        .get("target")
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("lc")
-                        .to_string(),
-                    index: opt_i64(f, "index")?.unwrap_or(0).max(0) as usize,
-                    downtime_ms: opt_f64(f, "downtime_ms")?,
-                    loss_ppm: opt_i64(f, "loss_ppm")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let phases = table_array(root, "phase")?
-            .into_iter()
-            .map(decode_phase)
-            .collect::<Result<Vec<_>, String>>()?;
-        let probes = table_array(root, "probe")?
-            .into_iter()
-            .map(|p| {
-                known_keys(p, &["name", "at_ms"], "probe")?;
-                Ok(ProbeSpec {
-                    name: get_str(p, "name")?,
-                    at_ms: get_f64(p, "at_ms")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-
-        let obs = match root.get("obs") {
-            None => None,
-            Some(v) => {
-                let o = v.as_table().ok_or("`obs` must be a table")?;
-                known_keys(
-                    o,
-                    &["window_ms", "ring", "profile", "force_incident_at_ms"],
-                    "obs",
-                )?;
-                Some(ObsSpec {
-                    window_ms: get_f64(o, "window_ms")?,
-                    ring: opt_i64(o, "ring")?.unwrap_or(256).max(1) as usize,
-                    profile: o.get("profile").and_then(|v| v.as_bool()).unwrap_or(true),
-                    force_incident_at_ms: opt_f64(o, "force_incident_at_ms")?,
-                })
-            }
-        };
-        let slos = table_array(root, "slo")?
-            .into_iter()
-            .map(|s| {
-                known_keys(s, &["name", "signal", "max"], "slo")?;
-                Ok(SloSpec {
-                    name: get_str(s, "name")?,
-                    signal: SloSignal::parse(&get_str(s, "signal")?)?,
-                    max: get_f64(s, "max")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        if !slos.is_empty() && obs.is_none() {
-            return Err("`[[slo]]` watchdogs require an `[obs]` table".into());
-        }
-        let power = match root.get("power") {
-            None => None,
-            Some(v) => {
-                let p = v.as_table().ok_or("`power` must be a table")?;
-                known_keys(p, &["default", "model"], "power")?;
-                let models = table_array(p, "model")?
-                    .into_iter()
-                    .map(|m| {
-                        let mut params = m.clone();
-                        let name = get_str(m, "name")?;
-                        let kind = get_str(m, "kind")?;
-                        let transitions = m
-                            .get("transitions")
-                            .and_then(|v| v.as_str())
-                            .unwrap_or("legacy")
-                            .to_string();
-                        params.remove("name");
-                        params.remove("kind");
-                        params.remove("transitions");
-                        Ok(PowerModelSpec {
-                            name,
-                            kind,
-                            transitions,
-                            params,
-                        })
+            Some(c) => {
+                let reconfiguration = c.opt_table("reconfiguration")?.map(|r| {
+                    r.finish(ReconfSpec {
+                        period_ms: r.f64("period_ms")?,
+                        algo: r.opt_str("algo")?.unwrap_or("aco").into(),
+                        aco: r.opt_str("aco")?.unwrap_or("default").into(),
+                        aco_cycles: r.opt_int("aco_cycles")?,
+                        max_migrations: r.int("max_migrations")?,
+                        params: r.opt_table("params")?.map(|p| p.rest()),
                     })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Some(PowerSpec {
-                    default: p.get("default").and_then(|v| v.as_str()).map(String::from),
-                    models,
-                })
+                });
+                let knobs = c.opt_table("knobs")?.map(|k| {
+                    k.finish(KnobsSpec {
+                        session_ms: k.f64("session_ms")?,
+                        heartbeat_ms: k.f64("heartbeat_ms")?,
+                    })
+                });
+                c.finish(ConfigSpec {
+                    preset: c.opt_str("preset")?.unwrap_or("default").into(),
+                    idle_suspend_ms: c.opt_f64("idle_suspend_ms")?,
+                    suspend_watchdog_ms: c.opt_f64("suspend_watchdog_ms")?,
+                    placement: c.opt_str("placement")?.map(String::from),
+                    underload_threshold: c.opt_f64("underload_threshold")?,
+                    reschedule_on_lc_failure: c.opt_bool("reschedule_on_lc_failure")?,
+                    reconfiguration: reconfiguration.transpose()?,
+                    knobs: knobs.transpose()?,
+                })?
             }
         };
 
-        Ok(ScenarioSpec {
-            name: get_str(root, "name")?,
-            description: root
-                .get("description")
-                .and_then(|v| v.as_str())
-                .unwrap_or("")
-                .to_string(),
-            seed: get(root, "seed")?
-                .as_int()
-                .filter(|&i| i >= 0)
-                .ok_or("`seed` must be a non-negative integer")? as u64,
+        let faults = root.tables("fault")?.map(|f| {
+            f.finish(StaticFault {
+                at_ms: f.f64("at_ms")?,
+                kind: f.str("kind")?.into(),
+                target: f.opt_str("target")?.unwrap_or("lc").into(),
+                index: f.opt_int("index")?.unwrap_or(0),
+                downtime_ms: f.opt_f64("downtime_ms")?,
+                loss_ppm: f.opt_int("loss_ppm")?,
+            })
+        });
+        let probes = root.tables("probe")?.map(|p| {
+            p.finish(ProbeSpec {
+                name: p.str("name")?.into(),
+                at_ms: p.f64("at_ms")?,
+            })
+        });
+        let obs = root.opt_table("obs")?.map(|o| {
+            o.finish(ObsSpec {
+                window_ms: o.f64("window_ms")?,
+                ring: o.opt_int("ring")?.unwrap_or(256).max(1),
+                profile: o.opt_bool("profile")?.unwrap_or(true),
+                force_incident_at_ms: o.opt_f64("force_incident_at_ms")?,
+            })
+        });
+        let slos = root.tables("slo")?.map(|s| {
+            s.finish(SloSpec {
+                name: s.str("name")?.into(),
+                signal: SloSignal::parse(s.str("signal")?)?,
+                max: s.f64("max")?,
+            })
+        });
+        let power = root.opt_table("power")?.map(|p| {
+            let models = p.tables("model")?.map(|m| {
+                Ok(PowerModelSpec {
+                    name: m.str("name")?.into(),
+                    kind: m.str("kind")?.into(),
+                    transitions: m.opt_str("transitions")?.unwrap_or("legacy").into(),
+                    params: m.rest(), // `PowerModelSpec::build` reads these
+                })
+            });
+            p.finish(PowerSpec {
+                default: p.opt_str("default")?.map(String::from),
+                models: models.collect::<Result<_, String>>()?,
+            })
+        });
+
+        let spec = root.finish(ScenarioSpec {
+            name: root.str("name")?.into(),
+            description: root.opt_str("description")?.unwrap_or("").into(),
+            seed: root.int("seed")?,
             topology,
             config,
-            workload,
-            faults,
-            phases,
-            probes,
-            obs,
-            slos,
-            power,
-        })
+            workload: (root.tables("workload")?.map(decode_workload)).collect::<Result<_, _>>()?,
+            faults: faults.collect::<Result<_, String>>()?,
+            phases: (root.tables("phase")?.map(decode_phase)).collect::<Result<_, _>>()?,
+            probes: probes.collect::<Result<_, String>>()?,
+            obs: obs.transpose()?,
+            slos: slos.collect::<Result<_, String>>()?,
+            power: power.transpose()?,
+        })?;
+        if !spec.slos.is_empty() && spec.obs.is_none() {
+            return Err("`[[slo]]` watchdogs require an `[obs]` table".into());
+        }
+        Ok(spec)
     }
 
     /// Encode into the canonical root table ([`ScenarioSpec::from_value`]'s
@@ -1396,93 +1137,38 @@ impl ScenarioSpec {
     }
 }
 
-fn decode_workload(w: &Tbl) -> Result<WorkloadSpec, String> {
-    match get_str(w, "kind")?.as_str() {
-        "burst" => {
-            known_keys(
-                w,
-                &["kind", "n", "at_ms", "cores", "memory_mb", "util"],
-                "workload (burst)",
-            )?;
-            Ok(WorkloadSpec::Burst {
-                n: get_usize(w, "n")?,
-                at_ms: get_f64(w, "at_ms")?,
-                cores: get_f64(w, "cores")?,
-                memory_mb: get_f64(w, "memory_mb")?,
-                util: get_f64(w, "util")?,
-            })
-        }
-        "random_fleet" => {
-            known_keys(
-                w,
-                &[
-                    "kind",
-                    "n",
-                    "seed",
-                    "cores_min",
-                    "cores_max",
-                    "mem_min_mb",
-                    "mem_max_mb",
-                    "util_min",
-                    "util_max",
-                    "arrival_at_ms",
-                    "arrival_spread_s",
-                    "lifetime_every",
-                    "lifetime_min_s",
-                    "lifetime_max_s",
-                ],
-                "workload (random_fleet)",
-            )?;
-            Ok(WorkloadSpec::RandomFleet {
-                n: get_usize(w, "n")?,
-                seed: get(w, "seed")?
-                    .as_int()
-                    .filter(|&i| i >= 0)
-                    .ok_or("fleet `seed` must be a non-negative integer")?
-                    as u64,
-                cores_min: get_f64(w, "cores_min")?,
-                cores_max: get_f64(w, "cores_max")?,
-                mem_min_mb: get_f64(w, "mem_min_mb")?,
-                mem_max_mb: get_f64(w, "mem_max_mb")?,
-                util_min: get_f64(w, "util_min")?,
-                util_max: get_f64(w, "util_max")?,
-                arrival_at_ms: get_f64(w, "arrival_at_ms")?,
-                arrival_spread_s: get(w, "arrival_spread_s")?
-                    .as_int()
-                    .ok_or("`arrival_spread_s` must be an integer")?,
-                lifetime_every: get(w, "lifetime_every")?
-                    .as_int()
-                    .ok_or("`lifetime_every` must be an integer")?,
-                lifetime_min_s: get(w, "lifetime_min_s")?
-                    .as_int()
-                    .ok_or("`lifetime_min_s` must be an integer")?,
-                lifetime_max_s: get(w, "lifetime_max_s")?
-                    .as_int()
-                    .ok_or("`lifetime_max_s` must be an integer")?,
-            })
-        }
+fn decode_workload(w: Reader<'_>) -> Result<WorkloadSpec, String> {
+    w.finish(match w.str("kind")? {
+        "burst" => WorkloadSpec::Burst {
+            n: w.int("n")?,
+            at_ms: w.f64("at_ms")?,
+            cores: w.f64("cores")?,
+            memory_mb: w.f64("memory_mb")?,
+            util: w.f64("util")?,
+        },
+        "random_fleet" => WorkloadSpec::RandomFleet {
+            n: w.int("n")?,
+            seed: w.int("seed")?,
+            cores_min: w.f64("cores_min")?,
+            cores_max: w.f64("cores_max")?,
+            mem_min_mb: w.f64("mem_min_mb")?,
+            mem_max_mb: w.f64("mem_max_mb")?,
+            util_min: w.f64("util_min")?,
+            util_max: w.f64("util_max")?,
+            arrival_at_ms: w.f64("arrival_at_ms")?,
+            arrival_spread_s: w.int("arrival_spread_s")?,
+            lifetime_every: w.int("lifetime_every")?,
+            lifetime_min_s: w.int("lifetime_min_s")?,
+            lifetime_max_s: w.int("lifetime_max_s")?,
+        },
         "trace" => {
-            known_keys(
-                w,
-                &["kind", "path", "time_scale", "max_vms", "policy"],
-                "workload (trace)",
-            )?;
-            let time_scale = opt_f64(w, "time_scale")?.unwrap_or(1.0);
+            let time_scale = w.opt_f64("time_scale")?.unwrap_or(1.0);
             if !(time_scale.is_finite() && time_scale > 0.0) {
                 return Err("trace `time_scale` must be a positive number".into());
             }
-            let max_vms = opt_i64(w, "max_vms")?
-                .filter(|&i| i >= 0)
-                .map(|i| i as usize)
-                .unwrap_or(0);
-            let policy = match w.get("policy") {
-                None => "truncate".to_string(),
-                Some(v) => v
-                    .as_str()
-                    .map(str::to_string)
-                    .ok_or("trace `policy` must be a string")?,
-            };
-            match policy.as_str() {
+            let max_vms = w.opt_int("max_vms")?.unwrap_or(0);
+            let policy = w.opt_str("policy")?.unwrap_or("truncate");
+            match policy {
                 "truncate" => {}
                 "loop" if max_vms > 0 => {}
                 "loop" => return Err("trace policy `loop` requires `max_vms` > 0".into()),
@@ -1492,15 +1178,15 @@ fn decode_workload(w: &Tbl) -> Result<WorkloadSpec, String> {
                     ))
                 }
             }
-            Ok(WorkloadSpec::Trace {
-                path: get_str(w, "path")?,
+            WorkloadSpec::Trace {
+                path: w.str("path")?.into(),
                 time_scale,
                 max_vms,
-                policy,
-            })
+                policy: policy.into(),
+            }
         }
-        other => Err(format!("unknown workload kind `{other}`")),
-    }
+        other => return Err(format!("unknown workload kind `{other}`")),
+    })
 }
 
 fn encode_workload(w: &WorkloadSpec) -> Tbl {
@@ -1566,43 +1252,24 @@ fn encode_workload(w: &WorkloadSpec) -> Tbl {
     t
 }
 
-fn decode_phase(p: &Tbl) -> Result<PhaseSpec, String> {
-    match get_str(p, "kind")?.as_str() {
-        "run_to" => {
-            known_keys(p, &["kind", "t_ms"], "phase (run_to)")?;
-            Ok(PhaseSpec::RunTo {
-                t_ms: get_f64(p, "t_ms")?,
-            })
-        }
-        "run_for" => {
-            known_keys(p, &["kind", "dur_ms"], "phase (run_for)")?;
-            Ok(PhaseSpec::RunFor {
-                dur_ms: get_f64(p, "dur_ms")?,
-            })
-        }
-        "settle" => {
-            known_keys(p, &["kind", "deadline_ms"], "phase (settle)")?;
-            Ok(PhaseSpec::Settle {
-                deadline_ms: get_f64(p, "deadline_ms")?,
-            })
-        }
-        "sample_to" => {
-            known_keys(p, &["kind", "t_ms", "every_ms"], "phase (sample_to)")?;
-            Ok(PhaseSpec::SampleTo {
-                t_ms: get_f64(p, "t_ms")?,
-                every_ms: get_f64(p, "every_ms")?,
-            })
-        }
+fn decode_phase(p: Reader<'_>) -> Result<PhaseSpec, String> {
+    p.finish(match p.str("kind")? {
+        "run_to" => PhaseSpec::RunTo {
+            t_ms: p.f64("t_ms")?,
+        },
+        "run_for" => PhaseSpec::RunFor {
+            dur_ms: p.f64("dur_ms")?,
+        },
+        "settle" => PhaseSpec::Settle {
+            deadline_ms: p.f64("deadline_ms")?,
+        },
+        "sample_to" => PhaseSpec::SampleTo {
+            t_ms: p.f64("t_ms")?,
+            every_ms: p.f64("every_ms")?,
+        },
         "fault" => {
-            known_keys(
-                p,
-                &[
-                    "kind", "label", "target", "index", "delay_ms", "fault", "observe",
-                ],
-                "phase (fault)",
-            )?;
-            let index = opt_i64(p, "index")?.unwrap_or(0).max(0) as usize;
-            let target = match get_str(p, "target")?.as_str() {
+            let index = p.opt_int("index")?.unwrap_or(0);
+            let target = match p.str("target")? {
                 "gl" => TargetSpec::Gl,
                 "active_gm" => TargetSpec::ActiveGm(index),
                 "lc_most_vms" => TargetSpec::LcMostVms,
@@ -1611,57 +1278,31 @@ fn decode_phase(p: &Tbl) -> Result<PhaseSpec, String> {
                 "manager" => TargetSpec::Manager(index),
                 other => return Err(format!("unknown fault target `{other}`")),
             };
-            let observe = match p.get("observe") {
-                None => None,
-                Some(v) => {
-                    let o = v.as_table().ok_or("`observe` must be a table")?;
-                    known_keys(
-                        o,
-                        &[
-                            "steps",
-                            "step_ms",
-                            "perf_window_ms",
-                            "until",
-                            "stop_on_success",
-                        ],
-                        "phase.observe",
-                    )?;
-                    let until = match get_str(o, "until")?.as_str() {
-                        "gl_elected" => Condition::GlElected,
-                        "lcs_on_live_gms" => Condition::LcsOnLiveGms,
-                        "vms_restored" => Condition::VmsRestored,
-                        other => return Err(format!("unknown condition `{other}`")),
-                    };
-                    Some(ObserveSpec {
-                        steps: get_usize(o, "steps")? as u32,
-                        step_ms: get_f64(o, "step_ms")?,
-                        perf_window_ms: opt_f64(o, "perf_window_ms")?.unwrap_or(0.0),
-                        until,
-                        stop_on_success: o
-                            .get("stop_on_success")
-                            .and_then(|v| v.as_bool())
-                            .unwrap_or(false),
-                    })
-                }
-            };
-            Ok(PhaseSpec::Fault {
-                label: p
-                    .get("label")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("fault")
-                    .to_string(),
+            let observe = p.opt_table("observe")?.map(|o| {
+                let until = match o.str("until")? {
+                    "gl_elected" => Condition::GlElected,
+                    "lcs_on_live_gms" => Condition::LcsOnLiveGms,
+                    "vms_restored" => Condition::VmsRestored,
+                    other => return Err(format!("unknown condition `{other}`")),
+                };
+                o.finish(ObserveSpec {
+                    steps: o.int("steps")?,
+                    step_ms: o.f64("step_ms")?,
+                    perf_window_ms: o.opt_f64("perf_window_ms")?.unwrap_or(0.0),
+                    until,
+                    stop_on_success: o.opt_bool("stop_on_success")?.unwrap_or(false),
+                })
+            });
+            PhaseSpec::Fault {
+                label: p.opt_str("label")?.unwrap_or("fault").into(),
                 target,
-                delay_ms: opt_f64(p, "delay_ms")?.unwrap_or(0.0),
-                kind: p
-                    .get("fault")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("crash")
-                    .to_string(),
-                observe,
-            })
+                delay_ms: p.opt_f64("delay_ms")?.unwrap_or(0.0),
+                kind: p.opt_str("fault")?.unwrap_or("crash").into(),
+                observe: observe.transpose()?,
+            }
         }
-        other => Err(format!("unknown phase kind `{other}`")),
-    }
+        other => return Err(format!("unknown phase kind `{other}`")),
+    })
 }
 
 fn encode_phase(p: &PhaseSpec) -> Tbl {
@@ -2414,6 +2055,283 @@ mod tests {
         assert!(err.contains("bogus"), "{err}");
     }
 
+    /// A document with every table of the schema and every key of each.
+    const FULL: &str = r#"
+name = "full"
+description = "every table, every key"
+seed = 7
+[topology]
+managers = 3
+lcs = 8
+eps = 1
+[topology.unified]
+nodes = 4
+target_managers = 2
+[topology.client]
+retry_ms = 15000.0
+[[topology.nodes]]
+count = 2
+cores = 16.0
+memory_mb = 65536.0
+net_mbps = 1000.0
+idle_watts = 200.0
+max_watts = 320.0
+suspend_watts = 6.0
+model = "slowstep"
+[config]
+preset = "fast_test"
+idle_suspend_ms = -1.0
+suspend_watchdog_ms = 1000.0
+placement = "round_robin"
+underload_threshold = 0.2
+reschedule_on_lc_failure = true
+[config.reconfiguration]
+period_ms = 60000.0
+algo = "ffd"
+aco = "fast"
+aco_cycles = 4
+max_migrations = 8
+[config.reconfiguration.params]
+sort = "cpu"
+[config.knobs]
+session_ms = 4000.0
+heartbeat_ms = 1000.0
+[[workload]]
+kind = "burst"
+n = 4
+at_ms = 30000.0
+cores = 2.0
+memory_mb = 4096.0
+util = 0.5
+[[workload]]
+kind = "random_fleet"
+n = 10
+seed = 3
+cores_min = 1.0
+cores_max = 4.0
+mem_min_mb = 1024.0
+mem_max_mb = 8192.0
+util_min = 0.1
+util_max = 0.9
+arrival_at_ms = 1000.0
+arrival_spread_s = 60
+lifetime_every = 3
+lifetime_min_s = 100
+lifetime_max_s = 200
+[[workload]]
+kind = "trace"
+path = "traces/reference.csv"
+time_scale = 0.5
+max_vms = 10
+policy = "loop"
+[[fault]]
+at_ms = 90000.0
+kind = "crash"
+target = "lc"
+index = 1
+downtime_ms = 30000.0
+loss_ppm = 0
+[[phase]]
+kind = "run_to"
+t_ms = 1000.0
+[[phase]]
+kind = "run_for"
+dur_ms = 1000.0
+[[phase]]
+kind = "settle"
+deadline_ms = 300000.0
+[[phase]]
+kind = "sample_to"
+t_ms = 400000.0
+every_ms = 60000.0
+[[phase]]
+kind = "fault"
+label = "GL crash"
+target = "active_gm"
+index = 1
+delay_ms = 10000.0
+fault = "crash"
+[phase.observe]
+steps = 90
+step_ms = 2000.0
+perf_window_ms = 60000.0
+until = "gl_elected"
+stop_on_success = true
+[[probe]]
+name = "mid"
+at_ms = 150000.0
+[obs]
+window_ms = 60000.0
+ring = 512
+profile = false
+force_incident_at_ms = 120000.0
+[[slo]]
+name = "dead-letter-budget"
+signal = "dead_letters"
+max = 0.0
+[power]
+default = "slowstep"
+[[power.model]]
+name = "slowstep"
+kind = "linear"
+transitions = "billed"
+idle_watts = 100.0
+max_watts = 200.0
+suspend_watts = 5.0
+"#;
+
+    /// `root` with `value` at `key` of the table `path` leads to, through
+    /// the last element of each array of tables on the way.
+    fn with(root: &Tbl, path: &[&str], key: &str, value: Value) -> Tbl {
+        let mut root = root.clone();
+        let table = path.iter().fold(&mut root, |t, seg| {
+            match t.entry(seg.to_string()).or_insert_with(Value::table) {
+                Value::Table(sub) => sub,
+                Value::TableArray(subs) => subs.last_mut().unwrap(),
+                other => panic!("`{seg}` is {other:?}"),
+            }
+        });
+        table.insert(key.into(), value);
+        root
+    }
+
+    #[test]
+    fn values_that_used_to_run_the_default_are_decode_errors() {
+        let full = toml::parse(FULL).unwrap();
+        ScenarioSpec::from_value(&full).expect("the base document decodes");
+        let s = |text: &str| Value::Str(text.into());
+        // Each of these decoded at the parent of the reader, and ran as if
+        // the key were absent (or, for `managers`, as zero managers).
+        let cases: [(&[&str], &str, Value, &str); 17] = [
+            (&["config"], "placement", Value::Int(3), "a string"),
+            (
+                &["config"],
+                "reschedule_on_lc_failure",
+                s("yes"),
+                "a boolean",
+            ),
+            (&["config"], "preset", Value::Int(1), "a string"),
+            (
+                &["config", "reconfiguration"],
+                "algo",
+                Value::Int(7),
+                "a string",
+            ),
+            (&["fault"], "target", Value::Int(1), "a string"),
+            (
+                &["fault"],
+                "index",
+                Value::Int(-3),
+                "a non-negative integer",
+            ),
+            (&["obs"], "profile", s("no"), "a boolean"),
+            (&["obs"], "ring", Value::Int(-5), "a non-negative integer"),
+            (&[], "description", Value::Int(5), "a string"),
+            (&["topology", "nodes"], "model", Value::Int(5), "a string"),
+            (&["phase"], "label", Value::Int(3), "a string"),
+            (&["phase"], "fault", Value::Int(9), "a string"),
+            (
+                &["phase"],
+                "index",
+                Value::Int(-1),
+                "a non-negative integer",
+            ),
+            (
+                &["phase", "observe"],
+                "stop_on_success",
+                Value::Int(1),
+                "a boolean",
+            ),
+            (
+                &["workload"],
+                "max_vms",
+                Value::Int(-1),
+                "a non-negative integer",
+            ),
+            (&["power"], "default", Value::Int(3), "a string"),
+            (
+                &["topology"],
+                "managers",
+                Value::Int(-2),
+                "a non-negative integer",
+            ),
+        ];
+        for (path, key, value, want) in cases {
+            let err = ScenarioSpec::from_value(&with(&full, path, key, value.clone())).unwrap_err();
+            let table = if path.is_empty() {
+                "scenario".into()
+            } else {
+                path.join(".")
+            };
+            let want = format!("`{key}` in {table} must be {want}");
+            assert_eq!(err, want, "{table}.{key} = {value:?}");
+        }
+    }
+
+    /// Every table of `t` — `t` itself, its sub-tables, the elements of
+    /// its arrays of tables — as the path [`with`] takes to reach it.
+    /// (`with` reaches only the last element of an array, and the kinds of
+    /// workload and phase differ: callers rotate the array.)
+    fn table_paths<'a>(t: &'a Tbl, at: &mut Vec<&'a str>, out: &mut Vec<Vec<&'a str>>) {
+        out.push(at.clone());
+        for (k, v) in t {
+            at.push(k);
+            match v {
+                Value::Table(sub) => table_paths(sub, at, out),
+                Value::TableArray(subs) => table_paths(subs.last().unwrap(), at, out),
+                _ => {}
+            }
+            at.pop();
+        }
+    }
+
+    #[test]
+    fn every_table_rejects_an_unknown_key_and_every_key_a_wrong_type() {
+        let mut full = toml::parse(FULL).unwrap();
+        let (mut tables, mut keys) = (0, 0);
+        // Five rotations bring each `[[phase]]` (and each `[[workload]]`)
+        // kind to the end of its array once.
+        for _ in 0..5 {
+            for array in ["workload", "phase"] {
+                if let Some(Value::TableArray(items)) = full.get_mut(array) {
+                    items.rotate_left(1);
+                }
+            }
+            let mut paths = Vec::new();
+            table_paths(&full, &mut Vec::new(), &mut paths);
+            for path in &paths {
+                let name = match path.as_slice() {
+                    [] => "scenario".to_string(),
+                    // Tables another decoder reads: the registry rejects an
+                    // unknown `params` key, `PowerModelSpec::build` a model's.
+                    ["config", "reconfiguration", "params"] | ["power", "model"] => continue,
+                    path => path.join("."),
+                };
+                let stray = with(&full, path, "zzz", Value::Int(1));
+                let err = ScenarioSpec::from_value(&stray).unwrap_err();
+                assert_eq!(err, format!("unknown key `zzz` in {name}"));
+                tables += 1;
+                let table = path.iter().fold(&full, |t, seg| match &t[*seg] {
+                    Value::Table(sub) => sub,
+                    Value::TableArray(subs) => subs.last().unwrap(),
+                    other => panic!("`{seg}` is {other:?}"),
+                });
+                for key in table.keys() {
+                    // No key of the schema is an empty array.
+                    let wrong = with(&full, path, key, Value::Array(Vec::new()));
+                    let err = ScenarioSpec::from_value(&wrong).unwrap_err();
+                    let want = format!("`{key}` in {name} must be ");
+                    assert!(err.starts_with(&want), "{name}.{key}: {err}");
+                    keys += 1;
+                }
+            }
+        }
+        assert!(
+            tables >= 5 * 14 && keys >= 5 * 60,
+            "{tables} tables, {keys} keys"
+        );
+    }
+
     #[test]
     fn hostile_durations_are_decode_errors() {
         let base = toml::parse(include_str!("../../../scenarios/hetero_burst.toml")).unwrap();
@@ -2438,15 +2356,7 @@ mod tests {
             (&["probe"], "at_ms", f64::INFINITY),
         ];
         for &(path, key, bad) in cases {
-            let mut root = base.clone();
-            let table = path.iter().fold(&mut root, |t, seg| {
-                match t.entry(seg.to_string()).or_insert_with(Value::table) {
-                    Value::Table(sub) => sub,
-                    Value::TableArray(subs) => subs.last_mut().unwrap(),
-                    other => panic!("`{seg}` is {other:?}"),
-                }
-            });
-            table.insert(key.into(), Value::Float(bad));
+            let root = with(&base, path, key, Value::Float(bad));
             let err = ScenarioSpec::from_value(&root).unwrap_err();
             let ctx = path.join(".");
             assert!(

@@ -15,8 +15,9 @@
 //! `render(parse(s)) == s` for any canonically written document — the
 //! property the scenario round-trip tests pin down.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use snooze_trace::error::Excerpt;
 
@@ -84,6 +85,209 @@ impl Value {
         match *self {
             Value::Bool(b) => Some(b),
             _ => None,
+        }
+    }
+}
+
+/// What errors call a table: the key it sits under and the table that key
+/// is in. Borrowed links, so naming a table costs nothing until an error
+/// prints the name.
+#[derive(Clone, Copy)]
+struct Name<'a> {
+    parent: Option<&'a Name<'a>>,
+    key: &'a str,
+}
+
+impl fmt::Display for Name<'_> {
+    /// Dotted from the document's top-level tables down
+    /// (`config.reconfiguration`); the root is named only on its own.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.parent {
+            Some(parent) if parent.parent.is_some() => write!(f, "{parent}.{}", self.key),
+            _ => f.write_str(self.key),
+        }
+    }
+}
+
+/// Most keys one table read through a [`Reader`] may hold — the width of
+/// its read-set. The widest table of any schema here has 14.
+const MAX_KEYS: usize = u64::BITS as usize;
+
+/// The one way a typed field leaves a table. A decoder asks for each key
+/// it knows by name and type; [`Reader::finish`] then rejects the first
+/// key nothing asked for. So a table's legal keys are the keys its decoder
+/// reads, stated once, and a present key of the wrong type is an error
+/// naming the key and the table, never a silent default.
+pub struct Reader<'a> {
+    table: &'a BTreeMap<String, Value>,
+    name: Name<'a>,
+    /// Bit `i`: the table's `i`-th key, in key order, has been asked for.
+    read: Cell<u64>,
+}
+
+impl<'a> Reader<'a> {
+    /// Read a document's root table; `name` is what errors call it, and its
+    /// sub-tables are named from their own key down.
+    pub fn new(table: &'a BTreeMap<String, Value>, name: &'a str) -> Reader<'a> {
+        let name = Name {
+            parent: None,
+            key: name,
+        };
+        let read = Cell::new(0);
+        Reader { table, name, read }
+    }
+
+    fn sub<'s>(&'s self, table: &'s BTreeMap<String, Value>, key: &'s str) -> Reader<'s> {
+        let name = Name {
+            parent: Some(&self.name),
+            key,
+        };
+        let read = Cell::new(0);
+        Reader { table, name, read }
+    }
+
+    fn is_read(&self, i: usize) -> bool {
+        i < MAX_KEYS && self.read.get() >> i & 1 == 1
+    }
+
+    /// The value at `key`, marked read. A linear scan: it yields the key's
+    /// rank for the read-set, and tables are a dozen keys wide.
+    fn get(&self, key: &str) -> Option<&'a Value> {
+        let (i, (_, v)) = self
+            .table
+            .iter()
+            .enumerate()
+            .find(|(_, (k, _))| *k == key)?;
+        if i < MAX_KEYS {
+            self.read.set(self.read.get() | 1 << i);
+        }
+        Some(v)
+    }
+
+    /// `key` as `as_t` reads it: absent is `None`, present and of another
+    /// type is the error.
+    fn typed<T>(
+        &self,
+        key: &str,
+        want: &str,
+        as_t: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let Some(v) = self.get(key) else {
+            return Ok(None);
+        };
+        let wrong = || format!("`{key}` in {} must be {want}", self.name);
+        as_t(v).map(Some).ok_or_else(wrong)
+    }
+
+    fn required<T>(&self, key: &str, found: Option<T>) -> Result<T, String> {
+        found.ok_or_else(|| format!("missing key `{key}` in {}", self.name))
+    }
+
+    /// An optional string.
+    pub fn opt_str(&self, key: &str) -> Result<Option<&'a str>, String> {
+        self.typed(key, "a string", Value::as_str)
+    }
+
+    /// A required string.
+    pub fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.required(key, self.opt_str(key)?)
+    }
+
+    /// An optional number (an integer reads as a float).
+    pub fn opt_f64(&self, key: &str) -> Result<Option<f64>, String> {
+        self.typed(key, "a number", Value::as_float)
+    }
+
+    /// A required number.
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        self.required(key, self.opt_f64(key)?)
+    }
+
+    /// An optional integer in the range of `T`, the type of the field it
+    /// fills: a `usize` or `u64` field rejects a negative one here, so none
+    /// reaches an `as` cast.
+    pub fn opt_int<T: TryFrom<i64>>(&self, key: &str) -> Result<Option<T>, String> {
+        let want = match T::try_from(-1) {
+            Ok(_) => "an integer",
+            Err(_) => "a non-negative integer",
+        };
+        self.typed(key, want, |v| T::try_from(v.as_int()?).ok())
+    }
+
+    /// A required integer in the range of `T`.
+    pub fn int<T: TryFrom<i64>>(&self, key: &str) -> Result<T, String> {
+        self.required(key, self.opt_int(key)?)
+    }
+
+    /// An optional boolean.
+    pub fn opt_bool(&self, key: &str) -> Result<Option<bool>, String> {
+        self.typed(key, "a boolean", Value::as_bool)
+    }
+
+    /// A required boolean.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.required(key, self.opt_bool(key)?)
+    }
+
+    /// A required array of numbers.
+    pub fn f64_array(&self, key: &str) -> Result<Vec<f64>, String> {
+        let numbers = |v: &Value| match v {
+            Value::Array(items) => items.iter().map(Value::as_float).collect(),
+            _ => None,
+        };
+        self.required(key, self.typed(key, "an array of numbers", numbers)?)
+    }
+
+    /// An optional sub-table, as a reader named `<this table>.<key>`.
+    pub fn opt_table<'s>(&'s self, key: &'s str) -> Result<Option<Reader<'s>>, String> {
+        let table = self.typed(key, "a table", Value::as_table)?;
+        Ok(table.map(|t| self.sub(t, key)))
+    }
+
+    /// A required sub-table.
+    pub fn table<'s>(&'s self, key: &'s str) -> Result<Reader<'s>, String> {
+        self.required(key, self.opt_table(key)?)
+    }
+
+    /// The elements of an array of tables (absent = none), each a reader
+    /// named `<this table>.<key>`.
+    pub fn tables<'s>(
+        &'s self,
+        key: &'s str,
+    ) -> Result<impl Iterator<Item = Reader<'s>> + 's, String> {
+        let items = self.typed(key, "an array of tables", |v| match v {
+            Value::TableArray(items) => Some(items.as_slice()),
+            _ => None,
+        })?;
+        let items = items.unwrap_or_default();
+        Ok(items.iter().map(move |t| self.sub(t, key)))
+    }
+
+    /// The keys nothing has asked for yet, as a table of their own, and
+    /// read from here on: a table whose remaining keys belong to another
+    /// decoder (`[[power.model]]`'s curve parameters, the consolidator's
+    /// `params`) hands them over with this.
+    pub fn rest(&self) -> BTreeMap<String, Value> {
+        let unread = self
+            .table
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !self.is_read(*i));
+        let rest = unread.map(|(_, (k, v))| (k.clone(), v.clone())).collect();
+        self.read.set(u64::MAX);
+        rest
+    }
+
+    /// `value`, the thing decoded from this table, unless the table holds a
+    /// key the decoder never asked for.
+    pub fn finish<T>(&self, value: T) -> Result<T, String> {
+        let unread = |(i, _): &(usize, &String)| !self.is_read(*i);
+        match self.table.keys().enumerate().find(unread) {
+            None => Ok(value),
+            Some((i, _)) if i >= MAX_KEYS => {
+                Err(format!("more than {MAX_KEYS} keys in {}", self.name))
+            }
+            Some((_, key)) => Err(format!("unknown key `{}` in {}", Excerpt(key), self.name)),
         }
     }
 }
@@ -504,6 +708,91 @@ n = 10
         }
         let at_bound = format!("[a{}]\nx = 1\n", ".a".repeat(MAX_PATH_DEPTH - 1));
         assert!(render(&parse(&at_bound).unwrap()).ends_with(&at_bound));
+    }
+
+    #[test]
+    fn reader_getters_name_the_key_the_table_and_the_type() {
+        let root = parse(
+            "s = \"x\"\nf = 0.5\ni = -3\nwhole = 4.0\nb = true\nxs = [1, 2.5]\n\
+             [t]\n[[ts]]\n[[ts]]\n",
+        )
+        .unwrap();
+        let r = Reader::new(&root, "doc");
+        // Right types, with the two coercions `Value` has always made.
+        assert_eq!(
+            (r.str("s"), r.f64("f"), r.bool("b")),
+            (Ok("x"), Ok(0.5), Ok(true))
+        );
+        assert_eq!((r.f64("i"), r.int::<i64>("whole")), (Ok(-3.0), Ok(4)));
+        assert_eq!(r.f64_array("xs"), Ok(vec![1.0, 2.5]));
+        assert_eq!(r.tables("ts").unwrap().count(), 2);
+        assert_eq!(r.tables("absent").unwrap().count(), 0);
+        assert!(r.opt_table("t").unwrap().is_some());
+        // An optional key is `None` only when absent …
+        assert_eq!((r.opt_str("z"), r.opt_f64("z")), (Ok(None), Ok(None)));
+        assert_eq!(
+            (r.opt_bool("z"), r.opt_int::<u64>("z")),
+            (Ok(None), Ok(None))
+        );
+        assert!(r.opt_table("z").unwrap().is_none());
+        // … a present key of another type is the error, required or not.
+        let wrong = |e: Result<(), String>, want: &str| assert_eq!(e, Err(want.to_string()));
+        wrong(r.str("f").map(drop), "`f` in doc must be a string");
+        wrong(r.opt_str("t").map(drop), "`t` in doc must be a string");
+        wrong(r.f64("s").map(drop), "`s` in doc must be a number");
+        wrong(r.opt_f64("b").map(drop), "`b` in doc must be a number");
+        wrong(r.int::<i64>("f").map(drop), "`f` in doc must be an integer");
+        let non_negative = "`i` in doc must be a non-negative integer";
+        wrong(r.int::<u64>("i").map(drop), non_negative);
+        wrong(r.opt_int::<usize>("i").map(drop), non_negative);
+        wrong(r.bool("i").map(drop), "`i` in doc must be a boolean");
+        wrong(r.opt_bool("s").map(drop), "`s` in doc must be a boolean");
+        let numbers = "must be an array of numbers";
+        wrong(r.f64_array("f").map(drop), &format!("`f` in doc {numbers}"));
+        let mixed = parse("xs = [1, \"two\"]\n").unwrap();
+        let mixed = Reader::new(&mixed, "doc").f64_array("xs");
+        wrong(mixed.map(drop), &format!("`xs` in doc {numbers}"));
+        wrong(r.table("ts").map(drop), "`ts` in doc must be a table");
+        wrong(r.opt_table("s").map(drop), "`s` in doc must be a table");
+        let tables = r.tables("t").map(|_| ());
+        wrong(tables, "`t` in doc must be an array of tables");
+        // A required key that is absent.
+        wrong(r.str("z").map(drop), "missing key `z` in doc");
+        wrong(r.int::<u32>("z").map(drop), "missing key `z` in doc");
+        wrong(r.f64_array("z").map(drop), "missing key `z` in doc");
+        wrong(r.table("z").map(drop), "missing key `z` in doc");
+    }
+
+    #[test]
+    fn reader_finish_names_the_first_key_nothing_asked_for() {
+        let root = parse("a = 1\nb = 2\n[t]\nc = 3\n[t.u]\nd = 4\n[[t.v]]\ne = 5\n").unwrap();
+        let r = Reader::new(&root, "doc");
+        assert_eq!(r.finish(()), Err("unknown key `a` in doc".into()));
+        let _ = r.int::<i64>("a");
+        let _ = r.str("b"); // asked for, even though of another type
+        assert_eq!(r.finish(()), Err("unknown key `t` in doc".into()));
+        // Sub-readers are named from the root's tables down, dotted.
+        let t = r.table("t").unwrap();
+        assert_eq!(r.finish("done"), Ok("done"));
+        assert_eq!(t.finish(()), Err("unknown key `c` in t".into()));
+        let u = t.table("u").unwrap();
+        assert_eq!(u.finish(()), Err("unknown key `d` in t.u".into()));
+        assert_eq!(u.str("d"), Err("`d` in t.u must be a string".into()));
+        let v = t.tables("v").unwrap().next().unwrap();
+        assert_eq!(v.int::<u64>("f"), Err("missing key `f` in t.v".into()));
+        // `rest` hands over what is unread and counts it as read.
+        assert_eq!(t.rest(), parse("c = 3\n").unwrap());
+        assert_eq!((t.rest().len(), t.finish(())), (0, Ok(())));
+        // The read-set is 64 bits: a wider table is refused as such.
+        let wide: String = (0..65).map(|i| format!("k{i:02} = {i}\n")).collect();
+        let wide = parse(&wide).unwrap();
+        let r = Reader::new(&wide, "wide");
+        assert_eq!(
+            (r.int("k64"), r.rest().len()),
+            (Ok(64), 65),
+            "k64 cannot be marked"
+        );
+        assert_eq!(r.finish(()), Err("more than 64 keys in wide".into()));
     }
 
     #[test]
