@@ -13,10 +13,12 @@
 //!
 //! The layers:
 //!
-//! * [`toml`] — a dependency-free TOML subset: parser, canonical writer
-//!   and `deep_merge` (variant expansion).
-//! * [`spec`] — the schema, its exact TOML round-trip, and document
-//!   expansion (the grammar is in its module docs).
+//! * [`toml`] — a dependency-free TOML subset: parser, canonical writer,
+//!   `deep_merge` (variant expansion) and the [`toml::Reader`] every
+//!   decoder takes its typed fields through.
+//! * [`spec`] — the schema, its decoder, and document expansion (the
+//!   grammar is in its module docs). Documents ([`spec::ScenarioDoc`])
+//!   round-trip through TOML; specs are decoded only.
 //! * [`live`] — the deployed side: engine + system stack + scripted
 //!   client, the VM-id allocator, and the workload builders.
 //! * [`compile`] — spec → [`live::LiveSystem`], plus the generic phase

@@ -32,8 +32,14 @@
 //! * `[override.<profile>]` is the same document at another shape, under
 //!   the one array rule stated on [`ScenarioDoc`].
 //!
-//! Everything is plain data with an exact TOML round-trip: durations are
-//! `*_ms` floats converted to whole microseconds, enums are strings.
+//! Everything is plain data: durations are `*_ms` floats converted to whole
+//! microseconds, enums are strings. A document ([`ScenarioDoc`]) round-trips
+//! through TOML byte for byte in canonical form; a spec is decoded from one
+//! and never written back. Every table is read through a
+//! [`Reader`](crate::toml::Reader): the keys a decoder asks for are the
+//! table's legal keys, and a present key of the wrong type or an unknown one
+//! is an error naming the key and the table
+//! (`` `placement` in config must be a string ``).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -943,194 +949,6 @@ impl ScenarioSpec {
         Ok(spec)
     }
 
-    /// Encode into the canonical root table ([`ScenarioSpec::from_value`]'s
-    /// exact inverse).
-    fn to_value(&self) -> Tbl {
-        let mut root = Tbl::new();
-        root.insert("name".into(), Value::Str(self.name.clone()));
-        root.insert("description".into(), Value::Str(self.description.clone()));
-        root.insert("seed".into(), Value::Int(self.seed as i64));
-
-        let mut topo = Tbl::new();
-        topo.insert("managers".into(), Value::Int(self.topology.managers as i64));
-        topo.insert("lcs".into(), Value::Int(self.topology.lcs as i64));
-        topo.insert("eps".into(), Value::Int(self.topology.eps as i64));
-        if !self.topology.node_groups.is_empty() {
-            let groups = self
-                .topology
-                .node_groups
-                .iter()
-                .map(|g| {
-                    let mut t = Tbl::new();
-                    t.insert("count".into(), Value::Int(g.count as i64));
-                    t.insert("cores".into(), Value::Float(g.cores));
-                    t.insert("memory_mb".into(), Value::Float(g.memory_mb));
-                    t.insert("net_mbps".into(), Value::Float(g.net_mbps));
-                    t.insert("idle_watts".into(), Value::Float(g.idle_watts));
-                    t.insert("max_watts".into(), Value::Float(g.max_watts));
-                    t.insert("suspend_watts".into(), Value::Float(g.suspend_watts));
-                    if let Some(m) = &g.model {
-                        t.insert("model".into(), Value::Str(m.clone()));
-                    }
-                    t
-                })
-                .collect();
-            topo.insert("nodes".into(), Value::TableArray(groups));
-        }
-        if let Some(u) = &self.topology.unified {
-            let mut t = Tbl::new();
-            t.insert("nodes".into(), Value::Int(u.nodes as i64));
-            t.insert(
-                "target_managers".into(),
-                Value::Int(u.target_managers as i64),
-            );
-            topo.insert("unified".into(), Value::Table(t));
-        }
-        if let Some(c) = &self.topology.client {
-            let mut t = Tbl::new();
-            t.insert("retry_ms".into(), Value::Float(c.retry_ms));
-            topo.insert("client".into(), Value::Table(t));
-        }
-        root.insert("topology".into(), Value::Table(topo));
-
-        let mut cfg = Tbl::new();
-        cfg.insert("preset".into(), Value::Str(self.config.preset.clone()));
-        if let Some(v) = self.config.idle_suspend_ms {
-            cfg.insert("idle_suspend_ms".into(), Value::Float(v));
-        }
-        if let Some(v) = self.config.suspend_watchdog_ms {
-            cfg.insert("suspend_watchdog_ms".into(), Value::Float(v));
-        }
-        if let Some(p) = &self.config.placement {
-            cfg.insert("placement".into(), Value::Str(p.clone()));
-        }
-        if let Some(v) = self.config.underload_threshold {
-            cfg.insert("underload_threshold".into(), Value::Float(v));
-        }
-        if let Some(v) = self.config.reschedule_on_lc_failure {
-            cfg.insert("reschedule_on_lc_failure".into(), Value::Bool(v));
-        }
-        if let Some(r) = &self.config.reconfiguration {
-            let mut t = Tbl::new();
-            t.insert("period_ms".into(), Value::Float(r.period_ms));
-            t.insert("algo".into(), Value::Str(r.algo.clone()));
-            t.insert("aco".into(), Value::Str(r.aco.clone()));
-            if let Some(n) = r.aco_cycles {
-                t.insert("aco_cycles".into(), Value::Int(n));
-            }
-            t.insert("max_migrations".into(), Value::Int(r.max_migrations));
-            if let Some(p) = &r.params {
-                t.insert("params".into(), Value::Table(p.clone()));
-            }
-            cfg.insert("reconfiguration".into(), Value::Table(t));
-        }
-        if let Some(k) = &self.config.knobs {
-            let mut t = Tbl::new();
-            t.insert("session_ms".into(), Value::Float(k.session_ms));
-            t.insert("heartbeat_ms".into(), Value::Float(k.heartbeat_ms));
-            cfg.insert("knobs".into(), Value::Table(t));
-        }
-        root.insert("config".into(), Value::Table(cfg));
-
-        if !self.workload.is_empty() {
-            root.insert(
-                "workload".into(),
-                Value::TableArray(self.workload.iter().map(encode_workload).collect()),
-            );
-        }
-        if !self.faults.is_empty() {
-            let faults = self
-                .faults
-                .iter()
-                .map(|f| {
-                    let mut t = Tbl::new();
-                    t.insert("at_ms".into(), Value::Float(f.at_ms));
-                    t.insert("kind".into(), Value::Str(f.kind.clone()));
-                    t.insert("target".into(), Value::Str(f.target.clone()));
-                    t.insert("index".into(), Value::Int(f.index as i64));
-                    if let Some(d) = f.downtime_ms {
-                        t.insert("downtime_ms".into(), Value::Float(d));
-                    }
-                    if let Some(p) = f.loss_ppm {
-                        t.insert("loss_ppm".into(), Value::Int(p));
-                    }
-                    t
-                })
-                .collect();
-            root.insert("fault".into(), Value::TableArray(faults));
-        }
-        if !self.phases.is_empty() {
-            root.insert(
-                "phase".into(),
-                Value::TableArray(self.phases.iter().map(encode_phase).collect()),
-            );
-        }
-        if !self.probes.is_empty() {
-            let probes = self
-                .probes
-                .iter()
-                .map(|p| {
-                    let mut t = Tbl::new();
-                    t.insert("name".into(), Value::Str(p.name.clone()));
-                    t.insert("at_ms".into(), Value::Float(p.at_ms));
-                    t
-                })
-                .collect();
-            root.insert("probe".into(), Value::TableArray(probes));
-        }
-        if let Some(o) = &self.obs {
-            let mut t = Tbl::new();
-            t.insert("window_ms".into(), Value::Float(o.window_ms));
-            t.insert("ring".into(), Value::Int(o.ring as i64));
-            t.insert("profile".into(), Value::Bool(o.profile));
-            if let Some(at) = o.force_incident_at_ms {
-                t.insert("force_incident_at_ms".into(), Value::Float(at));
-            }
-            root.insert("obs".into(), Value::Table(t));
-        }
-        if !self.slos.is_empty() {
-            let slos = self
-                .slos
-                .iter()
-                .map(|s| {
-                    let mut t = Tbl::new();
-                    t.insert("name".into(), Value::Str(s.name.clone()));
-                    t.insert("signal".into(), Value::Str(s.signal.as_str().into()));
-                    t.insert("max".into(), Value::Float(s.max));
-                    t
-                })
-                .collect();
-            root.insert("slo".into(), Value::TableArray(slos));
-        }
-        if let Some(p) = &self.power {
-            let mut t = Tbl::new();
-            if let Some(d) = &p.default {
-                t.insert("default".into(), Value::Str(d.clone()));
-            }
-            if !p.models.is_empty() {
-                let models = p
-                    .models
-                    .iter()
-                    .map(|m| {
-                        let mut mt = m.params.clone();
-                        mt.insert("name".into(), Value::Str(m.name.clone()));
-                        mt.insert("kind".into(), Value::Str(m.kind.clone()));
-                        mt.insert("transitions".into(), Value::Str(m.transitions.clone()));
-                        mt
-                    })
-                    .collect();
-                t.insert("model".into(), Value::TableArray(models));
-            }
-            root.insert("power".into(), Value::Table(t));
-        }
-        root
-    }
-
-    /// Canonical TOML for a single-run scenario.
-    pub fn to_toml(&self) -> String {
-        toml::render(&self.to_value())
-    }
-
     /// Parse a single-run scenario (no variants) from TOML.
     pub fn from_toml(s: &str) -> Result<ScenarioSpec, String> {
         ScenarioSpec::from_value(&toml::parse(s)?)
@@ -1189,69 +1007,6 @@ fn decode_workload(w: Reader<'_>) -> Result<WorkloadSpec, String> {
     })
 }
 
-fn encode_workload(w: &WorkloadSpec) -> Tbl {
-    let mut t = Tbl::new();
-    match w {
-        WorkloadSpec::Burst {
-            n,
-            at_ms,
-            cores,
-            memory_mb,
-            util,
-        } => {
-            t.insert("kind".into(), Value::Str("burst".into()));
-            t.insert("n".into(), Value::Int(*n as i64));
-            t.insert("at_ms".into(), Value::Float(*at_ms));
-            t.insert("cores".into(), Value::Float(*cores));
-            t.insert("memory_mb".into(), Value::Float(*memory_mb));
-            t.insert("util".into(), Value::Float(*util));
-        }
-        WorkloadSpec::RandomFleet {
-            n,
-            seed,
-            cores_min,
-            cores_max,
-            mem_min_mb,
-            mem_max_mb,
-            util_min,
-            util_max,
-            arrival_at_ms,
-            arrival_spread_s,
-            lifetime_every,
-            lifetime_min_s,
-            lifetime_max_s,
-        } => {
-            t.insert("kind".into(), Value::Str("random_fleet".into()));
-            t.insert("n".into(), Value::Int(*n as i64));
-            t.insert("seed".into(), Value::Int(*seed as i64));
-            t.insert("cores_min".into(), Value::Float(*cores_min));
-            t.insert("cores_max".into(), Value::Float(*cores_max));
-            t.insert("mem_min_mb".into(), Value::Float(*mem_min_mb));
-            t.insert("mem_max_mb".into(), Value::Float(*mem_max_mb));
-            t.insert("util_min".into(), Value::Float(*util_min));
-            t.insert("util_max".into(), Value::Float(*util_max));
-            t.insert("arrival_at_ms".into(), Value::Float(*arrival_at_ms));
-            t.insert("arrival_spread_s".into(), Value::Int(*arrival_spread_s));
-            t.insert("lifetime_every".into(), Value::Int(*lifetime_every));
-            t.insert("lifetime_min_s".into(), Value::Int(*lifetime_min_s));
-            t.insert("lifetime_max_s".into(), Value::Int(*lifetime_max_s));
-        }
-        WorkloadSpec::Trace {
-            path,
-            time_scale,
-            max_vms,
-            policy,
-        } => {
-            t.insert("kind".into(), Value::Str("trace".into()));
-            t.insert("path".into(), Value::Str(path.clone()));
-            t.insert("time_scale".into(), Value::Float(*time_scale));
-            t.insert("max_vms".into(), Value::Int(*max_vms as i64));
-            t.insert("policy".into(), Value::Str(policy.clone()));
-        }
-    }
-    t
-}
-
 fn decode_phase(p: Reader<'_>) -> Result<PhaseSpec, String> {
     p.finish(match p.str("kind")? {
         "run_to" => PhaseSpec::RunTo {
@@ -1303,68 +1058,6 @@ fn decode_phase(p: Reader<'_>) -> Result<PhaseSpec, String> {
         }
         other => return Err(format!("unknown phase kind `{other}`")),
     })
-}
-
-fn encode_phase(p: &PhaseSpec) -> Tbl {
-    let mut t = Tbl::new();
-    match p {
-        PhaseSpec::RunTo { t_ms } => {
-            t.insert("kind".into(), Value::Str("run_to".into()));
-            t.insert("t_ms".into(), Value::Float(*t_ms));
-        }
-        PhaseSpec::RunFor { dur_ms } => {
-            t.insert("kind".into(), Value::Str("run_for".into()));
-            t.insert("dur_ms".into(), Value::Float(*dur_ms));
-        }
-        PhaseSpec::Settle { deadline_ms } => {
-            t.insert("kind".into(), Value::Str("settle".into()));
-            t.insert("deadline_ms".into(), Value::Float(*deadline_ms));
-        }
-        PhaseSpec::SampleTo { t_ms, every_ms } => {
-            t.insert("kind".into(), Value::Str("sample_to".into()));
-            t.insert("t_ms".into(), Value::Float(*t_ms));
-            t.insert("every_ms".into(), Value::Float(*every_ms));
-        }
-        PhaseSpec::Fault {
-            label,
-            target,
-            delay_ms,
-            kind,
-            observe,
-        } => {
-            t.insert("kind".into(), Value::Str("fault".into()));
-            t.insert("label".into(), Value::Str(label.clone()));
-            let (name, index) = match target {
-                TargetSpec::Gl => ("gl", None),
-                TargetSpec::ActiveGm(i) => ("active_gm", Some(*i)),
-                TargetSpec::LcMostVms => ("lc_most_vms", None),
-                TargetSpec::Lc(i) => ("lc", Some(*i)),
-                TargetSpec::Ep(i) => ("ep", Some(*i)),
-                TargetSpec::Manager(i) => ("manager", Some(*i)),
-            };
-            t.insert("target".into(), Value::Str(name.into()));
-            if let Some(i) = index {
-                t.insert("index".into(), Value::Int(i as i64));
-            }
-            t.insert("delay_ms".into(), Value::Float(*delay_ms));
-            t.insert("fault".into(), Value::Str(kind.clone()));
-            if let Some(o) = observe {
-                let mut ot = Tbl::new();
-                ot.insert("steps".into(), Value::Int(o.steps as i64));
-                ot.insert("step_ms".into(), Value::Float(o.step_ms));
-                ot.insert("perf_window_ms".into(), Value::Float(o.perf_window_ms));
-                let until = match o.until {
-                    Condition::GlElected => "gl_elected",
-                    Condition::LcsOnLiveGms => "lcs_on_live_gms",
-                    Condition::VmsRestored => "vms_restored",
-                };
-                ot.insert("until".into(), Value::Str(until.into()));
-                ot.insert("stop_on_success".into(), Value::Bool(o.stop_on_success));
-                t.insert("observe".into(), Value::Table(ot));
-            }
-        }
-    }
-    t
 }
 
 // ---------------------------------------------------------------------------
@@ -1671,20 +1364,91 @@ mod tests {
         }
     }
 
+    /// [`demo_spec`] as a scenario file.
+    const DEMO: &str = r#"description = "a demo"
+name = "demo"
+seed = 7
+
+[config]
+idle_suspend_ms = -1.0
+preset = "default"
+
+[topology]
+eps = 1
+lcs = 8
+managers = 3
+
+[topology.client]
+retry_ms = 15000.0
+
+[[topology.nodes]]
+cores = 16.0
+count = 2
+idle_watts = 200.0
+max_watts = 320.0
+memory_mb = 65536.0
+net_mbps = 1000.0
+suspend_watts = 6.0
+
+[[fault]]
+at_ms = 90000.0
+downtime_ms = 30000.0
+index = 1
+kind = "crash"
+target = "lc"
+
+[[phase]]
+deadline_ms = 300000.0
+kind = "settle"
+
+[[phase]]
+delay_ms = 10000.0
+fault = "crash"
+kind = "fault"
+label = "GL crash"
+target = "gl"
+
+[phase.observe]
+perf_window_ms = 60000.0
+step_ms = 2000.0
+steps = 90
+stop_on_success = false
+until = "gl_elected"
+
+[[probe]]
+at_ms = 150000.0
+name = "mid"
+
+[[workload]]
+at_ms = 30000.0
+cores = 2.0
+kind = "burst"
+memory_mb = 4096.0
+n = 4
+util = 0.5
+
+[[workload]]
+at_ms = 60000.0
+cores = 1.0
+kind = "burst"
+memory_mb = 2048.0
+n = 2
+util = 0.25
+"#;
+
     #[test]
     fn spec_toml_round_trip_is_identity() {
-        let spec = demo_spec();
-        let text = spec.to_toml();
-        let back = ScenarioSpec::from_toml(&text).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_toml(), text);
+        // The file is canonical and decodes to the spec; specs themselves
+        // are decoded only.
+        assert_eq!(ScenarioDoc::parse(DEMO).unwrap().to_toml(), DEMO);
+        assert_eq!(ScenarioSpec::from_toml(DEMO), Ok(demo_spec()));
     }
 
     #[test]
     fn engine_table_is_an_unknown_key() {
         // The `[engine]` table went with the sharded executor; a stale
         // document must fail loudly, naming the key.
-        let text = format!("{}\n[engine]\nshards = 4\n", demo_spec().to_toml());
+        let text = format!("{DEMO}\n[engine]\nshards = 4\n");
         let err = ScenarioSpec::from_toml(&text).unwrap_err();
         assert!(
             err.contains("unknown") && err.contains("`engine`"),
@@ -1692,10 +1456,15 @@ mod tests {
         );
     }
 
-    /// The demo spec as a document, with `tail` appended (array-of-tables
-    /// headers reopen the root, so generators can follow the base).
+    /// The demo file with `tail` appended (array-of-tables headers reopen
+    /// the root, so generators can follow the base).
     fn demo_doc(tail: &str) -> ScenarioDoc {
-        ScenarioDoc::parse(&format!("{}\n{tail}", demo_spec().to_toml())).unwrap()
+        ScenarioDoc::parse(&format!("{DEMO}\n{tail}")).unwrap()
+    }
+
+    /// The one run of the demo file with `tail` appended.
+    fn demo_run(tail: &str) -> Result<ScenarioSpec, String> {
+        Ok(demo_doc(tail).expand()?.remove(0))
     }
 
     #[test]
@@ -1833,7 +1602,7 @@ mod tests {
         // A generator of the wrong type used to count as one run while
         // `expand` rejected it: `--list-scenarios` against `--scenario`.
         for key in ["sweep", "variant", "override"] {
-            let text = format!("{key} = 3\n{}", demo_spec().to_toml());
+            let text = format!("{key} = 3\n{DEMO}");
             let doc = ScenarioDoc::parse(&text).unwrap();
             let err = doc.expand().unwrap_err();
             assert!(err.contains(&format!("`{key}` must be")), "{err}");
@@ -1896,12 +1665,12 @@ mod tests {
             max_migrations: 8,
             params: Some(params),
         });
-        let text = spec.to_toml();
-        assert!(text.contains("[config.reconfiguration.params]"), "{text}");
-        let back = ScenarioSpec::from_toml(&text).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_toml(), text);
-        back.config.build().unwrap();
+        let back = demo_run(
+            "[config.reconfiguration]\nalgo = \"ffd\"\nmax_migrations = 8\nperiod_ms = 60000.0\n\
+             [config.reconfiguration.params]\nsort = \"cpu\"\n",
+        );
+        assert_eq!(back, Ok(spec.clone()));
+        spec.config.build().unwrap();
 
         // A bogus parameter is rejected at build time with the algo name.
         let mut bad = spec.clone();
@@ -1943,12 +1712,14 @@ mod tests {
         });
         spec.topology.node_groups[0].model = Some("xeon_2011".into());
 
-        let text = spec.to_toml();
-        assert!(text.contains("[power]"), "{text}");
-        assert!(text.contains("[[power.model]]"), "{text}");
+        let text = DEMO.replace(
+            "net_mbps = 1000.0\n",
+            "net_mbps = 1000.0\nmodel = \"xeon_2011\"\n",
+        ) + "[power]\ndefault = \"slowstep\"\n[[power.model]]\nname = \"slowstep\"\n\
+               kind = \"dvfs\"\ntransitions = \"billed\"\nfreq_ghz = [1.2, 2.4]\n\
+               idle_watts = [118.0, 160.0]\nmax_watts = [162.0, 250.0]\nsuspend_watts = 5.0\n";
         let back = ScenarioSpec::from_toml(&text).unwrap();
         assert_eq!(back, spec);
-        assert_eq!(back.to_toml(), text);
 
         let nodes = back.topology.build_nodes(back.power.as_ref()).unwrap();
         assert_eq!(nodes.len(), 8 + 2);
@@ -1971,14 +1742,31 @@ mod tests {
         assert!(err.contains("slowstep"), "{err}");
         assert!(err.contains("grid5000_dvfs3"), "{err}");
 
-        // Absent [power], a named group model is an error …
+        // A model's curve parameters are read when it is built: a stray or
+        // mistyped one names the model and the table the key sits in.
+        let model = |edit: fn(&mut BTreeMap<String, Value>)| {
+            let mut model = back.power.as_ref().unwrap().models[0].clone();
+            edit(&mut model.params);
+            model.build().err().expect("must fail")
+        };
+        assert_eq!(
+            model(|p| drop(p.insert("turbo".into(), Value::Bool(true)))),
+            "power model `slowstep`: unknown key `turbo` in power.model"
+        );
+        assert_eq!(
+            model(|p| drop(p.insert("freq_ghz".into(), Value::Float(2.4)))),
+            "power model `slowstep`: `freq_ghz` in power.model must be an array of numbers"
+        );
+        assert_eq!(
+            model(|p| drop(p.remove("suspend_watts"))),
+            "power model `slowstep`: missing key `suspend_watts` in power.model"
+        );
+
+        // Absent [power], a named group model is an error.
         let mut orphan = demo_spec();
         orphan.topology.node_groups[0].model = Some("slowstep".into());
         let err = orphan.topology.build_nodes(None).unwrap_err();
         assert!(err.contains("no [power] table"), "{err}");
-
-        // … and the plain spec's encoding carries no power table at all.
-        assert!(!demo_spec().to_toml().contains("[power]"));
     }
 
     #[test]
@@ -2021,26 +1809,14 @@ mod tests {
                 max: 0.0,
             },
         ];
-        let text = spec.to_toml();
-        let back = ScenarioSpec::from_toml(&text).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_toml(), text);
-        assert!(text.contains("[obs]"));
-        assert!(text.contains("[[slo]]"));
-
-        // The obs-free encoding is unchanged: pinned runs stay byte-identical.
-        let plain = demo_spec();
-        assert!(!plain.to_toml().contains("[obs]"));
-        assert!(!plain.to_toml().contains("[[slo]]"));
+        let slos =
+            "[[slo]]\nmax = 2.0\nname = \"submit-p95\"\nsignal = \"p95_placement_latency_s\"\n\
+                    [[slo]]\nmax = 0.0\nname = \"dead-letter-budget\"\nsignal = \"dead_letters\"\n";
+        let obs = "[obs]\nforce_incident_at_ms = 120000.0\nring = 512\nwindow_ms = 60000.0\n";
+        assert_eq!(demo_run(&format!("{obs}{slos}")), Ok(spec));
 
         // Watchdogs without an [obs] table are a decode error.
-        let mut orphan = demo_spec();
-        orphan.slos = vec![SloSpec {
-            name: "x".into(),
-            signal: SloSignal::QueueDepth,
-            max: 10.0,
-        }];
-        let err = ScenarioSpec::from_toml(&orphan.to_toml()).unwrap_err();
+        let err = demo_run(slos).unwrap_err();
         assert!(err.contains("require an `[obs]`"), "{err}");
 
         let err = SloSignal::parse("bogus").unwrap_err();

@@ -96,71 +96,36 @@ fn goldens_and_scenario_backed_entries_correspond() {
     }
 }
 
-/// `(slug, profile, runs, FNV-1a-64 of the runs' concatenated canonical
-/// TOML)`, computed at the last commit that still had `presets.rs`, from
-/// its `<slug>_default()` and its three `*_smoke()` functions (trace path
-/// = the reference trace; arena: `bnb` moved last). The files have
-/// been the only definition since: rewriting one — into `[[sweep]]`
-/// form, say — must not move its pin; changing an experiment must.
-const EXPANSION_PINS: &[(&str, Option<&str>, usize, u64, u64)] = &[
-    ("e4", None, 6, 0x3dbc_89cd_bc18_5303, 0x6393_18d0_40d1_fc61),
-    ("e5", None, 4, 0xc227_ea07_3b51_b607, 0x5c41_413e_1945_dc15),
-    ("e6", None, 1, 0xf3c8_c60e_67cb_3091, 0xd4cb_364a_d266_8101),
-    ("e7", None, 3, 0x007c_db72_0ae6_de4d, 0xb303_7a14_05d0_2cbc),
-    ("e7b", None, 4, 0x7f70_b4ee_8417_b0f0, 0x4431_54bb_e0a1_f4d6),
-    ("e9", None, 4, 0x7b08_bd81_e295_3cec, 0x1ce1_266e_b074_fb18),
-    (
-        "e10b",
-        None,
-        3,
-        0x396b_900f_7391_44d0,
-        0xd076_d168_cfd9_1bc9,
-    ),
-    ("e11", None, 1, 0xbba7_6db7_037e_f4a4, 0x2b8a_24af_bc65_0127),
-    (
-        "e11",
-        Some("smoke"),
-        1,
-        0xc5c4_15dd_9376_04ec,
-        0x1f66_2a34_7757_3c86,
-    ),
-    (
-        "e12_trace",
-        None,
-        2,
-        0x2f75_8aa7_0c6e_a7e2,
-        0x3d6b_7232_a44c_06a2,
-    ),
-    (
-        "e12_trace",
-        Some("smoke"),
-        2,
-        0x00e0_1c62_7cc7_1278,
-        0x7a8e_bec0_42b4_ae86,
-    ),
-    (
-        "e14_arena",
-        None,
-        24,
-        0x526b_6b85_3652_61d8,
-        0x7ab4_c3ac_bc92_5b0c,
-    ),
-    (
-        "e14_arena",
-        Some("smoke"),
-        9,
-        0xb1ab_7d90_d59e_a0dd,
-        0x4f2f_faad_d84d_09ed,
-    ),
+/// `(slug, profile, runs, FNV-1a-64 of the runs' concatenated `{:?}`)`.
+/// The lineage, by order of commits: the pins were first FNV-1a-64 of the
+/// runs' canonical TOML, computed at the last commit that still had
+/// `presets.rs`, from its `<slug>_default()` and its three `*_smoke()`
+/// functions (trace path = the reference trace; arena: `bnb` moved last),
+/// and the files have been the only definition since. Those TOML-form
+/// pins passed unedited on the commit that moved the decoder onto
+/// `toml::Reader`; the commit after it recorded these Debug-form
+/// constants from the same specs while both forms passed side by side;
+/// only then did the spec encoder, which nothing else called, and the
+/// TOML form go. Rewriting a file — into `[[sweep]]` form, say — must not
+/// move its pin; changing an experiment must.
+const EXPANSION_PINS: &[(&str, Option<&str>, usize, u64)] = &[
+    ("e4", None, 6, 0x6393_18d0_40d1_fc61),
+    ("e5", None, 4, 0x5c41_413e_1945_dc15),
+    ("e6", None, 1, 0xd4cb_364a_d266_8101),
+    ("e7", None, 3, 0xb303_7a14_05d0_2cbc),
+    ("e7b", None, 4, 0x4431_54bb_e0a1_f4d6),
+    ("e9", None, 4, 0x1ce1_266e_b074_fb18),
+    ("e10b", None, 3, 0xd076_d168_cfd9_1bc9),
+    ("e11", None, 1, 0x2b8a_24af_bc65_0127),
+    ("e11", Some("smoke"), 1, 0x1f66_2a34_7757_3c86),
+    ("e12_trace", None, 2, 0x3d6b_7232_a44c_06a2),
+    ("e12_trace", Some("smoke"), 2, 0x7a8e_bec0_42b4_ae86),
+    ("e14_arena", None, 24, 0x7ab4_c3ac_bc92_5b0c),
+    ("e14_arena", Some("smoke"), 9, 0x4f2f_faad_d84d_09ed),
 ];
 
 /// `report_failover(0x5EED)`, i.e. `scenarios/report.toml` as checked in.
-const REPORT_PIN: (u64, u64) = (0x70ef_414e_bb37_b992, 0x5820_80f8_bad9_92e3);
-
-fn toml_digest(specs: &[ScenarioSpec]) -> u64 {
-    let text: String = specs.iter().map(ScenarioSpec::to_toml).collect();
-    fnv1a(FNV_OFFSET, text.as_bytes())
-}
+const REPORT_PIN: u64 = 0x5820_80f8_bad9_92e3;
 
 fn debug_digest(specs: &[ScenarioSpec]) -> u64 {
     let text: String = specs.iter().map(|spec| format!("{spec:?}")).collect();
@@ -169,31 +134,25 @@ fn debug_digest(specs: &[ScenarioSpec]) -> u64 {
 
 #[test]
 fn scenario_files_expand_to_the_pinned_runs() {
-    for &(slug, profile, runs, pin, debug_pin) in EXPANSION_PINS {
+    for &(slug, profile, runs, pin) in EXPANSION_PINS {
         let specs = find(slug).specs(|doc| match profile {
             Some(profile) => doc.profile(profile),
             None => Ok(doc),
         });
-        for spec in &specs {
-            let again = ScenarioSpec::from_toml(&spec.to_toml());
-            assert_eq!(again.as_ref(), Ok(spec), "{slug}: spec round-trip");
-        }
-        let got = (specs.len(), toml_digest(&specs), debug_digest(&specs));
+        let got = (specs.len(), debug_digest(&specs));
         assert_eq!(
             got,
-            (runs, pin, debug_pin),
-            "scenarios/{slug}.toml {profile:?}: 0x{:016x} 0x{:016x}",
-            got.1,
-            got.2
+            (runs, pin),
+            "scenarios/{slug}.toml {profile:?}: 0x{:016x}",
+            got.1
         );
     }
     let pinned: Vec<&str> = EXPANSION_PINS.iter().map(|p| p.0).collect();
     for exp in EXPERIMENTS.iter().filter(|e| e.scenarios().is_some()) {
         assert!(pinned.contains(&exp.slug), "{}: no expansion pin", exp.slug);
     }
-    let report = [snooze_bench::report::report_failover(0x5EED)];
-    let got = (toml_digest(&report), debug_digest(&report));
-    assert_eq!(got, REPORT_PIN, "scenarios/report.toml: 0x{:016x}", got.1);
+    let report = snooze_bench::report::report_failover(0x5EED);
+    assert_eq!(debug_digest(&[report]), REPORT_PIN, "scenarios/report.toml");
 }
 
 #[test]
