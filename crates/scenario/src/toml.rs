@@ -11,9 +11,12 @@
 //! * full-line and trailing `#` comments.
 //!
 //! The writer emits one **canonical form** (sorted keys, scalars before
-//! sub-tables, floats always carrying a decimal point), so that
-//! `render(parse(s)) == s` for any canonically written document — the
-//! property the scenario round-trip tests pin down.
+//! sub-tables, floats always carrying a decimal point or an exponent), so
+//! that `render(parse(s)) == s` for any canonically written document and
+//! `parse(render(d)) == d` for any document of finite floats — the
+//! properties `tests/toml_properties.rs` pins down.
+//!
+//! [`Reader`] is how a typed field leaves a parsed table.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -340,7 +343,9 @@ pub fn parse(input: &str) -> Result<BTreeMap<String, Value>, String> {
     Ok(root)
 }
 
-/// Render a root table in canonical form.
+/// Render a root table in canonical form. `parse` reads back what this
+/// writes, except a NaN or infinite float: TOML spells those `nan` and
+/// `inf`, which this subset does not read.
 pub fn render(root: &BTreeMap<String, Value>) -> String {
     let mut out = String::new();
     render_body(&mut out, root, &mut String::new());
@@ -393,23 +398,25 @@ fn render_scalar(out: &mut String, v: &Value) {
     match v {
         Value::Str(s) => {
             out.push('"');
+            // Every escape `parse_value` undoes: a raw line break would end
+            // the line inside the quotes.
             for c in s.chars() {
-                if matches!(c, '\\' | '"') {
-                    out.push('\\');
+                match c {
+                    '\\' | '"' => out.extend(['\\', c]),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    c => out.push(c),
                 }
-                out.push(c);
             }
             out.push('"');
         }
         Value::Int(i) => {
             let _ = write!(out, "{i}");
         }
+        // `{:?}` keeps a `.0` on a whole float and turns to an exponent from
+        // 1e16 up and below 1e-4, so any finite float reads back a float.
         Value::Float(f) => {
-            let _ = if f.fract() == 0.0 && f.abs() < 1e15 {
-                write!(out, "{f:.1}")
-            } else {
-                write!(out, "{f}")
-            };
+            let _ = write!(out, "{f:?}");
         }
         Value::Bool(b) => {
             let _ = write!(out, "{b}");
@@ -697,6 +704,14 @@ n = 10
         assert_eq!(parse(&canon).unwrap(), root);
         assert_eq!(render(&parse(&canon).unwrap()), canon);
         assert!(canon.contains("whole = 4096.0"), "{canon}");
+        // What the writer used to lose: an escape it read but did not
+        // write, and the decimal point of a whole float from 1e15 up.
+        let text = "a = \"x\\ny\\tz\"\nbig = 1000000000000000.0\nhuge = 1e300\n";
+        let root = parse(text).unwrap();
+        assert_eq!(root["a"], Value::Str("x\ny\tz".into()));
+        assert_eq!(root["big"], Value::Float(1e15));
+        assert_eq!(root["huge"], Value::Float(1e300));
+        assert_eq!(render(&root), text);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! * **Round trip.** For any document of tables, arrays of tables and
 //!   tables inside them to depth 4, with strings that hold `"`, `\`, `#`,
-//!   `=` and non-ASCII, `parse(render(d)) == d` and rendering is a fixed
-//!   point.
+//!   `=`, line breaks, tabs and non-ASCII and finite floats of any
+//!   magnitude, `parse(render(d)) == d` and rendering is a fixed point.
+//!   (`render` of a NaN or an infinity is documented as unparseable.)
 //! * **The old writer is the reference.** [`reference`] is the renderer
 //!   this one replaced, frozen: three hand-unrolled nesting levels that
 //!   built a `String` per scalar and joined a cloned path per header. On
@@ -127,61 +128,75 @@ mod reference {
     }
 }
 
-/// Generated documents. With `old_safe`, an element of an array of tables
-/// that itself sits in an element of an array of tables holds scalars
-/// only — the one shape the reference renderer cannot write.
+/// Generated documents. With `old_safe`, they stay inside what the
+/// reference renderer could write: an element of an array of tables that
+/// itself sits in an element of an array of tables holds scalars only, no
+/// string holds a line break or a tab (it wrote them raw), and no float is
+/// whole and past 1e15 (it dropped the decimal point) or under 1e-4 (it
+/// wrote every digit where `{:?}` writes an exponent).
 struct Docs {
     old_safe: bool,
 }
 
 const MAX_DEPTH: usize = 4;
 const KEYS: &[&str] = &["a", "b", "c", "k_1", "x-y", "Zed", "9"];
+/// The last two are the ones only the new renderer escapes.
 const STRING_CHARS: &[char] = &[
-    '"', '\\', '#', '=', ' ', ',', '[', ']', '.', 'a', 'n', 't', 'é', '日', '𝄞',
+    '"', '\\', '#', '=', ' ', ',', '[', ']', '.', 'a', 'n', 't', '\r', 'é', '日', '𝄞', '\n', '\t',
 ];
 
 fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
     from[rng.below(from.len() as u64) as usize]
 }
 
-fn string(rng: &mut TestRng) -> String {
-    (0..rng.below(9)).map(|_| pick(rng, STRING_CHARS)).collect()
-}
-
-fn atom(rng: &mut TestRng) -> Value {
-    match rng.below(4) {
-        0 => Value::Str(string(rng)),
-        1 => Value::Int(match rng.below(4) {
-            0 => i64::MIN,
-            1 => i64::MAX,
-            _ => rng.next_u64() as i64 >> rng.below(64),
-        }),
-        // Below 1e15 in magnitude when integral: the canonical form of a
-        // larger whole float has no decimal point and re-parses as an
-        // integer (ROADMAP 9(b)).
-        2 => Value::Float(match rng.below(6) {
-            0 => pick(rng, &[0.0, -0.0, 0.1, 1e-9, 5e-324, 1.5e-300, 4096.0]),
-            _ => (rng.next_u64() as i64 >> 20) as f64 / 64.0,
-        }),
-        _ => Value::Bool(rng.below(2) == 0),
-    }
-}
-
-fn scalar(rng: &mut TestRng) -> Value {
-    if rng.below(4) == 0 {
-        Value::Array((0..rng.below(4)).map(|_| atom(rng)).collect())
-    } else {
-        atom(rng)
-    }
-}
-
 impl Docs {
+    fn string(&self, rng: &mut TestRng) -> String {
+        let chars = if self.old_safe {
+            &STRING_CHARS[..STRING_CHARS.len() - 2]
+        } else {
+            STRING_CHARS
+        };
+        (0..rng.below(9)).map(|_| pick(rng, chars)).collect()
+    }
+
+    fn atom(&self, rng: &mut TestRng) -> Value {
+        match rng.below(4) {
+            0 => Value::Str(self.string(rng)),
+            1 => Value::Int(match rng.below(4) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => rng.next_u64() as i64 >> rng.below(64),
+            }),
+            2 => Value::Float(match rng.below(6) {
+                0 => pick(rng, &[0.0, -0.0, 0.1, 4096.0]),
+                // Any finite float at all: 1e15, 1e300, 5e-324 included.
+                1 if !self.old_safe => loop {
+                    let f = f64::from_bits(rng.next_u64());
+                    if f.is_finite() {
+                        break f;
+                    }
+                },
+                2 if !self.old_safe => pick(rng, &[1e15, -1e15, 1e16, 1e300, 1e-9, 5e-324]),
+                _ => (rng.next_u64() as i64 >> 20) as f64 / 64.0,
+            }),
+            _ => Value::Bool(rng.below(2) == 0),
+        }
+    }
+
+    fn scalar(&self, rng: &mut TestRng) -> Value {
+        if rng.below(4) == 0 {
+            Value::Array((0..rng.below(4)).map(|_| self.atom(rng)).collect())
+        } else {
+            self.atom(rng)
+        }
+    }
+
     /// One table `depth` levels down. `in_array` says it is an element of
     /// an array of tables; `scalars_only` that it may hold nothing else.
     fn table(&self, rng: &mut TestRng, depth: usize, in_array: bool, scalars_only: bool) -> Table {
         let mut t = Table::new();
         for _ in 0..rng.below(4) {
-            t.insert(pick(rng, KEYS).to_string(), scalar(rng));
+            t.insert(pick(rng, KEYS).to_string(), self.scalar(rng));
         }
         if depth == MAX_DEPTH || scalars_only {
             return t;
