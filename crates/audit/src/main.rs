@@ -11,7 +11,8 @@ use std::process::ExitCode;
 
 use snooze_audit::determinism::{check, Scenario};
 use snooze_audit::lint::{lint_root, rules, Allowlist};
-use snooze_audit::report::{findings_json, findings_text, json_escape};
+use snooze_audit::report::{findings_json, findings_text};
+use snooze_simcore::telemetry::json;
 
 fn usage() -> &'static str {
     "snooze-audit: determinism lint + runtime invariant audit\n\
@@ -137,7 +138,7 @@ fn cmd_determinism(mut args: Vec<String>) -> Result<ExitCode, String> {
         let diffs: Vec<String> = verdict
             .diverging_fields()
             .iter()
-            .map(|f| format!("\"{}\"", json_escape(f)))
+            .map(|f| format!("\"{}\"", json::escape(f)))
             .collect();
         println!(
             "{{\"seed\": {}, \"nodes\": {}, \"vms\": {}, \"secs\": {}, \

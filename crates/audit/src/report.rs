@@ -14,24 +14,9 @@
 //! }
 //! ```
 
-use crate::lint::Finding;
+use snooze_simcore::telemetry::json;
 
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::lint::Finding;
 
 /// Findings as the JSON document described in the module docs.
 pub fn findings_json(findings: &[Finding]) -> String {
@@ -42,11 +27,11 @@ pub fn findings_json(findings: &[Finding]) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"snippet\": \"{}\", \"hint\": \"{}\", \"allowed\": {}}}",
-            json_escape(f.rule),
-            json_escape(&f.path),
+            json::escape(f.rule),
+            json::escape(&f.path),
             f.line,
-            json_escape(&f.snippet),
-            json_escape(f.hint),
+            json::escape(&f.snippet),
+            json::escape(f.hint),
             f.allowed,
         ));
     }
@@ -91,8 +76,8 @@ mod tests {
 
     #[test]
     fn escapes_json_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json::escape("\u{1}"), "\\u0001");
     }
 
     #[test]

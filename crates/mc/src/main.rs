@@ -12,6 +12,7 @@ use snooze_mc::election::{self, ElectionHarness};
 use snooze_mc::explorer::{explore, McConfig, McReport, PredicateKind, Strategy};
 use snooze_mc::failover::{self, FailoverHarness};
 use snooze_scenario::mc_trace::McTraceDoc;
+use snooze_simcore::telemetry::json;
 
 fn usage() -> &'static str {
     "snooze-mc: exhaustive model checking of the Snooze protocols\n\
@@ -62,17 +63,6 @@ fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
         .map_err(|_| format!("{what}: expected an integer, got `{s}`"))
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn print_report(report: &McReport, label: &str, json: bool) {
     if json {
         let violations: Vec<String> = report
@@ -81,9 +71,9 @@ fn print_report(report: &McReport, label: &str, json: bool) {
             .map(|v| {
                 format!(
                     "{{\"predicate\": \"{}\", \"depth\": {}, \"detail\": \"{}\"}}",
-                    json_escape(&v.predicate),
+                    json::escape(&v.predicate),
                     v.trace.len(),
-                    json_escape(&v.detail)
+                    json::escape(&v.detail)
                 )
             })
             .collect();
@@ -92,7 +82,7 @@ fn print_report(report: &McReport, label: &str, json: bool) {
              \"deduped\": {}, \"truncated\": {}, \"liveness_probes\": {}, \
              \"suffixes_run\": {}, \"max_depth_reached\": {}, \"hit_state_cap\": {}, \
              \"fingerprint\": \"{:#018x}\", \"violations\": [{}]}}",
-            json_escape(label),
+            json::escape(label),
             report.explored,
             report.transitions,
             report.deduped,
@@ -264,11 +254,11 @@ fn cmd_replay(path: &str, json: bool) -> Result<ExitCode, String> {
         println!(
             "{{\"name\": \"{}\", \"predicate\": \"{}\", \"steps\": {}, \"reproduced\": {}, \
              \"detail\": \"{}\"}}",
-            json_escape(&doc.name),
-            json_escape(&doc.predicate),
+            json::escape(&doc.name),
+            json::escape(&doc.predicate),
             doc.steps.len(),
             reproduced,
-            json_escape(outcome.as_deref().unwrap_or("")),
+            json::escape(outcome.as_deref().unwrap_or("")),
         );
     } else {
         match &outcome {
