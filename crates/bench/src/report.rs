@@ -30,20 +30,6 @@ pub fn report_failover(seed: u64) -> ScenarioSpec {
         .remove(0)
 }
 
-/// Run the scenario to completion and return the finished run (live
-/// system with its span log and metrics, windowed time-series, SLO
-/// alerts, incident dumps). The acceptance scenario itself is
-/// [`report_failover`] (`scenarios/report.toml`): a 100-VM burst with
-/// one GM crash while placements are in flight — its zero-tolerance
-/// heartbeat watchdog trips during the failover, so the run arrives
-/// with alerts and at least one incident dump. With `watch`, every
-/// closed metric window prints a live status line.
-pub fn run_scenario(spec: &ScenarioSpec, watch: bool) -> ScenarioRun {
-    let mut done = crate::experiments::run_specs(std::slice::from_ref(spec), watch)
-        .expect("report scenario compiles");
-    done.remove(0).run
-}
-
 /// The first crashed component of a finished run, if any.
 pub fn crashed_component(run: &ScenarioRun) -> Option<ComponentId> {
     run.outcome.faults.first().map(|f| f.target)

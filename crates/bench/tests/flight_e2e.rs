@@ -16,15 +16,16 @@
 
 use std::collections::BTreeSet;
 
-use snooze_bench::report::{report_failover, run_scenario};
+use snooze_bench::report::report_failover;
 use snooze_scenario::incident::{is_incident, IncidentDoc};
+use snooze_scenario::run;
 
 const SEED: u64 = 42;
 
 #[test]
 fn window_counter_deltas_conserve_every_run_total() {
     let spec = report_failover(SEED);
-    let run = run_scenario(&spec, false);
+    let run = run(&spec).expect("the report scenario compiles");
     let log = run.windows.as_ref().expect("report.toml enables windows");
     assert!(run.outcome.windows >= 2, "the run spans several windows");
 
@@ -56,7 +57,7 @@ fn window_counter_deltas_conserve_every_run_total() {
 #[test]
 fn heartbeat_watchdog_trips_and_the_incident_reparses() {
     let spec = report_failover(SEED);
-    let run = run_scenario(&spec, false);
+    let run = run(&spec).expect("the report scenario compiles");
 
     // The GM crash makes the zero-tolerance heartbeat SLO breach.
     assert!(
@@ -88,8 +89,8 @@ fn heartbeat_watchdog_trips_and_the_incident_reparses() {
 #[test]
 fn continuous_exports_are_byte_identical_across_same_seed_runs() {
     let spec = report_failover(SEED);
-    let mut a = run_scenario(&spec, false);
-    let mut b = run_scenario(&spec, false);
+    let mut a = run(&spec).expect("the report scenario compiles");
+    let mut b = run(&spec).expect("the report scenario compiles");
 
     let log_a = a.windows.take().expect("windows enabled");
     let log_b = b.windows.take().expect("windows enabled");
@@ -114,12 +115,12 @@ fn continuous_exports_are_byte_identical_across_same_seed_runs() {
 #[test]
 fn stripping_every_observer_leaves_the_digest_unchanged() {
     let spec = report_failover(SEED);
-    let observed = run_scenario(&spec, false);
+    let observed = run(&spec).expect("the report scenario compiles");
 
     let mut plain_spec = spec.clone();
     plain_spec.obs = None;
     plain_spec.slos.clear();
-    let plain = run_scenario(&plain_spec, false);
+    let plain = run(&plain_spec).expect("the report scenario compiles");
 
     assert_eq!(
         observed.live.sim.digest(),

@@ -8,9 +8,8 @@
 //! * two same-seed runs produce byte-identical span and metric exports
 //!   in every standard format.
 
-use snooze_bench::report::{
-    crashed_component, export_all, find_descendant, report_failover, run_scenario,
-};
+use snooze_bench::report::{crashed_component, export_all, find_descendant, report_failover};
+use snooze_scenario::run;
 use snooze_simcore::prelude::*;
 use snooze_simcore::telemetry;
 
@@ -30,7 +29,7 @@ fn render_exports<C: Component>(sim: &Engine<C>) -> [String; 4] {
 #[test]
 fn e4_failover_scenario_produces_linked_span_trees_and_identical_exports() {
     let spec = report_failover(SEED);
-    let run_a = run_scenario(&spec, false);
+    let run_a = run(&spec).expect("the report scenario compiles");
     assert!(
         crashed_component(&run_a).is_some(),
         "scenario must crash a GM"
@@ -57,7 +56,8 @@ fn e4_failover_scenario_produces_linked_span_trees_and_identical_exports() {
         // The boot leaf must see the full EP → GL → GM chain above it.
         let boot = find_descendant(log, root.id, "lc.boot")
             .unwrap_or_else(|| panic!("vm {vm_label}: no lc.boot in tree"));
-        let ancestor_names: Vec<&str> = log.ancestors(boot.id).iter().map(|s| s.name).collect();
+        let ancestors = std::iter::successors(log.parent_of(boot.id), |&id| log.parent_of(id));
+        let ancestor_names: Vec<&str> = ancestors.map(|id| log.get(id).unwrap().name).collect();
         for hop in ["gm.place", "gl.dispatch", "ep.forward", "client.submit"] {
             assert!(
                 ancestor_names.contains(&hop),
@@ -87,7 +87,7 @@ fn e4_failover_scenario_produces_linked_span_trees_and_identical_exports() {
     );
 
     // --- two same-seed runs: byte-identical exports ---------------------
-    let live_b = run_scenario(&spec, false).live;
+    let live_b = run(&spec).expect("the report scenario compiles").live;
     assert_eq!(live_a.sim.span_digest(), live_b.sim.span_digest());
     assert_eq!(live_a.sim.digest(), live_b.sim.digest());
     let a = render_exports(&live_a.sim);

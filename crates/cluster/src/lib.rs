@@ -13,8 +13,8 @@
 //! * [`node`] — the node power-state machine (on / suspending / suspended /
 //!   resuming / off / booting) with transition latencies.
 //! * [`vm`] — VM identities, specifications and lifecycle states.
-//! * [`workload`] — per-VM utilization generators (constant, periodic,
-//!   bursty on/off, trace replay) and whole-experiment fleet generators.
+//! * [`workload`] — per-VM utilization shapes (constant, periodic, bursty
+//!   on/off, the step functions of trace demand curves).
 //! * [`hypervisor`] — a per-node hypervisor: VM admission, aggregate usage,
 //!   overload/underload detection. Stand-in for libvirt/KVM.
 //! * [`migration`] — an analytic pre-copy live-migration model producing
@@ -35,4 +35,4 @@ pub use power::{
 };
 pub use resources::ResourceVector;
 pub use vm::{VmId, VmSpec, VmState};
-pub use workload::{FleetGenerator, UsageShape, VmWorkload};
+pub use workload::{UsageShape, VmWorkload};

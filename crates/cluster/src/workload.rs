@@ -1,12 +1,13 @@
-//! Workload generation: per-VM utilization shapes and fleet generators.
+//! Per-VM utilization shapes.
 //!
 //! The paper's evaluations drive the system with up to 500 VMs whose
 //! resource usage varies over time (that variation is what creates the
 //! overload/underload events §II-C's relocation policies respond to, and
-//! the idle times §III's energy manager exploits). Real traces are not
-//! available, so this module generates synthetic ones with the usual cloud
-//! workload shapes: constant reservations, diurnal sinusoids, bursty
-//! on/off processes, and replayed step traces.
+//! the idle times §III's energy manager exploits). This module holds the
+//! shapes a VM's usage follows: constant reservations, diurnal sinusoids,
+//! bursty on/off processes, and the step functions trace demand curves
+//! lower to. Fleets are built where they are described — scenario
+//! workload programs (`snooze-scenario`) and trace records (`snooze-trace`).
 //!
 //! Sampling is **stateless and deterministic**: `usage_at(t)` depends only
 //! on the shape, the VM's seed and `t`, so monitoring probes may sample at
@@ -15,11 +16,9 @@
 use std::sync::Arc;
 
 use snooze_simcore::mc::{McHasher, McState};
-use snooze_simcore::rng::SimRng;
 use snooze_simcore::time::{SimSpan, SimTime};
 
 use crate::resources::ResourceVector;
-use crate::vm::{VmId, VmSpec};
 
 /// splitmix64 finalizer — the hash behind stateless per-slot randomness.
 fn mix(mut x: u64) -> u64 {
@@ -65,14 +64,6 @@ pub enum UsageShape {
         duty: f64,
         /// Slot length.
         slot: SimSpan,
-    },
-    /// Replay of a step trace: sample `i` holds for `step`, the trace
-    /// loops at the end.
-    Trace {
-        /// Utilization samples in `[0, 1]`.
-        samples: Arc<Vec<f64>>,
-        /// Duration each sample holds.
-        step: SimSpan,
     },
     /// Step function over absolute sim time, lowered from trace demand
     /// curves: each breakpoint's value holds until the next breakpoint.
@@ -141,13 +132,6 @@ impl UsageShape {
                     off_level.clamp(0.0, 1.0)
                 }
             }
-            UsageShape::Trace { samples, step } => {
-                if samples.is_empty() {
-                    return 0.0;
-                }
-                let idx = (t.as_micros() / step.as_micros().max(1)) as usize % samples.len();
-                samples[idx].clamp(0.0, 1.0)
-            }
             UsageShape::Piecewise { points } => {
                 // Index of the first breakpoint strictly after `t`; the
                 // active value is the one just before it. Before the first
@@ -204,16 +188,8 @@ impl McState for UsageShape {
                 h.float(*duty);
                 h.span(*slot);
             }
-            UsageShape::Trace { samples, step } => {
-                h.word(4);
-                h.word(samples.len() as u64);
-                for s in samples.iter() {
-                    h.float(*s);
-                }
-                h.span(*step);
-            }
             UsageShape::Piecewise { points } => {
-                h.word(5);
+                h.word(5); // 4 was the looping step trace: retired, not reused
                 h.word(points.len() as u64);
                 for (t, u) in points.iter() {
                     h.time(*t);
@@ -264,171 +240,6 @@ impl VmWorkload {
         20.0 * requested.cpu * self.cpu.sample(t, self.seed)
     }
 }
-
-/// How a fleet of VM submissions arrives at the system.
-#[derive(Clone, Debug)]
-pub enum ArrivalPattern {
-    /// Everything at one instant (the CCGrid evaluation's burst submission).
-    Burst(SimTime),
-    /// Poisson arrivals at `rate_per_sec`, starting at `start`.
-    Poisson {
-        /// When arrivals begin.
-        start: SimTime,
-        /// Mean arrivals per second.
-        rate_per_sec: f64,
-    },
-    /// One submission every `spacing`, starting at `start`.
-    Staggered {
-        /// First submission time.
-        start: SimTime,
-        /// Gap between consecutive submissions.
-        spacing: SimSpan,
-    },
-}
-
-impl ArrivalPattern {
-    /// Generate `n` arrival times (non-decreasing).
-    pub fn times(&self, n: usize, rng: &mut SimRng) -> Vec<SimTime> {
-        match *self {
-            ArrivalPattern::Burst(t) => vec![t; n],
-            ArrivalPattern::Poisson {
-                start,
-                rate_per_sec,
-            } => {
-                assert!(rate_per_sec > 0.0, "Poisson rate must be > 0");
-                let mut t = start;
-                (0..n)
-                    .map(|_| {
-                        t += SimSpan::from_secs_f64(rng.exponential(1.0 / rate_per_sec));
-                        t
-                    })
-                    .collect()
-            }
-            ArrivalPattern::Staggered { start, spacing } => {
-                (0..n).map(|i| start + spacing * i as u64).collect()
-            }
-        }
-    }
-}
-
-/// Distribution of one VM dimension's reservation, as a fraction of a
-/// reference node capacity.
-#[derive(Clone, Copy, Debug)]
-pub struct FractionRange {
-    /// Smallest fraction.
-    pub lo: f64,
-    /// Largest fraction (exclusive).
-    pub hi: f64,
-}
-
-impl FractionRange {
-    /// The GRID'11 instance family: demands uniform in 10–60 % of host
-    /// capacity per dimension.
-    pub fn grid11() -> Self {
-        FractionRange { lo: 0.1, hi: 0.6 }
-    }
-
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.uniform(self.lo, self.hi)
-    }
-}
-
-/// Kinds of workload shape a generated fleet mixes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkloadKind {
-    /// Constant at the reservation.
-    Flat,
-    /// Diurnal sinusoid.
-    Diurnal,
-    /// Bursty on/off.
-    Bursty,
-}
-
-/// Generates fleets of `(VmSpec, VmWorkload)` for experiments.
-#[derive(Clone, Debug)]
-pub struct FleetGenerator {
-    /// Reference node capacity reservations are expressed against.
-    pub reference_capacity: ResourceVector,
-    /// Reservation size distribution (per dimension).
-    pub demand: FractionRange,
-    /// Mix of workload kinds, sampled uniformly.
-    pub kinds: Vec<WorkloadKind>,
-    /// Period used by diurnal shapes.
-    pub diurnal_period: SimSpan,
-}
-
-impl FleetGenerator {
-    /// The default experiment fleet: GRID'11 demand sizes against a
-    /// standard node, flat workloads (consolidation experiments reason
-    /// about reservations).
-    pub fn grid11(reference_capacity: ResourceVector) -> Self {
-        FleetGenerator {
-            reference_capacity,
-            demand: FractionRange::grid11(),
-            kinds: vec![WorkloadKind::Flat],
-            diurnal_period: SimSpan::from_secs(24 * 3600),
-        }
-    }
-
-    /// A mixed interactive/batch fleet for the energy experiments.
-    pub fn mixed(reference_capacity: ResourceVector) -> Self {
-        FleetGenerator {
-            reference_capacity,
-            demand: FractionRange::grid11(),
-            kinds: vec![
-                WorkloadKind::Flat,
-                WorkloadKind::Diurnal,
-                WorkloadKind::Bursty,
-            ],
-            diurnal_period: SimSpan::from_secs(24 * 3600),
-        }
-    }
-
-    /// Generate `n` VMs with ids starting at `first_id`.
-    pub fn generate(&self, n: usize, first_id: u64, rng: &mut SimRng) -> Vec<(VmSpec, VmWorkload)> {
-        (0..n)
-            .map(|i| {
-                let id = VmId(first_id + i as u64);
-                let requested = ResourceVector::new(
-                    self.reference_capacity.cpu * self.demand.sample(rng),
-                    self.reference_capacity.memory * self.demand.sample(rng),
-                    self.reference_capacity.net_rx * self.demand.sample(rng),
-                    self.reference_capacity.net_tx * self.demand.sample(rng),
-                );
-                let seed = rng.next_u64();
-                let kind = *rng.choose(&self.kinds).unwrap_or(&WorkloadKind::Flat);
-                let workload = self.make_workload(kind, seed, rng);
-                (VmSpec::new(id, requested), workload)
-            })
-            .collect()
-    }
-
-    fn make_workload(&self, kind: WorkloadKind, seed: u64, rng: &mut SimRng) -> VmWorkload {
-        let cpu = match kind {
-            WorkloadKind::Flat => UsageShape::Constant(rng.uniform(0.7, 1.0)),
-            WorkloadKind::Diurnal => UsageShape::Diurnal {
-                low: rng.uniform(0.05, 0.2),
-                high: rng.uniform(0.6, 1.0),
-                period: self.diurnal_period,
-                phase: rng.f64(),
-            },
-            WorkloadKind::Bursty => UsageShape::OnOff {
-                on_level: rng.uniform(0.7, 1.0),
-                off_level: rng.uniform(0.02, 0.1),
-                duty: rng.uniform(0.2, 0.5),
-                slot: SimSpan::from_secs(300),
-            },
-        };
-        VmWorkload {
-            cpu: cpu.clone(),
-            memory: UsageShape::Constant(rng.uniform(0.6, 0.95)),
-            network: cpu,
-            seed,
-        }
-    }
-}
-
-use rand::RngCore as _; // for rng.next_u64 in generate
 
 #[cfg(test)]
 mod tests {
@@ -507,23 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_replays_and_loops() {
-        let shape = UsageShape::Trace {
-            samples: Arc::new(vec![0.2, 0.4, 0.8]),
-            step: SimSpan::from_secs(10),
-        };
-        assert_eq!(shape.sample(t(0), 0), 0.2);
-        assert_eq!(shape.sample(t(15), 0), 0.4);
-        assert_eq!(shape.sample(t(25), 0), 0.8);
-        assert_eq!(shape.sample(t(30), 0), 0.2, "loops");
-        let empty = UsageShape::Trace {
-            samples: Arc::new(vec![]),
-            step: SimSpan::from_secs(1),
-        };
-        assert_eq!(empty.sample(t(5), 0), 0.0);
-    }
-
-    #[test]
     fn piecewise_boundary_sampling() {
         let shape = UsageShape::piecewise(vec![(t(10), 0.2), (t(20), 0.6), (t(30), 0.9)]).unwrap();
         // Before the first breakpoint the first value holds.
@@ -597,61 +391,5 @@ mod tests {
         };
         assert!(busy.dirty_rate_mbps(t(0), &req) > 0.0);
         assert_eq!(idle.dirty_rate_mbps(t(0), &req), 0.0);
-    }
-
-    #[test]
-    fn arrival_patterns() {
-        let mut rng = SimRng::new(3);
-        let burst = ArrivalPattern::Burst(t(5)).times(3, &mut rng);
-        assert_eq!(burst, vec![t(5); 3]);
-
-        let stag = ArrivalPattern::Staggered {
-            start: t(10),
-            spacing: SimSpan::from_secs(2),
-        }
-        .times(3, &mut rng);
-        assert_eq!(stag, vec![t(10), t(12), t(14)]);
-
-        let poisson = ArrivalPattern::Poisson {
-            start: t(0),
-            rate_per_sec: 10.0,
-        }
-        .times(1000, &mut rng);
-        assert!(poisson.windows(2).all(|w| w[0] <= w[1]), "non-decreasing");
-        // Mean inter-arrival should be ~0.1 s ⇒ 1000 arrivals in ~100 s.
-        let span = poisson.last().unwrap().as_secs_f64();
-        assert!((70.0..140.0).contains(&span), "span {span}");
-    }
-
-    #[test]
-    fn fleet_generator_respects_demand_range() {
-        let cap = ResourceVector::new(8.0, 32_768.0, 1000.0, 1000.0);
-        let gen = FleetGenerator::grid11(cap);
-        let mut rng = SimRng::new(11);
-        let fleet = gen.generate(100, 0, &mut rng);
-        assert_eq!(fleet.len(), 100);
-        for (i, (spec, _)) in fleet.iter().enumerate() {
-            assert_eq!(spec.id, VmId(i as u64));
-            let f = spec.requested.normalize_by(&cap);
-            for d in 0..crate::resources::DIMS {
-                assert!(
-                    (0.1..0.6).contains(&f.get(d)),
-                    "vm {i} dim {d} fraction {} out of range",
-                    f.get(d)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fleet_generator_is_deterministic_per_seed() {
-        let cap = ResourceVector::new(8.0, 32_768.0, 1000.0, 1000.0);
-        let gen = FleetGenerator::mixed(cap);
-        let a = gen.generate(20, 0, &mut SimRng::new(5));
-        let b = gen.generate(20, 0, &mut SimRng::new(5));
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.0, y.0);
-            assert_eq!(x.1.seed, y.1.seed);
-        }
     }
 }

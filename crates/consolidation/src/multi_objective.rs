@@ -115,7 +115,6 @@ impl Consolidator for MigrationAwareAco {
 mod tests {
     use super::*;
     use crate::problem::InstanceGenerator;
-    use snooze_cluster::resources::ResourceVector;
     use snooze_simcore::rng::SimRng;
 
     fn fast() -> MigrationAwareParams {
@@ -130,9 +129,9 @@ mod tests {
         // Incumbent = the packing ACO itself would produce: every planned
         // move is a no-win churn and gets reverted.
         let gen = InstanceGenerator::grid11();
-        let inst = gen.generate(30, &mut SimRng::new(5));
+        let mut inst = gen.generate(30, &mut SimRng::new(5));
         let packed = AcoConsolidator::new(fast().aco).consolidate(&inst).unwrap();
-        let inst = inst.with_incumbent(packed.assignment.clone());
+        inst.incumbent = Some(packed.assignment.clone());
         let sol = MigrationAwareAco::new(fast()).consolidate(&inst).unwrap();
         assert!(sol.is_feasible(&inst));
         assert_eq!(sol.migration_count(&packed.assignment), 0);
@@ -142,10 +141,10 @@ mod tests {
     fn cuts_migrations_without_losing_bins() {
         let gen = InstanceGenerator::grid11();
         for seed in 0..4 {
-            let inst = gen.generate(36, &mut SimRng::new(40 + seed));
+            let mut inst = gen.generate(36, &mut SimRng::new(40 + seed));
             // Incumbent: round-robin spread — plenty of nominal movement.
             let incumbent: Vec<usize> = (0..inst.n_items()).map(|i| i % inst.n_bins()).collect();
-            let inst = inst.with_incumbent(incumbent.clone());
+            inst.incumbent = Some(incumbent.clone());
             let plain = AcoConsolidator::new(fast().aco).consolidate(&inst).unwrap();
             let aware = MigrationAwareAco::new(fast()).consolidate(&inst).unwrap();
             assert!(aware.is_feasible(&inst), "seed {seed}");
@@ -171,21 +170,11 @@ mod tests {
 
     #[test]
     fn migration_metrics_count_and_weigh_moves() {
-        let inst = Instance::homogeneous(
-            vec![
-                ResourceVector::new(1.0, 1024.0, 0.0, 0.0),
-                ResourceVector::new(1.0, 2048.0, 0.0, 0.0),
-            ],
-            2,
-            ResourceVector::new(8.0, 8192.0, 10.0, 10.0),
-        );
         let sol = Solution {
             assignment: vec![0, 0],
         };
         assert_eq!(sol.migration_count(&[0, 0]), 0);
         assert_eq!(sol.migration_count(&[0, 1]), 1);
-        assert_eq!(sol.migration_bytes(&inst, &[0, 0]), 0.0);
-        assert_eq!(sol.migration_bytes(&inst, &[0, 1]), 2048.0);
-        assert_eq!(sol.migration_bytes(&inst, &[1, 1]), 3072.0);
+        assert_eq!(sol.migration_count(&[1, 1]), 2);
     }
 }

@@ -38,18 +38,6 @@ impl Instance {
         }
     }
 
-    /// Attach an incumbent placement (`incumbent[i]` = item `i`'s current
-    /// bin). Panics if the length does not match the item count.
-    pub fn with_incumbent(mut self, incumbent: Vec<usize>) -> Self {
-        assert_eq!(
-            incumbent.len(),
-            self.items.len(),
-            "incumbent must assign every item"
-        );
-        self.incumbent = Some(incumbent);
-        self
-    }
-
     /// Number of VMs.
     pub fn n_items(&self) -> usize {
         self.items.len()
@@ -179,19 +167,6 @@ impl Solution {
             .count()
     }
 
-    /// Total memory (in the instance's memory units, MB throughout this
-    /// codebase) of the items that move — the dominant term of pre-copy
-    /// live-migration cost.
-    pub fn migration_bytes(&self, instance: &Instance, incumbent: &[usize]) -> f64 {
-        self.assignment
-            .iter()
-            .zip(incumbent)
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(i, _)| instance.items[i].memory)
-            .sum()
-    }
-
     /// Renumber bins so that used bins are `0..bins_used()` in first-use
     /// order. Quality metrics are invariant; this canonical form makes
     /// solutions comparable across algorithms that open bins in different
@@ -257,6 +232,8 @@ impl InstanceGenerator {
     /// [`InstanceGenerator::generate`], but hosts split between the
     /// reference capacity and double-size machines — the mixed-generation
     /// clusters real datacenters accumulate.
+    // check-allow(uncalled): the mixed-capacity shape the frozen kernel pin
+    // (tests/aco_kernel.rs) and the reference-colony properties generate.
     pub fn generate_heterogeneous(&self, n: usize, rng: &mut SimRng) -> Instance {
         let mut inst = self.generate(n, rng);
         let big = self.capacity * 2.0;
@@ -274,6 +251,8 @@ impl InstanceGenerator {
     /// `n_bins` hosts of the reference capacity. At most 12 distinct
     /// demand vectors: the duplicate-heavy shape a live reconfiguration
     /// hands the packers.
+    // check-allow(uncalled): the duplicate-heavy shape the frozen kernel pin
+    // (tests/aco_kernel.rs) and the reference-colony properties generate.
     pub fn generate_flavoured(&self, n: usize, n_bins: usize, rng: &mut SimRng) -> Instance {
         const CORES: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
         const MB_PER_CORE: [f64; 3] = [1024.0, 2048.0, 4096.0];

@@ -171,7 +171,7 @@ proptest! {
             ("n_cycles".to_string(), ParamValue::Int(4)),
         ].into_iter().collect();
         let spread: Vec<usize> = (0..inst.n_items()).map(|i| i % inst.n_bins()).collect();
-        let live = inst.clone().with_incumbent(spread.clone());
+        let live = Instance { incumbent: Some(spread), ..inst.clone() };
         for key in reg.keys() {
             let params = if ["aco", "daco", "aco-pso", "mo-aco"].contains(key) {
                 fast.clone()
@@ -198,7 +198,6 @@ proptest! {
         for algo in algorithms() {
             if let Some(sol) = algo.consolidate(&inst) {
                 prop_assert_eq!(sol.migration_count(&sol.assignment), 0);
-                prop_assert_eq!(sol.migration_bytes(&inst, &sol.assignment), 0.0);
             }
         }
     }

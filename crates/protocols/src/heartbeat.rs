@@ -49,16 +49,6 @@ impl<K: Copy + Ord> FailureDetector<K> {
         self.last_heard.remove(&peer);
     }
 
-    /// Whether `peer` is currently tracked.
-    pub fn knows(&self, peer: K) -> bool {
-        self.last_heard.contains_key(&peer)
-    }
-
-    /// Peers currently tracked, in key order.
-    pub fn peers(&self) -> Vec<K> {
-        self.last_heard.keys().copied().collect()
-    }
-
     /// Number of tracked peers.
     pub fn len(&self) -> usize {
         self.last_heard.len()
@@ -115,7 +105,6 @@ mod tests {
         let mut fd: FailureDetector<u32> = FailureDetector::new(SimSpan::from_secs(5));
         assert!(fd.heard(1, t(0)), "first contact is a join");
         assert!(!fd.heard(1, t(1)), "subsequent heartbeats are not");
-        assert!(fd.knows(1));
         assert_eq!(fd.len(), 1);
     }
 
@@ -130,8 +119,7 @@ mod tests {
             "exactly at timeout is still alive"
         );
         assert_eq!(fd.expire(t(6)), vec![1]);
-        assert!(!fd.knows(1));
-        assert!(fd.knows(2));
+        assert_eq!(fd.len(), 1, "2 is still tracked");
         assert_eq!(fd.expire(t(20)), vec![2]);
         assert!(fd.is_empty());
     }
@@ -161,17 +149,8 @@ mod tests {
         fd.heard(1, t(0));
         fd.heard(2, t(0));
         fd.forget(1);
-        assert!(!fd.knows(1));
+        assert!(fd.heard(1, t(1)), "a forgotten peer joins anew");
         fd.reset();
         assert!(fd.is_empty());
-    }
-
-    #[test]
-    fn peers_listing_is_sorted() {
-        let mut fd: FailureDetector<u32> = FailureDetector::new(SimSpan::from_secs(5));
-        for k in [4u32, 2, 8] {
-            fd.heard(k, t(0));
-        }
-        assert_eq!(fd.peers(), vec![2, 4, 8]);
     }
 }

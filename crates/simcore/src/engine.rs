@@ -602,6 +602,8 @@ impl<C: Component> Engine<C> {
 
     /// Inject a message from outside the simulation, delivered to `dst` at
     /// absolute time `at` (no network latency is applied).
+    // check-allow(uncalled): how a test hands a bare component a message;
+    // systems under a scenario are driven by their client component.
     pub fn post(&mut self, at: SimTime, dst: ComponentId, msg: impl Into<C::Msg>) {
         self.core.schedule(
             at,
@@ -756,6 +758,8 @@ impl<C: Component> Engine<C> {
     }
 
     /// Direct mutable access to the simulated network (partitions etc.).
+    // check-allow(uncalled): the hook the split-brain tests isolate and
+    // reconnect a leader through, between two `run_until` calls.
     pub fn network_mut(&mut self) -> &mut Network {
         &mut self.core.network
     }
@@ -1625,7 +1629,7 @@ mod tests {
         assert_eq!(sim.events_executed(), 6);
         assert_eq!(sim.metrics().counter("failure.crashes"), 0);
         assert_eq!(sim.metrics().counter("failure.restarts"), 0);
-        assert!(sim.metrics().counter_names().is_empty());
+        assert_eq!(sim.metrics().counters_iter().count(), 0);
         assert!(!sim.is_alive(nobody));
     }
 

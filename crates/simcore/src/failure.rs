@@ -111,6 +111,8 @@ impl FailurePlan {
     /// with exponentially distributed inter-failure times (`mttf` mean) and
     /// recovers after exponentially distributed repair times (`mttr` mean),
     /// until `horizon`.
+    // check-allow(uncalled): the chaos schedule tests/full_stack.rs soaks
+    // the hierarchy under; scenario files schedule their faults one by one.
     pub fn random_crash_repair(
         targets: &[ComponentId],
         mttf: SimSpan,

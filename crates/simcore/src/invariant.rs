@@ -87,11 +87,14 @@ fn sink_slot() -> std::sync::MutexGuard<'static, Option<Box<dyn InvariantSink>>>
 }
 
 /// Install a process-wide sink, returning the previous one (if any).
+// check-allow(uncalled): how a test collects violations instead of
+// panicking on the first (`snooze-audit`'s runtime_invariants suite).
 pub fn install_sink(sink: Box<dyn InvariantSink>) -> Option<Box<dyn InvariantSink>> {
     sink_slot().replace(sink)
 }
 
 /// Remove the installed sink, restoring panic-on-violation behavior.
+// check-allow(uncalled): the other half of `install_sink`.
 pub fn take_sink() -> Option<Box<dyn InvariantSink>> {
     sink_slot().take()
 }

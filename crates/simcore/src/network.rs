@@ -228,6 +228,9 @@ impl Network {
     }
 
     /// Block all communication between the two sets (a symmetric partition).
+    // check-allow(uncalled): the only writer of `blocked_pairs`, which
+    // `transit` consults and snapshots carry; reached through
+    // `Engine::network_mut`, like `isolate`, by tests that split a network.
     pub fn partition(&mut self, side_a: &[ComponentId], side_b: &[ComponentId]) {
         for &a in side_a {
             for &b in side_b {

@@ -10,7 +10,7 @@ use snooze::scheduling::placement::PlacementKind;
 use snooze_cluster::node::{NodeId, NodeSpec};
 use snooze_cluster::resources::ResourceVector;
 use snooze_cluster::vm::{VmId, VmSpec};
-use snooze_cluster::workload::{FleetGenerator, UsageShape, VmWorkload};
+use snooze_cluster::workload::{UsageShape, VmWorkload};
 use snooze_simcore::prelude::*;
 use snooze_simcore::rng::SimRng;
 
@@ -166,9 +166,9 @@ fn heterogeneous_cluster_respects_per_node_capacity() {
 
 #[test]
 fn generated_mixed_fleet_runs_through_the_hierarchy() {
-    // The FleetGenerator's diurnal/bursty shapes drive the system (not
-    // just constant utilizations): everything places, nothing panics,
-    // and usage stays within reservations.
+    // Diurnal and bursty shapes drive the system (not just constant
+    // utilizations): everything places, nothing panics, and usage stays
+    // within reservations.
     let mut sim: Engine<SnoozeNode> = SimBuilder::new(104).network(NetworkConfig::lan()).build();
     let config = SnoozeConfig {
         idle_suspend_after: None,
@@ -177,15 +177,40 @@ fn generated_mixed_fleet_runs_through_the_hierarchy() {
     let nodes = NodeSpec::standard_cluster(8);
     let system = SnoozeSystem::deploy(&mut sim, &config, 3, &nodes, 1);
 
-    let gen = FleetGenerator::mixed(ResourceVector::new(8.0, 32_768.0, 1000.0, 1000.0));
-    let fleet = gen.generate(12, 0, &mut SimRng::new(7));
-    let schedule: Vec<ScheduledVm> = fleet
-        .into_iter()
-        .map(|(spec, workload)| ScheduledVm {
-            at: secs(10),
-            spec,
-            workload,
-            lifetime: None,
+    // GRID'11 demand sizes (10–60 % of a standard node per dimension),
+    // the three shapes in turn.
+    let mut rng = SimRng::new(7);
+    let schedule: Vec<ScheduledVm> = (0..12)
+        .map(|i| {
+            let mut share = |of: f64| of * rng.uniform(0.1, 0.6);
+            let requested =
+                ResourceVector::new(share(8.0), share(32_768.0), share(1000.0), share(1000.0));
+            let cpu = match i % 3 {
+                0 => UsageShape::Constant(rng.uniform(0.7, 1.0)),
+                1 => UsageShape::Diurnal {
+                    low: rng.uniform(0.05, 0.2),
+                    high: rng.uniform(0.6, 1.0),
+                    period: SimSpan::from_secs(24 * 3600),
+                    phase: rng.f64(),
+                },
+                _ => UsageShape::OnOff {
+                    on_level: rng.uniform(0.7, 1.0),
+                    off_level: rng.uniform(0.02, 0.1),
+                    duty: rng.uniform(0.2, 0.5),
+                    slot: SimSpan::from_secs(300),
+                },
+            };
+            ScheduledVm {
+                at: secs(10),
+                spec: VmSpec::new(VmId(i), requested),
+                workload: VmWorkload {
+                    cpu: cpu.clone(),
+                    memory: UsageShape::Constant(rng.uniform(0.6, 0.95)),
+                    network: cpu,
+                    seed: i,
+                },
+                lifetime: None,
+            }
         })
         .collect();
     let client = sim.add_component(

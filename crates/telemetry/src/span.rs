@@ -182,22 +182,6 @@ impl SpanLog {
         self.spans.iter().filter(move |s| s.parent == Some(id))
     }
 
-    /// Walk ancestors of `id` (nearest first), `id` excluded.
-    pub fn ancestors(&self, id: SpanId) -> Vec<&SpanRecord> {
-        let mut out = Vec::new();
-        let mut cur = self.parent_of(id);
-        while let Some(p) = cur {
-            match self.get(p) {
-                Some(rec) => {
-                    out.push(rec);
-                    cur = rec.parent;
-                }
-                None => break,
-            }
-        }
-        out
-    }
-
     /// Latest timestamp touched by any span (open or close). Exporters
     /// use this to clamp still-open spans.
     pub fn max_time_us(&self) -> u64 {
@@ -288,8 +272,8 @@ mod tests {
         let mid = log.open("mid", 1, Some(root), 1);
         let leaf = log.open("leaf", 2, Some(mid), 2);
         let _other = log.open("other", 3, None, 3);
-        let names: Vec<&str> = log.ancestors(leaf).iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["mid", "root"]);
+        assert_eq!(log.parent_of(leaf), Some(mid));
+        assert_eq!(log.parent_of(mid), Some(root));
         assert_eq!(log.roots().count(), 2);
         assert_eq!(log.children_of(root).count(), 1);
     }

@@ -78,10 +78,12 @@ done
 say "every pub fn has a caller"
 # A name scan, not a resolver: a `pub fn` under crates/*/src is reported
 # when its name is a word of no other .rs file and of no line of its own
-# file above `#[cfg(test)]` (comments aside) but its definition. A
+# file but its definition. Neither comments nor test code are callers:
+# `tests/` directories are not scanned and nothing below a `#[cfg(test)]`
+# counts, so a function only its own tests exercise is reported. A
 # `// check-allow(uncalled): reason` comment directly above one keeps an
-# API that is there by intent.
-uncalled="$(find crates/*/src crates/*/tests src tests examples benchmark/src -name '*.rs' | sort |
+# API that is there by intent — a hook tests are meant to drive.
+uncalled="$(find crates/*/src src examples benchmark/src -name '*.rs' | sort |
   xargs awk '
     FNR == 1 { in_tests = 0; allowed = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -94,14 +96,15 @@ uncalled="$(find crates/*/src crates/*/tests src tests examples benchmark/src -n
         def = substr($0, RSTART + 7, RLENGTH - 7)
         if (!allowed) defs[FILENAME SUBSEP def] = FNR
       }
-      if (!comment) allowed = 0
+      if (in_tests || comment) next
+      allowed = 0
       n = split($0, words, /[^A-Za-z0-9_]+/)
       for (i = 1; i <= n; i++) {
         w = words[i]
         if (w == "") continue
         if (!(w in first)) first[w] = FILENAME
         else if (first[w] != FILENAME) elsewhere[w] = 1
-        if (!in_tests && !comment && w != def) used[FILENAME SUBSEP w] = 1
+        if (w != def) used[FILENAME SUBSEP w] = 1
       }
     }
     END {
@@ -111,7 +114,7 @@ uncalled="$(find crates/*/src crates/*/tests src tests examples benchmark/src -n
       }
     }' | sort)"
 [ -z "$uncalled" ] || {
-  echo "pub fn named nowhere but its own definition and tests (delete it, make it private, or check-allow it):" >&2
+  echo "pub fn named nowhere but its own definition and test code (delete it, make it private, or check-allow it):" >&2
   echo "$uncalled" >&2
   exit 1
 }

@@ -6,7 +6,7 @@ use snooze::prelude::*;
 use snooze_cluster::node::NodeSpec;
 use snooze_cluster::resources::ResourceVector;
 use snooze_cluster::vm::{VmId, VmSpec};
-use snooze_cluster::workload::{FleetGenerator, UsageShape, VmWorkload};
+use snooze_cluster::workload::{UsageShape, VmWorkload};
 use snooze_consolidation::aco::{AcoConsolidator, AcoParams};
 use snooze_consolidation::distributed::{DistributedAco, DistributedParams};
 use snooze_consolidation::exact::BranchAndBound;
@@ -83,23 +83,6 @@ fn all_consolidators_are_deterministic() {
 
     let exact = BranchAndBound::default();
     assert_eq!(exact.solve(&inst).solution, exact.solve(&inst).solution);
-}
-
-#[test]
-fn workload_generation_is_seed_stable() {
-    let cap = ResourceVector::new(8.0, 32_768.0, 1000.0, 1000.0);
-    let gen = FleetGenerator::mixed(cap);
-    let a = gen.generate(50, 0, &mut SimRng::new(9));
-    let b = gen.generate(50, 0, &mut SimRng::new(9));
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.0, y.0);
-        // Sampling the workloads at arbitrary times must agree too.
-        let t = SimTime::from_secs(12_345);
-        assert_eq!(
-            x.1.usage_at(t, &x.0.requested),
-            y.1.usage_at(t, &y.0.requested)
-        );
-    }
 }
 
 #[test]
