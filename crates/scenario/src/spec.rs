@@ -54,6 +54,7 @@ use snooze_cluster::power::{
 use snooze_cluster::resources::ResourceVector;
 use snooze_consolidation::registry::{ConsolidatorRegistry, ParamValue};
 use snooze_simcore::time::{SimSpan, SimTime};
+use snooze_trace::error::Excerpt;
 
 use crate::toml::{self, Reader, Value};
 
@@ -198,7 +199,7 @@ impl SloSignal {
             "heartbeat_misses" => Ok(SloSignal::HeartbeatMisses),
             "dead_letters" => Ok(SloSignal::DeadLetters),
             "queue_depth" => Ok(SloSignal::QueueDepth),
-            other => Err(format!("unknown slo signal `{other}`")),
+            other => Err(format!("unknown slo signal `{}`", Excerpt(other))),
         }
     }
 }
@@ -992,7 +993,8 @@ fn decode_workload(w: Reader<'_>) -> Result<WorkloadSpec, String> {
                 "loop" => return Err("trace policy `loop` requires `max_vms` > 0".into()),
                 other => {
                     return Err(format!(
-                        "unknown trace policy `{other}` (expected `truncate` or `loop`)"
+                        "unknown trace policy `{}` (expected `truncate` or `loop`)",
+                        Excerpt(other)
                     ))
                 }
             }
@@ -1003,7 +1005,7 @@ fn decode_workload(w: Reader<'_>) -> Result<WorkloadSpec, String> {
                 policy: policy.into(),
             }
         }
-        other => return Err(format!("unknown workload kind `{other}`")),
+        other => return Err(format!("unknown workload kind `{}`", Excerpt(other))),
     })
 }
 
@@ -1031,14 +1033,14 @@ fn decode_phase(p: Reader<'_>) -> Result<PhaseSpec, String> {
                 "lc" => TargetSpec::Lc(index),
                 "ep" => TargetSpec::Ep(index),
                 "manager" => TargetSpec::Manager(index),
-                other => return Err(format!("unknown fault target `{other}`")),
+                other => return Err(format!("unknown fault target `{}`", Excerpt(other))),
             };
             let observe = p.opt_table("observe")?.map(|o| {
                 let until = match o.str("until")? {
                     "gl_elected" => Condition::GlElected,
                     "lcs_on_live_gms" => Condition::LcsOnLiveGms,
                     "vms_restored" => Condition::VmsRestored,
-                    other => return Err(format!("unknown condition `{other}`")),
+                    other => return Err(format!("unknown condition `{}`", Excerpt(other))),
                 };
                 o.finish(ObserveSpec {
                     steps: o.int("steps")?,
@@ -1056,7 +1058,7 @@ fn decode_phase(p: Reader<'_>) -> Result<PhaseSpec, String> {
                 observe: observe.transpose()?,
             }
         }
-        other => return Err(format!("unknown phase kind `{other}`")),
+        other => return Err(format!("unknown phase kind `{}`", Excerpt(other))),
     })
 }
 
@@ -1152,11 +1154,12 @@ impl ScenarioDoc {
             let decoded = fill_placeholders(&mut doc);
             let decoded = decoded.and_then(|()| ScenarioSpec::from_value(&doc));
             let spec = decoded.map_err(|e| match doc.get("name").and_then(Value::as_str) {
-                Some(name) => format!("run {run} (`{name}`): {e}"),
+                Some(name) => format!("run {run} (`{}`): {e}", Excerpt(name)),
                 None => format!("run {run}: {e}"),
             })?;
             if let Some(first) = names.insert(spec.name.clone(), run) {
-                let clash = format!("runs {first} and {run} are both named `{}`", spec.name);
+                let name = Excerpt(&spec.name);
+                let clash = format!("runs {first} and {run} are both named `{name}`");
                 return Err(clash + ": tell them apart with a `{placeholder}` in `name`");
             }
             specs.push(spec);
@@ -1243,7 +1246,7 @@ fn fill_placeholders(doc: &mut Tbl) -> Result<(), String> {
         };
         let (mut filled, mut rest) = (String::new(), text.as_str());
         while let Some((before, after)) = rest.split_once('{') {
-            let unclosed = || format!("unclosed `{{` in `{key}` = \"{text}\"");
+            let unclosed = || format!("unclosed `{{` in `{key}` = \"{}\"", Excerpt(text));
             let (path, tail) = after.split_once('}').ok_or_else(unclosed)?;
             filled = filled + before + &placeholder(doc, path)?;
             rest = tail;
@@ -1257,22 +1260,26 @@ fn fill_placeholders(doc: &mut Tbl) -> Result<(), String> {
 /// The string or number at `path` — keys, and indices into arrays of
 /// tables — as placeholder text.
 fn placeholder(doc: &Tbl, path: &str) -> Result<String, String> {
-    let bad = |what: String| format!("placeholder `{{{path}}}` {what}");
+    let bad = |what: String| format!("placeholder `{{{}}}` {what}", Excerpt(path));
     let a_table = || bad("names a table, not a value".into());
     let (mut table, mut segs) = (doc, path.split('.'));
     loop {
         let seg = segs.next().ok_or_else(a_table)?;
         table = match (table.get(seg), segs.clone().next()) {
-            (None, _) => return Err(bad(format!("names a missing key `{seg}`"))),
+            (None, _) => return Err(bad(format!("names a missing key `{}`", Excerpt(seg)))),
             (Some(Value::Table(sub)), _) => sub,
             (Some(Value::TableArray(subs)), _) => {
                 let index = segs.next().ok_or_else(a_table)?;
                 let element = index.parse().ok().and_then(|i: usize| subs.get(i));
-                let past = || format!("indexes `{seg}` ({} long) with `{index}`", subs.len());
+                let (n, index) = (subs.len(), Excerpt(index));
+                let past = || format!("indexes `{seg}` ({n} long) with `{index}`");
                 element.ok_or_else(|| bad(past()))?
             }
             (Some(_), Some(more)) => {
-                return Err(bad(format!("looks for `{more}` in value `{seg}`")))
+                return Err(bad(format!(
+                    "looks for `{}` in value `{seg}`",
+                    Excerpt(more)
+                )))
             }
             (Some(Value::Str(s)), None) => return Ok(s.clone()),
             (Some(Value::Int(i)), None) => return Ok(i.to_string()),
