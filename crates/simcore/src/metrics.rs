@@ -511,7 +511,7 @@ mod tests {
         assert_eq!(n.counter("net.sent"), 6);
         for r in [&m, &n] {
             assert_eq!(r.counter_total("net.sent"), 6);
-            assert_eq!(counter_names(&r), vec!["net.sent"]);
+            assert_eq!(counter_names(r), vec!["net.sent"]);
             assert_eq!(r.counters_iter().count(), 1);
         }
         assert_eq!(m.to_jsonl(), n.to_jsonl());
