@@ -884,6 +884,8 @@ impl ScenarioSpec {
             }
         };
 
+        let workload = root.tables("workload")?.map(decode_workload);
+        let phases = root.tables("phase")?.map(decode_phase);
         let faults = root.tables("fault")?.map(|f| {
             f.finish(StaticFault {
                 at_ms: f.f64("at_ms")?,
@@ -936,9 +938,9 @@ impl ScenarioSpec {
             seed: root.int("seed")?,
             topology,
             config,
-            workload: (root.tables("workload")?.map(decode_workload)).collect::<Result<_, _>>()?,
+            workload: workload.collect::<Result<_, String>>()?,
             faults: faults.collect::<Result<_, String>>()?,
-            phases: (root.tables("phase")?.map(decode_phase)).collect::<Result<_, _>>()?,
+            phases: phases.collect::<Result<_, String>>()?,
             probes: probes.collect::<Result<_, String>>()?,
             obs: obs.transpose()?,
             slos: slos.collect::<Result<_, String>>()?,

@@ -95,7 +95,6 @@ impl Value {
 /// What errors call a table: the key it sits under and the table that key
 /// is in. Borrowed links, so naming a table costs nothing until an error
 /// prints the name.
-#[derive(Clone, Copy)]
 struct Name<'a> {
     parent: Option<&'a Name<'a>>,
     key: &'a str,
@@ -132,20 +131,14 @@ impl<'a> Reader<'a> {
     /// Read a document's root table; `name` is what errors call it, and its
     /// sub-tables are named from their own key down.
     pub fn new(table: &'a BTreeMap<String, Value>, name: &'a str) -> Reader<'a> {
-        let name = Name {
-            parent: None,
-            key: name,
-        };
-        let read = Cell::new(0);
+        let (parent, read) = (None, Cell::new(0));
+        let name = Name { parent, key: name };
         Reader { table, name, read }
     }
 
     fn sub<'s>(&'s self, table: &'s BTreeMap<String, Value>, key: &'s str) -> Reader<'s> {
-        let name = Name {
-            parent: Some(&self.name),
-            key,
-        };
-        let read = Cell::new(0);
+        let (parent, read) = (Some(&self.name), Cell::new(0));
+        let name = Name { parent, key };
         Reader { table, name, read }
     }
 
