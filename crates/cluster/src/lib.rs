@@ -11,7 +11,7 @@
 //! * [`power`] — node power models (linear and SPECpower-style piecewise)
 //!   and energy integration.
 //! * [`node`] — the node power-state machine (on / suspending / suspended /
-//!   resuming / off / booting) with transition latencies.
+//!   resuming) with transition latencies.
 //! * [`vm`] — VM identities, specifications and lifecycle states.
 //! * [`workload`] — per-VM utilization shapes (constant, periodic, bursty
 //!   on/off, the step functions of trace demand curves).

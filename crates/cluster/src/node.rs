@@ -5,7 +5,7 @@
 //! submission" (paper §I, §III). Those transitions are not instantaneous on
 //! real hardware — suspend-to-RAM takes seconds, wake-up tens of seconds —
 //! and that latency is exactly what makes the idle-time threshold policy
-//! interesting. [`PowerStateMachine`] models the six states and their
+//! interesting. [`PowerStateMachine`] models the four states and their
 //! timed transitions.
 
 use std::sync::Arc;
@@ -27,21 +27,14 @@ pub struct TransitionTimes {
     pub suspend: SimSpan,
     /// Waking from suspend-to-RAM.
     pub resume: SimSpan,
-    /// Entering soft-off (S5).
-    pub shutdown: SimSpan,
-    /// Cold boot from off to ready.
-    pub boot: SimSpan,
 }
 
 impl TransitionTimes {
-    /// Typical 2011-era server: 8 s to suspend, 25 s to resume, 30 s to
-    /// shut down, 180 s to cold-boot to a ready hypervisor.
+    /// Typical 2011-era server: 8 s to suspend, 25 s to resume.
     pub fn typical_server() -> Self {
         TransitionTimes {
             suspend: SimSpan::from_secs(8),
             resume: SimSpan::from_secs(25),
-            shutdown: SimSpan::from_secs(30),
-            boot: SimSpan::from_secs(180),
         }
     }
 
@@ -50,8 +43,6 @@ impl TransitionTimes {
         TransitionTimes {
             suspend: SimSpan::ZERO,
             resume: SimSpan::ZERO,
-            shutdown: SimSpan::ZERO,
-            boot: SimSpan::ZERO,
         }
     }
 }
@@ -68,12 +59,6 @@ pub enum PowerState {
     Suspended,
     /// Waking from suspend; done at the contained time.
     Resuming(SimTime),
-    /// Shutting down; done at the contained time.
-    ShuttingDown(SimTime),
-    /// Powered off.
-    Off,
-    /// Cold-booting; done at the contained time.
-    Booting(SimTime),
 }
 
 impl PowerState {
@@ -82,18 +67,15 @@ impl PowerState {
         matches!(self, PowerState::On)
     }
 
-    /// True when the node is in a low-power state (suspended or off).
+    /// True when the node is in its low-power state (suspended).
     pub fn is_low_power(&self) -> bool {
-        matches!(self, PowerState::Suspended | PowerState::Off)
+        matches!(self, PowerState::Suspended)
     }
 
     /// Completion time of an in-flight transition, if any.
     pub fn transition_done_at(&self) -> Option<SimTime> {
         match *self {
-            PowerState::Suspending(t)
-            | PowerState::Resuming(t)
-            | PowerState::ShuttingDown(t)
-            | PowerState::Booting(t) => Some(t),
+            PowerState::Suspending(t) | PowerState::Resuming(t) => Some(t),
             _ => None,
         }
     }
@@ -136,8 +118,6 @@ impl PowerStateMachine {
                 self.state = match self.state {
                     PowerState::Suspending(_) => PowerState::Suspended,
                     PowerState::Resuming(_) => PowerState::On,
-                    PowerState::ShuttingDown(_) => PowerState::Off,
-                    PowerState::Booting(_) => PowerState::On,
                     s => s,
                 };
             }
@@ -174,30 +154,6 @@ impl PowerStateMachine {
         Ok(done)
     }
 
-    /// Begin a shutdown. Legal only from `On`.
-    pub fn shutdown(&mut self, now: SimTime) -> Result<SimTime, PowerError> {
-        self.tick(now);
-        if !self.state.is_on() {
-            return Err(PowerError::IllegalTransition);
-        }
-        let done = now + self.times.shutdown;
-        self.state = PowerState::ShuttingDown(done);
-        self.tick(now);
-        Ok(done)
-    }
-
-    /// Begin a cold boot. Legal only from `Off`.
-    pub fn boot(&mut self, now: SimTime) -> Result<SimTime, PowerError> {
-        self.tick(now);
-        if self.state != PowerState::Off {
-            return Err(PowerError::IllegalTransition);
-        }
-        let done = now + self.times.boot;
-        self.state = PowerState::Booting(done);
-        self.tick(now);
-        Ok(done)
-    }
-
     /// Instantaneous power draw in the current state, given a power model
     /// and the node's CPU utilization (only meaningful when on).
     ///
@@ -211,10 +167,7 @@ impl PowerStateMachine {
             PowerState::On => model.active_watts(utilization),
             PowerState::Suspending(_) => model.suspending_watts(),
             PowerState::Resuming(_) => model.resuming_watts(),
-            PowerState::ShuttingDown(_) => model.shutting_down_watts(),
-            PowerState::Booting(_) => model.booting_watts(),
             PowerState::Suspended => model.suspended_watts(),
-            PowerState::Off => model.off_watts(),
         }
     }
 }
@@ -232,15 +185,6 @@ impl McState for PowerState {
                 h.word(4);
                 h.time(done);
             }
-            PowerState::ShuttingDown(done) => {
-                h.word(5);
-                h.time(done);
-            }
-            PowerState::Off => h.word(6),
-            PowerState::Booting(done) => {
-                h.word(7);
-                h.time(done);
-            }
         }
     }
 }
@@ -250,8 +194,6 @@ impl McState for PowerStateMachine {
         self.state.mc_fold(h);
         h.span(self.times.suspend);
         h.span(self.times.resume);
-        h.span(self.times.shutdown);
-        h.span(self.times.boot);
     }
 }
 
@@ -303,13 +245,6 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn powered_off() -> PowerStateMachine {
-        PowerStateMachine {
-            state: PowerState::Off,
-            times: TransitionTimes::typical_server(),
-        }
-    }
-
     #[test]
     fn suspend_resume_cycle() {
         let mut m = PowerStateMachine::new_on(TransitionTimes::typical_server());
@@ -339,28 +274,18 @@ mod tests {
 
     #[test]
     fn illegal_transitions_rejected() {
-        let mut m = powered_off();
-        assert_eq!(m.suspend(t(0)), Err(PowerError::IllegalTransition));
-        assert_eq!(m.resume(t(0)), Err(PowerError::IllegalTransition));
-        assert_eq!(m.shutdown(t(0)), Err(PowerError::IllegalTransition));
-        m.boot(t(0)).unwrap();
-        // Can't boot while booting.
-        assert_eq!(m.boot(t(1)), Err(PowerError::IllegalTransition));
-        m.tick(t(180));
-        assert_eq!(m.state(), PowerState::On);
-        // Can't resume an already-on machine.
-        assert_eq!(m.resume(t(181)), Err(PowerError::IllegalTransition));
-    }
-
-    #[test]
-    fn shutdown_boot_cycle() {
         let mut m = PowerStateMachine::new_on(TransitionTimes::typical_server());
-        let down = m.shutdown(t(10)).unwrap();
-        assert_eq!(down, t(40));
-        assert_eq!(m.tick(t(40)), PowerState::Off);
-        let up = m.boot(t(100)).unwrap();
-        assert_eq!(up, t(280));
-        assert_eq!(m.tick(t(280)), PowerState::On);
+        // Can't resume an already-on machine.
+        assert_eq!(m.resume(t(0)), Err(PowerError::IllegalTransition));
+        m.suspend(t(0)).unwrap();
+        // Can't suspend while suspending, nor once suspended.
+        assert_eq!(m.suspend(t(1)), Err(PowerError::IllegalTransition));
+        assert_eq!(m.suspend(t(8)), Err(PowerError::IllegalTransition));
+        m.resume(t(8)).unwrap();
+        // Nor while resuming: only `On` suspends.
+        assert_eq!(m.suspend(t(9)), Err(PowerError::IllegalTransition));
+        assert_eq!(m.resume(t(9)), Err(PowerError::IllegalTransition));
+        assert_eq!(m.tick(t(33)), PowerState::On);
     }
 
     #[test]
@@ -385,10 +310,8 @@ mod tests {
         assert_eq!(m.watts(&model, 0.5), 100.0, "transitions draw idle power");
         m.tick(t(8));
         assert_eq!(m.watts(&model, 0.5), 5.0);
-        let mut off = powered_off();
-        assert_eq!(off.watts(&model, 0.0), 0.0);
-        off.boot(t(0)).unwrap();
-        assert_eq!(off.watts(&model, 0.0), 100.0);
+        m.resume(t(8)).unwrap();
+        assert_eq!(m.watts(&model, 0.5), 100.0);
     }
 
     #[test]
@@ -452,7 +375,6 @@ mod tests {
     #[test]
     fn low_power_predicate() {
         assert!(PowerState::Suspended.is_low_power());
-        assert!(PowerState::Off.is_low_power());
         assert!(!PowerState::On.is_low_power());
         assert!(!PowerState::Suspending(t(1)).is_low_power());
     }

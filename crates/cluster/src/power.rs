@@ -13,8 +13,8 @@
 //!   slowest P-state that can serve the demand, and each state has its own
 //!   idle/peak interpolation.
 //! * [`BilledTransitions`] — a wrapper charging sleep/wake transitions at
-//!   model-specified wattages (peak during resume/boot) instead of the
-//!   legacy idle draw.
+//!   model-specified wattages (peak during resume) instead of the legacy
+//!   idle draw.
 //!
 //! [`EnergyMeter`] integrates instantaneous power over virtual time.
 
@@ -24,7 +24,7 @@ use snooze_simcore::time::SimTime;
 
 /// Maps a node's CPU utilization in `[0, 1]` to instantaneous power draw.
 ///
-/// The four transition hooks default to the legacy behaviour — idle draw
+/// The two transition hooks default to the legacy behaviour — idle draw
 /// (`active_watts(0.0)`) in every transitional state — so existing models
 /// and goldens are unaffected unless a model opts in.
 pub trait PowerModel: Send + Sync + 'static {
@@ -36,11 +36,6 @@ pub trait PowerModel: Send + Sync + 'static {
         5.0
     }
 
-    /// Power in watts while fully off (typically a small standby draw).
-    fn off_watts(&self) -> f64 {
-        0.0
-    }
-
     /// Power while entering suspend-to-RAM (flushing state, parking cores).
     fn suspending_watts(&self) -> f64 {
         self.active_watts(0.0)
@@ -48,16 +43,6 @@ pub trait PowerModel: Send + Sync + 'static {
 
     /// Power while waking from suspend (devices re-powering at full tilt).
     fn resuming_watts(&self) -> f64 {
-        self.active_watts(0.0)
-    }
-
-    /// Power while shutting down to soft-off.
-    fn shutting_down_watts(&self) -> f64 {
-        self.active_watts(0.0)
-    }
-
-    /// Power while cold-booting (POST + OS boot run the machine hard).
-    fn booting_watts(&self) -> f64 {
         self.active_watts(0.0)
     }
 }
@@ -228,8 +213,8 @@ impl PowerModel for DvfsPower {
 }
 
 /// Wraps any model so transitional power states are billed honestly:
-/// resume and boot draw *peak* power (devices re-initialising, POST, OS
-/// boot), suspend-entry and shutdown draw idle. With this wrapper a
+/// resume draws *peak* power (devices re-initialising), suspend-entry
+/// draws idle. With this wrapper a
 /// suspend→resume round-trip has a real energy cost, so suspending for a
 /// short idle gap can net-*lose* energy — the break-even an energy-aware
 /// consolidator must reason about.
@@ -255,23 +240,11 @@ impl PowerModel for BilledTransitions {
         self.base.suspended_watts()
     }
 
-    fn off_watts(&self) -> f64 {
-        self.base.off_watts()
-    }
-
     fn suspending_watts(&self) -> f64 {
         self.base.active_watts(0.0)
     }
 
     fn resuming_watts(&self) -> f64 {
-        self.base.active_watts(1.0)
-    }
-
-    fn shutting_down_watts(&self) -> f64 {
-        self.base.active_watts(0.0)
-    }
-
-    fn booting_watts(&self) -> f64 {
         self.base.active_watts(1.0)
     }
 }
@@ -376,8 +349,6 @@ mod tests {
         let m = LinearPower::grid5000();
         assert_eq!(m.suspending_watts(), m.active_watts(0.0));
         assert_eq!(m.resuming_watts(), m.active_watts(0.0));
-        assert_eq!(m.shutting_down_watts(), m.active_watts(0.0));
-        assert_eq!(m.booting_watts(), m.active_watts(0.0));
     }
 
     #[test]
@@ -387,9 +358,7 @@ mod tests {
         assert_eq!(billed.active_watts(0.3), base.active_watts(0.3));
         assert_eq!(billed.suspended_watts(), base.suspended_watts());
         assert_eq!(billed.suspending_watts(), base.active_watts(0.0));
-        assert_eq!(billed.shutting_down_watts(), base.active_watts(0.0));
         assert_eq!(billed.resuming_watts(), base.active_watts(1.0));
-        assert_eq!(billed.booting_watts(), base.active_watts(1.0));
     }
 
     #[test]

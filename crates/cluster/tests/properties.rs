@@ -19,8 +19,6 @@ use snooze_simcore::time::{SimSpan, SimTime};
 enum Cmd {
     Suspend,
     Resume,
-    Shutdown,
-    Boot,
     Tick(u64),
 }
 
@@ -28,8 +26,6 @@ fn cmd_strategy() -> impl Strategy<Value = Cmd> {
     prop_oneof![
         Just(Cmd::Suspend),
         Just(Cmd::Resume),
-        Just(Cmd::Shutdown),
-        Just(Cmd::Boot),
         (0u64..400).prop_map(Cmd::Tick),
     ]
 }
@@ -46,8 +42,6 @@ proptest! {
             match cmd {
                 Cmd::Suspend => { let _ = m.suspend(now); }
                 Cmd::Resume => { let _ = m.resume(now); }
-                Cmd::Shutdown => { let _ = m.shutdown(now); }
-                Cmd::Boot => { let _ = m.boot(now); }
                 Cmd::Tick(s) => {
                     now += SimSpan::from_secs(s);
                     m.tick(now);
@@ -66,7 +60,7 @@ proptest! {
         now += SimSpan::from_secs(3600);
         let settled = m.tick(now);
         prop_assert!(settled.transition_done_at().is_none());
-        prop_assert!(matches!(settled, PowerState::On | PowerState::Suspended | PowerState::Off));
+        prop_assert!(matches!(settled, PowerState::On | PowerState::Suspended));
     }
 
     #[test]
@@ -127,7 +121,6 @@ proptest! {
         for model in [&LinearPower::grid5000() as &dyn PowerModel, &SpecLikePower::xeon_2011()] {
             prop_assert!(model.active_watts(lo) <= model.active_watts(hi) + 1e-9);
             prop_assert!(model.suspended_watts() < model.active_watts(0.0));
-            prop_assert!(model.off_watts() <= model.suspended_watts());
         }
     }
 

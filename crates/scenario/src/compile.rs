@@ -246,7 +246,7 @@ pub fn compile(spec: &ScenarioSpec) -> Result<LiveSystem, String> {
         let at = ms_to_time(f.at_ms);
         if f.kind == "degrade" {
             let ppm = f.loss_ppm.ok_or("`degrade` needs `loss_ppm`")?;
-            plan = plan.degrade_links(at, ppm as u32);
+            plan = plan.degrade_links(at, ppm);
             continue;
         }
         let pool: &[ComponentId] = match (&live.stack, f.target.as_str()) {
@@ -812,31 +812,21 @@ pub fn run_watch(
         None => (0, Vec::new(), None, Vec::new()),
     };
 
-    let (energy_wh, migrations, suspends, wakeups, nodes_on_end, total_vms_end) = match &live.stack
-    {
+    let metrics = live.sim.metrics();
+    let transitions = |kind| metrics.counter_with("power.transitions", &label("kind", kind));
+    let migrations = metrics.counter("lc.migrations_out");
+    let suspends = transitions("suspend");
+    let wakeups = transitions("wake") + transitions("watchdog-wake");
+    let (energy_wh, nodes_on_end, total_vms_end) = match &live.stack {
         Stack::Hierarchy(s) => {
             let (on, transitioning, _) = s.power_census(&live.sim);
-            let (m, su, w) = s
-                .lcs
-                .iter()
-                .filter_map(|&lc| live.sim.get(lc).and_then(|c| c.as_lc()))
-                .fold((0u64, 0u64, 0u64), |(m, su, w), l| {
-                    (
-                        m + l.stats.migrations_out,
-                        su + l.stats.suspensions,
-                        w + l.stats.wakeups,
-                    )
-                });
             (
                 s.total_energy_wh(&live.sim, live.sim.now()),
-                m,
-                su,
-                w,
                 on + transitioning,
                 s.total_vms(&live.sim),
             )
         }
-        Stack::Unified(_) => (0.0, 0, 0, 0, 0, 0),
+        Stack::Unified(_) => (0.0, 0, 0),
     };
 
     let (placed, rejected, abandoned, mean_latency_s, p95_latency_s, requested_vms) =
@@ -993,6 +983,72 @@ mod tests {
         let b = run(&spec).unwrap();
         assert_eq!(a.live.sim.digest(), b.live.sim.digest());
         assert_eq!(a.outcome.placed, b.outcome.placed);
+    }
+
+    /// Underload relocation drains one of two LCs, which then sleeps and
+    /// is woken by its RTC watchdog; the other crashes at 120 s and
+    /// snapshot recovery wakes the sleeper for its VMs.
+    const COUNTER_COLUMNS: &str = r#"
+name = "counter-columns"
+seed = 11
+[config]
+preset = "fast_test"
+idle_suspend_ms = 10000.0
+suspend_watchdog_ms = 30000.0
+placement = "round_robin"
+underload_threshold = 0.3
+reschedule_on_lc_failure = true
+[topology]
+managers = 2
+lcs = 2
+eps = 1
+[topology.client]
+retry_ms = 10000.0
+[[workload]]
+kind = "burst"
+n = 1
+at_ms = 10000.0
+cores = 2.0
+memory_mb = 8192.0
+util = 0.9
+[[workload]]
+kind = "burst"
+n = 1
+at_ms = 10000.0
+cores = 2.0
+memory_mb = 8192.0
+util = 0.4
+[[workload]]
+kind = "burst"
+n = 1
+at_ms = 10000.0
+cores = 2.0
+memory_mb = 8192.0
+util = 0.9
+[[fault]]
+at_ms = 120000.0
+kind = "crash"
+target = "lc"
+index = 0
+downtime_ms = 20000.0
+[[phase]]
+kind = "run_to"
+t_ms = 240000.0
+"#;
+
+    #[test]
+    fn migration_and_power_columns_count_what_the_lcs_did() {
+        let run = run(&ScenarioSpec::from_toml(COUNTER_COLUMNS).unwrap()).unwrap();
+        let o = &run.outcome;
+        // Captured from this same run at ceeadd5, the commit before these
+        // columns moved onto the registry, where they were sums over the
+        // LCs' private `stats` (`migrations_out`, `suspensions`, `wakeups`).
+        assert_eq!((o.migrations, o.suspends, o.wakeups), (1, 4, 3));
+        // One GM-commanded wake, two RTC check-ins.
+        let m = run.live.sim.metrics();
+        let woken = |kind| m.counter_with("power.transitions", &label("kind", kind));
+        assert_eq!((woken("wake"), woken("watchdog-wake")), (1, 2));
+        assert_eq!(o.total_vms_end, 3, "the crash's VMs were rescheduled");
     }
 
     #[test]

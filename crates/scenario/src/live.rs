@@ -112,14 +112,12 @@ pub fn build_workload(alloc: &mut VmIdAlloc, w: &WorkloadSpec) -> Result<Vec<Sch
                     let mem = rng.uniform(*mem_min_mb, *mem_max_mb);
                     let util = rng.uniform(*util_min, *util_max);
                     let mut item = vm_item(alloc.next_id(), cores, mem, util);
-                    item.at = base_at
-                        + SimSpan::from_secs(rng.range(0, *arrival_spread_s as usize) as u64);
+                    item.at = base_at + SimSpan::from_secs(rng.range(0, *arrival_spread_s) as u64);
                     // Part of the fleet terminates mid-run, creating the
                     // idle times the energy manager exploits.
-                    if *lifetime_every > 0 && (i as i64) % lifetime_every == 0 {
-                        item.lifetime = Some(SimSpan::from_secs(
-                            rng.range(*lifetime_min_s as usize, *lifetime_max_s as usize) as u64,
-                        ));
+                    if *lifetime_every > 0 && i % lifetime_every == 0 {
+                        let lifetime = rng.range(*lifetime_min_s, *lifetime_max_s);
+                        item.lifetime = Some(SimSpan::from_secs(lifetime as u64));
                     }
                     item
                 })

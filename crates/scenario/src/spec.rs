@@ -134,7 +134,7 @@ pub struct PowerModelSpec {
     /// `"linear"`, `"spec"` or `"dvfs"`.
     pub kind: String,
     /// Transition billing: `"legacy"` draws idle while suspending /
-    /// resuming / booting; `"billed"` draws peak on the way up.
+    /// resuming; `"billed"` draws peak on the way up.
     pub transitions: String,
     /// Kind-specific parameters (raw scalars / arrays).
     pub params: BTreeMap<String, Value>,
@@ -297,7 +297,7 @@ pub struct ReconfSpec {
     /// ACO cycle-count override.
     pub aco_cycles: Option<i64>,
     /// Migration budget per pass.
-    pub max_migrations: i64,
+    pub max_migrations: usize,
     /// Extra per-algorithm parameters forwarded verbatim to the registry
     /// (the `[config.reconfiguration.params]` sub-table).
     pub params: Option<BTreeMap<String, Value>>,
@@ -353,14 +353,15 @@ pub enum WorkloadSpec {
         util_max: f64,
         /// Earliest arrival, ms.
         arrival_at_ms: f64,
-        /// Arrivals spread uniformly over this many whole seconds.
-        arrival_spread_s: i64,
-        /// Every `k`-th VM (i % k == 0) terminates mid-run.
-        lifetime_every: i64,
+        /// Arrivals spread uniformly over this many whole seconds (> 0).
+        arrival_spread_s: usize,
+        /// Every `k`-th VM (i % k == 0) terminates mid-run; 0 = none does.
+        lifetime_every: usize,
+        /// Lifetime draw range, whole seconds (`[min, max)`, so min < max
+        /// when `lifetime_every` > 0).
+        lifetime_min_s: usize,
         /// Lifetime draw range, whole seconds.
-        lifetime_min_s: i64,
-        /// Lifetime draw range, whole seconds.
-        lifetime_max_s: i64,
+        lifetime_max_s: usize,
     },
     /// VM requests replayed from a canonical trace file (CSV or JSONL,
     /// see `snooze-trace`). Every record becomes one scheduled VM with
@@ -397,7 +398,7 @@ pub struct StaticFault {
     /// For crash/isolate: automatically undo after this long, ms.
     pub downtime_ms: Option<f64>,
     /// For `"degrade"`: network-wide loss, parts per million.
-    pub loss_ppm: Option<i64>,
+    pub loss_ppm: Option<u32>,
 }
 
 /// One step of the phase program.
@@ -683,7 +684,7 @@ impl ReconfSpec {
             period: ms_to_span(self.period_ms),
             algo: self.algo.clone(),
             consolidator: Arc::from(consolidator),
-            max_migrations: self.max_migrations as usize,
+            max_migrations: self.max_migrations,
         })
     }
 }
@@ -967,21 +968,46 @@ fn decode_workload(w: Reader<'_>) -> Result<WorkloadSpec, String> {
             memory_mb: w.f64("memory_mb")?,
             util: w.f64("util")?,
         },
-        "random_fleet" => WorkloadSpec::RandomFleet {
-            n: w.int("n")?,
-            seed: w.int("seed")?,
-            cores_min: w.f64("cores_min")?,
-            cores_max: w.f64("cores_max")?,
-            mem_min_mb: w.f64("mem_min_mb")?,
-            mem_max_mb: w.f64("mem_max_mb")?,
-            util_min: w.f64("util_min")?,
-            util_max: w.f64("util_max")?,
-            arrival_at_ms: w.f64("arrival_at_ms")?,
-            arrival_spread_s: w.int("arrival_spread_s")?,
-            lifetime_every: w.int("lifetime_every")?,
-            lifetime_min_s: w.int("lifetime_min_s")?,
-            lifetime_max_s: w.int("lifetime_max_s")?,
-        },
+        "random_fleet" => {
+            // Each pair is a draw range: `min` above `max` (or a NaN) has
+            // no draw to make.
+            let range = |min: &str, max: &str| {
+                let (lo, hi) = (w.f64(min)?, w.f64(max)?);
+                match lo <= hi {
+                    true => Ok((lo, hi)),
+                    false => Err(w.invalid(min, format_args!("<= `{max}` ({hi}), got {lo}"))),
+                }
+            };
+            let (cores_min, cores_max) = range("cores_min", "cores_max")?;
+            let (mem_min_mb, mem_max_mb) = range("mem_min_mb", "mem_max_mb")?;
+            let (util_min, util_max) = range("util_min", "util_max")?;
+            let arrival_spread_s = w.int("arrival_spread_s")?;
+            if arrival_spread_s == 0 {
+                return Err(w.invalid("arrival_spread_s", "a positive integer"));
+            }
+            let lifetime_every = w.int("lifetime_every")?;
+            let (lo, hi) = (w.int("lifetime_min_s")?, w.int("lifetime_max_s")?);
+            if lifetime_every > 0 && lo >= hi {
+                let want =
+                    format_args!("< `lifetime_max_s` ({hi}) when `lifetime_every` > 0, got {lo}");
+                return Err(w.invalid("lifetime_min_s", want));
+            }
+            WorkloadSpec::RandomFleet {
+                n: w.int("n")?,
+                seed: w.int("seed")?,
+                cores_min,
+                cores_max,
+                mem_min_mb,
+                mem_max_mb,
+                util_min,
+                util_max,
+                arrival_at_ms: w.f64("arrival_at_ms")?,
+                arrival_spread_s,
+                lifetime_every,
+                lifetime_min_s: lo,
+                lifetime_max_s: hi,
+            }
+        }
         "trace" => {
             let time_scale = w.opt_f64("time_scale")?.unwrap_or(1.0);
             if !(time_scale.is_finite() && time_scale > 0.0) {
@@ -2051,6 +2077,79 @@ suspend_watts = 5.0
             let want = format!("`{key}` in {table} must be {want}");
             assert_eq!(err, want, "{table}.{key} = {value:?}");
         }
+    }
+
+    #[test]
+    fn hostile_integers_and_empty_ranges_are_decode_errors() {
+        let mut full = toml::parse(FULL).unwrap();
+        // `with` edits the last workload: make that the random fleet.
+        if let Some(Value::TableArray(items)) = full.get_mut("workload") {
+            items.rotate_left(2);
+        }
+        ScenarioSpec::from_value(&full).expect("the base document decodes");
+        let (int, float) = (Value::Int, Value::Float);
+        let negative = "a non-negative integer";
+        // Each decoded at the parent of this test, and then either panicked
+        // in `compile` (the four fleet shapes) or was cast to a huge
+        // unsigned value (`-1` migrations per pass, `-1` ppm of loss).
+        let cases: [(&[&str], &str, Value, String); 10] = [
+            (
+                &["workload"],
+                "arrival_spread_s",
+                int(0),
+                "a positive integer".into(),
+            ),
+            (&["workload"], "arrival_spread_s", int(-5), negative.into()),
+            (
+                &["workload"],
+                "lifetime_min_s",
+                int(200),
+                "< `lifetime_max_s` (200) when `lifetime_every` > 0, got 200".into(),
+            ),
+            (&["workload"], "lifetime_every", int(-1), negative.into()),
+            (
+                &["workload"],
+                "cores_min",
+                float(5.0),
+                "<= `cores_max` (4), got 5".into(),
+            ),
+            (
+                &["workload"],
+                "mem_min_mb",
+                float(9000.0),
+                "<= `mem_max_mb` (8192), got 9000".into(),
+            ),
+            (
+                &["workload"],
+                "util_min",
+                float(f64::NAN),
+                "<= `util_max` (0.9), got NaN".into(),
+            ),
+            (
+                &["config", "reconfiguration"],
+                "max_migrations",
+                int(-1),
+                negative.into(),
+            ),
+            (&["fault"], "loss_ppm", int(-1), negative.into()),
+            (&["fault"], "loss_ppm", int(1 << 32), negative.into()),
+        ];
+        for (path, key, value, want) in cases {
+            let err = ScenarioSpec::from_value(&with(&full, path, key, value.clone())).unwrap_err();
+            let want = format!("`{key}` in {} must be {want}", path.join("."));
+            assert_eq!(err, want, "{key} = {value:?}");
+        }
+        // No lifetimes drawn, no lifetime range needed: the benchmark's
+        // kilonode fleet reads `lifetime_every = 0` with `0` / `0`.
+        let never = [
+            ("lifetime_every", 0),
+            ("lifetime_min_s", 0),
+            ("lifetime_max_s", 0),
+        ];
+        let never = never.iter().fold(full, |doc, &(key, v)| {
+            with(&doc, &["workload"], key, int(v))
+        });
+        ScenarioSpec::from_value(&never).expect("`lifetime_every = 0` draws no lifetime");
     }
 
     /// Every table of `t` — `t` itself, its sub-tables, the elements of

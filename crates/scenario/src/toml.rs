@@ -171,8 +171,14 @@ impl<'a> Reader<'a> {
         let Some(v) = self.get(key) else {
             return Ok(None);
         };
-        let wrong = || format!("`{key}` in {} must be {want}", self.name);
-        as_t(v).map(Some).ok_or_else(wrong)
+        as_t(v).map(Some).ok_or_else(|| self.invalid(key, want))
+    }
+
+    /// The error for a `key` of this table whose value the decoder cannot
+    /// take: `` `key` in <table> must be <want> ``, the shape a type error
+    /// has too.
+    pub fn invalid(&self, key: &str, want: impl fmt::Display) -> String {
+        format!("`{key}` in {} must be {want}", self.name)
     }
 
     fn required<T>(&self, key: &str, found: Option<T>) -> Result<T, String> {

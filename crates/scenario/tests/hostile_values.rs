@@ -14,14 +14,17 @@
 //! The property: `ScenarioSpec::from_value` and `ScenarioDoc::expand`
 //! return `Ok` or an `Err` under 512 bytes — never a panic, never an error
 //! the size of its input — and a spec that does decode builds its config
-//! (where `ms_to_span`'s assert sits) without panicking either.
+//! (where `ms_to_span`'s assert sits) and its workload (where the draw
+//! ranges sit) without panicking either.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use snooze_scenario::spec::{ScenarioDoc, ScenarioSpec};
+use snooze_scenario::live::build_workload;
+use snooze_scenario::spec::{ScenarioDoc, ScenarioSpec, WorkloadSpec};
 use snooze_scenario::toml::{parse, render, Value};
+use snooze_scenario::VmIdAlloc;
 
 type Table = BTreeMap<String, Value>;
 
@@ -207,10 +210,21 @@ fn short(e: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// A decoded spec is still outside input to `build`, which may refuse it
-/// but not panic.
+/// A decoded spec is still outside input to `build` and to the workload
+/// builders, which may refuse it but not panic. Traces are files the
+/// readers' own tests damage; a fleet is built at most 10 000 VMs large (an
+/// allocation proportional to `n` is ROADMAP 9(b)'s open item).
 fn builds_or_refuses(spec: &ScenarioSpec) {
     let _ = spec.config.build();
+    let mut alloc = VmIdAlloc::new();
+    for w in &spec.workload {
+        match w {
+            WorkloadSpec::Burst { n, .. } | WorkloadSpec::RandomFleet { n, .. } if *n <= 10_000 => {
+                let _ = build_workload(&mut alloc, w);
+            }
+            _ => {}
+        }
+    }
 }
 
 proptest! {

@@ -210,7 +210,6 @@ pub(crate) struct EngineCore<M> {
     pub(crate) alive: Vec<bool>,
     pub(crate) incarnation: Vec<u32>,
     pub(crate) names: Vec<String>,
-    pub(crate) halted: bool,
     pub(crate) events_executed: u64,
     /// Running FNV-1a fingerprint of the executed event stream.
     pub(crate) digest: u64,
@@ -339,7 +338,7 @@ impl<M> Ctx<'_, M> {
     }
 
     /// Send `msg` to `dst` over the simulated network (subject to latency,
-    /// loss and partitions). Anything convertible into the engine's
+    /// loss and isolation). Anything convertible into the engine's
     /// message type is accepted, so call sites pass concrete wire structs
     /// and the `From` impls on the message enum do the wrapping. The
     /// current span context (the incoming one, or the innermost span
@@ -436,13 +435,6 @@ impl<M> Ctx<'_, M> {
     /// Record a metric counter increment.
     pub fn metrics(&mut self) -> &mut MetricsRegistry {
         &mut self.core.metrics
-    }
-
-    /// Stop the simulation after the current event completes.
-    // check-allow(uncalled): the only setter of `halted`, which snapshots
-    // carry and the mc fingerprint folds; it goes when that fold may move.
-    pub fn halt(&mut self) {
-        self.core.halted = true;
     }
 
     // --- causal spans ----------------------------------------------------
@@ -547,7 +539,6 @@ impl SimBuilder {
                 alive: Vec::new(),
                 incarnation: Vec::new(),
                 names: Vec::new(),
-                halted: false,
                 events_executed: 0,
                 digest: snooze_telemetry::FNV_OFFSET,
                 last_executed: None,
@@ -757,7 +748,7 @@ impl<C: Component> Engine<C> {
         self.core.network.group_members(group)
     }
 
-    /// Direct mutable access to the simulated network (partitions etc.).
+    /// Direct mutable access to the simulated network (isolation etc.).
     // check-allow(uncalled): the hook the split-brain tests isolate and
     // reconnect a leader through, between two `run_until` calls.
     pub fn network_mut(&mut self) -> &mut Network {
@@ -778,9 +769,9 @@ impl<C: Component> Engine<C> {
     }
 
     /// Execute a single event. Returns `false` when the queue is empty or
-    /// the simulation halted.
+    /// `max_events` is reached.
     pub fn step(&mut self) -> bool {
-        if self.core.halted || self.core.events_executed >= self.max_events {
+        if self.core.events_executed >= self.max_events {
             return false;
         }
         let ev = match self.core.queue.pop() {
@@ -954,7 +945,7 @@ impl<C: Component> Engine<C> {
         self.core.ctx_span = None;
     }
 
-    /// Run until the queue drains, the engine halts, or `max_events` hits.
+    /// Run until the queue drains or `max_events` hits.
     pub fn run(&mut self) {
         while self.step() {}
     }
@@ -972,7 +963,7 @@ impl<C: Component> Engine<C> {
                 break;
             }
         }
-        if self.core.now < deadline && !self.core.halted {
+        if self.core.now < deadline {
             self.core.now = deadline;
         }
     }
@@ -1290,23 +1281,6 @@ mod tests {
         fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: ComponentId, _: TestMsg) {}
     }
 
-    struct Halter;
-    impl Component for Halter {
-        type Msg = TestMsg;
-        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
-            ctx.set_timer(SimSpan::from_secs(1), 0);
-            ctx.set_timer(SimSpan::from_secs(100), 1);
-        }
-        fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: ComponentId, _: TestMsg) {}
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, tag: u64) {
-            if tag == 0 {
-                ctx.halt();
-            } else {
-                panic!("should have halted");
-            }
-        }
-    }
-
     /// Fires `left` self-timers at jittered delays, burning `spin_nanos`
     /// of host time in each — the profiler test's heavy and light kinds.
     struct Spinner {
@@ -1350,7 +1324,6 @@ mod tests {
             SpanSink(SpanSink) as as_span_sink,
             TimerSpans(TimerSpans) as as_timer_spans,
             Nester(Nester) as as_nester,
-            Halter(Halter) as as_halter,
             Spinner(Spinner) as as_spinner,
         }
     }
@@ -1690,14 +1663,6 @@ mod tests {
             sim.span_digest()
         }
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn halt_stops_run() {
-        let mut sim = sim(1);
-        sim.add_component("h", Halter);
-        sim.run();
-        assert_eq!(sim.now(), SimTime::from_secs(1));
     }
 
     fn classify(_m: &TestMsg) -> &'static str {

@@ -15,7 +15,7 @@
 //! * [`engine`] — the event loop. User logic lives in [`Component`]s which
 //!   react to messages and timers through a [`Ctx`] handle.
 //! * [`network`] — a simulated message bus with jittered latency,
-//!   message loss, partitions and multicast groups.
+//!   message loss, isolation and multicast groups.
 //! * [`failure`] — crash/restart injection for any component.
 //! * [`rng`] — seedable, stream-splittable randomness so every run is
 //!   replayable from a single `u64` seed.

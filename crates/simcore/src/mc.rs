@@ -163,7 +163,6 @@ pub struct SystemState<C: Component> {
     pub(crate) ctx_span: Option<SpanId>,
     pub(crate) alive: Vec<bool>,
     pub(crate) incarnation: Vec<u32>,
-    pub(crate) halted: bool,
     pub(crate) events_executed: u64,
     pub(crate) digest: u64,
     pub(crate) last_executed: Option<(SimTime, u64)>,
@@ -296,7 +295,6 @@ where
             ctx_span: self.core.ctx_span,
             alive: self.core.alive.clone(),
             incarnation: self.core.incarnation.clone(),
-            halted: self.core.halted,
             events_executed: self.core.events_executed,
             digest: self.core.digest,
             last_executed: self.core.last_executed,
@@ -349,7 +347,6 @@ where
         self.core.ctx_span = state.ctx_span;
         self.core.alive = state.alive.clone();
         self.core.incarnation = state.incarnation.clone();
-        self.core.halted = state.halted;
         self.core.events_executed = state.events_executed;
         self.core.digest = state.digest;
         self.core.last_executed = state.last_executed;
@@ -512,7 +509,6 @@ where
     /// (seq, timer ids) — none of which influence future behavior.
     pub fn mc_fingerprint(&self) -> u64 {
         let mut h = McHasher::new(self.core.now);
-        h.flag(self.core.halted);
         for (idx, comp) in self.components.iter().enumerate() {
             h.word(idx as u64);
             h.flag(self.core.alive[idx]);

@@ -335,16 +335,6 @@ impl MetricsRegistry {
         entry(&mut self.histograms, key, labels).record(value);
     }
 
-    /// Histogram under `key` (no labels), if any samples were recorded.
-    pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.histogram_with(key, &LabelSet::EMPTY)
-    }
-
-    /// Histogram under `key{labels}`, if any samples were recorded.
-    fn histogram_with(&self, key: &str, labels: &LabelSet) -> Option<&Histogram> {
-        lookup(&self.histograms, key, labels)
-    }
-
     /// Every counter sample: `(name, labels, value)` in deterministic
     /// (name, label-set) order.
     pub fn counters_iter(&self) -> impl Iterator<Item = (&str, &LabelSet, u64)> {
@@ -658,8 +648,8 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.observe("lat", 2.0);
         m.observe("lat", 4.0);
-        assert_eq!(m.histogram("lat").unwrap().mean(), 3.0);
-        assert!(m.histogram("other").is_none());
+        let histograms: Vec<_> = m.histograms_iter().collect();
+        assert!(matches!(histograms[..], [("lat", l, h)] if l.is_empty() && h.mean() == 3.0));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Simulated network: latency, loss, partitions, multicast groups.
+//! Simulated network: latency, loss, isolation, multicast groups.
 //!
 //! Snooze's protocols (heartbeat multicast, REST-style request/response,
 //! monitoring uploads) all ride on a data-center LAN. The network model
@@ -84,13 +84,11 @@ impl Default for NetworkConfig {
 }
 
 /// Live network state owned by the engine. The mutable parts (group
-/// membership, partitions, FIFO clamps) live in ordered collections so
+/// membership, isolation, FIFO clamps) live in ordered collections so
 /// snapshots hash and restore deterministically.
 pub struct Network {
     config: NetworkConfig,
     groups: Vec<Vec<ComponentId>>,
-    /// Pairs `(a, b)` with `a < b` that cannot communicate.
-    blocked_pairs: BTreeSet<(usize, usize)>,
     /// Components cut off from everyone.
     isolated: BTreeSet<usize>,
     /// Last scheduled arrival per directed `(src, dst)` pair — enforces
@@ -106,7 +104,6 @@ pub struct Network {
 #[derive(Clone, Debug)]
 pub struct NetworkState {
     groups: Vec<Vec<ComponentId>>,
-    blocked_pairs: BTreeSet<(usize, usize)>,
     isolated: BTreeSet<usize>,
     last_arrival: Vec<Vec<(usize, SimTime)>>,
     loss_rate: f64,
@@ -117,7 +114,6 @@ impl Network {
         Network {
             config,
             groups: Vec::new(),
-            blocked_pairs: BTreeSet::new(),
             isolated: BTreeSet::new(),
             last_arrival: Vec::new(),
         }
@@ -127,7 +123,6 @@ impl Network {
     pub(crate) fn save_state(&self) -> NetworkState {
         NetworkState {
             groups: self.groups.clone(),
-            blocked_pairs: self.blocked_pairs.clone(),
             isolated: self.isolated.clone(),
             last_arrival: self.last_arrival.clone(),
             loss_rate: self.config.loss_rate,
@@ -137,7 +132,6 @@ impl Network {
     /// Restore state captured by [`Network::save_state`].
     pub(crate) fn load_state(&mut self, state: &NetworkState) {
         self.groups = state.groups.clone();
-        self.blocked_pairs = state.blocked_pairs.clone();
         self.isolated = state.isolated.clone();
         self.last_arrival.clone_from(&state.last_arrival);
         self.config.loss_rate = state.loss_rate;
@@ -153,10 +147,6 @@ impl Network {
                 fold(m.0 as u64);
             }
         }
-        for &(a, b) in &self.blocked_pairs {
-            fold(a as u64);
-            fold(b as u64);
-        }
         for &c in &self.isolated {
             fold(c as u64);
         }
@@ -164,7 +154,7 @@ impl Network {
     }
 
     /// Compute the arrival time of a message departing at `departs`, or
-    /// `None` if it is lost (random loss, partition, or isolation).
+    /// `None` if it is lost (random loss or isolation).
     /// Arrival times per directed pair are non-decreasing (FIFO channels).
     pub(crate) fn transit(
         &mut self,
@@ -175,10 +165,6 @@ impl Network {
     ) -> Option<SimTime> {
         if src != ComponentId::EXTERNAL {
             if self.isolated.contains(&src.0) || self.isolated.contains(&dst.0) {
-                return None;
-            }
-            let key = pair_key(src, dst);
-            if self.blocked_pairs.contains(&key) {
                 return None;
             }
             if self.config.loss_rate > 0.0 && rng.chance(self.config.loss_rate) {
@@ -227,20 +213,6 @@ impl Network {
         self.groups.get(group.0).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Block all communication between the two sets (a symmetric partition).
-    // check-allow(uncalled): the only writer of `blocked_pairs`, which
-    // `transit` consults and snapshots carry; reached through
-    // `Engine::network_mut`, like `isolate`, by tests that split a network.
-    pub fn partition(&mut self, side_a: &[ComponentId], side_b: &[ComponentId]) {
-        for &a in side_a {
-            for &b in side_b {
-                if a != b {
-                    self.blocked_pairs.insert(pair_key(a, b));
-                }
-            }
-        }
-    }
-
     /// Cut a single component off from the network entirely.
     pub fn isolate(&mut self, id: ComponentId) {
         self.isolated.insert(id.0);
@@ -254,14 +226,6 @@ impl Network {
     /// Change the loss rate mid-run.
     pub fn set_loss_rate(&mut self, rate: f64) {
         self.config.loss_rate = rate.clamp(0.0, 1.0);
-    }
-}
-
-fn pair_key(a: ComponentId, b: ComponentId) -> (usize, usize) {
-    if a.0 <= b.0 {
-        (a.0, b.0)
-    } else {
-        (b.0, a.0)
     }
 }
 
@@ -413,24 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn partitions_block_and_heal() {
-        let mut net = Network::new(NetworkConfig::instant());
-        let mut r = rng();
-        let (a, b) = (ComponentId(1), ComponentId(2));
-        assert!(net.transit(a, b, SimTime::ZERO, &mut r).is_some());
-        let healthy = net.save_state();
-        net.partition(&[a], &[b]);
-        assert!(net.transit(a, b, SimTime::ZERO, &mut r).is_none());
-        assert!(
-            net.transit(b, a, SimTime::ZERO, &mut r).is_none(),
-            "partition must be symmetric"
-        );
-        // Restoring a snapshot is the one way a pairwise partition ends.
-        net.load_state(&healthy);
-        assert!(net.transit(a, b, SimTime::ZERO, &mut r).is_some());
-    }
-
-    #[test]
     fn isolation_blocks_both_directions() {
         let mut net = Network::new(NetworkConfig::instant());
         let mut r = rng();
@@ -462,6 +408,7 @@ mod tests {
     #[test]
     fn external_sender_bypasses_loss_and_partitions() {
         let mut net = Network::new(NetworkConfig::lossy_lan(1.0));
+        net.isolate(ComponentId(1));
         let mut r = rng();
         assert!(net
             .transit(ComponentId::EXTERNAL, ComponentId(1), SimTime::ZERO, &mut r)

@@ -116,27 +116,6 @@ impl SimRng {
         x_m / u.powf(1.0 / alpha)
     }
 
-    /// Zipf-like rank in `[0, n)` with skew `s >= 0` (s = 0 is uniform).
-    ///
-    /// Computed by inverse-CDF over the normalized harmonic weights; O(n)
-    /// per draw, fine for the sizes simulated here.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "zipf needs n > 0");
-        assert!(s >= 0.0, "zipf skew must be >= 0");
-        if n == 1 {
-            return 0;
-        }
-        let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-        let mut target = self.f64() * norm;
-        for k in 1..=n {
-            target -= 1.0 / (k as f64).powf(s);
-            if target <= 0.0 {
-                return k - 1;
-            }
-        }
-        n - 1
-    }
-
     /// Exponentially distributed virtual-time span with the given mean.
     pub fn exp_span(&mut self, mean: SimSpan) -> SimSpan {
         SimSpan::from_secs_f64(self.exponential(mean.as_secs_f64().max(1e-9)))
@@ -156,16 +135,6 @@ impl SimRng {
             None
         } else {
             Some(&items[self.range(0, items.len())])
-        }
-    }
-
-    /// Fisher–Yates shuffle in place.
-    // check-allow(uncalled): sampling toolkit, kept whole beside `choose`,
-    // `zipf` and `weighted_index`.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.range(0, i + 1);
-            items.swap(i, j);
         }
     }
 
@@ -281,31 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_prefers_low_ranks() {
-        let mut r = SimRng::new(19);
-        let mut counts = [0usize; 10];
-        for _ in 0..10_000 {
-            counts[r.zipf(10, 1.2)] += 1;
-        }
-        assert!(
-            counts[0] > counts[9] * 3,
-            "rank 0 should dominate: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn zipf_zero_skew_is_roughly_uniform() {
-        let mut r = SimRng::new(23);
-        let mut counts = [0usize; 4];
-        for _ in 0..8_000 {
-            counts[r.zipf(4, 0.0)] += 1;
-        }
-        for c in counts {
-            assert!((1_600..2_400).contains(&c), "not uniform: {counts:?}");
-        }
-    }
-
-    #[test]
     fn weighted_index_follows_weights() {
         let mut r = SimRng::new(29);
         let weights = [1.0, 0.0, 3.0];
@@ -324,16 +268,6 @@ mod tests {
         assert_eq!(r.weighted_index(&[]), None);
         assert_eq!(r.weighted_index(&[0.0, 0.0]), None);
         assert_eq!(r.weighted_index(&[0.0, 2.0]), Some(1));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(37);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -54,10 +54,11 @@ impl SimSpan {
     /// The largest representable span; used as "forever".
     pub const MAX: SimSpan = SimSpan(u64::MAX);
 
-    /// Build a span from whole seconds.
+    /// Build a span from whole seconds, saturating at [`SimSpan::MAX`]
+    /// like the rest of span arithmetic.
     #[inline]
     pub const fn from_secs(s: u64) -> SimSpan {
-        SimSpan(s * 1_000_000)
+        SimSpan(s.saturating_mul(1_000_000))
     }
 
     /// Build a span from whole milliseconds.
@@ -92,17 +93,6 @@ impl SimSpan {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Multiply by a float factor, rounding to the nearest microsecond.
-    // check-allow(uncalled): span arithmetic, kept whole beside the
-    // integer `Mul` / `Div`.
-    pub fn mul_f64(self, factor: f64) -> SimSpan {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "factor must be finite and >= 0"
-        );
-        SimSpan((self.0 as f64 * factor).round() as u64)
     }
 }
 
@@ -255,15 +245,6 @@ mod tests {
         assert_eq!(SimSpan::ZERO - SimSpan::from_secs(1), SimSpan::ZERO);
         assert_eq!(SimSpan::from_secs(4) / 2, SimSpan::from_secs(2));
         assert_eq!(SimSpan::from_secs(4) * 2, SimSpan::from_secs(8));
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        assert_eq!(SimSpan::from_micros(3).mul_f64(0.5).as_micros(), 2); // 1.5 rounds to 2
-        assert_eq!(
-            SimSpan::from_secs(1).mul_f64(2.5),
-            SimSpan::from_millis(2500)
-        );
     }
 
     #[test]

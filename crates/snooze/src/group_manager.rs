@@ -118,33 +118,6 @@ struct DispatchState {
     span: SpanId,
 }
 
-/// Counters exposed for experiments and tests.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GmStats {
-    /// Placements performed in GM mode.
-    pub placements: u64,
-    /// Placement requests this GM had to refuse.
-    pub placement_rejections: u64,
-    /// Migrations commanded (relocation + reconfiguration).
-    pub migrations_commanded: u64,
-    /// Suspend commands issued.
-    pub suspends_issued: u64,
-    /// Wake commands issued.
-    pub wakes_issued: u64,
-    /// LCs declared failed.
-    pub lc_failures_detected: u64,
-    /// VMs rescheduled after LC failures (snapshot recovery).
-    pub vms_rescheduled: u64,
-    /// Submissions dispatched while acting as GL.
-    pub dispatched_as_gl: u64,
-    /// Submissions rejected while acting as GL.
-    pub rejected_as_gl: u64,
-    /// GMs declared failed while acting as GL.
-    pub gm_failures_detected: u64,
-    /// Reconfiguration passes run.
-    pub reconfigurations: u64,
-}
-
 /// The Group Manager component.
 #[derive(Clone)]
 pub struct GroupManager {
@@ -169,9 +142,6 @@ pub struct GroupManager {
     /// Idempotence registry: VMs already placed this GL term, so client
     /// retries re-ack instead of double-placing.
     placed_registry: BTreeMap<VmId, (ComponentId, ComponentId)>,
-
-    /// Statistics.
-    pub stats: GmStats,
 }
 
 impl GroupManager {
@@ -201,7 +171,6 @@ impl GroupManager {
             gm_summaries: BTreeMap::new(),
             dispatches: BTreeMap::new(),
             placed_registry: BTreeMap::new(),
-            stats: GmStats::default(),
         }
     }
 
@@ -320,7 +289,6 @@ impl GroupManager {
                     migration_span: None,
                 },
             );
-            self.stats.placements += 1;
             let start = StartVm {
                 spec: *spec,
                 workload: workload.clone(),
@@ -343,7 +311,6 @@ impl GroupManager {
             let r = self.lcs.get_mut(&lc).unwrap();
             r.waking = true;
             r.wake_sent_at = Some(ctx.now());
-            self.stats.wakes_issued += 1;
             ctx.metrics()
                 .incr_with("power.commands", &label("kind", "wake"));
             // The wake is causally part of the placement that forced it.
@@ -387,7 +354,6 @@ impl GroupManager {
                 p.retries += 1;
             }
             if p.retries >= self.config.placement_max_retries {
-                self.stats.placement_rejections += 1;
                 if let Some(sp) = p.span {
                     ctx.span_label(sp, "outcome", "exhausted");
                     ctx.span_close(sp);
@@ -434,7 +400,6 @@ impl GroupManager {
             dst.reserved += requested;
             dst.idle_since = None;
         }
-        self.stats.migrations_commanded += 1;
         ctx.send_in(span, m.from, MigrateVm { vm: m.vm, to: m.to });
     }
 
@@ -456,7 +421,6 @@ impl GroupManager {
     }
 
     fn handle_lc_failure(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>, lc: ComponentId) {
-        self.stats.lc_failures_detected += 1;
         ctx.metrics()
             .incr_with("heartbeat_missed", &label("role", "lc"));
         let failover = ctx.span_instant("gm.lc-failover");
@@ -468,7 +432,6 @@ impl GroupManager {
             // §II-E: snapshot-based recovery — "allow the GM to reschedule
             // the failed VMs on its active LCs".
             for vm in record.vms.into_values() {
-                self.stats.vms_rescheduled += 1;
                 self.enqueue_pending(ctx, vm.spec, vm.workload, vm.span);
             }
         }
@@ -497,7 +460,6 @@ impl GroupManager {
             r.powered_on = false; // optimistic; LC confirms
             r.idle_since = None;
             self.lc_fd.forget(lc); // no heartbeats while asleep
-            self.stats.suspends_issued += 1;
             ctx.send(lc, SuspendNode);
         }
     }
@@ -562,7 +524,6 @@ impl GroupManager {
         };
         let consolidator = Arc::clone(&rc.consolidator);
         let max_migrations = rc.max_migrations;
-        self.stats.reconfigurations += 1;
         let span = ctx.span_open("gm.reconfigure");
         let views = self.lc_views();
         let placements: Vec<(VmView, ComponentId)> = self
@@ -675,12 +636,10 @@ impl GroupManager {
             .collect();
         let candidates = self.dispatcher.candidates(&submit.spec, &summaries);
         if candidates.is_empty() {
-            self.stats.rejected_as_gl += 1;
             ctx.send(submit.client, VmRejected { vm: submit.spec.id });
             return;
         }
         let first = candidates[0];
-        self.stats.dispatched_as_gl += 1;
         // Child of the EP's forward hop (ambient from the incoming
         // SubmitVm); stays open across candidate retries until a GM
         // confirms, rejects, or the search exhausts.
@@ -731,7 +690,6 @@ impl GroupManager {
             }
         }
         let state = self.dispatches.remove(&vm).unwrap();
-        self.stats.rejected_as_gl += 1;
         ctx.span_label(state.span, "outcome", "rejected");
         ctx.span_close(state.span);
         ctx.send_in(state.span, state.client, VmRejected { vm });
@@ -741,7 +699,6 @@ impl GroupManager {
         // "GM failures are detected by the GL based on missing heartbeats,
         // and its contact information is gracefully removed in order to
         // prevent new VMs from being scheduled on it" (§II-E).
-        self.stats.gm_failures_detected += 1;
         self.gm_summaries.remove(&gm);
         ctx.metrics()
             .incr_with("heartbeat_missed", &label("role", "gm"));
@@ -899,7 +856,6 @@ impl McState for GroupManager {
             h.id(*gm);
             h.id(*lc);
         }
-        // stats are observational counters — skipped.
     }
 }
 
@@ -1003,7 +959,6 @@ impl Component for GroupManager {
             }
             SnoozeMsg::VmFailed(fail) if self.mode == Mode::Gl => {
                 if let Some(state) = self.dispatches.remove(&fail.vm) {
-                    self.stats.rejected_as_gl += 1;
                     ctx.span_label(state.span, "outcome", "failed");
                     ctx.span_close(state.span);
                     ctx.send_in(state.span, state.client, VmRejected { vm: fail.vm });
@@ -1156,7 +1111,6 @@ impl Component for GroupManager {
                     ctx.send(src, resp);
                     self.enqueue_pending(ctx, req.spec, req.workload, Some(span));
                 } else {
-                    self.stats.placement_rejections += 1;
                     ctx.span_label(span, "outcome", "refused");
                     ctx.span_close(span);
                     let resp = PlaceVmResponse {
@@ -1267,7 +1221,6 @@ impl Component for GroupManager {
                             dst_rec.reserved = dst_rec.reserved.saturating_sub(&rec.spec.requested);
                         }
                         if self.config.reschedule_on_lc_failure {
-                            self.stats.vms_rescheduled += 1;
                             self.enqueue_pending(ctx, rec.spec, rec.workload, rec.span);
                         }
                     }

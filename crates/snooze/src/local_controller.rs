@@ -39,33 +39,6 @@ use crate::tags::*;
 
 pub use crate::messages::LcJoinAckWithGroup;
 
-/// Counters exposed for experiments and tests.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LcStats {
-    /// VMs successfully started here.
-    pub vms_started: u64,
-    /// VMs destroyed by client request.
-    pub vms_destroyed: u64,
-    /// Outbound live migrations completed.
-    pub migrations_out: u64,
-    /// Inbound live migrations accepted.
-    pub migrations_in: u64,
-    /// Inbound migrations rejected for lack of capacity.
-    pub migrations_rejected: u64,
-    /// Times this node entered suspend.
-    pub suspensions: u64,
-    /// Times this node was woken.
-    pub wakeups: u64,
-    /// Wake-ups initiated by the RTC watchdog (self-healing check-ins).
-    pub watchdog_wakes: u64,
-    /// Overload anomaly reports sent.
-    pub overload_reports: u64,
-    /// Underload anomaly reports sent.
-    pub underload_reports: u64,
-    /// VMs lost to a crash of this node.
-    pub vms_lost_to_crash: u64,
-}
-
 /// The Local Controller component.
 #[derive(Clone)]
 pub struct LocalController {
@@ -89,8 +62,6 @@ pub struct LocalController {
     last_anomaly_at: SimTime,
     /// Boot spans for VMs between admission and their boot timer.
     boot_spans: BTreeMap<VmId, SpanId>,
-    /// Statistics.
-    pub stats: LcStats,
 }
 
 impl LocalController {
@@ -115,7 +86,6 @@ impl LocalController {
             migrating_out: Vec::new(),
             last_anomaly_at: SimTime::ZERO,
             boot_spans: BTreeMap::new(),
-            stats: LcStats::default(),
         }
     }
 
@@ -224,11 +194,10 @@ impl LocalController {
         let Some(gm) = self.gm else { return };
         let now = ctx.now();
         self.last_anomaly_at = now;
-        let (count, kind_label) = match kind {
-            AnomalyKind::Overload => (&mut self.stats.overload_reports, "overload"),
-            AnomalyKind::Underload => (&mut self.stats.underload_reports, "underload"),
+        let kind_label = match kind {
+            AnomalyKind::Overload => "overload",
+            AnomalyKind::Underload => "underload",
         };
-        *count += 1;
         ctx.metrics()
             .incr_with("lc.anomaly_reports", &label("kind", kind_label));
         let monitoring = self.monitoring(now, vms);
@@ -294,8 +263,8 @@ impl LocalController {
 
 impl McState for LocalController {
     fn mc_fold(&self, h: &mut McHasher) {
-        // Node spec and config are run constants; the energy meter,
-        // stats and span bookkeeping are observational — all skipped.
+        // Node spec and config are run constants; the energy meter and
+        // span bookkeeping are observational — both skipped.
         self.hypervisor.mc_fold(h);
         self.power.mc_fold(h);
         h.opt_id(self.gm);
@@ -343,7 +312,6 @@ impl Component for LocalController {
                 if let Ok(done) = self.power.resume(now) {
                     self.disarm_watchdog(ctx);
                     self.meter_update(now);
-                    self.stats.wakeups += 1;
                     ctx.metrics()
                         .incr_with("power.transitions", &label("kind", "wake"));
                     ctx.set_timer(done - now, tag(LC_POWER, 0));
@@ -416,7 +384,6 @@ impl Component for LocalController {
             }
             SnoozeMsg::DestroyVm(d) => {
                 if self.hypervisor.remove(d.vm).is_some() {
-                    self.stats.vms_destroyed += 1;
                     self.meter_update(now);
                 } else if let Some(gm) = self.gm {
                     // Not here (migrated away since the client's ack): the GM
@@ -461,10 +428,7 @@ impl Component for LocalController {
                     .admit(handoff.spec, handoff.workload, now)
                     .is_ok();
                 if ok {
-                    self.stats.migrations_in += 1;
                     self.meter_update(now);
-                } else {
-                    self.stats.migrations_rejected += 1;
                 }
                 if let Some(gm) = self.gm {
                     ctx.send(gm, MigrationDone { vm, ok });
@@ -477,7 +441,6 @@ impl Component for LocalController {
                         if let Some(group) = self.gm_group {
                             ctx.leave_group(group);
                         }
-                        self.stats.suspensions += 1;
                         ctx.metrics()
                             .incr_with("power.transitions", &label("kind", "suspend"));
                         self.meter_update(now);
@@ -524,7 +487,6 @@ impl Component for LocalController {
                 let vm = VmId(tag_payload(t));
                 if let Some(g) = self.hypervisor.guest_mut(vm) {
                     g.state = VmState::Running;
-                    self.stats.vms_started += 1;
                     self.meter_update(now);
                     if let Some(gm) = self.gm {
                         // The timer's span context makes the ack a causal
@@ -543,7 +505,7 @@ impl Component for LocalController {
                 };
                 let (_, dest, span) = self.migrating_out.swap_remove(pos);
                 if let Some(guest) = self.hypervisor.remove(vm) {
-                    self.stats.migrations_out += 1;
+                    ctx.metrics().incr("lc.migrations_out");
                     self.meter_update(now);
                     // Hand-off inherits the transfer span (timer context);
                     // close it only after, so the send stays inside it.
@@ -563,8 +525,6 @@ impl Component for LocalController {
             LC_WATCHDOG if self.power.state() == PowerState::Suspended => {
                 self.watchdog = None;
                 if let Ok(done) = self.power.resume(now) {
-                    self.stats.watchdog_wakes += 1;
-                    self.stats.wakeups += 1;
                     ctx.metrics()
                         .incr_with("power.transitions", &label("kind", "watchdog-wake"));
                     self.meter_update(now);
@@ -598,7 +558,6 @@ impl Component for LocalController {
 
     fn on_crash(&mut self, now: SimTime) {
         // "In the event of a LC failure, VMs are also terminated" (§II-E).
-        self.stats.vms_lost_to_crash += self.hypervisor.guest_count() as u64;
         self.energy.update(now, 0.0);
     }
 

@@ -248,7 +248,7 @@ fn submit_one(sim: &mut Engine<EdgeNode>, ep: ComponentId, cores: f64) -> Compon
 
 #[test]
 fn migrate_refused_rolls_back_and_allows_retry() {
-    let (mut sim, gm, stubs, ep) = setup(81, config(), &[|_| {}, |_| {}]);
+    let (mut sim, _gm, stubs, ep) = setup(81, config(), &[|_| {}, |_| {}]);
     let client = submit_one(&mut sim, ep, 2.0);
     sim.run_until(secs(20));
     assert_eq!(sim.component(client).as_client().unwrap().placed.len(), 1);
@@ -260,16 +260,12 @@ fn migrate_refused_rolls_back_and_allows_retry() {
         .unwrap();
     trigger_overload(&mut sim, secs(21), host);
     sim.run_until(secs(40));
-    let gm_ref = sim.component(gm).as_gm().unwrap();
-    assert!(
-        gm_ref.stats.migrations_commanded >= 1,
-        "overload triggered a migration"
-    );
+    // The GM opens one `gm.migrate` span per command it issues.
+    let commanded = sim.spans().iter().filter(|s| s.name == "gm.migrate");
+    let commanded = commanded.count();
+    assert!(commanded >= 1, "overload triggered a migration");
     let src = sim.component(host).as_stub().unwrap();
-    assert_eq!(
-        src.migrate_cmds.len() as u64,
-        gm_ref.stats.migrations_commanded
-    );
+    assert_eq!(src.migrate_cmds.len(), commanded);
     assert!(src.guests.is_empty(), "guest migrated away");
     let dst = stubs.iter().find(|&&s| s != host).unwrap();
     assert_eq!(sim.component(*dst).as_stub().unwrap().guests.len(), 1);
@@ -332,7 +328,7 @@ fn rejected_handoff_triggers_snapshot_recovery_when_enabled() {
         ..config()
     };
     // Stub 1 rejects inbound hand-offs.
-    let (mut sim, gm, stubs, ep) = setup(84, spec, &[|_| {}, |s| s.reject_handoffs = true]);
+    let (mut sim, _gm, stubs, ep) = setup(84, spec, &[|_| {}, |s| s.reject_handoffs = true]);
     let (s0, s1) = (stubs[0], stubs[1]);
     let client = submit_one(&mut sim, ep, 2.0);
     sim.run_until(secs(20));
@@ -355,6 +351,7 @@ fn rejected_handoff_triggers_snapshot_recovery_when_enabled() {
         sim.component(s1).as_stub().unwrap().handoffs_seen >= 1,
         "hand-off was attempted"
     );
-    let gm_ref = sim.component(gm).as_gm().unwrap();
-    assert!(gm_ref.stats.vms_rescheduled >= 1, "recovery path exercised");
+    // Recovery re-places the VM: a second StartVm beyond the first.
+    let starts = |s: ComponentId| sim.component(s).as_stub().unwrap().start_cmds;
+    assert!(starts(s0) + starts(s1) >= 2, "recovery path exercised");
 }

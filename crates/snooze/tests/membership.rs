@@ -51,6 +51,12 @@ fn lc_group(gl_group: GroupId, i: usize) -> GroupId {
     GroupId(gl_group.0 + 1 + i)
 }
 
+/// `power.transitions{kind}` so far: with one LC deployed, that LC's count.
+fn transitions(sim: &Engine<SnoozeNode>, kind: &str) -> u64 {
+    sim.metrics()
+        .counter_with("power.transitions", &label("kind", kind))
+}
+
 /// A group's members as a set: the engine lists them in join order.
 fn members(sim: &Engine<SnoozeNode>, group: GroupId) -> Vec<ComponentId> {
     let mut members = sim.group_members(group).to_vec();
@@ -252,9 +258,8 @@ fn watchdog_wake_under_a_dead_gm_ends_reassigned() {
     assert_eq!(lc(&sim, sleeper).assigned_gm(), Some(dead));
 
     sim.run_until(secs(120));
-    let l = lc(&sim, sleeper);
-    assert!(l.stats.watchdog_wakes >= 1);
-    let gm = l
+    assert!(transitions(&sim, "watchdog-wake") >= 1);
+    let gm = lc(&sim, sleeper)
         .assigned_gm()
         .expect("re-assigned after the watchdog wake");
     assert!(gm != dead && system.active_gms(&sim).contains(&gm));
@@ -283,7 +288,7 @@ fn a_woken_nodes_stale_rtc_alarm_does_not_cut_its_next_sleep_short() {
     sim.post(second, node, SuspendNode);
     sim.run_until(secs(410));
     assert_eq!(lc(&sim, node).power_state(), PowerState::Suspended);
-    assert_eq!(lc(&sim, node).stats.suspensions, 2);
+    assert_eq!(transitions(&sim, "suspend"), 2);
 
     let asleep = SimSpan::from_secs(8) + config.suspend_watchdog;
     sim.run_until(first + asleep + SimSpan::from_secs(1));
@@ -292,12 +297,12 @@ fn a_woken_nodes_stale_rtc_alarm_does_not_cut_its_next_sleep_short() {
         PowerState::Suspended,
         "the first cycle's alarm was disarmed by the wake-up"
     );
-    assert_eq!(lc(&sim, node).stats.watchdog_wakes, 0);
+    assert_eq!(transitions(&sim, "watchdog-wake"), 0);
 
     sim.run_until(second + asleep - SimSpan::from_secs(1));
-    assert_eq!(lc(&sim, node).stats.watchdog_wakes, 0);
+    assert_eq!(transitions(&sim, "watchdog-wake"), 0);
     sim.run_until(second + asleep + SimSpan::from_secs(1));
-    assert_eq!(lc(&sim, node).stats.watchdog_wakes, 1);
+    assert_eq!(transitions(&sim, "watchdog-wake"), 1);
     assert!(matches!(
         lc(&sim, node).power_state(),
         PowerState::Resuming(_)
