@@ -4,7 +4,10 @@
 # simulation path), a grep that every vendored crate, every root
 # dependency and every `pub fn` still has a consumer, a grep that the text
 # edges still write each export in one pass, every test (including the
-# feature-gated runtime invariant suite), a `cargo check` and `cargo test`
+# feature-gated runtime invariant suite), the release golden replay (every
+# scenario-backed table against `crates/bench/tests/golden/`, which the
+# debug `cargo test --workspace` skips: about 20 s of test time plus a
+# release build of `snooze-bench`), a `cargo check` and `cargo test`
 # of (a copy of) the
 # detached `benchmark/` workspace against the crates it path-depends on
 # (its tests include `BENCHMARK.json` == the harness's own manifest), the
@@ -78,9 +81,11 @@ done
 say "every pub fn has a caller"
 # A name scan, not a resolver: a `pub fn` under crates/*/src is reported
 # when its name is a word of no other .rs file and of no line of its own
-# file but its definition. Neither comments nor test code are callers:
-# `tests/` directories are not scanned and nothing below a `#[cfg(test)]`
-# counts, so a function only its own tests exercise is reported. A
+# file but its definition. Neither comments, string literals nor test
+# code are callers: `tests/` directories are not scanned, nothing below a
+# `#[cfg(test)]` counts and every "…" is blanked before the line is split
+# into words, so a function only its own tests (or its own panic message)
+# name is reported. A
 # `// check-allow(uncalled): reason` comment directly above one keeps an
 # API that is there by intent — a hook tests are meant to drive.
 uncalled="$(find crates/*/src src examples benchmark/src -name '*.rs' | sort |
@@ -98,7 +103,9 @@ uncalled="$(find crates/*/src src examples benchmark/src -name '*.rs' | sort |
       }
       if (in_tests || comment) next
       allowed = 0
-      n = split($0, words, /[^A-Za-z0-9_]+/)
+      line = $0
+      gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
+      n = split(line, words, /[^A-Za-z0-9_]+/)
       for (i = 1; i <= n; i++) {
         w = words[i]
         if (w == "") continue
@@ -157,6 +164,9 @@ edge_allocs="$(awk '
 
 say "cargo test (default features)"
 cargo test --offline --workspace -q
+
+say "golden identity gate (release replay of every scenario-backed table)"
+cargo test --release --offline -q -p snooze-bench --test scenario_suite release_tables
 
 say "cargo test -p snooze-audit --features audit (runtime invariants)"
 cargo test --offline -p snooze-audit --features audit -q
