@@ -40,13 +40,17 @@
 //! demand vector and bins by bit-identical capacity ([`KernelTables`]);
 //! `η^β` for the first draw into an empty bin is tabulated per (distinct
 //! capacity, item), and inside a bin it is computed once per demand
-//! class per step and reused for every unassigned item of that class.
-//! `τ^α` is read off directly when `α` is exactly 1 or 0 ([`TauPower`]).
-//! Every shortcut reuses a value computed from bit-identical operands by
-//! the same expression, so solutions, convergence series, work counters
-//! and RNG draws are those of the naive per-item evaluation (DESIGN.md
-//! has the argument; `tests/properties.rs` holds the naive kernel as the
-//! reference).
+//! class per step and reused for every unassigned item of that class
+//! (where two items share one). `τ^α` is read off directly when `α` is
+//! exactly 1 or 0 ([`TauPower`]). A step builds its candidates, their
+//! weights and the weights' total in one pass, and a step inside a bin
+//! rescans only the items that fitted the step before: residuals only
+//! shrink, so nothing else can fit. Every shortcut reuses a value computed
+//! from bit-identical operands by the same expression, or skips an item
+//! that cannot be a candidate, so solutions, convergence series, work
+//! counters and RNG draws are those of the naive per-item evaluation
+//! (DESIGN.md has the argument; `tests/properties.rs` holds the naive
+//! kernel as the reference).
 
 use snooze_cluster::resources::ResourceVector;
 use snooze_simcore::rng::SimRng;
@@ -300,6 +304,17 @@ struct KernelTables {
     /// `fit_eta_beta(item, capacity, capacity)` per (distinct capacity,
     /// item), one row of `n_items` per capacity.
     fresh: Vec<Option<f64>>,
+    /// Whether some demand class has two or more items. If none has (no
+    /// two items bit-identical, as in the GRID'11 family), the per-step
+    /// class memo could never hand back a value, and an in-bin step
+    /// evaluates each item directly instead of stamping a memo entry.
+    memo: bool,
+    /// Whether a step inside a bin may rescan only the items that fitted
+    /// the step before. It may when no item or bin has a negative
+    /// component (`ResourceVector`'s invariant): a residual then only
+    /// shrinks under `saturating_sub`, and `a <= b + 1e-9` is monotone in
+    /// `b`, so an item that did not fit cannot fit later in the same bin.
+    carry: bool,
 }
 
 impl KernelTables {
@@ -320,12 +335,22 @@ impl KernelTables {
                 fresh_row_start[bin] = fresh_row_start[bin_class[bin]];
             }
         }
+        let item_class = representatives(&instance.items);
         KernelTables {
             tau_power: TauPower::of(alpha),
             beta,
-            item_class: representatives(&instance.items),
+            memo: item_class
+                .iter()
+                .enumerate()
+                .any(|(item, &class)| class != item),
+            item_class,
             fresh_row_start,
             fresh,
+            carry: instance
+                .items
+                .iter()
+                .chain(&instance.bins)
+                .all(|v| v.to_array().iter().all(|x| *x >= 0.0 || x.is_nan())),
         }
     }
 
@@ -595,7 +620,9 @@ pub fn bin_emptying_local_search(instance: &Instance, solution: &mut Solution) {
 /// Candidate order, weights and RNG draws are those of evaluating
 /// `τ^α · η^β` per unassigned item: the fresh-bin table and the per-step
 /// class memo only ever stand in for the same expression over
-/// bit-identical operands.
+/// bit-identical operands, an in-bin step skips only items that cannot
+/// fit (see [`KernelTables::carry`]), and the total handed to the draw is
+/// the sum `weighted_index` would make.
 fn construct_solution(
     instance: &Instance,
     tables: &KernelTables,
@@ -616,7 +643,9 @@ fn construct_solution(
     let mut fresh = true;
 
     // Scratch buffers reused across iterations (allocation-conscious: the
-    // inner loop runs n_items times per ant).
+    // inner loop runs n_items times per ant). `candidates` holds slots of
+    // `unassigned` in `unassigned` order; between the steps of one bin it
+    // carries the slots that fitted the step before.
     let mut candidates: Vec<usize> = Vec::with_capacity(n_items);
     let mut weights: Vec<f64> = Vec::with_capacity(n_items);
     // Per demand class (at its representative item): the step that last
@@ -624,34 +653,51 @@ fn construct_solution(
     let mut memo: Vec<(u64, Option<f64>)> = vec![(0, None); n_items];
 
     while !unassigned.is_empty() {
-        candidates.clear();
         weights.clear();
+        // The positive weights, added left to right as they are pushed.
+        let mut total = 0.0;
         steps += 1;
         let tau = pheromone.row(bin);
-        let fresh_row = tables.fresh_row(bin);
-        for (slot, &item) in unassigned.iter().enumerate() {
-            let eta_beta = if fresh {
-                fresh_row[item]
-            } else {
-                let class = tables.item_class[item];
-                let entry = &mut memo[class];
-                if entry.0 != steps {
-                    *entry = (
-                        steps,
-                        fit_eta_beta(
-                            &instance.items[class],
-                            &residual,
-                            &instance.bins[bin],
-                            tables.beta,
-                        ),
-                    );
+        if fresh {
+            candidates.clear();
+            let fresh_row = tables.fresh_row(bin);
+            for (slot, &item) in unassigned.iter().enumerate() {
+                if let Some(eta_beta) = fresh_row[item] {
+                    candidates.push(slot);
+                    let weight = tables.tau_power.apply(tau[item]) * eta_beta;
+                    push_weight(&mut weights, &mut total, weight);
                 }
-                entry.1
-            };
-            if let Some(eta_beta) = eta_beta {
-                candidates.push(slot);
-                weights.push(tables.tau_power.apply(tau[item]) * eta_beta);
             }
+        } else {
+            if !tables.carry {
+                candidates.clear();
+                candidates.extend(0..unassigned.len());
+            }
+            let capacity = &instance.bins[bin];
+            let mut kept = 0;
+            for i in 0..candidates.len() {
+                let slot = candidates[i];
+                let item = unassigned[slot];
+                let eta_beta = if tables.memo {
+                    let class = tables.item_class[item];
+                    let entry = &mut memo[class];
+                    if entry.0 != steps {
+                        let found =
+                            fit_eta_beta(&instance.items[class], &residual, capacity, tables.beta);
+                        *entry = (steps, found);
+                    }
+                    entry.1
+                } else {
+                    fit_eta_beta(&instance.items[item], &residual, capacity, tables.beta)
+                };
+                if let Some(eta_beta) = eta_beta {
+                    candidates[kept] = slot;
+                    kept += 1;
+                    let weight = tables.tau_power.apply(tau[item]) * eta_beta;
+                    push_weight(&mut weights, &mut total, weight);
+                }
+            }
+            candidates.truncate(kept);
         }
         if candidates.is_empty() {
             // Current bin is as full as this ant can make it — move on.
@@ -663,14 +709,35 @@ fn construct_solution(
             fresh = true;
             continue;
         }
-        let pick = rng.weighted_index(&weights).unwrap_or(0);
+        let pick = rng.weighted_index_with_total(&weights, total).unwrap_or(0);
         let slot = candidates[pick];
         let item = unassigned.swap_remove(slot);
+        // Mirror the `swap_remove` on the carried slots: the last item of
+        // `unassigned` now sits at `slot`, so if it is a candidate (the
+        // last one) it takes the drawn candidate's place, which keeps the
+        // list in `unassigned` order; otherwise the drawn entry just goes.
+        let moved_from = unassigned.len();
+        if candidates.last() == Some(&moved_from) && pick + 1 < candidates.len() {
+            candidates.swap_remove(pick);
+            candidates[pick] = slot;
+        } else {
+            candidates.remove(pick);
+        }
         assignment[item] = bin;
         residual = residual.saturating_sub(&instance.items[item]);
         fresh = false;
     }
     (Some(Solution { assignment }), steps)
+}
+
+/// Push one candidate's weight, adding it to `total` if positive — the
+/// terms and order of `weighted_index`'s own sum.
+#[inline]
+fn push_weight(weights: &mut Vec<f64>, total: &mut f64, weight: f64) {
+    weights.push(weight);
+    if weight > 0.0 {
+        *total += weight;
+    }
 }
 
 /// Heuristic desirability η of packing `item` into a bin with `residual`
@@ -895,6 +962,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn class_memo_is_armed_only_where_two_items_share_a_class() {
+        let gen = InstanceGenerator::grid11();
+        let distinct = gen.generate(40, &mut SimRng::new(9));
+        assert!(!KernelTables::new(&distinct, 1.0, 2.0).memo);
+        let flavoured = gen.generate_flavoured(40, 20, &mut SimRng::new(9));
+        assert!(KernelTables::new(&flavoured, 1.0, 2.0).memo);
     }
 
     #[test]

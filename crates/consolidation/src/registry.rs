@@ -9,6 +9,8 @@
 
 use std::collections::BTreeMap;
 
+use snooze_simcore::excerpt::Excerpt;
+
 use crate::aco::{AcoConsolidator, AcoParams, UpdateRule};
 use crate::aco_pso::{AcoPsoConsolidator, AcoPsoParams};
 use crate::distributed::{DistributedAco, DistributedParams};
@@ -60,9 +62,7 @@ impl<'a> ParamReader<'a> {
         match self.get(key) {
             None => Ok(default),
             Some(ParamValue::Int(i)) if *i >= 0 => Ok(*i as usize),
-            Some(other) => Err(format!(
-                "parameter `{key}` must be a non-negative integer, got {other:?}"
-            )),
+            Some(other) => Err(mismatch(key, "a non-negative integer", other)),
         }
     }
 
@@ -70,9 +70,7 @@ impl<'a> ParamReader<'a> {
         match self.get(key) {
             None => Ok(default),
             Some(ParamValue::Int(i)) if *i >= 0 => Ok(*i as u64),
-            Some(other) => Err(format!(
-                "parameter `{key}` must be a non-negative integer, got {other:?}"
-            )),
+            Some(other) => Err(mismatch(key, "a non-negative integer", other)),
         }
     }
 
@@ -81,7 +79,7 @@ impl<'a> ParamReader<'a> {
             None => Ok(default),
             Some(ParamValue::Float(f)) => Ok(*f),
             Some(ParamValue::Int(i)) => Ok(*i as f64),
-            Some(other) => Err(format!("parameter `{key}` must be a number, got {other:?}")),
+            Some(other) => Err(mismatch(key, "a number", other)),
         }
     }
 
@@ -89,9 +87,7 @@ impl<'a> ParamReader<'a> {
         match self.get(key) {
             None => Ok(default),
             Some(ParamValue::Bool(b)) => Ok(*b),
-            Some(other) => Err(format!(
-                "parameter `{key}` must be a boolean, got {other:?}"
-            )),
+            Some(other) => Err(mismatch(key, "a boolean", other)),
         }
     }
 
@@ -99,7 +95,7 @@ impl<'a> ParamReader<'a> {
         match self.get(key) {
             None => Ok(default.to_string()),
             Some(ParamValue::Str(s)) => Ok(s.clone()),
-            Some(other) => Err(format!("parameter `{key}` must be a string, got {other:?}")),
+            Some(other) => Err(mismatch(key, "a string", other)),
         }
     }
 
@@ -107,11 +103,19 @@ impl<'a> ParamReader<'a> {
     fn finish(self) -> Result<(), String> {
         for key in self.params.keys() {
             if !self.consumed.contains(&key.as_str()) {
-                return Err(format!("unknown parameter `{key}`"));
+                return Err(format!("unknown parameter `{}`", Excerpt(key)));
             }
         }
         Ok(())
     }
+}
+
+/// A type-mismatch error, quoting the value it got briefly.
+fn mismatch(key: &str, expected: &str, got: &ParamValue) -> String {
+    format!(
+        "parameter `{key}` must be {expected}, got {}",
+        Excerpt(&format!("{got:?}"))
+    )
 }
 
 fn sort_key(reader: &mut ParamReader<'_>) -> Result<SortKey, String> {
@@ -122,7 +126,11 @@ fn sort_key(reader: &mut ParamReader<'_>) -> Result<SortKey, String> {
         .find(|k| k.label() == label)
         .ok_or_else(|| {
             let all: Vec<&str> = SortKey::ALL.iter().map(|k| k.label()).collect();
-            format!("unknown sort key `{label}`; available: {}", all.join(", "))
+            format!(
+                "unknown sort key `{}`; available: {}",
+                Excerpt(&label),
+                all.join(", ")
+            )
         })
 }
 
@@ -136,7 +144,8 @@ fn aco_params(reader: &mut ParamReader<'_>) -> Result<AcoParams, String> {
         "fast" => AcoParams::fast(),
         other => {
             return Err(format!(
-                "unknown aco preset `{other}`; available: default, fast"
+                "unknown aco preset `{}`; available: default, fast",
+                Excerpt(other)
             ))
         }
     };
@@ -155,7 +164,8 @@ fn aco_params(reader: &mut ParamReader<'_>) -> Result<AcoParams, String> {
         "all_ants" => UpdateRule::AllAnts,
         other => {
             return Err(format!(
-                "unknown update_rule `{other}`; available: global_best, all_ants"
+                "unknown update_rule `{}`; available: global_best, all_ants",
+                Excerpt(other)
             ))
         }
     };
@@ -264,12 +274,13 @@ impl ConsolidatorRegistry {
             }
             other => {
                 return Err(format!(
-                    "unknown consolidator `{other}`; available: {}",
+                    "unknown consolidator `{}`; available: {}",
+                    Excerpt(other),
                     REGISTRY_KEYS.join(", ")
                 ))
             }
         };
-        r.finish().map_err(|e| format!("{algo}: {e}"))?;
+        r.finish().map_err(|e| format!("{}: {e}", Excerpt(algo)))?;
         Ok(built)
     }
 }
@@ -335,6 +346,42 @@ mod tests {
             .err()
             .expect("build must fail");
         assert!(err.contains("n_ants"), "{err}");
+    }
+
+    /// Names and values come from scenario files: a 2000-byte one is
+    /// quoted as an excerpt, so the error stays short and still says what
+    /// was refused.
+    #[test]
+    fn a_huge_name_or_value_yields_a_short_error() {
+        let huge = "x".repeat(2000);
+        let text = || ParamValue::Str(huge.clone());
+        for (algo, pairs, needle) in [
+            (huge.as_str(), vec![], "unknown consolidator `xxx"),
+            ("aco", vec![("preset", text())], "unknown aco preset `xxx"),
+            (
+                "aco",
+                vec![(huge.as_str(), ParamValue::Int(1))],
+                "unknown parameter `xxx",
+            ),
+            (
+                "aco",
+                vec![("update_rule", text())],
+                "unknown update_rule `xxx",
+            ),
+            ("ffd", vec![("sort", text())], "unknown sort key `xxx"),
+            (
+                "aco",
+                vec![("n_ants", text())],
+                "parameter `n_ants` must be",
+            ),
+        ] {
+            let err = ConsolidatorRegistry::standard()
+                .build(algo, &params(&pairs))
+                .err()
+                .expect("build must fail");
+            assert!(err.len() < 512, "{} bytes: {err}", err.len());
+            assert!(err.contains(needle), "`{needle}` not in: {err}");
+        }
     }
 
     /// Every colony-backed key refuses `pairs` with an error containing

@@ -304,6 +304,41 @@ proptest! {
     }
 }
 
+/// A negative demand grows the residual it is subtracted from, which
+/// breaks the argument that lets an in-bin step rescan only the items that
+/// fitted the step before: here a `0.9` that stopped fitting fits again
+/// after the `-1.0` is placed. The kernel must rescan every item on such an
+/// instance and still draw what the reference draws.
+#[test]
+fn aco_kernel_reproduces_the_reference_on_negative_components() {
+    let v = |x: f64| ResourceVector {
+        cpu: x,
+        memory: x,
+        net_rx: x,
+        net_tx: x,
+    };
+    let items = [0.9, 0.9, 0.9, -1.0, 0.6, -0.5, 0.3].map(v).to_vec();
+    let inst = Instance::homogeneous(items, 7, v(1.0));
+    for seed in 0..64 {
+        let params = AcoParams {
+            n_ants: 3,
+            n_cycles: 2,
+            seed,
+            ..AcoParams::default()
+        };
+        let run = AcoConsolidator::new(params).run(&inst);
+        let shipped = aco_reference::ReferenceRun {
+            solution: run.solution,
+            best_bins_per_cycle: run.best_bins_per_cycle,
+            failed_ants: run.failed_ants,
+            construction_steps: run.profile.construction_steps,
+            evaluation_comparisons: run.profile.evaluation_comparisons,
+            evaporation_updates: run.profile.evaporation_updates,
+        };
+        assert_eq!(shipped, aco_reference::run(params, &inst), "seed {seed}");
+    }
+}
+
 #[test]
 fn exact_solver_rejects_heterogeneous_instances() {
     let inst = Instance {

@@ -53,8 +53,8 @@ use snooze_cluster::power::{
 };
 use snooze_cluster::resources::ResourceVector;
 use snooze_consolidation::registry::{ConsolidatorRegistry, ParamValue};
+use snooze_simcore::excerpt::Excerpt;
 use snooze_simcore::time::{SimSpan, SimTime};
-use snooze_trace::error::Excerpt;
 
 use crate::toml::{self, Reader, Value};
 
@@ -518,8 +518,9 @@ impl TopologySpec {
                 (Some(name), Some(p)) => p.resolve(name)?,
                 (Some(name), None) => {
                     return Err(format!(
-                    "node group names power model `{name}` but the scenario has no [power] table"
-                ))
+                        "node group names power model `{}` but the scenario has no [power] table",
+                        Excerpt(name)
+                    ))
                 }
                 (None, _) => Arc::new(LinearPower {
                     idle_watts: g.idle_watts,
@@ -557,7 +558,8 @@ impl PowerSpec {
                 names.extend(["grid5000", "xeon_2011", "grid5000_dvfs3"]);
                 names.sort_unstable();
                 Err(format!(
-                    "unknown power model `{other}`; available: {}",
+                    "unknown power model `{}`; available: {}",
+                    Excerpt(other),
                     names.join(", ")
                 ))
             }
@@ -581,7 +583,7 @@ impl PowerModelSpec {
     /// Materialize the model, validating kind-specific parameters.
     pub fn build(&self) -> Result<Arc<dyn PowerModel>, String> {
         self.curve()
-            .map_err(|e| format!("power model `{}`: {e}", self.name))
+            .map_err(|e| format!("power model `{}`: {e}", Excerpt(&self.name)))
     }
 
     fn curve(&self) -> Result<Arc<dyn PowerModel>, String> {
@@ -632,7 +634,8 @@ impl PowerModelSpec {
             }
             other => {
                 return Err(format!(
-                    "unknown kind `{other}` (expected `linear`, `spec` or `dvfs`)"
+                    "unknown kind `{}` (expected `linear`, `spec` or `dvfs`)",
+                    Excerpt(other)
                 ))
             }
         };
@@ -641,7 +644,8 @@ impl PowerModelSpec {
             "billed" => Arc::new(BilledTransitions { base }),
             other => {
                 return Err(format!(
-                    "unknown transitions `{other}` (expected `legacy` or `billed`)"
+                    "unknown transitions `{}` (expected `legacy` or `billed`)",
+                    Excerpt(other)
                 ))
             }
         })
@@ -656,7 +660,7 @@ impl ReconfSpec {
         // The colony preset is validated up front even for greedy
         // algorithms that ignore it — the pre-registry strictness.
         if self.aco != "default" && self.aco != "fast" {
-            return Err(format!("unknown aco preset `{}`", self.aco));
+            return Err(format!("unknown aco preset `{}`", Excerpt(&self.aco)));
         }
         let mut params = snooze_consolidation::registry::Params::new();
         if matches!(self.algo.as_str(), "aco" | "daco" | "aco-pso" | "mo-aco") {
@@ -672,7 +676,12 @@ impl ReconfSpec {
                     Value::Float(f) => ParamValue::Float(*f),
                     Value::Str(s) => ParamValue::Str(s.clone()),
                     Value::Bool(b) => ParamValue::Bool(*b),
-                    _ => return Err(format!("reconfiguration param `{k}` must be a scalar")),
+                    _ => {
+                        return Err(format!(
+                            "reconfiguration param `{}` must be a scalar",
+                            Excerpt(k)
+                        ))
+                    }
                 };
                 params.insert(k.clone(), pv);
             }
@@ -709,7 +718,7 @@ impl ConfigSpec {
         let mut c = match self.preset.as_str() {
             "default" => SnoozeConfig::default(),
             "fast_test" => SnoozeConfig::fast_test(),
-            other => return Err(format!("unknown config preset `{other}`")),
+            other => return Err(format!("unknown config preset `{}`", Excerpt(other))),
         };
         if let Some(k) = &self.knobs {
             let hb = ms_to_span(k.heartbeat_ms);
@@ -734,7 +743,7 @@ impl ConfigSpec {
             c.placement = match p.as_str() {
                 "first_fit" => PlacementKind::FirstFit,
                 "round_robin" => PlacementKind::RoundRobin,
-                other => return Err(format!("unknown placement `{other}`")),
+                other => return Err(format!("unknown placement `{}`", Excerpt(other))),
             };
         }
         if let Some(u) = self.underload_threshold {

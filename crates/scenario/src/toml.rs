@@ -22,7 +22,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
-use snooze_trace::error::Excerpt;
+use snooze_simcore::excerpt::Excerpt;
 
 /// A TOML value.
 #[derive(Clone, Debug, PartialEq)]

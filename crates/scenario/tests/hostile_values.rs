@@ -14,8 +14,9 @@
 //! The property: `ScenarioSpec::from_value` and `ScenarioDoc::expand`
 //! return `Ok` or an `Err` under 512 bytes — never a panic, never an error
 //! the size of its input — and a spec that does decode builds its config
-//! (where `ms_to_span`'s assert sits) and its workload (where the draw
-//! ranges sit) without panicking either.
+//! (where `ms_to_span`'s assert sits, and the consolidator registry) or
+//! refuses it under the same 512 bytes, and builds its workload (where the
+//! draw ranges sit) without panicking either.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -211,11 +212,15 @@ fn short(e: &str) -> Result<(), TestCaseError> {
 }
 
 /// A decoded spec is still outside input to `build` and to the workload
-/// builders, which may refuse it but not panic. Traces are files the
-/// readers' own tests damage; a fleet is built at most 10 000 VMs large (an
-/// allocation proportional to `n` is ROADMAP 9(b)'s open item).
+/// builders, which may refuse it but not panic, and `build` refuses it
+/// briefly: a 2000-byte `preset`, `algo` or parameter key is quoted as an
+/// excerpt. Traces are files the readers' own tests damage; a fleet is
+/// built at most 10 000 VMs large (an allocation proportional to `n` is
+/// ROADMAP 9(b)'s open item).
 fn builds_or_refuses(spec: &ScenarioSpec) {
-    let _ = spec.config.build();
+    if let Err(e) = spec.config.build() {
+        assert!(e.len() < 512, "{} bytes: {e}", e.len());
+    }
     let mut alloc = VmIdAlloc::new();
     for w in &spec.workload {
         match w {
@@ -259,6 +264,51 @@ proptest! {
             }
         }
     }
+}
+
+/// Every name `ConfigSpec::build` looks up — the config preset, the
+/// placement, the consolidator key, the colony preset, a parameter key —
+/// set to 2000 bytes in every checked-in document that decodes as one run
+/// and has the table for it: the document still decodes, and `build`
+/// refuses it briefly, quoting the name's start.
+#[test]
+fn a_huge_name_is_refused_by_build_briefly() {
+    let huge = "x".repeat(2000);
+    let mut refused = 0;
+    for whole in &corpus().0 {
+        let mut base = whole.clone();
+        base.retain(|k, _| !["sweep", "variant", "override"].contains(&k.as_str()));
+        if ScenarioSpec::from_value(&base).is_err() {
+            continue; // a key it needs is only in a sweep
+        }
+        for edit in 0..5 {
+            let mut doc = base.clone();
+            let Some(Value::Table(config)) = doc.get_mut("config") else {
+                continue;
+            };
+            let (table, key) = match edit {
+                0 => (config, "preset"),
+                1 => (config, "placement"),
+                _ => match config.get_mut("reconfiguration") {
+                    Some(Value::Table(reconf)) => (reconf, ["algo", "aco", "params"][edit - 2]),
+                    _ => continue,
+                },
+            };
+            let value = match key {
+                "params" => Value::Table([(huge.clone(), Value::Int(1))].into()),
+                _ => Value::Str(huge.clone()),
+            };
+            table.insert(key.to_string(), value);
+            let spec = ScenarioSpec::from_value(&doc).expect("a long name decodes");
+            let e = spec
+                .config
+                .build()
+                .expect_err("a 2000-byte name is refused");
+            assert!(e.len() < 512 && e.contains(&huge[..100]), "{key}: {e}");
+            refused += 1;
+        }
+    }
+    assert!(refused >= 20, "{refused} documents refused");
 }
 
 /// The generator reaches both sides of the property: a good share of the

@@ -21,6 +21,7 @@
 //!   replayable from a single `u64` seed.
 //! * [`metrics`] — labeled counters, gauges and histograms collected
 //!   during a run, exportable as Prometheus text or JSONL.
+//! * [`excerpt`] — how an error message quotes outside input: briefly.
 //!
 //! ## Observability
 //!
@@ -84,6 +85,7 @@
 
 pub mod engine;
 mod equeue;
+pub mod excerpt;
 pub mod failure;
 pub mod flight;
 pub mod invariant;

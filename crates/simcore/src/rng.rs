@@ -144,7 +144,15 @@ impl SimRng {
     /// primitive the ACO consolidation algorithm's probabilistic decision
     /// rule is built on.
     pub fn weighted_index(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
+        let total = weights.iter().copied().filter(|w| *w > 0.0).sum();
+        self.weighted_index_with_total(weights, total)
+    }
+
+    /// [`SimRng::weighted_index`] for a caller that summed the weights as
+    /// it built them: `total` must be the positive weights added left to
+    /// right, the fold `weighted_index` makes, for the draw to be the same.
+    /// Returns `None` without drawing unless `total` is positive and finite.
+    pub fn weighted_index_with_total(&mut self, weights: &[f64], total: f64) -> Option<usize> {
         if total <= 0.0 || !total.is_finite() {
             return None;
         }

@@ -34,28 +34,8 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// How many bytes of offending input an error message repeats.
-pub const EXCERPT_BYTES: usize = 120;
-
-/// A fragment of input as an error message shows it: whole when it is at
-/// most [`EXCERPT_BYTES`] long, otherwise cut there (back to a character
-/// boundary) with `…` appended. Input is external data — a 400 kB line
-/// must not become a 400 kB error.
-pub struct Excerpt<'a>(pub &'a str);
-
-impl fmt::Display for Excerpt<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.0;
-        if s.len() <= EXCERPT_BYTES {
-            return f.write_str(s);
-        }
-        let mut cut = EXCERPT_BYTES;
-        while !s.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        write!(f, "{}…", &s[..cut])
-    }
-}
+/// The one excerpt type, defined below every crate that quotes input.
+pub use snooze_simcore::excerpt::{Excerpt, EXCERPT_BYTES};
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,8 @@
 # workspace's `default-members`: the root package's integration tests plus
 # the `snooze-simcore`, `snooze-telemetry`, `snooze-consolidation`,
 # `snooze-mc`, `snooze`, `snooze-protocols`, `snooze-cluster`,
-# `snooze-scenario` and `snooze-trace` suites.
+# `snooze-scenario`, `snooze-trace` and `snooze-audit` suites (the last
+# runs the same whole-tree lint as the step below, as a test).
 # Everything it runs, `cargo test --workspace` below runs too.
 #
 # `--smoke` additionally runs, in release, every reduced-scale gate:
