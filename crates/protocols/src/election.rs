@@ -193,16 +193,6 @@ impl Elector {
         ctx.set_timer(self.ping_period, ELECTION_PING_TAG);
     }
 
-    /// Abandon the campaign and release the znode.
-    pub fn resign<M: ProtocolCarrier>(&mut self, ctx: &mut Ctx<'_, M>) {
-        if self.state != ElectorState::Idle {
-            let (zk, epoch) = (self.zk, self.epoch);
-            ctx.send(zk, ProtocolMsg::Request(ZkRequest::CloseSession { epoch }));
-            self.state = ElectorState::Idle;
-            self.my_path = None;
-        }
-    }
-
     /// Feed a coordination reply. Returns a notification if leadership
     /// knowledge changed.
     pub fn handle_reply<M: ProtocolCarrier>(

@@ -17,8 +17,7 @@
 //! [`IncidentDoc`] dumps when a watchdog trips, a scheduled fault
 //! fires, or the spec forces a test trigger.
 
-use snooze::prelude::*;
-use snooze_cluster::node::NodeSpec;
+use snooze_simcore::excerpt::Excerpt;
 use snooze_simcore::failure::FailurePlan;
 use snooze_simcore::flight::Windower;
 use snooze_simcore::prelude::*;
@@ -26,7 +25,7 @@ use snooze_simcore::telemetry::window::WindowKind;
 use snooze_simcore::telemetry::WindowLog;
 
 use crate::incident::{IncidentDoc, IncidentEvent, IncidentSpan, IncidentWindow};
-use crate::live::{build_workload, LiveSystem, Stack, VmIdAlloc};
+use crate::live::{build_workload, LiveSystem, VmIdAlloc};
 use crate::spec::{
     ms_to_span, ms_to_time, Condition, ObserveSpec, PhaseSpec, ProbeSpec, ScenarioSpec, SloSignal,
     SloSpec, TargetSpec,
@@ -214,32 +213,17 @@ pub fn compile(spec: &ScenarioSpec) -> Result<LiveSystem, String> {
         }
     };
 
-    let mut live = if let Some(u) = &spec.topology.unified {
-        if spec.topology.managers > 0 || spec.topology.lcs > 0 {
-            return Err("unified topology excludes `managers`/`lcs`".into());
-        }
-        let mut nodes = NodeSpec::standard_cluster(u.nodes);
-        if let Some(p) = &spec.power {
-            p.apply_default(&mut nodes)?;
-        }
-        crate::live::deploy_unified(
-            spec.seed,
-            &config,
-            &nodes,
-            u.target_managers,
-            spec.topology.eps,
-            client,
-        )
-    } else {
-        crate::live::deploy_hierarchy(
-            spec.seed,
-            &config,
-            spec.topology.managers,
-            &spec.topology.build_nodes(spec.power.as_ref())?,
-            spec.topology.eps,
-            client,
-        )
-    };
+    if spec.topology.managers < 2 {
+        return Err("`managers` in topology must be at least 2: a GL and a GM".into());
+    }
+    let mut live = crate::live::deploy_hierarchy(
+        spec.seed,
+        &config,
+        spec.topology.managers,
+        &spec.topology.build_nodes(spec.power.as_ref())?,
+        spec.topology.eps,
+        client,
+    );
 
     let mut plan = FailurePlan::new();
     for f in &spec.faults {
@@ -249,13 +233,11 @@ pub fn compile(spec: &ScenarioSpec) -> Result<LiveSystem, String> {
             plan = plan.degrade_links(at, ppm);
             continue;
         }
-        let pool: &[ComponentId] = match (&live.stack, f.target.as_str()) {
-            (Stack::Hierarchy(s), "manager") => &s.gms,
-            (Stack::Hierarchy(s), "lc") => &s.lcs,
-            (Stack::Hierarchy(s), "ep") => &s.eps,
-            (Stack::Unified(u), "node") => &u.nodes,
-            (Stack::Unified(u), "ep") => &u.eps,
-            (_, other) => return Err(format!("unknown fault target `{other}`")),
+        let pool: &[ComponentId] = match f.target.as_str() {
+            "manager" => &live.system.gms,
+            "lc" => &live.system.lcs,
+            "ep" => &live.system.eps,
+            other => return Err(format!("unknown fault target `{}`", Excerpt(other))),
         };
         let id = *pool
             .get(f.index)
@@ -286,27 +268,14 @@ pub fn compile(spec: &ScenarioSpec) -> Result<LiveSystem, String> {
     Ok(live)
 }
 
-fn hierarchy(live: &LiveSystem) -> Result<&SnoozeSystem, String> {
-    match &live.stack {
-        Stack::Hierarchy(s) => Ok(s),
-        Stack::Unified(_) => Err("this phase needs the role hierarchy, not a unified stack".into()),
-    }
-}
-
 fn probe_sample(live: &LiveSystem, name: &str) -> ProbeSample {
-    let (total_vms, nodes_on) = match &live.stack {
-        Stack::Hierarchy(s) => {
-            let (on, transitioning, _) = s.power_census(&live.sim);
-            (s.total_vms(&live.sim), on + transitioning)
-        }
-        Stack::Unified(_) => (0, 0),
-    };
+    let (on, transitioning, _) = live.system.power_census(&live.sim);
     ProbeSample {
         name: name.to_string(),
         at: live.sim.now(),
         placed: live.client_opt().map(|c| c.placed.len()).unwrap_or(0),
-        total_vms,
-        nodes_on,
+        total_vms: live.system.total_vms(&live.sim),
+        nodes_on: on + transitioning,
         messages: live.messages_sent(),
     }
 }
@@ -579,10 +548,7 @@ impl Runner<'_> {
 }
 
 fn condition_holds(c: Condition, live: &LiveSystem, reschedule: bool, baseline_vms: usize) -> bool {
-    let sys = match &live.stack {
-        Stack::Hierarchy(s) => s,
-        Stack::Unified(_) => return false,
-    };
+    let sys = &live.system;
     match c {
         Condition::GlElected => sys.current_gl(&live.sim).is_some(),
         Condition::LcsOnLiveGms => {
@@ -623,10 +589,9 @@ impl Runner<'_> {
             let t = from + step_span * step;
             self.advance(t);
             if o.perf_window_ms > 0.0 && step_span * step <= perf_window {
-                if let Ok(sys) = hierarchy(&self.live) {
-                    acc += sys.mean_performance(&self.live.sim, self.live.sim.now());
-                    n += 1;
-                }
+                let live = &self.live;
+                acc += live.system.mean_performance(&live.sim, live.sim.now());
+                n += 1;
             }
             if recovery.is_nan() && condition_holds(o.until, &self.live, reschedule, baseline_vms) {
                 recovery = step as f64 * o.step_ms / 1e3;
@@ -713,7 +678,7 @@ pub fn run_watch(
                 while r.live.sim.now() < horizon {
                     let next = (r.live.sim.now() + step).min(horizon);
                     r.advance(next);
-                    let sys = hierarchy(&r.live)?;
+                    let sys = &r.live.system;
                     let (on, transitioning, _) = sys.power_census(&r.live.sim);
                     on_acc += (on + transitioning) as f64;
                     on_n += 1;
@@ -737,7 +702,7 @@ pub fn run_watch(
                 }
                 let (resolved, baseline_vms) = {
                     let live = &r.live;
-                    let sys = hierarchy(live)?;
+                    let sys = &live.system;
                     let resolved = match target {
                         TargetSpec::Gl => sys.current_gl(&live.sim),
                         TargetSpec::ActiveGm(i) => sys.active_gms(&live.sim).get(*i).copied(),
@@ -776,7 +741,7 @@ pub fn run_watch(
                     None => (f64::NAN, f64::NAN, baseline_vms),
                     Some(o) => {
                         let (perf, recovery) = r.observe_fault(t, o, reschedule, baseline_vms);
-                        let vms = hierarchy(&r.live)?.total_vms(&r.live.sim);
+                        let vms = r.live.system.total_vms(&r.live.sim);
                         (perf, recovery, vms)
                     }
                 };
@@ -817,17 +782,7 @@ pub fn run_watch(
     let migrations = metrics.counter("lc.migrations_out");
     let suspends = transitions("suspend");
     let wakeups = transitions("wake") + transitions("watchdog-wake");
-    let (energy_wh, nodes_on_end, total_vms_end) = match &live.stack {
-        Stack::Hierarchy(s) => {
-            let (on, transitioning, _) = s.power_census(&live.sim);
-            (
-                s.total_energy_wh(&live.sim, live.sim.now()),
-                on + transitioning,
-                s.total_vms(&live.sim),
-            )
-        }
-        Stack::Unified(_) => (0.0, 0, 0),
-    };
+    let (on, transitioning, _) = live.system.power_census(&live.sim);
 
     let (placed, rejected, abandoned, mean_latency_s, p95_latency_s, requested_vms) =
         match live.client_opt() {
@@ -864,7 +819,7 @@ pub fn run_watch(
         dead_letters: live.sim.dead_letters(),
         wall_ms: live.wall_ms(),
         messages: live.messages_sent(),
-        energy_wh,
+        energy_wh: live.system.total_energy_wh(&live.sim, live.sim.now()),
         migrations,
         suspends,
         wakeups,
@@ -876,8 +831,8 @@ pub fn run_watch(
         },
         sla_samples,
         sla_violations,
-        nodes_on_end,
-        total_vms_end,
+        nodes_on_end: on + transitioning,
+        total_vms_end: live.system.total_vms(&live.sim),
         faults,
         probes: samples,
         windows: windows_closed,
@@ -906,7 +861,6 @@ mod tests {
                 lcs: 4,
                 node_groups: Vec::new(),
                 eps: 1,
-                unified: None,
                 client: Some(ClientSpec { retry_ms: 15000.0 }),
             },
             config: ConfigSpec::preset("fast_test"),
@@ -1065,7 +1019,7 @@ t_ms = 240000.0
         let run = run(&spec).unwrap();
         // The LC died and came back; the run still settles.
         assert_eq!(run.outcome.placed, 4);
-        let lc0 = run.live.system().lcs[0];
+        let lc0 = run.live.system.lcs[0];
         assert!(run.live.sim.is_alive(lc0), "restarted after downtime");
     }
 

@@ -43,6 +43,6 @@ pub use compile::{
     WindowStatus,
 };
 pub use incident::IncidentDoc;
-pub use live::{burst, deploy_hierarchy, deploy_unified, vm_item, LiveSystem, Stack, VmIdAlloc};
+pub use live::{burst, deploy_hierarchy, vm_item, LiveSystem, VmIdAlloc};
 pub use mc_trace::{McTraceDoc, McTraceStep};
 pub use spec::{ScenarioDoc, ScenarioSpec};

@@ -3,7 +3,6 @@
 //! allocator that keeps ids unique across workload entries.
 
 use snooze::prelude::*;
-use snooze::unified::UnifiedSystem;
 use snooze_cluster::resources::ResourceVector;
 use snooze_cluster::vm::{VmId, VmSpec};
 use snooze_cluster::workload::{UsageShape, VmWorkload};
@@ -270,71 +269,24 @@ pub fn deploy_hierarchy(
     });
     LiveSystem {
         sim,
-        stack: Stack::Hierarchy(system),
+        system,
         client_id,
         wall: WallClock::start(),
     }
-}
-
-/// [`deploy_hierarchy`]'s §V counterpart: unified nodes + role director.
-pub fn deploy_unified(
-    seed: u64,
-    config: &SnoozeConfig,
-    nodes: &[snooze_cluster::node::NodeSpec],
-    target_managers: usize,
-    eps: usize,
-    client: Option<(Vec<ScheduledVm>, SimSpan)>,
-) -> LiveSystem {
-    let mut sim = build_engine(seed);
-    let system = UnifiedSystem::deploy(&mut sim, config, nodes, target_managers, eps);
-    let client_id = client.map(|(schedule, retry)| {
-        let ep = *system.eps.first().expect("a client needs an EP");
-        sim.add_component("client", ClientDriver::new(ep, schedule, retry))
-    });
-    LiveSystem {
-        sim,
-        stack: Stack::Unified(system),
-        client_id,
-        wall: WallClock::start(),
-    }
-}
-
-/// Which system flavour a scenario deployed.
-pub enum Stack {
-    /// The administrator-assigned GL/GM/LC hierarchy (§II).
-    Hierarchy(SnoozeSystem),
-    /// The self-organizing unified-node system (§V).
-    Unified(UnifiedSystem),
 }
 
 /// A deployed system plus its driver client.
 pub struct LiveSystem {
     /// The engine.
     pub sim: Engine<SnoozeNode>,
-    /// The deployed stack.
-    pub stack: Stack,
+    /// The deployed hierarchy's handles.
+    pub system: SnoozeSystem,
     /// The scripted client, if the scenario has one.
     pub client_id: Option<ComponentId>,
     pub(crate) wall: WallClock,
 }
 
 impl LiveSystem {
-    /// The hierarchy handles. Panics for unified-node scenarios.
-    pub fn system(&self) -> &SnoozeSystem {
-        match &self.stack {
-            Stack::Hierarchy(s) => s,
-            Stack::Unified(_) => panic!("scenario deployed a unified stack, not a hierarchy"),
-        }
-    }
-
-    /// The unified-node handles. Panics for hierarchy scenarios.
-    pub fn unified(&self) -> &UnifiedSystem {
-        match &self.stack {
-            Stack::Unified(u) => u,
-            Stack::Hierarchy(_) => panic!("scenario deployed a hierarchy, not a unified stack"),
-        }
-    }
-
     /// The driver client. Panics if the scenario has none.
     pub fn client(&self) -> &ClientDriver {
         self.client_opt().expect("scenario has a client")

@@ -1,7 +1,7 @@
 //! The declarative scenario schema.
 //!
 //! A [`ScenarioSpec`] says everything about one run: the topology
-//! (managers / LCs / EPs or unified nodes, heterogeneous node groups,
+//! (managers / LCs / EPs, heterogeneous node groups,
 //! the client), the Snooze configuration (a preset plus overrides), a
 //! workload program, a static fault schedule, a phase program (run /
 //! settle / sample / fault-and-observe), and named probe points.
@@ -112,8 +112,8 @@ pub struct ScenarioSpec {
 /// `grid5000_dvfs3`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PowerSpec {
-    /// Model name applied to the standard `lcs` nodes (and unified
-    /// nodes). Absent = the built-in Grid'5000 linear model.
+    /// Model name applied to the standard `lcs` nodes. Absent = the
+    /// built-in Grid'5000 linear model.
     pub default: Option<String>,
     /// Named model definitions.
     pub models: Vec<PowerModelSpec>,
@@ -215,8 +215,6 @@ pub struct TopologySpec {
     pub node_groups: Vec<NodeGroupSpec>,
     /// Entry Points.
     pub eps: usize,
-    /// Deploy the §V unified-node system instead of the role hierarchy.
-    pub unified: Option<UnifiedSpec>,
     /// The scripted client driving the workload (absent = no client,
     /// e.g. for pure control-plane scenarios like E9).
     pub client: Option<ClientSpec>,
@@ -242,16 +240,6 @@ pub struct NodeGroupSpec {
     /// Named `[power]` model for this group. When set, it supersedes the
     /// inline linear watts above.
     pub model: Option<String>,
-}
-
-/// Unified-node (§V) deployment: every node starts as an LC and the
-/// framework self-selects managers.
-#[derive(Clone, Debug, PartialEq)]
-pub struct UnifiedSpec {
-    /// Unified nodes (standard spec).
-    pub nodes: usize,
-    /// Managers the role director maintains.
-    pub target_managers: usize,
 }
 
 /// The scripted client.
@@ -511,7 +499,12 @@ impl TopologySpec {
     pub fn build_nodes(&self, power: Option<&PowerSpec>) -> Result<Vec<NodeSpec>, String> {
         let mut nodes = NodeSpec::standard_cluster(self.lcs);
         if let Some(p) = power {
-            p.apply_default(&mut nodes)?;
+            if let Some(name) = &p.default {
+                let model = p.resolve(name)?;
+                for n in &mut nodes {
+                    n.power = Arc::clone(&model);
+                }
+            }
         }
         for g in &self.node_groups {
             let model: Arc<dyn PowerModel> = match (&g.model, power) {
@@ -564,18 +557,6 @@ impl PowerSpec {
                 ))
             }
         }
-    }
-
-    /// Swap the default model onto every node in `nodes` (the standard
-    /// LC / unified fleet). No-op when `power.default` is absent.
-    pub fn apply_default(&self, nodes: &mut [NodeSpec]) -> Result<(), String> {
-        if let Some(name) = &self.default {
-            let model = self.resolve(name)?;
-            for n in nodes {
-                n.power = Arc::clone(&model);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -842,12 +823,6 @@ impl ScenarioSpec {
                 model: g.opt_str("model")?.map(String::from),
             })
         });
-        let unified = topo.opt_table("unified")?.map(|u| {
-            u.finish(UnifiedSpec {
-                nodes: u.int("nodes")?,
-                target_managers: u.int("target_managers")?,
-            })
-        });
         let client = topo.opt_table("client")?.map(|c| {
             c.finish(ClientSpec {
                 retry_ms: c.f64("retry_ms")?,
@@ -858,7 +833,6 @@ impl ScenarioSpec {
             lcs: topo.opt_int("lcs")?.unwrap_or(0),
             node_groups: node_groups.collect::<Result<_, String>>()?,
             eps: topo.int("eps")?,
-            unified: unified.transpose()?,
             client: client.transpose()?,
         })?;
 
@@ -1349,7 +1323,6 @@ mod tests {
                     model: None,
                 }],
                 eps: 1,
-                unified: None,
                 client: Some(ClientSpec { retry_ms: 15000.0 }),
             },
             config: ConfigSpec {
@@ -1873,6 +1846,24 @@ util = 0.25
             ScenarioSpec::from_toml("name = \"x\"\nseed = 1\nbogus = 2\n[topology]\neps = 1\n")
                 .unwrap_err();
         assert!(err.contains("bogus"), "{err}");
+
+        // The unified-node deployment (§V) is gone: its table is a stray
+        // key, and its `node` fault target is unknown.
+        let head = "name = \"x\"\nseed = 1\n[topology]\nmanagers = 2\neps = 1\n";
+        let err =
+            ScenarioSpec::from_toml(&format!("{head}[topology.unified]\nnodes = 4\n")).unwrap_err();
+        assert_eq!(err, "unknown key `unified` in topology");
+        let spec = ScenarioSpec::from_toml(&format!(
+            "{head}[[fault]]\nat_ms = 1.0\nkind = \"crash\"\ntarget = \"node\"\n"
+        ))
+        .unwrap();
+        let err = crate::compile(&spec).err().unwrap();
+        assert_eq!(err, "unknown fault target `node`");
+        // Without that deployment, managerless topologies have no meaning:
+        // compile says so instead of tripping the deployer's assertion.
+        let spec = ScenarioSpec::from_toml(&head.replace("managers = 2", "managers = 1")).unwrap();
+        let err = crate::compile(&spec).err().unwrap();
+        assert!(err.starts_with("`managers` in topology must be"), "{err}");
     }
 
     /// A document with every table of the schema and every key of each.
@@ -1884,9 +1875,6 @@ seed = 7
 managers = 3
 lcs = 8
 eps = 1
-[topology.unified]
-nodes = 4
-target_managers = 2
 [topology.client]
 retry_ms = 15000.0
 [[topology.nodes]]

@@ -263,7 +263,6 @@ impl Component for ClientDriver {
                     self.rejected.push(rej.vm);
                     ctx.span_label(out.span, "outcome", "rejected");
                     ctx.span_close(out.span);
-                    ctx.metrics().incr("client.rejections");
                     ctx.metrics()
                         .incr_with("client.outcome", &label("kind", "rejected"));
                 }
@@ -299,7 +298,6 @@ impl Component for ClientDriver {
                             ctx.span_close(out.span);
                         }
                         self.abandoned.push(vm);
-                        ctx.metrics().incr("client.abandoned");
                         ctx.metrics()
                             .incr_with("client.outcome", &label("kind", "abandoned"));
                     } else {

@@ -201,23 +201,6 @@ impl GroupManager {
         self.lcs.values().map(|l| l.vms.len()).sum()
     }
 
-    /// Step down from the manager role entirely: resign the election
-    /// (releasing the znode so no stale leadership lingers) and drop all
-    /// manager state. Used by the unified-node extension (paper §V) when
-    /// the framework demotes this node back to a Local Controller.
-    pub fn resign(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
-        self.elector.resign(ctx);
-        self.mode = Mode::Candidate;
-        self.lcs.clear();
-        self.lc_fd.reset();
-        self.pending.clear();
-        self.gm_summaries.clear();
-        self.gm_fd.reset();
-        self.dispatches.clear();
-        self.placed_registry.clear();
-        self.gm_timer_armed = false;
-    }
-
     // ------------------------------------------------------------------
     // Views
     // ------------------------------------------------------------------
@@ -963,12 +946,6 @@ impl Component for GroupManager {
                     ctx.span_close(state.span);
                     ctx.send_in(state.span, state.client, VmRejected { vm: fail.vm });
                 }
-            }
-            SnoozeMsg::ManagerCensusQuery(_) if self.mode == Mode::Gl => {
-                // Unified-node extension (§V): the role director asks
-                // how many managers are alive (GMs we know + us).
-                let managers = self.gm_summaries.len() + 1;
-                ctx.send(src, ManagerCensusReply { managers });
             }
             SnoozeMsg::HierarchyQuery(_) if self.mode == Mode::Gl => {
                 // "Exporting of the hierarchy organization" (§II-A).

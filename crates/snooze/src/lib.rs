@@ -63,7 +63,6 @@ pub mod messages;
 pub mod scheduling;
 pub mod system;
 pub mod tags;
-pub mod unified;
 
 use snooze_protocols::coordination::CoordinationService;
 use snooze_simcore::node_enum;
@@ -73,7 +72,6 @@ use crate::entry_point::EntryPoint;
 use crate::group_manager::GroupManager;
 use crate::local_controller::LocalController;
 use crate::messages::SnoozeMsg;
-use crate::unified::{RoleDirector, UnifiedNode};
 
 /// Structural projection from an engine's node enum onto the Snooze
 /// components embedded in it.
@@ -81,8 +79,7 @@ use crate::unified::{RoleDirector, UnifiedNode};
 /// [`SnoozeNode`] implements every method; test harnesses that mix
 /// library components with scripted stubs implement just the ones
 /// their node enum embeds — that is enough for the inspection helpers
-/// on [`system::SnoozeSystem`] and [`unified::UnifiedSystem`] to work
-/// over custom engines.
+/// on [`system::SnoozeSystem`] to work over custom engines.
 pub trait NodeView {
     /// The node as a [`GroupManager`], if it is one.
     fn gm(&self) -> Option<&GroupManager> {
@@ -90,10 +87,6 @@ pub trait NodeView {
     }
     /// The node as a [`LocalController`], if it is one.
     fn lc(&self) -> Option<&LocalController> {
-        None
-    }
-    /// The node as a [`UnifiedNode`], if it is one.
-    fn unified(&self) -> Option<&UnifiedNode> {
         None
     }
 }
@@ -112,8 +105,6 @@ node_enum! {
         Lc(LocalController) as as_lc,
         Ep(EntryPoint) as as_ep,
         Client(ClientDriver) as as_client,
-        Unified(UnifiedNode) as as_unified,
-        Director(RoleDirector) as as_director,
     }
 }
 
@@ -140,14 +131,6 @@ impl snooze_simcore::mc::McState for SnoozeNode {
                 h.word(5);
                 c.mc_fold(h);
             }
-            SnoozeNode::Unified(c) => {
-                h.word(6);
-                c.mc_fold(h);
-            }
-            SnoozeNode::Director(c) => {
-                h.word(7);
-                c.mc_fold(h);
-            }
         }
     }
 }
@@ -158,9 +141,6 @@ impl NodeView for SnoozeNode {
     }
     fn lc(&self) -> Option<&LocalController> {
         self.as_lc()
-    }
-    fn unified(&self) -> Option<&UnifiedNode> {
-        self.as_unified()
     }
 }
 
@@ -173,6 +153,5 @@ pub mod prelude {
     pub use crate::local_controller::LocalController;
     pub use crate::messages::*;
     pub use crate::system::SnoozeSystem;
-    pub use crate::unified::{NodeRole, RoleDirector, UnifiedNode, UnifiedSystem};
     pub use crate::{NodeView, SnoozeNode};
 }

@@ -241,24 +241,6 @@ impl LocalController {
             ctx.cancel_timer(alarm);
         }
     }
-
-    /// Whether this node could currently give up its LC role (powered
-    /// on, hosting nothing, no migrations in flight). Used by the
-    /// unified-node extension (paper §V) before a promotion.
-    pub fn promotable(&self) -> bool {
-        self.power.state().is_on() && self.hypervisor.is_idle() && self.migrating_out.is_empty()
-    }
-
-    /// Detach from the hierarchy in preparation for a role change:
-    /// leaves the GM group and forgets the assignment. Only legal when
-    /// [`LocalController::promotable`]; returns whether it detached.
-    pub fn detach(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) -> bool {
-        if !self.promotable() {
-            return false;
-        }
-        self.leave_gm(ctx);
-        true
-    }
 }
 
 impl McState for LocalController {

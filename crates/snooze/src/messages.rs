@@ -347,43 +347,6 @@ pub struct VmFailed {
 }
 
 // ---------------------------------------------------------------------------
-// Unified-node extension (paper §V)
-// ---------------------------------------------------------------------------
-
-/// Director → node: become a manager if you are idle.
-#[derive(Clone, Copy, Debug)]
-pub struct PromoteIfIdle;
-
-/// Director → node: give up the manager role and rejoin as an LC.
-#[derive(Clone, Copy, Debug)]
-pub struct DemoteToLc;
-
-/// Node → director: the node's current role (sent in reply to
-/// [`QueryRole`] and spontaneously after a role change).
-#[derive(Clone, Copy, Debug)]
-pub struct RoleReport {
-    /// Current role.
-    pub role: crate::unified::NodeRole,
-    /// True when the node could be promoted right now (idle LC).
-    pub promotable: bool,
-}
-
-/// Director → node: report your role.
-#[derive(Clone, Copy, Debug)]
-pub struct QueryRole;
-
-/// Director → GL: how many managers are alive?
-#[derive(Clone, Copy, Debug)]
-pub struct ManagerCensusQuery;
-
-/// GL → director: manager census (GMs it knows, plus itself).
-#[derive(Clone, Copy, Debug)]
-pub struct ManagerCensusReply {
-    /// Live managers, GL included.
-    pub managers: usize,
-}
-
-// ---------------------------------------------------------------------------
 // The closed message set
 // ---------------------------------------------------------------------------
 
@@ -489,8 +452,6 @@ snooze_msg! {
         MigrateVm, MigrateRefused, MigrationDone,
         SuspendNode, WakeNode, NodePowerChanged,
         VmActive, VmFailed,
-        PromoteIfIdle, DemoteToLc, RoleReport, QueryRole,
-        ManagerCensusQuery, ManagerCensusReply,
     ],
     boxed: [
         SubmitVm, GmHeartbeat, LcMonitoring, AnomalyReport,
@@ -687,19 +648,6 @@ impl McState for SnoozeMsg {
                 h.word(32);
                 m.vm.mc_fold(h);
             }
-            SnoozeMsg::PromoteIfIdle(_) => h.word(33),
-            SnoozeMsg::DemoteToLc(_) => h.word(34),
-            SnoozeMsg::RoleReport(m) => {
-                h.word(35);
-                m.role.mc_fold(h);
-                h.flag(m.promotable);
-            }
-            SnoozeMsg::QueryRole(_) => h.word(36),
-            SnoozeMsg::ManagerCensusQuery(_) => h.word(37),
-            SnoozeMsg::ManagerCensusReply(m) => {
-                h.word(38);
-                h.word(m.managers as u64);
-            }
         }
     }
 }
@@ -711,7 +659,7 @@ mod variant_tests {
     #[test]
     fn variant_names_are_stable_and_split_protocol_by_direction() {
         use snooze_protocols::coordination::ZkRequest;
-        assert_eq!(SnoozeMsg::from(QueryRole).variant_name(), "QueryRole");
+        assert_eq!(SnoozeMsg::from(WakeNode).variant_name(), "WakeNode");
         assert_eq!(SnoozeMsg::from(DiscoverGl).variant_name(), "DiscoverGl");
         let req = SnoozeMsg::from(ProtocolMsg::Request(ZkRequest::Ping { epoch: 0 }));
         assert_eq!(req.variant_name(), "Protocol.Request");

@@ -27,7 +27,6 @@ fn topology(managers: usize, lcs: usize, eps: usize, retry_ms: Option<f64>) -> T
         lcs,
         node_groups: Vec::new(),
         eps,
-        unified: None,
         client: retry_ms.map(|retry_ms| ClientSpec { retry_ms }),
     }
 }
@@ -77,7 +76,7 @@ fn compile(spec: &ScenarioSpec) -> LiveSystem {
 fn hierarchy_converges_to_one_gl_with_joined_gms_and_lcs() {
     let mut live = compile(&spec(1, topology(3, 8, 2, None), fast_config(), vec![]));
     live.sim.run_until(secs(15));
-    let (sim, system) = (&live.sim, live.system());
+    let (sim, system) = (&live.sim, &live.system);
 
     let gl = system.current_gl(sim).expect("one GL elected");
     let gms = system.active_gms(sim);
@@ -120,7 +119,7 @@ fn burst_submission_places_every_vm() {
         c.rejected,
         c.abandoned
     );
-    assert_eq!(live.system().total_vms(&live.sim), 20);
+    assert_eq!(live.system.total_vms(&live.sim), 20);
     assert!(c.mean_latency_secs() > 0.0);
     // Every ack points at a real LC hosting that VM.
     for ack in &live.client().placed {
@@ -176,7 +175,7 @@ fn gl_failure_heals_and_new_submissions_succeed() {
     let first_gl = run.outcome.faults[0].target;
     let second_gl = run
         .live
-        .system()
+        .system
         .current_gl(&run.live.sim)
         .expect("failover elected a new GL");
     assert_ne!(second_gl, first_gl);
@@ -218,7 +217,7 @@ fn gm_failure_relinks_its_lcs_and_preserves_vms() {
         PhaseSpec::RunTo { t_ms: 120_000.0 },
     ];
     let run = snooze_scenario::run(&s).expect("compiles");
-    let (sim, system) = (&run.live.sim, run.live.system());
+    let (sim, system) = (&run.live.sim, &run.live.system);
     let victim = run.outcome.faults[0].target;
 
     // VMs survive on their LCs ("VM management" is control plane only).
@@ -248,9 +247,9 @@ fn suspended_lc_orphaned_by_gm_death_recovers_via_watchdog() {
 
     // The lone LC joins, idles, and is suspended.
     live.sim.run_until(secs(25));
-    let (_, _, low) = live.system().power_census(&live.sim);
+    let (_, _, low) = live.system.power_census(&live.sim);
     assert_eq!(low, 1, "LC should be suspended by now");
-    let lc0 = live.system().lcs[0];
+    let lc0 = live.system.lcs[0];
     let gm = live
         .sim
         .component(lc0)
@@ -272,7 +271,7 @@ fn suspended_lc_orphaned_by_gm_death_recovers_via_watchdog() {
     let l = live.sim.component(lc0).as_lc().unwrap();
     let current = l.assigned_gm().expect("re-assigned after watchdog wake");
     assert_ne!(current, gm, "must not still point at the dead GM");
-    assert!(live.system().active_gms(&live.sim).contains(&current));
+    assert!(live.system.active_gms(&live.sim).contains(&current));
 }
 
 #[test]
@@ -284,11 +283,11 @@ fn lc_failure_is_detected_and_vms_are_lost_without_snapshots() {
         vec![burst(6, 10.0, 0.5)],
     ));
     live.sim.run_until(secs(60));
-    assert_eq!(live.system().total_vms(&live.sim), 6);
+    assert_eq!(live.system.total_vms(&live.sim), 6);
 
     // Kill the LC hosting the most VMs.
     let victim = *live
-        .system()
+        .system
         .lcs
         .iter()
         .max_by_key(|&&lc| {
@@ -311,7 +310,7 @@ fn lc_failure_is_detected_and_vms_are_lost_without_snapshots() {
     live.sim.schedule_crash(secs(61), victim);
     live.sim.run_until(secs(120));
     assert_eq!(
-        live.system().total_vms(&live.sim),
+        live.system.total_vms(&live.sim),
         6 - lost,
         "no snapshot recovery configured"
     );
@@ -331,10 +330,10 @@ fn lc_failure_with_snapshots_reschedules_vms() {
         vec![burst(6, 10.0, 0.5)],
     ));
     live.sim.run_until(secs(60));
-    assert_eq!(live.system().total_vms(&live.sim), 6);
+    assert_eq!(live.system.total_vms(&live.sim), 6);
 
     let victim = *live
-        .system()
+        .system
         .lcs
         .iter()
         .max_by_key(|&&lc| {
@@ -349,7 +348,7 @@ fn lc_failure_with_snapshots_reschedules_vms() {
     live.sim.schedule_crash(secs(61), victim);
     live.sim.run_until(secs(180));
     assert_eq!(
-        live.system().total_vms(&live.sim),
+        live.system.total_vms(&live.sim),
         6,
         "snapshot recovery must restore the lost VMs on surviving LCs"
     );
@@ -369,7 +368,7 @@ fn idle_nodes_suspend_and_submission_wakes_one() {
 
     // Let the hierarchy converge, then idle long enough to suspend all.
     live.sim.run_until(secs(60));
-    let (on, _, low) = live.system().power_census(&live.sim);
+    let (on, _, low) = live.system.power_census(&live.sim);
     assert_eq!(on, 0, "all idle nodes suspend");
     assert_eq!(low, 3);
 
@@ -383,7 +382,7 @@ fn idle_nodes_suspend_and_submission_wakes_one() {
         c.rejected,
         c.abandoned
     );
-    let (on, _, _) = live.system().power_census(&live.sim);
+    let (on, _, _) = live.system.power_census(&live.sim);
     assert!(on >= 1, "at least the hosting node is awake");
 
     // Suspended-node statistics are visible.
@@ -408,7 +407,7 @@ fn power_management_saves_energy_on_idle_clusters() {
             vec![],
         ));
         live.sim.run_until(horizon);
-        live.system().total_energy_wh(&live.sim, horizon)
+        live.system.total_energy_wh(&live.sim, horizon)
     };
     let e_with = run_with(5000.0);
     let e_without = run_with(-1.0);
@@ -463,7 +462,7 @@ fn overload_triggers_relocation() {
         "overload must trigger at least one migration"
     );
     // Both VMs still exist somewhere.
-    assert_eq!(live.system().total_vms(&live.sim), 2);
+    assert_eq!(live.system.total_vms(&live.sim), 2);
 }
 
 #[test]
@@ -492,8 +491,8 @@ fn underload_drains_node_onto_moderate_ones() {
     ));
     live.sim.run_until(secs(300));
 
-    assert_eq!(live.system().total_vms(&live.sim), 3);
-    let (on, _, low) = live.system().power_census(&live.sim);
+    assert_eq!(live.system.total_vms(&live.sim), 3);
+    let (on, _, low) = live.system.power_census(&live.sim);
     assert_eq!(low, 1, "drained node suspends (on={on}, low={low})");
 }
 
@@ -521,7 +520,7 @@ fn ep_failure_is_tolerated_by_client_rotating_to_second_ep() {
     // The rotating client isn't expressible in a spec: deploy without
     // one and attach it by hand.
     let mut live = compile(&spec(13, topology(2, 4, 2, None), fast_config(), vec![]));
-    let eps = live.system().eps.clone();
+    let eps = live.system.eps.clone();
     live.sim.schedule_crash(secs(5), eps[0]);
     let mut alloc = snooze_scenario::VmIdAlloc::new();
     let schedule = snooze_scenario::burst(&mut alloc, 4, secs(10), 2.0, 8192.0, 0.5);
@@ -561,7 +560,7 @@ fn submissions_before_convergence_eventually_succeed() {
         c.rejected,
         c.abandoned
     );
-    let ep = live.sim.component(live.system().eps[0]).as_ep().unwrap();
+    let ep = live.sim.component(live.system.eps[0]).as_ep().unwrap();
     assert!(
         ep.dropped > 0,
         "early submissions were dropped pre-convergence"
@@ -610,9 +609,9 @@ fn reconfiguration_consolidates_spread_vms() {
     // should pack them onto one and let three nodes suspend.
     live.sim.run_until(secs(400));
 
-    assert_eq!(live.system().total_vms(&live.sim), 4);
+    assert_eq!(live.system.total_vms(&live.sim), 4);
     let occupied = live
-        .system()
+        .system
         .lcs
         .iter()
         .filter(|&&lc| {
@@ -626,6 +625,6 @@ fn reconfiguration_consolidates_spread_vms() {
         })
         .count();
     assert_eq!(occupied, 1, "ACO reconfiguration packs onto one node");
-    let (_, _, low) = live.system().power_census(&live.sim);
+    let (_, _, low) = live.system.power_census(&live.sim);
     assert_eq!(low, 3, "freed nodes suspend");
 }

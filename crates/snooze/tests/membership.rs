@@ -45,8 +45,8 @@ fn deploy(
     (sim, system)
 }
 
-/// The heartbeat group of the `i`-th manager (or unified node): both
-/// deployers create it right after the GL group, in deployment order.
+/// The heartbeat group of the `i`-th manager: the deployer creates it
+/// right after the GL group, in deployment order.
 fn lc_group(gl_group: GroupId, i: usize) -> GroupId {
     GroupId(gl_group.0 + 1 + i)
 }
@@ -335,72 +335,6 @@ fn in_flight_gm_heartbeat_reaching_a_just_suspended_lc_is_a_no_op() {
     assert_eq!(sim.metrics().counter("net.sent"), sent);
     assert_eq!(fold(&sim), before);
     assert_membership_follows_state(&sim, &system);
-}
-
-#[test]
-fn unified_node_hears_the_gl_as_manager_and_again_after_demotion() {
-    let mut sim: Engine<SnoozeNode> = SimBuilder::new(19).build();
-    let nodes = NodeSpec::standard_cluster(6);
-    let system = UnifiedSystem::deploy(&mut sim, &manual_power(), &nodes, 3, 1);
-    fn node(sim: &Engine<SnoozeNode>, id: ComponentId) -> &UnifiedNode {
-        sim.component(id).as_unified().expect("a unified node")
-    }
-    // One component, two personas: it listens for the GL exactly while its
-    // LC persona has no GM — which a manager's never has.
-    let law = |sim: &Engine<SnoozeNode>| {
-        let listening = sim.group_members(system.gl_group);
-        for &id in &system.nodes {
-            let assigned = node(sim, id).as_lc().assigned_gm().is_some();
-            assert_eq!(
-                listening.contains(&id),
-                !assigned,
-                "{id:?} at {:?}",
-                sim.now()
-            );
-            let manager = node(sim, id).role() == NodeRole::Manager;
-            assert!(!(manager && assigned), "{id:?} manages and is managed");
-        }
-    };
-    sim.run_until(secs(60));
-    assert_eq!(system.role_census(&sim), (3, 3));
-    law(&sim);
-    let is_assigned_lc = |&&id: &&ComponentId| {
-        let n = node(&sim, id);
-        n.role() == NodeRole::LocalController && n.as_lc().assigned_gm().is_some()
-    };
-    let chosen = *system.nodes.iter().find(is_assigned_lc).expect("an LC");
-    assert!(!sim.group_members(system.gl_group).contains(&chosen));
-
-    sim.post(secs(60), chosen, PromoteIfIdle);
-    step_until(&mut sim, secs(61), "the promotion", |sim| {
-        node(sim, chosen).role() == NodeRole::Manager
-    });
-    assert!(sim.group_members(system.gl_group).contains(&chosen));
-    law(&sim);
-
-    sim.post(sim.now() + SimSpan::from_secs(1), chosen, DemoteToLc);
-    step_until(&mut sim, secs(63), "the demotion", |sim| {
-        node(sim, chosen).role() == NodeRole::LocalController
-    });
-    assert!(
-        sim.group_members(system.gl_group).contains(&chosen),
-        "a fresh LC process discovers the hierarchy through the GL"
-    );
-    law(&sim);
-
-    // The director settles the pool again (it may well re-promote the
-    // node it just saw demoted); whoever ends up an LC is assigned and has
-    // stopped listening.
-    sim.run_until(secs(120));
-    assert_eq!(system.role_census(&sim), (3, 3));
-    let lcs = system
-        .nodes
-        .iter()
-        .filter(|&&id| node(&sim, id).role() == NodeRole::LocalController);
-    assert!(lcs
-        .clone()
-        .all(|&id| node(&sim, id).as_lc().assigned_gm().is_some()));
-    law(&sim);
 }
 
 /// What the membership buys: heartbeats nobody reads are never sent. Once

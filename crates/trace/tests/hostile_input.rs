@@ -1,10 +1,10 @@
 //! Readers against hostile input: a trace is external data.
 //!
-//! `CsvReader`, `JsonlReader` and `AzureShapedReader` over arbitrary text
-//! and over valid documents with pieces cut, inserted and repeated must
-//! return records or one `TraceError` whose line is a line of the input
-//! and whose message is under 512 bytes — never a panic, never a message
-//! the size of the line it complains about.
+//! `CsvReader`, `JsonlReader` and `AzureShapedReader` over arbitrary text,
+//! over valid documents with pieces cut, inserted and repeated, and over
+//! bytes that are not UTF-8 must return records or one `TraceError` whose
+//! line is a line of the input and whose message is under 512 bytes —
+//! never a panic, never a message the size of the line it complains about.
 
 use proptest::prelude::*;
 use snooze_trace::csv::CsvReader;
@@ -14,11 +14,11 @@ use snooze_trace::{csv, generate, jsonl, read_all, DatasetReader, GeneratorConfi
 
 const AZURE_HEADER: &str = "vmid,vmcreated,vmdeleted,corecount,memorygb,avgcpu,p95maxcpu";
 
-fn read(format: usize, text: &str) -> Result<usize, TraceError> {
+fn read(format: usize, bytes: &[u8]) -> Result<usize, TraceError> {
     let mut reader: Box<dyn DatasetReader + '_> = match format {
-        0 => Box::new(CsvReader::new(text.as_bytes())),
-        1 => Box::new(JsonlReader::new(text.as_bytes())),
-        _ => Box::new(AzureShapedReader::new(text.as_bytes())),
+        0 => Box::new(CsvReader::new(bytes)),
+        1 => Box::new(JsonlReader::new(bytes)),
+        _ => Box::new(AzureShapedReader::new(bytes)),
     };
     read_all(&mut *reader).map(|records| records.len())
 }
@@ -119,7 +119,7 @@ impl Strategy for Mutated {
 }
 
 fn ok_or_short_line_numbered_error(format: usize, text: &str) -> Result<(), TestCaseError> {
-    if let Err(e) = read(format, text) {
+    if let Err(e) = read(format, text.as_bytes()) {
         let shown = e.to_string();
         prop_assert!(shown.len() < 512, "{} bytes: {shown}", shown.len());
         // Line 0 is "before any line": an input with no header at all.
@@ -148,7 +148,11 @@ proptest! {
 #[test]
 fn the_valid_documents_are_valid() {
     for format in 0..3 {
-        assert_eq!(read(format, &valid(format, 11)), Ok(6), "reader {format}");
+        assert_eq!(
+            read(format, valid(format, 11).as_bytes()),
+            Ok(6),
+            "reader {format}"
+        );
     }
 }
 
@@ -169,9 +173,29 @@ fn a_huge_bad_line_yields_a_short_error() {
         ),
     ];
     for (format, text, line) in inputs {
-        let err = read(format, &text).unwrap_err();
+        let err = read(format, text.as_bytes()).unwrap_err();
         assert_eq!(err.line, line, "{}", &err.msg[..40]);
         assert!(err.msg.len() < 512, "{} bytes", err.msg.len());
         assert!(err.msg.contains('…'), "{}", err.msg);
+    }
+}
+
+/// Bytes that are not UTF-8 — a lone continuation byte, a truncated
+/// two-byte sequence, a byte no UTF-8 text holds — put at the start of
+/// line 1 or 3 of each valid document: a read error on that line.
+#[test]
+fn invalid_utf8_is_a_read_error_on_its_line() {
+    for format in 0..3 {
+        let doc = valid(format, 11);
+        let third = doc.match_indices('\n').nth(1).unwrap().0 + 1;
+        for bad in [&b"\x80"[..], b"\xC3(", b"\xFF"] {
+            for (at, line) in [(0, 1), (third, 3)] {
+                let mut bytes = doc.as_bytes().to_vec();
+                bytes.splice(at..at, bad.iter().copied());
+                let err = read(format, &bytes).unwrap_err();
+                assert_eq!(err.line, line, "reader {format}, {bad:?}: {err}");
+                assert!(err.msg.starts_with("read error"), "{err}");
+            }
+        }
     }
 }

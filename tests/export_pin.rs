@@ -86,13 +86,16 @@ fn faulted_deployment_exports_are_pinned() {
     const PINNED: [(u64, usize); 4] = [
         (7_739_793_672_712_497_924, 19_645),
         (9_055_654_801_544_213_181, 16_944),
-        (2_321_619_509_053_479_843, 1_437),
-        (14_851_916_671_413_868_775, 1_139),
+        // Re-pinned from (2_321_619_509_053_479_843, 1_437) and
+        // (14_851_916_671_413_868_775, 1_139): `client.rejections` went, and
+        // its one JSONL line and two Prometheus lines are the whole diff.
+        (11_779_433_608_010_932_277, 1_369),
+        (13_016_098_420_641_230_352, 1_086),
     ];
     assert_eq!(exports, PINNED);
     // The same run as `engine_pin.rs`: these two are its constants.
-    assert_eq!(exports[2].0, 2_321_619_509_053_479_843);
-    assert_eq!(exports[3].0, 14_851_916_671_413_868_775);
+    assert_eq!(exports[2].0, 11_779_433_608_010_932_277);
+    assert_eq!(exports[3].0, 13_016_098_420_641_230_352);
 }
 
 /// `scenarios/report.toml` cut down to 8 LCs and 12 VMs: counter and
