@@ -53,13 +53,6 @@ pub fn run(sizes: &[usize], repeats: u64, base_seed: u64) -> Vec<E2Row> {
         ("FFD-l2", Box::new(FirstFitDecreasing { key: SortKey::L2 })),
         ("BFD", Box::new(BestFit { key: SortKey::L2 })),
         ("ACO", Box::new(AcoConsolidator::new(AcoParams::default()))),
-        (
-            "ACO+LS",
-            Box::new(AcoConsolidator::new(AcoParams {
-                local_search: true,
-                ..AcoParams::default()
-            })),
-        ),
     ];
 
     sizes

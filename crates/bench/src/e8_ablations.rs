@@ -113,13 +113,6 @@ fn run_aco(n: usize, repeats: u64, seed: u64) -> Vec<AcoAblationRow> {
             ..base
         },
     );
-    push(
-        "local search".into(),
-        AcoParams {
-            local_search: true,
-            ..base
-        },
-    );
     rows
 }
 

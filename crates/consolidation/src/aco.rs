@@ -93,10 +93,6 @@ pub struct AcoParams {
     pub seed: u64,
     /// Pheromone reinforcement rule.
     pub update_rule: UpdateRule,
-    /// Run the bin-emptying local search on the final solution: try to
-    /// drain the least-filled bins into the others' residual capacity.
-    /// Cheap, and recovers most of the quality gap on large instances.
-    pub local_search: bool,
 }
 
 impl Default for AcoParams {
@@ -112,7 +108,6 @@ impl Default for AcoParams {
             tau_min: 0.01,
             seed: 0xAC0,
             update_rule: UpdateRule::GlobalBest,
-            local_search: false,
         }
     }
 }
@@ -525,90 +520,11 @@ impl AcoConsolidator {
             );
         }
 
-        let mut solution = global_best.map(|(s, _, _)| s);
-        if p.local_search {
-            if let Some(sol) = &mut solution {
-                bin_emptying_local_search(instance, sol);
-                debug_assert!(sol.is_feasible(instance));
-            }
-        }
         AcoRun {
-            solution,
+            solution: global_best.map(|(s, _, _)| s),
             best_bins_per_cycle: best_per_cycle,
             failed_ants: failed,
             profile,
-        }
-    }
-}
-
-/// Bin-emptying local search: repeatedly take the least-utilized used
-/// bin and try to best-fit *all* of its items into the residual capacity
-/// of the other used bins; apply only complete drains (a partial drain
-/// frees nothing). Stops at the first bin that cannot be drained.
-pub fn bin_emptying_local_search(instance: &Instance, solution: &mut Solution) {
-    loop {
-        let loads = solution.bin_loads(instance);
-        let mut used: Vec<usize> = (0..instance.n_bins())
-            .filter(|&b| loads[b].l1() > 0.0)
-            .collect();
-        if used.len() <= 1 {
-            return;
-        }
-        // Least-utilized used bin is the drain candidate.
-        used.sort_by(|&a, &b| {
-            let ua = loads[a].normalize_by(&instance.bins[a]).l1();
-            let ub = loads[b].normalize_by(&instance.bins[b]).l1();
-            ua.partial_cmp(&ub)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let victim = used[0];
-        let mut movers: Vec<usize> = (0..instance.n_items())
-            .filter(|&i| solution.assignment[i] == victim)
-            .collect();
-        // Largest first.
-        movers.sort_by(|&a, &b| {
-            instance.items[b]
-                .l1()
-                .partial_cmp(&instance.items[a].l1())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let mut residuals: Vec<(usize, ResourceVector)> = used[1..]
-            .iter()
-            .map(|&b| (b, instance.bins[b].saturating_sub(&loads[b])))
-            .collect();
-        let mut placement = Vec::with_capacity(movers.len());
-        let mut ok = true;
-        for &item in &movers {
-            let demand = instance.items[item];
-            let slot = residuals
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, r))| demand.fits_within(r))
-                .min_by(|(_, (_, ra)), (_, (_, rb))| {
-                    let sa = ra.saturating_sub(&demand).l1();
-                    let sb = rb.saturating_sub(&demand).l1();
-                    sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(idx, _)| idx);
-            match slot {
-                Some(idx) => {
-                    let (bin, r) = &mut residuals[idx];
-                    *r = r.saturating_sub(&demand);
-                    placement.push((item, *bin));
-                }
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            return; // the emptiest bin is stuck ⇒ nothing easier exists
-        }
-        for (item, bin) in placement {
-            solution.assignment[item] = bin;
         }
     }
 }
@@ -987,52 +903,6 @@ mod tests {
         let sol = a.solution.unwrap();
         assert!(sol.is_feasible(&inst));
         assert!(sol.bins_used() >= inst.lower_bound());
-    }
-
-    #[test]
-    fn local_search_never_hurts_and_stays_feasible() {
-        let gen = InstanceGenerator::grid11();
-        for seed in 0..5 {
-            let inst = gen.generate(50, &mut SimRng::new(100 + seed));
-            let plain = AcoConsolidator::new(AcoParams::fast())
-                .consolidate(&inst)
-                .unwrap();
-            let polished = AcoConsolidator::new(AcoParams {
-                local_search: true,
-                ..AcoParams::fast()
-            })
-            .consolidate(&inst)
-            .unwrap();
-            assert!(polished.is_feasible(&inst), "seed {seed}");
-            assert!(
-                polished.bins_used() <= plain.bins_used(),
-                "seed {seed}: {} vs {}",
-                polished.bins_used(),
-                plain.bins_used()
-            );
-        }
-    }
-
-    #[test]
-    fn local_search_empties_an_obviously_drainable_bin() {
-        // Two items of 0.3 in separate bins: one drain suffices.
-        let inst = unit_instance(&[0.3, 0.3], 2);
-        let mut sol = Solution {
-            assignment: vec![0, 1],
-        };
-        bin_emptying_local_search(&inst, &mut sol);
-        assert_eq!(sol.bins_used(), 1);
-        assert!(sol.is_feasible(&inst));
-    }
-
-    #[test]
-    fn local_search_leaves_tight_packings_alone() {
-        let inst = unit_instance(&[0.9, 0.9], 2);
-        let mut sol = Solution {
-            assignment: vec![0, 1],
-        };
-        bin_emptying_local_search(&inst, &mut sol);
-        assert_eq!(sol.assignment, vec![0, 1]);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! the VMs according to a single dimension (e.g. CPU)". To reproduce both
 //! the baseline and the criticism, this module provides FFD with five
 //! presort keys — the single-dimension sorts (CPU, memory) and the
-//! multi-dimension norms (L1, L2, L∞) — plus best-fit, worst-fit and
-//! next-fit decreasing variants.
+//! multi-dimension norms (L1, L2, L∞) — plus best-fit and worst-fit
+//! decreasing variants.
 
 use snooze_cluster::resources::ResourceVector;
 
@@ -198,34 +198,6 @@ impl Consolidator for WorstFit {
     }
 }
 
-/// Next-Fit Decreasing: keep one open bin; if the item doesn't fit, close
-/// it and open the next. The weakest baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct NextFit {
-    /// Presort key.
-    pub key: SortKey,
-}
-
-impl Consolidator for NextFit {
-    fn consolidate(&self, instance: &Instance) -> Option<Solution> {
-        let order = sorted_indices(instance, self.key);
-        let mut current = 0usize;
-        greedy_place(instance, &order, move |inst, loads, item| {
-            while current < inst.n_bins() {
-                if fits(inst, loads, item, current) {
-                    return Some(current);
-                }
-                current += 1;
-            }
-            None
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "NFD"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,7 +258,6 @@ mod tests {
             Box::new(FirstFitDecreasing { key: SortKey::L2 }),
             Box::new(BestFit { key: SortKey::L2 }),
             Box::new(WorstFit { key: SortKey::L2 }),
-            Box::new(NextFit { key: SortKey::L2 }),
         ];
         for a in &algos {
             let sol = a
@@ -294,24 +265,6 @@ mod tests {
                 .unwrap_or_else(|| panic!("{} failed", a.name()));
             assert!(sol.is_feasible(&inst), "{} infeasible", a.name());
             assert!(sol.bins_used() >= inst.lower_bound());
-        }
-    }
-
-    #[test]
-    fn bfd_never_uses_more_bins_than_nfd() {
-        let gen = InstanceGenerator::grid11();
-        for seed in 0..5 {
-            let inst = gen.generate(40, &mut SimRng::new(seed));
-            let bfd = BestFit { key: SortKey::L2 }
-                .consolidate(&inst)
-                .unwrap()
-                .bins_used();
-            let nfd = NextFit { key: SortKey::L2 }.consolidate(&inst).unwrap();
-            assert!(
-                bfd <= nfd.bins_used(),
-                "seed {seed}: BFD {bfd} > NFD {}",
-                nfd.bins_used()
-            );
         }
     }
 

@@ -13,7 +13,7 @@
 //!   with the single-dimension presorts criticised in the introduction
 //!   ("presorting the VMs according to a single dimension (e.g. CPU) …
 //!   tend\[s\] to waste a lot of resources"), plus L1/L2/L∞ multi-dimension
-//!   variants and first/best/next/worst-fit baselines.
+//!   variants and best-fit / worst-fit baselines.
 //! * [`aco`] — the ACO consolidation algorithm: pheromone matrix over
 //!   VM–bin pairs, heuristic desirability, probabilistic decision rule,
 //!   cycles with evaporation and global-best reinforcement.
@@ -24,15 +24,12 @@
 //!   energy spent into the computation").
 //! * [`distributed`] — the future-work §V "distributed version of the
 //!   algorithm": per-partition ACO with ring-based residual exchange.
-//! * [`aco_pso`] — the two-stage ACO-PSO refinement (arxiv 2510.00541):
-//!   a feasibility-preserving particle swarm polishing the colony's best.
 //! * [`multi_objective`] — migration-cost-aware consolidation (arxiv
 //!   1706.06646): weighs freed hosts against live-migration churn.
 //! * [`registry`] — the string-keyed [`registry::ConsolidatorRegistry`]
 //!   building any of the above from flat TOML-expressible parameters.
 
 pub mod aco;
-pub mod aco_pso;
 pub mod distributed;
 pub mod energy;
 pub mod exact;
@@ -41,16 +38,13 @@ pub mod multi_objective;
 pub mod problem;
 pub mod registry;
 
-pub use aco::{
-    bin_emptying_local_search, AcoConsolidator, AcoParams, AcoPhaseProfile, AcoRun, UpdateRule,
-};
-pub use aco_pso::{AcoPsoConsolidator, AcoPsoParams};
+pub use aco::{AcoConsolidator, AcoParams, AcoPhaseProfile, AcoRun, UpdateRule};
 pub use distributed::{DistributedAco, DistributedParams};
 pub use energy::{placement_energy_wh, EnergyParams};
 pub use exact::{BranchAndBound, ExactOutcome};
-pub use ffd::{BestFit, FirstFitDecreasing, NextFit, SortKey, WorstFit};
+pub use ffd::{BestFit, FirstFitDecreasing, SortKey, WorstFit};
 pub use multi_objective::{MigrationAwareAco, MigrationAwareParams};
 pub use problem::{Consolidator, Instance, InstanceGenerator, Solution};
 pub use registry::{
-    ConsolidatorRegistry, GuardedBranchAndBound, ParamValue, Params, REGISTRY_KEYS,
+    ConsolidatorRegistry, GuardedBranchAndBound, ParamValue, Params, COLONY_KEYS, REGISTRY_KEYS,
 };

@@ -1,8 +1,9 @@
 //! The string-keyed consolidator registry.
 //!
-//! Every placement algorithm in this crate is constructible from a key
-//! plus a flat map of scalar parameters — the bridge that lets scenario
-//! TOML pick any algorithm with zero per-variant Rust. Unknown keys and
+//! Every placement algorithm in this crate but best-fit (an offline
+//! comparator only) is constructible from a key plus a flat map of scalar
+//! parameters — the bridge that lets scenario TOML pick any algorithm
+//! with zero per-variant Rust. Unknown keys and
 //! unknown or ill-typed parameters are hard errors naming what *is*
 //! available, so a typo in a scenario file fails loudly at compile time
 //! rather than silently running the default.
@@ -12,10 +13,9 @@ use std::collections::BTreeMap;
 use snooze_simcore::excerpt::Excerpt;
 
 use crate::aco::{AcoConsolidator, AcoParams, UpdateRule};
-use crate::aco_pso::{AcoPsoConsolidator, AcoPsoParams};
 use crate::distributed::{DistributedAco, DistributedParams};
 use crate::exact::BranchAndBound;
-use crate::ffd::{BestFit, FirstFitDecreasing, NextFit, SortKey, WorstFit};
+use crate::ffd::{FirstFitDecreasing, SortKey, WorstFit};
 use crate::multi_objective::{MigrationAwareAco, MigrationAwareParams};
 use crate::problem::{Consolidator, Instance, Solution};
 
@@ -80,14 +80,6 @@ impl<'a> ParamReader<'a> {
             Some(ParamValue::Float(f)) => Ok(*f),
             Some(ParamValue::Int(i)) => Ok(*i as f64),
             Some(other) => Err(mismatch(key, "a number", other)),
-        }
-    }
-
-    fn bool(&mut self, key: &str, default: bool) -> Result<bool, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(ParamValue::Bool(b)) => Ok(*b),
-            Some(other) => Err(mismatch(key, "a boolean", other)),
         }
     }
 
@@ -158,7 +150,6 @@ fn aco_params(reader: &mut ParamReader<'_>) -> Result<AcoParams, String> {
     p.tau0 = reader.f64("tau0", p.tau0)?;
     p.tau_min = reader.f64("tau_min", p.tau_min)?;
     p.seed = reader.u64("seed", p.seed)?;
-    p.local_search = reader.bool("local_search", p.local_search)?;
     p.update_rule = match reader.str("update_rule", "global_best")?.as_str() {
         "global_best" => UpdateRule::GlobalBest,
         "all_ants" => UpdateRule::AllAnts,
@@ -203,9 +194,11 @@ pub struct ConsolidatorRegistry;
 
 /// Every registered key, sorted. Kept in one place so error messages,
 /// sweeps and smoke tests can't drift from the builder.
-pub const REGISTRY_KEYS: [&str; 9] = [
-    "aco", "aco-pso", "bfd", "bnb", "daco", "ffd", "mo-aco", "nfd", "wfd",
-];
+pub const REGISTRY_KEYS: [&str; 6] = ["aco", "bnb", "daco", "ffd", "mo-aco", "wfd"];
+
+/// The keys whose consolidator runs the ACO colony, sorted: the ones that
+/// read the colony parameters (`preset`, `n_ants`, `n_cycles`, …).
+pub const COLONY_KEYS: [&str; 3] = ["aco", "daco", "mo-aco"];
 
 impl ConsolidatorRegistry {
     /// The registry of everything in this crate.
@@ -229,13 +222,7 @@ impl ConsolidatorRegistry {
             "ffd" => Box::new(FirstFitDecreasing {
                 key: sort_key(&mut r)?,
             }),
-            "bfd" => Box::new(BestFit {
-                key: sort_key(&mut r)?,
-            }),
             "wfd" => Box::new(WorstFit {
-                key: sort_key(&mut r)?,
-            }),
-            "nfd" => Box::new(NextFit {
                 key: sort_key(&mut r)?,
             }),
             "bnb" => {
@@ -252,17 +239,6 @@ impl ConsolidatorRegistry {
                     partitions: r.usize("partitions", default.partitions)?,
                     exchange_rounds: r.usize("exchange_rounds", default.exchange_rounds)?,
                     aco: aco_params(&mut r)?,
-                }))
-            }
-            "aco-pso" => {
-                let default = AcoPsoParams::default();
-                Box::new(AcoPsoConsolidator::new(AcoPsoParams {
-                    aco: aco_params(&mut r)?,
-                    swarm: r.usize("swarm", default.swarm)?,
-                    iterations: r.usize("iterations", default.iterations)?,
-                    adopt_prob: r.f64("adopt_prob", default.adopt_prob)?,
-                    explore_prob: r.f64("explore_prob", default.explore_prob)?,
-                    seed: r.u64("pso_seed", default.seed)?,
                 }))
             }
             "mo-aco" => {
@@ -299,21 +275,32 @@ mod tests {
     #[test]
     fn every_key_builds_with_empty_params() {
         let reg = ConsolidatorRegistry::standard();
+        // `preset` is a colony parameter: exactly the colony keys take it.
+        let preset = params(&[("preset", ParamValue::Str("fast".into()))]);
         for key in reg.keys() {
             let c = reg.build(key, &Params::new());
             assert!(c.is_ok(), "{key}: {:?}", c.err());
+            let colony = reg.build(key, &preset).is_ok();
+            assert_eq!(colony, COLONY_KEYS.contains(key), "{key}");
         }
     }
 
     #[test]
     fn unknown_key_lists_the_field() {
-        let err = ConsolidatorRegistry::standard()
-            .build("simulated-annealing", &Params::new())
-            .err()
-            .expect("build must fail");
-        assert!(err.contains("unknown consolidator `simulated-annealing`"));
-        for key in REGISTRY_KEYS {
-            assert!(err.contains(key), "error must list `{key}`: {err}");
+        // Deleted keys are errors like any unknown one.
+        for algo in ["simulated-annealing", "aco-pso", "bfd", "nfd"] {
+            let err = ConsolidatorRegistry::standard()
+                .build(algo, &Params::new())
+                .err()
+                .expect("build must fail");
+            assert!(
+                err.contains(&format!("unknown consolidator `{algo}`")),
+                "{err}"
+            );
+            assert!(
+                err.ends_with("available: aco, bnb, daco, ffd, mo-aco, wfd"),
+                "{err}"
+            );
         }
     }
 
@@ -321,9 +308,11 @@ mod tests {
     fn unknown_parameter_is_rejected() {
         for (key, name, value) in [
             ("ffd", "colour", ParamValue::Str("red".into())),
-            // A deleted option is an error, not a no-op (spelled in two
-            // halves so a tree-wide grep for it finds no live use).
+            // Deleted options are errors, not no-ops (spelled in two
+            // halves so a tree-wide grep for them finds no live use).
             ("aco", concat!("parallel", "_ants"), ParamValue::Bool(true)),
+            ("aco", concat!("local", "_search"), ParamValue::Bool(true)),
+            ("aco", "swarm", ParamValue::Int(8)),
         ] {
             let err = ConsolidatorRegistry::standard()
                 .build(key, &params(&[(name, value)]))
@@ -387,7 +376,7 @@ mod tests {
     /// Every colony-backed key refuses `pairs` with an error containing
     /// each of `needles`.
     fn assert_colony_rejects(pairs: &[(&str, ParamValue)], needles: &[&str]) {
-        for key in ["aco", "daco", "aco-pso", "mo-aco"] {
+        for key in COLONY_KEYS {
             let err = ConsolidatorRegistry::standard()
                 .build(key, &params(pairs))
                 .err()
@@ -452,7 +441,7 @@ mod tests {
             ],
             vec![("tau_min", ParamValue::Float(1.0))],
         ] {
-            for key in ["aco", "daco", "aco-pso", "mo-aco"] {
+            for key in COLONY_KEYS {
                 let built = reg.build(key, &params(&pairs));
                 assert!(built.is_ok(), "{key} {pairs:?}: {:?}", built.err());
             }

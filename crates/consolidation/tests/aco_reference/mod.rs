@@ -7,7 +7,7 @@
 //! bit for bit — do not optimise this file.
 
 use snooze_cluster::resources::ResourceVector;
-use snooze_consolidation::aco::{bin_emptying_local_search, AcoParams, UpdateRule};
+use snooze_consolidation::aco::{AcoParams, UpdateRule};
 use snooze_consolidation::problem::{Instance, Solution};
 use snooze_simcore::rng::SimRng;
 
@@ -129,11 +129,6 @@ pub fn run(p: AcoParams, instance: &Instance) -> ReferenceRun {
     }
 
     out.solution = global_best.map(|(s, _, _)| s);
-    if p.local_search {
-        if let Some(sol) = &mut out.solution {
-            bin_emptying_local_search(instance, sol);
-        }
-    }
     out
 }
 

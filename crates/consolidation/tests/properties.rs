@@ -1,22 +1,20 @@
 //! Property-based tests over the consolidation algorithms: for random
 //! instances — homogeneous and heterogeneous — every algorithm must
 //! produce feasible solutions (or decline), respect the lower bound, and
-//! keep its documented relationships (local search never hurts, the
-//! optimum is never beaten, canonicalization preserves structure).
+//! keep its documented relationships (the optimum is never beaten,
+//! canonicalization preserves structure).
 
 mod aco_reference;
 
 use proptest::prelude::*;
 
 use snooze_cluster::resources::ResourceVector;
-use snooze_consolidation::aco::{
-    bin_emptying_local_search, AcoConsolidator, AcoParams, UpdateRule,
-};
+use snooze_consolidation::aco::{AcoConsolidator, AcoParams, UpdateRule};
 use snooze_consolidation::distributed::{DistributedAco, DistributedParams};
 use snooze_consolidation::exact::BranchAndBound;
-use snooze_consolidation::ffd::{BestFit, FirstFitDecreasing, NextFit, SortKey, WorstFit};
+use snooze_consolidation::ffd::{BestFit, FirstFitDecreasing, SortKey, WorstFit};
 use snooze_consolidation::problem::{Consolidator, Instance, InstanceGenerator, Solution};
-use snooze_consolidation::registry::{ConsolidatorRegistry, ParamValue, Params};
+use snooze_consolidation::registry::{ConsolidatorRegistry, ParamValue, Params, COLONY_KEYS};
 
 /// Strategy: a random homogeneous instance with unit bins and items in
 /// (0, 0.7] per dimension — always solvable with enough bins.
@@ -115,7 +113,6 @@ fn algorithms() -> Vec<Box<dyn Consolidator>> {
         Box::new(FirstFitDecreasing { key: SortKey::L2 }),
         Box::new(BestFit { key: SortKey::L1 }),
         Box::new(WorstFit { key: SortKey::Linf }),
-        Box::new(NextFit { key: SortKey::L2 }),
         Box::new(AcoConsolidator::new(AcoParams {
             n_ants: 4,
             n_cycles: 4,
@@ -173,7 +170,7 @@ proptest! {
         let spread: Vec<usize> = (0..inst.n_items()).map(|i| i % inst.n_bins()).collect();
         let live = Instance { incumbent: Some(spread), ..inst.clone() };
         for key in reg.keys() {
-            let params = if ["aco", "daco", "aco-pso", "mo-aco"].contains(key) {
+            let params = if COLONY_KEYS.contains(key) {
                 fast.clone()
             } else {
                 Params::new()
@@ -223,18 +220,6 @@ proptest! {
     }
 
     #[test]
-    fn local_search_is_monotone_and_feasible(inst in homogeneous_instance()) {
-        let ffd = FirstFitDecreasing { key: SortKey::Cpu };
-        if let Some(mut sol) = ffd.consolidate(&inst) {
-            let before = sol.bins_used();
-            bin_emptying_local_search(&inst, &mut sol);
-            prop_assert!(sol.is_feasible(&inst));
-            prop_assert!(sol.bins_used() <= before);
-            prop_assert!(sol.bins_used() >= inst.lower_bound());
-        }
-    }
-
-    #[test]
     fn canonicalize_preserves_feasibility_and_bin_count(inst in homogeneous_instance()) {
         let ffd = FirstFitDecreasing { key: SortKey::L1 };
         if let Some(sol) = ffd.consolidate(&inst) {
@@ -278,7 +263,7 @@ proptest! {
     fn aco_kernel_reproduces_the_naive_reference(
         inst in kernel_instance(),
         exponents in 0usize..9,
-        flags in 0u8..4,
+        all_ants in any::<bool>(),
         colony in any::<u64>(),
     ) {
         let params = AcoParams {
@@ -287,8 +272,7 @@ proptest! {
             alpha: [0.0, 1.0, 1.7][exponents % 3],
             beta: [0.0, 2.0, 2.5][exponents / 3],
             seed: colony,
-            update_rule: if flags & 1 == 1 { UpdateRule::AllAnts } else { UpdateRule::GlobalBest },
-            local_search: flags & 2 == 2,
+            update_rule: if all_ants { UpdateRule::AllAnts } else { UpdateRule::GlobalBest },
             ..AcoParams::default()
         };
         let run = AcoConsolidator::new(params).run(&inst);

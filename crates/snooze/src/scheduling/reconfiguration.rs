@@ -52,9 +52,9 @@ impl Default for ReconfigurationConfig {
         // shape, in which worst-fit-decreasing has the lowest bill and the
         // fewest migrations. Its margin has not survived reseed-equivalent
         // perturbations (EXPERIMENTS.md, E14), so this default stands
-        // pending the replicated arena of ROADMAP item 3, not on a proven
-        // ranking. Scenarios always name `algo` explicitly, so checked-in
-        // experiment outputs don't depend on it.
+        // until ROADMAP item 2 re-decides it on the replicated arena of
+        // item 1, not on a proven ranking. Scenarios always name `algo`
+        // explicitly, so checked-in experiment outputs don't depend on it.
         ReconfigurationConfig {
             period: SimSpan::from_secs(600),
             algo: "wfd".to_string(),

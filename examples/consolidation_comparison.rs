@@ -1,5 +1,5 @@
 //! Consolidation-algorithm shoot-out on one GRID'11-style instance:
-//! the FFD family, best/worst/next-fit, the ACO colony (sequential and
+//! the FFD family, best/worst-fit, the ACO colony (sequential and
 //! distributed), and — when the instance is small enough — the exact
 //! branch-and-bound optimum.
 //!
@@ -14,7 +14,7 @@ use snooze_consolidation::aco::{AcoConsolidator, AcoParams};
 use snooze_consolidation::distributed::{DistributedAco, DistributedParams};
 use snooze_consolidation::energy::{compute_energy_j, placement_energy_wh, EnergyParams};
 use snooze_consolidation::exact::BranchAndBound;
-use snooze_consolidation::ffd::{BestFit, FirstFitDecreasing, NextFit, SortKey, WorstFit};
+use snooze_consolidation::ffd::{BestFit, FirstFitDecreasing, SortKey, WorstFit};
 use snooze_consolidation::problem::{Consolidator, InstanceGenerator};
 use snooze_simcore::rng::SimRng;
 
@@ -42,7 +42,6 @@ fn main() {
         Box::new(FirstFitDecreasing { key: SortKey::L2 }),
         Box::new(BestFit { key: SortKey::L2 }),
         Box::new(WorstFit { key: SortKey::L2 }),
-        Box::new(NextFit { key: SortKey::L2 }),
         Box::new(AcoConsolidator::new(AcoParams::default())),
         Box::new(DistributedAco::new(DistributedParams::default())),
     ];

@@ -1,11 +1,15 @@
-//! Tier-1 pin on the ACO construction kernel: every bit of the colony's
-//! output on three seeded instances. The constants were captured on the
-//! commit before the demand-class memoised kernel landed, so plain
-//! `cargo test -q` fails if any optimisation of `aco.rs` moves a single
-//! random draw, weight or tie-break.
+//! Tier-1 pins on consolidator decisions. First the ACO construction
+//! kernel: every bit of the colony's output on three seeded instances. The
+//! constants were captured on the commit before the demand-class memoised
+//! kernel landed, so plain `cargo test -q` fails if any optimisation of
+//! `aco.rs` moves a single random draw, weight or tie-break. Then one
+//! assignment per registry key, so the same holds for every packer a
+//! scenario can name.
 
 use snooze_consolidation::aco::{AcoConsolidator, AcoParams};
-use snooze_consolidation::problem::{Instance, InstanceGenerator};
+use snooze_consolidation::ffd::{BestFit, SortKey};
+use snooze_consolidation::problem::{Consolidator, Instance, InstanceGenerator};
+use snooze_consolidation::registry::{ConsolidatorRegistry, ParamValue, Params};
 use snooze_simcore::rng::SimRng;
 use snooze_telemetry::{fnv1a, FNV_OFFSET};
 
@@ -46,4 +50,49 @@ fn twelve_flavour_n200_is_pinned() {
 fn heterogeneous_n40_is_pinned() {
     let inst = InstanceGenerator::grid11().generate_heterogeneous(40, &mut SimRng::new(13));
     assert_eq!(pin(&inst), (11, 15_218, 13_856_374_691_520_254_756));
+}
+
+/// `(hosts, FNV-1a of assignment)` of every registry key and of E2's
+/// best-fit row, on the twelve-flavour instance with VM `i` on host
+/// `i mod 120` as the incumbent. Every key runs with its defaults but two:
+/// `bnb` gets a 10 000-node budget, and `mo-aco` values a migration at one
+/// host, so moving a VM back to an empty incumbent host pays too and the
+/// revert loop, in its tie-break order, decides most of the assignment
+/// (at the default weight the colony's full hosts leave room for four
+/// reverts, none of them order-dependent). Captured on the commit before
+/// the registry went from nine keys to these six.
+#[test]
+fn every_registry_key_and_best_fit_is_pinned() {
+    const PINS: [(&str, usize, u64); 6] = [
+        ("aco", 62, 15_132_279_211_677_242_250),
+        ("bnb", 62, 14_033_310_722_960_580_757),
+        ("daco", 63, 5_335_903_064_341_471_146),
+        ("ffd", 62, 4_325_253_463_225_186_640),
+        ("mo-aco", 119, 2_202_364_705_764_355_022),
+        ("wfd", 120, 9_236_662_814_269_218_628),
+    ];
+    let mut inst = InstanceGenerator::grid11().generate_flavoured(200, 120, &mut SimRng::new(12));
+    inst.incumbent = Some((0..inst.n_items()).map(|i| i % inst.n_bins()).collect());
+    let registry = ConsolidatorRegistry::standard();
+    assert_eq!(PINS.map(|p| p.0), *registry.keys(), "one pin per key");
+    let outcome = |algo: &dyn Consolidator| {
+        let solution = algo.consolidate(&inst).expect("instance is solvable");
+        assert!(solution.is_feasible(&inst), "{}", algo.name());
+        (
+            solution.bins_used(),
+            assignment_digest(&solution.assignment),
+        )
+    };
+    for (key, hosts, digest) in PINS {
+        let mut params = Params::new();
+        match key {
+            "bnb" => params.insert("node_budget".into(), ParamValue::Int(10_000)),
+            "mo-aco" => params.insert("migration_weight".into(), ParamValue::Float(1.0)),
+            _ => None,
+        };
+        let algo = registry.build(key, &params).expect("every key builds");
+        assert_eq!(outcome(algo.as_ref()), (hosts, digest), "{key}");
+    }
+    let best_fit = BestFit { key: SortKey::L2 };
+    assert_eq!(outcome(&best_fit), (62, 4_325_253_463_225_186_640));
 }
