@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! run_experiments [--csv <dir>] [--json <dir>] [e1|e2|...|e10|e11|e12|e14|all]...
-//! run_experiments --smoke [e11|trace|arena|obs]... [--json <dir>]
+//! run_experiments --smoke [--json <dir>]
 //! run_experiments --scenario <file.toml> [--watch]
 //! run_experiments --list-scenarios [dir]
 //! run_experiments --check-scenarios [dir]
@@ -19,10 +19,10 @@
 //! per table (`e1.json`, `e7b.json`, …), cells verbatim as printed;
 //! [`Table::to_json`] documents the schema.
 //!
-//! `--smoke` runs the CI gates of [`smoke::GATES`] — all of them, or the
-//! named ones — and exits non-zero if any fails; with `--json <dir>` the
-//! `obs` gate also writes its artifacts (windows, folded profile, forced
-//! incident dump, `e11_obs.json`) there. `scripts/check.sh --smoke` runs it.
+//! `--smoke` runs the observability-overhead gate ([`smoke::run_obs`]) and
+//! exits non-zero if it fails; with `--json <dir>` it also writes its
+//! artifacts (windows, folded profile, forced incident dump,
+//! `e11_obs.json`) there. `scripts/check.sh --smoke` runs it.
 //!
 //! The scenario flags drive the declarative layer (`snooze-scenario`):
 //! `--scenario` runs every run of one TOML file (its `[[sweep]]`, then
@@ -75,8 +75,7 @@ struct Cli {
     watch: bool,
     /// The mode flag and its value; `None` runs experiments.
     mode: Option<(&'static str, Option<String>)>,
-    /// Positional arguments: experiment names, or gate names under
-    /// `--smoke`.
+    /// Positional arguments: experiment names.
     names: Vec<String>,
 }
 
@@ -121,11 +120,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             valid.push("all");
             ("experiment", valid, &["--csv", "--json"])
         }
-        Some(("--smoke", _)) => (
-            "smoke gate",
-            smoke::GATES.iter().map(|g| g.name).collect(),
-            &["--json"],
-        ),
+        Some(("--smoke", _)) => ("", Vec::new(), &["--json"]),
         Some(("--scenario", _)) => ("", Vec::new(), &["--watch"]),
         Some(_) => ("", Vec::new(), &[]),
     };
@@ -173,31 +168,6 @@ fn run_scenario_file(path: &Path, watch: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn run_smoke(names: &[String], json: Option<&Path>) -> Result<(), String> {
-    let trace = smoke::seeded_trace()?;
-    println!("smoke trace: {trace}");
-    let mut failed = Vec::new();
-    for gate in smoke::GATES {
-        if !names.is_empty() && !names.iter().any(|n| n == gate.name) {
-            continue;
-        }
-        match smoke::run_gate(gate, &trace, json) {
-            Ok(line) => println!("{line}"),
-            Err(failures) => {
-                for f in failures {
-                    eprintln!("{} smoke FAILED: {f}", gate.name);
-                }
-                failed.push(gate.name);
-            }
-        }
-    }
-    if failed.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("smoke gate(s) failed: {}", failed.join(" ")))
-    }
-}
-
 fn run_experiments(cli: &Cli) -> Result<(), String> {
     let emit = |table: &Table, slug: &str| -> std::io::Result<()> {
         table.print();
@@ -232,7 +202,9 @@ fn main() -> ExitCode {
     let dir = |value: &Option<String>| PathBuf::from(value.as_deref().unwrap_or("scenarios"));
     let result = match &cli.mode {
         None => run_experiments(&cli),
-        Some(("--smoke", _)) => run_smoke(&cli.names, cli.json.as_deref()),
+        Some(("--smoke", _)) => smoke::run_obs(cli.json.as_deref())
+            .map(|ok| println!("{ok}"))
+            .map_err(|e| format!("obs smoke FAILED: {e}")),
         Some(("--scenario", file)) => {
             let file = file.as_deref().expect("parse() requires the value");
             run_scenario_file(Path::new(file), cli.watch)

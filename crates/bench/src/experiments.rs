@@ -5,7 +5,7 @@
 //! instances, no simulated hierarchy) bring their own `fn() -> Table`.
 //! Every other table is *scenario-backed*: the row carries the text of
 //! the checked-in `scenarios/<slug>.toml` — the file **is** the experiment,
-//! its `[[sweep]]` the sweep and its `[override.smoke]` the CI shape — and
+//! its `[[sweep]]` the sweep and its `[override.smoke]` a reduced shape — and
 //! the table is a list of [`Column`]s evaluated over the finished runs by
 //! [`tabulate`], the same function `--scenario <file>` uses with
 //! [`SUMMARY`]. A new experiment costs a TOML file, a manifest row and a
@@ -97,7 +97,7 @@ pub struct Column {
     /// Header text.
     pub header: &'static str,
     /// Host wall-clock derived: differs on every run and machine, so the
-    /// goldens and the smoke identity checks drop it.
+    /// goldens drop it.
     pub advisory: bool,
     /// The cell text for one row.
     pub cell: fn(&Cell) -> String,
@@ -202,7 +202,7 @@ impl Experiment {
 
     /// The runs of `scenarios/<slug>.toml` once `shape` has had the
     /// document: `Ok` for the experiment itself, `|d| d.profile("smoke")`
-    /// for its CI shape, `|d| d.patch(..)` for a test's reduced sweep. The
+    /// for its reduced shape, `|d| d.patch(..)` for a test's own sweep. The
     /// file is compiled in, so an error is a panic — naming file and run.
     pub fn specs(
         &self,
@@ -725,61 +725,6 @@ mod tests {
             assert_eq!(o.placed, 10, "{}", o.name);
             assert!(o.nodes_on_end < 10, "{}: no node emptied", o.name);
         }
-    }
-
-    #[test]
-    fn e11_scaled_down_smoke_shape_places_everything_cleanly() {
-        // 32 LCs carry the same per-node pressure as the kilonode run:
-        // 5000 VMs per 1024 LCs. A one-element sweep patches the fleet's
-        // size in place.
-        let small = "[topology]\nlcs = 32\n[[sweep]]\n[[sweep.workload]]\nn = [156]\n";
-        let spec = find("e11").specs(|d| d.profile("smoke")?.patch(small));
-        let runs = run(&[spec[0].clone(), spec[0].clone()]);
-        let digest = |i: usize| runs[i].run.live.sim.digest();
-        assert_eq!(digest(0), digest(1), "same spec, same seed");
-        let o = &runs[0].run.outcome;
-        assert_eq!(o.requested_vms, 32 * 5000 / 1024);
-        assert_eq!(o.placed, o.requested_vms, "full placement at ~61% load");
-        assert_eq!((o.rejected, o.dead_letters), (0, 0), "fault-free run");
-        assert!(o.mean_latency_s.is_finite() && o.mean_latency_s > 0.0);
-        let json = render("e11", &runs[..1]).to_json();
-        assert!(json.contains("\"events/s\""));
-        assert!(json.contains("\"top dead letter\": \"-\""));
-        // The scenario enables the profiler, so the busiest handlers are
-        // attributed; LC heartbeat traffic dominates any settle phase.
-        assert!(json.contains("\"top handlers\": \"lc/"), "got: {json}");
-    }
-
-    #[test]
-    fn e12_trace_replay_places_vms_under_both_consolidators() {
-        // The smoke shape's 45 simulated minutes, on 12 LCs with the
-        // first 40 trace VMs.
-        let small = "seed = 18\n[topology]\nlcs = 12\n\
-                     [[sweep]]\n[sweep.config.reconfiguration]\nalgo = [\"aco\", \"ffd\"]\n\
-                     [[sweep.workload]]\nmax_vms = [40, 40]\n";
-        let specs = find("e12_trace").specs(|d| d.profile("smoke")?.patch(small));
-        let runs = run(&specs);
-        let names: Vec<&str> = runs.iter().map(|f| f.spec.name.as_str()).collect();
-        assert_eq!(names, ["e12-trace-aco", "e12-trace-ffd"]);
-        for f in &runs {
-            let o = &f.run.outcome;
-            assert_eq!(o.requested_vms, 40, "max_vms caps the trace");
-            assert!(o.placed > 0, "{}: trace VMs must place", o.name);
-            assert_eq!(o.dead_letters, 0, "{}: fault-free run", o.name);
-            assert!(o.energy_wh > 0.0 && o.sla_samples > 0);
-            assert!(o.mean_performance > 0.0 && o.mean_performance <= 1.0);
-        }
-        // Admission is identical across variants (placement is
-        // round-robin; the consolidator only moves VMs afterwards).
-        assert_eq!(runs[0].run.outcome.placed, runs[1].run.outcome.placed);
-
-        // Same spec, same seed: identical event history and table.
-        let again = run(&specs);
-        for (a, b) in runs.iter().zip(&again) {
-            assert_eq!(a.run.live.sim.digest(), b.run.live.sim.digest());
-        }
-        let json = |r| render("e12_trace", r).deterministic().to_json();
-        assert_eq!(json(&runs), json(&again));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! studies (E1, E2, E8, E10a) keep a module each; everything that runs the
 //! simulated hierarchy is a `scenarios/*.toml` file plus a column list,
 //! rendered by the one generic runner in [`experiments`]. The `run_experiments`
-//! binary loops over the manifest and [`smoke`] holds its CI gates; wall
-//! time is measured by the repo benchmark (`benchmark/`), not here.
+//! binary loops over the manifest and [`smoke`] is its one measurement
+//! gate, what observing costs; wall time is measured by the repo benchmark
+//! (`benchmark/`), not here.
 //!
 //! Tests assert on the *shape* of the results (who wins, by roughly what
 //! factor); the goldens under `tests/golden/` pin every deterministic

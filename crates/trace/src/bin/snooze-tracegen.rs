@@ -6,8 +6,8 @@
 //!
 //! The output format follows the `--out` extension (`.csv` or
 //! `.jsonl`). The trace is a pure function of the flags: same seed and
-//! knobs, byte-identical file — which is what lets `scripts/check.sh
-//! --smoke` regenerate and diff.
+//! knobs, byte-identical file, holding the bytes `generate` and
+//! `csv::to_string` return in-process (`tests/cli.rs`).
 
 use std::path::PathBuf;
 

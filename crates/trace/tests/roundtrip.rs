@@ -4,8 +4,8 @@
 //! record set, `JSONL → CSV → JSONL` through readers and canonical
 //! writers must be byte-identical (and so must `CSV → JSONL → CSV`).
 //! With that property, converting between the two formats is lossless
-//! and a trace's canonical bytes are well-defined — which is what the
-//! digest-diffing smoke gate compares.
+//! and a trace's canonical bytes are well-defined — which is what
+//! `tests/cli.rs` compares, CLI against library.
 
 use proptest::prelude::*;
 

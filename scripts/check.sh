@@ -4,33 +4,31 @@
 # simulation path), a grep that every vendored crate, every root
 # dependency and every `pub fn` still has a consumer, a grep that the text
 # edges still write each export in one pass, every test (including the
-# feature-gated runtime invariant suite), the release golden replay (every
-# scenario-backed table against `crates/bench/tests/golden/`, which the
-# debug `cargo test --workspace` skips: about 20 s of test time plus a
-# release build of `snooze-bench`), a `cargo check` and `cargo test`
-# of (a copy of) the
+# feature-gated runtime invariant suite), the golden replay in release
+# (`tests/experiments_manifest.rs` with `--release`, which adds the three
+# explicit-only full tables the debug `cargo test` ignores: about 20 s of
+# test time plus a release build of the root package's tests), a
+# `cargo check` and `cargo test` of (a copy of) the
 # detached `benchmark/` workspace against the crates it path-depends on
 # (its tests include `BENCHMARK.json` == the harness's own manifest), the
 # scenario gate over `scenarios/*.toml` and a two-run byte-identity check
 # on the telemetry exports. CI and pre-commit both just run this script.
 #
 # Tier-1 (`cargo build --release && cargo test -q` at the root) is the
-# workspace's `default-members`: the root package's integration tests plus
+# workspace's `default-members`: the root package's integration tests
+# (among them the debug golden replay: every table but the three
+# explicit-only ones, and those three at their smoke profiles) plus
 # the `snooze-simcore`, `snooze-telemetry`, `snooze-consolidation`,
 # `snooze-mc`, `snooze`, `snooze-protocols`, `snooze-cluster`,
 # `snooze-scenario`, `snooze-trace` and `snooze-audit` suites (the last
 # runs the same whole-tree lint as the step below, as a test).
 # Everything it runs, `cargo test --workspace` below runs too.
 #
-# `--smoke` additionally runs, in release, every reduced-scale gate:
+# `--smoke` additionally runs, in release, the two measurement gates:
 #
-# * `run_experiments --smoke` — the gates of `snooze_bench::smoke` (`e11`,
-#   `trace`, `arena`, `obs`: two-run digest and table identity, zero dead
-#   letters, and observability that is digest-neutral, byte-deterministic
-#   and costs at most 10% throughput);
-# * `snooze-tracegen --seed 42` twice — the two files must be
-#   byte-identical to each other and to the trace the gates generated
-#   in-process, so CLI and library provably write the same trace;
+# * `run_experiments --smoke` — the `obs` gate: the full observability
+#   surface costs at most 10% throughput, on the median of 31 back-to-back
+#   plain/observed pairs of the E11 smoke shape;
 # * `snooze-mc --smoke` — bounded failover exploration, twice, safety
 #   and liveness predicates both: no invariant violation, same state
 #   counts and fingerprints.
@@ -166,8 +164,8 @@ edge_allocs="$(awk '
 say "cargo test (default features)"
 cargo test --offline --workspace -q
 
-say "golden identity gate (release replay of every scenario-backed table)"
-cargo test --release --offline -q -p snooze-bench --test scenario_suite release_tables
+say "golden identity gate (release replay of every golden, full E11/E12/E14 included)"
+cargo test --release --offline -q --test experiments_manifest
 
 say "cargo test -p snooze-audit --features audit (runtime invariants)"
 cargo test --offline -p snooze-audit --features audit -q
@@ -210,26 +208,10 @@ diff -rq "$tmp/a" "$tmp/b" >/dev/null || {
 rm -rf "$tmp"
 
 if [ "$run_smoke" -eq 1 ]; then
-  say "smoke gates (e11, trace, arena, obs; release)"
+  say "obs overhead gate (release)"
   smoke_tmp="$(mktemp -d)"
   cargo run --offline -q --release -p snooze-bench --bin run_experiments -- \
-    --smoke --json "$smoke_tmp/obs" | tee "$smoke_tmp/smoke.log"
-
-  say "tracegen CLI determinism, and CLI == the trace the gates replayed"
-  for f in a b; do
-    cargo run --offline -q --release -p snooze-trace --bin snooze-tracegen -- \
-      --seed 42 --vms 200 --horizon-s 1800 --diurnal-period-s 900 \
-      --flash-crowds 1 --curve-step-s 300 --out "$smoke_tmp/$f.csv"
-  done
-  cmp -s "$smoke_tmp/a.csv" "$smoke_tmp/b.csv" || {
-    echo "snooze-tracegen is not byte-deterministic for a fixed seed" >&2
-    exit 1
-  }
-  in_process="$(sed -n 's/^smoke trace: //p' "$smoke_tmp/smoke.log")"
-  cmp -s "$smoke_tmp/a.csv" "$in_process" || {
-    echo "snooze-tracegen and the in-process generator disagree ($in_process)" >&2
-    exit 1
-  }
+    --smoke --json "$smoke_tmp/obs"
   rm -rf "$smoke_tmp"
 
   say "mc smoke (bounded failover exploration with liveness, two-run determinism)"

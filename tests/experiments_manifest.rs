@@ -1,19 +1,121 @@
 //! Tier-1's view of the experiment manifest (`snooze_bench::experiments`):
-//! without running a full experiment, the manifest and the golden files
-//! must describe the same tables, the checked-in `scenarios/*.toml` must
-//! still expand to the runs they always did — and one reduced sweep goes
-//! through the generic runner end to end.
+//! the manifest and the golden files must describe the same tables, the
+//! checked-in `scenarios/*.toml` must still expand to the runs they always
+//! did, one reduced sweep goes through the generic runner end to end — and
+//! every table replays its golden byte for byte.
+//!
+//! The golden replay is the identity gate for any engine, protocol,
+//! consolidator or runner change: each golden under
+//! `crates/bench/tests/golden/` holds the non-advisory columns of one table,
+//! `<slug>.json` at the experiment's own scale and `<slug>.smoke.json` at its
+//! `[override.smoke]` profile as written. A debug `cargo test` replays every
+//! golden but the three explicit-only tables at full scale (E11, E12, E14:
+//! kilonode-scale, release only); `scripts/check.sh` runs this file with
+//! `--release`, which replays those too. After a change that is meant to
+//! move a table, re-record deliberately with
+//! `UPDATE_GOLDEN=1 cargo test --release --test experiments_manifest
+//! golden_replay -- --nocapture` and review the diff.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use snooze_bench::experiments::{find, run_specs, EXPERIMENTS, SUMMARY};
 use snooze_consolidation::registry::REGISTRY_KEYS;
-use snooze_scenario::spec::ScenarioSpec;
+use snooze_scenario::spec::{ScenarioDoc, ScenarioSpec};
 use snooze_simcore::telemetry::{fnv1a, FNV_OFFSET};
 
 fn repo(path: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(path)
+}
+
+fn golden_dir() -> PathBuf {
+    repo("crates/bench/tests/golden")
+}
+
+/// The goldens a debug build replays, one `#[test]` per group so the
+/// harness spreads them over the cores; each name is a file stem under
+/// [`golden_dir`]. The groups are balanced by dev-profile replay time,
+/// about 3 s each on a 2-vCPU box (`e10a` alone is 3.1 s, `e14_arena.smoke`
+/// 2.3 s, `e8a` 1.6 s).
+const DEBUG_REPLAYS: [&[&str]; 4] = [
+    &["e10a", "e9", "e8b", "e6"],
+    &["e14_arena.smoke", "e11.smoke"],
+    &["e8a", "e12_trace.smoke", "e4"],
+    &["e7", "e7b", "e10b", "e5"],
+];
+
+/// The full-scale explicit-only tables: release builds only.
+const RELEASE_REPLAYS: [&str; 3] = ["e11", "e12_trace", "e14_arena"];
+
+/// Render the table `name` stands for — `<slug>` at full scale,
+/// `<slug>.smoke` at its smoke profile — and compare its deterministic
+/// columns with the golden byte for byte. With `UPDATE_GOLDEN` set, a
+/// golden that differs (or is missing) is written instead.
+fn replay(names: &[&str]) {
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    for &name in names {
+        let table = match name.strip_suffix(".smoke") {
+            Some(slug) => {
+                let runs = run_specs(&find(slug).specs(|doc| doc.profile("smoke")), false);
+                let scenarios = find(slug).scenarios().expect("scenario-backed");
+                scenarios.render(&runs.expect("smoke profile compiles"))
+            }
+            None => find(name).table(),
+        };
+        let table = table.deterministic().to_json();
+        let path = golden_dir().join(format!("{name}.json"));
+        let golden = std::fs::read_to_string(&path);
+        if update && golden.as_deref().ok() != Some(table.as_str()) {
+            std::fs::write(&path, &table).expect("write golden");
+            eprintln!("[golden] {name}: RE-RECORDED");
+            continue;
+        }
+        let golden = golden.unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(
+            table, golden,
+            "{name}: deterministic table columns drifted from crates/bench/tests/golden/\
+             {name}.json (re-record deliberately with UPDATE_GOLDEN=1)"
+        );
+        eprintln!("[golden] {name}: identical");
+    }
+}
+
+#[test]
+fn golden_replay_a() {
+    replay(DEBUG_REPLAYS[0]);
+}
+
+#[test]
+fn golden_replay_b() {
+    replay(DEBUG_REPLAYS[1]);
+}
+
+#[test]
+fn golden_replay_c() {
+    replay(DEBUG_REPLAYS[2]);
+}
+
+#[test]
+fn golden_replay_d() {
+    replay(DEBUG_REPLAYS[3]);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "kilonode scale: release only")]
+fn golden_replay_e11_full() {
+    replay(&RELEASE_REPLAYS[..1]);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "trace replay on 1000 LCs: release only")]
+fn golden_replay_e12_full() {
+    replay(&RELEASE_REPLAYS[1..2]);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "15 cells on 1000 LCs: release only")]
+fn golden_replay_e14_full() {
+    replay(&RELEASE_REPLAYS[2..]);
 }
 
 #[test]
@@ -60,40 +162,50 @@ fn headers_are_unique_within_each_table() {
 
 #[test]
 fn goldens_and_scenario_backed_entries_correspond() {
-    let dir = repo("crates/bench/tests/golden");
     for exp in EXPERIMENTS {
         let Some(table) = exp.scenarios() else {
             continue;
         };
-        let golden = std::fs::read_to_string(dir.join(format!("{}.json", exp.slug)))
-            .unwrap_or_else(|e| {
-                panic!("{}: scenario-backed table without a golden: {e}", exp.slug)
-            });
         let pinned: Vec<String> = table
             .columns
             .iter()
             .filter(|c| !c.advisory)
             .map(|c| format!("\"{}\"", c.header))
             .collect();
-        assert_eq!(
-            golden.lines().nth(2),
-            Some(format!("  \"columns\": [{}],", pinned.join(", ")).as_str()),
-            "{}: the golden pins exactly the non-advisory columns, in order",
-            exp.slug
-        );
+        let columns = format!("  \"columns\": [{}],", pinned.join(", "));
+        // A smoke profile renders through the same table, into a golden of
+        // its own.
+        let doc = ScenarioDoc::parse(table.scenario).expect("compiled-in scenario parses");
+        let smoke = doc.profiles().contains(&"smoke");
+        let smoke = smoke.then(|| format!("{}.smoke", exp.slug));
+        for name in std::iter::once(exp.slug.to_string()).chain(smoke) {
+            let golden = std::fs::read_to_string(golden_dir().join(format!("{name}.json")))
+                .unwrap_or_else(|e| panic!("{name}: scenario-backed table without a golden: {e}"));
+            assert_eq!(
+                golden.lines().nth(2),
+                Some(columns.as_str()),
+                "{name}: the golden pins exactly the non-advisory columns, in order"
+            );
+        }
     }
-    for entry in std::fs::read_dir(&dir).expect("golden dir") {
-        let path = entry.expect("dir entry").path();
-        let stem = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .expect("utf-8 stem");
-        assert!(
-            EXPERIMENTS.iter().any(|e| e.slug == stem),
-            "{}: no manifest entry with this slug",
-            path.display()
-        );
-    }
+    // Every golden file is replayed, by exactly one test.
+    let mut replayed = DEBUG_REPLAYS.concat();
+    replayed.extend(RELEASE_REPLAYS);
+    let names: BTreeSet<&str> = replayed.iter().copied().collect();
+    assert_eq!(names.len(), replayed.len(), "a golden is replayed twice");
+    let files: BTreeSet<String> = std::fs::read_dir(golden_dir())
+        .expect("golden dir")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let stem = path.file_stem().and_then(|s| s.to_str());
+            stem.expect("utf-8 stem").to_string()
+        })
+        .collect();
+    let names: BTreeSet<String> = names.into_iter().map(String::from).collect();
+    assert_eq!(
+        files, names,
+        "golden files vs the goldens the replay tests name"
+    );
 }
 
 /// `(slug, profile, runs, FNV-1a-64 of the runs' concatenated `{:?}`)`.
