@@ -3,7 +3,7 @@
 //! ```text
 //! run_experiments [--csv <dir>] [--json <dir>] [e1|e2|...|e10|e11|e12|e14|all]...
 //! run_experiments --smoke [--json <dir>]
-//! run_experiments --scenario <file.toml> [--watch]
+//! run_experiments --scenario <file.toml> [--watch] [--json <dir>]
 //! run_experiments --list-scenarios [dir]
 //! run_experiments --check-scenarios [dir]
 //! run_experiments --fmt-scenarios [dir]
@@ -27,7 +27,14 @@
 //! The scenario flags drive the declarative layer (`snooze-scenario`):
 //! `--scenario` runs every run of one TOML file (its `[[sweep]]`, then
 //! its `[[variant]]`s) through the same generic runner and prints the
-//! summary/fault/probe/SLO tables; `--list-scenarios` inventories a
+//! summary plus every detail table that has rows (run record, faults,
+//! probes, SLO alerts, latency by hop, failover timeline); with
+//! `--json <dir>` it writes each table as `<dir>/<stem>[.<detail>].json`
+//! and each run's exports (Chrome trace, span and metric dumps, windows,
+//! folded profile, incident dumps) under `<dir>/<run name>/`, all but the
+//! summary's wall columns byte-identical across two runs of the same
+//! file. The seed is the document's: another seed is an edited file or a
+//! `[[sweep]] seed = [...]`. `--list-scenarios` inventories a
 //! directory (default `scenarios/`); `--check-scenarios` is the CI gate
 //! (parse, canonical form, dry-run compile of every run and of every
 //! `[override.*]` profile); `--fmt-scenarios` rewrites every file into
@@ -40,8 +47,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use snooze_bench::experiments::{tabulate, EXPERIMENTS, PER_RUN, SUMMARY};
-use snooze_bench::scenario_cli::{self, FAULTS, PROBES, SLO_ALERTS};
+use snooze_bench::experiments::EXPERIMENTS;
+use snooze_bench::scenario_cli;
 use snooze_bench::smoke;
 use snooze_bench::table::Table;
 
@@ -121,7 +128,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             ("experiment", valid, &["--csv", "--json"])
         }
         Some(("--smoke", _)) => ("", Vec::new(), &["--json"]),
-        Some(("--scenario", _)) => ("", Vec::new(), &["--watch"]),
+        Some(("--scenario", _)) => ("", Vec::new(), &["--watch", "--json"]),
         Some(_) => ("", Vec::new(), &[]),
     };
     let mode = cli.mode.as_ref().map_or("running experiments", |m| m.0);
@@ -156,15 +163,25 @@ fn report(result: Result<Vec<String>, String>, prefix: &str) -> Result<(), Strin
     Ok(())
 }
 
-fn run_scenario_file(path: &Path, watch: bool) -> Result<(), String> {
-    let done = scenario_cli::run_file(path, watch)?;
+fn run_scenario_file(path: &Path, cli: &Cli) -> Result<(), String> {
+    let mut done = scenario_cli::run_file(path, cli.watch)?;
     let stem = path.file_stem().map_or_else(
         || path.display().to_string(),
         |s| s.to_string_lossy().into_owned(),
     );
-    let title = format!("scenario outcomes: {stem}");
-    tabulate(&title, SUMMARY, PER_RUN, &done).print();
-    scenario_cli::print_details(&[FAULTS, PROBES, SLO_ALERTS], &done);
+    let tables = scenario_cli::tables(&stem, &done);
+    for (_, table) in &tables {
+        table.print();
+    }
+    if let Some(dir) = &cli.json {
+        let at = |e: std::io::Error| format!("--json {}: {e}", dir.display());
+        for (slug, table) in &tables {
+            table.write_json(dir, slug).map_err(at)?;
+        }
+        for f in &mut done {
+            scenario_cli::export_run(&mut f.run, &dir.join(&f.spec.name)).map_err(at)?;
+        }
+    }
     Ok(())
 }
 
@@ -207,7 +224,7 @@ fn main() -> ExitCode {
             .map_err(|e| format!("obs smoke FAILED: {e}")),
         Some(("--scenario", file)) => {
             let file = file.as_deref().expect("parse() requires the value");
-            run_scenario_file(Path::new(file), cli.watch)
+            run_scenario_file(Path::new(file), &cli)
         }
         Some(("--list-scenarios", d)) => scenario_cli::list_table(&dir(d)).map(|t| t.print()),
         Some(("--fmt-scenarios", d)) => report(scenario_cli::fmt_dir(&dir(d)), "canonicalized "),

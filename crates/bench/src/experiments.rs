@@ -121,11 +121,11 @@ pub const fn advisory(header: &'static str, cell: fn(&Cell) -> String) -> Column
 }
 
 /// How many rows a finished run contributes to a table.
-pub type RowsOf = fn(&ScenarioOutcome) -> usize;
+pub type RowsOf = fn(&Finished) -> usize;
 /// One row per run.
 pub const PER_RUN: RowsOf = |_| 1;
 /// One row per fault phase of every run.
-pub const PER_FAULT: RowsOf = |o| o.faults.len();
+pub const PER_FAULT: RowsOf = |f| f.run.outcome.faults.len();
 
 /// Evaluate `columns` over `runs`: the one scenario → table renderer.
 pub fn tabulate(title: &str, columns: &[Column], rows: RowsOf, runs: &[Finished]) -> Table {
@@ -133,7 +133,7 @@ pub fn tabulate(title: &str, columns: &[Column], rows: RowsOf, runs: &[Finished]
     let wall = columns.iter().filter(|c| c.advisory).map(|c| c.header);
     let mut t = Table::new(title, &headers).advisory(&wall.collect::<Vec<_>>());
     for (index, f) in runs.iter().enumerate() {
-        for sub in 0..rows(&f.run.outcome) {
+        for sub in 0..rows(f) {
             let cell = Cell { runs, index, sub };
             t.row(columns.iter().map(|c| (c.cell)(&cell)).collect());
         }

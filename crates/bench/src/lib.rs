@@ -21,7 +21,6 @@ pub mod e1_aco_vs_ffd_vs_optimal;
 pub mod e2_scaling;
 pub mod e8_ablations;
 pub mod experiments;
-pub mod report;
 pub mod scenario_cli;
 pub mod smoke;
 pub mod table;

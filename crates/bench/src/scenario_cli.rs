@@ -1,7 +1,9 @@
 //! CLI-side scenario plumbing for `run_experiments`: load scenario
 //! documents from disk, run every expanded variant through the generic
-//! runner, render the fault/probe/SLO detail tables, and gate the
-//! checked-in `scenarios/*.toml` files (`--check-scenarios`).
+//! runner, render the per-run detail tables (run record, faults, probes,
+//! SLO alerts, the submission-latency decomposition by hop and the failover
+//! timeline), write every run's exports, and gate the checked-in
+//! `scenarios/*.toml` files (`--check-scenarios`).
 
 use std::path::{Path, PathBuf};
 
@@ -9,10 +11,14 @@ use snooze_scenario::compile;
 use snooze_scenario::incident::{is_incident, IncidentDoc};
 use snooze_scenario::mc_trace::McTraceDoc;
 use snooze_scenario::spec::ScenarioDoc;
+use snooze_scenario::ScenarioRun;
+use snooze_simcore::metrics::{Histogram, HistogramSummary};
+use snooze_simcore::telemetry::{self, SpanLog, SpanRecord};
+use snooze_simcore::{Component, ComponentId, Engine};
 
 use crate::experiments::{
-    col, run_specs, secs, tabulate, Column, Finished, RowsOf, FAULT_AT, FAULT_VMS_AFTER, PER_FAULT,
-    SCENARIO,
+    col, run_specs, secs, tabulate, Cell, Column, Finished, RowsOf, FAULT_AT, FAULT_VMS_AFTER,
+    PER_FAULT, PER_RUN, SCENARIO, SUMMARY,
 };
 use crate::table::{f2, Table};
 
@@ -33,12 +39,35 @@ pub fn run_file(path: &Path, watch: bool) -> Result<Vec<Finished>, String> {
     run_specs(&doc.expand().map_err(at)?, watch)
 }
 
-/// A per-run detail table `--scenario` and `report` print beside the
-/// summary when it has rows: title, rows per run, columns.
-pub type Detail = (&'static str, RowsOf, &'static [Column]);
+/// A per-run detail table `--scenario` prints beside the summary when it
+/// has rows: title, rows per run, columns.
+type Detail = (&'static str, RowsOf, &'static [Column]);
+
+/// What a run recorded beyond the summary: abandoned submissions, the span
+/// log and the two determinism fingerprints, the metric windows.
+const RUN_RECORD: Detail = (
+    "run record",
+    PER_RUN,
+    &[
+        SCENARIO,
+        col("abandoned", |c| c.o().abandoned.to_string()),
+        col("spans", |c| c.this().run.live.sim.spans().len().to_string()),
+        col("span digest", |c| {
+            format!("{:016x}", c.this().run.live.sim.span_digest())
+        }),
+        col("event digest", |c| {
+            format!("{:016x}", c.this().run.live.sim.digest())
+        }),
+        col("windows", |c| c.o().windows.to_string()),
+        col("window rows", |c| {
+            let windows = c.this().run.windows.as_ref();
+            windows.map_or(0, |w| w.len()).to_string()
+        }),
+    ],
+);
 
 /// Fault outcomes of every run that injected any.
-pub const FAULTS: Detail = (
+const FAULTS: Detail = (
     "fault outcomes",
     PER_FAULT,
     &[
@@ -58,9 +87,9 @@ pub const FAULTS: Detail = (
 );
 
 /// Probe samples of every run that declared any.
-pub const PROBES: Detail = (
+const PROBES: Detail = (
     "probe samples",
-    |o| o.probes.len(),
+    |f| f.run.outcome.probes.len(),
     &[
         SCENARIO,
         col("probe", |c| c.o().probes[c.sub].name.clone()),
@@ -73,9 +102,9 @@ pub const PROBES: Detail = (
 );
 
 /// SLO watchdog breaches of every run that raised any.
-pub const SLO_ALERTS: Detail = (
+const SLO_ALERTS: Detail = (
     "slo alerts",
-    |o| o.slo_alerts.len(),
+    |f| f.run.outcome.slo_alerts.len(),
     &[
         SCENARIO,
         col("slo", |c| c.o().slo_alerts[c.sub].name.clone()),
@@ -87,14 +116,187 @@ pub const SLO_ALERTS: Detail = (
     ],
 );
 
-/// Print the detail tables that have rows.
-pub fn print_details(details: &[Detail], runs: &[Finished]) {
-    for (title, rows, columns) in details {
-        let table = tabulate(title, columns, *rows, runs);
-        if !table.is_empty() {
-            table.print();
+/// The hop chain a placement travels, outer to inner.
+const HOPS: [&str; 4] = ["ep.forward", "gl.dispatch", "gm.place", "lc.boot"];
+
+/// Seconds spent by every *placed* submission: index 0 end to end (its
+/// `client.submit` root), index `1 + h` in the last span named `HOPS[h]` of
+/// its tree — a GM that refused the VM opens a `gm.place` too, before the
+/// one that placed it. A span opens after its parent, so one forward pass
+/// finds every root and one backward pass meets each tree's last hops
+/// first.
+fn hop_latency(log: &SpanLog) -> [Histogram; 1 + HOPS.len()] {
+    let spans: Vec<&SpanRecord> = log.iter().collect();
+    let mut root_of: Vec<usize> = Vec::with_capacity(spans.len());
+    for (i, span) in spans.iter().enumerate() {
+        let parent = span.parent.and_then(|p| p.0.checked_sub(1));
+        root_of.push(parent.map_or(i, |p| root_of[p as usize]));
+    }
+    let placed =
+        |root: &SpanRecord| root.name == "client.submit" && root.label("outcome") == Some("placed");
+    let mut hists: [Histogram; 1 + HOPS.len()] = Default::default();
+    // Per root: which hops of its tree are recorded already.
+    let mut recorded: Vec<u8> = vec![0; spans.len()];
+    for (i, span) in spans.iter().enumerate().rev() {
+        let root = root_of[i];
+        if !placed(spans[root]) {
+            continue;
+        }
+        let slot = match HOPS.iter().position(|&h| h == span.name) {
+            _ if root == i => 0,
+            Some(h) if recorded[root] & (1 << h) == 0 => {
+                recorded[root] |= 1 << h;
+                1 + h
+            }
+            _ => continue,
+        };
+        if let Some(us) = span.duration_us() {
+            hists[slot].record(us as f64 / 1e6);
         }
     }
+    hists
+}
+
+/// Row `c.sub` of the hop table: its name and latency summary.
+fn hop_row(c: &Cell) -> (&'static str, HistogramSummary) {
+    let name = match c.sub {
+        0 => "client.submit (end-to-end)",
+        h => HOPS[h - 1],
+    };
+    let hists = hop_latency(c.this().run.live.sim.spans());
+    (name, hists[c.sub].summary())
+}
+
+/// Submission latency decomposed by hop, for every run that placed a VM.
+const HOP_LATENCY: Detail = (
+    "submission latency by hop (seconds)",
+    |f| match f.run.outcome.placed {
+        0 => 0,
+        _ => 1 + HOPS.len(),
+    },
+    &[
+        SCENARIO,
+        col("hop", |c| hop_row(c).0.into()),
+        col("count", |c| hop_row(c).1.count.to_string()),
+        col("mean", |c| f2(hop_row(c).1.mean)),
+        col("p50", |c| f2(hop_row(c).1.p50)),
+        col("p95", |c| f2(hop_row(c).1.p95)),
+        col("max", |c| f2(hop_row(c).1.max)),
+    ],
+);
+
+/// The spans the failover timeline lists: detected failures, leader
+/// promotions, and the election campaigns they triggered.
+fn is_failover(span: &&SpanRecord) -> bool {
+    const EVENTS: [&str; 4] = [
+        "gl.gm-failover",
+        "gm.lc-failover",
+        "gl.promoted",
+        "election.campaign",
+    ];
+    EVENTS.contains(&span.name)
+}
+
+/// Row `c.sub` of the failover timeline.
+fn failover_span<'c>(c: &'c Cell) -> &'c SpanRecord {
+    let spans = c.this().run.live.sim.spans().iter();
+    spans
+        .filter(is_failover)
+        .nth(c.sub)
+        .expect("counted by the row function")
+}
+
+/// A span track's name for the failover timeline and the Chrome exporter:
+/// component name + id.
+fn track_name<C: Component>(sim: &Engine<C>, track: u64) -> String {
+    format!("{} #{track}", sim.name_of(ComponentId(track as usize)))
+}
+
+/// Failure and recovery events of every run, in time order.
+const FAILOVER_TIMELINE: Detail = (
+    "failover timeline",
+    |f| f.run.live.sim.spans().iter().filter(is_failover).count(),
+    &[
+        SCENARIO,
+        col("t (s)", |c| f2(failover_span(c).start_us as f64 / 1e6)),
+        col("component", |c| {
+            track_name(&c.this().run.live.sim, failover_span(c).track)
+        }),
+        col("event", |c| failover_span(c).name.into()),
+        col("detail", |c| {
+            let labels = failover_span(c).labels.iter();
+            let pairs: Vec<String> = labels.map(|(k, v)| format!("{k}={v}")).collect();
+            pairs.join(" ")
+        }),
+    ],
+);
+
+/// Every detail table, in print order.
+const DETAILS: [Detail; 6] = [
+    RUN_RECORD,
+    FAULTS,
+    PROBES,
+    SLO_ALERTS,
+    HOP_LATENCY,
+    FAILOVER_TIMELINE,
+];
+
+/// What `--scenario` prints for the runs of the file `stem`: the summary,
+/// then every detail table that has rows. Each comes with the file stem
+/// `--json` writes it under: `<stem>` for the summary, `<stem>.<title>`
+/// (its words joined by `_`) for a detail.
+pub fn tables(stem: &str, runs: &[Finished]) -> Vec<(String, Table)> {
+    let summary = tabulate(
+        &format!("scenario outcomes: {stem}"),
+        SUMMARY,
+        PER_RUN,
+        runs,
+    );
+    let mut tables = vec![(stem.to_string(), summary)];
+    for (title, rows, columns) in DETAILS {
+        let table = tabulate(title, columns, rows, runs);
+        if !table.is_empty() {
+            let words = title.split(|c: char| !c.is_ascii_alphanumeric());
+            let words: Vec<&str> = words.filter(|w| !w.is_empty()).collect();
+            tables.push((format!("{stem}.{}", words.join("_")), table));
+        }
+    }
+    tables
+}
+
+/// Write every export of a finished run into `dir`, each byte-identical
+/// across same-seed runs:
+///
+/// * `trace.chrome.json` — Chrome trace-event JSON (load in Perfetto or
+///   `chrome://tracing`)
+/// * `spans.jsonl` — one JSON object per span
+/// * `metrics.prom` — Prometheus text exposition
+/// * `metrics.jsonl` — one JSON object per metric
+/// * `windows.jsonl` / `windows.csv` — the windowed time-series (runs
+///   with `[obs] window_ms`)
+/// * `profile.folded` — folded-stack event counts (feed into `inferno` /
+///   `flamegraph.pl`)
+/// * `incident_<n>.toml` — one canonical dump per captured incident
+pub fn export_run(run: &mut ScenarioRun, dir: &Path) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let sim = &mut run.live.sim;
+    let chrome = telemetry::chrome::render(sim.spans(), &|t| track_name(sim, t));
+    std::fs::write(dir.join("trace.chrome.json"), chrome)?;
+    std::fs::write(
+        dir.join("spans.jsonl"),
+        telemetry::jsonl::render(sim.spans()),
+    )?;
+    std::fs::write(dir.join("metrics.prom"), sim.metrics().to_prometheus())?;
+    std::fs::write(dir.join("metrics.jsonl"), sim.metrics().to_jsonl())?;
+    if let Some(log) = &run.windows {
+        std::fs::write(dir.join("windows.jsonl"), log.to_jsonl())?;
+        std::fs::write(dir.join("windows.csv"), log.to_csv())?;
+    }
+    std::fs::write(dir.join("profile.folded"), sim.profile_folded())?;
+    for (i, incident) in run.incidents.iter().enumerate() {
+        std::fs::write(dir.join(format!("incident_{i}.toml")), incident.to_toml())?;
+    }
+    Ok(())
 }
 
 /// Every `*.toml` under `dir`, sorted by file name.
@@ -242,7 +444,6 @@ pub fn fmt_dir(dir: &Path) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{PER_RUN, SUMMARY};
 
     #[test]
     fn a_bad_generated_run_is_reported_with_its_file_and_run() {
@@ -264,16 +465,50 @@ mod tests {
 
     #[test]
     fn outcome_tables_render_fault_and_probe_rows() {
-        let spec = crate::report::report_failover(7);
-        let done = run_specs(&[spec], false).expect("compiles");
-        let s = tabulate("report", SUMMARY, PER_RUN, &done).render();
-        assert!(s.contains("report-failover"));
-        let (title, rows, columns) = FAULTS;
-        let f = tabulate(title, columns, rows, &done).render();
+        let doc = ScenarioDoc::parse(include_str!("../../../scenarios/report.toml"));
+        let specs = doc.and_then(|d| d.patch("seed = 7\n")?.expand()).unwrap();
+        let done = run_specs(&specs, false).expect("compiles");
+        let tables = tables("report", &done);
+        let rendered = |slug: &str| {
+            let found = tables.iter().find(|(s, _)| s == slug);
+            found
+                .unwrap_or_else(|| panic!("no table {slug}"))
+                .1
+                .render()
+        };
+        assert!(rendered("report").contains("report-failover"));
+        let f = rendered("report.fault_outcomes");
         assert!(f.contains("GM crash"));
         assert!(
             f.contains("never"),
             "no-observe faults render a '-'/'never' pair"
         );
+        assert!(rendered("report.failover_timeline").contains("gl.gm-failover"));
+        let hops = rendered("report.submission_latency_by_hop_seconds");
+        assert!(hops.contains("client.submit (end-to-end)"));
+        assert!(!tables.iter().any(|(s, _)| s == "report.probe_samples"));
+    }
+
+    #[test]
+    fn hop_latency_reads_the_last_hop_of_placed_trees() {
+        let mut log = SpanLog::default();
+        let root = log.open("client.submit", 0, None, 0);
+        log.label(root, "outcome", "placed");
+        let hop = log.open("ep.forward", 1, Some(root), 100);
+        log.close(hop, 150);
+        let refused = log.open("gl.dispatch", 2, Some(hop), 100_000);
+        log.close(refused, 100_000);
+        let dispatch = log.open("gl.dispatch", 2, Some(hop), 200_000);
+        log.close(dispatch, 1_200_000);
+        log.close(root, 2_000_000);
+        // A rejected tree counts nowhere.
+        let other = log.open("client.submit", 0, None, 0);
+        log.label(other, "outcome", "rejected");
+        let lost = log.open("ep.forward", 1, Some(other), 100);
+        log.close(lost, 200);
+        log.close(other, 300);
+        let counts = hop_latency(&log).map(|h| h.summary().count);
+        assert_eq!(counts, [1, 1, 1, 0, 0]);
+        assert_eq!(hop_latency(&log)[2].summary().max, 1.0);
     }
 }

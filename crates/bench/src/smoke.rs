@@ -26,8 +26,8 @@ const OBS_REPEATS: usize = 31;
 const FLOOR_PCT: f64 = 90.0;
 
 /// Run the gate: print the overhead comparison and, with `dir` (`--json`),
-/// write it there as `e11_obs.json` beside the observed run's continuous
-/// exports ([`crate::report::export_obs`]). `Ok` carries the OK line.
+/// write it there as `e11_obs.json` beside the observed run's exports
+/// ([`crate::scenario_cli::export_run`]). `Ok` carries the OK line.
 pub fn run_obs(dir: Option<&Path>) -> Result<String, String> {
     // Made before the first run, so a path that cannot be a directory fails
     // now and not after every pair has run.
@@ -67,7 +67,7 @@ pub fn run_obs(dir: Option<&Path>) -> Result<String, String> {
     comparison.print();
     if let Some(dir) = dir {
         let written = comparison.write_json(dir, "e11_obs");
-        let written = written.and_then(|()| crate::report::export_obs(&mut runs[1].run, dir));
+        let written = written.and_then(|()| crate::scenario_cli::export_run(&mut runs[1].run, dir));
         written.map_err(|e| format!("writing artifacts to {}: {e}", dir.display()))?;
     }
 

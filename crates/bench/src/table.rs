@@ -157,6 +157,8 @@ impl Table {
     /// A copy of the table without its advisory columns: what two
     /// same-seed runs must agree on byte for byte, and what the checked-in
     /// goldens pin.
+    // check-allow(uncalled): the golden replay (root
+    // `tests/experiments_manifest.rs`) records and compares through it.
     pub fn deterministic(&self) -> Table {
         let keep: Vec<usize> = (0..self.header.len())
             .filter(|&i| !self.advisory.contains(&self.header[i]))

@@ -62,6 +62,10 @@ fn bad_command_lines_exit_2_and_say_why() {
         (&["e4", "--check-scenarios"][..], "takes no names"),
         (&["--smoke", "--csv", out][..], "`--csv` does not apply"),
         (&["e4", "--watch"][..], "`--watch` does not apply"),
+        (
+            &["--scenario", "f.toml", "--csv", out][..],
+            "`--csv` does not apply",
+        ),
     ] {
         let (code, printed) = run(args);
         assert_eq!(code, Some(2), "{args:?}: {printed}");
@@ -87,6 +91,42 @@ fn an_unwritable_json_dir_fails_the_smoke_gate_before_it_runs() {
     let why = "obs smoke FAILED: --json /dev/null/artifacts";
     assert!(printed.contains(why), "{printed}");
     assert!(!printed.contains("[scenario]"), "no run started: {printed}");
+}
+
+#[test]
+fn a_scenario_prints_its_span_tables_and_writes_its_exports() {
+    let scenarios = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+    // The timeline comes from whichever file runs: fault_storm.toml's
+    // static manager and LC crashes always fail over.
+    let (code, printed) = run(&["--scenario", &format!("{scenarios}/fault_storm.toml")]);
+    assert_eq!(code, Some(0), "{printed}");
+    let timeline = printed.split("== failover timeline ==").nth(1);
+    let timeline = timeline.unwrap_or_else(|| panic!("no failover timeline: {printed}"));
+    assert!(timeline.contains("gl.gm-failover"), "{printed}");
+    assert!(timeline.contains("gm.lc-failover"), "{printed}");
+
+    let out = std::env::temp_dir().join(format!("snooze-cli-json-{}", std::process::id()));
+    let report = format!("{scenarios}/report.toml");
+    let (code, printed) = run(&["--scenario", &report, "--json", out.to_str().unwrap()]);
+    let written = |file: &str| out.join(file).is_file();
+    let tables = [
+        "report.json",
+        "report.run_record.json",
+        "report.failover_timeline.json",
+    ];
+    let exports = [
+        "trace.chrome.json",
+        "metrics.prom",
+        "windows.csv",
+        "incident_0.toml",
+    ];
+    let all_written = tables.iter().all(|f| written(f))
+        && exports
+            .iter()
+            .all(|f| written(&format!("report-failover/{f}")));
+    std::fs::remove_dir_all(&out).ok();
+    assert_eq!(code, Some(0), "{printed}");
+    assert!(all_written, "{printed}");
 }
 
 #[test]

@@ -16,15 +16,20 @@
 
 use std::collections::BTreeSet;
 
-use snooze_bench::report::report_failover;
 use snooze_scenario::incident::{is_incident, IncidentDoc};
 use snooze_scenario::run;
+use snooze_scenario::spec::{ScenarioDoc, ScenarioSpec};
 
-const SEED: u64 = 42;
+/// `scenarios/report.toml` at seed 42.
+fn report_failover() -> ScenarioSpec {
+    let doc = ScenarioDoc::parse(include_str!("../../../scenarios/report.toml"));
+    let runs = doc.and_then(|d| d.patch("seed = 42\n")?.expand());
+    runs.expect("scenarios/report.toml expands").remove(0)
+}
 
 #[test]
 fn window_counter_deltas_conserve_every_run_total() {
-    let spec = report_failover(SEED);
+    let spec = report_failover();
     let run = run(&spec).expect("the report scenario compiles");
     let log = run.windows.as_ref().expect("report.toml enables windows");
     assert!(run.outcome.windows >= 2, "the run spans several windows");
@@ -56,7 +61,7 @@ fn window_counter_deltas_conserve_every_run_total() {
 
 #[test]
 fn heartbeat_watchdog_trips_and_the_incident_reparses() {
-    let spec = report_failover(SEED);
+    let spec = report_failover();
     let run = run(&spec).expect("the report scenario compiles");
 
     // The GM crash makes the zero-tolerance heartbeat SLO breach.
@@ -88,7 +93,7 @@ fn heartbeat_watchdog_trips_and_the_incident_reparses() {
 
 #[test]
 fn continuous_exports_are_byte_identical_across_same_seed_runs() {
-    let spec = report_failover(SEED);
+    let spec = report_failover();
     let mut a = run(&spec).expect("the report scenario compiles");
     let mut b = run(&spec).expect("the report scenario compiles");
 
@@ -114,7 +119,7 @@ fn continuous_exports_are_byte_identical_across_same_seed_runs() {
 
 #[test]
 fn stripping_every_observer_leaves_the_digest_unchanged() {
-    let spec = report_failover(SEED);
+    let spec = report_failover();
     let observed = run(&spec).expect("the report scenario compiles");
 
     let mut plain_spec = spec.clone();

@@ -8,33 +8,45 @@
 //! * two same-seed runs produce byte-identical span and metric exports
 //!   in every standard format.
 
-use snooze_bench::report::{crashed_component, export_all, find_descendant, report_failover};
+use snooze_bench::scenario_cli::export_run;
 use snooze_scenario::run;
+use snooze_scenario::spec::{ScenarioDoc, ScenarioSpec};
 use snooze_simcore::prelude::*;
-use snooze_simcore::telemetry;
+use snooze_simcore::telemetry::{self, SpanLog};
 
-const SEED: u64 = 42;
-
-/// Render every export in memory for digest-style comparison.
-fn render_exports<C: Component>(sim: &Engine<C>) -> [String; 4] {
-    let names = snooze_bench::report::track_name(sim);
-    [
-        telemetry::chrome::render(sim.spans(), &names),
-        telemetry::jsonl::render(sim.spans()),
-        sim.metrics().to_prometheus(),
-        sim.metrics().to_jsonl(),
-    ]
+/// `scenarios/report.toml` at seed 42.
+fn report_failover() -> ScenarioSpec {
+    let doc = ScenarioDoc::parse(include_str!("../../../scenarios/report.toml"));
+    let runs = doc.and_then(|d| d.patch("seed = 42\n")?.expand());
+    runs.expect("scenarios/report.toml expands").remove(0)
 }
+
+/// The root of `id`'s span tree.
+fn root_of(log: &SpanLog, id: SpanId) -> SpanId {
+    std::iter::successors(Some(id), |&id| log.parent_of(id))
+        .last()
+        .expect("starts at id")
+}
+
+/// The files [`export_run`] writes for any run of this scenario (one
+/// incident dump or more besides).
+const EXPORTS: [&str; 8] = [
+    "trace.chrome.json",
+    "spans.jsonl",
+    "metrics.prom",
+    "metrics.jsonl",
+    "windows.jsonl",
+    "windows.csv",
+    "profile.folded",
+    "incident_0.toml",
+];
 
 #[test]
 fn e4_failover_scenario_produces_linked_span_trees_and_identical_exports() {
-    let spec = report_failover(SEED);
-    let run_a = run(&spec).expect("the report scenario compiles");
-    assert!(
-        crashed_component(&run_a).is_some(),
-        "scenario must crash a GM"
-    );
-    let live_a = run_a.live;
+    let spec = report_failover();
+    let mut run_a = run(&spec).expect("the report scenario compiles");
+    assert!(!run_a.outcome.faults.is_empty(), "scenario must crash a GM");
+    let live_a = &run_a.live;
 
     // --- every submission placed, each a well-linked span tree ---------
     let client = live_a.client();
@@ -43,7 +55,7 @@ fn e4_failover_scenario_produces_linked_span_trees_and_identical_exports() {
     for ack in &client.placed {
         let vm_label = ack.vm.0.to_string();
         let root = log
-            .roots()
+            .iter()
             .find(|s| s.name == "client.submit" && s.label("vm") == Some(&vm_label))
             .unwrap_or_else(|| panic!("no client.submit root for vm {vm_label}"));
         assert_eq!(root.label("outcome"), Some("placed"));
@@ -54,7 +66,9 @@ fn e4_failover_scenario_produces_linked_span_trees_and_identical_exports() {
         );
 
         // The boot leaf must see the full EP → GL → GM chain above it.
-        let boot = find_descendant(log, root.id, "lc.boot")
+        let boot = log
+            .iter()
+            .find(|s| s.name == "lc.boot" && root_of(log, s.id) == root.id)
             .unwrap_or_else(|| panic!("vm {vm_label}: no lc.boot in tree"));
         let ancestors = std::iter::successors(log.parent_of(boot.id), |&id| log.parent_of(id));
         let ancestor_names: Vec<&str> = ancestors.map(|id| log.get(id).unwrap().name).collect();
@@ -87,27 +101,40 @@ fn e4_failover_scenario_produces_linked_span_trees_and_identical_exports() {
     );
 
     // --- two same-seed runs: byte-identical exports ---------------------
-    let live_b = run(&spec).expect("the report scenario compiles").live;
-    assert_eq!(live_a.sim.span_digest(), live_b.sim.span_digest());
-    assert_eq!(live_a.sim.digest(), live_b.sim.digest());
-    let a = render_exports(&live_a.sim);
-    let b = render_exports(&live_b.sim);
-    for (i, kind) in ["chrome", "spans.jsonl", "prometheus", "metrics.jsonl"]
-        .iter()
-        .enumerate()
-    {
-        assert_eq!(a[i], b[i], "{kind} export differs between same-seed runs");
+    let mut run_b = run(&spec).expect("the report scenario compiles");
+    assert_eq!(live_a.sim.span_digest(), run_b.live.sim.span_digest());
+    assert_eq!(live_a.sim.digest(), run_b.live.sim.digest());
+    let dir = std::env::temp_dir().join(format!("snooze-telemetry-e2e-{}", std::process::id()));
+    export_run(&mut run_a, &dir.join("a")).expect("exports write");
+    export_run(&mut run_b, &dir.join("b")).expect("exports write");
+    let read = |side: &str, file: &str| std::fs::read_to_string(dir.join(side).join(file));
+    let listing = |side: &str| {
+        let entries = std::fs::read_dir(dir.join(side)).expect("export dir");
+        let mut names: Vec<String> = entries
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let written = listing("a");
+    assert_eq!(written, listing("b"), "same files from same-seed runs");
+    for file in EXPORTS {
+        assert!(written.iter().any(|w| w == file), "{file} not written");
     }
-
-    // --- export_all writes the same bytes to disk -----------------------
-    let dir = std::env::temp_dir().join(format!("snooze-telemetry-e2e-{SEED}"));
-    export_all(&live_a.sim, &dir).expect("exports write");
-    assert_eq!(
-        std::fs::read_to_string(dir.join("trace.chrome.json")).unwrap(),
-        a[0]
-    );
-    let chrome = &a[0];
+    for file in &written {
+        let a = read("a", file).unwrap();
+        assert_eq!(
+            a,
+            read("b", file).unwrap(),
+            "{file} differs between same-seed runs"
+        );
+    }
+    let chrome = read("a", "trace.chrome.json").unwrap();
     assert!(chrome.contains("\"ph\":\"X\""), "complete events present");
     assert!(chrome.contains("client.submit"));
+    assert_eq!(
+        read("a", "spans.jsonl").unwrap(),
+        telemetry::jsonl::render(run_a.live.sim.spans())
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

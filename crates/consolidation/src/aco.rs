@@ -357,15 +357,9 @@ impl KernelTables {
     }
 }
 
-/// Per-phase profile of a colony run: deterministic work counters plus
-/// advisory wall-clock timings.
-///
-/// The work counters (`*_steps`, `*_comparisons`, `*_updates`) are exact
-/// functions of the instance and parameters — two same-seed runs produce
-/// identical values, so they are safe to print in reproducible reports.
-/// The `*_nanos` fields read the host clock and are **advisory only**:
-/// they vary run to run and must never be folded into digests or
-/// byte-identical exports.
+/// Per-phase work counters of a colony run: exact functions of the
+/// instance and parameters, so two same-seed runs produce identical
+/// values. Host time per cycle is the repo benchmark's to measure.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AcoPhaseProfile {
     /// Cycles executed.
@@ -377,12 +371,6 @@ pub struct AcoPhaseProfile {
     pub evaluation_comparisons: u64,
     /// Pheromone entries touched by evaporation and deposits.
     pub evaporation_updates: u64,
-    /// Wall-clock nanoseconds in construction (advisory).
-    pub construction_nanos: u64,
-    /// Wall-clock nanoseconds in evaluation (advisory).
-    pub evaluation_nanos: u64,
-    /// Wall-clock nanoseconds in evaporation + reinforcement (advisory).
-    pub evaporation_nanos: u64,
 }
 
 /// Result of a full colony run, including per-cycle convergence data for
@@ -436,16 +424,13 @@ impl AcoConsolidator {
         };
 
         for cycle in 0..p.n_cycles {
-            let t_construct = snooze_simcore::WallClock::start();
             let construct = |ant: usize| -> (Option<Solution>, u64) {
                 let mut rng = master.fork((cycle * p.n_ants + ant) as u64 + 1);
                 construct_solution(instance, &tables, &pheromone, &mut rng)
             };
             let candidates: Vec<(Option<Solution>, u64)> = (0..p.n_ants).map(construct).collect();
-            profile.construction_nanos += t_construct.elapsed_nanos();
             profile.construction_steps += candidates.iter().map(|(_, steps)| steps).sum::<u64>();
 
-            let t_evaluate = snooze_simcore::WallClock::start();
             let mut cycle_solutions: Vec<Solution> = Vec::new();
             for (sol, _) in candidates {
                 match sol {
@@ -465,10 +450,8 @@ impl AcoConsolidator {
                     None => failed += 1,
                 }
             }
-            profile.evaluation_nanos += t_evaluate.elapsed_nanos();
 
             // Evaporation, then reinforcement per the configured rule.
-            let t_evaporate = snooze_simcore::WallClock::start();
             profile.evaporation_updates += pheromone.evaporate(p.rho, p.tau_min);
             match p.update_rule {
                 UpdateRule::GlobalBest => {
@@ -494,7 +477,6 @@ impl AcoConsolidator {
                     }
                 }
             }
-            profile.evaporation_nanos += t_evaporate.elapsed_nanos();
             best_per_cycle.push(
                 global_best
                     .as_ref()
@@ -722,8 +704,7 @@ mod tests {
         assert_eq!(a.best_bins_per_cycle, b.best_bins_per_cycle);
     }
 
-    /// The profile's *work counters* are part of the deterministic
-    /// surface (its nanos are advisory and excluded on purpose).
+    /// The profile's work counters are part of the deterministic surface.
     #[test]
     fn phase_work_counters_are_deterministic_and_nonzero() {
         let gen = InstanceGenerator::grid11();

@@ -2,9 +2,9 @@
 //!
 //! Simulated history must never depend on the host's clock — the
 //! determinism lint bans `Instant::now` on the whole simulation path.
-//! But the harness still wants to *report* how long a run or an
-//! algorithm phase took on the host (the "wall ms" columns, the ACO
-//! phase profile). [`WallClock`] is the single sanctioned entry point
+//! But the harness still wants to *report* how long a run or a handler
+//! took on the host (the "wall ms" columns, the profiler's sampled
+//! handler time). [`WallClock`] is the single sanctioned entry point
 //! for that: a stopwatch whose readings are advisory — they may be
 //! printed, but must never be folded into digests, exports, or any
 //! decision the simulation makes.

@@ -172,16 +172,6 @@ impl SpanLog {
         self.spans.is_empty()
     }
 
-    /// Spans with no parent (tree roots), in open order.
-    pub fn roots(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(|s| s.parent.is_none())
-    }
-
-    /// Direct children of `id`, in open order.
-    pub fn children_of(&self, id: SpanId) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(move |s| s.parent == Some(id))
-    }
-
     /// Latest timestamp touched by any span (open or close). Exporters
     /// use this to clamp still-open spans.
     pub fn max_time_us(&self) -> u64 {
@@ -271,11 +261,8 @@ mod tests {
         let root = log.open("root", 0, None, 0);
         let mid = log.open("mid", 1, Some(root), 1);
         let leaf = log.open("leaf", 2, Some(mid), 2);
-        let _other = log.open("other", 3, None, 3);
         assert_eq!(log.parent_of(leaf), Some(mid));
         assert_eq!(log.parent_of(mid), Some(root));
-        assert_eq!(log.roots().count(), 2);
-        assert_eq!(log.children_of(root).count(), 1);
     }
 
     #[test]

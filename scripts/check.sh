@@ -12,7 +12,8 @@
 # detached `benchmark/` workspace against the crates it path-depends on
 # (its tests include `BENCHMARK.json` == the harness's own manifest), the
 # scenario gate over `scenarios/*.toml` and a two-run byte-identity check
-# on the telemetry exports. CI and pre-commit both just run this script.
+# on the exports `run_experiments --scenario scenarios/report.toml --json`
+# writes. CI and pre-commit both just run this script.
 #
 # Tier-1 (`cargo build --release && cargo test -q` at the root) is the
 # workspace's `default-members`: the root package's integration tests
@@ -20,8 +21,8 @@
 # explicit-only ones, and those three at their smoke profiles) plus
 # the `snooze-simcore`, `snooze-telemetry`, `snooze-consolidation`,
 # `snooze-mc`, `snooze`, `snooze-protocols`, `snooze-cluster`,
-# `snooze-scenario`, `snooze-trace` and `snooze-audit` suites (the last
-# runs the same whole-tree lint as the step below, as a test).
+# `snooze-scenario`, `snooze-trace`, `snooze-audit` (which runs the same
+# whole-tree lint as the step below, as a test) and `snooze-bench` suites.
 # Everything it runs, `cargo test --workspace` below runs too.
 #
 # `--smoke` additionally runs, in release, the two measurement gates:
@@ -188,20 +189,23 @@ cargo run --offline -q -p snooze-audit -- determinism
 say "scenario specs (parse, canonical form, dry-run compile of every run and profile)"
 cargo run --offline -q -p snooze-bench --bin run_experiments -- --check-scenarios
 
-say "telemetry export determinism (two same-seed report runs)"
+say "telemetry export determinism (two runs of scenarios/report.toml)"
+# `--scenario --json` writes the tables beside one directory of exports per
+# run; the summary table's wall columns differ run to run, the exports may
+# not. report.toml's heartbeat watchdog trips, so incident dumps are in it.
 tmp="$(mktemp -d)"
-cargo run --offline -q -p snooze-bench --bin report -- --out "$tmp/a" >/dev/null
-cargo run --offline -q -p snooze-bench --bin report -- --out "$tmp/b" >/dev/null
+for side in a b; do
+  cargo run --offline -q -p snooze-bench --bin run_experiments -- \
+    --scenario scenarios/report.toml --json "$tmp/$side" >/dev/null
+done
 for f in trace.chrome.json spans.jsonl metrics.prom metrics.jsonl \
-  windows.jsonl windows.csv profile.folded; do
-  cmp -s "$tmp/a/$f" "$tmp/b/$f" || {
-    echo "nondeterministic telemetry export: $f" >&2
+  windows.jsonl windows.csv profile.folded incident_0.toml; do
+  cmp -s "$tmp/a/report-failover/$f" "$tmp/b/report-failover/$f" || {
+    echo "nondeterministic or missing telemetry export: $f" >&2
     exit 1
   }
 done
-# Incident dumps too (the report scenario's heartbeat watchdog trips,
-# so at least incident_0.toml exists in both runs).
-diff -rq "$tmp/a" "$tmp/b" >/dev/null || {
+diff -r "$tmp/a/report-failover" "$tmp/b/report-failover" >/dev/null || {
   echo "nondeterministic telemetry export directory" >&2
   exit 1
 }

@@ -242,7 +242,7 @@ const EXPANSION_PINS: &[(&str, Option<&str>, usize, u64)] = &[
     ("e14_arena", Some("smoke"), 6, 0x7868_85ad_01d4_7f65),
 ];
 
-/// `report_failover(0x5EED)`, i.e. `scenarios/report.toml` as checked in.
+/// `scenarios/report.toml` as checked in, at seed `0x5EED`.
 const REPORT_PIN: u64 = 0xc77f_e05d_0a73_6175;
 
 fn debug_digest(specs: &[ScenarioSpec]) -> u64 {
@@ -269,8 +269,10 @@ fn scenario_files_expand_to_the_pinned_runs() {
     for exp in EXPERIMENTS.iter().filter(|e| e.scenarios().is_some()) {
         assert!(pinned.contains(&exp.slug), "{}: no expansion pin", exp.slug);
     }
-    let report = snooze_bench::report::report_failover(0x5EED);
-    assert_eq!(debug_digest(&[report]), REPORT_PIN, "scenarios/report.toml");
+    let report = ScenarioDoc::parse(include_str!("../scenarios/report.toml"))
+        .and_then(|doc| doc.patch(&format!("seed = {}", 0x5EED))?.expand())
+        .expect("scenarios/report.toml expands");
+    assert_eq!(debug_digest(&report), REPORT_PIN, "scenarios/report.toml");
 }
 
 #[test]
