@@ -5,6 +5,7 @@
 //! canonicalization preserves structure).
 
 mod aco_reference;
+mod exact_reference;
 
 use proptest::prelude::*;
 
@@ -104,6 +105,35 @@ fn kernel_instance() -> impl Strategy<Value = Instance> {
                 inst
             }
         }
+    })
+}
+
+/// Strategy: the homogeneous shapes the exact solver accepts — GRID'11
+/// (all-distinct real demands), twelve flavours (small integers, so the
+/// volume bound is often hit exactly) and unit bins — with a node budget
+/// small enough that many searches run out of it.
+fn exact_instance() -> impl Strategy<Value = (Instance, u64)> {
+    (0usize..3, 1usize..32, any::<u64>(), 2_000u64..50_000).prop_map(|(shape, n, seed, budget)| {
+        let mut rng = snooze_simcore::rng::SimRng::new(seed);
+        let grid11 = InstanceGenerator::grid11();
+        let instance = match shape {
+            0 => grid11.generate(n, &mut rng),
+            1 => grid11.generate_flavoured(n, n, &mut rng),
+            _ => {
+                let items = (0..n)
+                    .map(|_| {
+                        ResourceVector::new(
+                            rng.uniform(0.05, 0.7),
+                            rng.uniform(0.05, 0.7),
+                            rng.uniform(0.05, 0.7),
+                            rng.uniform(0.05, 0.7),
+                        )
+                    })
+                    .collect();
+                Instance::homogeneous(items, n, ResourceVector::splat(1.0))
+            }
+        };
+        (instance, budget)
     })
 }
 
@@ -285,6 +315,27 @@ proptest! {
             evaporation_updates: run.profile.evaporation_updates,
         };
         prop_assert_eq!(shipped, aco_reference::run(params, &inst));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The shipped search (pruning on `max(open, root bound)`) against the
+    /// frozen one (re-summing the open bins' residuals at every node):
+    /// solution, `optimal` and node count, bit for bit.
+    #[test]
+    fn exact_search_reproduces_the_per_node_bound_reference(
+        case in exact_instance(),
+    ) {
+        let (inst, budget) = case;
+        let out = BranchAndBound { node_budget: budget }.solve(&inst);
+        let shipped = exact_reference::ReferenceOutcome {
+            solution: out.solution,
+            optimal: out.optimal,
+            nodes: out.nodes,
+        };
+        prop_assert_eq!(shipped, exact_reference::solve(budget, &inst));
     }
 }
 

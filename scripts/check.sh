@@ -7,7 +7,8 @@
 # feature-gated runtime invariant suite), the golden replay in release
 # (`tests/experiments_manifest.rs` with `--release`, which adds the three
 # explicit-only full tables the debug `cargo test` ignores: about 20 s of
-# test time plus a release build of the root package's tests), a
+# test time plus a release build of the root package's tests) and the
+# release-only colony decision pins in `tests/aco_kernel.rs`, a
 # `cargo check` and `cargo test` of (a copy of) the
 # detached `benchmark/` workspace against the crates it path-depends on
 # (its tests include `BENCHMARK.json` == the harness's own manifest), the
@@ -165,8 +166,8 @@ edge_allocs="$(awk '
 say "cargo test (default features)"
 cargo test --offline --workspace -q
 
-say "golden identity gate (release replay of every golden, full E11/E12/E14 included)"
-cargo test --release --offline -q --test experiments_manifest
+say "golden identity gate (release replay of every golden, full E11/E12/E14 included) and colony pins"
+cargo test --release --offline -q --test experiments_manifest --test aco_kernel
 
 say "cargo test -p snooze-audit --features audit (runtime invariants)"
 cargo test --offline -p snooze-audit --features audit -q

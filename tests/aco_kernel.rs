@@ -4,7 +4,10 @@
 //! kernel landed, so plain `cargo test -q` fails if any optimisation of
 //! `aco.rs` moves a single random draw, weight or tie-break. Then one
 //! assignment per registry key, so the same holds for every packer a
-//! scenario can name.
+//! scenario can name. Last, the benchmark's `pack_kernels` colonies:
+//! `(hosts, assignment digest)` of its accuracy family at two seeds and of
+//! its 512-VM instance under each colony key. Those run only in release
+//! (`scripts/check.sh` runs them).
 
 use snooze_consolidation::aco::{AcoConsolidator, AcoParams};
 use snooze_consolidation::ffd::{BestFit, SortKey};
@@ -95,4 +98,88 @@ fn every_registry_key_and_best_fit_is_pinned() {
     }
     let best_fit = BestFit { key: SortKey::L2 };
     assert_eq!(outcome(&best_fit), (62, 4_325_253_463_225_186_640));
+}
+
+/// The benchmark's `pack_kernels` accuracy family at `seed`, built the way
+/// `benchmark/src/workloads/pack.rs` builds it: per size and repeat, a
+/// GRID'11 instance from the forked stream, then the colony seed drawn
+/// from what is left of that stream.
+fn pack_accuracy_family(seed: u64) -> Vec<(Instance, u64)> {
+    const STREAM_ACCURACY: u64 = 1;
+    let gen = InstanceGenerator::grid11();
+    let root = SimRng::new(seed);
+    let mut family = Vec::new();
+    for n in [10u64, 15, 20, 25, 30] {
+        for rep in 0..10 {
+            let mut rng = root.fork(STREAM_ACCURACY).fork(n).fork(rep);
+            let instance = gen.generate(n as usize, &mut rng);
+            family.push((instance, rng.range(0, 1 << 30) as u64));
+        }
+    }
+    family
+}
+
+/// `(total hosts, FNV-1a over every assignment in family order)` of the
+/// registry's `aco` on the accuracy family at `seed`.
+fn pack_family_pin(seed: u64) -> (usize, u64) {
+    let registry = ConsolidatorRegistry::standard();
+    let (mut hosts, mut digest) = (0, FNV_OFFSET);
+    for (instance, aco_seed) in pack_accuracy_family(seed) {
+        let params: Params = [("seed".to_string(), ParamValue::Int(aco_seed as i64))]
+            .into_iter()
+            .collect();
+        let aco = registry.build("aco", &params).expect("aco builds");
+        let solution = aco.consolidate(&instance).expect("instance is solvable");
+        assert!(solution.is_feasible(&instance));
+        hosts += solution.bins_used();
+        for &bin in &solution.assignment {
+            digest = fnv1a(digest, &(bin as u64).to_le_bytes());
+        }
+    }
+    (hosts, digest)
+}
+
+/// `pack_kernels`' colony decisions at its default seed and at a held-out
+/// one. Captured on the commit before the colony's `η^β` went from `powf`
+/// to one multiply, so a last-bit difference between the two that moved a
+/// draw fails here. Release only: 50 default colonies each.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn pack_accuracy_family_is_pinned() {
+    assert_eq!(
+        [3602, 90210].map(pack_family_pin),
+        [
+            (471, 3_643_288_009_795_637_570),
+            (471, 11_828_699_168_270_742_180)
+        ],
+        "seeds 3602, 90210"
+    );
+}
+
+/// `(hosts, FNV-1a of assignment)` of `aco`, `daco` and `mo-aco` at their
+/// registry defaults on `pack_kernels`' 512-VM instance (seed 3602), the
+/// same capture as above. Release only.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn pack_big_instance_colonies_are_pinned() {
+    const STREAM_BIG: u64 = 2;
+    const PINS: [(&str, usize, u64); 3] = [
+        ("aco", 224, 14_844_216_592_772_203_829),
+        ("daco", 225, 11_187_856_616_549_259_476),
+        // No incumbent, so nothing to revert: the plain colony's packing.
+        ("mo-aco", 224, 14_844_216_592_772_203_829),
+    ];
+    let big = InstanceGenerator::grid11().generate(512, &mut SimRng::new(3602).fork(STREAM_BIG));
+    let registry = ConsolidatorRegistry::standard();
+    let outcome = PINS.map(|(key, _, _)| {
+        let algo = registry.build(key, &Params::new()).expect("key builds");
+        let solution = algo.consolidate(&big).expect("instance is solvable");
+        assert!(solution.is_feasible(&big), "{key}");
+        (
+            key,
+            solution.bins_used(),
+            assignment_digest(&solution.assignment),
+        )
+    });
+    assert_eq!(outcome, PINS);
 }
