@@ -41,16 +41,21 @@
 //! `η^β` for the first draw into an empty bin is tabulated per (distinct
 //! capacity, item), and inside a bin it is computed once per demand
 //! class per step and reused for every unassigned item of that class
-//! (where two items share one). `τ^α` is read off directly when `α` is
-//! exactly 1 or 0 ([`TauPower`]). A step builds its candidates, their
-//! weights and the weights' total in one pass, and a step inside a bin
-//! rescans only the items that fitted the step before: residuals only
-//! shrink, so nothing else can fit. Every shortcut reuses a value computed
-//! from bit-identical operands by the same expression, or skips an item
-//! that cannot be a candidate, so solutions, convergence series, work
-//! counters and RNG draws are those of the naive per-item evaluation
-//! (DESIGN.md has the argument; `tests/properties.rs` holds the naive
-//! kernel as the reference).
+//! (where two items share one). `τ^α` and `η^β` go through one exponent
+//! rule ([`Power`]): an exponent of exactly 0 or 1 is read off directly,
+//! exactly 2 (the default β) is one multiply, anything else calls `powf`.
+//! A step builds its candidates, their weights and the weights' total in
+//! one pass, and a step inside a bin rescans only the items that fitted
+//! the step before: residuals only shrink, so nothing else can fit. Every
+//! other shortcut reuses a value computed from bit-identical operands by
+//! the same expression, or skips an item that cannot be a candidate, so
+//! solutions, convergence series, work counters and RNG draws are those of
+//! the naive per-item evaluation (DESIGN.md has the argument;
+//! `tests/properties.rs` holds the naive kernel as the reference). The
+//! square is the one place the bits may differ: `η·η` is correctly
+//! rounded and libm's `pow(η, 2)` need not be, so a weight can move in its
+//! last bit; no decision moved on any instance checked, and root
+//! `tests/aco_kernel.rs` pins the decisions captured under `powf`.
 
 use snooze_cluster::resources::ResourceVector;
 use snooze_simcore::rng::SimRng;
@@ -204,39 +209,46 @@ impl PheromoneMatrix {
     }
 }
 
-/// How `τ^α` is evaluated. C99 Annex F fixes `pow(x, 0) = 1` for every
-/// `x`, and `pow(x, 1)` has the representable exact result `x`, which any
-/// faithfully rounded `pow` must return (a unit test sweeps the Max–Min
-/// band) — so the two exponents every shipped configuration uses skip the
-/// libm call without moving a bit. Any other exponent keeps `powf`.
+/// How `x^e` is evaluated for a fixed exponent `e` — `τ^α` and `η^β`
+/// alike. C99 Annex F fixes `pow(x, 0) = 1` for every `x`, and `pow(x, 1)`
+/// has the representable exact result `x`, which any faithfully rounded
+/// `pow` must return (a unit test sweeps the Max–Min band), so those two
+/// skip the libm call without moving a bit. `x^2` is `x·x`: one correctly
+/// rounded IEEE-754 multiply, the same bits on every platform, where
+/// `pow`'s last bit depends on the libm (glibc's is within 0.54 ULP, and
+/// the two differ in the last bit on under 0.1 % of arguments — DESIGN.md
+/// row 38 has the evidence that no decision moved). Any other exponent
+/// keeps `powf`.
 #[derive(Clone, Copy, Debug)]
-enum TauPower {
-    /// `α` is exactly 0: `τ^α = 1`.
+enum Power {
+    /// The exponent is exactly 0: `x^e = 1`.
     One,
-    /// `α` is exactly 1: `τ^α = τ`.
+    /// The exponent is exactly 1: `x^e = x`.
     Identity,
+    /// The exponent is exactly 2: `x^e = x·x`.
+    Square,
     /// Any other exponent.
     Pow(f64),
 }
 
-impl TauPower {
-    fn of(alpha: f64) -> Self {
+impl Power {
+    fn of(exponent: f64) -> Self {
         // Bit comparisons: only the exact exponents may take the shortcut.
-        if alpha.to_bits() == 1.0f64.to_bits() {
-            TauPower::Identity
-        } else if alpha.to_bits() == 0.0f64.to_bits() {
-            TauPower::One
-        } else {
-            TauPower::Pow(alpha)
+        match exponent.to_bits() {
+            bits if bits == 0.0f64.to_bits() => Power::One,
+            bits if bits == 1.0f64.to_bits() => Power::Identity,
+            bits if bits == 2.0f64.to_bits() => Power::Square,
+            _ => Power::Pow(exponent),
         }
     }
 
     #[inline]
-    fn apply(self, tau: f64) -> f64 {
+    fn apply(self, x: f64) -> f64 {
         match self {
-            TauPower::One => 1.0,
-            TauPower::Identity => tau,
-            TauPower::Pow(alpha) => tau.powf(alpha),
+            Power::One => 1.0,
+            Power::Identity => x,
+            Power::Square => x * x,
+            Power::Pow(exponent) => x.powf(exponent),
         }
     }
 }
@@ -270,11 +282,11 @@ fn fit_eta_beta(
     demand: &ResourceVector,
     residual: &ResourceVector,
     capacity: &ResourceVector,
-    beta: f64,
+    beta: Power,
 ) -> Option<f64> {
     demand
         .fits_within(residual)
-        .then(|| heuristic(demand, residual, capacity).powf(beta))
+        .then(|| beta.apply(heuristic(demand, residual, capacity)))
 }
 
 /// What one `run` fixes for the construction kernel: the two exponents,
@@ -289,9 +301,9 @@ fn fit_eta_beta(
 #[derive(Clone, Debug)]
 struct KernelTables {
     /// How `τ^α` is evaluated.
-    tau_power: TauPower,
-    /// Heuristic exponent β (the one `fresh` was tabulated with).
-    beta: f64,
+    alpha: Power,
+    /// How `η^β` is evaluated (the rule `fresh` was tabulated with).
+    beta: Power,
     /// Representative (first bit-identical) item of each item.
     item_class: Vec<usize>,
     /// Where each bin's row of `fresh` starts.
@@ -314,6 +326,7 @@ struct KernelTables {
 
 impl KernelTables {
     fn new(instance: &Instance, alpha: f64, beta: f64) -> Self {
+        let beta = Power::of(beta);
         let bin_class = representatives(&instance.bins);
         let mut fresh_row_start = vec![0; instance.n_bins()];
         let mut fresh = Vec::new();
@@ -332,7 +345,7 @@ impl KernelTables {
         }
         let item_class = representatives(&instance.items);
         KernelTables {
-            tau_power: TauPower::of(alpha),
+            alpha: Power::of(alpha),
             beta,
             memo: item_class
                 .iter()
@@ -562,7 +575,7 @@ fn construct_solution(
             for (slot, &item) in unassigned.iter().enumerate() {
                 if let Some(eta_beta) = fresh_row[item] {
                     candidates.push(slot);
-                    let weight = tables.tau_power.apply(tau[item]) * eta_beta;
+                    let weight = tables.alpha.apply(tau[item]) * eta_beta;
                     push_weight(&mut weights, &mut total, weight);
                 }
             }
@@ -591,7 +604,7 @@ fn construct_solution(
                 if let Some(eta_beta) = eta_beta {
                     candidates[kept] = slot;
                     kept += 1;
-                    let weight = tables.tau_power.apply(tau[item]) * eta_beta;
+                    let weight = tables.alpha.apply(tau[item]) * eta_beta;
                     push_weight(&mut weights, &mut total, weight);
                 }
             }
@@ -823,17 +836,32 @@ mod tests {
             let tau = rng.uniform(0.0, 12.0);
             for alpha in [0.0, 1.0] {
                 assert_eq!(
-                    TauPower::of(alpha).apply(tau).to_bits(),
+                    Power::of(alpha).apply(tau).to_bits(),
                     tau.powf(alpha).to_bits(),
                     "tau = {tau:e}, alpha = {alpha}"
                 );
             }
         }
-        assert!(matches!(TauPower::of(1.0), TauPower::Identity));
-        assert!(matches!(TauPower::of(0.0), TauPower::One));
-        // Not bit-exactly 0 or 1 ⇒ libm.
-        for alpha in [-0.0, 1.0 + f64::EPSILON, 1.7, f64::NAN] {
-            assert!(matches!(TauPower::of(alpha), TauPower::Pow(_)), "{alpha}");
+        assert!(matches!(Power::of(1.0), Power::Identity));
+        assert!(matches!(Power::of(0.0), Power::One));
+        assert!(matches!(Power::of(2.0), Power::Square));
+        // Not bit-exactly 0, 1 or 2 ⇒ libm.
+        for exponent in [-0.0, 1.0 + f64::EPSILON, 1.7, 2.0 - f64::EPSILON, f64::NAN] {
+            assert!(matches!(Power::of(exponent), Power::Pow(_)), "{exponent}");
+        }
+    }
+
+    /// The square is one multiply, and over η's range `(0, 1]` it is never
+    /// more than one unit in the last place from libm's `pow(η, 2)`.
+    #[test]
+    fn square_is_one_multiply_within_an_ulp_of_powf() {
+        let mut rng = SimRng::new(0xE7A);
+        for _ in 0..200_000 {
+            let eta = rng.uniform(0.0, 1.0);
+            let square = Power::of(2.0).apply(eta);
+            assert_eq!(square.to_bits(), (eta * eta).to_bits(), "eta = {eta:e}");
+            let ulps = square.to_bits().abs_diff(eta.powf(2.0).to_bits());
+            assert!(ulps <= 1, "eta = {eta:e}: {ulps} ulps from powf");
         }
     }
 
@@ -855,7 +883,7 @@ mod tests {
             for (item, demand) in inst.items.iter().enumerate() {
                 assert_eq!(
                     tables.fresh_row(bin)[item].map(f64::to_bits),
-                    fit_eta_beta(demand, cap, cap, 2.0).map(f64::to_bits)
+                    fit_eta_beta(demand, cap, cap, Power::of(2.0)).map(f64::to_bits)
                 );
             }
         }

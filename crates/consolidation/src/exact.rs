@@ -11,26 +11,32 @@
 //! * a node assigns the next item to each feasible *open* bin, or to one
 //!   fresh bin (opening more than one fresh bin is symmetric, so only the
 //!   first is explored);
-//! * nodes are pruned when `used + incremental lower bound ≥ best`, where
-//!   the incremental bound accounts for remaining demand that cannot fit
-//!   in the open bins' residual capacity;
+//! * nodes are pruned when `max(open, root bound) ≥ best`, where the root
+//!   bound is the volume bound over all items, computed once;
 //! * a node budget bounds worst-case runtime; exceeding it yields the best
 //!   incumbent with `optimal = false` — an upper bound, not an optimum,
 //!   and callers that report optima must read the flag (E1 does).
 //!
 //! **What the bound can and cannot do.** It is the per-dimension volume
-//! (L1) bound, not an L2 bound. Every placed item sits in an open bin, so
-//! the open bins' free space is `open·cap − placed` and the bound is
-//! `ceil((total − open·cap) / cap)`: the root bound minus `open`,
-//! re-summed over the open bins at every node. `open + bound` is therefore
-//! `max(open, root bound)` everywhere in the tree: a branch is cut when it
-//! has opened as many bins as the incumbent uses, or once the incumbent
-//! has come down to the root bound, and for no other reason. When the
-//! optimum equals the root bound the search stops at the first optimal
-//! leaf; when it is one above (space wasted in bins nothing left fits
-//! into), every packing into fewer bins than the incumbent is enumerated
-//! and the search runs to its budget — 14 of E1's 35 instances at the
-//! default 20 M nodes. A bound that counts that waste is ROADMAP item 4.
+//! (L1) bound, not an L2 bound. A per-node form — remaining demand beyond
+//! the open bins' free space, over the capacity — adds nothing to it:
+//! every placed item sits in an open bin, so the open bins' free space is
+//! `open·cap − placed`, and `open` plus that bound is `max(open, root
+//! bound)` at every node. That is exact in real arithmetic; on floats the
+//! re-summed form could part from it only where a total lands within
+//! rounding error of a ceiling's edge, and it never did on any instance
+//! checked. The search therefore prunes on the closed form and never
+//! re-sums the open bins' residuals; the per-node form is kept as a test
+//! oracle in `tests/exact_reference`, which a proptest holds the solver to
+//! in solution, optimality and node count. A branch is cut
+//! when it has opened as many bins as the incumbent uses, or once the
+//! incumbent has come down to the root bound, and for no other reason.
+//! When the optimum equals the root bound the search stops at the first
+//! optimal leaf; when it is one above (space wasted in bins nothing left
+//! fits into), every packing into fewer bins than the incumbent is
+//! enumerated and the search runs to its budget — 14 of E1's 35 instances
+//! at the default 20 M nodes. A bound that counts that waste is ROADMAP
+//! item 4.
 //!
 //! **The bound sets the node count; the fit test sets the node cost.**
 //! Almost every node is a loop over the open bins asking
@@ -77,8 +83,8 @@ struct Search<'a> {
     items: &'a [ResourceVector], // sorted descending
     capacity: ResourceVector,
     max_bins: usize,
-    /// Suffix sums of demand: `suffix[i]` = total demand of items `i..`.
-    suffix: Vec<ResourceVector>,
+    /// The volume bound over every item: no packing uses fewer bins.
+    root_bound: usize,
     residuals: Vec<ResourceVector>, // residual of each open bin
     assignment: Vec<usize>,
     best: Option<(usize, Vec<usize>)>, // (bins, assignment-over-sorted-items)
@@ -86,29 +92,26 @@ struct Search<'a> {
     budget: u64,
 }
 
-impl Search<'_> {
-    /// Lower bound on *additional* bins needed beyond the open ones:
-    /// remaining demand that exceeds the open bins' aggregate residual,
-    /// divided by the bin capacity, per dimension.
-    fn incremental_bound(&self, next_item: usize, open: usize) -> usize {
-        let remaining = self.suffix[next_item];
-        let mut free_open = ResourceVector::ZERO;
-        for r in &self.residuals[..open] {
-            free_open += *r;
+/// The per-dimension volume (L1) bound: per dimension, total demand over
+/// capacity, rounded up, maximised over the dimensions. The sum runs last
+/// item first and the tolerances are those of the per-node bound this
+/// replaced, so its value is that bound's at the root, bit for bit.
+fn volume_bound(sorted: &[ResourceVector], capacity: &ResourceVector) -> usize {
+    let total = sorted
+        .iter()
+        .rev()
+        .fold(ResourceVector::ZERO, |sum, &item| sum + item);
+    let mut bound = 0usize;
+    for d in 0..DIMS {
+        let cap = capacity.get(d);
+        if cap > 0.0 && total.get(d) > 1e-9 {
+            bound = bound.max((total.get(d) / cap - 1e-9).ceil() as usize);
         }
-        let mut extra = 0usize;
-        for d in 0..DIMS {
-            let cap = self.capacity.get(d);
-            if cap > 0.0 {
-                let overflow = remaining.get(d) - free_open.get(d);
-                if overflow > 1e-9 {
-                    extra = extra.max((overflow / cap - 1e-9).ceil() as usize);
-                }
-            }
-        }
-        extra
     }
+    bound
+}
 
+impl Search<'_> {
     fn dfs(&mut self, item: usize, open: usize) {
         if self.nodes >= self.budget {
             return;
@@ -122,7 +125,7 @@ impl Search<'_> {
             return;
         }
         let best_bins = self.best.as_ref().map(|(b, _)| *b).unwrap_or(usize::MAX);
-        if open + self.incremental_bound(item, open) >= best_bins {
+        if open.max(self.root_bound) >= best_bins {
             return; // cannot improve
         }
         let demand = self.items[item];
@@ -186,19 +189,13 @@ impl BranchAndBound {
             };
         }
 
-        // Suffix demand sums for the incremental bound.
-        let mut suffix = vec![ResourceVector::ZERO; n + 1];
-        for i in (0..n).rev() {
-            suffix[i] = suffix[i + 1] + sorted[i];
-        }
-
         // Seed the incumbent with FFD so pruning bites immediately.
         let ffd_incumbent = FirstFitDecreasing { key: SortKey::L1 }.consolidate(instance);
         let mut search = Search {
             items: &sorted,
             capacity,
             max_bins: instance.n_bins(),
-            suffix,
+            root_bound: volume_bound(&sorted, &capacity),
             residuals: vec![ResourceVector::ZERO; instance.n_bins()],
             assignment: vec![usize::MAX; n],
             best: ffd_incumbent.map(|s| {
