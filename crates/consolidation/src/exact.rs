@@ -94,8 +94,8 @@ struct Search<'a> {
 
 /// The per-dimension volume (L1) bound: per dimension, total demand over
 /// capacity, rounded up, maximised over the dimensions. The sum runs last
-/// item first and the tolerances are those of the per-node bound this
-/// replaced, so its value is that bound's at the root, bit for bit.
+/// item first, with the per-node form's tolerances, so the value is bit
+/// for bit what `tests/exact_reference` computes at the root.
 fn volume_bound(sorted: &[ResourceVector], capacity: &ResourceVector) -> usize {
     let total = sorted
         .iter()

@@ -1,4 +1,4 @@
-//! Trace-driven workloads (ROADMAP item 3).
+//! Trace-driven workloads (ROADMAP item 2(c)).
 //!
 //! Every workload the system ran before this crate was a synthetic
 //! program — bursts and staggered random fleets. Credible energy/SLA
