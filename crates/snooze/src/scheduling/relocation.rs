@@ -227,6 +227,18 @@ mod tests {
     }
 
     #[test]
+    fn a_destination_exactly_at_the_threshold_is_moderately_loaded() {
+        // 2 of 8 in every dimension: utilization is 0.25 with no rounding,
+        // so only `>=` separates it from an underloaded node.
+        let lcs = [lc(0, 8.0, 1.0, 0.5), lc(1, 8.0, 2.0, 2.0)];
+        assert_eq!(lcs[1].utilization(), 0.25);
+        let vms = [vm(10, 1.0, 0.5)];
+        let plan = plan_underload_relocation(ComponentId(0), &vms, &lcs, 0.25);
+        let plan = plan.expect("a node at the threshold takes the drain");
+        assert_eq!(plan[0].to, ComponentId(1));
+    }
+
+    #[test]
     fn underload_is_all_or_nothing() {
         let lcs = [
             lc(0, 10.0, 6.0, 1.0), // cold source with a big reservation
