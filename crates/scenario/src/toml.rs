@@ -6,7 +6,9 @@
 //! uses:
 //!
 //! * bare keys with scalar values (string, integer, float, boolean),
-//! * single-line arrays of scalars,
+//! * single-line arrays of scalars, of arrays and of inline tables
+//!   (`[{ sort = "cpu" }, {}]`: one `[[sweep]]` element may set several
+//!   keys, or none),
 //! * `[table]` and `[[array-of-tables]]` headers with dotted paths,
 //! * full-line and trailing `#` comments.
 //!
@@ -35,9 +37,9 @@ pub enum Value {
     Float(f64),
     /// A boolean.
     Bool(bool),
-    /// A single-line array of scalars.
+    /// A single-line array: of scalars, of arrays or of inline tables.
     Array(Vec<Value>),
-    /// A table (`[header]` or nested).
+    /// A table (`[header]`, nested, or inline in an array).
     Table(BTreeMap<String, Value>),
     /// An array of tables (`[[header]]`).
     TableArray(Vec<BTreeMap<String, Value>>),
@@ -430,7 +432,19 @@ fn render_scalar(out: &mut String, v: &Value) {
             }
             out.push(']');
         }
-        Value::Table(_) | Value::TableArray(_) => unreachable!("tables render via headers"),
+        // A table inside an array: inline, keys in order.
+        Value::Table(table) if table.is_empty() => out.push_str("{}"),
+        Value::Table(table) => {
+            out.push('{');
+            for (i, (k, v)) in table.iter().enumerate() {
+                out.push_str(if i > 0 { ", " } else { " " });
+                out.push_str(k);
+                out.push_str(" = ");
+                render_scalar(out, v);
+            }
+            out.push_str(" }");
+        }
+        Value::TableArray(_) => unreachable!("arrays of tables render via headers"),
     }
 }
 
@@ -573,6 +587,30 @@ fn parse_value(s: &str) -> Result<Value, String> {
         }
         return Ok(Value::Array(items));
     }
+    if let Some(body) = s.strip_prefix('{') {
+        let body = body
+            .strip_suffix('}')
+            .ok_or_else(|| "unterminated inline table".to_string())?;
+        let mut table = BTreeMap::new();
+        for part in split_top_level(body) {
+            let part = part.trim();
+            if part.is_empty() {
+                continue;
+            }
+            let eq = find_unquoted(part, '=').ok_or("expected `key = value` in an inline table")?;
+            let key = part[..eq].trim();
+            if key.is_empty() || !is_bare_key(key) {
+                return Err("expected a bare key in an inline table".into());
+            }
+            if table
+                .insert(key.to_string(), parse_value(part[eq + 1..].trim())?)
+                .is_some()
+            {
+                return Err("duplicate key in an inline table".into());
+            }
+        }
+        return Ok(Value::Table(table));
+    }
     match s {
         "true" => return Ok(Value::Bool(true)),
         "false" => return Ok(Value::Bool(false)),
@@ -589,11 +627,13 @@ fn parse_value(s: &str) -> Result<Value, String> {
         .map_err(|_| format!("bad value `{}`", Excerpt(s)))
 }
 
+/// `s` split at the commas outside strings, arrays and inline tables.
 fn split_top_level(s: &str) -> Vec<&str> {
     let mut parts = Vec::new();
     let mut start = 0;
     let mut in_str = false;
     let mut escaped = false;
+    let mut depth = 0usize;
     for (i, c) in s.char_indices() {
         if escaped {
             escaped = false;
@@ -602,7 +642,9 @@ fn split_top_level(s: &str) -> Vec<&str> {
         match c {
             '\\' if in_str => escaped = true,
             '"' => in_str = !in_str,
-            ',' if !in_str => {
+            '[' | '{' if !in_str => depth += 1,
+            ']' | '}' if !in_str => depth = depth.saturating_sub(1),
+            ',' if !in_str && depth == 0 => {
                 parts.push(&s[start..i]);
                 start = i + 1;
             }
@@ -711,6 +753,36 @@ n = 10
         assert_eq!(root["big"], Value::Float(1e15));
         assert_eq!(root["huge"], Value::Float(1e300));
         assert_eq!(render(&root), text);
+    }
+
+    #[test]
+    fn arrays_of_inline_tables_round_trip() {
+        let text = "params = [{ sort = \"cpu\" }, { n = [1, 2], s = \"a, } b\" }, {}]\n";
+        let root = parse(text).unwrap();
+        let Value::Array(items) = &root["params"] else {
+            panic!("{root:?}")
+        };
+        assert_eq!(
+            items[0],
+            Value::Table([("sort".into(), Value::Str("cpu".into()))].into())
+        );
+        let second = items[1].as_table().unwrap();
+        assert_eq!(second["s"], Value::Str("a, } b".into()));
+        assert_eq!(items[2], Value::table());
+        assert_eq!(render(&root), text);
+        for (bad, why) in [
+            ("x = [{ a = 1 }", "unterminated array"),
+            ("x = [{ a = 1 ]", "unterminated inline table"),
+            ("x = [{ a }]", "expected `key = value`"),
+            ("x = [{ a.b = 1 }]", "expected a bare key"),
+            ("x = [{ a = 1, a = 2 }]", "duplicate key"),
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(
+                err.starts_with("line 1: ") && err.contains(why),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //!   `=`, line breaks, tabs and non-ASCII and finite floats of any
 //!   magnitude, `parse(render(d)) == d` and rendering is a fixed point.
 //!   (`render` of a NaN or an infinity is documented as unparseable.)
+//!   Arrays of inline tables, the one value the old writer had no form
+//!   for, round-trip the same way beside them.
 //! * **The old writer is the reference.** [`reference`] is the renderer
 //!   this one replaced, frozen: three hand-unrolled nesting levels that
 //!   built a `String` per scalar and joined a cloned path per header. On
@@ -222,6 +224,47 @@ impl Strategy for Docs {
     }
 }
 
+/// Unrestricted documents with arrays of inline tables (scalars, arrays
+/// and inline tables inside) set in some of their tables.
+struct InlineDocs;
+
+fn inline_table(rng: &mut TestRng, depth: usize) -> Table {
+    let docs = Docs { old_safe: false };
+    let mut t = Table::new();
+    for _ in 0..rng.below(4) {
+        let value = match rng.below(4) {
+            0 if depth < 2 => Value::Table(inline_table(rng, depth + 1)),
+            _ => docs.scalar(rng),
+        };
+        t.insert(pick(rng, KEYS).to_string(), value);
+    }
+    t
+}
+
+fn with_inline_arrays(t: &mut Table, rng: &mut TestRng) {
+    for v in t.values_mut() {
+        match v {
+            Value::Table(sub) => with_inline_arrays(sub, rng),
+            Value::TableArray(subs) => subs.iter_mut().for_each(|sub| with_inline_arrays(sub, rng)),
+            _ => {}
+        }
+    }
+    if rng.below(2) == 0 {
+        let key = pick(rng, KEYS).to_string();
+        let items = (0..rng.below(4)).map(|_| Value::Table(inline_table(rng, 0)));
+        t.insert(key, Value::Array(items.collect()));
+    }
+}
+
+impl Strategy for InlineDocs {
+    type Value = Table;
+    fn generate(&self, rng: &mut TestRng) -> Table {
+        let mut doc = Docs { old_safe: false }.generate(rng);
+        with_inline_arrays(&mut doc, rng);
+        doc
+    }
+}
+
 /// Arbitrary text from the characters the grammar gives meaning to, with
 /// the odd very long run.
 struct HostileText;
@@ -300,6 +343,14 @@ proptest! {
 
     #[test]
     fn render_then_parse_is_the_document(doc in Docs { old_safe: false }) {
+        let text = render(&doc);
+        let back = parse(&text);
+        prop_assert_eq!(back.as_ref(), Ok(&doc), "rendered as:\n{}", text);
+        prop_assert_eq!(render(&back.unwrap()), text);
+    }
+
+    #[test]
+    fn arrays_of_inline_tables_render_then_parse_to_the_document(doc in InlineDocs) {
         let text = render(&doc);
         let back = parse(&text);
         prop_assert_eq!(back.as_ref(), Ok(&doc), "rendered as:\n{}", text);
