@@ -47,7 +47,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use snooze_bench::experiments::EXPERIMENTS;
+use snooze_bench::experiments::{Finished, EXPERIMENTS};
 use snooze_bench::scenario_cli;
 use snooze_bench::smoke;
 use snooze_bench::table::Table;
@@ -179,7 +179,9 @@ fn run_scenario_file(path: &Path, cli: &Cli) -> Result<(), String> {
             table.write_json(dir, slug).map_err(at)?;
         }
         for f in &mut done {
-            scenario_cli::export_run(&mut f.run, &dir.join(&f.spec.name)).map_err(at)?;
+            if let Finished::Sim(f) = f {
+                scenario_cli::export_run(&mut f.run, &dir.join(&f.spec.name)).map_err(at)?;
+            }
         }
     }
     Ok(())

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use snooze_scenario::compile;
 use snooze_scenario::incident::{is_incident, IncidentDoc};
 use snooze_scenario::mc_trace::McTraceDoc;
-use snooze_scenario::spec::ScenarioDoc;
+use snooze_scenario::spec::{RunSpec, ScenarioDoc};
 use snooze_scenario::ScenarioRun;
 use snooze_simcore::metrics::{Histogram, HistogramSummary};
 use snooze_simcore::telemetry::{self, SpanLog, SpanRecord};
@@ -18,7 +18,7 @@ use snooze_simcore::{Component, ComponentId, Engine};
 
 use crate::experiments::{
     col, run_specs, secs, tabulate, Cell, Column, Finished, RowsOf, FAULT_AT, FAULT_VMS_AFTER,
-    PER_FAULT, PER_RUN, SCENARIO, SUMMARY,
+    PACK_SUMMARY, PER_FAULT, PER_RUN, SCENARIO, SUMMARY,
 };
 use crate::table::{f2, Table};
 
@@ -36,7 +36,7 @@ pub fn run_file(path: &Path, watch: bool) -> Result<Vec<Finished>, String> {
     let at = |e: String| format!("{}: {e}", path.display());
     let text = std::fs::read_to_string(path).map_err(|e| at(e.to_string()))?;
     let doc = ScenarioDoc::parse(&text).map_err(at)?;
-    run_specs(&doc.expand().map_err(at)?, watch)
+    run_specs(&doc.runs().map_err(at)?, watch)
 }
 
 /// A per-run detail table `--scenario` prints beside the summary when it
@@ -89,7 +89,7 @@ const FAULTS: Detail = (
 /// Probe samples of every run that declared any.
 const PROBES: Detail = (
     "probe samples",
-    |f| f.run.outcome.probes.len(),
+    |f| f.sim().run.outcome.probes.len(),
     &[
         SCENARIO,
         col("probe", |c| c.o().probes[c.sub].name.clone()),
@@ -104,7 +104,7 @@ const PROBES: Detail = (
 /// SLO watchdog breaches of every run that raised any.
 const SLO_ALERTS: Detail = (
     "slo alerts",
-    |f| f.run.outcome.slo_alerts.len(),
+    |f| f.sim().run.outcome.slo_alerts.len(),
     &[
         SCENARIO,
         col("slo", |c| c.o().slo_alerts[c.sub].name.clone()),
@@ -170,7 +170,7 @@ fn hop_row(c: &Cell) -> (&'static str, HistogramSummary) {
 /// Submission latency decomposed by hop, for every run that placed a VM.
 const HOP_LATENCY: Detail = (
     "submission latency by hop (seconds)",
-    |f| match f.run.outcome.placed {
+    |f| match f.sim().run.outcome.placed {
         0 => 0,
         _ => 1 + HOPS.len(),
     },
@@ -215,7 +215,16 @@ fn track_name<C: Component>(sim: &Engine<C>, track: u64) -> String {
 /// Failure and recovery events of every run, in time order.
 const FAILOVER_TIMELINE: Detail = (
     "failover timeline",
-    |f| f.run.live.sim.spans().iter().filter(is_failover).count(),
+    |f| {
+        f.sim()
+            .run
+            .live
+            .sim
+            .spans()
+            .iter()
+            .filter(is_failover)
+            .count()
+    },
     &[
         SCENARIO,
         col("t (s)", |c| f2(failover_span(c).start_us as f64 / 1e6)),
@@ -244,14 +253,17 @@ const DETAILS: [Detail; 6] = [
 /// What `--scenario` prints for the runs of the file `stem`: the summary,
 /// then every detail table that has rows. Each comes with the file stem
 /// `--json` writes it under: `<stem>` for the summary, `<stem>.<title>`
-/// (its words joined by `_`) for a detail.
+/// (its words joined by `_`) for a detail. A `[pack]` document simulates
+/// nothing, so its summary is the only table.
 pub fn tables(stem: &str, runs: &[Finished]) -> Vec<(String, Table)> {
-    let summary = tabulate(
-        &format!("scenario outcomes: {stem}"),
-        SUMMARY,
-        PER_RUN,
-        runs,
-    );
+    let title = format!("scenario outcomes: {stem}");
+    if let Some(Finished::Pack(_)) = runs.first() {
+        return vec![(
+            stem.to_string(),
+            tabulate(&title, PACK_SUMMARY, PER_RUN, runs),
+        )];
+    }
+    let summary = tabulate(&title, SUMMARY, PER_RUN, runs);
     let mut tables = vec![(stem.to_string(), summary)];
     for (title, rows, columns) in DETAILS {
         let table = tabulate(title, columns, rows, runs);
@@ -385,7 +397,8 @@ pub fn list_table(dir: &Path) -> Result<Table, String> {
 
 /// The `--check-scenarios` gate: every file under `dir` must parse and
 /// round-trip canonically; scenarios must also expand and dry-run compile
-/// (deployment + workload + fault schedule built, no simulation), at
+/// (deployment + workload + fault schedule built, no simulation; a pack
+/// run's consolidator built from the registry), at
 /// their own shape and at every `[override.*]` profile — mc traces
 /// (`snooze-mc --replay` is their executable form) and incident dumps
 /// (evidence, not programs) have nothing to compile.
@@ -415,9 +428,13 @@ pub fn check_dir(dir: &Path) -> Result<Vec<String>, String> {
             let label = profile.map_or(String::new(), |p| format!(" [override.{p}]"));
             let at = |e: String| format!("{}{label}: {e}", path.display());
             let shaped = profile.map_or_else(|| Ok(scenario.clone()), |p| scenario.profile(p));
-            let specs = shaped.and_then(|doc| doc.expand()).map_err(at)?;
+            let specs = shaped.and_then(|doc| doc.runs()).map_err(at)?;
             for spec in &specs {
-                compile(spec).map_err(|e| at(format!("{}: {e}", spec.name)))?;
+                let compiled = match spec {
+                    RunSpec::Sim(spec) => compile(spec).map(drop),
+                    RunSpec::Pack(spec) => spec.build(0).map(drop),
+                };
+                compiled.map_err(|e| at(format!("{}: {e}", spec.name())))?;
             }
             line += &format!("{label} {} run(s) compile,", specs.len());
         }
@@ -466,7 +483,7 @@ mod tests {
     #[test]
     fn outcome_tables_render_fault_and_probe_rows() {
         let doc = ScenarioDoc::parse(include_str!("../../../scenarios/report.toml"));
-        let specs = doc.and_then(|d| d.patch("seed = 7\n")?.expand()).unwrap();
+        let specs = doc.and_then(|d| d.patch("seed = 7\n")?.runs()).unwrap();
         let done = run_specs(&specs, false).expect("compiles");
         let tables = tables("report", &done);
         let rendered = |slug: &str| {

@@ -12,11 +12,12 @@
 
 use std::path::Path;
 
+use snooze_scenario::{RunSpec, ScenarioSpec};
 use snooze_simcore::metrics::Histogram;
 
 use crate::experiments::{
-    advisory, col, events_per_sec, find, run_specs, tabulate, Column, Finished, DEAD_LETTERS,
-    EVENTS_PER_S, PER_RUN, SIM_EVENTS, WALL_MS,
+    advisory, col, events_per_sec, find, run_specs, tabulate, Column, Finished, SimRun,
+    DEAD_LETTERS, EVENTS_PER_S, PER_RUN, SIM_EVENTS, WALL_MS,
 };
 
 /// How often the plain/observed pair runs.
@@ -39,17 +40,24 @@ pub fn run_obs(dir: Option<&Path>) -> Result<String, String> {
     // wave, so the flight ring is full of real placement traffic — and,
     // first, with every observer removed.
     let smoke = find("e11").specs(|doc| doc.profile("smoke"));
-    let (mut plain, mut observed) = (smoke[0].clone(), smoke[0].clone());
+    let Some(RunSpec::Sim(spec)) = smoke.first() else {
+        return Err("the e11 smoke profile must be one simulated run".into());
+    };
+    let (mut plain, mut observed) = (ScenarioSpec::clone(spec), ScenarioSpec::clone(spec));
     let obs = observed.obs.as_mut().expect("e11.toml carries [obs]");
     obs.force_incident_at_ms = Some(120_000.0);
     (plain.obs, plain.slos) = (None, Vec::new());
-    let specs = [plain, observed];
+    let specs = [
+        RunSpec::Sim(Box::new(plain)),
+        RunSpec::Sim(Box::new(observed)),
+    ];
 
     let mut walls = Vec::with_capacity(OBS_REPEATS);
     let mut first: Option<Vec<Finished>> = None;
     for _ in 0..OBS_REPEATS {
         let pair = run_specs(&specs, false)?;
-        walls.push([pair[0].run.outcome.wall_ms, pair[1].run.outcome.wall_ms]);
+        let wall = |i: usize| pair[i].sim().run.outcome.wall_ms;
+        walls.push([wall(0), wall(1)]);
         // A finished run holds its whole live system: keep one pair.
         if first.is_none() {
             first = Some(pair);
@@ -57,7 +65,9 @@ pub fn run_obs(dir: Option<&Path>) -> Result<String, String> {
     }
     let mut runs = first.expect("OBS_REPEATS > 0");
     for (f, folded) in runs.iter_mut().zip(paired_with_plain(&walls)) {
-        f.run.outcome.wall_ms = folded;
+        if let Finished::Sim(run) = f {
+            run.run.outcome.wall_ms = folded;
+        }
     }
 
     let title = format!(
@@ -67,13 +77,16 @@ pub fn run_obs(dir: Option<&Path>) -> Result<String, String> {
     comparison.print();
     if let Some(dir) = dir {
         let written = comparison.write_json(dir, "e11_obs");
-        let written = written.and_then(|()| crate::scenario_cli::export_run(&mut runs[1].run, dir));
+        let written = written.and_then(|()| match &mut runs[1] {
+            Finished::Sim(observed) => crate::scenario_cli::export_run(&mut observed.run, dir),
+            Finished::Pack(_) => unreachable!("both runs of the pair are simulated"),
+        });
         written.map_err(|e| format!("writing artifacts to {}: {e}", dir.display()))?;
     }
 
     let (pct, ns) = (
-        pct_of_plain(&runs[1], &runs),
-        observer_ns_per_event(&runs[1], &runs),
+        pct_of_plain(runs[1].sim(), &runs),
+        observer_ns_per_event(runs[1].sim(), &runs),
     );
     let reading = format!("{pct:.1}% of plain throughput (floor {FLOOR_PCT}%), {ns:.0} ns/event");
     if pct < FLOOR_PCT {
@@ -106,15 +119,15 @@ fn median(samples: impl Iterator<Item = f64>) -> f64 {
 /// Throughput of `f` against the plain (first) run of the pair, %. Both
 /// clocks are advisory but measured back to back in one invocation, so
 /// machine speed cancels ([`paired_with_plain`]).
-fn pct_of_plain(f: &Finished, pair: &[Finished]) -> f64 {
-    events_per_sec(&f.run.outcome) / events_per_sec(&pair[0].run.outcome) * 100.0
+fn pct_of_plain(f: &SimRun, pair: &[Finished]) -> f64 {
+    events_per_sec(&f.run.outcome) / events_per_sec(&pair[0].sim().run.outcome) * 100.0
 }
 
 /// What observing costs per event on this host, ns: `f`'s clock less the
 /// plain run's, over the events both executed. The ratio above moves
 /// whenever the plain path gets faster or slower; this does not.
-fn observer_ns_per_event(f: &Finished, pair: &[Finished]) -> f64 {
-    let (observed, plain) = (&f.run.outcome, &pair[0].run.outcome);
+fn observer_ns_per_event(f: &SimRun, pair: &[Finished]) -> f64 {
+    let (observed, plain) = (&f.run.outcome, &pair[0].sim().run.outcome);
     (observed.wall_ms - plain.wall_ms) * 1e6 / observed.sim_events as f64
 }
 
@@ -136,9 +149,9 @@ const OBS_OVERHEAD: &[Column] = &[
         None => "-".into(),
     }),
     col("digest match", |c| {
-        let digest = |f: &Finished| f.run.live.sim.digest();
+        let digest = |f: &SimRun| f.run.live.sim.digest();
         match c.this().spec.obs {
-            Some(_) if digest(c.this()) == digest(&c.runs[0]) => "yes",
+            Some(_) if digest(c.this()) == digest(c.runs[0].sim()) => "yes",
             Some(_) => "NO",
             None => "-",
         }

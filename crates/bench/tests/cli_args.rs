@@ -130,6 +130,28 @@ fn a_scenario_prints_its_span_tables_and_writes_its_exports() {
 }
 
 #[test]
+fn a_pack_scenario_prints_its_table_and_writes_no_exports() {
+    // A `[pack]` document simulates nothing: `--scenario` prints the one
+    // table its runs make, and `--json` writes that table only.
+    let scenarios = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+    let out = std::env::temp_dir().join(format!("snooze-cli-pack-{}", std::process::id()));
+    let e8b = format!("{scenarios}/e8b.toml");
+    let (code, printed) = run(&["--scenario", &e8b, "--json", out.to_str().unwrap()]);
+    let written: Vec<_> = std::fs::read_dir(&out)
+        .map(|dir| dir.filter_map(|e| Some(e.ok()?.file_name())).collect())
+        .unwrap_or_default();
+    std::fs::remove_dir_all(&out).ok();
+    assert_eq!(code, Some(0), "{printed}");
+    let table = printed.split("== scenario outcomes: e8b ==").nth(1);
+    let table = table.unwrap_or_else(|| panic!("no pack table: {printed}"));
+    for run in ["e8b-cpu", "e8b-mem", "e8b-l1", "e8b-l2", "e8b-linf"] {
+        assert!(table.contains(run), "{printed}");
+    }
+    assert!(table.contains("FFD-linf"), "{printed}");
+    assert_eq!(written, ["e8b.json"], "{printed}");
+}
+
+#[test]
 fn known_arguments_still_run() {
     // The cheapest real mode: inventory the checked-in scenarios.
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");

@@ -20,7 +20,10 @@ fn check_scenarios_gate_passes_on_the_checked_in_directory() {
     let dir = scenarios_dir();
     let report = snooze_bench::scenario_cli::check_dir(&dir).unwrap_or_else(|e| panic!("{e}"));
     let smoke = report.iter().filter(|l| l.contains(" [override.smoke] "));
-    assert_eq!(smoke.count(), 3, "e11, e12_trace, e14_arena: {report:#?}");
-    let backed = EXPERIMENTS.iter().filter(|e| e.scenarios().is_some());
-    assert!(report.len() > backed.count(), "hand-written files too");
+    assert_eq!(
+        smoke.count(),
+        5,
+        "e1, e2, e11, e12_trace, e14_arena: {report:#?}"
+    );
+    assert!(report.len() > EXPERIMENTS.len(), "hand-written files too");
 }

@@ -1,9 +1,8 @@
 //! The string-keyed consolidator registry.
 //!
-//! Every placement algorithm in this crate but best-fit (an offline
-//! comparator only) is constructible from a key plus a flat map of scalar
-//! parameters — the bridge that lets scenario TOML pick any algorithm
-//! with zero per-variant Rust. Unknown keys and
+//! Every placement algorithm in this crate is constructible from a key plus
+//! a flat map of scalar parameters — the bridge that lets scenario TOML
+//! pick any algorithm with zero per-variant Rust. Unknown keys and
 //! unknown or ill-typed parameters are hard errors naming what *is*
 //! available, so a typo in a scenario file fails loudly at compile time
 //! rather than silently running the default.
@@ -15,7 +14,7 @@ use snooze_simcore::excerpt::Excerpt;
 use crate::aco::{AcoConsolidator, AcoParams, UpdateRule};
 use crate::distributed::{DistributedAco, DistributedParams};
 use crate::exact::BranchAndBound;
-use crate::ffd::{FirstFitDecreasing, SortKey, WorstFit};
+use crate::ffd::{BestFit, FirstFitDecreasing, SortKey, WorstFit};
 use crate::multi_objective::{MigrationAwareAco, MigrationAwareParams};
 use crate::problem::{Consolidator, Instance, Solution};
 
@@ -192,8 +191,11 @@ impl Consolidator for GuardedBranchAndBound {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ConsolidatorRegistry;
 
-/// Every registered key, sorted. Kept in one place so error messages,
-/// sweeps and smoke tests can't drift from the builder.
+/// Every key a live hierarchy runs, sorted. Kept in one place so error
+/// messages, sweeps and smoke tests can't drift from the builder. `bfd`
+/// (best-fit) builds too but is an offline comparator only: on the inputs
+/// the hierarchy hands a packer it decides as `ffd` does, so the arena
+/// does not sweep it and only pack tables name it.
 pub const REGISTRY_KEYS: [&str; 6] = ["aco", "bnb", "daco", "ffd", "mo-aco", "wfd"];
 
 /// The keys whose consolidator runs the ACO colony, sorted: the ones that
@@ -206,7 +208,7 @@ impl ConsolidatorRegistry {
         ConsolidatorRegistry
     }
 
-    /// All registered keys, sorted.
+    /// The keys a live hierarchy runs ([`REGISTRY_KEYS`]), sorted.
     pub fn keys(&self) -> &'static [&'static str] {
         &REGISTRY_KEYS
     }
@@ -223,6 +225,9 @@ impl ConsolidatorRegistry {
                 key: sort_key(&mut r)?,
             }),
             "wfd" => Box::new(WorstFit {
+                key: sort_key(&mut r)?,
+            }),
+            "bfd" => Box::new(BestFit {
                 key: sort_key(&mut r)?,
             }),
             "bnb" => {
@@ -288,7 +293,7 @@ mod tests {
     #[test]
     fn unknown_key_lists_the_field() {
         // Deleted keys are errors like any unknown one.
-        for algo in ["simulated-annealing", "aco-pso", "bfd", "nfd"] {
+        for algo in ["simulated-annealing", "aco-pso", "nfd"] {
             let err = ConsolidatorRegistry::standard()
                 .build(algo, &Params::new())
                 .err()
@@ -484,6 +489,18 @@ mod tests {
             .err()
             .expect("build must fail");
         assert!(err.contains("available: cpu, mem, l1, l2, linf"), "{err}");
+    }
+
+    #[test]
+    fn bfd_is_best_fit_under_the_sort_param() {
+        let built = ConsolidatorRegistry::standard()
+            .build("bfd", &params(&[("sort", ParamValue::Str("l2".into()))]))
+            .unwrap();
+        assert_eq!(built.name(), "BFD");
+        let inst = crate::problem::InstanceGenerator::grid11()
+            .generate(40, &mut snooze_simcore::rng::SimRng::new(5));
+        let reference = BestFit { key: SortKey::L2 };
+        assert_eq!(built.consolidate(&inst), reference.consolidate(&inst));
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! `[[sweep]]` blocks whose array leaves generate the runs (zipped within
 //! a block, crossed between blocks — E14's 8 × 3 grid is two blocks),
 //! `[[variant]]` patches for runs that differ in kind, `{placeholders}`
-//! in names, and `[override.smoke]` for the reduced CI shape. The
-//! checked-in `scenarios/*.toml` are the only definition of E4–E14.
+//! in names, and `[override.smoke]` for the reduced CI shape. A document
+//! with a `[pack]` table runs no hierarchy: each of its runs packs
+//! generated instances with one registry consolidator ([`pack`]). The
+//! checked-in `scenarios/*.toml` are the only definition of E1–E14.
 //!
 //! The layers:
 //!
@@ -24,6 +26,8 @@
 //! * [`compile`] — spec → [`live::LiveSystem`], plus the generic phase
 //!   runner ([`compile::run`]) that interprets run / settle / sample /
 //!   fault+observe programs and returns a [`compile::ScenarioOutcome`].
+//! * [`pack`] — the other run kind: its spec, its decoder and its runner
+//!   ([`pack::run`], one [`pack::PackOutcome`] per run).
 //! * [`mc_trace`] — model-checking counterexamples from `snooze-mc` as
 //!   replayable scenario documents, on the same TOML machinery.
 //!
@@ -35,6 +39,7 @@ pub mod compile;
 pub mod incident;
 pub mod live;
 pub mod mc_trace;
+pub mod pack;
 pub mod spec;
 pub mod toml;
 
@@ -45,4 +50,4 @@ pub use compile::{
 pub use incident::IncidentDoc;
 pub use live::{burst, deploy_hierarchy, vm_item, LiveSystem, VmIdAlloc};
 pub use mc_trace::{McTraceDoc, McTraceStep};
-pub use spec::{ScenarioDoc, ScenarioSpec};
+pub use spec::{RunSpec, ScenarioDoc, ScenarioSpec};

@@ -31,6 +31,10 @@
 //!   (`{workload.0.n}`). Run names must come out distinct.
 //! * `[override.<profile>]` is the same document at another shape, under
 //!   the one array rule stated on [`ScenarioDoc`].
+//! * A base with a `[pack]` table is a pack document ([`crate::pack`]): its
+//!   runs pack generated instances and simulate nothing.
+//!   [`ScenarioDoc::runs`] expands either kind, [`ScenarioDoc::expand`] a
+//!   simulated one.
 //!
 //! Everything is plain data: durations are `*_ms` floats converted to whole
 //! microseconds, enums are strings. A document ([`ScenarioDoc`]) round-trips
@@ -52,10 +56,11 @@ use snooze_cluster::power::{
     BilledTransitions, DvfsPower, DvfsState, LinearPower, PowerModel, SpecLikePower,
 };
 use snooze_cluster::resources::ResourceVector;
-use snooze_consolidation::registry::{ConsolidatorRegistry, ParamValue, COLONY_KEYS};
+use snooze_consolidation::registry::{ConsolidatorRegistry, ParamValue, Params, COLONY_KEYS};
 use snooze_simcore::excerpt::Excerpt;
 use snooze_simcore::time::{SimSpan, SimTime};
 
+use crate::pack::PackSpec;
 use crate::toml::{self, Reader, Value};
 
 /// Milliseconds (float) → exact microseconds. Scenario files carry every
@@ -643,7 +648,7 @@ impl ReconfSpec {
         if self.aco != "default" && self.aco != "fast" {
             return Err(format!("unknown aco preset `{}`", Excerpt(&self.aco)));
         }
-        let mut params = snooze_consolidation::registry::Params::new();
+        let mut params = Params::new();
         if COLONY_KEYS.contains(&self.algo.as_str()) {
             params.insert("preset".into(), ParamValue::Str(self.aco.clone()));
             if let Some(n) = self.aco_cycles {
@@ -651,21 +656,7 @@ impl ReconfSpec {
             }
         }
         if let Some(extra) = &self.params {
-            for (k, v) in extra {
-                let pv = match v {
-                    Value::Int(i) => ParamValue::Int(*i),
-                    Value::Float(f) => ParamValue::Float(*f),
-                    Value::Str(s) => ParamValue::Str(s.clone()),
-                    Value::Bool(b) => ParamValue::Bool(*b),
-                    _ => {
-                        return Err(format!(
-                            "reconfiguration param `{}` must be a scalar",
-                            Excerpt(k)
-                        ))
-                    }
-                };
-                params.insert(k.clone(), pv);
-            }
+            params.extend(registry_params(extra, "reconfiguration")?);
         }
         let consolidator = ConsolidatorRegistry::standard()
             .build(&self.algo, &params)
@@ -744,7 +735,23 @@ impl ConfigSpec {
 // TOML decoding
 // ---------------------------------------------------------------------------
 
-type Tbl = BTreeMap<String, Value>;
+pub(crate) type Tbl = BTreeMap<String, Value>;
+
+/// A parameter table for the consolidator registry: every value a scalar.
+/// `what` names the table's owner in the error.
+pub(crate) fn registry_params(table: &Tbl, what: &str) -> Result<Params, String> {
+    let scalar = |(k, v): (&String, &Value)| {
+        let v = match v {
+            Value::Int(i) => ParamValue::Int(*i),
+            Value::Float(f) => ParamValue::Float(*f),
+            Value::Str(s) => ParamValue::Str(s.clone()),
+            Value::Bool(b) => ParamValue::Bool(*b),
+            _ => return Err(format!("{what} param `{}` must be a scalar", Excerpt(k))),
+        };
+        Ok((k.clone(), v))
+    };
+    table.iter().map(scalar).collect()
+}
 
 fn table_array<'a>(t: &'a Tbl, k: &str) -> Result<Vec<&'a Tbl>, String> {
     match t.get(k) {
@@ -1133,9 +1140,32 @@ impl ScenarioDoc {
         Ok(doc)
     }
 
-    /// Expand into the concrete runs, in document order. An error names
-    /// the run it came from: its index and, once it has one, its `name`.
+    /// Expand into the concrete runs of a simulated scenario, in document
+    /// order. An error names the run it came from: its index and, once it
+    /// has one, its `name`.
     pub fn expand(&self) -> Result<Vec<ScenarioSpec>, String> {
+        self.expand_as(ScenarioSpec::from_value, |spec| &spec.name)
+    }
+
+    /// Expand into the concrete runs of either kind: a document whose base
+    /// has a `[pack]` table is a pack document ([`crate::pack`]), every
+    /// other one a simulated scenario. The expansion is [`Self::expand`]'s.
+    pub fn runs(&self) -> Result<Vec<RunSpec>, String> {
+        if self.root.contains_key("pack") {
+            let packs = self.expand_as(PackSpec::from_value, |spec| &spec.name)?;
+            return Ok(packs.into_iter().map(RunSpec::Pack).collect());
+        }
+        let sims = self.expand()?.into_iter();
+        Ok(sims.map(|spec| RunSpec::Sim(Box::new(spec))).collect())
+    }
+
+    /// Expand, decoding every merged run with `decode`; `name` reads a
+    /// decoded run's name for the distinct-names check.
+    fn expand_as<T>(
+        &self,
+        decode: fn(&Tbl) -> Result<T, String>,
+        name: fn(&T) -> &String,
+    ) -> Result<Vec<T>, String> {
         let sweep = table_array(&self.root, "sweep")?;
         let variants = table_array(&self.root, "variant")?;
         if !matches!(self.root.get("override"), None | Some(Value::Table(_))) {
@@ -1163,13 +1193,13 @@ impl ScenarioDoc {
                 toml::deep_merge(&mut doc, patch);
             }
             let decoded = fill_placeholders(&mut doc);
-            let decoded = decoded.and_then(|()| ScenarioSpec::from_value(&doc));
+            let decoded = decoded.and_then(|()| decode(&doc));
             let spec = decoded.map_err(|e| match doc.get("name").and_then(Value::as_str) {
                 Some(name) => format!("run {run} (`{}`): {e}", Excerpt(name)),
                 None => format!("run {run}: {e}"),
             })?;
-            if let Some(first) = names.insert(spec.name.clone(), run) {
-                let name = Excerpt(&spec.name);
+            if let Some(first) = names.insert(name(&spec).clone(), run) {
+                let name = Excerpt(name(&spec));
                 let clash = format!("runs {first} and {run} are both named `{name}`");
                 return Err(clash + ": tell them apart with a `{placeholder}` in `name`");
             }
@@ -1190,7 +1220,26 @@ impl ScenarioDoc {
 
     /// Number of runs — by expanding, so no inventory disagrees with a run.
     pub fn run_count(&self) -> Result<usize, String> {
-        self.expand().map(|runs| runs.len())
+        self.runs().map(|runs| runs.len())
+    }
+}
+
+/// One run of a document, of either kind.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RunSpec {
+    /// A simulated hierarchy (boxed: a spec is most of a kilobyte).
+    Sim(Box<ScenarioSpec>),
+    /// Consolidators on generated instances.
+    Pack(PackSpec),
+}
+
+impl RunSpec {
+    /// The run's name.
+    pub fn name(&self) -> &str {
+        match self {
+            RunSpec::Sim(spec) => &spec.name,
+            RunSpec::Pack(spec) => &spec.name,
+        }
     }
 }
 
@@ -1631,7 +1680,7 @@ util = 0.25
     #[test]
     fn unknown_reconfiguration_algo_lists_registry_keys() {
         // Deleted keys are errors like any unknown one.
-        for algo in ["simulated-annealing", "aco-pso", "bfd", "nfd"] {
+        for algo in ["simulated-annealing", "aco-pso", "nfd"] {
             let cs = ConfigSpec {
                 reconfiguration: Some(ReconfSpec {
                     period_ms: 60000.0,
@@ -2259,7 +2308,7 @@ suspend_watts = 5.0
                 continue; // model-checker traces are not scenarios
             }
             let text = std::fs::read_to_string(&path).unwrap();
-            let runs = ScenarioDoc::parse(&text).and_then(|doc| doc.expand());
+            let runs = ScenarioDoc::parse(&text).and_then(|doc| doc.runs());
             assert!(runs.is_ok(), "{name}: {}", runs.unwrap_err());
             decoded += 1;
         }

@@ -11,19 +11,21 @@
 //! durations, tables and arrays of tables swapped, unknown keys at any
 //! depth, subtrees grafted where they do not belong.
 //!
-//! The property: `ScenarioSpec::from_value` and `ScenarioDoc::expand`
-//! return `Ok` or an `Err` under 512 bytes — never a panic, never an error
-//! the size of its input — and a spec that does decode builds its config
-//! (where `ms_to_span`'s assert sits, and the consolidator registry) or
-//! refuses it under the same 512 bytes, and builds its workload (where the
-//! draw ranges sit) without panicking either.
+//! The property: `ScenarioSpec::from_value`, `PackSpec::from_value` and
+//! `ScenarioDoc::runs` return `Ok` or an `Err` under 512 bytes — never a
+//! panic, never an error the size of its input — and a spec that does
+//! decode builds its config (where `ms_to_span`'s assert sits, and the
+//! consolidator registry) or its pack consolidator, or refuses it under the
+//! same 512 bytes, and builds its workload (where the draw ranges sit)
+//! without panicking either.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use snooze_scenario::live::build_workload;
-use snooze_scenario::spec::{ScenarioDoc, ScenarioSpec, WorkloadSpec};
+use snooze_scenario::pack::{PackSpec, MAX_PACK};
+use snooze_scenario::spec::{RunSpec, ScenarioDoc, ScenarioSpec, WorkloadSpec};
 use snooze_scenario::toml::{parse, render, Value};
 use snooze_scenario::VmIdAlloc;
 
@@ -232,6 +234,13 @@ fn builds_or_refuses(spec: &ScenarioSpec) {
     }
 }
 
+/// A decoded pack builds its consolidator or refuses it briefly.
+fn packs_or_refuses(spec: &PackSpec) {
+    if let Err(e) = spec.build(0) {
+        assert!(e.len() < 512, "{} bytes: {e}", e.len());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -243,6 +252,10 @@ proptest! {
         for root in [&doc, &run] {
             match ScenarioSpec::from_value(root) {
                 Ok(spec) => builds_or_refuses(&spec),
+                Err(e) => short(&e)?,
+            }
+            match PackSpec::from_value(root) {
+                Ok(spec) => packs_or_refuses(&spec),
                 Err(e) => short(&e)?,
             }
         }
@@ -258,8 +271,11 @@ proptest! {
         let profiles: Vec<String> = parsed.profiles().iter().map(|p| p.to_string()).collect();
         let shapes = profiles.iter().map(|p| parsed.profile(p));
         for shape in std::iter::once(Ok(parsed.clone())).chain(shapes) {
-            match shape.and_then(|doc| doc.expand()) {
-                Ok(runs) => runs.iter().for_each(builds_or_refuses),
+            match shape.and_then(|doc| doc.runs()) {
+                Ok(runs) => runs.iter().for_each(|run| match run {
+                    RunSpec::Sim(spec) => builds_or_refuses(spec),
+                    RunSpec::Pack(spec) => packs_or_refuses(spec),
+                }),
                 Err(e) => short(&e)?,
             }
         }
@@ -319,10 +335,46 @@ fn damage_both_breaks_and_spares_documents() {
     let (mut ok, mut err) = (0, 0);
     for _ in 0..256 {
         let doc = ScenarioDoc::parse(&render(&Damaged.generate(&mut rng)));
-        match doc.and_then(|doc| doc.expand()) {
+        match doc.and_then(|doc| doc.runs()) {
             Ok(_) => ok += 1,
             Err(_) => err += 1,
         }
     }
     assert!(ok >= 16 && err >= 64, "{ok} expand, {err} do not");
+}
+
+/// A pack's size and instance count are each refused outside
+/// `1..=MAX_PACK`, by name: nothing is drawn or allocated for them first,
+/// and the cap is what keeps `(n << 16) ^ i` distinct across sizes.
+#[test]
+fn pack_sizes_and_counts_outside_their_cap_are_refused_by_name() {
+    let doc = |n: i64, instances: i64| {
+        let text = format!(
+            "name = \"p\"\n[pack]\nalgo = \"ffd\"\ninstances = {instances}\nn = {n}\nseed = 1\n"
+        );
+        ScenarioDoc::parse(&text).and_then(|doc| doc.runs())
+    };
+    for bad in [0, -1, MAX_PACK + 1, i64::MAX] {
+        for (key, runs) in [("n", doc(bad, 2)), ("instances", doc(2, bad))] {
+            let err = runs.expect_err("out of range");
+            let want = format!("`{key}` in pack must be in 1..={MAX_PACK}, got {bad}");
+            assert!(err.contains(&want), "{err}");
+        }
+    }
+    for (n, instances) in [(1, MAX_PACK), (MAX_PACK, 1)] {
+        let runs = doc(n, instances).expect("the cap itself decodes");
+        let Some(RunSpec::Pack(spec)) = runs.first() else {
+            panic!("{runs:?}")
+        };
+        assert_eq!((spec.n, spec.instances), (n as usize, instances as u64));
+    }
+    let err = doc(2, 2).and_then(|_| {
+        let text = "name = \"p\"\n[pack]\nalgo = \"ffd\"\ninstances = 2\nn = 2\nseed = -1\n";
+        ScenarioDoc::parse(text).and_then(|doc| doc.runs())
+    });
+    let err = err.expect_err("a negative seed");
+    assert!(
+        err.contains("`seed` in pack must be a non-negative integer"),
+        "{err}"
+    );
 }

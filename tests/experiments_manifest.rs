@@ -9,9 +9,10 @@
 //! `crates/bench/tests/golden/` holds the non-advisory columns of one table,
 //! `<slug>.json` at the experiment's own scale and `<slug>.smoke.json` at its
 //! `[override.smoke]` profile as written. A debug `cargo test` replays every
-//! golden but the three explicit-only tables at full scale (E11, E12, E14:
-//! kilonode-scale, release only); `scripts/check.sh` runs this file with
-//! `--release`, which replays those too. After a change that is meant to
+//! golden but five tables at full scale (E11, E12, E14: kilonode-scale; E1
+//! and E2: exact searches and colonies too slow unoptimized; release only,
+//! and their smoke profiles replay in debug); `scripts/check.sh` runs this
+//! file with `--release`, which replays those too. After a change that is meant to
 //! move a table, re-record deliberately with
 //! `UPDATE_GOLDEN=1 cargo test --release --test experiments_manifest
 //! golden_replay -- --nocapture` and review the diff.
@@ -19,9 +20,9 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use snooze_bench::experiments::{find, run_specs, EXPERIMENTS, SUMMARY};
+use snooze_bench::experiments::{find, run_specs, EXPERIMENTS, PACK_SUMMARY, SUMMARY};
 use snooze_consolidation::registry::REGISTRY_KEYS;
-use snooze_scenario::spec::{ScenarioDoc, ScenarioSpec};
+use snooze_scenario::spec::{RunSpec, ScenarioDoc};
 use snooze_simcore::telemetry::{fnv1a, FNV_OFFSET};
 
 fn repo(path: &str) -> PathBuf {
@@ -35,17 +36,19 @@ fn golden_dir() -> PathBuf {
 /// The goldens a debug build replays, one `#[test]` per group so the
 /// harness spreads them over the cores; each name is a file stem under
 /// [`golden_dir`]. The groups are balanced by dev-profile replay time,
-/// about 3 s each on a 2-vCPU box (`e10a` alone is 3.1 s, `e14_arena.smoke`
-/// 2.3 s, `e8a` 1.6 s).
+/// about 4 s each on a 2-vCPU box (`e10a` alone is 4.0 s, `e14_arena.smoke`
+/// 3.8 s, `e8a` 2.3 s, `e2.smoke` 0.4 s, `e1.smoke` 0.1 s).
 const DEBUG_REPLAYS: [&[&str]; 4] = [
-    &["e10a", "e9", "e8b", "e6"],
+    &["e10a", "e9", "e8b", "e6", "e1.smoke"],
     &["e14_arena.smoke", "e11.smoke"],
-    &["e8a", "e12_trace.smoke", "e4"],
+    &["e8a", "e12_trace.smoke", "e4", "e2.smoke"],
     &["e7", "e7b", "e10b", "e5"],
 ];
 
-/// The full-scale explicit-only tables: release builds only.
-const RELEASE_REPLAYS: [&str; 3] = ["e11", "e12_trace", "e14_arena"];
+/// The full-scale tables a debug build would take too long over: the
+/// explicit-only ones and the exact searches of E1, plus E2 at n = 400.
+/// Release builds only.
+const RELEASE_REPLAYS: [&str; 5] = ["e11", "e12_trace", "e14_arena", "e1", "e2"];
 
 /// Render the table `name` stands for — `<slug>` at full scale,
 /// `<slug>.smoke` at its smoke profile — and compare its deterministic
@@ -57,8 +60,7 @@ fn replay(names: &[&str]) {
         let table = match name.strip_suffix(".smoke") {
             Some(slug) => {
                 let runs = run_specs(&find(slug).specs(|doc| doc.profile("smoke")), false);
-                let scenarios = find(slug).scenarios().expect("scenario-backed");
-                scenarios.render(&runs.expect("smoke profile compiles"))
+                find(slug).render(&runs.expect("smoke profile compiles"))
             }
             None => find(name).table(),
         };
@@ -115,7 +117,16 @@ fn golden_replay_e12_full() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "15 cells on 1000 LCs: release only")]
 fn golden_replay_e14_full() {
-    replay(&RELEASE_REPLAYS[2..]);
+    replay(&RELEASE_REPLAYS[2..3]);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "exact searches to n = 40, colonies to n = 400: release only"
+)]
+fn golden_replay_e1_e2_full() {
+    replay(&RELEASE_REPLAYS[3..]);
 }
 
 #[test]
@@ -152,8 +163,8 @@ fn headers_are_unique_within_each_table() {
     // the last value.
     let tables = EXPERIMENTS
         .iter()
-        .filter_map(|e| Some((e.slug, e.scenarios()?.columns)))
-        .chain([("--scenario", SUMMARY)]);
+        .map(|e| (e.slug, e.columns))
+        .chain([("--scenario", SUMMARY), ("--scenario [pack]", PACK_SUMMARY)]);
     for (slug, columns) in tables {
         let headers: BTreeSet<&str> = columns.iter().map(|c| c.header).collect();
         assert_eq!(headers.len(), columns.len(), "{slug}: duplicate header");
@@ -163,10 +174,7 @@ fn headers_are_unique_within_each_table() {
 #[test]
 fn goldens_and_scenario_backed_entries_correspond() {
     for exp in EXPERIMENTS {
-        let Some(table) = exp.scenarios() else {
-            continue;
-        };
-        let pinned: Vec<String> = table
+        let pinned: Vec<String> = exp
             .columns
             .iter()
             .filter(|c| !c.advisory)
@@ -175,12 +183,12 @@ fn goldens_and_scenario_backed_entries_correspond() {
         let columns = format!("  \"columns\": [{}],", pinned.join(", "));
         // A smoke profile renders through the same table, into a golden of
         // its own.
-        let doc = ScenarioDoc::parse(table.scenario).expect("compiled-in scenario parses");
+        let doc = ScenarioDoc::parse(exp.scenario).expect("compiled-in scenario parses");
         let smoke = doc.profiles().contains(&"smoke");
         let smoke = smoke.then(|| format!("{}.smoke", exp.slug));
         for name in std::iter::once(exp.slug.to_string()).chain(smoke) {
             let golden = std::fs::read_to_string(golden_dir().join(format!("{name}.json")))
-                .unwrap_or_else(|e| panic!("{name}: scenario-backed table without a golden: {e}"));
+                .unwrap_or_else(|e| panic!("{name}: a table without a golden: {e}"));
             assert_eq!(
                 golden.lines().nth(2),
                 Some(columns.as_str()),
@@ -223,16 +231,25 @@ fn goldens_and_scenario_backed_entries_correspond() {
 /// reproduced from the new specs' text with `, unified: None` put back
 /// before `, client: `, and these were recorded from the same specs.
 /// The arena's two pins moved again when its sweeps dropped three deleted
-/// registry keys (24 → 15 runs, smoke 9 → 6).
+/// registry keys (24 → 15 runs, smoke 9 → 6). The `[pack]` documents'
+/// pins (E1, E2, E8a, E8b, E10a) are of their `PackSpec`s' `{:?}`, recorded
+/// when those tables stopped being Rust.
 /// Rewriting a file — into `[[sweep]]` form, say — must not move its pin;
 /// changing an experiment must.
 const EXPANSION_PINS: &[(&str, Option<&str>, usize, u64)] = &[
+    ("e1", None, 21, 0xd660_23a5_917a_fd51),
+    ("e1", Some("smoke"), 9, 0xd0bd_bd1d_1f2e_7b11),
+    ("e2", None, 16, 0x0af0_803e_4c94_aa01),
+    ("e2", Some("smoke"), 8, 0xcb52_1b45_8ecc_0379),
     ("e4", None, 6, 0xc181_221b_cc63_3aad),
     ("e5", None, 4, 0xc09c_dc2d_48a6_ae09),
     ("e6", None, 1, 0xf527_446a_b19e_72c5),
     ("e7", None, 3, 0x7d08_d127_2863_47a6),
     ("e7b", None, 4, 0x42be_3d98_5bd3_c982),
+    ("e8a", None, 13, 0x8265_b40c_0605_75c2),
+    ("e8b", None, 5, 0x0a3f_f381_9427_01bf),
     ("e9", None, 4, 0x5328_be82_f861_783c),
+    ("e10a", None, 6, 0x7b20_fcc8_8d12_3343),
     ("e10b", None, 3, 0x1f1c_e197_d654_26ed),
     ("e11", None, 1, 0xfdfa_1a86_6d0e_eb65),
     ("e11", Some("smoke"), 1, 0x43b3_fea9_5402_019a),
@@ -245,8 +262,14 @@ const EXPANSION_PINS: &[(&str, Option<&str>, usize, u64)] = &[
 /// `scenarios/report.toml` as checked in, at seed `0x5EED`.
 const REPORT_PIN: u64 = 0xc77f_e05d_0a73_6175;
 
-fn debug_digest(specs: &[ScenarioSpec]) -> u64 {
-    let text: String = specs.iter().map(|spec| format!("{spec:?}")).collect();
+fn debug_digest(specs: &[RunSpec]) -> u64 {
+    let text: String = specs
+        .iter()
+        .map(|spec| match spec {
+            RunSpec::Sim(spec) => format!("{spec:?}"),
+            RunSpec::Pack(spec) => format!("{spec:?}"),
+        })
+        .collect();
     fnv1a(FNV_OFFSET, text.as_bytes())
 }
 
@@ -266,11 +289,11 @@ fn scenario_files_expand_to_the_pinned_runs() {
         );
     }
     let pinned: Vec<&str> = EXPANSION_PINS.iter().map(|p| p.0).collect();
-    for exp in EXPERIMENTS.iter().filter(|e| e.scenarios().is_some()) {
+    for exp in EXPERIMENTS {
         assert!(pinned.contains(&exp.slug), "{}: no expansion pin", exp.slug);
     }
     let report = ScenarioDoc::parse(include_str!("../scenarios/report.toml"))
-        .and_then(|doc| doc.patch(&format!("seed = {}", 0x5EED))?.expand())
+        .and_then(|doc| doc.patch(&format!("seed = {}", 0x5EED))?.runs())
         .expect("scenarios/report.toml expands");
     assert_eq!(debug_digest(&report), REPORT_PIN, "scenarios/report.toml");
 }
@@ -279,7 +302,10 @@ fn scenario_files_expand_to_the_pinned_runs() {
 fn the_arena_smoke_profile_runs_every_registry_key() {
     // The list is data now: a seventh registry key must not slip past the gate.
     let smoke = find("e14_arena").specs(|doc| doc.profile("smoke"));
-    let algo = |s: &ScenarioSpec| s.config.reconfiguration.as_ref().map(|r| r.algo.clone());
+    let algo = |s: &RunSpec| match s {
+        RunSpec::Sim(s) => s.config.reconfiguration.as_ref().map(|r| r.algo.clone()),
+        RunSpec::Pack(_) => None,
+    };
     let algos: BTreeSet<String> = smoke.iter().filter_map(algo).collect();
     let keys: BTreeSet<String> = REGISTRY_KEYS.iter().map(|k| k.to_string()).collect();
     assert_eq!((smoke.len(), algos), (keys.len(), keys));
@@ -295,12 +321,9 @@ fn a_reduced_sweep_goes_through_the_generic_runner() {
     let runs = run_specs(&specs, false).expect("patched scenario compiles");
     // Latency should not blow up with 4× the submissions (scalability
     // claim): allow 3× headroom on the mean.
-    let (small, large) = (&runs[0].run.outcome, &runs[1].run.outcome);
+    let (small, large) = (&runs[0].sim().run.outcome, &runs[1].sim().run.outcome);
     assert!(large.mean_latency_s < small.mean_latency_s * 3.0 + 5.0);
-    let table = find("e4")
-        .scenarios()
-        .expect("scenario-backed")
-        .render(&runs);
+    let table = find("e4").render(&runs);
     let csv = table.deterministic().to_csv();
     let mut lines = csv.lines();
     assert_eq!(
