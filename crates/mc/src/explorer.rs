@@ -253,6 +253,22 @@ pub struct McReport {
     pub violations: Vec<McViolation>,
 }
 
+impl McReport {
+    /// `[explored, transitions, deduped, truncated, liveness_probes,
+    /// suffixes_run]`: what an exploration covered, the fingerprint
+    /// aside.
+    pub fn counts(&self) -> [u64; 6] {
+        [
+            self.explored,
+            self.transitions,
+            self.deduped,
+            self.truncated,
+            self.liveness_probes,
+            self.suffixes_run,
+        ]
+    }
+}
+
 struct Node<C: Component> {
     snap: Rc<SystemState<C>>,
     depth: usize,

@@ -33,12 +33,35 @@ use snooze_cluster::workload::VmWorkload;
 use snooze_scenario::mc_trace::McTraceDoc;
 use snooze_simcore::prelude::*;
 
-use crate::explorer::{self, McViolation, Predicate, PredicateKind};
+use crate::explorer::{self, McConfig, McReport, McViolation, Predicate, PredicateKind, Strategy};
 
 /// Fair-suffix horizon for the failover liveness predicate: GL failover
 /// (session expiry 2 s + election) plus LC silence detection (2 s) and
 /// an EP-mediated rejoin, with slack.
 pub const LIVENESS_WITHIN: SimSpan = SimSpan::from_secs(15);
+
+/// What [`smoke`] explores, as [`McReport::counts`] reads it: `snooze-mc
+/// --smoke` fails when a run differs from it, so an explorer change that
+/// explores a different (if stable) space cannot pass the gate.
+pub const SMOKE_COUNTS: [u64; 6] = [3_196, 8_033, 4_838, 1_963, 1_963, 10];
+
+/// The smoke exploration: the default 1 GL / 2 GM / 2 LC topology, DFS
+/// to depth 8 with one manager crash to spend and every predicate on.
+/// Changing any of it changes [`SMOKE_COUNTS`].
+pub fn smoke() -> McReport {
+    let mut h = FailoverHarness::new(3, 2, 10);
+    let config = McConfig {
+        strategy: Strategy::Dfs,
+        max_depth: 8,
+        max_states: 500_000,
+        crash_budget: 1,
+        crashable: h.crashable(),
+        max_violations: 8,
+        ..McConfig::default()
+    };
+    let preds = h.predicates();
+    explorer::explore(&mut h.sim, &preds, &config)
+}
 
 /// A bootstrapped failover topology ready for exploration.
 pub struct FailoverHarness {

@@ -32,8 +32,8 @@ fn usage() -> &'static str {
      \x20     violation reproduces.\n\
      \x20 snooze-mc --smoke\n\
      \x20     Explore the failover topology twice at a small fixed depth and\n\
-     \x20     require zero violations plus identical explored-state counts\n\
-     \x20     and fingerprints. Exit 0 on pass.\n"
+     \x20     require zero violations, identical explored-state counts and\n\
+     \x20     fingerprints, and the counts the crate pins. Exit 0 on pass.\n"
 }
 
 fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
@@ -281,35 +281,18 @@ fn cmd_replay(path: &str, json: bool) -> Result<ExitCode, String> {
     })
 }
 
-/// Fixed smoke parameters: the issue's 1 GL / 2 GM / 2 LC topology, DFS
-/// at a small fixed depth with one crash to spend. Changing these
-/// changes the explored-state count the gate pins down.
-fn smoke_run() -> McReport {
-    let mut h = FailoverHarness::new(3, 2, 10);
-    let config = McConfig {
-        strategy: Strategy::Dfs,
-        max_depth: 8,
-        max_states: 500_000,
-        crash_budget: 1,
-        crashable: h.crashable(),
-        max_violations: 8,
-        ..McConfig::default()
-    };
-    let preds = h.predicates();
-    explore(&mut h.sim, &preds, &config)
-}
-
 fn cmd_smoke() -> ExitCode {
-    let first = smoke_run();
-    let second = smoke_run();
+    let first = failover::smoke();
+    let second = failover::smoke();
     print_report(&first, "snooze-mc smoke run 1", false);
     print_report(&second, "snooze-mc smoke run 2", false);
     let stable = first.explored == second.explored && first.fingerprint == second.fingerprint;
+    let pinned = first.counts() == failover::SMOKE_COUNTS;
     let clean = first.violations.is_empty()
         && second.violations.is_empty()
         && !first.hit_state_cap
         && !second.hit_state_cap;
-    if stable && clean {
+    if stable && clean && pinned {
         println!(
             "snooze-mc smoke: OK ({} states, fingerprint {:#018x})",
             first.explored, first.fingerprint
@@ -321,6 +304,14 @@ fn cmd_smoke() -> ExitCode {
         }
         if !clean {
             eprintln!("snooze-mc smoke: violations or state-cap hit");
+        }
+        if !pinned {
+            eprintln!(
+                "snooze-mc smoke: explored {:?}, pinned {:?} \
+                 (explored, transitions, deduped, truncated, liveness_probes, suffixes_run)",
+                first.counts(),
+                failover::SMOKE_COUNTS
+            );
         }
         ExitCode::FAILURE
     }

@@ -105,6 +105,29 @@ fn exploration_is_deterministic() {
     assert_eq!(a.fingerprint, b.fingerprint);
 }
 
+/// What two explorations cover, pinned: `exploration_is_deterministic`
+/// and the smoke gate's two runs only check that runs agree, which an
+/// explorer change exploring a different but stable space would pass.
+/// `[explored, transitions, deduped, truncated, liveness_probes,
+/// suffixes_run]`.
+#[test]
+fn exploration_counts_are_pinned() {
+    let smoke = [3_196, 8_033, 4_838, 1_963, 1_963, 10];
+    assert_eq!(failover::SMOKE_COUNTS, smoke);
+    let report = failover::smoke();
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert_eq!(report.counts(), smoke, "failover smoke");
+
+    let mut h = ElectionHarness::new(3, false, 5);
+    let report = explore_election(&mut h, &election_config(Strategy::Dfs, 8), true);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert_eq!(
+        report.counts(),
+        [4_861, 8_090, 3_230, 3_688, 3_688, 92],
+        "election, depth 8, liveness on"
+    );
+}
+
 #[test]
 fn explorer_restores_engine_state() {
     let mut h = ElectionHarness::new(3, false, 5);
