@@ -4,9 +4,9 @@
 //! From one bootstrapped engine state the explorer enumerates every
 //! checker action — execute one pending event (chosen out of queue
 //! order), drop an in-flight message, crash or restart a component from
-//! the configured fault surface — applies each to a restored snapshot,
-//! and recurses, deduplicating on the engine's canonical state
-//! fingerprint. Safety predicates are evaluated at every distinct
+//! the configured fault surface — applies each to the engine brought
+//! back to the node's snapshot, and recurses, deduplicating on the
+//! engine's canonical state fingerprint. Safety predicates are evaluated at every distinct
 //! state; liveness predicates are evaluated at the depth frontier by
 //! running a *fair suffix* (normal scheduled execution for a bounded
 //! span) and requiring the goal to hold at its end — "liveness by
@@ -21,6 +21,21 @@
 //! Remaining fault budgets are mixed into the visited-set key: a state
 //! reached with budget left can reach strictly more behaviors than the
 //! same engine state with none, so the two must not deduplicate.
+//!
+//! ## What a transition costs
+//!
+//! An action runs one handler, which changes the core and at most one
+//! component slot (its [`McEventDesc::target`]), so the explorer pays
+//! for that slot, not the system. It tracks which snapshot the engine
+//! equals apart from at most one dirty slot (`At`), and one restore
+//! rule (`restore`) brings it to any other: nothing if it is already
+//! there, a re-clone of the dirty slot and of the slots whose `Rc`
+//! differs between the two snapshots otherwise, and a full restore only
+//! after a fair suffix, which leaves it equal to no snapshot. A new state
+//! is captured as a child sharing its parent's slots, and fingerprinted
+//! from its parent's per-slot sub-fingerprints
+//! (`snooze_simcore::mc`, "What a transition costs"). DESIGN.md, "What a
+//! liveness probe costs", has the ledger.
 //!
 //! ## What a liveness probe costs
 //!
@@ -278,6 +293,36 @@ struct Node<C: Component> {
     trace: Vec<TraceStep>,
 }
 
+/// The snapshot the engine equals, apart from what ran since.
+struct At<C: Component> {
+    snap: Rc<SystemState<C>>,
+    /// `None` while the engine *is* `snap`; `Some(slot)` once one action
+    /// has run on it, which changed the core and, if any, `slot` (its
+    /// [`McEventDesc::target`]).
+    ran: Option<Option<ComponentId>>,
+}
+
+/// Bring the engine to snapshot `to` by the one restore rule: nothing
+/// when it already is `to`; when it equals a snapshot but for at most one
+/// slot, re-clone that slot and the slots whose `Rc` differs
+/// ([`Engine::mc_restore_diff`]); when it equals none (after a fair
+/// suffix), restore everything.
+fn restore<C>(sim: &mut Engine<C>, at: &mut Option<At<C>>, to: &Rc<SystemState<C>>)
+where
+    C: Component + Clone,
+    C::Msg: Clone,
+{
+    match at.take() {
+        Some(At { snap, ran: None }) if Rc::ptr_eq(&snap, to) => {}
+        Some(At { snap, ran }) => sim.mc_restore_diff(&snap, ran.flatten(), to),
+        None => sim.mc_restore(to),
+    }
+    *at = Some(At {
+        snap: Rc::clone(to),
+        ran: None,
+    });
+}
+
 /// Virtual time between two fingerprint checkpoints of a fair suffix.
 /// On the failover harness (depth 10, one crash) 14 535 of 14 568
 /// suffixes are in an already-run state at their first checkpoint with
@@ -357,7 +402,7 @@ where
     match action {
         Action::Execute { ordinal } => {
             let p = pending[ordinal];
-            let found = sim.mc_execute_pending(p.seq);
+            let found = sim.mc_execute_pending(&p);
             assert!(found, "enumerated pending event vanished");
             TraceStep {
                 action,
@@ -366,7 +411,7 @@ where
         }
         Action::Drop { ordinal } => {
             let p = pending[ordinal];
-            let found = sim.mc_drop_pending(p.seq);
+            let found = sim.mc_drop_pending(&p);
             assert!(found, "enumerated pending event vanished");
             TraceStep {
                 action,
@@ -430,6 +475,10 @@ where
     visited.insert(root_key);
     report.fingerprint = mix(report.fingerprint, root_key);
     let mut memo = memoize.then(VerdictMemo::new);
+    let mut at = Some(At {
+        snap: Rc::clone(&root),
+        ran: None,
+    });
     let mut work: VecDeque<Node<C>> = VecDeque::new();
     work.push_back(Node {
         snap: Rc::clone(&root),
@@ -447,7 +496,7 @@ where
         };
         let Some(node) = node else { break };
         report.max_depth_reached = report.max_depth_reached.max(node.depth);
-        sim.mc_restore(&node.snap);
+        restore(sim, &mut at, &node.snap);
 
         let mut violated = false;
         for p in predicates {
@@ -513,17 +562,13 @@ where
             if node.depth >= config.max_depth {
                 report.truncated += 1;
             }
-            // The first probe finds the engine at `node.snap` (predicates
-            // and enumeration only read it); later ones follow a suffix.
-            let mut suffix_ran = false;
             for (index, p) in predicates.iter().enumerate() {
                 let PredicateKind::Liveness { within } = p.kind else {
                     continue;
                 };
-                if suffix_ran {
-                    sim.mc_restore(&node.snap);
-                }
-                suffix_ran = true;
+                restore(sim, &mut at, &node.snap);
+                // The suffix leaves the engine equal to no snapshot.
+                at = None;
                 sim.mc_release();
                 let (verdict, ran) = fair_suffix(sim, index, within, &p.check, memo.as_mut());
                 report.liveness_probes += 1;
@@ -542,19 +587,16 @@ where
             continue;
         }
 
-        // Every sibling starts from `node.snap`. The first finds the
-        // engine there (predicates and enumeration only read it); after
-        // that it differs by the core and the one slot the previous
-        // sibling's action ran on.
-        let mut touched: Option<Option<ComponentId>> = None;
         for action in actions {
-            if let Some(slot) = touched {
-                sim.mc_restore_touched(&node.snap, slot);
-            }
-            touched = Some(match action {
+            restore(sim, &mut at, &node.snap);
+            let touched = match action {
                 Action::Execute { ordinal } => pending[ordinal].desc.target(),
                 Action::Drop { .. } => None,
                 Action::Crash { target } | Action::Restart { target } => Some(target),
+            };
+            at = Some(At {
+                snap: Rc::clone(&node.snap),
+                ran: Some(touched),
             });
             let step = apply(sim, &pending, action);
             report.transitions += 1;
@@ -565,7 +607,8 @@ where
                 Action::Restart { .. } => (node.drops, node.crashes, node.restarts - 1),
                 Action::Execute { .. } => (node.drops, node.crashes, node.restarts),
             };
-            let key = visit_key(sim.mc_fingerprint(), drops, crashes, restarts);
+            let fingerprint = sim.mc_fingerprint_after(&node.snap, touched);
+            let key = visit_key(fingerprint, drops, crashes, restarts);
             if !visited.insert(key) {
                 report.deduped += 1;
                 continue;
@@ -577,8 +620,13 @@ where
             }
             let mut trace = node.trace.clone();
             trace.push(step);
+            let snap = Rc::new(sim.mc_snapshot_after(&node.snap, touched));
+            at = Some(At {
+                snap: Rc::clone(&snap),
+                ran: None,
+            });
             work.push_back(Node {
-                snap: Rc::new(sim.mc_snapshot()),
+                snap,
                 depth: node.depth + 1,
                 drops,
                 crashes,
@@ -588,7 +636,7 @@ where
         }
     }
 
-    sim.mc_restore(&root);
+    restore(sim, &mut at, &root);
     report.explored = visited.len() as u64;
     report
 }
@@ -622,9 +670,9 @@ where
                     ));
                 }
                 let found = if matches!(step.action, Action::Execute { .. }) {
-                    sim.mc_execute_pending(p.seq)
+                    sim.mc_execute_pending(&p)
                 } else {
-                    sim.mc_drop_pending(p.seq)
+                    sim.mc_drop_pending(&p)
                 };
                 if !found {
                     return Err(format!("replay step {i}: pending event vanished"));

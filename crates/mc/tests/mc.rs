@@ -109,7 +109,9 @@ fn exploration_is_deterministic() {
 /// and the smoke gate's two runs only check that runs agree, which an
 /// explorer change exploring a different but stable space would pass.
 /// `[explored, transitions, deduped, truncated, liveness_probes,
-/// suffixes_run]`.
+/// suffixes_run]`, then the order-sensitive fold of every visited key —
+/// which moves with the definition of a state fingerprint, where the
+/// counts do not.
 #[test]
 fn exploration_counts_are_pinned() {
     let smoke = [3_196, 8_033, 4_838, 1_963, 1_963, 10];
@@ -117,6 +119,7 @@ fn exploration_counts_are_pinned() {
     let report = failover::smoke();
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert_eq!(report.counts(), smoke, "failover smoke");
+    assert_eq!(report.fingerprint, 0x22a3_4cac_16a0_d573, "failover smoke");
 
     let mut h = ElectionHarness::new(3, false, 5);
     let report = explore_election(&mut h, &election_config(Strategy::Dfs, 8), true);
@@ -124,6 +127,10 @@ fn exploration_counts_are_pinned() {
     assert_eq!(
         report.counts(),
         [4_861, 8_090, 3_230, 3_688, 3_688, 92],
+        "election, depth 8, liveness on"
+    );
+    assert_eq!(
+        report.fingerprint, 0x77c1_169c_7e2e_0cdc,
         "election, depth 8, liveness on"
     );
 }

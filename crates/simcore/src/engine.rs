@@ -40,6 +40,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use snooze_telemetry::label::label;
 use snooze_telemetry::span::{SpanId, SpanLog};
@@ -202,7 +203,10 @@ pub(crate) struct EngineCore<M> {
     net_delivered: CounterHandle,
     net_dropped: CounterHandle,
     net_to_dead: CounterHandle,
-    pub(crate) spans: SpanLog,
+    /// Copy-on-write: a model-checker snapshot or restore copies the
+    /// pointer, and the first span written after it copies the log.
+    /// `Arc` rather than `Rc` so the engine stays `Send`.
+    pub(crate) spans: Arc<SpanLog>,
     /// Ambient span context for the event being executed: seeded from
     /// the incoming message/timer context, updated by [`Ctx::span_open`]
     /// so later sends in the same handler propagate the innermost span.
@@ -451,10 +455,12 @@ impl<M> Ctx<'_, M> {
     /// resuming an operation whose context was stashed in component state.
     /// Like [`Ctx::span_open`], the new span becomes the ambient context.
     pub fn span_open_under(&mut self, name: &'static str, parent: Option<SpanId>) -> SpanId {
-        let id = self
-            .core
-            .spans
-            .open(name, self.me.0 as u64, parent, self.core.now.0);
+        let id = Arc::make_mut(&mut self.core.spans).open(
+            name,
+            self.me.0 as u64,
+            parent,
+            self.core.now.0,
+        );
         self.core.ctx_span = Some(id);
         id
     }
@@ -466,7 +472,7 @@ impl<M> Ctx<'_, M> {
         if self.core.ctx_span == Some(id) {
             self.core.ctx_span = self.core.spans.parent_of(id);
         }
-        self.core.spans.close(id, self.core.now.0);
+        Arc::make_mut(&mut self.core.spans).close(id, self.core.now.0);
     }
 
     /// Open and immediately close a zero-duration marker span (e.g.
@@ -479,7 +485,7 @@ impl<M> Ctx<'_, M> {
 
     /// Annotate span `id` with a key/value label.
     pub fn span_label(&mut self, id: SpanId, key: &'static str, value: impl Into<String>) {
-        self.core.spans.label(id, key, value);
+        Arc::make_mut(&mut self.core.spans).label(id, key, value);
     }
 }
 
@@ -534,7 +540,7 @@ impl SimBuilder {
                 net_dropped: metrics.counter_handle("net.dropped"),
                 net_to_dead: metrics.counter_handle("net.to_dead"),
                 metrics,
-                spans: SpanLog::new(),
+                spans: Arc::new(SpanLog::new()),
                 ctx_span: None,
                 alive: Vec::new(),
                 incarnation: Vec::new(),
@@ -676,7 +682,7 @@ impl<C: Component> Engine<C> {
     /// Mutable span log — for drivers recording engine-external spans
     /// (e.g. the scenario layer's SLO alert spans).
     pub fn spans_mut(&mut self) -> &mut SpanLog {
-        &mut self.core.spans
+        Arc::make_mut(&mut self.core.spans)
     }
 
     /// Number of events currently pending in the queue. An observer

@@ -37,7 +37,7 @@
 //! for a fleet-wide beat is 14 → 29 MB on the same run. DESIGN.md, "What
 //! an event weighs", has the ledger row.
 //!
-//! Two choices exist for the model checker, which snapshots, edits and
+//! Three choices exist for the model checker, which snapshots, edits and
 //! restores the pending set thousands of times a second on queues of a
 //! few dozen events:
 //!
@@ -45,10 +45,14 @@
 //!   it. A checked system's events sit seconds ahead (far map), so it
 //!   never pays for 4096 empty slots, and a bare engine's resident set
 //!   stays where a heap's was;
-//! * [`EventQueue::drain_all`] **resets `base` to 0**, so the same queue
-//!   is refilled in place. Left where it had advanced to, `base` would
-//!   send every re-pushed event at or behind it into the side heap and
-//!   the queue would degenerate into the heap it replaced.
+//! * [`EventQueue::clear`] and [`EventQueue::drain_all`] **reset `base`
+//!   to 0**, so a restore refills the same queue in place. Left where it
+//!   had advanced to, `base` would send every re-pushed event at or
+//!   behind it into the side heap and the queue would degenerate into
+//!   the heap it replaced;
+//! * [`EventQueue::remove`] takes one event out **where it sits**, so
+//!   executing or dropping one pending event out of order costs a lookup
+//!   in its bucket, not a drain and re-push of the whole set.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -222,10 +226,70 @@ impl<M> EventQueue<M> {
             .chain(self.far.values().flatten())
     }
 
+    /// Remove and return pending event `(time, seq)`, wherever it sits:
+    /// the far bucket its time maps to, then the ring slot, then the
+    /// active bucket, then the side heap. Nothing else moves — pop order
+    /// is `(time, seq)` whatever the layout — so the model checker takes
+    /// one event out of the pending set without draining the rest.
+    pub(crate) fn remove(&mut self, time: SimTime, seq: u64) -> Option<Scheduled<M>> {
+        let ev = self.take(time, seq)?;
+        self.len -= 1;
+        Some(ev)
+    }
+
+    fn take(&mut self, time: SimTime, seq: u64) -> Option<Scheduled<M>> {
+        let is = |ev: &Scheduled<M>| (ev.time, ev.seq) == (time, seq);
+        let b = bucket_of(time);
+        if let Some(bucket) = self.far.get_mut(&b) {
+            if let Some(i) = bucket.iter().position(is) {
+                let ev = bucket.swap_remove(i);
+                if bucket.is_empty() {
+                    // `ensure_front` takes any far key for a non-empty bucket.
+                    self.far.remove(&b);
+                }
+                return Some(ev);
+            }
+        }
+        // A ring slot or a far bucket is sorted when it becomes active,
+        // so either can lose an entry out of order; `active` cannot.
+        if let Some(slot) = self.ring.get_mut((b & RING_MASK) as usize) {
+            if let Some(i) = slot.iter().position(is) {
+                self.ring_count -= 1;
+                return Some(slot.swap_remove(i));
+            }
+        }
+        if let Some(i) = self.active.iter().position(is) {
+            return Some(self.active.remove(i));
+        }
+        let mut late = std::mem::take(&mut self.late).into_vec();
+        let found = late
+            .iter()
+            .position(|Reverse(ev)| is(ev))
+            .map(|i| late.swap_remove(i).0);
+        self.late = late.into();
+        found
+    }
+
+    /// Forget every pending event and base the queue at bucket 0 again,
+    /// ready to be refilled by `push` — a restore's first step, which
+    /// needs the events gone, not returned in order.
+    pub(crate) fn clear(&mut self) {
+        self.active.clear();
+        self.late.clear();
+        if self.ring_count > 0 {
+            self.ring.iter_mut().for_each(Vec::clear);
+            self.ring_count = 0;
+        }
+        self.far.clear();
+        self.base = 0;
+        self.len = 0;
+    }
+
     /// Remove and return every pending event in `(time, seq)` order,
     /// leaving an empty queue based at bucket 0 again — ready to be
     /// refilled by `push`, whatever times the new events carry. The model
-    /// checker edits the pending set as drain → edit → push.
+    /// checker re-times events left behind the clock as drain → edit →
+    /// push.
     pub(crate) fn drain_all(&mut self) -> Vec<Scheduled<M>> {
         let mut out = Vec::with_capacity(self.len);
         while let Some(ev) = self.pop() {
@@ -263,6 +327,12 @@ mod tests {
         Pop,
         /// `drain_all`, then push everything back.
         Refill,
+        /// Remove the pending event of this rank (modulo the pending
+        /// count) in `(time, seq)` order, and ask for one never pushed.
+        Remove(usize),
+        /// `clear`, then push the pending set back in arbitrary order —
+        /// what a model-checker restore does.
+        Restore,
     }
 
     /// Drive the queue and the reference heap through one operation
@@ -296,6 +366,24 @@ mod tests {
                     );
                     for e in drained {
                         queue.push(e);
+                    }
+                }
+                Op::Remove(rank) => {
+                    let mut keys: Vec<(SimTime, u64)> =
+                        heap.iter().map(|Reverse(e)| (e.time, e.seq)).collect();
+                    keys.sort_unstable();
+                    if let Some(&(t, s)) = keys.get(rank % keys.len().max(1)) {
+                        heap.retain(|Reverse(e)| (e.time, e.seq) != (t, s));
+                        assert_eq!(queue.remove(t, s).map(key), Some((t, s)));
+                        assert!(queue.remove(t, s).is_none(), "removed twice");
+                    }
+                    assert!(queue.remove(SimTime(clock), seq).is_none(), "never pushed");
+                }
+                Op::Restore => {
+                    queue.clear();
+                    assert_eq!((queue.len(), queue.base), (0, 0));
+                    for Reverse(e) in heap.iter() {
+                        queue.push(ev(e.time.0, e.seq));
                     }
                 }
             }
@@ -372,6 +460,50 @@ mod tests {
             })
             .collect();
         differential(ops.into_iter());
+    }
+
+    #[test]
+    fn matches_heap_with_removals() {
+        // The model checker's usage: events taken out of the pending set
+        // by rank, between pushes, pops, drain → refill cycles and
+        // clear → re-push restores.
+        let mut rng = SimRng::new(0x2E_40);
+        let ops: Vec<Op> = (0..4000)
+            .map(|_| match rng.range(0, 40) {
+                0 => Op::Refill,
+                1 => Op::Restore,
+                2..=10 => Op::Pop,
+                11..=20 => Op::Remove(rng.range(0, 1 << 16)),
+                _ => Op::Push(mixed_offset(&mut rng)),
+            })
+            .collect();
+        differential(ops.into_iter());
+    }
+
+    #[test]
+    fn remove_reaches_every_place_an_event_sits() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let pushes = [(100, 0), (110, 1), (120, 2), (125, 3)] // bucket 1
+            .into_iter()
+            .chain([(50_000, 4), (9_000_000, 5), (9_000_010, 6)]);
+        for (t, seq) in pushes {
+            q.push(ev(t, seq));
+        }
+        assert_eq!(q.pop().map(|e| e.seq), Some(0)); // bucket 1 is active
+        q.push(ev(60, 7)); // behind the active bucket: late
+        assert_eq!(
+            (q.active.len(), q.late.len(), q.ring_count, q.far.len()),
+            (3, 1, 1, 1)
+        );
+        // The active bucket's latest event, so the rest must stay sorted.
+        for (t, seq) in [(9_000_000, 5), (50_000, 4), (125, 3), (60, 7)] {
+            assert_eq!(q.remove(SimTime(t), seq).map(key), Some((SimTime(t), seq)));
+        }
+        assert_eq!((q.len(), q.ring_count, q.far.len()), (3, 0, 1));
+        assert_eq!(q.remove(SimTime(9_000_010), 6).map(|e| e.seq), Some(6));
+        assert!(q.far.is_empty(), "an emptied far bucket is dropped");
+        let rest: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
+        assert_eq!((rest, q.len()), (vec![1, 2], 0));
     }
 
     #[test]

@@ -10,12 +10,38 @@
 //! same engine binary runs simulations and model checks. The `mc_*` hooks
 //! on [`Engine`] are implemented at the bottom of this module.
 //!
+//! ## What a transition costs
+//!
+//! One transition runs one handler, and a handler reaches its own slot
+//! and the core ([`Ctx`](crate::engine::Ctx)) and no other slot. The
+//! hooks charge a transition for that slot, not for the system:
+//!
+//! * a snapshot holds an `Rc` per slot, and a child
+//!   ([`Engine::mc_snapshot_after`](crate::engine::Engine::mc_snapshot_after))
+//!   shares its parent's `Rc` in every slot but the touched one;
+//! * a restore between snapshots
+//!   ([`Engine::mc_restore_diff`](crate::engine::Engine::mc_restore_diff))
+//!   re-clones the slots whose `Rc` differs, plus the one slot an action
+//!   dirtied since; only a restore from an engine that equals no
+//!   snapshot (after a fair suffix) re-clones them all;
+//! * the span log is copy-on-write (`Arc`), so capturing or restoring it
+//!   copies a pointer and only a span written afterwards copies the log;
+//! * the fingerprint is built from one sub-fingerprint per slot, and a
+//!   state one transition from a snapshot reuses the snapshot's for every
+//!   untouched slot while the clock has not moved
+//!   ([`Engine::mc_fingerprint_after`](crate::engine::Engine::mc_fingerprint_after));
+//! * executing or dropping a pending event takes it out of the queue in
+//!   place instead of draining and re-pushing the rest.
+//!
 //! ## Fingerprints
 //!
 //! Visited-state deduplication hashes a *canonical* view of the system:
 //! per-component state (via [`McState`]), liveness/incarnation vectors,
 //! the pending-event multiset, and the network's mutable state, all folded
-//! with the same FNV-1a used by the audit digest. Absolute virtual time is
+//! with the same FNV-1a used by the audit digest. Each component is folded
+//! into its own sub-fingerprint by a fresh [`McHasher`]; the fingerprint
+//! folds `(index, alive, incarnation, sub-fingerprint)` per slot, then the
+//! pending set, then the network. Absolute virtual time is
 //! deliberately excluded — times are folded **relative to now** — so states
 //! that differ only by a clock shift deduplicate. Two states with equal
 //! fingerprints are treated as equal, which is an abstraction: payload
@@ -29,6 +55,8 @@
 //! already ran.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use snooze_telemetry::span::{SpanId, SpanLog};
 use snooze_telemetry::{fnv1a, FNV_OFFSET};
@@ -144,11 +172,14 @@ impl McState for u64 {
     }
 }
 
-/// A full copy of one engine state: clock, counters, pending events,
-/// network, RNG, span log and every component. Produced by
-/// [`Engine::mc_snapshot`](crate::engine::Engine::mc_snapshot), consumed
-/// by [`Engine::mc_restore`](crate::engine::Engine::mc_restore). Opaque
-/// outside the crate — the explorer treats snapshots as tokens.
+/// One engine state: clock, counters, pending events, network, RNG, span
+/// log and every component. Produced by
+/// [`Engine::mc_snapshot`](crate::engine::Engine::mc_snapshot) (a full
+/// copy) or [`Engine::mc_snapshot_after`](crate::engine::Engine::mc_snapshot_after)
+/// (a child that shares its parent's slots), consumed by
+/// [`Engine::mc_restore`](crate::engine::Engine::mc_restore) and
+/// [`Engine::mc_restore_diff`](crate::engine::Engine::mc_restore_diff).
+/// Opaque outside the crate — the explorer treats snapshots as tokens.
 pub struct SystemState<C: Component> {
     pub(crate) now: SimTime,
     pub(crate) seq: u64,
@@ -159,14 +190,19 @@ pub struct SystemState<C: Component> {
     pub(crate) next_timer_id: u64,
     pub(crate) cancelled_timers: BTreeSet<u64>,
     pub(crate) network: NetworkState,
-    pub(crate) spans: SpanLog,
+    pub(crate) spans: Arc<SpanLog>,
     pub(crate) ctx_span: Option<SpanId>,
     pub(crate) alive: Vec<bool>,
     pub(crate) incarnation: Vec<u32>,
     pub(crate) events_executed: u64,
     pub(crate) digest: u64,
     pub(crate) last_executed: Option<(SimTime, u64)>,
-    pub(crate) components: Vec<C>,
+    /// One per slot. Two snapshots holding the same `Rc` in a slot hold
+    /// the same component state there; different `Rc`s may or may not.
+    pub(crate) components: Vec<Rc<C>>,
+    /// Each slot's sub-fingerprint at `now` (see
+    /// [`Engine::mc_fingerprint`](crate::engine::Engine::mc_fingerprint)).
+    pub(crate) slot_fps: Vec<u64>,
 }
 
 impl<C: Component> SystemState<C> {
@@ -273,9 +309,9 @@ fn stale_timer<M>(core: &EngineCore<M>, ev: &Scheduled<M>) -> Option<u64> {
     }
 }
 
-impl<C: Component> Engine<C>
+impl<C> Engine<C>
 where
-    C: Clone,
+    C: Component + Clone + McState,
     C::Msg: Clone,
 {
     /// Capture a full copy of the engine state: clock, counters, pending
@@ -283,6 +319,41 @@ where
     /// are *not* captured — they are observers, never causes, and
     /// restoring them would only blur exploration statistics.
     pub fn mc_snapshot(&self) -> SystemState<C> {
+        let components = self.components.iter().cloned().map(Rc::new).collect();
+        let slot_fps = (0..self.components.len())
+            .map(|i| self.slot_fingerprint(i))
+            .collect();
+        self.snapshot_with(components, slot_fps)
+    }
+
+    /// Capture the engine as a child of `parent`, for an engine that
+    /// equals `parent` in every slot but `touched` — it was restored to
+    /// `parent` and has since executed one event (or injected one crash /
+    /// restart) whose [`McEventDesc::target`] is `touched`. The child
+    /// shares `parent`'s `Rc` in every other slot, and its sub-fingerprints
+    /// too while the clock has not moved. Sound because a handler runs
+    /// with its own slot and a [`Ctx`](crate::engine::Ctx) over the core
+    /// and can reach no other slot.
+    pub fn mc_snapshot_after(
+        &self,
+        parent: &SystemState<C>,
+        touched: Option<ComponentId>,
+    ) -> SystemState<C> {
+        let touched = self.slot_of(touched);
+        let mut components = parent.components.clone();
+        let mut slot_fps = parent.slot_fps.clone();
+        if let Some(i) = touched {
+            components[i] = Rc::new(self.components[i].clone());
+        }
+        for (i, fp) in slot_fps.iter_mut().enumerate() {
+            if Some(i) == touched || parent.now != self.core.now {
+                *fp = self.slot_fingerprint(i);
+            }
+        }
+        self.snapshot_with(components, slot_fps)
+    }
+
+    fn snapshot_with(&self, components: Vec<Rc<C>>, slot_fps: Vec<u64>) -> SystemState<C> {
         SystemState {
             now: self.core.now,
             seq: self.core.seq,
@@ -291,39 +362,56 @@ where
             next_timer_id: self.core.next_timer_id,
             cancelled_timers: self.core.cancelled_timers.clone(),
             network: self.core.network.save_state(),
-            spans: self.core.spans.clone(),
+            spans: Arc::clone(&self.core.spans),
             ctx_span: self.core.ctx_span,
             alive: self.core.alive.clone(),
             incarnation: self.core.incarnation.clone(),
             events_executed: self.core.events_executed,
             digest: self.core.digest,
             last_executed: self.core.last_executed,
-            components: self.components.clone(),
+            components,
+            slot_fps,
         }
     }
+}
 
-    /// Restore a state captured by [`Engine::mc_snapshot`]. The snapshot
+impl<C: Component> Engine<C>
+where
+    C: Clone,
+    C::Msg: Clone,
+{
+    /// Restore a state captured by [`Engine::mc_snapshot`] or
+    /// [`Engine::mc_snapshot_after`], re-cloning every slot. The snapshot
     /// must come from *this* engine (same components, same names); the
     /// checker only ever restores its own captures.
     pub fn mc_restore(&mut self, state: &SystemState<C>) {
         self.restore_core(state);
-        self.components = state.components.clone();
+        for (mine, theirs) in self.components.iter_mut().zip(&state.components) {
+            mine.clone_from(theirs);
+        }
     }
 
-    /// [`Engine::mc_restore`] for an engine that already *was* restored
-    /// to `state` and has since executed one event (or injected one
-    /// crash / restart) whose [`McEventDesc::target`] is `touched`: the
-    /// engine core is restored in full, of the components only the
-    /// `touched` slot is re-cloned. Sound because a handler runs with its
-    /// own slot and a [`Ctx`](crate::engine::Ctx) over the core and can
-    /// reach no other slot; restoring after anything else ran (a second
-    /// event, a fair suffix) needs the full `mc_restore`.
-    pub fn mc_restore_touched(&mut self, state: &SystemState<C>, touched: Option<ComponentId>) {
-        self.restore_core(state);
-        // An id nothing is registered under has no slot to have changed.
-        let slot = touched.map(|id| id.0);
-        if let Some(i) = slot.filter(|&i| i < self.components.len()) {
-            self.components[i] = state.components[i].clone();
+    /// [`Engine::mc_restore`] for an engine that equals snapshot `current`
+    /// in every slot but `dirty` — it was restored to or captured as
+    /// `current`, and at most one event (or crash / restart) whose
+    /// [`McEventDesc::target`] is `dirty` has run since. The core is
+    /// restored in full; of the components, only the `dirty` slot and the
+    /// slots whose `Rc` differs between `current` and `target` are
+    /// re-cloned. After anything else ran (a second event, a fair suffix)
+    /// the engine equals no snapshot and needs the full `mc_restore`.
+    pub fn mc_restore_diff(
+        &mut self,
+        current: &SystemState<C>,
+        dirty: Option<ComponentId>,
+        target: &SystemState<C>,
+    ) {
+        self.restore_core(target);
+        let dirty = self.slot_of(dirty);
+        let slots = current.components.iter().zip(&target.components);
+        for (i, (was, want)) in slots.enumerate() {
+            if Some(i) == dirty || !Rc::ptr_eq(was, want) {
+                self.components[i].clone_from(want);
+            }
         }
     }
 
@@ -335,18 +423,20 @@ where
         );
         self.core.now = state.now;
         self.core.seq = state.seq;
-        self.core.queue.drain_all();
+        self.core.queue.clear();
         for ev in &state.queue {
             self.core.queue.push(ev.clone());
         }
         self.core.rng = state.rng.clone();
         self.core.next_timer_id = state.next_timer_id;
-        self.core.cancelled_timers = state.cancelled_timers.clone();
+        self.core
+            .cancelled_timers
+            .clone_from(&state.cancelled_timers);
         self.core.network.load_state(&state.network);
-        self.core.spans.clone_from(&state.spans);
+        self.core.spans = Arc::clone(&state.spans);
         self.core.ctx_span = state.ctx_span;
-        self.core.alive = state.alive.clone();
-        self.core.incarnation = state.incarnation.clone();
+        self.core.alive.clone_from(&state.alive);
+        self.core.incarnation.clone_from(&state.incarnation);
         self.core.events_executed = state.events_executed;
         self.core.digest = state.digest;
         self.core.last_executed = state.last_executed;
@@ -403,14 +493,6 @@ impl<C: Component> Engine<C> {
         out
     }
 
-    fn mc_remove(&mut self, seq: u64) -> Option<Scheduled<C::Msg>> {
-        let mut events = self.core.queue.drain_all();
-        let pos = events.iter().position(|ev| ev.seq == seq);
-        let found = pos.map(|i| events.remove(i));
-        events.into_iter().for_each(|ev| self.core.queue.push(ev));
-        found
-    }
-
     /// Execute `kind` at `time` under a fresh sequence number, so the
     /// executed stream stays strictly `(time, seq)`-ordered.
     fn mc_execute_at(&mut self, time: SimTime, kind: EventKind<C::Msg>) {
@@ -418,24 +500,24 @@ impl<C: Component> Engine<C> {
         self.execute(Scheduled { time, seq, kind });
     }
 
-    /// Execute pending event `seq` *now*, regardless of queue order: the
+    /// Execute pending event `p` *now*, regardless of queue order: the
     /// event is re-timed to `max(now, its scheduled time)` and re-sequenced
     /// so the executed stream stays strictly `(time, seq)`-ordered — the
     /// audit invariants hold during exploration exactly as during normal
     /// runs. Returns `false` if no such pending event exists.
-    pub fn mc_execute_pending(&mut self, seq: u64) -> bool {
-        let Some(ev) = self.mc_remove(seq) else {
+    pub fn mc_execute_pending(&mut self, p: &McPending) -> bool {
+        let Some(ev) = self.core.queue.remove(p.time, p.seq) else {
             return false;
         };
         self.mc_execute_at(ev.time.max(self.core.now), ev.kind);
         true
     }
 
-    /// Drop pending event `seq` without executing it — the checker's
+    /// Drop pending event `p` without executing it — the checker's
     /// explicit message-loss action. Returns `false` if no such pending
     /// event exists.
-    pub fn mc_drop_pending(&mut self, seq: u64) -> bool {
-        if self.mc_remove(seq).is_none() {
+    pub fn mc_drop_pending(&mut self, p: &McPending) -> bool {
+        if self.core.queue.remove(p.time, p.seq).is_none() {
             return false;
         }
         self.core.metrics.incr("mc.dropped");
@@ -457,21 +539,21 @@ impl<C: Component> Engine<C> {
     /// cancelled set). Keeps snapshots small and fingerprints free of
     /// events that can never fire.
     pub fn mc_gc(&mut self) {
-        // Most transitions leave no stale timer behind; only a queue that
-        // holds one is worth draining and re-pushing.
         let core = &self.core;
-        if core.queue.iter().all(|ev| stale_timer(core, ev).is_none()) {
-            return;
+        let stale: Vec<(SimTime, u64, u64)> = core
+            .queue
+            .iter()
+            .filter_map(|ev| stale_timer(core, ev).map(|id| (ev.time, ev.seq, id)))
+            .collect();
+        for (time, seq, id) in stale {
+            self.core.queue.remove(time, seq);
+            self.core.cancelled_timers.remove(&id);
         }
-        let mut events = self.core.queue.drain_all();
-        events.retain(|ev| match stale_timer(&self.core, ev) {
-            Some(id) => {
-                self.core.cancelled_timers.remove(&id);
-                false
-            }
-            None => true,
-        });
-        events.into_iter().for_each(|ev| self.core.queue.push(ev));
+    }
+
+    /// The slot `id` names, if something is registered under it.
+    fn slot_of(&self, id: Option<ComponentId>) -> Option<usize> {
+        id.map(|id| id.0).filter(|&i| i < self.components.len())
     }
 
     /// Hand the queue back to normal scheduled execution after checker
@@ -496,6 +578,16 @@ impl<C: Component> Engine<C> {
     }
 }
 
+impl<C: Component + McState> Engine<C> {
+    /// Slot `i`'s sub-fingerprint: its component folded alone by a fresh
+    /// [`McHasher`] at the current time.
+    fn slot_fingerprint(&self, i: usize) -> u64 {
+        let mut h = McHasher::new(self.core.now);
+        self.components[i].mc_fold(&mut h);
+        h.finish()
+    }
+}
+
 impl<C> Engine<C>
 where
     C: Component + McState,
@@ -507,13 +599,45 @@ where
     /// network's mutable state. Excludes observers (metrics, spans),
     /// history (digest, executed count) and identity counters
     /// (seq, timer ids) — none of which influence future behavior.
+    ///
+    /// Each component folds into its own sub-fingerprint (a fresh
+    /// [`McHasher`] at now); the fingerprint folds `(index, alive,
+    /// incarnation, sub-fingerprint)` per slot, then the pending set and
+    /// the network. So a state one transition from a snapshot can reuse
+    /// the snapshot's sub-fingerprints ([`Engine::mc_fingerprint_after`]).
     pub fn mc_fingerprint(&self) -> u64 {
+        self.fold_fingerprint(|i| self.slot_fingerprint(i))
+    }
+
+    /// [`Engine::mc_fingerprint`] for an engine that equals `parent` in
+    /// every slot but `touched` (the contract of
+    /// [`Engine::mc_snapshot_after`]): while the clock has not moved
+    /// since `parent`, every other slot's sub-fingerprint is `parent`'s.
+    pub fn mc_fingerprint_after(
+        &self,
+        parent: &SystemState<C>,
+        touched: Option<ComponentId>,
+    ) -> u64 {
+        if parent.now != self.core.now {
+            return self.mc_fingerprint();
+        }
+        let touched = self.slot_of(touched);
+        self.fold_fingerprint(|i| {
+            if Some(i) == touched {
+                self.slot_fingerprint(i)
+            } else {
+                parent.slot_fps[i]
+            }
+        })
+    }
+
+    fn fold_fingerprint(&self, slot_fp: impl Fn(usize) -> u64) -> u64 {
         let mut h = McHasher::new(self.core.now);
-        for (idx, comp) in self.components.iter().enumerate() {
+        for idx in 0..self.components.len() {
             h.word(idx as u64);
             h.flag(self.core.alive[idx]);
             h.word(self.core.incarnation[idx] as u64);
-            comp.mc_fold(&mut h);
+            h.word(slot_fp(idx));
         }
         let mut pending: Vec<&Scheduled<C::Msg>> = self
             .core

@@ -131,8 +131,8 @@ impl Network {
 
     /// Restore state captured by [`Network::save_state`].
     pub(crate) fn load_state(&mut self, state: &NetworkState) {
-        self.groups = state.groups.clone();
-        self.isolated = state.isolated.clone();
+        self.groups.clone_from(&state.groups);
+        self.isolated.clone_from(&state.isolated);
         self.last_arrival.clone_from(&state.last_arrival);
         self.config.loss_rate = state.loss_rate;
     }

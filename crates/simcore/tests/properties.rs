@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 
+use snooze_simcore::mc::McPending;
 use snooze_simcore::prelude::*;
 
 /// Records every message it receives with the receive time and a
@@ -243,6 +244,10 @@ struct Gossip {
     peers: Vec<ComponentId>,
     timers_left: u32,
     seen: u64,
+    /// When the last message arrived: a timestamp, folded relative to
+    /// now like the protocols' own, so a sub-fingerprint moves with the
+    /// clock.
+    heard_at: SimTime,
 }
 
 impl Component for Gossip {
@@ -259,6 +264,10 @@ impl Component for Gossip {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, _src: ComponentId, ttl: u64) {
         self.seen += 1;
+        self.heard_at = ctx.now();
+        // A span per receipt, so snapshots and restores carry a span log
+        // that grows along every path.
+        ctx.span_instant("gossip.seen");
         if ttl > 0 && !self.peers.is_empty() {
             let next = self.peers[(ttl as usize) % self.peers.len()];
             ctx.send(next, ttl - 1);
@@ -281,6 +290,7 @@ impl McState for Gossip {
         h.word(self.peers.len() as u64);
         h.word(self.timers_left as u64);
         h.word(self.seen);
+        h.time(self.heard_at);
     }
 }
 
@@ -298,6 +308,7 @@ fn gossip(seed: u64, n: usize) -> Engine<Gossip> {
                 peers,
                 timers_left: 2 + rng.range(0, 3) as u32,
                 seen: 0,
+                heard_at: SimTime::ZERO,
             },
         );
     }
@@ -305,6 +316,10 @@ fn gossip(seed: u64, n: usize) -> Engine<Gossip> {
 }
 
 const GOSSIP_HORIZON: SimTime = SimTime(80_000);
+/// Where the snapshot tests capture: every topology still has events in
+/// flight (6 to 46 pending on the seeds tried; by 20 ms the gossip has
+/// died out and nothing is).
+const GOSSIP_MIDWAY: SimTime = SimTime(1_000);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -320,18 +335,21 @@ proptest! {
         let want = (reference.digest(), reference.events_executed());
 
         let mut sim = gossip(seed, n);
-        sim.run_until(SimTime(20_000));
+        sim.run_until(GOSSIP_MIDWAY);
         let snap = sim.mc_snapshot();
         let fp_before = sim.mc_fingerprint();
 
         let pending = sim.mc_pending();
+        prop_assert!(!pending.is_empty());
         if let Some(last) = pending.last() {
-            prop_assert!(sim.mc_execute_pending(last.seq));
+            prop_assert!(sim.mc_execute_pending(last));
+            prop_assert!(!sim.mc_drop_pending(last), "an executed event is gone");
+            let bogus = McPending { seq: u64::MAX, ..*last };
+            prop_assert!(!sim.mc_drop_pending(&bogus), "bogus seq is rejected");
         }
         if let Some(first) = sim.mc_pending().first() {
-            prop_assert!(sim.mc_drop_pending(first.seq));
+            prop_assert!(sim.mc_drop_pending(first));
         }
-        prop_assert!(!sim.mc_drop_pending(u64::MAX), "bogus seq is rejected");
         sim.mc_inject_crash(ComponentId(0));
         sim.mc_inject_restart(ComponentId(0));
         sim.mc_gc();
@@ -353,29 +371,30 @@ proptest! {
     /// action's descriptor names. Every sibling must start from the
     /// captured state, and the engine must end there.
     #[test]
-    fn mc_restore_touched_is_a_full_restore_between_siblings(seed in any::<u64>(), n in 3usize..16) {
+    fn mc_restore_diff_is_a_full_restore_between_siblings(seed in any::<u64>(), n in 3usize..16) {
         let mut reference = gossip(seed, n);
         reference.run_until(GOSSIP_HORIZON);
         let want = (reference.digest(), reference.events_executed());
 
         let mut sim = gossip(seed, n);
-        sim.run_until(SimTime(20_000));
+        sim.run_until(GOSSIP_MIDWAY);
         let snap = sim.mc_snapshot();
         let fp_before = sim.mc_fingerprint();
 
+        prop_assert!(!sim.mc_pending().is_empty());
         for p in sim.mc_pending() {
-            prop_assert!(sim.mc_execute_pending(p.seq));
+            prop_assert!(sim.mc_execute_pending(&p));
             sim.mc_gc();
-            sim.mc_restore_touched(&snap, p.desc.target());
+            sim.mc_restore_diff(&snap, p.desc.target(), &snap);
             prop_assert_eq!(sim.mc_fingerprint(), fp_before, "after executing {:?}", p.desc);
         }
         if let Some(first) = sim.mc_pending().first() {
-            prop_assert!(sim.mc_drop_pending(first.seq));
-            sim.mc_restore_touched(&snap, None);
+            prop_assert!(sim.mc_drop_pending(first));
+            sim.mc_restore_diff(&snap, None, &snap);
         }
         let victim = ComponentId(n - 1);
         sim.mc_inject_crash(victim);
-        sim.mc_restore_touched(&snap, Some(victim));
+        sim.mc_restore_diff(&snap, Some(victim), &snap);
         prop_assert_eq!(sim.mc_fingerprint(), fp_before, "after the crash");
 
         sim.run_until(GOSSIP_HORIZON);
@@ -384,5 +403,102 @@ proptest! {
             want,
             "run after partial restores diverged (seed {})", seed
         );
+    }
+
+    /// Each per-transition path against its whole-system counterpart,
+    /// after every pending action of a snapshot (and a crash): the
+    /// fingerprint that reuses the parent's sub-fingerprints equals the
+    /// one computed from scratch; a child snapshot sharing the parent's
+    /// slots restores to the same state as a full snapshot, and runs on
+    /// to the same history; and a diff restore — from a dirty engine, or
+    /// from one child to another — lands where `mc_restore` does. The
+    /// parent is captured after its latest pending event ran first, so
+    /// most actions run behind the clock and do not move it (the reuse
+    /// path), and the messages they send do (the recompute path).
+    #[test]
+    fn shared_snapshots_and_diff_restores_match_full_ones(seed in any::<u64>(), n in 3usize..16) {
+        let mut sim = gossip(seed, n);
+        sim.run_until(GOSSIP_MIDWAY);
+        let latest = *sim.mc_pending().last().expect("gossip in flight");
+        prop_assert!(sim.mc_execute_pending(&latest));
+        sim.mc_gc();
+        let parent = sim.mc_snapshot();
+        let seen = |sim: &Engine<Gossip>| {
+            (sim.mc_fingerprint(), sim.digest(), sim.span_digest(), sim.now())
+        };
+        let at_parent = seen(&sim);
+        let onward = |sim: &mut Engine<Gossip>| {
+            sim.mc_release();
+            sim.run_until(GOSSIP_HORIZON);
+            (sim.digest(), sim.events_executed(), sim.span_digest())
+        };
+
+        let mut actions: Vec<Option<McPending>> = sim.mc_pending().into_iter().map(Some).collect();
+        actions.push(None); // crash the last component
+        let (mut children, mut clock_still) = (Vec::new(), 0);
+        for (k, action) in actions.into_iter().enumerate() {
+            // The engine is the previous child: take it as that snapshot,
+            // clean, or as the parent plus the previous action's slot.
+            let (current, dirty) = match children.last() {
+                Some((child, _)) if k % 2 == 0 => (child, None),
+                Some((_, touched)) => (&parent, *touched),
+                None => (&parent, None),
+            };
+            sim.mc_restore_diff(current, dirty, &parent);
+            prop_assert_eq!(seen(&sim), at_parent, "diff restore before action {}", k);
+
+            let touched = match action {
+                Some(p) => {
+                    prop_assert!(sim.mc_execute_pending(&p));
+                    p.desc.target()
+                }
+                None => {
+                    sim.mc_inject_crash(ComponentId(n - 1));
+                    Some(ComponentId(n - 1))
+                }
+            };
+            sim.mc_gc();
+            clock_still += usize::from(sim.now() == parent.now());
+            prop_assert_eq!(
+                sim.mc_fingerprint_after(&parent, touched),
+                sim.mc_fingerprint(),
+                "reused sub-fingerprints after action {}", k
+            );
+            let want = seen(&sim);
+            let shared = sim.mc_snapshot_after(&parent, touched);
+            let full = sim.mc_snapshot();
+            let mut run_on = Vec::new();
+            for snap in [&shared, &full] {
+                sim.mc_restore(&parent);
+                sim.mc_restore(snap);
+                prop_assert_eq!(seen(&sim), want, "restored child of action {}", k);
+                run_on.push(onward(&mut sim));
+            }
+            prop_assert_eq!(run_on[0], run_on[1], "shared vs full child of action {}", k);
+            // A grandchild reuses the child's own sub-fingerprints.
+            sim.mc_restore(&shared);
+            if let Some(p) = sim.mc_pending().first() {
+                prop_assert!(sim.mc_execute_pending(p));
+                sim.mc_gc();
+                prop_assert_eq!(
+                    sim.mc_fingerprint_after(&shared, p.desc.target()),
+                    sim.mc_fingerprint(),
+                    "grandchild through action {}", k
+                );
+                sim.mc_restore_diff(&shared, p.desc.target(), &shared);
+            }
+            children.push((shared, touched));
+        }
+        prop_assert!(clock_still > 1, "the reuse path ran {} times", clock_still);
+
+        // Child to child: both differ from the parent in their own slot.
+        for pair in children.windows(2) {
+            let (from, to) = (&pair[0].0, &pair[1].0);
+            sim.mc_restore(to);
+            let want = seen(&sim);
+            sim.mc_restore(from);
+            sim.mc_restore_diff(from, None, to);
+            prop_assert_eq!(seen(&sim), want, "diff restore between siblings");
+        }
     }
 }

@@ -16,7 +16,7 @@ use crate::{fnv1a, FNV_OFFSET};
 pub struct SpanId(pub u64);
 
 /// One timed, causally linked interval.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct SpanRecord {
     /// This span's id.
     pub id: SpanId,
@@ -36,29 +36,6 @@ pub struct SpanRecord {
     pub labels: Vec<(&'static str, String)>,
 }
 
-impl Clone for SpanRecord {
-    fn clone(&self) -> Self {
-        SpanRecord {
-            labels: self.labels.clone(),
-            ..*self
-        }
-    }
-
-    /// Keeps the label vector and the strings in it, so restoring a log
-    /// over a near-identical one (the model checker, once a transition)
-    /// allocates nothing.
-    fn clone_from(&mut self, source: &Self) {
-        let mut labels = std::mem::take(&mut self.labels);
-        labels.truncate(source.labels.len());
-        for (mine, theirs) in labels.iter_mut().zip(&source.labels) {
-            mine.0 = theirs.0;
-            mine.1.clone_from(&theirs.1);
-        }
-        labels.extend_from_slice(&source.labels[labels.len()..]);
-        *self = SpanRecord { labels, ..*source };
-    }
-}
-
 impl SpanRecord {
     /// Duration if closed, clamping backwards clocks to zero.
     pub fn duration_us(&self) -> Option<u64> {
@@ -75,24 +52,10 @@ impl SpanRecord {
 }
 
 /// Append-only log of spans with deterministic ids and a running digest.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct SpanLog {
     spans: Vec<SpanRecord>,
     digest: u64,
-}
-
-impl Clone for SpanLog {
-    fn clone(&self) -> Self {
-        SpanLog {
-            spans: self.spans.clone(),
-            digest: self.digest,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.spans.clone_from(&source.spans);
-        self.digest = source.digest;
-    }
 }
 
 impl SpanLog {

@@ -2,9 +2,10 @@
 //!
 //! `CsvReader`, `JsonlReader` and `AzureShapedReader` over arbitrary text,
 //! over valid documents with pieces cut, inserted and repeated, and over
-//! bytes that are not UTF-8 must return records or one `TraceError` whose
-//! line is a line of the input and whose message is under 512 bytes —
-//! never a panic, never a message the size of the line it complains about.
+//! valid documents with bytes that are not UTF-8 spliced in anywhere must
+//! return records or one `TraceError` whose line is a line of the input
+//! and whose message is under 512 bytes — never a panic, never a message
+//! the size of the line it complains about.
 
 use proptest::prelude::*;
 use snooze_trace::csv::CsvReader;
@@ -118,6 +119,31 @@ impl Strategy for Mutated {
     }
 }
 
+/// `(reader, bytes)`: a valid document with one to four runs of bytes
+/// from `0x80..=0xFF` spliced in at random byte offsets — into a field,
+/// a number, a header, a line ending, past the end. Each run holds at
+/// least one byte no UTF-8 text holds (`0xF8..=0xFF`), so every line a
+/// run lands on is invalid whatever its neighbours spell.
+struct SplicedBytes;
+
+impl Strategy for SplicedBytes {
+    type Value = (usize, Vec<u8>);
+    fn generate(&self, rng: &mut TestRng) -> (usize, Vec<u8>) {
+        let format = rng.below(3) as usize;
+        let mut bytes = valid(format, rng.next_u64()).into_bytes();
+        for _ in 0..1 + rng.below(4) {
+            let at = rng.below(bytes.len() as u64 + 1) as usize;
+            let mut run: Vec<u8> = (0..1 + rng.below(6))
+                .map(|_| 0x80 + rng.below(0x80) as u8)
+                .collect();
+            let never = rng.below(run.len() as u64) as usize;
+            run[never] = 0xF8 + rng.below(8) as u8;
+            bytes.splice(at..at, run);
+        }
+        (format, bytes)
+    }
+}
+
 fn ok_or_short_line_numbered_error(format: usize, text: &str) -> Result<(), TestCaseError> {
     if let Err(e) = read(format, text.as_bytes()) {
         let shown = e.to_string();
@@ -141,6 +167,25 @@ proptest! {
     #[test]
     fn damaged_documents_read_or_fail_briefly(input in Mutated) {
         ok_or_short_line_numbered_error(input.0, &input.1)?;
+    }
+
+    /// Bytes that are not UTF-8 anywhere in a document: the lines before
+    /// the first one holding them are untouched, so the error is the read
+    /// error, on that line, and short.
+    #[test]
+    fn spliced_non_utf8_bytes_fail_on_their_line(input in SplicedBytes) {
+        let (format, bytes) = input;
+        let bad = std::str::from_utf8(&bytes).expect_err("a run is never UTF-8");
+        let line = 1 + bytes[..bad.valid_up_to()].iter().filter(|&&b| b == b'\n').count();
+        match read(format, &bytes) {
+            Ok(n) => prop_assert!(false, "{n} records, bad bytes on line {line}"),
+            Err(e) => {
+                let shown = e.to_string();
+                prop_assert!(shown.len() < 512, "{} bytes: {shown}", shown.len());
+                prop_assert_eq!(e.line, line, "{}", shown);
+                prop_assert!(e.msg.starts_with("read error"), "{shown}");
+            }
+        }
     }
 }
 
