@@ -6,11 +6,11 @@
 //! order), drop an in-flight message, crash or restart a component from
 //! the configured fault surface — applies each to the engine brought
 //! back to the node's snapshot, and recurses, deduplicating on the
-//! engine's canonical state fingerprint. Safety predicates are evaluated at every distinct
-//! state; liveness predicates are evaluated at the depth frontier by
-//! running a *fair suffix* (normal scheduled execution for a bounded
-//! span) and requiring the goal to hold at its end — "liveness by
-//! bounded depth plus fair closure".
+//! engine's canonical state fingerprint. Safety predicates are
+//! evaluated at every distinct state; liveness predicates are evaluated
+//! at the depth frontier by running a *fair suffix* (normal scheduled
+//! execution for a bounded span) and requiring the goal to hold at its
+//! end — "liveness by bounded depth plus fair closure".
 //!
 //! Determinism: action enumeration follows the engine's sorted pending
 //! list and the configured `crashable` order, the visited set folds

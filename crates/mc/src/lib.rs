@@ -8,8 +8,11 @@
 //! ([`snooze_simcore::engine::Engine::mc_snapshot`]), enumerates the
 //! checker actions available in that state — execute any pending event
 //! out of queue order, drop an in-flight message, crash or restart a
-//! component — applies one to a restored copy, and recurses (DFS or
-//! BFS), deduplicating on the engine's canonical state fingerprint.
+//! component — applies one to the engine brought back to that snapshot,
+//! and recurses (DFS or BFS), deduplicating on the engine's canonical
+//! state fingerprint. A transition costs the one component slot its
+//! handler ran on, not the whole system (`explorer`, "What a transition
+//! costs").
 //!
 //! Invariants come in two kinds:
 //!

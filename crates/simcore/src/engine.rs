@@ -1659,6 +1659,15 @@ mod tests {
     }
 
     #[test]
+    fn engine_is_send() {
+        // The copy-on-write span log is an `Arc`, not an `Rc`, so an
+        // engine whose components and messages are `Send` can be moved
+        // to another thread.
+        fn send<T: Send>() {}
+        send::<Engine<Echo>>();
+    }
+
+    #[test]
     fn span_digest_is_deterministic_across_runs() {
         fn run() -> u64 {
             let mut sim = sim(7);
