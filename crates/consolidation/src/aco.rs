@@ -32,6 +32,26 @@
 //! other: threads over the ant loop were measured and did not pay
 //! end to end (EXPERIMENTS.md, E3).
 //!
+//! # When the colony stops
+//!
+//! A colony runs `n_cycles` cycles, or stops at the end of the first cycle
+//! whose global best uses no more than [`Instance::lower_bound`] hosts —
+//! when every host has the same capacity ([`Instance::is_homogeneous`])
+//! and no item or host has a negative component (the
+//! [`KernelTables::carry`] condition). The stopped colony returns exactly
+//! the full colony's state after that cycle: solution, convergence series,
+//! failed ants and work counters. What the skipped cycles could still do is
+//! swap in a packing with as many hosts and a higher
+//! `avg_used_bin_utilization`. With hosts of capacity `cap`, every packing
+//! that uses `k` hosts scores `Σ_d (total_d / cap_d) / (dims · k)` in exact
+//! arithmetic, so that tie-break compares rounding error. The one caveat is
+//! `fits_within`'s 1e-9 tolerance: a host may be filled past its capacity
+//! by up to 1e-9 per dimension, so on a large instance a packing below the
+//! bound is not ruled out, and a skipped cycle might have found one. On
+//! heterogeneous hosts utilization genuinely differs between packings with
+//! the same host count, and the colony runs every cycle (DESIGN.md, "What a
+//! colony cycle buys").
+//!
 //! # The construction kernel
 //!
 //! Live instances are built from a handful of VM flavours, so most
@@ -80,7 +100,8 @@ pub enum UpdateRule {
 pub struct AcoParams {
     /// Ants per cycle.
     pub n_ants: usize,
-    /// Cycles.
+    /// Cycles: the most the colony runs (it stops early once it meets the
+    /// lower bound on identical hosts).
     pub n_cycles: usize,
     /// Pheromone exponent α.
     pub alpha: f64,
@@ -321,6 +342,8 @@ struct KernelTables {
     /// component (`ResourceVector`'s invariant): a residual then only
     /// shrinks under `saturating_sub`, and `a <= b + 1e-9` is monotone in
     /// `b`, so an item that did not fit cannot fit later in the same bin.
+    /// The same condition, on identical hosts, lets the colony stop at the
+    /// lower bound (module doc).
     carry: bool,
 }
 
@@ -375,7 +398,8 @@ impl KernelTables {
 /// values. Host time per cycle is the repo benchmark's to measure.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AcoPhaseProfile {
-    /// Cycles executed.
+    /// Cycles run: `n_cycles`, or fewer when the colony stopped at the
+    /// lower bound.
     pub cycles: u64,
     /// Construction-phase inner-loop steps (placement draws plus bin
     /// advances, summed over every ant in every cycle).
@@ -392,7 +416,8 @@ pub struct AcoPhaseProfile {
 pub struct AcoRun {
     /// Best solution found (feasible), if any ant ever completed one.
     pub solution: Option<Solution>,
-    /// Bins used by the global best after each cycle.
+    /// Bins used by the global best after each cycle run — one entry per
+    /// [`AcoPhaseProfile::cycles`].
     pub best_bins_per_cycle: Vec<usize>,
     /// Total ants that failed to construct a feasible solution.
     pub failed_ants: usize,
@@ -413,7 +438,9 @@ impl AcoConsolidator {
         AcoConsolidator { params }
     }
 
-    /// Run the colony, returning the full run record.
+    /// Run the colony, returning the full run record. On identical hosts
+    /// it stops after the first cycle whose global best meets
+    /// [`Instance::lower_bound`] (module doc, "When the colony stops").
     pub fn run(&self, instance: &Instance) -> AcoRun {
         let p = self.params;
         let n_items = instance.n_items();
@@ -431,10 +458,11 @@ impl AcoConsolidator {
         let mut global_best: Option<(Solution, usize, f64)> = None; // (sol, bins, util)
         let mut best_per_cycle = Vec::with_capacity(p.n_cycles);
         let mut failed = 0usize;
-        let mut profile = AcoPhaseProfile {
-            cycles: p.n_cycles as u64,
-            ..AcoPhaseProfile::default()
-        };
+        let mut profile = AcoPhaseProfile::default();
+        // The host count no packing can beat, where a cycle that meets it
+        // has nothing left to buy (the module doc's "When the colony
+        // stops").
+        let stop_at = (instance.is_homogeneous() && tables.carry).then(|| instance.lower_bound());
 
         for cycle in 0..p.n_cycles {
             let construct = |ant: usize| -> (Option<Solution>, u64) {
@@ -513,7 +541,15 @@ impl AcoConsolidator {
                     .is_none_or(|(sol, _, _)| sol.is_feasible(instance)),
                 "cycle {cycle}: global best violates bin capacities"
             );
+            if stop_at.is_some_and(|bound| {
+                global_best
+                    .as_ref()
+                    .is_some_and(|(_, bins, _)| *bins <= bound)
+            }) {
+                break;
+            }
         }
+        profile.cycles = best_per_cycle.len() as u64;
 
         AcoRun {
             solution: global_best.map(|(s, _, _)| s),
@@ -790,6 +826,21 @@ mod tests {
             series.windows(2).all(|w| w[1] <= w[0]),
             "global best can only improve: {series:?}"
         );
+    }
+
+    #[test]
+    fn stops_at_the_lower_bound_on_identical_hosts_only() {
+        let inst = unit_instance(&[0.5, 0.5, 0.5, 0.5], 4);
+        let run = AcoConsolidator::new(AcoParams::fast()).run(&inst);
+        assert_eq!(run.best_bins_per_cycle, vec![inst.lower_bound()]);
+        assert_eq!(run.profile.cycles, 1);
+        // A double-size first host takes all four: the bound is met in the
+        // first cycle, but on mixed hosts the colony runs every cycle.
+        let mut mixed = inst.clone();
+        mixed.bins[0] = ResourceVector::splat(2.0);
+        let run = AcoConsolidator::new(AcoParams::fast()).run(&mixed);
+        assert_eq!(run.best_bins_per_cycle, vec![1; AcoParams::fast().n_cycles]);
+        assert_eq!(run.profile.cycles, AcoParams::fast().n_cycles as u64);
     }
 
     #[test]

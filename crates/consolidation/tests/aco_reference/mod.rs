@@ -4,7 +4,9 @@
 //! advisory wall-clock timers and audit hooks. Every candidate's
 //! `τ^α · η^β` is recomputed from scratch with two `powf` calls. Kept
 //! only so `properties.rs` can assert the shipped kernel reproduces it
-//! bit for bit — do not optimise this file.
+//! bit for bit — do not optimise this file. The colony loop states the
+//! shipped stop at the lower bound in its plainest form, and can run
+//! without it: the full colony the stop is held to.
 
 use snooze_cluster::resources::ResourceVector;
 use snooze_consolidation::aco::{AcoParams, UpdateRule};
@@ -54,6 +56,14 @@ impl PheromoneMatrix {
 
 /// The colony loop of `AcoConsolidator::run` over the naive kernel.
 pub fn run(p: AcoParams, instance: &Instance) -> ReferenceRun {
+    colony(p, instance, true)
+}
+
+/// The colony loop, stopping after the first cycle whose global best uses
+/// at most `instance.lower_bound()` hosts when `stop_at_lower_bound` is
+/// set, every host has the same capacity and no item or host has a
+/// negative component; every one of `n_cycles` cycles otherwise.
+pub fn colony(p: AcoParams, instance: &Instance, stop_at_lower_bound: bool) -> ReferenceRun {
     let n_items = instance.n_items();
     let mut out = ReferenceRun {
         solution: Some(Solution { assignment: vec![] }),
@@ -126,6 +136,20 @@ pub fn run(p: AcoParams, instance: &Instance) -> ReferenceRun {
                 .map(|(_, b, _)| *b)
                 .unwrap_or(usize::MAX),
         );
+        let non_negative = instance
+            .items
+            .iter()
+            .chain(&instance.bins)
+            .all(|v| !v.to_array().iter().any(|x| *x < 0.0));
+        if stop_at_lower_bound
+            && instance.is_homogeneous()
+            && non_negative
+            && global_best
+                .as_ref()
+                .is_some_and(|(_, bins, _)| *bins <= instance.lower_bound())
+        {
+            break;
+        }
     }
 
     out.solution = global_best.map(|(s, _, _)| s);

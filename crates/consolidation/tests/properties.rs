@@ -316,6 +316,81 @@ proptest! {
         };
         prop_assert_eq!(shipped, aco_reference::run(params, &inst));
     }
+
+    /// The stop at the lower bound against the full colony (the reference
+    /// with the stop off). Where it applies — identical hosts, no negative
+    /// component — the shipped run is the full colony cut after the first
+    /// cycle whose best meets the bound: same host count, its convergence
+    /// series a prefix, and every field that of a full colony given only
+    /// that many cycles. Where the bound is never met, the hosts differ or
+    /// a component is negative, every field is the full colony's. Besides
+    /// the kernel shapes: one item made negative in one dimension, and one
+    /// host made larger by 1 Mbit/s, so hosts differ where the colony meets
+    /// the bound as often as on identical ones.
+    #[test]
+    fn aco_stops_at_the_lower_bound_only_where_a_cycle_buys_nothing(
+        inst in kernel_instance(),
+        variant in 0usize..3,
+        colony in any::<u64>(),
+    ) {
+        let mut inst = inst;
+        match variant {
+            1 => {
+                if let Some(item) = inst.items.first_mut() {
+                    item.net_rx = -item.net_rx - 1.0;
+                }
+            }
+            2 => {
+                if let Some(bin) = inst.bins.last_mut() {
+                    bin.net_rx += 1.0;
+                }
+            }
+            _ => {}
+        }
+        let params = AcoParams {
+            n_ants: 1 + (colony % 4) as usize,
+            n_cycles: 1 + (colony / 4 % 12) as usize,
+            seed: colony,
+            ..AcoParams::default()
+        };
+        let run = AcoConsolidator::new(params).run(&inst);
+        prop_assert_eq!(run.profile.cycles, run.best_bins_per_cycle.len() as u64);
+        let shipped = aco_reference::ReferenceRun {
+            solution: run.solution,
+            best_bins_per_cycle: run.best_bins_per_cycle,
+            failed_ants: run.failed_ants,
+            construction_steps: run.profile.construction_steps,
+            evaluation_comparisons: run.profile.evaluation_comparisons,
+            evaporation_updates: run.profile.evaporation_updates,
+        };
+        let full = aco_reference::colony(params, &inst, false);
+        let applies = inst.is_homogeneous()
+            && inst
+                .items
+                .iter()
+                .chain(&inst.bins)
+                .all(|v| v.to_array().iter().all(|x| *x >= 0.0));
+        let bound = inst.lower_bound();
+        let stop = full
+            .best_bins_per_cycle
+            .iter()
+            .position(|&bins| applies && bins <= bound);
+        match stop {
+            None => prop_assert_eq!(shipped, full),
+            Some(cycle) => {
+                let hosts = |run: &aco_reference::ReferenceRun| {
+                    run.solution.as_ref().map(Solution::bins_used)
+                };
+                prop_assert_eq!(hosts(&shipped), hosts(&full));
+                prop_assert_eq!(
+                    &shipped.best_bins_per_cycle[..],
+                    &full.best_bins_per_cycle[..=cycle]
+                );
+                let cut = AcoParams { n_cycles: cycle + 1, ..params };
+                prop_assert_eq!(shipped, aco_reference::colony(cut, &inst, false));
+            }
+        }
+    }
 }
 
 proptest! {
