@@ -535,10 +535,20 @@ impl GroupManager {
             max_migrations,
             self.config.overload_threshold,
         );
-        ctx.span_label(span, "migrations", plan.len().to_string());
+        // The decision record: what the packer was handed and what it found.
+        for (key, value) in [
+            ("migrations", plan.migrations.len()),
+            ("items", plan.items),
+            ("hosts", plan.hosts),
+            ("hosts_before", plan.hosts_before),
+            ("hosts_after", plan.hosts_after),
+            ("lower_bound", plan.lower_bound),
+        ] {
+            ctx.span_label(span, key, value.to_string());
+        }
         // The commanded migrations nest under the reconfiguration span
         // (span_open made it ambient), tying each move to its cause.
-        for m in plan {
+        for m in plan.migrations {
             self.command_migration(ctx, m);
         }
         ctx.span_close(span);

@@ -75,11 +75,33 @@ impl std::fmt::Debug for ReconfigurationConfig {
     }
 }
 
+/// A planned consolidation pass and the decision record behind it: what
+/// the consolidator was handed and what it found. The GM puts every count
+/// on its `gm.reconfigure` span beside `migrations`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ReconfigurationPlan {
+    /// The migrations to command, at most `max_migrations`: empty unless
+    /// the packing occupies fewer LCs than the current placement.
+    pub migrations: Vec<PlannedMigration>,
+    /// VMs handed to the consolidator (those on participating LCs).
+    pub items: usize,
+    /// Participating LCs: powered on and not overloaded.
+    pub hosts: usize,
+    /// Participating LCs that host a VM now.
+    pub hosts_before: usize,
+    /// LCs the consolidator's packing occupies, or `hosts_before` when it
+    /// found none.
+    pub hosts_after: usize,
+    /// [`Instance::lower_bound`] of the instance handed over.
+    pub lower_bound: usize,
+}
+
 /// Plan a consolidation pass.
 ///
 /// `placements` maps each VM (with its reservation view) to its current
 /// LC. Returns a migration plan, possibly empty when the current
-/// placement is already as tight as the consolidator can make it.
+/// placement is already as tight as the consolidator can make it, with
+/// the instance sizes and host counts it was decided on.
 ///
 /// `overload_threshold` scopes the pass to *moderately loaded* nodes, as
 /// §II-C specifies: LCs whose estimated utilization exceeds it neither
@@ -91,7 +113,7 @@ pub fn plan_reconfiguration(
     consolidator: &dyn Consolidator,
     max_migrations: usize,
     overload_threshold: f64,
-) -> Vec<PlannedMigration> {
+) -> ReconfigurationPlan {
     // Only powered-on, not-overloaded LCs participate: waking nodes to
     // consolidate onto them would be self-defeating, and packing more
     // onto hot nodes would trade energy for performance.
@@ -99,9 +121,6 @@ pub fn plan_reconfiguration(
         .iter()
         .filter(|l| l.powered_on && l.utilization() <= overload_threshold)
         .collect();
-    if active.is_empty() || placements.is_empty() {
-        return Vec::new();
-    }
     let bin_of_lc: std::collections::HashMap<ComponentId, usize> =
         active.iter().enumerate().map(|(i, l)| (l.lc, i)).collect();
 
@@ -110,8 +129,21 @@ pub fn plan_reconfiguration(
         .iter()
         .filter(|(_, lc)| bin_of_lc.contains_key(lc))
         .collect();
+    let mut used: Vec<bool> = vec![false; active.len()];
+    for (_, lc) in &movable {
+        used[bin_of_lc[lc]] = true;
+    }
+    let hosts_before = used.iter().filter(|u| **u).count();
+    let mut record = ReconfigurationPlan {
+        migrations: Vec::new(),
+        items: movable.len(),
+        hosts: active.len(),
+        hosts_before,
+        hosts_after: hosts_before,
+        lower_bound: 0,
+    };
     if movable.is_empty() {
-        return Vec::new();
+        return record;
     }
 
     // Carry the current placement as the incumbent so migration-cost-aware
@@ -121,24 +153,17 @@ pub fn plan_reconfiguration(
         bins: active.iter().map(|l| l.capacity).collect(),
         incumbent: Some(movable.iter().map(|(_, lc)| bin_of_lc[lc]).collect()),
     };
-    let solution = match consolidator.consolidate(&instance) {
-        Some(s) => s,
-        None => return Vec::new(),
+    record.lower_bound = instance.lower_bound();
+    let Some(solution) = consolidator.consolidate(&instance) else {
+        return record;
     };
     debug_assert!(solution.is_feasible(&instance));
-
-    let current_bins_used: usize = {
-        let mut used: Vec<bool> = vec![false; active.len()];
-        for (_, lc) in &movable {
-            used[bin_of_lc[lc]] = true;
-        }
-        used.iter().filter(|u| **u).count()
-    };
-    if solution.bins_used() >= current_bins_used {
-        return Vec::new(); // no win — don't churn
+    record.hosts_after = solution.bins_used();
+    if record.hosts_after >= hosts_before {
+        return record; // no win — don't churn
     }
 
-    let mut plan: Vec<PlannedMigration> = Vec::new();
+    let plan = &mut record.migrations;
     for (idx, (vm_view, current_lc)) in movable.iter().enumerate() {
         let target_lc = active[solution.assignment[idx]].lc;
         if target_lc != *current_lc {
@@ -157,7 +182,7 @@ pub fn plan_reconfiguration(
         (src.utilization() * 1000.0) as u64
     });
     plan.truncate(max_migrations);
-    plan
+    record
 }
 
 #[cfg(test)]
@@ -201,7 +226,8 @@ mod tests {
             &FirstFitDecreasing { key: SortKey::L1 },
             16,
             1.0,
-        );
+        )
+        .migrations;
         assert_eq!(
             plan.len(),
             3,
@@ -221,6 +247,47 @@ mod tests {
     }
 
     #[test]
+    fn the_plan_carries_its_decision_record() {
+        // Four LCs with one 0.25 VM each, a fifth idle, a sixth suspended.
+        let mut lcs: Vec<LcView> = (0..4).map(|i| lc(i, 1.0, 0.25, true)).collect();
+        lcs.push(lc(4, 1.0, 0.0, true));
+        lcs.push(lc(5, 1.0, 0.0, false));
+        let placements: Vec<(VmView, ComponentId)> = (0..4)
+            .map(|i| (vm(i as u64, 0.25), ComponentId(i)))
+            .collect();
+        let ffd = FirstFitDecreasing { key: SortKey::L1 };
+        let plan = plan_reconfiguration(&lcs, &placements, &ffd, 2, 1.0);
+        assert_eq!(
+            (
+                plan.items,
+                plan.hosts,
+                plan.hosts_before,
+                plan.hosts_after,
+                plan.lower_bound
+            ),
+            (4, 5, 4, 1, 1)
+        );
+        assert_eq!(
+            plan.migrations.len(),
+            2,
+            "capped, not the three the packing needs"
+        );
+        // No win: the record still says what the packer found.
+        let tight = plan_reconfiguration(&lcs[..1], &placements[..1], &ffd, 16, 1.0);
+        assert!(tight.migrations.is_empty());
+        assert_eq!(
+            (
+                tight.items,
+                tight.hosts,
+                tight.hosts_before,
+                tight.hosts_after,
+                tight.lower_bound
+            ),
+            (1, 1, 1, 1, 1)
+        );
+    }
+
+    #[test]
     fn already_tight_placement_is_left_alone() {
         let lcs = vec![lc(0, 1.0, 0.75, true), lc(1, 1.0, 0.0, true)];
         let placements = vec![
@@ -234,7 +301,8 @@ mod tests {
             &FirstFitDecreasing { key: SortKey::L1 },
             16,
             1.0,
-        );
+        )
+        .migrations;
         assert!(plan.is_empty(), "1 bin already optimal: {plan:?}");
     }
 
@@ -250,7 +318,8 @@ mod tests {
             &FirstFitDecreasing { key: SortKey::L1 },
             2,
             1.0,
-        );
+        )
+        .migrations;
         assert!(plan.len() <= 2);
     }
 
@@ -272,7 +341,8 @@ mod tests {
             &FirstFitDecreasing { key: SortKey::L1 },
             16,
             1.0,
-        );
+        )
+        .migrations;
         assert!(
             plan.iter().all(|m| m.vm != VmId(1)),
             "vm on suspended node must not move"
@@ -295,7 +365,8 @@ mod tests {
             &AcoConsolidator::new(AcoParams::fast()),
             16,
             1.0,
-        );
+        )
+        .migrations;
         // 6 × 0.3 pack into 2 bins ⇒ at least 4 migrations.
         assert!(plan.len() >= 4, "plan: {plan:?}");
     }
@@ -320,7 +391,8 @@ mod tests {
             &FirstFitDecreasing { key: SortKey::L1 },
             16,
             0.9,
-        );
+        )
+        .migrations;
         assert!(
             plan.iter().all(|m| m.vm != VmId(1)),
             "hot node's VM stays: {plan:?}"
@@ -337,11 +409,13 @@ mod tests {
     fn empty_inputs_produce_empty_plans() {
         assert!(
             plan_reconfiguration(&[], &[], &FirstFitDecreasing { key: SortKey::L1 }, 16, 1.0)
+                .migrations
                 .is_empty()
         );
         let lcs = vec![lc(0, 1.0, 0.0, true)];
         assert!(
             plan_reconfiguration(&lcs, &[], &FirstFitDecreasing { key: SortKey::L1 }, 16, 1.0)
+                .migrations
                 .is_empty()
         );
     }

@@ -143,34 +143,42 @@ fn survives_a_random_failure_storm_with_invariants_intact() {
     assert!(c.placed.len() >= 8, "placed only {} of 12", c.placed.len());
 }
 
+/// Eight 2-core VMs round-robined over eight 8-core LCs under one GM,
+/// idle suspend after 20 s, and ACO reconfiguration every 60 s if
+/// `reconf`: the deployment run for `horizon`.
+fn consolidation_deployment(reconf: bool, horizon: SimTime) -> (Engine<SnoozeNode>, SnoozeSystem) {
+    let mut sim: Engine<SnoozeNode> = SimBuilder::new(53).network(NetworkConfig::lan()).build();
+    let config = SnoozeConfig {
+        placement: PlacementKind::RoundRobin,
+        idle_suspend_after: Some(SimSpan::from_secs(20)),
+        underload_threshold: 0.0, // isolate the reconfiguration effect
+        reconfiguration: reconf.then(|| ReconfigurationConfig {
+            period: SimSpan::from_secs(60),
+            algo: "aco".into(),
+            consolidator: std::sync::Arc::new(AcoConsolidator::new(AcoParams::fast())),
+            max_migrations: 16,
+        }),
+        ..SnoozeConfig::fast_test()
+    };
+    let nodes = NodeSpec::standard_cluster(8);
+    let system = SnoozeSystem::deploy(&mut sim, &config, 2, &nodes, 1);
+    sim.add_component(
+        "client",
+        ClientDriver::new(
+            system.eps[0],
+            schedule(8, secs(10), 0.5),
+            SimSpan::from_secs(10),
+        ),
+    );
+    sim.run_until(horizon);
+    (sim, system)
+}
+
 #[test]
 fn consolidation_in_the_loop_reduces_powered_nodes() {
     let run = |reconf: bool| -> (usize, f64) {
-        let mut sim: Engine<SnoozeNode> = SimBuilder::new(53).network(NetworkConfig::lan()).build();
-        let config = SnoozeConfig {
-            placement: PlacementKind::RoundRobin,
-            idle_suspend_after: Some(SimSpan::from_secs(20)),
-            underload_threshold: 0.0, // isolate the reconfiguration effect
-            reconfiguration: reconf.then(|| ReconfigurationConfig {
-                period: SimSpan::from_secs(60),
-                algo: "aco".into(),
-                consolidator: std::sync::Arc::new(AcoConsolidator::new(AcoParams::fast())),
-                max_migrations: 16,
-            }),
-            ..SnoozeConfig::fast_test()
-        };
-        let nodes = NodeSpec::standard_cluster(8);
-        let system = SnoozeSystem::deploy(&mut sim, &config, 2, &nodes, 1);
-        sim.add_component(
-            "client",
-            ClientDriver::new(
-                system.eps[0],
-                schedule(8, secs(10), 0.5),
-                SimSpan::from_secs(10),
-            ),
-        );
         let horizon = secs(600);
-        sim.run_until(horizon);
+        let (sim, system) = consolidation_deployment(reconf, horizon);
         let (on, _, _) = system.power_census(&sim);
         (on, system.total_energy_wh(&sim, horizon))
     };
@@ -187,6 +195,48 @@ fn consolidation_in_the_loop_reduces_powered_nodes() {
         on_with <= 3,
         "packed cluster should run ≤3 nodes, got {on_with}"
     );
+}
+
+/// Every `gm.reconfigure` span carries the pass's decision record, and a
+/// pass that commands migrations planned no more hosts than it found.
+#[test]
+fn every_reconfiguration_pass_carries_its_decision_record() {
+    const KEYS: [&str; 6] = [
+        "migrations",
+        "items",
+        "hosts",
+        "hosts_before",
+        "hosts_after",
+        "lower_bound",
+    ];
+    let (sim, _) = consolidation_deployment(true, secs(600));
+    let mut passes = 0;
+    let mut moved = 0;
+    for span in sim.spans().iter().filter(|s| s.name == "gm.reconfigure") {
+        passes += 1;
+        let keys: Vec<&str> = span.labels.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, KEYS, "span {:?}", span.id);
+        let [migrations, items, hosts, before, after, bound] = KEYS.map(|key| {
+            span.labels
+                .iter()
+                .find(|(k, _)| *k == key)
+                .unwrap()
+                .1
+                .parse::<usize>()
+                .unwrap()
+        });
+        assert!(before <= hosts && after <= hosts, "{:?}", span.labels);
+        assert!(migrations <= items, "{:?}", span.labels);
+        if items > 0 {
+            assert!(bound >= 1 && bound <= after, "{:?}", span.labels);
+        }
+        if migrations > 0 {
+            moved += 1;
+            assert!(after <= before, "{:?}", span.labels);
+        }
+    }
+    assert!(passes >= 8, "a pass a minute from 60 s, got {passes}");
+    assert!(moved >= 1, "some pass consolidated");
 }
 
 #[test]
