@@ -78,7 +78,7 @@ impl std::fmt::Debug for ReconfigurationConfig {
 /// A planned consolidation pass and the decision record behind it: what
 /// the consolidator was handed and what it found. The GM puts every count
 /// on its `gm.reconfigure` span beside `migrations`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct ReconfigurationPlan {
     /// The migrations to command, at most `max_migrations`: empty unless
     /// the packing occupies fewer LCs than the current placement.

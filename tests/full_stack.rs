@@ -216,15 +216,8 @@ fn every_reconfiguration_pass_carries_its_decision_record() {
         passes += 1;
         let keys: Vec<&str> = span.labels.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, KEYS, "span {:?}", span.id);
-        let [migrations, items, hosts, before, after, bound] = KEYS.map(|key| {
-            span.labels
-                .iter()
-                .find(|(k, _)| *k == key)
-                .unwrap()
-                .1
-                .parse::<usize>()
-                .unwrap()
-        });
+        let [migrations, items, hosts, before, after, bound]: [usize; 6] =
+            std::array::from_fn(|i| span.labels[i].1.parse().unwrap());
         assert!(before <= hosts && after <= hosts, "{:?}", span.labels);
         assert!(migrations <= items, "{:?}", span.labels);
         if items > 0 {
