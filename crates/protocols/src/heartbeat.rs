@@ -7,21 +7,22 @@
 //! receiving side: [`FailureDetector`] tracks the last time each peer was
 //! heard from and reports the ones that have gone quiet.
 
-use std::collections::BTreeMap;
-
 use snooze_simcore::mc::{McHasher, McState};
 use snooze_simcore::time::{SimSpan, SimTime};
 
 /// A timeout-based failure detector over peers identified by `K`.
 ///
 /// `K` is whatever the protocol identifies peers by — component ids at
-/// the hierarchy levels, node ids at the physical layer. Peers live in a
-/// `BTreeMap` so every iteration order is the key order — no per-process
-/// hash randomness can leak into protocol messages or traces.
+/// the hierarchy levels, node ids at the physical layer. Peers live in
+/// one `(peer, last heard)` row per peer, kept sorted by peer, so every
+/// iteration order is the key order — no per-process hash randomness can
+/// leak into protocol messages or traces — and a GM's heartbeat from any
+/// of its thousand LCs is a binary search in one contiguous array, the
+/// same row layout as the network's per-pair FIFO clamps.
 #[derive(Clone, Debug)]
 pub struct FailureDetector<K: Copy + Ord> {
     timeout: SimSpan,
-    last_heard: BTreeMap<K, SimTime>,
+    rows: Vec<(K, SimTime)>,
 }
 
 impl<K: Copy + Ord> FailureDetector<K> {
@@ -29,7 +30,7 @@ impl<K: Copy + Ord> FailureDetector<K> {
     pub fn new(timeout: SimSpan) -> Self {
         FailureDetector {
             timeout,
-            last_heard: BTreeMap::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -41,51 +42,66 @@ impl<K: Copy + Ord> FailureDetector<K> {
     /// Record a heartbeat (or any sign of life) from `peer` at `now`.
     /// Returns `true` if this peer was previously unknown (a join).
     pub fn heard(&mut self, peer: K, now: SimTime) -> bool {
-        self.last_heard.insert(peer, now).is_none()
+        match self.row_of(peer) {
+            Ok(i) => {
+                self.rows[i].1 = now;
+                false
+            }
+            Err(i) => {
+                self.rows.insert(i, (peer, now));
+                true
+            }
+        }
     }
 
     /// Stop tracking `peer` (graceful leave or after eviction).
     pub fn forget(&mut self, peer: K) {
-        self.last_heard.remove(&peer);
+        if let Ok(i) = self.row_of(peer) {
+            self.rows.remove(i);
+        }
     }
 
     /// Number of tracked peers.
     pub fn len(&self) -> usize {
-        self.last_heard.len()
+        self.rows.len()
     }
 
     /// True when no peers are tracked.
     pub fn is_empty(&self) -> bool {
-        self.last_heard.is_empty()
+        self.rows.is_empty()
     }
 
     /// Remove and return every peer not heard from within the timeout,
     /// in key order. Call from a periodic timer.
     pub fn expire(&mut self, now: SimTime) -> Vec<K> {
         let timeout = self.timeout;
-        let dead: Vec<K> = self
-            .last_heard
-            .iter()
-            .filter(|(_, &t)| now.since(t) > timeout)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in &dead {
-            self.last_heard.remove(k);
-        }
+        let mut dead = Vec::new();
+        self.rows.retain(|&(peer, t)| {
+            let alive = now.since(t) <= timeout;
+            if !alive {
+                dead.push(peer);
+            }
+            alive
+        });
         dead
     }
 
     /// Drop all tracked peers (e.g. when the host component restarts).
     pub fn reset(&mut self) {
-        self.last_heard.clear();
+        self.rows.clear();
+    }
+
+    /// `peer`'s row, or where it would be inserted.
+    fn row_of(&self, peer: K) -> Result<usize, usize> {
+        self.rows.binary_search_by(|(k, _)| k.cmp(&peer))
     }
 }
 
 impl<K: Copy + Ord + Into<u64>> McState for FailureDetector<K> {
     fn mc_fold(&self, h: &mut McHasher) {
         h.span(self.timeout);
-        h.word(self.last_heard.len() as u64);
-        for (&peer, &t) in &self.last_heard {
+        h.word(self.rows.len() as u64);
+        for &(peer, t) in &self.rows {
             h.word(peer.into());
             h.time(t);
         }
