@@ -8,6 +8,8 @@
 //! [`DiscoverGl`] queries, and forward [`SubmitVm`] requests to the
 //! current GL (dropping them when no GL is known — clients retry).
 
+use std::sync::Arc;
+
 use snooze_simcore::engine::{Component, ComponentId, Ctx, GroupId};
 use snooze_simcore::mc::{McHasher, McState};
 use snooze_simcore::telemetry::label::label;
@@ -19,7 +21,7 @@ use crate::messages::{GlInfo, SnoozeMsg};
 /// The Entry Point component.
 #[derive(Clone)]
 pub struct EntryPoint {
-    config: SnoozeConfig,
+    config: Arc<SnoozeConfig>,
     gl_group: GroupId,
     gl: Option<ComponentId>,
     last_gl_heartbeat: SimTime,
@@ -31,9 +33,9 @@ pub struct EntryPoint {
 
 impl EntryPoint {
     /// An EP discovering the GL through heartbeats on `gl_group`.
-    pub fn new(config: SnoozeConfig, gl_group: GroupId) -> Self {
+    pub fn new(config: impl Into<Arc<SnoozeConfig>>, gl_group: GroupId) -> Self {
         EntryPoint {
-            config,
+            config: config.into(),
             gl_group,
             gl: None,
             last_gl_heartbeat: SimTime::ZERO,

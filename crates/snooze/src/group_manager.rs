@@ -17,6 +17,7 @@
 //!   its LCs (dedicated roles, §II-A); they rejoin other GMs through the
 //!   self-organization protocol.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -54,6 +55,103 @@ pub enum Mode {
     Gl,
     /// Managing LCs under the contained GL.
     Gm(ComponentId),
+}
+
+/// A GM's per-LC rows: `(lc, value)` in `ComponentId` order in one
+/// `Vec`, plus an index from id to row. A lookup is one array read, and
+/// every scan walks the rows in the order a `BTreeMap` keyed by id would
+/// give. Joins and evictions shift the rows after them, which is cheap
+/// at their rate (once per LC per join) against one lookup per report.
+#[derive(Clone)]
+struct LcTable<V> {
+    rows: Vec<(ComponentId, V)>,
+    /// `index[lc.0]` is `lc`'s row, or `VACANT`; ids past its end are
+    /// absent. Component ids are engine slot numbers, so it stays as
+    /// long as the deployment has components.
+    index: Vec<u32>,
+}
+
+const VACANT: u32 = u32::MAX;
+
+impl<V> LcTable<V> {
+    fn new() -> Self {
+        LcTable {
+            rows: Vec::new(),
+            index: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn row(&self, lc: ComponentId) -> Option<usize> {
+        match self.index.get(lc.0) {
+            Some(&row) if row != VACANT => Some(row as usize),
+            _ => None,
+        }
+    }
+
+    fn get(&self, lc: ComponentId) -> Option<&V> {
+        self.row(lc).map(|row| &self.rows[row].1)
+    }
+
+    fn get_mut(&mut self, lc: ComponentId) -> Option<&mut V> {
+        self.row(lc).map(|row| &mut self.rows[row].1)
+    }
+
+    /// `lc`'s value, inserting `make()` first if `lc` has none.
+    fn get_or_insert_with(&mut self, lc: ComponentId, make: impl FnOnce() -> V) -> &mut V {
+        let row = match self.row(lc) {
+            Some(row) => row,
+            None => {
+                let row = self.rows.partition_point(|&(id, _)| id < lc);
+                self.rows.insert(row, (lc, make()));
+                if self.index.len() <= lc.0 {
+                    self.index.resize(lc.0 + 1, VACANT);
+                }
+                self.reindex_from(row);
+                row
+            }
+        };
+        &mut self.rows[row].1
+    }
+
+    fn remove(&mut self, lc: ComponentId) -> Option<V> {
+        let row = self.row(lc)?;
+        let (_, value) = self.rows.remove(row);
+        self.index[lc.0] = VACANT;
+        self.reindex_from(row);
+        Some(value)
+    }
+
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.index.clear();
+    }
+
+    /// Point the index at every row from `row` on, after a shift.
+    fn reindex_from(&mut self, row: usize) {
+        for (i, &(id, _)) in self.rows.iter().enumerate().skip(row) {
+            self.index[id.0] = i as u32;
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (ComponentId, &V)> {
+        self.rows.iter().map(|(id, v)| (*id, v))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (ComponentId, &mut V)> {
+        self.rows.iter_mut().map(|(id, v)| (*id, v))
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.rows.iter().map(|(_, v)| v)
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.rows.iter_mut().map(|(_, v)| v)
+    }
 }
 
 /// Per-LC record kept by a GM.
@@ -121,14 +219,16 @@ struct DispatchState {
 /// The Group Manager component.
 #[derive(Clone)]
 pub struct GroupManager {
-    config: SnoozeConfig,
+    /// Shared by every component of a deployment: the engine strides its
+    /// slots by the largest node, and a private copy would be most of it.
+    config: Arc<SnoozeConfig>,
     gl_group: GroupId,
     lc_group: GroupId,
     elector: Elector,
     mode: Mode,
 
     // --- GM-mode state ---
-    lcs: BTreeMap<ComponentId, LcRecord>,
+    lcs: LcTable<LcRecord>,
     lc_fd: FailureDetector<ComponentId>,
     placer: Placer,
     pending: VecDeque<PendingPlacement>,
@@ -149,11 +249,12 @@ impl GroupManager {
     /// heartbeating on `gl_group` when leader and on `lc_group` toward
     /// its LCs when manager.
     pub fn new(
-        config: SnoozeConfig,
+        config: impl Into<Arc<SnoozeConfig>>,
         zk: ComponentId,
         gl_group: GroupId,
         lc_group: GroupId,
     ) -> Self {
+        let config = config.into();
         let elector = Elector::new(zk, "gl-election", config.election_ping_period);
         GroupManager {
             lc_fd: FailureDetector::new(config.lc_timeout),
@@ -165,7 +266,7 @@ impl GroupManager {
             lc_group,
             elector,
             mode: Mode::Candidate,
-            lcs: BTreeMap::new(),
+            lcs: LcTable::new(),
             pending: VecDeque::new(),
             gm_timer_armed: false,
             gm_summaries: BTreeMap::new(),
@@ -208,7 +309,7 @@ impl GroupManager {
     fn lc_views(&self) -> Vec<LcView> {
         self.lcs
             .iter()
-            .map(|(&lc, r)| LcView {
+            .map(|(lc, r)| LcView {
                 lc,
                 capacity: r.capacity,
                 reserved: r.reserved,
@@ -256,7 +357,7 @@ impl GroupManager {
     ) -> Option<ComponentId> {
         let views = self.lc_views();
         if let Some(lc) = self.placer.place(spec, &views) {
-            let record = self.lcs.get_mut(&lc).expect("placer returned managed LC");
+            let record = self.lcs.get_mut(lc).expect("placer returned managed LC");
             record.reserved += spec.requested;
             record.idle_since = None;
             record.vms.insert(
@@ -289,9 +390,9 @@ impl GroupManager {
             .find(|(_, r)| {
                 !r.powered_on && !r.waking && (r.reserved + spec.requested).fits_within(&r.capacity)
             })
-            .map(|(&lc, _)| lc);
+            .map(|(lc, _)| lc);
         if let Some(lc) = wake_target {
-            let r = self.lcs.get_mut(&lc).unwrap();
+            let r = self.lcs.get_mut(lc).unwrap();
             r.waking = true;
             r.wake_sent_at = Some(ctx.now());
             ctx.metrics()
@@ -360,7 +461,7 @@ impl GroupManager {
 
     /// Issue a planned migration and update reservation bookkeeping.
     fn command_migration(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>, m: PlannedMigration) {
-        let Some(src) = self.lcs.get_mut(&m.from) else {
+        let Some(src) = self.lcs.get_mut(m.from) else {
             return;
         };
         let Some(vm) = src.vms.get_mut(&m.vm) else {
@@ -376,10 +477,10 @@ impl GroupManager {
         ctx.span_label(span, "from", format!("{:?}", m.from));
         ctx.span_label(span, "to", format!("{:?}", m.to));
         // Re-borrow: span bookkeeping above released the record.
-        if let Some(rec) = self.lcs.get_mut(&m.from).and_then(|r| r.vms.get_mut(&m.vm)) {
+        if let Some(rec) = self.lcs.get_mut(m.from).and_then(|r| r.vms.get_mut(&m.vm)) {
             rec.migration_span = Some(span);
         }
-        if let Some(dst) = self.lcs.get_mut(&m.to) {
+        if let Some(dst) = self.lcs.get_mut(m.to) {
             dst.reserved += requested;
             dst.idle_since = None;
         }
@@ -388,7 +489,7 @@ impl GroupManager {
 
     fn vm_views_of(&self, lc: ComponentId) -> Vec<VmView> {
         self.lcs
-            .get(&lc)
+            .get(lc)
             .map(|r| {
                 r.vms
                     .values()
@@ -408,7 +509,7 @@ impl GroupManager {
             .incr_with("heartbeat_missed", &label("role", "lc"));
         let failover = ctx.span_instant("gm.lc-failover");
         ctx.span_label(failover, "lc", format!("{lc:?}"));
-        let Some(record) = self.lcs.remove(&lc) else {
+        let Some(record) = self.lcs.remove(lc) else {
             return;
         };
         if self.config.reschedule_on_lc_failure {
@@ -425,25 +526,17 @@ impl GroupManager {
             return;
         };
         let now = ctx.now();
-        let targets: Vec<ComponentId> = self
-            .lcs
-            .iter()
-            .filter(|(_, r)| {
-                r.powered_on
-                    && !r.waking
-                    && r.vms.is_empty()
-                    && r.idle_since
-                        .map(|t| now.since(t) >= threshold)
-                        .unwrap_or(false)
-            })
-            .map(|(&lc, _)| lc)
-            .collect();
-        for lc in targets {
-            let r = self.lcs.get_mut(&lc).unwrap();
-            r.powered_on = false; // optimistic; LC confirms
-            r.idle_since = None;
-            self.lc_fd.forget(lc); // no heartbeats while asleep
-            ctx.send(lc, SuspendNode);
+        for (lc, r) in self.lcs.iter_mut() {
+            let idle_long_enough = r
+                .idle_since
+                .map(|t| now.since(t) >= threshold)
+                .unwrap_or(false);
+            if r.powered_on && !r.waking && r.vms.is_empty() && idle_long_enough {
+                r.powered_on = false; // optimistic; LC confirms
+                r.idle_since = None;
+                self.lc_fd.forget(lc); // no heartbeats while asleep
+                ctx.send(lc, SuspendNode);
+            }
         }
     }
 
@@ -453,8 +546,7 @@ impl GroupManager {
     fn retry_unconfirmed_starts(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
         let now = ctx.now();
         let patience = self.config.vm_boot_delay + self.config.placement_retry_period * 4;
-        let mut resend: Vec<(ComponentId, VmSpec, VmWorkload, Option<SpanId>)> = Vec::new();
-        for (&lc, record) in &mut self.lcs {
+        for (lc, record) in self.lcs.iter_mut() {
             if !record.powered_on {
                 continue;
             }
@@ -464,15 +556,15 @@ impl GroupManager {
                     && now.since(rec.start_sent_at) > patience
                 {
                     rec.start_sent_at = now;
-                    resend.push((lc, rec.spec, rec.workload.clone(), rec.span));
+                    let msg = StartVm {
+                        spec: rec.spec,
+                        workload: rec.workload.clone(),
+                    };
+                    match rec.span {
+                        Some(sp) => ctx.send_in(sp, lc, msg),
+                        None => ctx.send(lc, msg),
+                    }
                 }
-            }
-        }
-        for (lc, spec, workload, span) in resend {
-            let msg = StartVm { spec, workload };
-            match span {
-                Some(sp) => ctx.send_in(sp, lc, msg),
-                None => ctx.send(lc, msg),
             }
         }
     }
@@ -482,22 +574,15 @@ impl GroupManager {
     fn retry_stale_wakes(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
         let now = ctx.now();
         let patience = self.config.placement_retry_period * 12;
-        let stale: Vec<ComponentId> = self
-            .lcs
-            .iter()
-            .filter(|(_, r)| {
-                r.waking
-                    && r.wake_sent_at
-                        .map(|t| now.since(t) > patience)
-                        .unwrap_or(true)
-            })
-            .map(|(&lc, _)| lc)
-            .collect();
-        for lc in stale {
-            if let Some(r) = self.lcs.get_mut(&lc) {
+        for (lc, r) in self.lcs.iter_mut() {
+            let stale = r
+                .wake_sent_at
+                .map(|t| now.since(t) > patience)
+                .unwrap_or(true);
+            if r.waking && stale {
                 r.wake_sent_at = Some(now);
+                ctx.send(lc, WakeNode);
             }
-            ctx.send(lc, WakeNode);
         }
     }
 
@@ -512,7 +597,7 @@ impl GroupManager {
         let placements: Vec<(VmView, ComponentId)> = self
             .lcs
             .iter()
-            .flat_map(|(&lc, r)| {
+            .flat_map(|(lc, r)| {
                 r.vms
                     .values()
                     .filter(|v| v.migrating_to.is_none())
@@ -783,8 +868,8 @@ impl McState for GroupManager {
         self.elector.mc_fold(h);
         self.mode.mc_fold(h);
         h.word(self.lcs.len() as u64);
-        for (lc, rec) in &self.lcs {
-            h.id(*lc);
+        for (lc, rec) in self.lcs.iter() {
+            h.id(lc);
             rec.capacity.mc_fold(h);
             rec.reserved.mc_fold(h);
             rec.usage.mc_fold(h);
@@ -969,10 +1054,11 @@ impl Component for GroupManager {
             // --- GM-mode traffic ---
             SnoozeMsg::LcJoin(join) if matches!(self.mode, Mode::Gm(_)) => {
                 self.lc_fd.heard(src, now);
-                self.lcs.entry(src).or_insert_with(|| LcRecord {
+                let estimator = self.config.estimator;
+                self.lcs.get_or_insert_with(src, || LcRecord {
                     capacity: join.capacity,
                     reserved: ResourceVector::ZERO,
-                    usage: DemandEstimator::new(self.config.estimator),
+                    usage: DemandEstimator::new(estimator),
                     powered_on: true,
                     waking: false,
                     wake_sent_at: None,
@@ -984,7 +1070,7 @@ impl Component for GroupManager {
             }
             SnoozeMsg::LcMonitoring(report) if matches!(self.mode, Mode::Gm(_)) => {
                 let estimator_kind = self.config.estimator;
-                let Some(record) = self.lcs.get_mut(&src) else {
+                let Some(record) = self.lcs.get_mut(src) else {
                     return;
                 };
                 if !record.powered_on && report.powered_on {
@@ -1003,29 +1089,26 @@ impl Component for GroupManager {
                     record.waking = false;
                     record.wake_sent_at = None;
                 }
-                let mut total_used = ResourceVector::ZERO;
-                // Sync the VM set with the LC's authoritative list.
-                let reported: std::collections::BTreeSet<VmId> =
-                    report.vms.iter().map(|v| v.vm).collect();
-                record.vms.retain(|vm, rec| {
-                    // VMs mid-migration linger in bookkeeping until
-                    // MigrationDone even if the LC dropped them, and
-                    // unconfirmed records survive until their StartVm
-                    // is acknowledged (it may still be in flight).
-                    reported.contains(vm) || rec.migrating_to.is_some() || !rec.confirmed
-                });
-                for vu in &report.vms {
-                    total_used += vu.used;
-                    let rec = record.vms.entry(vu.vm).or_insert_with(|| VmRecord {
-                        spec: snooze_cluster::vm::VmSpec::new(vu.vm, vu.requested),
-                        workload: VmWorkload::flat_full(vu.vm.0),
-                        usage: DemandEstimator::new(estimator_kind),
-                        migrating_to: None,
-                        confirmed: true,
-                        start_sent_at: now,
-                        span: None,
-                        migration_span: None,
-                    });
+                debug_assert!(
+                    report.vms.windows(2).all(|w| w[0].vm < w[1].vm),
+                    "a monitoring report lists its VMs in strictly increasing id order"
+                );
+                // Sync the VM set with the LC's authoritative list: one
+                // merge walk of two `VmId`-ordered sequences, the records
+                // and the report.
+                let mut reported = report.vms.iter().peekable();
+                let mut unrecorded = false;
+                record.vms.retain(|&vm, rec| {
+                    while reported.next_if(|vu| vu.vm < vm).is_some() {
+                        unrecorded = true;
+                    }
+                    let Some(vu) = reported.next_if(|vu| vu.vm == vm) else {
+                        // VMs mid-migration linger in bookkeeping until
+                        // MigrationDone even if the LC dropped them, and
+                        // unconfirmed records survive until their StartVm
+                        // is acknowledged (it may still be in flight).
+                        return rec.migrating_to.is_some() || !rec.confirmed;
+                    };
                     if !rec.confirmed {
                         // Monitoring vouched for the VM before the
                         // StartVmResult arrived: the placement is done.
@@ -1036,8 +1119,30 @@ impl Component for GroupManager {
                     }
                     rec.confirmed = true; // the LC vouches for it
                     rec.usage.observe(vu.used);
+                    true
+                });
+                if unrecorded || reported.next().is_some() {
+                    // The LC hosts VMs this GM holds no record of
+                    // (adopted on a rejoin): it vouches for them.
+                    for vu in &report.vms {
+                        if let Entry::Vacant(slot) = record.vms.entry(vu.vm) {
+                            let rec = slot.insert(VmRecord {
+                                spec: VmSpec::new(vu.vm, vu.requested),
+                                workload: VmWorkload::flat_full(vu.vm.0),
+                                usage: DemandEstimator::new(estimator_kind),
+                                migrating_to: None,
+                                confirmed: true,
+                                start_sent_at: now,
+                                span: None,
+                                migration_span: None,
+                            });
+                            rec.usage.observe(vu.used);
+                        }
+                    }
                 }
-                record.usage.observe(total_used);
+                record
+                    .usage
+                    .observe(report.vms.iter().map(|vu| vu.used).sum());
                 record.idle_since = match (record.vms.is_empty(), record.idle_since) {
                     (true, None) => Some(now),
                     (true, keep) => keep,
@@ -1112,7 +1217,7 @@ impl Component for GroupManager {
                     return;
                 };
                 if result.ok {
-                    if let Some(record) = self.lcs.get_mut(&src) {
+                    if let Some(record) = self.lcs.get_mut(src) {
                         if let Some(rec) = record.vms.get_mut(&result.vm) {
                             rec.confirmed = true;
                             if let Some(sp) = rec.span.take() {
@@ -1130,7 +1235,7 @@ impl Component for GroupManager {
                     );
                 } else {
                     // Admission raced; roll back and retry elsewhere.
-                    if let Some(record) = self.lcs.get_mut(&src) {
+                    if let Some(record) = self.lcs.get_mut(src) {
                         if let Some(rec) = record.vms.remove(&result.vm) {
                             record.reserved = record.reserved.saturating_sub(&rec.spec.requested);
                             self.enqueue_pending(ctx, rec.spec, rec.workload, rec.span);
@@ -1153,7 +1258,7 @@ impl Component for GroupManager {
                         ctx.span_label(sp, "outcome", "refused");
                         ctx.span_close(sp);
                     }
-                    if let Some(dst) = self.lcs.get_mut(&dest) {
+                    if let Some(dst) = self.lcs.get_mut(dest) {
                         dst.reserved = dst.reserved.saturating_sub(&requested);
                     }
                 }
@@ -1172,12 +1277,12 @@ impl Component for GroupManager {
                             .map(|v| v.migrating_to == Some(src))
                             .unwrap_or(false)
                     })
-                    .map(|(&lc, _)| lc);
+                    .map(|(lc, _)| lc);
                 // `source` came from a scan that saw the record, but
                 // unwrapping would still wedge the GM on a stale or
                 // replayed MigrationDone — tolerate absence instead.
                 let rec = source.and_then(|from| {
-                    let src_rec = self.lcs.get_mut(&from)?;
+                    let src_rec = self.lcs.get_mut(from)?;
                     let rec = src_rec.vms.remove(&vm)?;
                     src_rec.reserved = src_rec.reserved.saturating_sub(&rec.spec.requested);
                     if src_rec.vms.is_empty() {
@@ -1191,7 +1296,7 @@ impl Component for GroupManager {
                         ctx.span_close(sp);
                     }
                     if done.ok {
-                        if let Some(dst_rec) = self.lcs.get_mut(&src) {
+                        if let Some(dst_rec) = self.lcs.get_mut(src) {
                             dst_rec.vms.insert(
                                 vm,
                                 VmRecord {
@@ -1204,7 +1309,7 @@ impl Component for GroupManager {
                     } else {
                         // Destination refused the hand-off: the VM is
                         // gone from the source. Recover if configured.
-                        if let Some(dst_rec) = self.lcs.get_mut(&src) {
+                        if let Some(dst_rec) = self.lcs.get_mut(src) {
                             dst_rec.reserved = dst_rec.reserved.saturating_sub(&rec.spec.requested);
                         }
                         if self.config.reschedule_on_lc_failure {
@@ -1220,14 +1325,14 @@ impl Component for GroupManager {
                 let host = self
                     .lcs
                     .iter()
-                    .find(|(&lc, r)| lc != src && r.vms.contains_key(&vm))
-                    .map(|(&lc, _)| lc);
+                    .find(|(lc, r)| *lc != src && r.vms.contains_key(&vm))
+                    .map(|(lc, _)| lc);
                 if let Some(lc) = host {
                     ctx.send(lc, DestroyVm { vm });
                 }
             }
             SnoozeMsg::NodePowerChanged(pc) if matches!(self.mode, Mode::Gm(_)) => {
-                if let Some(record) = self.lcs.get_mut(&src) {
+                if let Some(record) = self.lcs.get_mut(src) {
                     record.powered_on = pc.powered_on;
                     if pc.powered_on {
                         record.waking = false;
@@ -1289,6 +1394,94 @@ impl Component for GroupManager {
         self.elector.start(ctx);
         if let Some(rc) = self.config.reconfiguration.as_ref() {
             ctx.set_timer(rc.period, tag(GM_RECONF, 0));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One step of a random program over LC ids `0..48`.
+    #[derive(Clone, Debug)]
+    enum Op {
+        GetOrInsert(usize, u32),
+        Bump(usize),
+        Get(usize),
+        Remove(usize),
+        BumpAll,
+        Clear,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        (0..16u8, 0..48usize, any::<u32>()).prop_map(|(kind, id, v)| match kind {
+            0..=5 => Op::GetOrInsert(id, v),
+            6..=7 => Op::Bump(id),
+            8..=9 => Op::Get(id),
+            10..=13 => Op::Remove(id),
+            14 => Op::BumpAll,
+            _ => Op::Clear,
+        })
+    }
+
+    proptest! {
+        /// The dense table answers every lookup, removal and walk exactly
+        /// as the `BTreeMap` it replaced, including ids past the end of
+        /// its index and ids re-inserted after a removal.
+        #[test]
+        fn lc_table_matches_a_btree_map(program in prop::collection::vec(op_strategy(), 1..200)) {
+            let mut table: LcTable<u32> = LcTable::new();
+            let mut map: BTreeMap<ComponentId, u32> = BTreeMap::new();
+            for op in program {
+                match op {
+                    Op::GetOrInsert(id, v) => {
+                        let id = ComponentId(id);
+                        prop_assert_eq!(
+                            *table.get_or_insert_with(id, || v),
+                            *map.entry(id).or_insert(v)
+                        );
+                    }
+                    Op::Bump(id) => {
+                        let id = ComponentId(id);
+                        let (t, m) = (table.get_mut(id), map.get_mut(&id));
+                        prop_assert_eq!(t.is_some(), m.is_some());
+                        if let (Some(t), Some(m)) = (t, m) {
+                            *t = t.wrapping_add(1);
+                            *m = m.wrapping_add(1);
+                        }
+                    }
+                    Op::Get(id) => {
+                        let id = ComponentId(id);
+                        prop_assert_eq!(table.get(id), map.get(&id));
+                    }
+                    Op::Remove(id) => {
+                        let id = ComponentId(id);
+                        prop_assert_eq!(table.remove(id), map.remove(&id));
+                    }
+                    Op::BumpAll => {
+                        for (id, v) in table.iter_mut() {
+                            *v = v.wrapping_add(id.0 as u32);
+                        }
+                        for (id, v) in map.iter_mut() {
+                            *v = v.wrapping_add(id.0 as u32);
+                        }
+                    }
+                    Op::Clear => {
+                        table.clear();
+                        map.clear();
+                    }
+                }
+                prop_assert_eq!(table.len(), map.len());
+                let rows: Vec<(ComponentId, u32)> = table.iter().map(|(id, &v)| (id, v)).collect();
+                let want: Vec<(ComponentId, u32)> = map.iter().map(|(&id, &v)| (id, v)).collect();
+                prop_assert_eq!(rows, want);
+                prop_assert!(table.values().eq(map.values()));
+                for id in 0..64 {
+                    let id = ComponentId(id);
+                    prop_assert_eq!(table.get(id), map.get(&id));
+                }
+            }
         }
     }
 }

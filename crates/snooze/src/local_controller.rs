@@ -21,6 +21,7 @@
 //! guards (`gm.is_none()` on GL heartbeats, `is_on()` on everything).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use snooze_cluster::hypervisor::Hypervisor;
 use snooze_cluster::node::{NodeSpec, PowerState, PowerStateMachine};
@@ -43,7 +44,7 @@ pub use crate::messages::LcJoinAckWithGroup;
 #[derive(Clone)]
 pub struct LocalController {
     node: NodeSpec,
-    config: SnoozeConfig,
+    config: Arc<SnoozeConfig>,
     gl_group: GroupId,
 
     hypervisor: Hypervisor,
@@ -67,7 +68,8 @@ pub struct LocalController {
 impl LocalController {
     /// A controller for `node`, discovering the hierarchy through GL
     /// heartbeats on `gl_group`.
-    pub fn new(node: NodeSpec, config: SnoozeConfig, gl_group: GroupId) -> Self {
+    pub fn new(node: NodeSpec, config: impl Into<Arc<SnoozeConfig>>, gl_group: GroupId) -> Self {
+        let config = config.into();
         let hypervisor = Hypervisor::new(node.capacity);
         let power = PowerStateMachine::new_on(node.transitions);
         let idle_watts = node.power.active_watts(0.0);

@@ -4,6 +4,8 @@
 //! manager nodes (GMs, one of which will be elected GL), a Local
 //! Controller per physical node, and replicated Entry Points.
 
+use std::sync::Arc;
+
 use snooze_cluster::node::{NodeSpec, PowerState};
 use snooze_protocols::coordination::CoordinationService;
 use snooze_simcore::engine::{Component, ComponentId, Engine, GroupId};
@@ -32,7 +34,8 @@ pub struct SnoozeSystem {
 
 impl SnoozeSystem {
     /// Deploy a system: `n_gms` manager nodes, one LC per entry of
-    /// `nodes`, and `n_eps` entry points, all sharing `config`. Generic
+    /// `nodes`, and `n_eps` entry points, all sharing one copy of
+    /// `config` behind an [`Arc`]. Generic
     /// over the engine's node enum so test harnesses can mix in
     /// scripted components; `SnoozeNode` satisfies the bounds.
     pub fn deploy<C>(
@@ -55,6 +58,7 @@ impl SnoozeSystem {
              dedicated role (§II-A), manages no LCs itself"
         );
         let zk = engine.add_component("zk", CoordinationService::new(config.zk_session_timeout));
+        let config = Arc::new(config.clone());
         let gl_group = engine.create_group();
 
         let gms: Vec<ComponentId> = (0..n_gms)
@@ -62,7 +66,7 @@ impl SnoozeSystem {
                 let lc_group = engine.create_group();
                 engine.add_component(
                     format!("gm{i}"),
-                    GroupManager::new(config.clone(), zk, gl_group, lc_group),
+                    GroupManager::new(Arc::clone(&config), zk, gl_group, lc_group),
                 )
             })
             .collect();
@@ -73,14 +77,17 @@ impl SnoozeSystem {
             .map(|(i, node)| {
                 engine.add_component(
                     format!("lc{i}"),
-                    LocalController::new(node.clone(), config.clone(), gl_group),
+                    LocalController::new(node.clone(), Arc::clone(&config), gl_group),
                 )
             })
             .collect();
 
         let eps: Vec<ComponentId> = (0..n_eps)
             .map(|i| {
-                engine.add_component(format!("ep{i}"), EntryPoint::new(config.clone(), gl_group))
+                engine.add_component(
+                    format!("ep{i}"),
+                    EntryPoint::new(Arc::clone(&config), gl_group),
+                )
             })
             .collect();
 

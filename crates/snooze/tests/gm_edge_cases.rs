@@ -1,7 +1,8 @@
 //! Edge-path tests of the Group Manager's bookkeeping, driven through
 //! scriptable stub LCs: migration refusal must roll back reservations,
-//! failed VM starts must requeue, and rejected migration hand-offs must
-//! trigger snapshot recovery when configured.
+//! failed VM starts must requeue, rejected migration hand-offs must
+//! trigger snapshot recovery when configured, and a monitoring report
+//! must sync the GM's VM records the way its merge walk promises.
 //!
 //! The stubs speak the real LC↔GM protocol, so the hierarchy here is
 //! wired by hand rather than through the scenario compiler — but the
@@ -38,6 +39,17 @@ struct StubLc {
     fail_starts: u32,
     /// Reject inbound hand-offs (destination "out of capacity").
     reject_handoffs: bool,
+    /// Admit StartVm commands without answering them (every
+    /// StartVmResult is lost).
+    silent_starts: bool,
+    /// Drop MigrateVm commands unanswered (the command is lost).
+    ignore_migrations: bool,
+    /// Never send LcJoin: the GM receives reports from an LC it does
+    /// not manage.
+    skip_join: bool,
+    /// The VMs every periodic report names in place of `guests`, once a
+    /// scripted report has been posted (see [`script_report`]).
+    scripted: Option<Vec<VmUsage>>,
     // --- recording ---
     guests: Vec<(VmSpec, VmWorkload)>,
     start_cmds: u32,
@@ -53,6 +65,10 @@ impl StubLc {
             refuse_migrations: false,
             fail_starts: 0,
             reject_handoffs: false,
+            silent_starts: false,
+            ignore_migrations: false,
+            skip_join: false,
+            scripted: None,
             guests: Vec::new(),
             start_cmds: 0,
             migrate_cmds: Vec::new(),
@@ -65,10 +81,9 @@ impl StubLc {
     }
 
     fn monitoring(&self, now: SimTime, heavy: bool) -> LcMonitoring {
-        LcMonitoring {
-            capacity: self.capacity,
-            reserved: self.reserved(),
-            vms: self
+        let vms = match &self.scripted {
+            Some(vms) if !heavy => vms.clone(),
+            _ => self
                 .guests
                 .iter()
                 .map(|(s, w)| VmUsage {
@@ -81,6 +96,11 @@ impl StubLc {
                     },
                 })
                 .collect(),
+        };
+        LcMonitoring {
+            capacity: self.capacity,
+            reserved: self.reserved(),
+            vms,
             powered_on: true,
             sampled_at: now,
         }
@@ -92,7 +112,9 @@ impl Component for StubLc {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
         let (gm, capacity) = (self.gm, self.capacity);
-        ctx.send(gm, LcJoin { capacity });
+        if !self.skip_join {
+            ctx.send(gm, LcJoin { capacity });
+        }
         ctx.set_timer(SimSpan::from_millis(500), 1);
     }
 
@@ -116,12 +138,16 @@ impl Component for StubLc {
                 } else {
                     let vm = start.spec.id;
                     self.guests.push((start.spec, start.workload));
-                    ctx.send(src, StartVmResult { vm, ok: true });
+                    if !self.silent_starts {
+                        ctx.send(src, StartVmResult { vm, ok: true });
+                    }
                 }
             }
             SnoozeMsg::MigrateVm(m) => {
                 self.migrate_cmds.push((m.vm, m.to));
-                if self.refuse_migrations {
+                if self.ignore_migrations {
+                    // Lost: the VM stays, and the GM hears nothing.
+                } else if self.refuse_migrations {
                     let vm = m.vm;
                     ctx.send(src, MigrateRefused { vm });
                 } else if let Some(pos) = self.guests.iter().position(|(s, _)| s.id == m.vm) {
@@ -148,6 +174,13 @@ impl Component for StubLc {
                     monitoring: self.monitoring(now, true),
                 };
                 let gm = self.gm;
+                ctx.send(gm, report);
+            }
+            SnoozeMsg::LcMonitoring(script) => {
+                // Scripted (real LCs never *receive* monitoring): from
+                // now on report exactly these VMs, starting at once.
+                self.scripted = Some(script.vms);
+                let (gm, report) = (self.gm, self.monitoring(now, false));
                 ctx.send(gm, report);
             }
             _ => {}
@@ -188,6 +221,27 @@ fn trigger_overload(sim: &mut Engine<EdgeNode>, at: SimTime, stub: ComponentId) 
                 powered_on: true,
                 sampled_at: at,
             },
+        },
+    );
+}
+
+/// Post to `stub` at `at` the VMs its reports name from then on, as
+/// `(id, cores)` pairs in increasing id order.
+fn script_report(sim: &mut Engine<EdgeNode>, at: SimTime, stub: ComponentId, vms: &[(u64, f64)]) {
+    let usage = |&(id, cores): &(u64, f64)| VmUsage {
+        vm: VmId(id),
+        requested: ResourceVector::new(cores, 1024.0, 10.0, 10.0),
+        used: ResourceVector::new(cores / 2.0, 512.0, 5.0, 5.0),
+    };
+    sim.post(
+        at,
+        stub,
+        LcMonitoring {
+            capacity: ResourceVector::new(0.0, 0.0, 0.0, 0.0),
+            reserved: ResourceVector::new(0.0, 0.0, 0.0, 0.0),
+            vms: vms.iter().map(usage).collect(),
+            powered_on: true,
+            sampled_at: at,
         },
     );
 }
@@ -233,13 +287,25 @@ fn setup(
 }
 
 fn submit_one(sim: &mut Engine<EdgeNode>, ep: ComponentId, cores: f64) -> ComponentId {
-    let spec = VmSpec::new(VmId(0), ResourceVector::new(cores, 4096.0, 100.0, 100.0));
-    let schedule = vec![ScheduledVm {
-        at: secs(9),
-        spec,
-        workload: VmWorkload::flat_full(0),
-        lifetime: None,
-    }];
+    submit(sim, ep, &[(0, 9)], cores)
+}
+
+/// Submit one VM of `cores` per `(id, second)` pair, at that second.
+fn submit(
+    sim: &mut Engine<EdgeNode>,
+    ep: ComponentId,
+    vms: &[(u64, u64)],
+    cores: f64,
+) -> ComponentId {
+    let schedule = vms
+        .iter()
+        .map(|&(id, at)| ScheduledVm {
+            at: secs(at),
+            spec: VmSpec::new(VmId(id), ResourceVector::new(cores, 4096.0, 100.0, 100.0)),
+            workload: VmWorkload::flat_full(id),
+            lifetime: None,
+        })
+        .collect();
     sim.add_component(
         "client",
         ClientDriver::new(ep, schedule, SimSpan::from_secs(5)),
@@ -354,4 +420,146 @@ fn rejected_handoff_triggers_snapshot_recovery_when_enabled() {
     // Recovery re-places the VM: a second StartVm beyond the first.
     let starts = |s: ComponentId| sim.component(s).as_stub().unwrap().start_cmds;
     assert!(starts(s0) + starts(s1) >= 2, "recovery path exercised");
+}
+
+/// The GM's `gm.place` span for `vm`.
+fn place_span(sim: &Engine<EdgeNode>, vm: u64) -> SpanId {
+    let id = vm.to_string();
+    sim.spans()
+        .iter()
+        .find(|s| s.name == "gm.place" && s.label("vm") == Some(id.as_str()))
+        .map(|s| s.id)
+        .expect("the VM's placement is instrumented")
+}
+
+fn span_closed(sim: &Engine<EdgeNode>, span: SpanId) -> bool {
+    sim.spans().get(span).is_some_and(|s| s.end_us.is_some())
+}
+
+#[test]
+fn a_report_adopts_unrecorded_vms_and_drops_unreported_confirmed_ones() {
+    let (mut sim, gm, stubs, ep) = setup(85, config(), &[|_| {}]);
+    let s0 = stubs[0];
+    let client = submit(&mut sim, ep, &[(5, 9)], 1.0);
+    sim.run_until(secs(20));
+    assert_eq!(sim.component(client).as_client().unwrap().placed.len(), 1);
+    assert_eq!(sim.component(gm).as_gm().unwrap().vm_count(), 1);
+
+    // A VM the GM never recorded, below its record of VM 5: the LC
+    // vouches for it, so it is recorded.
+    script_report(&mut sim, secs(21), s0, &[(2, 1.0), (5, 1.0)]);
+    sim.run_until(secs(22));
+    assert_eq!(sim.component(gm).as_gm().unwrap().vm_count(), 2);
+
+    // Then one above it, while VM 2 goes unreported: confirmed, so
+    // dropped.
+    script_report(&mut sim, secs(23), s0, &[(5, 1.0), (9, 1.0)]);
+    sim.run_until(secs(24));
+    assert_eq!(sim.component(gm).as_gm().unwrap().vm_count(), 2);
+
+    // Adopted and unreported by the very next report (a microsecond
+    // later, between two of the stub's half-second beats): dropped at
+    // once, so it was recorded as confirmed — an unconfirmed record
+    // would be kept.
+    let at = SimTime(secs(25).0 + 250_000);
+    script_report(&mut sim, at, s0, &[(5, 1.0), (11, 1.0)]);
+    script_report(&mut sim, SimTime(at.0 + 1), s0, &[(5, 1.0)]);
+    sim.run_until(secs(26));
+    let gm_ref = sim.component(gm).as_gm().unwrap();
+    assert_eq!(gm_ref.vm_count(), 1, "VMs 2, 9 and 11 are dropped, 5 stays");
+    assert_eq!(gm_ref.lc_count(), 1);
+}
+
+#[test]
+fn an_unreported_migrating_vm_is_kept() {
+    // Stub 0 loses every MigrateVm: its VM stays mid-migration.
+    let (mut sim, gm, stubs, ep) = setup(86, config(), &[|s| s.ignore_migrations = true, |_| {}]);
+    let s0 = stubs[0];
+    let client = submit_one(&mut sim, ep, 2.0);
+    sim.run_until(secs(20));
+    assert_eq!(sim.component(client).as_client().unwrap().placed.len(), 1);
+    trigger_overload(&mut sim, secs(21), s0);
+    sim.run_until(secs(23));
+    assert_eq!(sim.component(s0).as_stub().unwrap().migrate_cmds.len(), 1);
+
+    // The LC stops naming the VM; the GM keeps it until MigrationDone.
+    script_report(&mut sim, secs(24), s0, &[]);
+    sim.run_until(secs(30));
+    assert_eq!(sim.component(gm).as_gm().unwrap().vm_count(), 1);
+}
+
+#[test]
+fn unconfirmed_vms_are_kept_until_a_report_vouches_for_them_in_id_order() {
+    // Stub 0 never answers StartVm and, scripted, reports no VMs.
+    let (mut sim, gm, stubs, ep) = setup(87, config(), &[|s| s.silent_starts = true]);
+    let s0 = stubs[0];
+    script_report(&mut sim, secs(8), s0, &[]);
+    // VM 7's placement span opens before VM 3's.
+    submit(&mut sim, ep, &[(7, 9), (3, 10)], 1.0);
+    sim.run_until(secs(12));
+    let (span7, span3) = (place_span(&sim, 7), place_span(&sim, 3));
+    assert!(span7 < span3);
+    assert_eq!(
+        sim.component(gm).as_gm().unwrap().vm_count(),
+        2,
+        "unreported but unconfirmed: kept"
+    );
+    assert!(!span_closed(&sim, span7) && !span_closed(&sim, span3));
+
+    // One report vouches for both. Step to the event that closes them.
+    script_report(
+        &mut sim,
+        SimTime(secs(12).0 + 250_000),
+        s0,
+        &[(3, 1.0), (7, 1.0)],
+    );
+    let before = loop {
+        let before = sim.spans().clone();
+        assert!(sim.step(), "the vouching report is delivered");
+        if span_closed(&sim, span3) || span_closed(&sim, span7) {
+            break before;
+        }
+    };
+    let now_us = sim.now().as_micros();
+    for span in [span3, span7] {
+        let rec = sim.spans().get(span).unwrap();
+        assert_eq!(rec.label("outcome"), Some("confirmed"));
+        assert_eq!(rec.end_us, Some(now_us));
+    }
+    // The span log's digest folds every mutation in order: that event
+    // labelled and closed VM 3's span, then VM 7's.
+    let replay = |order: [SpanId; 2]| {
+        let mut log = before.clone();
+        for span in order {
+            log.label(span, "outcome", "confirmed");
+            log.close(span, now_us);
+        }
+        log.digest()
+    };
+    assert_eq!(sim.spans().digest(), replay([span3, span7]));
+    assert_ne!(replay([span3, span7]), replay([span7, span3]));
+}
+
+#[test]
+fn a_report_from_an_lc_the_gm_does_not_manage_changes_nothing() {
+    // Stub 1 never joins, yet reports to the GM every half second.
+    let (mut sim, gm, stubs, _ep) = setup(88, config(), &[|_| {}, |s| s.skip_join = true]);
+    let s1 = stubs[1];
+    script_report(&mut sim, secs(9), s1, &[(4, 1.0)]);
+    sim.run_until(secs(12));
+    let gm_ref = sim.component(gm).as_gm().unwrap();
+    assert_eq!(gm_ref.lc_count(), 1, "only stub 0 is managed");
+    assert_eq!(gm_ref.vm_count(), 0, "stub 1's VM is not recorded");
+
+    // Had a report reached the failure detector, stub 1 falling silent
+    // would be declared an LC failure after the 2 s timeout.
+    sim.schedule_crash(secs(13), s1);
+    sim.run_until(secs(20));
+    let s1_name = format!("{s1:?}");
+    let evicted = sim
+        .spans()
+        .iter()
+        .any(|s| s.name == "gm.lc-failover" && s.label("lc") == Some(s1_name.as_str()));
+    assert!(!evicted, "the detector never tracked stub 1");
+    assert_eq!(sim.component(gm).as_gm().unwrap().lc_count(), 1);
 }

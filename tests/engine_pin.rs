@@ -207,16 +207,18 @@ fn anomalous_deployment_is_pinned() {
 /// component slots stride by `SnoozeNode`, so neither may grow unnoticed:
 /// a fatter variant goes behind a `Box` (`snooze::messages` names the
 /// struct that outgrew its inline slot), or this ceiling moves on purpose.
-/// The node's moved three times: 1424 → 1440 when the LC kept the handle
+/// The node's moved four times: 1424 → 1440 when the LC kept the handle
 /// of its RTC alarm (`Option<TimerHandle>`, 16 bytes) so a resume can
 /// disarm it, 1440 → 1232 when the GM's and LC's private `stats` structs
-/// (11 counters each) and the off / boot transition times went, and
+/// (11 counters each) and the off / boot transition times went,
 /// 1232 → 624 when the unified node (a whole GM plus a whole LC) went: the
-/// largest variant is now the `GroupManager`, and the tag fits in its niche.
+/// largest variant is now the `GroupManager`, and the tag fits in its niche,
+/// and 624 → 416 when every component's `SnoozeConfig` went behind one
+/// shared `Arc`, which paid for the GM's LC table index as well.
 #[test]
 fn message_and_node_sizes_do_not_grow() {
     assert!(std::mem::size_of::<SnoozeMsg>() <= 40);
-    assert!(std::mem::size_of::<SnoozeNode>() <= 624);
+    assert!(std::mem::size_of::<SnoozeNode>() <= 416);
 }
 
 const TICK: u64 = 0;
