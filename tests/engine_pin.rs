@@ -221,6 +221,14 @@ fn message_and_node_sizes_do_not_grow() {
     assert!(std::mem::size_of::<SnoozeNode>() <= 416);
 }
 
+/// The shared config is an `Arc`, not an `Rc`, so a deployment's engine
+/// can still be moved to another thread, one run per thread.
+#[test]
+fn a_deployment_engine_is_send() {
+    fn send<T: Send>() {}
+    send::<Engine<SnoozeNode>>();
+}
+
 const TICK: u64 = 0;
 const FAST: u64 = 1;
 const SLOW: u64 = 2;
