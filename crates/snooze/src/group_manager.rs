@@ -66,8 +66,8 @@ pub enum Mode {
 struct LcTable<V> {
     rows: Vec<(ComponentId, V)>,
     /// `index[lc.0]` is `lc`'s row, or `VACANT`; ids past its end are
-    /// absent. Component ids are engine slot numbers, so it stays as
-    /// long as the deployment has components.
+    /// absent. Component ids are engine slot numbers, so it is never
+    /// longer than the deployment has components.
     index: Vec<u32>,
 }
 
@@ -220,7 +220,8 @@ struct DispatchState {
 #[derive(Clone)]
 pub struct GroupManager {
     /// Shared by every component of a deployment: the engine strides its
-    /// slots by the largest node, and a private copy would be most of it.
+    /// slots by the largest node, and a private copy would put 240 bytes
+    /// in every slot.
     config: Arc<SnoozeConfig>,
     gl_group: GroupId,
     lc_group: GroupId,
