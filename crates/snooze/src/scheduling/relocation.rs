@@ -185,6 +185,29 @@ mod tests {
     }
 
     #[test]
+    fn overload_ties_go_to_the_lower_ids() {
+        // LC 1 has less headroom than the two tied LCs, and VM 19 is
+        // lighter than the two tied VMs, so the ids decide only the ties.
+        // The tied entries are ordered so that a comparator that lost its
+        // tie-break picks the other one: `sort_by` is stable, so VM 21
+        // comes first, and `max_by` returns the last maximum, LC 3.
+        let lcs = [
+            lc(4, 10.0, 9.0, 9.5), // the hot source
+            lc(1, 10.0, 5.0, 5.0),
+            lc(2, 10.0, 2.0, 2.0),
+            lc(3, 10.0, 2.0, 2.0),
+        ];
+        let vms = [vm(19, 1.0, 1.0), vm(21, 2.0, 3.0), vm(20, 2.0, 3.0)];
+        let plan = plan_overload_relocation(ComponentId(4), &vms, &lcs).unwrap();
+        assert_eq!(plan.vm, VmId(20), "equal usage: the lower VmId moves");
+        assert_eq!(
+            plan.to,
+            ComponentId(2),
+            "equal headroom: the lower id receives"
+        );
+    }
+
+    #[test]
     fn overload_falls_back_to_smaller_vm_when_big_one_fits_nowhere() {
         let lcs = [lc(0, 10.0, 10.0, 9.9), lc(1, 10.0, 9.0, 5.0)];
         // Heavy VM requests 5 (no destination has that); light one requests 1.
