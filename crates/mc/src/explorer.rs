@@ -257,6 +257,10 @@ pub struct McReport {
     /// `liveness_probes - suffixes_run` took their verdict from a suffix
     /// an earlier probe had already run (see [`fair_suffix`]).
     pub suffixes_run: u64,
+    /// Verdicts the memo holds when exploration ends: one per checkpoint
+    /// a fair suffix passed before it knew its verdict (see
+    /// [`fair_suffix`]). 0 with the memo off or no liveness predicate.
+    pub memo_entries: u64,
     /// Deepest node expanded or probed.
     pub max_depth_reached: usize,
     /// True if the `max_states` cap stopped exploration early.
@@ -638,6 +642,7 @@ where
 
     restore(sim, &mut at, &root);
     report.explored = visited.len() as u64;
+    report.memo_entries = memo.map_or(0, |m| m.len() as u64);
     report
 }
 
@@ -821,6 +826,25 @@ mod tests {
         let (preds, cfg) = (h.predicates(), config(6, h.crashable()));
         let clean = assert_memo_matches_reference("failover", &mut h.sim, &preds, &cfg);
         assert!(clean.violations.is_empty(), "{:?}", clean.violations);
+    }
+
+    #[test]
+    fn memo_entries_are_reported_only_for_a_live_memo() {
+        let entries = |memoize: bool, liveness: bool| {
+            let mut h = ElectionHarness::new(3, false, 5);
+            let mut preds = h.predicates();
+            if !liveness {
+                preds.retain(|p| matches!(p.kind, PredicateKind::Safety));
+            }
+            let cfg = config(6, h.contenders.clone());
+            explore_with(&mut h.sim, &preds, &cfg, memoize).memo_entries
+        };
+        assert!(
+            entries(true, true) > 0,
+            "a memoized liveness run stores verdicts"
+        );
+        assert_eq!(entries(false, true), 0, "memo off");
+        assert_eq!(entries(true, false), 0, "no liveness predicate");
     }
 
     #[test]

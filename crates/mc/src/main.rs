@@ -80,8 +80,8 @@ fn print_report(report: &McReport, label: &str, json: bool) {
         println!(
             "{{\"harness\": \"{}\", \"explored\": {}, \"transitions\": {}, \
              \"deduped\": {}, \"truncated\": {}, \"liveness_probes\": {}, \
-             \"suffixes_run\": {}, \"max_depth_reached\": {}, \"hit_state_cap\": {}, \
-             \"fingerprint\": \"{:#018x}\", \"violations\": [{}]}}",
+             \"suffixes_run\": {}, \"memo_entries\": {}, \"max_depth_reached\": {}, \
+             \"hit_state_cap\": {}, \"fingerprint\": \"{:#018x}\", \"violations\": [{}]}}",
             json::escape(label),
             report.explored,
             report.transitions,
@@ -89,6 +89,7 @@ fn print_report(report: &McReport, label: &str, json: bool) {
             report.truncated,
             report.liveness_probes,
             report.suffixes_run,
+            report.memo_entries,
             report.max_depth_reached,
             report.hit_state_cap,
             report.fingerprint,
@@ -97,13 +98,15 @@ fn print_report(report: &McReport, label: &str, json: bool) {
     } else {
         println!(
             "{label}: explored={} transitions={} deduped={} truncated={} \
-             liveness_probes={} suffixes_run={} max_depth={} fingerprint={:#018x}{}",
+             liveness_probes={} suffixes_run={} memo_entries={} max_depth={} \
+             fingerprint={:#018x}{}",
             report.explored,
             report.transitions,
             report.deduped,
             report.truncated,
             report.liveness_probes,
             report.suffixes_run,
+            report.memo_entries,
             report.max_depth_reached,
             report.fingerprint,
             if report.hit_state_cap {
