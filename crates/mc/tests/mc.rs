@@ -119,7 +119,7 @@ fn exploration_counts_are_pinned() {
     let report = failover::smoke();
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert_eq!(report.counts(), smoke, "failover smoke");
-    assert_eq!(report.fingerprint, 0x22a3_4cac_16a0_d573, "failover smoke");
+    assert_eq!(report.fingerprint, 0xf957_5789_6b0c_9814, "failover smoke");
 
     let mut h = ElectionHarness::new(3, false, 5);
     let report = explore_election(&mut h, &election_config(Strategy::Dfs, 8), true);
@@ -130,7 +130,7 @@ fn exploration_counts_are_pinned() {
         "election, depth 8, liveness on"
     );
     assert_eq!(
-        report.fingerprint, 0x77c1_169c_7e2e_0cdc,
+        report.fingerprint, 0xe045_11b6_b00a_1569,
         "election, depth 8, liveness on"
     );
 }

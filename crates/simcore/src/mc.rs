@@ -38,7 +38,9 @@
 //! Visited-state deduplication hashes a *canonical* view of the system:
 //! per-component state (via [`McState`]), liveness/incarnation vectors,
 //! the pending-event multiset, and the network's mutable state, all folded
-//! with the same FNV-1a used by the audit digest. Each component is folded
+//! a machine word at a time by [`McHasher`]: one 64×64→128-bit multiply
+//! per word, where the audit digest keeps its byte-serial FNV-1a (DESIGN.md,
+//! "What a fingerprint word costs"). Each component is folded
 //! into its own sub-fingerprint by a fresh [`McHasher`]; the fingerprint
 //! folds `(index, alive, incarnation, sub-fingerprint)` per slot, then the
 //! pending set, then the network. Absolute virtual time is
@@ -59,15 +61,14 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use snooze_telemetry::span::{SpanId, SpanLog};
-use snooze_telemetry::{fnv1a, FNV_OFFSET};
+use snooze_telemetry::FNV_OFFSET;
 
 use crate::engine::{Component, ComponentId, Engine, EngineCore, EventKind, NetFault, Scheduled};
 use crate::network::NetworkState;
 use crate::rng::SimRng;
 use crate::time::{SimSpan, SimTime};
-use crate::trace::fnv1a_word;
 
-/// Canonical FNV-1a folder handed to [`McState::mc_fold`] implementations.
+/// Canonical word folder handed to [`McState::mc_fold`] implementations.
 ///
 /// Carries the current virtual time so implementations fold timestamps
 /// *relative* to now ([`McHasher::time`]) — the key to deduplicating
@@ -86,9 +87,21 @@ impl McHasher {
         }
     }
 
-    /// Fold one machine word.
+    /// Fold one machine word: one 64×64→128-bit multiply by the golden
+    /// ratio constant `K`, whose two halves are xored back into 64 bits.
+    ///
+    /// The word is offset by `K` first. Without that the
+    /// fold maps 0 to 0, so a word equal to the running hash (the seed,
+    /// for a first word) zeroes it and every 0 folded after that is
+    /// absorbed: `[seed]`, `[seed, 0]` and `[seed, 0, 0]` would collide.
+    /// With it, the word a zero hash absorbs is `-K`, not the commonest
+    /// word the protocols fold. The offset depends on the word alone, so
+    /// it stays off the chain of dependent multiplies.
+    #[inline]
     pub fn word(&mut self, w: u64) {
-        self.hash = fnv1a_word(self.hash, w);
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let m = u128::from(self.hash ^ w.wrapping_add(K)) * u128::from(K);
+        self.hash = (m as u64) ^ ((m >> 64) as u64);
     }
 
     /// Fold a boolean.
@@ -101,10 +114,16 @@ impl McHasher {
         self.word(f.to_bits());
     }
 
-    /// Fold a string (length-prefixed, so concatenations can't collide).
+    /// Fold a string: its length, then 8 bytes a word, the last chunk
+    /// zero-padded. The length keeps `"ab"` apart from `"ab\0"` and
+    /// concatenations from colliding.
     pub fn text(&mut self, s: &str) {
         self.word(s.len() as u64);
-        self.hash = fnv1a(self.hash, s.as_bytes());
+        for chunk in s.as_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
+        }
     }
 
     /// Fold a component id (`EXTERNAL` keeps its sentinel value).
@@ -693,5 +712,110 @@ where
         }
         self.core.network.fold_state(|w| h.word(w));
         h.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn fold(words: &[u64]) -> u64 {
+        let mut h = McHasher::new(SimTime::ZERO);
+        words.iter().for_each(|&w| h.word(w));
+        h.finish()
+    }
+
+    fn fold_text(s: &str) -> u64 {
+        let mut h = McHasher::new(SimTime::ZERO);
+        h.text(s);
+        h.finish()
+    }
+
+    fn assert_all_distinct(folds: &[u64]) {
+        for (i, a) in folds.iter().enumerate() {
+            for b in &folds[i + 1..] {
+                assert_ne!(a, b, "{folds:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_fold_is_order_sensitive() {
+        for (a, b) in [(0, 1), (1, 2), (0, u64::MAX), (7, 1 << 32), (FNV_OFFSET, 0)] {
+            assert_ne!(fold(&[a, b]), fold(&[b, a]), "{a:#x}, {b:#x}");
+        }
+        assert_ne!(fold(&[1, 2, 3]), fold(&[3, 2, 1]));
+        assert_ne!(fold(&[1, 2, 3]), fold(&[1, 3, 2]));
+    }
+
+    #[test]
+    fn a_word_equal_to_the_seed_absorbs_no_zeros() {
+        assert_all_distinct(&[
+            fold(&[]),
+            fold(&[FNV_OFFSET]),
+            fold(&[FNV_OFFSET, 0]),
+            fold(&[FNV_OFFSET, 0, 0]),
+            fold(&[FNV_OFFSET, 0, 1]),
+            fold(&[FNV_OFFSET, 1]),
+            fold(&[0]),
+            fold(&[0, 0]),
+        ]);
+    }
+
+    #[test]
+    fn text_separates_lengths_around_a_word() {
+        // Zero bytes only, so no byte tells the lengths apart: the length
+        // word and the chunk count must.
+        assert_all_distinct(&[0, 7, 8, 9, 16].map(|n| fold_text(&"\0".repeat(n))));
+        assert_ne!(fold_text("ab"), fold_text("ab\0"));
+        assert_ne!(fold_text("abcdefgh"), fold_text("abcdefgh\0"));
+    }
+
+    #[test]
+    fn time_is_folded_relative_to_now() {
+        let at = |now: u64, times: &[u64]| {
+            let mut h = McHasher::new(SimTime(now));
+            times.iter().for_each(|&t| h.time(SimTime(t)));
+            h.finish()
+        };
+        // Behind, at and ahead of now, shifted by a second.
+        let (base, shifted) = (5_000_000, 6_000_000);
+        let offsets = [-3_000_000i64, 0, 250_000];
+        let times = |now: u64| offsets.map(|d| (now as i64 + d) as u64);
+        assert_eq!(at(base, &times(base)), at(shifted, &times(shifted)));
+        assert_ne!(at(base, &times(base)), at(shifted, &times(base)));
+    }
+
+    /// Small integers, zero again (the word the plain multiply fold
+    /// absorbs), a word with only its upper half set, all ones and the
+    /// hasher's own seed: the shapes the protocols fold, and the ones a
+    /// weak fold confuses.
+    fn structured_word() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..=255,
+            Just(0u64),
+            Just(1u64 << 32),
+            Just(u64::MAX),
+            Just(FNV_OFFSET),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// 64 sequences of up to three words a case: no two different
+        /// ones fold to the same value.
+        #[test]
+        fn distinct_short_sequences_fold_apart(
+            seqs in prop::collection::vec(prop::collection::vec(structured_word(), 0..=3), 64),
+        ) {
+            let mut seen = std::collections::BTreeMap::new();
+            for seq in seqs {
+                let fp = fold(&seq);
+                let first = seen.entry(fp).or_insert_with(|| seq.clone());
+                prop_assert_eq!(&*first, &seq, "fold {:#x}", fp);
+            }
+        }
     }
 }

@@ -1,7 +1,9 @@
-//! The word-at-a-time FNV-1a fold that the engine's event digest
-//! (`engine.rs`, `fold_event`) and the model checker's fingerprints
-//! (`mc.rs`) share — all that is left of the module that held the
-//! `ctx.trace` ring (DESIGN.md, "Why there are two recorders").
+//! The word-at-a-time FNV-1a fold of the engine's event digest
+//! (`engine.rs`, `fold_event`) — all that is left of the module that held
+//! the `ctx.trace` ring (DESIGN.md, "Why there are two recorders"). It
+//! serves the digest alone: the model checker's fingerprints fold a word
+//! with one multiply (`mc.rs`, `McHasher::word`). The digest stays
+//! byte-for-byte FNV-1a because every digest pin and golden is its value.
 
 /// The multiplier of [`fnv1a`](snooze_telemetry::fnv1a), for the
 /// word-at-a-time fold below.
@@ -24,9 +26,9 @@ const PRIME_POW: [u64; 9] = {
 /// FNV-1a folds a byte `b` as `h ← (h ^ b) · P`. For `b = 0` the xor is
 /// the identity, so a run of `k` zero bytes is `h ← h · Pᵏ` — one
 /// wrapping multiply by a constant, since multiplication mod 2⁶⁴ is
-/// associative. The words the engine and the model checker fold (times,
-/// sequence numbers, component ids, discriminants) are small, so most of
-/// their little-endian bytes are the high zero ones: fold the low
+/// associative. The words the engine folds (times, sequence numbers,
+/// component ids, discriminants) are small, so most of their
+/// little-endian bytes are the high zero ones: fold the low
 /// non-zero-prefixed bytes one by one as FNV-1a does, then the high zero
 /// run at once. An interior zero byte (`0x0100`) sits below the highest
 /// set bit and takes the byte-wise path like any other.
