@@ -328,14 +328,17 @@ where
 }
 
 /// Virtual time between two fingerprint checkpoints of a fair suffix.
-/// On the failover harness (depth 10, one crash) 14 535 of 14 568
-/// suffixes are in an already-run state at their first checkpoint with
-/// this spacing and 22 run to the end. A shorter spacing finds no more
-/// of them and only multiplies the keys those 22 store (682 entries
-/// here, 3 574 at 100 ms); a longer one makes every hit execute more
-/// events before it can be recognized (2 s reads a fifth slower).
-/// DESIGN.md, "What a liveness probe costs", has the table.
-const SUFFIX_CHECKPOINT: SimSpan = SimSpan::from_millis(500);
+/// On the failover harness (depth 10, one crash) at least 99.7 % of the
+/// 14 568 probes are in an already-run state at their first checkpoint
+/// at any spacing from 50 ms to 2 s, and 22 suffixes run to the end, so
+/// the spacing trades the events a hit executes before it is recognised
+/// against the fingerprints the checkpoints take, each of which re-folds
+/// every slot because the clock has moved. With one multiply a word
+/// ([`McHasher::word`](snooze_simcore::mc::McHasher::word)) 100 ms reads
+/// faster than 500 ms and than 50 ms, for 3 574 memo entries (682 at
+/// 500 ms, 7 189 at 50 ms). DESIGN.md, "What a liveness probe costs" and
+/// "What a fingerprint word costs", has the tables.
+const SUFFIX_CHECKPOINT: SimSpan = SimSpan::from_millis(100);
 
 /// Verdicts of fair suffixes already run, keyed by `(predicate index,
 /// remaining horizon in µs, state fingerprint)` at a checkpoint.
@@ -849,8 +852,9 @@ mod tests {
 
     #[test]
     fn chunked_suffix_ends_where_one_run_would() {
-        // 3.2 s: six whole checkpoints and a 200 ms remainder.
-        let within = SimSpan::from_millis(3_200);
+        // 3.23 s: whole checkpoints and a remainder at every spacing
+        // measured (50, 100, 250 and 500 ms).
+        let within = SimSpan::from_millis(3_230);
         assert!(!within.0.is_multiple_of(SUFFIX_CHECKPOINT.0));
         let mut h = ElectionHarness::new(3, false, 5);
         let start = h.sim.mc_snapshot();
@@ -872,7 +876,11 @@ mod tests {
         let (verdict, ran) = fair_suffix(&mut h.sim, 0, within, &check, Some(&mut memo));
         assert_eq!((verdict, ran), (None, true));
         assert_eq!(end_state(&h.sim), single);
-        assert_eq!(memo.len(), 6, "one key per checkpoint before the deadline");
+        assert_eq!(
+            memo.len() as u64,
+            within.0 / SUFFIX_CHECKPOINT.0,
+            "one key per checkpoint before the deadline"
+        );
         assert!(memo.keys().all(|&(_, remaining, _)| remaining > 0));
     }
 }
