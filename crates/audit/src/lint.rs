@@ -693,7 +693,7 @@ pub fn rules() -> &'static [RuleDef] {
         RuleDef {
             id: "partial-cmp-unwrap",
             summary: ".partial_cmp(..).unwrap() in simulation-path code",
-            hint: "use f64::total_cmp (or .unwrap_or(Ordering::Equal) with a deterministic tiebreak)",
+            hint: "sort with f64::total_cmp; .unwrap_or(Ordering::Equal) is for min_by/max_by only, never a sort comparator",
             in_scope: scope_sim_path,
             check: check_partial_cmp_unwrap,
         },
@@ -721,7 +721,7 @@ pub fn rules() -> &'static [RuleDef] {
         RuleDef {
             id: "unscoped-thread",
             summary: "threads, locks or atomics on the simulation path",
-            hint: "the engine is single-threaded and the digest depends on it; keep real concurrency out of simulation-path crates (diagnostics sinks go through an audit-allow)",
+            hint: "the engine is single-threaded and the digest depends on it; keep real concurrency out of simulation-path crates",
             in_scope: scope_sim_path,
             check: check_unscoped_thread,
         },

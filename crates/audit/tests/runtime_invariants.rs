@@ -1,12 +1,9 @@
 //! Runtime invariant checks (layer 2), exercised with the `audit`
 //! feature armed: `cargo test -p snooze-audit --features audit`.
 //!
-//! The invariant sink is process-global, so every test here serializes
-//! on one gate and restores the previous sink before exiting.
+//! Each test collects on its own thread, so the suite runs in parallel.
 
-use std::sync::{Mutex, MutexGuard};
-
-use snooze_simcore::invariant::{install_sink, report, take_sink, CollectingSink};
+use snooze_simcore::invariant::{collect, report};
 use snooze_simcore::prelude::*;
 
 use snooze_cluster::hypervisor::Hypervisor;
@@ -14,33 +11,14 @@ use snooze_cluster::resources::ResourceVector;
 use snooze_cluster::vm::{VmId, VmSpec};
 use snooze_cluster::workload::VmWorkload;
 
-fn serial() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Run `f` with a collecting sink installed; return what accumulated.
+/// Run `f` with a collector active on this thread; return what it
+/// gathered.
 fn collected(f: impl FnOnce()) -> Vec<String> {
-    let (sink, store) = CollectingSink::new();
-    let prev = install_sink(Box::new(sink));
-    f();
-    take_sink();
-    if let Some(p) = prev {
-        install_sink(p);
-    }
-    let got = store
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|v| v.to_string())
-        .collect();
-    got
+    collect(f).1.iter().map(|v| v.to_string()).collect()
 }
 
 #[test]
 fn clean_engine_run_reports_no_violations() {
-    let _gate = serial();
-
     struct Echo;
     impl Component for Echo {
         type Msg = u64;
@@ -65,7 +43,6 @@ fn clean_engine_run_reports_no_violations() {
 
 #[test]
 fn hypervisor_mutations_stay_conserving() {
-    let _gate = serial();
     let violations = collected(|| {
         let mut hv = Hypervisor::new(ResourceVector::splat(16.0));
         for i in 0..4 {
@@ -82,7 +59,6 @@ fn hypervisor_mutations_stay_conserving() {
 
 #[test]
 fn aco_pheromone_and_feasibility_hold_over_a_run() {
-    let _gate = serial();
     use snooze_consolidation::aco::{AcoConsolidator, AcoParams};
     use snooze_consolidation::problem::InstanceGenerator;
     use snooze_simcore::rng::SimRng;
@@ -96,8 +72,7 @@ fn aco_pheromone_and_feasibility_hold_over_a_run() {
 }
 
 #[test]
-fn violations_reach_the_sink_with_domain_and_rule() {
-    let _gate = serial();
+fn violations_reach_the_collector_with_domain_and_rule() {
     let violations = collected(|| {
         report("test-domain", "test-rule", "synthetic".to_string());
     });
@@ -106,7 +81,6 @@ fn violations_reach_the_sink_with_domain_and_rule() {
 
 #[test]
 fn full_stack_scenario_is_violation_free_under_audit() {
-    let _gate = serial();
     use snooze_audit::determinism::{run_once, Scenario};
     let violations = collected(|| {
         let fp = run_once(&Scenario {

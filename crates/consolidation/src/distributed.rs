@@ -329,4 +329,46 @@ mod tests {
         let b = DistributedAco::new(params()).consolidate(&inst);
         assert_eq!(a, b);
     }
+
+    #[test]
+    fn ring_exchange_ties_go_to_the_first_in_scan_order() {
+        // `from` = bins 0..3, `to` = bins 3..6 (only 3 in use), every
+        // bin 10 units a dimension. Three ties, each observable:
+        // - bins 0 (items 0, 1) and 2 (item 2) are equally utilised: the
+        //   lower index, 0, is drained;
+        // - items 0 and 1 are equal: they are placed in item order;
+        // - bins 3 (`to`) and 1 (`from`) both leave item 0 zero slack:
+        //   `to` is scanned first, so bin 3 takes item 0 and item 1 gets
+        //   what is left of the tie, bin 1.
+        let size = ResourceVector::splat;
+        let inst = Instance::homogeneous(
+            vec![size(1.0), size(1.0), size(2.0), size(9.0), size(9.0)],
+            6,
+            size(10.0),
+        );
+        let mut sol = Solution {
+            assignment: vec![0, 0, 2, 1, 3],
+        };
+        let daco = DistributedAco::new(params());
+        assert!(daco.try_drain_into(&inst, &mut sol, &(0..3), &(3..6)));
+        assert_eq!(sol.assignment, [3, 1, 2, 1, 3]);
+
+        // Item order among equal movers again, over more movers than a
+        // small-slice sort handles: bin 0 holds 24 items alternating 2
+        // and 1 units; `to` = bins 1..25, twelve with room for exactly a
+        // 2 and twelve for exactly a 1. Each mover takes the first bin it
+        // leaves no slack in, so the k-th 2 (1) in item order lands in
+        // bin 1 + k (13 + k).
+        let mut items: Vec<ResourceVector> = (0..24)
+            .map(|i| size(if i % 2 == 0 { 2.0 } else { 1.0 }))
+            .collect();
+        items.extend((0..24).map(|b| size(if b < 12 { 98.0 } else { 99.0 })));
+        let inst = Instance::homogeneous(items, 25, size(100.0));
+        let mut sol = Solution {
+            assignment: (0..24).map(|_| 0).chain(1..25).collect(),
+        };
+        assert!(daco.try_drain_into(&inst, &mut sol, &(0..1), &(1..25)));
+        let movers: Vec<usize> = (0..24).map(|i| 1 + i / 2 + 12 * (i % 2)).collect();
+        assert_eq!(sol.assignment[..24], movers);
+    }
 }

@@ -518,7 +518,7 @@ mod tests {
         let old = leaders(&sim, &cs)[0];
         // Cut the leader off from everything (including the coordination
         // service): its session expires, a new leader is elected.
-        sim.network_mut().isolate(old);
+        sim.schedule_net_fault(sim.now(), NetFault::Isolate(old));
         sim.run_until(SimTime::from_secs(30));
         let interim = leaders(&sim, &cs);
         assert_eq!(
@@ -528,7 +528,7 @@ mod tests {
         );
         // Heal: the old leader's next ping gets SessionExpired and it
         // must recampaign and follow.
-        sim.network_mut().reconnect(old);
+        sim.schedule_net_fault(sim.now(), NetFault::Reconnect(old));
         sim.run_until(SimTime::from_secs(60));
         let ls = leaders(&sim, &cs);
         assert_eq!(ls.len(), 1, "split brain must resolve: {ls:?}");

@@ -3,7 +3,7 @@
 //!
 //! The compiler is deliberately boring: it performs exactly the
 //! deployment sequence the hand-written experiment harnesses performed
-//! (builder → system → client → static fault plan), so a spec-driven run
+//! (builder → system → client → static faults), so a spec-driven run
 //! is event-for-event identical to the code it replaced. The
 //! [`Runner`] then interprets the phase program — run / settle / sample
 //! / fault+observe — splitting `run_until` at probe points, metric
@@ -18,7 +18,6 @@
 //! fires, or the spec forces a test trigger.
 
 use snooze_simcore::excerpt::Excerpt;
-use snooze_simcore::failure::FailurePlan;
 use snooze_simcore::flight::Windower;
 use snooze_simcore::prelude::*;
 use snooze_simcore::telemetry::window::WindowKind;
@@ -225,12 +224,14 @@ pub fn compile(spec: &ScenarioSpec) -> Result<LiveSystem, String> {
         client,
     );
 
-    let mut plan = FailurePlan::new();
+    // Each fault is scheduled as it is read, so the engine numbers the
+    // events in spec order; a downtime schedules the undoing event next.
+    let sim = &mut live.sim;
     for f in &spec.faults {
         let at = ms_to_time(f.at_ms);
         if f.kind == "degrade" {
             let ppm = f.loss_ppm.ok_or("`degrade` needs `loss_ppm`")?;
-            plan = plan.degrade_links(at, ppm);
+            sim.schedule_net_fault(at, NetFault::SetLossPpm(ppm));
             continue;
         }
         let pool: &[ComponentId] = match f.target.as_str() {
@@ -242,21 +243,24 @@ pub fn compile(spec: &ScenarioSpec) -> Result<LiveSystem, String> {
         let id = *pool
             .get(f.index)
             .ok_or_else(|| format!("fault index {} out of range for `{}`", f.index, f.target))?;
-        plan = match f.kind.as_str() {
-            "crash" => match f.downtime_ms {
-                Some(d) => plan.crash_for(at, ms_to_span(d), id),
-                None => plan.crash(at, id),
-            },
-            "restart" => plan.restart(at, id),
-            "isolate" => match f.downtime_ms {
-                Some(d) => plan.isolate_for(at, ms_to_span(d), id),
-                None => plan.isolate(at, id),
-            },
-            "reconnect" => plan.reconnect(at, id),
+        match f.kind.as_str() {
+            "crash" => {
+                sim.schedule_crash(at, id);
+                if let Some(d) = f.downtime_ms {
+                    sim.schedule_restart(at + ms_to_span(d), id);
+                }
+            }
+            "restart" => sim.schedule_restart(at, id),
+            "isolate" => {
+                sim.schedule_net_fault(at, NetFault::Isolate(id));
+                if let Some(d) = f.downtime_ms {
+                    sim.schedule_net_fault(at + ms_to_span(d), NetFault::Reconnect(id));
+                }
+            }
+            "reconnect" => sim.schedule_net_fault(at, NetFault::Reconnect(id)),
             other => return Err(format!("unknown fault kind `{other}`")),
-        };
+        }
     }
-    plan.apply(&mut live.sim);
 
     if let Some(o) = &spec.obs {
         live.sim.enable_flight_recorder(o.ring);

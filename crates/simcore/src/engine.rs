@@ -117,12 +117,9 @@ pub trait Component {
     fn on_restart(&mut self, _ctx: &mut Ctx<'_, Self::Msg>) {}
 }
 
-/// A scheduled change to the simulated network's health — the
-/// event-scheduled form of fault injection that used to require driver
-/// code stepping the engine and mutating [`Engine::network_mut`] by
-/// hand. Installed via [`Engine::schedule_net_fault`] (or declaratively
-/// through [`crate::failure::FailurePlan`]), it fires in event order
-/// like any other event, so fault schedules are part of the audited,
+/// A scheduled change to the simulated network's health. Installed via
+/// [`Engine::schedule_net_fault`], it fires in event order like any
+/// other event, so fault schedules are part of the audited,
 /// digest-covered history.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NetFault {
@@ -754,13 +751,6 @@ impl<C: Component> Engine<C> {
         self.core.network.group_members(group)
     }
 
-    /// Direct mutable access to the simulated network (isolation etc.).
-    // check-allow(uncalled): the hook the split-brain tests isolate and
-    // reconnect a leader through, between two `run_until` calls.
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.core.network
-    }
-
     /// Borrow a registered component for inspection, or `None` for an
     /// unknown id. (Node-enum engines usually chain this with the enum's
     /// generated `as_*` accessor.)
@@ -1205,6 +1195,22 @@ mod tests {
         }
     }
 
+    /// Pings `peer` once a second, from t = 1 s on.
+    struct Beacon {
+        peer: ComponentId,
+    }
+    impl Component for Beacon {
+        type Msg = TestMsg;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+            ctx.set_timer(SimSpan::from_secs(1), 0);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: ComponentId, _: TestMsg) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _tag: u64) {
+            ctx.send(self.peer, TestMsg::Ping);
+            ctx.set_timer(SimSpan::from_secs(1), 0);
+        }
+    }
+
     struct SrcProbe {
         from_external: bool,
     }
@@ -1324,6 +1330,7 @@ mod tests {
             RestartProbe(RestartProbe) as as_restart_probe,
             Caster(Caster) as as_caster,
             Loopy(Loopy) as as_loopy,
+            Beacon(Beacon) as as_beacon,
             SrcProbe(SrcProbe) as as_src_probe,
             SpanSource(SpanSource) as as_span_source,
             SpanRelay(SpanRelay) as as_span_relay,
@@ -1468,6 +1475,49 @@ mod tests {
         assert_eq!(p.crashes, 1);
         assert_eq!(p.restarts, 1);
         assert!(sim.is_alive(id));
+    }
+
+    /// A beacon pinging an echo that never answers; returns the engine
+    /// and both ids.
+    fn beacon_and_listener(seed: u64) -> (Engine<TestNode>, ComponentId, ComponentId) {
+        let mut sim = sim(seed);
+        let listener = sim.add_component(
+            "listener",
+            Echo {
+                bounces: 0,
+                seen: 0,
+            },
+        );
+        let beacon = sim.add_component("beacon", Beacon { peer: listener });
+        (sim, beacon, listener)
+    }
+
+    #[test]
+    fn net_faults_fire_as_events() {
+        let (mut sim, beacon, listener) = beacon_and_listener(3);
+        // Isolate the beacon for seconds (4, 8]: its 1 Hz pings during
+        // that window are lost; outside it they arrive.
+        let at = SimTime::from_secs(4) + SimSpan::from_micros(1);
+        sim.schedule_net_fault(at, NetFault::Isolate(beacon));
+        sim.schedule_net_fault(at + SimSpan::from_secs(4), NetFault::Reconnect(beacon));
+        sim.run_until(SimTime::from_secs(10) + SimSpan::from_millis(1));
+        let seen = sim.component(listener).as_echo().unwrap().seen;
+        assert_eq!(seen, 6, "pings at 1-4 and 9-10 arrive, 5-8 are lost");
+        assert_eq!(sim.metrics().counter("failure.net"), 2);
+    }
+
+    #[test]
+    fn degrade_links_changes_loss_rate_at_the_scheduled_time() {
+        let (mut sim, _beacon, listener) = beacon_and_listener(1);
+        // Every link loses everything from just after the 4th ping on.
+        sim.schedule_net_fault(
+            SimTime::from_secs(4) + SimSpan::from_micros(1),
+            NetFault::SetLossPpm(1_000_000),
+        );
+        sim.run_until(SimTime::from_secs(10) + SimSpan::from_millis(1));
+        let seen = sim.component(listener).as_echo().unwrap().seen;
+        assert_eq!(seen, 4, "pings at 1-4 arrive, 5-10 are lost");
+        assert_eq!(sim.metrics().counter("failure.net"), 1);
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! expanding crate enables its `audit` feature, so the hot path pays
 //! zero cost in normal builds.
 //!
-//! Violations are routed to a process-wide [`InvariantSink`]. With no
-//! sink installed a violation panics — enabling `audit` without wiring a
-//! sink is still a fail-fast configuration. Tests that want to *observe*
-//! violations (including the lint's own fixture tests) install a
-//! [`CollectingSink`] and inspect what accumulated.
+//! Violations stay on the thread that found them: [`collect`] runs a
+//! closure with a collector active on the calling thread and returns
+//! what it gathered. With no collector active a violation panics —
+//! enabling `audit` without collecting is still a fail-fast
+//! configuration. Two threads collecting at once never see each
+//! other's violations, so independent runs need no shared state.
 
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// One invariant violation, as reported by an `audit_invariant!` site.
 #[derive(Clone, Debug)]
@@ -35,72 +36,31 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Receiver for invariant violations.
-pub trait InvariantSink: Send {
-    /// Called once per violation, at the site that detected it.
-    fn on_violation(&mut self, violation: &Violation);
+thread_local! {
+    /// The calling thread's active collector, if any.
+    static COLLECTOR: RefCell<Option<Vec<Violation>>> = const { RefCell::new(None) };
 }
 
-/// Sink that appends violations to a shared list — install it, run a
-/// scenario, then inspect [`CollectingSink::handle`]'s contents.
-pub struct CollectingSink {
-    store: Arc<Mutex<Vec<Violation>>>,
-}
-
-impl CollectingSink {
-    /// A new sink plus the handle its violations will accumulate in.
-    pub fn new() -> (Self, Arc<Mutex<Vec<Violation>>>) {
-        let store = Arc::new(Mutex::new(Vec::new()));
-        (
-            CollectingSink {
-                store: Arc::clone(&store),
-            },
-            store,
-        )
+/// Run `f` with a fresh collector active on this thread and return its
+/// result with the violations reported meanwhile, in report order. The
+/// previous collector (an enclosing `collect`'s, or none) is restored
+/// afterwards, also when `f` unwinds.
+pub fn collect<R>(f: impl FnOnce() -> R) -> (R, Vec<Violation>) {
+    struct Restore(Option<Vec<Violation>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            COLLECTOR.set(self.0.take());
+        }
     }
+    let restore = Restore(COLLECTOR.replace(Some(Vec::new())));
+    let out = f();
+    let got = COLLECTOR.take().unwrap_or_default();
+    drop(restore);
+    (out, got)
 }
 
-impl InvariantSink for CollectingSink {
-    fn on_violation(&mut self, violation: &Violation) {
-        self.store.lock().unwrap().push(violation.clone());
-    }
-}
-
-/// Sink that panics on the first violation (the default behavior when no
-/// sink is installed, made explicit).
-pub struct PanicSink;
-
-impl InvariantSink for PanicSink {
-    fn on_violation(&mut self, violation: &Violation) {
-        panic!("invariant violated: {violation}");
-    }
-}
-
-fn sink_slot() -> std::sync::MutexGuard<'static, Option<Box<dyn InvariantSink>>> {
-    static SLOT: OnceLock<Mutex<Option<Box<dyn InvariantSink>>>> = OnceLock::new();
-    // A sink panicking (PanicSink, or the no-sink default) poisons the
-    // mutex; the slot data is still coherent, so recover rather than
-    // cascade panics into unrelated tests.
-    SLOT.get_or_init(|| Mutex::new(None))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Install a process-wide sink, returning the previous one (if any).
-// check-allow(uncalled): how a test collects violations instead of
-// panicking on the first (`snooze-audit`'s runtime_invariants suite).
-pub fn install_sink(sink: Box<dyn InvariantSink>) -> Option<Box<dyn InvariantSink>> {
-    sink_slot().replace(sink)
-}
-
-/// Remove the installed sink, restoring panic-on-violation behavior.
-// check-allow(uncalled): the other half of `install_sink`.
-pub fn take_sink() -> Option<Box<dyn InvariantSink>> {
-    sink_slot().take()
-}
-
-/// Report a violation to the installed sink, or panic if none is
-/// installed. Called by `audit_invariant!`; usable directly for checks
+/// Report a violation to this thread's collector, or panic if none is
+/// active. Called by `audit_invariant!`; usable directly for checks
 /// that don't fit the macro's condition-plus-format shape.
 pub fn report(domain: &'static str, rule: &'static str, detail: String) {
     let violation = Violation {
@@ -108,13 +68,15 @@ pub fn report(domain: &'static str, rule: &'static str, detail: String) {
         rule,
         detail,
     };
-    let mut slot = sink_slot();
-    match slot.as_mut() {
-        Some(sink) => sink.on_violation(&violation),
-        None => {
-            drop(slot); // don't poison the slot for the unwinder
-            panic!("invariant violated (no sink installed): {violation}");
+    let unheard = COLLECTOR.with_borrow_mut(|c| match c {
+        Some(found) => {
+            found.push(violation);
+            None
         }
+        None => Some(violation),
+    });
+    if let Some(violation) = unheard {
+        panic!("invariant violated (no collector on this thread): {violation}");
     }
 }
 
@@ -143,31 +105,20 @@ macro_rules! audit_invariant {
 mod tests {
     use super::*;
 
-    // The sink is process-global, so these tests serialize on a lock to
-    // avoid cross-test interference under the parallel test harness.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    fn rendered(found: &[Violation]) -> Vec<String> {
+        found.iter().map(|v| v.to_string()).collect()
     }
 
     #[test]
     fn collecting_sink_accumulates() {
-        let _gate = serial();
-        let (sink, store) = CollectingSink::new();
-        let prev = install_sink(Box::new(sink));
-        report("test", "rule-a", "first".to_string());
-        report("test", "rule-b", "second".to_string());
-        let got: Vec<String> = store
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|v| v.to_string())
-            .collect();
-        assert_eq!(got, vec!["[test/rule-a] first", "[test/rule-b] second"]);
-        take_sink();
-        if let Some(p) = prev {
-            install_sink(p);
-        }
+        let ((), found) = collect(|| {
+            report("test", "rule-a", "first".to_string());
+            report("test", "rule-b", "second".to_string());
+        });
+        assert_eq!(
+            rendered(&found),
+            ["[test/rule-a] first", "[test/rule-b] second"]
+        );
     }
 
     #[test]
@@ -178,5 +129,52 @@ mod tests {
             detail: "t=3 < t=5".into(),
         };
         assert_eq!(v.to_string(), "[engine/monotonic-clock] t=3 < t=5");
+    }
+
+    #[test]
+    fn each_thread_collects_only_its_own_violations() {
+        // Both threads report, meet, and report again, so each one's
+        // collector is active while the other reports.
+        let met = std::sync::Barrier::new(2);
+        let run = |rule: &'static str| {
+            collect(|| {
+                report("test", rule, "before".to_string());
+                met.wait();
+                report("test", rule, "after".to_string());
+            })
+            .1
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run("a"));
+            let b = s.spawn(|| run("b"));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(rendered(&a), ["[test/a] before", "[test/a] after"]);
+        assert_eq!(rendered(&b), ["[test/b] before", "[test/b] after"]);
+    }
+
+    #[test]
+    fn an_unwinding_collect_restores_the_enclosing_collector() {
+        let ((), outer) = collect(|| {
+            report("test", "outer", "kept".to_string());
+            let unwound = std::panic::catch_unwind(|| {
+                collect(|| {
+                    report("test", "inner", "dropped".to_string());
+                    panic!("the checked code failed");
+                })
+            });
+            assert!(unwound.is_err());
+            report("test", "outer", "still heard".to_string());
+        });
+        assert_eq!(
+            rendered(&outer),
+            ["[test/outer] kept", "[test/outer] still heard"]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no collector on this thread")]
+    fn a_violation_with_no_collector_panics() {
+        report("test", "unheard", "nobody collects".to_string());
     }
 }

@@ -13,10 +13,11 @@
 //!
 //! * [`time`] — virtual time ([`SimTime`]) and spans ([`SimSpan`]).
 //! * [`engine`] — the event loop. User logic lives in [`Component`]s which
-//!   react to messages and timers through a [`Ctx`] handle.
+//!   react to messages and timers through a [`Ctx`] handle. Crashes,
+//!   restarts and [`NetFault`]s are scheduled as events like any other.
 //! * [`network`] — a simulated message bus with jittered latency,
 //!   message loss, isolation and multicast groups.
-//! * [`failure`] — crash/restart injection for any component.
+//! * [`invariant`] — runtime invariant checks, collected per thread.
 //! * [`rng`] — seedable, stream-splittable randomness so every run is
 //!   replayable from a single `u64` seed.
 //! * [`metrics`] — labeled counters, gauges and histograms collected
@@ -86,7 +87,6 @@
 pub mod engine;
 mod equeue;
 pub mod excerpt;
-pub mod failure;
 pub mod flight;
 pub mod invariant;
 pub mod mc;

@@ -29,6 +29,7 @@ use std::collections::BTreeMap;
 
 use snooze_telemetry::json::Obj;
 use snooze_telemetry::prometheus::PromWriter;
+use snooze_telemetry::window;
 use snooze_telemetry::LabelSet;
 
 /// A histogram over `f64` samples with exact percentiles.
@@ -105,53 +106,31 @@ impl Histogram {
         var.sqrt()
     }
 
-    /// Exact percentile with linear interpolation between ranks (the
-    /// "exclusive" definition used by numpy's default): `p` in `[0, 100]`
-    /// maps to fractional rank `p/100 · (n−1)` on the sorted samples, and
-    /// values between adjacent ranks interpolate linearly.
+    /// Exact percentile with linear interpolation between ranks:
+    /// [`window::percentile`] over the sorted samples.
     pub fn percentile(&self, p: f64) -> f64 {
-        interpolate(&self.sorted(), p)
+        window::percentile(&window::sorted(&self.samples), p)
     }
 
     /// The `count/mean/min/max/p50/p95/p99` bundle, sorting the samples
     /// once for the three percentiles.
     pub fn summary(&self) -> HistogramSummary {
-        let sorted = self.sorted();
+        let sorted = window::sorted(&self.samples);
         HistogramSummary {
             count: self.count(),
             mean: self.mean(),
             min: self.min(),
             max: self.max(),
-            p50: interpolate(&sorted, 50.0),
-            p95: interpolate(&sorted, 95.0),
-            p99: interpolate(&sorted, 99.0),
+            p50: window::percentile(&sorted, 50.0),
+            p95: window::percentile(&sorted, 95.0),
+            p99: window::percentile(&sorted, 99.0),
         }
-    }
-
-    fn sorted(&self) -> Vec<f64> {
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        sorted
     }
 
     /// All raw samples, in recording order.
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
-}
-
-/// The value at fractional rank `p/100 · (n−1)` of `sorted`, or 0 if empty.
-fn interpolate(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() as f64 - 1.0);
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    let lo_v = sorted[lo.min(sorted.len() - 1)];
-    let hi_v = sorted[hi.min(sorted.len() - 1)];
-    lo_v + (hi_v - lo_v) * frac
 }
 
 trait PipeFinite {
@@ -630,6 +609,26 @@ mod tests {
         assert!((s.p50 - 50.5).abs() < 1e-9);
         assert!((s.p95 - 95.05).abs() < 1e-9);
         assert!((s.p99 - 99.01).abs() < 1e-9);
+    }
+
+    #[test]
+    fn exports_of_a_histogram_holding_nan_do_not_panic() {
+        // Sorting with `partial_cmp(..).unwrap_or(Equal)` is no total
+        // order once a NaN is present, and the standard sort may panic
+        // on such a comparator; this vector made both exports panic.
+        let mut m = MetricsRegistry::new();
+        for i in 0..64u32 {
+            let v = if i % 7 == 3 {
+                f64::NAN
+            } else {
+                f64::from((i * 37) % 101)
+            };
+            m.observe("lat", v);
+        }
+        assert!(m.to_jsonl().contains("\"lat\""));
+        assert!(m.to_prometheus().contains("lat"));
+        let (_, _, h) = m.histograms_iter().next().unwrap();
+        assert_eq!(h.count(), 64);
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl SimRng {
         x_m / u.powf(1.0 / alpha)
     }
 
-    /// Exponentially distributed virtual-time span with the given mean.
-    pub fn exp_span(&mut self, mean: SimSpan) -> SimSpan {
-        SimSpan::from_secs_f64(self.exponential(mean.as_secs_f64().max(1e-9)))
-    }
-
     /// Uniform virtual-time span in `[lo, hi)`.
     pub fn span_between(&mut self, lo: SimSpan, hi: SimSpan) -> SimSpan {
         if lo >= hi {

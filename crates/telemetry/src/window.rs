@@ -59,32 +59,46 @@ pub struct SliceStats {
     pub p99: f64,
 }
 
-/// Exact percentiles over an unsorted slice, interpolating between
-/// ranks — the same definition `Histogram::percentile` uses for the
-/// whole run, applied to one window's samples.
+/// `samples` in ascending [`f64::total_cmp`] order: a total order even
+/// with NaNs present, which sort to the end (or, negative, the start).
+pub fn sorted(samples: &[f64]) -> Vec<f64> {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted
+}
+
+/// Exact percentile of `sorted` with linear interpolation between ranks
+/// (numpy's default): `p` in `[0, 100]` maps to fractional rank
+/// `p/100 · (n−1)`. 0 if `sorted` is empty. `Histogram::percentile`
+/// applies it to a whole run, [`slice_stats`] to one window.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() as f64 - 1.0);
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let frac = rank - lo as f64;
+    let lo_v = sorted[lo.min(sorted.len() - 1)];
+    let hi_v = sorted[hi.min(sorted.len() - 1)];
+    lo_v + (hi_v - lo_v) * frac
+}
+
+/// Descriptive statistics over an unsorted slice, with [`percentile`]'s
+/// interpolated percentiles.
 pub fn slice_stats(samples: &[f64]) -> SliceStats {
     if samples.is_empty() {
         return SliceStats::default();
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let pct = |p: f64| -> f64 {
-        let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() as f64 - 1.0);
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        let lo_v = sorted[lo.min(sorted.len() - 1)];
-        let hi_v = sorted[hi.min(sorted.len() - 1)];
-        lo_v + (hi_v - lo_v) * frac
-    };
+    let sorted = sorted(samples);
     SliceStats {
         count: samples.len() as u64,
         sum: samples.iter().sum(),
         min: sorted[0],
         max: sorted[sorted.len() - 1],
-        p50: pct(50.0),
-        p95: pct(95.0),
-        p99: pct(99.0),
+        p50: percentile(&sorted, 50.0),
+        p95: percentile(&sorted, 95.0),
+        p99: percentile(&sorted, 99.0),
     }
 }
 
@@ -269,6 +283,25 @@ mod tests {
         assert!((s.p50 - 2.5).abs() < 1e-12);
         assert!((s.p95 - 3.85).abs() < 1e-12);
         assert_eq!(slice_stats(&[]), SliceStats::default());
+    }
+
+    #[test]
+    fn slice_stats_of_samples_holding_nan_do_not_panic() {
+        let samples: Vec<f64> = (0..64u32)
+            .map(|i| {
+                if i % 7 == 3 {
+                    f64::NAN
+                } else {
+                    f64::from((i * 37) % 101)
+                }
+            })
+            .collect();
+        let s = slice_stats(&samples);
+        assert_eq!(s.count, 64);
+        // NaN sorts last under `total_cmp`; the finite ranks stay ordered.
+        assert_eq!(s.min, 0.0);
+        assert!(s.max.is_nan());
+        assert!(s.p50 <= 100.0);
     }
 
     #[test]

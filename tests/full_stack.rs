@@ -10,12 +10,99 @@ use snooze_cluster::resources::ResourceVector;
 use snooze_cluster::vm::{VmId, VmSpec};
 use snooze_cluster::workload::{UsageShape, VmWorkload};
 use snooze_consolidation::aco::{AcoConsolidator, AcoParams};
-use snooze_simcore::failure::FailurePlan;
 use snooze_simcore::prelude::*;
 use snooze_simcore::rng::SimRng;
 
 fn secs(s: u64) -> SimTime {
     SimTime::from_secs(s)
+}
+
+/// One step of a crash/repair cycle: `id` crashes (or restarts) at `at`.
+struct Chaos {
+    at: SimTime,
+    id: ComponentId,
+    crash: bool,
+}
+
+/// Independent crash/repair cycles: each target fails after
+/// exponentially distributed up-times (`mttf` mean) and recovers after
+/// exponentially distributed repair times (`mttr` mean), until
+/// `horizon`. Sorted by time, stable for equal times.
+fn random_crash_repair(
+    targets: &[ComponentId],
+    mttf: SimSpan,
+    mttr: SimSpan,
+    horizon: SimTime,
+    rng: &mut SimRng,
+) -> Vec<Chaos> {
+    let mut exp_span =
+        |mean: SimSpan| SimSpan::from_secs_f64(rng.exponential(mean.as_secs_f64().max(1e-9)));
+    let mut plan = Vec::new();
+    for &id in targets {
+        let mut clock = SimTime::ZERO;
+        loop {
+            clock += exp_span(mttf);
+            if clock >= horizon {
+                break;
+            }
+            let down = exp_span(mttr);
+            plan.push(Chaos {
+                at: clock,
+                id,
+                crash: true,
+            });
+            clock += down;
+            if clock >= horizon {
+                break;
+            }
+            plan.push(Chaos {
+                at: clock,
+                id,
+                crash: false,
+            });
+        }
+    }
+    plan.sort_by_key(|c| c.at);
+    plan
+}
+
+#[test]
+fn random_plan_is_sorted_and_alternates_per_target() {
+    let mut rng = SimRng::new(5);
+    let targets = [ComponentId(0), ComponentId(1), ComponentId(2)];
+    let plan = random_crash_repair(
+        &targets,
+        SimSpan::from_secs(100),
+        SimSpan::from_secs(10),
+        secs(2000),
+        &mut rng,
+    );
+    assert!(
+        plan.windows(2).all(|w| w[0].at <= w[1].at),
+        "plan must be time-ordered"
+    );
+    // Per target, actions must strictly alternate crash/restart.
+    for &t in &targets {
+        let mut expect_crash = true;
+        for c in plan.iter().filter(|c| c.id == t) {
+            assert_eq!(c.crash, expect_crash, "crash/restart out of turn for {t:?}");
+            expect_crash = !expect_crash;
+        }
+    }
+    assert!(!plan.is_empty(), "horizon long enough to see failures");
+}
+
+#[test]
+fn random_plan_respects_horizon() {
+    let mut rng = SimRng::new(9);
+    let plan = random_crash_repair(
+        &[ComponentId(0)],
+        SimSpan::from_secs(5),
+        SimSpan::from_secs(1),
+        secs(100),
+        &mut rng,
+    );
+    assert!(plan.iter().all(|c| c.at < secs(100)));
 }
 
 fn schedule(n: u64, at: SimTime, util: f64) -> Vec<ScheduledVm> {
@@ -52,7 +139,7 @@ fn partitioned_gl_causes_no_lasting_split_brain() {
 
     // Partition the GL away from the world. Its coordination session
     // expires; a new GL is elected on the majority side.
-    sim.network_mut().isolate(old_gl);
+    sim.schedule_net_fault(sim.now(), NetFault::Isolate(old_gl));
     sim.run_until(secs(40));
     let leaders: Vec<ComponentId> = system
         .gms
@@ -68,7 +155,7 @@ fn partitioned_gl_causes_no_lasting_split_brain() {
     assert_eq!(leaders.len(), 2, "during the partition, both sides believe");
 
     // Heal. SessionExpired must depose the old GL.
-    sim.network_mut().reconnect(old_gl);
+    sim.schedule_net_fault(sim.now(), NetFault::Reconnect(old_gl));
     sim.run_until(secs(90));
     let gl = system
         .current_gl(&sim)
@@ -107,14 +194,19 @@ fn survives_a_random_failure_storm_with_invariants_intact() {
     let mut chaos_rng = SimRng::new(0xBAD);
     let mut targets: Vec<ComponentId> = system.gms.clone();
     targets.extend(&system.lcs[..5]);
-    FailurePlan::random_crash_repair(
+    for c in random_crash_repair(
         &targets,
         SimSpan::from_secs(120), // MTTF
         SimSpan::from_secs(15),  // MTTR
         secs(500),
         &mut chaos_rng,
-    )
-    .apply(&mut sim);
+    ) {
+        if c.crash {
+            sim.schedule_crash(c.at, c.id);
+        } else {
+            sim.schedule_restart(c.at, c.id);
+        }
+    }
 
     // Long quiet tail so everything heals.
     sim.run_until(secs(800));
