@@ -11,7 +11,7 @@
 //! | `wall-clock`       | `Instant::now` / `SystemTime` outside benches    |
 //! | `ambient-rng`      | `thread_rng` / `from_entropy` / `OsRng`          |
 //! | `float-eq`         | `==`/`!=` against float literals in schedulers   |
-//! | `partial-cmp-unwrap` | `.partial_cmp(..).unwrap()` on floats          |
+//! | `partial-cmp-unwrap` | `.partial_cmp(..).unwrap()` on floats, and `.unwrap_or(..)` in a sort comparator |
 //! | `handler-unwrap`   | `.unwrap()`/`.expect(` inside `on_message`       |
 //! | `type-erasure`     | `dyn Any` / `downcast` on the simulation path    |
 //! | `interleaving-hashset` | any `HashSet` on the simulation path         |
@@ -550,6 +550,7 @@ fn check_float_eq(file: &SourceFile) -> Vec<Hit> {
 // --- rule: partial-cmp-unwrap -------------------------------------------
 
 fn check_partial_cmp_unwrap(file: &SourceFile) -> Vec<Hit> {
+    let in_sort = sort_comparator_lines(file);
     let mut hits = Vec::new();
     for (idx, line) in file.lines.iter().enumerate() {
         let code = &line.code;
@@ -559,12 +560,56 @@ fn check_partial_cmp_unwrap(file: &SourceFile) -> Vec<Hit> {
             if let Some(next) = file.lines.get(idx + 1) {
                 tail.push_str(next.code.trim());
             }
-            if tail.contains(".unwrap()") || tail.contains(".expect(") {
+            // A defaulted comparison is no total order once a NaN is
+            // present, and a sort may panic on it; `min_by`/`max_by`
+            // only pick, so there it stays.
+            let defaulted = in_sort[idx] && tail.contains(".unwrap_or(");
+            if tail.contains(".unwrap()") || tail.contains(".expect(") || defaulted {
                 hits.push((idx, snippet(file, idx)));
             }
         }
     }
     hits
+}
+
+/// Which lines lie inside the comparator of a `.sort_by(` or
+/// `.sort_unstable_by(` call, from its opening parenthesis to the one
+/// that closes it.
+fn sort_comparator_lines(file: &SourceFile) -> Vec<bool> {
+    let mut inside = vec![false; file.lines.len()];
+    // Parentheses open in the current comparator; 0 outside one.
+    let mut depth = 0usize;
+    for (idx, line) in file.lines.iter().enumerate() {
+        let code = &line.code;
+        let mut from = 0;
+        if depth == 0 {
+            let start = [".sort_by(", ".sort_unstable_by("]
+                .iter()
+                .filter_map(|p| code.find(p).map(|i| i + p.len()))
+                .min();
+            match start {
+                Some(start) => {
+                    depth = 1;
+                    from = start;
+                }
+                None => continue,
+            }
+        }
+        inside[idx] = true;
+        for c in code[from..].chars() {
+            match c {
+                '(' => depth += 1,
+                ')' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    inside
 }
 
 // --- rule: handler-unwrap -----------------------------------------------
@@ -692,7 +737,7 @@ pub fn rules() -> &'static [RuleDef] {
         },
         RuleDef {
             id: "partial-cmp-unwrap",
-            summary: ".partial_cmp(..).unwrap() in simulation-path code",
+            summary: ".partial_cmp(..).unwrap(), or .unwrap_or(..) in a sort comparator, in simulation-path code",
             hint: "sort with f64::total_cmp; .unwrap_or(Ordering::Equal) is for min_by/max_by only, never a sort comparator",
             in_scope: scope_sim_path,
             check: check_partial_cmp_unwrap,

@@ -153,6 +153,24 @@ fn partial_cmp_unwrap_respects_targeted_allow() {
 }
 
 #[test]
+fn partial_cmp_unwrap_or_fires_in_a_sort_comparator() {
+    let hits = active(
+        "crates/snooze/src/fixture.rs",
+        include_str!("../fixtures/partial_cmp_sort_bad.rs"),
+    );
+    assert_eq!(hits, vec!["partial-cmp-unwrap"]);
+}
+
+#[test]
+fn partial_cmp_unwrap_or_is_silent_in_min_by() {
+    let hits = active(
+        "crates/snooze/src/fixture.rs",
+        include_str!("../fixtures/partial_cmp_min_by_ok.rs"),
+    );
+    assert_eq!(hits, Vec::<&str>::new());
+}
+
+#[test]
 fn handler_unwrap_fires_only_inside_on_message() {
     // `helper()` also unwraps, but only the handler body may be flagged.
     let file = SourceFile::parse(

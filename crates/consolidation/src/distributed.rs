@@ -162,7 +162,7 @@ impl DistributedAco {
         order.sort_by(|&a, &b| {
             let ka = instance.items[a].l1();
             let kb = instance.items[b].l1();
-            kb.partial_cmp(&ka).unwrap_or(std::cmp::Ordering::Equal)
+            kb.total_cmp(&ka)
         });
         let mut placement: Vec<(usize, usize)> = Vec::with_capacity(order.len());
         for &item in &order {

@@ -174,9 +174,7 @@ impl BranchAndBound {
         order.sort_by(|&a, &b| {
             let ka = instance.items[a].normalize_by(&capacity).l1();
             let kb = instance.items[b].normalize_by(&capacity).l1();
-            kb.partial_cmp(&ka)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
+            kb.total_cmp(&ka).then(a.cmp(&b))
         });
         let sorted: Vec<ResourceVector> = order.iter().map(|&i| instance.items[i]).collect();
 

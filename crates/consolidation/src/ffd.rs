@@ -72,9 +72,7 @@ fn sorted_indices(instance: &Instance, key: SortKey) -> Vec<usize> {
     idx.sort_by(|&a, &b| {
         let ka = key.measure(&instance.items[a], &reference);
         let kb = key.measure(&instance.items[b], &reference);
-        kb.partial_cmp(&ka)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
+        kb.total_cmp(&ka).then(a.cmp(&b))
     });
     idx
 }

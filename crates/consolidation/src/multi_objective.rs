@@ -74,8 +74,7 @@ impl Consolidator for MigrationAwareAco {
         movers.sort_by(|&a, &b| {
             instance.items[b]
                 .memory
-                .partial_cmp(&instance.items[a].memory)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&instance.items[a].memory)
                 .then(a.cmp(&b))
         });
 

@@ -124,15 +124,6 @@ impl Elector {
         self.state == ElectorState::Leader
     }
 
-    /// The leader this elector believes in (itself included).
-    pub fn leader(&self, me: ComponentId) -> Option<ComponentId> {
-        match self.state {
-            ElectorState::Leader => Some(me),
-            ElectorState::Follower { leader } => Some(leader),
-            _ => None,
-        }
-    }
-
     /// Begin (or restart, with a fresh session epoch) a campaign. Call
     /// from `on_start` and `on_restart`.
     pub fn start<M: ProtocolCarrier>(&mut self, ctx: &mut Ctx<'_, M>) {
@@ -429,8 +420,12 @@ mod tests {
     /// All alive contenders must agree on `leader`.
     fn assert_agreement(sim: &Engine<ElectNode>, cs: &[ComponentId], leader: ComponentId) {
         for &c in cs.iter().filter(|&&c| sim.is_alive(c)) {
-            let el = &contender(sim, c).elector;
-            assert_eq!(el.leader(c), Some(leader), "{c:?} disagrees on leadership");
+            let believed = match contender(sim, c).elector.state() {
+                ElectorState::Leader => Some(c),
+                ElectorState::Follower { leader } => Some(leader),
+                _ => None,
+            };
+            assert_eq!(believed, Some(leader), "{c:?} disagrees on leadership");
         }
     }
 

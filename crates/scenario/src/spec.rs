@@ -297,9 +297,9 @@ pub struct ReconfSpec {
 }
 
 /// The two administrator dials §II-D/E healing latency hangs on. Setting
-/// this derives every heartbeat period (= heartbeat), every silence
-/// timeout (= 4 × heartbeat), the coordination session timeout
-/// (= session) and the election ping (= session / 3).
+/// this derives the heartbeat period (= heartbeat), the silence timeout
+/// (= 4 × heartbeat), the coordination session timeout (= session) and
+/// the election ping (= session / 3).
 #[derive(Clone, Debug, PartialEq)]
 pub struct KnobsSpec {
     /// Coordination session timeout, ms.
@@ -695,13 +695,8 @@ impl ConfigSpec {
         if let Some(k) = &self.knobs {
             let hb = ms_to_span(k.heartbeat_ms);
             let session = ms_to_span(k.session_ms);
-            c.gl_heartbeat_period = hb;
-            c.gm_heartbeat_period = hb;
-            c.gm_lc_heartbeat_period = hb;
-            c.lc_monitoring_period = hb;
-            c.gm_timeout = hb * 4;
-            c.lc_timeout = hb * 4;
-            c.gm_silence_for_lc = hb * 4;
+            c.heartbeat_period = hb;
+            c.silence_timeout = hb * 4;
             c.zk_session_timeout = session;
             c.election_ping_period = session / 3;
         }
@@ -1117,6 +1112,8 @@ impl ScenarioDoc {
 
     /// This document with `patch` (TOML text) applied under the override
     /// rule: arrays of tables replace, everything else deep-merges.
+    // check-allow(uncalled): how a test reshapes a checked-in document
+    // (a smaller sweep, another seed); runs take theirs from the file.
     pub fn patch(&self, patch: &str) -> Result<ScenarioDoc, String> {
         let mut doc = self.clone();
         override_merge(&mut doc.root, &toml::parse(patch)?);
@@ -1849,8 +1846,8 @@ util = 0.25
             ..ConfigSpec::preset("default")
         };
         let c = cs.build().unwrap();
-        assert_eq!(c.gl_heartbeat_period, SimSpan::from_millis(1000));
-        assert_eq!(c.gm_timeout, SimSpan::from_millis(4000));
+        assert_eq!(c.heartbeat_period, SimSpan::from_millis(1000));
+        assert_eq!(c.silence_timeout, SimSpan::from_millis(4000));
         assert_eq!(c.zk_session_timeout, SimSpan::from_millis(4000));
         // Truncating integer division, exactly as the hand-built sweep.
         assert_eq!(c.election_ping_period, SimSpan::from_micros(4_000_000 / 3));

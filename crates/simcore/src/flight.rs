@@ -250,13 +250,6 @@ impl Profiler {
         }
         out
     }
-
-    /// The `k` hottest buckets by event count.
-    pub fn top(&self, k: usize) -> Vec<ProfileRow> {
-        let mut rows = self.rows();
-        rows.truncate(k);
-        rows
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -497,7 +490,6 @@ mod tests {
         assert_eq!(rows[0].variant, "Heartbeat");
         assert_eq!(rows[0].events, 2);
         assert_eq!(p.folded(), "lc;Heartbeat 2\ngm;Place 1\n");
-        assert_eq!(p.top(1).len(), 1);
     }
 
     #[test]

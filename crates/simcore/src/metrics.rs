@@ -95,17 +95,6 @@ impl Histogram {
             .pipe_finite()
     }
 
-    /// Sample standard deviation, or 0 with fewer than two samples.
-    pub fn std_dev(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self.samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
-        var.sqrt()
-    }
-
     /// Exact percentile with linear interpolation between ranks:
     /// [`window::percentile`] over the sorted samples.
     pub fn percentile(&self, p: f64) -> f64 {
@@ -183,6 +172,8 @@ impl MetricsRegistry {
     }
 
     /// Increment counter `key` (no labels) by `n`.
+    // check-allow(uncalled): no component bumps an unlabelled counter by
+    // more than one; the Prometheus golden and the export tests do.
     pub fn add(&mut self, key: &str, n: u64) {
         self.add_with(key, &LabelSet::EMPTY, n);
     }
@@ -573,7 +564,6 @@ mod tests {
         assert_eq!(h.percentile(0.0), 1.0);
         assert_eq!(h.percentile(50.0), 3.0);
         assert_eq!(h.percentile(100.0), 5.0);
-        assert!((h.std_dev() - 1.5811).abs() < 1e-3);
     }
 
     #[test]
@@ -637,7 +627,6 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
-        assert_eq!(h.std_dev(), 0.0);
         assert_eq!(h.percentile(50.0), 0.0);
         assert_eq!(h.summary().count, 0);
     }

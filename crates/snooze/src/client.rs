@@ -175,7 +175,7 @@ impl ClientDriver {
             .iter()
             .map(|p| p.latency.as_secs_f64())
             .collect();
-        lats.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        lats.sort_by(f64::total_cmp);
         let rank = ((lats.len() as f64 - 1.0) * 0.95).round() as usize;
         lats[rank.min(lats.len() - 1)]
     }

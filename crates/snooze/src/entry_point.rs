@@ -25,10 +25,6 @@ pub struct EntryPoint {
     gl_group: GroupId,
     gl: Option<ComponentId>,
     last_gl_heartbeat: SimTime,
-    /// Submissions forwarded to the GL.
-    pub forwarded: u64,
-    /// Submissions dropped because no GL was known.
-    pub dropped: u64,
 }
 
 impl EntryPoint {
@@ -39,8 +35,6 @@ impl EntryPoint {
             gl_group,
             gl: None,
             last_gl_heartbeat: SimTime::ZERO,
-            forwarded: 0,
-            dropped: 0,
         }
     }
 
@@ -52,7 +46,7 @@ impl EntryPoint {
     fn gl_if_fresh(&self, now: SimTime) -> Option<ComponentId> {
         // A GL silent for several heartbeat periods is presumed dead;
         // withhold it from clients until a heartbeat re-confirms.
-        let stale = now.since(self.last_gl_heartbeat) > self.config.gl_heartbeat_period * 4;
+        let stale = now.since(self.last_gl_heartbeat) > self.config.heartbeat_period * 4;
         if stale {
             None
         } else {
@@ -65,7 +59,6 @@ impl McState for EntryPoint {
     fn mc_fold(&self, h: &mut McHasher) {
         h.opt_id(self.gl);
         h.time(self.last_gl_heartbeat);
-        // forwarded/dropped are observational counters — skipped.
     }
 }
 
@@ -91,7 +84,6 @@ impl Component for EntryPoint {
             }
             SnoozeMsg::SubmitVm(submit) => match self.gl_if_fresh(now) {
                 Some(gl) => {
-                    self.forwarded += 1;
                     // One hop-span per forward: child of the client's
                     // submission span, parent of the GL's dispatch span.
                     let hop = ctx.span_open("ep.forward");
@@ -102,7 +94,6 @@ impl Component for EntryPoint {
                         .incr_with("ep.submissions", &label("outcome", "forwarded"));
                 }
                 None => {
-                    self.dropped += 1;
                     ctx.metrics()
                         .incr_with("ep.submissions", &label("outcome", "dropped"));
                 }
@@ -114,8 +105,6 @@ impl Component for EntryPoint {
 
     fn on_restart(&mut self, _ctx: &mut Ctx<'_, SnoozeMsg>) {
         self.gl = None;
-        self.forwarded = 0;
-        self.dropped = 0;
     }
 }
 

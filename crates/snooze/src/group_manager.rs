@@ -37,7 +37,7 @@ use crate::config::SnoozeConfig;
 use crate::estimator::DemandEstimator;
 use crate::messages::*;
 pub use crate::messages::{VmActive, VmFailed};
-use crate::scheduling::dispatching::Dispatcher;
+use crate::scheduling::dispatching;
 use crate::scheduling::placement::Placer;
 use crate::scheduling::reconfiguration::plan_reconfiguration;
 use crate::scheduling::relocation::{
@@ -189,6 +189,10 @@ struct VmRecord {
     migration_span: Option<SpanId>,
 }
 
+/// Retries after which a pending placement is given up and reported
+/// failed to the GL.
+const PLACEMENT_MAX_RETRIES: u32 = 20;
+
 /// A placement waiting for capacity (e.g. a node waking up).
 #[derive(Clone)]
 struct PendingPlacement {
@@ -238,7 +242,6 @@ pub struct GroupManager {
     // --- GL-mode state ---
     gm_summaries: BTreeMap<ComponentId, GmHeartbeat>,
     gm_fd: FailureDetector<ComponentId>,
-    dispatcher: Dispatcher,
     dispatches: BTreeMap<VmId, DispatchState>,
     /// Idempotence registry: VMs already placed this GL term, so client
     /// retries re-ack instead of double-placing.
@@ -258,10 +261,9 @@ impl GroupManager {
         let config = config.into();
         let elector = Elector::new(zk, "gl-election", config.election_ping_period);
         GroupManager {
-            lc_fd: FailureDetector::new(config.lc_timeout),
-            gm_fd: FailureDetector::new(config.gm_timeout),
+            lc_fd: FailureDetector::new(config.silence_timeout),
+            gm_fd: FailureDetector::new(config.silence_timeout),
             placer: Placer::new(config.placement),
-            dispatcher: Dispatcher::new(config.dispatching),
             config,
             gl_group,
             lc_group,
@@ -438,7 +440,7 @@ impl GroupManager {
             if !self.lcs.values().any(|r| r.waking) {
                 p.retries += 1;
             }
-            if p.retries >= self.config.placement_max_retries {
+            if p.retries >= PLACEMENT_MAX_RETRIES {
                 if let Some(sp) = p.span {
                     ctx.span_label(sp, "outcome", "exhausted");
                     ctx.span_close(sp);
@@ -658,7 +660,7 @@ impl GroupManager {
         self.gm_fd.reset();
         self.dispatches.clear();
         self.placed_registry.clear();
-        ctx.set_timer(self.config.gl_heartbeat_period, tag(GL_TICK, 0));
+        ctx.set_timer(self.config.heartbeat_period, tag(GL_TICK, 0));
         // Announce immediately: EPs and orphaned LCs are waiting.
         let me = ctx.id();
         ctx.multicast(self.gl_group, move || GlHeartbeat { gl: me });
@@ -677,7 +679,7 @@ impl GroupManager {
         ctx.send(gl, GmJoin);
         if !self.gm_timer_armed {
             self.gm_timer_armed = true;
-            ctx.set_timer(self.config.gm_heartbeat_period, tag(GM_TICK, 0));
+            ctx.set_timer(self.config.heartbeat_period, tag(GM_TICK, 0));
         }
     }
 
@@ -713,7 +715,7 @@ impl GroupManager {
                 n_vms: s.n_vms,
             })
             .collect();
-        let candidates = self.dispatcher.candidates(&submit.spec, &summaries);
+        let candidates = dispatching::candidates(&submit.spec, &summaries);
         if candidates.is_empty() {
             ctx.send(submit.client, VmRejected { vm: submit.spec.id });
             return;
@@ -826,7 +828,7 @@ impl GroupManager {
         for vm in stale {
             self.advance_dispatch(ctx, vm);
         }
-        ctx.set_timer(self.config.gl_heartbeat_period, tag(GL_TICK, 0));
+        ctx.set_timer(self.config.heartbeat_period, tag(GL_TICK, 0));
     }
 
     fn gm_tick(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
@@ -841,7 +843,7 @@ impl GroupManager {
             self.retry_stale_wakes(ctx);
             self.retry_unconfirmed_starts(ctx);
             self.energy_sweep(ctx);
-            ctx.set_timer(self.config.gm_heartbeat_period, tag(GM_TICK, 0));
+            ctx.set_timer(self.config.heartbeat_period, tag(GM_TICK, 0));
         } else {
             self.gm_timer_armed = false;
         }
@@ -863,9 +865,11 @@ impl McState for Mode {
 
 impl McState for GroupManager {
     fn mc_fold(&self, h: &mut McHasher) {
-        // Config, groups, placer and dispatcher are run constants —
-        // identical in every state of one exploration — so only the
-        // mutable protocol state is folded.
+        // Config and groups are run constants — identical in every state
+        // of one exploration — so only the mutable protocol state is
+        // folded. The placer is not folded either: the round-robin
+        // placer's cursor moves, but the checked harnesses run
+        // first-fit, whose placer holds no state.
         self.elector.mc_fold(h);
         self.mode.mc_fold(h);
         h.word(self.lcs.len() as u64);

@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use snooze_cluster::hypervisor::Hypervisor;
+use snooze_cluster::migration::MigrationModel;
 use snooze_cluster::node::{NodeSpec, PowerState, PowerStateMachine};
 use snooze_cluster::power::EnergyMeter;
 use snooze_cluster::resources::ResourceVector;
@@ -169,7 +170,7 @@ impl LocalController {
     /// per three monitoring ticks.
     fn detect_anomaly(&self, now: SimTime, demand: &ResourceVector) -> Option<AnomalyKind> {
         self.gm?;
-        if now.since(self.last_anomaly_at) < self.config.lc_monitoring_period * 3 {
+        if now.since(self.last_anomaly_at) < self.config.heartbeat_period * 3 {
             return None;
         }
         let hv = &self.hypervisor;
@@ -283,7 +284,7 @@ impl Component for LocalController {
     fn on_start(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
         ctx.join_group(self.gl_group);
         self.energy = EnergyMeter::new(ctx.now(), self.node.power.active_watts(0.0));
-        ctx.set_timer(self.config.lc_monitoring_period, tag(LC_MONITOR, 0));
+        ctx.set_timer(self.config.heartbeat_period, tag(LC_MONITOR, 0));
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>, src: ComponentId, msg: SnoozeMsg) {
@@ -396,7 +397,7 @@ impl Component for LocalController {
                 guest.state = VmState::Migrating;
                 let dirty = guest.workload.dirty_rate_mbps(now, &guest.spec.requested);
                 let image = guest.spec.image_mb;
-                let est = self.config.migration.estimate(image, dirty);
+                let est = MigrationModel::gigabit().estimate(image, dirty);
                 // The transfer span covers pre-copy through hand-off, nested
                 // under the GM's gm.migrate span (ambient from MigrateVm).
                 let span = ctx.span_open("lc.migrate-out");
@@ -460,11 +461,11 @@ impl Component for LocalController {
                 self.monitor(ctx);
                 // GM liveness: silent too long ⇒ rejoin the hierarchy.
                 if self.gm.is_some()
-                    && now.since(self.last_gm_heartbeat) > self.config.gm_silence_for_lc
+                    && now.since(self.last_gm_heartbeat) > self.config.silence_timeout
                 {
                     self.leave_gm(ctx);
                 }
-                ctx.set_timer(self.config.lc_monitoring_period, tag(LC_MONITOR, 0));
+                ctx.set_timer(self.config.heartbeat_period, tag(LC_MONITOR, 0));
             }
             LC_MONITOR => {}
             LC_VM_BOOT => {
@@ -533,7 +534,7 @@ impl Component for LocalController {
                         ctx.send(gm, NodePowerChanged { powered_on: true });
                         self.send_monitoring(ctx, self.sample(now));
                     }
-                    ctx.set_timer(self.config.lc_monitoring_period, tag(LC_MONITOR, 0));
+                    ctx.set_timer(self.config.heartbeat_period, tag(LC_MONITOR, 0));
                 }
             }
             _ => {}
@@ -555,6 +556,6 @@ impl Component for LocalController {
         self.disarm_watchdog(ctx);
         self.leave_gm(ctx);
         self.last_gm_heartbeat = now;
-        ctx.set_timer(self.config.lc_monitoring_period, tag(LC_MONITOR, 0));
+        ctx.set_timer(self.config.heartbeat_period, tag(LC_MONITOR, 0));
     }
 }

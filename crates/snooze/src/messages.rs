@@ -122,7 +122,7 @@ pub struct GlHeartbeat {
 }
 
 /// GM → GL: periodic aliveness plus the aggregated resource summary the
-/// GL's dispatching policies run on (§II-B: "each GM periodically sends
+/// GL's dispatching runs on (§II-B: "each GM periodically sends
 /// aggregated resource monitoring information to the GL").
 #[derive(Clone, Copy, Debug)]
 pub struct GmHeartbeat {

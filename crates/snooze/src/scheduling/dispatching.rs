@@ -1,4 +1,4 @@
-//! GL-level dispatching policies (paper §II-C).
+//! GL-level dispatching (paper §II-C).
 //!
 //! "At the GL level, VM to GM dispatching decisions are taken based on
 //! the GM resource summary information. … Note that summary information
@@ -6,70 +6,32 @@
 //! a list of candidate GMs is provided by the dispatching policies.
 //! Based on this list, a linear search is performed by issuing VM
 //! placement requests to the GMs."
+//!
+//! The GL runs one policy, least-loaded: no scenario selects another.
 
 use snooze_cluster::vm::VmSpec;
 use snooze_simcore::engine::ComponentId;
 
 use super::GmSummaryView;
 
-/// Which dispatching policy the GL runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DispatchKind {
-    /// Rotate through GMs regardless of load (filtered by fit).
-    RoundRobin,
-    /// Prefer the GM with the most free (unreserved) capacity.
-    LeastLoaded,
-    /// GMs in id order, filtered by fit.
-    FirstFit,
-}
-
-/// Stateful dispatcher (round-robin needs a cursor).
-#[derive(Clone, Debug)]
-pub struct Dispatcher {
-    kind: DispatchKind,
-    cursor: usize,
-}
-
-impl Dispatcher {
-    /// A dispatcher of the given kind.
-    pub fn new(kind: DispatchKind) -> Self {
-        Dispatcher { kind, cursor: 0 }
-    }
-
-    /// Produce the ordered candidate-GM list for `spec`.
-    ///
-    /// Only GMs whose *free summary capacity* could hold the VM are
-    /// candidates — but as the paper stresses, a fitting summary does not
-    /// guarantee a fitting LC, so callers must linear-search the list.
-    pub fn candidates(&mut self, spec: &VmSpec, gms: &[GmSummaryView]) -> Vec<ComponentId> {
-        let mut fitting: Vec<&GmSummaryView> = gms
-            .iter()
-            .filter(|g| g.n_lcs > 0 && spec.requested.fits_within(&g.free()))
-            .collect();
-        match self.kind {
-            DispatchKind::FirstFit => {
-                fitting.sort_by_key(|g| g.gm);
-            }
-            DispatchKind::LeastLoaded => {
-                fitting.sort_by(|a, b| {
-                    let fa = a.free().l1();
-                    let fb = b.free().l1();
-                    fb.partial_cmp(&fa)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.gm.cmp(&b.gm))
-                });
-            }
-            DispatchKind::RoundRobin => {
-                fitting.sort_by_key(|g| g.gm);
-                if !fitting.is_empty() {
-                    let rot = self.cursor % fitting.len();
-                    fitting.rotate_left(rot);
-                    self.cursor = self.cursor.wrapping_add(1);
-                }
-            }
-        }
-        fitting.into_iter().map(|g| g.gm).collect()
-    }
+/// The ordered candidate-GM list for `spec`: the GMs with the most free
+/// (unreserved) capacity first, ties to the lower id.
+///
+/// Only GMs that manage an LC and whose *free summary capacity* could
+/// hold the VM are candidates — but as the paper stresses, a fitting
+/// summary does not guarantee a fitting LC, so callers must
+/// linear-search the list.
+pub fn candidates(spec: &VmSpec, gms: &[GmSummaryView]) -> Vec<ComponentId> {
+    let mut fitting: Vec<&GmSummaryView> = gms
+        .iter()
+        .filter(|g| g.n_lcs > 0 && spec.requested.fits_within(&g.free()))
+        .collect();
+    fitting.sort_by(|a, b| {
+        let fa = a.free().l1();
+        let fb = b.free().l1();
+        fb.total_cmp(&fa).then(a.gm.cmp(&b.gm))
+    });
+    fitting.into_iter().map(|g| g.gm).collect()
 }
 
 #[cfg(test)]
@@ -94,52 +56,46 @@ mod tests {
     }
 
     #[test]
-    fn first_fit_orders_by_id_and_filters() {
+    fn gms_the_vm_does_not_fit_are_filtered() {
         let gms = [gm(2, 10.0, 9.5), gm(0, 10.0, 2.0), gm(1, 10.0, 0.0)];
-        let mut d = Dispatcher::new(DispatchKind::FirstFit);
         // Size 1.0 doesn't fit gm2 (free 0.5).
         assert_eq!(
-            d.candidates(&spec(1.0), &gms),
-            vec![ComponentId(0), ComponentId(1)]
+            candidates(&spec(1.0), &gms),
+            vec![ComponentId(1), ComponentId(0)]
         );
     }
 
     #[test]
     fn least_loaded_prefers_most_free() {
         let gms = [gm(0, 10.0, 8.0), gm(1, 10.0, 1.0), gm(2, 10.0, 5.0)];
-        let mut d = Dispatcher::new(DispatchKind::LeastLoaded);
         assert_eq!(
-            d.candidates(&spec(1.0), &gms),
+            candidates(&spec(1.0), &gms),
             vec![ComponentId(1), ComponentId(2), ComponentId(0)]
         );
     }
 
     #[test]
-    fn round_robin_rotates_between_calls() {
-        let gms = [gm(0, 10.0, 0.0), gm(1, 10.0, 0.0), gm(2, 10.0, 0.0)];
-        let mut d = Dispatcher::new(DispatchKind::RoundRobin);
-        let first = d.candidates(&spec(1.0), &gms)[0];
-        let second = d.candidates(&spec(1.0), &gms)[0];
-        let third = d.candidates(&spec(1.0), &gms)[0];
-        let fourth = d.candidates(&spec(1.0), &gms)[0];
-        assert_eq!(first, ComponentId(0));
-        assert_eq!(second, ComponentId(1));
-        assert_eq!(third, ComponentId(2));
-        assert_eq!(fourth, ComponentId(0), "wraps");
+    fn least_loaded_ties_go_to_the_lower_id() {
+        let gms = [gm(2, 10.0, 3.0), gm(0, 10.0, 6.0), gm(1, 10.0, 3.0)];
+        assert_eq!(
+            candidates(&spec(1.0), &gms),
+            vec![ComponentId(1), ComponentId(2), ComponentId(0)]
+        );
     }
 
     #[test]
     fn no_candidates_when_nothing_fits() {
         let gms = [gm(0, 10.0, 9.9)];
-        let mut d = Dispatcher::new(DispatchKind::LeastLoaded);
-        assert!(d.candidates(&spec(5.0), &gms).is_empty());
+        assert!(candidates(&spec(5.0), &gms).is_empty());
     }
 
     #[test]
     fn gms_without_lcs_are_skipped() {
         let mut empty = gm(0, 10.0, 0.0);
         empty.n_lcs = 0;
-        let mut d = Dispatcher::new(DispatchKind::FirstFit);
-        assert!(d.candidates(&spec(1.0), &[empty]).is_empty());
+        assert_eq!(
+            candidates(&spec(1.0), &[empty, gm(1, 10.0, 5.0)]),
+            vec![ComponentId(1)]
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Two-level scheduling (paper §II-C).
 //!
-//! "Scheduling decisions are taken at two levels: GL and GM." The GL runs
-//! [`dispatching`] policies over GM resource summaries to produce a
+//! "Scheduling decisions are taken at two levels: GL and GM." The GL's
+//! [`dispatching`] orders GMs by their resource summaries into a
 //! candidate list (summaries are not exact, so the GL linear-searches the
 //! candidates). Each GM runs four policy types: [`placement`] for
 //! incoming VMs, [`relocation`] for overload/underload anomalies, and

@@ -16,12 +16,6 @@ use super::LcView;
 pub enum PlacementKind {
     /// Lowest-id LC that fits.
     FirstFit,
-    /// Fitting LC with the least post-placement slack (packs tightly —
-    /// energy-friendly).
-    BestFit,
-    /// Fitting LC with the most post-placement slack (spreads —
-    /// performance-friendly).
-    WorstFit,
     /// Rotate over fitting LCs.
     RoundRobin,
 }
@@ -53,26 +47,6 @@ impl Placer {
         fitting.sort_by_key(|l| l.lc);
         match self.kind {
             PlacementKind::FirstFit => Some(fitting[0].lc),
-            PlacementKind::BestFit => fitting
-                .iter()
-                .min_by(|a, b| {
-                    let sa = slack_after(a, spec);
-                    let sb = slack_after(b, spec);
-                    sa.partial_cmp(&sb)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.lc.cmp(&b.lc))
-                })
-                .map(|l| l.lc),
-            PlacementKind::WorstFit => fitting
-                .iter()
-                .max_by(|a, b| {
-                    let sa = slack_after(a, spec);
-                    let sb = slack_after(b, spec);
-                    sa.partial_cmp(&sb)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(b.lc.cmp(&a.lc))
-                })
-                .map(|l| l.lc),
             PlacementKind::RoundRobin => {
                 let pick = fitting[self.cursor % fitting.len()].lc;
                 self.cursor = self.cursor.wrapping_add(1);
@@ -80,13 +54,6 @@ impl Placer {
             }
         }
     }
-}
-
-fn slack_after(lc: &LcView, spec: &VmSpec) -> f64 {
-    lc.capacity
-        .saturating_sub(&(lc.reserved + spec.requested))
-        .normalize_by(&lc.capacity)
-        .l1()
 }
 
 #[cfg(test)]
@@ -116,21 +83,6 @@ mod tests {
         let lcs = [lc(3, 10.0, 0.0, true), lc(1, 10.0, 0.0, true)];
         let mut p = Placer::new(PlacementKind::FirstFit);
         assert_eq!(p.place(&spec(1.0), &lcs), Some(ComponentId(1)));
-    }
-
-    #[test]
-    fn best_fit_packs_tightest() {
-        let lcs = [lc(0, 10.0, 1.0, true), lc(1, 10.0, 8.0, true)];
-        let mut p = Placer::new(PlacementKind::BestFit);
-        // Size 1 on lc1 leaves 1 free (tight); on lc0 leaves 8.
-        assert_eq!(p.place(&spec(1.0), &lcs), Some(ComponentId(1)));
-    }
-
-    #[test]
-    fn worst_fit_spreads() {
-        let lcs = [lc(0, 10.0, 1.0, true), lc(1, 10.0, 8.0, true)];
-        let mut p = Placer::new(PlacementKind::WorstFit);
-        assert_eq!(p.place(&spec(1.0), &lcs), Some(ComponentId(0)));
     }
 
     #[test]

@@ -52,13 +52,7 @@ pub fn plan_overload_relocation(
 ) -> Option<PlannedMigration> {
     // Heaviest VM first: moving it relieves the most pressure.
     let mut vms: Vec<&VmView> = source_vms.iter().collect();
-    vms.sort_by(|a, b| {
-        b.used
-            .l1()
-            .partial_cmp(&a.used.l1())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.vm.cmp(&b.vm))
-    });
+    vms.sort_by(|a, b| b.used.l1().total_cmp(&a.used.l1()).then(a.vm.cmp(&b.vm)));
     for vm in vms {
         // Destination: fitting powered-on LC with the most estimated
         // headroom (lightest loaded), excluding the source.
@@ -104,19 +98,14 @@ pub fn plan_underload_relocation(
         .map(|l| (l.lc, l.free(), l.utilization()))
         .collect();
     // Most-loaded destinations first (BFD-style: fill the fullest).
-    residuals.sort_by(|a, b| {
-        b.2.partial_cmp(&a.2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
+    residuals.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
 
     // Largest VMs first, all-or-nothing.
     let mut vms: Vec<&VmView> = source_vms.iter().collect();
     vms.sort_by(|a, b| {
         b.requested
             .l1()
-            .partial_cmp(&a.requested.l1())
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .total_cmp(&a.requested.l1())
             .then(a.vm.cmp(&b.vm))
     });
     let mut plan = Vec::with_capacity(vms.len());

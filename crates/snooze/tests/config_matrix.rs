@@ -1,11 +1,10 @@
 //! Configuration-matrix tests: every pluggable policy choice the paper
-//! names (§II-C dispatching/placement, §II-B estimation) must work end
-//! to end, and mixed-generation (heterogeneous) clusters must respect
-//! per-node capacities.
+//! names (§II-C placement, §II-B estimation) must work end to end, and
+//! mixed-generation (heterogeneous) clusters must respect per-node
+//! capacities.
 
 use snooze::estimator::EstimatorKind;
 use snooze::prelude::*;
-use snooze::scheduling::dispatching::DispatchKind;
 use snooze::scheduling::placement::PlacementKind;
 use snooze_cluster::node::{NodeId, NodeSpec};
 use snooze_cluster::resources::ResourceVector;
@@ -44,41 +43,17 @@ fn run_matrix_case(seed: u64, config: SnoozeConfig, n_vms: u64) -> usize {
 }
 
 #[test]
-fn every_dispatching_policy_serves_submissions() {
-    for (i, kind) in [
-        DispatchKind::RoundRobin,
-        DispatchKind::LeastLoaded,
-        DispatchKind::FirstFit,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let config = SnoozeConfig {
-            dispatching: kind,
-            idle_suspend_after: None,
-            ..SnoozeConfig::fast_test()
-        };
-        assert_eq!(run_matrix_case(90 + i as u64, config, 8), 8, "{kind:?}");
-    }
-}
-
-#[test]
 fn every_placement_policy_serves_submissions() {
-    for (i, kind) in [
-        PlacementKind::FirstFit,
-        PlacementKind::BestFit,
-        PlacementKind::WorstFit,
-        PlacementKind::RoundRobin,
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    for (seed, kind) in [
+        (95, PlacementKind::FirstFit),
+        (98, PlacementKind::RoundRobin),
+    ] {
         let config = SnoozeConfig {
             placement: kind,
             idle_suspend_after: None,
             ..SnoozeConfig::fast_test()
         };
-        assert_eq!(run_matrix_case(95 + i as u64, config, 8), 8, "{kind:?}");
+        assert_eq!(run_matrix_case(seed, config, 8), 8, "{kind:?}");
     }
 }
 

@@ -560,9 +560,12 @@ fn submissions_before_convergence_eventually_succeed() {
         c.rejected,
         c.abandoned
     );
-    let ep = live.sim.component(live.system.eps[0]).as_ep().unwrap();
+    let dropped = live
+        .sim
+        .metrics()
+        .counter_with("ep.submissions", &label("outcome", "dropped"));
     assert!(
-        ep.dropped > 0,
+        dropped > 0,
         "early submissions were dropped pre-convergence"
     );
 }

@@ -176,7 +176,7 @@ fn suspend_leaves_the_gm_group_and_wake_rejoins_it_in_time_to_stay_assigned() {
     sim.run_until(secs(86));
     assert_eq!(lc(&sim, victim).power_state(), PowerState::On);
     assert!(sim.group_members(group).contains(&victim));
-    sim.run_until(secs(86) + config.gm_silence_for_lc * 3);
+    sim.run_until(secs(86) + config.silence_timeout * 3);
     assert_eq!(lc(&sim, victim).assigned_gm(), Some(gm));
     assert_membership_follows_state(&sim, &system);
     assert_eq!(sim.dead_letters(), 0);

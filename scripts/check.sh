@@ -80,15 +80,18 @@ for dep in $(sed -n -e '/^\[dependencies\]$/,/^\[/p' -e '/^\[dev-dependencies\]$
 done
 
 say "every pub fn has a caller"
-# A name scan, not a resolver: a `pub fn` under crates/*/src is reported
-# when its name is a word of no other .rs file and of no line of its own
-# file but its definition. Neither comments, string literals nor test
-# code are callers: `tests/` directories are not scanned, nothing below a
-# `#[cfg(test)]` counts and every "…" is blanked before the line is split
-# into words, so a function only its own tests (or its own panic message)
-# name is reported. A
-# `// check-allow(uncalled): reason` comment directly above one keeps an
-# API that is there by intent — a hook tests are meant to drive.
+# A call-site scan, not a resolver: a `pub fn` under crates/*/src is
+# reported when no .rs file uses its name as a call site. A use is
+# `name(`, `name::<`, `.name` or `::name` (which takes in a path used as
+# a value, `map(Type::name)`); a bare word is not, so a parameter, a
+# local or a field that shares the name hides nothing. Every `fn name`
+# is a definition, never a use, and neither comments, string literals
+# nor test code are callers: `tests/` directories are not scanned,
+# nothing below a `#[cfg(test)]` counts and every "…" is blanked before
+# the line is scanned, so a function only its own tests (or its own
+# panic message) name is reported. A `// check-allow(uncalled): reason`
+# comment directly above one keeps an API that is there by intent — a
+# hook tests are meant to drive.
 uncalled="$(find crates/*/src src examples benchmark/src -name '*.rs' | sort |
   xargs awk '
     FNR == 1 { in_tests = 0; allowed = 0 }
@@ -96,33 +99,29 @@ uncalled="$(find crates/*/src src examples benchmark/src -name '*.rs' | sort |
     {
       comment = ($0 ~ /^[ \t]*\/\//)
       if ($0 ~ /check-allow\(uncalled\)/) allowed = 1
-      def = ""
-      if (!in_tests && !comment && FILENAME ~ /^crates\/[^\/]*\/src\// &&
-          match($0, /pub fn [A-Za-z_][A-Za-z0-9_]*/)) {
-        def = substr($0, RSTART + 7, RLENGTH - 7)
-        if (!allowed) defs[FILENAME SUBSEP def] = FNR
-      }
+      if (!in_tests && !comment && !allowed && FILENAME ~ /^crates\/[^\/]*\/src\// &&
+          match($0, /pub fn [A-Za-z_][A-Za-z0-9_]*/))
+        defs[FILENAME SUBSEP substr($0, RSTART + 7, RLENGTH - 7)] = FNR
       if (in_tests || comment) next
       allowed = 0
       line = $0
       gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
-      n = split(line, words, /[^A-Za-z0-9_]+/)
-      for (i = 1; i <= n; i++) {
-        w = words[i]
-        if (w == "") continue
-        if (!(w in first)) first[w] = FILENAME
-        else if (first[w] != FILENAME) elsewhere[w] = 1
-        if (w != def) used[FILENAME SUBSEP w] = 1
+      gsub(/(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/, " fn", line)
+      while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+        before = substr(line, 1, RSTART - 1)
+        name = substr(line, RSTART, RLENGTH)
+        line = substr(line, RSTART + RLENGTH)
+        if (before ~ /(::|[^.]\.|^\.)$/ || line ~ /^(\(|::<)/) called[name] = 1
       }
     }
     END {
       for (k in defs) {
         split(k, at, SUBSEP)
-        if (!(at[2] in elsewhere) && !(k in used)) print at[1] ":" defs[k] ": " at[2]
+        if (!(at[2] in called)) print at[1] ":" defs[k] ": " at[2]
       }
     }' | sort)"
 [ -z "$uncalled" ] || {
-  echo "pub fn named nowhere but its own definition and test code (delete it, make it private, or check-allow it):" >&2
+  echo "pub fn called nowhere but in test code (delete it, make it private, or check-allow it):" >&2
   echo "$uncalled" >&2
   exit 1
 }
