@@ -132,8 +132,12 @@ fn hop_latency(log: &SpanLog) -> [Histogram; 1 + HOPS.len()] {
         let parent = span.parent.and_then(|p| p.0.checked_sub(1));
         root_of.push(parent.map_or(i, |p| root_of[p as usize]));
     }
-    let placed =
-        |root: &SpanRecord| root.name == "client.submit" && root.label("outcome") == Some("placed");
+    let placed = |root: &SpanRecord| {
+        root.name == "client.submit"
+            && log
+                .label_of(root.id, "outcome")
+                .is_some_and(|v| *v == "placed")
+    };
     let mut hists: [Histogram; 1 + HOPS.len()] = Default::default();
     // Per root: which hops of its tree are recorded already.
     let mut recorded: Vec<u8> = vec![0; spans.len()];
@@ -233,8 +237,8 @@ const FAILOVER_TIMELINE: Detail = (
         }),
         col("event", |c| failover_span(c).name.into()),
         col("detail", |c| {
-            let labels = failover_span(c).labels.iter();
-            let pairs: Vec<String> = labels.map(|(k, v)| format!("{k}={v}")).collect();
+            let labels = c.this().run.live.sim.spans().labels(failover_span(c).id);
+            let pairs: Vec<String> = labels.map(|l| format!("{}={}", l.key, l.value)).collect();
             pairs.join(" ")
         }),
     ],

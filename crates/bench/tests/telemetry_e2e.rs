@@ -56,9 +56,15 @@ fn e4_failover_scenario_produces_linked_span_trees_and_identical_exports() {
         let vm_label = ack.vm.0.to_string();
         let root = log
             .iter()
-            .find(|s| s.name == "client.submit" && s.label("vm") == Some(&vm_label))
+            .find(|s| {
+                s.name == "client.submit"
+                    && log
+                        .label_of(s.id, "vm")
+                        .is_some_and(|v| *v == vm_label.as_str())
+            })
             .unwrap_or_else(|| panic!("no client.submit root for vm {vm_label}"));
-        assert_eq!(root.label("outcome"), Some("placed"));
+        let outcome = log.label_of(root.id, "outcome");
+        assert!(outcome.is_some_and(|v| *v == "placed"), "{outcome:?}");
         assert!(root.parent.is_none(), "submission spans are roots");
         assert!(
             root.duration_us().is_some(),

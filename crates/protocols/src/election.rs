@@ -136,7 +136,7 @@ impl Elector {
             ctx.span_close(sp);
         }
         let span = ctx.span_open("election.campaign");
-        ctx.span_label(span, "epoch", self.epoch.to_string());
+        ctx.span_label(span, "epoch", self.epoch);
         self.campaign_span = Some(span);
         let (zk, prefix, epoch) = (self.zk, self.prefix.clone(), self.epoch);
         ctx.send(

@@ -345,23 +345,22 @@ fn capture_incident(live: &LiveSystem, o: &mut ObsRun, trigger: &str, detail: &s
             variant: e.variant.to_string(),
         })
         .collect();
-    let closed: Vec<&snooze_simcore::telemetry::SpanRecord> = live
+    // The last 16 closed spans, oldest first: walked from the log's end.
+    let mut spans: Vec<IncidentSpan> = live
         .sim
         .spans()
         .iter()
-        .filter(|s| s.end_us.is_some())
-        .collect();
-    let spans = closed
-        .iter()
         .rev()
-        .take(16)
-        .rev()
-        .map(|s| IncidentSpan {
-            name: s.name.to_string(),
-            start_us: s.start_us,
-            end_us: s.end_us.unwrap_or(s.start_us),
+        .filter_map(|s| {
+            Some(IncidentSpan {
+                name: s.name.to_string(),
+                start_us: s.start_us,
+                end_us: s.end_us?,
+            })
         })
+        .take(16)
         .collect();
+    spans.reverse();
     // The last two closed windows' rows, newest last, bounded.
     let min_index = o.windower.index().saturating_sub(2);
     let near: Vec<&snooze_simcore::telemetry::WindowRow> = o

@@ -43,7 +43,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use snooze_telemetry::label::label;
-use snooze_telemetry::span::{SpanId, SpanLog};
+use snooze_telemetry::span::{LabelValue, SpanId, SpanLog};
 
 use crate::equeue::EventQueue;
 use crate::metrics::{CounterHandle, MetricsRegistry};
@@ -75,6 +75,17 @@ impl fmt::Debug for ComponentId {
 impl From<ComponentId> for u64 {
     fn from(id: ComponentId) -> u64 {
         id.0 as u64
+    }
+}
+
+/// A span label holding a component id renders as its `Debug` text.
+impl From<ComponentId> for LabelValue {
+    fn from(id: ComponentId) -> LabelValue {
+        if id == ComponentId::EXTERNAL {
+            LabelValue::EXTERNAL
+        } else {
+            LabelValue::Component(id.0 as u64)
+        }
     }
 }
 
@@ -481,7 +492,7 @@ impl<M> Ctx<'_, M> {
     }
 
     /// Annotate span `id` with a key/value label.
-    pub fn span_label(&mut self, id: SpanId, key: &'static str, value: impl Into<String>) {
+    pub fn span_label(&mut self, id: SpanId, key: &'static str, value: impl Into<LabelValue>) {
         Arc::make_mut(&mut self.core.spans).label(id, key, value);
     }
 }
@@ -1674,7 +1685,9 @@ mod tests {
         let root = spans.iter().find(|s| s.name == "op.root").unwrap();
         let leaf = spans.iter().find(|s| s.name == "op.leaf").unwrap();
         assert_eq!(leaf.parent, Some(root.id), "context lost across relay");
-        assert_eq!(root.label("kind"), Some("test"));
+        assert!(spans
+            .label_of(root.id, "kind")
+            .is_some_and(|v| *v == "test"));
         assert!(leaf.end_us.is_some());
         assert!(root.end_us.is_none(), "source never closed its root");
     }
@@ -1863,6 +1876,25 @@ mod tests {
         // `NonZeroU64` niche would make it 8 — not taken, 88 → 80 B is
         // inside the noise (DESIGN.md, "What an event weighs").
         assert_eq!(std::mem::size_of::<Option<SpanId>>(), 16);
+    }
+
+    /// What a span weighs: a record and one entry per label, each in a
+    /// fixed-size segment of the log, and no heap allocation of their own
+    /// unless a value is an owned string (DESIGN.md, "What a span weighs").
+    #[test]
+    fn a_span_record_is_80_bytes_and_a_label_48() {
+        use snooze_telemetry::span::{SpanLabel, SpanRecord};
+        assert_eq!(std::mem::size_of::<SpanRecord>(), 80);
+        assert_eq!(std::mem::size_of::<SpanLabel>(), 48);
+        assert_eq!(std::mem::size_of::<LabelValue>(), 24);
+    }
+
+    #[test]
+    fn a_component_label_renders_as_the_ids_debug_text() {
+        for id in [0, 7, 1023, usize::MAX - 1, usize::MAX].map(ComponentId) {
+            let value = LabelValue::from(id);
+            assert_eq!(value.to_string(), format!("{id:?}"));
+        }
     }
 
     #[test]

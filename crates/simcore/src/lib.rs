@@ -118,7 +118,7 @@ pub mod prelude {
     pub use crate::node_enum;
     pub use crate::rng::SimRng;
     pub use crate::telemetry::label::label;
-    pub use crate::telemetry::{LabelSet, SpanId};
+    pub use crate::telemetry::{LabelSet, LabelValue, SpanId};
     pub use crate::time::{SimSpan, SimTime};
     pub use crate::wallclock::WallClock;
 }

@@ -92,8 +92,8 @@ impl Component for TracingRecorder {
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, src: ComponentId, seq: u64) {
         self.received += 1;
         let span = ctx.span_instant("gossip");
-        ctx.span_label(span, "src", format!("{src:?}"));
-        ctx.span_label(span, "seq", seq.to_string());
+        ctx.span_label(span, "src", src);
+        ctx.span_label(span, "seq", seq);
     }
 }
 

@@ -165,7 +165,14 @@ impl ClientDriver {
             / self.placed.len() as f64
     }
 
-    /// 95th-percentile placement latency in seconds.
+    /// 95th-percentile placement latency in seconds, by nearest rank: the
+    /// sorted sample at index `round((n − 1) · 0.95)`, always a latency
+    /// some VM saw. `telemetry::window::percentile` (what histograms, metric
+    /// windows and the `p95_placement_latency_s` SLO report) interpolates
+    /// between the two samples around that rank instead, so the two differ
+    /// whenever the neighbours do. The scenario outcome's `p95_latency_s`,
+    /// the experiment tables' `p95 lat s` column and their goldens are
+    /// this definition.
     pub fn p95_latency_secs(&self) -> f64 {
         if self.placed.is_empty() {
             return 0.0;
@@ -187,7 +194,7 @@ impl ClientDriver {
             Some(out) => out.span,
             None => {
                 let span = ctx.span_open_under("client.submit", None);
-                ctx.span_label(span, "vm", vm.0.to_string());
+                ctx.span_label(span, "vm", vm.0);
                 self.outstanding.insert(
                     vm,
                     Outstanding {
@@ -317,5 +324,29 @@ impl Component for ClientDriver {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snooze_simcore::telemetry::window::percentile;
+
+    #[test]
+    fn p95_is_nearest_rank_not_interpolated() {
+        let mut client = ClientDriver::new(ComponentId(0), Vec::new(), SimSpan::from_secs(1));
+        assert_eq!(client.p95_latency_secs(), 0.0);
+        // Ten latencies, 1 s … 10 s, placed out of order: rank 0.95 · 9 =
+        // 8.55 rounds to the tenth sample, where interpolation stops at 9.55.
+        for s in [3, 10, 1, 7, 5, 2, 9, 4, 8, 6] {
+            client.placed.push(PlacementAck {
+                vm: VmId(s),
+                lc: ComponentId(1),
+                latency: SimSpan::from_secs(s),
+            });
+        }
+        assert_eq!(client.p95_latency_secs(), 10.0);
+        let sorted: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert!((percentile(&sorted, 95.0) - 9.55).abs() < 1e-9);
     }
 }

@@ -87,7 +87,7 @@ impl Component for EntryPoint {
                     // One hop-span per forward: child of the client's
                     // submission span, parent of the GL's dispatch span.
                     let hop = ctx.span_open("ep.forward");
-                    ctx.span_label(hop, "vm", submit.spec.id.0.to_string());
+                    ctx.span_label(hop, "vm", submit.spec.id.0);
                     ctx.send(gl, submit);
                     ctx.span_close(hop);
                     ctx.metrics()

@@ -476,9 +476,9 @@ impl GroupManager {
         vm.migrating_to = Some(m.to);
         let requested = vm.spec.requested;
         let span = ctx.span_open("gm.migrate");
-        ctx.span_label(span, "vm", m.vm.0.to_string());
-        ctx.span_label(span, "from", format!("{:?}", m.from));
-        ctx.span_label(span, "to", format!("{:?}", m.to));
+        ctx.span_label(span, "vm", m.vm.0);
+        ctx.span_label(span, "from", m.from);
+        ctx.span_label(span, "to", m.to);
         // Re-borrow: span bookkeeping above released the record.
         if let Some(rec) = self.lcs.get_mut(m.from).and_then(|r| r.vms.get_mut(&m.vm)) {
             rec.migration_span = Some(span);
@@ -511,7 +511,7 @@ impl GroupManager {
         ctx.metrics()
             .incr_with("heartbeat_missed", &label("role", "lc"));
         let failover = ctx.span_instant("gm.lc-failover");
-        ctx.span_label(failover, "lc", format!("{lc:?}"));
+        ctx.span_label(failover, "lc", lc);
         let Some(record) = self.lcs.remove(lc) else {
             return;
         };
@@ -632,7 +632,7 @@ impl GroupManager {
             ("hosts_after", plan.hosts_after),
             ("lower_bound", plan.lower_bound),
         ] {
-            ctx.span_label(span, key, value.to_string());
+            ctx.span_label(span, key, value);
         }
         // The commanded migrations nest under the reconfiguration span
         // (span_open made it ambient), tying each move to its cause.
@@ -725,8 +725,8 @@ impl GroupManager {
         // SubmitVm); stays open across candidate retries until a GM
         // confirms, rejects, or the search exhausts.
         let span = ctx.span_open("gl.dispatch");
-        ctx.span_label(span, "vm", submit.spec.id.0.to_string());
-        ctx.span_label(span, "candidates", candidates.len().to_string());
+        ctx.span_label(span, "vm", submit.spec.id.0);
+        ctx.span_label(span, "candidates", candidates.len());
         self.dispatches.insert(
             submit.spec.id,
             DispatchState {
@@ -784,7 +784,7 @@ impl GroupManager {
         ctx.metrics()
             .incr_with("heartbeat_missed", &label("role", "gm"));
         let failover = ctx.span_instant("gl.gm-failover");
-        ctx.span_label(failover, "gm", format!("{gm:?}"));
+        ctx.span_label(failover, "gm", gm);
         // Any dispatch waiting on that GM moves to the next candidate.
         // BTreeMap iteration is VmId-ordered, so the retry order is stable.
         let stuck: Vec<VmId> = self
@@ -1160,7 +1160,7 @@ impl Component for GroupManager {
                 // Each relocation round is a span; the migrations it
                 // commands nest under it through the ambient context.
                 let span = ctx.span_open("gm.relocate");
-                ctx.span_label(span, "lc", format!("{src:?}"));
+                ctx.span_label(span, "lc", src);
                 match report.kind {
                     AnomalyKind::Overload => {
                         ctx.span_label(span, "kind", "overload");
@@ -1190,9 +1190,9 @@ impl Component for GroupManager {
                 // Child of the GL's dispatch span; lives in the
                 // VmRecord (or pending queue) until the start confirms.
                 let span = ctx.span_open("gm.place");
-                ctx.span_label(span, "vm", req.spec.id.0.to_string());
+                ctx.span_label(span, "vm", req.spec.id.0);
                 if let Some(lc) = self.try_place(ctx, &req.spec, &req.workload, Some(span)) {
-                    ctx.span_label(span, "lc", format!("{lc:?}"));
+                    ctx.span_label(span, "lc", lc);
                     let resp = PlaceVmResponse {
                         vm: req.spec.id,
                         placed_on: Some(lc),

@@ -358,7 +358,7 @@ impl Component for LocalController {
                         // of the GM's gm.place span (ambient from StartVm),
                         // carried across the boot delay by the timer.
                         let span = ctx.span_open("lc.boot");
-                        ctx.span_label(span, "vm", vm.0.to_string());
+                        ctx.span_label(span, "vm", vm.0);
                         self.boot_spans.insert(vm, span);
                         ctx.set_timer_in(span, self.config.vm_boot_delay, tag(LC_VM_BOOT, vm.0));
                     }
@@ -401,8 +401,8 @@ impl Component for LocalController {
                 // The transfer span covers pre-copy through hand-off, nested
                 // under the GM's gm.migrate span (ambient from MigrateVm).
                 let span = ctx.span_open("lc.migrate-out");
-                ctx.span_label(span, "vm", m.vm.0.to_string());
-                ctx.span_label(span, "to", format!("{:?}", m.to));
+                ctx.span_label(span, "vm", m.vm.0);
+                ctx.span_label(span, "to", m.to);
                 self.migrating_out.push((m.vm, m.to, span));
                 ctx.set_timer_in(span, est.duration, tag(LC_MIG_OUT, m.vm.0));
             }

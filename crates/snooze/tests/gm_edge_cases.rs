@@ -424,10 +424,12 @@ fn rejected_handoff_triggers_snapshot_recovery_when_enabled() {
 
 /// The GM's `gm.place` span for `vm`.
 fn place_span(sim: &Engine<EdgeNode>, vm: u64) -> SpanId {
-    let id = vm.to_string();
-    sim.spans()
-        .iter()
-        .find(|s| s.name == "gm.place" && s.label("vm") == Some(id.as_str()))
+    let log = sim.spans();
+    log.iter()
+        .find(|s| {
+            s.name == "gm.place"
+                && matches!(log.label_of(s.id, "vm"), Some(LabelValue::U64(n)) if *n == vm)
+        })
         .map(|s| s.id)
         .expect("the VM's placement is instrumented")
 }
@@ -523,7 +525,8 @@ fn unconfirmed_vms_are_kept_until_a_report_vouches_for_them_in_id_order() {
     let now_us = sim.now().as_micros();
     for span in [span3, span7] {
         let rec = sim.spans().get(span).unwrap();
-        assert_eq!(rec.label("outcome"), Some("confirmed"));
+        let outcome = sim.spans().label_of(span, "outcome");
+        assert!(outcome.is_some_and(|v| *v == "confirmed"), "{outcome:?}");
         assert_eq!(rec.end_us, Some(now_us));
     }
     // The span log's digest folds every mutation in order: that event
@@ -556,10 +559,13 @@ fn a_report_from_an_lc_the_gm_does_not_manage_changes_nothing() {
     sim.schedule_crash(secs(13), s1);
     sim.run_until(secs(20));
     let s1_name = format!("{s1:?}");
-    let evicted = sim
-        .spans()
-        .iter()
-        .any(|s| s.name == "gm.lc-failover" && s.label("lc") == Some(s1_name.as_str()));
+    let log = sim.spans();
+    let evicted = log.iter().any(|s| {
+        s.name == "gm.lc-failover"
+            && log
+                .label_of(s.id, "lc")
+                .is_some_and(|v| *v == s1_name.as_str())
+    });
     assert!(!evicted, "the detector never tracked stub 1");
     assert_eq!(sim.component(gm).as_gm().unwrap().lc_count(), 1);
 }

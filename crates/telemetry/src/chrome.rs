@@ -66,7 +66,9 @@ pub fn render(log: &SpanLog, track_name: &dyn Fn(u64) -> String) -> String {
                 if span.end_us.is_none() {
                     args = args.str("open", "true");
                 }
-                span.labels.iter().fold(args, |a, (k, v)| a.str(k, v))
+                log.labels(span.id).fold(args, |a, l| {
+                    a.str_parts(l.key, &l.value.pieces(&mut [0; 20]))
+                })
             })
             .finish();
     }

@@ -100,6 +100,18 @@ impl Obj {
         self
     }
 
+    /// Add a string field whose value is `parts` one after another, each
+    /// escaped straight into the buffer.
+    pub fn str_parts(mut self, key: &str, parts: &[&str]) -> Self {
+        self.key(key);
+        self.out.push('"');
+        for part in parts {
+            escape_into(&mut self.out, part);
+        }
+        self.out.push('"');
+        self
+    }
+
     /// Add an unsigned integer field.
     pub fn u64(mut self, key: &str, value: u64) -> Self {
         self.key(key);
@@ -179,8 +191,12 @@ mod tests {
             .u64("ts", 12)
             .f64("v", 0.5)
             .raw("args", "{}")
+            .str_parts("d", &["c", "7\""])
             .finish();
-        assert_eq!(o, "{\"name\":\"x\",\"ts\":12,\"v\":0.5,\"args\":{}}");
+        assert_eq!(
+            o,
+            "{\"name\":\"x\",\"ts\":12,\"v\":0.5,\"args\":{},\"d\":\"c7\\\"\"}"
+        );
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub fn render(log: &SpanLog) -> String {
         }
         out = obj
             .obj("labels", |l| {
-                span.labels.iter().fold(l, |l, (k, v)| l.str(k, v))
+                log.labels(span.id)
+                    .fold(l, |o, l| o.str_parts(l.key, &l.value.pieces(&mut [0; 20])))
             })
             .finish();
         out.push('\n');

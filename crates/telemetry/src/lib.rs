@@ -35,7 +35,7 @@ pub mod span;
 pub mod window;
 
 pub use label::LabelSet;
-pub use span::{SpanId, SpanLog, SpanRecord};
+pub use span::{LabelValue, SpanId, SpanLog, SpanRecord};
 pub use window::{WindowKind, WindowLog, WindowRow};
 
 /// FNV-1a 64-bit offset basis (same constant simcore's event digest uses).

@@ -1,7 +1,8 @@
 //! The streaming exporters against the exporters they replaced.
 //!
 //! `tests/reference/` holds the old `json::Obj`, `chrome::render`,
-//! `jsonl::render` and `WindowLog::{to_jsonl, to_csv}` bodies, frozen.
+//! `jsonl::render` and `WindowLog::{to_jsonl, to_csv}` bodies, frozen, and
+//! the old span log the two span exporters read.
 //! On generated span logs (open spans, parents, label values with quotes,
 //! backslashes, newlines, control characters, non-ASCII, the empty
 //! string) and window rows (all three kinds, NaN and ±inf statistics) the
@@ -38,27 +39,34 @@ fn text(rng: &mut TestRng) -> String {
 }
 
 /// A span log of up to 40 spans: parents among the spans already opened,
-/// some closed and some left open, up to four labels each.
+/// some closed and some left open, up to four labels each — built twice,
+/// as the log and as the frozen log the reference exporters read.
 struct Logs;
 
 impl Strategy for Logs {
-    type Value = SpanLog;
-    fn generate(&self, rng: &mut TestRng) -> SpanLog {
+    type Value = (SpanLog, reference::span::SpanLog);
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
         let mut log = SpanLog::new();
+        let mut old = reference::span::SpanLog::new();
         let mut now = rng.below(1000);
         for i in 0..rng.below(40) {
             let parent = (i > 0 && rng.below(2) == 0).then(|| SpanId(1 + rng.below(i)));
             let track = pick(rng, &[0, 1, 7, 7, u64::MAX]);
-            let id = log.open(pick(rng, NAMES), track, parent, now);
+            let name = pick(rng, NAMES);
+            let id = log.open(name, track, parent, now);
+            old.open(name, track, parent, now);
             for _ in 0..rng.below(5) {
-                log.label(id, pick(rng, KEYS), text(rng));
+                let (key, value) = (pick(rng, KEYS), text(rng));
+                log.label(id, key, value.clone());
+                old.label(id, key, value);
             }
             now += rng.below(50);
             if rng.below(3) > 0 {
                 log.close(id, now);
+                old.close(id, now);
             }
         }
-        log
+        (log, old)
     }
 }
 
@@ -119,15 +127,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn chrome_and_span_jsonl_write_the_reference_bytes(log in Logs) {
+    fn chrome_and_span_jsonl_write_the_reference_bytes(logs in Logs) {
+        let (log, old) = logs;
         let track = |t: u64| format!("{}#{t}", pick(&mut TestRng::from_seed(t), NAMES));
         prop_assert_eq!(
             snooze_telemetry::chrome::render(&log, &track),
-            reference::chrome::render(&log, &track)
+            reference::chrome::render(&old, &track)
         );
         prop_assert_eq!(
             snooze_telemetry::jsonl::render(&log),
-            reference::jsonl::render(&log)
+            reference::jsonl::render(&old)
         );
     }
 

@@ -6,6 +6,12 @@
 //! file became a module and the two `WindowLog` methods take the rows —
 //! what the new writers must equal byte for byte. `snooze-simcore`'s
 //! property tests include this file for the old `MetricsRegistry::to_jsonl`.
+//!
+//! Beside them, `span`: the span log as it stood before its labels became
+//! typed values in segments — one `Vec<(&'static str, String)>` of labels
+//! per record, every value rendered to a `String` by its caller. Unedited
+//! except that it reuses the crate's `SpanId`; the two span exporters
+//! above read this log.
 
 #![allow(dead_code)]
 
@@ -95,9 +101,165 @@ pub mod json {
     }
 }
 
+pub mod span {
+    use snooze_telemetry::{fnv1a, FNV_OFFSET};
+
+    pub use snooze_telemetry::span::SpanId;
+
+    /// One timed, causally linked interval.
+    #[derive(Clone, Debug)]
+    pub struct SpanRecord {
+        /// This span's id.
+        pub id: SpanId,
+        /// The span this one is causally nested under, if any.
+        pub parent: Option<SpanId>,
+        /// Static operation name (e.g. `"gl.dispatch"`).
+        pub name: &'static str,
+        /// Track the span runs on — simcore uses the component index, so a
+        /// Chrome trace renders one lane per simulated actor.
+        pub track: u64,
+        /// Open time, microseconds of virtual time.
+        pub start_us: u64,
+        /// Close time, microseconds; `None` while the span is still open
+        /// (e.g. its actor crashed before finishing the operation).
+        pub end_us: Option<u64>,
+        /// Key/value annotations (VM ids, outcomes, …), in insertion order.
+        pub labels: Vec<(&'static str, String)>,
+    }
+
+    impl SpanRecord {
+        /// Duration if closed, clamping backwards clocks to zero.
+        pub fn duration_us(&self) -> Option<u64> {
+            self.end_us.map(|e| e.saturating_sub(self.start_us))
+        }
+
+        /// First label value recorded under `key`.
+        pub fn label(&self, key: &str) -> Option<&str> {
+            self.labels
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.as_str())
+        }
+    }
+
+    /// Append-only log of spans with deterministic ids and a running digest.
+    #[derive(Clone, Debug, Default)]
+    pub struct SpanLog {
+        spans: Vec<SpanRecord>,
+        digest: u64,
+    }
+
+    impl SpanLog {
+        /// Empty log.
+        pub fn new() -> Self {
+            SpanLog {
+                spans: Vec::new(),
+                digest: FNV_OFFSET,
+            }
+        }
+
+        /// Open a span at `at_us` on `track`, optionally nested under
+        /// `parent`, and return its id.
+        pub fn open(
+            &mut self,
+            name: &'static str,
+            track: u64,
+            parent: Option<SpanId>,
+            at_us: u64,
+        ) -> SpanId {
+            let id = SpanId(self.spans.len() as u64 + 1);
+            self.fold(1, id.0, at_us, name.as_bytes());
+            self.spans.push(SpanRecord {
+                id,
+                parent,
+                name,
+                track,
+                start_us: at_us,
+                end_us: None,
+                labels: Vec::new(),
+            });
+            id
+        }
+
+        /// Close span `id` at `at_us`. Closing an already-closed or unknown
+        /// span is a no-op (a crashed actor's cleanup path may race its own
+        /// completion path; first close wins).
+        pub fn close(&mut self, id: SpanId, at_us: u64) {
+            let Some(rec) = self.get_mut(id) else { return };
+            if rec.end_us.is_none() {
+                rec.end_us = Some(at_us);
+                self.fold(2, id.0, at_us, &[]);
+            }
+        }
+
+        /// Annotate span `id` with a key/value label.
+        pub fn label(&mut self, id: SpanId, key: &'static str, value: impl Into<String>) {
+            let value = value.into();
+            if let Some(rec) = self.get_mut(id) {
+                rec.labels.push((key, value.clone()));
+                self.fold(3, id.0, 0, value.as_bytes());
+            }
+        }
+
+        /// Look a span up by id.
+        pub fn get(&self, id: SpanId) -> Option<&SpanRecord> {
+            id.0.checked_sub(1).and_then(|i| self.spans.get(i as usize))
+        }
+
+        /// Parent of span `id`, if any.
+        pub fn parent_of(&self, id: SpanId) -> Option<SpanId> {
+            self.get(id).and_then(|r| r.parent)
+        }
+
+        /// All spans, in open (= id) order.
+        pub fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
+            self.spans.iter()
+        }
+
+        /// Number of spans opened.
+        pub fn len(&self) -> usize {
+            self.spans.len()
+        }
+
+        /// True if no spans were opened.
+        pub fn is_empty(&self) -> bool {
+            self.spans.is_empty()
+        }
+
+        /// Latest timestamp touched by any span (open or close). Exporters
+        /// use this to clamp still-open spans.
+        pub fn max_time_us(&self) -> u64 {
+            self.spans
+                .iter()
+                .map(|s| s.end_us.unwrap_or(s.start_us))
+                .max()
+                .unwrap_or(0)
+        }
+
+        /// Running FNV-1a digest over every open/close/label mutation. Two
+        /// logs built by identical call sequences report identical digests.
+        pub fn digest(&self) -> u64 {
+            self.digest
+        }
+
+        fn get_mut(&mut self, id: SpanId) -> Option<&mut SpanRecord> {
+            id.0.checked_sub(1)
+                .and_then(|i| self.spans.get_mut(i as usize))
+        }
+
+        fn fold(&mut self, op: u64, id: u64, time_us: u64, payload: &[u8]) {
+            let mut h = self.digest;
+            for word in [op, id, time_us] {
+                h = fnv1a(h, &word.to_le_bytes());
+            }
+            self.digest = fnv1a(h, payload);
+        }
+    }
+}
+
 pub mod chrome {
     use super::json::{array, Obj};
-    use snooze_telemetry::span::SpanLog;
+    use super::span::SpanLog;
 
     /// Render `log` as a Chrome trace-event JSON array.
     ///
@@ -159,7 +321,7 @@ pub mod chrome {
 
 pub mod jsonl {
     use super::json::Obj;
-    use snooze_telemetry::span::SpanLog;
+    use super::span::SpanLog;
 
     /// Render every span as one JSON object per line (trailing newline
     /// included when the log is non-empty).

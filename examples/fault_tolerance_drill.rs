@@ -103,11 +103,16 @@ fn main() {
     status(&sim, &system, "rescheduled");
 
     println!("\nDecisions (span log):");
-    for span in sim.spans().iter() {
+    let log = sim.spans();
+    for span in log.iter() {
+        let dead = |key| {
+            log.label_of(span.id, key)
+                .map_or_else(|| "?".to_string(), ToString::to_string)
+        };
         let what = match span.name {
             "gl.promoted" => "promoted to GL".to_string(),
-            "gl.gm-failover" => format!("declared GM {} dead", span.label("gm").unwrap_or("?")),
-            "gm.lc-failover" => format!("declared LC {} dead", span.label("lc").unwrap_or("?")),
+            "gl.gm-failover" => format!("declared GM {} dead", dead("gm")),
+            "gm.lc-failover" => format!("declared LC {} dead", dead("lc")),
             _ => continue,
         };
         println!(

@@ -155,10 +155,49 @@ edge_allocs="$(awk '
       if (mode == "render" && $0 ~ /^}/) scan = 0
     }' \
   crates/telemetry/src/json.rs crates/telemetry/src/chrome.rs crates/telemetry/src/jsonl.rs \
+  crates/telemetry/src/span.rs \
   crates/trace/src/csv.rs crates/trace/src/jsonl.rs crates/scenario/src/toml.rs)"
 [ -z "$edge_allocs" ] || {
   echo "a render path allocates per field again (stream into the output buffer, or check-allow it):" >&2
   echo "$edge_allocs" >&2
+  exit 1
+}
+
+say "span labels are typed values (no String built for a span label)"
+# `Ctx::span_label` takes `impl Into<LabelValue>`: a static str, an integer
+# or a `ComponentId` is stored as itself, and its text is written only when
+# the digest folds it or an exporter streams it. A `span_label(` call under
+# crates/*/src whose arguments build a `String` with `.to_string()` or
+# `format!(` is reported; the call is followed from its `(` to the matching
+# `)` across lines, with string literals blanked first. A
+# `// check-allow(span-label): reason` comment directly above the call
+# keeps a value that is an owned string by nature.
+label_strings="$(find crates/*/src -name '*.rs' | sort |
+  xargs awk '
+    FNR == 1 { open = 0; allowed = 0 }
+    {
+      line = $0
+      gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
+      if (!open) {
+        if (line ~ /^[ \t]*\/\//) { allowed = (line ~ /check-allow\(span-label\)/); next }
+        at = index(line, "span_label(")
+        if (at == 0 || line ~ /fn span_label/) { allowed = 0; next }
+        call = substr(line, at + 10); start = FNR; keep = allowed; allowed = 0; open = 1
+      } else call = call " " line
+      depth = 0
+      for (i = 1; i <= length(call); i++) {
+        c = substr(call, i, 1)
+        if (c == "(") depth++
+        else if (c == ")" && --depth == 0) break
+      }
+      if (depth > 0) next
+      open = 0
+      if (!keep && substr(call, 1, i) ~ /\.to_string\(\)|format!\(/)
+        print FILENAME ":" start ": span_label" substr(call, 1, i)
+    }')"
+[ -z "$label_strings" ] || {
+  echo "a span label is built as a String (pass the value itself, or check-allow it):" >&2
+  echo "$label_strings" >&2
   exit 1
 }
 

@@ -12,6 +12,7 @@ use snooze_cluster::workload::{UsageShape, VmWorkload};
 use snooze_consolidation::aco::{AcoConsolidator, AcoParams};
 use snooze_simcore::prelude::*;
 use snooze_simcore::rng::SimRng;
+use snooze_simcore::telemetry::SpanRecord;
 
 fn secs(s: u64) -> SimTime {
     SimTime::from_secs(s)
@@ -304,20 +305,25 @@ fn every_reconfiguration_pass_carries_its_decision_record() {
     let (sim, _) = consolidation_deployment(true, secs(600));
     let mut passes = 0;
     let mut moved = 0;
-    for span in sim.spans().iter().filter(|s| s.name == "gm.reconfigure") {
+    let log = sim.spans();
+    for span in log.iter().filter(|s| s.name == "gm.reconfigure") {
         passes += 1;
-        let keys: Vec<&str> = span.labels.iter().map(|(k, _)| *k).collect();
+        let labels: Vec<_> = log.labels(span.id).collect();
+        let keys: Vec<&str> = labels.iter().map(|l| l.key).collect();
         assert_eq!(keys, KEYS, "span {:?}", span.id);
-        let [migrations, items, hosts, before, after, bound]: [usize; 6] =
-            std::array::from_fn(|i| span.labels[i].1.parse().unwrap());
-        assert!(before <= hosts && after <= hosts, "{:?}", span.labels);
-        assert!(migrations <= items, "{:?}", span.labels);
+        let [migrations, items, hosts, before, after, bound]: [u64; 6] =
+            std::array::from_fn(|i| match labels[i].value {
+                LabelValue::U64(n) => n,
+                ref other => panic!("{} is a count, not {other:?}", KEYS[i]),
+            });
+        assert!(before <= hosts && after <= hosts, "{labels:?}");
+        assert!(migrations <= items, "{labels:?}");
         if items > 0 {
-            assert!(bound >= 1 && bound <= after, "{:?}", span.labels);
+            assert!(bound >= 1 && bound <= after, "{labels:?}");
         }
         if migrations > 0 {
             moved += 1;
-            assert!(after <= before, "{:?}", span.labels);
+            assert!(after <= before, "{labels:?}");
         }
     }
     assert!(passes >= 8, "a pass a minute from 60 s, got {passes}");
@@ -426,13 +432,14 @@ fn drill_decisions_are_in_the_span_log_and_the_counters() {
     sim.run_until(secs(375));
     assert_eq!(system.total_vms(&sim), 12, "the dead LC's VMs came back");
 
-    let decisions: Vec<(&str, usize, Option<&str>)> = sim
-        .spans()
+    let log = sim.spans();
+    let value_of = |s: &SpanRecord, key| log.label_of(s.id, key).map(ToString::to_string);
+    let decisions: Vec<(&str, usize, Option<String>)> = log
         .iter()
         .filter_map(|s| match s.name {
             "gl.promoted" => Some((s.name, s.track as usize, None)),
-            "gl.gm-failover" => Some((s.name, s.track as usize, s.label("gm"))),
-            "gm.lc-failover" => Some((s.name, s.track as usize, s.label("lc"))),
+            "gl.gm-failover" => Some((s.name, s.track as usize, value_of(s, "gm"))),
+            "gm.lc-failover" => Some((s.name, s.track as usize, value_of(s, "lc"))),
             _ => None,
         })
         .collect();
@@ -442,12 +449,12 @@ fn drill_decisions_are_in_the_span_log_and_the_counters() {
         [
             ("gl.promoted", first_gl.0, None),
             ("gl.promoted", second_gl.0, None),
-            ("gl.gm-failover", second_gl.0, Some(gm_name.as_str())),
+            ("gl.gm-failover", second_gl.0, Some(gm_name)),
         ]
     );
     assert_eq!(decisions.len(), 4);
-    let (name, by, dead) = decisions[3];
-    assert_eq!((name, dead), ("gm.lc-failover", Some(lc_name.as_str())));
+    let (name, by, dead) = decisions[3].clone();
+    assert_eq!((name, dead), ("gm.lc-failover", Some(lc_name)));
     assert!(system.active_gms(&sim).contains(&ComponentId(by)));
 
     let m = sim.metrics();
