@@ -94,17 +94,11 @@ impl fmt::Display for LabelValue {
 }
 
 /// A value equals the text it renders to.
-impl PartialEq<str> for LabelValue {
-    fn eq(&self, other: &str) -> bool {
+impl PartialEq<&str> for LabelValue {
+    fn eq(&self, other: &&str) -> bool {
         let mut digits = [0; 20];
         let [prefix, body] = self.pieces(&mut digits);
         other.strip_prefix(prefix) == Some(body)
-    }
-}
-
-impl PartialEq<&str> for LabelValue {
-    fn eq(&self, other: &&str) -> bool {
-        *self == **other
     }
 }
 
@@ -505,7 +499,7 @@ mod tests {
         assert!(log
             .labels(first)
             .zip(0u64..)
-            .all(|(l, i)| l.value == *i.to_string()));
+            .all(|(l, i)| l.value == i.to_string().as_str()));
         let last = SpanId(log.len() as u64);
         assert_eq!(log.get(last).map(|s| s.track), Some(2 * SEGMENT as u64 - 1));
         let newest: Vec<u64> = log.iter().rev().take(2).map(|s| s.id.0).collect();
