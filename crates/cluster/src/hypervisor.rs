@@ -7,8 +7,6 @@
 //! how overload manifests as "performance degradation" — the thing
 //! §II-C's overload relocation exists to mitigate).
 
-use std::collections::BTreeMap;
-
 use snooze_simcore::mc::{McHasher, McState};
 use snooze_simcore::time::SimTime;
 
@@ -42,7 +40,10 @@ pub enum AdmitError {
 #[derive(Clone, Debug)]
 pub struct Hypervisor {
     capacity: ResourceVector,
-    guests: BTreeMap<VmId, GuestVm>,
+    /// Resident guests in `VmId` order, searched by bisection. A node
+    /// holds a handful, so one `Vec` is smaller than a B-tree leaf sized
+    /// for eleven, and every walk meets the guests in id order.
+    guests: Vec<GuestVm>,
     reserved: ResourceVector,
 }
 
@@ -51,7 +52,7 @@ impl Hypervisor {
     pub fn new(capacity: ResourceVector) -> Self {
         Hypervisor {
             capacity,
-            guests: BTreeMap::new(),
+            guests: Vec::new(),
             reserved: ResourceVector::ZERO,
         }
     }
@@ -64,6 +65,12 @@ impl Hypervisor {
     /// Sum of resident reservations.
     pub fn reserved(&self) -> ResourceVector {
         self.reserved
+    }
+
+    /// `id`'s position among the guests: `Ok` where it is resident, `Err`
+    /// where it would be inserted.
+    fn slot(&self, id: VmId) -> Result<usize, usize> {
+        self.guests.binary_search_by_key(&id, |g| g.spec.id)
     }
 
     /// Capacity not yet reserved.
@@ -90,15 +97,15 @@ impl Hypervisor {
         workload: VmWorkload,
         now: SimTime,
     ) -> Result<(), AdmitError> {
-        if self.guests.contains_key(&spec.id) {
+        let Err(at) = self.slot(spec.id) else {
             return Err(AdmitError::DuplicateVm);
-        }
+        };
         if !(self.reserved + spec.requested).fits_within(&self.capacity) {
             return Err(AdmitError::InsufficientCapacity);
         }
         self.reserved += spec.requested;
         self.guests.insert(
-            spec.id,
+            at,
             GuestVm {
                 spec,
                 workload,
@@ -113,34 +120,35 @@ impl Hypervisor {
     /// Remove a guest (migration source side, termination, or crash
     /// cleanup). Returns the removed guest, if present.
     pub fn remove(&mut self, id: VmId) -> Option<GuestVm> {
-        let guest = self.guests.remove(&id)?;
+        let guest = self.guests.remove(self.slot(id).ok()?);
         self.reserved = self.reserved.saturating_sub(&guest.spec.requested);
         self.audit_conservation("remove");
         Some(guest)
     }
 
-    /// Remove every guest (node crash: "in the event of a LC failure, VMs
-    /// are also terminated", §II-E).
+    /// Remove every guest, in `VmId` order (node crash: "in the event of
+    /// a LC failure, VMs are also terminated", §II-E).
     pub fn clear(&mut self) -> Vec<GuestVm> {
         self.reserved = ResourceVector::ZERO;
-        let evicted: Vec<GuestVm> = std::mem::take(&mut self.guests).into_values().collect();
+        let evicted = std::mem::take(&mut self.guests);
         self.audit_conservation("clear");
         evicted
     }
 
     /// Look up a guest.
     pub fn guest(&self, id: VmId) -> Option<&GuestVm> {
-        self.guests.get(&id)
+        self.slot(id).ok().map(|at| &self.guests[at])
     }
 
     /// Mutable access to a guest (e.g. to flip its state to Migrating).
     pub fn guest_mut(&mut self, id: VmId) -> Option<&mut GuestVm> {
-        self.guests.get_mut(&id)
+        let at = self.slot(id).ok()?;
+        Some(&mut self.guests[at])
     }
 
     /// Iterate guests in `VmId` order (deterministic).
     pub fn guests(&self) -> impl Iterator<Item = &GuestVm> {
-        self.guests.values()
+        self.guests.iter()
     }
 
     /// Audit hook (live only under the `audit` feature): after every
@@ -162,7 +170,7 @@ impl Hypervisor {
             {
                 let sum = self
                     .guests
-                    .values()
+                    .iter()
                     .fold(ResourceVector::ZERO, |acc, g| acc + g.spec.requested);
                 // Symmetric L1 distance: tolerate only float round-off.
                 sum.saturating_sub(&self.reserved).l1() + self.reserved.saturating_sub(&sum).l1()
@@ -179,7 +187,7 @@ impl Hypervisor {
     /// per-guest figures and the aggregate evaluates each workload once.
     pub fn usage_at(&self, t: SimTime) -> impl Iterator<Item = (&GuestVm, ResourceVector)> {
         self.guests
-            .values()
+            .iter()
             .map(move |g| (g, g.workload.usage_at(t, &g.spec.requested)))
     }
 
@@ -243,7 +251,7 @@ impl McState for Hypervisor {
         self.capacity.mc_fold(h);
         self.reserved.mc_fold(h);
         h.word(self.guests.len() as u64);
-        for g in self.guests.values() {
+        for g in &self.guests {
             g.mc_fold(h);
         }
     }
@@ -251,6 +259,11 @@ impl McState for Hypervisor {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::btree_map::Entry;
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::workload::UsageShape;
 
@@ -342,12 +355,7 @@ mod tests {
         use snooze_simcore::time::SimSpan;
         // Six guests of uneven sizes mixing flat, sinusoidal and stepped
         // demand: sums whose bits depend on the order of addition.
-        let diurnal = |phase: f64| UsageShape::Diurnal {
-            low: 0.13,
-            high: 0.87,
-            period: SimSpan::from_secs(3600),
-            phase,
-        };
+        let diurnal = |phase: f64| UsageShape::diurnal(0.13, 0.87, SimSpan::from_secs(3600), phase);
         let steps = |a: f64, b: f64| {
             let points = vec![
                 (SimTime::ZERO, a),
@@ -432,5 +440,105 @@ mod tests {
         let demand = h.demand_at(t0());
         assert!(h.is_underloaded_by(&demand, 0.2));
         assert!(!h.is_underloaded_by(&demand, 0.001));
+    }
+
+    #[test]
+    fn a_guest_is_120_bytes() {
+        assert_eq!(std::mem::size_of::<GuestVm>(), 120, "GuestVm");
+    }
+
+    /// One step of a random program over VM ids `0..24`.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Admit(u64, u8),
+        Remove(u64),
+        Migrate(u64),
+        Get(u64),
+        Clear,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        (0..16u8, 0..24u64, 1..4u8).prop_map(|(kind, id, cores)| match kind {
+            0..=7 => Op::Admit(id, cores),
+            8..=10 => Op::Remove(id),
+            11..=12 => Op::Migrate(id),
+            13..=14 => Op::Get(id),
+            _ => Op::Clear,
+        })
+    }
+
+    /// What a test can compare of a guest: everything but its workload.
+    fn seen(g: &GuestVm) -> (VmSpec, VmState, SimTime) {
+        (g.spec, g.state, g.admitted_at)
+    }
+
+    proptest! {
+        /// The flat guest table admits, refuses, removes, mutates, clears
+        /// and walks exactly as a `BTreeMap` keyed by id with the same
+        /// reservation arithmetic, whole-core sizes keeping the capacity
+        /// check exact.
+        #[test]
+        fn guest_table_matches_a_btree_map(
+            program in prop::collection::vec(op_strategy(), 1..200)
+        ) {
+            let mut h = Hypervisor::new(cap());
+            let mut map: BTreeMap<VmId, GuestVm> = BTreeMap::new();
+            let mut reserved = ResourceVector::ZERO;
+            for (step, op) in program.into_iter().enumerate() {
+                let now = SimTime::from_secs(step as u64);
+                match op {
+                    Op::Admit(id, cores) => {
+                        let spec = spec(id, f64::from(cores), 1000.0);
+                        let fits = (reserved + spec.requested).fits_within(&cap());
+                        let want = match map.entry(spec.id) {
+                            Entry::Occupied(_) => Err(AdmitError::DuplicateVm),
+                            Entry::Vacant(_) if !fits => Err(AdmitError::InsufficientCapacity),
+                            Entry::Vacant(slot) => {
+                                reserved += spec.requested;
+                                slot.insert(GuestVm {
+                                    spec,
+                                    workload: VmWorkload::flat_full(id),
+                                    state: VmState::Running,
+                                    admitted_at: now,
+                                });
+                                Ok(())
+                            }
+                        };
+                        prop_assert_eq!(h.admit(spec, VmWorkload::flat_full(id), now), want);
+                    }
+                    Op::Remove(id) => {
+                        let want = map.remove(&VmId(id));
+                        if let Some(g) = &want {
+                            reserved = reserved.saturating_sub(&g.spec.requested);
+                        }
+                        let got = h.remove(VmId(id));
+                        prop_assert_eq!(got.as_ref().map(seen), want.as_ref().map(seen));
+                    }
+                    Op::Migrate(id) => {
+                        let (got, want) = (h.guest_mut(VmId(id)), map.get_mut(&VmId(id)));
+                        prop_assert_eq!(got.is_some(), want.is_some());
+                        if let (Some(got), Some(want)) = (got, want) {
+                            got.state = VmState::Migrating;
+                            want.state = VmState::Migrating;
+                        }
+                    }
+                    Op::Get(id) => {
+                        prop_assert_eq!(h.guest(VmId(id)).map(seen), map.get(&VmId(id)).map(seen));
+                    }
+                    Op::Clear => {
+                        let evicted: Vec<_> = h.clear().iter().map(seen).collect();
+                        let want: Vec<_> = std::mem::take(&mut map).values().map(seen).collect();
+                        reserved = ResourceVector::ZERO;
+                        prop_assert_eq!(evicted, want);
+                    }
+                }
+                prop_assert_eq!(h.guest_count(), map.len());
+                prop_assert_eq!(h.is_idle(), map.is_empty());
+                prop_assert_eq!(h.reserved(), reserved);
+                let walk: Vec<_> = h.guests().map(seen).collect();
+                let want: Vec<_> = map.values().map(seen).collect();
+                prop_assert_eq!(walk, want);
+            }
+        }
     }
 }

@@ -37,34 +37,21 @@ fn hash_unit(seed: u64, slot: u64) -> f64 {
 
 /// A time-varying utilization multiplier in `[0, 1]`, applied to a VM's
 /// reservation to obtain actual usage.
+///
+/// Every variant holds at most one word, so a shape is 16 bytes and a
+/// [`VmWorkload`] 56: the client schedule, the GM's records, the LC's
+/// guests and the placement messages each keep one per VM. The two
+/// four-parameter shapes, which only tests and examples build, sit
+/// behind a `Box`.
 #[derive(Clone, Debug)]
 pub enum UsageShape {
     /// Flat utilization.
     Constant(f64),
-    /// Sinusoidal day/night pattern between `low` and `high` with the
-    /// given period; `phase` in `[0, 1)` shifts the peak.
-    Diurnal {
-        /// Trough utilization.
-        low: f64,
-        /// Peak utilization.
-        high: f64,
-        /// Cycle length.
-        period: SimSpan,
-        /// Fraction of a period by which the cycle is shifted.
-        phase: f64,
-    },
-    /// Bursty on/off process: time is cut into `slot` intervals; in each,
-    /// the VM runs at `on_level` with probability `duty`, else `off_level`.
-    OnOff {
-        /// Utilization while bursting.
-        on_level: f64,
-        /// Utilization while quiescent.
-        off_level: f64,
-        /// Probability a slot is a burst.
-        duty: f64,
-        /// Slot length.
-        slot: SimSpan,
-    },
+    /// Sinusoidal day/night pattern; build through
+    /// [`UsageShape::diurnal`].
+    Diurnal(Box<Diurnal>),
+    /// Bursty on/off process; build through [`UsageShape::on_off`].
+    OnOff(Box<OnOff>),
     /// Step function over absolute sim time, lowered from trace demand
     /// curves: each breakpoint's value holds until the next breakpoint.
     /// Before the first point the first value holds; past the last point
@@ -77,7 +64,57 @@ pub enum UsageShape {
     },
 }
 
+/// Sinusoidal day/night pattern between `low` and `high` with the given
+/// period; `phase` in `[0, 1)` shifts the peak.
+#[derive(Clone, Debug)]
+pub struct Diurnal {
+    /// Trough utilization.
+    pub low: f64,
+    /// Peak utilization.
+    pub high: f64,
+    /// Cycle length.
+    pub period: SimSpan,
+    /// Fraction of a period by which the cycle is shifted.
+    pub phase: f64,
+}
+
+/// Bursty on/off process: time is cut into `slot` intervals; in each,
+/// the VM runs at `on_level` with probability `duty`, else `off_level`.
+#[derive(Clone, Debug)]
+pub struct OnOff {
+    /// Utilization while bursting.
+    pub on_level: f64,
+    /// Utilization while quiescent.
+    pub off_level: f64,
+    /// Probability a slot is a burst.
+    pub duty: f64,
+    /// Slot length.
+    pub slot: SimSpan,
+}
+
 impl UsageShape {
+    /// A [`Diurnal`] shape: trough `low`, peak `high`, cycle `period`,
+    /// peak shifted by `phase` of a period.
+    pub fn diurnal(low: f64, high: f64, period: SimSpan, phase: f64) -> UsageShape {
+        UsageShape::Diurnal(Box::new(Diurnal {
+            low,
+            high,
+            period,
+            phase,
+        }))
+    }
+
+    /// An [`OnOff`] shape: `on_level` in a burst slot, `off_level`
+    /// otherwise, a slot bursting with probability `duty`.
+    pub fn on_off(on_level: f64, off_level: f64, duty: f64, slot: SimSpan) -> UsageShape {
+        UsageShape::OnOff(Box::new(OnOff {
+            on_level,
+            off_level,
+            duty,
+            slot,
+        }))
+    }
+
     /// Build a [`UsageShape::Piecewise`] from `(instant, utilization)`
     /// breakpoints. Times must be strictly increasing; utilizations are
     /// clamped to `[0, 1]` and must be finite. At least one point is
@@ -108,25 +145,27 @@ impl UsageShape {
     pub fn sample(&self, t: SimTime, seed: u64) -> f64 {
         match self {
             UsageShape::Constant(u) => u.clamp(0.0, 1.0),
-            UsageShape::Diurnal {
-                low,
-                high,
-                period,
-                phase,
-            } => {
+            UsageShape::Diurnal(d) => {
+                let Diurnal {
+                    low,
+                    high,
+                    period,
+                    phase,
+                } = **d;
                 let p = period.as_secs_f64().max(1e-9);
                 let x = t.as_secs_f64() / p + phase;
                 let s = 0.5 - 0.5 * (std::f64::consts::TAU * x).cos(); // 0 at trough
                 (low + (high - low) * s).clamp(0.0, 1.0)
             }
-            UsageShape::OnOff {
-                on_level,
-                off_level,
-                duty,
-                slot,
-            } => {
+            UsageShape::OnOff(o) => {
+                let OnOff {
+                    on_level,
+                    off_level,
+                    duty,
+                    slot,
+                } = **o;
                 let slot_idx = t.as_micros() / slot.as_micros().max(1);
-                if hash_unit(seed, slot_idx) < *duty {
+                if hash_unit(seed, slot_idx) < duty {
                     on_level.clamp(0.0, 1.0)
                 } else {
                     off_level.clamp(0.0, 1.0)
@@ -164,29 +203,19 @@ impl McState for UsageShape {
                 h.word(1);
                 h.float(*u);
             }
-            UsageShape::Diurnal {
-                low,
-                high,
-                period,
-                phase,
-            } => {
+            UsageShape::Diurnal(d) => {
                 h.word(2);
-                h.float(*low);
-                h.float(*high);
-                h.span(*period);
-                h.float(*phase);
+                h.float(d.low);
+                h.float(d.high);
+                h.span(d.period);
+                h.float(d.phase);
             }
-            UsageShape::OnOff {
-                on_level,
-                off_level,
-                duty,
-                slot,
-            } => {
+            UsageShape::OnOff(o) => {
                 h.word(3);
-                h.float(*on_level);
-                h.float(*off_level);
-                h.float(*duty);
-                h.span(*slot);
+                h.float(o.on_level);
+                h.float(o.off_level);
+                h.float(o.duty);
+                h.span(o.slot);
             }
             UsageShape::Piecewise { points } => {
                 h.word(5); // 4 was the looping step trace: retired, not reused
@@ -250,6 +279,12 @@ mod tests {
     }
 
     #[test]
+    fn a_shape_is_two_words_and_a_workload_seven() {
+        assert_eq!(std::mem::size_of::<UsageShape>(), 16, "UsageShape");
+        assert_eq!(std::mem::size_of::<VmWorkload>(), 56, "VmWorkload");
+    }
+
+    #[test]
     fn constant_shape_clamps() {
         assert_eq!(UsageShape::Constant(0.5).sample(t(100), 1), 0.5);
         assert_eq!(UsageShape::Constant(1.5).sample(t(0), 1), 1.0);
@@ -258,12 +293,7 @@ mod tests {
 
     #[test]
     fn diurnal_peaks_and_troughs() {
-        let shape = UsageShape::Diurnal {
-            low: 0.1,
-            high: 0.9,
-            period: SimSpan::from_secs(100),
-            phase: 0.0,
-        };
+        let shape = UsageShape::diurnal(0.1, 0.9, SimSpan::from_secs(100), 0.0);
         assert!(
             (shape.sample(t(0), 0) - 0.1).abs() < 1e-9,
             "trough at phase 0"
@@ -277,23 +307,13 @@ mod tests {
 
     #[test]
     fn diurnal_phase_shifts_peak() {
-        let shape = UsageShape::Diurnal {
-            low: 0.0,
-            high: 1.0,
-            period: SimSpan::from_secs(100),
-            phase: 0.5,
-        };
+        let shape = UsageShape::diurnal(0.0, 1.0, SimSpan::from_secs(100), 0.5);
         assert!((shape.sample(t(0), 0) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn onoff_is_deterministic_and_two_valued() {
-        let shape = UsageShape::OnOff {
-            on_level: 0.9,
-            off_level: 0.1,
-            duty: 0.5,
-            slot: SimSpan::from_secs(10),
-        };
+        let shape = UsageShape::on_off(0.9, 0.1, 0.5, SimSpan::from_secs(10));
         let mut on = 0;
         let mut off = 0;
         for i in 0..200 {

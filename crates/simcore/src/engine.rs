@@ -343,12 +343,6 @@ impl<M> Ctx<'_, M> {
         self.me
     }
 
-    /// The engine's RNG stream. Components needing an independent stream
-    /// should fork one at construction time instead.
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.core.rng
-    }
-
     /// Send `msg` to `dst` over the simulated network (subject to latency,
     /// loss and isolation). Anything convertible into the engine's
     /// message type is accepted, so call sites pass concrete wire structs
@@ -1304,11 +1298,13 @@ mod tests {
         fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: ComponentId, _: TestMsg) {}
     }
 
-    /// Fires `left` self-timers at jittered delays, burning `spin_nanos`
-    /// of host time in each — the profiler test's heavy and light kinds.
+    /// Fires `left` self-timers at delays drawn from its own `rng`,
+    /// burning `spin_nanos` of host time in each — the profiler test's
+    /// heavy and light kinds.
     struct Spinner {
         left: u32,
         spin_nanos: u64,
+        rng: SimRng,
     }
     impl Component for Spinner {
         type Msg = TestMsg;
@@ -1323,8 +1319,8 @@ mod tests {
             }
             if self.left > 0 {
                 self.left -= 1;
-                let delay = ctx
-                    .rng()
+                let delay = self
+                    .rng
                     .span_between(SimSpan::from_micros(1), SimSpan::from_micros(100));
                 ctx.set_timer(delay, 0);
             }
@@ -1803,9 +1799,19 @@ mod tests {
         // banked per lap on whoever runs at the tick splits ~50/50.
         let mut sim = sim(11);
         sim.enable_profiler();
-        for (name, spin_nanos) in [("heavy", 20_000), ("light", 0)] {
+        for (stream, (name, spin_nanos)) in
+            [("heavy", 20_000), ("light", 0)].into_iter().enumerate()
+        {
             let left = 6_000;
-            sim.add_component(name, Spinner { left, spin_nanos });
+            let rng = SimRng::new(11).fork(stream as u64);
+            sim.add_component(
+                name,
+                Spinner {
+                    left,
+                    spin_nanos,
+                    rng,
+                },
+            );
         }
         sim.run();
         let rows = sim.profile_rows();

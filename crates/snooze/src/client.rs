@@ -333,6 +333,11 @@ mod tests {
     use snooze_simcore::telemetry::window::percentile;
 
     #[test]
+    fn a_scheduled_vm_is_128_bytes() {
+        assert_eq!(std::mem::size_of::<ScheduledVm>(), 128, "ScheduledVm");
+    }
+
+    #[test]
     fn p95_is_nearest_rank_not_interpolated() {
         let mut client = ClientDriver::new(ComponentId(0), Vec::new(), SimSpan::from_secs(1));
         assert_eq!(client.p95_latency_secs(), 0.0);

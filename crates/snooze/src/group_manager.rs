@@ -17,7 +17,6 @@
 //!   its LCs (dedicated roles, §II-A); they rejoin other GMs through the
 //!   self-organization protocol.
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -154,6 +153,86 @@ impl<V> LcTable<V> {
     }
 }
 
+/// A GM's records of the VMs on one LC: `(vm, value)` rows in `VmId`
+/// order in one `Vec`, searched by bisection. An LC hosts a handful of
+/// VMs, so one allocation is smaller than a B-tree leaf sized for eleven,
+/// and every scan sees the order a `BTreeMap` keyed by id would give.
+/// The methods keep that map's names, so call sites read as before.
+#[derive(Clone)]
+struct VmTable<V> {
+    rows: Vec<(VmId, V)>,
+}
+
+impl<V> VmTable<V> {
+    fn new() -> Self {
+        VmTable { rows: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// `vm`'s row: `Ok` where it is held, `Err` where it would go.
+    fn row(&self, vm: VmId) -> Result<usize, usize> {
+        self.rows.binary_search_by_key(&vm, |&(id, _)| id)
+    }
+
+    fn contains_key(&self, vm: VmId) -> bool {
+        self.row(vm).is_ok()
+    }
+
+    fn get(&self, vm: VmId) -> Option<&V> {
+        self.row(vm).ok().map(|row| &self.rows[row].1)
+    }
+
+    fn get_mut(&mut self, vm: VmId) -> Option<&mut V> {
+        let row = self.row(vm).ok()?;
+        Some(&mut self.rows[row].1)
+    }
+
+    /// Hold `value` for `vm`, returning the value it replaces.
+    fn insert(&mut self, vm: VmId, value: V) -> Option<V> {
+        match self.row(vm) {
+            Ok(row) => Some(std::mem::replace(&mut self.rows[row].1, value)),
+            Err(row) => {
+                self.rows.insert(row, (vm, value));
+                None
+            }
+        }
+    }
+
+    fn remove(&mut self, vm: VmId) -> Option<V> {
+        let row = self.row(vm).ok()?;
+        Some(self.rows.remove(row).1)
+    }
+
+    /// Keep the rows `keep` accepts, visiting every row once in `VmId`
+    /// order.
+    fn retain(&mut self, mut keep: impl FnMut(VmId, &mut V) -> bool) {
+        self.rows.retain_mut(|(vm, value)| keep(*vm, value));
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (VmId, &V)> {
+        self.rows.iter().map(|(vm, v)| (*vm, v))
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.rows.iter().map(|(_, v)| v)
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.rows.iter_mut().map(|(_, v)| v)
+    }
+
+    fn into_values(self) -> impl Iterator<Item = V> {
+        self.rows.into_iter().map(|(_, v)| v)
+    }
+}
+
 /// Per-LC record kept by a GM.
 #[derive(Clone)]
 struct LcRecord {
@@ -166,7 +245,7 @@ struct LcRecord {
     /// lossy network as everything else and are re-sent if unanswered).
     wake_sent_at: Option<SimTime>,
     idle_since: Option<SimTime>,
-    vms: BTreeMap<VmId, VmRecord>,
+    vms: VmTable<VmRecord>,
 }
 
 /// Per-VM record kept by a GM (needed for relocation, reconfiguration
@@ -467,7 +546,7 @@ impl GroupManager {
         let Some(src) = self.lcs.get_mut(m.from) else {
             return;
         };
-        let Some(vm) = src.vms.get_mut(&m.vm) else {
+        let Some(vm) = src.vms.get_mut(m.vm) else {
             return;
         };
         if vm.migrating_to.is_some() {
@@ -480,7 +559,7 @@ impl GroupManager {
         ctx.span_label(span, "from", m.from);
         ctx.span_label(span, "to", m.to);
         // Re-borrow: span bookkeeping above released the record.
-        if let Some(rec) = self.lcs.get_mut(m.from).and_then(|r| r.vms.get_mut(&m.vm)) {
+        if let Some(rec) = self.lcs.get_mut(m.from).and_then(|r| r.vms.get_mut(m.vm)) {
             rec.migration_span = Some(span);
         }
         if let Some(dst) = self.lcs.get_mut(m.to) {
@@ -895,7 +974,7 @@ impl McState for GroupManager {
                 None => h.word(0),
             }
             h.word(rec.vms.len() as u64);
-            for (vm, v) in &rec.vms {
+            for (vm, v) in rec.vms.iter() {
                 vm.mc_fold(h);
                 v.spec.mc_fold(h);
                 v.workload.mc_fold(h);
@@ -1068,7 +1147,7 @@ impl Component for GroupManager {
                     waking: false,
                     wake_sent_at: None,
                     idle_since: Some(now),
-                    vms: BTreeMap::new(),
+                    vms: VmTable::new(),
                 });
                 let group = self.lc_group;
                 ctx.send(src, LcJoinAckWithGroup { group });
@@ -1103,7 +1182,7 @@ impl Component for GroupManager {
                 // and the report.
                 let mut reported = report.vms.iter().peekable();
                 let mut unrecorded = false;
-                record.vms.retain(|&vm, rec| {
+                record.vms.retain(|vm, rec| {
                     while reported.next_if(|vu| vu.vm < vm).is_some() {
                         unrecorded = true;
                     }
@@ -1130,8 +1209,8 @@ impl Component for GroupManager {
                     // The LC hosts VMs this GM holds no record of
                     // (adopted on a rejoin): it vouches for them.
                     for vu in &report.vms {
-                        if let Entry::Vacant(slot) = record.vms.entry(vu.vm) {
-                            let rec = slot.insert(VmRecord {
+                        if !record.vms.contains_key(vu.vm) {
+                            let mut rec = VmRecord {
                                 spec: VmSpec::new(vu.vm, vu.requested),
                                 workload: VmWorkload::flat_full(vu.vm.0),
                                 usage: DemandEstimator::new(estimator_kind),
@@ -1140,8 +1219,9 @@ impl Component for GroupManager {
                                 start_sent_at: now,
                                 span: None,
                                 migration_span: None,
-                            });
+                            };
                             rec.usage.observe(vu.used);
+                            record.vms.insert(vu.vm, rec);
                         }
                     }
                 }
@@ -1223,7 +1303,7 @@ impl Component for GroupManager {
                 };
                 if result.ok {
                     if let Some(record) = self.lcs.get_mut(src) {
-                        if let Some(rec) = record.vms.get_mut(&result.vm) {
+                        if let Some(rec) = record.vms.get_mut(result.vm) {
                             rec.confirmed = true;
                             if let Some(sp) = rec.span.take() {
                                 ctx.span_label(sp, "outcome", "started");
@@ -1241,7 +1321,7 @@ impl Component for GroupManager {
                 } else {
                     // Admission raced; roll back and retry elsewhere.
                     if let Some(record) = self.lcs.get_mut(src) {
-                        if let Some(rec) = record.vms.remove(&result.vm) {
+                        if let Some(rec) = record.vms.remove(result.vm) {
                             record.reserved = record.reserved.saturating_sub(&rec.spec.requested);
                             self.enqueue_pending(ctx, rec.spec, rec.workload, rec.span);
                         }
@@ -1253,7 +1333,7 @@ impl Component for GroupManager {
                 // destination's reservation.
                 let vm = refused.vm;
                 let rollback = self.lcs.values_mut().find_map(|r| {
-                    let rec = r.vms.get_mut(&vm)?;
+                    let rec = r.vms.get_mut(vm)?;
                     rec.migrating_to
                         .take()
                         .map(|dest| (rec.spec.requested, dest, rec.migration_span.take()))
@@ -1278,7 +1358,7 @@ impl Component for GroupManager {
                     .iter()
                     .find(|(_, r)| {
                         r.vms
-                            .get(&vm)
+                            .get(vm)
                             .map(|v| v.migrating_to == Some(src))
                             .unwrap_or(false)
                     })
@@ -1288,7 +1368,7 @@ impl Component for GroupManager {
                 // replayed MigrationDone — tolerate absence instead.
                 let rec = source.and_then(|from| {
                     let src_rec = self.lcs.get_mut(from)?;
-                    let rec = src_rec.vms.remove(&vm)?;
+                    let rec = src_rec.vms.remove(vm)?;
                     src_rec.reserved = src_rec.reserved.saturating_sub(&rec.spec.requested);
                     if src_rec.vms.is_empty() {
                         src_rec.idle_since = Some(now);
@@ -1330,7 +1410,7 @@ impl Component for GroupManager {
                 let host = self
                     .lcs
                     .iter()
-                    .find(|(lc, r)| *lc != src && r.vms.contains_key(&vm))
+                    .find(|(lc, r)| *lc != src && r.vms.contains_key(vm))
                     .map(|(lc, _)| lc);
                 if let Some(lc) = host {
                     ctx.send(lc, DestroyVm { vm });
@@ -1430,6 +1510,30 @@ mod tests {
         })
     }
 
+    /// One step of a random program over VM ids `0..32`.
+    #[derive(Clone, Debug)]
+    enum VmOp {
+        Insert(u64, u32),
+        Bump(u64),
+        Remove(u64),
+        BumpAll,
+        /// A monitoring report listing these ids.
+        Merge(Vec<u64>),
+        Drain,
+    }
+
+    fn vm_op_strategy() -> impl Strategy<Value = VmOp> {
+        let report = prop::collection::vec(0..32u64, 0..8);
+        (0..16u8, 0..32u64, any::<u32>(), report).prop_map(|(kind, id, v, report)| match kind {
+            0..=5 => VmOp::Insert(id, v),
+            6..=7 => VmOp::Bump(id),
+            8..=10 => VmOp::Remove(id),
+            11 => VmOp::BumpAll,
+            12..=14 => VmOp::Merge(report),
+            _ => VmOp::Drain,
+        })
+    }
+
     proptest! {
         /// The dense table answers every lookup, removal and walk exactly
         /// as the `BTreeMap` it replaced, including ids past the end of
@@ -1485,6 +1589,98 @@ mod tests {
                 for id in 0..64 {
                     let id = ComponentId(id);
                     prop_assert_eq!(table.get(id), map.get(&id));
+                }
+            }
+        }
+
+        /// The per-LC VM table answers every operation the GM uses
+        /// exactly as the `BTreeMap` it replaced, including the monitoring
+        /// handler's merge walk: one `retain` over the rows beside a
+        /// sorted report, then adoption of the reported ids it missed.
+        #[test]
+        fn vm_table_matches_a_btree_map(
+            program in prop::collection::vec(vm_op_strategy(), 1..200)
+        ) {
+            let mut table: VmTable<u32> = VmTable::new();
+            let mut map: BTreeMap<VmId, u32> = BTreeMap::new();
+            for op in program {
+                match op {
+                    VmOp::Insert(id, v) => {
+                        let vm = VmId(id);
+                        prop_assert_eq!(table.insert(vm, v), map.insert(vm, v));
+                    }
+                    VmOp::Bump(id) => {
+                        let vm = VmId(id);
+                        let (t, m) = (table.get_mut(vm), map.get_mut(&vm));
+                        prop_assert_eq!(t.is_some(), m.is_some());
+                        if let (Some(t), Some(m)) = (t, m) {
+                            *t = t.wrapping_add(1);
+                            *m = m.wrapping_add(1);
+                        }
+                    }
+                    VmOp::Remove(id) => {
+                        let vm = VmId(id);
+                        prop_assert_eq!(table.remove(vm), map.remove(&vm));
+                    }
+                    VmOp::BumpAll => {
+                        for v in table.values_mut() {
+                            *v = v.wrapping_mul(3);
+                        }
+                        for v in map.values_mut() {
+                            *v = v.wrapping_mul(3);
+                        }
+                    }
+                    VmOp::Merge(mut report) => {
+                        report.sort_unstable();
+                        report.dedup();
+                        // Keep what the report lists, bumped, and what
+                        // lingers (odd values); adopt what it adds.
+                        let mut reported = report.iter().copied().map(VmId).peekable();
+                        let mut unrecorded = false;
+                        table.retain(|vm, v| {
+                            while reported.next_if(|&r| r < vm).is_some() {
+                                unrecorded = true;
+                            }
+                            if reported.next_if(|&r| r == vm).is_none() {
+                                return *v % 2 == 1;
+                            }
+                            *v = v.wrapping_add(1);
+                            true
+                        });
+                        if unrecorded || reported.next().is_some() {
+                            for &id in &report {
+                                if !table.contains_key(VmId(id)) {
+                                    table.insert(VmId(id), 0);
+                                }
+                            }
+                        }
+                        map.retain(|vm, v| {
+                            if !report.contains(&vm.0) {
+                                return *v % 2 == 1;
+                            }
+                            *v = v.wrapping_add(1);
+                            true
+                        });
+                        for &id in &report {
+                            map.entry(VmId(id)).or_insert(0);
+                        }
+                    }
+                    VmOp::Drain => {
+                        let t = std::mem::replace(&mut table, VmTable::new());
+                        let m = std::mem::take(&mut map);
+                        prop_assert!(t.into_values().eq(m.into_values()));
+                    }
+                }
+                prop_assert_eq!(table.len(), map.len());
+                prop_assert_eq!(table.is_empty(), map.is_empty());
+                let rows: Vec<(VmId, u32)> = table.iter().map(|(vm, &v)| (vm, v)).collect();
+                let want: Vec<(VmId, u32)> = map.iter().map(|(&vm, &v)| (vm, v)).collect();
+                prop_assert_eq!(rows, want);
+                prop_assert!(table.values().eq(map.values()));
+                for id in 0..40 {
+                    let vm = VmId(id);
+                    prop_assert_eq!(table.get(vm), map.get(&vm));
+                    prop_assert_eq!(table.contains_key(vm), map.contains_key(&vm));
                 }
             }
         }

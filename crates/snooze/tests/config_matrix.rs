@@ -162,18 +162,18 @@ fn generated_mixed_fleet_runs_through_the_hierarchy() {
                 ResourceVector::new(share(8.0), share(32_768.0), share(1000.0), share(1000.0));
             let cpu = match i % 3 {
                 0 => UsageShape::Constant(rng.uniform(0.7, 1.0)),
-                1 => UsageShape::Diurnal {
-                    low: rng.uniform(0.05, 0.2),
-                    high: rng.uniform(0.6, 1.0),
-                    period: SimSpan::from_secs(24 * 3600),
-                    phase: rng.f64(),
-                },
-                _ => UsageShape::OnOff {
-                    on_level: rng.uniform(0.7, 1.0),
-                    off_level: rng.uniform(0.02, 0.1),
-                    duty: rng.uniform(0.2, 0.5),
-                    slot: SimSpan::from_secs(300),
-                },
+                1 => UsageShape::diurnal(
+                    rng.uniform(0.05, 0.2),
+                    rng.uniform(0.6, 1.0),
+                    SimSpan::from_secs(24 * 3600),
+                    rng.f64(),
+                ),
+                _ => UsageShape::on_off(
+                    rng.uniform(0.7, 1.0),
+                    rng.uniform(0.02, 0.1),
+                    rng.uniform(0.2, 0.5),
+                    SimSpan::from_secs(300),
+                ),
             };
             ScheduledVm {
                 at: secs(10),

@@ -236,11 +236,19 @@ impl<'a> Iterator for Labels<'a> {
 }
 
 /// Append-only log of spans with deterministic ids and a running digest.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct SpanLog {
     spans: Segments<SpanRecord>,
     labels: Segments<SpanLabel>,
     digest: u64,
+}
+
+/// The empty log of [`SpanLog::new`]: its digest starts at the FNV
+/// offset like every other log's, not at zero.
+impl Default for SpanLog {
+    fn default() -> Self {
+        SpanLog::new()
+    }
 }
 
 impl SpanLog {
@@ -399,6 +407,25 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log.parent_of(b), Some(a));
         assert_eq!(log.parent_of(a), None);
+    }
+
+    #[test]
+    fn default_and_new_build_one_empty_log() {
+        let (mut built, mut defaulted) = (SpanLog::new(), SpanLog::default());
+        assert_eq!(built.digest(), defaulted.digest(), "empty");
+        for log in [&mut built, &mut defaulted] {
+            let a = log.open("a", 0, None, 10);
+            log.label(a, "vm", 7u64);
+            let b = log.open("b", 1, Some(a), 12);
+            log.close(b, 14);
+            log.close(a, 20);
+        }
+        assert_eq!(
+            built.digest(),
+            defaulted.digest(),
+            "after the same operations"
+        );
+        assert_eq!(format!("{built:?}"), format!("{defaulted:?}"));
     }
 
     #[test]

@@ -68,27 +68,29 @@ fn parse_curve(line: usize, raw: &str) -> Result<Vec<CurvePoint>, TraceError> {
     if raw.is_empty() {
         return Ok(Vec::new());
     }
-    raw.split(';')
-        .map(|triple| {
-            let mut parts = triple.split(':');
-            let (Some(offset), Some(cpu), Some(mem), None) =
-                (parts.next(), parts.next(), parts.next(), parts.next())
-            else {
-                return Err(TraceError::at(
-                    line,
-                    format!(
-                        "curve point `{}` must be `offset:cpu:mem` (truncated record?)",
-                        Excerpt(triple)
-                    ),
-                ));
-            };
-            Ok(CurvePoint {
-                offset_s: parse_field(line, "curve offset", offset)?,
-                cpu: parse_field(line, "curve cpu", cpu)?,
-                mem: parse_field(line, "curve mem", mem)?,
-            })
-        })
-        .collect()
+    // Sized to the points: most curves hold one or two, and a collect
+    // through `Result` would start at four.
+    let mut curve = Vec::with_capacity(raw.bytes().filter(|&b| b == b';').count() + 1);
+    for triple in raw.split(';') {
+        let mut parts = triple.split(':');
+        let (Some(offset), Some(cpu), Some(mem), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
+            return Err(TraceError::at(
+                line,
+                format!(
+                    "curve point `{}` must be `offset:cpu:mem` (truncated record?)",
+                    Excerpt(triple)
+                ),
+            ));
+        };
+        curve.push(CurvePoint {
+            offset_s: parse_field(line, "curve offset", offset)?,
+            cpu: parse_field(line, "curve cpu", cpu)?,
+            mem: parse_field(line, "curve mem", mem)?,
+        });
+    }
+    Ok(curve)
 }
 
 // ---------------------------------------------------------------------------

@@ -217,11 +217,12 @@ impl<R: BufRead> DatasetReader for AzureShapedReader<R> {
         let avg_pct: f64 = parse_field(n, "avgcpu", field())?;
         let p95_pct: f64 = parse_field(n, "p95maxcpu", field())?;
         let lifetime = deleted - created;
-        let mut curve = vec![CurvePoint {
+        let mut curve = Vec::with_capacity(if lifetime > 2.0 { 2 } else { 1 });
+        curve.push(CurvePoint {
             offset_s: 0.0,
             cpu: avg_pct / 100.0,
             mem: 1.0,
-        }];
+        });
         if lifetime > 2.0 {
             curve.push(CurvePoint {
                 offset_s: lifetime / 2.0,

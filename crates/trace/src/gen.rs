@@ -143,9 +143,12 @@ fn make_vm(cfg: &GeneratorConfig, rng: &mut SimRng, vm: u64, arrival_s: f64) -> 
     let mem_ramp = rng.uniform(0.0, 0.15);
 
     let step = cfg.curve_step_s.max(lifetime_s / MAX_CURVE_POINTS as f64);
-    let mut curve = Vec::new();
-    let mut offset = 0.0f64;
-    while offset < lifetime_s && curve.len() < MAX_CURVE_POINTS {
+    let offsets = std::iter::successors(Some(0.0f64), |o| Some(o + step))
+        .take_while(|&o| o < lifetime_s)
+        .take(MAX_CURVE_POINTS);
+    // Counted first, so the curve is allocated to its length.
+    let mut curve = Vec::with_capacity(offsets.clone().count());
+    for offset in offsets {
         let day = diurnal(arrival_s + offset, cfg.diurnal_period_s, phase_jitter);
         let cpu = (cpu_base + cpu_amp * day + rng.normal(0.0, 0.06)).clamp(0.02, 1.0);
         let mem =
@@ -155,7 +158,6 @@ fn make_vm(cfg: &GeneratorConfig, rng: &mut SimRng, vm: u64, arrival_s: f64) -> 
             cpu: round4(cpu),
             mem: round4(mem),
         });
-        offset += step;
     }
 
     TraceRecord {

@@ -29,12 +29,12 @@ fn schedule(seed: u64) -> Vec<ScheduledVm> {
                 at: SimTime::from_secs(60) + SimSpan::from_secs(rng.range(0, 900) as u64),
                 spec,
                 workload: VmWorkload {
-                    cpu: UsageShape::Diurnal {
-                        low: 0.1,
-                        high: rng.uniform(0.6, 0.9),
-                        period: SimSpan::from_secs(3600),
-                        phase: rng.f64(),
-                    },
+                    cpu: UsageShape::diurnal(
+                        0.1,
+                        rng.uniform(0.6, 0.9),
+                        SimSpan::from_secs(3600),
+                        rng.f64(),
+                    ),
                     memory: UsageShape::Constant(0.8),
                     network: UsageShape::Constant(0.2),
                     seed: i,

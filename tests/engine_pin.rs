@@ -69,12 +69,7 @@ fn pin() -> [u64; 13] {
             at: secs(10),
             spec: VmSpec::new(VmId(i), ResourceVector::new(2.0, 4096.0, 100.0, 100.0)),
             workload: VmWorkload {
-                cpu: UsageShape::OnOff {
-                    on_level: 0.9,
-                    off_level: 0.1,
-                    duty: 0.4,
-                    slot: SimSpan::from_secs(60),
-                },
+                cpu: UsageShape::on_off(0.9, 0.1, 0.4, SimSpan::from_secs(60)),
                 memory: UsageShape::Constant(0.7),
                 network: UsageShape::Constant(0.2),
                 seed: i,
@@ -161,12 +156,7 @@ fn anomaly_pin() -> [u64; 6] {
                 flat(1.0, i)
             } else {
                 VmWorkload {
-                    cpu: UsageShape::OnOff {
-                        on_level: 0.8,
-                        off_level: 0.05,
-                        duty: 0.5,
-                        slot: SimSpan::from_secs(20),
-                    },
+                    cpu: UsageShape::on_off(0.8, 0.05, 0.5, SimSpan::from_secs(20)),
                     ..flat(0.1, i)
                 }
             },

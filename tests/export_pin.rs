@@ -47,12 +47,7 @@ fn faulted_deployment() -> Engine<SnoozeNode> {
             at: secs(10),
             spec: VmSpec::new(VmId(i), ResourceVector::new(2.0, 4096.0, 100.0, 100.0)),
             workload: VmWorkload {
-                cpu: UsageShape::OnOff {
-                    on_level: 0.9,
-                    off_level: 0.1,
-                    duty: 0.4,
-                    slot: SimSpan::from_secs(60),
-                },
+                cpu: UsageShape::on_off(0.9, 0.1, 0.4, SimSpan::from_secs(60)),
                 memory: UsageShape::Constant(0.7),
                 network: UsageShape::Constant(0.2),
                 seed: i,
