@@ -25,6 +25,11 @@
 //! When nothing fits, the ant moves to the next bin. Max–Min-style
 //! pheromone bounds keep the colony from stagnating.
 //!
+//! The pheromone matrix is kept sparse: one shared value for every cell
+//! no deposit has set apart, plus each bin's deposited cells, holding the
+//! dense matrix's values bit for bit (`pheromone.rs` has the argument).
+//! An ant reads `τ(·, bin)` from one row it keeps for the bin it fills.
+//!
 //! The ants of one cycle are independent by construction — each only
 //! reads the shared pheromone matrix and the per-run kernel tables, draws
 //! from its own RNG stream forked from the cycle and ant index, and the
@@ -77,10 +82,16 @@
 //! last bit; no decision moved on any instance checked, and root
 //! `tests/aco_kernel.rs` pins the decisions captured under `powf`.
 
+use std::collections::BTreeMap;
+
 use snooze_cluster::resources::ResourceVector;
 use snooze_simcore::rng::SimRng;
 
 use crate::problem::{Consolidator, Instance, Solution};
+
+mod pheromone;
+
+use pheromone::Pheromone;
 
 /// How pheromone is reinforced at the end of a cycle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -186,50 +197,6 @@ impl AcoParams {
     }
 }
 
-/// Dense pheromone matrix over (item, bin) pairs, stored bin-major: an
-/// ant fills one bin at a time, so each construction step gathers from
-/// one contiguous row.
-#[derive(Clone, Debug)]
-struct PheromoneMatrix {
-    tau: Vec<f64>,
-    n_items: usize,
-}
-
-impl PheromoneMatrix {
-    fn new(n_items: usize, n_bins: usize, tau0: f64) -> Self {
-        PheromoneMatrix {
-            tau: vec![tau0; n_items * n_bins],
-            n_items,
-        }
-    }
-
-    /// `τ(·, bin)` for every item.
-    #[inline]
-    fn row(&self, bin: usize) -> &[f64] {
-        &self.tau[bin * self.n_items..(bin + 1) * self.n_items]
-    }
-
-    fn evaporate(&mut self, rho: f64, tau_min: f64) -> u64 {
-        for t in &mut self.tau {
-            *t = ((1.0 - rho) * *t).max(tau_min);
-        }
-        self.tau.len() as u64
-    }
-
-    fn deposit(&mut self, item: usize, bin: usize, amount: f64, tau_max: f64) {
-        let t = &mut self.tau[bin * self.n_items + item];
-        *t = (*t + amount).min(tau_max);
-    }
-
-    /// Audit predicate: every entry is finite and inside the Max–Min
-    /// band `[tau_min, tau_max]`.
-    fn within_bounds(&self, tau_min: f64, tau_max: f64) -> bool {
-        self.tau
-            .iter()
-            .all(|t| t.is_finite() && (tau_min..=tau_max).contains(t))
-    }
-}
-
 /// How `x^e` is evaluated for a fixed exponent `e` — `τ^α` and `η^β`
 /// alike. C99 Annex F fixes `pow(x, 0) = 1` for every `x`, and `pow(x, 1)`
 /// has the representable exact result `x`, which any faithfully rounded
@@ -275,25 +242,17 @@ impl Power {
 }
 
 /// For every vector, the index of the first vector with bit-identical
-/// components — the representative of its class (`rep[i] <= i`). Sorts
-/// one scratch buffer rather than filling a map: a map's freed nodes
-/// linger in the allocator's small-chunk cache above the pheromone
-/// matrix, where later long-lived allocations pinned a matrix-sized hole
-/// (measured: +1.2 MB peak RSS on the benchmark's 512-VM instance).
+/// components — the representative of its class (`rep[i] <= i`), read
+/// from a map keyed by the component bits. Sorting one `(bits, index)`
+/// buffer measured level with the map in peak RSS and wall time (DESIGN.md,
+/// "What a colony weighs"), so the shorter code is kept.
 fn representatives(vectors: &[ResourceVector]) -> Vec<usize> {
-    let mut keyed: Vec<([u64; 4], usize)> = vectors
+    let mut first = BTreeMap::new();
+    vectors
         .iter()
         .enumerate()
-        .map(|(index, v)| (v.to_array().map(f64::to_bits), index))
-        .collect();
-    keyed.sort_unstable();
-    let mut representative = vec![0; vectors.len()];
-    for class in keyed.chunk_by(|a, b| a.0 == b.0) {
-        for &(_, index) in class {
-            representative[index] = class[0].1;
-        }
-    }
-    representative
+        .map(|(index, v)| *first.entry(v.to_array().map(f64::to_bits)).or_insert(index))
+        .collect()
 }
 
 /// `η(demand, residual)^β` if `demand` fits `residual`, else `None` — the
@@ -317,8 +276,10 @@ fn fit_eta_beta(
 /// Classes are named by their representative item, so per-class state is
 /// item-indexed and no allocation's size depends on how many classes
 /// there are. `fresh` holds one row per *distinct* host capacity — one or
-/// a few hardware generations in any fleet this repo builds; a fleet of
-/// all-different hosts would make it twice the pheromone matrix.
+/// a few hardware generations in any fleet this repo builds — at 16 B ×
+/// items × distinct capacities, the colony's only table that grows with
+/// the host side (the pheromone store grows with what is deposited). A
+/// fleet of all-different hosts would make it 16 B × items × hosts.
 #[derive(Clone, Debug)]
 struct KernelTables {
     /// How `τ^α` is evaluated.
@@ -406,7 +367,9 @@ pub struct AcoPhaseProfile {
     pub construction_steps: u64,
     /// Candidate solutions scored against the global best.
     pub evaluation_comparisons: u64,
-    /// Pheromone entries touched by evaporation and deposits.
+    /// Pheromone updates: `n_items × n_bins` per evaporation plus one per
+    /// deposit. A logical count over the whole matrix, not the cells the
+    /// sparse store visits, so it reads the same as a dense matrix's.
     pub evaporation_updates: u64,
 }
 
@@ -442,17 +405,23 @@ impl AcoConsolidator {
     /// it stops after the first cycle whose global best meets
     /// [`Instance::lower_bound`] (module doc, "When the colony stops").
     pub fn run(&self, instance: &Instance) -> AcoRun {
+        self.colony(instance).0
+    }
+
+    /// [`Self::run`], also handing back the pheromone it left.
+    fn colony(&self, instance: &Instance) -> (AcoRun, Pheromone) {
         let p = self.params;
         let n_items = instance.n_items();
+        let mut pheromone = Pheromone::new(n_items, instance.n_bins(), p.tau0);
         if n_items == 0 {
-            return AcoRun {
+            let run = AcoRun {
                 solution: Some(Solution { assignment: vec![] }),
                 best_bins_per_cycle: vec![],
                 failed_ants: 0,
                 profile: AcoPhaseProfile::default(),
             };
+            return (run, pheromone);
         }
-        let mut pheromone = PheromoneMatrix::new(n_items, instance.n_bins(), p.tau0);
         let tables = KernelTables::new(instance, p.alpha, p.beta);
         let master = SimRng::new(p.seed);
         let mut global_best: Option<(Solution, usize, f64)> = None; // (sol, bins, util)
@@ -551,12 +520,13 @@ impl AcoConsolidator {
         }
         profile.cycles = best_per_cycle.len() as u64;
 
-        AcoRun {
+        let run = AcoRun {
             solution: global_best.map(|(s, _, _)| s),
             best_bins_per_cycle: best_per_cycle,
             failed_ants: failed,
             profile,
-        }
+        };
+        (run, pheromone)
     }
 }
 
@@ -573,7 +543,7 @@ impl AcoConsolidator {
 fn construct_solution(
     instance: &Instance,
     tables: &KernelTables,
-    pheromone: &PheromoneMatrix,
+    pheromone: &Pheromone,
     rng: &mut SimRng,
 ) -> (Option<Solution>, u64) {
     let mut steps = 0u64;
@@ -585,6 +555,8 @@ fn construct_solution(
         return (None, steps);
     };
     let mut residual = first_bin;
+    // `τ(·, bin)`, read by item.
+    let mut tau = pheromone.row(bin);
     // Nothing placed in `bin` yet: `residual` is its full capacity and
     // the per-run table already holds every item's value.
     let mut fresh = true;
@@ -597,14 +569,18 @@ fn construct_solution(
     let mut weights: Vec<f64> = Vec::with_capacity(n_items);
     // Per demand class (at its representative item): the step that last
     // evaluated it (0 = never; steps count from 1) and what it found.
-    let mut memo: Vec<(u64, Option<f64>)> = vec![(0, None); n_items];
+    // Empty when no step reads it.
+    let mut memo: Vec<(u64, Option<f64>)> = if tables.memo {
+        vec![(0, None); n_items]
+    } else {
+        Vec::new()
+    };
 
     while !unassigned.is_empty() {
         weights.clear();
         // The positive weights, added left to right as they are pushed.
         let mut total = 0.0;
         steps += 1;
-        let tau = pheromone.row(bin);
         if fresh {
             candidates.clear();
             let fresh_row = tables.fresh_row(bin);
@@ -652,6 +628,7 @@ fn construct_solution(
             if bin >= instance.n_bins() {
                 return (None, steps); // out of hosts
             }
+            pheromone.move_row(&mut tau, bin - 1, bin);
             residual = instance.bins[bin];
             fresh = true;
             continue;
