@@ -106,7 +106,7 @@ pub fn run_once(sc: &Scenario) -> Fingerprint {
         events: sim.events_executed(),
         placements,
         placed: driver.placed.len(),
-        energy: format!("{:.6}", system.total_energy_wh(&sim, sim.now())),
+        energy: format!("{:.6}", system.total_energy_wh(&sim, 0, sim.now())),
     }
 }
 

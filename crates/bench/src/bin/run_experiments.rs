@@ -1,7 +1,7 @@
 //! Regenerate the paper's evaluation tables.
 //!
 //! ```text
-//! run_experiments [--csv <dir>] [--json <dir>] [e1|e2|...|e10|e11|e12|e14|all]...
+//! run_experiments [--csv <dir>] [--json <dir>] [e1|e2|...|e10|e11|e14|all]...
 //! run_experiments --smoke [--json <dir>]
 //! run_experiments --scenario <file.toml> [--watch] [--json <dir>]
 //! run_experiments --list-scenarios [dir]
@@ -12,7 +12,7 @@
 //! The experiments are the rows of [`EXPERIMENTS`]; each prints the table
 //! documented in DESIGN.md's per-experiment index (EXPERIMENTS.md records
 //! paper-vs-measured). With no experiment arguments, or `all`, every row
-//! runs *except* the explicit-only ones (E11, E12, E14: kilonode-scale and
+//! runs *except* the explicit-only ones (E11, E14: kilonode-scale and
 //! deliberately heavy), which run only when named.
 //!
 //! `--csv <dir>` / `--json <dir>` write one `<slug>.csv` / `<slug>.json`
@@ -164,7 +164,7 @@ fn report(result: Result<Vec<String>, String>, prefix: &str) -> Result<(), Strin
 }
 
 fn run_scenario_file(path: &Path, cli: &Cli) -> Result<(), String> {
-    let mut done = scenario_cli::run_file(path, cli.watch)?;
+    let done = scenario_cli::run_file(path, cli.watch)?;
     let stem = path.file_stem().map_or_else(
         || path.display().to_string(),
         |s| s.to_string_lossy().into_owned(),
@@ -178,9 +178,9 @@ fn run_scenario_file(path: &Path, cli: &Cli) -> Result<(), String> {
         for (slug, table) in &tables {
             table.write_json(dir, slug).map_err(at)?;
         }
-        for f in &mut done {
+        for f in &done {
             if let Finished::Sim(f) = f {
-                scenario_cli::export_run(&mut f.run, &dir.join(&f.spec.name)).map_err(at)?;
+                f.export(&dir.join(&f.spec.name)).map_err(at)?;
             }
         }
     }

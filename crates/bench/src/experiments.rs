@@ -11,14 +11,22 @@
 //! the same function `--scenario <file>` uses with [`SUMMARY`]. A new
 //! experiment costs a TOML file, a manifest row and a golden file; there
 //! is no Rust per experiment.
+//!
+//! A power model decides nothing: it only turns a power state and a
+//! utilization into watts. So consecutive runs that differ only in name,
+//! description and power model share one engine run, and each is billed
+//! by its own meter ([`run_specs`]); E14's 15 cells are 5 engines.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use snooze_consolidation::registry::ParamValue;
+use snooze_scenario::incident::IncidentDoc;
 use snooze_scenario::pack::{self, PackOutcome, PackSpec, Packed};
 use snooze_scenario::spec::{RunSpec, ScenarioDoc, ScenarioSpec};
-use snooze_scenario::{FaultOutcome, ScenarioOutcome, ScenarioRun, WindowStatus};
+use snooze_scenario::{FaultOutcome, GroupRun, LiveSystem, ScenarioOutcome, WindowStatus};
 use snooze_simcore::flight::ProfileRow;
+use snooze_simcore::telemetry::WindowLog;
 
 use crate::table::{f1, f2, pct, Table};
 
@@ -34,8 +42,22 @@ pub enum Finished {
 pub struct SimRun {
     /// The spec that ran.
     pub spec: ScenarioSpec,
-    /// The live system and everything it measured.
-    pub run: ScenarioRun,
+    /// What it measured: its own name and its own meter's energy, every
+    /// other field from the shared run.
+    pub outcome: ScenarioOutcome,
+    /// Incident dumps captured during the run, named for this spec.
+    pub incidents: Vec<IncidentDoc>,
+    /// The engine run this spec shares with its neighbours that differ
+    /// from it only in power model.
+    pub shared: Rc<SharedRun>,
+}
+
+/// One engine run and what it recorded, shared by every spec it billed.
+pub struct SharedRun {
+    /// The live system after the program ran (spans, metrics, digests).
+    pub live: LiveSystem,
+    /// The windowed time-series (`Some` with an `[obs]` table).
+    pub windows: Option<WindowLog>,
     /// The profiler's rows, busiest first (empty without `[obs] profile`).
     /// Kept beside the run because flushing them needs `&mut` and cells
     /// only ever see `&`.
@@ -48,6 +70,15 @@ pub struct PackRun {
     pub spec: PackSpec,
     /// What each instance measured.
     pub outcome: PackOutcome,
+}
+
+impl SimRun {
+    /// Write this run's exports into `dir` (see
+    /// [`crate::scenario_cli::export_run`]).
+    pub fn export(&self, dir: &std::path::Path) -> std::io::Result<()> {
+        let windows = self.shared.windows.as_ref();
+        crate::scenario_cli::export_run(&self.shared.live, windows, &self.incidents, dir)
+    }
 }
 
 impl Finished {
@@ -69,43 +100,80 @@ impl Finished {
     }
 }
 
-/// Run every spec, in order: a simulated scenario through the scenario
-/// compiler, a pack through [`pack::run`]. With `watch`, every closed
-/// metric window prints a status line as the run progresses (`[obs]`
-/// scenarios only — others close no windows).
+/// Run every spec, in order, and return one [`Finished`] per spec: a pack
+/// through [`pack::run`], a simulated scenario through the scenario
+/// compiler. Each maximal run of consecutive simulated specs that differ
+/// only in name, description and power model
+/// ([`ScenarioSpec::same_history`]) is one engine run
+/// ([`snooze_scenario::run_group`]); a group of one is a plain run. With
+/// `watch`, every closed metric window prints a status line as the run
+/// progresses (`[obs]` scenarios only — others close no windows).
 pub fn run_specs(specs: &[RunSpec], watch: bool) -> Result<Vec<Finished>, String> {
-    let run_one = |spec: &RunSpec| {
-        eprintln!("[scenario] {} …", spec.name());
-        let spec = match spec {
-            RunSpec::Sim(spec) => spec,
+    let mut done = Vec::with_capacity(specs.len());
+    let mut rest = specs;
+    while let Some(first) = rest.first() {
+        let ran = match first {
             RunSpec::Pack(spec) => {
+                eprintln!("[scenario] {} …", spec.name);
                 let outcome = pack::run(spec).map_err(|e| format!("{}: {e}", spec.name))?;
                 let spec = spec.clone();
-                return Ok(Finished::Pack(PackRun { spec, outcome }));
+                done.push(Finished::Pack(PackRun { spec, outcome }));
+                1
+            }
+            RunSpec::Sim(lead) => {
+                let group: Vec<&ScenarioSpec> = rest
+                    .iter()
+                    .map_while(|spec| match spec {
+                        RunSpec::Sim(spec) if lead.same_history(spec) => Some(&**spec),
+                        _ => None,
+                    })
+                    .collect();
+                done.extend(run_group(&group, watch)?);
+                group.len()
             }
         };
-        let mut print_status = |s: &WindowStatus| {
-            eprintln!(
-                "[watch] {} w{:>3} t={:>6}s rows={:<3} alerts={} queue={} dead={}",
-                spec.name,
-                s.window,
-                secs(s.at),
-                s.rows,
-                s.alerts,
-                s.queue_depth,
-                s.dead_letters,
-            );
-        };
-        let cb = watch.then_some(&mut print_status as &mut dyn FnMut(&WindowStatus));
-        let mut run = snooze_scenario::run_watch(spec, cb)?;
-        let profile = run.live.sim.profile_rows();
-        Ok(Finished::Sim(Box::new(SimRun {
-            spec: ScenarioSpec::clone(spec),
-            run,
-            profile,
-        })))
+        rest = &rest[ran..];
+    }
+    Ok(done)
+}
+
+/// Run `group` as one engine and hand each member its share of it.
+fn run_group(group: &[&ScenarioSpec], watch: bool) -> Result<Vec<Finished>, String> {
+    let names: Vec<&str> = group.iter().map(|spec| spec.name.as_str()).collect();
+    let label = names.join(" + ");
+    eprintln!("[scenario] {label} …");
+    let mut print_status = |s: &WindowStatus| {
+        eprintln!(
+            "[watch] {label} w{:>3} t={:>6}s rows={:<3} alerts={} queue={} dead={}",
+            s.window,
+            secs(s.at),
+            s.rows,
+            s.alerts,
+            s.queue_depth,
+            s.dead_letters,
+        );
     };
-    specs.iter().map(run_one).collect()
+    let cb = watch.then_some(&mut print_status as &mut dyn FnMut(&WindowStatus));
+    let GroupRun {
+        mut live,
+        windows,
+        members,
+    } = snooze_scenario::run_group(group, cb)?;
+    let profile = live.sim.profile_rows();
+    let shared = Rc::new(SharedRun {
+        live,
+        windows,
+        profile,
+    });
+    let member = |(spec, member): (&&ScenarioSpec, snooze_scenario::Member)| {
+        Finished::Sim(Box::new(SimRun {
+            spec: ScenarioSpec::clone(spec),
+            outcome: member.outcome,
+            incidents: member.incidents,
+            shared: Rc::clone(&shared),
+        }))
+    };
+    Ok(group.iter().zip(members).map(member).collect())
 }
 
 /// What a column function sees: one finished run among its siblings.
@@ -131,7 +199,7 @@ impl Cell<'_> {
 
     /// This row's measurements.
     pub fn o(&self) -> &ScenarioOutcome {
-        &self.this().run.outcome
+        &self.this().outcome
     }
 
     /// This row's fault phase ([`PER_FAULT`] tables).
@@ -173,7 +241,7 @@ pub type RowsOf = fn(&Finished) -> usize;
 /// One row per run.
 pub const PER_RUN: RowsOf = |_| 1;
 /// One row per fault phase of every run.
-pub const PER_FAULT: RowsOf = |f| f.sim().run.outcome.faults.len();
+pub const PER_FAULT: RowsOf = |f| f.sim().outcome.faults.len();
 
 /// Evaluate `columns` over `runs`: the one scenario → table renderer.
 pub fn tabulate(title: &str, columns: &[Column], rows: RowsOf, runs: &[Finished]) -> Table {
@@ -234,7 +302,7 @@ impl Experiment {
     /// it) as this table.
     pub fn render(&self, runs: &[Finished]) -> Table {
         let placed = match runs.first() {
-            Some(Finished::Sim(f)) => f.run.outcome.settle_placed.unwrap_or(0),
+            Some(Finished::Sim(f)) => f.outcome.settle_placed.unwrap_or(0),
             _ => 0,
         };
         let title = self.title.replace("{placed}", &placed.to_string());
@@ -319,9 +387,9 @@ fn recovery(o: &ScenarioOutcome, label: &str) -> f64 {
 
 /// The `dead_letters{reason,msg}` counters summed per message variant,
 /// worst first (ties broken alphabetically, so the order is stable).
-fn dead_letter_breakdown(run: &ScenarioRun) -> Vec<(&str, u64)> {
+fn dead_letter_breakdown(live: &LiveSystem) -> Vec<(&str, u64)> {
     let mut by_variant: BTreeMap<&str, u64> = BTreeMap::new();
-    for (name, labels, n) in run.live.sim.metrics().counters_iter() {
+    for (name, labels, n) in live.sim.metrics().counters_iter() {
         if name == "dead_letters" {
             *by_variant
                 .entry(labels.get("msg").unwrap_or("unclassified"))
@@ -338,7 +406,7 @@ fn dead_letter_breakdown(run: &ScenarioRun) -> Vec<(&str, u64)> {
 pub type ArenaPoint<'a> = (&'a str, &'a str, [f64; 3]);
 
 fn arena_point(f: &SimRun) -> ArenaPoint<'_> {
-    let o = &f.run.outcome;
+    let o = &f.outcome;
     let reconfiguration = f.spec.config.reconfiguration.as_ref();
     let power = f.spec.power.as_ref().and_then(|p| p.default.as_deref());
     let objectives = [o.sla_violations as f64, o.energy_wh, o.migrations as f64];
@@ -556,7 +624,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
             col("config", |c| E7_LABELS[c.index].to_string()),
             ENERGY,
             col("savings", |c| {
-                pct(1.0 - c.o().energy_wh / c.runs[0].sim().run.outcome.energy_wh)
+                pct(1.0 - c.o().energy_wh / c.runs[0].sim().outcome.energy_wh)
             }),
             MIGRATIONS,
             SUSPENDS,
@@ -677,7 +745,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
             // the fault shape's dead letters to the protocol traffic
             // that was in flight toward the dead manager.
             col("top dead letter", |c| {
-                dead_letter_breakdown(&c.this().run)
+                dead_letter_breakdown(&c.this().shared.live)
                     .first()
                     .map_or_else(|| "-".into(), |(v, n)| format!("{v} x{n}"))
             }),
@@ -686,6 +754,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
             col("top handlers", |c| {
                 let top: Vec<String> = c
                     .this()
+                    .shared
                     .profile
                     .iter()
                     .take(3)
@@ -699,30 +768,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
             }),
             WALL_MS,
             EVENTS_PER_S,
-        ],
-    ),
-    experiment(
-        "e12_trace",
-        "e12",
-        true,
-        "E12: trace-driven consolidation — ACO vs FFD under a diurnal VM trace",
-        include_str!("../../../scenarios/e12_trace.toml"),
-        PER_RUN,
-        &[
-            SCENARIO,
-            LCS,
-            VMS,
-            PLACED,
-            REJECTED,
-            ENERGY,
-            MIGRATIONS,
-            SUSPENDS,
-            MEAN_NODES_ON,
-            MEAN_PERF,
-            SLA_VIOL,
-            SLA_SAMPLES,
-            DEAD_LETTERS,
-            WALL_MS,
         ],
     ),
     experiment(
@@ -928,7 +973,7 @@ mod tests {
                      [[sweep]]\nname = [\"e5-1gm\", \"e5-4gm\"]\nseed = [30, 27]\n\
                      [sweep.topology]\nmanagers = [2, 5]\n[[sweep.workload]]\nn = [24, 24]\n";
         let runs = run(&find("e5").specs(|d| d.patch(small)));
-        let (central, spread) = (&runs[0].sim().run.outcome, &runs[1].sim().run.outcome);
+        let (central, spread) = (&runs[0].sim().outcome, &runs[1].sim().outcome);
         assert_eq!((central.placed, spread.placed), (24, 24));
         // The distributed hierarchy must be within 2× of centralized
         // latency (the paper claims "negligible" — shape, not exactness).
@@ -938,7 +983,7 @@ mod tests {
     #[test]
     fn e6_management_failures_do_not_hurt_application_performance() {
         let runs = run(&find("e6").specs(|d| d.patch("seed = 17\n")));
-        let o = &runs[0].sim().run.outcome;
+        let o = &runs[0].sim().outcome;
         let placed = o.settle_placed.unwrap_or(0);
         assert!(placed >= 40, "most of the burst placed: {placed}");
         let (gl, gm, lc) = (&o.faults[0], &o.faults[1], &o.faults[2]);
@@ -959,7 +1004,7 @@ mod tests {
         // back: the recovery condition stays false for the whole window.
         let no_snapshots = "seed = 17\n[config]\nreschedule_on_lc_failure = false\n";
         let runs = run(&find("e6").specs(|d| d.patch(no_snapshots)));
-        assert!(runs[0].sim().run.outcome.faults[2].recovery_s.is_nan());
+        assert!(runs[0].sim().outcome.faults[2].recovery_s.is_nan());
         assert!(render("e6", &runs).render().contains("never (>180 s)"));
     }
 
@@ -968,7 +1013,7 @@ mod tests {
         // The checked-in fleet for half an hour instead of two.
         let short = "[[phase]]\nevery_ms = 60000.0\nkind = \"sample_to\"\nt_ms = 1800000.0\n";
         let runs = run(&find("e7").specs(|d| d.patch(short)));
-        let (no_pm, pm) = (&runs[0].sim().run.outcome, &runs[1].sim().run.outcome);
+        let (no_pm, pm) = (&runs[0].sim().outcome, &runs[1].sim().outcome);
         assert_eq!((no_pm.placed, pm.placed), (48, 48));
         assert!(pm.energy_wh < no_pm.energy_wh, "suspend must save energy");
         assert!(pm.suspends > 0);
@@ -991,7 +1036,7 @@ mod tests {
                    session_ms = [3000.0, 20000.0]\n";
         let runs = run(&find("e9").specs(|d| d.patch(two)));
         let heal = |f: &Finished| {
-            let o = &f.sim().run.outcome;
+            let o = &f.sim().outcome;
             (recovery(o, "GL failover"), recovery(o, "LC rejoin"))
         };
         let (fast, slow) = (heal(&runs[0]), heal(&runs[1]));
@@ -1011,9 +1056,38 @@ mod tests {
                      [[sweep]]\nname = [\"e10b-1gm\", \"e10b-2gm\"]\nseed = [8, 11]\n\
                      [sweep.topology]\nmanagers = [2, 3]\n[[sweep.workload]]\nn = [10, 10]\n";
         for f in run(&find("e10b").specs(|d| d.patch(small))) {
-            let o = &f.sim().run.outcome;
+            let o = &f.sim().outcome;
             assert_eq!(o.placed, 10, "{}", o.name);
             assert!(o.nodes_on_end < 10, "{}: no node emptied", o.name);
+        }
+    }
+
+    /// Each simulated spec of `specs` run alone through
+    /// [`snooze_scenario::run`] is its folded run in `runs`: the same event
+    /// and span digests, every outcome field but `wall_ms`, and its energy
+    /// bit for bit.
+    fn assert_folded_runs_equal_runs_alone(specs: &[RunSpec], runs: &[Finished]) {
+        assert_eq!(specs.len(), runs.len(), "one finished run per spec");
+        for (spec, folded) in specs.iter().zip(runs) {
+            let RunSpec::Sim(spec) = spec else { continue };
+            let (folded, alone) = (folded.sim(), snooze_scenario::run(spec).expect("compiles"));
+            let (sim, name) = (&folded.shared.live.sim, &spec.name);
+            assert_eq!(sim.digest(), alone.live.sim.digest(), "{name}: events");
+            assert_eq!(sim.span_digest(), alone.live.sim.span_digest(), "{name}");
+            let bits = |o: &ScenarioOutcome| o.energy_wh.to_bits();
+            assert_eq!(
+                bits(&folded.outcome),
+                bits(&alone.outcome),
+                "{name}: energy"
+            );
+            let unclocked = |o: &ScenarioOutcome| {
+                let o = ScenarioOutcome {
+                    wall_ms: 0.0,
+                    ..o.clone()
+                };
+                format!("{o:?}")
+            };
+            assert_eq!(unclocked(&folded.outcome), unclocked(&alone.outcome));
         }
     }
 
@@ -1025,9 +1099,10 @@ mod tests {
                      [[sweep]]\n[sweep.config.reconfiguration]\nalgo = [\"ffd\", \"mo-aco\"]\n\
                      [[sweep]]\n[sweep.power]\ndefault = [\"grid5000\", \"dvfs3_billed\"]\n\
                      [[sweep.workload]]\nmax_vms = [40, 40]\n";
-        let runs = run(&find("e14_arena").specs(|d| d.patch(small)));
+        let specs = find("e14_arena").specs(|d| d.patch(small));
+        let runs = run(&specs);
         assert_eq!(runs.len(), 4, "full cross product");
-        let o = |i: usize| &runs[i].sim().run.outcome;
+        let o = |i: usize| &runs[i].sim().outcome;
         for i in 0..4 {
             assert!(o(i).placed > 0 && o(i).energy_wh > 0.0, "{}", o(i).name);
             assert_eq!(o(i).dead_letters, 0, "{}", o(i).name);
@@ -1041,6 +1116,123 @@ mod tests {
         assert_eq!(o(2).migrations, o(3).migrations);
         let csv = render("e14_arena", &runs).to_csv();
         assert!(csv.contains("\ne14-mo-aco-dvfs3_billed,mo-aco,dvfs3_billed,12,40,"));
+
+        // The power axis folds: one engine per algorithm, and each cell
+        // is what it measures alone.
+        let engine = |i: usize| &runs[i].sim().shared;
+        assert!(Rc::ptr_eq(engine(0), engine(1)) && Rc::ptr_eq(engine(2), engine(3)));
+        assert!(!Rc::ptr_eq(engine(1), engine(2)));
+        assert_folded_runs_equal_runs_alone(&specs, &runs);
+        // So it is with an LC crashed and restarted: every meter stops at
+        // the crash and starts over with the node.
+        let crash = "[[fault]]\nat_ms = 1200000.0\ndowntime_ms = 300000.0\nindex = 0\n\
+                     kind = \"crash\"\ntarget = \"lc\"\n";
+        let specs = find("e14_arena").specs(|d| d.patch(small)?.patch(crash));
+        let ffd = &specs[..2];
+        assert_folded_runs_equal_runs_alone(ffd, &run(ffd));
+    }
+
+    /// Six LCs that idle, suspend, wake, and lose LC 0 for two minutes,
+    /// metered under a linear model `a`, under `b` = `a` with idle and
+    /// peak both raised by 37.5 W, and under `unit`: 1 W whenever the node
+    /// is powered (on or between states), 0 W suspended or crashed.
+    const SHIFTED_WATTS: &str = r#"
+        name = "watts-{power.default}"
+        seed = 11
+        [config]
+        idle_suspend_ms = 30000.0
+        placement = "round_robin"
+        preset = "default"
+        [topology]
+        eps = 1
+        lcs = 6
+        managers = 2
+        [topology.client]
+        retry_ms = 15000.0
+        [[fault]]
+        at_ms = 900000.0
+        downtime_ms = 120000.0
+        index = 0
+        kind = "crash"
+        target = "lc"
+        [[phase]]
+        kind = "run_to"
+        t_ms = 2400000.0
+        [[workload]]
+        arrival_at_ms = 30000.0
+        arrival_spread_s = 1200
+        cores_max = 3.0
+        cores_min = 1.0
+        kind = "random_fleet"
+        lifetime_every = 1
+        lifetime_max_s = 900
+        lifetime_min_s = 300
+        mem_max_mb = 8192.0
+        mem_min_mb = 2048.0
+        n = 12
+        seed = 5
+        util_max = 0.9
+        util_min = 0.4
+        [[power.model]]
+        name = "a"
+        kind = "linear"
+        idle_watts = 160.0
+        max_watts = 250.0
+        suspend_watts = 5.0
+        transitions = "legacy"
+        [[power.model]]
+        name = "b"
+        kind = "linear"
+        idle_watts = 197.5
+        max_watts = 287.5
+        suspend_watts = 5.0
+        transitions = "legacy"
+        [[power.model]]
+        name = "unit"
+        kind = "linear"
+        idle_watts = 1.0
+        max_watts = 1.0
+        suspend_watts = 0.0
+        transitions = "legacy"
+        [[sweep]]
+        [sweep.power]
+        default = ["a", "b", "unit"]
+    "#;
+
+    #[test]
+    fn shifting_a_linear_model_by_delta_adds_delta_per_powered_second() {
+        // Watts are not causes: raising a linear model's idle and peak by
+        // Δ bills exactly Δ more for every second a node is powered, and
+        // the unit model counts those seconds.
+        const DELTA: f64 = 37.5;
+        let specs = ScenarioDoc::parse(SHIFTED_WATTS).and_then(|d| d.runs());
+        let runs = run(&specs.expect("the document expands"));
+        let (a, b, unit) = (runs[0].sim(), runs[1].sim(), runs[2].sim());
+        assert!(Rc::ptr_eq(&a.shared, &b.shared) && Rc::ptr_eq(&a.shared, &unit.shared));
+        // Every power state is metered, and so is the crash (0 W).
+        let metrics = a.shared.live.sim.metrics();
+        let o = &a.outcome;
+        assert!(o.suspends > 0 && o.wakeups > 0, "{o:?}");
+        assert_eq!(metrics.counter("failure.crashes"), 1);
+        assert_eq!(metrics.counter("failure.restarts"), 1);
+
+        let (e_a, e_b, e_unit) = (
+            a.outcome.energy_wh,
+            b.outcome.energy_wh,
+            unit.outcome.energy_wh,
+        );
+        let powered_s = e_unit * 3600.0;
+        assert!(
+            powered_s > 0.0 && powered_s < 6.0 * 2400.0,
+            "{powered_s} LC-s"
+        );
+        let shifted = DELTA * e_unit;
+        let gap = (e_b - e_a - shifted).abs();
+        assert!(
+            gap <= 1e-9 * shifted,
+            "E_B − E_A = {} vs Δ·E_C = {shifted}",
+            e_b - e_a
+        );
     }
 
     #[test]

@@ -11,9 +11,9 @@ use snooze_scenario::compile;
 use snooze_scenario::incident::{is_incident, IncidentDoc};
 use snooze_scenario::mc_trace::McTraceDoc;
 use snooze_scenario::spec::{RunSpec, ScenarioDoc};
-use snooze_scenario::ScenarioRun;
+use snooze_scenario::LiveSystem;
 use snooze_simcore::metrics::{Histogram, HistogramSummary};
-use snooze_simcore::telemetry::{self, SpanLog, SpanRecord};
+use snooze_simcore::telemetry::{self, SpanLog, SpanRecord, WindowLog};
 use snooze_simcore::{Component, ComponentId, Engine};
 
 use crate::experiments::{
@@ -51,16 +51,18 @@ const RUN_RECORD: Detail = (
     &[
         SCENARIO,
         col("abandoned", |c| c.o().abandoned.to_string()),
-        col("spans", |c| c.this().run.live.sim.spans().len().to_string()),
+        col("spans", |c| {
+            c.this().shared.live.sim.spans().len().to_string()
+        }),
         col("span digest", |c| {
-            format!("{:016x}", c.this().run.live.sim.span_digest())
+            format!("{:016x}", c.this().shared.live.sim.span_digest())
         }),
         col("event digest", |c| {
-            format!("{:016x}", c.this().run.live.sim.digest())
+            format!("{:016x}", c.this().shared.live.sim.digest())
         }),
         col("windows", |c| c.o().windows.to_string()),
         col("window rows", |c| {
-            let windows = c.this().run.windows.as_ref();
+            let windows = c.this().shared.windows.as_ref();
             windows.map_or(0, |w| w.len()).to_string()
         }),
     ],
@@ -89,7 +91,7 @@ const FAULTS: Detail = (
 /// Probe samples of every run that declared any.
 const PROBES: Detail = (
     "probe samples",
-    |f| f.sim().run.outcome.probes.len(),
+    |f| f.sim().outcome.probes.len(),
     &[
         SCENARIO,
         col("probe", |c| c.o().probes[c.sub].name.clone()),
@@ -104,7 +106,7 @@ const PROBES: Detail = (
 /// SLO watchdog breaches of every run that raised any.
 const SLO_ALERTS: Detail = (
     "slo alerts",
-    |f| f.sim().run.outcome.slo_alerts.len(),
+    |f| f.sim().outcome.slo_alerts.len(),
     &[
         SCENARIO,
         col("slo", |c| c.o().slo_alerts[c.sub].name.clone()),
@@ -167,14 +169,14 @@ fn hop_row(c: &Cell) -> (&'static str, HistogramSummary) {
         0 => "client.submit (end-to-end)",
         h => HOPS[h - 1],
     };
-    let hists = hop_latency(c.this().run.live.sim.spans());
+    let hists = hop_latency(c.this().shared.live.sim.spans());
     (name, hists[c.sub].summary())
 }
 
 /// Submission latency decomposed by hop, for every run that placed a VM.
 const HOP_LATENCY: Detail = (
     "submission latency by hop (seconds)",
-    |f| match f.sim().run.outcome.placed {
+    |f| match f.sim().outcome.placed {
         0 => 0,
         _ => 1 + HOPS.len(),
     },
@@ -203,7 +205,7 @@ fn is_failover(span: &&SpanRecord) -> bool {
 
 /// Row `c.sub` of the failover timeline.
 fn failover_span<'c>(c: &'c Cell) -> &'c SpanRecord {
-    let spans = c.this().run.live.sim.spans().iter();
+    let spans = c.this().shared.live.sim.spans().iter();
     spans
         .filter(is_failover)
         .nth(c.sub)
@@ -221,7 +223,7 @@ const FAILOVER_TIMELINE: Detail = (
     "failover timeline",
     |f| {
         f.sim()
-            .run
+            .shared
             .live
             .sim
             .spans()
@@ -233,11 +235,11 @@ const FAILOVER_TIMELINE: Detail = (
         SCENARIO,
         col("t (s)", |c| f2(failover_span(c).start_us as f64 / 1e6)),
         col("component", |c| {
-            track_name(&c.this().run.live.sim, failover_span(c).track)
+            track_name(&c.this().shared.live.sim, failover_span(c).track)
         }),
         col("event", |c| failover_span(c).name.into()),
         col("detail", |c| {
-            let labels = c.this().run.live.sim.spans().labels(failover_span(c).id);
+            let labels = c.this().shared.live.sim.spans().labels(failover_span(c).id);
             let pairs: Vec<String> = labels.map(|l| format!("{}={}", l.key, l.value)).collect();
             pairs.join(" ")
         }),
@@ -280,8 +282,9 @@ pub fn tables(stem: &str, runs: &[Finished]) -> Vec<(String, Table)> {
     tables
 }
 
-/// Write every export of a finished run into `dir`, each byte-identical
-/// across same-seed runs:
+/// Write every export of a finished run — its live system, metric
+/// windows and incident dumps — into `dir`, each byte-identical across
+/// same-seed runs:
 ///
 /// * `trace.chrome.json` — Chrome trace-event JSON (load in Perfetto or
 ///   `chrome://tracing`)
@@ -293,9 +296,14 @@ pub fn tables(stem: &str, runs: &[Finished]) -> Vec<(String, Table)> {
 /// * `profile.folded` — folded-stack event counts (feed into `inferno` /
 ///   `flamegraph.pl`)
 /// * `incident_<n>.toml` — one canonical dump per captured incident
-pub fn export_run(run: &mut ScenarioRun, dir: &Path) -> std::io::Result<()> {
+pub fn export_run(
+    live: &LiveSystem,
+    windows: Option<&WindowLog>,
+    incidents: &[IncidentDoc],
+    dir: &Path,
+) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let sim = &mut run.live.sim;
+    let sim = &live.sim;
     let chrome = telemetry::chrome::render(sim.spans(), &|t| track_name(sim, t));
     std::fs::write(dir.join("trace.chrome.json"), chrome)?;
     std::fs::write(
@@ -304,12 +312,12 @@ pub fn export_run(run: &mut ScenarioRun, dir: &Path) -> std::io::Result<()> {
     )?;
     std::fs::write(dir.join("metrics.prom"), sim.metrics().to_prometheus())?;
     std::fs::write(dir.join("metrics.jsonl"), sim.metrics().to_jsonl())?;
-    if let Some(log) = &run.windows {
+    if let Some(log) = windows {
         std::fs::write(dir.join("windows.jsonl"), log.to_jsonl())?;
         std::fs::write(dir.join("windows.csv"), log.to_csv())?;
     }
     std::fs::write(dir.join("profile.folded"), sim.profile_folded())?;
-    for (i, incident) in run.incidents.iter().enumerate() {
+    for (i, incident) in incidents.iter().enumerate() {
         std::fs::write(dir.join(format!("incident_{i}.toml")), incident.to_toml())?;
     }
     Ok(())

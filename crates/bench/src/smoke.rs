@@ -56,7 +56,7 @@ pub fn run_obs(dir: Option<&Path>) -> Result<String, String> {
     let mut first: Option<Vec<Finished>> = None;
     for _ in 0..OBS_REPEATS {
         let pair = run_specs(&specs, false)?;
-        let wall = |i: usize| pair[i].sim().run.outcome.wall_ms;
+        let wall = |i: usize| pair[i].sim().outcome.wall_ms;
         walls.push([wall(0), wall(1)]);
         // A finished run holds its whole live system: keep one pair.
         if first.is_none() {
@@ -66,7 +66,7 @@ pub fn run_obs(dir: Option<&Path>) -> Result<String, String> {
     let mut runs = first.expect("OBS_REPEATS > 0");
     for (f, folded) in runs.iter_mut().zip(paired_with_plain(&walls)) {
         if let Finished::Sim(run) = f {
-            run.run.outcome.wall_ms = folded;
+            run.outcome.wall_ms = folded;
         }
     }
 
@@ -77,10 +77,7 @@ pub fn run_obs(dir: Option<&Path>) -> Result<String, String> {
     comparison.print();
     if let Some(dir) = dir {
         let written = comparison.write_json(dir, "e11_obs");
-        let written = written.and_then(|()| match &mut runs[1] {
-            Finished::Sim(observed) => crate::scenario_cli::export_run(&mut observed.run, dir),
-            Finished::Pack(_) => unreachable!("both runs of the pair are simulated"),
-        });
+        let written = written.and_then(|()| runs[1].sim().export(dir));
         written.map_err(|e| format!("writing artifacts to {}: {e}", dir.display()))?;
     }
 
@@ -120,14 +117,14 @@ fn median(samples: impl Iterator<Item = f64>) -> f64 {
 /// clocks are advisory but measured back to back in one invocation, so
 /// machine speed cancels ([`paired_with_plain`]).
 fn pct_of_plain(f: &SimRun, pair: &[Finished]) -> f64 {
-    events_per_sec(&f.run.outcome) / events_per_sec(&pair[0].sim().run.outcome) * 100.0
+    events_per_sec(&f.outcome) / events_per_sec(&pair[0].sim().outcome) * 100.0
 }
 
 /// What observing costs per event on this host, ns: `f`'s clock less the
 /// plain run's, over the events both executed. The ratio above moves
 /// whenever the plain path gets faster or slower; this does not.
 fn observer_ns_per_event(f: &SimRun, pair: &[Finished]) -> f64 {
-    let (observed, plain) = (&f.run.outcome, &pair[0].sim().run.outcome);
+    let (observed, plain) = (&f.outcome, &pair[0].sim().outcome);
     (observed.wall_ms - plain.wall_ms) * 1e6 / observed.sim_events as f64
 }
 
@@ -149,7 +146,7 @@ const OBS_OVERHEAD: &[Column] = &[
         None => "-".into(),
     }),
     col("digest match", |c| {
-        let digest = |f: &SimRun| f.run.live.sim.digest();
+        let digest = |f: &SimRun| f.shared.live.sim.digest();
         match c.this().spec.obs {
             Some(_) if digest(c.this()) == digest(c.runs[0].sim()) => "yes",
             Some(_) => "NO",

@@ -20,10 +20,6 @@ fn check_scenarios_gate_passes_on_the_checked_in_directory() {
     let dir = scenarios_dir();
     let report = snooze_bench::scenario_cli::check_dir(&dir).unwrap_or_else(|e| panic!("{e}"));
     let smoke = report.iter().filter(|l| l.contains(" [override.smoke] "));
-    assert_eq!(
-        smoke.count(),
-        5,
-        "e1, e2, e11, e12_trace, e14_arena: {report:#?}"
-    );
+    assert_eq!(smoke.count(), 4, "e1, e2, e11, e14_arena: {report:#?}");
     assert!(report.len() > EXPERIMENTS.len(), "hand-written files too");
 }

@@ -9,8 +9,8 @@
 //!   in every standard format.
 
 use snooze_bench::scenario_cli::export_run;
-use snooze_scenario::run;
 use snooze_scenario::spec::{ScenarioDoc, ScenarioSpec};
+use snooze_scenario::{run, ScenarioRun};
 use snooze_simcore::prelude::*;
 use snooze_simcore::telemetry::{self, SpanLog};
 
@@ -44,7 +44,7 @@ const EXPORTS: [&str; 8] = [
 #[test]
 fn e4_failover_scenario_produces_linked_span_trees_and_identical_exports() {
     let spec = report_failover();
-    let mut run_a = run(&spec).expect("the report scenario compiles");
+    let run_a = run(&spec).expect("the report scenario compiles");
     assert!(!run_a.outcome.faults.is_empty(), "scenario must crash a GM");
     let live_a = &run_a.live;
 
@@ -107,12 +107,16 @@ fn e4_failover_scenario_produces_linked_span_trees_and_identical_exports() {
     );
 
     // --- two same-seed runs: byte-identical exports ---------------------
-    let mut run_b = run(&spec).expect("the report scenario compiles");
+    let run_b = run(&spec).expect("the report scenario compiles");
     assert_eq!(live_a.sim.span_digest(), run_b.live.sim.span_digest());
     assert_eq!(live_a.sim.digest(), run_b.live.sim.digest());
     let dir = std::env::temp_dir().join(format!("snooze-telemetry-e2e-{}", std::process::id()));
-    export_run(&mut run_a, &dir.join("a")).expect("exports write");
-    export_run(&mut run_b, &dir.join("b")).expect("exports write");
+    let export = |run: &ScenarioRun, side: &str| {
+        let windows = run.windows.as_ref();
+        export_run(&run.live, windows, &run.incidents, &dir.join(side)).expect("exports write");
+    };
+    export(&run_a, "a");
+    export(&run_b, "b");
     let read = |side: &str, file: &str| std::fs::read_to_string(dir.join(side).join(file));
     let listing = |side: &str| {
         let entries = std::fs::read_dir(dir.join(side)).expect("export dir");

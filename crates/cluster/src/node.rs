@@ -206,8 +206,11 @@ pub struct NodeSpec {
     pub capacity: ResourceVector,
     /// Power-state transition latencies.
     pub transitions: TransitionTimes,
-    /// Power model.
-    pub power: Arc<dyn PowerModel>,
+    /// The power models the node is metered under, one energy meter
+    /// each. The first is the node's own; the rest bill the same history
+    /// under other models (a power model decides nothing, it only turns a
+    /// state and a utilization into watts).
+    pub power: Arc<[Arc<dyn PowerModel>]>,
 }
 
 impl NodeSpec {
@@ -218,13 +221,18 @@ impl NodeSpec {
             id,
             capacity: ResourceVector::new(8.0, 32_768.0, 1000.0, 1000.0),
             transitions: TransitionTimes::typical_server(),
-            power: Arc::new(LinearPower::grid5000()),
+            power: Arc::new([Arc::new(LinearPower::grid5000()) as Arc<dyn PowerModel>]),
         }
     }
 
-    /// Build `n` standard nodes with ids `0..n`.
+    /// Build `n` standard nodes with ids `0..n`, sharing one power model.
     pub fn standard_cluster(n: usize) -> Vec<NodeSpec> {
-        (0..n).map(|i| NodeSpec::standard(NodeId(i))).collect()
+        let node = NodeSpec::standard(NodeId(0));
+        let with_id = |i| NodeSpec {
+            id: NodeId(i),
+            ..node.clone()
+        };
+        (0..n).map(with_id).collect()
     }
 }
 

@@ -287,8 +287,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     /// The shipped construction kernel (class memo, fresh-bin table, `τ^α`
-    /// shortcuts, bin-major pheromone) against the frozen naive colony:
-    /// the whole deterministic surface of the run, bit for bit.
+    /// shortcuts, a per-ant τ row built from the sparse pheromone store)
+    /// against the frozen naive colony: the whole deterministic surface of
+    /// the run, bit for bit.
     #[test]
     fn aco_kernel_reproduces_the_naive_reference(
         inst in kernel_instance(),

@@ -16,6 +16,11 @@
 //! boundary, and snapshots the flight recorder into
 //! [`IncidentDoc`] dumps when a watchdog trips, a scheduled fault
 //! fires, or the spec forces a test trigger.
+//!
+//! Specs that differ only in name, description and power model run the
+//! same history, so [`run_group`] runs them in one engine: every LC
+//! meters each member's model, and each member gets its own outcome,
+//! named for it and billed by its own meter.
 
 use snooze_simcore::excerpt::Excerpt;
 use snooze_simcore::flight::Windower;
@@ -175,8 +180,8 @@ pub struct ScenarioOutcome {
     pub slo_alerts: Vec<SloAlert>,
 }
 
-/// A finished run: the live system (spans, metrics, digests still
-/// queryable) plus the measured outcome.
+/// A finished run of one spec: the live system (spans, metrics, digests
+/// still queryable) plus the measured outcome.
 pub struct ScenarioRun {
     /// The deployed system after the program ran.
     pub live: LiveSystem,
@@ -188,8 +193,35 @@ pub struct ScenarioRun {
     pub incidents: Vec<IncidentDoc>,
 }
 
+/// A finished run of a group of specs (see [`run_group`]): the one live
+/// system they share, and one outcome per member.
+pub struct GroupRun {
+    /// The deployed system after the program ran.
+    pub live: LiveSystem,
+    /// The windowed time-series (`Some` with an `[obs]` table).
+    pub windows: Option<WindowLog>,
+    /// One per member, in group order.
+    pub members: Vec<Member>,
+}
+
+/// What one member of a group measured: its own name and its own
+/// meter's energy, every other field from the shared run.
+pub struct Member {
+    /// The measurements.
+    pub outcome: ScenarioOutcome,
+    /// Incident dumps captured during the run, named for this member.
+    pub incidents: Vec<IncidentDoc>,
+}
+
 /// Deploy a spec: engine → system stack → client → static fault plan.
 pub fn compile(spec: &ScenarioSpec) -> Result<LiveSystem, String> {
+    compile_group(&[spec])
+}
+
+/// Deploy `group[0]` with every LC metering each member's power model,
+/// in group order.
+fn compile_group(group: &[&ScenarioSpec]) -> Result<LiveSystem, String> {
+    let spec = group[0];
     let config = spec.config.build()?;
 
     let mut alloc = VmIdAlloc::new();
@@ -215,11 +247,18 @@ pub fn compile(spec: &ScenarioSpec) -> Result<LiveSystem, String> {
     if spec.topology.managers < 2 {
         return Err("`managers` in topology must be at least 2: a GL and a GM".into());
     }
+    let mut nodes = spec.topology.build_nodes(spec.power.as_ref())?;
+    for member in &group[1..] {
+        let metered = spec.topology.build_nodes(member.power.as_ref())?;
+        for (node, m) in nodes.iter_mut().zip(metered) {
+            node.power = node.power.iter().chain(m.power.iter()).cloned().collect();
+        }
+    }
     let mut live = crate::live::deploy_hierarchy(
         spec.seed,
         &config,
         spec.topology.managers,
-        &spec.topology.build_nodes(spec.power.as_ref())?,
+        &nodes,
         spec.topology.eps,
         client,
     );
@@ -298,8 +337,8 @@ struct ObsRun {
     /// break digest neutrality.
     pending_faults: Vec<(SimTime, String, String)>,
     alerts: Vec<SloAlert>,
+    /// Dumps so far, unnamed: each member names its copies.
     incidents: Vec<IncidentDoc>,
-    scenario: String,
     seed: u64,
 }
 
@@ -388,8 +427,8 @@ fn capture_incident(live: &LiveSystem, o: &mut ObsRun, trigger: &str, detail: &s
         })
         .collect();
     o.incidents.push(IncidentDoc {
-        name: format!("{}-incident-{}", o.scenario, o.incidents.len()),
-        scenario: o.scenario.clone(),
+        name: String::new(),
+        scenario: String::new(),
         seed: o.seed,
         trigger: trigger.to_string(),
         detail: detail.to_string(),
@@ -618,7 +657,38 @@ pub fn run_watch(
     spec: &ScenarioSpec,
     watch: Option<&mut dyn FnMut(&WindowStatus)>,
 ) -> Result<ScenarioRun, String> {
-    let live = compile(spec)?;
+    let GroupRun {
+        live,
+        windows,
+        mut members,
+    } = run_group(&[spec], watch)?;
+    let Member { outcome, incidents } = members.pop().expect("a group of one has one member");
+    Ok(ScenarioRun {
+        live,
+        outcome,
+        windows,
+        incidents,
+    })
+}
+
+/// Run specs that differ only in name, description and power model (see
+/// [`ScenarioSpec::same_history`]) as one engine run of `group[0]`'s
+/// program. Each member's outcome equals what [`run`] would measure for
+/// it alone, `wall_ms` aside; a group of one is [`run`].
+pub fn run_group(
+    group: &[&ScenarioSpec],
+    watch: Option<&mut dyn FnMut(&WindowStatus)>,
+) -> Result<GroupRun, String> {
+    let spec = *group.first().ok_or("an empty group runs nothing")?;
+    if let Some(other) = group.iter().find(|m| !spec.same_history(m)) {
+        return Err(format!(
+            "`{}` and `{}` differ in more than name, description and power: \
+             they cannot share a run",
+            Excerpt(&spec.name),
+            Excerpt(&other.name)
+        ));
+    }
+    let live = compile_group(group)?;
     let reschedule = spec.config.build()?.reschedule_on_lc_failure;
     let mut probes = spec.probes.clone();
     probes.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
@@ -629,7 +699,6 @@ pub fn run_watch(
         pending_faults: Vec::new(),
         alerts: Vec::new(),
         incidents: Vec::new(),
-        scenario: spec.name.clone(),
         seed: spec.seed,
     });
     let mut r = Runner {
@@ -800,8 +869,10 @@ pub fn run_watch(
             None => (0, 0, 0, 0.0, 0.0, 0),
         };
 
-    let outcome = ScenarioOutcome {
-        name: spec.name.clone(),
+    // Everything but the name and the energy, which are each member's own.
+    let now = live.sim.now();
+    let shared = ScenarioOutcome {
+        name: String::new(),
         seed: spec.seed,
         managers: spec.topology.managers,
         lcs: spec.topology.lcs
@@ -822,7 +893,7 @@ pub fn run_watch(
         dead_letters: live.sim.dead_letters(),
         wall_ms: live.wall_ms(),
         messages: live.messages_sent(),
-        energy_wh: live.system.total_energy_wh(&live.sim, live.sim.now()),
+        energy_wh: 0.0,
         migrations,
         suspends,
         wakeups,
@@ -841,11 +912,25 @@ pub fn run_watch(
         windows: windows_closed,
         slo_alerts,
     };
-    Ok(ScenarioRun {
+    let member = |(model, spec): (usize, &&ScenarioSpec)| Member {
+        outcome: ScenarioOutcome {
+            name: spec.name.clone(),
+            energy_wh: live.system.total_energy_wh(&live.sim, model, now),
+            ..shared.clone()
+        },
+        incidents: (incidents.iter().enumerate())
+            .map(|(i, doc)| IncidentDoc {
+                name: format!("{}-incident-{i}", spec.name),
+                scenario: spec.name.clone(),
+                ..doc.clone()
+            })
+            .collect(),
+    };
+    let members = group.iter().enumerate().map(member).collect();
+    Ok(GroupRun {
         live,
-        outcome,
         windows: window_log,
-        incidents,
+        members,
     })
 }
 

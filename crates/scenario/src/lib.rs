@@ -25,7 +25,9 @@
 //!   client, the VM-id allocator, and the workload builders.
 //! * [`compile`] — spec → [`live::LiveSystem`], plus the generic phase
 //!   runner ([`compile::run`]) that interprets run / settle / sample /
-//!   fault+observe programs and returns a [`compile::ScenarioOutcome`].
+//!   fault+observe programs and returns a [`compile::ScenarioOutcome`];
+//!   [`compile::run_group`] runs specs that differ only in power model
+//!   as one engine, one meter per model.
 //! * [`pack`] — the other run kind: its spec, its decoder and its runner
 //!   ([`pack::run`], one [`pack::PackOutcome`] per run).
 //! * [`mc_trace`] — model-checking counterexamples from `snooze-mc` as
@@ -44,8 +46,8 @@ pub mod spec;
 pub mod toml;
 
 pub use compile::{
-    compile, run, run_watch, FaultOutcome, ProbeSample, ScenarioOutcome, ScenarioRun, SloAlert,
-    WindowStatus,
+    compile, run, run_group, run_watch, FaultOutcome, GroupRun, Member, ProbeSample,
+    ScenarioOutcome, ScenarioRun, SloAlert, WindowStatus,
 };
 pub use incident::IncidentDoc;
 pub use live::{burst, deploy_hierarchy, vm_item, LiveSystem, VmIdAlloc};

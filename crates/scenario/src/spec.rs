@@ -496,16 +496,53 @@ pub struct ProbeSpec {
 // Building runtime objects
 // ---------------------------------------------------------------------------
 
+impl ScenarioSpec {
+    /// Whether `other` runs the same history: every field equal but
+    /// `name`, `description` and `power`, which only label a run and turn
+    /// its power states into watts. Such specs share one engine run
+    /// ([`crate::run_group`]), each billed by its own meter.
+    pub fn same_history(&self, other: &ScenarioSpec) -> bool {
+        // Destructured, so a new field has to be placed on one side.
+        let ScenarioSpec {
+            name: _,
+            description: _,
+            power: _,
+            seed,
+            topology,
+            config,
+            workload,
+            faults,
+            phases,
+            probes,
+            obs,
+            slos,
+        } = self;
+        (
+            seed, topology, config, workload, faults, phases, probes, obs, slos,
+        ) == (
+            &other.seed,
+            &other.topology,
+            &other.config,
+            &other.workload,
+            &other.faults,
+            &other.phases,
+            &other.probes,
+            &other.obs,
+            &other.slos,
+        )
+    }
+}
+
 impl TopologySpec {
     /// The node list: `lcs` standard nodes, then each group, ids
-    /// continuing in order. `power` is the scenario's `[power]` table;
-    /// absent, every node draws the hard-coded Grid'5000 linear model —
-    /// exactly the pre-arena objects.
+    /// continuing in order, each metered under one model. `power` is the
+    /// scenario's `[power]` table; absent, every node draws the hard-coded
+    /// Grid'5000 linear model — exactly the pre-arena objects.
     pub fn build_nodes(&self, power: Option<&PowerSpec>) -> Result<Vec<NodeSpec>, String> {
         let mut nodes = NodeSpec::standard_cluster(self.lcs);
         if let Some(p) = power {
             if let Some(name) = &p.default {
-                let model = p.resolve(name)?;
+                let model: Arc<[_]> = Arc::new([p.resolve(name)?]);
                 for n in &mut nodes {
                     n.power = Arc::clone(&model);
                 }
@@ -526,6 +563,7 @@ impl TopologySpec {
                     suspend_watts: g.suspend_watts,
                 }),
             };
+            let model: Arc<[_]> = Arc::new([model]);
             for _ in 0..g.count {
                 let id = NodeId(nodes.len());
                 nodes.push(NodeSpec {
@@ -1791,10 +1829,12 @@ util = 0.25
         assert_eq!(nodes.len(), 8 + 2);
         // The default model resumes at the billed (peak) wattage, the
         // legacy linear model would bill idle.
-        assert!(nodes[0].power.resuming_watts() > nodes[0].power.active_watts(0.0));
+        let own = |n: usize| &nodes[n].power[0];
+        assert_eq!(nodes[0].power.len(), 1, "one metered model per node");
+        assert!(own(0).resuming_watts() > own(0).active_watts(0.0));
         // The group picked the built-in SPEC-like curve.
         let xeon = SpecLikePower::xeon_2011();
-        assert_eq!(nodes[9].power.active_watts(1.0), xeon.active_watts(1.0));
+        assert_eq!(own(9).active_watts(1.0), xeon.active_watts(1.0));
 
         // Unknown names are spec errors listing what exists.
         let err = back

@@ -324,7 +324,9 @@ fn a_huge_name_is_refused_by_build_briefly() {
             refused += 1;
         }
     }
-    assert!(refused >= 20, "{refused} documents refused");
+    // 17 on the checked-in corpus; 22 while E12's trace document, whose
+    // five names all count, was a file of its own.
+    assert!(refused >= 15, "{refused} documents refused");
 }
 
 /// The generator reaches both sides of the property: a good share of the

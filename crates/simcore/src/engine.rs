@@ -740,15 +740,13 @@ impl<C: Component> Engine<C> {
 
     /// Folded-stack profile text (`kind;variant events` per line),
     /// flamegraph-compatible and byte-deterministic — empty when the
-    /// profiler is off.
-    pub fn profile_folded(&mut self) -> String {
-        match self.core.profiler.as_mut() {
-            Some(p) => {
-                p.flush();
-                p.folded()
-            }
-            None => String::new(),
-        }
+    /// profiler is off. It holds event counts only, so the wall-time
+    /// sample in flight needs no flush.
+    pub fn profile_folded(&self) -> String {
+        self.core
+            .profiler
+            .as_ref()
+            .map_or_else(String::new, |p| p.folded())
     }
 
     /// Current members of a multicast group, in the order they joined.

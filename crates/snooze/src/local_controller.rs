@@ -5,7 +5,8 @@
 //! situations and report them to the assigned GM."
 //!
 //! The LC owns the node's hypervisor ([`Hypervisor`]), its power-state
-//! machine, and an energy meter. It self-organizes per §II-D: on start
+//! machine, and one energy meter per power model the node is metered
+//! under ([`NodeSpec::power`]). It self-organizes per §II-D: on start
 //! (or after losing its GM) it listens for GL heartbeats, asks the GL for
 //! a GM assignment, joins that GM's multicast group and starts sending
 //! monitoring reports, which double as its heartbeat.
@@ -26,7 +27,7 @@ use std::sync::Arc;
 use snooze_cluster::hypervisor::Hypervisor;
 use snooze_cluster::migration::MigrationModel;
 use snooze_cluster::node::{NodeSpec, PowerState, PowerStateMachine};
-use snooze_cluster::power::EnergyMeter;
+use snooze_cluster::power::{EnergyMeter, PowerModel};
 use snooze_cluster::resources::ResourceVector;
 use snooze_cluster::vm::{VmId, VmState};
 use snooze_simcore::engine::{Component, ComponentId, Ctx, GroupId, TimerHandle};
@@ -41,6 +42,47 @@ use crate::tags::*;
 
 pub use crate::messages::LcJoinAckWithGroup;
 
+/// One energy meter per power model of the node, all moved at the same
+/// instants from the same power state and utilization. The first meter
+/// is inline, so cloning a one-model node's controller allocates nothing.
+#[derive(Clone)]
+struct Meters {
+    first: EnergyMeter,
+    rest: Box<[EnergyMeter]>,
+}
+
+impl Meters {
+    /// A meter per model, each started at `now` at its model's idle draw.
+    fn new(now: SimTime, models: &[Arc<dyn PowerModel>]) -> Meters {
+        let idle = |m: &Arc<dyn PowerModel>| EnergyMeter::new(now, m.active_watts(0.0));
+        Meters {
+            first: idle(&models[0]),
+            rest: models[1..].iter().map(idle).collect(),
+        }
+    }
+
+    /// Record that each model's draw changed to `watts(model)` at `now`.
+    fn update(
+        &mut self,
+        now: SimTime,
+        models: &[Arc<dyn PowerModel>],
+        watts: impl Fn(&dyn PowerModel) -> f64,
+    ) {
+        self.first.update(now, watts(models[0].as_ref()));
+        for (meter, model) in self.rest.iter_mut().zip(&models[1..]) {
+            meter.update(now, watts(model.as_ref()));
+        }
+    }
+
+    /// Watt-hours up to `now` under the `model`-th model.
+    fn wh_at(&self, model: usize, now: SimTime) -> f64 {
+        match model {
+            0 => self.first.wh_at(now),
+            i => self.rest[i - 1].wh_at(now),
+        }
+    }
+}
+
 /// The Local Controller component.
 #[derive(Clone)]
 pub struct LocalController {
@@ -50,7 +92,7 @@ pub struct LocalController {
 
     hypervisor: Hypervisor,
     power: PowerStateMachine,
-    energy: EnergyMeter,
+    energy: Meters,
     gm: Option<ComponentId>,
     gm_group: Option<GroupId>,
     last_gm_heartbeat: SimTime,
@@ -73,14 +115,14 @@ impl LocalController {
         let config = config.into();
         let hypervisor = Hypervisor::new(node.capacity);
         let power = PowerStateMachine::new_on(node.transitions);
-        let idle_watts = node.power.active_watts(0.0);
+        let energy = Meters::new(SimTime::ZERO, &node.power);
         LocalController {
             node,
             config,
             gl_group,
             hypervisor,
             power,
-            energy: EnergyMeter::new(SimTime::ZERO, idle_watts),
+            energy,
             gm: None,
             gm_group: None,
             last_gm_heartbeat: SimTime::ZERO,
@@ -107,9 +149,10 @@ impl LocalController {
         self.gm
     }
 
-    /// Energy consumed up to `now`, in watt-hours.
-    pub fn energy_wh(&self, now: SimTime) -> f64 {
-        self.energy.wh_at(now)
+    /// Energy consumed up to `now`, in watt-hours, under the node's
+    /// `model`-th power model.
+    pub fn energy_wh(&self, model: usize, now: SimTime) -> f64 {
+        self.energy.wh_at(model, now)
     }
 
     /// Fraction of demanded work delivered right now (1.0 = no
@@ -133,11 +176,12 @@ impl LocalController {
         self.meter_record(now, &demand);
     }
 
-    /// Move the energy meter to `now` at the power `demand` draws.
+    /// Move every energy meter to `now` at the power `demand` draws.
     fn meter_record(&mut self, now: SimTime, demand: &ResourceVector) {
         let util = self.hypervisor.utilization_of(demand).cpu.clamp(0.0, 1.0);
-        let watts = self.power.watts(self.node.power.as_ref(), util);
-        self.energy.update(now, watts);
+        let state = &self.power;
+        let watts = |model: &dyn PowerModel| state.watts(model, util);
+        self.energy.update(now, &self.node.power, watts);
     }
 
     /// Every guest's usage at `now`, in `VmId` order.
@@ -283,7 +327,7 @@ impl Component for LocalController {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
         ctx.join_group(self.gl_group);
-        self.energy = EnergyMeter::new(ctx.now(), self.node.power.active_watts(0.0));
+        self.energy = Meters::new(ctx.now(), &self.node.power);
         ctx.set_timer(self.config.heartbeat_period, tag(LC_MONITOR, 0));
     }
 
@@ -543,14 +587,14 @@ impl Component for LocalController {
 
     fn on_crash(&mut self, now: SimTime) {
         // "In the event of a LC failure, VMs are also terminated" (§II-E).
-        self.energy.update(now, 0.0);
+        self.energy.update(now, &self.node.power, |_| 0.0);
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
         let now = ctx.now();
         self.hypervisor = Hypervisor::new(self.node.capacity);
         self.power = PowerStateMachine::new_on(self.node.transitions);
-        self.energy = EnergyMeter::new(now, self.node.power.active_watts(0.0));
+        self.energy = Meters::new(now, &self.node.power);
         self.migrating_out.clear();
         self.boot_spans.clear();
         self.disarm_watchdog(ctx);

@@ -148,17 +148,19 @@ impl SnoozeSystem {
             .sum()
     }
 
-    /// Cluster-wide energy consumed up to `now`, in watt-hours (alive
-    /// LCs only — crashed nodes stopped metering at the crash).
+    /// Cluster-wide energy consumed up to `now`, in watt-hours, under
+    /// each node's `model`-th power model (0: its own; crashed nodes
+    /// stopped metering at the crash).
     pub fn total_energy_wh<C: Component + NodeView>(
         &self,
         engine: &Engine<C>,
+        model: usize,
         now: SimTime,
     ) -> f64 {
         self.lcs
             .iter()
             .filter_map(|&lc| engine.get(lc).and_then(|c| c.lc()))
-            .map(|l| l.energy_wh(now))
+            .map(|l| l.energy_wh(model, now))
             .sum()
     }
 

@@ -407,7 +407,7 @@ fn power_management_saves_energy_on_idle_clusters() {
             vec![],
         ));
         live.sim.run_until(horizon);
-        live.system.total_energy_wh(&live.sim, horizon)
+        live.system.total_energy_wh(&live.sim, 0, horizon)
     };
     let e_with = run_with(5000.0);
     let e_without = run_with(-1.0);

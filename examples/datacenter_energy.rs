@@ -75,11 +75,11 @@ fn run(label: &str, config: SnoozeConfig, print_timeline: bool) -> f64 {
                 sim.now().as_micros() / 1_000_000,
                 line,
                 system.total_vms(&sim),
-                system.total_energy_wh(&sim, sim.now())
+                system.total_energy_wh(&sim, 0, sim.now())
             );
         }
     }
-    let wh = system.total_energy_wh(&sim, horizon);
+    let wh = system.total_energy_wh(&sim, 0, horizon);
     println!("[{label}] total energy over 2 h: {wh:.1} Wh");
     wh
 }

@@ -72,6 +72,6 @@ fn main() {
     println!("\nPower census : {on} on, {transitioning} transitioning, {low} suspended");
     println!(
         "Cluster energy so far: {:.1} Wh",
-        system.total_energy_wh(&sim, sim.now())
+        system.total_energy_wh(&sim, 0, sim.now())
     );
 }

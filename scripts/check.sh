@@ -204,7 +204,7 @@ label_strings="$(find crates/*/src -name '*.rs' | sort |
 say "cargo test (default features)"
 cargo test --offline --workspace -q
 
-say "golden identity gate (release replay of every golden, full E11/E12/E14 included) and colony pins"
+say "golden identity gate (release replay of every golden, full E11/E14 included) and colony pins"
 cargo test --release --offline -q --test experiments_manifest --test aco_kernel
 
 say "cargo test -p snooze-audit --features audit (runtime invariants)"

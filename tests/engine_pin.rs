@@ -99,7 +99,7 @@ fn pin() -> [u64; 13] {
         m.counter("net.to_dead"),
         fnv(&m.to_prometheus()),
         fnv(&m.to_jsonl()),
-        system.total_energy_wh(&sim, sim.now()).to_bits(),
+        system.total_energy_wh(&sim, 0, sim.now()).to_bits(),
         anomaly_reports(&sim, "overload"),
         anomaly_reports(&sim, "underload"),
     ]
@@ -171,7 +171,7 @@ fn anomaly_pin() -> [u64; 6] {
     [
         sim.events_executed(),
         sim.digest(),
-        system.total_energy_wh(&sim, sim.now()).to_bits(),
+        system.total_energy_wh(&sim, 0, sim.now()).to_bits(),
         anomaly_reports(&sim, "overload"),
         anomaly_reports(&sim, "underload"),
         fnv(&sim.metrics().to_prometheus()),

@@ -273,7 +273,7 @@ fn consolidation_in_the_loop_reduces_powered_nodes() {
         let horizon = secs(600);
         let (sim, system) = consolidation_deployment(reconf, horizon);
         let (on, _, _) = system.power_census(&sim);
-        (on, system.total_energy_wh(&sim, horizon))
+        (on, system.total_energy_wh(&sim, 0, horizon))
     };
 
     let (on_without, wh_without) = run(false);
@@ -377,7 +377,7 @@ fn energy_accounting_matches_power_model_bounds() {
     let system = SnoozeSystem::deploy(&mut sim, &config, 2, &nodes, 1);
     let horizon = secs(3600);
     sim.run_until(horizon);
-    let measured = system.total_energy_wh(&sim, horizon);
+    let measured = system.total_energy_wh(&sim, 0, horizon);
     let expected = 4.0 * 160.0 * 1.0; // 4 nodes × 160 W idle × 1 h
     assert!(
         (measured - expected).abs() < expected * 0.01,
