@@ -1,17 +1,19 @@
 //! CLI-side scenario plumbing for `run_experiments`: load scenario
 //! documents from disk, run every expanded variant through the generic
 //! runner, render the per-run detail tables (run record, faults, probes,
-//! SLO alerts, the submission-latency decomposition by hop and the failover
-//! timeline), write every run's exports, and gate the checked-in
-//! `scenarios/*.toml` files (`--check-scenarios`).
+//! the hierarchy at each probe, SLO alerts, the submission-latency
+//! decomposition by hop and the failover timeline), write every run's
+//! exports, and gate the checked-in `scenarios/*.toml` files
+//! (`--check-scenarios`).
 
 use std::path::{Path, PathBuf};
 
+use snooze_cluster::node::PowerState;
 use snooze_scenario::compile;
 use snooze_scenario::incident::{is_incident, IncidentDoc};
 use snooze_scenario::mc_trace::McTraceDoc;
 use snooze_scenario::spec::{RunSpec, ScenarioDoc};
-use snooze_scenario::LiveSystem;
+use snooze_scenario::{LcSample, LiveSystem, ProbeSample};
 use snooze_simcore::metrics::{Histogram, HistogramSummary};
 use snooze_simcore::telemetry::{self, SpanLog, SpanRecord, WindowLog};
 use snooze_simcore::{Component, ComponentId, Engine};
@@ -100,6 +102,55 @@ const PROBES: Detail = (
         col("VMs", |c| c.o().probes[c.sub].total_vms.to_string()),
         col("nodes on", |c| c.o().probes[c.sub].nodes_on.to_string()),
         col("messages", |c| c.o().probes[c.sub].messages.to_string()),
+    ],
+);
+
+/// Row `c.sub` of the hierarchy table: its probe and one LC of it. Every
+/// probe records every LC, so the rows of one probe are contiguous.
+fn probe_lc<'c>(c: &'c Cell) -> (&'c ProbeSample, &'c LcSample) {
+    let probes = &c.o().probes;
+    let per_probe = probes[0].lcs.len();
+    let probe = &probes[c.sub / per_probe];
+    (probe, &probe.lcs[c.sub % per_probe])
+}
+
+/// A component's name, or `-` for none.
+fn name_or_dash(c: &Cell, id: Option<ComponentId>) -> String {
+    id.map_or("-".into(), |id| c.this().shared.live.sim.name_of(id).into())
+}
+
+/// The GL → GM → LC → VM tree and every LC's power state at each probe
+/// of every run that declared any: one row per (probe, LC).
+const HIERARCHY: Detail = (
+    "hierarchy",
+    |f| f.sim().outcome.probes.iter().map(|p| p.lcs.len()).sum(),
+    &[
+        SCENARIO,
+        col("probe", |c| probe_lc(c).0.name.clone()),
+        col("at s", |c| secs(probe_lc(c).0.at)),
+        col("GL", |c| name_or_dash(c, probe_lc(c).0.gl)),
+        col("GM", |c| name_or_dash(c, probe_lc(c).1.gm)),
+        col("LC", |c| {
+            c.this().shared.live.sim.name_of(probe_lc(c).1.lc).into()
+        }),
+        col("power", |c| {
+            match probe_lc(c).1.power {
+                None => "down",
+                Some(PowerState::On) => "on",
+                Some(PowerState::Suspending(_)) => "suspending",
+                Some(PowerState::Suspended) => "suspended",
+                Some(PowerState::Resuming(_)) => "resuming",
+            }
+            .into()
+        }),
+        col("VMs", |c| {
+            let ids: Vec<String> = probe_lc(c).1.vms.iter().map(|v| v.0.to_string()).collect();
+            if ids.is_empty() {
+                "-".into()
+            } else {
+                ids.join(" ")
+            }
+        }),
     ],
 );
 
@@ -247,10 +298,11 @@ const FAILOVER_TIMELINE: Detail = (
 );
 
 /// Every detail table, in print order.
-const DETAILS: [Detail; 6] = [
+const DETAILS: [Detail; 7] = [
     RUN_RECORD,
     FAULTS,
     PROBES,
+    HIERARCHY,
     SLO_ALERTS,
     HOP_LATENCY,
     FAILOVER_TIMELINE,
@@ -516,6 +568,60 @@ mod tests {
         let hops = rendered("report.submission_latency_by_hop_seconds");
         assert!(hops.contains("client.submit (end-to-end)"));
         assert!(!tables.iter().any(|(s, _)| s == "report.probe_samples"));
+    }
+
+    #[test]
+    fn the_hierarchy_table_follows_the_tree_across_a_gl_crash() {
+        let path = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios"));
+        let done = run_file(&path.join("hierarchy.toml"), false).expect("runs");
+        let (_, table) = tables("hierarchy", &done)
+            .into_iter()
+            .find(|(slug, _)| slug == "hierarchy.hierarchy")
+            .expect("a hierarchy table");
+        let csv = table.to_csv();
+        let mut lines = csv.lines();
+        let header = lines.next().unwrap();
+        assert_eq!(header, "scenario,probe,at s,GL,GM,LC,power,VMs");
+        let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
+        let probe = |at: &str| -> Vec<&Vec<&str>> { rows.iter().filter(|r| r[2] == at).collect() };
+        let placed = &done[0].sim().outcome.probes;
+        assert_eq!(rows.len(), 4 * 6, "one row per (probe, LC)");
+
+        // The GL crashed at 91 s and another manager leads by 180 s.
+        let (before, healed) = (probe("90"), probe("180"));
+        let (old_gl, new_gl) = (before[0][3], healed[0][3]);
+        assert_ne!(old_gl, "-");
+        assert_ne!(new_gl, "-");
+        assert_ne!(old_gl, new_gl, "{csv}");
+
+        // Every placed VM is hosted by exactly one LC at every probe.
+        for (sample, at) in placed.iter().zip(["15", "90", "96", "180"]) {
+            let mut hosted: Vec<&str> = probe(at)
+                .iter()
+                .flat_map(|r| r[7].split(' ').filter(|v| *v != "-"))
+                .collect();
+            assert_eq!(hosted.len(), sample.placed, "at {at} s: {csv}");
+            hosted.sort_unstable();
+            hosted.dedup();
+            assert_eq!(
+                hosted.len(),
+                sample.placed,
+                "double hosting at {at} s: {csv}"
+            );
+        }
+        assert_eq!(placed[1].placed, 8, "the burst is placed by 90 s");
+
+        // By 180 s no LC is left under the crashed GL, and every LC that
+        // is awake sits under a GM that is not the new GL. A sleeping LC
+        // hears of a promotion only when its RTC watchdog wakes it.
+        for row in &healed {
+            assert_ne!(row[4], old_gl, "{csv}");
+            assert_ne!(row[4], "-", "{csv}");
+            if row[6] == "on" {
+                assert_ne!(row[4], new_gl, "{csv}");
+            }
+        }
+        assert!(before.iter().any(|r| r[6] == "suspended"), "idle LCs sleep");
     }
 
     #[test]

@@ -104,6 +104,8 @@ fn a_scenario_prints_its_span_tables_and_writes_its_exports() {
     let timeline = timeline.unwrap_or_else(|| panic!("no failover timeline: {printed}"));
     assert!(timeline.contains("gl.gm-failover"), "{printed}");
     assert!(timeline.contains("gm.lc-failover"), "{printed}");
+    // Its three probes print the tree below the GL.
+    assert!(printed.contains("== hierarchy =="), "{printed}");
 
     let out = std::env::temp_dir().join(format!("snooze-cli-json-{}", std::process::id()));
     let report = format!("{scenarios}/report.toml");

@@ -41,8 +41,8 @@ fn hash_unit(seed: u64, slot: u64) -> f64 {
 /// Every variant holds at most one word, so a shape is 16 bytes and a
 /// [`VmWorkload`] 56: the client schedule, the GM's records, the LC's
 /// guests and the placement messages each keep one per VM. The two
-/// four-parameter shapes, which only tests and examples build, sit
-/// behind a `Box`.
+/// four-parameter shapes, which only tests and the determinism probe
+/// build, sit behind a `Box`.
 #[derive(Clone, Debug)]
 pub enum UsageShape {
     /// Flat utilization.

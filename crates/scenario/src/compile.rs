@@ -22,6 +22,9 @@
 //! meters each member's model, and each member gets its own outcome,
 //! named for it and billed by its own meter.
 
+use snooze::local_controller::LocalController;
+use snooze_cluster::node::PowerState;
+use snooze_cluster::vm::VmId;
 use snooze_simcore::excerpt::Excerpt;
 use snooze_simcore::flight::Windower;
 use snooze_simcore::prelude::*;
@@ -94,6 +97,19 @@ pub struct WindowStatus {
     pub dead_letters: u64,
 }
 
+/// One LC at a probe instant.
+#[derive(Clone, Debug)]
+pub struct LcSample {
+    /// The LC.
+    pub lc: ComponentId,
+    /// The GM it reports to (`None` while unassigned or crashed).
+    pub gm: Option<ComponentId>,
+    /// Its power state (`None` while crashed).
+    pub power: Option<PowerState>,
+    /// Its guests, in `VmId` order (none while crashed).
+    pub vms: Vec<VmId>,
+}
+
 /// A named probe's snapshot.
 #[derive(Clone, Debug)]
 pub struct ProbeSample {
@@ -109,6 +125,10 @@ pub struct ProbeSample {
     pub nodes_on: usize,
     /// Management messages sent so far.
     pub messages: u64,
+    /// The group leader, if one is elected.
+    pub gl: Option<ComponentId>,
+    /// Every LC, in deployment order: the hierarchy below the GL.
+    pub lcs: Vec<LcSample>,
 }
 
 /// Everything a scenario run measured. Every field is deterministic for
@@ -312,14 +332,30 @@ fn compile_group(group: &[&ScenarioSpec]) -> Result<LiveSystem, String> {
 }
 
 fn probe_sample(live: &LiveSystem, name: &str) -> ProbeSample {
-    let (on, transitioning, _) = live.system.power_census(&live.sim);
+    let (sim, system) = (&live.sim, &live.system);
+    let (on, transitioning, _) = system.power_census(sim);
+    let lc_sample = |&lc: &ComponentId| {
+        let l = sim
+            .get(lc)
+            .and_then(|c| c.as_lc())
+            .filter(|_| sim.is_alive(lc));
+        let guests = |l: &LocalController| l.hypervisor().guests().map(|g| g.spec.id).collect();
+        LcSample {
+            lc,
+            gm: l.and_then(|l| l.assigned_gm()),
+            power: l.map(|l| l.power_state()),
+            vms: l.map_or_else(Vec::new, guests),
+        }
+    };
     ProbeSample {
         name: name.to_string(),
-        at: live.sim.now(),
+        at: sim.now(),
         placed: live.client_opt().map(|c| c.placed.len()).unwrap_or(0),
-        total_vms: live.system.total_vms(&live.sim),
+        total_vms: system.total_vms(sim),
         nodes_on: on + transitioning,
         messages: live.messages_sent(),
+        gl: system.current_gl(sim),
+        lcs: system.lcs.iter().map(lc_sample).collect(),
     }
 }
 
@@ -648,20 +684,11 @@ impl Runner<'_> {
 
 /// Compile a spec and execute its phase program.
 pub fn run(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
-    run_watch(spec, None)
-}
-
-/// [`run`], surfacing every closed metric window to `watch` — the
-/// `--watch` mode's per-window status feed.
-pub fn run_watch(
-    spec: &ScenarioSpec,
-    watch: Option<&mut dyn FnMut(&WindowStatus)>,
-) -> Result<ScenarioRun, String> {
     let GroupRun {
         live,
         windows,
         mut members,
-    } = run_group(&[spec], watch)?;
+    } = run_group(&[spec], None)?;
     let Member { outcome, incidents } = members.pop().expect("a group of one has one member");
     Ok(ScenarioRun {
         live,
@@ -1167,17 +1194,18 @@ t_ms = 240000.0
         });
         let mut statuses = Vec::new();
         let mut cb = |s: &WindowStatus| statuses.push(s.clone());
-        let run = run_watch(&spec, Some(&mut cb)).unwrap();
-        assert_eq!(run.outcome.slo_alerts.len() as u64, run.outcome.windows);
-        assert!(run.incidents.iter().all(|i| i.trigger == "slo:impossible"));
-        assert!(!run.incidents.is_empty());
+        let run = run_group(&[&spec], Some(&mut cb)).unwrap();
+        let Member { outcome, incidents } = &run.members[0];
+        assert_eq!(outcome.slo_alerts.len() as u64, outcome.windows);
+        assert!(incidents.iter().all(|i| i.trigger == "slo:impossible"));
+        assert!(!incidents.is_empty());
         assert!(run
             .live
             .sim
             .spans()
             .iter()
             .any(|s| s.name == "slo.alert" && s.end_us.is_some()));
-        assert_eq!(statuses.len() as u64, run.outcome.windows);
+        assert_eq!(statuses.len() as u64, outcome.windows);
         assert!(statuses.iter().all(|s| s.alerts == 1));
     }
 }

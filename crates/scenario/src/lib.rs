@@ -46,7 +46,7 @@ pub mod spec;
 pub mod toml;
 
 pub use compile::{
-    compile, run, run_group, run_watch, FaultOutcome, GroupRun, Member, ProbeSample,
+    compile, run, run_group, FaultOutcome, GroupRun, LcSample, Member, ProbeSample,
     ScenarioOutcome, ScenarioRun, SloAlert, WindowStatus,
 };
 pub use incident::IncidentDoc;

@@ -594,7 +594,9 @@ impl Component for LocalController {
         let now = ctx.now();
         self.hypervisor = Hypervisor::new(self.node.capacity);
         self.power = PowerStateMachine::new_on(self.node.transitions);
-        self.energy = Meters::new(now, &self.node.power);
+        // Back on, idle: the meters keep what the node drew before its crash.
+        self.energy
+            .update(now, &self.node.power, |m| m.active_watts(0.0));
         self.migrating_out.clear();
         self.boot_spans.clear();
         self.disarm_watchdog(ctx);

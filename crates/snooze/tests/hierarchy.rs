@@ -418,6 +418,36 @@ fn power_management_saves_energy_on_idle_clusters() {
 }
 
 #[test]
+fn a_restarted_lc_keeps_what_it_drew_before_its_crash() {
+    // One LC that hosts nothing and never suspends, down from `t` to
+    // `t + d`: it draws its idle watts for every second it is up, T - d
+    // of them, and nothing while it is down.
+    let (t, d, end) = (100, 50, 400);
+    let mut live = compile(&spec(
+        3,
+        topology(2, 1, 1, None),
+        ConfigSpec {
+            idle_suspend_ms: Some(-1.0),
+            ..fast_config()
+        },
+        vec![],
+    ));
+    let lc = live.system.lcs[0];
+    live.sim.schedule_crash(secs(t), lc);
+    live.sim.schedule_restart(secs(t + d), lc);
+    live.sim.run_until(secs(end));
+    let idle_watts = NodeSpec::standard_cluster(1)[0].power[0].active_watts(0.0);
+    let expected = idle_watts * (end - d) as f64 / 3600.0;
+    let l = live.sim.component(lc).as_lc().unwrap();
+    assert_eq!(l.power_state(), snooze_cluster::node::PowerState::On);
+    let billed = l.energy_wh(0, secs(end));
+    assert!(
+        (billed - expected).abs() <= 1e-9 * expected,
+        "billed {billed} Wh, drew {expected} Wh"
+    );
+}
+
+#[test]
 fn overload_triggers_relocation() {
     // Custom per-dimension workload shapes don't fit WorkloadSpec: build
     // the schedule by hand and deploy through the same single builder.

@@ -385,9 +385,10 @@ fn energy_accounting_matches_power_model_bounds() {
     );
 }
 
-/// The `fault_tolerance_drill` example's three kills, and every decision
-/// it narrates, read where the example reads them: the span log and the
-/// counters.
+/// A GL, a GM and an LC killed in turn, and every decision the hierarchy
+/// takes in answer, read from the span log and the counters (the same
+/// records `run_experiments --scenario scenarios/e6.toml` prints as its
+/// failover timeline).
 #[test]
 fn drill_decisions_are_in_the_span_log_and_the_counters() {
     let mut sim: Engine<SnoozeNode> = SimBuilder::new(7).network(NetworkConfig::lan()).build();
