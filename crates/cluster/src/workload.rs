@@ -95,6 +95,8 @@ pub struct OnOff {
 impl UsageShape {
     /// A [`Diurnal`] shape: trough `low`, peak `high`, cycle `period`,
     /// peak shifted by `phase` of a period.
+    // check-allow(uncalled): the config matrix (snooze tests) and the
+    // hypervisor and workload unit tests build their day-cycle loads here.
     pub fn diurnal(low: f64, high: f64, period: SimSpan, phase: f64) -> UsageShape {
         UsageShape::Diurnal(Box::new(Diurnal {
             low,

@@ -12,40 +12,80 @@
 //!   fresh bin (opening more than one fresh bin is symmetric, so only the
 //!   first is explored);
 //! * nodes are pruned when `max(open, root bound) ≥ best`, where the root
-//!   bound is the volume bound over all items, computed once;
+//!   bound is the volume bound over all items, computed once, or when the
+//!   space left in dead bins is more than a packing into `best − 1` bins
+//!   can leave (below);
 //! * a node budget bounds worst-case runtime; exceeding it yields the best
 //!   incumbent with `optimal = false` — an upper bound, not an optimum,
 //!   and callers that report optima must read the flag (E1 does).
 //!
-//! **What the bound can and cannot do.** It is the per-dimension volume
-//! (L1) bound, not an L2 bound. A per-node form — remaining demand beyond
-//! the open bins' free space, over the capacity — adds nothing to it:
-//! every placed item sits in an open bin, so the open bins' free space is
-//! `open·cap − placed`, and `open` plus that bound is `max(open, root
-//! bound)` at every node. That is exact in real arithmetic; on floats the
-//! re-summed form could part from it only where a total lands within
-//! rounding error of a ceiling's edge, and it never did on any instance
-//! checked. The search therefore prunes on the closed form and never
-//! re-sums the open bins' residuals; the per-node form is kept as a test
-//! oracle in `tests/exact_reference`, which a proptest holds the solver to
-//! in solution, optimality and node count. A branch is cut
-//! when it has opened as many bins as the incumbent uses, or once the
-//! incumbent has come down to the root bound, and for no other reason.
-//! When the optimum equals the root bound the search stops at the first
-//! optimal leaf; when it is one above (space wasted in bins nothing left
-//! fits into), every packing into fewer bins than the incumbent is
-//! enumerated and the search runs to its budget — 14 of E1's 35 instances
-//! at the default 20 M nodes. A bound that counts that waste is ROADMAP
-//! item 4.
+//! **What the bound can and cannot do.** It has two parts. The first is
+//! the per-dimension volume (L1) bound, not an L2 bound. A per-node form —
+//! remaining demand beyond the open bins' free space, over the capacity —
+//! adds nothing to it: every placed item sits in an open bin, so the open
+//! bins' free space is `open·cap − placed`, and `open` plus that bound is
+//! `max(open, root bound)` at every node. That is exact in real
+//! arithmetic; on floats the re-summed form could part from it only where
+//! a total lands within rounding error of a ceiling's edge, and it never
+//! did on any instance checked. The search therefore prunes on the closed
+//! form and never re-sums the open bins' residuals. Alone, it cuts a
+//! branch only when it has opened as many bins as the incumbent uses or
+//! once the incumbent has come down to the root bound, so where the
+//! optimum sits above the root bound every packing into fewer bins than
+//! the incumbent is enumerated, and the search ran to its budget on 14 of
+//! E1's 35 instances.
 //!
-//! **The bound sets the node count; the fit test sets the node cost.**
-//! Almost every node is a loop over the open bins asking
-//! [`ResourceVector::fits_within`], and almost every answer is no (on the
-//! benchmark's 50 instances: 222 M tests, 19 M fits, 20 M nodes, 89 nodes
-//! pruned by the bound). That is why the fit test is branch-free: an early
-//! exit there is a mispredicted branch per test. Fewer nodes need a bound
-//! that cuts more of them. `tests/exact_pin.rs` pins three searches' node
-//! counts.
+//! The second part counts that waste. When an item goes into a bin and no
+//! later item fits the bin's new residual, the bin is dead: it takes
+//! nothing more, so that residual is final, and it joins `wasted`, which
+//! the recursion carries down. A node is cut when, in some dimension `d`,
+//! `wasted[d] > (best − 1)·cap[d] − total[d] + tol[d]`, with `total` the
+//! sum of every item. The argument: a placement needs `x ≤ r + 1e-9`
+//! ([`ResourceVector::fits_within`]) and leaves `max(r − x, 0) ≤ r − x +
+//! 1e-9`, so a bin's contents sum to at most `cap` minus its final
+//! residual plus `1e-9` per item in it. A completion into `k ≤ best − 1`
+//! bins therefore has `total ≤ k·cap − wasted + n·1e-9` (the live bins'
+//! residuals are `≥ 0` and dropped), and a node whose waste breaks that
+//! for `k = best − 1` has no leaf better than the incumbent below it.
+//! `tol = n·(1e-9 + 1e-9·cap)`: the fit slack, plus a relative term that
+//! covers the rounding of the sums compared (each within `n²·cap·2⁻⁵³` of
+//! its real value, far under `n·1e-9·cap` for any `n` below millions). An
+//! exact fill whose float sum lands on either side of the capacity — ten
+//! tenths in a unit bin — is still proven (`properties.rs`). The argument
+//! is made for non-negative components, `ResourceVector`'s invariant (a
+//! negative capacity would turn `k·cap ≤ (best − 1)·cap` around), so an
+//! instance with a negative one, which only the public fields build, gets
+//! an unbounded `tol` and the cut never fires there. Whether a bin died
+//! is settled by the componentwise minimum of the items left (one fit
+//! test; most dead bins are found so) and otherwise by scanning them,
+//! smallest first.
+//!
+//! Since the cut removes only subtrees with no better leaf, the search
+//! meets the same incumbents in the same order, each after no more nodes:
+//! wherever the volume bound alone proves the optimum, this search returns
+//! the same assignment in at most as many nodes, and elsewhere no more
+//! bins. `tests/exact_reference` keeps the volume-bound-only search frozen
+//! and a proptest holds the solver to exactly that. On `pack_kernels`' 50
+//! instances (1 M nodes each) the search takes 10.45 M nodes instead of
+//! 20.29 M and proves 43 instead of 32; E1 proves 29 of 35 instead of 21.
+//! What it still cannot do is bin completion — deciding which subset of
+//! the remaining items a bin should close with — so a bin whose waste is
+//! small but unavoidable in every bin leaves the search to enumerate: n =
+//! 40 at 20 M nodes is where E1 stops proving.
+//!
+//! **The bound sets the node count; the fit test sets the node cost.** A
+//! node that is not cut is a loop over the open bins asking
+//! [`ResourceVector::fits_within`], and almost every answer is no. On the
+//! benchmark's 50 instances the volume bound alone made 222 M tests, 19 M
+//! fits, over 20.3 M nodes; with the waste bound it is 42.6 M tests and
+//! 9.7 M fits over 10.4 M nodes, 6.6 M of which are cut on entry by the
+//! waste (93 by the volume bound), and of the 10.4 M dead-bin checks the
+//! minimum pre-test settles 5.9 M. The fit test is branch-free because an
+//! early exit there is a mispredicted branch per test; the loop over the
+//! open bins is a `position` scan of its own, and the dead-bin scan is
+//! kept out of line, so a search the waste bound barely cuts (the 512
+//! VMs of the benchmark's sweep, out of budget) costs no more per node.
+//! `tests/exact_pin.rs` pins three searches' node counts.
 
 use snooze_cluster::resources::{ResourceVector, DIMS};
 
@@ -85,6 +125,13 @@ struct Search<'a> {
     max_bins: usize,
     /// The volume bound over every item: no packing uses fewer bins.
     root_bound: usize,
+    /// Sum of every item's demand, and the slack the waste bound grants
+    /// it (module doc, "What the bound can and cannot do").
+    total: ResourceVector,
+    tol: ResourceVector,
+    /// `rest_min[i]`: componentwise minimum of `items[i..]` (`UNBOUNDED`
+    /// at `i = n`). A residual it does not fit takes none of those items.
+    rest_min: Vec<ResourceVector>,
     residuals: Vec<ResourceVector>, // residual of each open bin
     assignment: Vec<usize>,
     best: Option<(usize, Vec<usize>)>, // (bins, assignment-over-sorted-items)
@@ -111,8 +158,47 @@ fn volume_bound(sorted: &[ResourceVector], capacity: &ResourceVector) -> usize {
     bound
 }
 
+/// Fits within no residual, and no waste exceeds it.
+const UNBOUNDED: ResourceVector = ResourceVector {
+    cpu: f64::INFINITY,
+    memory: f64::INFINITY,
+    net_rx: f64::INFINITY,
+    net_tx: f64::INFINITY,
+};
+
 impl Search<'_> {
-    fn dfs(&mut self, item: usize, open: usize) {
+    /// The waste below a node that left a bin with `residual`: `wasted`
+    /// plus `residual` when no item of `items[next..]` fits it any more.
+    /// The componentwise minimum of those items settles most dead bins in
+    /// four comparisons; the rest go to the scan.
+    #[inline(always)]
+    fn waste_after(
+        &self,
+        next: usize,
+        residual: ResourceVector,
+        wasted: ResourceVector,
+    ) -> ResourceVector {
+        if !self.rest_min[next].fits_within(&residual) || self.none_fits(next, &residual) {
+            wasted + residual
+        } else {
+            wasted
+        }
+    }
+
+    /// Whether none of `items[next..]` fits `residual`, smallest items
+    /// first, since those are the likeliest to fit. Kept out of line so
+    /// the search's own loop stays small.
+    #[cold]
+    #[inline(never)]
+    fn none_fits(&self, next: usize, residual: &ResourceVector) -> bool {
+        !self.items[next..]
+            .iter()
+            .rev()
+            .any(|item| item.fits_within(residual))
+    }
+
+    /// `wasted` is the residual of every bin found dead on this path.
+    fn dfs(&mut self, item: usize, open: usize, wasted: ResourceVector) {
         if self.nodes >= self.budget {
             return;
         }
@@ -128,25 +214,41 @@ impl Search<'_> {
         if open.max(self.root_bound) >= best_bins {
             return; // cannot improve
         }
+        if best_bins != usize::MAX {
+            // More waste than a packing into `best_bins - 1` bins leaves.
+            let room = self.capacity * (best_bins - 1) as f64 - self.total + self.tol;
+            if (0..DIMS).any(|d| wasted.get(d) > room.get(d)) {
+                return;
+            }
+        }
         let demand = self.items[item];
 
-        // Try each open bin (distinct residuals only would be an extra
-        // symmetry break; open bins differ in content so keep all).
-        for b in 0..open {
-            if demand.fits_within(&self.residuals[b]) {
-                let saved = self.residuals[b];
-                self.residuals[b] = saved.saturating_sub(&demand);
-                self.assignment[item] = b;
-                self.dfs(item + 1, open);
-                self.residuals[b] = saved;
-            }
+        // Try each open bin the item fits, in order (distinct residuals
+        // only would be an extra symmetry break; open bins differ in
+        // content so keep all). Finding the next fit is a loop of its own.
+        let mut from = 0;
+        while let Some(k) = self.residuals[from..open]
+            .iter()
+            .position(|r| demand.fits_within(r))
+        {
+            let b = from + k;
+            from = b + 1;
+            let saved = self.residuals[b];
+            let residual = saved.saturating_sub(&demand);
+            self.residuals[b] = residual;
+            self.assignment[item] = b;
+            let child = self.waste_after(item + 1, residual, wasted);
+            self.dfs(item + 1, open, child);
+            self.residuals[b] = saved;
         }
         // Try one fresh bin (only if it improves on the incumbent and a
         // host is available).
         if open < self.max_bins && open + 1 < best_bins {
-            self.residuals[open] = self.capacity.saturating_sub(&demand);
+            let residual = self.capacity.saturating_sub(&demand);
+            self.residuals[open] = residual;
             self.assignment[item] = open;
-            self.dfs(item + 1, open + 1);
+            let child = self.waste_after(item + 1, residual, wasted);
+            self.dfs(item + 1, open + 1, child);
         }
     }
 }
@@ -187,6 +289,29 @@ impl BranchAndBound {
             };
         }
 
+        let mut rest_min = sorted.clone();
+        rest_min.push(UNBOUNDED);
+        for i in (0..n).rev() {
+            rest_min[i] = rest_min[i].min(&rest_min[i + 1]);
+        }
+        let total = sorted
+            .iter()
+            .fold(ResourceVector::ZERO, |sum, &item| sum + item);
+        // The fit test's slack once per item, plus a relative term far
+        // above the rounding of every sum the bound compares (module doc).
+        // A negative component (only the public fields build one) voids
+        // the argument, so there the slack is unbounded and the cut never
+        // fires.
+        let non_negative = sorted
+            .iter()
+            .chain(&instance.bins)
+            .all(|v| v.to_array().iter().all(|x| *x >= 0.0));
+        let tol = if non_negative {
+            (capacity * 1e-9 + ResourceVector::splat(1e-9)) * n as f64
+        } else {
+            UNBOUNDED
+        };
+
         // Seed the incumbent with FFD so pruning bites immediately.
         let ffd_incumbent = FirstFitDecreasing { key: SortKey::L1 }.consolidate(instance);
         let mut search = Search {
@@ -194,6 +319,9 @@ impl BranchAndBound {
             capacity,
             max_bins: instance.n_bins(),
             root_bound: volume_bound(&sorted, &capacity),
+            total,
+            tol,
+            rest_min,
             residuals: vec![ResourceVector::ZERO; instance.n_bins()],
             assignment: vec![usize::MAX; n],
             best: ffd_incumbent.map(|s| {
@@ -206,7 +334,7 @@ impl BranchAndBound {
             nodes: 0,
             budget: self.node_budget,
         };
-        search.dfs(0, 0);
+        search.dfs(0, 0, ResourceVector::ZERO);
 
         let optimal = search.nodes < self.node_budget;
         let nodes = search.nodes;

@@ -1,9 +1,10 @@
 //! The branch-and-bound search, frozen: `Search` with its per-node
 //! `incremental_bound` over a suffix-sum table, exactly as it stood before
 //! `src/exact.rs` replaced that bound by its closed form
-//! `max(open, root bound)`. Kept only so `properties.rs` can assert the
-//! shipped solver reproduces it bit for bit — solution, `optimal` and the
-//! node count — do not optimise this file.
+//! `max(open, root bound)` and then added the dead-bin waste cut. Kept
+//! only so `properties.rs` can hold the shipped solver to it: never more
+//! nodes, the same solution wherever this search proves its optimum, and
+//! no more bins elsewhere — do not optimise this file.
 
 use snooze_cluster::resources::{ResourceVector, DIMS};
 use snooze_consolidation::ffd::{FirstFitDecreasing, SortKey};

@@ -137,6 +137,8 @@ impl FailoverHarness {
     }
 
     /// Managers currently acting as GL with a live session.
+    // check-allow(uncalled): `tests/mc.rs` reads the restored engine's GL
+    // through it; the predicates call the free function directly.
     pub fn live_gls(&self) -> Vec<ComponentId> {
         live_gls(&self.sim, self.system.zk, &self.system.gms)
     }

@@ -89,7 +89,9 @@ say "every pub fn has a caller"
 # nor test code are callers: `tests/` directories are not scanned,
 # nothing below a `#[cfg(test)]` counts and every "…" is blanked before
 # the line is scanned, so a function only its own tests (or its own
-# panic message) name is reported. A `// check-allow(uncalled): reason`
+# panic message) name is reported. A bare `name(` in a file that defines
+# a fn of that name other than a `pub fn` calls that local fn, so it
+# counts for no `pub fn` elsewhere. A `// check-allow(uncalled): reason`
 # comment directly above one keeps an API that is there by intent — a
 # hook tests are meant to drive.
 uncalled="$(find crates/*/src src examples benchmark/src -name '*.rs' | sort |
@@ -106,15 +108,26 @@ uncalled="$(find crates/*/src src examples benchmark/src -name '*.rs' | sort |
       allowed = 0
       line = $0
       gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
+      if (match(line, /(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/) &&
+          substr(line, 1, RSTART + RLENGTH - 1) !~ /(^|[^A-Za-z0-9_])pub[ \t]+fn[ \t]+[A-Za-z0-9_]*$/) {
+        name = substr(line, RSTART, RLENGTH)
+        sub(/.*fn[ \t]+/, "", name)
+        own[FILENAME SUBSEP name] = 1
+      }
       gsub(/(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/, " fn", line)
       while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
         before = substr(line, 1, RSTART - 1)
         name = substr(line, RSTART, RLENGTH)
         line = substr(line, RSTART + RLENGTH)
-        if (before ~ /(::|[^.]\.|^\.)$/ || line ~ /^(\(|::<)/) called[name] = 1
+        if (before ~ /(::|[^.]\.|^\.)$/) called[name] = 1
+        else if (line ~ /^(\(|::<)/) bare[FILENAME SUBSEP name] = 1
       }
     }
     END {
+      for (k in bare) {
+        split(k, at, SUBSEP)
+        if (!(k in own)) called[at[2]] = 1
+      }
       for (k in defs) {
         split(k, at, SUBSEP)
         if (!(at[2] in called)) print at[1] ":" defs[k] ": " at[2]
