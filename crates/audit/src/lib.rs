@@ -12,16 +12,16 @@
 //!    `// audit-allow(rule): reason` or curated entries in
 //!    `audit.allowlist`.
 //!
-//! 2. **Dynamic** — [`determinism`] plus the `audit` cargo feature:
-//!    runtime invariant checks (`snooze_simcore::invariant`) wired into
-//!    the engine, the hypervisor and the ACO colony, and a two-run
-//!    replay check (`snooze-audit determinism`) that diffs event and
-//!    span digests of identical-seed runs.
+//! 2. **Dynamic** — [`determinism`]: a two-run replay check
+//!    (`snooze-audit determinism`) that diffs event and span digests of
+//!    identical-seed runs.
 //!
 //! The two layers are complementary: the lint catches what the type
-//! system can't before it ships, the runtime checks catch semantic
-//! drift (conservation violations, order inversions) while scenarios
-//! execute, and the replay diff is the end-to-end oracle.
+//! system can't before it ships, and the replay diff is the end-to-end
+//! oracle. What a run must never do (a clock that moves backwards, a
+//! hypervisor that mints reservations, two live GLs) is checked
+//! elsewhere: local checks are `debug_assert!`s at their sites, and
+//! system predicates live in `snooze::invariants`.
 
 pub mod determinism;
 pub mod lint;

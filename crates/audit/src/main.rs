@@ -15,7 +15,7 @@ use snooze_audit::report::{findings_json, findings_text};
 use snooze_simcore::telemetry::json;
 
 fn usage() -> &'static str {
-    "snooze-audit: determinism lint + runtime invariant audit\n\
+    "snooze-audit: determinism lint + same-seed replay check\n\
      \n\
      USAGE:\n\
      \x20 snooze-audit lint [--json] [--root DIR] [--allowlist FILE] [--include-allowed]\n\

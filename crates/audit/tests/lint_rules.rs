@@ -313,10 +313,10 @@ fn unscoped_thread_respects_inline_allow() {
 
 #[test]
 fn unscoped_thread_respects_the_curated_allowlist() {
-    let allow = Allowlist::parse("unscoped-thread crates/simcore/src/invariant.rs")
+    let allow = Allowlist::parse("unscoped-thread crates/simcore/src/fixture.rs")
         .expect("allowlist parses");
     let flagged: Vec<_> = findings(
-        "crates/simcore/src/invariant.rs",
+        "crates/simcore/src/fixture.rs",
         include_str!("../fixtures/unscoped_thread_bad.rs"),
         &allow,
     )

@@ -1,10 +1,10 @@
 //! CLI-side scenario plumbing for `run_experiments`: load scenario
 //! documents from disk, run every expanded variant through the generic
 //! runner, render the per-run detail tables (run record, faults, probes,
-//! the hierarchy at each probe, SLO alerts, the submission-latency
-//! decomposition by hop and the failover timeline), write every run's
-//! exports, and gate the checked-in `scenarios/*.toml` files
-//! (`--check-scenarios`).
+//! the hierarchy at each probe, the safety predicates that fired, SLO
+//! alerts, the submission-latency decomposition by hop and the failover
+//! timeline), write every run's exports, and gate the checked-in
+//! `scenarios/*.toml` files (`--check-scenarios`).
 
 use std::path::{Path, PathBuf};
 
@@ -154,6 +154,20 @@ const HIERARCHY: Detail = (
     ],
 );
 
+/// The safety predicates of `snooze::invariants` that fired, at a probe or
+/// at the end, in every run that broke any: a clean run adds no table.
+const CHECKS: Detail = (
+    "checks",
+    |f| f.sim().outcome.violations.len(),
+    &[
+        SCENARIO,
+        col("point", |c| c.o().violations[c.sub].point.clone()),
+        col("at s", |c| secs(c.o().violations[c.sub].at)),
+        col("predicate", |c| c.o().violations[c.sub].predicate.into()),
+        col("detail", |c| c.o().violations[c.sub].detail.clone()),
+    ],
+);
+
 /// SLO watchdog breaches of every run that raised any.
 const SLO_ALERTS: Detail = (
     "slo alerts",
@@ -298,11 +312,12 @@ const FAILOVER_TIMELINE: Detail = (
 );
 
 /// Every detail table, in print order.
-const DETAILS: [Detail; 7] = [
+const DETAILS: [Detail; 8] = [
     RUN_RECORD,
     FAULTS,
     PROBES,
     HIERARCHY,
+    CHECKS,
     SLO_ALERTS,
     HOP_LATENCY,
     FAILOVER_TIMELINE,
@@ -622,6 +637,44 @@ mod tests {
             }
         }
         assert!(before.iter().any(|r| r[6] == "suspended"), "idle LCs sleep");
+    }
+
+    #[test]
+    fn a_fired_predicate_prints_a_checks_table() {
+        let doc = "name = \"tiny\"\nseed = 1\n[config]\npreset = \"fast_test\"\n\
+                   [topology]\nmanagers = 2\nlcs = 1\neps = 1\n\
+                   [[phase]]\nkind = \"run_to\"\nt_ms = 5000.0\n";
+        let specs = ScenarioDoc::parse(doc).and_then(|d| d.runs()).unwrap();
+        let mut done = run_specs(&specs, false).expect("runs");
+        let slugs = |done: &[Finished]| -> Vec<String> {
+            tables("tiny", done)
+                .into_iter()
+                .map(|(slug, _)| slug)
+                .collect()
+        };
+        assert!(
+            !slugs(&done).contains(&"tiny.checks".to_string()),
+            "a clean run adds none"
+        );
+        let Finished::Sim(run) = &mut done[0] else {
+            unreachable!("a simulating document")
+        };
+        run.outcome.violations.push(snooze_scenario::Violation {
+            point: "end of run".into(),
+            at: snooze_simcore::SimTime::from_secs(5),
+            predicate: "single-hosting",
+            detail: "VM 7 resident on LCs [ComponentId(3), ComponentId(4)]".into(),
+        });
+        let (_, table) = tables("tiny", &done)
+            .into_iter()
+            .find(|(slug, _)| slug == "tiny.checks")
+            .expect("a checks table");
+        let csv = table.to_csv();
+        assert_eq!(
+            csv,
+            "scenario,point,at s,predicate,detail\n\
+             tiny,end of run,5,single-hosting,\"VM 7 resident on LCs [ComponentId(3), ComponentId(4)]\"\n"
+        );
     }
 
     #[test]

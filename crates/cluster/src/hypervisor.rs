@@ -113,7 +113,7 @@ impl Hypervisor {
                 admitted_at: now,
             },
         );
-        self.audit_conservation("admit");
+        debug_assert_eq!(self.conservation_fault(), None, "after admit");
         Ok(())
     }
 
@@ -122,7 +122,7 @@ impl Hypervisor {
     pub fn remove(&mut self, id: VmId) -> Option<GuestVm> {
         let guest = self.guests.remove(self.slot(id).ok()?);
         self.reserved = self.reserved.saturating_sub(&guest.spec.requested);
-        self.audit_conservation("remove");
+        debug_assert_eq!(self.conservation_fault(), None, "after remove");
         Some(guest)
     }
 
@@ -131,7 +131,7 @@ impl Hypervisor {
     pub fn clear(&mut self) -> Vec<GuestVm> {
         self.reserved = ResourceVector::ZERO;
         let evicted = std::mem::take(&mut self.guests);
-        self.audit_conservation("clear");
+        debug_assert_eq!(self.conservation_fault(), None, "after clear");
         evicted
     }
 
@@ -151,34 +151,22 @@ impl Hypervisor {
         self.guests.iter()
     }
 
-    /// Audit hook (live only under the `audit` feature): after every
-    /// mutation, `reserved` must stay valid, fit within capacity, and
-    /// equal the sum of resident guests' reservations — resources are
-    /// conserved, never minted or leaked.
-    fn audit_conservation(&self, op: &str) {
-        snooze_simcore::audit_invariant!(
-            "hypervisor",
-            "reserved-within-capacity",
-            self.reserved.is_valid() && self.reserved.fits_within(&self.capacity),
-            "after {op}: reserved {:?} escapes capacity {:?}",
-            self.reserved,
-            self.capacity
-        );
-        snooze_simcore::audit_invariant!(
-            "hypervisor",
-            "reservation-conservation",
-            {
-                let sum = self
-                    .guests
-                    .iter()
-                    .fold(ResourceVector::ZERO, |acc, g| acc + g.spec.requested);
-                // Symmetric L1 distance: tolerate only float round-off.
-                sum.saturating_sub(&self.reserved).l1() + self.reserved.saturating_sub(&sum).l1()
-                    < 1e-9
-            },
-            "after {op}: reserved {:?} diverges from the sum of guest reservations",
-            self.reserved
-        );
+    /// The reservation condition this hypervisor breaks, if any:
+    /// `reserved-within-capacity` when `reserved` is invalid or exceeds
+    /// capacity, `reservation-conservation` when it differs from the sum
+    /// of resident guests' reservations beyond float round-off. Resources
+    /// are conserved, never minted or leaked: every mutation
+    /// debug-asserts `None`, and `snooze::invariants` checks every alive
+    /// LC's hypervisor.
+    pub fn conservation_fault(&self) -> Option<&'static str> {
+        if !(self.reserved.is_valid() && self.reserved.fits_within(&self.capacity)) {
+            return Some("reserved-within-capacity");
+        }
+        let sum = (self.guests.iter()).fold(ResourceVector::ZERO, |acc, g| acc + g.spec.requested);
+        // Symmetric L1 distance: tolerate only float round-off.
+        let drift =
+            sum.saturating_sub(&self.reserved).l1() + self.reserved.saturating_sub(&sum).l1();
+        (drift >= 1e-9).then_some("reservation-conservation")
     }
 
     /// Every guest's demanded usage at `t`, in `VmId` order — the one
@@ -332,6 +320,21 @@ mod tests {
         assert_eq!(evicted.len(), 2);
         assert!(h.is_idle());
         assert_eq!(h.reserved(), ResourceVector::ZERO);
+    }
+
+    #[test]
+    fn conservation_fault_names_a_corrupted_reservation() {
+        let mut h = Hypervisor::new(cap());
+        h.admit(spec(1, 2.0, 1000.0), VmWorkload::flat_full(1), t0())
+            .unwrap();
+        assert_eq!(h.conservation_fault(), None);
+        // A reservation that leaked one core: still within capacity, but
+        // no longer the sum of the guests'.
+        h.reserved += ResourceVector::new(1.0, 0.0, 0.0, 0.0);
+        assert_eq!(h.conservation_fault(), Some("reservation-conservation"));
+        // One past capacity is named before the sum is taken.
+        h.reserved = cap() + ResourceVector::new(1.0, 0.0, 0.0, 0.0);
+        assert_eq!(h.conservation_fault(), Some("reserved-within-capacity"));
     }
 
     #[test]

@@ -494,17 +494,13 @@ impl AcoConsolidator {
                     .unwrap_or(usize::MAX),
             );
 
-            snooze_simcore::audit_invariant!(
-                "aco",
-                "pheromone-bounds",
+            debug_assert!(
                 pheromone.within_bounds(p.tau_min, p.tau0 * 10.0),
                 "cycle {cycle}: pheromone escaped [{}, {}] (or went non-finite)",
                 p.tau_min,
                 p.tau0 * 10.0
             );
-            snooze_simcore::audit_invariant!(
-                "aco",
-                "best-solution-feasible",
+            debug_assert!(
                 global_best
                     .as_ref()
                     .is_none_or(|(sol, _, _)| sol.is_feasible(instance)),

@@ -102,8 +102,9 @@ impl Pheromone {
         }
     }
 
-    /// Audit predicate: every cell is finite and inside the Max–Min band
-    /// `[tau_min, tau_max]`. `base` counts only while some cell reads it.
+    /// Every cell is finite and inside the Max–Min band `[tau_min,
+    /// tau_max]` (debug-asserted after every cycle). `base` counts only
+    /// while some cell reads it.
     pub(super) fn within_bounds(&self, tau_min: f64, tau_max: f64) -> bool {
         let ok = |t: f64| t.is_finite() && (tau_min..=tau_max).contains(&t);
         (self.live_cells() == self.n_items * self.rows.len() || ok(self.base))

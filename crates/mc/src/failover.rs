@@ -4,27 +4,18 @@
 //!
 //! The default topology is the issue's "1 GL / 2 GM / 2 LC" system:
 //! three managers (one elected GL, two serving LCs), two LCs hosting
-//! one client VM each, one Entry Point. Invariants:
-//!
-//! * **single-live-gl** (safety): at most one manager acts as GL with a
-//!   live coordination session.
-//! * **no-lost-vms** (safety): every VM the client placed is still
-//!   resident on some alive LC — GM crashes and failovers must never
-//!   destroy guests.
-//! * **unassigned-lc-listens** (safety): every alive LC without a GM is
-//!   a member of the GL heartbeat group. An LC leaves that group while
-//!   assigned, so one that lost its GM and did not rejoin would be deaf
-//!   to the only message that can re-attach it.
-//! * **orphaned-lc-recovered** (bounded liveness): from every frontier
-//!   state, a fair suffix ends with every alive LC assigned to an alive
-//!   manager in GM mode — an LC orphaned by its manager's crash rejoins
-//!   through the Entry Point and is re-covered.
+//! one client VM each, one Entry Point. Invariants: `single-live-gl`,
+//! `unassigned-lc-listens` and the bounded liveness predicate
+//! `orphaned-lc-recovered` from `snooze::invariants`, and this harness's
+//! own `no-lost-vms` (every VM the client placed is still resident on
+//! some alive LC: GM crashes and failovers never destroy guests).
 //!
 //! Exploration targets manager crashes ([`FailoverHarness::crashable`]):
 //! LC and client faults are covered by the scenario suite; the GL/GM
 //! failover interleavings are where election, heartbeat and rejoin
 //! logic cross.
 
+use snooze::invariants;
 use snooze::prelude::*;
 use snooze_cluster::node::NodeSpec;
 use snooze_cluster::resources::ResourceVector;
@@ -34,11 +25,6 @@ use snooze_scenario::mc_trace::McTraceDoc;
 use snooze_simcore::prelude::*;
 
 use crate::explorer::{self, McConfig, McReport, McViolation, Predicate, PredicateKind, Strategy};
-
-/// Fair-suffix horizon for the failover liveness predicate: GL failover
-/// (session expiry 2 s + election) plus LC silence detection (2 s) and
-/// an EP-mediated rejoin, with slack.
-pub const LIVENESS_WITHIN: SimSpan = SimSpan::from_secs(15);
 
 /// What [`smoke`] explores, as [`McReport::counts`] reads it: `snooze-mc
 /// --smoke` fails when a run differs from it, so an explorer change that
@@ -71,8 +57,6 @@ pub struct FailoverHarness {
     pub system: SnoozeSystem,
     /// The scripted client.
     pub client: ComponentId,
-    /// VMs the client had successfully placed at bootstrap end.
-    pub placed_vms: usize,
     /// Managers deployed (`gms` in trace documents).
     pub n_gms: usize,
     /// LCs deployed.
@@ -123,7 +107,6 @@ impl FailoverHarness {
             sim,
             system,
             client,
-            placed_vms,
             n_gms,
             n_lcs,
             bootstrap_secs,
@@ -136,77 +119,42 @@ impl FailoverHarness {
         self.system.gms.clone()
     }
 
-    /// Managers currently acting as GL with a live session.
-    // check-allow(uncalled): `tests/mc.rs` reads the restored engine's GL
-    // through it; the predicates call the free function directly.
-    pub fn live_gls(&self) -> Vec<ComponentId> {
-        live_gls(&self.sim, self.system.zk, &self.system.gms)
-    }
-
-    /// The standard invariants for this topology.
+    /// The standard invariants for this topology: three from
+    /// `snooze::invariants`, each holding its own copy of the system
+    /// handles, and `no-lost-vms`.
     pub fn predicates(&self) -> Vec<Predicate<SnoozeNode>> {
-        let (zk, gms) = (self.system.zk, self.system.gms.clone());
-        let single = Predicate::safety("single-live-gl", move |sim| {
-            let ls = live_gls(sim, zk, &gms);
-            (ls.len() > 1).then(|| format!("{} live GLs: {ls:?}", ls.len()))
-        });
+        let shared = |name: &str| {
+            let inv = invariants::by_name(name).expect("a library invariant");
+            let system = self.system.clone();
+            (inv.name, move |sim: &Engine<SnoozeNode>| {
+                (inv.check)(sim, &system)
+            })
+        };
+        let (single, single_check) = shared("single-live-gl");
+        let (listens, listens_check) = shared("unassigned-lc-listens");
+        let (recovered, recovered_check) = shared("orphaned-lc-recovered");
 
-        let lcs = self.system.lcs.clone();
-        let expected = self.placed_vms;
-        let no_lost = Predicate::safety("no-lost-vms", move |sim: &Engine<SnoozeNode>| {
-            let resident: usize = lcs
-                .iter()
-                .filter(|&&lc| sim.is_alive(lc))
-                .filter_map(|&lc| sim.get(lc).and_then(|n| n.lc()))
-                .map(|l| l.hypervisor().guest_count())
-                .sum();
-            (resident < expected).then(|| format!("{resident} of {expected} placed VMs resident"))
-        });
+        // Every VM the client placed, by id: a VM hosted twice must not
+        // make up for one that is gone. The client's acknowledgments are
+        // walked in place, so a state costs no allocation.
+        let (client, system) = (self.client, self.system.clone());
+        let no_lost = move |sim: &Engine<SnoozeNode>| {
+            let hosted =
+                |vm| (system.alive_lcs(sim)).any(|(_, l)| l.hypervisor().guest(vm).is_some());
+            let placed = &sim.get(client)?.as_client()?.placed;
+            let lost = placed.iter().find(|ack| !hosted(ack.vm))?;
+            Some(format!(
+                "placed VM {} is resident on no alive LC",
+                lost.vm.0
+            ))
+        };
 
-        let (lcs, gl_group) = (self.system.lcs.clone(), self.system.gl_group);
-        let listens =
-            Predicate::safety("unassigned-lc-listens", move |sim: &Engine<SnoozeNode>| {
-                let listening = sim.group_members(gl_group);
-                let deaf = lcs.iter().find(|&&lc| {
-                    let l = sim.get(lc).and_then(|n| n.lc());
-                    sim.is_alive(lc)
-                        && !listening.contains(&lc)
-                        && l.is_some_and(|l| l.assigned_gm().is_none())
-                });
-                deaf.map(|lc| format!("LC {lc:?} has no GM and is not in the GL group"))
-            });
-
-        let (gms, lcs) = (self.system.gms.clone(), self.system.lcs.clone());
-        let recovered = Predicate::liveness(
-            "orphaned-lc-recovered",
-            LIVENESS_WITHIN,
-            move |sim: &Engine<SnoozeNode>| {
-                for &lc in &lcs {
-                    if !sim.is_alive(lc) {
-                        continue;
-                    }
-                    let assigned = sim
-                        .get(lc)
-                        .and_then(|n| n.lc())
-                        .and_then(|l| l.assigned_gm());
-                    let covered = assigned.is_some_and(|gm| {
-                        gms.contains(&gm)
-                            && sim.is_alive(gm)
-                            && sim
-                                .get(gm)
-                                .and_then(|n| n.gm())
-                                .is_some_and(|g| matches!(g.mode(), Mode::Gm(_)))
-                    });
-                    if !covered {
-                        return Some(format!(
-                            "LC {lc:?} not re-covered: assigned to {assigned:?} after fair suffix"
-                        ));
-                    }
-                }
-                None
-            },
-        );
-        vec![single, no_lost, listens, recovered]
+        vec![
+            Predicate::safety(single, single_check),
+            Predicate::safety("no-lost-vms", no_lost),
+            Predicate::safety(listens, listens_check),
+            Predicate::liveness(recovered, invariants::RECOVERY_WITHIN, recovered_check),
+        ]
     }
 
     /// Package a violation as a replayable scenario document.
@@ -224,23 +172,6 @@ impl FailoverHarness {
             steps: explorer::trace_to_steps(&v.trace),
         }
     }
-}
-
-fn live_gls(sim: &Engine<SnoozeNode>, zk: ComponentId, gms: &[ComponentId]) -> Vec<ComponentId> {
-    let Some(svc) = sim.get(zk).and_then(|n| n.as_zk()) else {
-        return Vec::new();
-    };
-    gms.iter()
-        .copied()
-        .filter(|&gm| {
-            sim.is_alive(gm)
-                && sim
-                    .get(gm)
-                    .and_then(|n| n.gm())
-                    .map(|g| g.is_gl() && svc.session_epoch(gm) == Some(g.election_epoch()))
-                    .unwrap_or(false)
-        })
-        .collect()
 }
 
 /// Rebuild the harness a trace document describes and replay its steps;

@@ -171,7 +171,7 @@ fn failover_invariants_hold_under_manager_crashes() {
     assert!(!report.hit_state_cap);
     assert!(report.liveness_probes > 0);
     assert_eq!(
-        h.live_gls().len(),
+        snooze::invariants::live_gls(&h.sim, &h.system).len(),
         1,
         "engine restored to its elected state"
     );

@@ -17,11 +17,16 @@
 //! [`IncidentDoc`] dumps when a watchdog trips, a scheduled fault
 //! fires, or the spec forces a test trigger.
 //!
+//! At every probe and at the end of the run it keeps each safety
+//! predicate of `snooze::invariants` that fired as a [`Violation`]; they
+//! only read the engine, so they are digest-neutral too.
+//!
 //! Specs that differ only in name, description and power model run the
 //! same history, so [`run_group`] runs them in one engine: every LC
 //! meters each member's model, and each member gets its own outcome,
 //! named for it and billed by its own meter.
 
+use snooze::invariants::ORPHANED_LC_RECOVERED;
 use snooze::local_controller::LocalController;
 use snooze_cluster::node::PowerState;
 use snooze_cluster::vm::VmId;
@@ -131,6 +136,19 @@ pub struct ProbeSample {
     pub lcs: Vec<LcSample>,
 }
 
+/// A safety predicate of `snooze::invariants` that fired at a check point.
+#[derive(Clone, Debug)]
+pub struct Violation {
+    /// The probe it fired at, or `end of run`.
+    pub point: String,
+    /// When.
+    pub at: SimTime,
+    /// The predicate's name.
+    pub predicate: &'static str,
+    /// What it saw.
+    pub detail: String,
+}
+
 /// Everything a scenario run measured. Every field is deterministic for
 /// a fixed spec except `wall_ms` (advisory host time).
 #[derive(Clone, Debug)]
@@ -198,6 +216,8 @@ pub struct ScenarioOutcome {
     pub windows: u64,
     /// SLO watchdog breaches, in boundary order.
     pub slo_alerts: Vec<SloAlert>,
+    /// Safety predicates that fired, in check order.
+    pub violations: Vec<Violation>,
 }
 
 /// A finished run of one spec: the live system (spans, metrics, digests
@@ -387,6 +407,7 @@ struct Runner<'w> {
     probes: Vec<ProbeSpec>,
     next_probe: usize,
     samples: Vec<ProbeSample>,
+    violations: Vec<Violation>,
     obs: Option<ObsRun>,
     watch: Option<&'w mut dyn FnMut(&WindowStatus)>,
 }
@@ -518,6 +539,7 @@ impl Runner<'_> {
             if probe_at == Some(stop) {
                 let name = self.probes[self.next_probe].name.clone();
                 self.samples.push(probe_sample(&self.live, &name));
+                self.check_invariants(&name);
                 self.next_probe += 1;
             }
             if window_at == Some(stop) {
@@ -533,6 +555,19 @@ impl Runner<'_> {
                 self.capture_pending_faults(stop);
             }
         }
+    }
+
+    /// Evaluate every safety predicate now, keeping each one that fired.
+    fn check_invariants(&mut self, point: &str) {
+        let (sim, system) = (&self.live.sim, &self.live.system);
+        let fired = snooze::invariants::violations(sim, system);
+        self.violations
+            .extend(fired.map(|(predicate, detail)| Violation {
+                point: point.to_string(),
+                at: sim.now(),
+                predicate,
+                detail,
+            }));
     }
 
     /// Dump every queued fault capture due at or before `upto`, in queue
@@ -629,19 +664,7 @@ fn condition_holds(c: Condition, live: &LiveSystem, reschedule: bool, baseline_v
     let sys = &live.system;
     match c {
         Condition::GlElected => sys.current_gl(&live.sim).is_some(),
-        Condition::LcsOnLiveGms => {
-            let live_gms = sys.active_gms(&live.sim);
-            sys.lcs.iter().all(|&lc| {
-                !live.sim.is_alive(lc)
-                    || live
-                        .sim
-                        .get(lc)
-                        .and_then(|c| c.as_lc())
-                        .and_then(|l| l.assigned_gm())
-                        .map(|g| live_gms.contains(&g))
-                        .unwrap_or(false)
-            })
-        }
+        Condition::LcsOnLiveGms => (ORPHANED_LC_RECOVERED.check)(&live.sim, sys).is_none(),
         Condition::VmsRestored => reschedule && sys.total_vms(&live.sim) >= baseline_vms,
     }
 }
@@ -733,6 +756,7 @@ pub fn run_group(
         probes,
         next_probe: 0,
         samples: Vec::new(),
+        violations: Vec::new(),
         obs,
         watch,
     };
@@ -863,6 +887,8 @@ pub fn run_group(
     let end = r.live.sim.now();
     r.capture_pending_faults(end);
     r.finish_windows();
+    r.check_invariants("end of run");
+    let violations = std::mem::take(&mut r.violations);
     let Runner {
         live, samples, obs, ..
     } = r;
@@ -938,6 +964,7 @@ pub fn run_group(
         probes: samples,
         windows: windows_closed,
         slo_alerts,
+        violations,
     };
     let member = |(model, spec): (usize, &&ScenarioSpec)| Member {
         outcome: ScenarioOutcome {

@@ -47,7 +47,7 @@ pub mod toml;
 
 pub use compile::{
     compile, run, run_group, FaultOutcome, GroupRun, LcSample, Member, ProbeSample,
-    ScenarioOutcome, ScenarioRun, SloAlert, WindowStatus,
+    ScenarioOutcome, ScenarioRun, SloAlert, Violation, WindowStatus,
 };
 pub use incident::IncidentDoc;
 pub use live::{burst, deploy_hierarchy, vm_item, LiveSystem, VmIdAlloc};

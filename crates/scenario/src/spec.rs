@@ -476,7 +476,7 @@ pub struct ObserveSpec {
 pub enum Condition {
     /// A (single) GL is elected.
     GlElected,
-    /// Every alive LC is assigned to a live GM.
+    /// Every alive LC is assigned to a live GM (`orphaned-lc-recovered`).
     LcsOnLiveGms,
     /// Snapshot rescheduling restored the pre-fault VM count.
     VmsRestored,

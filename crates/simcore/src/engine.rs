@@ -786,21 +786,11 @@ impl<C: Component> Engine<C> {
     /// the target component. Shared by [`Engine::step`] (which executes
     /// the queue minimum) and the model checker's re-timed apply path.
     pub(crate) fn execute(&mut self, ev: Scheduled<C::Msg>) {
-        crate::audit_invariant!(
-            "engine",
-            "monotonic-clock",
-            ev.time >= self.core.now,
-            "event at t={:?} executed while clock already at t={:?}",
-            ev.time,
-            self.core.now
-        );
-        crate::audit_invariant!(
-            "engine",
-            "total-event-order",
+        debug_assert!(
             self.core
                 .last_executed
                 .is_none_or(|last| (ev.time, ev.seq) > last),
-            "event (t={:?}, seq={}) not after last executed {:?}",
+            "total event order: event (t={:?}, seq={}) not after last executed {:?}",
             ev.time,
             ev.seq,
             self.core.last_executed

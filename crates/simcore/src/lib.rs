@@ -17,7 +17,6 @@
 //!   restarts and [`NetFault`]s are scheduled as events like any other.
 //! * [`network`] — a simulated message bus with jittered latency,
 //!   message loss, isolation and multicast groups.
-//! * [`invariant`] — runtime invariant checks, collected per thread.
 //! * [`rng`] — seedable, stream-splittable randomness so every run is
 //!   replayable from a single `u64` seed.
 //! * [`metrics`] — labeled counters, gauges and histograms collected
@@ -88,7 +87,6 @@ pub mod engine;
 mod equeue;
 pub mod excerpt;
 pub mod flight;
-pub mod invariant;
 pub mod mc;
 pub mod metrics;
 pub mod network;

@@ -522,8 +522,8 @@ impl<C: Component> Engine<C> {
     /// Execute pending event `p` *now*, regardless of queue order: the
     /// event is re-timed to `max(now, its scheduled time)` and re-sequenced
     /// so the executed stream stays strictly `(time, seq)`-ordered — the
-    /// audit invariants hold during exploration exactly as during normal
-    /// runs. Returns `false` if no such pending event exists.
+    /// engine's debug assertions hold during exploration exactly as during
+    /// normal runs. Returns `false` if no such pending event exists.
     pub fn mc_execute_pending(&mut self, p: &McPending) -> bool {
         let Some(ev) = self.core.queue.remove(p.time, p.seq) else {
             return false;
@@ -580,8 +580,14 @@ impl<C: Component> Engine<C> {
     /// (a message the checker left "in flight" while executing later
     /// events) is re-timed to *now*, preserving relative `(time, seq)`
     /// order via fresh sequence numbers. Without this, [`Engine::step`]'s
-    /// monotonic-clock invariant would trip on the stale entries.
+    /// monotonic-clock assertion would trip on the stale entries. The
+    /// total-order baseline restarts here too: an event due at now may sit
+    /// below one the checker ran out of queue order under a fresh sequence
+    /// number, and from the hand-back on the queue's own order is the
+    /// order (renumbering the due events instead would drain the queue at
+    /// almost every liveness probe).
     pub fn mc_release(&mut self) {
+        self.core.last_executed = None;
         let now = self.core.now;
         if self.core.queue.iter().all(|ev| ev.time >= now) {
             return;

@@ -32,6 +32,9 @@
 //!   [`snooze_simcore::engine::Engine`] simulation.
 //! * [`group_manager`], [`local_controller`], [`entry_point`] are the
 //!   hierarchy's components; [`client`] is a scripted test client.
+//! * [`invariants`] names what the hierarchy must never do (two live
+//!   GLs, a VM on two LCs, …); the model checker and every scenario run
+//!   evaluate the same predicates.
 //! * [`scheduling`] holds the two-level scheduling policies of §II-C;
 //!   [`estimator`] the demand estimation of §II-B.
 //! * Consolidation algorithms (the §III contribution) live in the
@@ -58,6 +61,7 @@ pub mod config;
 pub mod entry_point;
 pub mod estimator;
 pub mod group_manager;
+pub mod invariants;
 pub mod local_controller;
 pub mod messages;
 pub mod scheduling;

@@ -19,6 +19,7 @@ use crate::messages::SnoozeMsg;
 use crate::NodeView;
 
 /// Handles to every component of a deployed system.
+#[derive(Clone)]
 pub struct SnoozeSystem {
     /// The coordination service (ZooKeeper stand-in).
     pub zk: ComponentId,
@@ -138,14 +139,20 @@ impl SnoozeSystem {
             .collect()
     }
 
+    /// The alive LCs with their controllers, in deployment order.
+    pub fn alive_lcs<'a, C: Component + NodeView>(
+        &'a self,
+        engine: &'a Engine<C>,
+    ) -> impl Iterator<Item = (ComponentId, &'a LocalController)> + 'a {
+        (self.lcs.iter())
+            .filter(|&&lc| engine.is_alive(lc))
+            .filter_map(|&lc| Some((lc, engine.get(lc)?.lc()?)))
+    }
+
     /// Total VMs currently resident across all LC hypervisors.
     pub fn total_vms<C: Component + NodeView>(&self, engine: &Engine<C>) -> usize {
-        self.lcs
-            .iter()
-            .filter(|&&lc| engine.is_alive(lc))
-            .filter_map(|&lc| engine.get(lc).and_then(|c| c.lc()))
-            .map(|l| l.hypervisor().guest_count())
-            .sum()
+        let guests = |(_, l): (_, &LocalController)| l.hypervisor().guest_count();
+        self.alive_lcs(engine).map(guests).sum()
     }
 
     /// Cluster-wide energy consumed up to `now`, in watt-hours, under
@@ -173,13 +180,7 @@ impl SnoozeSystem {
         let mut on = 0;
         let mut transitioning = 0;
         let mut low = 0;
-        for &lc in &self.lcs {
-            if !engine.is_alive(lc) {
-                continue;
-            }
-            let Some(l) = engine.get(lc).and_then(|c| c.lc()) else {
-                continue;
-            };
+        for (_, l) in self.alive_lcs(engine) {
             match l.power_state() {
                 PowerState::On => on += 1,
                 s if s.is_low_power() => low += 1,
@@ -198,13 +199,7 @@ impl SnoozeSystem {
     ) -> f64 {
         let mut sum = 0.0;
         let mut n = 0usize;
-        for &lc in &self.lcs {
-            if !engine.is_alive(lc) {
-                continue;
-            }
-            let Some(l) = engine.get(lc).and_then(|c| c.lc()) else {
-                continue;
-            };
+        for (_, l) in self.alive_lcs(engine) {
             if l.hypervisor().guest_count() > 0 {
                 sum += l.performance_at(now);
                 n += 1;
@@ -227,13 +222,7 @@ impl SnoozeSystem {
     ) -> (usize, usize) {
         let mut loaded = 0;
         let mut violating = 0;
-        for &lc in &self.lcs {
-            if !engine.is_alive(lc) {
-                continue;
-            }
-            let Some(l) = engine.get(lc).and_then(|c| c.lc()) else {
-                continue;
-            };
+        for (_, l) in self.alive_lcs(engine) {
             if l.hypervisor().guest_count() > 0 {
                 loaded += 1;
                 if l.performance_at(now) < threshold {

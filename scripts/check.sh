@@ -3,8 +3,10 @@
 # lint (which covers crates/telemetry along with the rest of the
 # simulation path), a grep that every vendored crate, every root
 # dependency and every `pub fn` still has a consumer, a grep that the text
-# edges still write each export in one pass, every test (including the
-# feature-gated runtime invariant suite), the golden replay in release
+# edges still write each export in one pass, every test (a debug build,
+# so every `debug_assert!` invariant is checked, and every simulated run
+# of a checked-in document must break no predicate of
+# `snooze::invariants`), the golden replay in release
 # (`tests/experiments_manifest.rs` with `--release`, which adds the three
 # explicit-only full tables the debug `cargo test` ignores: about 20 s of
 # test time plus a release build of the root package's tests) and the
@@ -214,14 +216,11 @@ label_strings="$(find crates/*/src -name '*.rs' | sort |
   exit 1
 }
 
-say "cargo test (default features)"
+say "cargo test (every test; debug builds check every debug_assert! invariant)"
 cargo test --offline --workspace -q
 
 say "golden identity gate (release replay of every golden, full E11/E14 included) and colony pins"
 cargo test --release --offline -q --test experiments_manifest --test aco_kernel
-
-say "cargo test -p snooze-audit --features audit (runtime invariants)"
-cargo test --offline -p snooze-audit --features audit -q
 
 say "benchmark workspace still builds and passes against crates/ (check + test on a copy)"
 # On a sibling copy, so that cargo refreshing a stale Cargo.lock never

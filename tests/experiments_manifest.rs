@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use snooze_bench::experiments::{find, run_specs, EXPERIMENTS, PACK_SUMMARY, SUMMARY};
+use snooze_bench::experiments::{find, run_specs, Finished, EXPERIMENTS, PACK_SUMMARY, SUMMARY};
 use snooze_consolidation::registry::REGISTRY_KEYS;
 use snooze_scenario::spec::{RunSpec, ScenarioDoc};
 use snooze_simcore::telemetry::{fnv1a, FNV_OFFSET};
@@ -55,18 +55,29 @@ const RELEASE_REPLAYS: [&str; 4] = ["e11", "e14_arena", "e1", "e2"];
 /// Render the table `name` stands for — `<slug>` at full scale,
 /// `<slug>.smoke` at its smoke profile — and compare its deterministic
 /// columns with the golden byte for byte. With `UPDATE_GOLDEN` set, a
-/// golden that differs (or is missing) is written instead.
+/// golden that differs (or is missing) is written instead. Either way,
+/// every simulated run must break no safety predicate of
+/// `snooze::invariants` at any probe or at its end.
 fn replay(names: &[&str]) {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     for &name in names {
-        let table = match name.strip_suffix(".smoke") {
-            Some(slug) => {
-                let runs = run_specs(&find(slug).specs(|doc| doc.profile("smoke")), false);
-                find(slug).render(&runs.expect("smoke profile compiles"))
-            }
-            None => find(name).table(),
+        let (slug, profile) = match name.strip_suffix(".smoke") {
+            Some(slug) => (slug, Some("smoke")),
+            None => (name, None),
         };
-        let table = table.deterministic().to_json();
+        let specs = find(slug).specs(|doc| match profile {
+            Some(profile) => doc.profile(profile),
+            None => Ok(doc),
+        });
+        let runs = run_specs(&specs, false).expect("checked-in scenario runs");
+        for run in runs.iter().filter_map(|run| match run {
+            Finished::Sim(run) => Some(run),
+            Finished::Pack(_) => None,
+        }) {
+            let broken = &run.outcome.violations;
+            assert!(broken.is_empty(), "{name}: {}: {broken:#?}", run.spec.name);
+        }
+        let table = find(slug).render(&runs).deterministic().to_json();
         let path = golden_dir().join(format!("{name}.json"));
         let golden = std::fs::read_to_string(&path);
         if update && golden.as_deref().ok() != Some(table.as_str()) {
