@@ -37,7 +37,7 @@ use crate::estimator::DemandEstimator;
 use crate::messages::*;
 pub use crate::messages::{VmActive, VmFailed};
 use crate::scheduling::dispatching;
-use crate::scheduling::placement::Placer;
+use crate::scheduling::placement::{Decision, Placer, Slot};
 use crate::scheduling::reconfiguration::plan_reconfiguration;
 use crate::scheduling::relocation::{
     plan_overload_relocation, plan_underload_relocation, PlannedMigration, VmView,
@@ -136,7 +136,7 @@ impl<V> LcTable<V> {
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = (ComponentId, &V)> {
+    fn iter(&self) -> impl Iterator<Item = (ComponentId, &V)> + Clone {
         self.rows.iter().map(|(id, v)| (*id, v))
     }
 
@@ -268,6 +268,17 @@ struct VmRecord {
     migration_span: Option<SpanId>,
 }
 
+/// What became of one placement attempt.
+enum Attempt {
+    /// Started on this LC.
+    Placed(ComponentId),
+    /// Nothing fits yet, but an LC is waking up (perhaps woken by this
+    /// very attempt).
+    Waking,
+    /// Nothing fits and nothing is waking.
+    Full,
+}
+
 /// Retries after which a pending placement is given up and reported
 /// failed to the GL.
 const PLACEMENT_MAX_RETRIES: u32 = 20;
@@ -388,6 +399,9 @@ impl GroupManager {
     // Views
     // ------------------------------------------------------------------
 
+    /// A copy of every LC record, for the planners that take a snapshot
+    /// (relocation, reconfiguration). Placement and the tick's sweep read
+    /// the table in place: a copy per VM is a fleet-sized allocation.
     fn lc_views(&self) -> Vec<LcView> {
         self.lcs
             .iter()
@@ -428,64 +442,65 @@ impl GroupManager {
     // GM-mode actions
     // ------------------------------------------------------------------
 
-    /// Try to place a VM now; returns the LC on success. On failure,
-    /// optionally wakes a suspended LC with enough capacity.
+    /// Try to place a VM now, deciding over the LC table in place. When
+    /// no powered-on LC fits, wakes the lowest-id sleeper that would.
     fn try_place(
         &mut self,
         ctx: &mut Ctx<'_, SnoozeMsg>,
         spec: &VmSpec,
         workload: &VmWorkload,
         span: Option<SpanId>,
-    ) -> Option<ComponentId> {
-        let views = self.lc_views();
-        if let Some(lc) = self.placer.place(spec, &views) {
-            let record = self.lcs.get_mut(lc).expect("placer returned managed LC");
-            record.reserved += spec.requested;
-            record.idle_since = None;
-            record.vms.insert(
-                spec.id,
-                VmRecord {
-                    spec: *spec,
-                    workload: workload.clone(),
-                    usage: DemandEstimator::new(self.config.estimator),
-                    migrating_to: None,
-                    confirmed: false,
-                    start_sent_at: ctx.now(),
-                    span,
-                    migration_span: None,
-                },
-            );
-            let start = StartVm {
+    ) -> Attempt {
+        let slots = self.lcs.iter().map(|(lc, r)| Slot {
+            lc,
+            capacity: &r.capacity,
+            reserved: &r.reserved,
+            powered_on: r.powered_on,
+            waking: r.waking,
+        });
+        let lc = match self.placer.decide(&spec.requested, slots) {
+            Decision::Place(lc) => lc,
+            Decision::Wake(lc) => {
+                let r = self.lcs.get_mut(lc).expect("placer returned managed LC");
+                r.waking = true;
+                r.wake_sent_at = Some(ctx.now());
+                ctx.metrics()
+                    .incr_with("power.commands", &label("kind", "wake"));
+                // The wake is causally part of the placement that forced it.
+                match span {
+                    Some(s) => ctx.send_in(s, lc, WakeNode),
+                    None => ctx.send(lc, WakeNode),
+                }
+                return Attempt::Waking;
+            }
+            Decision::Wait { waking: true } => return Attempt::Waking,
+            Decision::Wait { waking: false } => return Attempt::Full,
+        };
+        let record = self.lcs.get_mut(lc).expect("placer returned managed LC");
+        record.reserved += spec.requested;
+        record.idle_since = None;
+        record.vms.insert(
+            spec.id,
+            VmRecord {
                 spec: *spec,
                 workload: workload.clone(),
-            };
-            match span {
-                Some(s) => ctx.send_in(s, lc, start),
-                None => ctx.send(lc, start),
-            }
-            return Some(lc);
+                usage: DemandEstimator::new(self.config.estimator),
+                migrating_to: None,
+                confirmed: false,
+                start_sent_at: ctx.now(),
+                span,
+                migration_span: None,
+            },
+        );
+        let start = StartVm {
+            spec: *spec,
+            workload: workload.clone(),
+        };
+        match span {
+            Some(s) => ctx.send_in(s, lc, start),
+            None => ctx.send(lc, start),
         }
-        // No powered-on LC fits. Wake a sleeping one that would.
-        let wake_target = self
-            .lcs
-            .iter()
-            .find(|(_, r)| {
-                !r.powered_on && !r.waking && (r.reserved + spec.requested).fits_within(&r.capacity)
-            })
-            .map(|(lc, _)| lc);
-        if let Some(lc) = wake_target {
-            let r = self.lcs.get_mut(lc).unwrap();
-            r.waking = true;
-            r.wake_sent_at = Some(ctx.now());
-            ctx.metrics()
-                .incr_with("power.commands", &label("kind", "wake"));
-            // The wake is causally part of the placement that forced it.
-            match span {
-                Some(s) => ctx.send_in(s, lc, WakeNode),
-                None => ctx.send(lc, WakeNode),
-            }
-        }
-        None
+        Attempt::Placed(lc)
     }
 
     /// Queue a placement for retry (wake in progress / transient full).
@@ -510,14 +525,12 @@ impl GroupManager {
     fn drain_pending(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
         let mut still_pending = VecDeque::new();
         while let Some(mut p) = self.pending.pop_front() {
-            if let Some(lc) = self.try_place(ctx, &p.spec, &p.workload, p.span) {
-                let _ = lc;
-                continue;
-            }
-            // A wake in flight is progress, not a failed retry — resume
-            // latency must not eat into the retry budget.
-            if !self.lcs.values().any(|r| r.waking) {
-                p.retries += 1;
+            match self.try_place(ctx, &p.spec, &p.workload, p.span) {
+                Attempt::Placed(_) => continue,
+                // A wake in flight is progress, not a failed retry —
+                // resume latency must not eat into the retry budget.
+                Attempt::Waking => {}
+                Attempt::Full => p.retries += 1,
             }
             if p.retries >= PLACEMENT_MAX_RETRIES {
                 if let Some(sp) = p.span {
@@ -603,68 +616,66 @@ impl GroupManager {
         }
     }
 
-    fn energy_sweep(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
-        let Some(threshold) = self.config.idle_suspend_after else {
-            return;
-        };
+    /// The tick's one walk over the LC table. It re-sends `WakeNode` to
+    /// LCs that have been waking implausibly long (the command or its
+    /// confirmation was lost), re-sends `StartVm` for placements whose
+    /// acknowledgment is overdue (safe: the LC treats StartVm
+    /// idempotently) and suspends powered-on LCs idle past
+    /// `idle_suspend_after`. The sends leave in three groups — every
+    /// wake, then every start, then every suspend, each in LC id order.
+    fn sweep(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
         let now = ctx.now();
+        let wake_patience = self.config.placement_retry_period * 12;
+        let start_patience = self.config.vm_boot_delay + self.config.placement_retry_period * 4;
+        let idle_suspend_after = self.config.idle_suspend_after;
+        let mut wakes = Vec::new();
+        let mut starts = Vec::new();
+        let mut suspends = Vec::new();
         for (lc, r) in self.lcs.iter_mut() {
-            let idle_long_enough = r
-                .idle_since
-                .map(|t| now.since(t) >= threshold)
-                .unwrap_or(false);
-            if r.powered_on && !r.waking && r.vms.is_empty() && idle_long_enough {
-                r.powered_on = false; // optimistic; LC confirms
-                r.idle_since = None;
-                self.lc_fd.forget(lc); // no heartbeats while asleep
-                ctx.send(lc, SuspendNode);
+            if r.waking && r.wake_sent_at.is_none_or(|t| now.since(t) > wake_patience) {
+                r.wake_sent_at = Some(now);
+                wakes.push(lc);
             }
-        }
-    }
-
-    /// Re-send StartVm for placements whose acknowledgment is overdue
-    /// (the command or its result was lost). Safe because the LC treats
-    /// StartVm idempotently.
-    fn retry_unconfirmed_starts(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
-        let now = ctx.now();
-        let patience = self.config.vm_boot_delay + self.config.placement_retry_period * 4;
-        for (lc, record) in self.lcs.iter_mut() {
-            if !record.powered_on {
+            // Starts and suspends are for powered-on LCs only: a sleeper's
+            // row is read no further than its flags.
+            if !r.powered_on {
                 continue;
             }
-            for rec in record.vms.values_mut() {
+            for rec in r.vms.values_mut() {
                 if !rec.confirmed
                     && rec.migrating_to.is_none()
-                    && now.since(rec.start_sent_at) > patience
+                    && now.since(rec.start_sent_at) > start_patience
                 {
                     rec.start_sent_at = now;
                     let msg = StartVm {
                         spec: rec.spec,
                         workload: rec.workload.clone(),
                     };
-                    match rec.span {
-                        Some(sp) => ctx.send_in(sp, lc, msg),
-                        None => ctx.send(lc, msg),
-                    }
+                    starts.push((lc, msg, rec.span));
                 }
             }
-        }
-    }
-
-    /// Re-send WakeNode to nodes that have been "waking" implausibly
-    /// long — the original command (or the confirmation) was lost.
-    fn retry_stale_wakes(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
-        let now = ctx.now();
-        let patience = self.config.placement_retry_period * 12;
-        for (lc, r) in self.lcs.iter_mut() {
-            let stale = r
-                .wake_sent_at
-                .map(|t| now.since(t) > patience)
-                .unwrap_or(true);
-            if r.waking && stale {
-                r.wake_sent_at = Some(now);
-                ctx.send(lc, WakeNode);
+            let idle_long_enough = match (idle_suspend_after, r.idle_since) {
+                (Some(threshold), Some(t)) => now.since(t) >= threshold,
+                _ => false,
+            };
+            if !r.waking && r.vms.is_empty() && idle_long_enough {
+                r.powered_on = false; // optimistic; LC confirms
+                r.idle_since = None;
+                self.lc_fd.forget(lc); // no heartbeats while asleep
+                suspends.push(lc);
             }
+        }
+        for lc in wakes {
+            ctx.send(lc, WakeNode);
+        }
+        for (lc, msg, span) in starts {
+            match span {
+                Some(sp) => ctx.send_in(sp, lc, msg),
+                None => ctx.send(lc, msg),
+            }
+        }
+        for lc in suspends {
+            ctx.send(lc, SuspendNode);
         }
     }
 
@@ -919,9 +930,7 @@ impl GroupManager {
             for lc in self.lc_fd.expire(ctx.now()) {
                 self.handle_lc_failure(ctx, lc);
             }
-            self.retry_stale_wakes(ctx);
-            self.retry_unconfirmed_starts(ctx);
-            self.energy_sweep(ctx);
+            self.sweep(ctx);
             ctx.set_timer(self.config.heartbeat_period, tag(GM_TICK, 0));
         } else {
             self.gm_timer_armed = false;
@@ -1271,30 +1280,34 @@ impl Component for GroupManager {
                 // VmRecord (or pending queue) until the start confirms.
                 let span = ctx.span_open("gm.place");
                 ctx.span_label(span, "vm", req.spec.id.0);
-                if let Some(lc) = self.try_place(ctx, &req.spec, &req.workload, Some(span)) {
-                    ctx.span_label(span, "lc", lc);
-                    let resp = PlaceVmResponse {
-                        vm: req.spec.id,
-                        placed_on: Some(lc),
-                    };
-                    ctx.send(src, resp);
-                } else if self.lcs.values().any(|r| r.waking) {
-                    // Capacity is waking up: accept and queue.
-                    ctx.span_label(span, "queued", "true");
-                    let resp = PlaceVmResponse {
-                        vm: req.spec.id,
-                        placed_on: Some(src),
-                    };
-                    ctx.send(src, resp);
-                    self.enqueue_pending(ctx, req.spec, req.workload, Some(span));
-                } else {
-                    ctx.span_label(span, "outcome", "refused");
-                    ctx.span_close(span);
-                    let resp = PlaceVmResponse {
-                        vm: req.spec.id,
-                        placed_on: None,
-                    };
-                    ctx.send(src, resp);
+                match self.try_place(ctx, &req.spec, &req.workload, Some(span)) {
+                    Attempt::Placed(lc) => {
+                        ctx.span_label(span, "lc", lc);
+                        let resp = PlaceVmResponse {
+                            vm: req.spec.id,
+                            placed_on: Some(lc),
+                        };
+                        ctx.send(src, resp);
+                    }
+                    Attempt::Waking => {
+                        // Capacity is waking up: accept and queue.
+                        ctx.span_label(span, "queued", "true");
+                        let resp = PlaceVmResponse {
+                            vm: req.spec.id,
+                            placed_on: Some(src),
+                        };
+                        ctx.send(src, resp);
+                        self.enqueue_pending(ctx, req.spec, req.workload, Some(span));
+                    }
+                    Attempt::Full => {
+                        ctx.span_label(span, "outcome", "refused");
+                        ctx.span_close(span);
+                        let resp = PlaceVmResponse {
+                            vm: req.spec.id,
+                            placed_on: None,
+                        };
+                        ctx.send(src, resp);
+                    }
                 }
             }
             SnoozeMsg::StartVmResult(result) if matches!(self.mode, Mode::Gm(_)) => {

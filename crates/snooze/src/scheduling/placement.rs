@@ -6,10 +6,8 @@
 //! reservations stays within node capacity, regardless of current usage
 //! (usage is bursty; reservations are the contract).
 
-use snooze_cluster::vm::VmSpec;
+use snooze_cluster::resources::ResourceVector;
 use snooze_simcore::engine::ComponentId;
-
-use super::LcView;
 
 /// Which placement policy GMs run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -18,6 +16,38 @@ pub enum PlacementKind {
     FirstFit,
     /// Rotate over fitting LCs.
     RoundRobin,
+}
+
+/// One LC as placement reads it, borrowed from wherever its record
+/// lives: a GM's table row or an [`super::LcView`].
+#[derive(Clone, Copy, Debug)]
+pub struct Slot<'a> {
+    /// The LC.
+    pub lc: ComponentId,
+    /// Node capacity.
+    pub capacity: &'a ResourceVector,
+    /// Reserved by resident VMs.
+    pub reserved: &'a ResourceVector,
+    /// Powered on and able to take VMs.
+    pub powered_on: bool,
+    /// A wake command is in flight.
+    pub waking: bool,
+}
+
+/// What one walk over a GM's LCs decided for one VM.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Decision {
+    /// Start it on this powered-on LC.
+    Place(ComponentId),
+    /// No powered-on LC fits: wake this one, the lowest-id sleeper that
+    /// would, and no wake is in flight to it yet.
+    Wake(ComponentId),
+    /// Nothing fits and there is no sleeper left to wake; `waking` says
+    /// whether a wake is already in flight to some LC.
+    Wait {
+        /// Some LC is waking up.
+        waking: bool,
+    },
 }
 
 /// Stateful placement engine.
@@ -33,87 +63,142 @@ impl Placer {
         Placer { kind, cursor: 0 }
     }
 
-    /// Choose an LC for `spec` among `lcs`, or `None` if nothing fits.
-    /// Only powered-on LCs are considered — waking a node is the energy
-    /// manager's decision, taken when this returns `None`.
-    pub fn place(&mut self, spec: &VmSpec, lcs: &[LcView]) -> Option<ComponentId> {
-        let mut fitting: Vec<&LcView> = lcs
-            .iter()
-            .filter(|l| l.can_reserve(&spec.requested))
-            .collect();
-        if fitting.is_empty() {
-            return None;
-        }
-        fitting.sort_by_key(|l| l.lc);
-        match self.kind {
-            PlacementKind::FirstFit => Some(fitting[0].lc),
-            PlacementKind::RoundRobin => {
-                let pick = fitting[self.cursor % fitting.len()].lc;
-                self.cursor = self.cursor.wrapping_add(1);
-                Some(pick)
+    /// Decide where a VM reserving `demand` goes, over `slots` in
+    /// increasing LC id. Only powered-on LCs take it; when none fits,
+    /// the lowest-id sleeper that would fit and is not already waking is
+    /// named for the energy manager to wake.
+    ///
+    /// One walk counts the powered-on LCs that fit and notes the first
+    /// fitting sleeper and whether any LC is waking; first-fit stops at
+    /// its pick. Round-robin takes the `cursor % count`-th fitting LC in
+    /// a second walk, cut short at it, and advances the cursor only when
+    /// something fits.
+    pub fn decide<'a, I>(&mut self, demand: &ResourceVector, slots: I) -> Decision
+    where
+        I: Iterator<Item = Slot<'a>> + Clone,
+    {
+        debug_assert!(
+            slots
+                .clone()
+                .zip(slots.clone().skip(1))
+                .all(|(a, b)| a.lc < b.lc),
+            "placement walks LCs in increasing id order"
+        );
+        let fits = |s: &Slot<'_>| (*s.reserved + *demand).fits_within(s.capacity);
+        let mut count = 0usize;
+        let mut sleeper = None;
+        let mut waking = false;
+        for s in slots.clone() {
+            waking |= s.waking;
+            if s.powered_on {
+                if fits(&s) {
+                    if self.kind == PlacementKind::FirstFit {
+                        return Decision::Place(s.lc);
+                    }
+                    count += 1;
+                }
+            } else if !s.waking && sleeper.is_none() && fits(&s) {
+                sleeper = Some(s.lc);
             }
         }
+        if count == 0 {
+            return match sleeper {
+                Some(lc) => Decision::Wake(lc),
+                None => Decision::Wait { waking },
+            };
+        }
+        let nth = self.cursor % count;
+        self.cursor = self.cursor.wrapping_add(1);
+        let pick = slots
+            .filter(|s| s.powered_on && fits(s))
+            .nth(nth)
+            .expect("the count walk saw this many fitting LCs");
+        Decision::Place(pick.lc)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snooze_cluster::resources::ResourceVector;
-    use snooze_cluster::vm::VmId;
 
-    fn lc(id: usize, cap: f64, reserved: f64, on: bool) -> LcView {
-        LcView {
+    struct Lc {
+        lc: ComponentId,
+        capacity: ResourceVector,
+        reserved: ResourceVector,
+        on: bool,
+        waking: bool,
+    }
+
+    fn lc(id: usize, cap: f64, reserved: f64, on: bool) -> Lc {
+        Lc {
             lc: ComponentId(id),
             capacity: ResourceVector::splat(cap),
             reserved: ResourceVector::splat(reserved),
-            used_estimate: ResourceVector::ZERO,
-            powered_on: on,
+            on,
             waking: false,
-            n_vms: 0,
         }
     }
 
-    fn spec(size: f64) -> VmSpec {
-        VmSpec::new(VmId(1), ResourceVector::splat(size))
+    fn decide(p: &mut Placer, size: f64, lcs: &[Lc]) -> Decision {
+        let slots = lcs.iter().map(|l| Slot {
+            lc: l.lc,
+            capacity: &l.capacity,
+            reserved: &l.reserved,
+            powered_on: l.on,
+            waking: l.waking,
+        });
+        p.decide(&ResourceVector::splat(size), slots)
     }
 
     #[test]
     fn first_fit_takes_lowest_id() {
-        let lcs = [lc(3, 10.0, 0.0, true), lc(1, 10.0, 0.0, true)];
+        let lcs = [
+            lc(1, 10.0, 9.5, true),
+            lc(3, 10.0, 0.0, true),
+            lc(4, 10.0, 0.0, true),
+        ];
         let mut p = Placer::new(PlacementKind::FirstFit);
-        assert_eq!(p.place(&spec(1.0), &lcs), Some(ComponentId(1)));
+        assert_eq!(decide(&mut p, 1.0, &lcs), Decision::Place(ComponentId(3)));
+        assert_eq!(decide(&mut p, 1.0, &lcs), Decision::Place(ComponentId(3)));
     }
 
     #[test]
     fn round_robin_cycles_through_fitting() {
+        let lcs = [
+            lc(0, 10.0, 0.0, true),
+            lc(1, 10.0, 9.5, true),
+            lc(2, 10.0, 0.0, true),
+        ];
+        let mut p = Placer::new(PlacementKind::RoundRobin);
+        let picks: Vec<Decision> = (0..3).map(|_| decide(&mut p, 1.0, &lcs)).collect();
+        let place = |id| Decision::Place(ComponentId(id));
+        assert_eq!(picks, [place(0), place(2), place(0)]);
+    }
+
+    #[test]
+    fn round_robin_holds_its_cursor_while_nothing_fits() {
         let lcs = [lc(0, 10.0, 0.0, true), lc(1, 10.0, 0.0, true)];
         let mut p = Placer::new(PlacementKind::RoundRobin);
-        let a = p.place(&spec(1.0), &lcs).unwrap();
-        let b = p.place(&spec(1.0), &lcs).unwrap();
-        let c = p.place(&spec(1.0), &lcs).unwrap();
-        assert_ne!(a, b);
-        assert_eq!(a, c);
+        assert_eq!(decide(&mut p, 1.0, &lcs), Decision::Place(ComponentId(0)));
+        assert_eq!(decide(&mut p, 20.0, &lcs), Decision::Wait { waking: false });
+        assert_eq!(decide(&mut p, 1.0, &lcs), Decision::Place(ComponentId(1)));
     }
 
     #[test]
-    fn suspended_lcs_are_invisible() {
+    fn a_sleeper_is_woken_only_when_nothing_awake_fits() {
         let lcs = [lc(0, 10.0, 0.0, false), lc(1, 10.0, 9.5, true)];
         let mut p = Placer::new(PlacementKind::FirstFit);
-        assert_eq!(
-            p.place(&spec(1.0), &lcs),
-            None,
-            "only fit is suspended; big VM can't fit lc1"
-        );
-        assert_eq!(p.place(&spec(0.2), &lcs), Some(ComponentId(1)));
+        assert_eq!(decide(&mut p, 1.0, &lcs), Decision::Wake(ComponentId(0)));
+        assert_eq!(decide(&mut p, 0.2, &lcs), Decision::Place(ComponentId(1)));
     }
 
     #[test]
-    fn reservation_not_usage_governs_admission() {
-        // Heavily *used* but lightly *reserved* node still accepts.
-        let mut view = lc(0, 10.0, 2.0, true);
-        view.used_estimate = ResourceVector::splat(9.0);
+    fn a_waking_lc_is_not_woken_twice_but_is_reported() {
+        let mut lcs = [lc(0, 10.0, 0.0, false), lc(1, 10.0, 0.0, false)];
+        lcs[0].waking = true;
         let mut p = Placer::new(PlacementKind::FirstFit);
-        assert_eq!(p.place(&spec(5.0), &[view]), Some(ComponentId(0)));
+        assert_eq!(decide(&mut p, 1.0, &lcs), Decision::Wake(ComponentId(1)));
+        lcs[1].waking = true;
+        assert_eq!(decide(&mut p, 1.0, &lcs), Decision::Wait { waking: true });
     }
 }

@@ -1,12 +1,15 @@
 //! Edge-path tests of the Group Manager's bookkeeping, driven through
 //! scriptable stub LCs: migration refusal must roll back reservations,
 //! failed VM starts must requeue, rejected migration hand-offs must
-//! trigger snapshot recovery when configured, and a monitoring report
-//! must sync the GM's VM records the way its merge walk promises.
+//! trigger snapshot recovery when configured, a monitoring report must
+//! sync the GM's VM records the way its merge walk promises, and one
+//! tick's retries and suspends must leave in their fixed order.
 //!
 //! The stubs speak the real LC↔GM protocol, so the hierarchy here is
 //! wired by hand rather than through the scenario compiler — but the
 //! `SnoozeConfig`s are still built from the declarative [`ConfigSpec`].
+
+use std::cell::RefCell;
 
 use snooze::group_manager::GroupManager;
 use snooze::prelude::*;
@@ -47,6 +50,8 @@ struct StubLc {
     /// Never send LcJoin: the GM receives reports from an LC it does
     /// not manage.
     skip_join: bool,
+    /// Join this long after starting instead of at once.
+    join_after: Option<SimSpan>,
     /// The VMs every periodic report names in place of `guests`, once a
     /// scripted report has been posted (see [`script_report`]).
     scripted: Option<Vec<VmUsage>>,
@@ -68,6 +73,7 @@ impl StubLc {
             silent_starts: false,
             ignore_migrations: false,
             skip_join: false,
+            join_after: None,
             scripted: None,
             guests: Vec::new(),
             start_cmds: 0,
@@ -107,19 +113,43 @@ impl StubLc {
     }
 }
 
+thread_local! {
+    /// Every power and start command a stub of this test's thread
+    /// received, in delivery order: `(when, stub, command)`.
+    static COMMANDS: RefCell<Vec<(SimTime, ComponentId, &'static str)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+/// Timer tag of a delayed join (the monitoring beat uses 1).
+const JOIN_TAG: u64 = 2;
+
 impl Component for StubLc {
     type Msg = SnoozeMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
         let (gm, capacity) = (self.gm, self.capacity);
-        if !self.skip_join {
-            ctx.send(gm, LcJoin { capacity });
+        match self.join_after {
+            _ if self.skip_join => {}
+            Some(delay) => {
+                ctx.set_timer(delay, JOIN_TAG);
+            }
+            None => ctx.send(gm, LcJoin { capacity }),
         }
         ctx.set_timer(SimSpan::from_millis(500), 1);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>, src: ComponentId, msg: SnoozeMsg) {
         let now = ctx.now();
+        let command = match &msg {
+            SnoozeMsg::WakeNode(_) => Some("wake"),
+            SnoozeMsg::StartVm(_) => Some("start"),
+            SnoozeMsg::SuspendNode(_) => Some("suspend"),
+            _ => None,
+        };
+        if let Some(command) = command {
+            let me = ctx.id();
+            COMMANDS.with(|log| log.borrow_mut().push((now, me, command)));
+        }
         match msg {
             SnoozeMsg::LcJoinAckWithGroup(_) => {
                 // joined; monitoring loop already armed
@@ -187,7 +217,12 @@ impl Component for StubLc {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>, _tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>, tag: u64) {
+        if tag == JOIN_TAG {
+            let (gm, capacity) = (self.gm, self.capacity);
+            ctx.send(gm, LcJoin { capacity });
+            return;
+        }
         let report = self.monitoring(ctx.now(), false);
         let gm = self.gm;
         ctx.send(gm, report);
@@ -255,7 +290,17 @@ fn setup(
     mods: &[fn(&mut StubLc)],
 ) -> (Engine<EdgeNode>, ComponentId, Vec<ComponentId>, ComponentId) {
     let config = spec.build().expect("config spec builds");
-    let mut sim: Engine<EdgeNode> = SimBuilder::new(seed).network(NetworkConfig::lan()).build();
+    setup_on(seed, config, NetworkConfig::lan(), mods)
+}
+
+/// [`setup`] from a built configuration, on the given network.
+fn setup_on(
+    seed: u64,
+    config: SnoozeConfig,
+    network: NetworkConfig,
+    mods: &[fn(&mut StubLc)],
+) -> (Engine<EdgeNode>, ComponentId, Vec<ComponentId>, ComponentId) {
+    let mut sim: Engine<EdgeNode> = SimBuilder::new(seed).network(network).build();
     let zk = sim.add_component("zk", CoordinationService::new(config.zk_session_timeout));
     let gl_group = sim.create_group();
     let managers: Vec<ComponentId> = (0..2)
@@ -568,4 +613,74 @@ fn a_report_from_an_lc_the_gm_does_not_manage_changes_nothing() {
     });
     assert!(!evicted, "the detector never tracked stub 1");
     assert_eq!(sim.component(gm).as_gm().unwrap().lc_count(), 1);
+}
+
+#[test]
+fn one_tick_sends_stale_wakes_then_overdue_starts_then_suspends() {
+    // Stubs 0 and 1 admit their VM silently and report none, so its
+    // start stays unconfirmed; stubs 2 and 3 idle into suspend at 8 s
+    // and never act on a wake; stubs 4 and 5, too small for any VM, join
+    // at 20.5 s and go idle. The retry fuses (a wake 12 retry periods, a
+    // start the 9 s boot plus 4 retry periods) and the 3 s idle threshold
+    // make all six commands fall due on the 23.5 s tick. The network is
+    // instant, so delivery order is send order.
+    let mut config = config().build().expect("config spec builds");
+    config.idle_suspend_after = Some(SimSpan::from_secs(3));
+    config.vm_boot_delay = SimSpan::from_secs(9);
+    let (mut sim, _gm, stubs, ep) = setup_on(
+        89,
+        config,
+        NetworkConfig::instant(),
+        &[
+            |s| {
+                s.silent_starts = true;
+                s.join_after = Some(SimSpan::from_secs(4));
+            },
+            |s| {
+                s.silent_starts = true;
+                s.join_after = Some(SimSpan::from_secs(4));
+            },
+            |_| {},
+            |_| {},
+            |s| {
+                s.capacity = ResourceVector::new(1.0, 32_768.0, 1000.0, 1000.0);
+                s.join_after = Some(SimSpan::from_millis(15_500));
+            },
+            |s| {
+                s.capacity = ResourceVector::new(1.0, 32_768.0, 1000.0, 1000.0);
+                s.join_after = Some(SimSpan::from_millis(15_500));
+            },
+        ],
+    );
+    script_report(&mut sim, secs(8), stubs[0], &[]);
+    script_report(&mut sim, secs(8), stubs[1], &[]);
+    // One 5-core VM fills each of stubs 0 and 1; at 11 s no awake LC
+    // fits a 6-core one, so each wakes a sleeper: stub 2, then stub 3.
+    submit(&mut sim, ep, &[(1, 10), (2, 10)], 5.0);
+    submit(&mut sim, ep, &[(3, 11), (4, 11)], 6.0);
+    sim.run_until(secs(30));
+
+    let log = COMMANDS.with(|log| log.borrow().clone());
+    let tick = log
+        .iter()
+        .find(|&&(_, stub, command)| stub == stubs[4] && command == "suspend")
+        .map(|&(at, _, _)| at)
+        .expect("the late idle stubs are suspended");
+    let sent: Vec<(ComponentId, &str)> = log
+        .iter()
+        .filter(|&&(at, _, _)| at == tick)
+        .map(|&(_, stub, command)| (stub, command))
+        .collect();
+    assert_eq!(
+        sent,
+        [
+            (stubs[2], "wake"),
+            (stubs[3], "wake"),
+            (stubs[0], "start"),
+            (stubs[1], "start"),
+            (stubs[4], "suspend"),
+            (stubs[5], "suspend"),
+        ],
+        "at {tick:?}: wakes, then starts, then suspends, each in LC id order"
+    );
 }

@@ -216,6 +216,43 @@ label_strings="$(find crates/*/src -name '*.rs' | sort |
   exit 1
 }
 
+say "placement and the tick read the GM's LC table in place (no lc_views() copy)"
+# `GroupManager::lc_views` copies every LC record into a `Vec<LcView>`:
+# a fleet-sized allocation. The relocation and reconfiguration planners
+# take that snapshot, rarely; placement runs once per VM and the tick's
+# sweep once per heartbeat, and both walk the table in place. So a call
+# `lc_views(` under crates/snooze/src is reported unless it sits in
+# `fn reconfigure` or the `SnoozeMsg::AnomalyReport` arm of a `match`,
+# whichever of a `fn` or a `SnoozeMsg::` arm opened last above it.
+# Comments, the definition and test code are skipped; a
+# `// check-allow(lc-views): reason` comment directly above a call keeps
+# it.
+lc_view_calls="$(find crates/snooze/src -name '*.rs' | sort |
+  xargs awk '
+    FNR == 1 { in_tests = 0; allowed = 0; scope = "" }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    {
+      if (in_tests) next
+      if ($0 ~ /^[ \t]*\/\//) { allowed = ($0 ~ /check-allow\(lc-views\)/); next }
+      if (match($0, /(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/)) {
+        scope = substr($0, RSTART, RLENGTH)
+        sub(/.*fn[ \t]+/, "fn ", scope)
+      }
+      if (match($0, /^[ \t]*SnoozeMsg::[A-Za-z]+/)) {
+        scope = substr($0, RSTART, RLENGTH)
+        sub(/^[ \t]*/, "", scope)
+      }
+      if ($0 ~ /lc_views\(/ && $0 !~ /fn lc_views\(/ && !allowed &&
+          scope != "fn reconfigure" && scope != "SnoozeMsg::AnomalyReport")
+        print FILENAME ":" FNR ": in " (scope == "" ? "file scope" : scope) ":" $0
+      allowed = 0
+    }')"
+[ -z "$lc_view_calls" ] || {
+  echo "lc_views() copies the whole LC table; walk it in place (or check-allow it):" >&2
+  echo "$lc_view_calls" >&2
+  exit 1
+}
+
 say "cargo test (every test; debug builds check every debug_assert! invariant)"
 cargo test --offline --workspace -q
 
