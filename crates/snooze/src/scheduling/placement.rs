@@ -119,6 +119,7 @@ impl Placer {
 
 #[cfg(test)]
 mod tests {
+    use super::super::LcView;
     use super::*;
 
     struct Lc {
@@ -182,6 +183,52 @@ mod tests {
         assert_eq!(decide(&mut p, 1.0, &lcs), Decision::Place(ComponentId(0)));
         assert_eq!(decide(&mut p, 20.0, &lcs), Decision::Wait { waking: false });
         assert_eq!(decide(&mut p, 1.0, &lcs), Decision::Place(ComponentId(1)));
+    }
+
+    #[test]
+    fn suspended_lcs_are_invisible() {
+        // A suspended LC that fits is never a placement target, under
+        // either policy, while a powered-on LC fits.
+        let lcs = [
+            lc(0, 10.0, 0.0, false),
+            lc(1, 10.0, 0.0, true),
+            lc(2, 10.0, 0.0, false),
+            lc(3, 10.0, 0.0, true),
+        ];
+        let mut ff = Placer::new(PlacementKind::FirstFit);
+        assert_eq!(decide(&mut ff, 1.0, &lcs), Decision::Place(ComponentId(1)));
+        let mut rr = Placer::new(PlacementKind::RoundRobin);
+        let picks: Vec<Decision> = (0..3).map(|_| decide(&mut rr, 1.0, &lcs)).collect();
+        let place = |id| Decision::Place(ComponentId(id));
+        assert_eq!(picks, [place(1), place(3), place(1)]);
+    }
+
+    #[test]
+    fn reservation_not_usage_governs_admission() {
+        // Heavily *used* but lightly *reserved* node still accepts; a
+        // lightly used but heavily reserved one does not.
+        let view = |reserved: f64, used: f64| LcView {
+            lc: ComponentId(0),
+            capacity: ResourceVector::splat(10.0),
+            reserved: ResourceVector::splat(reserved),
+            used_estimate: ResourceVector::splat(used),
+            powered_on: true,
+            waking: false,
+            n_vms: 1,
+        };
+        let decide_on = |v: &LcView| {
+            let slot = Slot {
+                lc: v.lc,
+                capacity: &v.capacity,
+                reserved: &v.reserved,
+                powered_on: v.powered_on,
+                waking: v.waking,
+            };
+            let mut p = Placer::new(PlacementKind::FirstFit);
+            p.decide(&ResourceVector::splat(5.0), std::iter::once(slot))
+        };
+        assert_eq!(decide_on(&view(2.0, 9.0)), Decision::Place(ComponentId(0)));
+        assert_eq!(decide_on(&view(6.0, 0.0)), Decision::Wait { waking: false });
     }
 
     #[test]
