@@ -128,26 +128,17 @@ impl Verdict {
     /// Names of the fingerprint fields that differ.
     pub fn diverging_fields(&self) -> Vec<&'static str> {
         let (a, b) = (&self.first, &self.second);
-        let mut out = Vec::new();
-        if a.event_digest != b.event_digest {
-            out.push("event_digest");
-        }
-        if a.span_digest != b.span_digest {
-            out.push("span_digest");
-        }
-        if a.events != b.events {
-            out.push("events");
-        }
-        if a.placements != b.placements {
-            out.push("placements");
-        }
-        if a.placed != b.placed {
-            out.push("placed");
-        }
-        if a.energy != b.energy {
-            out.push("energy");
-        }
-        out
+        [
+            ("event_digest", a.event_digest != b.event_digest),
+            ("span_digest", a.span_digest != b.span_digest),
+            ("events", a.events != b.events),
+            ("placements", a.placements != b.placements),
+            ("placed", a.placed != b.placed),
+            ("energy", a.energy != b.energy),
+        ]
+        .into_iter()
+        .filter_map(|(field, differs)| differs.then_some(field))
+        .collect()
     }
 }
 

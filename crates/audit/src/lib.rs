@@ -7,7 +7,8 @@
 //! 1. **Static** — [`lint`]: a dependency-free text/AST-lite analysis
 //!    that bans sources of nondeterminism at their origin (hash-order
 //!    iteration, wall-clock reads, ambient entropy, exact float
-//!    comparisons, unwraps in message handlers). Run it with
+//!    comparisons, unwraps in message handlers), uncalled `pub fn`s and
+//!    per-field `String`s in render paths. Run it with
 //!    `snooze-audit lint`; suppress individual sites with
 //!    `// audit-allow(rule): reason` or curated entries in
 //!    `audit.allowlist`.

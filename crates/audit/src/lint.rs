@@ -1,9 +1,10 @@
-//! The determinism lint: a text/AST-lite static analysis over the
-//! workspace sources.
+//! The source lint: a text/AST-lite static analysis over the workspace
+//! sources.
 //!
 //! The simulator's whole value proposition is bit-identical replay from
-//! a seed. Every rule here bans a *source* of nondeterminism (or of
-//! silent divergence) that survives type-checking:
+//! a seed. The first nine rules each ban a *source* of nondeterminism (or
+//! of silent divergence) that survives type-checking; the last four keep
+//! dead API and per-field allocations out of the tree:
 //!
 //! | rule               | bans                                            |
 //! |--------------------|-------------------------------------------------|
@@ -16,21 +17,25 @@
 //! | `type-erasure`     | `dyn Any` / `downcast` on the simulation path    |
 //! | `interleaving-hashset` | any `HashSet` on the simulation path         |
 //! | `unscoped-thread`  | threads/locks/atomics on the simulation path      |
+//! | `uncalled`         | a `pub fn` no code outside tests calls           |
+//! | `edge-alloc`       | a per-field `String` in an exporter or writer    |
+//! | `span-label`       | a `String` built for a span label                |
+//! | `lc-views`         | `lc_views()` outside the GM's two planners       |
 //!
 //! The analysis is deliberately lightweight: a comment/string-aware line
 //! model plus token scanning — no syn, no rustc internals, no external
 //! dependencies. Suppression is explicit and auditable: an inline
 //! `// audit-allow: reason` (or rule-targeted
-//! `// audit-allow(rule-id): reason`) on the offending line or on a
-//! standalone comment line directly above it, or an entry in the curated
-//! allowlist file (`audit.allowlist` at the workspace root).
+//! `// audit-allow(rule-id): reason`) on the offending line or in the
+//! block of standalone comment lines directly above it, or an entry in
+//! the curated allowlist file (`audit.allowlist` at the workspace root).
 //!
-//! Heuristic limits, by design: `#[cfg(test)]` modules are skipped (test
-//! assertions may compare floats or iterate maps without affecting the
-//! simulated history), and `hash-iter` tracks *named* bindings declared
-//! as hash collections in the same file — good enough for this codebase,
-//! and wrong in the safe direction for exotic code (it misses, it does
-//! not false-positive).
+//! Heuristic limits, by design: code from a column-0 `#[cfg(test)]` on is
+//! skipped (test assertions may compare floats or iterate maps without
+//! affecting the simulated history), and `hash-iter` tracks *named*
+//! bindings declared as hash collections in the same file — good enough
+//! for this codebase, and wrong in the safe direction for exotic code (it
+//! misses, it does not false-positive).
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -68,8 +73,9 @@ pub struct SourceFile {
     pub rel_path: String,
     /// Parsed lines.
     pub lines: Vec<SourceLine>,
-    /// Index of the first line of a trailing `#[cfg(test)]` module, if
-    /// any — lines from here on are exempt from the rules.
+    /// Index of the first column-0 `#[cfg(test)]` line, if any: the
+    /// trailing test module, exempt from the rules from here on. An
+    /// indented one marks a single item and cuts nothing.
     pub test_cut: Option<usize>,
 }
 
@@ -108,13 +114,7 @@ impl SourceFile {
                             code.push('"');
                             st = St::Str;
                             i += 1;
-                        } else if c == 'r'
-                            && !ch
-                                .get(i.wrapping_sub(1))
-                                .copied()
-                                .map(ident_char)
-                                .unwrap_or(false)
-                        {
+                        } else if c == 'r' && !(i > 0 && ident_char(ch[i - 1])) {
                             // Possible raw string: r"..."/r#"..."#.
                             let mut j = i + 1;
                             while ch.get(j) == Some(&'#') {
@@ -203,7 +203,9 @@ impl SourceFile {
                 comment,
             });
         }
-        let test_cut = lines.iter().position(|l| l.code.trim() == "#[cfg(test)]");
+        let test_cut = lines
+            .iter()
+            .position(|l| l.code.starts_with("#[cfg(test)]"));
         SourceFile {
             rel_path: rel_path.to_string(),
             lines,
@@ -216,15 +218,16 @@ impl SourceFile {
         self.test_cut.is_some_and(|cut| idx >= cut)
     }
 
-    /// Whether an inline marker suppresses `rule` at line `idx`: either
-    /// on the line itself or on a standalone comment line directly above.
+    /// Whether an inline marker suppresses `rule` at line `idx`: on the
+    /// line itself or anywhere in the block of standalone comment lines
+    /// directly above it.
     pub fn allows(&self, idx: usize, rule: &str) -> bool {
-        if comment_allows(&self.lines[idx].comment, rule) {
-            return true;
-        }
-        idx > 0
-            && self.lines[idx - 1].code.trim().is_empty()
-            && comment_allows(&self.lines[idx - 1].comment, rule)
+        comment_allows(&self.lines[idx].comment, rule)
+            || self.lines[..idx]
+                .iter()
+                .rev()
+                .take_while(|l| l.code.trim().is_empty() && !l.raw.trim().is_empty())
+                .any(|l| comment_allows(&l.comment, rule))
     }
 }
 
@@ -271,6 +274,9 @@ fn token_positions(code: &str, token: &str) -> Vec<usize> {
 /// A raw rule hit: 0-based line index plus display snippet.
 type Hit = (usize, String);
 
+/// The names code outside tests uses as a call site (`call_sites`).
+pub type Called<'a> = Option<&'a BTreeSet<&'a str>>;
+
 fn snippet(file: &SourceFile, idx: usize) -> String {
     let s = file.lines[idx].raw.trim();
     if s.len() > 120 {
@@ -284,6 +290,14 @@ fn snippet(file: &SourceFile, idx: usize) -> String {
     }
 }
 
+/// Every line `hit` holds for.
+fn hits_where(file: &SourceFile, hit: impl Fn(&SourceLine) -> bool) -> Vec<Hit> {
+    (0..file.lines.len())
+        .filter(|&idx| hit(&file.lines[idx]))
+        .map(|idx| (idx, snippet(file, idx)))
+        .collect()
+}
+
 /// A lint rule: identity, scope predicate, and checker.
 pub struct RuleDef {
     /// Stable rule id (used in allow markers and the allowlist).
@@ -294,8 +308,8 @@ pub struct RuleDef {
     pub hint: &'static str,
     /// Whether the rule applies to a (workspace-relative) path.
     pub in_scope: fn(&str) -> bool,
-    /// Scan a file, returning raw hits.
-    pub check: fn(&SourceFile) -> Vec<Hit>,
+    /// Scan a file, given the names the tree calls (`None`: linted alone).
+    pub check: fn(&SourceFile, Called) -> Vec<Hit>,
 }
 
 fn scope_sim_path(path: &str) -> bool {
@@ -364,23 +378,13 @@ fn hash_binding_names(file: &SourceFile) -> BTreeSet<String> {
 }
 
 fn last_ident(s: &str) -> Option<String> {
-    let trimmed = s.trim_end();
-    let end = trimmed.len();
-    let start = trimmed
-        .char_indices()
-        .rev()
-        .take_while(|(_, c)| ident_char(*c))
-        .map(|(i, _)| i)
-        .last()?;
-    let ident = &trimmed[start..end];
-    if ident.is_empty() || ident.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        None
-    } else {
-        Some(ident.to_string())
-    }
+    let s = s.trim_end();
+    let ident = &s[s.trim_end_matches(ident_char).len()..];
+    let valid = ident.starts_with(|c: char| !c.is_ascii_digit());
+    valid.then(|| ident.to_string())
 }
 
-fn check_hash_iter(file: &SourceFile) -> Vec<Hit> {
+fn check_hash_iter(file: &SourceFile, _: Called) -> Vec<Hit> {
     let names = hash_binding_names(file);
     if names.is_empty() {
         return Vec::new();
@@ -425,23 +429,18 @@ fn check_hash_iter(file: &SourceFile) -> Vec<Hit> {
 // --- rule: wall-clock / ambient-rng -------------------------------------
 
 fn check_tokens(file: &SourceFile, tokens: &[&str]) -> Vec<Hit> {
-    let mut hits = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if tokens
+    hits_where(file, |line| {
+        tokens
             .iter()
             .any(|t| !token_positions(&line.code, t).is_empty())
-        {
-            hits.push((idx, snippet(file, idx)));
-        }
-    }
-    hits
+    })
 }
 
-fn check_wall_clock(file: &SourceFile) -> Vec<Hit> {
+fn check_wall_clock(file: &SourceFile, _: Called) -> Vec<Hit> {
     check_tokens(file, &["Instant::now", "SystemTime::now", "UNIX_EPOCH"])
 }
 
-fn check_ambient_rng(file: &SourceFile) -> Vec<Hit> {
+fn check_ambient_rng(file: &SourceFile, _: Called) -> Vec<Hit> {
     check_tokens(
         file,
         &[
@@ -512,7 +511,7 @@ fn is_float_literal(tok: &str) -> bool {
             .all(|c| c.is_ascii_digit() || matches!(c, '.' | '_' | 'e' | 'E' | '+' | '-'))
 }
 
-fn check_float_eq(file: &SourceFile) -> Vec<Hit> {
+fn check_float_eq(file: &SourceFile, _: Called) -> Vec<Hit> {
     let mut hits = Vec::new();
     for (idx, line) in file.lines.iter().enumerate() {
         let code = &line.code;
@@ -549,7 +548,7 @@ fn check_float_eq(file: &SourceFile) -> Vec<Hit> {
 
 // --- rule: partial-cmp-unwrap -------------------------------------------
 
-fn check_partial_cmp_unwrap(file: &SourceFile) -> Vec<Hit> {
+fn check_partial_cmp_unwrap(file: &SourceFile, _: Called) -> Vec<Hit> {
     let in_sort = sort_comparator_lines(file);
     let mut hits = Vec::new();
     for (idx, line) in file.lines.iter().enumerate() {
@@ -614,7 +613,7 @@ fn sort_comparator_lines(file: &SourceFile) -> Vec<bool> {
 
 // --- rule: handler-unwrap -----------------------------------------------
 
-fn check_handler_unwrap(file: &SourceFile) -> Vec<Hit> {
+fn check_handler_unwrap(file: &SourceFile, _: Called) -> Vec<Hit> {
     let mut hits = Vec::new();
     let mut depth: i32 = 0;
     let mut in_handler = false;
@@ -659,7 +658,7 @@ fn check_handler_unwrap(file: &SourceFile) -> Vec<Hit> {
 
 // --- rule: type-erasure ---------------------------------------------------
 
-fn check_type_erasure(file: &SourceFile) -> Vec<Hit> {
+fn check_type_erasure(file: &SourceFile, _: Called) -> Vec<Hit> {
     check_tokens(
         file,
         &["dyn Any", "downcast", "downcast_ref", "downcast_mut"],
@@ -676,7 +675,7 @@ fn check_type_erasure(file: &SourceFile) -> Vec<Hit> {
 /// the gap concrete: a `HashSet` there would reorder exploration without
 /// failing `hash-iter`. On the simulation path the type itself is
 /// banned; `BTreeSet` costs a logarithm and buys replayability.
-fn check_interleaving_hashset(file: &SourceFile) -> Vec<Hit> {
+fn check_interleaving_hashset(file: &SourceFile, _: Called) -> Vec<Hit> {
     check_tokens(file, &["HashSet", "hash_set"])
 }
 
@@ -687,7 +686,7 @@ fn check_interleaving_hashset(file: &SourceFile) -> Vec<Hit> {
 /// are how nondeterminism sneaks back in: an unscoped `thread::spawn`
 /// races the virtual clock, and a shared `Mutex`/`AtomicUsize` counter
 /// observes real scheduling order.
-fn check_unscoped_thread(file: &SourceFile) -> Vec<Hit> {
+fn check_unscoped_thread(file: &SourceFile, _: Called) -> Vec<Hit> {
     check_tokens(
         file,
         &[
@@ -702,6 +701,164 @@ fn check_unscoped_thread(file: &SourceFile) -> Vec<Hit> {
             "AtomicI64",
         ],
     )
+}
+
+fn scope_crate_src(path: &str) -> bool {
+    path.starts_with("crates/") && path.split('/').nth(2) == Some("src")
+}
+
+/// Each identifier on a line of code, with its byte offset.
+fn idents(code: &str) -> Vec<(usize, &str)> {
+    code.split(|c: char| !ident_char(c))
+        .filter(|w| w.starts_with(|c: char| !c.is_ascii_digit()))
+        .map(|w| (w.as_ptr() as usize - code.as_ptr() as usize, w))
+        .collect()
+}
+
+/// Each `fn NAME` on a line of code: (name offset, name, is a `pub fn`).
+fn fn_defs(code: &str) -> Vec<(usize, &str, bool)> {
+    let ids = idents(code);
+    let spaced = |w: &[(usize, &str)]| code[w[0].0 + 2..w[1].0].trim().is_empty();
+    ids.windows(2)
+        .filter(|w| w[0].1 == "fn" && spaced(w))
+        .map(|w| (w[1].0, w[1].1, code[..w[1].0].ends_with("pub fn ")))
+        .collect()
+}
+
+// --- rule: uncalled -------------------------------------------------------
+
+/// Every name that code outside tests uses as a call site: `name(`,
+/// `name::<`, `.name` or `::name` (a path used as a value, `map(Type::name)`),
+/// never a bare word nor a `fn name` definition. A bare `name(` in a file
+/// that defines a `fn name` other than a `pub fn` calls that local fn, so
+/// it counts for no `pub fn` elsewhere. `tests/` directories and code
+/// below the test cut call nothing.
+fn call_sites(files: &[SourceFile]) -> BTreeSet<&str> {
+    let mut called = BTreeSet::new();
+    let callers = files
+        .iter()
+        .filter(|f| !f.rel_path.split('/').any(|c| c == "tests"));
+    for file in callers {
+        let code = &file.lines[..file.test_cut.unwrap_or(file.lines.len())];
+        let defs: Vec<_> = code.iter().map(|l| fn_defs(&l.code)).collect();
+        let own: BTreeSet<&str> = defs
+            .iter()
+            .flatten()
+            .filter_map(|&(_, name, public)| (!public).then_some(name))
+            .collect();
+        for (line, defs) in code.iter().zip(&defs) {
+            let c = line.code.as_str();
+            for (at, name) in idents(c) {
+                let (before, after) = (&c[..at], &c[at + name.len()..]);
+                let path =
+                    before.ends_with("::") || before.ends_with('.') && !before.ends_with("..");
+                let bare = (after.starts_with('(') || after.starts_with("::<"))
+                    && !own.contains(name)
+                    && !defs.iter().any(|d| d.0 == at);
+                if path || bare {
+                    called.insert(name);
+                }
+            }
+        }
+    }
+    called
+}
+
+/// A `pub fn` under `crates/*/src` that no call site names: delete it,
+/// make it private, or mark a hook tests are meant to drive.
+fn check_uncalled(file: &SourceFile, called: Called) -> Vec<Hit> {
+    let uncalled = |&(_, name, public): &(usize, &str, bool)| {
+        public && called.is_some_and(|called| !called.contains(name))
+    };
+    hits_where(file, |line| fn_defs(&line.code).iter().any(uncalled))
+}
+
+// --- rule: edge-alloc -----------------------------------------------------
+
+/// The exporters, trace writers and TOML renderer: each fills one buffer.
+const EDGE_FILES: &[&str] = &[
+    "crates/telemetry/src/json.rs",
+    "crates/telemetry/src/chrome.rs",
+    "crates/telemetry/src/jsonl.rs",
+    "crates/telemetry/src/span.rs",
+    "crates/trace/src/csv.rs",
+    "crates/trace/src/jsonl.rs",
+    "crates/scenario/src/toml.rs",
+];
+
+/// A per-field `String` in a render path is a heap round trip per field,
+/// row or header. Scanned: the telemetry files whole, the trace files
+/// from their `// Writers` banner, the TOML codec's `render*` fns.
+fn check_edge_alloc(file: &SourceFile, _: Called) -> Vec<Hit> {
+    let render = file.rel_path.starts_with("crates/scenario/");
+    let mut scan = file.rel_path.starts_with("crates/telemetry/");
+    let mut hits = Vec::new();
+    for (idx, line) in file.lines.iter().enumerate() {
+        let raw = line.raw.trim_start_matches("pub ");
+        scan |= render && raw.starts_with("fn render") || !render && raw == "// Writers";
+        let allocs = "format!( .to_string() .join( collect::<Vec<String>>";
+        if scan && allocs.split(' ').any(|p| line.code.contains(p)) {
+            hits.push((idx, snippet(file, idx)));
+        }
+        scan &= !(render && raw.starts_with('}'));
+    }
+    hits
+}
+
+// --- rule: span-label -----------------------------------------------------
+
+/// `Ctx::span_label` takes `impl Into<LabelValue>`, so a label is stored
+/// as itself; a `span_label(` call whose arguments, followed across lines
+/// to the matching `)`, build a `String` is reported at its first line.
+fn check_span_label(file: &SourceFile, _: Called) -> Vec<Hit> {
+    let mut hits = Vec::new();
+    let mut open: Option<(usize, String)> = None;
+    for (idx, line) in file.lines.iter().enumerate() {
+        let code = &line.code;
+        let (start, call) = match (open.take(), code.find("span_label(")) {
+            (Some((start, call)), _) => (start, call + " " + code),
+            (None, Some(at)) if !code.contains("fn span_label") => (idx, code[at..].to_string()),
+            (None, _) => continue,
+        };
+        let mut depth = 0;
+        let close = call.char_indices().find(|&(_, c)| {
+            depth += i32::from(c == '(') - i32::from(c == ')');
+            c == ')' && depth == 0
+        });
+        match close.map(|(end, _)| &call[..end]) {
+            None => open = Some((start, call)),
+            Some(args) if args.contains(".to_string()") || args.contains("format!(") => {
+                hits.push((start, snippet(file, start)))
+            }
+            Some(_) => {}
+        }
+    }
+    hits
+}
+
+// --- rule: lc-views -------------------------------------------------------
+
+/// `GroupManager::lc_views` copies every LC record: placement and the
+/// tick walk the table in place, and only `fn reconfigure` and the
+/// `SnoozeMsg::AnomalyReport` arm, whichever of a `fn` or an arm opened
+/// last above the call, take the snapshot.
+fn check_lc_views(file: &SourceFile, _: Called) -> Vec<Hit> {
+    let mut scope = ("", "");
+    let mut hits = Vec::new();
+    for (idx, line) in file.lines.iter().enumerate() {
+        let code = &line.code;
+        if let Some(&(_, name, _)) = fn_defs(code).first() {
+            scope = ("fn", name);
+        }
+        if let Some(arm) = code.trim_start().strip_prefix("SnoozeMsg::") {
+            scope = ("SnoozeMsg", idents(arm).first().map_or("", |&(_, v)| v));
+        }
+        let planner = scope == ("fn", "reconfigure") || scope == ("SnoozeMsg", "AnomalyReport");
+        if code.contains("lc_views(") && !code.contains("fn lc_views(") && !planner {
+            hits.push((idx, snippet(file, idx)));
+        }
+    }
+    hits
 }
 
 /// The rule set, in reporting order.
@@ -769,6 +926,34 @@ pub fn rules() -> &'static [RuleDef] {
             hint: "the engine is single-threaded and the digest depends on it; keep real concurrency out of simulation-path crates",
             in_scope: scope_sim_path,
             check: check_unscoped_thread,
+        },
+        RuleDef {
+            id: "uncalled",
+            summary: "a pub fn under crates/*/src that no code outside tests calls",
+            hint: "delete it or make it private; a hook tests are meant to drive takes `// audit-allow(uncalled): reason`",
+            in_scope: scope_crate_src,
+            check: check_uncalled,
+        },
+        RuleDef {
+            id: "edge-alloc",
+            summary: "format!/.to_string()/.join(/collect::<Vec<String>> in an exporter, a trace writer or a TOML render fn",
+            hint: "stream into the output buffer; a wrapper that must return a String of its own takes `// audit-allow(edge-alloc): reason`",
+            in_scope: |path| EDGE_FILES.contains(&path),
+            check: check_edge_alloc,
+        },
+        RuleDef {
+            id: "span-label",
+            summary: "a span_label( call that builds its value with .to_string() or format!(",
+            hint: "pass the integer, ComponentId or &'static str itself: span labels are typed LabelValues",
+            in_scope: scope_crate_src,
+            check: check_span_label,
+        },
+        RuleDef {
+            id: "lc-views",
+            summary: "lc_views() outside fn reconfigure and the SnoozeMsg::AnomalyReport arm",
+            hint: "lc_views() copies the whole LC table; walk it in place",
+            in_scope: |path| path.starts_with("crates/snooze/src"),
+            check: check_lc_views,
         },
     ]
 }
@@ -851,14 +1036,15 @@ impl Allowlist {
     }
 }
 
-/// Lint one parsed file against every in-scope rule.
-pub fn lint_file(file: &SourceFile, allowlist: &Allowlist) -> Vec<Finding> {
+/// Lint one parsed file against every in-scope rule, given the names the
+/// tree calls; with `None`, as for a file linted alone, `uncalled` skips it.
+pub fn lint_file(file: &SourceFile, called: Called, allowlist: &Allowlist) -> Vec<Finding> {
     let mut findings = Vec::new();
     for rule in rules() {
         if !(rule.in_scope)(&file.rel_path) {
             continue;
         }
-        for (idx, snip) in (rule.check)(file) {
+        for (idx, snip) in (rule.check)(file, called) {
             if file.in_test_module(idx) {
                 continue;
             }
@@ -876,11 +1062,23 @@ pub fn lint_file(file: &SourceFile, allowlist: &Allowlist) -> Vec<Finding> {
     findings
 }
 
-/// Collect the workspace `.rs` sources under `root`, skipping build
-/// output, vendored stand-ins, and the lint's own fixture corpus.
+/// Lint `files` as one tree, `uncalled` included. Files under
+/// `benchmark/` are read as callers only, never linted.
+pub fn lint_files(files: &[SourceFile], allowlist: &Allowlist) -> Vec<Finding> {
+    let called = call_sites(files);
+    files
+        .iter()
+        .filter(|f| !f.rel_path.starts_with("benchmark/"))
+        .flat_map(|f| lint_file(f, Some(&called), allowlist))
+        .collect()
+}
+
+/// Collect the workspace `.rs` sources under `root` (`benchmark/src` as
+/// callers), skipping build output, vendored stand-ins, and the lint's
+/// own fixture corpus.
 fn collect_files(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    for top in ["src", "tests", "examples", "crates"] {
+    for top in ["src", "tests", "examples", "crates", "benchmark/src"] {
         walk(&root.join(top), &mut out);
     }
     out.sort();
@@ -915,7 +1113,7 @@ pub fn lint_root(root: &Path, allowlist: &Allowlist) -> Result<Vec<Finding>, Str
     if files.is_empty() {
         return Err(format!("no .rs sources found under {}", root.display()));
     }
-    let mut findings = Vec::new();
+    let mut parsed = Vec::new();
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -923,10 +1121,9 @@ pub fn lint_root(root: &Path, allowlist: &Allowlist) -> Result<Vec<Finding>, Str
             .to_string_lossy()
             .replace('\\', "/");
         let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {rel}: {e}"))?;
-        let file = SourceFile::parse(&rel, &text);
-        findings.extend(lint_file(&file, allowlist));
+        parsed.push(SourceFile::parse(&rel, &text));
     }
-    Ok(findings)
+    Ok(lint_files(&parsed, allowlist))
 }
 
 #[cfg(test)]
@@ -983,7 +1180,7 @@ mod tests {
         )
         .expect("allowlist parses");
         let file = parse("fn t() -> Instant { Instant::now() }\n");
-        let findings = lint_file(&file, &allowlist);
+        let findings = lint_file(&file, None, &allowlist);
         // The wall-clock entry is live (it suppresses a real finding)…
         assert!(findings.iter().any(|f| f.rule == "wall-clock" && f.allowed));
         // …while the hash-iter entry points at code that no longer exists.
@@ -1042,7 +1239,7 @@ mod tests {
         ] {
             let text = std::fs::read_to_string(root.join(rel)).expect(rel);
             let file = SourceFile::parse(rel, &text);
-            let live: Vec<String> = lint_file(&file, &allowlist)
+            let live: Vec<String> = lint_file(&file, None, &allowlist)
                 .into_iter()
                 .filter(|f| !f.allowed)
                 .map(|f| format!("{}:{} {} {}", f.path, f.line, f.rule, f.snippet))
@@ -1061,6 +1258,6 @@ mod tests {
             "crates/snooze/src/x.rs",
             "fn c(w: &[(f64, u32)]) -> bool { w[0].1 == w[1].1 }\n",
         );
-        assert!(check_float_eq(&f).is_empty());
+        assert!(check_float_eq(&f, None).is_empty());
     }
 }

@@ -155,22 +155,12 @@ fn cmd_determinism(mut args: Vec<String>) -> Result<ExitCode, String> {
             diffs.join(", "),
         );
     } else {
-        println!(
-            "run 1: events={} event_digest={:#018x} span_digest={:#018x} placed={} energy={} Wh",
-            verdict.first.events,
-            verdict.first.event_digest,
-            verdict.first.span_digest,
-            verdict.first.placed,
-            verdict.first.energy,
-        );
-        println!(
-            "run 2: events={} event_digest={:#018x} span_digest={:#018x} placed={} energy={} Wh",
-            verdict.second.events,
-            verdict.second.event_digest,
-            verdict.second.span_digest,
-            verdict.second.placed,
-            verdict.second.energy,
-        );
+        for (n, run) in [(1, &verdict.first), (2, &verdict.second)] {
+            println!(
+                "run {n}: events={} event_digest={:#018x} span_digest={:#018x} placed={} energy={} Wh",
+                run.events, run.event_digest, run.span_digest, run.placed, run.energy,
+            );
+        }
         if identical {
             println!(
                 "snooze-audit determinism: identical (seed {}, {} nodes, {} VMs, {} s)",

@@ -6,12 +6,12 @@
 //! source walker deliberately skips, so the bad fixtures never pollute
 //! a real `snooze-audit lint` run.
 
-use snooze_audit::lint::{lint_file, rules, Allowlist, SourceFile};
+use snooze_audit::lint::{lint_file, lint_files, rules, Allowlist, Finding, SourceFile};
 
 /// Lint one fixture as if it sat at `rel_path` in the workspace.
 fn findings(rel_path: &str, text: &str, allowlist: &Allowlist) -> Vec<(&'static str, bool)> {
     let file = SourceFile::parse(rel_path, text);
-    lint_file(&file, allowlist)
+    lint_file(&file, None, allowlist)
         .into_iter()
         .map(|f| (f.rule, f.allowed))
         .collect()
@@ -19,6 +19,24 @@ fn findings(rel_path: &str, text: &str, allowlist: &Allowlist) -> Vec<(&'static 
 
 fn empty() -> Allowlist {
     Allowlist::parse("").expect("empty allowlist parses")
+}
+
+/// Lint several fixtures as one tree, each as if it sat at its path.
+fn tree(files: &[(&str, &str)]) -> Vec<Finding> {
+    let parsed: Vec<SourceFile> = files
+        .iter()
+        .map(|(rel_path, text)| SourceFile::parse(rel_path, text))
+        .collect();
+    lint_files(&parsed, &empty())
+}
+
+/// The active findings of one rule as `line: snippet`.
+fn flagged(findings: &[Finding], rule: &str) -> Vec<String> {
+    findings
+        .iter()
+        .filter(|f| f.rule == rule && !f.allowed)
+        .map(|f| format!("{}: {}", f.line, f.snippet))
+        .collect()
 }
 
 fn active(rel_path: &str, text: &str) -> Vec<&'static str> {
@@ -177,7 +195,7 @@ fn handler_unwrap_fires_only_inside_on_message() {
         "crates/snooze/src/fixture.rs",
         include_str!("../fixtures/handler_unwrap_bad.rs"),
     );
-    let found = lint_file(&file, &empty());
+    let found = lint_file(&file, None, &empty());
     let lines: Vec<usize> = found
         .iter()
         .filter(|f| f.rule == "handler-unwrap")
@@ -327,6 +345,154 @@ fn unscoped_thread_respects_the_curated_allowlist() {
 }
 
 #[test]
+fn wall_clock_respects_a_marker_two_comment_lines_up() {
+    let hits = active(
+        "crates/simcore/src/fixture.rs",
+        include_str!("../fixtures/wall_clock_allowed.rs"),
+    );
+    assert_eq!(hits, Vec::<&str>::new());
+}
+
+#[test]
+fn an_indented_cfg_test_cuts_nothing() {
+    // Only a column-0 `#[cfg(test)]` opens the exempt test module; one
+    // inside a macro marks a single item, and the code after it is linted.
+    let hits = active(
+        "crates/simcore/src/fixture.rs",
+        include_str!("../fixtures/indented_cfg_test_bad.rs"),
+    );
+    assert_eq!(hits, vec!["wall-clock"]);
+}
+
+#[test]
+fn uncalled_fires_on_a_pub_fn_only_tests_or_strings_name() {
+    let found = tree(&[
+        (
+            "crates/demo/src/lib.rs",
+            include_str!("../fixtures/uncalled_bad.rs"),
+        ),
+        (
+            "crates/other/src/lib.rs",
+            include_str!("../fixtures/uncalled_callers.rs"),
+        ),
+        (
+            "crates/demo/tests/it.rs",
+            "fn it() { demo::only_integration_tests_call_me(); }\n",
+        ),
+        (
+            "benchmark/src/main.rs",
+            "fn main() { let _t = std::time::Instant::now(); demo::the_benchmark_calls_me(); }\n",
+        ),
+    ]);
+    assert_eq!(
+        flagged(&found, "uncalled"),
+        vec![
+            "5: pub fn only_unit_tests_call_me() -> u32 {",
+            "10: pub fn only_integration_tests_call_me() -> u32 {",
+            "15: pub fn only_named_in_a_string() -> u32 {",
+            "20: pub fn shadowed() -> u32 {",
+        ]
+    );
+    // `benchmark/src` is read as a caller, never linted itself.
+    assert!(
+        found.iter().all(|f| !f.path.starts_with("benchmark/")),
+        "{found:?}"
+    );
+}
+
+#[test]
+fn uncalled_needs_the_whole_tree() {
+    // A file linted alone has no call sites to check against.
+    let hits = active(
+        "crates/demo/src/lib.rs",
+        include_str!("../fixtures/uncalled_bad.rs"),
+    );
+    assert_eq!(hits, Vec::<&str>::new());
+}
+
+#[test]
+fn uncalled_respects_a_marker_two_comment_lines_up() {
+    let found = tree(&[(
+        "crates/demo/src/lib.rs",
+        include_str!("../fixtures/uncalled_allowed.rs"),
+    )]);
+    assert_eq!(flagged(&found, "uncalled"), Vec::<String>::new());
+    assert_eq!(found.len(), 1, "reported, just allowed: {found:?}");
+}
+
+#[test]
+fn edge_alloc_fires_below_the_writers_banner_only() {
+    let file = SourceFile::parse(
+        "crates/trace/src/csv.rs",
+        include_str!("../fixtures/edge_alloc_bad.rs"),
+    );
+    assert_eq!(
+        flagged(&lint_file(&file, None, &empty()), "edge-alloc"),
+        vec![r#"11: out.push_str(&format!("line {line}"));"#]
+    );
+}
+
+#[test]
+fn edge_alloc_is_scoped_to_the_render_paths() {
+    let hits = active(
+        "crates/trace/src/gen.rs",
+        include_str!("../fixtures/edge_alloc_bad.rs"),
+    );
+    assert_eq!(hits, Vec::<&str>::new());
+}
+
+#[test]
+fn edge_alloc_respects_targeted_allow() {
+    let hits = active(
+        "crates/trace/src/csv.rs",
+        include_str!("../fixtures/edge_alloc_allowed.rs"),
+    );
+    assert_eq!(hits, Vec::<&str>::new());
+}
+
+#[test]
+fn span_label_fires_on_a_string_built_across_lines() {
+    let file = SourceFile::parse(
+        "crates/snooze/src/fixture.rs",
+        include_str!("../fixtures/span_label_bad.rs"),
+    );
+    assert_eq!(
+        flagged(&lint_file(&file, None, &empty()), "span-label"),
+        vec![r#"8: ctx.span_label(span, "vm","#]
+    );
+}
+
+#[test]
+fn span_label_respects_targeted_allow() {
+    let hits = active(
+        "crates/snooze/src/fixture.rs",
+        include_str!("../fixtures/span_label_allowed.rs"),
+    );
+    assert_eq!(hits, Vec::<&str>::new());
+}
+
+#[test]
+fn lc_views_fires_in_try_place_but_not_in_the_planners() {
+    let file = SourceFile::parse(
+        "crates/snooze/src/group_manager.rs",
+        include_str!("../fixtures/lc_views_bad.rs"),
+    );
+    assert_eq!(
+        flagged(&lint_file(&file, None, &empty()), "lc-views"),
+        vec!["10: let views = self.lc_views();"]
+    );
+}
+
+#[test]
+fn lc_views_respects_targeted_allow() {
+    let hits = active(
+        "crates/snooze/src/group_manager.rs",
+        include_str!("../fixtures/lc_views_allowed.rs"),
+    );
+    assert_eq!(hits, Vec::<&str>::new());
+}
+
+#[test]
 fn every_rule_has_fixture_coverage() {
     // Keep this test honest if rules are added later: each rule id must
     // appear among the fixture-driven positives above.
@@ -340,6 +506,10 @@ fn every_rule_has_fixture_coverage() {
         "type-erasure",
         "interleaving-hashset",
         "unscoped-thread",
+        "uncalled",
+        "edge-alloc",
+        "span-label",
+        "lc-views",
     ];
     for rule in rules() {
         assert!(

@@ -1,9 +1,9 @@
-//! The determinism lint over the whole workspace, as `snooze-audit lint`
-//! runs it from `scripts/check.sh`: the same sources, the same
-//! `audit.allowlist`, the same inline `audit-allow` markers. Any finding
-//! neither excuses fails plain `cargo test`, so a `HashMap` iteration or a
-//! wall-clock read on the simulated path cannot wait for `check.sh` to be
-//! caught.
+//! The source lint over the whole workspace, as `snooze-audit lint` runs
+//! it from `scripts/check.sh`: the same 13 rules, the same sources, the
+//! same `audit.allowlist`, the same inline `audit-allow` markers. Any
+//! finding neither excuses fails plain `cargo test`, so a `HashMap`
+//! iteration on the simulated path or a `pub fn` only tests call cannot
+//! wait for `check.sh` to be caught.
 
 use std::path::Path;
 

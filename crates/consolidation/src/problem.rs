@@ -232,7 +232,7 @@ impl InstanceGenerator {
     /// [`InstanceGenerator::generate`], but hosts split between the
     /// reference capacity and double-size machines — the mixed-generation
     /// clusters real datacenters accumulate.
-    // check-allow(uncalled): the mixed-capacity shape the frozen kernel pin
+    // audit-allow(uncalled): the mixed-capacity shape the frozen kernel pin
     // (tests/aco_kernel.rs) and the reference-colony properties generate.
     pub fn generate_heterogeneous(&self, n: usize, rng: &mut SimRng) -> Instance {
         let mut inst = self.generate(n, rng);
@@ -251,7 +251,7 @@ impl InstanceGenerator {
     /// `n_bins` hosts of the reference capacity. At most 12 distinct
     /// demand vectors: the duplicate-heavy shape a live reconfiguration
     /// hands the packers.
-    // check-allow(uncalled): the duplicate-heavy shape the frozen kernel pin
+    // audit-allow(uncalled): the duplicate-heavy shape the frozen kernel pin
     // (tests/aco_kernel.rs) and the reference-colony properties generate.
     pub fn generate_flavoured(&self, n: usize, n_bins: usize, rng: &mut SimRng) -> Instance {
         const CORES: [f64; 4] = [1.0, 2.0, 4.0, 8.0];

@@ -1150,7 +1150,7 @@ impl ScenarioDoc {
 
     /// This document with `patch` (TOML text) applied under the override
     /// rule: arrays of tables replace, everything else deep-merges.
-    // check-allow(uncalled): how a test reshapes a checked-in document
+    // audit-allow(uncalled): how a test reshapes a checked-in document
     // (a smaller sweep, another seed); runs take theirs from the file.
     pub fn patch(&self, patch: &str) -> Result<ScenarioDoc, String> {
         let mut doc = self.clone();

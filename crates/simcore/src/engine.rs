@@ -601,7 +601,7 @@ impl<C: Component> Engine<C> {
 
     /// Inject a message from outside the simulation, delivered to `dst` at
     /// absolute time `at` (no network latency is applied).
-    // check-allow(uncalled): how a test hands a bare component a message;
+    // audit-allow(uncalled): how a test hands a bare component a message;
     // systems under a scenario are driven by their client component.
     pub fn post(&mut self, at: SimTime, dst: ComponentId, msg: impl Into<C::Msg>) {
         self.core.schedule(

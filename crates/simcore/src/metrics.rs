@@ -172,7 +172,7 @@ impl MetricsRegistry {
     }
 
     /// Increment counter `key` (no labels) by `n`.
-    // check-allow(uncalled): no component bumps an unlabelled counter by
+    // audit-allow(uncalled): no component bumps an unlabelled counter by
     // more than one; the Prometheus golden and the export tests do.
     pub fn add(&mut self, key: &str, n: u64) {
         self.add_with(key, &LabelSet::EMPTY, n);
@@ -274,7 +274,7 @@ impl MetricsRegistry {
     }
 
     /// Set gauge `key` (no labels).
-    // check-allow(uncalled): no component sets a gauge yet; the export
+    // audit-allow(uncalled): no component sets a gauge yet; the export
     // goldens and the windower's tests fill theirs through this.
     pub fn set_gauge(&mut self, key: &str, value: f64) {
         self.set_gauge_with(key, &LabelSet::EMPTY, value);

@@ -161,7 +161,7 @@ impl Obj {
 
 /// Render a JSON array from pre-rendered element strings.
 pub fn array(elems: &[String]) -> String {
-    // check-allow(edge-alloc): by-value helper for callers that already hold rendered elements
+    // audit-allow(edge-alloc): by-value helper for callers that already hold rendered elements
     format!("[{}]", elems.join(","))
 }
 

@@ -125,7 +125,7 @@ fn push_record(out: &mut String, r: &TraceRecord) {
 }
 
 /// Render one record as its canonical JSONL line (no newline).
-// check-allow(uncalled): the old-writer-vs-new proptest
+// audit-allow(uncalled): the old-writer-vs-new proptest
 // (tests/writer_reference.rs) compares one record's bytes through it.
 pub fn format_record(r: &TraceRecord) -> String {
     let mut line = String::new();
